@@ -29,6 +29,9 @@ class _FeatureBasedCensor(CensorClassifier):
         super().__init__()
         self.extractor = StatisticalFeatureExtractor()
         self.model = None
+        # Column of ``predict_proba`` holding P(benign); ``None`` while unfitted
+        # or when the training set held censored flows only.
+        self._benign_column: Optional[int] = None
 
     def _extract(self, flows: Sequence[Flow]) -> np.ndarray:
         return self.extractor.extract_many(flows)
@@ -37,17 +40,16 @@ class _FeatureBasedCensor(CensorClassifier):
         flows = list(flows)
         labels = self._resolve_labels(flows, labels)
         self.model.fit(self._extract(flows), labels)
+        classes = list(self.model.classes_)
+        self._benign_column = classes.index(1) if 1 in classes else None
         self._fitted = True
         return self
 
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
-        features = self._extract(flows)
-        probabilities = self.model.predict_proba(features)
-        classes = list(self.model.classes_)
-        if 1 in classes:
-            return probabilities[:, classes.index(1)]
-        # Degenerate training set containing only censored flows.
-        return np.zeros(len(flows))
+        if self._benign_column is None:
+            # Degenerate training set containing only censored flows.
+            return np.zeros(len(flows))
+        return self.model.predict_proba(self._extract(flows))[:, self._benign_column]
 
     # ------------------------------------------------------------------ #
     # Feature-importance analysis (Figure 4)

@@ -20,7 +20,9 @@ classify features as packet- or timing-derived.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,52 +35,197 @@ N_STATISTICAL_FEATURES = 166
 _SUMMARY_NAMES = ["min", "max", "mean", "std", "median", "mad", "skew", "kurtosis"]
 _DECILES = [10, 20, 30, 40, 50, 60, 70, 80, 90]
 
-
-def _skew_kurtosis(values: np.ndarray) -> Tuple[float, float]:
-    """Sample skewness and excess kurtosis; zero for (near-)constant data."""
-    mean = values.mean()
-    std = values.std()
-    if std < 1e-12:
-        return 0.0, 0.0
-    standardised = (values - mean) / std
-    return float(np.mean(standardised ** 3)), float(np.mean(standardised ** 4) - 3.0)
+_NAN = float("nan")
+_add_reduce = np.add.reduce
 
 
-def _summary(values: np.ndarray) -> List[float]:
-    """Eight summary statistics of ``values`` (zeros when empty)."""
-    if values.size == 0:
-        return [0.0] * len(_SUMMARY_NAMES)
-    if values.size == 1:
+def _order_statistics(ordered: np.ndarray) -> Tuple[float, float, float]:
+    """``(min, max, median)`` of an ascending array of two or more values."""
+    ascending = ordered.tolist()
+    if ascending[-1] != ascending[-1]:
+        # NaN (an overflowed sum upstream) sorts last; numpy's min, max and
+        # median all propagate it.
+        return _NAN, _NAN, _NAN
+    half = len(ascending) >> 1
+    if len(ascending) & 1:
+        median = ascending[half]
+    else:
+        median = (ascending[half - 1] + ascending[half]) / 2
+    return ascending[0], ascending[-1], median
+
+
+def _summary(values: np.ndarray) -> Tuple[Tuple[float, ...], np.ndarray, float]:
+    """Eight summary statistics of ``values``, its ascending sort and its sum.
+
+    ``values`` is sorted once and the sorted copy yields min, max and median
+    (the deviations are sorted once more for the MAD).  Mean, std, skew and
+    kurtosis share one ``values - mean`` and reduce the *unsorted* operand in
+    the order ``ndarray.mean`` / ``ndarray.std`` do, so pairwise-summation
+    rounding is exactly that of the numpy methods.
+    """
+    n = values.shape[0]
+    if n == 0:
+        return (0.0,) * len(_SUMMARY_NAMES), values, 0.0
+    if n == 1:
         value = float(values[0])
-        return [value, value, value, 0.0, value, 0.0, 0.0, 0.0]
-    skew, kurtosis = _skew_kurtosis(values)
+        return (value, value, value, 0.0, value, 0.0, 0.0, 0.0), values, value
+    ordered = values.copy()
+    ordered.sort()
+    minimum, maximum, median = _order_statistics(ordered)
+    deviations = np.abs(values - median)
+    deviations.sort()
+    mad = _order_statistics(deviations)[2]
+
+    total = float(_add_reduce(values))
+    mean = total / n
+    centred = values - mean
+    std = math.sqrt(float(_add_reduce(centred * centred)) / n)
+    if std < 1e-12:
+        skew = kurtosis = 0.0
+    else:
+        standardised = centred / std
+        skew = float(_add_reduce(standardised ** 3)) / n
+        kurtosis = float(_add_reduce(standardised ** 4)) / n - 3.0
+    return (minimum, maximum, mean, std, median, mad, skew, kurtosis), ordered, total
+
+
+def _run_bounds(values: np.ndarray) -> List[int]:
+    """Start of every maximal run of equal consecutive values, then ``len(values)``."""
+    return [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.shape[0]]
+
+
+@lru_cache(maxsize=1024)
+def _decile_plan(n: int) -> Tuple[np.ndarray, ...]:
+    """Neighbour indexes and weights of the nine deciles of ``n >= 2`` sorted values.
+
+    Replays ``np.percentile(..., method="linear")`` operation for operation:
+    virtual index ``(n - 1) * (q / 100)``, its floor, and the weight
+    ``gamma = virtual - floor`` with its complement and the ``gamma >= 0.5``
+    branch ``_lerp`` takes.
+    """
+    virtual = (n - 1) * (np.asarray(_DECILES) / np.float64(100))
+    previous = np.floor(virtual)
+    gamma = virtual - previous
+    previous = previous.astype(np.intp)
+    return previous, previous + 1, gamma, 1 - gamma, gamma >= 0.5
+
+
+def _deciles(ordered: np.ndarray) -> List[float]:
+    """The nine deciles of an ascending array, bit-equal to ``np.percentile``."""
+    n = ordered.shape[0]
+    if n < 2:
+        return [float(ordered[0]) if n else 0.0] * len(_DECILES)
+    previous, following, gamma, one_minus_gamma, upper = _decile_plan(n)
+    below = ordered[previous]
+    above = ordered[following]
+    difference = above - below
+    return np.where(
+        upper, above - difference * one_minus_gamma, below + difference * gamma
+    ).tolist()
+
+
+@lru_cache(maxsize=1024)
+def _checkpoint_indexes(n_packets: int) -> np.ndarray:
+    """Index of the last packet inside each tenth of an ``n_packets`` flow."""
+    return np.asarray(
+        [max(0, math.ceil(checkpoint / 10 * n_packets) - 1) for checkpoint in range(1, 11)],
+        dtype=np.intp,
+    )
+
+
+def _raw_features(flow: Flow) -> List[float]:
+    """The 166 features of ``flow`` in ``feature_names()`` order, before ``nan_to_num``."""
+    sizes = np.asarray(flow.sizes, dtype=np.float64)
+    delays = np.asarray(flow.delays, dtype=np.float64)
+    n_packets = sizes.shape[0]
+    abs_sizes = np.abs(sizes)
+    up_mask = sizes > 0
+    down_mask = sizes < 0
+
+    # Packet-size and timing summaries (overall / up / down); the per-direction
+    # deciles are read off the same sorted arrays.
+    all_sizes, sorted_sizes, _ = _summary(abs_sizes)
+    up_sizes, sorted_up_sizes, bytes_up = _summary(abs_sizes[up_mask])
+    down_sizes, sorted_down_sizes, bytes_down = _summary(abs_sizes[down_mask])
+    all_delays, _, duration = _summary(delays)
+    up_delays, sorted_up_delays, _ = _summary(delays[up_mask])
+    down_delays, sorted_down_delays, _ = _summary(delays[down_mask])
+
+    # Bursts: maximal same-direction runs.
+    bounds = _run_bounds(up_mask)
+    n_bursts = len(bounds) - 1
+    burst_lengths = np.diff(np.asarray(bounds, dtype=np.float64))
+    # Per-slice sums: ``add.reduceat`` associates differently and is not
+    # bit-equal to ``abs_sizes[start:stop].sum()`` on non-integer sizes.
+    burst_bytes = np.asarray(
+        [_add_reduce(abs_sizes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    )
+    up_bursts = up_mask[bounds[:-1]]
+    down_bursts = ~up_bursts
+    n_up_bursts = np.count_nonzero(up_bursts)
+
+    # Same-direction gaps.
+    timestamps = np.cumsum(delays)
+    up_stamps = timestamps[up_mask]
+    down_stamps = timestamps[down_mask]
+
+    # Cumulative-size checkpoints: fraction of bytes sent by each decile of packets.
+    cumulative = np.cumsum(abs_sizes)
+    total_bytes = cumulative[-1] if cumulative[-1] > 0 else 1.0
+    checkpoints = cumulative[_checkpoint_indexes(n_packets)] / total_bytes
+
+    # Flow-level.
+    safe_duration = duration if duration > 0 else 1.0
+    quarter = max(1, n_packets // 4)
+    n_up = np.count_nonzero(up_mask)
+    n_down = np.count_nonzero(down_mask)
+    # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
+    size_probabilities = np.diff(_run_bounds(sorted_sizes)) / n_packets
+    entropy = -_add_reduce(size_probabilities * np.log2(size_probabilities))
+
     return [
-        float(values.min()),
-        float(values.max()),
-        float(values.mean()),
-        float(values.std()),
-        float(np.median(values)),
-        float(np.median(np.abs(values - np.median(values)))),
-        skew,
-        kurtosis,
+        *all_sizes,
+        *up_sizes,
+        *down_sizes,
+        *all_delays,
+        *up_delays,
+        *down_delays,
+        *_deciles(sorted_up_sizes),
+        *_deciles(sorted_down_sizes),
+        *_deciles(sorted_up_delays),
+        *_deciles(sorted_down_delays),
+        *_summary(burst_lengths[up_bursts])[0],
+        *_summary(burst_lengths[down_bursts])[0],
+        *_summary(burst_bytes[up_bursts])[0],
+        *_summary(burst_bytes[down_bursts])[0],
+        n_up_bursts,
+        n_bursts - n_up_bursts,
+        n_bursts,
+        n_bursts - 1,
+        n_bursts / n_packets,
+        float(burst_lengths.max()) / n_packets,
+        *_summary(up_stamps[1:] - up_stamps[:-1])[0],
+        *_summary(down_stamps[1:] - down_stamps[:-1])[0],
+        *checkpoints.tolist(),
+        n_packets,
+        n_up,
+        n_down,
+        n_up / n_packets,
+        n_down / n_packets,
+        bytes_up + bytes_down,
+        bytes_up,
+        bytes_down,
+        bytes_up / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
+        bytes_down / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
+        duration,
+        (bytes_up + bytes_down) / safe_duration,
+        bytes_up / safe_duration,
+        bytes_down / safe_duration,
+        n_packets / safe_duration,
+        np.count_nonzero(down_mask[:quarter]) / quarter,
+        np.count_nonzero(down_mask[-quarter:]) / quarter,
+        entropy,
     ]
-
-
-def _deciles(values: np.ndarray) -> List[float]:
-    if values.size == 0:
-        return [0.0] * len(_DECILES)
-    return [float(np.percentile(values, q)) for q in _DECILES]
-
-
-def _bursts(directions: np.ndarray, sizes: np.ndarray) -> List[Tuple[float, float]]:
-    """Return (length, bytes) of each maximal same-direction burst."""
-    bursts: List[Tuple[float, float]] = []
-    start = 0
-    for index in range(1, len(directions) + 1):
-        if index == len(directions) or directions[index] != directions[start]:
-            bursts.append((float(index - start), float(np.abs(sizes[start:index]).sum())))
-            start = index
-    return bursts
 
 
 class StatisticalFeatureExtractor:
@@ -177,119 +324,20 @@ class StatisticalFeatureExtractor:
     # Extraction
     # ------------------------------------------------------------------ #
     def extract(self, flow: Flow) -> np.ndarray:
-        sizes = np.asarray(flow.sizes, dtype=np.float64)
-        delays = np.asarray(flow.delays, dtype=np.float64)
-        directions = np.sign(sizes)
-        abs_sizes = np.abs(sizes)
-        up_mask = directions > 0
-        down_mask = directions < 0
-        timestamps = np.cumsum(delays)
-
-        features: List[float] = []
-
-        # Packet-size summaries.
-        features.extend(_summary(abs_sizes))
-        features.extend(_summary(abs_sizes[up_mask]))
-        features.extend(_summary(abs_sizes[down_mask]))
-        # Timing summaries.
-        features.extend(_summary(delays))
-        features.extend(_summary(delays[up_mask]))
-        features.extend(_summary(delays[down_mask]))
-        # Size deciles per direction.
-        features.extend(_deciles(abs_sizes[up_mask]))
-        features.extend(_deciles(abs_sizes[down_mask]))
-        # Timing deciles per direction.
-        features.extend(_deciles(delays[up_mask]))
-        features.extend(_deciles(delays[down_mask]))
-
-        # Bursts.
-        bursts = _bursts(directions, sizes)
-        burst_directions = []
-        cursor = 0
-        for length, _ in bursts:
-            burst_directions.append(directions[cursor])
-            cursor += int(length)
-        burst_directions = np.asarray(burst_directions)
-        burst_lengths = np.asarray([b[0] for b in bursts])
-        burst_bytes = np.asarray([b[1] for b in bursts])
-        up_bursts = burst_directions > 0
-        down_bursts = burst_directions < 0
-
-        features.extend(_summary(burst_lengths[up_bursts]))
-        features.extend(_summary(burst_lengths[down_bursts]))
-        features.extend(_summary(burst_bytes[up_bursts]))
-        features.extend(_summary(burst_bytes[down_bursts]))
-
-        n_packets = len(sizes)
-        features.extend(
-            [
-                float(up_bursts.sum()),
-                float(down_bursts.sum()),
-                float(len(bursts)),
-                float(np.sum(directions[1:] != directions[:-1])),
-                float(len(bursts)) / n_packets,
-                float(burst_lengths.max() / n_packets) if len(bursts) else 0.0,
-            ]
-        )
-
-        # Same-direction gaps.
-        up_stamps = timestamps[up_mask]
-        down_stamps = timestamps[down_mask]
-        features.extend(_summary(np.diff(up_stamps) if up_stamps.size > 1 else np.array([])))
-        features.extend(_summary(np.diff(down_stamps) if down_stamps.size > 1 else np.array([])))
-
-        # Cumulative-size checkpoints: fraction of bytes sent by each decile of packets.
-        cumulative = np.cumsum(abs_sizes)
-        total_bytes = cumulative[-1] if cumulative[-1] > 0 else 1.0
-        for checkpoint in range(1, 11):
-            index = max(0, int(np.ceil(checkpoint / 10 * n_packets)) - 1)
-            features.append(float(cumulative[index] / total_bytes))
-
-        # Flow-level.
-        bytes_up = float(abs_sizes[up_mask].sum())
-        bytes_down = float(abs_sizes[down_mask].sum())
-        duration = float(delays.sum())
-        safe_duration = duration if duration > 0 else 1.0
-        quarter = max(1, n_packets // 4)
-        first_quarter = directions[:quarter]
-        last_quarter = directions[-quarter:]
-        size_counts = np.unique(abs_sizes, return_counts=True)[1]
-        size_probabilities = size_counts / size_counts.sum()
-        entropy = float(-(size_probabilities * np.log2(size_probabilities)).sum())
-
-        features.extend(
-            [
-                float(n_packets),
-                float(up_mask.sum()),
-                float(down_mask.sum()),
-                float(up_mask.sum()) / n_packets,
-                float(down_mask.sum()) / n_packets,
-                bytes_up + bytes_down,
-                bytes_up,
-                bytes_down,
-                bytes_up / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
-                bytes_down / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
-                duration,
-                (bytes_up + bytes_down) / safe_duration,
-                bytes_up / safe_duration,
-                bytes_down / safe_duration,
-                n_packets / safe_duration,
-                float(np.mean(first_quarter < 0)),
-                float(np.mean(last_quarter < 0)),
-                entropy,
-            ]
-        )
-
-        vector = np.asarray(features, dtype=np.float64)
-        if vector.shape[0] != N_STATISTICAL_FEATURES:
-            raise RuntimeError(
-                f"feature extractor produced {vector.shape[0]} features, expected {N_STATISTICAL_FEATURES}"
-            )
-        return np.nan_to_num(vector, nan=0.0, posinf=0.0, neginf=0.0)
+        """The 166 features of one flow; bit-identical to its row of ``extract_many``."""
+        return self.extract_many((flow,))[0]
 
     def extract_many(self, flows: Sequence[Flow]) -> np.ndarray:
-        """Extract features for a sequence of flows -> (n_flows, 166) matrix."""
-        return np.vstack([self.extract(flow) for flow in flows])
+        """Extract features for a sequence of flows -> (n_flows, 166) matrix.
+
+        A row depends on its own flow only, whatever else is in the batch, and
+        is bit-identical to the seed implementation kept as the test oracle in
+        ``tests/oracles/statistical_reference.py``.
+        """
+        matrix = np.empty((len(flows), N_STATISTICAL_FEATURES), dtype=np.float64)
+        for row, flow in zip(matrix, flows):
+            row[:] = _raw_features(flow)
+        return np.nan_to_num(matrix, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
     def __call__(self, flow: Flow) -> np.ndarray:
         return self.extract(flow)

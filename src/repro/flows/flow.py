@@ -67,10 +67,16 @@ class Flow:
             )
         if len(self.sizes) == 0:
             raise ValueError("a flow must contain at least one packet")
+        # NaN passes both comparisons below, so non-finite values are rejected first.
+        if not (np.isfinite(self.sizes).all() and np.isfinite(self.delays).all()):
+            raise ValueError("packet sizes and inter-packet delays must be finite")
         if np.any(self.sizes == 0):
             raise ValueError("packet sizes must be non-zero (sign encodes direction)")
-        if np.any(self.delays < 0):
-            raise ValueError("inter-packet delays must be non-negative")
+        if np.signbit(self.delays).any():
+            if np.any(self.delays < 0):
+                raise ValueError("inter-packet delays must be non-negative")
+            # Only -0.0 is left: store +0.0 so equal delays are also bit-equal.
+            self.delays = np.abs(self.delays)
 
     # ------------------------------------------------------------------ #
     # Derived quantities

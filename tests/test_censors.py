@@ -13,8 +13,15 @@ from repro.censors import (
     SDAEClassifier,
     SocketPair,
 )
+from repro.core import Amoeba
 from repro.eval.metrics import classifier_detection_report
+from repro.features import StatisticalFeatureExtractor
 from repro.flows import FlowLabel
+from repro.nn import state_dict_to_bytes
+
+from oracles.statistical_reference import (
+    StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
+)
 
 
 class TestCensorInterface:
@@ -78,6 +85,66 @@ class TestTreeCensors:
         """Figure 4's qualitative claim: packet features outrank timing features."""
         counts = trained_dt_censor.importance_category_counts(top_k=20)
         assert counts["packet"] > counts["timing"]
+
+
+class TestTreeCensorTrainingSemantics:
+    """A tiny golden run: the feature kernel may not move a single training bit."""
+
+    @staticmethod
+    def _train(extractor, tor_splits, normalizer, fast_config, monkeypatch):
+        censor = DecisionTreeCensor(rng=3, min_samples_split=2)
+        censor.extractor = extractor  # used by ``fit`` and by every scoring tick
+        # The synthetic Tor set is separable on one feature.  Prefixes (what the
+        # censor scores during training) with 30 % flipped labels grow a deep
+        # tree over ~25 features from every group, so a drifted feature shows.
+        flows = [flow.prefix(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
+        labels = np.array([flow.label for flow in flows])
+        flipped = np.random.default_rng(4).random(len(flows)) < 0.3
+        censor.fit(flows, np.where(flipped, 1 - labels, labels))
+        assert np.count_nonzero(censor.model.feature_importances_) >= 20
+        agent = Amoeba(
+            censor,
+            normalizer,
+            fast_config,
+            rng=0,
+            encoder_pretrain_kwargs={"n_flows": 30, "epochs": 1, "max_length": 15},
+        )
+        scores, rewards = [], []
+        score_flows, update = censor._score_flows, agent.updater.update
+
+        def recording_score_flows(flows):
+            scores.append(score_flows(flows))
+            return scores[-1]
+
+        def recording_update(buffer):
+            rewards.append(buffer.rewards.copy())
+            return update(buffer)
+
+        monkeypatch.setattr(censor, "_score_flows", recording_score_flows)
+        monkeypatch.setattr(agent.updater, "update", recording_update)
+        # Two PPO iterations, so the second collects with an updated policy.
+        agent.train(
+            tor_splits.attack_train.censored_flows[:20],
+            total_timesteps=2 * fast_config.rollout_length * fast_config.n_envs,
+        )
+        return {
+            "scores": np.concatenate(scores).tobytes(),
+            "rewards": np.stack(rewards).tobytes(),
+            "query_count": censor.query_count,
+            "log": {key: list(series) for key, series in agent.training_log.history.items()},
+            "policy": state_dict_to_bytes(agent._policy_state()),
+        }
+
+    def test_kernel_and_oracle_extractor_train_identically(
+        self, tor_splits, normalizer, fast_config, monkeypatch
+    ):
+        runs = [
+            self._train(extractor, tor_splits, normalizer, fast_config, monkeypatch)
+            for extractor in (ReferenceStatisticalFeatureExtractor(), StatisticalFeatureExtractor())
+        ]
+        assert runs[0]["query_count"] == runs[1]["query_count"] > 0
+        for key in ("scores", "rewards", "log", "policy"):
+            assert runs[0][key] == runs[1][key], key
 
 
 class TestCumulCensor:

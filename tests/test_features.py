@@ -10,7 +10,26 @@ from repro.features import (
     SequenceRepresentation,
     StatisticalFeatureExtractor,
 )
+from repro.features.statistical import _deciles
 from repro.flows import Flow
+
+from oracles.statistical_reference import (
+    StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
+)
+
+
+def assert_bitwise_equal(actual, expected, names=None):
+    """``view(uint64)`` equality, naming the first few offending features."""
+    actual = np.ascontiguousarray(actual, dtype=np.float64)
+    expected = np.ascontiguousarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    differing = np.argwhere(actual.view(np.uint64) != expected.view(np.uint64))
+    if len(differing):
+        shown = [
+            (tuple(index), names[index[-1]] if names else None, actual[tuple(index)], expected[tuple(index)])
+            for index in differing[:5]
+        ]
+        raise AssertionError(f"{len(differing)} values differ bitwise, first: {shown}")
 
 
 class TestStatisticalFeatures:
@@ -81,6 +100,110 @@ class TestStatisticalFeatures:
     def test_callable_interface(self, simple_flow):
         extractor = StatisticalFeatureExtractor()
         assert np.allclose(extractor(simple_flow), extractor.extract(simple_flow))
+
+
+SWEEP_FAMILIES = (
+    "integer sizes",
+    "unidirectional up",
+    "unidirectional down",
+    "single-packet direction",
+    "constant",
+    "heavy ties",
+    "non-integer sizes",
+    "zero delays",
+)
+
+
+def sweep_flows(family):
+    """One flow of every length 1..200 from ``family`` (deterministic)."""
+    rng = np.random.default_rng([20230905, SWEEP_FAMILIES.index(family)])
+    flows = []
+    for n in range(1, 201):
+        mixed = rng.choice([-1.0, 1.0], n)
+        delays = rng.exponential(10.0, n)
+        if family == "integer sizes":
+            sizes = rng.integers(40, 1500, n) * mixed
+        elif family == "unidirectional up":
+            sizes = rng.uniform(1.0, 1500.0, n)
+        elif family == "unidirectional down":
+            sizes = -rng.uniform(1.0, 1500.0, n)
+        elif family == "single-packet direction":
+            sizes = rng.uniform(1.0, 1500.0, n)
+            sizes[rng.integers(n)] *= -1.0
+        elif family == "constant":  # the ``std < 1e-12`` branch, in every group
+            sizes = np.full(n, 536.0) * mixed
+            delays = np.full(n, 0.1)
+        elif family == "heavy ties":
+            sizes = rng.choice([100.0, 536.0, 1460.0], n) * mixed
+            delays = rng.choice([0.0, 1.0, 5.0], n)
+        elif family == "non-integer sizes":
+            sizes = rng.uniform(0.001, 1500.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+            delays = np.round(delays, 2)
+        else:
+            sizes = rng.integers(40, 1500, n) * mixed
+            delays = np.zeros(n)
+        flows.append(Flow(sizes=sizes, delays=delays))
+    return flows
+
+
+class TestStatisticalKernelMatchesOracle:
+    """The sort-once kernel is bit-identical to the seed implementation."""
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_sweep_is_bitwise_equal_to_oracle(self, family):
+        flows = sweep_flows(family)
+        extractor = StatisticalFeatureExtractor()
+        oracle = ReferenceStatisticalFeatureExtractor()
+        expected = np.vstack([oracle.extract(flow) for flow in flows])
+        names = extractor.feature_names()
+        assert_bitwise_equal(extractor.extract_many(flows), expected, names)
+        # ... and the one-flow entry point, on a spread of lengths.
+        for flow in flows[::23]:
+            assert_bitwise_equal(extractor.extract(flow), oracle.extract(flow), names)
+
+    def test_rows_do_not_depend_on_batch_composition(self):
+        flows = [flow for family in SWEEP_FAMILIES for flow in sweep_flows(family)[:60:3]]
+        extractor = StatisticalFeatureExtractor()
+        stacked = np.vstack([extractor.extract(flow) for flow in flows])
+        assert_bitwise_equal(extractor.extract_many(flows), stacked)
+        order = np.random.default_rng(5).permutation(len(flows))
+        shuffled = extractor.extract_many([flows[i] for i in order])
+        assert_bitwise_equal(shuffled, stacked[order])
+        # Any sub-batch, down to a single flow, yields the same rows.
+        assert_bitwise_equal(extractor.extract_many(flows[7:19]), stacked[7:19])
+        assert_bitwise_equal(extractor.extract_many(flows[40:41]), stacked[40:41])
+
+    def test_overflowing_sums_match_oracle(self):
+        # Finite flows whose duration / byte sums overflow: the gap and burst
+        # groups then hold inf and NaN, which min / max / median propagate.
+        huge = 1.7e308
+        flows = [
+            Flow(sizes=[100.0, 200.0, 300.0, 400.0], delays=[0.0, huge, huge, huge]),
+            Flow(sizes=[huge, huge, -huge, huge, huge, -5.0], delays=[0.0, 1.0, huge, 2.0, huge, huge]),
+            Flow(sizes=[-huge, -huge, 7.0, -huge, -huge], delays=[huge] * 5),
+        ]
+        extractor = StatisticalFeatureExtractor()
+        oracle = ReferenceStatisticalFeatureExtractor()
+        with np.errstate(all="ignore"):
+            expected = np.vstack([oracle.extract(flow) for flow in flows])
+            actual = extractor.extract_many(flows)
+        assert np.all(np.isfinite(actual))
+        assert_bitwise_equal(actual, expected, extractor.feature_names())
+
+    def test_empty_batch(self):
+        assert StatisticalFeatureExtractor().extract_many([]).shape == (0, 166)
+
+    def test_decile_lerp_equals_numpy_percentile(self):
+        """A numpy upgrade that changes the ``linear`` formula must fail here."""
+        rng = np.random.default_rng(11)
+        for n in range(1, 201):
+            for values in (
+                rng.uniform(0.0, 1500.0, n),
+                rng.choice([0.1, 0.3, 536.0, 1460.0], n),
+                np.full(n, 1.0 / 3.0),
+            ):
+                expected = [np.percentile(values, q) for q in range(10, 100, 10)]
+                assert_bitwise_equal(_deciles(np.sort(values)), expected)
 
 
 class TestCumulFeatures:

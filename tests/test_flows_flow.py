@@ -27,6 +27,25 @@ class TestFlowConstruction:
         with pytest.raises(ValueError):
             Flow(sizes=[100.0], delays=[-1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_size_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Flow(sizes=[100.0, bad], delays=[0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Flow(sizes=[100.0, -200.0], delays=[0.0, bad])
+
+    def test_non_finite_from_dict_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Flow.from_dict({"sizes": [100.0, float("nan")], "delays": [0.0, 1.0]})
+
+    def test_negative_zero_delay_stored_as_positive_zero(self):
+        flow = Flow(sizes=[100.0, -200.0, 300.0], delays=[0.0, -0.0, 1.0])
+        assert not np.signbit(flow.delays).any()
+        assert np.array_equal(flow.delays, [0.0, 0.0, 1.0])
+
     def test_arrays_coerced_to_float(self):
         flow = Flow(sizes=[1, -2], delays=[0, 1])
         assert flow.sizes.dtype == np.float64

@@ -11,6 +11,10 @@ from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFea
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
 
+from oracles.statistical_reference import (
+    StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
+)
+
 # Strategy: a syntactically valid flow — non-zero signed sizes, non-negative delays.
 sizes_strategy = st.lists(
     st.one_of(
@@ -22,6 +26,31 @@ sizes_strategy = st.lists(
 )
 delays_strategy = st.lists(
     st.floats(min_value=0.0, max_value=500.0, allow_nan=False), min_size=1, max_size=30
+)
+
+
+# Strategy for the bitwise oracle property: every packet is drawn either from
+# a small pool (ties, constant groups, zero delays) or from the full finite
+# range (non-integer sizes, denormal-to-huge magnitudes).
+_magnitudes = st.one_of(
+    st.sampled_from([0.1, 1.0 / 3.0, 100.0, 536.0, 1460.0]),
+    st.floats(min_value=1e-3, max_value=65535.0),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+_packets = st.tuples(
+    _magnitudes,
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(
+        st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+        st.floats(min_value=0.0, max_value=500.0),
+        st.floats(min_value=0.0, max_value=1.7e308),
+    ),
+)
+oracle_flows = st.lists(_packets, min_size=1, max_size=200).map(
+    lambda packets: Flow(
+        sizes=[magnitude * sign for magnitude, sign, _ in packets],
+        delays=[delay for _, _, delay in packets],
+    )
 )
 
 
@@ -75,6 +104,18 @@ class TestFeatureProperties:
         vector = StatisticalFeatureExtractor().extract(flow)
         assert vector.shape == (166,)
         assert np.all(np.isfinite(vector))
+
+    @given(flow=oracle_flows, batch=st.lists(oracle_flows, max_size=3), position=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_statistical_kernel_bit_identical_to_seed_oracle(self, flow, batch, position):
+        with np.errstate(all="ignore"):
+            expected = ReferenceStatisticalFeatureExtractor().extract(flow)
+            extractor = StatisticalFeatureExtractor()
+            alone = extractor.extract(flow)
+            position = min(position, len(batch))
+            batched = extractor.extract_many(batch[:position] + [flow] + batch[position:])
+        assert np.array_equal(alone.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(batched[position].view(np.uint64), expected.view(np.uint64))
 
     @given(sizes=sizes_strategy, delays=delays_strategy)
     @settings(max_examples=30, deadline=None)
