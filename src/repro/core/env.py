@@ -29,6 +29,7 @@ which is how the paper counts "actual queries" in Figures 8 and 9.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ __all__ = [
     "ActionKind",
     "PendingStep",
     "ShapedPacket",
+    "packet_direction",
     "shape_packet",
     "make_observation",
     "record_action",
@@ -71,6 +73,26 @@ class ShapedPacket:
     is_truncation: bool   # True: the remainder is re-offered as the next observation
 
 
+def _clip(value: float, low: float, high: float) -> float:
+    """``np.clip`` on one Python float, bit for bit: a value equal to a bound
+    (``-0.0`` against ``0.0`` included) is returned as is, NaN propagates."""
+    if value < low:
+        return low
+    if value > high:
+        return high
+    return value
+
+
+def packet_direction(size: float) -> float:
+    """``np.sign`` of a signed packet size (``+1.0`` upstream, ``-1.0``
+    downstream) as a plain float comparison."""
+    if size > 0:
+        return 1.0
+    if size < 0:
+        return -1.0
+    return 0.0 if size == 0 else float(size)  # NaN stays NaN, as np.sign
+
+
 def shape_packet(
     action: np.ndarray,
     remaining_bytes: float,
@@ -93,15 +115,24 @@ def shape_packet(
     requested size otherwise, integer byte / millisecond discretisation,
     and the ``min_packet_bytes`` floor.  ``max_steps`` may be ``None`` for
     an unbounded live stream.
-    """
-    action = np.asarray(action, dtype=np.float64).reshape(-1)
-    if action.shape[0] != 2:
-        raise ValueError(f"action must have 2 components, got {action.shape}")
-    size_action = float(np.clip(action[0], -1.0, 1.0))
-    delay_action = float(np.clip(action[1], 0.0, 1.0))
 
-    requested_bytes = abs(int(size_action * size_scale))
-    requested_bytes = max(min_packet_bytes, requested_bytes)
+    Every decision of both tiers passes through here, so the arithmetic is
+    plain Python floats — bit-equal to the ``np.clip`` / ``np.ceil``
+    formulation kept as the oracle in ``tests/oracles/emulator_reference.py``.
+    Infinite components clamp like any other out-of-range value; a NaN
+    component raises ``ValueError`` here instead of failing as ``int(nan)``
+    further down.
+    """
+    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
+    if len(components) != 2:
+        raise ValueError(f"action must have 2 components, got ({len(components)},)")
+    size_action, delay_action = components
+    if size_action != size_action or delay_action != delay_action:
+        raise ValueError(f"non-finite action {components}")
+    size_action = _clip(size_action, -1.0, 1.0)
+    delay_action = _clip(delay_action, 0.0, 1.0)
+
+    requested_bytes = max(min_packet_bytes, abs(int(size_action * size_scale)))
     added_delay = float(int(delay_action * max_delay_ms))
 
     force_close = truncations_current_packet >= max_truncations_per_packet or (
@@ -111,7 +142,7 @@ def shape_packet(
     if is_truncation:
         emitted_bytes = requested_bytes
     else:
-        emitted_bytes = max(requested_bytes, int(np.ceil(remaining_bytes)))
+        emitted_bytes = max(requested_bytes, math.ceil(remaining_bytes))
     return ShapedPacket(
         emitted_bytes=emitted_bytes,
         added_delay=added_delay,
@@ -134,11 +165,11 @@ def make_observation(
     scale, original delay (zero for follow-up sub-packets) clipped to the
     delay bound.
     """
-    return np.asarray(
-        [
-            np.clip(direction * remaining_bytes / size_scale, -1.0, 1.0),
-            np.clip(base_delay / max_delay_ms, 0.0, 1.0),
-        ],
+    return np.array(
+        (
+            _clip(direction * remaining_bytes / size_scale, -1.0, 1.0),
+            _clip(base_delay / max_delay_ms, 0.0, 1.0),
+        ),
         dtype=np.float64,
     )
 
@@ -156,11 +187,12 @@ def record_action(
     environment and serving tier for the same reason as
     :func:`make_observation`.
     """
-    return np.asarray(
-        [
-            np.clip(direction * emitted_bytes / size_scale, -1.0, 1.0),
-            np.clip(emitted_delay / max_delay_ms, 0.0, 1.0),
-        ]
+    return np.array(
+        (
+            _clip(direction * emitted_bytes / size_scale, -1.0, 1.0),
+            _clip(emitted_delay / max_delay_ms, 0.0, 1.0),
+        ),
+        dtype=np.float64,
     )
 
 
@@ -213,15 +245,12 @@ class PendingStep:
     next_observation: Optional[np.ndarray]
     prefix: Optional[Flow]
     adversarial: Optional[Flow]
+    flows_to_score: List[Flow] = field(init=False)
 
-    @property
-    def flows_to_score(self) -> List[Flow]:
-        flows = []
-        if self.prefix is not None:
-            flows.append(self.prefix)
-        if self.adversarial is not None:
-            flows.append(self.adversarial)
-        return flows
+    def __post_init__(self) -> None:
+        self.flows_to_score = [
+            flow for flow in (self.prefix, self.adversarial) if flow is not None
+        ]
 
 
 class AdversarialFlowEnv:
@@ -337,7 +366,7 @@ class AdversarialFlowEnv:
 
     def _current_direction(self) -> float:
         assert self._original is not None
-        return float(np.sign(self._original.sizes[self._packet_index]))
+        return packet_direction(self._original.sizes[self._packet_index])
 
     def _current_base_delay(self) -> float:
         """Original delay of the current packet, only for its first sub-packet."""

@@ -33,6 +33,8 @@ from ..utils.rng import ensure_rng
 
 __all__ = [
     "EncoderState",
+    "stack_states",
+    "split_states",
     "StateEncoder",
     "StateDecoder",
     "Seq2SeqAutoencoder",
@@ -59,6 +61,20 @@ class EncoderState:
     def representation(self) -> np.ndarray:
         """Fixed-size encoding of everything folded in so far (top layer)."""
         return self.hidden[-1]
+
+
+def stack_states(states: Sequence[EncoderState]) -> np.ndarray:
+    """Per-environment states as one ``(num_layers, n, hidden_size)`` slab."""
+    hidden = [state.hidden for state in states]
+    # np.stack(hidden, axis=1) in one C call: join along the hidden axis,
+    # then name the per-environment blocks.
+    return np.concatenate(hidden, axis=1).reshape(hidden[0].shape[0], len(hidden), -1)
+
+
+def split_states(slab: np.ndarray) -> List[EncoderState]:
+    """One :class:`EncoderState` per slab column, each *owning* its rows: a
+    view would keep the whole slab alive and alias the other environments."""
+    return [EncoderState(hidden=slab[:, row].copy()) for row in range(slab.shape[1])]
 
 
 class StateEncoder(nn.Module):
@@ -104,35 +120,31 @@ class StateEncoder(nn.Module):
             hidden=np.zeros((self.num_layers, self.hidden_size), dtype=dtype)
         )
 
-    def step_pairs(
-        self, pairs: np.ndarray, states: Sequence[EncoderState]
-    ) -> List[EncoderState]:
+    def step_pairs(self, pairs: np.ndarray, states):
         """Fold one new (size, delay) pair into each environment's state.
 
         ``pairs`` is an ``(n_envs, 2)`` batch — the newest observation or
-        action of each environment — and ``states`` the matching incremental
-        states.  All environments advance through the GRU as a single batched
-        forward (one fused ``gru_cell`` node per layer — two GEMMs each);
-        thanks to :func:`repro.nn.row_consistent_matmul` the result for each
-        row is bit-identical to stepping that environment alone, and
-        therefore to a full :meth:`encode_pairs` re-encode of its history.
+        action of each environment — and ``states`` the matching hidden
+        state as one ``(num_layers, n_envs, hidden_size)`` slab; the new
+        slab is returned.  A sequence of :class:`EncoderState` is accepted
+        too: it is stacked once on the way in and split into states owning
+        their rows on the way out.  All environments advance through the GRU
+        as a single batched forward (one fused ``gru_cell`` node per layer —
+        two GEMMs each); thanks to :func:`repro.nn.row_consistent_matmul`
+        the result for each row is bit-identical to stepping that
+        environment alone, and therefore to a full :meth:`encode_pairs`
+        re-encode of its history.
         """
+        if not isinstance(states, np.ndarray):
+            return split_states(self.step_pairs(pairs, stack_states(states)))
         pairs = np.asarray(pairs, dtype=np.float64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected (n_envs, 2) pairs, got shape {pairs.shape}")
-        if pairs.shape[0] != len(states):
-            raise ValueError("one state per row of pairs is required")
-        hidden = [
-            nn.Tensor(np.stack([state.hidden[layer] for state in states]))
-            for layer in range(self.num_layers)
-        ]
+        if states.shape != (self.num_layers, pairs.shape[0], self.hidden_size):
+            raise ValueError(f"one state per row of pairs is required, got a {states.shape} slab")
         with nn.no_grad(), nn.row_consistent_matmul():
-            new_hidden = self.gru.step(nn.Tensor(pairs), hidden)
-        layer_data = [layer.data for layer in new_hidden]
-        return [
-            EncoderState(hidden=np.stack([data[index] for data in layer_data]))
-            for index in range(len(states))
-        ]
+            new_hidden = self.gru.step(nn.Tensor(pairs), [nn.Tensor(layer) for layer in states])
+        return np.array([layer.data for layer in new_hidden])
 
     def step_pair(self, pair: np.ndarray, state: EncoderState) -> EncoderState:
         """Single-environment convenience wrapper around :meth:`step_pairs`."""

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .env import AdversarialFlowEnv, PendingStep
-from .state_encoder import EncoderState, StateEncoder
+from .state_encoder import StateEncoder
 
 __all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"]
 
@@ -187,7 +187,8 @@ class BatchedEpisodeEncoder:
 
     The RL state is ``s_t = E(x_1:t) || E(a_1:t)`` (Section 4.3): one GRU
     encoding of the observation history and one of the action history.  This
-    tracker holds an :class:`EncoderState` per environment and stream, and
+    tracker holds the hidden state of every environment as two resident
+    ``(num_layers, n_envs, hidden_size)`` slabs, one per stream, and
     advances all environments per tick with exactly two batched GRU steps
     (one per stream) regardless of episode length.
     """
@@ -197,12 +198,9 @@ class BatchedEpisodeEncoder:
             raise ValueError("n_envs must be >= 1")
         self._encoder = encoder
         self.n_envs = n_envs
-        self._observation_states: List[EncoderState] = [
-            encoder.initial_state() for _ in range(n_envs)
-        ]
-        self._action_states: List[EncoderState] = [
-            encoder.initial_state() for _ in range(n_envs)
-        ]
+        self._slab_shape = (encoder.num_layers, n_envs, encoder.hidden_size)
+        self._observation_hidden = np.zeros(self._slab_shape)
+        self._action_hidden = np.zeros(self._slab_shape)
 
     # ------------------------------------------------------------------ #
     @property
@@ -211,46 +209,38 @@ class BatchedEpisodeEncoder:
 
     def states(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Current ``s_t`` for the given environments (all when omitted)."""
-        if indices is None:
-            indices = range(self.n_envs)
-        return np.stack(
-            [
-                np.concatenate(
-                    [
-                        self._observation_states[i].representation,
-                        self._action_states[i].representation,
-                    ]
-                )
-                for i in indices
-            ]
-        )
+        observation, action = self._observation_hidden[-1], self._action_hidden[-1]
+        if indices is not None:
+            indices = list(indices)
+            observation, action = observation[indices], action[indices]
+        return np.concatenate([observation, action], axis=1)
 
-    def snapshot(self) -> Dict[str, List[np.ndarray]]:
-        """Copy of the tracked per-environment hidden states (picklable)."""
+    def snapshot(self) -> Dict[str, np.ndarray]:
+        """Copy of the two tracked hidden-state slabs (picklable)."""
         return {
-            "observation": [state.hidden.copy() for state in self._observation_states],
-            "action": [state.hidden.copy() for state in self._action_states],
+            "observation": self._observation_hidden.copy(),
+            "action": self._action_hidden.copy(),
         }
 
-    def restore(self, snapshot: Dict[str, List[np.ndarray]]) -> None:
+    def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`snapshot`."""
-        if len(snapshot["observation"]) != self.n_envs or len(snapshot["action"]) != self.n_envs:
-            raise ValueError("snapshot does not match this tracker's n_envs")
-        self._observation_states = [
-            EncoderState(hidden=np.asarray(hidden).copy()) for hidden in snapshot["observation"]
+        slabs = [
+            np.array(snapshot[stream], dtype=np.float64) for stream in ("observation", "action")
         ]
-        self._action_states = [
-            EncoderState(hidden=np.asarray(hidden).copy()) for hidden in snapshot["action"]
-        ]
+        if any(slab.shape != self._slab_shape for slab in slabs):
+            raise ValueError(
+                f"snapshot states have shapes {[slab.shape for slab in slabs]}, this tracker "
+                f"holds (num_layers, n_envs, hidden_size) = {self._slab_shape} per stream"
+            )
+        self._observation_hidden, self._action_hidden = slabs
 
     # ------------------------------------------------------------------ #
     def reset_all(self, observations: np.ndarray) -> np.ndarray:
         """Start fresh episodes everywhere from the initial observations."""
-        observations = np.asarray(observations, dtype=np.float64)
-        self._observation_states = self._encoder.step_pairs(
-            observations, [self._encoder.initial_state() for _ in range(self.n_envs)]
+        self._observation_hidden = self._encoder.step_pairs(
+            observations, np.zeros(self._slab_shape)
         )
-        self._action_states = [self._encoder.initial_state() for _ in range(self.n_envs)]
+        self._action_hidden = np.zeros(self._slab_shape)
         return self.states()
 
     def step(
@@ -269,30 +259,19 @@ class BatchedEpisodeEncoder:
         the auto-reset episode's initial observation, mirroring what a full
         re-encode of the fresh histories would produce.
         """
-        if indices is None:
-            indices = list(range(self.n_envs))
-        else:
-            indices = list(indices)
-        recorded_actions = np.asarray(recorded_actions, dtype=np.float64)
-        next_observations = np.asarray(next_observations, dtype=np.float64)
         dones = np.asarray(dones, dtype=bool).reshape(-1)
-        if not (len(indices) == len(recorded_actions) == len(next_observations) == len(dones)):
+        rows = list(range(self.n_envs) if indices is None else indices)
+        if not (len(rows) == len(recorded_actions) == len(next_observations) == len(dones)):
             raise ValueError("indices, actions, observations and dones must align")
 
-        action_states = [self._action_states[i] for i in indices]
-        new_action_states = self._encoder.step_pairs(recorded_actions, action_states)
-        observation_states = []
-        for row, index in enumerate(indices):
-            if dones[row]:
-                # New episode: both histories restart from the empty state.
-                new_action_states[row] = self._encoder.initial_state()
-                observation_states.append(self._encoder.initial_state())
-            else:
-                observation_states.append(self._observation_states[index])
-        new_observation_states = self._encoder.step_pairs(
-            next_observations, observation_states
+        action_hidden = self._encoder.step_pairs(recorded_actions, self._action_hidden[:, rows])
+        observation_hidden = self._observation_hidden[:, rows]
+        if dones.any():
+            # New episode: both histories restart from the empty state.
+            action_hidden[:, dones] = 0.0
+            observation_hidden = np.where(dones[:, None], 0.0, observation_hidden)
+        self._action_hidden[:, rows] = action_hidden
+        self._observation_hidden[:, rows] = self._encoder.step_pairs(
+            next_observations, observation_hidden
         )
-        for row, index in enumerate(indices):
-            self._action_states[index] = new_action_states[row]
-            self._observation_states[index] = new_observation_states[row]
-        return self.states(indices)
+        return self.states(rows)

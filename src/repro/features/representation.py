@@ -79,15 +79,24 @@ class SequenceRepresentation:
 
     def transform(self, flow: Flow) -> np.ndarray:
         """Return a (max_length, 2) array of normalised (size, delay) pairs."""
-        pairs = self.normalizer.normalise_flow(flow)
-        output = np.zeros((self.max_length, 2))
-        length = min(len(pairs), self.max_length)
-        output[:length] = pairs[:length]
-        return output
+        return self.transform_many((flow,))[0]
 
     def transform_many(self, flows: Sequence[Flow]) -> np.ndarray:
-        """Return a (n_flows, max_length, 2) array."""
-        return np.stack([self.transform(flow) for flow in flows])
+        """Return a (n_flows, max_length, 2) array.
+
+        Raw sizes and delays are written into the zero-padded output first
+        and normalised in one pass per channel; the arithmetic is elementwise,
+        so every entry equals the per-flow ``normalise_flow`` value bit for
+        bit (padding stays ``+0.0``).
+        """
+        output = np.zeros((len(flows), self.max_length, 2))
+        for row, flow in zip(output, flows):
+            length = min(flow.n_packets, self.max_length)
+            row[:length, 0] = flow.sizes[:length]
+            row[:length, 1] = flow.delays[:length]
+        output[:, :, 0] = self.normalizer.normalise_sizes(output[:, :, 0])
+        output[:, :, 1] = self.normalizer.normalise_delays(output[:, :, 1])
+        return output
 
     def transform_flat(self, flows: Sequence[Flow]) -> np.ndarray:
         """Return a (n_flows, max_length * 2) array for MLP/SVM-style models."""

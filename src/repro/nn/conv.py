@@ -10,27 +10,33 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import init
 from .layers import Module, Parameter
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = ["Conv1d", "MaxPool1d", "GlobalAveragePool1d"]
+
+
+def _windows_1d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
+    """Read-only strided view ``(batch, channels, out_length, kernel_size)`` of
+    the windows a 1-D kernel visits along the last axis (no data copied)."""
+    return sliding_window_view(x, kernel_size, axis=2)[:, :, ::stride]
 
 
 def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int) -> Tuple[np.ndarray, int]:
     """Convert (batch, channels, length) to column matrix for 1-D convolution.
 
     Returns an array of shape (batch, out_length, channels * kernel_size) and
-    the output length.
+    the output length.  Column ``c * kernel_size + j`` of position ``p`` holds
+    ``x[:, c, p * stride + j]``; the one copy is the reshape of the
+    transposed window view.
     """
-    batch, channels, length = x.shape
-    out_length = (length - kernel_size) // stride + 1
-    columns = np.empty((batch, out_length, channels * kernel_size), dtype=x.dtype)
-    for position in range(out_length):
-        start = position * stride
-        patch = x[:, :, start : start + kernel_size]
-        columns[:, position, :] = patch.reshape(batch, -1)
+    batch, channels, _ = x.shape
+    windows = _windows_1d(x, kernel_size, stride)
+    out_length = windows.shape[2]
+    columns = windows.transpose(0, 2, 1, 3).reshape(batch, out_length, channels * kernel_size)
     return columns, out_length
 
 
@@ -62,7 +68,9 @@ class Conv1d(Module):
             raise ValueError(f"Conv1d expects (batch, channels, length), got shape {x.shape}")
         data = x.data
         if self.padding > 0:
-            data = np.pad(data, ((0, 0), (0, 0), (self.padding, self.padding)))
+            padded = np.zeros(data.shape[:2] + (data.shape[2] + 2 * self.padding,), data.dtype)
+            padded[:, :, self.padding : -self.padding] = data
+            data = padded
         columns, out_length = _im2col_1d(data, self.kernel_size, self.stride)
 
         # The column extraction is a linear (gather) operation; we rebuild the
@@ -106,22 +114,18 @@ class MaxPool1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
-        batch, channels, length = x.shape
-        out_length = (length - self.kernel_size) // self.stride + 1
-        if out_length <= 0:
-            raise ValueError("pooling window larger than input length")
-
         data = x.data
-        windows = np.empty((batch, channels, out_length, self.kernel_size))
-        for position in range(out_length):
-            start = position * self.stride
-            windows[:, :, position, :] = data[:, :, start : start + self.kernel_size]
+        # A contiguous copy, so the reductions see the same operand layout
+        # whatever the layout of ``data`` (the sign of a zero maximum depends
+        # on the reduction loop numpy picks).
+        windows = np.ascontiguousarray(_windows_1d(data, self.kernel_size, self.stride))
         out_data = windows.max(axis=-1)
+        if not (is_grad_enabled() and x.requires_grad):
+            return Tensor(out_data)
         argmax = windows.argmax(axis=-1)
+        batch, channels, out_length = out_data.shape
 
         def backward(grad: np.ndarray) -> None:
-            if not x.requires_grad:
-                return
             full = np.zeros_like(data)
             for position in range(out_length):
                 start = position * self.stride

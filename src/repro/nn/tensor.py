@@ -236,6 +236,11 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+        # ``build`` refers to itself through its closure cell, and to ``topo``:
+        # left alone, that cycle keeps every activation of the graph alive
+        # until the cyclic collector happens to run.  Clearing the cell lets
+        # reference counting free the graph as soon as its owner drops it.
+        build = None
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic

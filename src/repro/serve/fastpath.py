@@ -6,7 +6,7 @@ states stored as f64, operands cast f64→f32→f64 per matmul, autograd-node
 bookkeeping on every forward.  :class:`Float32ServingPath` removes the
 round-trip: it snapshots float32 copies of the encoder GRU cells and the
 actor MLP at server construction and runs the per-flush forwards as plain
-float32 numpy on preallocated scratch, with the per-session
+float32 numpy, with the per-session
 :class:`~repro.core.state_encoder.EncoderState` kept in float32 *between*
 flushes.  Nothing widens back to float64 until the chosen action leaves the
 policy for the (float64) shaping emulator.
@@ -29,12 +29,12 @@ constructs one per server, and servers are built per checkpoint).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.actor_critic import GaussianActor
-from ..core.state_encoder import EncoderState, StateEncoder
+from ..core.state_encoder import StateEncoder, split_states, stack_states
 from ..nn.backend import _np_gru_gates
 from ..nn.layers import Linear, ReLU, Tanh
 
@@ -42,21 +42,18 @@ __all__ = ["Float32ServingPath"]
 
 
 class Float32ServingPath:
-    """Float32 snapshots of the serving policy plus preallocated scratch.
+    """Float32 snapshots of the serving policy.
 
-    The three entry points mirror what a :class:`PolicyServer` flush needs:
+    The two entry points mirror what a :class:`PolicyServer` flush needs
+    (sessions get their float32 zero state from
+    ``StateEncoder.initial_state(dtype=np.float32)``):
 
-    * :meth:`initial_state` — float32 zero :class:`EncoderState` for newly
-      opened sessions,
     * :meth:`step_pairs` — the batched incremental GRU step
-      (float32 twin of :meth:`StateEncoder.step_pairs`),
-    * :meth:`state_matrix` / :meth:`act` — gather the per-session policy
-      inputs into one float32 batch and run the deterministic actor forward.
+      (float32 twin of :meth:`StateEncoder.step_pairs`, same slab boundary),
+    * :meth:`act` — the deterministic actor forward on one float32 batch.
     """
 
-    def __init__(
-        self, actor: GaussianActor, encoder: StateEncoder, max_batch: int = 16
-    ) -> None:
+    def __init__(self, actor: GaussianActor, encoder: StateEncoder) -> None:
         self.hidden_size = int(encoder.hidden_size)
         self.num_layers = int(encoder.num_layers)
 
@@ -101,68 +98,28 @@ class Float32ServingPath:
                 f"produces {2 * self.hidden_size}"
             )
 
-        self._capacity = 0
-        self._states: Optional[np.ndarray] = None
-        self._ensure_capacity(max(1, int(max_batch)))
-
-    # ------------------------------------------------------------------ #
-    def _ensure_capacity(self, n: int) -> None:
-        if n <= self._capacity:
-            return
-        self._capacity = n
-        self._states = np.empty((n, 2 * self.hidden_size), dtype=np.float32)
-
-    def initial_state(self) -> EncoderState:
-        """Float32 zero state representing an empty history."""
-        return EncoderState(
-            hidden=np.zeros((self.num_layers, self.hidden_size), dtype=np.float32)
-        )
-
-    # ------------------------------------------------------------------ #
-    def step_pairs(
-        self, pairs: np.ndarray, states: Sequence[EncoderState]
-    ) -> List[EncoderState]:
+    def step_pairs(self, pairs: np.ndarray, states):
         """Fold one (size, delay) pair per session, entirely in float32.
 
-        Semantics mirror :meth:`StateEncoder.step_pairs`; the gate math is
+        Same boundary as :meth:`StateEncoder.step_pairs` — a float32
+        ``(num_layers, n, hidden_size)`` slab in and out, or a sequence of
+        :class:`EncoderState` stacked and split around it; the gate math is
         the dtype-generic oracle evaluated on float32 operands, so the only
         difference from the float64 path is rounding.
         """
-        x = np.ascontiguousarray(np.asarray(pairs), dtype=np.float32)
+        if not isinstance(states, np.ndarray):
+            return split_states(self.step_pairs(pairs, stack_states(states)))
+        x = np.ascontiguousarray(pairs, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != 2:
             raise ValueError(f"expected (n, 2) pairs, got shape {x.shape}")
-        if x.shape[0] != len(states):
-            raise ValueError("one state per row of pairs is required")
-        n = len(states)
-        new_layers: List[np.ndarray] = []
-        layer_input = x
+        if states.shape != (self.num_layers, x.shape[0], self.hidden_size):
+            raise ValueError(f"one state per row of pairs is required, got a {states.shape} slab")
+        new_states = np.empty(states.shape, dtype=np.float32)
         for layer, (w_x, w_h, b) in enumerate(self._cells):
-            hidden = np.empty((n, self.hidden_size), dtype=np.float32)
-            for row, state in enumerate(states):
-                hidden[row] = state.hidden[layer]
-            gx = layer_input @ w_x
-            gh = hidden @ w_h
-            new_hidden = _np_gru_gates(gx, gh, b, hidden)[0]
-            new_layers.append(new_hidden)
-            layer_input = new_hidden
-        stacked = np.stack(new_layers)  # (num_layers, n, hidden)
-        return [
-            EncoderState(hidden=np.ascontiguousarray(stacked[:, row]))
-            for row in range(n)
-        ]
-
-    # ------------------------------------------------------------------ #
-    def state_matrix(self, sessions: Sequence) -> np.ndarray:
-        """Gather ``s_t = E(x_1:t) || E(a_1:t)`` per session into one
-        preallocated float32 batch (a view — consume before the next call)."""
-        n = len(sessions)
-        self._ensure_capacity(n)
-        size = self.hidden_size
-        out = self._states[:n]
-        for row, session in enumerate(sessions):
-            out[row, :size] = session.observation_state.hidden[-1]
-            out[row, size:] = session.action_state.hidden[-1]
-        return out
+            hidden = states[layer]
+            x = _np_gru_gates(x @ w_x, hidden @ w_h, b, hidden)[0]
+            new_states[layer] = x
+        return new_states
 
     def act(self, states: np.ndarray) -> np.ndarray:
         """Deterministic actor forward (the Gaussian mean) in float32.

@@ -33,7 +33,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .. import obs
 from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
-from ..core.state_encoder import StateEncoder
+from ..core.state_encoder import StateEncoder, split_states, stack_states
 from ..nn import backend as nn_backend
 from ..nn.serialization import load_state_dict, split_prefixed_state
 from ..obs import _state as _obs_state
@@ -293,7 +293,7 @@ class PolicyServer:
         # per-matmul widen-back.  Row-consistent backends keep the exact
         # Tensor path (and its bit-equivalence ladder).
         self._fastpath: Optional[Float32ServingPath] = (
-            Float32ServingPath(actor, encoder, max_batch=self.config.max_batch)
+            Float32ServingPath(actor, encoder)
             if self._backend is not None
             and self._backend.compute_dtype == np.float32
             else None
@@ -354,19 +354,20 @@ class PolicyServer:
             return contextlib.nullcontext()
         return nn_backend.use_backend(self._backend.name)
 
-    def _encode_step(self, pairs: np.ndarray, states) -> list:
-        """One batched incremental GRU step on the configured substrate."""
+    def _encode_step(self, pairs: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """One batched incremental GRU step on the configured substrate;
+        ``hidden`` in and out is a ``(num_layers, n, hidden_size)`` slab."""
         if self._fastpath is not None:
-            return self._fastpath.step_pairs(pairs, states)
+            return self._fastpath.step_pairs(pairs, hidden)
         with self._backend_scope():
-            return self.encoder.step_pairs(pairs, states)
+            return self.encoder.step_pairs(pairs, hidden)
 
-    def _act(self, live: Sequence[Tuple[DecisionRequest, FlowSession]]) -> np.ndarray:
-        """Deterministic policy forward for one flush batch."""
+    def _act(self, observation_top: np.ndarray, action_top: np.ndarray) -> np.ndarray:
+        """Deterministic policy forward for one flush batch, from the top
+        GRU layer of each stream (``s_t = E(x_1:t) || E(a_1:t)`` per row)."""
+        states = np.concatenate([observation_top, action_top], axis=1)
         if self._fastpath is not None:
-            states = self._fastpath.state_matrix([session for _, session in live])
             return self._fastpath.act(states)
-        states = np.stack([session.state_vector() for _, session in live])
         with self._backend_scope():
             actions, _ = self.actor.act_batch(states, deterministic=True)
         return actions
@@ -510,27 +511,30 @@ class PolicyServer:
         self._flush_tick += 1
         detailed = telemetry and self._flush_tick % _TRACE_DETAIL_STRIDE == 0
         with obs.span("serve.flush", batch=len(live)):
+            # Sessions own their encoder state; the flush stacks each stream
+            # once into a (num_layers, n, hidden) slab, steps the slab, and
+            # copies the new rows back out (see ``split_states``).
+            sessions = [session for _, session in live]
+
             # 1) Fold the newly armed observations (one batched GRU step).
+            observation_hidden = stack_states([s.observation_state for s in sessions])
             fold_rows = [
-                row
-                for row, (_, session) in enumerate(live)
-                if session.observation_pending_fold
+                row for row, s in enumerate(sessions) if s.observation_pending_fold
             ]
             if fold_rows:
                 with obs.span("serve.fold", rows=len(fold_rows)) if detailed else _NULL_SPAN:
-                    observations = np.stack(
-                        [live[row][1].current_observation() for row in fold_rows]
+                    observations = np.array(
+                        [sessions[row].current_observation() for row in fold_rows]
                     )
-                    folded = self._encode_step(
-                        observations,
-                        [live[row][1].observation_state for row in fold_rows],
-                    )
-                    for row, state in zip(fold_rows, folded):
-                        live[row][1].mark_observation_folded(state)
+                    folded = self._encode_step(observations, observation_hidden[:, fold_rows])
+                    observation_hidden[:, fold_rows] = folded
+                    for row, state in zip(fold_rows, split_states(folded)):
+                        sessions[row].mark_observation_folded(state)
 
             # 2) One deterministic policy forward for the whole batch.
+            action_hidden = stack_states([s.action_state for s in sessions])
             with obs.span("serve.act") if detailed else _NULL_SPAN:
-                actions = self._act(live)
+                actions = self._act(observation_hidden[-1], action_hidden[-1])
 
             # 3+4) Apply actions through the per-session emulator, then fold
             # the emitted actions (one batched GRU step).  One span covers
@@ -549,11 +553,9 @@ class PolicyServer:
                     if decision.deadline_missed:
                         self._deadline_misses.inc()
 
-                recorded = np.stack([decision.recorded_action for decision in decisions])
-                folded_actions = self._encode_step(
-                    recorded, [session.action_state for _, session in live]
-                )
-                for (_, session), state in zip(live, folded_actions):
+                recorded = np.array([decision.recorded_action for decision in decisions])
+                folded_actions = split_states(self._encode_step(recorded, action_hidden))
+                for session, state in zip(sessions, folded_actions):
                     session.mark_action_folded(state)
 
             # 5) Re-arm follow-up work: truncation remainders continue the same

@@ -30,7 +30,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.env import make_observation, record_action, shape_packet
+from ..core.env import make_observation, packet_direction, record_action, shape_packet
 from ..core.profiles import ProfileEmbeddingResult
 from ..core.state_encoder import EncoderState, StateEncoder
 from ..flows.flow import Flow, FlowLabel
@@ -247,7 +247,7 @@ class FlowSession:
         if not self.online or self.in_flight or not self._inbox:
             return False
         packet = self._inbox.popleft()
-        self._direction = float(np.sign(packet.size))
+        self._direction = packet_direction(packet.size)
         self._remaining_bytes = float(abs(packet.size))
         self._base_delay = float(packet.delay_ms)
         self._truncations_current_packet = 0

@@ -225,3 +225,143 @@ class TestEpisodeSummary:
             while not done:
                 _, _, done, _ = env.step(np.array([1.0, 0.0]))
         assert seen_lengths == {2, 3}
+
+
+# --------------------------------------------------------------------- #
+# Python-float emulator helpers vs. the seed numpy formulation (oracle)
+# --------------------------------------------------------------------- #
+from repro.core.env import (  # noqa: E402
+    make_observation,
+    packet_direction,
+    record_action,
+    shape_packet,
+)
+
+from oracles import emulator_reference as oracle  # noqa: E402
+
+
+def _neighbours(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+# ±0, ±1 and their neighbours, subnormals, huge and infinite magnitudes.
+EDGE_VALUES = [
+    float(v)
+    for centre in (-1.0, -0.0, 0.0, 1.0, 0.5, -0.5)
+    for v in _neighbours(centre)
+] + [5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, np.inf, -np.inf, 0.3, -0.7, 0.999]
+
+
+def bits(array) -> np.ndarray:
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_shaped(got, expected):
+    assert type(got.emitted_bytes) is type(expected.emitted_bytes) is int
+    assert got.emitted_bytes == expected.emitted_bytes
+    assert got.is_truncation is expected.is_truncation
+    assert np.array_equal(
+        bits([got.added_delay, got.delay_action]),
+        bits([expected.added_delay, expected.delay_action]),
+    )
+
+
+class TestEmulatorOracle:
+    """`shape_packet` / `make_observation` / `record_action` are plain Python
+    floats now; the seed ``np.clip`` bodies in ``tests/oracles`` say what
+    every bit of their results must be."""
+
+    LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
+
+    @pytest.mark.parametrize("remaining", [1.0, 63.5, 64.0, 700.25, 1460.0, 5000.0, 1e300])
+    @pytest.mark.parametrize(
+        "truncations,steps,max_truncations,max_steps",
+        [
+            (0, 0, 8, None),      # free to truncate, unbounded live stream
+            (0, 0, 8, 80),        # free to truncate, budget far away
+            (8, 3, 8, 80),        # truncation cap forces the packet closed
+            (0, 78, 8, 80),       # step budget forces the packet closed
+            (0, 79, 8, 80),
+            (2, 5, 0, None),      # truncation never allowed
+        ],
+    )
+    def test_shape_packet_sweep(self, remaining, truncations, steps, max_truncations, max_steps):
+        for size_action in EDGE_VALUES:
+            for delay_action in EDGE_VALUES:
+                kwargs = dict(
+                    remaining_bytes=remaining,
+                    truncations_current_packet=truncations,
+                    steps_taken=steps,
+                    max_truncations_per_packet=max_truncations,
+                    max_steps=max_steps,
+                    **self.LIMITS,
+                )
+                action = np.array([size_action, delay_action])
+                assert_same_shaped(
+                    shape_packet(action, **kwargs), oracle.shape_packet(action, **kwargs)
+                )
+
+    def test_shape_packet_accepts_what_the_oracle_accepts(self):
+        kwargs = dict(
+            remaining_bytes=900.0,
+            truncations_current_packet=0,
+            steps_taken=0,
+            max_truncations_per_packet=8,
+            max_steps=None,
+            **self.LIMITS,
+        )
+        for action in ([0.25, 0.5], (0.25, 0.5), np.array([[0.25, 0.5]]), np.float32([0.25, 0.5])):
+            assert_same_shaped(
+                shape_packet(action, **kwargs), oracle.shape_packet(action, **kwargs)
+            )
+        for bad in ([0.5], [0.1, 0.2, 0.3], np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="2 components"):
+                shape_packet(bad, **kwargs)
+
+    def test_observation_and_record_sweep(self):
+        for scale, max_delay in ((1460.0, 100.0), (16384.0, 250.0), (3.0, 7.0)):
+            for direction in (1.0, -1.0, 0.0):
+                for magnitude in (0.0, 1.0, 64.0, 1460.0, 1460.5, 1e300, 5e-324, np.inf):
+                    for delay in [abs(v) for v in EDGE_VALUES] + [-0.0, 50.0, 100.0, 1e4]:
+                        for ours, reference in (
+                            (make_observation, oracle.make_observation),
+                            (record_action, oracle.record_action),
+                        ):
+                            got = ours(direction, magnitude, delay, scale, max_delay)
+                            expected = reference(direction, magnitude, delay, scale, max_delay)
+                            assert got.dtype == expected.dtype == np.float64
+                            assert got.shape == (2,)
+                            assert np.array_equal(bits(got), bits(expected))
+
+    def test_packet_direction_matches_np_sign(self):
+        for value in EDGE_VALUES + [1460.0, -536.0, np.float64(-3.0), np.nan]:
+            got, expected = packet_direction(value), oracle.current_direction(value)
+            assert type(got) is float
+            assert np.array_equal(bits(got), bits(expected))
+
+
+class TestNonFiniteAction:
+    def test_helper_names_the_problem(self):
+        kwargs = dict(
+            remaining_bytes=900.0,
+            truncations_current_packet=0,
+            steps_taken=0,
+            size_scale=1460.0,
+            min_packet_bytes=64,
+            max_delay_ms=100.0,
+            max_truncations_per_packet=8,
+            max_steps=None,
+        )
+        for action in ([np.nan, 0.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="non-finite action"):
+                shape_packet(action, **kwargs)
+        # Infinite components clamp like any out-of-range value (as np.clip did).
+        assert shape_packet([np.inf, -np.inf], **kwargs).emitted_bytes == 1460
+
+    def test_env_step_rejects_nan_and_stays_usable(self, env):
+        env.reset()
+        with pytest.raises(ValueError, match="non-finite action"):
+            env.step(np.array([np.nan, 0.0]))
+        # The emulator did not advance: the same packet is still pending.
+        observation, _, _, _ = env.step(np.array([1.0, 0.0]))
+        assert observation[0] == pytest.approx(-1.0)

@@ -207,6 +207,138 @@ class TestBatchedEpisodeEncoder:
         assert tracker.states([1]).shape == (1, 8)
 
 
+class TestEncoderSlab:
+    """``step_pairs`` on a ``(num_layers, n, hidden)`` slab, and the tracker's
+    two resident slabs, against one-environment-at-a-time ``step_pair``."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_slab_step_bit_identical_to_per_row_steps(self, n):
+        encoder = StateEncoder(hidden_size=6, num_layers=2, rng=2)
+        rng = np.random.default_rng(n)
+        slab = np.zeros((2, n, 6))
+        states = [encoder.initial_state() for _ in range(n)]
+        for _ in range(5):
+            pairs = rng.uniform(-1, 1, size=(n, 2))
+            slab = encoder.step_pairs(pairs, slab)
+            states = [encoder.step_pair(pairs[row], states[row]) for row in range(n)]
+            assert slab.shape == (2, n, 6)
+            for row in range(n):
+                assert np.array_equal(
+                    slab[:, row].view(np.uint64), states[row].hidden.view(np.uint64)
+                )
+
+    def test_slab_shape_is_validated(self):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        for wrong in ((2, 2, 4), (3, 3, 4), (2, 3, 5), (3, 4)):
+            with pytest.raises(ValueError, match="one state per row"):
+                encoder.step_pairs(np.zeros((3, 2)), np.zeros(wrong))
+
+    def _reference(self, encoder, n):
+        """Per-environment EncoderState bookkeeping, as the tracker kept it
+        before the slabs: the independent implementation to compare with."""
+        return {
+            "observation": [encoder.initial_state() for _ in range(n)],
+            "action": [encoder.initial_state() for _ in range(n)],
+        }
+
+    def _reference_step(self, encoder, reference, actions, observations, dones, indices):
+        for row, index in enumerate(indices):
+            if dones[row]:
+                reference["action"][index] = encoder.initial_state()
+                reference["observation"][index] = encoder.initial_state()
+            else:
+                reference["action"][index] = encoder.step_pair(
+                    actions[row], reference["action"][index]
+                )
+            reference["observation"][index] = encoder.step_pair(
+                observations[row], reference["observation"][index]
+            )
+        return np.stack(
+            [
+                np.concatenate(
+                    [
+                        reference["observation"][i].representation,
+                        reference["action"][i].representation,
+                    ]
+                )
+                for i in indices
+            ]
+        )
+
+    def test_tracker_matches_per_environment_reference(self):
+        """Whole ticks, ``indices`` subsets, done-resets, and a
+        ``snapshot()``/``restore()`` into a fresh tracker mid-episode."""
+        n = 5
+        encoder = StateEncoder(hidden_size=6, num_layers=2, rng=3)
+        rng = np.random.default_rng(17)
+        tracker = BatchedEpisodeEncoder(encoder, n)
+        reference = self._reference(encoder, n)
+
+        first = rng.uniform(-1, 1, size=(n, 2))
+        got = tracker.reset_all(first)
+        expected = self._reference_step(
+            encoder, reference, np.zeros((n, 2)), first, np.ones(n, dtype=bool), range(n)
+        )
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+        for tick in range(12):
+            if tick % 3 == 2:
+                indices = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+            else:
+                indices = None
+            rows = list(range(n)) if indices is None else indices
+            actions = rng.uniform(-1, 1, size=(len(rows), 2))
+            observations = rng.uniform(-1, 1, size=(len(rows), 2))
+            dones = rng.uniform(size=len(rows)) < 0.3
+            got = tracker.step(actions, observations, dones, indices=indices)
+            expected = self._reference_step(
+                encoder, reference, actions, observations, dones, rows
+            )
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(tracker.states(), tracker.states(range(n)))
+            if tick == 6:
+                resumed = BatchedEpisodeEncoder(encoder, n)
+                resumed.restore(tracker.snapshot())
+                tracker = resumed
+
+    def test_restore_rejects_wrong_shapes(self):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        tracker = BatchedEpisodeEncoder(encoder, 3)
+        good = tracker.snapshot()
+        assert good["observation"].shape == good["action"].shape == (2, 3, 4)
+        for stream in ("observation", "action"):
+            for wrong in ((2, 2, 4), (2, 3, 5), (1, 3, 4), (3, 2, 4)):
+                bad = dict(good, **{stream: np.zeros(wrong)})
+                with pytest.raises(ValueError, match="num_layers, n_envs, hidden_size"):
+                    tracker.restore(bad)
+        # A rejected snapshot leaves the tracker as it was.
+        assert np.array_equal(tracker.snapshot()["action"], good["action"])
+
+    def test_states_own_their_storage(self):
+        """Rows are copied out of the slab: a returned state neither pins
+        the batch it was computed in nor aliases the tracker or a sibling."""
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        pairs = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
+        states = encoder.step_pairs(pairs, [encoder.initial_state() for _ in range(3)])
+        for state in states:
+            assert state.hidden.base is None and state.hidden.flags.owndata
+            assert state.hidden.flags.c_contiguous
+        untouched = states[1].hidden.copy()
+        states[0].hidden[:] = 7.0
+        assert np.array_equal(states[1].hidden, untouched)
+
+        tracker = BatchedEpisodeEncoder(encoder, 3)
+        tracker.reset_all(pairs)
+        before = tracker.states().copy()
+        snapshot = tracker.snapshot()
+        snapshot["observation"][:] = 9.0
+        tracker.states()[:] = 5.0
+        assert np.array_equal(tracker.states(), before)
+        tracker.restore(snapshot)
+        snapshot["observation"][:] = -9.0
+        assert np.all(tracker.snapshot()["observation"] == 9.0)
+
+
 class TestTrainEquivalence:
     @pytest.fixture(scope="class")
     def equivalence_setup(self, trained_dt_censor, normalizer, tor_splits):

@@ -290,6 +290,25 @@ class TestSequenceRepresentation:
         assert flat.shape == (5, 80)
         assert np.allclose(stacked.reshape(5, -1), flat)
 
+    def test_transform_many_bit_identical_to_per_flow_normalisation(self, tor_dataset, normalizer):
+        """One fill + one normalisation pass per channel equals padding each
+        flow's ``normalise_flow`` pairs (what the seed stacked), bit for bit."""
+        flows = list(tor_dataset.flows[:12]) + [
+            Flow(sizes=[5e-324, -1e300, 1460.0], delays=[0.0, 1e300, 5e-324]),
+            Flow(sizes=[-536.0], delays=[0.0]),
+        ]
+        for max_length in (1, 7, 40):
+            representation = SequenceRepresentation(max_length, normalizer)
+            expected = np.zeros((len(flows), max_length, 2))
+            for row, flow in zip(expected, flows):
+                pairs = normalizer.normalise_flow(flow)[:max_length]
+                row[: len(pairs)] = pairs
+            got = representation.transform_many(flows)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(representation.transform(flows[0]), expected[0])
+        assert representation.transform_many([]).shape == (0, 40, 2)
+
     def test_transform_pairs_validates_shape(self, representation):
         with pytest.raises(ValueError):
             representation.transform_pairs(np.zeros((3, 3)))

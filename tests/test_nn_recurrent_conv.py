@@ -138,6 +138,70 @@ class TestConv1d:
         assert analytic == pytest.approx((plus - minus) / (2 * eps), abs=1e-6)
 
 
+def _loop_im2col(x, kernel_size, stride):
+    """The seed per-position gather (reference for the strided-view version)."""
+    batch, channels, length = x.shape
+    out_length = (length - kernel_size) // stride + 1
+    columns = np.empty((batch, out_length, channels * kernel_size), dtype=x.dtype)
+    for position in range(out_length):
+        start = position * stride
+        columns[:, position, :] = x[:, :, start : start + kernel_size].reshape(batch, -1)
+    return columns
+
+
+def _loop_pool_windows(data, kernel_size, stride):
+    batch, channels, length = data.shape
+    out_length = (length - kernel_size) // stride + 1
+    windows = np.empty((batch, channels, out_length, kernel_size))
+    for position in range(out_length):
+        start = position * stride
+        windows[:, :, position, :] = data[:, :, start : start + kernel_size]
+    return windows
+
+
+class TestLoopFreeWindows:
+    """Conv1d / MaxPool1d build their windows from one strided view; the
+    values, their order and the signs of zeros equal the seed loops'."""
+
+    @pytest.mark.parametrize("kernel_size,stride", [(5, 1), (3, 2), (2, 2), (4, 3), (7, 7)])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_im2col_matches_loop(self, kernel_size, stride, contiguous):
+        from repro.nn.conv import _im2col_1d
+
+        x = np.random.default_rng(kernel_size * 10 + stride).normal(size=(3, 4, 23))
+        if not contiguous:
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        columns, out_length = _im2col_1d(x, kernel_size, stride)
+        expected = _loop_im2col(x, kernel_size, stride)
+        assert out_length == expected.shape[1]
+        assert columns.flags.c_contiguous and columns.flags.writeable
+        assert np.array_equal(columns.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kernel_size,stride", [(2, None), (3, 2), (2, 1), (5, 5)])
+    def test_maxpool_matches_loop_including_zero_signs(self, kernel_size, stride):
+        rng = np.random.default_rng(kernel_size)
+        data = rng.normal(size=(3, 4, 21))
+        data *= data > 0  # relu the way Tensor.relu does it: negatives become -0.0
+        data = np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
+        pool = nn.MaxPool1d(kernel_size, stride)
+        expected = _loop_pool_windows(data, pool.kernel_size, pool.stride).max(axis=-1)
+        with nn.no_grad():
+            out = pool(nn.Tensor(data))
+        assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
+        tracked = pool(nn.Tensor(data, requires_grad=True))
+        assert np.array_equal(tracked.data.view(np.uint64), expected.view(np.uint64))
+        assert not out.requires_grad and tracked.requires_grad
+
+    def test_padded_convolution_matches_np_pad(self):
+        conv = nn.Conv1d(2, 3, kernel_size=5, padding=2, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(4, 2, 16))
+        padded = np.pad(x, ((0, 0), (0, 0), (2, 2)))
+        expected = (
+            nn.Tensor(_loop_im2col(padded, 5, 1)) @ conv.weight + conv.bias
+        ).data.transpose(0, 2, 1)
+        assert np.array_equal(conv(nn.Tensor(x)).data.view(np.uint64), expected.view(np.uint64))
+
+
 class TestPooling:
     def test_maxpool_shape_and_values(self):
         pool = nn.MaxPool1d(2)

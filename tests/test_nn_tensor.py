@@ -261,3 +261,26 @@ class TestRowConsistentMatmul:
         with nn.row_consistent_matmul():
             (x @ w).sum().backward()
         assert x.grad is not None and w.grad is not None
+
+
+class TestGraphLifetime:
+    def test_backward_leaves_the_graph_to_reference_counting(self):
+        """``backward`` must not leave a reference cycle around the graph:
+        activations would then live until the cyclic collector runs, and
+        peak memory would depend on how often that happens."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((4, 3)), requires_grad=True)
+            hidden = (x * 2.0).relu()
+            alive = weakref.ref(hidden.data)  # the activation the graph holds
+            loss = hidden.sum()
+            loss.backward()
+            del hidden, loss
+            assert alive() is None
+            assert np.array_equal(x.grad, np.full((4, 3), 2.0))
+        finally:
+            gc.enable()

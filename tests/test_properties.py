@@ -11,6 +11,9 @@ from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFea
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
 
+from repro.core.env import make_observation, record_action, shape_packet
+
+from oracles import emulator_reference
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -232,6 +235,93 @@ class TestEnvironmentProperties:
         if done:
             adversarial = info["episode"].adversarial_flow
             assert np.abs(adversarial.sizes).sum() >= np.abs(flow.sizes).sum() - 1e-6
+
+
+def _around(*centres):
+    """Each centre with its two float neighbours."""
+    return [
+        float(v)
+        for centre in centres
+        for v in (np.nextafter(centre, -np.inf), centre, np.nextafter(centre, np.inf))
+    ]
+
+
+# Action / delay / payload components for the emulator oracle property: the
+# clamp bounds and their neighbours, signed zeros, subnormals, huge and
+# infinite values, plus ordinary floats.
+_components = st.one_of(
+    st.sampled_from(_around(-1.0, -0.0, 0.0, 1.0) + [5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf]),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+_payloads = st.one_of(
+    st.sampled_from([1.0, 63.0, 64.0, 64.5, 1460.0, 1e300, 5e-324]),
+    st.floats(min_value=5e-324, max_value=1e6),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestEmulatorOracleProperties:
+    """The Python-float emulator helpers equal the seed ``np.clip`` bodies
+    (``tests/oracles/emulator_reference.py``) in every bit, on every branch."""
+
+    @given(
+        action=st.tuples(_components, _components),
+        remaining=_payloads,
+        truncations=st.integers(0, 9),
+        steps=st.integers(0, 81),
+        max_truncations=st.sampled_from([0, 1, 8]),
+        max_steps=st.sampled_from([None, 1, 80]),
+        min_packet_bytes=st.sampled_from([0, 64, 1500]),
+        scales=st.sampled_from([(1460.0, 100.0), (16384.0, 250.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shape_packet_bit_identical_to_oracle(
+        self, action, remaining, truncations, steps, max_truncations, max_steps,
+        min_packet_bytes, scales,
+    ):
+        kwargs = dict(
+            remaining_bytes=remaining,
+            truncations_current_packet=truncations,
+            steps_taken=steps,
+            size_scale=scales[0],
+            min_packet_bytes=min_packet_bytes,
+            max_delay_ms=scales[1],
+            max_truncations_per_packet=max_truncations,
+            max_steps=max_steps,
+        )
+        got = shape_packet(np.asarray(action), **kwargs)
+        expected = emulator_reference.shape_packet(np.asarray(action), **kwargs)
+        assert (got.emitted_bytes, got.is_truncation) == (
+            expected.emitted_bytes,
+            expected.is_truncation,
+        )
+        assert np.array_equal(
+            _bits([got.added_delay, got.delay_action]),
+            _bits([expected.added_delay, expected.delay_action]),
+        )
+
+    @given(
+        direction=st.sampled_from([-1.0, 0.0, 1.0]),
+        magnitude=st.one_of(_payloads, st.sampled_from([0.0, np.inf])),
+        delay=_components,
+        scales=st.sampled_from([(1460.0, 100.0), (16384.0, 250.0), (3.0, 7.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_observation_and_record_bit_identical_to_oracle(
+        self, direction, magnitude, delay, scales
+    ):
+        for ours, reference in (
+            (make_observation, emulator_reference.make_observation),
+            (record_action, emulator_reference.record_action),
+        ):
+            got = ours(direction, magnitude, delay, *scales)
+            expected = reference(direction, magnitude, delay, *scales)
+            assert got.dtype == np.float64 and got.shape == (2,)
+            assert np.array_equal(_bits(got), _bits(expected))
 
 
 class TestECDFProperties:

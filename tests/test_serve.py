@@ -8,7 +8,9 @@ sharded serving workers, and equivalence of the serving emulator with the
 training-time environment (``Amoeba.attack``).
 """
 
+import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +304,76 @@ class TestBatchingInvariants:
             )
 
 
+class TestServingGolden:
+    """One pinned end-to-end serving run, beside the golden training run in
+    ``tests/test_censors.py``: the checked-in benchmark fixture policy
+    serving a 20-session default-mix workload.  The value was computed at
+    the commit *before* the emulator helpers and the encoder step were
+    rewritten (PR 13), so it pins what they must keep producing."""
+
+    FIXTURE_POLICY = Path(__file__).resolve().parents[1] / "benchmarks/perf/fixtures/policy.npz"
+    GOLDEN = "390182fb5e1062d68968fa2cbccfda933fd18c88217c6f79f4d712a16baaac34"
+    DECISIONS = 1621
+
+    def test_fixture_policy_serves_the_pinned_flows(self):
+        workload = SyntheticWorkload.generate(
+            n_sessions=20, arrival_rate_pps=2000.0, max_packets=40, rng=20230913
+        )
+        server = PolicyServer.from_checkpoint(self.FIXTURE_POLICY)
+        run_workload(server, workload)
+        assert server.stats()["decisions"] == self.DECISIONS
+        digest = hashlib.sha256()
+        for report in sorted(server.reports(), key=lambda r: r.session_id):
+            flow = report.shaped_flow
+            assert np.array_equal(np.rint(flow.sizes), flow.sizes)  # whole bytes
+            digest.update(report.session_id.encode())
+            # Bytes are integers and policy delays whole milliseconds; the
+            # original delays under them come out of libm, so they are pinned
+            # to a nanosecond rather than to the last bit of another host.
+            digest.update(np.rint(flow.sizes).astype(np.int64).tobytes())
+            digest.update(np.rint(flow.delays * 1e6).astype(np.int64).tobytes())
+        assert digest.hexdigest() == self.GOLDEN
+
+
+class TestSessionStateOwnership:
+    def test_flush_hands_each_session_its_own_state(self, policy):
+        """Sessions own their encoder state: what a flush stores is a copy
+        out of the per-flush slab, not a view that pins or aliases it."""
+        server = make_server(
+            policy, ServeConfig(size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0)
+        )
+        ids = [server.open_session(f"s{i}") for i in range(4)]
+        for i, sid in enumerate(ids):
+            server.submit(sid, 400.0 + 100.0 * i, 1.0)
+        assert server.stats()["flushes"] == 1
+        sessions = [server.session(sid) for sid in ids]
+        shape = (policy[1].num_layers, policy[1].hidden_size)
+        for session in sessions:
+            for state in (session.observation_state, session.action_state):
+                assert state.hidden.shape == shape
+                assert state.hidden.base is None and state.hidden.flags.owndata
+        others = [s.observation_state.hidden.copy() for s in sessions[1:]]
+        sessions[0].observation_state.hidden[:] = 3.0
+        sessions[0].action_state.hidden[:] = 3.0
+        for session, expected in zip(sessions[1:], others):
+            assert np.array_equal(session.observation_state.hidden, expected)
+
+    def test_nan_action_is_a_named_error(self, policy, serve_config):
+        """A non-finite policy output surfaces as ``ValueError("non-finite
+        action ...")`` from the shared emulator helper, not as ``int(nan)``."""
+        server = make_server(policy, serve_config)
+        sid = server.open_session("s")
+        session = server.session(sid)
+        session.enqueue(500.0, 1.0)
+        assert session.arm_next()
+        with pytest.raises(ValueError, match="non-finite action"):
+            session.apply_action(np.array([np.nan, 0.2]))
+        # Nothing was emitted or consumed by the rejected action.
+        assert session.n_decisions == 0 and session.in_flight
+        decision = session.apply_action(np.array([1.0, 0.2]))
+        assert decision.emitted_size == 1460.0
+
+
 # --------------------------------------------------------------------- #
 # Float32 end-to-end serving path
 # --------------------------------------------------------------------- #
@@ -400,14 +472,11 @@ class TestFloat32Serving:
 class TestFloat32ServingPath:
     """Unit tests for the fastpath object itself (repro.serve.fastpath)."""
 
-    def test_initial_state_and_act_dtypes(self, policy):
+    def test_act_dtypes(self, policy):
         from repro.serve import Float32ServingPath
 
         actor, encoder = policy
-        path = Float32ServingPath(actor, encoder, max_batch=4)
-        state = path.initial_state()
-        assert state.hidden.dtype == np.float32
-        assert state.hidden.shape == (encoder.num_layers, encoder.hidden_size)
+        path = Float32ServingPath(actor, encoder)
         actions = path.act(np.zeros((3, 2 * encoder.hidden_size), dtype=np.float32))
         # Actions widen to float64 at the policy boundary: the shaping
         # emulator downstream is the same float64 code training uses.
@@ -433,13 +502,19 @@ class TestFloat32ServingPath:
         rng = np.random.default_rng(89)
         n = 6
         f64_states = [encoder.initial_state() for _ in range(n)]
-        f32_states = [path.initial_state() for _ in range(n)]
+        f32_states = [encoder.initial_state(dtype=np.float32) for _ in range(n)]
+        f32_slab = np.zeros((encoder.num_layers, n, encoder.hidden_size), dtype=np.float32)
         for _ in range(10):
             pairs = rng.uniform(-1.0, 1.0, size=(n, 2))
             f64_states = encoder.step_pairs(pairs, f64_states)
             f32_states = path.step_pairs(pairs, f32_states)
-        for f64_state, f32_state in zip(f64_states, f32_states):
+            f32_slab = path.step_pairs(pairs, f32_slab)
+        assert f32_slab.dtype == np.float32
+        for row, (f64_state, f32_state) in enumerate(zip(f64_states, f32_states)):
             assert f32_state.hidden.dtype == np.float32
+            assert f32_state.hidden.flags.owndata
+            # The slab boundary and the per-state boundary are one computation.
+            assert np.array_equal(f32_state.hidden, f32_slab[:, row])
             np.testing.assert_allclose(
                 f32_state.hidden, f64_state.hidden, rtol=1e-4, atol=1e-5
             )
@@ -450,9 +525,9 @@ class TestFloat32ServingPath:
         actor, encoder = policy
         path = Float32ServingPath(actor, encoder)
         with pytest.raises(ValueError, match=r"\(n, 2\) pairs"):
-            path.step_pairs(np.zeros((2, 3)), [path.initial_state()] * 2)
+            path.step_pairs(np.zeros((2, 3)), [encoder.initial_state(dtype=np.float32)] * 2)
         with pytest.raises(ValueError, match="one state per row"):
-            path.step_pairs(np.zeros((2, 2)), [path.initial_state()])
+            path.step_pairs(np.zeros((2, 2)), [encoder.initial_state(dtype=np.float32)])
 
     def test_unsupported_actor_module_fails_at_construction(self, policy):
         from repro.serve import Float32ServingPath
