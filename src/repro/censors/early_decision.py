@@ -65,16 +65,16 @@ class EarlyDecisionCensor(CensorClassifier):
                 mask = np.zeros(len(sizes), dtype=bool)
                 mask[0] = True
             sizes, delays = sizes[mask], delays[mask]
-        restricted = Flow(
+        if self.first_n_packets is not None:
+            sizes, delays = sizes[: self.first_n_packets], delays[: self.first_n_packets]
+        # Cut first, then build: one copy and one validation per flow.
+        return Flow(
             sizes=sizes.copy(),
             delays=delays.copy(),
             label=flow.label,
             protocol=flow.protocol,
             metadata=dict(flow.metadata),
         )
-        if self.first_n_packets is not None:
-            restricted = restricted.prefix(self.first_n_packets)
-        return restricted
 
     def _restrict_many(self, flows: Sequence[Flow]) -> list:
         return [self._restrict(flow) for flow in flows]

@@ -238,8 +238,11 @@ class Amoeba:
 
         ``vectorized`` selects the batched collection engine (default): all
         ``n_envs`` environments advance per tick with one actor/critic
-        forward, one incremental encoder step and one censor score batch.
-        ``vectorized=False`` keeps the per-environment reference loop.
+        forward and one incremental encoder step, and the censor scores the
+        rollout's prefixes once all its ticks are proposed, a block of
+        flows per call (the transition never depends on the score, and
+        GAE reads rewards only then).  ``vectorized=False`` keeps the
+        per-environment reference loop, which queries the censor every step.
 
         ``workers`` shards collection across that many worker processes
         (``n_envs`` must divide evenly): each worker hosts its contiguous
@@ -272,7 +275,8 @@ class Amoeba:
         their trajectories are bit-identical for censors whose scoring is
         batch-size invariant (trees, SVM) and match up to the thresholded
         censor score for neural censors, whose BLAS forwards may differ in
-        the last ULP across batch shapes.
+        the last ULP across batch shapes (per step, per tick, per rollout
+        block, per shard: the same contract covers them all).
         """
         if total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")

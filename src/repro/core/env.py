@@ -221,6 +221,48 @@ class EpisodeSummary:
 
 
 @dataclass
+class _Episode:
+    """Accounting of one episode, shared by the environment running it and
+    by every :class:`PendingStep` it issued.
+
+    ``propose`` writes the emulator's side (emitted packets, payload, delay
+    and action counters), ``apply`` the censor's (running reward).  Because
+    the record outlives :meth:`AdversarialFlowEnv.reset`, ``apply`` reads the
+    same numbers whether it runs right after ``propose`` or at the end of a
+    rollout, long after the environment moved on to its next flow.
+    """
+
+    original: Flow
+    sizes: List[float] = field(default_factory=list)
+    delays: List[float] = field(default_factory=list)
+    reward: float = 0.0
+    consumed_payload: float = 0.0
+    added_delay: float = 0.0
+    n_truncations: int = 0
+    n_paddings: int = 0
+    n_delays: int = 0
+    adversarial: Optional[Flow] = None  # flow() of the finished episode
+
+    def flow(self) -> Flow:
+        """The adversarial packets emitted so far as one validated flow.
+
+        An in-flight episode is rebuilt on every call; ``propose`` builds a
+        finished one once and keeps it here — it is the summary's
+        ``adversarial_flow`` and owns its arrays, and every step's prefix is
+        a view into it.
+        """
+        if self.adversarial is not None:
+            return self.adversarial
+        return Flow(
+            sizes=np.asarray(self.sizes),
+            delays=np.asarray(self.delays),
+            label=self.original.label,
+            protocol=f"{self.original.protocol}-adv",
+            metadata={"original_packets": self.original.n_packets},
+        )
+
+
+@dataclass(eq=False)
 class PendingStep:
     """Deterministic outcome of :meth:`AdversarialFlowEnv.propose`.
 
@@ -228,14 +270,24 @@ class PendingStep:
     censor's score only shapes the *reward* — so a step can be split into a
     deterministic ``propose`` phase (emulator advance, masking draw, episode
     termination) and an ``apply`` phase that consumes externally computed
-    censor scores.  ``flows_to_score`` lists what the censor must score for
-    this step, in order: the adversarial prefix (unless the reward is
-    masked), then the finished adversarial flow (when the episode ended).
-    A vectorized driver gathers these across environments into one batched
-    ``predict_scores`` call, preserving the exact one-query-per-flow
-    accounting of the sequential path.
+    censor scores, at any later time and after any number of further
+    ``propose`` / ``reset`` calls on the same environment.  The censor must
+    score, in order: the adversarial prefix of ``prefix_length`` packets
+    (unless the reward is masked), then the finished adversarial flow (when
+    the episode ended).  A vectorized driver gathers these across
+    environments and ticks into batched ``predict_scores`` calls, preserving
+    the exact one-query-per-flow accounting of the sequential path.
+
+    ``next_observation`` is what the policy acts on next: the pending
+    (sub-)packet, or — filled in by an auto-resetting
+    :class:`~repro.core.vec_env.VectorFlowEnv` — the first observation of
+    the episode that replaced a finished one; ``None`` after a finished step
+    otherwise.
     """
 
+    env: "AdversarialFlowEnv" = field(repr=False)
+    episode: _Episode = field(repr=False)
+    prefix_length: int
     action_kind: str
     masked: bool
     done: bool
@@ -243,14 +295,25 @@ class PendingStep:
     time_penalty: float
     recorded_action: np.ndarray
     next_observation: Optional[np.ndarray]
-    prefix: Optional[Flow]
-    adversarial: Optional[Flow]
-    flows_to_score: List[Flow] = field(init=False)
+    applied: bool = False
 
-    def __post_init__(self) -> None:
-        self.flows_to_score = [
-            flow for flow in (self.prefix, self.adversarial) if flow is not None
-        ]
+    @property
+    def n_scores(self) -> int:
+        """How many censor scores :meth:`AdversarialFlowEnv.apply` expects."""
+        return (not self.masked) + self.done
+
+    def flows_from(self, flow: Flow) -> List[Flow]:
+        """The flows to score, cut from ``flow`` — this step's episode as
+        returned by :meth:`_Episode.flow` now or at any later time — as
+        read-only prefix views (the finished flow itself for the last one)."""
+        flows = [] if self.masked else [flow.prefix_view(self.prefix_length)]
+        if self.done:
+            flows.append(flow)
+        return flows
+
+    @property
+    def flows_to_score(self) -> List[Flow]:
+        return self.flows_from(self.episode.flow())
 
 
 class AdversarialFlowEnv:
@@ -288,21 +351,15 @@ class AdversarialFlowEnv:
         self._flow_order: List[int] = []
         self._flow_cursor = 0
 
-        # Episode state, initialised by reset().
+        # Emulator state, initialised by reset(); what apply() needs of an
+        # episode lives in its _Episode record instead.
         self._original: Optional[Flow] = None
+        self._episode: Optional[_Episode] = None
         self._packet_index = 0
         self._remaining_bytes = 0.0
         self._truncations_current_packet = 0
-        self._adversarial_sizes: List[float] = []
-        self._adversarial_delays: List[float] = []
         self._observation_history: List[np.ndarray] = []
         self._action_history: List[np.ndarray] = []
-        self._added_delay_total = 0.0
-        self._consumed_payload = 0.0
-        self._n_truncations = 0
-        self._n_paddings = 0
-        self._n_delays = 0
-        self._episode_reward = 0.0
         self._steps = 0
         self._done = True
         self.last_summary: Optional[EpisodeSummary] = None
@@ -402,19 +459,12 @@ class AdversarialFlowEnv:
     def reset(self, flow: Optional[Flow] = None) -> np.ndarray:
         """Start a new episode, optionally on a caller-provided flow."""
         self._original = (flow or self._next_flow()).copy()
+        self._episode = _Episode(self._original)
         self._packet_index = 0
         self._remaining_bytes = float(abs(self._original.sizes[0]))
         self._truncations_current_packet = 0
-        self._adversarial_sizes = []
-        self._adversarial_delays = []
         self._observation_history = []
         self._action_history = []
-        self._added_delay_total = 0.0
-        self._consumed_payload = 0.0
-        self._n_truncations = 0
-        self._n_paddings = 0
-        self._n_delays = 0
-        self._episode_reward = 0.0
         self._steps = 0
         self._done = False
         observation = self._make_observation()
@@ -426,12 +476,14 @@ class AdversarialFlowEnv:
 
         Applies the action's deterministic effects (packet emission, history
         bookkeeping, reward-masking draw, emulator advance, episode
-        termination) and returns a :class:`PendingStep` naming the flows the
-        censor still has to score.  Complete the step with :meth:`apply`.
+        termination) and returns a :class:`PendingStep` naming what the
+        censor still has to score.  Complete the step with :meth:`apply` —
+        now, or after any number of further steps and resets.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset() first")
-        assert self._original is not None
+        assert self._original is not None and self._episode is not None
+        episode = self._episode
 
         size_scale = self.normalizer.size_scale
         shaped = shape_packet(
@@ -452,9 +504,9 @@ class AdversarialFlowEnv:
 
         if shaped.is_truncation:
             self._remaining_bytes -= emitted_bytes
-            self._consumed_payload += emitted_bytes
+            episode.consumed_payload += emitted_bytes
             self._truncations_current_packet += 1
-            self._n_truncations += 1
+            episode.n_truncations += 1
             data_penalty = (
                 self._remaining_bytes / size_scale
                 + self.config.lambda_split * self._truncations_current_packet
@@ -462,25 +514,25 @@ class AdversarialFlowEnv:
             action_kind = ActionKind.TRUNCATION
         else:
             padding_bytes = emitted_bytes - self._remaining_bytes
-            self._consumed_payload += self._remaining_bytes
+            episode.consumed_payload += self._remaining_bytes
             data_penalty = padding_bytes / size_scale
             if padding_bytes > 0:
-                self._n_paddings += 1
+                episode.n_paddings += 1
                 action_kind = ActionKind.PADDING
             else:
                 action_kind = "exact"
             self._remaining_bytes = 0.0
 
         if shaped.added_delay >= 1.0:
-            self._n_delays += 1
+            episode.n_delays += 1
 
         # Record the emitted adversarial packet.
         recorded_action = record_action(
             direction, emitted_bytes, emitted_delay, size_scale, self.config.max_delay_ms
         )
-        self._adversarial_sizes.append(direction * emitted_bytes)
-        self._adversarial_delays.append(emitted_delay)
-        self._added_delay_total += shaped.added_delay
+        episode.sizes.append(direction * emitted_bytes)
+        episode.delays.append(emitted_delay)
+        episode.added_delay += shaped.added_delay
         self._action_history.append(recorded_action)
         self._steps += 1
 
@@ -489,7 +541,6 @@ class AdversarialFlowEnv:
             self.config.reward_mask_rate > 0.0
             and self._rng.random() < self.config.reward_mask_rate
         )
-        prefix = None if masked else self._current_adversarial_flow()
 
         # Advance the emulator; termination does not depend on the score.
         done = False
@@ -505,14 +556,16 @@ class AdversarialFlowEnv:
 
         if done:
             self._done = True
-            adversarial = self._current_adversarial_flow()
+            episode.adversarial = episode.flow()
             next_observation = None
         else:
-            adversarial = None
             next_observation = self._make_observation()
             self._observation_history.append(next_observation)
 
         return PendingStep(
+            env=self,
+            episode=episode,
+            prefix_length=self._steps,
             action_kind=action_kind,
             masked=masked,
             done=done,
@@ -520,8 +573,6 @@ class AdversarialFlowEnv:
             time_penalty=shaped.delay_action,  # already normalised by max_delay
             recorded_action=recorded_action,
             next_observation=next_observation,
-            prefix=prefix,
-            adversarial=adversarial,
         )
 
     def apply(
@@ -531,12 +582,18 @@ class AdversarialFlowEnv:
 
         ``scores`` must align with ``pending.flows_to_score`` (possibly a
         slice of a batched :meth:`~repro.censors.base.CensorClassifier.predict_scores`
-        result covering many environments).
+        result covering many environments and ticks).  The steps of one
+        episode must be applied in the order they were proposed, each once.
         """
+        if pending.env is not self:
+            raise ValueError("this PendingStep was proposed by another environment")
+        if pending.applied:
+            raise RuntimeError("this PendingStep was already applied")
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        expected = len(pending.flows_to_score)
+        expected = pending.n_scores
         if len(scores) != expected:
             raise ValueError(f"expected {expected} scores for this step, got {len(scores)}")
+        pending.applied = True
 
         if pending.masked:
             adversarial_reward = self.config.masked_reward_value
@@ -550,7 +607,7 @@ class AdversarialFlowEnv:
             - self.config.lambda_data * pending.data_penalty
             - self.config.lambda_time * pending.time_penalty
         )
-        self._episode_reward += reward
+        pending.episode.reward += reward
 
         info: Dict = {
             "action_kind": pending.action_kind,
@@ -562,8 +619,7 @@ class AdversarialFlowEnv:
         }
 
         if pending.done:
-            assert pending.adversarial is not None
-            summary = self._finalise_episode(pending.adversarial, float(scores[-1]))
+            summary = self._finalise_episode(pending.episode, float(scores[-1]))
             info["episode"] = summary
             observation = np.zeros(2)
         else:
@@ -588,41 +644,35 @@ class AdversarialFlowEnv:
     # Episode bookkeeping
     # ------------------------------------------------------------------ #
     def _current_adversarial_flow(self) -> Flow:
-        assert self._original is not None
-        return Flow(
-            sizes=np.asarray(self._adversarial_sizes),
-            delays=np.asarray(self._adversarial_delays),
-            label=self._original.label,
-            protocol=f"{self._original.protocol}-adv",
-            metadata={"original_packets": self._original.n_packets},
-        )
+        assert self._episode is not None
+        return self._episode.flow()
 
-    def _finalise_episode(self, adversarial: Flow, final_score: float) -> EpisodeSummary:
-        assert self._original is not None
+    def _finalise_episode(self, episode: _Episode, final_score: float) -> EpisodeSummary:
+        adversarial = episode.flow()
         success = final_score >= 0.5
 
-        original_payload = float(self._consumed_payload)
+        original_payload = float(episode.consumed_payload)
         adversarial_bytes = float(np.abs(adversarial.sizes).sum())
         padding = max(0.0, adversarial_bytes - original_payload)
         data_overhead = padding / (original_payload + padding) if (original_payload + padding) > 0 else 0.0
 
         adversarial_duration = float(adversarial.delays.sum())
         time_overhead = (
-            self._added_delay_total / adversarial_duration if adversarial_duration > 0 else 0.0
+            episode.added_delay / adversarial_duration if adversarial_duration > 0 else 0.0
         )
 
         summary = EpisodeSummary(
             adversarial_flow=adversarial,
-            original_flow=self._original,
+            original_flow=episode.original,
             success=bool(success),
             final_score=float(final_score),
             data_overhead=float(data_overhead),
             time_overhead=float(time_overhead),
-            n_truncations=self._n_truncations,
-            n_paddings=self._n_paddings,
-            n_delays=self._n_delays,
-            n_steps=self._steps,
-            episode_reward=float(self._episode_reward),
+            n_truncations=episode.n_truncations,
+            n_paddings=episode.n_paddings,
+            n_delays=episode.n_delays,
+            n_steps=adversarial.n_packets,
+            episode_reward=float(episode.reward),
         )
         self.last_summary = summary
         return summary

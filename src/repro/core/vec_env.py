@@ -1,18 +1,34 @@
-"""Vectorized environment stepping: one censor query batch per tick.
+"""Vectorized environment stepping: propose every tick, settle the censor once.
 
 The seed training loop stepped ``n_envs`` :class:`AdversarialFlowEnv`
 instances one at a time, issuing one ``censor.predict_score`` call per
 environment per step.  :class:`VectorFlowEnv` drives the same environments
-through their two-phase step API instead:
+through their two-phase step API instead, and keeps the two phases apart:
 
-1. **propose** — every environment advances its (deterministic) emulator and
-   reports which flows the censor still has to score (the adversarial prefix
-   of every unmasked step, plus the finished adversarial flow of every
-   terminating episode);
-2. **score** — all pending flows across all environments go through a single
-   batched ``predict_scores`` call;
-3. **apply** — each environment folds its slice of the scores back into the
-   reward and (when finished) its episode summary.
+1. :meth:`VectorFlowEnv.propose` — every environment advances its
+   (deterministic) emulator — masking draw, emitted packet, termination,
+   auto-reset, next observation — and returns a
+   :class:`~repro.core.env.PendingStep` saying what the censor still has to
+   score: the adversarial prefix of every unmasked step, plus the finished
+   adversarial flow of every terminating episode;
+2. :meth:`VectorFlowEnv.settle` — all pending flows of any number of
+   proposed ticks go through ``predict_scores`` in fixed-size blocks, and
+   each environment folds its scores back into rewards and episode
+   summaries, in proposal order.
+
+Nothing the policy needs for the next tick depends on the censor (paper
+§4.2: its verdict only shapes the reward) and PPO reads rewards when the
+rollout is complete, so the collection kernel
+(:class:`repro.distrib.shard.ShardRunner`) proposes a whole rollout and
+settles it once: a handful of large censor batches per PPO iteration instead
+of one small one per tick.  :meth:`VectorFlowEnv.step` and
+:meth:`~VectorFlowEnv.step_subset` are the same two calls on a single tick.
+
+An episode's packets live in one per-episode record shared by the
+environment and its pending steps; ``settle`` turns each record into one
+validated :class:`~repro.flows.flow.Flow` and hands the censor read-only
+prefix views of it, so scoring ``T`` growing prefixes of an episode costs one
+array and one validation instead of ``T`` copies and ``T`` validations.
 
 Per-flow query-count semantics are preserved exactly (one query per scored
 flow, Figures 7–9): batching changes *how many calls* reach the censor, not
@@ -32,10 +48,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..flows.flow import Flow
 from .env import AdversarialFlowEnv, PendingStep
 from .state_encoder import StateEncoder
 
-__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"]
+__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree", "score_blocks"]
+
+# Flows per ``predict_scores`` call in ``VectorFlowEnv.settle``.  A neural
+# censor's forward allocates activations proportional to its batch, so the
+# block bounds what deferring a whole rollout's scoring may add to the
+# process's peak: on ``train-neural`` (DF censor, ~1 100 flows per rollout)
+# scoring the rollout in one call raised ``peak_rss_mb`` 63.0 -> 71.3 MiB,
+# past the benchmark's 0.10 bound, while blocks of 128 leave it at the 63.0
+# per-tick scoring had (and blocks of 32 / 64 are no faster).
+_SCORE_BLOCK = 128
+
+
+def score_blocks(n_flows: int) -> int:
+    """How many ``predict_scores`` calls :meth:`VectorFlowEnv.settle` spends
+    on ``n_flows`` pending flows."""
+    return -(-n_flows // _SCORE_BLOCK)
 
 
 def build_envs_from_seed_tree(
@@ -58,7 +90,7 @@ def build_envs_from_seed_tree(
 
 
 class VectorFlowEnv:
-    """Steps N adversarial environments with one censor batch per tick.
+    """Steps N adversarial environments; censor scoring is a separate call.
 
     Parameters
     ----------
@@ -80,6 +112,7 @@ class VectorFlowEnv:
         if any(env.censor is not censor for env in envs):
             raise ValueError("all environments must share the same censor instance")
         self._envs = envs
+        self._env_ids = frozenset(map(id, envs))
         self._censor = censor
         self._auto_reset = auto_reset
 
@@ -105,23 +138,100 @@ class VectorFlowEnv:
         """Reset every environment; returns the (N, obs_dim) observations."""
         return np.stack([env.reset() for env in self._envs])
 
+    def propose(
+        self, actions: np.ndarray, indices: Optional[Sequence[int]] = None
+    ) -> List[PendingStep]:
+        """First half of a tick: advance the emulators, score nothing.
+
+        Every environment named by ``indices`` (all when omitted) takes its
+        row of ``actions``: masking draw, emitted packet, termination and —
+        on the all-environments path of an auto-resetting engine — the reset
+        onto the next flow, whose first observation becomes the step's
+        ``next_observation``.  The returned :class:`PendingStep` s carry
+        everything the actor and encoder need for the next tick; rewards and
+        episode summaries follow from :meth:`settle`.
+        """
+        rows = range(self.n_envs) if indices is None else indices
+        actions = np.asarray(actions, dtype=np.float64)
+        if actions.shape != (len(rows), self.action_dim):
+            raise ValueError(
+                f"actions must have shape {(len(rows), self.action_dim)}, got {actions.shape}"
+            )
+        auto_reset = self._auto_reset and indices is None
+        pendings = []
+        for action, index in zip(actions, rows):
+            env = self._envs[index]
+            pending = env.propose(action)
+            if pending.done and auto_reset:
+                pending.next_observation = env.reset()
+            pendings.append(pending)
+        return pendings
+
+    def settle(
+        self, ticks: Sequence[Sequence[PendingStep]]
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]]:
+        """Second half: score every pending flow of ``ticks``, apply in order.
+
+        ``ticks`` are :meth:`propose` results, oldest first — one for a
+        classic step, a whole rollout for deferred collection.  Each episode
+        is materialised once and its steps are scored as prefix views of
+        that one flow, ``_SCORE_BLOCK`` flows per ``predict_scores`` call;
+        then every step is applied in proposal order.  Returns one
+        ``(observations, rewards, dones, infos)`` per tick, as :meth:`step`.
+        Nothing pending means no censor call and no query.
+        """
+        # Gather first, so that misuse is reported before any query is spent.
+        episode_flows: Dict[int, Flow] = {}
+        flows: List[Flow] = []
+        for tick in ticks:
+            for pending in tick:
+                if id(pending.env) not in self._env_ids:
+                    raise ValueError("PendingStep proposed outside this VectorFlowEnv")
+                if pending.applied:
+                    raise RuntimeError("PendingStep was already applied")
+                if pending.n_scores:
+                    key = id(pending.episode)
+                    flow = episode_flows.get(key)
+                    if flow is None:
+                        flow = episode_flows[key] = pending.episode.flow()
+                    flows.extend(pending.flows_from(flow))
+        scores = np.empty(len(flows))
+        for start in range(0, len(flows), _SCORE_BLOCK):
+            block = slice(start, start + _SCORE_BLOCK)
+            scores[block] = self._censor.predict_scores(flows[block])
+
+        results = []
+        cursor = 0
+        for tick in ticks:
+            observations = np.zeros((len(tick), self.observation_dim))
+            rewards = np.zeros(len(tick))
+            dones = np.zeros(len(tick), dtype=bool)
+            infos: List[Dict] = []
+            for row, pending in enumerate(tick):
+                count = pending.n_scores
+                observation, reward, done, info = pending.env.apply(
+                    pending, scores[cursor : cursor + count]
+                )
+                cursor += count
+                if done and pending.next_observation is not None:
+                    info["terminal_observation"] = observation
+                    observation = pending.next_observation
+                observations[row] = observation
+                rewards[row] = reward
+                dones[row] = done
+                infos.append(info)
+            results.append((observations, rewards, dones, infos))
+        return results
+
     def step(
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        """Advance all environments by one tick.
+        """Advance all environments by one tick and score it at once.
 
         Returns ``(observations, rewards, dones, infos)`` with shapes
         ``(N, obs_dim)``, ``(N,)``, ``(N,)`` and a list of N info dicts.
         """
-        actions = np.asarray(actions, dtype=np.float64)
-        if actions.shape != (self.n_envs, self.action_dim):
-            raise ValueError(
-                f"actions must have shape {(self.n_envs, self.action_dim)}, got {actions.shape}"
-            )
-        observations, rewards, dones, infos = self._step_envs(
-            list(range(self.n_envs)), actions
-        )
-        return observations, rewards, dones, infos
+        return self.settle([self.propose(actions)])[0]
 
     def step_subset(
         self, indices: Sequence[int], actions: np.ndarray
@@ -132,54 +242,7 @@ class VectorFlowEnv:
         and finished environments simply drop out of the batch (auto-reset is
         never applied on this path).  Results align with ``indices``.
         """
-        actions = np.asarray(actions, dtype=np.float64)
-        if actions.shape != (len(indices), self.action_dim):
-            raise ValueError(
-                f"actions must have shape {(len(indices), self.action_dim)}, got {actions.shape}"
-            )
-        return self._step_envs(list(indices), actions, allow_auto_reset=False)
-
-    # ------------------------------------------------------------------ #
-    def _step_envs(
-        self,
-        indices: List[int],
-        actions: np.ndarray,
-        allow_auto_reset: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        # Phase 1: deterministic transitions, collecting flows to score.
-        pendings: List[PendingStep] = []
-        flows = []
-        counts = []
-        for row, index in enumerate(indices):
-            pending = self._envs[index].propose(actions[row])
-            pendings.append(pending)
-            to_score = pending.flows_to_score
-            counts.append(len(to_score))
-            flows.extend(to_score)
-
-        # Phase 2: one batched censor call for the whole tick (an all-masked
-        # tick scores nothing and performs no queries).
-        scores = self._censor.predict_scores(flows)
-
-        # Phase 3: fold scores back into rewards, summaries and resets.
-        observations = np.zeros((len(indices), self.observation_dim))
-        rewards = np.zeros(len(indices))
-        dones = np.zeros(len(indices), dtype=bool)
-        infos: List[Dict] = []
-        cursor = 0
-        for row, index in enumerate(indices):
-            env = self._envs[index]
-            env_scores = scores[cursor : cursor + counts[row]]
-            cursor += counts[row]
-            observation, reward, done, info = env.apply(pendings[row], env_scores)
-            if done and self._auto_reset and allow_auto_reset:
-                info["terminal_observation"] = observation
-                observation = env.reset()
-            observations[row] = observation
-            rewards[row] = reward
-            dones[row] = done
-            infos.append(info)
-        return observations, rewards, dones, infos
+        return self.settle([self.propose(actions, list(indices))])[0]
 
 
 class BatchedEpisodeEncoder:

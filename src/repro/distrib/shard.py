@@ -5,8 +5,15 @@ environments themselves (each with its own seed stream), the per-slot
 exploration-noise streams, the incremental state tracker, and local replicas
 of the actor / critic / state-encoder whose weights are refreshed from
 broadcast checkpoints.  Each :meth:`ShardRunner.collect` tick runs one actor
-forward, one critic forward, one vectorized environment step (one censor
-batch) and one incremental encoder step.
+forward, one critic forward, one vectorized emulator advance
+(:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one incremental
+encoder step; the censor is not consulted until the last tick is proposed,
+then the rollout's pending flows are scored in a few large batches and the
+rewards and episode summaries filled in
+(:meth:`~repro.core.vec_env.VectorFlowEnv.settle`).  The result is the
+rollout per-tick scoring would have produced: bit for bit with a censor whose
+scores do not depend on the batch they arrive in (trees, SVM), up to the
+thresholded score with a neural one.
 
 The runner is process-agnostic and is the *only* batched tick
 implementation: ``Amoeba.train`` hosts one inline shard for in-process
@@ -24,7 +31,12 @@ import numpy as np
 from .. import obs
 from ..censors.base import CensorClassifier
 from ..core.env import EpisodeSummary
-from ..core.vec_env import BatchedEpisodeEncoder, VectorFlowEnv, build_envs_from_seed_tree
+from ..core.vec_env import (
+    BatchedEpisodeEncoder,
+    VectorFlowEnv,
+    build_envs_from_seed_tree,
+    score_blocks,
+)
 from ..nn.serialization import load_prefixed_state, state_dict_from_bytes
 
 __all__ = ["ShardRunner", "ShardResult"]
@@ -164,7 +176,11 @@ class ShardRunner:
 
         The first collect starts fresh episodes; later collects continue the
         in-flight episodes, exactly like the single-process engine carrying
-        environments across PPO iterations.
+        environments across PPO iterations.  All censor queries of the
+        segment happen after its last tick; an exception from the censor
+        propagates unchanged — never a result with rewards missing — and,
+        as any exception mid-collect always did, leaves the emulators
+        advanced: :meth:`restore` a snapshot before collecting again.
         """
         if n_ticks < 1:
             raise ValueError("n_ticks must be >= 1")
@@ -188,26 +204,39 @@ class ShardRunner:
         summaries: List[Tuple[int, int, EpisodeSummary]] = []
 
         queries_before = self.censor.query_count
+        ticks = []
         for tick in range(n_ticks):
             noise = np.stack(
                 [rng.normal(size=action_dim) for rng in self._noise_rngs]
             )
             tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise)
             tick_values = self.critic.value_batch(self._states)
-            observations, tick_rewards, tick_dones, infos = self._vec_env.step(tick_actions)
+            pendings = self._vec_env.propose(tick_actions)
+            ticks.append(pendings)
 
             states[tick] = self._states
             actions[tick] = tick_actions
             log_probs[tick] = tick_log_probs
             values[tick] = tick_values
+            dones[tick] = [pending.done for pending in pendings]
+            self._states = self._tracker.step(
+                np.stack([pending.recorded_action for pending in pendings]),
+                np.stack([pending.next_observation for pending in pendings]),
+                dones[tick],
+            )
+
+        # The transition never depends on the censor and PPO reads rewards
+        # only once the rollout is complete, so the whole rollout is scored
+        # here, in a few large censor batches instead of one small one per tick.
+        with obs.span("collect.score") as score_span:
+            settled = self._vec_env.settle(ticks)
+            scored = self.censor.query_count - queries_before
+            score_span.annotate(flows=scored, blocks=score_blocks(scored))
+        for tick, (_, tick_rewards, _, infos) in enumerate(settled):
             rewards[tick] = tick_rewards
-            dones[tick] = tick_dones
             for local_index, info in enumerate(infos):
                 if "episode" in info:
                     summaries.append((tick, local_index, info["episode"]))
-
-            recorded_actions = np.stack([info["recorded_action"] for info in infos])
-            self._states = self._tracker.step(recorded_actions, observations, tick_dones)
 
         # Bootstrap values for GAE, computed with the *collection-time*
         # critic: under pipelined (double-buffered) collection the driver's
@@ -218,6 +247,7 @@ class ShardRunner:
         # Worker-side counters, folded across the fork boundary by the
         # sharded engine (see ShardedRolloutEngine telemetry fold).
         obs.counter("collect.ticks").inc(n_ticks)
+        obs.counter("collect.scored_flows").inc(scored)
         if summaries:
             obs.counter("collect.episodes").inc(len(summaries))
 
@@ -231,5 +261,5 @@ class ShardRunner:
             final_states=self._states.copy(),
             final_values=np.asarray(final_values, dtype=np.float64),
             summaries=summaries,
-            query_delta=self.censor.query_count - queries_before,
+            query_delta=scored,
         )

@@ -119,18 +119,45 @@ class Flow:
         """Cumulative packet timestamps in milliseconds from flow start."""
         return np.cumsum(self.delays)
 
-    def prefix(self, length: int) -> "Flow":
-        """Return a copy containing only the first ``length`` packets."""
+    def _validated_prefix(self, length: int, view: bool) -> "Flow":
+        """The first ``length`` packets, built without ``__post_init__``.
+
+        Every invariant ``__post_init__`` establishes (equal lengths, finite
+        values, non-zero sizes, non-negative ``+0.0``-normalised delays) is
+        elementwise, so it is closed under taking a non-empty prefix: a flow
+        is validated once, when it is constructed, and its prefixes inherit
+        that.  ``view`` selects read-only views of this flow's arrays over
+        owning copies.
+        """
         if length < 1:
             raise ValueError("prefix length must be >= 1")
-        length = min(length, self.n_packets)
-        return Flow(
-            sizes=self.sizes[:length].copy(),
-            delays=self.delays[:length].copy(),
-            label=self.label,
-            protocol=self.protocol,
-            metadata=dict(self.metadata),
-        )
+        sizes = self.sizes[:length]  # slicing clamps to n_packets
+        delays = self.delays[:length]
+        if view:
+            sizes.flags.writeable = False
+            delays.flags.writeable = False
+        else:
+            sizes, delays = sizes.copy(), delays.copy()
+        flow = object.__new__(Flow)
+        flow.sizes = sizes
+        flow.delays = delays
+        flow.label = self.label
+        flow.protocol = self.protocol
+        flow.metadata = dict(self.metadata)
+        return flow
+
+    def prefix(self, length: int) -> "Flow":
+        """Return a copy containing only the first ``length`` packets."""
+        return self._validated_prefix(length, view=False)
+
+    def prefix_view(self, length: int) -> "Flow":
+        """The first ``length`` packets as read-only views of this flow's arrays.
+
+        Zero-copy counterpart of :meth:`prefix` for handing many prefixes of
+        one flow to a scorer; the views are ``writeable=False`` so a reader
+        cannot alter the flow they alias.
+        """
+        return self._validated_prefix(length, view=True)
 
     def copy(self) -> "Flow":
         return Flow(

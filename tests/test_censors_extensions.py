@@ -38,6 +38,26 @@ class TestEarlyDecisionCensor:
         restricted = censor._restrict(flow)
         assert restricted.n_packets == 1
 
+    def test_restricted_view_is_validated_once_and_owned(self, simple_flow, monkeypatch):
+        validations = []
+        post_init = Flow.__post_init__
+        monkeypatch.setattr(
+            Flow, "__post_init__", lambda self: (validations.append(1), post_init(self))[1]
+        )
+        for kwargs in (
+            dict(first_n_packets=3),
+            dict(upstream_only=True),
+            dict(first_n_packets=1, upstream_only=True),
+        ):
+            validations.clear()
+            restricted = EarlyDecisionCensor(DecisionTreeCensor(rng=0), **kwargs)._restrict(
+                simple_flow
+            )
+            assert len(validations) == 1, kwargs
+            assert not np.shares_memory(restricted.sizes, simple_flow.sizes)
+            assert not np.shares_memory(restricted.delays, simple_flow.delays)
+        assert np.array_equal(restricted.sizes, [536.0])
+
     def test_detects_tor_from_first_packets(self, tor_splits):
         """Early decision on the first 10 packets still detects Tor's cell pattern."""
         censor = EarlyDecisionCensor(DecisionTreeCensor(rng=0), first_n_packets=10)

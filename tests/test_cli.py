@@ -5,6 +5,18 @@ import pytest
 from repro.cli import build_parser, main
 
 
+class TestEntryPoint:
+    def test_console_script_is_named_like_the_parser(self):
+        """``pip install .`` must create the command every doc tells users to run."""
+        tomllib = pytest.importorskip("tomllib")
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {build_parser().prog: "repro.cli:main"}
+        assert build_parser().prog == "repro-amoeba"
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,0 +1,431 @@
+"""Deferred, block-batched reward scoring: ``propose`` n ticks, ``settle`` once.
+
+The environment's transition never depends on the censor, so
+``ShardRunner.collect`` advances every emulator for the whole rollout and
+scores all pending flows afterwards.  The contract under test: that rollout
+is the one per-tick ``VectorFlowEnv.step`` produces — same rewards, dones,
+summaries, query counts — bit for bit with a batch-invariant (DT) censor and
+up to the thresholded score with a neural (DF) one; flows reach the censor
+once each, in tick order, as read-only views of one array per episode; and
+misuse of the two-phase API is an error, never a silently wrong reward.
+"""
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.censors import DeepFingerprintingClassifier
+from repro.censors.base import CensorClassifier
+from repro.core import AdversarialFlowEnv, Amoeba, AmoebaConfig, BatchedEpisodeEncoder, VectorFlowEnv
+from repro.core import vec_env as vec_env_module
+from repro.core.vec_env import build_envs_from_seed_tree
+from repro.distrib import ShardRunner
+from repro.utils.rng import collection_seed_tree
+
+N_ENVS = 3
+N_TICKS = 12
+N_COLLECTS = 3
+
+
+class RecordingCensor(CensorClassifier):
+    """Delegates to a fitted censor and records every flow it is handed."""
+
+    name = "recording"
+
+    def __init__(self, base: CensorClassifier) -> None:
+        super().__init__()
+        self.base = base
+        self._fitted = True
+        self.calls = []  # one list of (sizes bytes, delays bytes, writeable) per call
+
+    def fit(self, flows, labels=None):
+        return self
+
+    def _score_flows(self, flows):
+        self.calls.append(
+            [
+                (flow.sizes.tobytes(), flow.delays.tobytes(), flow.sizes.flags.writeable)
+                for flow in flows
+            ]
+        )
+        return self.base._score_flows(flows)
+
+    def scored(self):
+        return [(sizes, delays) for call in self.calls for sizes, delays, _ in call]
+
+
+class FailingCensor(RecordingCensor):
+    def _score_flows(self, flows):
+        raise KeyError("censor backend unavailable")
+
+
+@pytest.fixture(scope="module")
+def agent(trained_dt_censor, normalizer):
+    config = AmoebaConfig.for_tor(
+        n_envs=N_ENVS, encoder_hidden=8, actor_hidden=(16,), critic_hidden=(16,)
+    )
+    return Amoeba(
+        trained_dt_censor,
+        normalizer,
+        config,
+        rng=42,
+        encoder_pretrain_kwargs=dict(n_flows=10, max_length=10, epochs=1),
+    )
+
+
+def make_config(agent, mask_rate):
+    # Short episodes: several end inside every rollout, the rest carry over.
+    return agent.config.with_overrides(max_episode_steps=7, reward_mask_rate=mask_rate)
+
+
+def seed_tree():
+    return collection_seed_tree(np.random.default_rng(2024), N_ENVS)
+
+
+def make_runner(agent, censor, normalizer, config, flows):
+    return ShardRunner(
+        agent.actor, agent.critic, agent.state_encoder, censor, normalizer, config, flows, seed_tree()
+    )
+
+
+def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLLECTS):
+    """The pre-deferral kernel: one ``VectorFlowEnv.step`` (one censor batch)
+    per tick, over the same seed tree and replicas as :func:`make_runner`."""
+    tree = seed_tree()
+    vec_env = VectorFlowEnv(build_envs_from_seed_tree(censor, normalizer, config, flows, tree))
+    noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in tree]
+    tracker = BatchedEpisodeEncoder(agent.state_encoder, N_ENVS)
+    states = tracker.reset_all(vec_env.reset())
+    collects = []
+    for _ in range(n_collects):
+        queries_before = censor.query_count
+        rewards = np.zeros((N_TICKS, N_ENVS))
+        dones = np.zeros((N_TICKS, N_ENVS), dtype=bool)
+        actions = np.zeros((N_TICKS, N_ENVS, 2))
+        summaries = []
+        for tick in range(N_TICKS):
+            noise = np.stack([rng.normal(size=2) for rng in noise_rngs])
+            actions[tick], _ = agent.actor.act_batch(states, noise=noise)
+            observations, rewards[tick], dones[tick], infos = vec_env.step(actions[tick])
+            summaries.extend(
+                (tick, row, info["episode"]) for row, info in enumerate(infos) if "episode" in info
+            )
+            recorded = np.stack([info["recorded_action"] for info in infos])
+            states = tracker.step(recorded, observations, dones[tick])
+        collects.append(
+            dict(
+                rewards=rewards,
+                dones=dones,
+                actions=actions,
+                summaries=summaries,
+                final_states=states.copy(),
+                query_delta=censor.query_count - queries_before,
+            )
+        )
+    return collects
+
+
+def summary_key(item):
+    tick, row, summary = item
+    return (
+        tick,
+        row,
+        summary.episode_reward,
+        summary.final_score,
+        summary.success,
+        summary.n_steps,
+        summary.n_truncations,
+        summary.n_paddings,
+        summary.n_delays,
+        summary.data_overhead,
+        summary.time_overhead,
+        summary.adversarial_flow.sizes.tobytes(),
+        summary.adversarial_flow.delays.tobytes(),
+        summary.original_flow.sizes.tobytes(),
+    )
+
+
+def assert_same_rollout(result, reference):
+    assert np.array_equal(result.rewards, reference["rewards"])
+    assert np.array_equal(result.dones, reference["dones"])
+    assert np.array_equal(result.actions, reference["actions"])
+    assert np.array_equal(result.final_states, reference["final_states"])
+    assert [summary_key(item) for item in result.summaries] == [
+        summary_key(item) for item in reference["summaries"]
+    ]
+    assert result.query_delta == reference["query_delta"]
+
+
+class TestDeferredEqualsPerTick:
+    @pytest.mark.parametrize("mask_rate", [0.0, 0.5, 1.0])
+    def test_consecutive_collects_bit_identical(
+        self, agent, trained_dt_censor, normalizer, tor_splits, mask_rate
+    ):
+        config = make_config(agent, mask_rate)
+        flows = tor_splits.attack_train.censored_flows
+        censor = trained_dt_censor
+
+        censor.reset_query_count()
+        reference = collect_per_tick(agent, censor, normalizer, config, flows)
+        reference_queries = censor.query_count
+
+        censor.reset_query_count()
+        runner = make_runner(agent, censor, normalizer, config, flows)
+        results = [runner.collect(N_TICKS) for _ in range(N_COLLECTS)]
+        assert censor.query_count == reference_queries
+
+        for result, expected in zip(results, reference):
+            assert_same_rollout(result, expected)
+        # Episodes ended inside rollouts and others carried across them.
+        assert all(result.summaries for result in results)
+        assert not all(result.dones[-1].all() for result in results)
+        if mask_rate == 1.0:
+            # All-masked rollouts pay only for finished flows.
+            assert [r.query_delta for r in results] == [len(r.summaries) for r in results]
+        if mask_rate == 0.0:
+            assert all(
+                r.query_delta == N_TICKS * N_ENVS + len(r.summaries) for r in results
+            )
+
+    def test_nothing_pending_is_no_censor_call(self, agent, trained_dt_censor, normalizer, tor_splits):
+        censor = RecordingCensor(trained_dt_censor)
+        config = agent.config.with_overrides(max_episode_steps=60, reward_mask_rate=1.0)
+        long_flows = [f for f in tor_splits.attack_train.censored_flows if f.n_packets >= 10]
+        runner = make_runner(agent, censor, normalizer, config, long_flows)
+        result = runner.collect(3)  # all masked, nothing finishes in 3 ticks
+        assert not result.dones.any()
+        assert result.query_delta == 0 and censor.query_count == 0 and censor.calls == []
+        assert (result.rewards <= config.masked_reward_value).all()
+        vec_env = VectorFlowEnv(
+            [AdversarialFlowEnv(censor, normalizer, config, long_flows, rng=0)]
+        )
+        assert vec_env.settle([]) == [] and censor.calls == []
+
+    def test_snapshot_restore_between_collects(self, agent, trained_dt_censor, normalizer, tor_splits):
+        config = make_config(agent, 0.5)
+        flows = tor_splits.attack_train.censored_flows
+        uninterrupted = make_runner(agent, trained_dt_censor, normalizer, config, flows)
+        expected = [uninterrupted.collect(N_TICKS) for _ in range(N_COLLECTS)]
+
+        first = make_runner(agent, trained_dt_censor, normalizer, config, flows)
+        head = first.collect(N_TICKS)
+        snapshot = first.snapshot()
+        # Episodes are in flight at the boundary, emitted packets and all.
+        assert any(len(env["_episode"].sizes) > 0 for env in snapshot["envs"])
+        first.collect(N_TICKS)  # the snapshot must not alias the live runner
+
+        resumed = make_runner(agent, trained_dt_censor, normalizer, config, flows)
+        resumed.restore(snapshot)
+        tail = [resumed.collect(N_TICKS) for _ in range(N_COLLECTS - 1)]
+        for result, reference in zip([head] + tail, expected):
+            assert np.array_equal(result.rewards, reference.rewards)
+            assert np.array_equal(result.dones, reference.dones)
+            assert np.array_equal(result.states, reference.states)
+            assert [summary_key(s) for s in result.summaries] == [
+                summary_key(s) for s in reference.summaries
+            ]
+            assert result.query_delta == reference.query_delta
+
+
+class TestScoringBlocks:
+    def test_each_flow_scored_once_in_tick_order(
+        self, agent, trained_dt_censor, normalizer, tor_splits, monkeypatch
+    ):
+        config = make_config(agent, 0.5)
+        flows = tor_splits.attack_train.censored_flows
+
+        per_tick = RecordingCensor(trained_dt_censor)
+        reference = collect_per_tick(agent, per_tick, normalizer, config, flows, n_collects=1)[0]
+        n_flows = len(per_tick.scored())
+        assert len(per_tick.calls) > N_TICKS // 2  # one call per unmasked tick
+
+        block = next(size for size in (7, 5, 3) if n_flows % size)
+        monkeypatch.setattr(vec_env_module, "_SCORE_BLOCK", block)
+        deferred = RecordingCensor(trained_dt_censor)
+        result = make_runner(agent, deferred, normalizer, config, flows).collect(N_TICKS)
+
+        sizes = [len(call) for call in deferred.calls]
+        assert sizes == [block] * (n_flows // block) + [n_flows % block]
+        assert deferred.scored() == per_tick.scored()
+        assert deferred.query_count == per_tick.query_count == n_flows
+        assert_same_rollout(result, reference)
+
+    def test_default_block_is_bounded(self):
+        # Larger blocks raise a neural censor's peak memory (see the constant's
+        # comment); raising the cap needs a new peak_rss_mb measurement.
+        assert 1 <= vec_env_module._SCORE_BLOCK <= 128
+
+
+class TestNeuralCensor:
+    def test_thresholded_rewards_and_queries_equal(self, agent, normalizer, representation, tor_splits):
+        censor = DeepFingerprintingClassifier(representation, epochs=3, rng=0).fit(
+            tor_splits.clf_train.flows
+        )
+        config = make_config(agent, 0.3)
+        flows = tor_splits.attack_train.censored_flows
+        reference = collect_per_tick(agent, censor, normalizer, config, flows)
+        runner = make_runner(agent, censor, normalizer, config, flows)
+        for expected in reference:
+            result = runner.collect(N_TICKS)
+            # Rewards depend on the score only through the 0.5 threshold.
+            assert np.array_equal(result.rewards, expected["rewards"])
+            assert np.array_equal(result.dones, expected["dones"])
+            assert result.query_delta == expected["query_delta"]
+            assert [(t, r, s.success, s.episode_reward) for t, r, s in result.summaries] == [
+                (t, r, s.success, s.episode_reward) for t, r, s in expected["summaries"]
+            ]
+            assert np.allclose(
+                [s.final_score for _, _, s in result.summaries],
+                [s.final_score for _, _, s in expected["summaries"]],
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+class TestOwnershipAndMisuse:
+    def test_prefixes_are_read_only_views_of_the_summary_flow(
+        self, agent, trained_dt_censor, normalizer, simple_flow
+    ):
+        censor = RecordingCensor(trained_dt_censor)
+        config = agent.config.with_overrides(max_episode_steps=30)
+        env = AdversarialFlowEnv(censor, normalizer, config, [simple_flow], rng=0)
+        vec_env = VectorFlowEnv([env], auto_reset=True)
+        vec_env.reset()
+        ticks = []
+        while not (ticks and ticks[-1][0].done):
+            ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
+        assert not env.done  # auto-reset: the environment already runs its next flow
+
+        flows = [flow for tick in ticks for flow in tick[0].flows_from(tick[0].episode.flow())]
+        *prefixes, finished = flows
+        settled = vec_env.settle(ticks)
+        summary = settled[-1][3][0]["episode"]
+
+        assert summary.adversarial_flow is finished
+        assert finished.sizes.flags.writeable and finished.delays.flags.writeable
+        assert [prefix.n_packets for prefix in prefixes] == list(range(1, len(ticks) + 1))
+        for prefix in prefixes:
+            assert not prefix.sizes.flags.writeable and not prefix.delays.flags.writeable
+            assert np.shares_memory(prefix.sizes, finished.sizes)
+            assert np.array_equal(prefix.sizes, finished.sizes[: prefix.n_packets])
+            with pytest.raises(ValueError):
+                prefix.sizes[0] = 1.0
+        # Every flow the censor saw but the finished one was read-only.
+        assert [writeable for call in censor.calls for _, _, writeable in call] == (
+            [False] * len(prefixes) + [True]
+        )
+        # The summary's arrays are its own: the next episode never touches them.
+        before = finished.sizes.copy()
+        vec_env.step(np.array([[0.9, 0.0]]))
+        assert np.array_equal(finished.sizes, before)
+        assert summary.n_steps == len(ticks) == finished.n_packets
+
+    def test_apply_twice_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+        env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
+        env.reset()
+        pending = env.propose(np.array([0.9, 0.0]))
+        scores = trained_dt_censor.predict_scores(pending.flows_to_score)
+        env.apply(pending, scores)
+        with pytest.raises(RuntimeError, match="already applied"):
+            env.apply(pending, scores)
+
+    def test_apply_rejects_foreign_pending(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+        left = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
+        right = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
+        left.reset()
+        right.reset()
+        pending = left.propose(np.array([0.9, 0.0]))
+        with pytest.raises(ValueError, match="another environment"):
+            right.apply(pending, np.zeros(pending.n_scores))
+
+    def test_settle_misuse_raises_before_any_query(
+        self, trained_dt_censor, normalizer, fast_config, simple_flow
+    ):
+        censor = RecordingCensor(trained_dt_censor)
+        envs = [
+            AdversarialFlowEnv(censor, normalizer, fast_config, [simple_flow], rng=seed)
+            for seed in range(3)
+        ]
+        ours, theirs = VectorFlowEnv(envs[:2]), VectorFlowEnv(envs[2:])
+        ours.reset()
+        theirs.reset()
+        tick = ours.propose(np.tile([0.9, 0.0], (2, 1)))
+        foreign = theirs.propose(np.array([[0.9, 0.0]]))
+        with pytest.raises(ValueError, match="outside this VectorFlowEnv"):
+            ours.settle([foreign])
+        ours.settle([tick])
+        queries = censor.query_count
+        with pytest.raises(RuntimeError, match="already applied"):
+            ours.settle([tick])
+        assert censor.query_count == queries == 2
+
+    def test_wrong_score_count_from_censor_raises(
+        self, trained_dt_censor, normalizer, fast_config, simple_flow
+    ):
+        class ShortCensor(RecordingCensor):
+            def _score_flows(self, flows):
+                return np.zeros(len(flows) - 1)
+
+        env = AdversarialFlowEnv(
+            ShortCensor(trained_dt_censor), normalizer, fast_config, [simple_flow], rng=0
+        )
+        vec_env = VectorFlowEnv([env])
+        vec_env.reset()
+        with pytest.raises(RuntimeError, match="wrong number of scores"):
+            vec_env.step(np.array([[0.9, 0.0]]))
+
+    def test_censor_exception_propagates_out_of_collect(
+        self, agent, trained_dt_censor, normalizer, tor_splits
+    ):
+        config = make_config(agent, 0.0)
+        runner = make_runner(
+            agent,
+            FailingCensor(trained_dt_censor),
+            normalizer,
+            config,
+            tor_splits.attack_train.censored_flows,
+        )
+        with pytest.raises(KeyError, match="censor backend unavailable"):
+            runner.collect(N_TICKS)
+
+
+class TestScoreTelemetry:
+    def test_score_span_and_counter(self, agent, trained_dt_censor, normalizer, tor_splits, monkeypatch):
+        monkeypatch.setattr(vec_env_module, "_SCORE_BLOCK", 16)
+        config = make_config(agent, 0.5)
+        runner = make_runner(
+            agent, trained_dt_censor, normalizer, config, tor_splits.attack_train.censored_flows
+        )
+        obs.enable()
+        obs.reset()
+        try:
+            result = runner.collect(N_TICKS)
+            records = obs.tracer().records()
+            scored = obs.registry().get("collect.scored_flows")
+        finally:
+            obs.disable()
+            obs.reset()
+        shard = next(record for record in records if record.name == "collect.shard")
+        score = next(record for record in records if record.name == "collect.score")
+        assert score.parent_id == shard.span_id
+        assert score.meta == {
+            "flows": result.query_delta,
+            "blocks": -(-result.query_delta // 16),
+        }
+        assert scored.value == result.query_delta > 16
+
+    def test_disabled_mode_records_no_span(self, agent, trained_dt_censor, normalizer, tor_splits):
+        obs.disable()
+        obs.reset()
+        runner = make_runner(
+            agent,
+            trained_dt_censor,
+            normalizer,
+            make_config(agent, 0.5),
+            tor_splits.attack_train.censored_flows,
+        )
+        result = runner.collect(N_TICKS)
+        assert obs.tracer().records() == []
+        # Counters are plain integers and always live, like collect.ticks.
+        assert obs.registry().get("collect.scored_flows").value == result.query_delta
+        obs.reset()

@@ -89,6 +89,38 @@ class TestFlowOperations:
         with pytest.raises(ValueError):
             simple_flow.prefix(0)
 
+    def test_prefix_owns_its_arrays_and_skips_revalidation(self, simple_flow, monkeypatch):
+        # A prefix of a validated flow is valid by construction.
+        monkeypatch.setattr(
+            Flow, "__post_init__", lambda self: pytest.fail("prefix re-validated the flow")
+        )
+        prefix = simple_flow.prefix(3)
+        assert np.array_equal(prefix.sizes, [536.0, -1072.0, 536.0])
+        assert np.array_equal(prefix.delays, [0.0, 50.0, 20.0])
+        assert (prefix.label, prefix.protocol) == (simple_flow.label, simple_flow.protocol)
+        assert not np.shares_memory(prefix.sizes, simple_flow.sizes)
+        assert not np.shares_memory(prefix.delays, simple_flow.delays)
+        prefix.sizes[0] = 999.0
+        prefix.metadata["touched"] = True
+        assert simple_flow.sizes[0] == 536.0 and "touched" not in simple_flow.metadata
+
+    def test_prefix_view_is_zero_copy_and_read_only(self, simple_flow):
+        view = simple_flow.prefix_view(2)
+        assert np.array_equal(view.sizes, simple_flow.sizes[:2])
+        assert np.array_equal(view.delays, simple_flow.delays[:2])
+        assert (view.label, view.protocol) == (simple_flow.label, simple_flow.protocol)
+        assert np.shares_memory(view.sizes, simple_flow.sizes)
+        assert np.shares_memory(view.delays, simple_flow.delays)
+        for array in (view.sizes, view.delays):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # The flow it aliases stays writable, and clamping matches prefix().
+        assert simple_flow.sizes.flags.writeable
+        assert simple_flow.prefix_view(100).n_packets == 4
+        with pytest.raises(ValueError):
+            simple_flow.prefix_view(0)
+
     def test_copy_is_independent(self, simple_flow):
         clone = simple_flow.copy()
         clone.sizes[0] = 999.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.core import AmoebaConfig, AdversarialFlowEnv, compute_gae
+from repro.core import AmoebaConfig, AdversarialFlowEnv, VectorFlowEnv, compute_gae
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
 from repro.flows import Flow, FlowLabel, NetworkCondition
@@ -235,6 +235,73 @@ class TestEnvironmentProperties:
         if done:
             adversarial = info["episode"].adversarial_flow
             assert np.abs(adversarial.sizes).sum() >= np.abs(flow.sizes).sum() - 1e-6
+
+
+    @given(
+        actions=st.lists(
+            st.tuples(
+                st.tuples(st.floats(-1, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
+                st.tuples(st.floats(-1, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        mask_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_settling_a_rollout_once_equals_stepping_every_tick(
+        self, actions, mask_rate, seed, trained_dt_censor, normalizer, tor_splits
+    ):
+        """``propose`` x T then one ``settle`` is ``step`` x T, for arbitrary
+        action sequences: rewards, dones, episode summaries and the censor's
+        query count, with episodes auto-resetting mid-sequence."""
+        config = AmoebaConfig.for_tor(max_episode_steps=9, reward_mask_rate=mask_rate)
+        flows = tor_splits.attack_train.censored_flows[:5]
+
+        def engine():
+            return VectorFlowEnv(
+                [
+                    AdversarialFlowEnv(trained_dt_censor, normalizer, config, flows, rng=seed + slot)
+                    for slot in range(2)
+                ]
+            )
+
+        def outcome(results):
+            return [
+                (
+                    rewards.tobytes(),
+                    dones.tobytes(),
+                    observations.tobytes(),
+                    [
+                        (
+                            info["episode"].episode_reward,
+                            info["episode"].final_score,
+                            info["episode"].n_steps,
+                            info["episode"].adversarial_flow.sizes.tobytes(),
+                            info["episode"].adversarial_flow.delays.tobytes(),
+                        )
+                        for info in infos
+                        if "episode" in info
+                    ],
+                    [info["score"] for info in infos if not info["masked"]],
+                )
+                for observations, rewards, dones, infos in results
+            ]
+
+        actions = np.asarray(actions, dtype=np.float64)
+        stepped, deferred = engine(), engine()
+        assert np.array_equal(stepped.reset(), deferred.reset())
+
+        trained_dt_censor.reset_query_count()
+        per_tick = outcome([stepped.step(tick) for tick in actions])
+        per_tick_queries = trained_dt_censor.query_count
+
+        trained_dt_censor.reset_query_count()
+        ticks = [deferred.propose(tick) for tick in actions]
+        assert trained_dt_censor.query_count == 0
+        assert outcome(deferred.settle(ticks)) == per_tick
+        assert trained_dt_censor.query_count == per_tick_queries
 
 
 def _around(*centres):
