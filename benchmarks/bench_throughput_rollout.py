@@ -1,33 +1,23 @@
-"""Rollout-collection throughput: sequential per-env loop vs. batched engine.
+"""Rollout-collection latency: one fully batched collection tick.
 
-The seed implementation collected PPO rollouts one environment at a time:
-O(n_envs) actor/critic forwards per tick, one censor query per unmasked step
-per environment, and a full O(T) GRU re-encode of the growing history at
-every step (O(T²) per episode).  The vectorized engine
-(:class:`repro.distrib.ShardRunner`, the same collection kernel the training
-loop and the sharded workers run) steps all environments per tick with one
-batched actor/critic forward, one censor score batch and two incremental
-encoder steps.
-
-This benchmark measures both collection paths on identically seeded agents
-and checks (a) the batched path is bit-equivalent — same rewards, same
-censor query count — and (b) its speedup at ``n_envs=8``.  Both paths build
-their environments and exploration-noise streams from the same collection
-seed tree, so trajectories match bit for bit.  It is intentionally
+:class:`repro.distrib.ShardRunner` — the one collection kernel the training
+loop and the sharded workers run — steps all environments per tick with one
+batched actor/critic forward, one vectorized emulator advance and two
+incremental encoder steps, then settles the censor once per collect.  This
+benchmark times one such tick at ``n_envs=8`` with pytest-benchmark.  (Its
+bit-equivalence to the seed per-environment loop is a tier-1 test against
+``tests/oracles/sequential_collection.py``.)  It is intentionally
 self-contained (no shared ``tor_suite`` fixtures) so CI can run it as a
 smoke test in well under a minute.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.censors import DecisionTreeCensor
-from repro.core import Amoeba, AmoebaConfig, RolloutBuffer
-from repro.core.vec_env import build_envs_from_seed_tree
+from repro.core import Amoeba, AmoebaConfig
 from repro.distrib import ShardRunner
 from repro.features import FlowNormalizer
 from repro.flows import build_tor_dataset
@@ -62,7 +52,6 @@ def throughput_setup():
 
 
 def _fresh_agent(setup) -> Amoeba:
-    # Identical seeds -> identical actor/critic/encoder weights per mode.
     return Amoeba(
         setup["censor"],
         setup["normalizer"],
@@ -84,87 +73,6 @@ def _make_runner(agent: Amoeba, flows) -> ShardRunner:
         flows,
         collection_seed_tree(agent._rng, agent.config.n_envs),
     )
-
-
-def _collect_rollout(agent: Amoeba, flows, vectorized: bool):
-    """Fill one PPO rollout buffer; returns (buffer, censor queries, seconds)."""
-    config = agent.config
-    buffer = RolloutBuffer(
-        config.rollout_length, config.n_envs, config.state_dim, agent.actor.action_dim
-    )
-    queries_before = agent.censor.query_count
-    if vectorized:
-        runner = _make_runner(agent, flows)
-        start = time.perf_counter()
-        result = runner.collect(config.rollout_length)
-        elapsed = time.perf_counter() - start
-        buffer.load(
-            result.states,
-            result.actions,
-            result.log_probs,
-            result.rewards,
-            result.values,
-            result.dones,
-        )
-    else:
-        # Same seed tree as the runner: envs from the env streams, per-slot
-        # exploration noise from the noise streams.
-        seed_tree = collection_seed_tree(agent._rng, config.n_envs)
-        envs = build_envs_from_seed_tree(
-            agent.censor, agent.normalizer, config, flows, seed_tree
-        )
-        noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in seed_tree]
-        summaries = []
-        start = time.perf_counter()
-        for env in envs:
-            env.reset()
-        states = np.stack([agent.encode_state(env) for env in envs])
-        while not buffer.full:
-            states = agent._collect_tick_sequential(
-                envs, buffer, states, summaries, noise_rngs
-            )
-        elapsed = time.perf_counter() - start
-    return buffer, agent.censor.query_count - queries_before, elapsed
-
-
-def test_rollout_collection_speedup_and_equivalence(throughput_setup):
-    flows = throughput_setup["flows"]
-
-    sequential_agent = _fresh_agent(throughput_setup)
-    batched_agent = _fresh_agent(throughput_setup)
-
-    # Warm-up (allocator, caches) on a fresh agent so timing is stable.
-    _collect_rollout(_fresh_agent(throughput_setup), flows, vectorized=True)
-
-    seq_buffer, seq_queries, seq_time = _collect_rollout(
-        sequential_agent, flows, vectorized=False
-    )
-    bat_buffer, bat_queries, bat_time = _collect_rollout(
-        batched_agent, flows, vectorized=True
-    )
-
-    total_steps = ROLLOUT_LENGTH * N_ENVS
-    speedup = seq_time / bat_time
-    print(
-        f"\nrollout collection, n_envs={N_ENVS}, rollout_length={ROLLOUT_LENGTH}:\n"
-        f"  sequential: {total_steps / seq_time:8.1f} steps/s ({seq_time:.3f}s)\n"
-        f"  batched:    {total_steps / bat_time:8.1f} steps/s ({bat_time:.3f}s)\n"
-        f"  speedup:    {speedup:.2f}x"
-    )
-
-    # Bit-equivalence: same seeds -> same trajectories and query accounting.
-    assert np.array_equal(seq_buffer.rewards, bat_buffer.rewards)
-    assert np.array_equal(seq_buffer.states, bat_buffer.states)
-    assert np.array_equal(seq_buffer.actions, bat_buffer.actions)
-    assert np.array_equal(seq_buffer.dones, bat_buffer.dones)
-    assert seq_queries == bat_queries
-
-    # The fused recurrent kernels (PR 2) sped up the sequential reference
-    # path ~2.3x (its per-step cell forwards dominate), compressing the
-    # batched-vs-sequential ratio from ~3.9x to ~2.1x even though batched
-    # absolute throughput also rose (~380 -> ~480 steps/s here).  The floor
-    # below tracks the ratio with headroom for slower CI machines.
-    assert speedup >= 1.5, f"expected >=1.5x collection speedup, measured {speedup:.2f}x"
 
 
 def test_batched_tick_latency(benchmark, throughput_setup):

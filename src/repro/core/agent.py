@@ -35,7 +35,7 @@ from .env import ActionKind, AdversarialFlowEnv, EpisodeSummary
 from .ppo import PPOUpdater
 from .rollout import RolloutBuffer
 from .state_encoder import StateEncoder, pretrain_state_encoder
-from .vec_env import BatchedEpisodeEncoder, VectorFlowEnv, build_envs_from_seed_tree
+from .vec_env import BatchedEpisodeEncoder, VectorFlowEnv
 
 __all__ = ["Amoeba", "AdversarialResult", "EvaluationReport"]
 
@@ -170,53 +170,6 @@ class Amoeba:
             raise ValueError("no censored flows provided to train the attack on")
         return censored
 
-    def _draw_noise(self, noise_rngs: Optional[List[np.random.Generator]]) -> Optional[np.ndarray]:
-        """Per-slot exploration noise from the collection seed tree, if any."""
-        if noise_rngs is None:
-            return None
-        return np.stack([rng.normal(size=self.actor.action_dim) for rng in noise_rngs])
-
-    def _collect_tick_sequential(
-        self,
-        envs: List[AdversarialFlowEnv],
-        buffer: RolloutBuffer,
-        states: np.ndarray,
-        recent_summaries: List[EpisodeSummary],
-        noise_rngs: Optional[List[np.random.Generator]] = None,
-    ) -> np.ndarray:
-        """The seed per-environment collection loop, kept as the reference
-        path for equivalence testing and ablation (O(n_envs) model forwards
-        per tick, O(T) full-history re-encodes per step)."""
-        config = self.config
-        actions = np.zeros((config.n_envs, self.actor.action_dim))
-        log_probs = np.zeros(config.n_envs)
-        values = np.zeros(config.n_envs)
-        rewards = np.zeros(config.n_envs)
-        dones = np.zeros(config.n_envs, dtype=bool)
-        next_states = np.zeros_like(states)
-        noise = self._draw_noise(noise_rngs)
-
-        for index, env in enumerate(envs):
-            action, log_prob = self.actor.act(
-                states[index], noise=None if noise is None else noise[index]
-            )
-            value = self.critic.value(states[index])
-            _, reward, done, info = env.step(action)
-            actions[index] = action
-            log_probs[index] = log_prob
-            values[index] = value
-            rewards[index] = reward
-            dones[index] = done
-            if done:
-                summary: EpisodeSummary = info["episode"]
-                recent_summaries.append(summary)
-                self._episode_successes.append(summary.success)
-                env.reset()
-            next_states[index] = self.encode_state(env)
-
-        buffer.add(states, actions, log_probs, rewards, values, dones)
-        return next_states
-
     def train(
         self,
         flows: Sequence[Flow],
@@ -225,7 +178,6 @@ class Amoeba:
         eval_every: Optional[int] = None,
         eval_size: int = 20,
         callback: Optional[Callable[[Dict], None]] = None,
-        vectorized: bool = True,
         workers: Optional[int] = None,
         pipeline: Optional[bool] = None,
         transport: Optional[str] = None,
@@ -236,13 +188,11 @@ class Amoeba:
         convergence curves (Figures 7 and 9) can be reproduced; each record in
         the training log also stores the censor query count at that point.
 
-        ``vectorized`` selects the batched collection engine (default): all
-        ``n_envs`` environments advance per tick with one actor/critic
-        forward and one incremental encoder step, and the censor scores the
-        rollout's prefixes once all its ticks are proposed, a block of
-        flows per call (the transition never depends on the score, and
-        GAE reads rewards only then).  ``vectorized=False`` keeps the
-        per-environment reference loop, which queries the censor every step.
+        Collection is batched: all ``n_envs`` environments advance per tick
+        with one actor/critic forward and one incremental encoder step, and
+        the censor scores the rollout's prefixes once all its ticks are
+        proposed, a block of flows per call (the transition never depends
+        on the score, and GAE reads rewards only then).
 
         ``workers`` shards collection across that many worker processes
         (``n_envs`` must divide evenly): each worker hosts its contiguous
@@ -282,11 +232,6 @@ class Amoeba:
             raise ValueError("total_timesteps must be >= 1")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for in-process collection)")
-        if workers is not None and not vectorized:
-            # The sequential reference loop exists precisely to pin down the
-            # single-env scoring batch shape; silently running it sharded
-            # (and therefore vectorized) would defeat that purpose.
-            raise ValueError("workers requires the vectorized engine (vectorized=True)")
         if transport is not None and workers is None:
             raise ValueError("transport requires workers: it places worker processes")
         pipeline = self.config.pipeline_collection if pipeline is None else bool(pipeline)
@@ -309,17 +254,16 @@ class Amoeba:
         # Imported lazily: repro.distrib imports repro.core at module scope,
         # so top-level imports here would be circular.
         engine = None
-        runner = None
         if workers is not None:
             from ..distrib.sharded import ShardedRolloutEngine
 
             engine = ShardedRolloutEngine.for_agent(
                 self, flows, seed_tree, workers, transport=transport
             )
-        elif vectorized:
-            # The in-process vectorized path is one inline shard hosting all
-            # slots — the same collection kernel the workers run, so there
-            # is exactly one batched tick implementation to keep correct.
+        else:
+            # In-process collection is one inline shard hosting all slots —
+            # the same collection kernel the workers run, so there is
+            # exactly one tick implementation to keep correct.
             from ..distrib.shard import ShardRunner
 
             runner = ShardRunner(
@@ -332,14 +276,6 @@ class Amoeba:
                 flows,
                 seed_tree,
             )
-        else:
-            noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in seed_tree]
-            envs = build_envs_from_seed_tree(
-                self.censor, self.normalizer, config, flows, seed_tree
-            )
-            for env in envs:
-                env.reset()
-            states = np.stack([self.encode_state(env) for env in envs])
 
         steps_done = 0
         iteration_steps = config.rollout_length * config.n_envs
@@ -357,58 +293,46 @@ class Amoeba:
             while steps_done < total_timesteps:
                 with obs.span("train.iteration", steps=iteration_steps):
                     buffer.reset()
-                    recent_summaries: List[EpisodeSummary] = []
-                    collect_span = obs.span("train.collect")
-                    if engine is not None or runner is not None:
-                        with collect_span:
-                            if engine is None:
-                                result = runner.collect(config.rollout_length)
-                            elif pipeline:
-                                result = engine.wait()
-                                self.censor.record_external_queries(result.query_delta)
-                                if steps_done + iteration_steps < total_timesteps:
-                                    # Double-buffering: the next collect starts now
-                                    # with the current (pre-update) policy and runs
-                                    # while updater.update() below is busy.
-                                    if weights_stale:
-                                        engine.broadcast(
-                                            state_dict_to_bytes(self._policy_state())
-                                        )
-                                        weights_stale = False
-                                    engine.collect_async(config.rollout_length)
-                            else:
-                                engine.broadcast(state_dict_to_bytes(self._policy_state()))
-                                result = engine.collect(config.rollout_length)
-                                # Worker censor replicas counted these queries; fold
-                                # them into this process's censor (the inline runner
-                                # queries self.censor directly, so nothing to fold).
-                                self.censor.record_external_queries(result.query_delta)
-                            buffer.load(
-                                result.states,
-                                result.actions,
-                                result.log_probs,
-                                result.rewards,
-                                result.values,
-                                result.dones,
-                            )
-                        for _tick, _env_index, summary in result.summaries:
-                            recent_summaries.append(summary)
-                            self._episode_successes.append(summary.success)
-                        steps_done += iteration_steps
-                        # Bootstrap values computed shard-side with the
-                        # collection-time critic — identical to a driver-side
-                        # forward in synchronous modes, and the consistent
-                        # choice under pipelining (the driver's critic may be
-                        # one update ahead of this rollout's values).
-                        last_values = result.final_values
-                    else:
-                        with collect_span:
-                            while not buffer.full:
-                                states = self._collect_tick_sequential(
-                                    envs, buffer, states, recent_summaries, noise_rngs
-                                )
-                                steps_done += config.n_envs
-                            last_values = self.critic.value_batch(states)
+                    with obs.span("train.collect"):
+                        if engine is None:
+                            result = runner.collect(config.rollout_length)
+                        elif pipeline:
+                            result = engine.wait()
+                            self.censor.record_external_queries(result.query_delta)
+                            if steps_done + iteration_steps < total_timesteps:
+                                # Double-buffering: the next collect starts now
+                                # with the current (pre-update) policy and runs
+                                # while updater.update() below is busy.
+                                if weights_stale:
+                                    engine.broadcast(
+                                        state_dict_to_bytes(self._policy_state())
+                                    )
+                                    weights_stale = False
+                                engine.collect_async(config.rollout_length)
+                        else:
+                            engine.broadcast(state_dict_to_bytes(self._policy_state()))
+                            result = engine.collect(config.rollout_length)
+                            # Worker censor replicas counted these queries; fold
+                            # them into this process's censor (the inline runner
+                            # queries self.censor directly, so nothing to fold).
+                            self.censor.record_external_queries(result.query_delta)
+                        buffer.load(
+                            result.states,
+                            result.actions,
+                            result.log_probs,
+                            result.rewards,
+                            result.values,
+                            result.dones,
+                        )
+                    for _tick, _env_index, summary in result.summaries:
+                        self._episode_successes.append(summary.success)
+                    steps_done += iteration_steps
+                    # Bootstrap values computed shard-side with the
+                    # collection-time critic — identical to a driver-side
+                    # forward in synchronous modes, and the consistent
+                    # choice under pipelining (the driver's critic may be
+                    # one update ahead of this rollout's values).
+                    last_values = result.final_values
 
                     buffer.finalize(last_values, config.gamma, config.gae_lambda)
                     stats = self.updater.update(buffer)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from ..obs import _state as _obs_state
 from ..utils.rng import ensure_rng
 from .actor_critic import Critic, GaussianActor
 from .config import AmoebaConfig
-from .rollout import MinibatchScratch, RolloutBuffer
+from .rollout import RolloutBuffer
 
 __all__ = ["PPOUpdater", "PPOUpdateStats"]
 
@@ -47,35 +46,17 @@ class PPOUpdater:
         critic: Critic,
         config: AmoebaConfig,
         rng=None,
-        preallocate: bool = True,
     ) -> None:
         self.actor = actor
         self.critic = critic
         self.config = config
         self._rng = ensure_rng(rng)
-        self.preallocate = bool(preallocate)
-        self.actor_optimizer = nn.Adam(
-            actor.parameters(), lr=config.learning_rate, preallocate=self.preallocate
-        )
-        self.critic_optimizer = nn.Adam(
-            critic.parameters(), lr=config.learning_rate, preallocate=self.preallocate
-        )
-        # One scratch object serves every epoch of every update() call: the
-        # minibatch partition geometry is fixed by the config, so the buffers
-        # are allocated once and reused for the run's lifetime.
-        self._mb_scratch: Optional[MinibatchScratch] = (
-            MinibatchScratch() if self.preallocate else None
-        )
+        self.actor_optimizer = nn.Adam(actor.parameters(), lr=config.learning_rate)
+        self.critic_optimizer = nn.Adam(critic.parameters(), lr=config.learning_rate)
 
     def update(self, buffer: RolloutBuffer) -> PPOUpdateStats:
         """Run the clipped-surrogate update over the buffer's minibatches."""
         config = self.config
-        policy_losses = []
-        value_losses = []
-        entropies = []
-        kls = []
-        clip_fractions = []
-
         # Telemetry reads clocks only: it draws from no RNG stream and
         # touches no numeric path, so update results are bit-identical with
         # telemetry on or off.
@@ -87,41 +68,17 @@ class PPOUpdater:
             epochs=config.update_epochs,
             minibatches=config.n_minibatches,
         ):
-            self._run_epochs(
-                buffer,
-                policy_losses,
-                value_losses,
-                entropies,
-                kls,
-                clip_fractions,
-                actor_ms,
-                critic_ms,
-            )
+            return self._run_epochs(buffer, actor_ms, critic_ms)
 
-        return PPOUpdateStats(
-            policy_loss=float(np.mean(policy_losses)),
-            value_loss=float(np.mean(value_losses)),
-            entropy=float(np.mean(entropies)),
-            approx_kl=float(np.mean(kls)),
-            clip_fraction=float(np.mean(clip_fractions)),
-        )
-
-    def _run_epochs(
-        self,
-        buffer: RolloutBuffer,
-        policy_losses,
-        value_losses,
-        entropies,
-        kls,
-        clip_fractions,
-        actor_ms=None,
-        critic_ms=None,
-    ) -> None:
+    def _run_epochs(self, buffer: RolloutBuffer, actor_ms, critic_ms) -> PPOUpdateStats:
         config = self.config
+        policy_losses = []
+        value_losses = []
+        entropies = []
+        kls = []
+        clip_fractions = []
         for _ in range(config.update_epochs):
-            for batch in buffer.minibatches(
-                config.n_minibatches, rng=self._rng, scratch=self._mb_scratch
-            ):
+            for batch in buffer.minibatches(config.n_minibatches, rng=self._rng):
                 states = nn.Tensor(batch.states)
                 advantages = nn.Tensor(batch.advantages)
                 returns = nn.Tensor(batch.returns)

@@ -11,13 +11,13 @@ computes advantages via GAE(λ):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from ..utils.rng import ensure_rng
 
-__all__ = ["RolloutBuffer", "MinibatchScratch", "compute_gae"]
+__all__ = ["RolloutBuffer", "compute_gae"]
 
 
 def compute_gae(
@@ -75,55 +75,6 @@ class _Batch:
     returns: np.ndarray
 
 
-class MinibatchScratch:
-    """Preallocated minibatch buffers reused across PPO update epochs.
-
-    :meth:`RolloutBuffer.minibatches` gathers each minibatch with fancy
-    indexing, which allocates five fresh arrays per minibatch per epoch —
-    on the PPO update's critical path that is ``update_epochs ×
-    n_minibatches × 5`` allocations per iteration for data whose shapes
-    never change.  Passing a ``MinibatchScratch`` makes the buffer gather
-    into preallocated per-slot arrays with ``np.take(..., out=...)``
-    instead: the slot shapes are fixed by ``(total, n_minibatches)`` (the
-    ``array_split`` partition is deterministic), so one scratch object
-    serves every epoch of every update for a given configuration.  It also
-    hosts the normalised-advantages buffer, letting the normalisation be
-    computed once per epoch without a fresh allocation.
-
-    The buffers are overwritten on each gather, so a batch is only valid
-    until the next one is drawn — exactly the lifetime the PPO update loop
-    needs (forward, backward and optimizer step complete before the next
-    minibatch is requested).  A scratch sized for a different ``(total,
-    n_minibatches)`` geometry is transparently rebuilt.
-    """
-
-    def __init__(self) -> None:
-        self._geometry: Optional[Tuple[int, int, int, int]] = None
-        self._slots: List[_Batch] = []
-        self.advantages: Optional[np.ndarray] = None
-
-    def prepare(
-        self, total: int, n_minibatches: int, state_dim: int, action_dim: int
-    ) -> List[_Batch]:
-        """Return per-slot batch buffers for the given partition geometry."""
-        geometry = (total, n_minibatches, state_dim, action_dim)
-        if self._geometry != geometry:
-            sizes = [len(split) for split in np.array_split(np.arange(total), n_minibatches)]
-            self._slots = [
-                _Batch(
-                    states=np.empty((size, state_dim)),
-                    actions=np.empty((size, action_dim)),
-                    log_probs=np.empty(size),
-                    advantages=np.empty(size),
-                    returns=np.empty(size),
-                )
-                for size in sizes
-            ]
-            self.advantages = np.empty(total)
-            self._geometry = geometry
-        return self._slots
-
-
 class RolloutBuffer:
     """Fixed-size (T × N) storage of environment interactions."""
 
@@ -134,6 +85,11 @@ class RolloutBuffer:
         self.n_envs = n_envs
         self.state_dim = state_dim
         self.action_dim = action_dim
+        # Minibatch gather targets, built on first use and kept across
+        # reset(): their shapes depend only on (T·N, n_minibatches), so one
+        # set serves every epoch of every update this buffer feeds.
+        self._slots: List[_Batch] = []
+        self._normalised_advantages = np.empty(rollout_length * n_envs)
         self.reset()
 
     def reset(self) -> None:
@@ -206,26 +162,40 @@ class RolloutBuffer:
             self.rewards, self.values, self.dones, last_values, gamma, gae_lambda
         )
 
-    def minibatches(
-        self,
-        n_minibatches: int,
-        rng=None,
-        normalise_advantages: bool = True,
-        scratch: Optional[MinibatchScratch] = None,
-    ) -> Iterator[_Batch]:
+    def _minibatch_slots(self, n_splits: int) -> List[_Batch]:
+        """Per-slot gather buffers for an ``n_splits``-way partition."""
+        if len(self._slots) != n_splits:
+            total = self.rollout_length * self.n_envs
+            sizes = [len(split) for split in np.array_split(np.arange(total), n_splits)]
+            self._slots = [
+                _Batch(
+                    states=np.empty((size, self.state_dim)),
+                    actions=np.empty((size, self.action_dim)),
+                    log_probs=np.empty(size),
+                    advantages=np.empty(size),
+                    returns=np.empty(size),
+                )
+                for size in sizes
+            ]
+        return self._slots
+
+    def minibatches(self, n_minibatches: int, rng=None) -> Iterator[_Batch]:
         """Yield shuffled minibatches over the flattened (T*N) samples.
 
         The ``T·N`` samples are partitioned into exactly ``n_minibatches``
         near-equal batches (sizes differ by at most one), so per-update
         statistics are never skewed by a runt batch when ``n_minibatches``
         does not divide ``T·N``.  When there are fewer samples than
-        requested batches, each sample forms its own batch.
+        requested batches, each sample forms its own batch.  Advantages are
+        normalised over the whole rollout, once per call.
 
-        ``scratch`` (a :class:`MinibatchScratch`) makes every gather write
-        into preallocated buffers instead of allocating per minibatch; the
-        yielded values are then only valid until the next minibatch is
-        drawn.  Both paths consume the generator identically (one
-        ``permutation`` draw) and produce bitwise-identical batch contents.
+        Every batch is gathered into buffers the rollout buffer owns and
+        reuses (fancy indexing would allocate five fresh arrays per
+        minibatch per epoch on the PPO update's critical path), so a yielded
+        batch is only valid until ``minibatches`` is called again — the PPO
+        update finishes forward, backward and optimizer step on each batch
+        before asking for the next.  The contents equal ``array[index]`` bit
+        for bit (``tests/test_nn_backend.py``).
         """
         rng = ensure_rng(rng)
         if n_minibatches < 1:
@@ -234,43 +204,25 @@ class RolloutBuffer:
         states = self.states.reshape(total, self.state_dim)
         actions = self.actions.reshape(total, self.action_dim)
         log_probs = self.log_probs.reshape(total)
-        advantages = self.advantages.reshape(total)
         returns = self.returns.reshape(total)
-        n_splits = min(n_minibatches, total)
+        slots = self._minibatch_slots(min(n_minibatches, total))
 
-        if normalise_advantages:
-            if scratch is not None:
-                slots = scratch.prepare(total, n_splits, self.state_dim, self.action_dim)
-                buffer = scratch.advantages
-                np.subtract(advantages, advantages.mean(), out=buffer)
-                buffer /= advantages.std() + 1e-8
-                advantages = buffer
-            else:
-                advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        elif scratch is not None:
-            slots = scratch.prepare(total, n_splits, self.state_dim, self.action_dim)
+        raw = self.advantages.reshape(total)
+        advantages = self._normalised_advantages
+        np.subtract(raw, raw.mean(), out=advantages)
+        advantages /= raw.std() + 1e-8
 
         order = rng.permutation(total)
-        for slot_index, index in enumerate(np.array_split(order, n_splits)):
-            if scratch is not None:
-                # mode="clip" selects numpy's unchecked gather path (the
-                # default "raise" mode bounds-checks in a second pass and is
-                # measurably slower); permutation indices are always in range
-                # so clipping never actually engages.  The ndarray method is
-                # used rather than np.take — the functional wrapper adds two
-                # dispatch hops per call on this per-minibatch hot path.
-                batch = slots[slot_index]
-                states.take(index, axis=0, out=batch.states, mode="clip")
-                actions.take(index, axis=0, out=batch.actions, mode="clip")
-                log_probs.take(index, out=batch.log_probs, mode="clip")
-                advantages.take(index, out=batch.advantages, mode="clip")
-                returns.take(index, out=batch.returns, mode="clip")
-                yield batch
-            else:
-                yield _Batch(
-                    states=states[index],
-                    actions=actions[index],
-                    log_probs=log_probs[index],
-                    advantages=advantages[index],
-                    returns=returns[index],
-                )
+        for batch, index in zip(slots, np.array_split(order, len(slots))):
+            # mode="clip" selects numpy's unchecked gather path (the default
+            # "raise" mode bounds-checks in a second pass and is measurably
+            # slower); permutation indices are always in range so clipping
+            # never actually engages.  The ndarray method is used rather
+            # than np.take — the functional wrapper adds two dispatch hops
+            # per call on this per-minibatch hot path.
+            states.take(index, axis=0, out=batch.states, mode="clip")
+            actions.take(index, axis=0, out=batch.actions, mode="clip")
+            log_probs.take(index, out=batch.log_probs, mode="clip")
+            advantages.take(index, out=batch.advantages, mode="clip")
+            returns.take(index, out=batch.returns, mode="clip")
+            yield batch

@@ -33,7 +33,7 @@ whichever transport carried the shards.  See the seed-tree layout in
 """
 
 from .shard import ShardResult, ShardRunner
-from .sharded import MergedRollout, ShardedRolloutEngine
+from .sharded import ShardedRolloutEngine
 from .sweep import SweepOrchestrator, SweepTask, SweepTaskRecord, amoeba_grid_task
 from .transport import (
     ForkPipeTransport,
@@ -54,7 +54,6 @@ __all__ = [
     "ShardRunner",
     "ShardResult",
     "ShardedRolloutEngine",
-    "MergedRollout",
     "SweepOrchestrator",
     "SweepTask",
     "SweepTaskRecord",

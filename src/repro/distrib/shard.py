@@ -50,7 +50,8 @@ class ShardResult:
     in the order the single-process engine would have observed them;
     ``query_delta`` is the number of flows this shard's censor replica
     scored during the collect (the one-query-per-flow accounting of
-    Figures 7–9, invariant to sharding).
+    Figures 7–9, invariant to sharding).  The sharded engine hands back the
+    same type for the merged rollout, with global environment indices.
     """
 
     states: np.ndarray

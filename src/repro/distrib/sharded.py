@@ -85,29 +85,7 @@ from .transport import (
     traced_message,
 )
 
-__all__ = ["ShardedRolloutEngine", "MergedRollout"]
-
-
-@dataclass
-class MergedRollout:
-    """Per-shard segments merged back into global ``(T, n_envs, ...)`` arrays.
-
-    ``summaries`` lists finished episodes as ``(tick, global_env, summary)``
-    sorted the way the single-process engine emits them (tick-major, then
-    environment order); ``query_delta`` sums the per-replica censor query
-    deltas, preserving the one-query-per-flow accounting.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    values: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    final_states: np.ndarray
-    final_values: np.ndarray
-    summaries: List[Tuple[int, int, EpisodeSummary]]
-    query_delta: int
+__all__ = ["ShardedRolloutEngine"]
 
 
 @dataclass
@@ -215,9 +193,15 @@ class ShardedRolloutEngine:
         # Expose a scrape endpoint if REPRO_TELEMETRY_PORT asks for one
         # (no-op otherwise; forked workers fail the duplicate bind quietly).
         obs.maybe_serve_telemetry()
-        self._workers: List[_WorkerHandle] = [
-            self._spawn(index) for index in range(n_workers)
-        ]
+        self._workers: List[_WorkerHandle] = []
+        try:
+            for index in range(n_workers):
+                self._workers.append(self._spawn(index))
+        except BaseException:
+            # A worker that cannot be placed must not strand the ones
+            # already launched, nor the pool's own worker host.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -313,8 +297,15 @@ class ShardedRolloutEngine:
         # flight) must not become the recovery checkpoint.
         self._last_payload = payload
 
-    def collect(self, n_ticks: int) -> MergedRollout:
-        """Advance every shard ``n_ticks`` ticks and merge the segments."""
+    def collect(self, n_ticks: int) -> ShardResult:
+        """Advance every shard ``n_ticks`` ticks and merge the segments.
+
+        The merged rollout is one :class:`~repro.distrib.shard.ShardResult`
+        over all ``n_envs`` slots: ``summaries`` carry *global* environment
+        indices, sorted the way a single shard emits them (tick-major, then
+        environment order), and ``query_delta`` sums the per-replica censor
+        query deltas, preserving the one-query-per-flow accounting.
+        """
         self.collect_async(n_ticks)
         return self.wait()
 
@@ -342,7 +333,7 @@ class ShardedRolloutEngine:
         with obs.span("distrib.collect", n_ticks=int(n_ticks), workers=self._n_workers):
             self._pending = self._send_all(message)
 
-    def wait(self) -> MergedRollout:
+    def wait(self) -> ShardResult:
         """Drain the in-flight :meth:`collect_async` and merge the segments.
 
         Workers that crashed after the kick-off (SIGKILL mid-collect) are
@@ -586,14 +577,14 @@ class ShardedRolloutEngine:
     # Merge
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _merge(results: Sequence[ShardResult]) -> MergedRollout:
+    def _merge(results: Sequence[ShardResult]) -> ShardResult:
         offsets = np.cumsum([0] + [result.n_envs for result in results])
         summaries: List[Tuple[int, int, EpisodeSummary]] = []
         for offset, result in zip(offsets, results):
             for tick, local_index, summary in result.summaries:
                 summaries.append((tick, int(offset) + local_index, summary))
         summaries.sort(key=lambda item: (item[0], item[1]))
-        return MergedRollout(
+        return ShardResult(
             states=np.concatenate([result.states for result in results], axis=1),
             actions=np.concatenate([result.actions for result in results], axis=1),
             log_probs=np.concatenate([result.log_probs for result in results], axis=1),

@@ -85,7 +85,7 @@ __all__ = [
     "TRACE_ENVELOPE",
     "traced_message",
     "untraced_message",
-    "register_worker_entrypoint",
+    "factory_worker_entry",
 ]
 
 # Raw channel faults, normalised to TransportError by every backend.
@@ -510,6 +510,29 @@ def worker_command_loop(
         transport.close()
 
 
+def factory_worker_entry(
+    transport: Transport,
+    factory: Callable[[int], object],
+    worker_index: int,
+    make_handlers: Callable[[object], Dict[str, Callable[..., tuple]]],
+) -> None:
+    """Build a worker's state with ``factory(worker_index)``, then serve
+    ``make_handlers(state)`` through :func:`worker_command_loop`."""
+    try:
+        state = factory(worker_index)
+    except Exception:
+        # A factory that cannot build its state is a deterministic bug:
+        # answer the first command slot with the traceback and exit, so the
+        # driver raises instead of restarting forever.
+        try:
+            transport.send(("error", traceback.format_exc()))
+        except TransportError:
+            pass
+        transport.close()
+        return
+    worker_command_loop(transport, make_handlers(state))
+
+
 # --------------------------------------------------------------------- #
 # Worker entrypoints (resolved by name so TCP hosts can import them)
 # --------------------------------------------------------------------- #
@@ -518,13 +541,6 @@ _WORKER_ENTRYPOINTS: Dict[str, str] = {
     "serve": "repro.serve.worker:serve_worker_entry",
     "sweep": "repro.distrib.sweep:sweep_worker_entry",
 }
-
-
-def register_worker_entrypoint(name: str, spec: str) -> None:
-    """Register ``name -> "module:function"`` for worker hosts to resolve."""
-    if ":" not in spec:
-        raise ValueError(f"entrypoint spec {spec!r} must look like 'module:function'")
-    _WORKER_ENTRYPOINTS[name] = spec
 
 
 def resolve_worker_entrypoint(name: str) -> Callable[[Transport, object, int], None]:

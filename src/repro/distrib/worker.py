@@ -12,17 +12,13 @@ command      payload                 reply
 ``collect``   number of ticks         ``("result", ShardResult)``
 ``snapshot``  —                       ``("result", runner state dict)``
 ``restore``   runner state dict       ``("ok", None)``
-``telemetry`` —                       ``("result", {"metrics", "spans"})``
 ``close``     —                       ``("ok", None)``, then exit
 ============ ======================= ==============================
 
-``telemetry`` is special: it drains (and zeroes) the worker's own metrics
-registry and finished-span ring (``obs.take_worker_telemetry()``) and
-never touches the runner, so the engine sends it *outside* the replay
-log — a restarted worker simply reports fresh (empty) telemetry instead
-of replaying observations, and collection determinism is unaffected.
-(The transport loop's ``__telemetry__`` control frame returns the same
-payload for any worker; this table entry remains for direct callers.)
+Telemetry is not a table entry: the transport loop answers the
+``__telemetry__`` control frame for every worker, outside the replay log,
+so a restarted worker reports fresh (empty) telemetry instead of replaying
+observations and collection determinism is unaffected.
 
 Exceptions inside a command come back as ``("error", traceback)`` so the
 engine can re-raise them in the driver — only a broken transport (pipe
@@ -31,12 +27,11 @@ EOF, socket reset, heartbeat loss) is treated as a restartable fault.
 
 from __future__ import annotations
 
-import traceback
 from typing import Callable, Dict
 
-from .transport import ForkPipeTransport, Transport, TransportError, worker_command_loop
+from .transport import Transport, factory_worker_entry
 
-__all__ = ["rollout_handlers", "rollout_worker_entry", "worker_main"]
+__all__ = ["rollout_handlers", "rollout_worker_entry"]
 
 
 def rollout_handlers(runner) -> Dict[str, Callable[..., tuple]]:
@@ -56,17 +51,11 @@ def rollout_handlers(runner) -> Dict[str, Callable[..., tuple]]:
         runner.restore(state)
         return ("ok", None)
 
-    def telemetry() -> tuple:
-        from .. import obs
-
-        return ("result", obs.take_worker_telemetry())
-
     return {
         "load": load,
         "collect": collect,
         "snapshot": snapshot,
         "restore": restore,
-        "telemetry": telemetry,
     }
 
 
@@ -74,21 +63,4 @@ def rollout_worker_entry(
     transport: Transport, runner_factory: Callable[[int], object], worker_index: int
 ) -> None:
     """Transport-agnostic entry point of a rollout worker."""
-    try:
-        runner = runner_factory(worker_index)
-    except Exception:
-        # A factory that cannot build its runner is a deterministic bug:
-        # answer the first command slot with the traceback and exit, so the
-        # driver raises instead of restarting forever.
-        try:
-            transport.send(("error", traceback.format_exc()))
-        except TransportError:
-            pass
-        transport.close()
-        return
-    worker_command_loop(transport, rollout_handlers(runner))
-
-
-def worker_main(conn, runner_factory: Callable[[int], object], worker_index: int) -> None:
-    """Forked-pipe entry point (kept for direct ``multiprocessing`` use)."""
-    rollout_worker_entry(ForkPipeTransport(conn), runner_factory, worker_index)
+    factory_worker_entry(transport, runner_factory, worker_index, rollout_handlers)

@@ -11,15 +11,14 @@ therefore preallocates two scratch buffers per parameter at construction and
 performs the entire update with in-place ufuncs — zero allocations per step,
 and ``param.data`` is mutated in place rather than rebound to a fresh array.
 The in-place step applies *exactly* the same sequence of rounded floating
-point operations as the textbook allocating formulation (asserted bitwise in
-``tests/test_nn_backend.py``), so switching it on cannot perturb a single
-training trajectory; ``preallocate=False`` keeps the allocating step around
-as the benchmark baseline and testable oracle.
+point operations as the textbook allocating formulation, which lives in
+``tests/oracles/optim_reference.py`` and is asserted bitwise against these
+classes in ``tests/test_nn_backend.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -48,24 +47,18 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list and per-parameter scratch.
+    """Base optimizer holding a parameter list and two float64 scratch
+    buffers per parameter for the in-place step."""
 
-    ``preallocate=True`` (the default) reserves two float64 scratch buffers
-    per parameter for the in-place step; ``preallocate=False`` selects the
-    allocating step implementations, kept as the benchmark baseline.
-    """
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float, preallocate: bool = True) -> None:
+    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.preallocate = bool(preallocate)
-        if self.preallocate:
-            self._scratch_a = [np.empty_like(p.data) for p in self.parameters]
-            self._scratch_b = [np.empty_like(p.data) for p in self.parameters]
+        self._scratch_a = [np.empty_like(p.data) for p in self.parameters]
+        self._scratch_b = [np.empty_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -83,30 +76,12 @@ class SGD(Optimizer):
         parameters: Iterable[Parameter],
         lr: float = 0.01,
         momentum: float = 0.0,
-        preallocate: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, preallocate=preallocate)
+        super().__init__(parameters, lr)
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        if self.preallocate:
-            self._step_preallocated()
-        else:
-            self._step_allocating()
-
-    def _step_allocating(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity -= self.lr * param.grad
-                param.data = param.data + velocity
-            else:
-                param.data = param.data - self.lr * param.grad
-
-    def _step_preallocated(self) -> None:
         for param, velocity, scratch in zip(self.parameters, self._velocity, self._scratch_a):
             if param.grad is None:
                 continue
@@ -130,9 +105,8 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        preallocate: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, preallocate=preallocate)
+        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -141,37 +115,14 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        self._step += 1
-        if self.preallocate:
-            self._step_preallocated()
-        else:
-            self._step_allocating()
-
-    def _step_allocating(self) -> None:
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _step_preallocated(self) -> None:
-        # Operation-for-operation the allocating step above, with every
+        # Operation-for-operation the textbook allocating step, with every
         # intermediate written into one of the two scratch buffers:
         #   s_b = (1-b1)*g        ; m = m*b1 + s_b
         #   s_b = ((1-b2)*g)*g    ; v = v*b2 + s_b
         #   s_a = sqrt(v/bias2) + eps
         #   s_b = (lr*(m/bias1)) / s_a ; p -= s_b
         # identical rounding at every step, hence identical trajectories.
+        self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
         for param, m, v, s_a, s_b in zip(
@@ -209,28 +160,13 @@ class RMSProp(Optimizer):
         lr: float = 1e-3,
         alpha: float = 0.99,
         eps: float = 1e-8,
-        preallocate: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, preallocate=preallocate)
+        super().__init__(parameters, lr)
         self.alpha = alpha
         self.eps = eps
         self._sq = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        if self.preallocate:
-            self._step_preallocated()
-        else:
-            self._step_allocating()
-
-    def _step_allocating(self) -> None:
-        for param, sq in zip(self.parameters, self._sq):
-            if param.grad is None:
-                continue
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * param.grad * param.grad
-            param.data = param.data - self.lr * param.grad / (np.sqrt(sq) + self.eps)
-
-    def _step_preallocated(self) -> None:
         for param, sq, s_a, s_b in zip(
             self.parameters, self._sq, self._scratch_a, self._scratch_b
         ):

@@ -13,13 +13,11 @@ command             payload                     reply
 ``drain``           —                           ``("result", n_decisions)``
 ``close_session``   session_id                  ``("result", SessionReport)``
 ``stats``           —                           ``("result", stats dict)``
-``telemetry``       —                           ``("result", {"metrics", "spans"})``
 ``close``           —                           ``("ok", None)``, then exit
 =================== =========================== ===========================
 
-``telemetry`` drains (and zeroes) the worker's own metrics registry and
-finished-span ring (``obs.take_worker_telemetry()``) so the driver can
-fold per-worker serving telemetry — it never touches session state.
+Per-worker serving telemetry is folded through the transport loop's
+``__telemetry__`` control frame, which never touches session state.
 
 Exceptions inside a command come back as ``("error", traceback)`` so the
 driver can re-raise them.  Unlike the rollout tier, serving sessions hold
@@ -31,17 +29,11 @@ balancer is expected to re-open the affected flows elsewhere.
 
 from __future__ import annotations
 
-import traceback
 from typing import Callable, Dict
 
-from ..distrib.transport import (
-    ForkPipeTransport,
-    Transport,
-    TransportError,
-    worker_command_loop,
-)
+from ..distrib.transport import Transport, factory_worker_entry
 
-__all__ = ["serve_handlers", "serve_worker_entry", "serve_worker_main"]
+__all__ = ["serve_handlers", "serve_worker_entry"]
 
 
 def serve_handlers(server) -> Dict[str, Callable[..., tuple]]:
@@ -73,11 +65,6 @@ def serve_handlers(server) -> Dict[str, Callable[..., tuple]]:
     def stats() -> tuple:
         return ("result", server.stats())
 
-    def telemetry() -> tuple:
-        from .. import obs
-
-        return ("result", obs.take_worker_telemetry())
-
     return {
         "open": open_session,
         "submit_many": submit_many,
@@ -85,7 +72,6 @@ def serve_handlers(server) -> Dict[str, Callable[..., tuple]]:
         "drain": drain,
         "close_session": close_session,
         "stats": stats,
-        "telemetry": telemetry,
     }
 
 
@@ -93,20 +79,4 @@ def serve_worker_entry(
     transport: Transport, server_factory: Callable[[int], object], worker_index: int
 ) -> None:
     """Transport-agnostic entry point of a serving worker."""
-    try:
-        server = server_factory(worker_index)
-    except Exception:
-        try:
-            transport.send(("error", traceback.format_exc()))
-        except TransportError:
-            pass
-        transport.close()
-        return
-    worker_command_loop(transport, serve_handlers(server))
-
-
-def serve_worker_main(
-    conn, server_factory: Callable[[int], object], worker_index: int
-) -> None:
-    """Forked-pipe entry point (kept for direct ``multiprocessing`` use)."""
-    serve_worker_entry(ForkPipeTransport(conn), server_factory, worker_index)
+    factory_worker_entry(transport, server_factory, worker_index, serve_handlers)

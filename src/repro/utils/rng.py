@@ -87,10 +87,11 @@ def collection_seed_tree(
     """Per-environment ``(env stream, noise stream)`` seed pairs.
 
     One pair per environment slot, derived as described in the module-level
-    seed-tree layout.  All rollout collection paths — sequential reference,
-    single-process vectorized, and sharded multi-process — build their
-    environment and exploration-noise generators from this tree, which is
-    what keeps their trajectories bit-identical.
+    seed-tree layout.  Both rollout collection paths — the single-process
+    inline shard and sharded multi-process — build their environment and
+    exploration-noise generators from this tree (as does the per-environment
+    test oracle in ``tests/oracles/sequential_collection.py``), which is what
+    keeps their trajectories bit-identical.
     """
     return [tuple(child.spawn(2)) for child in spawn_seed_sequences(rng, n_envs)]
 

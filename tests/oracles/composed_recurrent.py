@@ -1,15 +1,14 @@
-"""Reference composed-graph recurrent cells (the pre-fusion formulation).
+"""Equivalence oracle: the composed-graph recurrent cells, verbatim.
 
-These classes reproduce the historical per-gate implementation exactly: one
-weight matrix and bias per gate, every gate evaluated through individual
-:class:`~repro.nn.Tensor` operations, so a single step records ~15 autograd
-nodes.  They are **not** used on any production path — the library runs on
-the fused packed-gate kernels in :mod:`repro.nn.recurrent` — but they are
-kept as the ground truth that the fused forward/backward is checked against
-(``tests/test_nn_fused_recurrent.py``) and as the baseline the training
-throughput benchmark measures speedups over
-(``benchmarks/bench_throughput_training.py``).  Their per-gate parameter
-names (``w_xr``, ``b_f``, …) are also the legacy checkpoint layout that
+This is ``src/repro/nn/_composed.py`` as it stood before it left ``src``: the
+pre-fusion per-gate formulation, one weight matrix and bias per gate, every
+gate evaluated through individual :class:`~repro.nn.Tensor` operations, so a
+single step records ~15 autograd nodes.  The library runs on the fused
+packed-gate kernels in :mod:`repro.nn.recurrent`; these classes are kept only
+as the ground truth ``tests/test_nn_fused_recurrent.py`` checks the fused
+forward/backward against -- do not optimise or "fix" them; the only edits are
+the absolute ``repro`` imports.  Their per-gate parameter names (``w_xr``,
+``b_f``, …) are also the legacy checkpoint layout that
 :func:`repro.nn.serialization.pack_legacy_recurrent` folds into the packed
 format.
 """
@@ -20,9 +19,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import init
-from .layers import Module, Parameter
-from .tensor import Tensor, as_tensor
+from repro.nn import init
+from repro.nn.layers import Module, Parameter
+from repro.nn.tensor import Tensor, as_tensor
 
 __all__ = ["ComposedGRUCell", "ComposedGRU", "ComposedLSTMCell", "ComposedLSTM"]
 

@@ -1,0 +1,122 @@
+"""Equivalence oracle: the seed per-environment collection loop, verbatim.
+
+This is ``Amoeba._collect_tick_sequential`` / ``_draw_noise`` and the
+``vectorized=False`` arm of ``Amoeba.train`` as they stood before they left
+``src``: O(n_envs) single-state actor/critic forwards per tick, one censor
+query per unmasked step, and a full O(T) re-encode of both histories after
+every step.  It is kept only as the reference the bitwise tests in
+``tests/test_core_vec_env.py`` compare :class:`repro.distrib.ShardRunner`
+against -- do not optimise or "fix" the tick body.  The only edits give it
+``ShardRunner``'s constructor and ``collect(n_ticks) -> ShardResult``
+contract, so a test can swap it in for the collection kernel ``Amoeba.train``
+imports: the tick writes into ``(n_ticks, n_envs, ...)`` arrays instead of a
+``RolloutBuffer``, episode summaries come back as ``(tick, env, summary)``
+for ``train`` to fold instead of being appended to the agent directly, and
+the noise streams are always present (the old ``noise_rngs=None`` default
+had no caller).
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.env import AdversarialFlowEnv, EpisodeSummary
+from repro.core.vec_env import build_envs_from_seed_tree
+from repro.distrib.shard import ShardResult
+
+__all__ = ["SequentialCollector"]
+
+
+class SequentialCollector:
+    """Per-environment collector with ``ShardRunner``'s surface."""
+
+    def __init__(
+        self,
+        actor,
+        critic,
+        encoder,
+        censor,
+        normalizer,
+        config,
+        flows: Sequence,
+        seed_pairs: Sequence[Tuple[np.random.SeedSequence, np.random.SeedSequence]],
+    ) -> None:
+        self.actor = actor
+        self.critic = critic
+        self.encoder = encoder
+        self.censor = censor
+        self._noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in seed_pairs]
+        self._envs = build_envs_from_seed_tree(censor, normalizer, config, flows, seed_pairs)
+        for env in self._envs:
+            env.reset()
+        self._states = np.stack([self.encode_state(env) for env in self._envs])
+
+    def encode_state(self, env: AdversarialFlowEnv) -> np.ndarray:
+        observation_code = self.encoder.encode_pairs(env.observation_history())
+        action_code = self.encoder.encode_pairs(env.action_history())
+        return np.concatenate([observation_code, action_code])
+
+    def _draw_noise(self) -> np.ndarray:
+        """Per-slot exploration noise from the collection seed tree."""
+        return np.stack([rng.normal(size=self.actor.action_dim) for rng in self._noise_rngs])
+
+    def collect(self, n_ticks: int) -> ShardResult:
+        envs = self._envs
+        n_envs = len(envs)
+        action_dim = self.actor.action_dim
+        rollout_states = np.zeros((n_ticks, n_envs, self._states.shape[1]))
+        rollout_actions = np.zeros((n_ticks, n_envs, action_dim))
+        rollout_log_probs = np.zeros((n_ticks, n_envs))
+        rollout_values = np.zeros((n_ticks, n_envs))
+        rollout_rewards = np.zeros((n_ticks, n_envs))
+        rollout_dones = np.zeros((n_ticks, n_envs), dtype=bool)
+        summaries: List[Tuple[int, int, EpisodeSummary]] = []
+        queries_before = self.censor.query_count
+
+        for tick in range(n_ticks):
+            states = self._states
+            actions = np.zeros((n_envs, action_dim))
+            log_probs = np.zeros(n_envs)
+            values = np.zeros(n_envs)
+            rewards = np.zeros(n_envs)
+            dones = np.zeros(n_envs, dtype=bool)
+            next_states = np.zeros_like(states)
+            noise = self._draw_noise()
+
+            for index, env in enumerate(envs):
+                action, log_prob = self.actor.act(states[index], noise=noise[index])
+                value = self.critic.value(states[index])
+                _, reward, done, info = env.step(action)
+                actions[index] = action
+                log_probs[index] = log_prob
+                values[index] = value
+                rewards[index] = reward
+                dones[index] = done
+                if done:
+                    summary: EpisodeSummary = info["episode"]
+                    summaries.append((tick, index, summary))
+                    env.reset()
+                next_states[index] = self.encode_state(env)
+
+            rollout_states[tick] = states
+            rollout_actions[tick] = actions
+            rollout_log_probs[tick] = log_probs
+            rollout_rewards[tick] = rewards
+            rollout_values[tick] = values
+            rollout_dones[tick] = dones
+            self._states = next_states
+
+        return ShardResult(
+            states=rollout_states,
+            actions=rollout_actions,
+            log_probs=rollout_log_probs,
+            values=rollout_values,
+            rewards=rollout_rewards,
+            dones=rollout_dones,
+            final_states=self._states.copy(),
+            final_values=self.critic.value_batch(self._states),
+            summaries=summaries,
+            query_delta=self.censor.query_count - queries_before,
+        )

@@ -1,10 +1,14 @@
 """Unit tests for actor-critic, rollout buffer / GAE and PPO updates."""
 
+import importlib.util
+import inspect
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import (
+    Amoeba,
     AmoebaConfig,
     Critic,
     GaussianActor,
@@ -208,3 +212,30 @@ class TestPPOUpdater:
             for before, after in zip(weights_before, actor.parameters())
         )
         assert changed
+
+
+class TestOneTrainingPath:
+    """The training tier has one body per level; its reference twins live in
+    ``tests/oracles/``.  A flag that selects a second body must not return."""
+
+    @pytest.mark.parametrize(
+        "target,removed",
+        [
+            (Amoeba.train, {"vectorized"}),
+            (nn.Optimizer, {"preallocate"}),
+            (nn.SGD, {"preallocate"}),
+            (nn.Adam, {"preallocate"}),
+            (nn.RMSProp, {"preallocate"}),
+            (PPOUpdater, {"preallocate"}),
+            (RolloutBuffer.minibatches, {"scratch", "normalise_advantages"}),
+        ],
+    )
+    def test_path_selecting_parameters_stay_removed(self, target, removed):
+        assert not removed & set(inspect.signature(target).parameters)
+
+    def test_minibatches_takes_only_the_partition_and_the_rng(self):
+        parameters = list(inspect.signature(RolloutBuffer.minibatches).parameters)
+        assert parameters == ["self", "n_minibatches", "rng"]
+
+    def test_composed_recurrent_reference_is_not_shipped(self):
+        assert importlib.util.find_spec("repro.nn._composed") is None

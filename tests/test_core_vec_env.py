@@ -1,8 +1,9 @@
 """Batched rollout engine: VectorFlowEnv, incremental encoding, equivalence.
 
-The contract under test: with identical seeds, the vectorized collection
-path (one censor batch per tick, one actor/critic forward, incremental O(1)
-state encoding) is **bit-equivalent** to the seed per-environment loop —
+The contract under test: with identical seeds, the batched collection
+path (one actor/critic forward per tick, incremental O(1) state encoding,
+the censor settled once per rollout) is **bit-equivalent** to the seed
+per-environment loop kept in ``tests/oracles/sequential_collection.py`` —
 same rewards, same episode summaries, same censor ``query_count`` —
 including under reward masking, where masked steps must not query the
 censor.
@@ -11,6 +12,7 @@ censor.
 import numpy as np
 import pytest
 
+from oracles.sequential_collection import SequentialCollector
 from repro import nn
 from repro.core import (
     AdversarialFlowEnv,
@@ -354,29 +356,34 @@ class TestTrainEquivalence:
         flows = tor_splits.attack_train.censored_flows
         return trained_dt_censor, normalizer, config, flows
 
-    def _run(self, setup, vectorized):
-        censor, normalizer, config, flows = setup
-        censor.reset_query_count()
-        agent = Amoeba(
+    @staticmethod
+    def _agent(setup):
+        censor, normalizer, config, _ = setup
+        return Amoeba(
             censor,
             normalizer,
             config,
             rng=42,
             encoder_pretrain_kwargs=dict(n_flows=20, max_length=10, epochs=1),
         )
+
+    def _run(self, setup):
+        censor, _, _, flows = setup
+        censor.reset_query_count()
+        agent = self._agent(setup)
         records = []
-        agent.train(
-            flows,
-            total_timesteps=72,
-            vectorized=vectorized,
-            callback=records.append,
-        )
+        agent.train(flows, total_timesteps=72, callback=records.append)
         params = [p.data.copy() for p in agent.actor.parameters()]
         return records, censor.query_count, params, agent
 
-    def test_batched_training_bit_equivalent_to_sequential(self, equivalence_setup):
-        seq_records, seq_queries, seq_params, _ = self._run(equivalence_setup, False)
-        bat_records, bat_queries, bat_params, _ = self._run(equivalence_setup, True)
+    def test_batched_training_bit_equivalent_to_sequential(
+        self, equivalence_setup, monkeypatch
+    ):
+        bat_records, bat_queries, bat_params, _ = self._run(equivalence_setup)
+        # train() imports its collection kernel lazily, so the oracle swaps
+        # in for it and the rest of the loop (GAE, PPO, logging) is shared.
+        monkeypatch.setattr("repro.distrib.shard.ShardRunner", SequentialCollector)
+        seq_records, seq_queries, seq_params, _ = self._run(equivalence_setup)
 
         assert seq_queries == bat_queries
         assert len(seq_records) == len(bat_records) > 0
@@ -387,9 +394,50 @@ class TestTrainEquivalence:
         for seq_param, bat_param in zip(seq_params, bat_params):
             assert np.array_equal(seq_param, bat_param)
 
+    def test_batched_rollout_segments_bit_equivalent_to_sequential(self, equivalence_setup):
+        """Segment level, across collects so in-flight episodes carry over."""
+        from repro.distrib import ShardRunner
+        from repro.utils.rng import collection_seed_tree
+
+        censor, normalizer, config, flows = equivalence_setup
+        censor.reset_query_count()
+        collectors = []
+        for kernel in (SequentialCollector, ShardRunner):
+            agent = self._agent(equivalence_setup)
+            collectors.append(
+                kernel(
+                    agent.actor,
+                    agent.critic,
+                    agent.state_encoder,
+                    censor,
+                    normalizer,
+                    config,
+                    flows,
+                    collection_seed_tree(agent._rng, config.n_envs),
+                )
+            )
+        sequential, batched = collectors
+        episodes = 0
+        for _ in range(3):
+            seq = sequential.collect(config.rollout_length)
+            bat = batched.collect(config.rollout_length)
+            for name in (
+                "states", "actions", "log_probs", "values", "rewards", "dones",
+                "final_states", "final_values",
+            ):  # fmt: skip
+                assert np.array_equal(getattr(seq, name), getattr(bat, name)), name
+            assert seq.query_delta == bat.query_delta > 0
+            assert len(seq.summaries) == len(bat.summaries)
+            for left, right in zip(seq.summaries, bat.summaries):
+                assert left[:2] == right[:2]
+                assert left[2].success == right[2].success
+                assert left[2].final_score == right[2].final_score
+            episodes += len(bat.summaries)
+        assert episodes > 0
+
     def test_batched_evaluation_matches_one_by_one(self, equivalence_setup):
         censor, _, _, _ = equivalence_setup
-        _, _, _, agent = self._run(equivalence_setup, True)
+        _, _, _, agent = self._run(equivalence_setup)
         flows = equivalence_setup[3][:5]
 
         censor.reset_query_count()
@@ -414,7 +462,7 @@ class TestTrainEquivalence:
             )
 
     def test_attack_many_invalid_batch_size(self, equivalence_setup):
-        _, _, _, agent = self._run(equivalence_setup, True)
+        _, _, _, agent = self._run(equivalence_setup)
         with pytest.raises(ValueError):
             agent.attack_many(equivalence_setup[3][:2], batch_size=0)
 

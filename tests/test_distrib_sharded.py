@@ -11,6 +11,7 @@ the merged rollout.
 import json
 import os
 import signal
+import socket
 import time
 
 import numpy as np
@@ -22,6 +23,9 @@ from repro.distrib import (
     ShardRunner,
     SweepOrchestrator,
     SweepTask,
+    TcpWorkerPool,
+    TransportError,
+    start_local_worker_host,
 )
 from repro.nn.serialization import state_dict_to_bytes
 from repro.utils.rng import collection_seed_tree
@@ -181,13 +185,6 @@ class TestShardedTrainEquivalence:
         with pytest.raises(ValueError):
             agent.train(sharded_setup["flows"], total_timesteps=8, workers=0)
 
-    def test_workers_requires_vectorized_engine(self, sharded_setup):
-        agent = fresh_agent(sharded_setup)
-        with pytest.raises(ValueError, match="vectorized"):
-            agent.train(
-                sharded_setup["flows"], total_timesteps=8, workers=2, vectorized=False
-            )
-
 
 class TestSnapshotTruncation:
     def test_collect_snapshots_and_truncates_log(self, sharded_setup):
@@ -272,10 +269,52 @@ class TestArmsRaceIntegration:
         assert 0.0 <= result.rounds[0].attack_success_rate <= 1.0
 
 
+def _idle_runner_factory(index):
+    """Picklable (module-level) factory: explicit tcp:// hosts unpickle it."""
+    return object()
+
+
+class _RecordingTcpPool(TcpWorkerPool):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.launched = []
+        self.closed = False
+
+    def launch(self, index):
+        endpoint = super().launch(index)
+        self.launched.append(endpoint)
+        return endpoint
+
+    def close(self):
+        self.closed = True
+        super().close()
+
+
 class TestEngineValidation:
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
             ShardedRolloutEngine(lambda index: None, 0)
+
+    def test_partial_spawn_releases_launched_workers_and_pool(self):
+        """Worker 1 cannot be placed (nothing listens on its port): the
+        constructor raises, and worker 0 and the pool do not outlive it."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
+        live_address, host = start_local_worker_host()
+        try:
+            pool = _RecordingTcpPool(
+                "rollout", _idle_runner_factory, addresses=[live_address, dead_address]
+            )
+            with pytest.raises(TransportError, match="cannot reach worker host"):
+                ShardedRolloutEngine(_idle_runner_factory, 2, transport=pool)
+            assert pool.closed
+            (worker,) = pool.launched
+            worker.process.join(timeout=5)
+            assert not worker.process.is_alive()
+        finally:
+            host.terminate()
+            host.join(timeout=5)
 
     def test_worker_error_is_raised_not_retried(self):
         def factory(index):

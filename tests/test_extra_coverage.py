@@ -48,7 +48,7 @@ class TestRolloutEdgeCases:
             np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), np.ones(1), np.zeros(1), np.ones(1, dtype=bool)
         )
         buffer.finalize(np.zeros(1), gamma=0.9, gae_lambda=0.9)
-        batches = list(buffer.minibatches(1, rng=0, normalise_advantages=False))
+        batches = list(buffer.minibatches(1, rng=0))
         assert len(batches) == 1
         assert batches[0].returns[0] == pytest.approx(1.0)
 

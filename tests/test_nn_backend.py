@@ -9,8 +9,10 @@ Three families of guarantees:
   property (output rows invariant to batch composition); the float32
   backend is close-but-not-contractual and must say so.
 * **Preallocated execution paths** — in-place optimizer steps, in-place
-  ``clip_grad_norm`` and the PPO minibatch scratch must replay exactly the
-  same floating-point trajectory as their allocating baselines.
+  ``clip_grad_norm`` and the rollout buffer's minibatch slots must replay
+  exactly the same floating-point trajectory as the allocating references
+  kept in ``tests/oracles/optim_reference.py`` (and, for the gather, plain
+  ``array[index]``).
 """
 
 import warnings
@@ -18,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles.optim_reference import AllocatingAdam, AllocatingRMSProp, AllocatingSGD
 from repro import nn
 from repro.nn import backend as nnb
 from repro.nn.tensor import Tensor, rc_matmul
@@ -541,10 +544,10 @@ class TestTensorRouting:
 
 class TestPreallocatedOptimizers:
     @staticmethod
-    def _train(optimizer_cls, preallocate, steps=40, seed=12, **kwargs):
+    def _train(optimizer_cls, steps=40, seed=12, **kwargs):
         rng = np.random.default_rng(seed)
         layer = nn.Linear(7, 3, rng=np.random.default_rng(0))
-        opt = optimizer_cls(layer.parameters(), preallocate=preallocate, **kwargs)
+        opt = optimizer_cls(layer.parameters(), **kwargs)
         for _ in range(steps):
             x = Tensor(rng.standard_normal((5, 7)))
             target = rng.standard_normal((5, 3))
@@ -556,24 +559,24 @@ class TestPreallocatedOptimizers:
         return [p.data.copy() for p in layer.parameters()]
 
     @pytest.mark.parametrize(
-        "cls,kwargs",
+        "cls,oracle,kwargs",
         [
-            (nn.SGD, {"lr": 0.05}),
-            (nn.SGD, {"lr": 0.05, "momentum": 0.9}),
-            (nn.Adam, {"lr": 1e-3}),
-            (nn.Adam, {"lr": 1e-3, "weight_decay": 0.01}),
-            (nn.RMSProp, {"lr": 1e-3}),
+            (nn.SGD, AllocatingSGD, {"lr": 0.05}),
+            (nn.SGD, AllocatingSGD, {"lr": 0.05, "momentum": 0.9}),
+            (nn.Adam, AllocatingAdam, {"lr": 1e-3}),
+            (nn.Adam, AllocatingAdam, {"lr": 1e-3, "weight_decay": 0.01}),
+            (nn.RMSProp, AllocatingRMSProp, {"lr": 1e-3}),
         ],
     )
-    def test_preallocated_step_bitwise_equals_allocating(self, cls, kwargs):
-        baseline = self._train(cls, preallocate=False, **kwargs)
-        fast = self._train(cls, preallocate=True, **kwargs)
+    def test_in_place_step_bitwise_equals_allocating_oracle(self, cls, oracle, kwargs):
+        baseline = self._train(oracle, **kwargs)
+        fast = self._train(cls, **kwargs)
         for p_base, p_fast in zip(baseline, fast):
             assert np.array_equal(p_base, p_fast)
 
-    def test_preallocated_step_mutates_in_place(self):
+    def test_step_mutates_in_place(self):
         layer = nn.Linear(4, 2, rng=np.random.default_rng(1))
-        opt = nn.Adam(layer.parameters(), lr=1e-3, preallocate=True)
+        opt = nn.Adam(layer.parameters(), lr=1e-3)
         buffers = [p.data for p in layer.parameters()]
         x = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
         loss = layer(x).sum()
@@ -605,7 +608,9 @@ class TestPreallocatedOptimizers:
             assert np.array_equal(p.grad, snap)
 
 
-class TestMinibatchScratch:
+class TestMinibatchSlots:
+    FIELDS = ("states", "actions", "log_probs", "advantages", "returns")
+
     @staticmethod
     def _filled_buffer(seed=20, length=8, n_envs=3, state_dim=6, action_dim=2):
         from repro.core.rollout import RolloutBuffer
@@ -624,65 +629,71 @@ class TestMinibatchScratch:
         buf.finalize(r.normal(size=n_envs), 0.99, 0.95)
         return buf
 
-    @pytest.mark.parametrize("n_minibatches", [1, 3, 4, 7, 24, 100])
-    @pytest.mark.parametrize("normalise", [True, False])
-    def test_scratch_batches_bitwise_equal_allocating(self, n_minibatches, normalise):
-        from repro.core.rollout import MinibatchScratch
-
-        buf = self._filled_buffer()
-        scratch = MinibatchScratch()
-        base = list(
-            buf.minibatches(
-                n_minibatches, rng=np.random.default_rng(0), normalise_advantages=normalise
-            )
-        )
-        fast = [
-            # Copy: scratch slots are reused, so materialise each on arrival.
-            {f: getattr(b, f).copy() for f in ("states", "actions", "log_probs", "advantages", "returns")}
-            for b in buf.minibatches(
-                n_minibatches,
-                rng=np.random.default_rng(0),
-                normalise_advantages=normalise,
-                scratch=scratch,
-            )
+    @classmethod
+    def _fancy_index_batches(cls, buf, n_minibatches, rng):
+        """The allocating gather the slots replaced: ``array[index]``."""
+        total = buf.rollout_length * buf.n_envs
+        flat = {
+            "states": buf.states.reshape(total, buf.state_dim),
+            "actions": buf.actions.reshape(total, buf.action_dim),
+            "log_probs": buf.log_probs.reshape(total),
+            "returns": buf.returns.reshape(total),
+        }
+        advantages = buf.advantages.reshape(total)
+        flat["advantages"] = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        order = rng.permutation(total)
+        return [
+            {field: flat[field][index] for field in cls.FIELDS}
+            for index in np.array_split(order, min(n_minibatches, total))
         ]
-        assert len(base) == len(fast)
-        for b, f in zip(base, fast):
-            for field in f:
-                assert np.array_equal(getattr(b, field), f[field]), field
 
-    def test_scratch_slots_are_reused_across_epochs(self):
-        from repro.core.rollout import MinibatchScratch
-
+    @pytest.mark.parametrize("n_minibatches", [1, 3, 4, 7, 24, 100])
+    def test_slot_batches_bitwise_equal_fancy_index(self, n_minibatches):
         buf = self._filled_buffer()
-        scratch = MinibatchScratch()
-        first = [b.states for b in buf.minibatches(4, rng=np.random.default_rng(0), scratch=scratch)]
-        second = [b.states for b in buf.minibatches(4, rng=np.random.default_rng(1), scratch=scratch)]
+        base = self._fancy_index_batches(buf, n_minibatches, np.random.default_rng(0))
+        # Two epochs: the second gathers into slots the first already filled.
+        for _ in range(2):
+            fast = list(buf.minibatches(n_minibatches, rng=np.random.default_rng(0)))
+            assert len(base) == len(fast)
+            for b, f in zip(base, fast):
+                for field in self.FIELDS:
+                    assert np.array_equal(b[field], getattr(f, field)), field
+
+    def test_slots_are_reused_across_epochs(self):
+        buf = self._filled_buffer()
+        first = [b.states for b in buf.minibatches(4, rng=np.random.default_rng(0))]
+        second = [b.states for b in buf.minibatches(4, rng=np.random.default_rng(1))]
         for a, b in zip(first, second):
             assert a is b
 
-    def test_scratch_rebuilds_on_geometry_change(self):
-        from repro.core.rollout import MinibatchScratch
+    def test_slots_rebuild_when_the_partition_changes(self):
+        buf = self._filled_buffer()
+        four = list(buf.minibatches(4, rng=np.random.default_rng(0)))
+        assert [len(b.states) for b in four] == [6, 6, 6, 6]
+        three = list(buf.minibatches(3, rng=np.random.default_rng(0)))
+        assert [len(b.states) for b in three] == [8, 8, 8]
+        base = self._fancy_index_batches(buf, 3, np.random.default_rng(0))
+        for b, f in zip(base, three):
+            for field in self.FIELDS:
+                assert np.array_equal(b[field], getattr(f, field)), field
 
-        scratch = MinibatchScratch()
-        slots_a = scratch.prepare(24, 4, 6, 2)
-        assert scratch.prepare(24, 4, 6, 2) is slots_a
-        slots_b = scratch.prepare(24, 3, 6, 2)
-        assert slots_b is not slots_a
-        assert [len(s.states) for s in slots_b] == [8, 8, 8]
-
-    def test_ppo_updater_preallocated_equals_allocating(self):
+    def test_ppo_updater_equals_updater_with_allocating_oracle_optimizers(self):
         from repro.core.actor_critic import Critic, GaussianActor
         from repro.core.config import AmoebaConfig
         from repro.core.ppo import PPOUpdater
 
-        def run(preallocate):
+        def run(oracle):
             cfg = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=3, update_epochs=2)
             actor = GaussianActor(6, 2, hidden_dims=(12,), rng=np.random.default_rng(1))
             critic = Critic(6, hidden_dims=(12,), rng=np.random.default_rng(2))
-            updater = PPOUpdater(
-                actor, critic, cfg, rng=np.random.default_rng(3), preallocate=preallocate
-            )
+            updater = PPOUpdater(actor, critic, cfg, rng=np.random.default_rng(3))
+            if oracle:
+                updater.actor_optimizer = AllocatingAdam(
+                    actor.parameters(), lr=cfg.learning_rate
+                )
+                updater.critic_optimizer = AllocatingAdam(
+                    critic.parameters(), lr=cfg.learning_rate
+                )
             buf = self._filled_buffer(seed=30, length=8, n_envs=3)
             stats = [updater.update(buf), updater.update(buf)]
             params = [
@@ -691,8 +702,8 @@ class TestMinibatchScratch:
             ]
             return stats, params
 
-        stats_base, params_base = run(False)
-        stats_fast, params_fast = run(True)
+        stats_base, params_base = run(True)
+        stats_fast, params_fast = run(False)
         assert stats_base == stats_fast
         for a, b in zip(params_base, params_fast):
             assert np.array_equal(a, b)

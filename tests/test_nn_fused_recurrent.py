@@ -6,7 +6,7 @@ Three layers of guarantees for the packed-gate fused primitives:
    ``lstm_cell`` / ``gru_sequence`` / ``lstm_sequence`` agree with central
    finite differences on every input and parameter.
 2. **Equivalence** — fused forward and gradients match the historical
-   composed-graph formulation (kept in :mod:`repro.nn._composed`) under the
+   composed-graph formulation (kept in ``tests/oracles/composed_recurrent.py``) under the
    same seed, on both the full-sequence and the incremental step paths; the
    forward is bit-identical inside ``row_consistent_matmul()``.
 3. **Serialization** — legacy per-gate checkpoints load into the packed
@@ -17,9 +17,14 @@ Three layers of guarantees for the packed-gate fused primitives:
 import numpy as np
 import pytest
 
+from oracles.composed_recurrent import (
+    ComposedGRU,
+    ComposedGRUCell,
+    ComposedLSTM,
+    ComposedLSTMCell,
+)
 from repro import nn
 from repro.nn import functional as F
-from repro.nn._composed import ComposedGRU, ComposedGRUCell, ComposedLSTM, ComposedLSTMCell
 from repro.nn.serialization import pack_legacy_recurrent
 
 GRU_GATES = ("r", "z", "n")
