@@ -74,7 +74,11 @@ class CumulFeatureExtractor:
         return np.asarray(features, dtype=np.float64)
 
     def extract_many(self, flows: Sequence[Flow]) -> np.ndarray:
-        return np.vstack([self.extract(flow) for flow in flows])
+        """Extract features for a sequence of flows -> (n_flows, n_features) matrix."""
+        matrix = np.empty((len(flows), self.n_features), dtype=np.float64)
+        for row, flow in zip(matrix, flows):
+            row[:] = self.extract(flow)
+        return matrix
 
     def __call__(self, flow: Flow) -> np.ndarray:
         return self.extract(flow)

@@ -16,13 +16,23 @@ feature family:
 The exact feature count is 166, asserted in the test suite, and every feature
 has a stable name (``feature_names()``) so importance analyses (Figure 4) can
 classify features as packet- or timing-derived.
+
+Two kernels compute the same bits.  ``_raw_features`` handles one flow with
+scalar bookkeeping; ``_batch_features`` handles many at once: every summary
+operand of every flow goes into one segment table (concatenated values plus a
+count per segment), segments are bucketed by length, and each distinct length
+is reduced as one C-contiguous ``(k, n)`` matrix.  numpy's pairwise
+``add.reduce`` along ``axis=1`` of such a matrix runs the 1-D inner loop on
+every row, so a row's sums round exactly as the per-flow kernel's do
+(pinned in ``tests/test_features.py::test_row_reduce_equals_vector_reduce``).
+``extract_many`` picks between them by batch size alone.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -228,6 +238,313 @@ def _raw_features(flow: Flow) -> List[float]:
     ]
 
 
+# ---------------------------------------------------------------------- #
+# Batched kernel
+# ---------------------------------------------------------------------- #
+# Batches smaller than this go through ``_raw_features``: the batched kernel
+# pays a fixed cost per call that a few flows cannot amortise.  Measured
+# break-even, see CHANGES.md (PR 17).
+_BATCH_BREAK_EVEN = 4
+
+# Rows of a ``_segment_summaries`` table: the eight summaries, then the sum.
+_TOTAL = len(_SUMMARY_NAMES)
+# Min, max, mean, median and sum of a one-value segment are that value.
+_ONE_VALUE_ROWS = np.array([0, 1, 2, 4, _TOTAL])[:, None]
+
+
+def _segment_matrices(
+    values: np.ndarray, counts: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The non-empty segments of ``values``, gathered one distinct length at a time.
+
+    Segment ``i`` is the ``counts[i]`` values after the segments before it.
+    Yields ``(rows, matrix)`` per distinct length ``n > 0``: the ascending
+    indexes of the segments of that length and their values as a fresh
+    C-contiguous ``(len(rows), n)`` matrix.
+    """
+    offsets = np.cumsum(counts) - counts
+    steps = np.arange(counts.max())
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    bounds = _run_bounds(ordered)
+    for n, start, stop in zip(ordered[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        if n:
+            rows = order[start:stop]
+            yield rows, values[offsets[rows][:, None] + steps[:n]]
+
+
+def _segment_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``add.reduce`` of every segment of ``values``; 0.0 for an empty one."""
+    totals = np.zeros(counts.shape[0])
+    for rows, matrix in _segment_matrices(values, counts):
+        totals[rows] = _add_reduce(matrix, axis=1)
+    return totals
+
+
+def _row_order_statistics(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_order_statistics`` of every row of a ``(k, n >= 2)`` row-sorted matrix."""
+    n = ordered.shape[1]
+    half = n >> 1
+    minimum, maximum = ordered[:, 0], ordered[:, -1]
+    median = ordered[:, half] if n & 1 else (ordered[:, half - 1] + ordered[:, half]) / 2
+    poisoned = maximum != maximum
+    if poisoned.any():
+        minimum, maximum, median = (
+            np.where(poisoned, _NAN, statistic) for statistic in (minimum, maximum, median)
+        )
+    return minimum, maximum, median
+
+
+def _segment_summaries(
+    values: np.ndarray, counts: np.ndarray, n_deciled: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``_summary`` of every segment of ``values``, one length bucket at a time.
+
+    Segments are laid out as for ``_segment_matrices``.  Returns a
+    ``(9, n_segments)`` table -- the eight summaries and the sum of each
+    segment -- plus the ``(n_deciled, 9)`` deciles of the first ``n_deciled``
+    segments.  Every operation is elementwise, a row sort, or an ``axis=1``
+    ``add.reduce`` of a C-contiguous matrix, so a segment's bits are those of
+    ``_summary`` / ``_deciles`` on that segment alone.
+    """
+    table = np.zeros((_TOTAL + 1, counts.shape[0]))
+    deciles = np.zeros((n_deciled, len(_DECILES)))
+    for rows, matrix in _segment_matrices(values, counts):
+        n = matrix.shape[1]
+        n_rows_deciled = int(np.searchsorted(rows, n_deciled))
+        if n == 1:
+            table[_ONE_VALUE_ROWS, rows] = matrix[:, 0]
+            deciles[rows[:n_rows_deciled]] = matrix[:n_rows_deciled]
+            continue
+        ordered = np.sort(matrix, axis=1)
+        minimum, maximum, median = _row_order_statistics(ordered)
+        deviations = np.abs(matrix - median[:, None])
+        deviations.sort(axis=1)
+        mad = _row_order_statistics(deviations)[2]
+
+        total = _add_reduce(matrix, axis=1)
+        mean = total / n
+        centred = matrix - mean[:, None]
+        std = np.sqrt(_add_reduce(centred * centred, axis=1) / n)
+        flat = std < 1e-12
+        standardised = centred / std[:, None]
+        skew = np.where(flat, 0.0, _add_reduce(standardised ** 3, axis=1) / n)
+        kurtosis = np.where(flat, 0.0, _add_reduce(standardised ** 4, axis=1) / n - 3.0)
+        table[:, rows] = np.concatenate(
+            (minimum, maximum, mean, std, median, mad, skew, kurtosis, total)
+        ).reshape(-1, rows.shape[0])
+        if n_rows_deciled:
+            previous, following, gamma, one_minus_gamma, upper = _decile_plan(n)
+            ordered = ordered[:n_rows_deciled]
+            below = ordered[:, previous]
+            above = ordered[:, following]
+            difference = above - below
+            deciles[rows[:n_rows_deciled]] = np.where(
+                upper, above - difference * one_minus_gamma, below + difference * gamma
+            )
+    return table, deciles
+
+
+def _length_chunks(lengths: np.ndarray) -> List[np.ndarray]:
+    """Flow indexes, shortest flow first, cut wherever padding a chunk to its
+    longest flow would take more than twice the chunk's own packets."""
+    order = np.argsort(lengths, kind="stable")
+    chunks, start, packets = [], 0, 0
+    for position, length in enumerate(lengths[order].tolist()):
+        if length * (position - start + 1) > 2 * (packets + length):
+            chunks.append(order[start:position])
+            start, packets = position, 0
+        packets += length
+    chunks.append(order[start:])
+    return chunks
+
+
+def _per_flow_scans(
+    delays: np.ndarray, abs_sizes: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Timestamps, cumulative bytes and ascending sizes of every flow.
+
+    Inputs and outputs hold the packets of all flows end to end.  The running
+    sums must restart at every flow, so they run along the rows of a padded
+    ``(n_flows, longest)`` matrix (``cumsum`` accumulates left to right: a
+    row's first ``n`` entries are the 1-D ``cumsum`` of those ``n``); chunking
+    by length keeps the padding linear in total packets however uneven the
+    batch is.
+    """
+    timestamps, cumulative, sorted_sizes = (np.empty_like(delays) for _ in range(3))
+    for chunk in _length_chunks(lengths):
+        steps = np.arange(lengths[chunk[-1]])
+        valid = steps < lengths[chunk][:, None]
+        cells = (starts[chunk][:, None] + steps)[valid]
+        padded = np.zeros(valid.shape)
+        padded[valid] = delays[cells]
+        timestamps[cells] = np.cumsum(padded, axis=1)[valid]
+        padded[valid] = abs_sizes[cells]
+        cumulative[cells] = np.cumsum(padded, axis=1)[valid]
+        padded[~valid] = np.inf
+        padded.sort(axis=1)
+        sorted_sizes[cells] = padded[valid]
+    return timestamps, cumulative, sorted_sizes
+
+
+def _runs(
+    changes: np.ndarray, starts: np.ndarray, flow_of: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of the packets of all flows, never crossing a flow boundary.
+
+    ``changes[j]`` says packet ``j + 1`` differs from packet ``j``.  Returns
+    each run's first packet, its length, and the flow it belongs to.
+    """
+    first = np.empty(flow_of.shape[0] + 1, dtype=bool)
+    first[1:-1] = changes
+    first[starts] = first[-1] = True
+    bounds = np.flatnonzero(first)
+    offsets = bounds[:-1]
+    return offsets, bounds[1:] - offsets, flow_of[offsets]
+
+
+def _batch_features(flows: Sequence[Flow]) -> np.ndarray:
+    """``_raw_features`` of every flow as one ``(len(flows), 166)`` matrix.
+
+    Works on the packets of all flows laid end to end.  Overflowed
+    intermediates come out non-finite exactly where the per-flow kernel's do
+    and are zeroed by the caller's ``nan_to_num``.
+    """
+    m = len(flows)
+    lengths = np.asarray([len(flow.sizes) for flow in flows], dtype=np.intp)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    flow_of = np.repeat(np.arange(m), lengths)
+    sizes = np.concatenate([flow.sizes for flow in flows], dtype=np.float64)
+    delays = np.concatenate([flow.delays for flow in flows], dtype=np.float64)
+    abs_sizes = np.abs(sizes)
+    up_mask = sizes > 0
+    down_mask = sizes < 0
+    n_up = np.bincount(flow_of[up_mask], minlength=m)
+    n_down = np.bincount(flow_of[down_mask], minlength=m)
+    timestamps, cumulative, sorted_sizes = _per_flow_scans(delays, abs_sizes, starts, lengths)
+
+    # Bursts: maximal same-direction runs.
+    burst_offsets, burst_counts, burst_flow = _runs(up_mask[1:] != up_mask[:-1], starts, flow_of)
+    up_bursts = up_mask[burst_offsets]
+    down_bursts = ~up_bursts
+    burst_lengths = burst_counts.astype(np.float64)
+    burst_bytes = _segment_totals(abs_sizes, burst_counts)
+    n_bursts = np.bincount(burst_flow, minlength=m)
+    n_up_bursts = np.bincount(burst_flow[up_bursts], minlength=m)
+    n_down_bursts = n_bursts - n_up_bursts
+    longest_burst = np.maximum.reduceat(burst_lengths, np.cumsum(n_bursts) - n_bursts)
+
+    # Same-direction gaps: one difference of the concatenated stamps, minus
+    # the elements that straddle two flows.
+    gaps = []
+    for mask in (up_mask, down_mask):
+        stamps, owner = timestamps[mask], flow_of[mask]
+        gaps.append((stamps[1:] - stamps[:-1])[owner[1:] == owner[:-1]])
+
+    # The segment table: the four deciled groups first, then the other eight.
+    table, deciles = _segment_summaries(
+        np.concatenate(
+            (
+                abs_sizes[up_mask],
+                abs_sizes[down_mask],
+                delays[up_mask],
+                delays[down_mask],
+                abs_sizes,
+                delays,
+                burst_lengths[up_bursts],
+                burst_lengths[down_bursts],
+                burst_bytes[up_bursts],
+                burst_bytes[down_bursts],
+                *gaps,
+            )
+        ),
+        np.concatenate(
+            (
+                n_up,
+                n_down,
+                n_up,
+                n_down,
+                lengths,
+                lengths,
+                n_up_bursts,
+                n_down_bursts,
+                n_up_bursts,
+                n_down_bursts,
+                np.maximum(n_up - 1, 0),
+                np.maximum(n_down - 1, 0),
+            )
+        ),
+        n_deciled=4 * m,
+    )
+    table = table.reshape(_TOTAL + 1, 12, m)
+
+    def columns(*values: np.ndarray) -> np.ndarray:
+        """One-value-per-flow arrays as the columns of a float matrix."""
+        return np.concatenate(values).reshape(-1, m).T
+
+    def summaries(*groups: int) -> np.ndarray:
+        """The eight summaries of each of ``groups``, side by side, one row per flow."""
+        return table[:_TOTAL, groups].transpose(2, 1, 0).reshape(m, -1)
+
+    # Flow-level.
+    bytes_up = table[_TOTAL, 0]
+    bytes_down = table[_TOTAL, 1]
+    total_bytes = bytes_up + bytes_down
+    duration = table[_TOTAL, 5]
+    safe_duration = np.where(duration > 0, duration, 1.0)
+    last_cumulative = cumulative[stops - 1]
+    checkpoint_indexes = np.stack([_checkpoint_indexes(n) for n in lengths.tolist()])
+    quarter = np.maximum(lengths // 4, 1)
+    down_before = np.concatenate(([0], np.cumsum(down_mask)))
+    # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
+    _, multiplicities, size_flow = _runs(sorted_sizes[1:] != sorted_sizes[:-1], starts, flow_of)
+    size_probabilities = multiplicities / lengths[size_flow]
+    entropy = -_segment_totals(
+        size_probabilities * np.log2(size_probabilities), np.bincount(size_flow, minlength=m)
+    )
+
+    return np.concatenate(
+        (
+            summaries(4, 0, 1, 5, 2, 3),
+            deciles.reshape(4, m, -1).transpose(1, 0, 2).reshape(m, -1),
+            summaries(6, 7, 8, 9),
+            columns(
+                n_up_bursts,
+                n_down_bursts,
+                n_bursts,
+                n_bursts - 1,
+                n_bursts / lengths,
+                longest_burst / lengths,
+            ),
+            summaries(10, 11),
+            cumulative[starts[:, None] + checkpoint_indexes]
+            / np.where(last_cumulative > 0, last_cumulative, 1.0)[:, None],
+            columns(
+                lengths,
+                n_up,
+                n_down,
+                n_up / lengths,
+                n_down / lengths,
+                total_bytes,
+                bytes_up,
+                bytes_down,
+                np.where(total_bytes != 0, bytes_up / total_bytes, 0.0),
+                np.where(total_bytes != 0, bytes_down / total_bytes, 0.0),
+                duration,
+                total_bytes / safe_duration,
+                bytes_up / safe_duration,
+                bytes_down / safe_duration,
+                lengths / safe_duration,
+                (down_before[starts + quarter] - down_before[starts]) / quarter,
+                (down_before[stops] - down_before[stops - quarter]) / quarter,
+                entropy,
+            ),
+        ),
+        axis=1,
+    )
+
+
 class StatisticalFeatureExtractor:
     """Extract the 166-dimensional statistical feature vector from a flow."""
 
@@ -334,9 +651,13 @@ class StatisticalFeatureExtractor:
         is bit-identical to the seed implementation kept as the test oracle in
         ``tests/oracles/statistical_reference.py``.
         """
-        matrix = np.empty((len(flows), N_STATISTICAL_FEATURES), dtype=np.float64)
-        for row, flow in zip(matrix, flows):
-            row[:] = _raw_features(flow)
+        if len(flows) < _BATCH_BREAK_EVEN:
+            matrix = np.empty((len(flows), N_STATISTICAL_FEATURES), dtype=np.float64)
+            for row, flow in zip(matrix, flows):
+                row[:] = _raw_features(flow)
+        else:
+            with np.errstate(all="ignore"):
+                matrix = _batch_features(flows)
         return np.nan_to_num(matrix, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
     def __call__(self, flow: Flow) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Unit tests for feature extraction (statistical, CUMUL, sequence representation)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.features import (
     SequenceRepresentation,
     StatisticalFeatureExtractor,
 )
-from repro.features.statistical import _deciles
+from repro.features.statistical import _BATCH_BREAK_EVEN, _deciles
 from repro.flows import Flow
 
 from oracles.statistical_reference import (
@@ -206,6 +208,152 @@ class TestStatisticalKernelMatchesOracle:
                 assert_bitwise_equal(_deciles(np.sort(values)), expected)
 
 
+def test_row_reduce_equals_vector_reduce():
+    """A numpy upgrade that changes how ``axis=1`` reductions run must fail here.
+
+    The batched kernel reduces a gathered C-contiguous ``(k, n)`` matrix along
+    ``axis=1`` and relies on every row rounding exactly as the 1-D pairwise
+    ``add.reduce`` of that row alone (and likewise for ``cumsum``).
+    """
+    rng = np.random.default_rng(17)
+    lengths = [*range(1, 301), 511, 512, 513, 1000, 1025]  # spans the 8- and 128-wide blocks
+    for n in lengths:
+        for k in (1, 2, 3, 7, 16, 129) if n <= 130 else (1, 3, 16):
+            for magnitude in (1e-6, 1.0, 1e6):
+                pool = rng.standard_normal(k * n + 7) * magnitude
+                offsets = np.arange(k) * n + rng.integers(0, 8, k)
+                matrix = pool[offsets[:, None] + np.arange(n)]
+                assert matrix.flags.c_contiguous
+                rows = [pool[offset : offset + n] for offset in offsets]
+                where = f"n={n} k={k} magnitude={magnitude}"
+                for name, operand in (
+                    ("values", lambda a: a),
+                    ("squares", lambda a: a * a),
+                    ("cubes", lambda a: a ** 3),
+                    ("fourth powers", lambda a: a ** 4),
+                ):
+                    reduced = np.add.reduce(operand(matrix), axis=1)
+                    alone = np.asarray([np.add.reduce(operand(row)) for row in rows])
+                    assert np.array_equal(reduced.view(np.uint64), alone.view(np.uint64)), (
+                        f"add.reduce(axis=1) of {name} no longer equals the 1-D reduce ({where}, "
+                        f"numpy {np.__version__}): _batch_features is not bit-identical to _raw_features"
+                    )
+                assert np.array_equal(
+                    np.cumsum(matrix, axis=1).view(np.uint64),
+                    np.vstack([np.cumsum(row) for row in rows]).view(np.uint64),
+                ), f"cumsum(axis=1) no longer equals the 1-D cumsum ({where}, numpy {np.__version__})"
+
+
+def mixed_flow(rng, n):
+    """A bidirectional flow of ``n`` packets with non-integer sizes and a few ties."""
+    sizes = np.where(rng.random(n) < 0.3, 536.0, rng.uniform(1.0, 1500.0, n))
+    delays = np.where(rng.random(n) < 0.2, 0.0, rng.exponential(10.0, n))
+    return Flow(sizes=sizes * rng.choice([-1.0, 1.0], n), delays=delays)
+
+
+def oracle_rows(flows):
+    oracle = ReferenceStatisticalFeatureExtractor()
+    with np.errstate(all="ignore"):
+        return np.vstack([oracle.extract(flow) for flow in flows])
+
+
+class TestBatchedKernelMatchesOracle:
+    """The length-bucketed row kernel behind large ``extract_many`` batches."""
+
+    names = StatisticalFeatureExtractor().feature_names()
+
+    def test_settle_shaped_blocks(self):
+        # What ``VectorFlowEnv.settle`` sends: every prefix of a few episodes,
+        # as zero-copy views, 128 flows to a block.
+        rng = np.random.default_rng(31)
+        episodes = [mixed_flow(rng, n) for n in (80, 80, 67, 55, 41, 33, 12, 1)]
+        prefixes = [
+            episode.prefix_view(length)
+            for episode in episodes
+            for length in range(1, episode.n_packets + 1)
+        ]
+        order = rng.permutation(len(prefixes))  # a block interleaves the episodes
+        prefixes = [prefixes[index] for index in order]
+        assert {flow.n_packets for flow in prefixes} == set(range(1, 81))
+        extractor = StatisticalFeatureExtractor()
+        for start in range(0, len(prefixes), 128):
+            block = prefixes[start : start + 128]
+            assert_bitwise_equal(extractor.extract_many(block), oracle_rows(block), self.names)
+
+    def test_both_sides_of_the_batch_size_selection_agree(self):
+        rng = np.random.default_rng(32)
+        flows = [mixed_flow(rng, n) for n in (1, 2, 9, 40, 3, 128, 17)][: _BATCH_BREAK_EVEN + 1]
+        assert len(flows) == _BATCH_BREAK_EVEN + 1
+        extractor = StatisticalFeatureExtractor()
+        expected = oracle_rows(flows)
+        for size in (_BATCH_BREAK_EVEN - 1, _BATCH_BREAK_EVEN, _BATCH_BREAK_EVEN + 1):
+            assert_bitwise_equal(extractor.extract_many(flows[:size]), expected[:size], self.names)
+            assert_bitwise_equal(extractor.extract_many(flows[-size:]), expected[-size:], self.names)
+
+    def test_overflowed_rows_do_not_leak_into_their_bucket(self):
+        # ``test_overflowing_sums_match_oracle``'s flows, each next to ordinary
+        # flows with the same direction pattern -- hence the same operand
+        # lengths in every group, so they share every length bucket.
+        huge = 1.7e308
+        poisoned = [
+            Flow(sizes=[100.0, 200.0, 300.0, 400.0], delays=[0.0, huge, huge, huge]),
+            Flow(sizes=[huge, huge, -huge, huge, huge, -5.0], delays=[0.0, 1.0, huge, 2.0, huge, huge]),
+            Flow(sizes=[-huge, -huge, 7.0, -huge, -huge], delays=[huge] * 5),
+        ]
+        rng = np.random.default_rng(33)
+        flows = []
+        for flow in poisoned:
+            n = flow.n_packets
+            for _ in range(2):
+                flows.append(
+                    Flow(sizes=np.sign(flow.sizes) * rng.uniform(1.0, 1500.0, n), delays=rng.exponential(10.0, n))
+                )
+            flows.insert(len(flows) - 1, flow)
+        assert len(flows) >= _BATCH_BREAK_EVEN
+        with np.errstate(all="ignore"):
+            actual = StatisticalFeatureExtractor().extract_many(flows)
+        assert np.all(np.isfinite(actual))
+        assert_bitwise_equal(actual, oracle_rows(flows), self.names)
+
+    def test_empty_and_one_value_operands(self):
+        # Upstream-only / downstream-only flows give count-0 and count-1
+        # operands in the other direction's groups; a one-packet flow gives
+        # nothing but.
+        rng = np.random.default_rng(34)
+        flows = [mixed_flow(rng, int(n)) for n in rng.integers(2, 60, 128)]
+        flows[5] = Flow(sizes=[812.5], delays=[0.0])
+        flows[6] = Flow(sizes=[-812.5], delays=[3.0])
+        flows[40] = Flow(sizes=rng.uniform(1.0, 1500.0, 23), delays=rng.exponential(10.0, 23))
+        flows[41] = Flow(sizes=-rng.uniform(1.0, 1500.0, 23), delays=rng.exponential(10.0, 23))
+        flows[42] = Flow(sizes=[100.0, 100.0, -7.5], delays=[0.0, 1.0, 1.0])
+        flows[43] = Flow(sizes=[-100.0, 7.5, -100.0], delays=[0.0, 0.0, 0.0])
+        assert_bitwise_equal(
+            StatisticalFeatureExtractor().extract_many(flows), oracle_rows(flows), self.names
+        )
+
+    def test_memory_is_linear_in_total_packets(self):
+        # One very long flow must not pad 500 short ones to its width: that
+        # alone would be 501 float64 per packet of the batch.
+        rng = np.random.default_rng(35)
+        n = 200_000
+        long_flow = Flow(
+            sizes=rng.integers(40, 1500, n) * rng.choice([-1.0, 1.0], n), delays=rng.exponential(10.0, n)
+        )
+        flows = [Flow(sizes=[float(size)], delays=[0.0]) for size in rng.integers(40, 1500, 500)]
+        flows.insert(250, long_flow)
+        extractor = StatisticalFeatureExtractor()
+        tracemalloc.start()
+        try:
+            matrix = extractor.extract_many(flows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured 31 float64 per packet (the per-flow kernel alone peaks at 14).
+        assert peak < 64 * 8 * (n + 500), f"peak {peak / 1e6:.0f} MB"
+        assert_bitwise_equal(matrix[250], extractor.extract(long_flow), self.names)
+        assert_bitwise_equal(matrix[:3], oracle_rows(flows[:3]), self.names)
+
+
 class TestCumulFeatures:
     def test_feature_count(self):
         extractor = CumulFeatureExtractor(n_interpolation=50)
@@ -233,8 +381,14 @@ class TestCumulFeatures:
         assert vector[-1] == pytest.approx(np.cumsum(simple_flow.sizes)[-1])
 
     def test_extract_many_shape(self, tor_dataset):
-        matrix = CumulFeatureExtractor(n_interpolation=20).extract_many(tor_dataset.flows[:6])
+        extractor = CumulFeatureExtractor(n_interpolation=20)
+        matrix = extractor.extract_many(tor_dataset.flows[:6])
         assert matrix.shape == (6, 44)
+        assert np.array_equal(matrix[3], extractor.extract(tor_dataset.flows[3]))
+
+    def test_empty_batch(self):
+        matrix = CumulFeatureExtractor(n_interpolation=20).extract_many([])
+        assert matrix.shape == (0, 44) and matrix.dtype == np.float64
 
 
 class TestFlowNormalizer:

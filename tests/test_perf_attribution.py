@@ -39,6 +39,15 @@ EXPECTED = {
         "features.extract_ms",
         "core.collect_ms",
     ],
+    # ``features.extract`` wraps ``StatisticalFeatureExtractor.extract_many``:
+    # a scoring path that bypasses it would read 0 here, not faster.
+    "train-tree": [
+        "features.extract_ms",
+        "ml.predict_ms",
+        "core.encoder.step_ms",
+        "core.actor.act_ms",
+        "core.collect_ms",
+    ],
 }
 
 

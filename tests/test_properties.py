@@ -8,6 +8,7 @@ from repro import nn
 from repro.core import AmoebaConfig, AdversarialFlowEnv, VectorFlowEnv, compute_gae
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
+from repro.features.statistical import _BATCH_BREAK_EVEN
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
 
@@ -108,17 +109,18 @@ class TestFeatureProperties:
         assert vector.shape == (166,)
         assert np.all(np.isfinite(vector))
 
-    @given(flow=oracle_flows, batch=st.lists(oracle_flows, max_size=3), position=st.integers(0, 3))
+    @given(flows=st.lists(oracle_flows, min_size=_BATCH_BREAK_EVEN, max_size=_BATCH_BREAK_EVEN + 4))
     @settings(max_examples=150, deadline=None)
-    def test_statistical_kernel_bit_identical_to_seed_oracle(self, flow, batch, position):
+    def test_statistical_kernel_bit_identical_to_seed_oracle(self, flows):
+        # A list this long takes the batched kernel, ``extract`` the per-flow one.
+        oracle = ReferenceStatisticalFeatureExtractor()
+        extractor = StatisticalFeatureExtractor()
         with np.errstate(all="ignore"):
-            expected = ReferenceStatisticalFeatureExtractor().extract(flow)
-            extractor = StatisticalFeatureExtractor()
-            alone = extractor.extract(flow)
-            position = min(position, len(batch))
-            batched = extractor.extract_many(batch[:position] + [flow] + batch[position:])
-        assert np.array_equal(alone.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(batched[position].view(np.uint64), expected.view(np.uint64))
+            expected = np.vstack([oracle.extract(flow) for flow in flows])
+            alone = extractor.extract(flows[-1])
+            batched = extractor.extract_many(flows)
+        assert np.array_equal(alone.view(np.uint64), expected[-1].view(np.uint64))
+        assert np.array_equal(batched.view(np.uint64), expected.view(np.uint64))
 
     @given(sizes=sizes_strategy, delays=delays_strategy)
     @settings(max_examples=30, deadline=None)
