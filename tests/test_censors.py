@@ -13,12 +13,14 @@ from repro.censors import (
     SDAEClassifier,
     SocketPair,
 )
+from repro import nn
 from repro.core import Amoeba
 from repro.eval.metrics import classifier_detection_report
 from repro.features import StatisticalFeatureExtractor
-from repro.flows import FlowLabel
+from repro.flows import Flow, FlowLabel
 from repro.nn import state_dict_to_bytes
 
+from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -202,6 +204,45 @@ class TestNeuralCensors:
         )
         score = censor.predict_score(simple_flow)
         assert 0.0 <= score <= 1.0
+
+
+class TestDeepFingerprintingKernels:
+    """DF fitted and queried on the production ``Conv1d`` / ``MaxPool1d`` and on
+    the oracle kernels: no weight, score or input gradient may differ in a bit
+    (a drifted kernel shows here before it shows in a benchmark digest)."""
+
+    @staticmethod
+    def _run(representation, tor_splits):
+        censor = DeepFingerprintingClassifier(representation, epochs=3, rng=0).fit(
+            tor_splits.clf_train.flows
+        )
+        rng = np.random.default_rng(11)
+        long_flow = Flow(
+            sizes=rng.uniform(60.0, 1460.0, 80) * rng.choice([-1.0, 1.0], 80),
+            delays=rng.exponential(10.0, 80),
+        )
+        # white-box path (CW / NIDSGAN / BAP): gradient w.r.t. the network input
+        batch = nn.Tensor(censor.prepare_input(tor_splits.test.flows[:6]), requires_grad=True)
+        censor.forward_tensor(batch).sum().backward()
+        assert np.count_nonzero(batch.grad) > 0
+        run = {name: value.tobytes() for name, value in censor.network.state_dict().items()}
+        run["held-out scores"] = censor.predict_scores(tor_splits.test.flows).tobytes()
+        run["prefix scores"] = censor.predict_scores(
+            [long_flow.prefix(k) for k in range(1, 81)]
+        ).tobytes()
+        run["input gradient"] = batch.grad.tobytes()
+        return run
+
+    def test_production_and_oracle_kernels_agree_bytewise(
+        self, representation, tor_splits, monkeypatch
+    ):
+        production = self._run(representation, tor_splits)
+        monkeypatch.setattr(nn.Conv1d, "forward", ReferenceConv1d.forward)
+        monkeypatch.setattr(nn.MaxPool1d, "forward", ReferenceMaxPool1d.forward)
+        oracle = self._run(representation, tor_splits)
+        assert production.keys() == oracle.keys() and len(production) > 4
+        for key in production:
+            assert production[key] == oracle[key], key
 
 
 class TestGateway:

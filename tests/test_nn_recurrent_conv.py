@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from repro import nn
+from repro.nn.conv import _windows_1d
 
 
 class TestGRU:
@@ -200,6 +202,223 @@ class TestLoopFreeWindows:
             nn.Tensor(_loop_im2col(padded, 5, 1)) @ conv.weight + conv.bias
         ).data.transpose(0, 2, 1)
         assert np.array_equal(conv(nn.Tensor(x)).data.view(np.uint64), expected.view(np.uint64))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _channel_last(data):
+    """Same values, laid out the way ``Conv1d`` hands its output on."""
+    return np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _activations(rng, shape, channel_last):
+    """Relu output as the DF network produces it: ``-0.0`` where the input was
+    negative, some ``+0.0``, and one-decimal values so that maxima tie."""
+    data = rng.normal(size=shape).round(1)
+    data *= data > 0
+    data[rng.random(shape) < 0.2] = 0.0
+    return _channel_last(data) if channel_last else data
+
+
+def _upstream(rng, shape):
+    grad = rng.normal(size=shape)
+    grad[rng.random(shape) < 0.2] = -0.0
+    return grad
+
+
+def test_maximum_fold_equals_window_reduce():
+    """A numpy upgrade that changes which zero ``maximum`` returns must fail here.
+
+    ``MaxPool1d.forward`` folds ``np.maximum(running, candidate)`` over the
+    strided slices of its window view and relies on that being, bit for bit,
+    ``max(axis=-1)`` of the contiguous window copy the oracle reduces.
+    """
+    rng = np.random.default_rng(23)
+    special = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+    for length in range(1, 71):  # SIMD bodies and scalar tails
+        for kernel_size in (2, 3, 5):
+            if length < kernel_size:
+                continue
+            for stride in (kernel_size, 1):
+                for channel_last in (False, True):
+                    for draw in ("special", "normal"):
+                        shape = (2, 3, length)
+                        data = rng.choice(special, shape) if draw == "special" else rng.normal(size=shape)
+                        if channel_last:
+                            data = _channel_last(data)
+                        windows = _windows_1d(data, kernel_size, stride)
+                        reduced = np.ascontiguousarray(windows).max(axis=-1)
+                        folded = np.array(windows[..., 0], order="C")
+                        for offset in range(1, kernel_size):
+                            np.maximum(folded, windows[..., offset], out=folded)
+                        nan = np.isnan(reduced)
+                        assert np.array_equal(nan, np.isnan(folded)) and np.array_equal(
+                            folded[~nan].view(np.uint64), reduced[~nan].view(np.uint64)
+                        ), (
+                            f"the left fold of np.maximum no longer equals max(axis=-1) of the window "
+                            f"copy (length={length} kernel_size={kernel_size} stride={stride} "
+                            f"channel_last={channel_last} values={draw}, numpy {np.__version__}): the "
+                            f"sign of a zero maximum in DF activations changes -- no digest can move, "
+                            f"but MaxPool1d is not bit-identical to tests/oracles/conv_reference.py"
+                        )
+
+
+_POOL_SWEEP = sorted(
+    {(2, 2), (2, 1), (3, 2), (3, 1), (5, 5), (4, 3), (1, 1), (2, 3), (5, 1)}
+    | {(k, s) for k in range(1, 6) for s in (None, 1, 2, 3, k + 2)},
+    key=str,  # None (the default stride) does not order against ints
+)
+_CONV_SWEEP = [
+    # in, out, kernel, stride, padding
+    (2, 16, 5, 1, 2),
+    (16, 32, 5, 1, 2),
+    (3, 4, 3, 2, 1),
+    (2, 3, 4, 3, 0),
+    (1, 2, 2, 1, 0),
+    (2, 2, 3, 1, 3),
+    (2, 3, 1, 1, 0),
+    (2, 3, 3, 5, 1),
+]
+
+
+class TestKernelOracle:
+    """The fold / offset-scatter kernels equal the window-copy reduction and
+    the per-position loops of ``tests/oracles/conv_reference.py`` in every bit."""
+
+    @pytest.mark.parametrize("kernel_size,stride", _POOL_SWEEP)
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_maxpool_forward_and_gradient(self, kernel_size, stride, channel_last):
+        rng = np.random.default_rng(kernel_size * 31 + (stride or 0))
+        pools = nn.MaxPool1d(kernel_size, stride), ReferenceMaxPool1d(kernel_size, stride)
+        for length in (9, 20, 21, 40):  # 9 and 21 leave a remainder at most strides
+            data = _activations(rng, (3, 4, length), channel_last)
+            grad = _upstream(rng, pools[1](nn.Tensor(data)).shape)
+            outputs, gradients = [], []
+            for pool in pools:
+                x = nn.Tensor(data.copy(order="K"), requires_grad=True)
+                out = pool(x)
+                assert out.requires_grad and out.data.flags.c_contiguous
+                out.backward(grad)
+                outputs.append(out.data)
+                gradients.append(x.grad)
+            assert np.array_equal(_bits(outputs[0]), _bits(outputs[1]))
+            assert np.array_equal(_bits(gradients[0]), _bits(gradients[1]))
+            # no gradient wanted: same bits, nothing recorded
+            plain = pools[0](nn.Tensor(data))
+            with nn.no_grad():
+                silenced = pools[0](nn.Tensor(data, requires_grad=True))
+            for out in (plain, silenced):
+                assert not out.requires_grad and out._backward is None
+                assert np.array_equal(_bits(out.data), _bits(outputs[1]))
+
+    @pytest.mark.parametrize("in_channels,out_channels,kernel_size,stride,padding", _CONV_SWEEP)
+    @pytest.mark.parametrize("channel_last", [False, True])
+    def test_conv_forward_and_gradients(
+        self, in_channels, out_channels, kernel_size, stride, padding, channel_last
+    ):
+        rng = np.random.default_rng(kernel_size * 31 + stride)
+        for length in (8, 20, 41):
+            data = rng.normal(size=(3, in_channels, length))
+            if channel_last:
+                data = _channel_last(data)
+            results = []
+            for layer in (nn.Conv1d, ReferenceConv1d):
+                conv = layer(
+                    in_channels, out_channels, kernel_size, stride=stride, padding=padding,
+                    rng=np.random.default_rng(5),
+                )
+                x = nn.Tensor(data.copy(order="K"), requires_grad=True)
+                out = conv(x)
+                out.backward(_upstream(np.random.default_rng(length), out.shape))
+                results.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
+            for ours, reference in zip(*results):
+                assert np.array_equal(_bits(ours), _bits(reference))
+
+    def test_conv_without_input_gradient(self):
+        data = np.random.default_rng(0).normal(size=(3, 2, 20))
+        results = []
+        for layer in (nn.Conv1d, ReferenceConv1d):
+            conv = layer(2, 4, 5, padding=2, rng=np.random.default_rng(5))
+            out = conv(nn.Tensor(data))
+            out.sum().backward()
+            results.append((out.data, conv.weight.grad, conv.bias.grad))
+        for ours, reference in zip(*results):
+            assert np.array_equal(_bits(ours), _bits(reference))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_tied_maxima_send_the_gradient_to_the_first(self, stride):
+        data = np.full((2, 3, 11), 2.0)  # every window is one long tie
+        grads = []
+        for pool in (nn.MaxPool1d(3, stride), ReferenceMaxPool1d(3, stride)):
+            x = nn.Tensor(data, requires_grad=True)
+            pool(x).sum().backward()
+            grads.append(x.grad)
+        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+        assert np.all(grads[0][:, :, 0] == 1.0)  # the first of window 0, not its last
+        if stride == 1:  # overlapping windows, each won by its own first cell
+            assert np.all(grads[0][:, :, : 11 - 2] == 1.0) and np.all(grads[0][:, :, -2:] == 0.0)
+
+    def test_non_finite_upstream_gradient_reaches_only_the_argmax(self):
+        data = _activations(np.random.default_rng(3), (2, 3, 12), channel_last=False)
+        grad = np.ones((2, 3, 6))
+        grad[0, 0, 0], grad[1, 2, 3], grad[0, 1, 5] = np.inf, -np.inf, np.nan
+        grads = []
+        for pool in (nn.MaxPool1d(2), ReferenceMaxPool1d(2)):
+            x = nn.Tensor(data, requires_grad=True)
+            pool(x).backward(grad)
+            grads.append(x.grad)
+        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+        assert np.count_nonzero(~np.isfinite(grads[0])) == 3
+
+    def test_kernel_size_one_copies(self):
+        data = np.random.default_rng(0).normal(size=(2, 3, 8))
+        for stride in (None, 2):
+            out = nn.MaxPool1d(1, stride)(nn.Tensor(data))
+            assert not np.shares_memory(out.data, data)
+            assert out.data.flags.writeable and out.data.flags.owndata
+            assert np.array_equal(_bits(out.data), _bits(data[:, :, :: stride or 1]))
+
+
+class TestLayerArguments:
+    """Constructor and rank checks name the layer and the offending value."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(kernel_size=2, stride=0), r"MaxPool1d: stride must be >= 1, got 0"),
+            (dict(kernel_size=2, stride=-1), r"MaxPool1d: stride must be >= 1, got -1"),
+            (dict(kernel_size=0), r"MaxPool1d: kernel_size must be >= 1, got 0"),
+            (dict(kernel_size=-3, stride=1), r"MaxPool1d: kernel_size must be >= 1, got -3"),
+        ],
+    )
+    def test_maxpool_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            nn.MaxPool1d(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(kernel_size=3, padding=-2), r"Conv1d: padding must be >= 0, got -2"),
+            (dict(kernel_size=3, stride=0), r"Conv1d: stride must be >= 1, got 0"),
+            (dict(kernel_size=3, stride=-1), r"Conv1d: stride must be >= 1, got -1"),
+            (dict(kernel_size=0), r"Conv1d: kernel_size must be >= 1, got 0"),
+        ],
+    )
+    def test_conv_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            nn.Conv1d(1, 1, **kwargs)
+
+    def test_default_stride_is_the_kernel_size(self):
+        assert nn.MaxPool1d(3).stride == 3
+        assert nn.MaxPool1d(3, stride=None).stride == 3
+        assert nn.MaxPool1d(3, stride=1).stride == 1
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5,), (1, 2, 3, 4)])
+    def test_maxpool_rejects_wrong_rank(self, shape):
+        with pytest.raises(ValueError, match=r"MaxPool1d expects \(batch, channels, length\)"):
+            nn.MaxPool1d(2)(nn.Tensor(np.zeros(shape)))
 
 
 class TestPooling:

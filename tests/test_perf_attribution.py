@@ -38,6 +38,7 @@ EXPECTED = {
         "censors.predict_ms",
         "features.extract_ms",
         "core.collect_ms",
+        "censors.fit_s",
     ],
     # ``features.extract`` wraps ``StatisticalFeatureExtractor.extract_many``:
     # a scoring path that bypasses it would read 0 here, not faster.
@@ -47,6 +48,7 @@ EXPECTED = {
         "core.encoder.step_ms",
         "core.actor.act_ms",
         "core.collect_ms",
+        "censors.fit_s",
     ],
 }
 

@@ -15,6 +15,7 @@ from repro.ml import StandardScaler, accuracy_score, f1_score
 from repro.core.env import make_observation, record_action, shape_packet
 
 from oracles import emulator_reference
+from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -391,6 +392,89 @@ class TestEmulatorOracleProperties:
             expected = reference(direction, magnitude, delay, *scales)
             assert got.dtype == np.float64 and got.shape == (2,)
             assert np.array_equal(_bits(got), _bits(expected))
+
+
+# Activations for the kernel oracle property: ties, both zeros and a -0.0
+# upstream gradient must all be likely, so cells come from a small pool.
+_cells = st.sampled_from([-0.0, 0.0, 0.5, 0.5, 1.0, -1.0, 2.5, 1e-300, 1e300])
+
+
+def _laid_out(cells, shape, channel_last):
+    data = np.asarray(cells, dtype=np.float64).reshape(shape)
+    if channel_last:
+        data = np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return data
+
+
+class TestConvKernelOracleProperties:
+    """``Conv1d`` / ``MaxPool1d`` equal the window-copy reduction and the
+    per-position loops (``tests/oracles/conv_reference.py``) in every bit, for
+    any shape, kernel, stride and operand layout."""
+
+    @given(
+        data=st.data(),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 4),
+        kernel_size=st.integers(1, 5),
+        stride=st.one_of(st.none(), st.integers(1, 7)),
+        extra=st.integers(0, 30),
+        channel_last=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_maxpool_bit_identical_to_oracle(
+        self, data, batch, channels, kernel_size, stride, extra, channel_last
+    ):
+        shape = (batch, channels, kernel_size + extra)
+        size = batch * channels * (kernel_size + extra)
+        values = _laid_out(data.draw(st.lists(_cells, min_size=size, max_size=size)), shape, channel_last)
+        pools = nn.MaxPool1d(kernel_size, stride), ReferenceMaxPool1d(kernel_size, stride)
+        out_shape = pools[1](nn.Tensor(values)).shape
+        out_size = int(np.prod(out_shape))
+        grad = np.asarray(data.draw(st.lists(_cells, min_size=out_size, max_size=out_size))).reshape(out_shape)
+        results = []
+        for pool in pools:
+            x = nn.Tensor(values.copy(order="K"), requires_grad=True)
+            out = pool(x)
+            out.backward(grad)
+            results.append((out.data, x.grad))
+        for ours, reference in zip(*results):
+            assert np.array_equal(_bits(np.ascontiguousarray(ours)), _bits(np.ascontiguousarray(reference)))
+        with nn.no_grad():
+            untracked = pools[0](nn.Tensor(values))
+        assert np.array_equal(_bits(untracked.data), _bits(results[1][0]))
+        assert not np.shares_memory(untracked.data, values)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        batch=st.integers(1, 3),
+        in_channels=st.integers(1, 4),
+        out_channels=st.integers(1, 4),
+        kernel_size=st.integers(1, 5),
+        stride=st.integers(1, 6),
+        padding=st.integers(0, 3),
+        extra=st.integers(0, 30),
+        channel_last=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_conv_bit_identical_to_oracle(
+        self, seed, batch, in_channels, out_channels, kernel_size, stride, padding, extra,
+        channel_last,
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (batch, in_channels, kernel_size + extra)
+        values = _laid_out(rng.normal(size=shape), shape, channel_last)
+        results = []
+        for layer in (nn.Conv1d, ReferenceConv1d):
+            conv = layer(
+                in_channels, out_channels, kernel_size, stride=stride, padding=padding,
+                rng=np.random.default_rng(seed),
+            )
+            x = nn.Tensor(values.copy(order="K"), requires_grad=True)
+            out = conv(x)
+            out.backward(np.random.default_rng(seed + 1).normal(size=out.shape))
+            results.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
+        for ours, reference in zip(*results):
+            assert np.array_equal(_bits(np.ascontiguousarray(ours)), _bits(np.ascontiguousarray(reference)))
 
 
 class TestECDFProperties:
