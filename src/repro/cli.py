@@ -20,7 +20,7 @@ without writing Python:
   nested span trace, optionally exported as JSONL and/or Prometheus text;
 * ``repro-amoeba backends`` — print the execution-backend diagnostic: which
   backends are registered, whether the compiled GEMM / fused-cell kernels
-  loaded, the compile error if they did not, and the thread configuration;
+  loaded, and the compile error if they did not;
 * ``repro-amoeba worker-host`` — run the TCP worker-host daemon that donates
   this machine's cores to remote drivers (``attack --transport
   tcp://host:port`` places collection/serving/sweep workers here);
@@ -39,7 +39,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -146,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--transport", default=None,
                        help="serving-worker placement: 'fork' (default), 'tcp', or "
                        "'tcp://host:port[,host:port...]' (requires --workers)")
-    serve.add_argument("--backend", choices=("blocked", "reference", "float32"), default=None,
-                       help="execution backend for policy forwards (default: process default; "
-                       "float32 trades the serve/attack bit-equivalence contract for speed)")
     serve.add_argument("--profiles", default=None,
                        help="JSONL of successful adversarial flows seeding the fallback profile database")
     serve.add_argument("--seed", type=int, default=0)
@@ -198,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers.add_parser(
-        "backends", help="print the execution-backend diagnostic (kernels, threads, fallbacks)"
+        "backends", help="print the execution-backend diagnostic (kernels, fallbacks)"
     )
 
     worker_host = subparsers.add_parser(
@@ -336,10 +332,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         flush_timeout_ms=args.flush_timeout_ms,
         deadline_ms=args.deadline_ms,
-        backend=args.backend,
     )
-    if args.backend:
-        print(f"execution backend: {args.backend}")
     profile_db = None
     if args.profiles:
         profile_flows = load_flows_jsonl(args.profiles)
@@ -485,7 +478,7 @@ def _telemetry_serve_workload(seed: int) -> None:
 
 
 def _command_backends(_: argparse.Namespace) -> int:
-    """Execution-backend diagnostic: kernels, threads, fallback reasons.
+    """Execution-backend diagnostic: kernels, fallback reasons.
 
     This is the operational surface for the one-time einsum-fallback warning:
     when the compiled kernel (or the fused-cell kernel) failed to build, the
@@ -497,11 +490,9 @@ def _command_backends(_: argparse.Namespace) -> int:
     print(f"registered backends: {', '.join(nn_backend.available_backends())}")
     print(f"default backend:     {nn_backend.default_backend().name}")
     print(f"active backend:      {active.name}")
-    print(f"threads:             {nn_backend.num_threads()} "
-          f"(REPRO_NN_THREADS; cpu_count={os.cpu_count()})")
 
     if nn_backend.compiled_kernel_available():
-        print("rc-GEMM kernel:      compiled (threaded row-partitioned C extension)")
+        print("rc-GEMM kernel:      compiled (row-consistent C extension)")
     else:
         print("rc-GEMM kernel:      einsum fallback (row-consistent, slower)")
         error = nn_backend.compiled_kernel_error()

@@ -109,16 +109,9 @@ class StateEncoder(nn.Module):
     # ------------------------------------------------------------------ #
     # Incremental (O(1) per tick) encoding
     # ------------------------------------------------------------------ #
-    def initial_state(self, dtype=np.float64) -> EncoderState:
-        """Zero state representing an empty history (encodes to zeros).
-
-        ``dtype`` is the storage dtype of the incremental state — float64
-        everywhere except the serving tier's opt-in float32 path, which
-        keeps session state in f32 between flushes.
-        """
-        return EncoderState(
-            hidden=np.zeros((self.num_layers, self.hidden_size), dtype=dtype)
-        )
+    def initial_state(self) -> EncoderState:
+        """Zero state representing an empty history (encodes to zeros)."""
+        return EncoderState(hidden=np.zeros((self.num_layers, self.hidden_size)))
 
     def step_pairs(self, pairs: np.ndarray, states):
         """Fold one new (size, delay) pair into each environment's state.

@@ -20,10 +20,8 @@ from .backend import (
     fused_cells_available,
     fused_cells_error,
     get_backend,
-    num_threads,
     register_backend,
     set_default_backend,
-    set_num_threads,
     use_backend,
 )
 from .conv import Conv1d, GlobalAveragePool1d, MaxPool1d
@@ -85,10 +83,8 @@ __all__ = [
     "fused_cells_available",
     "fused_cells_error",
     "get_backend",
-    "num_threads",
     "register_backend",
     "set_default_backend",
-    "set_num_threads",
     "use_backend",
     "functional",
     "Module",

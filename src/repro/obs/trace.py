@@ -16,9 +16,8 @@ both as a tree (the profile) and as a distribution (the histogram).
 Spans nest via an explicit stack: each record carries its parent id and
 depth, and :func:`render_spans` reconstructs the indented tree.  The stack
 is per-tracer, not per-thread — every recording path in this codebase is
-single-threaded per process (the compiled GEMM pool threads never open
-spans), which keeps the enabled-mode overhead to two clock reads and one
-dataclass append per span.
+single-threaded per process, which keeps the enabled-mode overhead to two
+clock reads and one dataclass append per span.
 
 Exception safety: a span whose body raises still finishes (recording the
 exception type in ``error``) and re-raises — tracing never swallows or

@@ -14,7 +14,6 @@ flow shaping (the deployment tier of Section 5.6).
   to exercise the tier at a target arrival rate.
 """
 
-from .fastpath import Float32ServingPath
 from .loadgen import LoadReport, PacketEvent, SyntheticWorkload, run_workload
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .server import PolicyServer, ServeConfig, build_policy_from_state, summarize_stats
@@ -40,7 +39,6 @@ __all__ = [
     "SessionStatus",
     "ShapingDecision",
     "ShardedPolicyServer",
-    "Float32ServingPath",
     "SyntheticWorkload",
     "PacketEvent",
     "LoadReport",

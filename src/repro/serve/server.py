@@ -28,7 +28,6 @@ deterministic policy served here emits the same adversarial packets as
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import time
 from collections import deque
@@ -42,11 +41,9 @@ from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder, split_states, stack_states
-from ..nn import backend as nn_backend
 from ..nn.serialization import load_state_dict, split_prefixed_state
 from ..obs import _state as _obs_state
 from ..utils.rng import ensure_rng
-from .fastpath import Float32ServingPath
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .session import (
     FlowSession,
@@ -81,20 +78,6 @@ class ServeConfig:
     whose recent decisions miss it too often (``miss_threshold`` over a
     ``miss_window`` sliding window) is demoted to the offline profile tier.
     ``deadline_ms=None`` disables demotion (pure throughput serving).
-
-    ``backend`` selects the :mod:`repro.nn.backend` execution backend the
-    server's forwards run on (``None`` inherits the process default).  The
-    row-consistent backends (``blocked``, ``reference``) preserve the
-    bit-equivalence contract between serving and ``Amoeba.attack``; the
-    ``float32`` backend trades that contract for raw speed and is therefore
-    strictly opt-in.  A float32-dtype backend additionally swaps the server
-    onto the end-to-end f32 session path
-    (:class:`~repro.serve.fastpath.Float32ServingPath`): encoder state, gate
-    activations and batch scratch stay in float32 between flushes, and
-    served decisions agree with the float64 path to float32 rounding (same
-    decision counts, emitted sizes/delays within a small relative tolerance,
-    identical deadline/fallback behaviour under identical latencies — the
-    documented accuracy contract, asserted in ``tests/test_serve.py``).
     """
 
     size_scale: float = 1460.0
@@ -115,18 +98,9 @@ class ServeConfig:
     # served (and stats() ships this window over worker pipes).
     latency_history: int = 4096
 
-    # Execution backend for the server's matmul forwards; None inherits the
-    # process-wide default (repro.nn.backend).
-    backend: Optional[str] = None
-
     def __post_init__(self) -> None:
         if self.latency_history < 1:
             raise ValueError("latency_history must be >= 1")
-        if self.backend is not None and self.backend not in nn_backend.available_backends():
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"available: {nn_backend.available_backends()}"
-            )
         if self.size_scale <= 0:
             raise ValueError("size_scale must be positive")
         if self.max_batch < 1:
@@ -281,23 +255,6 @@ class PolicyServer:
             max_batch=self.config.max_batch,
             flush_timeout_ms=self.config.flush_timeout_ms,
         )
-        # Resolve the configured backend eagerly so a bad name fails at
-        # construction, not mid-flush.
-        self._backend: Optional[nn_backend.ExecutionBackend] = (
-            nn_backend.get_backend(self.config.backend)
-            if self.config.backend is not None
-            else None
-        )
-        # A float32-dtype backend opts the server into the end-to-end f32
-        # session path: f32 weight snapshots + f32 per-session state, no
-        # per-matmul widen-back.  Row-consistent backends keep the exact
-        # Tensor path (and its bit-equivalence ladder).
-        self._fastpath: Optional[Float32ServingPath] = (
-            Float32ServingPath(actor, encoder)
-            if self._backend is not None
-            and self._backend.compute_dtype == np.float32
-            else None
-        )
         self._sessions: Dict[str, FlowSession] = {}
         self._session_counter = itertools.count()
         self._outbox: List[ShapingDecision] = []
@@ -348,35 +305,6 @@ class PolicyServer:
             actor, encoder, config=config, profile_db=profile_db, clock=clock, rng=rng
         )
 
-    def _backend_scope(self):
-        """Scoped backend override for the server's forwards (no-op if unset)."""
-        if self._backend is None:
-            return contextlib.nullcontext()
-        return nn_backend.use_backend(self._backend.name)
-
-    def _encode_step(self, pairs: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-        """One batched incremental GRU step on the configured substrate;
-        ``hidden`` in and out is a ``(num_layers, n, hidden_size)`` slab."""
-        if self._fastpath is not None:
-            return self._fastpath.step_pairs(pairs, hidden)
-        with self._backend_scope():
-            return self.encoder.step_pairs(pairs, hidden)
-
-    def _act(self, observation_top: np.ndarray, action_top: np.ndarray) -> np.ndarray:
-        """Deterministic policy forward for one flush batch, from the top
-        GRU layer of each stream (``s_t = E(x_1:t) || E(a_1:t)`` per row)."""
-        states = np.concatenate([observation_top, action_top], axis=1)
-        if self._fastpath is not None:
-            return self._fastpath.act(states)
-        with self._backend_scope():
-            actions, _ = self.actor.act_batch(states, deterministic=True)
-        return actions
-
-    def backend_description(self) -> str:
-        """Human-readable description of the backend the forwards run on."""
-        backend = self._backend if self._backend is not None else nn_backend.active_backend()
-        return backend.describe()
-
     # ------------------------------------------------------------------ #
     # Session lifecycle
     # ------------------------------------------------------------------ #
@@ -415,7 +343,6 @@ class PolicyServer:
             miss_window=self.config.miss_window,
             miss_threshold=self.config.miss_threshold,
             protocol=protocol,
-            state_dtype=np.float32 if self._fastpath is not None else np.float64,
         )
         self._sessions_opened.inc()
         return session_id
@@ -526,15 +453,19 @@ class PolicyServer:
                     observations = np.array(
                         [sessions[row].current_observation() for row in fold_rows]
                     )
-                    folded = self._encode_step(observations, observation_hidden[:, fold_rows])
+                    folded = self.encoder.step_pairs(
+                        observations, observation_hidden[:, fold_rows]
+                    )
                     observation_hidden[:, fold_rows] = folded
                     for row, state in zip(fold_rows, split_states(folded)):
                         sessions[row].mark_observation_folded(state)
 
-            # 2) One deterministic policy forward for the whole batch.
+            # 2) One deterministic policy forward for the whole batch, from
+            # the top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
             action_hidden = stack_states([s.action_state for s in sessions])
             with obs.span("serve.act") if detailed else _NULL_SPAN:
-                actions = self._act(observation_hidden[-1], action_hidden[-1])
+                states = np.concatenate([observation_hidden[-1], action_hidden[-1]], axis=1)
+                actions, _ = self.actor.act_batch(states, deterministic=True)
 
             # 3+4) Apply actions through the per-session emulator, then fold
             # the emitted actions (one batched GRU step).  One span covers
@@ -554,7 +485,7 @@ class PolicyServer:
                         self._deadline_misses.inc()
 
                 recorded = np.array([decision.recorded_action for decision in decisions])
-                folded_actions = split_states(self._encode_step(recorded, action_hidden))
+                folded_actions = split_states(self.encoder.step_pairs(recorded, action_hidden))
                 for session, state in zip(sessions, folded_actions):
                     session.mark_action_folded(state)
 

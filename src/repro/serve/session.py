@@ -141,7 +141,6 @@ class FlowSession:
         miss_window: int = 8,
         miss_threshold: float = 0.5,
         protocol: str = "live",
-        state_dtype=np.float64,
     ) -> None:
         self.session_id = session_id
         self.limits = limits
@@ -151,11 +150,8 @@ class FlowSession:
         self.protocol = protocol
 
         # Incremental dual-stream encoder state (s_t = E(x_1:t) || E(a_1:t)).
-        # ``state_dtype`` is float64 everywhere except under the server's
-        # opt-in float32 end-to-end path, which keeps session state in f32
-        # between flushes.
-        self.observation_state: EncoderState = encoder.initial_state(dtype=state_dtype)
-        self.action_state: EncoderState = encoder.initial_state(dtype=state_dtype)
+        self.observation_state: EncoderState = encoder.initial_state()
+        self.action_state: EncoderState = encoder.initial_state()
 
         # Emulator state of the packet currently being shaped.
         self._inbox: Deque[PendingPacket] = deque()

@@ -62,6 +62,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    def test_serve_has_no_backend_flag(self):
+        # The registered backends are bit-identical; REPRO_NN_BACKEND picks.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--policy", "p.npz", "--backend", "blocked"])
+        assert excinfo.value.code == 2
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])
@@ -190,14 +196,11 @@ class TestCommands:
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "registered backends:" in out
-        assert "blocked" in out and "reference" in out and "float32" in out
-        assert "threads:" in out
+        assert "registered backends: blocked, reference\n" in out
         assert "rc-GEMM kernel:" in out
         assert "fused-cell kernels:" in out
         # One describe() line per registered backend.
-        assert "compute_dtype=float64" in out
-        assert "compute_dtype=float32" in out
+        assert "  blocked: " in out and "  reference: name=reference\n" in out
 
     def test_backends_command_reports_fallback_error(self, capsys, monkeypatch):
         # When the compiled kernel is unavailable the diagnostic must surface

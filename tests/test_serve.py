@@ -188,6 +188,23 @@ class TestSessionLifecycle:
         assert report.profile_result is None
         assert summarize_stats(server.stats())["profile_fallback_rate"] == 1.0
 
+    def test_sustained_deadline_misses_demote_without_database(self, policy, simple_flow):
+        config = ServeConfig(
+            size_scale=1460.0,
+            max_batch=1,
+            flush_timeout_ms=0.0,
+            deadline_ms=1.0,
+            miss_window=2,
+            miss_threshold=1.0,
+        )
+        server = make_server(policy, config, clock=FakeClock(0.005))
+        sid = server.open_session("doomed")
+        for size, delay in zip(simple_flow.sizes, simple_flow.delays):
+            server.submit(sid, size, delay)
+            server.drain()
+        assert server.session(sid).status == SessionStatus.DEMOTED
+        assert summarize_stats(server.stats())["profile_fallback_rate"] == 1.0
+
     def test_operator_demotion_counts_in_stats(self, policy, serve_config):
         # Demotion via the public FlowSession.demote() (not the deadline
         # tracker) must show up in the fallback rate, both while the
@@ -372,187 +389,6 @@ class TestSessionStateOwnership:
         assert session.n_decisions == 0 and session.in_flight
         decision = session.apply_action(np.array([1.0, 0.2]))
         assert decision.emitted_size == 1460.0
-
-
-# --------------------------------------------------------------------- #
-# Float32 end-to-end serving path
-# --------------------------------------------------------------------- #
-class TestFloat32Serving:
-    """The accuracy contract of ``ServeConfig(backend="float32")``.
-
-    The f32 path gives up bit-equivalence; what it promises instead —
-    and what these tests pin down — is: same decision counts, shaped
-    sizes/delays within float32 rounding of the f64 path, identical
-    deadline/fallback behaviour under identical latency conditions, and
-    session state genuinely held in float32 between flushes.
-    """
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        return SyntheticWorkload.generate(
-            n_sessions=8, arrival_rate_pps=700.0, max_packets=8, rng=77
-        )
-
-    def _run(self, policy, workload, backend):
-        config = ServeConfig(
-            size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0, backend=backend
-        )
-        server = make_server(policy, config)
-        run_workload(server, workload)
-        reports = {report.session_id: report for report in server.reports()}
-        return reports, summarize_stats(server.stats())
-
-    def test_fastpath_active_and_state_stays_float32(self, policy):
-        config = ServeConfig(size_scale=1460.0, max_batch=4, backend="float32")
-        server = make_server(policy, config)
-        assert server._fastpath is not None
-        sid = server.open_session("f32")
-        session = server.session(sid)
-        assert session.observation_state.hidden.dtype == np.float32
-        assert session.action_state.hidden.dtype == np.float32
-        server.submit(sid, 640.0, 1.0)
-        server.drain()
-        # After a flush folded real observations/actions the state must
-        # still be float32 — no silent widening between flushes.
-        assert session.observation_state.hidden.dtype == np.float32
-        assert session.action_state.hidden.dtype == np.float32
-        assert session.n_decisions >= 1
-
-        # The float64 backends never construct the fastpath.
-        for backend in (None, "blocked", "reference"):
-            f64_config = ServeConfig(size_scale=1460.0, max_batch=4, backend=backend)
-            assert make_server(policy, f64_config)._fastpath is None
-
-    def test_decisions_track_float64_within_tolerance(self, policy, workload):
-        f64_reports, f64_stats = self._run(policy, workload, None)
-        f32_reports, f32_stats = self._run(policy, workload, "float32")
-        assert set(f32_reports) == set(f64_reports)
-        for session_id, f64_report in f64_reports.items():
-            f32_report = f32_reports[session_id]
-            # Decision counts match exactly: f32 rounding must not change
-            # *how many* shaping decisions a flow takes.
-            assert f32_report.n_decisions == f64_report.n_decisions
-            np.testing.assert_allclose(
-                f32_report.shaped_flow.sizes,
-                f64_report.shaped_flow.sizes,
-                rtol=1e-3,
-                atol=1e-3,
-            )
-            np.testing.assert_allclose(
-                f32_report.shaped_flow.delays,
-                f64_report.shaped_flow.delays,
-                rtol=1e-3,
-                atol=1e-3,
-            )
-        # Fallback-rate parity: nothing demotes on either path here.
-        assert f32_stats["profile_fallback_rate"] == f64_stats["profile_fallback_rate"] == 0.0
-        assert f32_stats["decisions"] == f64_stats["decisions"]
-
-    @pytest.mark.parametrize("backend", [None, "float32"])
-    def test_deadline_demotion_parity(self, policy, simple_flow, backend):
-        """Identical latency conditions demote on both dtype paths."""
-        config = ServeConfig(
-            size_scale=1460.0,
-            max_batch=1,
-            flush_timeout_ms=0.0,
-            deadline_ms=1.0,
-            miss_window=2,
-            miss_threshold=1.0,
-            backend=backend,
-        )
-        server = make_server(policy, config, clock=FakeClock(0.005))
-        sid = server.open_session("doomed")
-        for size, delay in zip(simple_flow.sizes, simple_flow.delays):
-            server.submit(sid, size, delay)
-            server.drain()
-        assert server.session(sid).status == SessionStatus.DEMOTED
-        assert summarize_stats(server.stats())["profile_fallback_rate"] == 1.0
-
-
-class TestFloat32ServingPath:
-    """Unit tests for the fastpath object itself (repro.serve.fastpath)."""
-
-    def test_act_dtypes(self, policy):
-        from repro.serve import Float32ServingPath
-
-        actor, encoder = policy
-        path = Float32ServingPath(actor, encoder)
-        actions = path.act(np.zeros((3, 2 * encoder.hidden_size), dtype=np.float32))
-        # Actions widen to float64 at the policy boundary: the shaping
-        # emulator downstream is the same float64 code training uses.
-        assert actions.dtype == np.float64
-        assert actions.shape == (3, actor.action_dim)
-
-    def test_act_matches_deterministic_actor(self, policy):
-        from repro.serve import Float32ServingPath
-
-        actor, encoder = policy
-        path = Float32ServingPath(actor, encoder)
-        rng = np.random.default_rng(88)
-        states = rng.standard_normal((5, 2 * encoder.hidden_size))
-        expected, _ = actor.act_batch(states, deterministic=True)
-        got = path.act(states)
-        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
-
-    def test_step_pairs_matches_encoder_within_tolerance(self, policy):
-        from repro.serve import Float32ServingPath
-
-        _, encoder = policy
-        path = Float32ServingPath(GaussianActor(2 * ENCODER_HIDDEN, rng=np.random.default_rng(9)), encoder)
-        rng = np.random.default_rng(89)
-        n = 6
-        f64_states = [encoder.initial_state() for _ in range(n)]
-        f32_states = [encoder.initial_state(dtype=np.float32) for _ in range(n)]
-        f32_slab = np.zeros((encoder.num_layers, n, encoder.hidden_size), dtype=np.float32)
-        for _ in range(10):
-            pairs = rng.uniform(-1.0, 1.0, size=(n, 2))
-            f64_states = encoder.step_pairs(pairs, f64_states)
-            f32_states = path.step_pairs(pairs, f32_states)
-            f32_slab = path.step_pairs(pairs, f32_slab)
-        assert f32_slab.dtype == np.float32
-        for row, (f64_state, f32_state) in enumerate(zip(f64_states, f32_states)):
-            assert f32_state.hidden.dtype == np.float32
-            assert f32_state.hidden.flags.owndata
-            # The slab boundary and the per-state boundary are one computation.
-            assert np.array_equal(f32_state.hidden, f32_slab[:, row])
-            np.testing.assert_allclose(
-                f32_state.hidden, f64_state.hidden, rtol=1e-4, atol=1e-5
-            )
-
-    def test_step_pairs_validates_shapes(self, policy):
-        from repro.serve import Float32ServingPath
-
-        actor, encoder = policy
-        path = Float32ServingPath(actor, encoder)
-        with pytest.raises(ValueError, match=r"\(n, 2\) pairs"):
-            path.step_pairs(np.zeros((2, 3)), [encoder.initial_state(dtype=np.float32)] * 2)
-        with pytest.raises(ValueError, match="one state per row"):
-            path.step_pairs(np.zeros((2, 2)), [encoder.initial_state(dtype=np.float32)])
-
-    def test_unsupported_actor_module_fails_at_construction(self, policy):
-        from repro.serve import Float32ServingPath
-
-        _, encoder = policy
-        actor = GaussianActor(
-            state_dim=2 * ENCODER_HIDDEN, hidden_dims=(8,), rng=np.random.default_rng(5)
-        )
-
-        class Mystery:
-            pass
-
-        actor.body._ordered.append(Mystery())
-        with pytest.raises(TypeError, match="cannot mirror actor module"):
-            Float32ServingPath(actor, encoder)
-
-    def test_state_dim_mismatch_rejected(self, policy):
-        from repro.serve import Float32ServingPath
-
-        _, encoder = policy
-        wrong_actor = GaussianActor(
-            state_dim=2 * ENCODER_HIDDEN + 2, hidden_dims=(8,), rng=np.random.default_rng(6)
-        )
-        with pytest.raises(ValueError, match="encoder"):
-            Float32ServingPath(wrong_actor, encoder)
 
 
 # --------------------------------------------------------------------- #
