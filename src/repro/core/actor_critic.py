@@ -7,11 +7,15 @@ deviation is a learned, state-independent parameter vector, which is the
 standard PPO continuous-control parameterisation and implements the paper's
 reparameterisation trick ``a = mean + eps * sigma``.
 
-The batched inference paths (``act_batch`` / ``value_batch``) run under
-``nn.row_consistent_matmul()``, so their MLP forwards execute on the active
-:mod:`repro.nn.backend` kernel and each output row is bit-independent of
-the batch composition — the property the collection and serving tiers'
-bit-equivalence tests rely on.
+The batched inference paths (``act_batch`` / ``value_batch``) evaluate the
+MLP on plain arrays (:func:`mlp_forward`): no autograd graph is built for a
+forward nobody differentiates, every product runs on the active
+:mod:`repro.nn.backend`'s row-consistent kernel, and the weights are read
+from the parameters at call time.  Each output row is therefore
+bit-independent of the batch composition — the property the collection and
+serving tiers' bit-equivalence tests rely on — and bit-identical to the
+``Tensor`` forward under ``no_grad()`` and ``row_consistent_matmul()``, which
+``tests/oracles/tensor_inference.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .. import nn
 from ..nn import functional as F
 from ..utils.rng import ensure_rng
 
-__all__ = ["GaussianActor", "Critic", "build_mlp"]
+__all__ = ["GaussianActor", "Critic", "build_mlp", "mlp_forward"]
+
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def build_mlp(input_dim: int, hidden_dims: Sequence[int], output_dim: int, rng=None) -> nn.Sequential:
@@ -38,6 +44,29 @@ def build_mlp(input_dim: int, hidden_dims: Sequence[int], output_dim: int, rng=N
         previous = width
     layers.append(nn.Linear(previous, output_dim, rng=rng))
     return nn.Sequential(*layers)
+
+
+def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
+    """``body(states)`` for inference: a :func:`build_mlp` forward on arrays.
+
+    ``states`` is coerced to float64 and must be ``(n, in_features)``; the
+    result is a fresh ``(n, output_dim)`` array.  The same operations in the
+    same order as the ``Tensor`` forward — ``x @ W`` on the row-consistent
+    kernel, ``+ bias``, ``np.tanh`` — on ``param.data`` as it is now, so a
+    ``load_state_dict`` or an optimizer step needs no invalidation.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    width = body[0].in_features
+    if states.ndim != 2 or states.shape[1] != width:
+        raise ValueError(f"states must be (n, {width}), got {states.shape}")
+    matmul = nn.active_backend().matmul2d
+    out = states
+    for layer in body:
+        if isinstance(layer, nn.Linear):
+            out = matmul(out, layer.weight.data) + layer.bias.data
+        else:
+            out = np.tanh(out)
+    return out
 
 
 class GaussianActor(nn.Module):
@@ -96,8 +125,8 @@ class GaussianActor(nn.Module):
         ``states`` has shape ``(n, state_dim)``; returns ``(actions,
         log_probs)`` of shapes ``(n, action_dim)`` and ``(n,)``.  The noise
         for row ``i`` is drawn from the same generator stream position as the
-        ``i``-th sequential :meth:`act` call would use, and the forward runs
-        under :func:`repro.nn.row_consistent_matmul`, so a batched call is
+        ``i``-th sequential :meth:`act` call would use, and the forward is
+        the row-consistent :func:`mlp_forward`, so a batched call is
         bit-equivalent to ``n`` sequential single-state calls.
 
         ``noise`` optionally supplies the standard-normal draws (one
@@ -105,31 +134,26 @@ class GaussianActor(nn.Module):
         own generator.  The collection engines use this to give every
         environment slot its own noise stream, which keeps trajectories
         independent of how slots are batched or sharded across processes.
+
+        A deterministic call returns the mean itself, whose log-density is
+        the same constant on every row and is computed once, not per row.
         """
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim != 2:
-            raise ValueError(f"states must be a (n, state_dim) array, got {states.shape}")
-        with nn.no_grad(), nn.row_consistent_matmul():
-            mean, log_std = self.forward(nn.Tensor(states))
-        mean = mean.data
-        std = np.exp(log_std.data)
+        mean = mlp_forward(self.body, states)
+        std = np.exp(self.log_std.data)
         if deterministic:
-            actions = mean.copy()
+            log_density_at_mean = np.sum(-np.log(std) - _HALF_LOG_2PI)
+            return mean, np.full(len(mean), log_density_at_mean)
+        if noise is None:
+            noise = self._rng.normal(size=(len(mean), self.action_dim))
         else:
-            if noise is None:
-                noise = self._rng.normal(size=(len(states), self.action_dim))
-            else:
-                noise = np.asarray(noise, dtype=np.float64)
-                if noise.shape != (len(states), self.action_dim):
-                    raise ValueError(
-                        f"noise must have shape {(len(states), self.action_dim)}, got {noise.shape}"
-                    )
-            actions = mean + noise * std
+            noise = np.asarray(noise, dtype=np.float64)
+            if noise.shape != (len(mean), self.action_dim):
+                raise ValueError(
+                    f"noise must have shape {(len(mean), self.action_dim)}, got {noise.shape}"
+                )
+        actions = mean + noise * std
         log_probs = np.sum(
-            -0.5 * ((actions - mean) / std) ** 2
-            - np.log(std)
-            - 0.5 * np.log(2.0 * np.pi),
-            axis=1,
+            -0.5 * ((actions - mean) / std) ** 2 - np.log(std) - _HALF_LOG_2PI, axis=1
         )
         return actions, log_probs
 
@@ -159,12 +183,7 @@ class Critic(nn.Module):
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         """Value estimates for a ``(n, state_dim)`` batch in one forward pass.
 
-        Runs under :func:`repro.nn.row_consistent_matmul` so each row matches
-        the corresponding single-state :meth:`value` call bit-for-bit.
+        The row-consistent :func:`mlp_forward`, so each row matches the
+        corresponding single-state :meth:`value` call bit-for-bit.
         """
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim != 2:
-            raise ValueError(f"states must be a (n, state_dim) array, got {states.shape}")
-        with nn.no_grad(), nn.row_consistent_matmul():
-            values = self.forward(nn.Tensor(states))
-        return values.data.copy()
+        return mlp_forward(self.body, states).reshape(-1)

@@ -221,7 +221,7 @@ class Amoeba:
         All collection modes build their environment and exploration-noise
         generators from the same per-slot seed tree
         (:func:`repro.utils.rng.collection_seed_tree`) and run policy /
-        encoder inference under :func:`repro.nn.row_consistent_matmul`, so
+        encoder inference on the row-consistent :mod:`repro.nn.backend` kernel, so
         their trajectories are bit-identical for censors whose scoring is
         batch-size invariant (trees, SVM) and match up to the thresholded
         censor score for neural censors, whose BLAS forwards may differ in

@@ -12,11 +12,13 @@ reconstruction error (Figure 13).
 
 All recurrent compute here runs on the fused packed-gate kernels
 (:func:`repro.nn.functional.gru_sequence` inside :meth:`StateEncoder.forward`
-for pre-training and full re-encodes, :func:`repro.nn.functional.gru_cell`
-inside :meth:`StateEncoder.step_pairs` for the incremental rollout path).
-Both inference paths execute under :func:`repro.nn.row_consistent_matmul`,
-so the incremental state stays bit-identical to a full re-encode regardless
-of how environments are batched or how sequence GEMMs are hoisted.
+for pre-training and full re-encodes; the array forward it shares with
+:func:`repro.nn.functional.gru_cell` inside :meth:`StateEncoder.step_pairs`,
+the incremental rollout and serving path, which builds no autograd graph).
+Both inference paths multiply on the row-consistent kernel of the active
+:mod:`repro.nn.backend`, so the incremental state stays bit-identical to a
+full re-encode regardless of how environments are batched or how sequence
+GEMMs are hoisted.
 """
 
 from __future__ import annotations
@@ -119,14 +121,15 @@ class StateEncoder(nn.Module):
         ``pairs`` is an ``(n_envs, 2)`` batch — the newest observation or
         action of each environment — and ``states`` the matching hidden
         state as one ``(num_layers, n_envs, hidden_size)`` slab; the new
-        slab is returned.  A sequence of :class:`EncoderState` is accepted
-        too: it is stacked once on the way in and split into states owning
-        their rows on the way out.  All environments advance through the GRU
-        as a single batched forward (one fused ``gru_cell`` node per layer —
-        two GEMMs each); thanks to :func:`repro.nn.row_consistent_matmul`
-        the result for each row is bit-identical to stepping that
-        environment alone, and therefore to a full :meth:`encode_pairs`
-        re-encode of its history.
+        slab is returned, freshly allocated.  A sequence of
+        :class:`EncoderState` is accepted too: it is stacked once on the way
+        in and split into states owning their rows on the way out.  All
+        environments advance through the GRU as a single batched step on
+        plain arrays (:meth:`repro.nn.GRU.step_arrays` — two row-consistent
+        GEMMs and one gate kernel per layer, no autograd graph), so the
+        result for each row is bit-identical to stepping that environment
+        alone, and therefore to a full :meth:`encode_pairs` re-encode of its
+        history.
         """
         if not isinstance(states, np.ndarray):
             return split_states(self.step_pairs(pairs, stack_states(states)))
@@ -135,9 +138,7 @@ class StateEncoder(nn.Module):
             raise ValueError(f"expected (n_envs, 2) pairs, got shape {pairs.shape}")
         if states.shape != (self.num_layers, pairs.shape[0], self.hidden_size):
             raise ValueError(f"one state per row of pairs is required, got a {states.shape} slab")
-        with nn.no_grad(), nn.row_consistent_matmul():
-            new_hidden = self.gru.step(nn.Tensor(pairs), [nn.Tensor(layer) for layer in states])
-        return np.array([layer.data for layer in new_hidden])
+        return self.gru.step_arrays(pairs, np.asarray(states, dtype=np.float64))
 
     def step_pair(self, pair: np.ndarray, state: EncoderState) -> EncoderState:
         """Single-environment convenience wrapper around :meth:`step_pairs`."""

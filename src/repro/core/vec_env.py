@@ -35,11 +35,12 @@ flow, Figures 7–9): batching changes *how many calls* reach the censor, not
 *how many flows* it scores.  Masked steps never contribute a prefix, so
 reward masking still suppresses queries (Section 5.5.3).
 
-:class:`BatchedEpisodeEncoder` is the companion state tracker: it maintains
-per-environment incremental :class:`~repro.core.state_encoder.EncoderState`
-pairs (observation stream and action stream) and folds only the newest
-(size, delay) pair per tick as one ``(n_envs, 2)`` GRU step, replacing the
-seed's O(T²)-per-episode full-history re-encode with O(T).
+:class:`BatchedEpisodeEncoder` is the companion state tracker: it keeps the
+incremental GRU state of every environment's two histories (observation
+stream and action stream) in one resident slab and folds only the newest
+(size, delay) pair of each per tick — both streams as one ``(2·n_envs, 2)``
+GRU step, since they share the encoder's weights — replacing the seed's
+O(T²)-per-episode full-history re-encode with O(T).
 """
 
 from __future__ import annotations
@@ -249,11 +250,15 @@ class BatchedEpisodeEncoder:
     """Incremental dual-stream state tracker for N parallel environments.
 
     The RL state is ``s_t = E(x_1:t) || E(a_1:t)`` (Section 4.3): one GRU
-    encoding of the observation history and one of the action history.  This
-    tracker holds the hidden state of every environment as two resident
-    ``(num_layers, n_envs, hidden_size)`` slabs, one per stream, and
-    advances all environments per tick with exactly two batched GRU steps
-    (one per stream) regardless of episode length.
+    encoding of the observation history and one of the action history, by
+    the same encoder.  This tracker holds the hidden state of every
+    environment's two streams in one resident slab — ``(num_layers, 2,
+    n_envs, hidden_size)``, which the encoder steps as ``(num_layers,
+    2 * n_envs, hidden_size)``: observation rows first, then action rows —
+    and advances all of them per tick with exactly one batched GRU step
+    regardless of episode length.  The step is row-consistent, so the
+    ``2n``-row step is bit-identical to stepping the two streams apart
+    (``tests/oracles/tensor_inference.py::TwoSlabEpisodeEncoder``).
     """
 
     def __init__(self, encoder: StateEncoder, n_envs: int) -> None:
@@ -261,9 +266,8 @@ class BatchedEpisodeEncoder:
             raise ValueError("n_envs must be >= 1")
         self._encoder = encoder
         self.n_envs = n_envs
-        self._slab_shape = (encoder.num_layers, n_envs, encoder.hidden_size)
-        self._observation_hidden = np.zeros(self._slab_shape)
-        self._action_hidden = np.zeros(self._slab_shape)
+        self._stream_shape = (encoder.num_layers, n_envs, encoder.hidden_size)
+        self._hidden = np.zeros((encoder.num_layers, 2, n_envs, encoder.hidden_size))
 
     # ------------------------------------------------------------------ #
     @property
@@ -272,38 +276,37 @@ class BatchedEpisodeEncoder:
 
     def states(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Current ``s_t`` for the given environments (all when omitted)."""
-        observation, action = self._observation_hidden[-1], self._action_hidden[-1]
+        top = self._hidden[-1]
+        observation, action = top[0], top[1]
         if indices is not None:
             indices = list(indices)
             observation, action = observation[indices], action[indices]
         return np.concatenate([observation, action], axis=1)
 
     def snapshot(self) -> Dict[str, np.ndarray]:
-        """Copy of the two tracked hidden-state slabs (picklable)."""
+        """Copy of the tracked hidden state, one slab per stream (picklable)."""
         return {
-            "observation": self._observation_hidden.copy(),
-            "action": self._action_hidden.copy(),
+            "observation": self._hidden[:, 0].copy(),
+            "action": self._hidden[:, 1].copy(),
         }
 
     def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`snapshot`."""
         slabs = [
-            np.array(snapshot[stream], dtype=np.float64) for stream in ("observation", "action")
+            np.asarray(snapshot[stream], dtype=np.float64) for stream in ("observation", "action")
         ]
-        if any(slab.shape != self._slab_shape for slab in slabs):
+        if any(slab.shape != self._stream_shape for slab in slabs):
             raise ValueError(
                 f"snapshot states have shapes {[slab.shape for slab in slabs]}, this tracker "
-                f"holds (num_layers, n_envs, hidden_size) = {self._slab_shape} per stream"
+                f"holds (num_layers, n_envs, hidden_size) = {self._stream_shape} per stream"
             )
-        self._observation_hidden, self._action_hidden = slabs
+        self._hidden = np.stack(slabs, axis=1)
 
     # ------------------------------------------------------------------ #
     def reset_all(self, observations: np.ndarray) -> np.ndarray:
         """Start fresh episodes everywhere from the initial observations."""
-        self._observation_hidden = self._encoder.step_pairs(
-            observations, np.zeros(self._slab_shape)
-        )
-        self._action_hidden = np.zeros(self._slab_shape)
+        empty = np.zeros(self._stream_shape)
+        self._hidden = np.stack([self._encoder.step_pairs(observations, empty), empty], axis=1)
         return self.states()
 
     def step(
@@ -324,17 +327,21 @@ class BatchedEpisodeEncoder:
         """
         dones = np.asarray(dones, dtype=bool).reshape(-1)
         rows = list(range(self.n_envs) if indices is None else indices)
-        if not (len(rows) == len(recorded_actions) == len(next_observations) == len(dones)):
+        count = len(rows)
+        if not (count == len(recorded_actions) == len(next_observations) == len(dones)):
             raise ValueError("indices, actions, observations and dones must align")
 
-        action_hidden = self._encoder.step_pairs(recorded_actions, self._action_hidden[:, rows])
-        observation_hidden = self._observation_hidden[:, rows]
-        if dones.any():
-            # New episode: both histories restart from the empty state.
-            action_hidden[:, dones] = 0.0
-            observation_hidden = np.where(dones[:, None], 0.0, observation_hidden)
-        self._action_hidden[:, rows] = action_hidden
-        self._observation_hidden[:, rows] = self._encoder.step_pairs(
-            next_observations, observation_hidden
+        num_layers, _, hidden_size = self._stream_shape
+        # The gather copies, so the tracker changes only once the step has
+        # succeeded.  New episode: the observation history restarts *before*
+        # it takes the fresh episode's first observation, the action history
+        # *after* the step (nothing emitted yet).
+        hidden = self._hidden[:, :, rows].reshape(num_layers, 2 * count, hidden_size)
+        ended = np.flatnonzero(dones)
+        hidden[:, ended] = 0.0
+        hidden = self._encoder.step_pairs(
+            np.concatenate([next_observations, recorded_actions]), hidden
         )
-        return self.states(rows)
+        hidden[:, count + ended] = 0.0
+        self._hidden[:, :, rows] = hidden.reshape(num_layers, 2, count, hidden_size)
+        return np.concatenate([hidden[-1, :count], hidden[-1, count:]], axis=1)

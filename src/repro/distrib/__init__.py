@@ -24,7 +24,7 @@ This package hosts the multi-process tier of the reproduction:
     points (arms-race rounds, reward-masking sweeps) across a worker pool
     with per-task retry and a JSON results manifest.
 
-Determinism contract: under :func:`repro.nn.row_consistent_matmul`, sharded
+Determinism contract: on the row-consistent :mod:`repro.nn.backend` kernel, sharded
 collection with ``W × n_envs_per_shard`` environments is bit-equivalent to
 single-process vectorized collection with the same ``n_envs`` — identical
 buffers, rewards, episode summaries and per-flow censor query counts,

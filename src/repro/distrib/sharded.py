@@ -38,7 +38,7 @@ Determinism contract
 --------------------
 Because every environment slot owns its seed streams (see the seed-tree
 layout in :mod:`repro.utils.rng`) and all policy / encoder inference runs
-under :func:`repro.nn.row_consistent_matmul`, the merged rollout is
+on the row-consistent :mod:`repro.nn.backend` kernel, the merged rollout is
 bit-equivalent to what a single-process vectorized engine over the same
 ``n_envs`` would collect — same buffers, rewards, episode summaries and
 per-flow censor query counts.

@@ -37,6 +37,7 @@ __all__ = [
     "gaussian_log_prob",
     "gaussian_entropy",
     "huber_loss",
+    "gru_cell_forward",
     "gru_cell",
     "gru_sequence",
     "lstm_cell",
@@ -193,6 +194,21 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # the closed-form backwards below stay plain numpy.
 
 
+def gru_cell_forward(
+    x: np.ndarray, hidden: np.ndarray, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, matmul
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The GRU step on raw arrays — the one definition of its forward.
+
+    Returns the active backend's ``(h', reset, update, candidate, gh_n)``.
+    :func:`gru_cell` passes :func:`rc_matmul`, which honours the
+    ``row_consistent_matmul`` context; :meth:`repro.nn.GRU.step_arrays`, the
+    inference step, passes the backend's ``matmul2d`` itself.
+    """
+    gx = matmul(x, w_x)
+    gh = matmul(hidden, w_h)
+    return _backend.active_backend().gru_gates(gx, gh, b, hidden)
+
+
 def gru_cell(x: Tensor, hidden: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """One fused GRU step: ``(B, in) × (B, H) -> (B, H)``.
 
@@ -207,12 +223,9 @@ def gru_cell(x: Tensor, hidden: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> 
     """
     x, hidden = as_tensor(x), as_tensor(hidden)
     w_x, w_h, b = as_tensor(w_x), as_tensor(w_h), as_tensor(b)
-    size = hidden.data.shape[-1]
 
-    gx = rc_matmul(x.data, w_x.data)
-    gh = rc_matmul(hidden.data, w_h.data)
-    out_data, reset, update, candidate, gh_n = _backend.active_backend().gru_gates(
-        gx, gh, b.data, hidden.data
+    out_data, reset, update, candidate, gh_n = gru_cell_forward(
+        x.data, hidden.data, w_x.data, w_h.data, b.data, rc_matmul
     )
 
     parents = (x, hidden, w_x, w_h, b)

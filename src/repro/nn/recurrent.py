@@ -33,6 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import backend as _backend
 from . import init
 from . import functional as F
 from .layers import Module, Parameter
@@ -160,6 +161,26 @@ class GRU(Module):
             state = cell(step_input, hidden[layer])
             new_hidden.append(state)
             step_input = state
+        return new_hidden
+
+    def step_arrays(self, x_t: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """:meth:`step` for inference, on float64 arrays and off the graph.
+
+        ``hidden`` is a ``(num_layers, batch, hidden_size)`` slab and so is
+        the result, which is freshly allocated.  The matmuls always run on
+        the active backend's row-consistent kernel, and the weights are read
+        from the parameters at call time, so the result is bit-identical to
+        :meth:`step` under ``no_grad()`` and ``row_consistent_matmul()``
+        whatever replaced or updated ``param.data`` since the last call.
+        """
+        matmul = _backend.active_backend().matmul2d
+        new_hidden = np.empty(hidden.shape)
+        step_input = x_t
+        for layer, cell in enumerate(self._cells):
+            step_input = F.gru_cell_forward(
+                step_input, hidden[layer], cell.w_x.data, cell.w_h.data, cell.b.data, matmul
+            )[0]
+            new_hidden[layer] = step_input
         return new_hidden
 
     def forward(

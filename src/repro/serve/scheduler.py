@@ -9,7 +9,7 @@ composition changes continuously with the arrival process.
 
 The scheduler is deliberately policy-free: it only decides *when* to flush
 and *which* requests form the batch.  Because all policy and encoder
-forwards run under :func:`repro.nn.row_consistent_matmul`, a session's
+forwards multiply on the row-consistent :mod:`repro.nn.backend` kernel, a session's
 decisions are bit-identical regardless of which batch its requests land in
 — ``max_batch=1`` degenerates to the sequential one-session-at-a-time
 reference path that ``benchmarks/bench_throughput_serving.py`` compares

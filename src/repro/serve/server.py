@@ -18,8 +18,8 @@ inter-packet gaps (Figure 11) or fall back to the offline profile database
   in time to the :class:`~repro.core.profiles.ProfileDatabase` offline tier,
   whose embedding overhead is reported per session at close.
 
-Determinism contract: ``act_batch`` and ``step_pairs`` run under
-:func:`repro.nn.row_consistent_matmul`, so every session's decision stream
+Determinism contract: ``act_batch`` and ``step_pairs`` multiply on the
+row-consistent :mod:`repro.nn.backend` kernel, so every session's decision stream
 is bit-identical regardless of how requests are batched — ``max_batch=1``
 is the sequential reference the serving benchmark compares against, and a
 deterministic policy served here emits the same adversarial packets as

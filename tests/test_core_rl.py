@@ -18,6 +18,17 @@ from repro.core import (
 )
 from repro.core.actor_critic import build_mlp
 
+from oracles.tensor_inference import reference_act_batch, reference_value_batch
+
+BACKENDS = ("blocked", "reference")
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
+
 
 class TestActorCritic:
     def test_build_mlp_shapes(self):
@@ -64,6 +75,109 @@ class TestActorCritic:
         critic = Critic(state_dim=4, hidden_dims=(8,), rng=0)
         out = critic(nn.Tensor(np.zeros((7, 4))))
         assert out.shape == (7,)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestArrayForwardsMatchTensorOracle:
+    """``act_batch`` / ``value_batch`` run on plain arrays; the ``Tensor``
+    forwards they replaced (``tests/oracles/tensor_inference.py``) are the
+    bitwise reference, on every registered backend."""
+
+    @staticmethod
+    def _actors():
+        production, oracle = (
+            GaussianActor(64, initial_action_bias=(0.4, -0.2), rng=5) for _ in range(2)
+        )
+        for actor in (production, oracle):
+            actor.log_std.data = np.array([-0.5, 0.3])
+        return production, oracle
+
+    def test_act_batch_every_batch_size_and_draw(self, backend):
+        production, oracle = self._actors()
+        rng = np.random.default_rng(1)
+        with nn.use_backend(backend):
+            for n in range(1, 34):
+                states = rng.normal(size=(n, 64))
+                noise = rng.normal(size=(n, 2))
+                for kwargs in ({"noise": noise}, {"deterministic": True}, {}):
+                    got = production.act_batch(states, **kwargs)
+                    want = reference_act_batch(oracle, states, **kwargs)
+                    for got_part, want_part in zip(got, want):
+                        assert_same_bits(got_part, want_part)
+        # The own-generator draws advanced both streams identically.
+        assert production._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+    def test_value_batch_every_batch_size(self, backend):
+        critic = Critic(64, rng=6)
+        rng = np.random.default_rng(2)
+        with nn.use_backend(backend):
+            for n in range(1, 34):
+                states = rng.normal(size=(n, 64))
+                assert_same_bits(critic.value_batch(states), reference_value_batch(critic, states))
+
+    def test_float32_fortran_and_empty_states(self, backend):
+        production, oracle = self._actors()
+        critic = Critic(64, rng=6)
+        states = np.random.default_rng(3).normal(size=(5, 64))
+        with nn.use_backend(backend):
+            for variant in (states.astype(np.float32), np.asfortranarray(states), states[:0]):
+                for kwargs in ({"deterministic": True}, {}):
+                    got = production.act_batch(variant, **kwargs)
+                    want = reference_act_batch(oracle, variant, **kwargs)
+                    for got_part, want_part in zip(got, want):
+                        assert_same_bits(got_part, want_part)
+                assert_same_bits(
+                    critic.value_batch(variant), reference_value_batch(critic, variant)
+                )
+
+    def test_weights_are_read_at_call_time(self, backend):
+        """Nothing is cached: a replaced ``param.data`` (``load_state_dict``,
+        a broadcast checkpoint) and an in-place update (an optimizer step)
+        both show in the very next forward."""
+        production, oracle = self._actors()
+        critic = Critic(64, rng=6)
+        donor_actor, donor_critic = GaussianActor(64, rng=9), Critic(64, rng=10)
+        states = np.random.default_rng(4).normal(size=(8, 64))
+        with nn.use_backend(backend):
+            before = production.act_batch(states, deterministic=True)[0]
+            for actor in (production, oracle):
+                actor.load_state_dict(donor_actor.state_dict())
+            critic.load_state_dict(donor_critic.state_dict())
+            for module in (production, oracle, critic):
+                for parameter in module.parameters():
+                    parameter.data *= 1.25
+            after = production.act_batch(states, deterministic=True)
+            assert not np.array_equal(before, after[0])
+            for got_part, want_part in zip(
+                after, reference_act_batch(oracle, states, deterministic=True)
+            ):
+                assert_same_bits(got_part, want_part)
+            assert_same_bits(critic.value_batch(states), reference_value_batch(critic, states))
+
+    def test_returned_arrays_are_not_the_callers(self, backend):
+        production, _ = self._actors()
+        critic = Critic(64, rng=6)
+        states = np.random.default_rng(5).normal(size=(4, 64))
+        kept = states.copy()
+        with nn.use_backend(backend):
+            first = production.act_batch(states, deterministic=True)[0]
+            pinned = first.copy()
+            first[:] = 7.0
+            critic.value_batch(states)[:] = 7.0
+            assert np.array_equal(states, kept)
+            assert np.array_equal(production.act_batch(states, deterministic=True)[0], pinned)
+
+    def test_wrong_state_width_is_a_named_error(self, backend):
+        """A mis-sized state used to reach the kernel: ``rc_gemm expects
+        (m, k) @ (k, n) arrays`` under ``blocked``, an einsum subscript
+        error under ``reference``."""
+        actor, critic = GaussianActor(64, rng=0), Critic(64, rng=0)
+        with nn.use_backend(backend):
+            for call in (actor.act_batch, critic.value_batch):
+                with pytest.raises(ValueError, match=r"states must be \(n, 64\), got \(3, 10\)"):
+                    call(np.zeros((3, 10)))
+                with pytest.raises(ValueError, match=r"states must be \(n, 64\), got \(64,\)"):
+                    call(np.zeros(64))
 
 
 class TestGAE:

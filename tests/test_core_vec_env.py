@@ -13,6 +13,12 @@ import numpy as np
 import pytest
 
 from oracles.sequential_collection import SequentialCollector
+from oracles.tensor_inference import (
+    TwoSlabEpisodeEncoder,
+    reference_act_batch,
+    reference_step_pairs,
+    reference_value_batch,
+)
 from repro import nn
 from repro.core import (
     AdversarialFlowEnv,
@@ -25,6 +31,16 @@ from repro.core import (
     VectorFlowEnv,
 )
 from repro.flows import Flow, FlowLabel
+from repro.nn import state_dict_to_bytes
+
+BACKENDS = ("blocked", "reference")
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
 
 
 @pytest.fixture
@@ -339,6 +355,312 @@ class TestEncoderSlab:
         tracker.restore(snapshot)
         snapshot["observation"][:] = -9.0
         assert np.all(tracker.snapshot()["observation"] == 9.0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestArrayEncoderStepMatchesTensorOracle:
+    """``step_pairs`` runs the GRU on plain arrays and the tracker steps both
+    streams as one slab; ``tests/oracles/tensor_inference.py`` keeps the
+    ``Tensor`` step and the two-slab tracker as the bitwise reference."""
+
+    def test_step_pairs_every_batch_size(self, backend):
+        encoder = StateEncoder(hidden_size=32, num_layers=2, rng=4)
+        rng = np.random.default_rng(7)
+        with nn.use_backend(backend):
+            for n in range(1, 34):
+                pairs = rng.uniform(-1, 1, size=(n, 2))
+                slab = rng.normal(size=(2, n, 32))
+                assert_same_bits(
+                    encoder.step_pairs(pairs, slab), reference_step_pairs(encoder, pairs, slab)
+                )
+
+    def test_float32_fortran_and_empty_slabs(self, backend):
+        encoder = StateEncoder(hidden_size=6, num_layers=3, rng=5)
+        rng = np.random.default_rng(8)
+        pairs, slab = rng.uniform(-1, 1, size=(4, 2)), rng.normal(size=(3, 4, 6))
+        variants = [
+            (pairs.astype(np.float32), slab.astype(np.float32)),
+            (np.asfortranarray(pairs), np.asfortranarray(slab)),
+            (pairs[:0], slab[:, :0]),
+        ]
+        with nn.use_backend(backend):
+            for some_pairs, some_slab in variants:
+                got = encoder.step_pairs(some_pairs, some_slab)
+                assert got.flags.c_contiguous
+                assert_same_bits(got, reference_step_pairs(encoder, some_pairs, some_slab))
+            states = [encoder.initial_state() for _ in range(4)]
+            for got, want in zip(
+                encoder.step_pairs(pairs, states), reference_step_pairs(encoder, pairs, states)
+            ):
+                assert_same_bits(got.hidden, want.hidden)
+
+    def test_step_output_owns_its_memory(self, backend):
+        encoder = StateEncoder(hidden_size=6, num_layers=2, rng=5)
+        rng = np.random.default_rng(9)
+        pairs, slab = rng.uniform(-1, 1, size=(3, 2)), rng.normal(size=(2, 3, 6))
+        kept = slab.copy()
+        with nn.use_backend(backend):
+            stepped = encoder.step_pairs(pairs, slab)
+            assert stepped.base is None and stepped.flags.owndata
+            pinned = stepped.copy()
+            stepped[:] = 7.0
+            assert np.array_equal(slab, kept)
+            assert np.array_equal(encoder.step_pairs(pairs, slab), pinned)
+
+    def test_weights_are_read_at_call_time(self, backend):
+        encoder = StateEncoder(hidden_size=6, num_layers=2, rng=5)
+        donor = StateEncoder(hidden_size=6, num_layers=2, rng=6)
+        rng = np.random.default_rng(10)
+        pairs, slab = rng.uniform(-1, 1, size=(3, 2)), rng.normal(size=(2, 3, 6))
+        with nn.use_backend(backend):
+            before = encoder.step_pairs(pairs, slab)
+            encoder.load_state_dict(donor.state_dict())
+            for parameter in encoder.parameters():
+                parameter.data *= 1.25
+            after = encoder.step_pairs(pairs, slab)
+            assert not np.array_equal(before, after)
+            assert_same_bits(after, reference_step_pairs(encoder, pairs, slab))
+
+    @staticmethod
+    def _assert_trackers_agree(tracker, oracle):
+        assert_same_bits(tracker.states(), oracle.states())
+        got, want = tracker.snapshot(), oracle.snapshot()
+        assert sorted(got) == sorted(want) == ["action", "observation"]
+        for stream in want:
+            assert_same_bits(got[stream], want[stream])
+
+    def test_merged_tracker_matches_two_slab_oracle(self, backend):
+        """60 ticks with random ``dones``, all-environment ticks and
+        ``indices`` subsets, and a ``snapshot()`` -> fresh tracker ->
+        ``restore()`` in the middle."""
+        n = 6
+        encoder = StateEncoder(hidden_size=8, num_layers=2, rng=3)
+        rng = np.random.default_rng(21)
+        with nn.use_backend(backend):
+            tracker, oracle = BatchedEpisodeEncoder(encoder, n), TwoSlabEpisodeEncoder(encoder, n)
+            first = rng.uniform(-1, 1, size=(n, 2))
+            assert_same_bits(tracker.reset_all(first), oracle.reset_all(first))
+            for tick in range(60):
+                indices = None
+                if tick % 4 == 3:
+                    size = int(rng.integers(1, n + 1))
+                    indices = sorted(rng.choice(n, size=size, replace=False).tolist())
+                count = n if indices is None else len(indices)
+                actions = rng.uniform(-1, 1, size=(count, 2))
+                observations = rng.uniform(-1, 1, size=(count, 2))
+                dones = rng.uniform(size=count) < 0.25
+                assert_same_bits(
+                    tracker.step(actions, observations, dones, indices=indices),
+                    oracle.step(actions, observations, dones, indices=indices),
+                )
+                self._assert_trackers_agree(tracker, oracle)
+                if tick == 30:
+                    resumed = BatchedEpisodeEncoder(encoder, n)
+                    resumed.restore(oracle.snapshot())
+                    oracle.restore(tracker.snapshot())
+                    tracker = resumed
+
+    def test_shrinking_subsets_match_two_slab_oracle(self, backend):
+        """The ``_attack_batch`` pattern: finished environments drop out and
+        the survivors keep stepping as an ever smaller ``indices`` subset."""
+        n = 7
+        encoder = StateEncoder(hidden_size=8, num_layers=2, rng=3)
+        rng = np.random.default_rng(22)
+        with nn.use_backend(backend):
+            tracker, oracle = BatchedEpisodeEncoder(encoder, n), TwoSlabEpisodeEncoder(encoder, n)
+            first = rng.uniform(-1, 1, size=(n, 2))
+            tracker.reset_all(first), oracle.reset_all(first)
+            active = list(range(n))
+            while active:
+                assert_same_bits(tracker.states(active), oracle.states(active))
+                actions = rng.uniform(-1, 1, size=(len(active), 2))
+                observations = rng.uniform(-1, 1, size=(len(active), 2))
+                dones = rng.uniform(size=len(active)) < 0.2
+                assert_same_bits(
+                    tracker.step(actions, observations, dones, indices=active),
+                    oracle.step(actions, observations, dones, indices=active),
+                )
+                self._assert_trackers_agree(tracker, oracle)
+                active = [index for row, index in enumerate(active) if not dones[row]]
+
+    def test_tracker_outputs_cannot_reach_the_tracker(self, backend):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        rng = np.random.default_rng(23)
+        with nn.use_backend(backend):
+            tracker = BatchedEpisodeEncoder(encoder, 3)
+            tracker.reset_all(rng.uniform(-1, 1, size=(3, 2)))
+            stepped = tracker.step(
+                rng.uniform(-1, 1, size=(3, 2)), rng.uniform(-1, 1, size=(3, 2)), np.zeros(3, bool)
+            )
+            pinned = stepped.copy()
+            stepped[:] = 5.0
+            tracker.states()[:] = 5.0
+            tracker.states([0, 2])[:] = 5.0
+            assert np.array_equal(tracker.states(), pinned)
+
+    def test_failed_step_leaves_the_tracker_unchanged(self, backend):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        with nn.use_backend(backend):
+            tracker = BatchedEpisodeEncoder(encoder, 3)
+            before = tracker.reset_all(np.full((3, 2), 0.5))
+            with pytest.raises(ValueError):
+                tracker.step(np.zeros((3, 3)), np.zeros((3, 3)), np.ones(3, dtype=bool))
+            with pytest.raises(IndexError):
+                tracker.step(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1, dtype=bool), indices=[3])
+            assert np.array_equal(tracker.states(), before)
+
+
+class TestDecisionTickEntryPoints:
+    """Collection, evaluation and serving reach the policy only through
+    ``step_pairs`` / ``act_batch`` / ``value_batch`` — the three methods the
+    benchmark attributes the tick to — and never through the ``Tensor``
+    forwards those used to wrap."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = {"step_pairs": 0, "act_batch": 0, "value_batch": 0}
+
+        def spy(owner, name):
+            production = getattr(owner, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return production(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(StateEncoder, "step_pairs")
+        spy(GaussianActor, "act_batch")
+        spy(Critic, "value_batch")
+        return calls
+
+    @pytest.fixture
+    def no_tensor_forwards(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} ran a Tensor forward on the decision tick")
+
+        for owner in (GaussianActor, Critic, StateEncoder):
+            monkeypatch.setattr(owner, "forward", refuse)
+        monkeypatch.setattr(nn.GRU, "step", refuse)
+        monkeypatch.setattr(nn.Sequential, "forward", refuse)
+
+    @pytest.fixture
+    def agent(self, trained_dt_censor, normalizer, fast_config):
+        return Amoeba(
+            trained_dt_censor,
+            normalizer,
+            fast_config,
+            rng=0,
+            encoder_pretrain_kwargs={"n_flows": 20, "epochs": 1, "max_length": 10},
+        )
+
+    def test_tracker_step_is_one_encoder_step(self, spied):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        tracker = BatchedEpisodeEncoder(encoder, 3)
+        tracker.reset_all(np.zeros((3, 2)))
+        assert spied["step_pairs"] == 1
+        tracker.step(np.zeros((3, 2)), np.zeros((3, 2)), np.array([False, True, False]))
+        tracker.step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=bool), indices=[0, 2])
+        assert spied["step_pairs"] == 3
+
+    def test_shard_runner_collect(self, agent, tor_splits, spied, no_tensor_forwards):
+        from repro.distrib import ShardRunner
+        from repro.utils.rng import collection_seed_tree
+
+        config = agent.config
+        runner = ShardRunner(
+            agent.actor,
+            agent.critic,
+            agent.state_encoder,
+            agent.censor,
+            agent.normalizer,
+            config,
+            tor_splits.attack_train.censored_flows[:10],
+            collection_seed_tree(np.random.default_rng(0), config.n_envs),
+        )
+        runner.collect(config.rollout_length)
+        # One act and one value per tick, one bootstrap value, and one
+        # encoder step per tick after the reset's.
+        assert spied == {
+            "step_pairs": config.rollout_length + 1,
+            "act_batch": config.rollout_length,
+            "value_batch": config.rollout_length + 1,
+        }
+
+    def test_attack_batch(self, agent, tor_splits, spied, no_tensor_forwards):
+        results = agent.attack_many(tor_splits.test.censored_flows[:3], batch_size=3)
+        ticks = max(result.n_steps for result in results)
+        assert spied == {"step_pairs": ticks + 1, "act_batch": ticks, "value_batch": 0}
+
+    def test_policy_server_flush(self, agent, simple_flow, spied, no_tensor_forwards):
+        from repro.serve import PolicyServer, ServeConfig
+
+        config = ServeConfig.from_amoeba(
+            agent.config, agent.normalizer.size_scale, max_batch=2, flush_timeout_ms=0.0
+        )
+        server = PolicyServer(agent.actor, agent.state_encoder, config=config)
+        session = server.open_session("s")
+        server.submit(session, simple_flow.sizes[0], simple_flow.delays[0])
+        decisions = server.flush()
+        assert len(decisions) == 1
+        # Fold the observation, act, fold the emitted action.
+        assert spied == {"step_pairs": 2, "act_batch": 1, "value_batch": 0}
+
+
+class TestArrayTickTrainingSemantics:
+    """A tiny golden run, as ``TestTreeCensorTrainingSemantics``: the array
+    tick may not move a single training or evaluation bit."""
+
+    @staticmethod
+    def _run(trained_dt_censor, normalizer, fast_config, tor_splits):
+        censor = trained_dt_censor
+        censor.reset_query_count()
+        agent = Amoeba(
+            censor,
+            normalizer,
+            fast_config,
+            rng=0,
+            encoder_pretrain_kwargs={"n_flows": 30, "epochs": 1, "max_length": 15},
+        )
+        rewards = []
+        update = agent.updater.update
+
+        def recording_update(buffer):
+            rewards.append(buffer.rewards.copy())
+            return update(buffer)
+
+        agent.updater.update = recording_update
+        # Two PPO iterations, so the second collects with an updated policy.
+        agent.train(
+            tor_splits.attack_train.censored_flows[:20],
+            total_timesteps=2 * fast_config.rollout_length * fast_config.n_envs,
+        )
+        results = agent.attack_many(tor_splits.test.censored_flows[:5], batch_size=3)
+        return {
+            "rewards": np.stack(rewards).tobytes(),
+            "query_count": censor.query_count,
+            "log": {key: list(series) for key, series in agent.training_log.history.items()},
+            "policy": state_dict_to_bytes(agent._policy_state()),
+            "scores": [result.final_score for result in results],
+            "flows": [
+                result.adversarial_flow.sizes.tobytes() + result.adversarial_flow.delays.tobytes()
+                for result in results
+            ],
+        }
+
+    def test_array_tick_and_tensor_oracle_train_identically(
+        self, trained_dt_censor, normalizer, fast_config, tor_splits, monkeypatch
+    ):
+        production = self._run(trained_dt_censor, normalizer, fast_config, tor_splits)
+        monkeypatch.setattr(StateEncoder, "step_pairs", reference_step_pairs)
+        monkeypatch.setattr(GaussianActor, "act_batch", reference_act_batch)
+        monkeypatch.setattr(Critic, "value_batch", reference_value_batch)
+        for module in ("repro.distrib.shard", "repro.core.agent"):
+            monkeypatch.setattr(f"{module}.BatchedEpisodeEncoder", TwoSlabEpisodeEncoder)
+        oracle = self._run(trained_dt_censor, normalizer, fast_config, tor_splits)
+        assert production["query_count"] == oracle["query_count"] > 0
+        for key in ("rewards", "log", "policy", "scores", "flows"):
+            assert production[key] == oracle[key], key
 
 
 class TestTrainEquivalence:

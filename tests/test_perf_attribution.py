@@ -35,6 +35,7 @@ EXPECTED = {
         "core.encoder.step_ms",
         "core.env.step_ms",
         "core.actor.act_ms",
+        "core.critic.value_ms",
         "censors.predict_ms",
         "features.extract_ms",
         "core.collect_ms",
@@ -47,6 +48,7 @@ EXPECTED = {
         "ml.predict_ms",
         "core.encoder.step_ms",
         "core.actor.act_ms",
+        "core.critic.value_ms",
         "core.collect_ms",
         "censors.fit_s",
     ],

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.core import AmoebaConfig, AdversarialFlowEnv, VectorFlowEnv, compute_gae
+from repro.core import (
+    AdversarialFlowEnv,
+    AmoebaConfig,
+    BatchedEpisodeEncoder,
+    StateEncoder,
+    VectorFlowEnv,
+    compute_gae,
+)
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
 from repro.features.statistical import _BATCH_BREAK_EVEN
@@ -19,6 +26,7 @@ from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
+from oracles.tensor_inference import TwoSlabEpisodeEncoder, reference_step_pairs
 
 # Strategy: a syntactically valid flow — non-zero signed sizes, non-negative delays.
 sizes_strategy = st.lists(
@@ -475,6 +483,45 @@ class TestConvKernelOracleProperties:
             results.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
         for ours, reference in zip(*results):
             assert np.array_equal(_bits(np.ascontiguousarray(ours)), _bits(np.ascontiguousarray(reference)))
+
+
+class TestEncoderTickOracleProperties:
+    """The array GRU step and the one-slab tracker equal the ``Tensor`` step
+    and the two-slab tracker (``tests/oracles/tensor_inference.py``) in every
+    bit, for any batch, width, depth and pattern of finished episodes."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_envs=st.integers(1, 9),
+        hidden_size=st.integers(1, 12),
+        num_layers=st.integers(1, 3),
+        done_masks=st.lists(st.integers(0, 2**9 - 1), min_size=1, max_size=6),
+        backend=st.sampled_from(["blocked", "reference"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_slab_tracker_bit_identical_to_two_slab_oracle(
+        self, seed, n_envs, hidden_size, num_layers, done_masks, backend
+    ):
+        rng = np.random.default_rng(seed)
+        encoder = StateEncoder(hidden_size, num_layers, rng=rng)
+        with nn.use_backend(backend):
+            tracker = BatchedEpisodeEncoder(encoder, n_envs)
+            oracle = TwoSlabEpisodeEncoder(encoder, n_envs)
+            first = rng.uniform(-1, 1, size=(n_envs, 2))
+            assert np.array_equal(_bits(tracker.reset_all(first)), _bits(oracle.reset_all(first)))
+            for mask in done_masks:
+                dones = np.array([bool(mask >> env & 1) for env in range(n_envs)])
+                actions = rng.uniform(-1, 1, size=(n_envs, 2))
+                observations = rng.uniform(-1, 1, size=(n_envs, 2))
+                got = tracker.step(actions, observations, dones)
+                want = oracle.step(actions, observations, dones)
+                assert np.array_equal(_bits(got), _bits(want))
+            for stream, slab in oracle.snapshot().items():
+                assert np.array_equal(_bits(tracker.snapshot()[stream]), _bits(slab))
+                stepped = encoder.step_pairs(first, slab)
+                assert np.array_equal(
+                    _bits(stepped), _bits(reference_step_pairs(encoder, first, slab))
+                )
 
 
 class TestECDFProperties:
