@@ -16,6 +16,15 @@ bit-independent of the batch composition — the property the collection and
 serving tiers' bit-equivalence tests rely on — and bit-identical to the
 ``Tensor`` forward under ``no_grad()`` and ``row_consistent_matmul()``, which
 ``tests/oracles/tensor_inference.py`` keeps as the reference.
+
+The training forwards (``forward`` / ``log_prob_and_entropy``) record the
+same MLP as **one** autograd node, :func:`repro.nn.functional.tanh_mlp`,
+whose forward is the very function :func:`mlp_forward` calls
+(:func:`~repro.nn.functional.tanh_mlp_forward`, parametrised by the matmul).
+The ``nn.Sequential`` built by :func:`build_mlp` is the parameter container
+— state-dict keys and checkpoints do not change — and its composed
+``Linear`` / ``Tanh`` forward is the bitwise reference in
+``tests/oracles/composed_ppo.py``.
 """
 
 from __future__ import annotations
@@ -46,27 +55,29 @@ def build_mlp(input_dim: int, hidden_dims: Sequence[int], output_dim: int, rng=N
     return nn.Sequential(*layers)
 
 
+def _linear_parameters(body: nn.Sequential) -> List[Tuple[nn.Parameter, nn.Parameter]]:
+    """The ``(weight, bias)`` pairs of a :func:`build_mlp` body, read now."""
+    return [(layer.weight, layer.bias) for layer in body if isinstance(layer, nn.Linear)]
+
+
 def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     """``body(states)`` for inference: a :func:`build_mlp` forward on arrays.
 
     ``states`` is coerced to float64 and must be ``(n, in_features)``; the
-    result is a fresh ``(n, output_dim)`` array.  The same operations in the
-    same order as the ``Tensor`` forward — ``x @ W`` on the row-consistent
-    kernel, ``+ bias``, ``np.tanh`` — on ``param.data`` as it is now, so a
-    ``load_state_dict`` or an optimizer step needs no invalidation.
+    result is a fresh ``(n, output_dim)`` array.  This is
+    :func:`repro.nn.functional.tanh_mlp_forward` — the forward the training
+    node :func:`~repro.nn.functional.tanh_mlp` runs — on the row-consistent
+    kernel and on ``param.data`` as it is now, so a ``load_state_dict`` or an
+    optimizer step needs no invalidation.
     """
     states = np.asarray(states, dtype=np.float64)
     width = body[0].in_features
     if states.ndim != 2 or states.shape[1] != width:
         raise ValueError(f"states must be (n, {width}), got {states.shape}")
-    matmul = nn.active_backend().matmul2d
-    out = states
-    for layer in body:
-        if isinstance(layer, nn.Linear):
-            out = matmul(out, layer.weight.data) + layer.bias.data
-        else:
-            out = np.tanh(out)
-    return out
+    layers = [
+        (layer.weight.data, layer.bias.data) for layer in body if isinstance(layer, nn.Linear)
+    ]
+    return F.tanh_mlp_forward(states, layers, nn.active_backend().matmul2d)[-1]
 
 
 class GaussianActor(nn.Module):
@@ -97,9 +108,12 @@ class GaussianActor(nn.Module):
 
     # ------------------------------------------------------------------ #
     def forward(self, states: nn.Tensor) -> Tuple[nn.Tensor, nn.Tensor]:
-        """Return (mean, log_std) for a batch of states."""
-        mean = self.body(states)
-        return mean, self.log_std
+        """Return (mean, log_std) for a batch of states.
+
+        The body runs as one :func:`~repro.nn.functional.tanh_mlp` node;
+        ``self.body`` stays the parameter container (state-dict keys).
+        """
+        return F.tanh_mlp(states, _linear_parameters(self.body)), self.log_std
 
     def act(
         self,
@@ -158,9 +172,12 @@ class GaussianActor(nn.Module):
         return actions, log_probs
 
     def log_prob_and_entropy(self, states: nn.Tensor, actions: np.ndarray) -> Tuple[nn.Tensor, nn.Tensor]:
-        """Differentiable log-probabilities of ``actions`` and policy entropy."""
+        """Differentiable log-probabilities of ``actions`` and policy entropy.
+
+        Three autograd nodes: the MLP, the log-density, the entropy.
+        """
         mean, log_std = self.forward(states)
-        log_probs = F.gaussian_log_prob(nn.Tensor(actions), mean, log_std)
+        log_probs = F.gaussian_log_prob(actions, mean, log_std)
         entropy = F.gaussian_entropy(log_std)
         return log_probs, entropy
 
@@ -173,7 +190,8 @@ class Critic(nn.Module):
         self.body = build_mlp(state_dim, hidden_dims, 1, rng=ensure_rng(rng))
 
     def forward(self, states: nn.Tensor) -> nn.Tensor:
-        return self.body(states).reshape(-1)
+        """Differentiable ``(n,)`` values: one ``tanh_mlp`` node and a reshape."""
+        return F.tanh_mlp(states, _linear_parameters(self.body)).reshape(-1)
 
     def value(self, state: np.ndarray) -> float:
         """Value estimate of a single state (no gradient)."""

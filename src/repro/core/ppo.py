@@ -6,10 +6,23 @@ mean-squared-error value updates over ``n_minibatches`` minibatches:
 
     L_actor  = −E[ min( I_t(θ) Â_t , clip(I_t(θ), 1±ε) Â_t ) ] − c_H · H(π_θ)
     L_critic =  E[ ( V_c(s_t) − R_t )² ]
+
+One minibatch records ten autograd nodes, each with a closed-form backward
+in :mod:`repro.nn.functional`: the actor MLP (``tanh_mlp``), the Gaussian
+log-density, the entropy, the clipped surrogate, the three ops of
+``surrogate − c_H · H``; the critic MLP, its reshape and the MSE.  The update
+still goes through ``log_prob_and_entropy`` / ``Critic.__call__`` /
+``Tensor.backward`` / ``nn.clip_grad_norm`` / ``Adam.step`` — there is no
+tape, recorded-graph replay or cache — and is bit-identical to the composed
+``Tensor``-op formulation (~55 nodes) kept in
+``tests/oracles/composed_ppo.py``.  A non-finite gradient norm raises
+``FloatingPointError`` before the optimizer step instead of poisoning the
+weights.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,6 +48,15 @@ class PPOUpdateStats:
     entropy: float
     approx_kl: float
     clip_fraction: float
+
+
+def _require_finite(grad_norm: float, loss_name: str) -> None:
+    """Refuse to step on a non-finite gradient: ``clip_grad_norm`` cannot
+    scale a NaN norm down, and Adam would write it into every weight."""
+    if not math.isfinite(grad_norm):
+        raise FloatingPointError(
+            f"non-finite gradient norm ({grad_norm}) in the {loss_name} loss; optimizer step refused"
+        )
 
 
 class PPOUpdater:
@@ -80,27 +102,19 @@ class PPOUpdater:
         for _ in range(config.update_epochs):
             for batch in buffer.minibatches(config.n_minibatches, rng=self._rng):
                 states = nn.Tensor(batch.states)
-                advantages = nn.Tensor(batch.advantages)
-                returns = nn.Tensor(batch.returns)
-                old_log_probs = nn.Tensor(batch.log_probs)
 
                 # ---------------- actor ----------------
                 t0 = time.perf_counter() if actor_ms is not None else 0.0
                 log_probs, entropy = self.actor.log_prob_and_entropy(states, batch.actions)
-                ratio = (log_probs - old_log_probs).exp()
-                clipped_ratio = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-                surrogate_raw = ratio * advantages
-                surrogate_clipped = clipped_ratio * advantages
-                surrogate = nn.Tensor.where(
-                    surrogate_raw.data <= surrogate_clipped.data,
-                    surrogate_raw,
-                    surrogate_clipped,
+                surrogate_loss, ratio = F.clipped_surrogate_loss(
+                    log_probs, batch.log_probs, batch.advantages, config.clip_epsilon
                 )
-                policy_loss = -surrogate.mean() - config.entropy_coef * entropy
+                policy_loss = surrogate_loss - config.entropy_coef * entropy
 
                 self.actor_optimizer.zero_grad()
                 policy_loss.backward()
-                nn.clip_grad_norm(self.actor.parameters(), config.max_grad_norm)
+                norm = nn.clip_grad_norm(self.actor.parameters(), config.max_grad_norm)
+                _require_finite(norm, "policy")
                 self.actor_optimizer.step()
                 if actor_ms is not None:
                     actor_ms.observe((time.perf_counter() - t0) * 1000.0)
@@ -108,19 +122,17 @@ class PPOUpdater:
                 # ---------------- critic ----------------
                 t0 = time.perf_counter() if critic_ms is not None else 0.0
                 values = self.critic(states)
-                value_loss = F.mse_loss(values, returns)
+                value_loss = F.mse_loss(values, batch.returns)
                 self.critic_optimizer.zero_grad()
                 value_loss.backward()
-                nn.clip_grad_norm(self.critic.parameters(), config.max_grad_norm)
+                norm = nn.clip_grad_norm(self.critic.parameters(), config.max_grad_norm)
+                _require_finite(norm, "value")
                 self.critic_optimizer.step()
                 if critic_ms is not None:
                     critic_ms.observe((time.perf_counter() - t0) * 1000.0)
 
-                with nn.no_grad():
-                    approx_kl = float(np.mean(batch.log_probs - log_probs.data))
-                    clip_fraction = float(
-                        np.mean(np.abs(ratio.data - 1.0) > config.clip_epsilon)
-                    )
+                approx_kl = float(np.mean(batch.log_probs - log_probs.data))
+                clip_fraction = float(np.mean(np.abs(ratio - 1.0) > config.clip_epsilon))
                 policy_losses.append(policy_loss.item())
                 value_losses.append(value_loss.item())
                 entropies.append(entropy.item())

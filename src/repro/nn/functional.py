@@ -5,22 +5,27 @@ Amoeba reproduction needs: activations, stable softmax / log-softmax,
 classification and regression losses, and the Gaussian log-density used by
 the PPO policy.
 
-Every matmul in the fused recurrent kernels below goes through
-:func:`repro.nn.tensor.rc_matmul`, the single execution-backend choke
-point: inside a ``row_consistent_matmul`` context the gate projections run
+Every matmul in the fused tanh MLP and the fused recurrent kernels below
+goes through :func:`repro.nn.tensor.rc_matmul`, the single execution-backend
+choke point: inside a ``row_consistent_matmul`` context the projections run
 on the active :mod:`repro.nn.backend` (the compiled blocked kernel by
 default) without any code here knowing which.
+
+The functions on the PPO update's path — ``tanh_mlp``, ``gaussian_log_prob``,
+``gaussian_entropy``, ``mse_loss``, ``clipped_surrogate_loss`` — each record
+one autograd node with a closed-form backward, bit-identical to the composed
+``Tensor``-op formulations kept in ``tests/oracles/composed_ppo.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import backend as _backend
-from .tensor import Tensor, as_tensor, is_grad_enabled, rc_matmul
+from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled, rc_matmul
 
 __all__ = [
     "relu",
@@ -36,7 +41,10 @@ __all__ = [
     "cross_entropy",
     "gaussian_log_prob",
     "gaussian_entropy",
+    "clipped_surrogate_loss",
     "huber_loss",
+    "tanh_mlp_forward",
+    "tanh_mlp",
     "gru_cell_forward",
     "gru_cell",
     "gru_sequence",
@@ -75,10 +83,17 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
+    """Mean squared error over all elements (one node)."""
     prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()
+    diff = prediction.data + -target.data
+    count = float(diff.size)
+    out_data = (diff * diff).sum() / count
+
+    def backward(grad: np.ndarray) -> None:
+        d_square = grad / count * diff
+        prediction._accumulate(_unbroadcast(d_square + d_square, prediction.data.shape))
+
+    return Tensor._make(out_data, (prediction,), backward)
 
 
 def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -126,27 +141,79 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def gaussian_log_prob(actions: Tensor, mean: Tensor, log_std: Tensor) -> Tensor:
-    """Log density of ``actions`` under a diagonal Gaussian policy.
+    """Log density of ``actions`` under a diagonal Gaussian policy (one node).
 
     Sums over the action dimension (last axis), returning one log-probability
-    per sample, as required by the PPO surrogate objective.
+    per sample, as required by the PPO surrogate objective.  ``actions`` are
+    data, not a differentiable input, and must have the shape of ``mean``;
+    ``log_std`` broadcasts against it.
     """
-    actions = as_tensor(actions).detach()
+    actions = as_tensor(actions).data
     mean, log_std = as_tensor(mean), as_tensor(log_std)
-    variance = (log_std * 2.0).exp()
-    per_dim = (
-        -0.5 * ((actions - mean) ** 2) / variance
-        - log_std
-        - 0.5 * _LOG_2PI
-    )
-    return per_dim.sum(axis=-1)
+    if actions.shape != mean.data.shape:
+        expected = f"(n, {mean.data.shape[1]})" if mean.data.ndim == 2 else str(mean.data.shape)
+        raise ValueError(f"actions must be {expected}, got {actions.shape}")
+    variance = np.exp(log_std.data * 2.0)
+    diff = actions + -mean.data
+    scaled = (diff ** 2) * -0.5
+    out_data = ((scaled / variance + -log_std.data) + -(0.5 * _LOG_2PI)).sum(axis=-1)
+
+    def backward(grad: np.ndarray) -> None:
+        # ``log_std`` collects two terms, the ``- log_std`` one first: with
+        # the entropy bonus its gradient is a three-way sum, whose bits
+        # depend on the order.
+        d_per_dim = np.repeat(np.expand_dims(grad, -1), mean.data.shape[-1], axis=-1)
+        if log_std.requires_grad:
+            log_std._accumulate(-_unbroadcast(d_per_dim, log_std.data.shape))
+            d_variance = _unbroadcast(-d_per_dim * scaled / (variance ** 2), variance.shape)
+            log_std._accumulate(d_variance * variance * 2.0)
+        if mean.requires_grad:
+            mean._accumulate(-(d_per_dim / variance * -0.5 * 2 * diff))
+
+    return Tensor._make(out_data, (mean, log_std), backward)
 
 
 def gaussian_entropy(log_std: Tensor) -> Tensor:
-    """Entropy of a diagonal Gaussian, summed over action dims, mean over batch."""
+    """Entropy of a diagonal Gaussian, summed over action dims, mean over batch
+    (one node)."""
     log_std = as_tensor(log_std)
-    per_dim = log_std + 0.5 * (_LOG_2PI + 1.0)
-    return per_dim.sum(axis=-1).mean()
+    per_sample = (log_std.data + 0.5 * (_LOG_2PI + 1.0)).sum(axis=-1)
+    count = float(per_sample.size)
+    out_data = per_sample.sum() / count
+
+    def backward(grad: np.ndarray) -> None:
+        log_std._accumulate(np.full(log_std.data.shape, grad / count))
+
+    return Tensor._make(out_data, (log_std,), backward)
+
+
+def clipped_surrogate_loss(
+    log_probs: Tensor, old_log_probs: np.ndarray, advantages: np.ndarray, clip_epsilon: float
+) -> Tuple[Tensor, np.ndarray]:
+    """PPO's clipped surrogate ``−E[min(I·Â, clip(I, 1±ε)·Â)]`` as one node.
+
+    ``I = exp(log_probs − old_log_probs)`` is the probability ratio; returns
+    ``(loss, I)`` — the ratio as a plain array, for the clip-fraction
+    diagnostic.  Where the two products tie the unclipped branch is taken,
+    and the clipped branch passes gradient only where ``I`` is inside the
+    clip range (bounds included).
+    """
+    log_probs = as_tensor(log_probs)
+    low, high = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    ratio = np.exp(log_probs.data + -old_log_probs)
+    inside = (ratio >= low) & (ratio <= high)
+    raw = ratio * advantages
+    clipped = np.clip(ratio, low, high) * advantages
+    take_raw = raw <= clipped
+    count = float(ratio.size)
+    out_data = -(np.where(take_raw, raw, clipped).sum() / count)
+
+    def backward(grad: np.ndarray) -> None:
+        d_surrogate = -grad / count
+        d_ratio = d_surrogate * ~take_raw * advantages * inside + d_surrogate * take_raw * advantages
+        log_probs._accumulate(d_ratio * ratio)
+
+    return Tensor._make(out_data, (log_probs,), backward), ratio
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -164,6 +231,69 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     exp_x = np.exp(x[~positive])
     out[~positive] = exp_x / (1.0 + exp_x)
     return out
+
+
+# --------------------------------------------------------------------------- #
+# Fused tanh MLP
+# --------------------------------------------------------------------------- #
+# The PPO update's graph is a handful of fat nodes — this one, the three loss
+# nodes above and ``clipped_surrogate_loss`` — under the same numerical
+# contract as the recurrent kernels below: every expression, forward and
+# backward, mirrors the composed ``Tensor``-op formulation operation for
+# operation, so values and gradients are bit-identical to it.  The composed
+# bodies live in ``tests/oracles/composed_ppo.py``.
+
+
+def tanh_mlp_forward(
+    x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]], matmul: Callable
+) -> List[np.ndarray]:
+    """Linear-tanh-…-Linear on raw arrays — the one definition of its forward.
+
+    ``layers`` holds one ``(weight, bias)`` pair per Linear; every layer but
+    the last is followed by a tanh.  Returns ``[x, h_1, …, h_{L-1}, out]``:
+    each layer's input, then the output.  :func:`tanh_mlp` passes
+    :func:`rc_matmul`; the inference forward
+    (:func:`repro.core.actor_critic.mlp_forward`) passes the active
+    backend's ``matmul2d`` itself.
+    """
+    activations = [x]
+    last = len(layers) - 1
+    for index, (weight, bias) in enumerate(layers):
+        x = matmul(x, weight) + bias
+        if index < last:
+            x = np.tanh(x)
+        activations.append(x)
+    return activations
+
+
+def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
+    """A whole tanh MLP over a ``(n, features)`` batch as one autograd node.
+
+    The node keeps the activations of :func:`tanh_mlp_forward`; its backward
+    walks the layers last to first and computes an input gradient only where
+    one is wanted (hidden layers, and ``x`` itself when it requires grad —
+    gradient-based attacks differentiate their inputs).
+    """
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"tanh_mlp expects a (n, features) input, got {x.data.shape}")
+    activations = tanh_mlp_forward(x.data, [(w.data, b.data) for w, b in layers], rc_matmul)
+
+    def backward(grad: np.ndarray) -> None:
+        for index in range(len(layers) - 1, -1, -1):
+            weight, bias = layers[index]
+            layer_input = activations[index]
+            if bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0))
+            if weight.requires_grad:
+                weight._accumulate(layer_input.T @ grad)
+            if index > 0:
+                grad = (grad @ weight.data.T) * (1.0 - layer_input ** 2)
+            elif x.requires_grad:
+                x._accumulate(grad @ weight.data.T)
+
+    parents = (x,) + tuple(parameter for layer in layers for parameter in layer)
+    return Tensor._make(activations[-1], parents, backward)
 
 
 # --------------------------------------------------------------------------- #

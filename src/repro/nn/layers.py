@@ -185,6 +185,9 @@ class Sequential(Module):
     def __len__(self) -> int:
         return len(self._ordered)
 
+    def __iter__(self) -> Iterator[Module]:
+        return iter(self._ordered)
+
     def __getitem__(self, index: int) -> Module:
         return self._ordered[index]
 

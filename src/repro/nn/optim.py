@@ -7,18 +7,31 @@ Allocation discipline
 ---------------------
 The PPO update phase sits on the pipeline's critical path (BENCH_pipeline),
 and an optimizer step runs once per minibatch per epoch.  Each optimizer
-therefore preallocates two scratch buffers per parameter at construction and
-performs the entire update with in-place ufuncs — zero allocations per step,
-and ``param.data`` is mutated in place rather than rebound to a fresh array.
-The in-place step applies *exactly* the same sequence of rounded floating
-point operations as the textbook allocating formulation, which lives in
-``tests/oracles/optim_reference.py`` and is asserted bitwise against these
-classes in ``tests/test_nn_backend.py``.
+therefore preallocates its state and scratch at construction — one flat
+float64 buffer per kind (:func:`_flat_buffers`), with one view per parameter
+shaped like it — and performs the entire update with in-place ufuncs: zero
+allocations per step, and ``param.data`` is mutated in place rather than
+rebound to a fresh array.  The in-place step applies *exactly* the same
+sequence of rounded floating point operations as the textbook allocating
+formulation, which lives in ``tests/oracles/optim_reference.py`` and is
+asserted bitwise against these classes in ``tests/test_nn_backend.py``.
+
+``Adam`` exploits the flat layout: the models trained here have a handful of
+parameters, most of them bias-sized, so a per-parameter step is fourteen
+ufunc dispatches per parameter on a few dozen elements each.  When every
+parameter has a gradient (PPO, encoder pre-training, censor ``fit``) it
+gathers the gradients into its flat buffer and runs the update once over
+all elements; elementwise arithmetic does not depend on where an element
+sits, so the result is bit-identical to the per-parameter step
+(``tests/oracles/composed_ppo.py``).  A parameter without a gradient must
+keep its moments untouched, and weight decay needs the parameter values
+next to the gradients: in both cases the same update runs per parameter on
+the views.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +59,28 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
+def _flat_buffers(
+    parameters: Sequence[Parameter], count: int
+) -> Tuple[np.ndarray, List[List[np.ndarray]]]:
+    """``count`` zeroed flat float64 buffers, each as long as all parameters
+    together, plus per buffer one view per parameter, shaped like it."""
+    bounds = np.cumsum([0] + [p.data.size for p in parameters])
+    flat = np.zeros((count, bounds[-1]))
+    views = [
+        [row[start:end].reshape(p.data.shape) for p, start, end in zip(parameters, bounds, bounds[1:])]
+        for row in flat
+    ]
+    return flat, views
+
+
 class Optimizer:
     """Base optimizer holding a parameter list and two float64 scratch
-    buffers per parameter for the in-place step."""
+    buffers (flat, with per-parameter views) for the in-place step.
+
+    The views alias the flat buffers, which ``pickle`` / ``deepcopy`` do not
+    preserve: build a fresh optimizer in the process that steps it (every
+    caller here does), do not ship one.
+    """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         self.parameters: List[Parameter] = list(parameters)
@@ -57,8 +89,7 @@ class Optimizer:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self._scratch_a = [np.empty_like(p.data) for p in self.parameters]
-        self._scratch_b = [np.empty_like(p.data) for p in self.parameters]
+        self._flat_scratch, (self._scratch_a, self._scratch_b) = _flat_buffers(self.parameters, 2)
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -111,10 +142,37 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._flat_state, (self._m, self._v, self._grads) = _flat_buffers(self.parameters, 3)
 
     def step(self) -> None:
+        self._step += 1
+        bias1 = 1.0 - self.beta1 ** self._step
+        bias2 = 1.0 - self.beta2 ** self._step
+        if self.weight_decay or any(p.grad is None for p in self.parameters):
+            for param, m, v, s_a, s_b in zip(
+                self.parameters, self._m, self._v, self._scratch_a, self._scratch_b
+            ):
+                if param.grad is None:
+                    continue
+                grad = param.grad
+                if self.weight_decay:
+                    np.multiply(param.data, self.weight_decay, out=s_a)
+                    s_a += grad
+                    grad = s_a
+                self._decrement(grad, m, v, s_a, s_b, bias1, bias2)
+                param.data -= s_b
+            return
+        for param, grad in zip(self.parameters, self._grads):
+            grad[...] = param.grad
+        m, v, grad = self._flat_state
+        s_a, s_b = self._flat_scratch
+        self._decrement(grad, m, v, s_a, s_b, bias1, bias2)
+        for param, s_b in zip(self.parameters, self._scratch_b):
+            param.data -= s_b
+
+    def _decrement(self, grad, m, v, s_a, s_b, bias1: float, bias2: float) -> None:
+        """Advance the moments ``m`` / ``v`` by ``grad`` and leave the amount
+        to subtract from the parameters in ``s_b``."""
         # Operation-for-operation the textbook allocating step, with every
         # intermediate written into one of the two scratch buffers:
         #   s_b = (1-b1)*g        ; m = m*b1 + s_b
@@ -122,33 +180,21 @@ class Adam(Optimizer):
         #   s_a = sqrt(v/bias2) + eps
         #   s_b = (lr*(m/bias1)) / s_a ; p -= s_b
         # identical rounding at every step, hence identical trajectories.
-        self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        for param, m, v, s_a, s_b in zip(
-            self.parameters, self._m, self._v, self._scratch_a, self._scratch_b
-        ):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=s_a)
-                s_a += grad
-                grad = s_a
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=s_b)
-            m += s_b
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=s_b)
-            s_b *= grad
-            v += s_b
-            np.divide(v, bias2, out=s_a)
-            np.sqrt(s_a, out=s_a)
-            s_a += self.eps
-            np.divide(m, bias1, out=s_b)
-            s_b *= self.lr
-            s_b /= s_a
-            param.data -= s_b
+        # ``grad`` may alias ``s_a`` (weight decay): it is last read before
+        # ``s_a`` is first written.
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s_b)
+        m += s_b
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s_b)
+        s_b *= grad
+        v += s_b
+        np.divide(v, bias2, out=s_a)
+        np.sqrt(s_a, out=s_a)
+        s_a += self.eps
+        np.divide(m, bias1, out=s_b)
+        s_b *= self.lr
+        s_b /= s_a
 
 
 class RMSProp(Optimizer):

@@ -10,8 +10,16 @@ Design notes
 ------------
 * A :class:`Tensor` wraps a ``numpy.ndarray`` (always ``float64``) together
   with an optional gradient and a closure that propagates gradients to its
-  parents.  Calling :meth:`Tensor.backward` runs a topological sort of the
-  recorded graph and accumulates gradients.
+  parents.  Calling :meth:`Tensor.backward` orders the recorded graph with
+  an iterative post-order walk (:func:`_topological_order` — an explicit
+  stack, so a graph may be deeper than the interpreter's recursion limit)
+  and runs the closures from the root down, accumulating gradients.  The
+  order is part of the numerical contract: a tensor fed by several nodes
+  sums their gradients in that order, and floating-point addition does not
+  commute across three terms.
+* Hot training paths record few, fat nodes with closed-form backwards
+  (:mod:`repro.nn.functional`: the recurrent cells, the tanh MLP, the
+  Gaussian log-density, the PPO losses) rather than one node per ufunc.
 * Broadcasting is supported for elementwise operations; gradients of
   broadcast operands are reduced back to the original shape with
   :func:`_unbroadcast`.
@@ -117,6 +125,28 @@ def rc_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _topological_order(root: "Tensor") -> List["Tensor"]:
+    """Post-order of the graph under ``root``: parents left to right, a node
+    after all of its parents — the order the recursive walk produced."""
+    topo: List[Tensor] = []
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if id(parent) in visited:
+                continue
+            visited.add(id(parent))
+            if parent._parents:
+                stack.append((parent, iter(parent._parents)))
+                break
+            topo.append(parent)
+        else:
+            topo.append(node)
+            stack.pop()
+    return topo
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it matches ``shape`` after broadcasting."""
     if grad.shape == shape:
@@ -220,27 +250,11 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
 
-        topo: List[Tensor] = []
-        visited = set()
-
-        def build(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
-        build(self)
+        topo = _topological_order(self)
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        # ``build`` refers to itself through its closure cell, and to ``topo``:
-        # left alone, that cycle keeps every activation of the graph alive
-        # until the cyclic collector happens to run.  Clearing the cell lets
-        # reference counting free the graph as soon as its owner drops it.
-        build = None
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic

@@ -12,7 +12,9 @@ are kept only as the reference the bitwise tests in
 ``tests/test_properties.py`` compare production against -- do not optimise
 or "fix" them.  The only edits turn the three methods into functions taking
 the module first, so a test can ``monkeypatch.setattr`` them over the
-production names.
+production names, and call the ``forward`` bodies of that time -- the composed
+``Sequential`` walk, now in :mod:`tests.oracles.composed_ppo` -- since the
+production ``forward`` has become one fused node.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 from repro import nn
 from repro.core.state_encoder import StateEncoder, split_states, stack_states
+
+from .composed_ppo import composed_actor_forward, composed_critic_forward
 
 __all__ = [
     "reference_step_pairs",
@@ -55,7 +59,7 @@ def reference_act_batch(
     if states.ndim != 2:
         raise ValueError(f"states must be a (n, state_dim) array, got {states.shape}")
     with nn.no_grad(), nn.row_consistent_matmul():
-        mean, log_std = self.forward(nn.Tensor(states))
+        mean, log_std = composed_actor_forward(self, nn.Tensor(states))
     mean = mean.data
     std = np.exp(log_std.data)
     if deterministic:
@@ -84,7 +88,7 @@ def reference_value_batch(self, states: np.ndarray) -> np.ndarray:
     if states.ndim != 2:
         raise ValueError(f"states must be a (n, state_dim) array, got {states.shape}")
     with nn.no_grad(), nn.row_consistent_matmul():
-        values = self.forward(nn.Tensor(states))
+        values = composed_critic_forward(self, nn.Tensor(states))
     return values.data.copy()
 
 

@@ -1,0 +1,480 @@
+"""The PPO update's fat autograd nodes and the flat Adam step.
+
+The contract under test: ``F.tanh_mlp``, ``F.gaussian_log_prob``,
+``F.gaussian_entropy``, ``F.mse_loss``, ``F.clipped_surrogate_loss`` and
+``Adam.step`` are **bit-identical** (``view(uint64)``) — values, every
+gradient, whole parameter trajectories, a whole ``Amoeba.train`` — to the
+composed ``Tensor``-op bodies and the per-parameter step they replaced, kept
+verbatim in ``tests/oracles/composed_ppo.py``.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import composed_ppo as oracle
+from repro import nn
+from repro.core import Amoeba, Critic, GaussianActor
+from repro.core.ppo import PPOUpdater
+from repro.core.rollout import RolloutBuffer
+from repro.nn import functional as F
+from repro.nn import state_dict_to_bytes
+
+CLIP_EPSILON = 0.2
+ENTROPY_COEF = 0.01
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
+
+
+def make_batch(rng, n, state_dim=64):
+    return {
+        "states": rng.normal(size=(n, state_dim)),
+        "actions": rng.normal(size=(n, 2)),
+        "old_log_probs": rng.normal(size=n) * 0.1 - 2.0,
+        "advantages": rng.normal(size=n),
+        "returns": rng.normal(size=n),
+    }
+
+
+def make_networks(seed, hidden, state_dim=64):
+    actor = GaussianActor(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed))
+    critic = Critic(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed + 1))
+    actor.log_std.data = np.random.default_rng(seed + 2).normal(size=2) * 0.3
+    return actor, critic
+
+
+def weights_bytes(actor, critic):
+    critic_state = {"critic." + name: value for name, value in critic.state_dict().items()}
+    return state_dict_to_bytes({**actor.state_dict(), **critic_state})
+
+
+def production_step(actor, critic, states, batch):
+    log_probs, entropy = actor.log_prob_and_entropy(states, batch["actions"])
+    surrogate, ratio = F.clipped_surrogate_loss(
+        log_probs, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON
+    )
+    policy_loss = surrogate - ENTROPY_COEF * entropy
+    policy_loss.backward()
+    value_loss = F.mse_loss(critic(states), batch["returns"])
+    value_loss.backward()
+    return policy_loss, value_loss, log_probs, entropy, ratio
+
+
+def composed_step(actor, critic, states, batch):
+    log_probs, entropy = oracle.composed_log_prob_and_entropy(actor, states, batch["actions"])
+    surrogate, ratio = oracle.composed_clipped_surrogate_loss(
+        log_probs, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON
+    )
+    policy_loss = surrogate - ENTROPY_COEF * entropy
+    oracle.recursive_backward(policy_loss)
+    values = oracle.composed_critic_forward(critic, states)
+    value_loss = oracle.composed_mse_loss(values, nn.Tensor(batch["returns"]))
+    oracle.recursive_backward(value_loss)
+    return policy_loss, value_loss, log_probs, entropy, ratio
+
+
+class TestNodesMatchComposedOracle:
+    @pytest.mark.parametrize("input_grad", [False, True], ids=["data-input", "differentiated-input"])
+    @pytest.mark.parametrize("hidden", [(), (64, 32), (256, 64, 32)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 37, 128, 129])
+    def test_losses_ratio_and_every_gradient(self, n, hidden, input_grad):
+        batch = make_batch(np.random.default_rng(n), n)
+        outcomes = []
+        for step in (production_step, composed_step):
+            actor, critic = make_networks(7, hidden)
+            states = nn.Tensor(batch["states"], requires_grad=input_grad)
+            results = step(actor, critic, states, batch)
+            outcomes.append((results, actor, critic, states))
+        (got, got_actor, got_critic, got_states), (want, want_actor, want_critic, want_states) = outcomes
+        for got_value, want_value in zip(got[:4], want[:4]):
+            assert_same_bits(got_value.data, want_value.data)
+        assert_same_bits(got[4], want[4])
+        for got_module, want_module in ((got_actor, want_actor), (got_critic, want_critic)):
+            for (name, got_param), (_, want_param) in zip(
+                got_module.named_parameters(), want_module.named_parameters()
+            ):
+                assert got_param.grad is not None, name
+                assert_same_bits(got_param.grad, want_param.grad)
+        if input_grad:
+            assert_same_bits(got_states.grad, want_states.grad)
+        else:
+            assert got_states.grad is None and want_states.grad is None
+
+    def test_log_std_alone_and_mean_alone(self):
+        rng = np.random.default_rng(0)
+        actions, mean_data = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+        log_std_data = rng.normal(size=2)
+        for mean_grad, log_std_grad in ((True, False), (False, True)):
+            grads = []
+            for log_prob in (F.gaussian_log_prob, oracle.composed_gaussian_log_prob):
+                mean = nn.Tensor(mean_data, requires_grad=mean_grad)
+                log_std = nn.Tensor(log_std_data, requires_grad=log_std_grad)
+                out = log_prob(nn.Tensor(actions), mean, log_std)
+                out.backward(np.arange(9.0))
+                grads.append((out.data, mean.grad, log_std.grad))
+            for got, want in zip(*grads):
+                if want is None:
+                    assert got is None
+                else:
+                    assert_same_bits(got, want)
+
+    def test_nothing_recorded_without_a_differentiable_input(self):
+        with nn.no_grad():
+            actor, critic = make_networks(0, (8,), state_dim=4)
+            states = nn.Tensor(np.zeros((3, 4)))
+            log_probs, entropy = actor.log_prob_and_entropy(states, np.zeros((3, 2)))
+            values = critic(states)
+        for tensor in (log_probs, entropy, values, F.mse_loss(np.ones(3), np.zeros(3))):
+            assert not tensor.requires_grad and tensor._parents == ()
+
+    def test_mse_loss_broadcast_prediction(self):
+        target = np.random.default_rng(1).normal(size=(5, 3))
+        grads = []
+        for loss in (F.mse_loss, oracle.composed_mse_loss):
+            prediction = nn.Tensor(np.array([[0.25, -1.5, 3.0]]), requires_grad=True)
+            out = loss(prediction, nn.Tensor(target))
+            (out * 3.0).backward()
+            grads.append((out.data, prediction.grad))
+        assert_same_bits(grads[0][0], grads[1][0])
+        assert_same_bits(grads[0][1], grads[1][1])
+
+    def test_surrogate_ties_take_the_unclipped_branch(self):
+        # Ratio exactly on a clip bound (both products equal) and exactly 1.
+        old = np.zeros(4)
+        new = np.log(np.array([1.0 + CLIP_EPSILON, 1.0 - CLIP_EPSILON, 1.0, 3.0]))
+        advantages = np.array([1.0, -1.0, 0.0, 2.0])
+        grads = []
+        for surrogate in (F.clipped_surrogate_loss, oracle.composed_clipped_surrogate_loss):
+            log_probs = nn.Tensor(new, requires_grad=True)
+            loss, ratio = surrogate(log_probs, old, advantages, CLIP_EPSILON)
+            loss.backward()
+            grads.append((loss.data, ratio, log_probs.grad))
+        for got, want in zip(*grads):
+            assert_same_bits(got, want)
+        assert grads[0][2][3] == 0.0  # clipped away: no gradient
+
+    def test_mlp_rejects_non_matrix_input(self):
+        actor, _ = make_networks(0, (8,), state_dim=4)
+        with pytest.raises(ValueError, match=r"\(n, features\) input, got \(4,\)"):
+            actor(nn.Tensor(np.zeros(4)))
+
+
+def numerical_gradient(fn, x, eps=1e-6):
+    grad = np.zeros_like(x)
+    flat, grad_flat = x.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + eps
+        plus = fn()
+        flat[i] = old - eps
+        minus = fn()
+        flat[i] = old
+        grad_flat[i] = (plus - minus) / (2 * eps)
+    return grad
+
+
+class TestNodeGradients:
+    """Finite differences: the closed-form backwards are gradients at all."""
+
+    def test_tanh_mlp(self):
+        rng = np.random.default_rng(0)
+        x = nn.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        layers = [
+            (nn.Parameter(rng.normal(size=(4, 6)) * 0.5), nn.Parameter(rng.normal(size=6))),
+            (nn.Parameter(rng.normal(size=(6, 3)) * 0.5), nn.Parameter(rng.normal(size=3))),
+            (nn.Parameter(rng.normal(size=(3, 2)) * 0.5), nn.Parameter(rng.normal(size=2))),
+        ]
+        weights = rng.normal(size=(5, 2))
+
+        def value():
+            return float((F.tanh_mlp(x, layers).data * weights).sum())
+
+        F.tanh_mlp(x, layers).backward(weights)
+        for tensor in [x] + [p for layer in layers for p in layer]:
+            assert np.allclose(tensor.grad, numerical_gradient(value, tensor.data), atol=1e-6)
+
+    def test_gaussian_log_prob_and_entropy(self):
+        rng = np.random.default_rng(1)
+        actions = rng.normal(size=(6, 2))
+        mean = nn.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        log_std = nn.Tensor(rng.normal(size=2) * 0.3, requires_grad=True)
+        weights = rng.normal(size=6)
+
+        def value():
+            log_probs = F.gaussian_log_prob(actions, mean, log_std).data
+            return float((log_probs * weights).sum() + 0.7 * F.gaussian_entropy(log_std).data)
+
+        F.gaussian_log_prob(actions, mean, log_std).backward(weights)
+        (0.7 * F.gaussian_entropy(log_std)).backward()
+        assert np.allclose(mean.grad, numerical_gradient(value, mean.data), atol=1e-6)
+        assert np.allclose(log_std.grad, numerical_gradient(value, log_std.data), atol=1e-6)
+
+    def test_mse_loss(self):
+        rng = np.random.default_rng(2)
+        prediction = nn.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        target = rng.normal(size=(4, 3))
+        F.mse_loss(prediction, target).backward()
+        numeric = numerical_gradient(lambda: F.mse_loss(prediction, target).item(), prediction.data)
+        assert np.allclose(prediction.grad, numeric, atol=1e-6)
+
+    def test_clipped_surrogate_loss(self):
+        rng = np.random.default_rng(3)
+        # Ratios well inside, well outside and on both sides of the range,
+        # none within the finite-difference step of a kink.
+        log_probs = nn.Tensor(np.log([0.5, 0.9, 1.1, 1.5, 0.7, 1.3]), requires_grad=True)
+        old, advantages = np.zeros(6), rng.normal(size=6)
+        F.clipped_surrogate_loss(log_probs, old, advantages, CLIP_EPSILON)[0].backward()
+        numeric = numerical_gradient(
+            lambda: F.clipped_surrogate_loss(log_probs, old, advantages, CLIP_EPSILON)[0].item(),
+            log_probs.data,
+        )
+        assert np.allclose(log_probs.grad, numeric, atol=1e-6)
+
+
+class TestGaussianLogProbValidation:
+    def test_misshaped_actions_do_not_broadcast(self):
+        mean = nn.Tensor(np.zeros((5, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"actions must be \(n, 2\), got \(2,\)"):
+            F.gaussian_log_prob(np.zeros(2), mean, nn.Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match=r"actions must be \(n, 2\), got \(1, 2\)"):
+            F.gaussian_log_prob(np.zeros((1, 2)), mean, nn.Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match=r"actions must be \(2,\), got \(5, 2\)"):
+            F.gaussian_log_prob(np.zeros((5, 2)), nn.Tensor(np.zeros(2)), nn.Tensor(np.zeros(2)))
+
+
+def _trajectory(adam_step, steps, weight_decay=0.0, freeze_log_std=False):
+    """``steps`` policy + value updates on fresh minibatches; returns every
+    parameter after every update, as bytes."""
+    rng = np.random.default_rng(11)
+    actor, critic = make_networks(3, (16, 8), state_dim=12)
+    actor_parameters = actor.parameters()
+    optimizers = [
+        nn.Adam(actor_parameters, lr=5e-3, weight_decay=weight_decay),
+        nn.Adam(critic.parameters(), lr=5e-3, weight_decay=weight_decay),
+    ]
+    step_fn = production_step if adam_step is nn.Adam.step else composed_step
+    snapshots = []
+    for _ in range(steps):
+        batch = make_batch(rng, 19, state_dim=12)
+        for optimizer in optimizers:
+            optimizer.zero_grad()
+        step_fn(actor, critic, nn.Tensor(batch["states"]), batch)
+        if freeze_log_std:
+            actor.log_std.grad = None
+        for module, optimizer in zip((actor, critic), optimizers):
+            nn.clip_grad_norm(module.parameters(), 0.5)
+            adam_step(optimizer)
+        snapshots.append(weights_bytes(actor, critic))
+    return snapshots, optimizers
+
+
+class TestFlatAdamMatchesPerParameterStep:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"freeze_log_std": True}, {"weight_decay": 0.01}],
+        ids=["all-gradients", "a-parameter-without-gradient", "weight-decay"],
+    )
+    def test_200_update_trajectories(self, kwargs):
+        got, got_optimizers = _trajectory(nn.Adam.step, 200, **kwargs)
+        want, want_optimizers = _trajectory(oracle.per_parameter_adam_step, 200, **kwargs)
+        assert got == want
+        for got_optimizer, want_optimizer in zip(got_optimizers, want_optimizers):
+            for name in ("_m", "_v"):
+                moments = zip(getattr(got_optimizer, name), getattr(want_optimizer, name))
+                for got_moment, want_moment in moments:
+                    assert_same_bits(got_moment, want_moment)
+
+    def test_parameter_without_gradient_keeps_its_moments(self):
+        a, b = nn.Parameter(np.ones(3)), nn.Parameter(np.ones((2, 2)))
+        optimizer = nn.Adam([a, b], lr=0.1)
+        a.grad, b.grad = np.ones(3), np.ones((2, 2))
+        optimizer.step()
+        moments, a_data, b_data = optimizer._m[1].copy(), a.data.copy(), b.data.copy()
+        a.grad, b.grad = np.ones(3), None
+        optimizer.step()
+        assert np.array_equal(optimizer._m[1], moments) and np.array_equal(b.data, b_data)
+        assert not np.array_equal(a.data, a_data)
+
+    def test_state_is_one_flat_buffer_with_parameter_shaped_views(self):
+        a, b = nn.Parameter(np.ones((2, 3))), nn.Parameter(np.ones(4))
+        optimizer = nn.Adam([a, b])
+        assert optimizer._flat_state.shape == (3, 10) and optimizer._flat_scratch.shape == (2, 10)
+        for views, flat in (
+            (optimizer._m, optimizer._flat_state),
+            (optimizer._v, optimizer._flat_state),
+            (optimizer._scratch_a, optimizer._flat_scratch),
+        ):
+            assert [view.shape for view in views] == [(2, 3), (4,)]
+            assert all(np.shares_memory(view, flat) for view in views)
+
+    def test_step_rebinds_no_parameter_array(self):
+        actor, _ = make_networks(0, (8,), state_dim=4)
+        optimizer = nn.Adam(actor.parameters())
+        arrays = [p.data for p in actor.parameters()]
+        for p in actor.parameters():
+            p.grad = np.ones_like(p.data)
+        optimizer.step()
+        assert all(p.data is array for p, array in zip(actor.parameters(), arrays))
+
+
+def _filled_buffer(config, actor, rng, state_dim):
+    shape = (config.rollout_length, config.n_envs)
+    states = rng.normal(size=shape + (state_dim,))
+    actions, log_probs = actor.act_batch(states.reshape(-1, state_dim))
+    buffer = RolloutBuffer(config.rollout_length, config.n_envs, state_dim, 2)
+    buffer.load(
+        states,
+        actions.reshape(shape + (2,)),
+        log_probs.reshape(shape),
+        rng.normal(size=shape),
+        rng.normal(size=shape),
+        np.zeros(shape, dtype=bool),
+    )
+    buffer.finalize(np.zeros(config.n_envs), config.gamma, config.gae_lambda)
+    return buffer
+
+
+class TestPPOUpdater:
+    @pytest.fixture
+    def setup(self, fast_config):
+        config = fast_config.with_overrides(n_minibatches=1, update_epochs=1)
+        actor, critic = make_networks(5, (16,), state_dim=6)
+        buffer = _filled_buffer(config, actor, np.random.default_rng(0), 6)
+        return PPOUpdater(actor, critic, config, rng=0), buffer
+
+    def test_one_minibatch_records_a_handful_of_nodes(self, setup, monkeypatch):
+        updater, buffer = setup
+        calls = []
+        make = nn.Tensor._make
+
+        def counting_make(*args):
+            calls.append(1)
+            return make(*args)
+
+        monkeypatch.setattr(nn.Tensor, "_make", staticmethod(counting_make))
+        updater.update(buffer)
+        # Ten today (55 on the composed graph): MLP, log-density, entropy,
+        # surrogate, ``- c_H * H`` (3); MLP, reshape, MSE.
+        assert 0 < len(calls) <= 14
+
+    def test_update_reaches_the_networks_through_the_wrapped_entry_points(self, setup, monkeypatch):
+        # benchmarks/perf/layers.py attributes the update by wrapping exactly
+        # these; an update routed around them would read as a speed-up.
+        updater, buffer = setup
+        seen = {}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] = seen.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(GaussianActor, "log_prob_and_entropy")
+        spy(Critic, "__call__")
+        spy(nn.Tensor, "backward")
+        spy(nn.Adam, "step")
+        spy(nn, "clip_grad_norm")
+        updater.update(buffer)
+        assert seen == {
+            "log_prob_and_entropy": 1,
+            "__call__": 1,
+            "backward": 2,
+            "step": 2,
+            "clip_grad_norm": 2,
+        }
+
+    @pytest.mark.parametrize("loss_name", ["policy", "value"])
+    def test_non_finite_gradient_raises_before_the_step(self, setup, loss_name):
+        updater, buffer = setup
+        if loss_name == "policy":
+            buffer.advantages[0, 0] = np.nan
+        else:
+            buffer.returns[0, 0] = np.nan
+        before = weights_bytes(updater.actor, updater.critic)
+        module = updater.actor if loss_name == "policy" else updater.critic
+        with pytest.raises(FloatingPointError, match=f"{loss_name} loss"):
+            updater.update(buffer)
+        assert all(np.isfinite(p.data).all() for p in module.parameters())
+        if loss_name == "policy":
+            assert weights_bytes(updater.actor, updater.critic) == before
+
+    def test_update_matches_composed_update(self, setup, monkeypatch):
+        def run():
+            updater, buffer = setup
+            actor, critic = make_networks(5, (16,), state_dim=6)
+            config = updater.config.with_overrides(n_minibatches=3, update_epochs=2)
+            stats = PPOUpdater(actor, critic, config, rng=0).update(buffer)
+            return stats, weights_bytes(actor, critic)
+
+        production = run()
+        _patch_in_oracles(monkeypatch)
+        assert run() == production
+
+
+def _patch_in_oracles(monkeypatch):
+    monkeypatch.setattr(GaussianActor, "forward", oracle.composed_actor_forward)
+    monkeypatch.setattr(GaussianActor, "log_prob_and_entropy", oracle.composed_log_prob_and_entropy)
+    monkeypatch.setattr(Critic, "forward", oracle.composed_critic_forward)
+    monkeypatch.setattr(F, "mse_loss", oracle.composed_mse_loss)
+    monkeypatch.setattr(F, "gaussian_log_prob", oracle.composed_gaussian_log_prob)
+    monkeypatch.setattr(F, "gaussian_entropy", oracle.composed_gaussian_entropy)
+    monkeypatch.setattr(F, "clipped_surrogate_loss", oracle.composed_clipped_surrogate_loss)
+    monkeypatch.setattr(nn.Adam, "step", oracle.per_parameter_adam_step)
+    monkeypatch.setattr(nn.Tensor, "backward", oracle.recursive_backward)
+
+
+class TestFatNodeTrainingSemantics:
+    """A tiny golden run, as ``TestArrayTickTrainingSemantics``: the fat
+    nodes, the flat Adam step and the iterative graph walk may not move a
+    single training bit — encoder pre-training included, which runs through
+    the same ``backward`` / ``Adam``."""
+
+    @staticmethod
+    def _run(trained_dt_censor, normalizer, fast_config, tor_splits):
+        censor = trained_dt_censor
+        censor.reset_query_count()
+        agent = Amoeba(
+            censor,
+            normalizer,
+            fast_config,
+            rng=0,
+            encoder_pretrain_kwargs={"n_flows": 30, "epochs": 1, "max_length": 15},
+        )
+        rewards = []
+        update = agent.updater.update
+
+        def recording_update(buffer):
+            rewards.append(buffer.rewards.copy())
+            return update(buffer)
+
+        agent.updater.update = recording_update
+        # Two PPO iterations, so the second collects with an updated policy.
+        agent.train(
+            tor_splits.attack_train.censored_flows[:20],
+            total_timesteps=2 * fast_config.rollout_length * fast_config.n_envs,
+        )
+        return {
+            "rewards": np.stack(rewards).tobytes(),
+            "query_count": censor.query_count,
+            "log": {key: list(series) for key, series in agent.training_log.history.items()},
+            "policy": state_dict_to_bytes(agent._policy_state()),
+        }
+
+    def test_fat_nodes_and_composed_oracle_train_identically(
+        self, trained_dt_censor, normalizer, fast_config, tor_splits, monkeypatch
+    ):
+        production = self._run(trained_dt_censor, normalizer, fast_config, tor_splits)
+        _patch_in_oracles(monkeypatch)
+        composed = self._run(trained_dt_censor, normalizer, fast_config, tor_splits)
+        assert production["query_count"] == composed["query_count"] > 0
+        assert len(production["log"]["policy_loss"]) == 2
+        for key in ("rewards", "log", "policy"):
+            assert production[key] == composed[key], key

@@ -284,3 +284,43 @@ class TestGraphLifetime:
             assert np.array_equal(x.grad, np.full((4, 3), 2.0))
         finally:
             gc.enable()
+
+
+class TestGraphWalk:
+    """``backward`` orders the graph with an explicit stack, in the order
+    the recursive walk (``tests/oracles/composed_ppo.py``) produced."""
+
+    def test_backward_through_a_graph_deeper_than_the_recursion_limit(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        y = x
+        for _ in range(1500):
+            y = y + 1.0
+        y.sum().backward()
+        assert np.array_equal(x.grad, np.ones(3))
+
+    def test_visit_order_on_a_diamond_matches_the_recursive_walk(self):
+        from oracles.composed_ppo import recursive_topological_order
+        from repro.nn.tensor import _topological_order
+
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([1.5, 0.25, -3.0]), requires_grad=True)
+        left = (x * w).tanh()
+        right = (x + 2.0) * x  # x three times over, one constant leaf
+        top = (left * right + right / w).sum()
+        order = _topological_order(top)
+        assert [id(node) for node in order] == [id(node) for node in recursive_topological_order(top)]
+        assert order[-1] is top and len({id(node) for node in order}) == len(order)
+        position = {id(node): index for index, node in enumerate(order)}
+        assert all(position[id(parent)] < position[id(node)] for node in order for parent in node._parents)
+
+    def test_shared_input_gradient_matches_the_recursive_walk_bitwise(self):
+        from oracles.composed_ppo import recursive_backward
+
+        data = np.random.default_rng(0).normal(size=(7, 3))
+        grads = []
+        for backward in (Tensor.backward, recursive_backward):
+            x = Tensor(data, requires_grad=True)
+            loss = ((x * 0.1).exp() + x.tanh() * x - x / 3.0).sum()
+            backward(loss)
+            grads.append(x.grad)
+        assert np.array_equal(grads[0].view(np.uint64), grads[1].view(np.uint64))

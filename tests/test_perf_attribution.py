@@ -23,6 +23,12 @@ RUN = REPO_ROOT / "benchmarks" / "perf" / "run.py"
 # jobs that set these for the suite still get the default one measured here.
 GUARDED = ("REPRO_NN_", "REPRO_TRANSPORT", "REPRO_TELEMETRY")
 
+# The PPO update is attributed through ``log_prob_and_entropy`` /
+# ``Critic.__call__``, ``Tensor.backward``, ``Adam.step`` / ``clip_grad_norm``
+# and ``PPOUpdater.update``: an update routed around them reads 0 here, not
+# faster.
+PPO_UPDATE = ["core.ppo.forward_ms", "nn.backward_ms", "nn.optim_ms", "core.ppo.update_ms"]
+
 EXPECTED = {
     "serve-saturated": [
         "core.encoder.step_ms",
@@ -40,6 +46,7 @@ EXPECTED = {
         "features.extract_ms",
         "core.collect_ms",
         "censors.fit_s",
+        *PPO_UPDATE,
     ],
     # ``features.extract`` wraps ``StatisticalFeatureExtractor.extract_many``:
     # a scoring path that bypasses it would read 0 here, not faster.
@@ -51,6 +58,7 @@ EXPECTED = {
         "core.critic.value_ms",
         "core.collect_ms",
         "censors.fit_s",
+        *PPO_UPDATE,
     ],
 }
 

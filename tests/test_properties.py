@@ -9,6 +9,8 @@ from repro.core import (
     AdversarialFlowEnv,
     AmoebaConfig,
     BatchedEpisodeEncoder,
+    Critic,
+    GaussianActor,
     StateEncoder,
     VectorFlowEnv,
     compute_gae,
@@ -21,7 +23,7 @@ from repro.ml import StandardScaler, accuracy_score, f1_score
 
 from repro.core.env import make_observation, record_action, shape_packet
 
-from oracles import emulator_reference
+from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
@@ -522,6 +524,69 @@ class TestEncoderTickOracleProperties:
                 assert np.array_equal(
                     _bits(stepped), _bits(reference_step_pairs(encoder, first, slab))
                 )
+
+
+class TestPPONodeOracleProperties:
+    """The PPO update's fat nodes equal the composed ``Tensor`` graph
+    (``tests/oracles/composed_ppo.py``) in every bit of both losses, the
+    ratio and every gradient, for any batch, widths and clip range — rows
+    whose ratio is exactly 1 (on both clip bounds when ε = 0) and tied or
+    zero advantages included."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        state_dim=st.integers(1, 9),
+        hidden=st.lists(st.integers(1, 12), max_size=3).map(tuple),
+        clip_epsilon=st.one_of(st.sampled_from([0.0, 0.1, 0.2]), st.floats(0.0, 0.9)),
+        unchanged_rows=st.integers(0, 2**40 - 1),
+        advantage_pool=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_policy_and_value_step_bit_identical_to_composed_graph(
+        self, seed, n, state_dim, hidden, clip_epsilon, unchanged_rows, advantage_pool
+    ):
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(n, state_dim))
+        actions = rng.normal(size=(n, 2))
+        returns = rng.normal(size=n)
+        advantages = rng.choice(np.array(advantage_pool), size=n)
+        moved = np.array([not (unchanged_rows >> row & 1) for row in range(n)])
+        drift = rng.normal(size=n) * 0.3 * moved
+
+        def run(log_prob_and_entropy, critic_forward, surrogate_loss, mse_loss, backward):
+            actor = GaussianActor(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed))
+            critic = Critic(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed + 1))
+            actor.log_std.data = np.random.default_rng(seed + 2).normal(size=2) * 0.3
+            inputs = nn.Tensor(states)
+            log_probs, entropy = log_prob_and_entropy(actor, inputs, actions)
+            surrogate, ratio = surrogate_loss(log_probs, log_probs.data - drift, advantages, clip_epsilon)
+            policy_loss = surrogate - 0.01 * entropy
+            backward(policy_loss)
+            value_loss = mse_loss(critic_forward(critic, inputs), nn.Tensor(returns))
+            backward(value_loss)
+            grads = [p.grad for p in actor.parameters() + critic.parameters()]
+            return [policy_loss.data, value_loss.data, ratio] + grads
+
+        got = run(
+            GaussianActor.log_prob_and_entropy,
+            Critic.forward,
+            nn.functional.clipped_surrogate_loss,
+            nn.functional.mse_loss,
+            nn.Tensor.backward,
+        )
+        want = run(
+            composed_ppo.composed_log_prob_and_entropy,
+            composed_ppo.composed_critic_forward,
+            composed_ppo.composed_clipped_surrogate_loss,
+            composed_ppo.composed_mse_loss,
+            composed_ppo.recursive_backward,
+        )
+        assert np.array_equal(got[2][~moved], np.ones(np.count_nonzero(~moved)))
+        for got_array, want_array in zip(got, want):
+            assert np.array_equal(_bits(got_array), _bits(want_array))
 
 
 class TestECDFProperties:
