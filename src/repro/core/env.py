@@ -49,6 +49,7 @@ __all__ = [
     "ShapedPacket",
     "packet_direction",
     "shape_packet",
+    "shape_packet_core",
     "make_observation",
     "record_action",
 ]
@@ -93,8 +94,9 @@ def packet_direction(size: float) -> float:
     return 0.0 if size == 0 else float(size)  # NaN stays NaN, as np.sign
 
 
-def shape_packet(
-    action: np.ndarray,
+def shape_packet_core(
+    size_action: float,
+    delay_action: float,
     remaining_bytes: float,
     truncations_current_packet: int,
     steps_taken: int,
@@ -103,32 +105,31 @@ def shape_packet(
     max_delay_ms: float,
     max_truncations_per_packet: int,
     max_steps: Optional[int],
-) -> ShapedPacket:
+) -> Tuple[int, float, float, bool]:
     """The paper's truncation/padding/delay action semantics, in one place.
 
-    Both the training emulator (:meth:`AdversarialFlowEnv.propose`) and the
+    Takes the two action components as Python floats and returns the plain
+    tuple ``(emitted_bytes, added_delay, delay_action, is_truncation)`` —
+    the fields of :class:`ShapedPacket`, in its order.  Every decision of
+    both tiers ends here: the training emulator
+    (:meth:`AdversarialFlowEnv.propose`) through :func:`shape_packet`, the
     online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`)
-    call this function, which is what keeps served decisions bit-identical
-    to training-time shaping: truncation when the requested packet is
-    smaller than the remaining payload (unless the per-packet truncation
-    cap or the step budget forces the packet closed), padding up to the
-    requested size otherwise, integer byte / millisecond discretisation,
-    and the ``min_packet_bytes`` floor.  ``max_steps`` may be ``None`` for
-    an unbounded live stream.
+    directly with a row of ``actions.tolist()``.  That is what keeps served
+    decisions bit-identical to training-time shaping: truncation when the
+    requested packet is smaller than the remaining payload (unless the
+    per-packet truncation cap or the step budget forces the packet closed),
+    padding up to the requested size otherwise, integer byte / millisecond
+    discretisation, and the ``min_packet_bytes`` floor.  ``max_steps`` may
+    be ``None`` for an unbounded live stream.
 
-    Every decision of both tiers passes through here, so the arithmetic is
-    plain Python floats — bit-equal to the ``np.clip`` / ``np.ceil``
-    formulation kept as the oracle in ``tests/oracles/emulator_reference.py``.
-    Infinite components clamp like any other out-of-range value; a NaN
-    component raises ``ValueError`` here instead of failing as ``int(nan)``
-    further down.
+    The arithmetic is plain Python floats — bit-equal to the ``np.clip`` /
+    ``np.ceil`` formulation kept as the oracle in
+    ``tests/oracles/emulator_reference.py``.  Infinite components clamp like
+    any other out-of-range value; a NaN component raises ``ValueError`` here
+    instead of failing as ``int(nan)`` further down.
     """
-    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
-    if len(components) != 2:
-        raise ValueError(f"action must have 2 components, got ({len(components)},)")
-    size_action, delay_action = components
     if size_action != size_action or delay_action != delay_action:
-        raise ValueError(f"non-finite action {components}")
+        raise ValueError(f"non-finite action {[size_action, delay_action]}")
     size_action = _clip(size_action, -1.0, 1.0)
     delay_action = _clip(delay_action, 0.0, 1.0)
 
@@ -143,11 +144,44 @@ def shape_packet(
         emitted_bytes = requested_bytes
     else:
         emitted_bytes = max(requested_bytes, math.ceil(remaining_bytes))
+    return emitted_bytes, added_delay, delay_action, is_truncation
+
+
+def shape_packet(
+    action: np.ndarray,
+    remaining_bytes: float,
+    truncations_current_packet: int,
+    steps_taken: int,
+    size_scale: float,
+    min_packet_bytes: int,
+    max_delay_ms: float,
+    max_truncations_per_packet: int,
+    max_steps: Optional[int],
+) -> ShapedPacket:
+    """:func:`shape_packet_core` for anything array-like holding one action.
+
+    Validates that ``action`` has exactly two components (any shape that
+    flattens to two: a list, a tuple, a ``(1, 2)`` row, ``float32``), hands
+    them to the core as Python floats and names the result's fields.  One
+    definition of the arithmetic for both tiers; this wrapper only adds the
+    shape check and the :class:`ShapedPacket` record.
+    """
+    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
+    if len(components) != 2:
+        raise ValueError(f"action must have 2 components, got ({len(components)},)")
     return ShapedPacket(
-        emitted_bytes=emitted_bytes,
-        added_delay=added_delay,
-        delay_action=delay_action,
-        is_truncation=is_truncation,
+        *shape_packet_core(
+            components[0],
+            components[1],
+            remaining_bytes,
+            truncations_current_packet,
+            steps_taken,
+            size_scale,
+            min_packet_bytes,
+            max_delay_ms,
+            max_truncations_per_packet,
+            max_steps,
+        )
     )
 
 

@@ -24,7 +24,7 @@ GEMMs are hoisted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from ..utils.rng import ensure_rng
 
 __all__ = [
     "EncoderState",
-    "stack_states",
-    "split_states",
     "StateEncoder",
     "StateDecoder",
     "Seq2SeqAutoencoder",
@@ -63,20 +61,6 @@ class EncoderState:
     def representation(self) -> np.ndarray:
         """Fixed-size encoding of everything folded in so far (top layer)."""
         return self.hidden[-1]
-
-
-def stack_states(states: Sequence[EncoderState]) -> np.ndarray:
-    """Per-environment states as one ``(num_layers, n, hidden_size)`` slab."""
-    hidden = [state.hidden for state in states]
-    # np.stack(hidden, axis=1) in one C call: join along the hidden axis,
-    # then name the per-environment blocks.
-    return np.concatenate(hidden, axis=1).reshape(hidden[0].shape[0], len(hidden), -1)
-
-
-def split_states(slab: np.ndarray) -> List[EncoderState]:
-    """One :class:`EncoderState` per slab column, each *owning* its rows: a
-    view would keep the whole slab alive and alias the other environments."""
-    return [EncoderState(hidden=slab[:, row].copy()) for row in range(slab.shape[1])]
 
 
 class StateEncoder(nn.Module):
@@ -115,15 +99,15 @@ class StateEncoder(nn.Module):
         """Zero state representing an empty history (encodes to zeros)."""
         return EncoderState(hidden=np.zeros((self.num_layers, self.hidden_size)))
 
-    def step_pairs(self, pairs: np.ndarray, states):
+    def step_pairs(self, pairs: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Fold one new (size, delay) pair into each environment's state.
 
         ``pairs`` is an ``(n_envs, 2)`` batch — the newest observation or
         action of each environment — and ``states`` the matching hidden
-        state as one ``(num_layers, n_envs, hidden_size)`` slab; the new
-        slab is returned, freshly allocated.  A sequence of
-        :class:`EncoderState` is accepted too: it is stacked once on the way
-        in and split into states owning their rows on the way out.  All
+        state as one ``(num_layers, n_envs, hidden_size)`` slab (rows of a
+        resident table: :class:`~repro.core.vec_env.BatchedEpisodeEncoder`
+        in training, :class:`~repro.serve.session.SessionTable` in serving);
+        the new slab is returned, freshly allocated.  All
         environments advance through the GRU as a single batched step on
         plain arrays (:meth:`repro.nn.GRU.step_arrays` — two row-consistent
         GEMMs and one gate kernel per layer, no autograd graph), so the
@@ -131,18 +115,12 @@ class StateEncoder(nn.Module):
         alone, and therefore to a full :meth:`encode_pairs` re-encode of its
         history.
         """
-        if not isinstance(states, np.ndarray):
-            return split_states(self.step_pairs(pairs, stack_states(states)))
         pairs = np.asarray(pairs, dtype=np.float64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected (n_envs, 2) pairs, got shape {pairs.shape}")
         if states.shape != (self.num_layers, pairs.shape[0], self.hidden_size):
             raise ValueError(f"one state per row of pairs is required, got a {states.shape} slab")
         return self.gru.step_arrays(pairs, np.asarray(states, dtype=np.float64))
-
-    def step_pair(self, pair: np.ndarray, state: EncoderState) -> EncoderState:
-        """Single-environment convenience wrapper around :meth:`step_pairs`."""
-        return self.step_pairs(np.asarray(pair, dtype=np.float64).reshape(1, 2), [state])[0]
 
 
 class StateDecoder(nn.Module):

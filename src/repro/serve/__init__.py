@@ -3,11 +3,13 @@ flow shaping (the deployment tier of Section 5.6).
 
 * :class:`~repro.serve.server.PolicyServer` — loads an actor/encoder
   checkpoint and serves per-packet shaping decisions to concurrent flow
-  sessions, one incremental encoder state per session.
+  sessions, whose incremental encoder state is one slot each of a resident
+  session table that the flush gathers from and scatters to by row.
 * :class:`~repro.serve.scheduler.ContinuousBatchScheduler` — coalesces
   pending decisions across sessions into single batched forwards.
 * :class:`~repro.serve.session.FlowSession` — per-flow emulator state,
-  latency/deadline tracking and profile-tier fallback.
+  latency/deadline tracking and profile-tier fallback
+  (:class:`~repro.serve.session.SessionTable` holds the encoder state).
 * :class:`~repro.serve.sharded.ShardedPolicyServer` — sessions partitioned
   across forked serving workers (the ``repro.distrib`` pipe pattern).
 * :mod:`~repro.serve.loadgen` — synthetic Tor/V2Ray/HTTPS packet schedules

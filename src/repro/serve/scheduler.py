@@ -39,7 +39,9 @@ class ContinuousBatchScheduler:
     Invariants:
 
     * at most one pending request per session (a follow-up truncation
-      decision is only created once the previous decision was applied);
+      decision is only created once the previous decision was applied) —
+      the queue does not check it; :meth:`PolicyServer.flush
+      <repro.serve.server.PolicyServer.flush>` does, per batch;
     * requests are served strictly FIFO, so a session's decisions happen in
       arrival order and no session starves;
     * ``take_batch`` never returns more than ``max_batch`` requests.
@@ -86,6 +88,11 @@ class ContinuousBatchScheduler:
         while self._queue and len(batch) < self.max_batch:
             batch.append(self._queue.popleft())
         return batch
+
+    def put_back(self, batch: List[DecisionRequest]) -> None:
+        """Undo a :meth:`take_batch`: ``batch`` returns to the front of the
+        queue in its order (a flush that could not commit)."""
+        self._queue.extendleft(reversed(batch))
 
     def drop_session(self, session_id: str) -> int:
         """Remove pending requests of a session (demotion / close); returns count."""

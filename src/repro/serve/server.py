@@ -8,12 +8,14 @@ inter-packet gaps (Figure 11) or fall back to the offline profile database
 * it loads an actor/encoder checkpoint written by ``Amoeba.save_policy``
   (architecture inferred from the state-dict shapes, so any historical
   checkpoint serves without side-channel metadata);
-* it manages thousands of concurrent flow **sessions**, each holding its own
-  incremental :class:`~repro.core.state_encoder.EncoderState` pair so one
-  per-packet decision costs one batched GRU step + one MLP forward;
+* it manages thousands of concurrent flow **sessions**, whose incremental
+  encoder state (observation stream, action stream) is one slot each of a
+  resident :class:`~repro.serve.session.SessionTable`, so one per-packet
+  decision costs one batched GRU step + one MLP forward;
 * a :class:`~repro.serve.scheduler.ContinuousBatchScheduler` coalesces
   pending decisions across sessions into single ``act_batch`` /
-  ``step_pairs`` forwards (flush on full batch or timeout);
+  ``step_pairs`` forwards (flush on full batch or timeout), which gather
+  the batch's table rows and scatter the stepped rows back;
 * per-session deadline tracking demotes flows the online path cannot serve
   in time to the :class:`~repro.core.profiles.ProfileDatabase` offline tier,
   whose embedding overhead is reported per session at close.
@@ -23,7 +25,9 @@ row-consistent :mod:`repro.nn.backend` kernel, so every session's decision strea
 is bit-identical regardless of how requests are batched — ``max_batch=1``
 is the sequential reference the serving benchmark compares against, and a
 deterministic policy served here emits the same adversarial packets as
-``Amoeba.attack`` on the same flow.
+``Amoeba.attack`` on the same flow.  A flush is all-or-nothing: if the
+policy answers any row of the batch with a non-finite action, nothing is
+committed, the batch returns to the queue and the error names the sessions.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .. import obs
 from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
-from ..core.state_encoder import StateEncoder, split_states, stack_states
+from ..core.state_encoder import StateEncoder
 from ..nn.serialization import load_state_dict, split_prefixed_state
 from ..obs import _state as _obs_state
 from ..utils.rng import ensure_rng
@@ -50,6 +54,7 @@ from .session import (
     SessionLimits,
     SessionReport,
     SessionStatus,
+    SessionTable,
     ShapingDecision,
 )
 
@@ -256,6 +261,7 @@ class PolicyServer:
             flush_timeout_ms=self.config.flush_timeout_ms,
         )
         self._sessions: Dict[str, FlowSession] = {}
+        self._table = SessionTable(encoder.num_layers, encoder.hidden_size)
         self._session_counter = itertools.count()
         self._outbox: List[ShapingDecision] = []
         self._reports: List[SessionReport] = []
@@ -337,7 +343,8 @@ class PolicyServer:
             raise ValueError(f"session {session_id!r} already open")
         self._sessions[session_id] = FlowSession(
             session_id,
-            self.encoder,
+            self._table,
+            self._table.acquire(),
             self.config.session_limits(),
             deadline_ms=self.config.deadline_ms if deadline_ms is None else deadline_ms,
             miss_window=self.config.miss_window,
@@ -372,6 +379,7 @@ class PolicyServer:
             if payload is not None and self.profile_db is not None and len(self.profile_db):
                 session.profile_result = self.profile_db.embed_flow(payload, rng=self._rng)
         report = session.close()
+        self._table.release(session.slot)
         self._sessions_closed.inc()
         self._reports.append(report)
         return report
@@ -407,7 +415,17 @@ class PolicyServer:
 
         The whole batch shares one ``step_pairs`` call per encoder stream
         and one deterministic ``act_batch`` forward; row-consistent matmuls
-        make each session's row independent of the batch composition.
+        make each session's row independent of the batch composition.  The
+        streams are rows of the resident session table: gathered by slot
+        (a copy), stepped, scattered back.  There are two encoder steps and
+        not one ``2n``-row step because the action fold needs the actor's
+        answer; it runs after the decisions are stamped, so it is not part
+        of their latency.
+
+        All-or-nothing: a batch that names a session twice or a session
+        whose observation is not armed (``RuntimeError``), or that the
+        policy answers with a non-finite action (``ValueError``), is put
+        back at the front of the queue with table and sessions untouched.
         """
         telemetry = _obs_state.enabled
         batch = self._scheduler.take_batch()
@@ -425,9 +443,20 @@ class PolicyServer:
         ]
         if not live:
             return []
-        self._flushes.inc()
-        if telemetry:
-            self._flush_size_hist.observe(len(live))
+        sessions = [session for _, session in live]
+        slots = [session.slot for session in sessions]
+        # What the scatter rests on: distinct slots (a duplicate would keep
+        # one of two rows, silently) and one unfolded observation per row.
+        if len(set(slots)) != len(slots):
+            self._scheduler.put_back(batch)
+            raise RuntimeError(
+                "a batch names a session twice: "
+                f"{[request.session_id for request, _ in live]}"
+            )
+        unarmed = [s.session_id for s in sessions if not s.observation_pending_fold]
+        if unarmed:
+            self._scheduler.put_back(batch)
+            raise RuntimeError(f"a pending request's session has no armed observation: {unarmed}")
         # Child-span head sampling: the parent ``serve.flush`` span times
         # every flush, but the per-phase children (fold/act/apply) open only
         # on every ``_TRACE_DETAIL_STRIDE``-th flush — a sub-millisecond
@@ -438,44 +467,50 @@ class PolicyServer:
         self._flush_tick += 1
         detailed = telemetry and self._flush_tick % _TRACE_DETAIL_STRIDE == 0
         with obs.span("serve.flush", batch=len(live)):
-            # Sessions own their encoder state; the flush stacks each stream
-            # once into a (num_layers, n, hidden) slab, steps the slab, and
-            # copies the new rows back out (see ``split_states``).
-            sessions = [session for _, session in live]
+            slots = np.array(slots)
+            hidden = self._table.hidden
 
-            # 1) Fold the newly armed observations (one batched GRU step).
-            observation_hidden = stack_states([s.observation_state for s in sessions])
-            fold_rows = [
-                row for row, s in enumerate(sessions) if s.observation_pending_fold
-            ]
-            if fold_rows:
-                with obs.span("serve.fold", rows=len(fold_rows)) if detailed else _NULL_SPAN:
-                    observations = np.array(
-                        [sessions[row].current_observation() for row in fold_rows]
-                    )
-                    folded = self.encoder.step_pairs(
-                        observations, observation_hidden[:, fold_rows]
-                    )
-                    observation_hidden[:, fold_rows] = folded
-                    for row, state in zip(fold_rows, split_states(folded)):
-                        sessions[row].mark_observation_folded(state)
+            # 1) Fold the newly armed observations: one batched GRU step on
+            # the batch's rows of stream 0.  The fancy index is the copy (the
+            # table is untouched until the commit below); it comes back
+            # slot-major, so it is made row-contiguous once here instead of
+            # once per GEMM.  (``take`` on the strided stream view would copy
+            # the whole stream first.)
+            with obs.span("serve.fold", rows=len(live)) if detailed else _NULL_SPAN:
+                observations = np.array([s.current_observation() for s in sessions])
+                folded = self.encoder.step_pairs(
+                    observations, np.ascontiguousarray(hidden[:, 0, slots])
+                )
 
             # 2) One deterministic policy forward for the whole batch, from
             # the top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
-            action_hidden = stack_states([s.action_state for s in sessions])
             with obs.span("serve.act") if detailed else _NULL_SPAN:
-                states = np.concatenate([observation_hidden[-1], action_hidden[-1]], axis=1)
+                states = np.concatenate([folded[-1], hidden[-1, 1, slots]], axis=1)
                 actions, _ = self.actor.act_batch(states, deterministic=True)
+            if not np.isfinite(actions).all():
+                self._scheduler.put_back(batch)
+                bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
+                raise ValueError(
+                    f"non-finite action for sessions {[sessions[row].session_id for row in bad]}; "
+                    "nothing was committed and the batch is back in the queue"
+                )
+
+            # Every check passed: commit.
+            self._flushes.inc()
+            if telemetry:
+                self._flush_size_hist.observe(len(live))
 
             # 3+4) Apply actions through the per-session emulator, then fold
             # the emitted actions (one batched GRU step).  One span covers
-            # both: the action fold is part of committing the decision.
+            # both: the action fold is part of committing the decision.  The
+            # answer is stamped first; both scatters sit behind it.
             with obs.span("serve.apply") if detailed else _NULL_SPAN:
                 now = self._clock()
+                hidden[:, 0, slots] = folded
                 decisions: List[ShapingDecision] = []
-                for row, (request, session) in enumerate(live):
+                for (request, session), action in zip(live, actions.tolist()):
                     latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
-                    decision = session.apply_action(actions[row], latency_ms=latency_ms)
+                    decision = session.apply_action(action, latency_ms=latency_ms)
                     decisions.append(decision)
                     self._decisions.inc()
                     self._latencies_ms.append(decision.latency_ms)
@@ -485,9 +520,9 @@ class PolicyServer:
                         self._deadline_misses.inc()
 
                 recorded = np.array([decision.recorded_action for decision in decisions])
-                folded_actions = split_states(self.encoder.step_pairs(recorded, action_hidden))
-                for session, state in zip(sessions, folded_actions):
-                    session.mark_action_folded(state)
+                hidden[:, 1, slots] = self.encoder.step_pairs(
+                    recorded, np.ascontiguousarray(hidden[:, 1, slots])
+                )
 
             # 5) Re-arm follow-up work: truncation remainders continue the same
             #    packet; completed packets pull the next one from the backlog.

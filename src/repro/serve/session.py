@@ -1,15 +1,18 @@
 """Per-flow serving session: incremental state + the online shaping emulator.
 
 A :class:`FlowSession` is the serving-tier counterpart of one
-:class:`~repro.core.env.AdversarialFlowEnv` episode: it owns the two
-incremental :class:`~repro.core.state_encoder.EncoderState` streams
-(observation history and action history) of one live tunnelled flow, so a
-per-packet policy decision costs one batched GRU step instead of re-encoding
-the whole history (the PR 1 O(T) contract, now spent on inference serving).
+:class:`~repro.core.env.AdversarialFlowEnv` episode: the emulator state,
+accounting and deadline tracking of one live tunnelled flow.  Its two
+incremental encoder streams (observation history and action history) are
+*not* stored on the session: they are one slot of the server's resident
+:class:`SessionTable`, which the flush gathers from and scatters to by row,
+so a per-packet policy decision costs one batched GRU step instead of
+re-encoding the whole history (the PR 1 O(T) contract, now spent on
+inference serving) and no per-session array is built or split on the way.
 
 The deterministic shaping rules — truncation / padding / minimum packet
 size / per-packet truncation cap / step budget — are the *same code* the
-training emulator runs (:func:`repro.core.env.shape_packet`), minus
+training emulator runs (:func:`repro.core.env.shape_packet_core`), minus
 everything reward- or censor-related (a proxy shaping live traffic never
 sees the censor's verdict).  Driving a session with a deterministic policy
 therefore emits bit-identical adversarial packets to :meth:`Amoeba.attack`
@@ -26,13 +29,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.env import make_observation, packet_direction, record_action, shape_packet
+from ..core.env import make_observation, packet_direction, record_action, shape_packet_core
 from ..core.profiles import ProfileEmbeddingResult
-from ..core.state_encoder import EncoderState, StateEncoder
+from ..core.state_encoder import EncoderState
 from ..flows.flow import Flow, FlowLabel
 
 __all__ = [
@@ -41,8 +44,12 @@ __all__ = [
     "PendingPacket",
     "ShapingDecision",
     "SessionReport",
+    "SessionTable",
     "FlowSession",
 ]
+
+# Slots a fresh table starts with; an exhausted free-list doubles it.
+_INITIAL_CAPACITY = 64
 
 
 class SessionStatus:
@@ -122,6 +129,47 @@ class SessionReport:
         return float(padding / denominator) if denominator > 0 else 0.0
 
 
+class SessionTable:
+    """Encoder state of every live session, resident in one slab.
+
+    ``hidden`` is a ``(num_layers, 2, capacity, hidden_size)`` float64 array
+    — the layout :class:`~repro.core.vec_env.BatchedEpisodeEncoder` trains
+    on — where stream 0 is the observation history, stream 1 the action
+    history and each session owns one *slot* along the third axis.  A flush
+    gathers its batch's rows (``hidden[:, 0, slots]``, a copy), steps them
+    and scatters the result back (``hidden[:, 0, slots] = folded``); nothing
+    per session is allocated in between.
+
+    Slot life cycle: :meth:`acquire` pops a free slot and zeroes its rows (an
+    empty history encodes to zeros, and a reused slot must not remember its
+    previous flow), :meth:`release` returns it.  When no slot is free the
+    slab doubles — one copy, amortised over the sessions that fill it; live
+    slots keep their index, and ``hidden`` is rebound, which is why sessions
+    hold the table and not the array.
+    """
+
+    def __init__(self, num_layers: int, hidden_size: int) -> None:
+        self.hidden = np.zeros((num_layers, 2, _INITIAL_CAPACITY, hidden_size))
+        self._free = list(range(_INITIAL_CAPACITY - 1, -1, -1))  # pops 0 first
+
+    @property
+    def capacity(self) -> int:
+        return self.hidden.shape[2]
+
+    def acquire(self) -> int:
+        if not self._free:
+            old, capacity = self.hidden, self.capacity
+            self.hidden = np.zeros((old.shape[0], 2, 2 * capacity, old.shape[3]))
+            self.hidden[:, :, :capacity] = old
+            self._free = list(range(2 * capacity - 1, capacity - 1, -1))
+        slot = self._free.pop()
+        self.hidden[:, :, slot] = 0.0
+        return slot
+
+    def release(self, slot: int) -> None:
+        self._free.append(slot)
+
+
 class FlowSession:
     """Serving state of one live tunnelled flow.
 
@@ -129,13 +177,17 @@ class FlowSession:
     packets arrive via :meth:`enqueue`, decision requests are armed via
     :meth:`arm_next`, and the scheduler's flush applies the policy action via
     :meth:`apply_action`.  Encoder-state folding is owned by the server so it
-    can batch GRU steps across sessions; the session only stores the states.
+    can batch GRU steps across sessions; the state itself lives in ``slot``
+    of the server's :class:`SessionTable`, and the session only reads it
+    (:attr:`observation_state`, :attr:`action_state`, :meth:`state_vector`,
+    each handing out a copy).
     """
 
     def __init__(
         self,
         session_id: str,
-        encoder: StateEncoder,
+        table: SessionTable,
+        slot: int,
         limits: SessionLimits,
         deadline_ms: Optional[float] = None,
         miss_window: int = 8,
@@ -149,9 +201,10 @@ class FlowSession:
         self.status = SessionStatus.OPEN
         self.protocol = protocol
 
-        # Incremental dual-stream encoder state (s_t = E(x_1:t) || E(a_1:t)).
-        self.observation_state: EncoderState = encoder.initial_state()
-        self.action_state: EncoderState = encoder.initial_state()
+        # Incremental dual-stream encoder state (s_t = E(x_1:t) || E(a_1:t)):
+        # rows ``[:, 0, slot]`` and ``[:, 1, slot]`` of the server's table.
+        self._table: Optional[SessionTable] = table
+        self.slot = slot
 
         # Emulator state of the packet currently being shaped.
         self._inbox: Deque[PendingPacket] = deque()
@@ -271,30 +324,47 @@ class FlowSession:
 
     @property
     def observation_pending_fold(self) -> bool:
+        """The pending (sub-)packet's observation is not in the table yet;
+        every request the scheduler holds is for such a session."""
         return self._observation_armed
 
-    def mark_observation_folded(self, state: EncoderState) -> None:
-        self.observation_state = state
-        self._observation_armed = False
+    def _stream(self, stream: int) -> np.ndarray:
+        if self._table is None:
+            raise RuntimeError(f"session {self.session_id!r} is closed; its slot was returned")
+        return self._table.hidden[:, stream, self.slot]
+
+    @property
+    def observation_state(self) -> EncoderState:
+        """Observation-history state, copied out of the table: the caller
+        owns it, and writing to it reaches neither the table nor a sibling."""
+        return EncoderState(hidden=self._stream(0).copy())
+
+    @property
+    def action_state(self) -> EncoderState:
+        """Action-history state, copied out of the table like
+        :attr:`observation_state`."""
+        return EncoderState(hidden=self._stream(1).copy())
 
     def state_vector(self) -> np.ndarray:
-        """Current policy input ``s_t = E(x_1:t) || E(a_1:t)``."""
-        return np.concatenate(
-            [self.observation_state.representation, self.action_state.representation]
-        )
+        """Current policy input ``s_t = E(x_1:t) || E(a_1:t)`` (a copy)."""
+        return np.concatenate([self._stream(0)[-1], self._stream(1)[-1]])
 
     # ------------------------------------------------------------------ #
     # Decision application (deterministic emulator, = env.propose)
     # ------------------------------------------------------------------ #
     def apply_action(
-        self, action: np.ndarray, latency_ms: float = 0.0
+        self, action: Sequence[float], latency_ms: float = 0.0
     ) -> ShapingDecision:
         """Turn one policy action into the emitted adversarial packet.
 
-        The shaping arithmetic is :func:`repro.core.env.shape_packet` — the
-        *same* function the training emulator calls — so a deterministic
-        policy served here emits the same packets
-        :meth:`AdversarialFlowEnv.propose` would, bit for bit.
+        ``action`` is the ``(size, delay)`` pair — a row of the flush's
+        ``actions.tolist()``, or any other 2-sequence of floats such as an
+        array row.  The shaping arithmetic is
+        :func:`repro.core.env.shape_packet_core` — the *same* function the
+        training emulator ends in — so a deterministic policy served here
+        emits the same packets :meth:`AdversarialFlowEnv.propose` would, bit
+        for bit.  The observation the action answered counts as folded from
+        here on (the server commits its table rows just before this call).
         """
         if not self.online:
             raise RuntimeError(f"session {self.session_id!r} is not online")
@@ -302,22 +372,24 @@ class FlowSession:
             raise RuntimeError("no packet armed; call arm_next() first")
         limits = self.limits
 
-        shaped = shape_packet(
-            action,
-            remaining_bytes=self._remaining_bytes,
-            truncations_current_packet=self._truncations_current_packet,
-            steps_taken=self._steps,
-            size_scale=limits.size_scale,
-            min_packet_bytes=limits.min_packet_bytes,
-            max_delay_ms=limits.max_delay_ms,
-            max_truncations_per_packet=limits.max_truncations_per_packet,
-            max_steps=limits.max_steps,
+        size_action, delay_action = action
+        emitted_bytes, added_delay, _, is_truncation = shape_packet_core(
+            size_action,
+            delay_action,
+            self._remaining_bytes,
+            self._truncations_current_packet,
+            self._steps,
+            limits.size_scale,
+            limits.min_packet_bytes,
+            limits.max_delay_ms,
+            limits.max_truncations_per_packet,
+            limits.max_steps,
         )
-        emitted_bytes = shaped.emitted_bytes
         base_delay = 0.0 if self._truncations_current_packet > 0 else self._base_delay
-        emitted_delay = base_delay + shaped.added_delay
+        emitted_delay = base_delay + added_delay
+        self._observation_armed = False
 
-        if shaped.is_truncation:
+        if is_truncation:
             self._remaining_bytes -= emitted_bytes
             self._payload_consumed += emitted_bytes
             self._truncations_current_packet += 1
@@ -336,7 +408,7 @@ class FlowSession:
         )
         self._out_sizes.append(self._direction * emitted_bytes)
         self._out_delays.append(emitted_delay)
-        self._added_delay_total += shaped.added_delay
+        self._added_delay_total += added_delay
         self._steps += 1
         self._n_decisions += 1
 
@@ -359,9 +431,6 @@ class FlowSession:
         elif missed and self._should_demote():
             self.demote()
         return decision
-
-    def mark_action_folded(self, state: EncoderState) -> None:
-        self.action_state = state
 
     # ------------------------------------------------------------------ #
     # Deadline tracking and demotion
@@ -423,6 +492,7 @@ class FlowSession:
         demoted = self.status == SessionStatus.DEMOTED
         unserved = len(self._inbox) + (1 if self._remaining_bytes > 0 else 0)
         self.status = SessionStatus.CLOSED
+        self._table = None  # the server returns the slot; never read it again
         shaped = None
         if self._out_sizes:
             shaped = Flow(

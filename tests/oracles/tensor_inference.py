@@ -24,9 +24,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.core.state_encoder import StateEncoder, split_states, stack_states
+from repro.core.state_encoder import StateEncoder
 
 from .composed_ppo import composed_actor_forward, composed_critic_forward
+from .encoder_states import split_states, stack_states
 
 __all__ = [
     "reference_step_pairs",

@@ -231,10 +231,12 @@ class TestEpisodeSummary:
 # Python-float emulator helpers vs. the seed numpy formulation (oracle)
 # --------------------------------------------------------------------- #
 from repro.core.env import (  # noqa: E402
+    ShapedPacket,
     make_observation,
     packet_direction,
     record_action,
     shape_packet,
+    shape_packet_core,
 )
 
 from oracles import emulator_reference as oracle  # noqa: E402
@@ -338,6 +340,108 @@ class TestEmulatorOracle:
             got, expected = packet_direction(value), oracle.current_direction(value)
             assert type(got) is float
             assert np.array_equal(bits(got), bits(expected))
+
+
+class TestScalarCore:
+    """``shape_packet_core`` takes two Python floats and returns a plain
+    tuple; ``shape_packet`` is its array-accepting wrapper.  Core ≡ wrapper ≡
+    the seed numpy oracle, field for field and bit for bit."""
+
+    LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
+    # (remaining, truncations, steps, max_truncations, max_steps)
+    STATES = [
+        (700.25, 0, 0, 8, None),   # unbounded live stream
+        (700.25, 0, 0, 8, 80),
+        (5000.0, 8, 3, 8, 80),     # forced close: truncation cap
+        (5000.0, 0, 79, 8, 80),    # forced close: step budget
+        (5000.0, 0, 78, 8, 80),
+        (64.0, 0, 0, 8, None),     # remaining equal to the size floor
+        (1460.0, 2, 5, 0, None),
+    ]
+    # Bounds, values equal to a clip bound, signed zeros, infinities.
+    COMPONENTS = [-np.inf, -1.5, -1.0, -0.0, 0.0, 64.0 / 1460.0, 0.5, 1.0, 2.0, np.inf]
+
+    def _kwargs(self, state):
+        remaining, truncations, steps, max_truncations, max_steps = state
+        return dict(
+            remaining_bytes=remaining,
+            truncations_current_packet=truncations,
+            steps_taken=steps,
+            max_truncations_per_packet=max_truncations,
+            max_steps=max_steps,
+            **self.LIMITS,
+        )
+
+    def test_core_wrapper_and_oracle_agree(self):
+        for state in self.STATES:
+            kwargs = self._kwargs(state)
+            for size_action in self.COMPONENTS:
+                for delay_action in self.COMPONENTS:
+                    core = shape_packet_core(float(size_action), float(delay_action), **kwargs)
+                    assert type(core) is tuple and len(core) == 4
+                    emitted, added_delay, clipped_delay, is_truncation = core
+                    assert type(emitted) is int and type(is_truncation) is bool
+                    assert type(added_delay) is float and type(clipped_delay) is float
+                    action = [size_action, delay_action]
+                    wrapped = shape_packet(action, **kwargs)
+                    assert wrapped == ShapedPacket(*core)
+                    assert_same_shaped(wrapped, oracle.shape_packet(action, **kwargs))
+                    assert np.array_equal(bits(clipped_delay), bits(wrapped.delay_action))
+
+    def test_nan_raises_the_same_text_from_both_entry_points(self):
+        kwargs = self._kwargs(self.STATES[0])
+        for size_action, delay_action in ((np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)):
+            with pytest.raises(ValueError) as from_core:
+                shape_packet_core(float(size_action), float(delay_action), **kwargs)
+            with pytest.raises(ValueError) as from_wrapper:
+                shape_packet(np.array([size_action, delay_action]), **kwargs)
+            assert str(from_core.value) == str(from_wrapper.value)
+            assert str(from_core.value).startswith("non-finite action [")
+
+    def test_wrapper_still_validates_the_shape(self):
+        kwargs = self._kwargs(self.STATES[0])
+        for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), []):
+            with pytest.raises(ValueError, match="2 components"):
+                shape_packet(bad, **kwargs)
+
+    def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
+        """One emulator: ``AdversarialFlowEnv.propose`` (through the wrapper)
+        and ``FlowSession.apply_action`` (directly) call one function."""
+        from repro.core import env as env_module
+        from repro.core.state_encoder import StateEncoder
+        from repro.serve import session as session_module
+
+        assert session_module.shape_packet_core is env_module.shape_packet_core
+        real, calls = env_module.shape_packet_core, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(env_module, "shape_packet_core", spy)
+        monkeypatch.setattr(session_module, "shape_packet_core", spy)
+
+        env.reset()
+        env.propose(np.array([0.5, 0.25]))
+        assert calls == [(0.5, 0.25)]
+
+        encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
+        table = session_module.SessionTable(encoder.num_layers, encoder.hidden_size)
+        session = session_module.FlowSession(
+            "s", table, table.acquire(), session_module.SessionLimits(size_scale=1460.0)
+        )
+        session.enqueue(900.0, 1.0)
+        assert session.arm_next()
+        from_list = session.apply_action([0.5, 0.25])
+        assert calls == [(0.5, 0.25), (0.5, 0.25)]
+        # An array row is a 2-sequence of floats as well.
+        session.enqueue(900.0, 1.0)
+        while session.in_flight:
+            session.apply_action(np.array([1.0, 0.0]))
+        assert session.arm_next()
+        from_array = session.apply_action(np.array([0.5, 0.25]))
+        assert from_array.emitted_size == from_list.emitted_size == 730.0
+        assert np.array_equal(bits(from_array.recorded_action), bits(from_list.recorded_action))
 
 
 class TestNonFiniteAction:

@@ -12,6 +12,7 @@ censor.
 import numpy as np
 import pytest
 
+from oracles.encoder_states import step_pair, step_state_list
 from oracles.sequential_collection import SequentialCollector
 from oracles.tensor_inference import (
     TwoSlabEpisodeEncoder,
@@ -97,7 +98,7 @@ class TestIncrementalEncoding:
         state = encoder.initial_state()
         assert np.array_equal(state.representation, encoder.encode_pairs(np.zeros((0, 2))))
         for length in range(1, len(pairs) + 1):
-            state = encoder.step_pair(pairs[length - 1], state)
+            state = step_pair(encoder, pairs[length - 1], state)
             assert np.array_equal(state.representation, encoder.encode_pairs(pairs[:length]))
 
     def test_batched_step_matches_single_steps(self):
@@ -107,16 +108,16 @@ class TestIncrementalEncoding:
         states = [encoder.initial_state() for _ in histories]
         for t in range(7):
             batch = np.stack([history[t] for history in histories])
-            states = encoder.step_pairs(batch, states)
+            states = step_state_list(encoder, batch, states)
         for state, history in zip(states, histories):
             assert np.array_equal(state.representation, encoder.encode_pairs(history))
 
     def test_step_pairs_validation(self):
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
         with pytest.raises(ValueError):
-            encoder.step_pairs(np.zeros((2, 3)), [encoder.initial_state()] * 2)
+            encoder.step_pairs(np.zeros((2, 3)), np.zeros((1, 2, 4)))
         with pytest.raises(ValueError):
-            encoder.step_pairs(np.zeros((2, 2)), [encoder.initial_state()])
+            encoder.step_pairs(np.zeros((2, 2)), np.zeros((1, 1, 4)))
 
 
 class TestVectorFlowEnv:
@@ -238,7 +239,7 @@ class TestEncoderSlab:
         for _ in range(5):
             pairs = rng.uniform(-1, 1, size=(n, 2))
             slab = encoder.step_pairs(pairs, slab)
-            states = [encoder.step_pair(pairs[row], states[row]) for row in range(n)]
+            states = [step_pair(encoder, pairs[row], states[row]) for row in range(n)]
             assert slab.shape == (2, n, 6)
             for row in range(n):
                 assert np.array_equal(
@@ -265,11 +266,11 @@ class TestEncoderSlab:
                 reference["action"][index] = encoder.initial_state()
                 reference["observation"][index] = encoder.initial_state()
             else:
-                reference["action"][index] = encoder.step_pair(
-                    actions[row], reference["action"][index]
+                reference["action"][index] = step_pair(
+                    encoder, actions[row], reference["action"][index]
                 )
-            reference["observation"][index] = encoder.step_pair(
-                observations[row], reference["observation"][index]
+            reference["observation"][index] = step_pair(
+                encoder, observations[row], reference["observation"][index]
             )
         return np.stack(
             [
@@ -337,7 +338,7 @@ class TestEncoderSlab:
         the batch it was computed in nor aliases the tracker or a sibling."""
         encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
         pairs = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
-        states = encoder.step_pairs(pairs, [encoder.initial_state() for _ in range(3)])
+        states = step_state_list(encoder, pairs, [encoder.initial_state() for _ in range(3)])
         for state in states:
             assert state.hidden.base is None and state.hidden.flags.owndata
             assert state.hidden.flags.c_contiguous
@@ -390,7 +391,8 @@ class TestArrayEncoderStepMatchesTensorOracle:
                 assert_same_bits(got, reference_step_pairs(encoder, some_pairs, some_slab))
             states = [encoder.initial_state() for _ in range(4)]
             for got, want in zip(
-                encoder.step_pairs(pairs, states), reference_step_pairs(encoder, pairs, states)
+                step_state_list(encoder, pairs, states),
+                reference_step_pairs(encoder, pairs, states),
             ):
                 assert_same_bits(got.hidden, want.hidden)
 

@@ -20,6 +20,7 @@ from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFea
 from repro.features.statistical import _BATCH_BREAK_EVEN
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
+from repro.serve import ServeConfig
 
 from repro.core.env import make_observation, record_action, shape_packet
 
@@ -28,6 +29,7 @@ from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
+from oracles.serve_reference import LockstepServers
 from oracles.tensor_inference import TwoSlabEpisodeEncoder, reference_step_pairs
 
 # Strategy: a syntactically valid flow — non-zero signed sizes, non-negative delays.
@@ -524,6 +526,71 @@ class TestEncoderTickOracleProperties:
                 assert np.array_equal(
                     _bits(stepped), _bits(reference_step_pairs(encoder, first, slab))
                 )
+
+
+_serve_ops = st.one_of(
+    st.tuples(st.just("open"), st.integers(0, 5)),
+    st.tuples(
+        st.just("submit"),
+        st.integers(0, 5),
+        st.sampled_from([-6000.0, -1460.0, -300.0, 64.0, 700.0, 1460.0, 4000.0]),
+        st.sampled_from([0.0, 1.5, 40.0, 250.0]),
+    ),
+    st.tuples(st.just("poll")),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("close"), st.integers(0, 5)),
+    st.tuples(st.just("demote"), st.integers(0, 5)),
+)
+
+
+class TestServeTableOracleProperties:
+    """The session-table server equals the stack / split server
+    (``tests/oracles/serve_reference.py``) in every decision and every bit of
+    hidden state, for any schedule of open / submit / poll / close / reopen
+    (a reopened id takes a recycled slot) with demotions in between."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        max_batch=st.sampled_from([1, 2, 3, 16]),
+        max_steps=st.sampled_from([None, 4]),
+        deadline_ms=st.sampled_from([None, 5.0]),
+        ops=st.lists(_serve_ops, min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_schedule_bit_identical_to_stack_split_oracle(
+        self, seed, max_batch, max_steps, deadline_ms, ops
+    ):
+        rng = np.random.default_rng(seed)
+        encoder = StateEncoder(hidden_size=5, num_layers=2, rng=rng)
+        actor = GaussianActor(state_dim=10, hidden_dims=(8,), rng=rng)
+        config = ServeConfig(
+            size_scale=1460.0,
+            max_batch=max_batch,
+            flush_timeout_ms=1.0,
+            max_steps_per_session=max_steps,
+            deadline_ms=deadline_ms,
+            miss_window=2,
+        )
+        servers = LockstepServers((actor, encoder), config, tick_s=0.0008)
+        for op, *args in ops:
+            name = f"s{args[0]}" if args else None
+            is_open = name in servers.table._sessions
+            if op == "open":
+                if not is_open:
+                    servers.open(name)
+            elif op in ("poll", "drain"):
+                getattr(servers, op)()
+            elif not is_open or servers.table.session(name).closed:
+                continue  # nothing to submit to / close / demote
+            elif op == "submit":
+                servers.submit(name, args[1], args[2])
+            elif op == "close":
+                servers.close(name)
+            else:
+                servers.demote(name)
+        servers.drain()
+        for name in list(servers.table._sessions):
+            servers.close(name)
 
 
 class TestPPONodeOracleProperties:

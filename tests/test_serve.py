@@ -354,8 +354,10 @@ class TestServingGolden:
 
 class TestSessionStateOwnership:
     def test_flush_hands_each_session_its_own_state(self, policy):
-        """Sessions own their encoder state: what a flush stores is a copy
-        out of the per-flush slab, not a view that pins or aliases it."""
+        """Anything a session hands out owns its memory: the state properties
+        copy the session's rows out of the server's table, never a view that
+        pins or aliases it — and what they copy is the *stepped* state, not
+        a stale initial one."""
         server = make_server(
             policy, ServeConfig(size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0)
         )
@@ -365,13 +367,32 @@ class TestSessionStateOwnership:
         assert server.stats()["flushes"] == 1
         sessions = [server.session(sid) for sid in ids]
         shape = (policy[1].num_layers, policy[1].hidden_size)
+        table = server._table.hidden
         for session in sessions:
-            for state in (session.observation_state, session.action_state):
+            for stream, state in enumerate((session.observation_state, session.action_state)):
                 assert state.hidden.shape == shape
                 assert state.hidden.base is None and state.hidden.flags.owndata
+                assert not np.shares_memory(state.hidden, table)
+                # The flush stepped both streams: zeros would be a stale state.
+                assert state.hidden.any()
+                assert np.array_equal(
+                    state.hidden.view(np.uint64), table[:, stream, session.slot].view(np.uint64)
+                )
+            assert np.array_equal(
+                session.state_vector(),
+                np.concatenate([table[-1, 0, session.slot], table[-1, 1, session.slot]]),
+            )
+            assert not np.shares_memory(session.state_vector(), table)
+        # Writing to a handed-out copy reaches neither the table, nor a
+        # second read of the same session, nor a sibling.
+        before = table.copy()
         others = [s.observation_state.hidden.copy() for s in sessions[1:]]
-        sessions[0].observation_state.hidden[:] = 3.0
+        first = sessions[0].observation_state
+        first.hidden[:] = 3.0
         sessions[0].action_state.hidden[:] = 3.0
+        assert np.array_equal(table, before)
+        assert np.array_equal(sessions[0].observation_state.hidden, before[:, 0, sessions[0].slot])
+        assert not np.array_equal(sessions[0].observation_state.hidden, first.hidden)
         for session, expected in zip(sessions[1:], others):
             assert np.array_equal(session.observation_state.hidden, expected)
 
