@@ -4,7 +4,7 @@ The paper's deployment argument (Section 5.6, Figure 11) is about whether
 per-packet online inference can keep up with live traffic.  The serving
 tier answers with continuous batching: pending decisions across concurrent
 flow sessions coalesce into single ``act_batch`` / ``step_pairs`` forwards.
-This benchmark drives one synthetic workload through three serving setups
+This benchmark drives one synthetic workload through two serving setups
 and writes ``BENCH_serving.json``:
 
 * **sequential** — ``max_batch=1``: one session's decision per forward, the
@@ -12,11 +12,9 @@ and writes ``BENCH_serving.json``:
   ``tests/test_serve.py`` via the row-consistent matmul contract);
 * **batched** — ``max_batch=16``: the continuous-batching scheduler.  The
   decisions/s win is asserted **strictly** — batching the GEMMs must beat
-  one-at-a-time forwards regardless of core count;
-* **sharded** — 2 forked serving workers (recorded, not asserted: on a
-  single-core CI runner pipe overhead eats the parallelism).
+  one-at-a-time forwards regardless of core count.
 
-A fourth run applies a deliberately impossible decision deadline so the
+A third run applies a deliberately impossible decision deadline so the
 per-session latency tracker demotes flows to the offline profile tier,
 exercising (and recording) the Figure 11 fallback path: p50/p99 decision
 latency and the profile-fallback rate land in the JSON alongside the
@@ -39,7 +37,6 @@ from repro.core.profiles import ProfileDatabase
 from repro.serve import (
     PolicyServer,
     ServeConfig,
-    ShardedPolicyServer,
     SyntheticWorkload,
     run_workload,
 )
@@ -49,7 +46,6 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 N_SESSIONS = 32
 MAX_PACKETS = 16
 MAX_BATCH = 16
-N_WORKERS = 2
 ENCODER_HIDDEN = 16
 ARRIVAL_RATE = 4000.0
 
@@ -79,16 +75,6 @@ def _serve(setup, **overrides):
 def test_continuous_batching_beats_sequential_serving(serving_setup):
     sequential = _serve(serving_setup, max_batch=1)
     batched = _serve(serving_setup, max_batch=MAX_BATCH)
-
-    def sharded_factory(_index: int) -> PolicyServer:
-        return PolicyServer(
-            serving_setup["actor"],
-            serving_setup["encoder"],
-            config=serving_setup["config"].with_overrides(max_batch=MAX_BATCH),
-        )
-
-    with ShardedPolicyServer(sharded_factory, n_workers=N_WORKERS) as sharded_server:
-        sharded = run_workload(sharded_server, serving_setup["workload"])
 
     # Deadline no serving process can meet -> every session demotes to the
     # offline tier once its miss window fills; the fallback payload embeds
@@ -121,10 +107,6 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
                 batched.decisions_per_s / sequential.decisions_per_s, 2
             ),
         },
-        "sharded": {
-            **sharded.as_dict(),
-            "workers": N_WORKERS,
-        },
         "deadline_fallback": fallback.as_dict(),
     }
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
@@ -137,14 +119,13 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
         f"  batched (max_batch={MAX_BATCH}):   {batched.decisions_per_s:9.1f} decisions/s "
         f"(p50 {batched.p50_latency_ms:.3f} ms, p99 {batched.p99_latency_ms:.3f} ms)"
         f"  -> {batched.decisions_per_s / sequential.decisions_per_s:.2f}x\n"
-        f"  sharded ({N_WORKERS} workers):      {sharded.decisions_per_s:9.1f} decisions/s\n"
         f"  deadline fallback: {fallback.profile_fallback_rate:.1%} of sessions demoted "
         f"to the profile tier\n"
         f"  results written to {RESULTS_PATH.name}"
     )
 
     # Every setup must serve the complete workload.
-    assert batched.decisions == sequential.decisions == sharded.decisions
+    assert batched.decisions == sequential.decisions
     # Acceptance: coalescing decisions into batched forwards must be
     # strictly faster than one-session-at-a-time serving.
     assert batched.decisions_per_s > sequential.decisions_per_s, (

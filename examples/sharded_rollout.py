@@ -9,10 +9,7 @@ Demonstrates the distributed tier (``repro.distrib``):
    with the current actor/critic/encoder checkpoint.  Under
    ``nn.row_consistent_matmul()`` the run is bit-identical to in-process
    collection, so ``workers`` is purely an execution knob;
-2. continue training with pipelined (double-buffered) collection
-   (``pipeline=True``): each PPO update runs while the workers already
-   collect the next rollout with the pre-update policy;
-3. run a small reward-masking arms-race grid through the
+2. run a small reward-masking arms-race grid through the
    :class:`~repro.distrib.SweepOrchestrator`: grid points execute on a
    fault-tolerant worker pool and land in a JSON results manifest.
 
@@ -55,22 +52,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 2. Pipelined collection: the PPO update overlaps the next collect.
-    # ------------------------------------------------------------------ #
-    agent.train(
-        splits.attack_train.censored_flows,
-        total_timesteps=1000,
-        workers=2,
-        pipeline=True,
-    )
-    report = agent.evaluate(splits.test.censored_flows[:20])
-    print(
-        f"pipelined training done: ASR={format_percent(report.attack_success_rate)} "
-        f"(updates hidden behind the in-flight collect)"
-    )
-
-    # ------------------------------------------------------------------ #
-    # 3. Reward-masking arms-race grid over the sweep worker pool.
+    # 2. Reward-masking arms-race grid over the sweep worker pool.
     # ------------------------------------------------------------------ #
     tasks = [
         SweepTask(

@@ -23,7 +23,7 @@ without writing Python:
   loaded, and the compile error if they did not;
 * ``repro-amoeba worker-host`` — run the TCP worker-host daemon that donates
   this machine's cores to remote drivers (``attack --transport
-  tcp://host:port`` places collection/serving/sweep workers here);
+  tcp://host:port`` places collection/sweep workers here);
 * ``repro-amoeba info`` — print the library version and experiment index.
 
 Examples
@@ -47,6 +47,7 @@ import numpy as np
 from . import __version__
 from .eval import format_table
 from .eval.metrics import classifier_detection_report
+from .core.config import AmoebaConfig
 from .flows import save_dataset, save_flows_jsonl
 from .pipeline import (
     CENSOR_NAMES,
@@ -100,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = in-process; n_envs must divide evenly)",
     )
     attack.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="double-buffer sharded collection: overlap each PPO update with "
-        "the next collect (requires --workers)",
-    )
-    attack.add_argument(
         "--transport",
         default=None,
         help="worker placement: 'fork' (default), 'tcp' (private loopback "
@@ -140,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-decision latency budget; repeated misses demote a "
                        "session to the offline profile tier")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="shard sessions across this many serving workers (0 = in-process)")
-    serve.add_argument("--transport", default=None,
-                       help="serving-worker placement: 'fork' (default), 'tcp', or "
-                       "'tcp://host:port[,host:port...]' (requires --workers)")
     serve.add_argument("--profiles", default=None,
                        help="JSONL of successful adversarial flows seeding the fallback profile database")
     serve.add_argument("--seed", type=int, default=0)
@@ -200,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_host = subparsers.add_parser(
         "worker-host",
         help="run the TCP worker-host daemon: accepts worker connections "
-        "from remote drivers (train/serve/sweep --transport tcp://...)",
+        "from remote drivers (rollout/sweep workers, --transport tcp://...)",
     )
     worker_host.add_argument(
         "--bind",
@@ -258,9 +248,12 @@ def _maybe_start_telemetry(args: argparse.Namespace) -> None:
 
 
 def _command_attack(args: argparse.Namespace) -> int:
-    if args.pipeline and not args.workers:
-        # Fail fast on the argument error, before the dataset build.
-        raise SystemExit("--pipeline requires --workers (double-buffered sharded collection)")
+    # Fail fast on argument errors, before the dataset build.
+    n_envs = AmoebaConfig().n_envs
+    if args.workers < 0 or (args.workers and n_envs % args.workers):
+        raise SystemExit(
+            f"--workers must be 0 (in-process) or divide n_envs={n_envs}, got {args.workers}"
+        )
     if args.transport and not args.workers:
         raise SystemExit("--transport requires --workers (it places worker processes)")
     _maybe_start_telemetry(args)
@@ -278,7 +271,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         total_timesteps=args.timesteps,
         rng=args.seed + 2,
         workers=args.workers or None,
-        pipeline=True if args.pipeline else None,
         transport=args.transport,
     )
     report = agent.evaluate(data.splits.test.censored_flows[: args.eval_flows])
@@ -310,15 +302,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the serving tier is optional for the other commands.
     from .core.profiles import ProfileDatabase
     from .flows import load_flows_jsonl
-    from .serve import (
-        PolicyServer,
-        ServeConfig,
-        ShardedPolicyServer,
-        SyntheticWorkload,
-        build_policy_from_state,
-        run_workload,
-    )
-    from .nn.serialization import load_state_dict
+    from .serve import PolicyServer, ServeConfig, SyntheticWorkload, run_workload
 
     _maybe_start_telemetry(args)
     size_scale = 16384.0 if args.dataset == "v2ray" else 1460.0
@@ -340,9 +324,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         profile_db.add_flows(profile_flows)
         print(f"fallback profile database: {len(profile_db)} profiles from {args.profiles}")
 
-    # Load once in the driver; forked workers inherit the weights
-    # copy-on-write instead of re-reading the checkpoint.
-    actor, encoder = build_policy_from_state(load_state_dict(args.policy))
+    server = PolicyServer.from_checkpoint(args.policy, config=config, profile_db=profile_db)
     workload = SyntheticWorkload.generate(
         n_sessions=args.sessions,
         mix=mix,
@@ -350,19 +332,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_packets=args.max_packets,
         rng=args.seed,
     )
-
-    def make_server(_index: int = 0) -> PolicyServer:
-        return PolicyServer(actor, encoder, config=config, profile_db=profile_db)
-
-    if args.transport and not args.workers:
-        raise SystemExit("--transport requires --workers (it places worker processes)")
-    if args.workers:
-        with ShardedPolicyServer(
-            make_server, n_workers=args.workers, transport=args.transport
-        ) as server:
-            report = run_workload(server, workload)
-    else:
-        report = run_workload(make_server(), workload)
+    report = run_workload(server, workload)
 
     print(
         format_table(
@@ -386,8 +356,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 "p99_ms",
                 "fallback_rate",
             ],
-            title=f"Policy serving ({args.dataset}, max_batch={args.max_batch}, "
-            f"workers={args.workers or 'in-process'})",
+            title=f"Policy serving ({args.dataset}, max_batch={args.max_batch})",
         )
     )
     return 0
@@ -518,7 +487,7 @@ def _command_worker_host(args: argparse.Namespace) -> int:
     """Run the TCP worker-host daemon until interrupted.
 
     Each accepted connection is answered by a freshly forked worker process
-    running the requested entrypoint (rollout / serve / sweep); the daemon
+    running the requested entrypoint (rollout / sweep); the daemon
     itself holds no policy or experiment state, so one host serves any
     number of drivers in sequence or in parallel.
     """

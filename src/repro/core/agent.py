@@ -179,7 +179,6 @@ class Amoeba:
         eval_size: int = 20,
         callback: Optional[Callable[[Dict], None]] = None,
         workers: Optional[int] = None,
-        pipeline: Optional[bool] = None,
         transport: Optional[str] = None,
     ) -> TrainingLogger:
         """Train the policy against the censor on the given censored flows.
@@ -207,17 +206,6 @@ class Amoeba:
         :mod:`repro.distrib.transport`); the merged rollout is
         bit-identical whichever transport carried it.
 
-        ``pipeline`` (default ``config.pipeline_collection``, i.e. off)
-        double-buffers sharded collection: each iteration the driver merges
-        the in-flight rollout, immediately kicks off the next collect with
-        the current — pre-update — policy, and runs the PPO update while
-        the workers are busy, hiding update time behind collection.  The
-        one-iteration policy staleness is sound for PPO (``old_log_probs``
-        are recorded at collection time, so the clipped ratio corrects for
-        it) but changes the trajectory stream, so pipelining is opt-in and
-        requires ``workers``; the synchronous default stays bit-equivalent
-        to single-process vectorized training.
-
         All collection modes build their environment and exploration-noise
         generators from the same per-slot seed tree
         (:func:`repro.utils.rng.collection_seed_tree`) and run policy /
@@ -234,12 +222,6 @@ class Amoeba:
             raise ValueError("workers must be >= 1 (or None for in-process collection)")
         if transport is not None and workers is None:
             raise ValueError("transport requires workers: it places worker processes")
-        pipeline = self.config.pipeline_collection if pipeline is None else bool(pipeline)
-        if pipeline and workers is None:
-            raise ValueError(
-                "pipeline=True requires workers: double-buffered collection "
-                "overlaps the PPO update with worker-side collects"
-            )
         flows = self._filter_censored(flows)
         config = self.config
         buffer = RolloutBuffer(
@@ -280,14 +262,6 @@ class Amoeba:
         steps_done = 0
         iteration_steps = config.rollout_length * config.n_envs
         try:
-            if engine is not None and pipeline:
-                # Prime the pipeline: rollout 0 is collected with the
-                # initial weights while the driver falls through to wait().
-                engine.broadcast(state_dict_to_bytes(self._policy_state()))
-                engine.collect_async(config.rollout_length)
-            # Workers hold the current weights right after the prime; the
-            # pipelined loop only re-broadcasts once an update has run.
-            weights_stale = False
             iterations_counter = obs.counter("train.iterations")
             timesteps_counter = obs.counter("train.timesteps")
             while steps_done < total_timesteps:
@@ -296,19 +270,6 @@ class Amoeba:
                     with obs.span("train.collect"):
                         if engine is None:
                             result = runner.collect(config.rollout_length)
-                        elif pipeline:
-                            result = engine.wait()
-                            self.censor.record_external_queries(result.query_delta)
-                            if steps_done + iteration_steps < total_timesteps:
-                                # Double-buffering: the next collect starts now
-                                # with the current (pre-update) policy and runs
-                                # while updater.update() below is busy.
-                                if weights_stale:
-                                    engine.broadcast(
-                                        state_dict_to_bytes(self._policy_state())
-                                    )
-                                    weights_stale = False
-                                engine.collect_async(config.rollout_length)
                         else:
                             engine.broadcast(state_dict_to_bytes(self._policy_state()))
                             result = engine.collect(config.rollout_length)
@@ -329,14 +290,9 @@ class Amoeba:
                     steps_done += iteration_steps
                     # Bootstrap values computed shard-side with the
                     # collection-time critic — identical to a driver-side
-                    # forward in synchronous modes, and the consistent
-                    # choice under pipelining (the driver's critic may be
-                    # one update ahead of this rollout's values).
-                    last_values = result.final_values
-
-                    buffer.finalize(last_values, config.gamma, config.gae_lambda)
+                    # forward, since no update ran in between.
+                    buffer.finalize(result.final_values, config.gamma, config.gae_lambda)
                     stats = self.updater.update(buffer)
-                    weights_stale = True
                     self._timesteps_trained += iteration_steps
                     iterations_counter.inc()
                     timesteps_counter.inc(iteration_steps)

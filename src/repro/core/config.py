@@ -85,16 +85,6 @@ class AmoebaConfig:
     # ``run_arms_race(eval_batch_size=...)``) overrides it.
     eval_batch_size: Optional[int] = None
 
-    # Pipelined (double-buffered) sharded collection: when true and
-    # ``Amoeba.train(workers=...)`` is used, the driver kicks off the next
-    # collect with the pre-update policy and runs the PPO update while the
-    # workers are busy.  One-iteration-stale rollouts are sound for PPO
-    # (old log-probs are recorded at collection time), but the trajectory
-    # stream differs from the synchronous path, so this is opt-in; the
-    # default keeps sharded training bit-equivalent to single-process
-    # vectorized training.
-    pipeline_collection: bool = False
-
     def __post_init__(self) -> None:
         check_positive(self.learning_rate, "learning_rate")
         check_non_negative(self.lambda_split, "lambda_split")

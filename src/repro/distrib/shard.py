@@ -239,10 +239,9 @@ class ShardRunner:
                 if "episode" in info:
                     summaries.append((tick, local_index, info["episode"]))
 
-        # Bootstrap values for GAE, computed with the *collection-time*
-        # critic: under pipelined (double-buffered) collection the driver's
-        # critic may already be one update ahead by the time this segment is
-        # merged, and the rollout's per-step values came from these weights.
+        # Bootstrap values for GAE, computed with the collection-time critic
+        # that produced the rollout's per-step values (bit-identical to a
+        # driver-side forward: the driver has not updated in between).
         final_values = self.critic.value_batch(self._states)
 
         # Worker-side counters, folded across the fork boundary by the

@@ -16,23 +16,8 @@ seed streams), and drives them with two commands per PPO iteration:
    environment axis, in worker order, into one ``(T, W·n_shard, ...)``
    rollout.
 
-Pipelined (double-buffered) collection
---------------------------------------
-``collect`` is synchronous: the driver blocks until every shard has
-answered.  The asynchronous pair :meth:`ShardedRolloutEngine.collect_async`
-/ :meth:`ShardedRolloutEngine.wait` splits that round-trip so the driver
-can overlap its PPO update with the next collect::
-
-    engine.broadcast(checkpoint_k)      # pre-update policy
-    engine.collect_async(T)             # workers start rollout k+1
-    stats = updater.update(rollout_k)   # driver busy while workers collect
-    rollout_k1 = engine.wait()          # merge when both sides are done
-
-The rollout handed back by ``wait`` was collected with a one-iteration-stale
-policy; that is sound for PPO because ``old_log_probs`` are recorded at
-collection time, so the clipped importance ratio already corrects for the
-staleness.  Only one collect may be in flight at a time, and no other
-command may be issued until ``wait`` has drained it.
+Both commands are synchronous: the driver blocks until every shard has
+answered, so PPO collects with the current policy, then updates.
 
 Determinism contract
 --------------------
@@ -51,17 +36,17 @@ order — and restarts a crashed worker (a broken transport: pipe EOF,
 socket reset, heartbeat timeout) by launching
 a fresh process and replaying the log, which fast-forwards the replacement
 to the exact state of the lost worker before re-answering the in-flight
-command.  This covers the asynchronous path too: a worker SIGKILLed while
-its collect is in flight is recovered inside :meth:`wait`, which replays
-the logged broadcast + collect of the current iteration before merging.  Replayed collect results (and their censor-query deltas) are
-discarded, so the merged rollout and query accounting are unaffected by
-restarts.  After every successful collect the engine snapshots each
-worker's mutable collection state (environment episodes, seed streams,
-tracked encoder states, query counters — weights stay driver-side as the
-last broadcast payload) and truncates the log, so both the log and a
-restart's replay cost stay O(1) in the number of iterations: a recovery
-restores the latest snapshot, re-applies the last checkpoint and replays
-at most the current iteration's commands.
+command.  A worker SIGKILLed while its collect is in flight is recovered
+inside :meth:`collect`, which replays the logged broadcast + collect of the
+current iteration before merging.  Replayed collect results (and their
+censor-query deltas) are discarded, so the merged rollout and query
+accounting are unaffected by restarts.  After every successful collect the
+engine snapshots each worker's mutable collection state (environment
+episodes, seed streams, tracked encoder states, query counters — weights
+stay driver-side as the last broadcast payload) and truncates the log, so
+both the log and a restart's replay cost stay O(1) in the number of
+iterations: a recovery restores the latest snapshot, re-applies the last
+checkpoint and replays at most the current iteration's commands.
 """
 
 from __future__ import annotations
@@ -176,11 +161,9 @@ class ShardedRolloutEngine:
         self._log: List[tuple] = []
         self._snapshots: Optional[list] = None
         self._last_payload: Optional[bytes] = None
-        # In-flight async collect: the indices whose send already failed
-        # (recovered at wait() time), or None when no collect is pending.
-        self._pending: Optional[List[int]] = None
-        # Set when a drain died mid-way (worker error, interrupt): replies
-        # are partially consumed, so the engine can only be close()d.
+        # Set when a collect round died mid-way (worker error, interrupt):
+        # replies are partially consumed and workers may still be busy, so
+        # the engine can only be close()d, and close() must not wait on them.
         self._broken = False
         self._restarts = 0
         self._closed = False
@@ -293,8 +276,8 @@ class ShardedRolloutEngine:
         # Retained as the authoritative replica weights: worker snapshots
         # deliberately exclude weights, so a restart re-applies this payload
         # after restoring the snapshot.  Recorded only once the command was
-        # accepted — a rejected broadcast (engine closed / collect in
-        # flight) must not become the recovery checkpoint.
+        # accepted — a rejected broadcast (engine closed or broken) must not
+        # become the recovery checkpoint.
         self._last_payload = payload
 
     def collect(self, n_ticks: int) -> ShardResult:
@@ -305,60 +288,27 @@ class ShardedRolloutEngine:
         indices, sorted the way a single shard emits them (tick-major, then
         environment order), and ``query_delta`` sums the per-replica censor
         query deltas, preserving the one-query-per-flow accounting.
-        """
-        self.collect_async(n_ticks)
-        return self.wait()
 
-    def collect_async(self, n_ticks: int) -> None:
-        """Kick off a collect on every shard without waiting for the results.
-
-        The driver is free to do other work (the PPO update of the previous
-        rollout) until :meth:`wait`; until then no other engine command may
-        be issued.  A worker whose pipe is already broken is noted and
-        recovered inside :meth:`wait` by snapshot-restore + log replay, the
-        same machinery that handles workers dying mid-collect.
-        """
-        self._check_usable()
-        if self._pending is not None:
-            raise RuntimeError(
-                "a collect is already in flight; call wait() before starting another"
-            )
-        if n_ticks < 1:
-            raise ValueError("n_ticks must be >= 1")
-        message = ("collect", int(n_ticks))
-        self._log.append(message)
-        # The span covers the kick-off only (the driver is free until
-        # wait()), but the trace context it provides is stamped onto the
-        # outgoing frames, so worker-side collect spans stitch under it.
-        with obs.span("distrib.collect", n_ticks=int(n_ticks), workers=self._n_workers):
-            self._pending = self._send_all(message)
-
-    def wait(self) -> ShardResult:
-        """Drain the in-flight :meth:`collect_async` and merge the segments.
-
-        Workers that crashed after the kick-off (SIGKILL mid-collect) are
+        A worker that crashes mid-collect (SIGKILL, broken channel) is
         restarted here: the replacement restores the latest post-collect
         snapshot, re-applies the last broadcast checkpoint and replays the
-        current iteration's logged commands — including the in-flight
-        collect, whose recomputed result stands in for the lost one — so
-        the merged rollout and the censor query accounting are identical to
-        an undisturbed round.
+        current iteration's logged commands — including this collect, whose
+        recomputed result stands in for the lost one — so the merged rollout
+        and the censor query accounting are identical to an undisturbed
+        round.  A collect that fails any other way (a worker error reply, an
+        interrupt) marks the engine broken: the other workers may still be
+        mid-rollout and their replies partially consumed, so later commands
+        raise instead of blocking and :meth:`close` terminates the workers
+        instead of waiting on them.
         """
         self._check_usable()
-        if self._pending is None:
-            raise RuntimeError("no collect in flight; call collect_async() first")
-        # _pending stays set until the drain succeeds: if it is interrupted
-        # (KeyboardInterrupt, worker error) the workers may still be
-        # mid-collect, and close() must keep taking the non-blocking
-        # terminate path instead of the polite handshake.  The broken flag
-        # makes a retried wait() fail fast instead of recv()ing replies
-        # that were already consumed.
+        if n_ticks < 1:
+            raise ValueError("n_ticks must be >= 1")
         try:
-            results = self._drain(self._pending)
+            results = self._command(("collect", int(n_ticks)))
         except BaseException:
             self._broken = True
             raise
-        self._pending = None
         merged = self._merge(results)
         self._checkpoint_workers()
         if _obs_state.enabled:
@@ -403,13 +353,11 @@ class ShardedRolloutEngine:
         if self._closed:
             return
         self._closed = True
-        pending = self._pending
-        self._pending = None
-        if pending is None:
-            # Polite handshake — only when no collect is in flight; a busy
+        if not self._broken:
+            # Polite handshake — only when every reply was drained; a busy
             # worker would not answer until its whole rollout finished, so
-            # an error-path close() during an async collect must not block
-            # on recv and instead falls through to terminate() below.
+            # a close() after a failed collect must not block on recv and
+            # instead falls through to terminate() below.
             for handle in self._workers:
                 try:
                     handle.conn.send(("close",))
@@ -417,7 +365,7 @@ class ShardedRolloutEngine:
                 except TransportError:
                     pass
         for handle in self._workers:
-            if pending is not None and handle.process.is_alive():
+            if self._broken and handle.process.is_alive():
                 # A mid-collect worker never exits on its own (it would
                 # block sending the result); don't wait out the join below.
                 handle.process.terminate()
@@ -493,10 +441,6 @@ class ShardedRolloutEngine:
     def _command(self, message: tuple) -> list:
         """Send ``message`` to every worker; replay-recover crashed ones."""
         self._check_usable()
-        if self._pending is not None:
-            raise RuntimeError(
-                "a collect is in flight; call wait() before issuing new commands"
-            )
         self._log.append(message)
         with obs.span("distrib." + str(message[0]), workers=self._n_workers):
             return self._drain(self._send_all(message))

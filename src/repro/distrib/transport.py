@@ -1,11 +1,11 @@
 """Transport tier: one command protocol, pluggable worker channels.
 
-Every distributed driver in this codebase — :class:`ShardedRolloutEngine`,
-:class:`SweepOrchestrator`, :class:`ShardedPolicyServer` — speaks the same
-byte-oriented protocol to its workers: framed command tuples out, framed
-reply tuples back, with a broken channel (not an error reply) as the only
-signal that the worker *process* died.  This module factors that protocol
-out of the three drivers into one transport abstraction:
+Both distributed drivers in this codebase — :class:`ShardedRolloutEngine`
+and :class:`SweepOrchestrator` — speak the same byte-oriented protocol to
+their workers: framed command tuples out, framed reply tuples back, with a
+broken channel (not an error reply) as the only signal that the worker
+*process* died.  This module factors that protocol out of the two drivers
+into one transport abstraction:
 
 :class:`Transport`
     One connected peer channel.  ``send``/``recv`` move whole pickled
@@ -96,8 +96,8 @@ class TransportError(ConnectionError):
     """The peer's channel broke: process death, socket reset, heartbeat loss.
 
     This is the *restartable-fault* signal of the distributed tier —
-    drivers answer it with snapshot-restore + log replay (rollout), task
-    re-queue (sweeps) or a hard surfaced error (serving).  Worker *bugs*
+    drivers answer it with snapshot-restore + log replay (rollout) or task
+    re-queue (sweeps).  Worker *bugs*
     never raise it; they come back as ordinary ``("error", traceback)``
     replies.
     """
@@ -441,7 +441,7 @@ def worker_command_loop(
 
     ``handlers`` maps a command name to ``handler(*payload) -> reply
     tuple``; the message's trailing elements are the payload.  The loop
-    owns everything the three hand-rolled loops used to duplicate:
+    owns everything each driver's worker loop would otherwise duplicate:
 
     * a raising handler is answered with ``("error", traceback)`` so the
       driver re-raises it — worker bugs are deterministic, never retried;
@@ -538,7 +538,6 @@ def factory_worker_entry(
 # --------------------------------------------------------------------- #
 _WORKER_ENTRYPOINTS: Dict[str, str] = {
     "rollout": "repro.distrib.worker:rollout_worker_entry",
-    "serve": "repro.serve.worker:serve_worker_entry",
     "sweep": "repro.distrib.sweep:sweep_worker_entry",
 }
 
@@ -853,7 +852,7 @@ class TcpWorkerPool(WorkerPool):
 # --------------------------------------------------------------------- #
 # Worker host daemon
 # --------------------------------------------------------------------- #
-def _serve_worker_connection(sock: socket.socket) -> None:
+def _run_worker_connection(sock: socket.socket) -> None:
     """Run one accepted connection to completion (inside a forked child)."""
     transport = TcpTransport(sock)
     try:
@@ -944,7 +943,7 @@ class WorkerHostServer:
                             "daemon", None
                         )
                         self._listener.close()
-                        _serve_worker_connection(sock)
+                        _run_worker_connection(sock)
                     except BaseException:
                         exit_code = 1
                     finally:

@@ -7,8 +7,8 @@ whole repository — each output row of ``X @ W`` accumulates over the reduction
 axis in strictly increasing ``k`` order with a separate multiply and add per
 term, so the ``i``-th row of a batched forward is bit-identical to a
 single-row forward.  Every equivalence tier (batched vs. sequential rollout,
-sharded collection, pipelined iteration 0, batched serving vs. ``max_batch=1``)
-rests on that property.  It is also the slowest matmul in the codebase: numpy's
+sharded collection, batched serving vs. ``max_batch=1``) rests on that
+property.  It is also the slowest matmul in the codebase: numpy's
 einsum kernel is unblocked and unvectorised compared to what the contract
 actually permits.
 

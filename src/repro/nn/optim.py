@@ -5,8 +5,8 @@ with learning rate 5e-4 is the selected configuration for Amoeba.
 
 Allocation discipline
 ---------------------
-The PPO update phase sits on the pipeline's critical path (BENCH_pipeline),
-and an optimizer step runs once per minibatch per epoch.  Each optimizer
+The PPO update phase sits on every training iteration's critical path, and
+an optimizer step runs once per minibatch per epoch.  Each optimizer
 therefore preallocates its state and scratch at construction — one flat
 float64 buffer per kind (:func:`_flat_buffers`), with one view per parameter
 shaped like it — and performs the entire update with in-place ufuncs: zero

@@ -1,7 +1,7 @@
 """Unified telemetry tier: metrics registry, tracing spans, exporters.
 
 The observability subsystem shared by every execution tier — PPO training
-(`repro.core`), sharded/pipelined collection (`repro.distrib`), the compiled
+(`repro.core`), sharded collection (`repro.distrib`), the compiled
 nn backends (`repro.nn.backend`) and the continuous-batching serving tier
 (`repro.serve`):
 

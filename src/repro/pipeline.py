@@ -156,15 +156,12 @@ def train_amoeba(
     eval_flows: Optional[Sequence] = None,
     eval_every: Optional[int] = None,
     workers: Optional[int] = None,
-    pipeline: Optional[bool] = None,
     transport: Optional[str] = None,
 ) -> Amoeba:
     """Train an Amoeba agent against one censor on the ``attack_train`` split.
 
     ``workers`` shards rollout collection across that many worker
     processes (see ``Amoeba.train``); ``None`` collects in-process.
-    ``pipeline`` double-buffers sharded collection (PPO updates overlap the
-    next collect); ``None`` defers to ``config.pipeline_collection``.
     ``transport`` places the workers (``"fork"`` default, ``"tcp"``,
     ``"tcp://host:port,..."`` — see :mod:`repro.distrib.transport`).
     """
@@ -181,7 +178,6 @@ def train_amoeba(
         eval_flows=eval_flows,
         eval_every=eval_every,
         workers=workers,
-        pipeline=pipeline,
         transport=transport,
     )
     return agent

@@ -10,8 +10,6 @@ flow shaping (the deployment tier of Section 5.6).
 * :class:`~repro.serve.session.FlowSession` — per-flow emulator state,
   latency/deadline tracking and profile-tier fallback
   (:class:`~repro.serve.session.SessionTable` holds the encoder state).
-* :class:`~repro.serve.sharded.ShardedPolicyServer` — sessions partitioned
-  across forked serving workers (the ``repro.distrib`` pipe pattern).
 * :mod:`~repro.serve.loadgen` — synthetic Tor/V2Ray/HTTPS packet schedules
   to exercise the tier at a target arrival rate.
 """
@@ -26,7 +24,6 @@ from .session import (
     SessionStatus,
     ShapingDecision,
 )
-from .sharded import ShardedPolicyServer
 
 __all__ = [
     "PolicyServer",
@@ -40,7 +37,6 @@ __all__ = [
     "SessionReport",
     "SessionStatus",
     "ShapingDecision",
-    "ShardedPolicyServer",
     "SyntheticWorkload",
     "PacketEvent",
     "LoadReport",

@@ -3,8 +3,7 @@
 Builds an interleaved per-packet arrival schedule from the library's
 synthetic traffic generators (Tor / V2Ray / HTTPS mixes, the same
 distributions the censors are trained on) at a target aggregate arrival
-rate, and drives a :class:`~repro.serve.server.PolicyServer` (or
-:class:`~repro.serve.sharded.ShardedPolicyServer`) through it.
+rate, and drives a :class:`~repro.serve.server.PolicyServer` through it.
 
 The schedule is *virtual-time* ordered: flow start offsets and inter-packet
 gaps define the interleaving of sessions — i.e. which sessions' packets
@@ -176,13 +175,12 @@ class LoadReport:
 
 
 def run_workload(server, workload: SyntheticWorkload, close_sessions: bool = True) -> LoadReport:
-    """Drive a serving tier through a workload; returns aggregate metrics.
+    """Drive a :class:`~repro.serve.server.PolicyServer` through a workload;
+    returns aggregate metrics.
 
-    ``server`` is anything with the :class:`~repro.serve.server.PolicyServer`
-    session surface (the sharded driver qualifies).  Packets are submitted
-    in schedule order with a ``poll()`` after each arrival (timeout-based
-    flushes), a final ``drain()`` serves the tail, and sessions are closed
-    so profile fallbacks are embedded and accounted.
+    Packets are submitted in schedule order with a ``poll()`` after each
+    arrival (timeout-based flushes), a final ``drain()`` serves the tail,
+    and sessions are closed so profile fallbacks are embedded and accounted.
     """
     start = time.perf_counter()
     for session_id, flow in workload.flows.items():
@@ -192,11 +190,7 @@ def run_workload(server, workload: SyntheticWorkload, close_sessions: bool = Tru
         server.poll()
     server.drain()
     if close_sessions:
-        if hasattr(server, "close_all"):
-            server.close_all()
-        else:
-            for session_id in list(workload.flows):
-                server.close_session(session_id)
+        server.close_all()
     wall = time.perf_counter() - start
 
     stats = server.stats()

@@ -61,7 +61,7 @@ from .session import (
 __all__ = ["ServeConfig", "PolicyServer", "build_policy_from_state", "summarize_stats"]
 
 # Distinguishes the registry series of multiple PolicyServer instances in
-# one process (sharded serving workers each fork with their own count).
+# one process (tests and benchmarks build several).
 _SERVER_IDS = itertools.count()
 
 # Every flush opens a ``serve.flush`` span; only every N-th also opens the
@@ -100,7 +100,7 @@ class ServeConfig:
 
     # Recent decision latencies retained for stats()/percentiles.  Bounded:
     # a long-running server must not grow memory linearly in decisions
-    # served (and stats() ships this window over worker pipes).
+    # served (and stats() copies this window on every call).
     latency_history: int = 4096
 
     def __post_init__(self) -> None:
@@ -198,7 +198,8 @@ def build_policy_from_state(
 def summarize_stats(stats: Dict[str, object]) -> Dict[str, float]:
     """Percentile / rate summary of a :meth:`PolicyServer.stats` dict.
 
-    Works on merged multi-shard stats too (latency lists concatenate).
+    Works on several servers' stats merged by summing scalars and
+    concatenating lists.
     """
     latencies = np.asarray(stats.get("latencies_ms", ()), dtype=np.float64)
     opened = int(stats.get("sessions_opened", 0))
@@ -268,8 +269,7 @@ class PolicyServer:
 
         # Aggregate counters (the stats() payload), registry-backed so the
         # telemetry exporters see them for free; the ``server`` label keeps
-        # multiple in-process servers (sharded serving workers, tests)
-        # distinguishable.  Demotions are not counted here: stats() derives
+        # multiple in-process servers distinguishable.  Demotions are not counted here: stats() derives
         # them from session/report status so the metric stays authoritative
         # however a session was demoted (deadline tracker or an operator
         # calling FlowSession.demote()).
@@ -289,8 +289,7 @@ class PolicyServer:
         self._latencies_ms: Deque[float] = deque(maxlen=self.config.latency_history)
         self._flush_tick = 0  # drives child-span head sampling in flush()
         # Expose a scrape endpoint if REPRO_TELEMETRY_PORT asks for one
-        # (no-op otherwise, and quietly skipped in serving workers that
-        # inherited the variable — the driver owns the port).
+        # (no-op otherwise).
         obs.maybe_serve_telemetry()
 
     # ------------------------------------------------------------------ #
@@ -545,12 +544,12 @@ class PolicyServer:
     # Stats
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Raw counters (mergeable across shards; see :func:`summarize_stats`).
+        """Raw counters (mergeable across servers; see :func:`summarize_stats`).
 
-        Scalars sum and lists concatenate under a multi-shard merge, which
-        is why the fallback embedding results are shipped as raw per-result
-        lists rather than pre-averaged rates (averages of averages would
-        weight empty shards).  ``latencies_ms`` is the recent window of
+        Scalars sum and lists concatenate under a merge of several servers'
+        stats, which is why the fallback embedding results are kept as raw
+        per-result lists rather than pre-averaged rates (averages of
+        averages would weight empty servers).  ``latencies_ms`` is the recent window of
         ``config.latency_history`` decisions, so long-running servers keep
         stats() cheap; the counters cover the full lifetime.
         """

@@ -38,11 +38,12 @@ class TestParser:
     def test_attack_workers_flag(self):
         args = build_parser().parse_args(["attack", "--workers", "2"])
         assert args.workers == 2
-        assert not args.pipeline  # double-buffering is opt-in
 
-    def test_attack_pipeline_flag(self):
-        args = build_parser().parse_args(["attack", "--workers", "2", "--pipeline"])
-        assert args.pipeline
+    def test_attack_has_no_pipeline_flag(self):
+        # Training is synchronous PPO; there is no double-buffered schedule.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["attack", "--workers", "2", "--pipeline"])
+        assert excinfo.value.code == 2
 
     def test_invalid_censor_rejected(self):
         with pytest.raises(SystemExit):
@@ -55,8 +56,14 @@ class TestParser:
         assert args.policy == "p.npz"
         assert args.sessions == 12
         assert args.max_batch == 4
-        assert args.workers == 0  # in-process serving by default
         assert args.deadline_ms is None
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--transport", "tcp"]])
+    def test_serve_has_no_worker_flags(self, flag):
+        # One process serves; scale-out is independent serve processes.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--policy", "p.npz", *flag])
+        assert excinfo.value.code == 2
 
     def test_serve_requires_policy(self):
         with pytest.raises(SystemExit):
@@ -176,22 +183,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "decisions_per_s" in out and "fallback_rate" in out
 
-    def test_attack_pipeline_requires_workers(self):
-        with pytest.raises(SystemExit, match="--pipeline requires --workers"):
-            main(
-                [
-                    "attack",
-                    "--dataset",
-                    "tor",
-                    "--flows",
-                    "30",
-                    "--max-packets",
-                    "16",
-                    "--timesteps",
-                    "150",
-                    "--pipeline",
-                ]
-            )
+    @pytest.mark.parametrize("workers", ["3", "-1"])
+    def test_attack_bad_workers_fail_before_the_dataset_build(self, workers, monkeypatch):
+        import repro.cli
+        from repro.core import AmoebaConfig
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before --workers was checked")
+
+        monkeypatch.setattr(repro.cli, "prepare_experiment_data", no_dataset)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["attack", "--workers", workers])
+        message = str(excinfo.value.code)
+        assert "--workers" in message
+        assert f"n_envs={AmoebaConfig().n_envs}" in message
 
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
@@ -219,27 +224,3 @@ class TestCommands:
         assert "cc1: fatal error: boom" in out
         assert "numpy fallback" in out
         assert "gates: boom" in out
-
-    def test_attack_command_pipelined(self, capsys):
-        code = main(
-            [
-                "attack",
-                "--dataset",
-                "tor",
-                "--flows",
-                "30",
-                "--max-packets",
-                "16",
-                "--censor",
-                "DT",
-                "--timesteps",
-                "300",
-                "--eval-flows",
-                "3",
-                "--workers",
-                "2",
-                "--pipeline",
-            ]
-        )
-        assert code == 0
-        assert "asr" in capsys.readouterr().out

@@ -6,8 +6,14 @@ refreshed by checkpoint broadcast) reproduces the single-process vectorized
 engine's buffers, rewards and per-flow query counts exactly — and a killed
 worker is restarted by deterministic command-log replay without corrupting
 the merged rollout.
+
+Also here: evaluation owns its own RNG stream, so neither mid-training
+``eval_every`` evaluation nor standalone ``evaluate()`` calls shift the
+collection seed trees of later training; and pins that the retired
+scale-out paths (forked serving workers, pipelined collection) stay gone.
 """
 
+import inspect
 import json
 import os
 import signal
@@ -17,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve
 from repro.core import Amoeba, AmoebaConfig
 from repro.distrib import (
     ShardedRolloutEngine,
@@ -27,7 +34,9 @@ from repro.distrib import (
     TransportError,
     start_local_worker_host,
 )
+from repro.distrib import transport as transport_mod
 from repro.nn.serialization import state_dict_to_bytes
+from repro.pipeline import train_amoeba
 from repro.utils.rng import collection_seed_tree
 
 N_ENVS = 4
@@ -54,17 +63,69 @@ def sharded_setup(trained_dt_censor, normalizer, tor_splits):
     )
 
 
-def fresh_agent(setup) -> Amoeba:
+def fresh_agent(setup, rng=42) -> Amoeba:
     return Amoeba(
         setup["censor"],
         setup["normalizer"],
         setup["config"],
-        rng=42,
+        rng=rng,
         encoder_pretrain_kwargs=dict(n_flows=20, max_length=10, epochs=1),
     )
 
 
 ARRAY_FIELDS = ("states", "actions", "log_probs", "values", "rewards", "dones")
+
+TRAIN_RECORD_KEYS = ("timesteps", "train_asr", "mean_reward", "policy_loss", "value_loss", "entropy")
+
+
+def shard_runner(agent, setup, seed_pairs, runner_cls=ShardRunner) -> ShardRunner:
+    return runner_cls(
+        agent.actor,
+        agent.critic,
+        agent.state_encoder,
+        setup["censor"],
+        setup["normalizer"],
+        setup["config"],
+        setup["flows"],
+        seed_pairs,
+    )
+
+
+def reference_segments(setup, n_collects):
+    """Inline single-process ShardRunner segments (the ground truth)."""
+    agent = fresh_agent(setup)
+    runner = shard_runner(agent, setup, collection_seed_tree(agent._rng, N_ENVS))
+    return [runner.collect(ROLLOUT_LENGTH) for _ in range(n_collects)]
+
+
+def assert_rollouts_equal(actual, expected):
+    for name in ARRAY_FIELDS:
+        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+    assert np.array_equal(actual.final_states, expected.final_states)
+    assert np.array_equal(actual.final_values, expected.final_values)
+    assert actual.query_delta == expected.query_delta
+
+
+class _SelfKillingRunner(ShardRunner):
+    """SIGKILLs its own worker process inside its second collect.
+
+    A replacement worker counts from zero again, so the replayed collect
+    runs to completion."""
+
+    collects = 0
+
+    def collect(self, n_ticks):
+        self.collects += 1
+        if self.collects == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().collect(n_ticks)
+
+
+class _SlowRunner:
+    """Never answers a collect within a test's lifetime."""
+
+    def collect(self, n_ticks):
+        time.sleep(60)
 
 
 class TestShardedCollectionEquivalence:
@@ -79,16 +140,7 @@ class TestShardedCollectionEquivalence:
         # single-process vectorized engine.
         ref_agent = fresh_agent(setup)
         ref_tree = collection_seed_tree(ref_agent._rng, N_ENVS)
-        ref_runner = ShardRunner(
-            ref_agent.actor,
-            ref_agent.critic,
-            ref_agent.state_encoder,
-            censor,
-            setup["normalizer"],
-            setup["config"],
-            setup["flows"],
-            ref_tree,
-        )
+        ref_runner = shard_runner(ref_agent, setup, ref_tree)
         queries_before = censor.query_count
         reference = [ref_runner.collect(ROLLOUT_LENGTH) for _ in range(2)]
         reference_delta = censor.query_count - queries_before
@@ -218,29 +270,99 @@ class TestSnapshotTruncation:
         agent = fresh_agent(sharded_setup)
         tree = collection_seed_tree(agent._rng, N_ENVS)
 
-        def make_runner():
-            return ShardRunner(
-                agent.actor,
-                agent.critic,
-                agent.state_encoder,
-                sharded_setup["censor"],
-                sharded_setup["normalizer"],
-                sharded_setup["config"],
-                sharded_setup["flows"],
-                tree,
-            )
-
-        reference = make_runner()
+        reference = shard_runner(agent, sharded_setup, tree)
         reference.collect(4)
         snapshot = reference.snapshot()
         expected = reference.collect(4)
 
-        resumed = make_runner()
+        resumed = shard_runner(agent, sharded_setup, tree)
         resumed.restore(snapshot)
         actual = resumed.collect(4)
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
         assert actual.query_delta == expected.query_delta
+
+
+class TestCollectFaults:
+    def test_sigkill_during_collect_is_recovered(self, sharded_setup):
+        """A worker killed while its collect is in flight is rebuilt inside
+        collect() by snapshot-restore + log replay: the merged rollout and
+        the query accounting are identical to an undisturbed round."""
+        expected = reference_segments(sharded_setup, 2)
+        agent = fresh_agent(sharded_setup)
+        tree = collection_seed_tree(agent._rng, N_ENVS)
+        shard = N_ENVS // N_WORKERS
+
+        def factory(index):
+            runner_cls = _SelfKillingRunner if index == 0 else ShardRunner
+            return shard_runner(
+                agent, sharded_setup, tree[index * shard : (index + 1) * shard], runner_cls
+            )
+
+        engine = ShardedRolloutEngine(factory, N_WORKERS)
+        try:
+            engine.broadcast(state_dict_to_bytes(agent._policy_state()))
+            first = engine.collect(ROLLOUT_LENGTH)
+            second = engine.collect(ROLLOUT_LENGTH)
+            restarts = engine.restarts_performed
+        finally:
+            engine.close()
+        assert restarts >= 1
+        assert_rollouts_equal(first, expected[0])
+        assert_rollouts_equal(second, expected[1])
+
+    def test_failed_drain_marks_engine_broken(self):
+        """A deterministic worker error during a collect surfaces from
+        collect(); afterwards the engine fails fast instead of blocking on
+        replies that were already consumed."""
+
+        def factory(index):
+            class Broken:
+                def load_weights(self, payload):
+                    pass
+
+                def collect(self, n_ticks):
+                    raise RuntimeError("deterministic collect bug")
+
+            return Broken()
+
+        engine = ShardedRolloutEngine(factory, 1)
+        try:
+            engine.broadcast(b"ignored")
+            with pytest.raises(RuntimeError, match="deterministic collect bug"):
+                engine.collect(2)
+            with pytest.raises(RuntimeError, match="broken"):
+                engine.collect(2)
+            with pytest.raises(RuntimeError, match="broken"):
+                engine.broadcast(b"ignored")
+        finally:
+            engine.close()
+
+    def test_interrupted_collect_closes_without_handshake(self, monkeypatch):
+        """A drain interrupted while the workers are still collecting makes
+        close() terminate them: the polite close handshake would wait for
+        the rest of their rollouts."""
+        engine = ShardedRolloutEngine(lambda index: _SlowRunner(), N_WORKERS)
+        try:
+            conn = engine._workers[0].conn
+            recv = conn.recv
+            calls = []
+
+            def interrupted_recv():
+                calls.append(None)
+                if len(calls) == 1:
+                    raise KeyboardInterrupt
+                return recv()
+
+            monkeypatch.setattr(conn, "recv", interrupted_recv)
+            with pytest.raises(KeyboardInterrupt):
+                engine.collect(2)
+        finally:
+            start = time.monotonic()
+            engine.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 5.0
+        assert not any(process.is_alive() for process in engine.processes)
 
 
 class TestArmsRaceIntegration:
@@ -294,6 +416,16 @@ class TestEngineValidation:
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
             ShardedRolloutEngine(lambda index: None, 0)
+
+    def test_rejects_nonpositive_tick_count(self):
+        engine = ShardedRolloutEngine(_idle_runner_factory, 1)
+        try:
+            with pytest.raises(ValueError, match="n_ticks"):
+                engine.collect(0)
+            # Rejected before anything was sent: the engine is not broken.
+            assert not engine._broken
+        finally:
+            engine.close()
 
     def test_partial_spawn_releases_launched_workers_and_pool(self):
         """Worker 1 cannot be placed (nothing listens on its port): the
@@ -464,3 +596,86 @@ class TestEvalBatchSizeConfig:
         monkeypatch.setattr(agent, "_attack_batch", spy)
         agent.attack_many(sharded_setup["flows"][:5], batch_size=5)
         assert seen == [5]
+
+
+class TestEvalRngIsolation:
+    """Evaluation must never advance the training RNG (`self._rng`)."""
+
+    def _train_records(self, record):
+        return {key: record[key] for key in TRAIN_RECORD_KEYS}
+
+    def _run(self, setup, eval_every, rounds=2):
+        agent = fresh_agent(setup, rng=7)
+        eval_kwargs = {}
+        if eval_every is not None:
+            eval_kwargs = dict(
+                eval_flows=setup["flows"][:2],
+                eval_every=eval_every,
+                eval_size=2,
+            )
+        records = []
+        for _ in range(rounds):
+            agent.train(
+                setup["flows"],
+                total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+                callback=records.append,
+                **eval_kwargs,
+            )
+        params = [p.data.copy() for p in agent.actor.parameters()]
+        return [self._train_records(record) for record in records], params
+
+    def test_training_invariant_to_eval_cadence(self, sharded_setup):
+        """Two consecutive train() calls: the second one's seed tree (drawn
+        from self._rng) must be identical whether or not the first call ran
+        mid-training evaluations."""
+        no_eval_records, no_eval_params = self._run(sharded_setup, eval_every=None)
+        eval_records, eval_params = self._run(sharded_setup, eval_every=1)
+        assert eval_records == no_eval_records
+        for expected, actual in zip(no_eval_params, eval_params):
+            assert np.array_equal(expected, actual)
+
+    def test_standalone_evaluate_does_not_shift_later_training(self, sharded_setup):
+        plain_records, plain_params = self._run(sharded_setup, eval_every=None)
+
+        agent = fresh_agent(sharded_setup, rng=7)
+        records = []
+        agent.train(
+            sharded_setup["flows"],
+            total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+            callback=records.append,
+        )
+        agent.evaluate(sharded_setup["flows"][:3])
+        agent.train(
+            sharded_setup["flows"],
+            total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+            callback=records.append,
+        )
+        assert [self._train_records(record) for record in records] == plain_records
+        for expected, actual in zip(
+            plain_params, [p.data.copy() for p in agent.actor.parameters()]
+        ):
+            assert np.array_equal(expected, actual)
+
+
+class TestRetiredScaleOutPaths:
+    """One process serves and one synchronous loop trains: the forked
+    serving tier and pipelined collection lost to them on every measured
+    workload and were removed.  Re-adding either surface fails here."""
+
+    def test_train_has_no_pipeline_parameter(self):
+        assert "pipeline" not in inspect.signature(Amoeba.train).parameters
+        assert "pipeline" not in inspect.signature(train_amoeba).parameters
+
+    def test_config_has_no_pipeline_field(self):
+        assert "pipeline_collection" not in AmoebaConfig.__dataclass_fields__
+
+    def test_engine_has_no_async_pair(self):
+        assert not hasattr(ShardedRolloutEngine, "collect_async")
+        assert not hasattr(ShardedRolloutEngine, "wait")
+
+    def test_no_sharded_policy_server(self):
+        assert not hasattr(repro.serve, "ShardedPolicyServer")
+        assert "ShardedPolicyServer" not in repro.serve.__all__
+
+    def test_worker_entrypoints(self):
+        assert set(transport_mod._WORKER_ENTRYPOINTS) == {"rollout", "sweep"}

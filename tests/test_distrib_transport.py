@@ -7,8 +7,7 @@ which is bit-identical to single-process collection (the equivalence
 ladder gains one rung), and every failure-semantics contract survives the
 backend swap: a SIGKILLed or wedged (SIGSTOPped) rollout worker is
 rebuilt by snapshot-restore + log replay with an unchanged merged
-rollout, a dead serving worker stays a hard error, a crashed sweep
-worker gets its task re-queued.  Checkpoint broadcasts serialize their
+rollout, a crashed sweep worker gets its task re-queued.  Checkpoint broadcasts serialize their
 payload exactly once regardless of worker count.
 """
 
@@ -21,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import Amoeba, AmoebaConfig, GaussianActor, StateEncoder
+from repro.core import Amoeba, AmoebaConfig
 from repro.distrib import (
     ShardedRolloutEngine,
     ShardRunner,
@@ -41,7 +40,6 @@ from repro.distrib.transport import (
     worker_command_loop,
 )
 from repro.nn.serialization import state_dict_to_bytes
-from repro.serve import PolicyServer, ServeConfig, ShardedPolicyServer
 from repro.utils.rng import collection_seed_tree
 
 N_ENVS = 4
@@ -532,55 +530,6 @@ class TestBroadcastSerializesOnce:
             assert engine._last_payload is engine._log[0][1]
         finally:
             engine.close()
-
-
-# --------------------------------------------------------------------- #
-# Serving over TCP: dead worker is a hard error
-# --------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def serving_policy():
-    rng = np.random.default_rng(7)
-    encoder = StateEncoder(hidden_size=8, num_layers=2, rng=rng)
-    encoder.eval()
-    actor = GaussianActor(state_dim=16, hidden_dims=(16,), rng=rng)
-    return actor, encoder
-
-
-class TestTcpServing:
-    @pytest.fixture()
-    def tcp_server(self, serving_policy):
-        actor, encoder = serving_policy
-        config = ServeConfig(size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0)
-
-        def factory(_index):
-            return PolicyServer(actor, encoder, config=config)
-
-        server = ShardedPolicyServer(factory, n_workers=2, transport="tcp")
-        yield server
-        server.close()
-
-    def test_sessions_served_over_tcp(self, tcp_server):
-        tcp_server.open_session("s0")
-        tcp_server.open_session("s1")
-        for i in range(6):
-            tcp_server.submit("s0", 100.0 + i, 1.0)
-            tcp_server.submit("s1", 200.0 + i, 1.0)
-        assert tcp_server.drain() >= 0
-        reports = tcp_server.close_all()
-        assert len(reports) == 2
-
-    def test_dead_tcp_serving_worker_is_hard_error(self, tcp_server):
-        """Serving state is not replayable: worker death must surface as a
-        RuntimeError, never a silent restart — same contract as fork-pipe."""
-        tcp_server.open_session("s0")
-        os.kill(tcp_server._processes[0].pid, signal.SIGKILL)
-        tcp_server._processes[0].join(timeout=5)
-        with pytest.raises(RuntimeError, match="serving worker 0 died"):
-            tcp_server._ask(0, ("stats",))
-
-    def test_worker_error_reply_still_raises(self, tcp_server):
-        with pytest.raises(RuntimeError, match="failed"):
-            tcp_server._ask(0, ("close_session", "ghost"))
 
 
 # --------------------------------------------------------------------- #

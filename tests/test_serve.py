@@ -3,13 +3,12 @@
 Covers the session lifecycle (admit -> decide -> demote-to-profile ->
 close), the scheduler's batching invariants — a session's decisions are
 bit-identical regardless of which batch they land in, thanks to
-``nn.row_consistent_matmul`` — the checkpoint reconstruction path, the
-sharded serving workers, and equivalence of the serving emulator with the
-training-time environment (``Amoeba.attack``).
+``nn.row_consistent_matmul`` — the checkpoint reconstruction path, and
+equivalence of the serving emulator with the training-time environment
+(``Amoeba.attack``).
 """
 
 import hashlib
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.serve import (
     PolicyServer,
     ServeConfig,
     SessionStatus,
-    ShardedPolicyServer,
     SyntheticWorkload,
     build_policy_from_state,
     run_workload,
@@ -451,49 +449,6 @@ class TestCheckpointServing:
         assert groups == {"a": {"x": 1, "y.z": 2}, "b": {"w": 3}}
         with pytest.raises(ValueError):
             split_prefixed_state({"noprefix": 1})
-
-
-# --------------------------------------------------------------------- #
-# Sharded serving workers
-# --------------------------------------------------------------------- #
-@pytest.mark.skipif(sys.platform == "win32", reason="requires POSIX fork")
-class TestShardedServing:
-    def test_sharded_matches_single_process(self, policy, serve_config):
-        workload = SyntheticWorkload.generate(
-            n_sessions=5, arrival_rate_pps=600.0, max_packets=8, rng=33
-        )
-        single = make_server(policy, serve_config)
-        run_workload(single, workload)
-        single_flows = {r.session_id: r.shaped_flow for r in single.reports()}
-
-        def factory(_index):
-            return make_server(policy, serve_config)
-
-        with ShardedPolicyServer(factory, n_workers=2, submit_buffer=8) as sharded:
-            for session_id in workload.flows:
-                sharded.open_session(session_id)
-            for event in workload.events:
-                sharded.submit(event.session_id, event.size, event.delay_ms)
-            sharded.drain()
-            reports = sharded.close_all()
-            stats = sharded.stats()
-        sharded_flows = {r.session_id: r.shaped_flow for r in reports}
-        assert set(sharded_flows) == set(single_flows)
-        for session_id, flow in single_flows.items():
-            assert np.array_equal(flow.sizes, sharded_flows[session_id].sizes)
-            assert np.array_equal(flow.delays, sharded_flows[session_id].delays)
-        merged = summarize_stats(stats)
-        assert merged["decisions"] == summarize_stats(single.stats())["decisions"]
-
-    def test_worker_error_is_surfaced(self, policy, serve_config):
-        def factory(_index):
-            return make_server(policy, serve_config)
-
-        with ShardedPolicyServer(factory, n_workers=1) as sharded:
-            sharded.open_session("a")
-            with pytest.raises(RuntimeError, match="failed"):
-                # Unknown session inside the worker -> KeyError -> error reply.
-                sharded._ask(0, ("close_session", "ghost"))
 
 
 # --------------------------------------------------------------------- #
