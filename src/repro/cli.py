@@ -21,9 +21,6 @@ without writing Python:
 * ``repro-amoeba backends`` — print the execution-backend diagnostic: which
   backends are registered, whether the compiled GEMM / fused-cell kernels
   loaded, and the compile error if they did not;
-* ``repro-amoeba worker-host`` — run the TCP worker-host daemon that donates
-  this machine's cores to remote drivers (``attack --transport
-  tcp://host:port`` places collection/sweep workers here);
 * ``repro-amoeba info`` — print the library version and experiment index.
 
 Examples
@@ -99,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="shard rollout collection across this many worker processes "
         "(0 = in-process; n_envs must divide evenly)",
-    )
-    attack.add_argument(
-        "--transport",
-        default=None,
-        help="worker placement: 'fork' (default), 'tcp' (private loopback "
-        "worker host), or 'tcp://host:port[,host:port...]' pointing at "
-        "repro-amoeba worker-host daemons (requires --workers)",
     )
     attack.add_argument("--save-policy", default=None, help="path to save the trained policy (.npz)")
     attack.add_argument("--save-adversarial", default=None, help="path to save adversarial flows (JSONL)")
@@ -187,18 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "backends", help="print the execution-backend diagnostic (kernels, fallbacks)"
     )
 
-    worker_host = subparsers.add_parser(
-        "worker-host",
-        help="run the TCP worker-host daemon: accepts worker connections "
-        "from remote drivers (rollout/sweep workers, --transport tcp://...)",
-    )
-    worker_host.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        help="host:port to listen on (port 0 picks a free port; bind "
-        "0.0.0.0:PORT to accept remote drivers)",
-    )
-
     subparsers.add_parser("info", help="print version and experiment index")
     return parser
 
@@ -254,8 +232,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--workers must be 0 (in-process) or divide n_envs={n_envs}, got {args.workers}"
         )
-    if args.transport and not args.workers:
-        raise SystemExit("--transport requires --workers (it places worker processes)")
     _maybe_start_telemetry(args)
     data = prepare_experiment_data(
         args.dataset, n_censored=args.flows, n_benign=args.flows, max_packets=args.max_packets, rng=args.seed
@@ -271,7 +247,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         total_timesteps=args.timesteps,
         rng=args.seed + 2,
         workers=args.workers or None,
-        transport=args.transport,
     )
     report = agent.evaluate(data.splits.test.censored_flows[: args.eval_flows])
     print(
@@ -483,30 +458,6 @@ def _command_backends(_: argparse.Namespace) -> int:
     return 0
 
 
-def _command_worker_host(args: argparse.Namespace) -> int:
-    """Run the TCP worker-host daemon until interrupted.
-
-    Each accepted connection is answered by a freshly forked worker process
-    running the requested entrypoint (rollout / sweep); the daemon
-    itself holds no policy or experiment state, so one host serves any
-    number of drivers in sequence or in parallel.
-    """
-    from .distrib.transport import WorkerHostServer
-
-    host, _, port = args.bind.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--bind must look like host:port, got {args.bind!r}")
-    server = WorkerHostServer(host, int(port))
-    print(f"worker host listening on {server.address} (ctrl-C to stop)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("worker host shutting down")
-    finally:
-        server.close()
-    return 0
-
-
 def _command_top(args: argparse.Namespace) -> int:
     from .obs.top import run_top
 
@@ -539,7 +490,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "telemetry": _command_telemetry,
         "top": _command_top,
         "backends": _command_backends,
-        "worker-host": _command_worker_host,
         "info": _command_info,
     }
     return handlers[args.command](args)

@@ -179,7 +179,6 @@ class Amoeba:
         eval_size: int = 20,
         callback: Optional[Callable[[Dict], None]] = None,
         workers: Optional[int] = None,
-        transport: Optional[str] = None,
     ) -> TrainingLogger:
         """Train the policy against the censor on the given censored flows.
 
@@ -199,12 +198,8 @@ class Amoeba:
         each iteration with the current actor/critic/encoder checkpoint,
         and returns its rollout segment for a deterministic merge; PPO
         updates stay in this process.  A crashed worker is restarted by
-        command-log replay without corrupting the rollout.  ``transport``
-        selects where those workers live — ``None``/``"fork"`` for local
-        forks (the default), ``"tcp"`` / ``"tcp://host:port,..."`` for
-        workers behind ``repro-amoeba worker-host`` daemons (see
-        :mod:`repro.distrib.transport`); the merged rollout is
-        bit-identical whichever transport carried it.
+        command-log replay without corrupting the rollout.  Workers are
+        forks of this process (see :mod:`repro.distrib.transport`).
 
         All collection modes build their environment and exploration-noise
         generators from the same per-slot seed tree
@@ -220,8 +215,6 @@ class Amoeba:
             raise ValueError("total_timesteps must be >= 1")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for in-process collection)")
-        if transport is not None and workers is None:
-            raise ValueError("transport requires workers: it places worker processes")
         flows = self._filter_censored(flows)
         config = self.config
         buffer = RolloutBuffer(
@@ -239,9 +232,7 @@ class Amoeba:
         if workers is not None:
             from ..distrib.sharded import ShardedRolloutEngine
 
-            engine = ShardedRolloutEngine.for_agent(
-                self, flows, seed_tree, workers, transport=transport
-            )
+            engine = ShardedRolloutEngine.for_agent(self, flows, seed_tree, workers)
         else:
             # In-process collection is one inline shard hosting all slots —
             # the same collection kernel the workers run, so there is

@@ -77,7 +77,6 @@ def run_arms_race(
     config: Optional[AmoebaConfig] = None,
     eval_batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    transport: Optional[str] = None,
     rng=None,
 ) -> ArmsRaceResult:
     """Run ``n_rounds`` of censor-retrains / attacker-retrains.
@@ -106,9 +105,6 @@ def run_arms_race(
     workers:
         When set, each round's rollout collection is sharded across that
         many worker processes (``Amoeba.train(workers=...)``).
-    transport:
-        Worker placement spec passed through to ``Amoeba.train`` (fork
-        default; ``"tcp://host:port,..."`` for cross-host collection).
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -133,7 +129,6 @@ def run_arms_race(
             attack_train_flows,
             total_timesteps=amoeba_timesteps,
             workers=workers,
-            transport=transport,
         )
         report = agent.evaluate(eval_flows)
 

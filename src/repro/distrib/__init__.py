@@ -1,14 +1,12 @@
-"""Distributed rollout collection, sweep orchestration and transports.
+"""Distributed rollout collection, sweep orchestration and worker channels.
 
 This package hosts the multi-process tier of the reproduction:
 
 ``repro.distrib.transport``
-    The transport tier — one framed command protocol
-    (:func:`worker_command_loop`), two backends
-    (:class:`ForkPipeTransport` pipes to local forks,
-    :class:`TcpTransport` length-prefixed frames to workers on any host
-    via :class:`WorkerHostServer` daemons), and the worker pools every
-    driver places workers through.
+    The worker channel — one framed command protocol
+    (:func:`worker_command_loop`) over :class:`Transport` pipes to local
+    forks, and the :class:`ForkWorkerPool` every driver places workers
+    through.
 ``repro.distrib.shard``
     :class:`ShardRunner` — the per-process collection kernel: a
     :class:`~repro.core.vec_env.VectorFlowEnv` shard, its incremental state
@@ -27,28 +25,14 @@ This package hosts the multi-process tier of the reproduction:
 Determinism contract: on the row-consistent :mod:`repro.nn.backend` kernel, sharded
 collection with ``W × n_envs_per_shard`` environments is bit-equivalent to
 single-process vectorized collection with the same ``n_envs`` — identical
-buffers, rewards, episode summaries and per-flow censor query counts,
-whichever transport carried the shards.  See the seed-tree layout in
-:mod:`repro.utils.rng`.
+buffers, rewards, episode summaries and per-flow censor query counts.  See
+the seed-tree layout in :mod:`repro.utils.rng`.
 """
 
 from .shard import ShardResult, ShardRunner
 from .sharded import ShardedRolloutEngine
 from .sweep import SweepOrchestrator, SweepTask, SweepTaskRecord, amoeba_grid_task
-from .transport import (
-    ForkPipeTransport,
-    ForkWorkerPool,
-    TcpTransport,
-    TcpWorkerPool,
-    Transport,
-    TransportError,
-    WorkerEndpoint,
-    WorkerHostServer,
-    WorkerPool,
-    make_worker_pool,
-    start_local_worker_host,
-    worker_command_loop,
-)
+from .transport import ForkWorkerPool, Transport, TransportError, worker_command_loop
 
 __all__ = [
     "ShardRunner",
@@ -60,14 +44,6 @@ __all__ = [
     "amoeba_grid_task",
     "Transport",
     "TransportError",
-    "ForkPipeTransport",
-    "TcpTransport",
     "worker_command_loop",
-    "WorkerEndpoint",
-    "WorkerPool",
     "ForkWorkerPool",
-    "TcpWorkerPool",
-    "WorkerHostServer",
-    "start_local_worker_host",
-    "make_worker_pool",
 ]

@@ -1,9 +1,8 @@
 """Sharded rollout engine: W collection workers, one merged rollout.
 
 The engine partitions the global environment batch into ``W`` contiguous
-shards, places one worker process per shard through the
-:mod:`repro.distrib.transport` tier (local forks by default, TCP worker
-hosts with ``transport="tcp://..."``; each worker hosts a
+shards, forks one worker process per shard through
+:class:`~repro.distrib.transport.ForkWorkerPool` (each worker hosts a
 :class:`~repro.distrib.shard.ShardRunner` — its own
 :class:`~repro.core.vec_env.VectorFlowEnv`, censor replica and per-slot
 seed streams), and drives them with two commands per PPO iteration:
@@ -32,11 +31,10 @@ Fault tolerance
 ---------------
 Workers are deterministic functions of (seed tree, command history).  The
 engine keeps a command log — broadcast payloads and collect lengths, in
-order — and restarts a crashed worker (a broken transport: pipe EOF,
-socket reset, heartbeat timeout) by launching
-a fresh process and replaying the log, which fast-forwards the replacement
-to the exact state of the lost worker before re-answering the in-flight
-command.  A worker SIGKILLed while its collect is in flight is recovered
+order — and restarts a crashed worker (a broken pipe: the process died)
+by forking a fresh process and replaying the log, which fast-forwards the
+replacement to the exact state of the lost worker before re-answering the
+in-flight command.  A worker SIGKILLed while its collect is in flight is recovered
 inside :meth:`collect`, which replays the logged broadcast + collect of the
 current iteration before merging.  Replayed collect results (and their
 censor-query deltas) are discarded, so the merged rollout and query
@@ -51,9 +49,10 @@ checkpoint and replays at most the current iteration's commands.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,13 +61,13 @@ from ..core.env import EpisodeSummary
 from ..obs import _state as _obs_state
 from .shard import ShardResult, ShardRunner
 from .transport import (
+    ForkWorkerPool,
     Transport,
     TransportError,
-    WorkerPool,
     encode_message,
-    make_worker_pool,
     traced_message,
 )
+from .worker import rollout_worker_entry
 
 __all__ = ["ShardedRolloutEngine"]
 
@@ -76,43 +75,8 @@ __all__ = ["ShardedRolloutEngine"]
 @dataclass
 class _WorkerHandle:
     index: int
-    process: object
+    process: multiprocessing.Process
     conn: Transport
-
-
-class _AgentShardFactory:
-    """Picklable runner factory for one agent's contiguous seed-tree shards.
-
-    A plain class (not a closure) so explicit ``tcp://host:port`` worker
-    hosts can receive it by pickle; under the default fork placement it is
-    inherited copy-on-write exactly like the closure it replaced.
-    """
-
-    def __init__(
-        self, actor, critic, encoder, censor, normalizer, config, flows, seed_tree, shard_size
-    ) -> None:
-        self.actor = actor
-        self.critic = critic
-        self.encoder = encoder
-        self.censor = censor
-        self.normalizer = normalizer
-        self.config = config
-        self.flows = flows
-        self.seed_tree = seed_tree
-        self.shard_size = shard_size
-
-    def __call__(self, worker_index: int) -> ShardRunner:
-        low = worker_index * self.shard_size
-        return ShardRunner(
-            actor=self.actor,
-            critic=self.critic,
-            encoder=self.encoder,
-            censor=self.censor,
-            normalizer=self.normalizer,
-            config=self.config,
-            flows=self.flows,
-            seed_pairs=self.seed_tree[low : low + self.shard_size],
-        )
 
 
 class ShardedRolloutEngine:
@@ -122,22 +86,12 @@ class ShardedRolloutEngine:
     ----------
     runner_factory:
         ``runner_factory(worker_index) -> ShardRunner``, executed *inside*
-        the worker process.  Closures are fine under the default fork
-        placement (fork never pickles them); explicit ``tcp://`` worker
-        hosts need a picklable factory (a module-level callable such as
-        :class:`_AgentShardFactory`).
+        the forked worker process.  Closures are fine: fork never pickles
+        them.
     n_workers:
         Number of worker processes (= number of shards).
     max_restarts:
         Restart budget per recovery attempt before the fault is re-raised.
-    transport:
-        Worker placement: ``None``/``"fork"`` for local forked workers (the
-        default, copy-on-write inheritance), ``"tcp"`` for a pool-owned
-        loopback worker host, ``"tcp://host:port,..."`` for external
-        :class:`~repro.distrib.transport.WorkerHostServer` daemons, or a
-        prebuilt :class:`~repro.distrib.transport.WorkerPool`.  Recovery,
-        merge and determinism are transport-independent: a broken channel
-        is a restartable fault whichever backend raised it.
     """
 
     def __init__(
@@ -145,13 +99,11 @@ class ShardedRolloutEngine:
         runner_factory: Callable[[int], ShardRunner],
         n_workers: int,
         max_restarts: int = 3,
-        transport: Union[None, str, WorkerPool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        self._pool = make_worker_pool(
-            transport,
-            "rollout",
+        self._pool = ForkWorkerPool(
+            rollout_worker_entry,
             runner_factory,
             name_prefix="repro-rollout-worker",
             daemon=True,
@@ -181,8 +133,8 @@ class ShardedRolloutEngine:
             for index in range(n_workers):
                 self._workers.append(self._spawn(index))
         except BaseException:
-            # A worker that cannot be placed must not strand the ones
-            # already launched, nor the pool's own worker host.
+            # A worker that cannot be launched must not strand the ones
+            # already running.
             self.close()
             raise
 
@@ -197,7 +149,6 @@ class ShardedRolloutEngine:
         seed_tree: Sequence[Tuple[np.random.SeedSequence, np.random.SeedSequence]],
         n_workers: int,
         max_restarts: int = 3,
-        transport: Union[None, str, WorkerPool] = None,
     ) -> "ShardedRolloutEngine":
         """Build the engine for an :class:`~repro.core.agent.Amoeba` agent.
 
@@ -215,20 +166,24 @@ class ShardedRolloutEngine:
                 "so every shard hosts the same number of environment slots"
             )
         shard_size = n_envs // n_workers
-        runner_factory = _AgentShardFactory(
-            actor=agent.actor,
-            critic=agent.critic,
-            encoder=agent.state_encoder,
-            censor=agent.censor,
-            normalizer=agent.normalizer,
-            config=agent.config,
-            flows=list(flows),
-            seed_tree=list(seed_tree),
-            shard_size=shard_size,
-        )
-        return cls(
-            runner_factory, n_workers, max_restarts=max_restarts, transport=transport
-        )
+        actor, critic, encoder = agent.actor, agent.critic, agent.state_encoder
+        censor, normalizer, config = agent.censor, agent.normalizer, agent.config
+        flows, seed_tree = list(flows), list(seed_tree)
+
+        def runner_factory(worker_index: int) -> ShardRunner:
+            low = worker_index * shard_size
+            return ShardRunner(
+                actor=actor,
+                critic=critic,
+                encoder=encoder,
+                censor=censor,
+                normalizer=normalizer,
+                config=config,
+                flows=flows,
+                seed_pairs=seed_tree[low : low + shard_size],
+            )
+
+        return cls(runner_factory, n_workers, max_restarts=max_restarts)
 
     # ------------------------------------------------------------------ #
     # Introspection (used by tests and benchmarks)
@@ -374,7 +329,6 @@ class ShardedRolloutEngine:
                 handle.process.terminate()
                 handle.process.join(timeout=5)
             handle.conn.close()
-        self._pool.close()
 
     def __enter__(self) -> "ShardedRolloutEngine":
         return self
@@ -392,10 +346,8 @@ class ShardedRolloutEngine:
     # Worker lifecycle
     # ------------------------------------------------------------------ #
     def _spawn(self, index: int) -> _WorkerHandle:
-        endpoint = self._pool.launch(index)
-        return _WorkerHandle(
-            index=index, process=endpoint.process, conn=endpoint.transport
-        )
+        conn, process = self._pool.launch(index)
+        return _WorkerHandle(index=index, process=process, conn=conn)
 
     def _respawn(self, index: int) -> _WorkerHandle:
         old = self._workers[index]

@@ -3,12 +3,11 @@
 The arms-race and reward-masking studies (Sections 5.5.3 / 5.6.2) are grids
 of independent experiment points — each a full censor-train / Amoeba-train /
 evaluate cycle.  :class:`SweepOrchestrator` schedules such grids over a pool
-of workers placed by the :mod:`repro.distrib.transport` tier (local forks by
-default, TCP worker hosts with ``transport="tcp://..."``): tasks are handed
-to idle workers, a crashed worker (broken transport) is restarted and its
-task re-queued up to ``max_attempts`` times, and the outcome of every task —
-result payload or error, attempt count, worker id, wall-clock — is written
-to a JSON results manifest.
+of forked workers (:class:`~repro.distrib.transport.ForkWorkerPool`):
+tasks are handed to idle workers, a crashed worker (broken pipe) is
+restarted and its task re-queued up to ``max_attempts`` times, and the
+outcome of every task — result payload or error, attempt count, worker id,
+wall-clock — is written to a JSON results manifest.
 
 Unlike the sharded *rollout* workers (which share one training run and need
 deterministic replay), sweep tasks are independent, so recovery is simply
@@ -23,6 +22,7 @@ reward-masking grids on the synthetic substrate; any top-level callable
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
 import traceback
 from collections import deque
@@ -33,13 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .. import obs
 from ..obs import _state as _obs_state
-from .transport import (
-    Transport,
-    TransportError,
-    WorkerPool,
-    make_worker_pool,
-    worker_command_loop,
-)
+from .transport import ForkWorkerPool, Transport, TransportError, worker_command_loop
 
 __all__ = [
     "SweepTask",
@@ -107,7 +101,7 @@ def sweep_handlers(task_fn: Callable[[dict], dict]) -> Dict[str, Callable[..., t
 def sweep_worker_entry(
     transport: Transport, task_fn: Callable[[dict], dict], worker_index: int
 ) -> None:
-    """Transport-agnostic entry point of a sweep worker.
+    """Entry point of a forked sweep worker.
 
     ``close`` is fire-and-forget in the sweep protocol (``close_reply=None``):
     the orchestrator's shutdown never waits on a worker that may be hours
@@ -120,7 +114,7 @@ def sweep_worker_entry(
 @dataclass
 class _SweepWorker:
     index: int
-    process: object
+    process: multiprocessing.Process
     conn: Transport
     current: Optional[SweepTask] = None
 
@@ -139,12 +133,9 @@ class SweepOrchestrator:
         How many times a task may be scheduled before a crashing worker
         marks it failed.  A task that *raises* is failed immediately
         (exceptions are deterministic; only worker death is retried).
-    transport:
-        Worker placement: ``None``/``"fork"`` for local forked workers (the
-        default; tasks may nest their own rollout engines, so forked sweep
-        workers are non-daemonic), ``"tcp"`` or ``"tcp://host:port,..."``
-        for workers behind :class:`~repro.distrib.transport.WorkerHostServer`
-        daemons, or a prebuilt :class:`~repro.distrib.transport.WorkerPool`.
+
+    Tasks may nest their own rollout engines, so sweep workers are forked
+    non-daemonic.
     """
 
     def __init__(
@@ -152,15 +143,13 @@ class SweepOrchestrator:
         task_fn: Callable[[dict], dict],
         n_workers: int = 2,
         max_attempts: int = 2,
-        transport: Union[None, str, WorkerPool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        self._pool = make_worker_pool(
-            transport,
-            "sweep",
+        self._pool = ForkWorkerPool(
+            sweep_worker_entry,
             task_fn,
             name_prefix="repro-sweep-worker",
             daemon=False,
@@ -172,10 +161,8 @@ class SweepOrchestrator:
 
     # ------------------------------------------------------------------ #
     def _spawn(self, index: int) -> _SweepWorker:
-        endpoint = self._pool.launch(index)
-        return _SweepWorker(
-            index=index, process=endpoint.process, conn=endpoint.transport
-        )
+        conn, process = self._pool.launch(index)
+        return _SweepWorker(index=index, process=process, conn=conn)
 
     def _replace_worker(self, worker: _SweepWorker) -> None:
         """Swap a dead worker's process/channel for a fresh one in place."""
@@ -221,16 +208,6 @@ class SweepOrchestrator:
                 worker.process.terminate()
                 worker.process.join(timeout=5)
             worker.conn.close()
-
-    def close(self) -> None:
-        """Release the worker pool (terminates a pool-owned TCP host)."""
-        self._pool.close()
-
-    def __enter__(self) -> "SweepOrchestrator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     def run(
@@ -392,8 +369,7 @@ def amoeba_grid_task(params: dict) -> dict:
     * ``n_rounds``, ``amoeba_timesteps``, ``harvest_per_round``,
       ``eval_flows``, ``eval_batch_size`` — arms-race shape;
     * ``collect_workers`` — rollout workers *inside* the task (sharded
-      collection nests under sweep workers); ``collect_transport`` places
-      them (fork default, ``"tcp://..."`` for cross-host collection).
+      collection nests under sweep workers).
 
     Returns a JSON-serializable summary of the race trajectory.
     """
@@ -428,7 +404,6 @@ def amoeba_grid_task(params: dict) -> dict:
         eval_batch_size=params.get("eval_batch_size"),
         # 0 means in-process, matching the CLI's --workers convention.
         workers=params.get("collect_workers") or None,
-        transport=params.get("collect_transport"),
         rng=seed + 2,
     )
     return {

@@ -21,15 +21,16 @@ so a restarted worker reports fresh (empty) telemetry instead of replaying
 observations and collection determinism is unaffected.
 
 Exceptions inside a command come back as ``("error", traceback)`` so the
-engine can re-raise them in the driver — only a broken transport (pipe
-EOF, socket reset, heartbeat loss) is treated as a restartable fault.
+engine can re-raise them in the driver — only a broken pipe (the worker
+process died) is treated as a restartable fault.
 """
 
 from __future__ import annotations
 
+import traceback
 from typing import Callable, Dict
 
-from .transport import Transport, factory_worker_entry
+from .transport import Transport, worker_command_loop
 
 __all__ = ["rollout_handlers", "rollout_worker_entry"]
 
@@ -62,5 +63,15 @@ def rollout_handlers(runner) -> Dict[str, Callable[..., tuple]]:
 def rollout_worker_entry(
     transport: Transport, runner_factory: Callable[[int], object], worker_index: int
 ) -> None:
-    """Transport-agnostic entry point of a rollout worker."""
-    factory_worker_entry(transport, runner_factory, worker_index, rollout_handlers)
+    """Build the worker's runner with ``runner_factory(worker_index)``, then
+    serve :func:`rollout_handlers` through :func:`worker_command_loop`."""
+    try:
+        handlers = rollout_handlers(runner_factory(worker_index))
+    except Exception:
+        # A factory that cannot build its runner is a deterministic bug.
+        # The worker stays up and answers every command with the traceback,
+        # so the driver raises it instead of treating an exited worker as a
+        # crash to restart.
+        failure = ("error", traceback.format_exc())
+        handlers = dict.fromkeys(rollout_handlers(None), lambda *payload: failure)
+    worker_command_loop(transport, handlers)

@@ -18,7 +18,7 @@ Rule kinds cover the shapes this codebase's SLOs take:
 ``ratio``
     numerator counter sum / denominator counter sum (deadline-miss rate);
 ``percentile``
-    worst per-series histogram percentile (heartbeat RTT p99);
+    worst per-series histogram percentile (e.g. decision latency p99);
 ``counter``
     summed counter value (worker restarts);
 ``gauge``
@@ -140,7 +140,7 @@ def evaluate_rule(rule: SloRule, registry) -> Optional[SloAlert]:
 
 
 def default_slo_rules() -> List[SloRule]:
-    """The stock rule set over this repo's own serving/transport metrics."""
+    """The stock rule set over this repo's own serving/distrib metrics."""
     return [
         SloRule(
             name="deadline-miss-rate",
@@ -150,15 +150,6 @@ def default_slo_rules() -> List[SloRule]:
             threshold=0.2,
             min_events=20,
             description="more than 20% of decisions missed their deadline",
-        ),
-        SloRule(
-            name="heartbeat-rtt-p99",
-            kind="percentile",
-            metric="transport.heartbeat_rtt_ms",
-            percentile=99.0,
-            threshold=250.0,
-            min_events=8,
-            description="transport liveness probes slower than 250ms at p99",
         ),
         SloRule(
             name="worker-restarts",

@@ -3,7 +3,7 @@
 Polls the telemetry service's Prometheus text exposition on an interval and
 renders the serving/transport vitals a driver operator watches: decision
 throughput, deadline-miss rate, scheduler queue depth, transport frame
-traffic, heartbeat RTT and worker restarts.  Rates are derived
+traffic and worker restarts.  Rates are derived
 client-side from successive scrapes (counter deltas / elapsed wall time),
 so the view needs nothing beyond the scrape endpoint — it works against
 any process started with ``REPRO_TELEMETRY_PORT`` or
@@ -113,7 +113,6 @@ def render_top(
         ("queue depth", _fmt(series_max(series, "serve_queue_depth"))),
         ("frames sent", f"{_fmt(series_sum(series, 'transport_frames_sent_total'))}  ({_fmt(_rate(series, previous, 'transport_frames_sent_total', elapsed_s))}/s)"),
         ("frames received", _fmt(series_sum(series, "transport_frames_recv_total"))),
-        ("heartbeat rtt p99", f"{_fmt(bucket_quantile(series, 'transport_heartbeat_rtt_ms', 99.0))} ms"),
         ("worker restarts", _fmt(series_sum(series, "distrib_worker_restarts_total"))),
         ("collect ticks", _fmt(series_sum(series, "collect_ticks_total"))),
         ("alerts fired", _fmt(series_sum(series, "obs_alerts_total"))),

@@ -156,14 +156,11 @@ def train_amoeba(
     eval_flows: Optional[Sequence] = None,
     eval_every: Optional[int] = None,
     workers: Optional[int] = None,
-    transport: Optional[str] = None,
 ) -> Amoeba:
     """Train an Amoeba agent against one censor on the ``attack_train`` split.
 
     ``workers`` shards rollout collection across that many worker
     processes (see ``Amoeba.train``); ``None`` collects in-process.
-    ``transport`` places the workers (``"fork"`` default, ``"tcp"``,
-    ``"tcp://host:port,..."`` — see :mod:`repro.distrib.transport`).
     """
     rng = ensure_rng(rng)
     if config is None:
@@ -178,7 +175,6 @@ def train_amoeba(
         eval_flows=eval_flows,
         eval_every=eval_every,
         workers=workers,
-        transport=transport,
     )
     return agent
 

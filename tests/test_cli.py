@@ -45,6 +45,19 @@ class TestParser:
             build_parser().parse_args(["attack", "--workers", "2", "--pipeline"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--workers", "2", "--transport", "tcp"],
+            ["worker-host", "--bind", "127.0.0.1:0"],
+        ],
+    )
+    def test_no_tcp_worker_tier(self, argv):
+        # Workers are forks of the driver; there is no TCP placement.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_invalid_censor_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "--censor", "XGB"])

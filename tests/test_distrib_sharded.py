@@ -10,31 +10,32 @@ the merged rollout.
 Also here: evaluation owns its own RNG stream, so neither mid-training
 ``eval_every`` evaluation nor standalone ``evaluate()`` calls shift the
 collection seed trees of later training; and pins that the retired
-scale-out paths (forked serving workers, pipelined collection) stay gone.
+paths (forked serving workers, pipelined collection, the TCP worker-host
+tier) stay gone.
 """
 
 import inspect
 import json
 import os
 import signal
-import socket
 import time
 
 import numpy as np
 import pytest
 
+import repro.distrib
 import repro.serve
-from repro.core import Amoeba, AmoebaConfig
+from repro.core import Amoeba, AmoebaConfig, run_arms_race
 from repro.distrib import (
+    ForkWorkerPool,
     ShardedRolloutEngine,
     ShardRunner,
     SweepOrchestrator,
     SweepTask,
-    TcpWorkerPool,
-    TransportError,
-    start_local_worker_host,
 )
 from repro.distrib import transport as transport_mod
+from repro.distrib.sweep import sweep_worker_entry
+from repro.distrib.worker import rollout_worker_entry
 from repro.nn.serialization import state_dict_to_bytes
 from repro.pipeline import train_amoeba
 from repro.utils.rng import collection_seed_tree
@@ -370,7 +371,6 @@ class TestArmsRaceIntegration:
         """`run_arms_race(workers=...)` shards each round's collection and
         plumbs `eval_batch_size` into the config default."""
         from repro.censors import DecisionTreeCensor
-        from repro.core import run_arms_race
 
         result = run_arms_race(
             censor_factory=lambda: DecisionTreeCensor(rng=0),
@@ -392,24 +392,7 @@ class TestArmsRaceIntegration:
 
 
 def _idle_runner_factory(index):
-    """Picklable (module-level) factory: explicit tcp:// hosts unpickle it."""
     return object()
-
-
-class _RecordingTcpPool(TcpWorkerPool):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.launched = []
-        self.closed = False
-
-    def launch(self, index):
-        endpoint = super().launch(index)
-        self.launched.append(endpoint)
-        return endpoint
-
-    def close(self):
-        self.closed = True
-        super().close()
 
 
 class TestEngineValidation:
@@ -427,26 +410,28 @@ class TestEngineValidation:
         finally:
             engine.close()
 
-    def test_partial_spawn_releases_launched_workers_and_pool(self):
-        """Worker 1 cannot be placed (nothing listens on its port): the
-        constructor raises, and worker 0 and the pool do not outlive it."""
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
-        live_address, host = start_local_worker_host()
-        try:
-            pool = _RecordingTcpPool(
-                "rollout", _idle_runner_factory, addresses=[live_address, dead_address]
-            )
-            with pytest.raises(TransportError, match="cannot reach worker host"):
-                ShardedRolloutEngine(_idle_runner_factory, 2, transport=pool)
-            assert pool.closed
-            (worker,) = pool.launched
-            worker.process.join(timeout=5)
-            assert not worker.process.is_alive()
-        finally:
-            host.terminate()
-            host.join(timeout=5)
+    def test_partial_spawn_releases_launched_workers(self, monkeypatch):
+        """Worker 1 cannot be launched: the constructor re-raises, and
+        worker 0 does not outlive it."""
+        launch = ForkWorkerPool.launch
+        launched = []
+
+        def launch_all_but_worker_1(pool, index):
+            if index == 1:
+                raise OSError("cannot fork worker 1")
+            conn, process = launch(pool, index)
+            launched.append(process)
+            return conn, process
+
+        monkeypatch.setattr(ForkWorkerPool, "launch", launch_all_but_worker_1)
+        # Binding the ExceptionInfo keeps the half-built engine reachable
+        # through the traceback, so only the constructor's own cleanup (not
+        # the garbage collector's __del__) can have reaped worker 0.
+        with pytest.raises(OSError, match="cannot fork worker 1") as excinfo:
+            ShardedRolloutEngine(_idle_runner_factory, 2)
+        (process,) = launched
+        assert process.exitcode is not None
+        del excinfo
 
     def test_worker_error_is_raised_not_retried(self):
         def factory(index):
@@ -658,9 +643,11 @@ class TestEvalRngIsolation:
 
 
 class TestRetiredScaleOutPaths:
-    """One process serves and one synchronous loop trains: the forked
-    serving tier and pipelined collection lost to them on every measured
-    workload and were removed.  Re-adding either surface fails here."""
+    """One process serves, one synchronous loop trains, and workers are
+    forks of the driver: the forked serving tier and pipelined collection
+    lost to the single-process paths on every measured workload, and the
+    TCP worker-host tier had no multi-host run to serve.  Re-adding any of
+    these surfaces fails here."""
 
     def test_train_has_no_pipeline_parameter(self):
         assert "pipeline" not in inspect.signature(Amoeba.train).parameters
@@ -678,4 +665,32 @@ class TestRetiredScaleOutPaths:
         assert "ShardedPolicyServer" not in repro.serve.__all__
 
     def test_worker_entrypoints(self):
-        assert set(transport_mod._WORKER_ENTRYPOINTS) == {"rollout", "sweep"}
+        # Pools take the entry function itself; there is no name table.
+        assert not hasattr(transport_mod, "_WORKER_ENTRYPOINTS")
+        assert not hasattr(transport_mod, "resolve_worker_entrypoint")
+        engine = ShardedRolloutEngine(_idle_runner_factory, 1)
+        try:
+            assert engine._pool._entry is rollout_worker_entry
+        finally:
+            engine.close()
+        assert SweepOrchestrator(_sweep_task)._pool._entry is sweep_worker_entry
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            ShardedRolloutEngine,
+            ShardedRolloutEngine.for_agent,
+            SweepOrchestrator,
+            Amoeba.train,
+            train_amoeba,
+            run_arms_race,
+        ],
+    )
+    def test_no_transport_parameter(self, function):
+        assert "transport" not in inspect.signature(function).parameters
+
+    def test_no_tcp_tier_in_the_package(self):
+        retired = ("Tcp", "WorkerHost", "start_local_worker_host", "make_worker_pool")
+        for module in (repro.distrib, transport_mod):
+            assert [name for name in module.__all__ if name.startswith(retired)] == []
+            assert [name for name in vars(module) if name.startswith(retired)] == []

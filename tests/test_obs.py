@@ -820,8 +820,6 @@ class TestTracedFrames:
 class _ScriptedTransport:
     """In-memory transport: scripted incoming frames, captured replies."""
 
-    kind = "scripted"
-
     def __init__(self, messages):
         from repro.distrib.transport import TransportError
 
@@ -829,9 +827,6 @@ class _ScriptedTransport:
         self._error = TransportError
         self.sent = []
         self.closed = False
-
-    def start_heartbeat(self):
-        pass
 
     def send(self, message):
         self.sent.append(message)
@@ -914,10 +909,9 @@ def _stitch_echo_factory(index):
 
 @pytest.mark.skipif(sys.platform == "win32", reason="requires POSIX fork")
 class TestDistributedStitching:
-    @pytest.mark.parametrize("transport", ["fork", "tcp"])
-    def test_two_worker_tree_has_worker_children_per_command(self, transport):
+    def test_two_worker_tree_has_worker_children_per_command(self):
         obs.enable()
-        engine = ShardedRolloutEngine(_stitch_echo_factory, 2, transport=transport)
+        engine = ShardedRolloutEngine(_stitch_echo_factory, 2)
         try:
             engine.broadcast(b"weights")
             engine._command(("collect", 3))
@@ -1010,14 +1004,14 @@ class TestJsonlRotation:
 class TestPrometheusConformance:
     def test_labelled_histogram_round_trips(self):
         obs.enable()
-        hist = obs.histogram("transport.heartbeat_rtt_ms", transport="tcp")
+        hist = obs.histogram("serve.decision_latency_ms", server="0")
         for value in (0.5, 2.0, 2.0, 40.0):
             hist.observe(value)
         text = obs.prometheus_text(obs.registry().snapshot())
         series = obs.parse_prometheus_text(text)
-        base = "transport_heartbeat_rtt_ms"
-        assert series[f'{base}_sum{{transport="tcp"}}'] == pytest.approx(44.5)
-        assert series[f'{base}_count{{transport="tcp"}}'] == 4
+        base = "serve_decision_latency_ms"
+        assert series[f'{base}_sum{{server="0"}}'] == pytest.approx(44.5)
+        assert series[f'{base}_count{{server="0"}}'] == 4
         bucket_lines = [
             (key, value) for key, value in series.items() if key.startswith(f"{base}_bucket")
         ]
@@ -1184,10 +1178,10 @@ class TestSloWatchdog:
         from repro.obs.slo import SloRule, evaluate_rule
 
         rule = SloRule(
-            name="rtt", kind="percentile", metric="transport.heartbeat_rtt_ms",
+            name="latency", kind="percentile", metric="serve.decision_latency_ms",
             percentile=99.0, threshold=250.0, min_events=8,
         )
-        hist = obs.histogram("transport.heartbeat_rtt_ms", transport="tcp")
+        hist = obs.histogram("serve.decision_latency_ms", server="0")
         for _ in range(10):
             hist.observe(1.0)
         assert evaluate_rule(rule, obs.registry()) is None
@@ -1254,11 +1248,10 @@ class TestSloWatchdog:
         from repro.obs import default_slo_rules
 
         rules = {rule.name: rule for rule in default_slo_rules()}
-        assert set(rules) == {
-            "deadline-miss-rate", "heartbeat-rtt-p99", "worker-restarts", "queue-depth",
-        }
+        assert set(rules) == {"deadline-miss-rate", "worker-restarts", "queue-depth"}
         assert rules["deadline-miss-rate"].kind == "ratio"
-        assert rules["heartbeat-rtt-p99"].kind == "percentile"
+        assert rules["worker-restarts"].kind == "counter"
+        assert rules["queue-depth"].kind == "gauge"
 
     def test_start_stop_thread(self):
         from repro.obs import SloWatchdog
@@ -1288,13 +1281,13 @@ class TestTop:
         from repro.obs.top import bucket_quantile
 
         series = {
-            'transport_heartbeat_rtt_ms_bucket{le="1"}': 5.0,
-            'transport_heartbeat_rtt_ms_bucket{le="10"}': 9.0,
-            'transport_heartbeat_rtt_ms_bucket{le="+Inf"}': 10.0,
+            'serve_decision_latency_ms_bucket{le="1"}': 5.0,
+            'serve_decision_latency_ms_bucket{le="10"}': 9.0,
+            'serve_decision_latency_ms_bucket{le="+Inf"}': 10.0,
         }
-        assert bucket_quantile(series, "transport_heartbeat_rtt_ms", 50.0) == 1.0
-        assert bucket_quantile(series, "transport_heartbeat_rtt_ms", 90.0) == 10.0
-        assert bucket_quantile({}, "transport_heartbeat_rtt_ms", 99.0) == 0.0
+        assert bucket_quantile(series, "serve_decision_latency_ms", 50.0) == 1.0
+        assert bucket_quantile(series, "serve_decision_latency_ms", 90.0) == 10.0
+        assert bucket_quantile({}, "serve_decision_latency_ms", 99.0) == 0.0
 
     def test_run_top_polls_and_survives_scrape_failures(self):
         from repro.obs.top import run_top
