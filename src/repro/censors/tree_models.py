@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..features.statistical import StatisticalFeatureExtractor
+from ..features.statistical import N_STATISTICAL_FEATURES, StatisticalFeatureExtractor
 from ..flows.flow import Flow
 from ..ml.decision_tree import DecisionTreeClassifier
 from ..ml.random_forest import RandomForestClassifier
@@ -33,13 +33,10 @@ class _FeatureBasedCensor(CensorClassifier):
         # or when the training set held censored flows only.
         self._benign_column: Optional[int] = None
 
-    def _extract(self, flows: Sequence[Flow]) -> np.ndarray:
-        return self.extractor.extract_many(flows)
-
     def fit(self, flows: Sequence[Flow], labels: Optional[Sequence[int]] = None):
         flows = list(flows)
         labels = self._resolve_labels(flows, labels)
-        self.model.fit(self._extract(flows), labels)
+        self.model.fit(self.extractor.extract_many(flows), labels)
         classes = list(self.model.classes_)
         self._benign_column = classes.index(1) if 1 in classes else None
         self._fitted = True
@@ -49,7 +46,12 @@ class _FeatureBasedCensor(CensorClassifier):
         if self._benign_column is None:
             # Degenerate training set containing only censored flows.
             return np.zeros(len(flows))
-        return self.model.predict_proba(self._extract(flows))[:, self._benign_column]
+        # The fitted model reads only the columns it splits on; the others
+        # stay zero and are never computed.
+        columns = self.model.split_features_
+        features = np.zeros((len(flows), N_STATISTICAL_FEATURES))
+        features[:, columns] = self.extractor.extract_many(flows, columns)
+        return self.model.predict_proba(features)[:, self._benign_column]
 
     # ------------------------------------------------------------------ #
     # Feature-importance analysis (Figure 4)

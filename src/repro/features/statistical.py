@@ -25,14 +25,24 @@ is reduced as one C-contiguous ``(k, n)`` matrix.  numpy's pairwise
 ``add.reduce`` along ``axis=1`` of such a matrix runs the 1-D inner loop on
 every row, so a row's sums round exactly as the per-flow kernel's do
 (pinned in ``tests/test_features.py::test_row_reduce_equals_vector_reduce``).
-``extract_many`` picks between them by batch size alone.
+
+``extract_many(flows, columns)`` returns ``extract_many(flows)[:, columns]``,
+bit for bit, and the batched kernel computes only what those columns read:
+unread segment groups get no segments, unread summaries (the sort, the
+MAD's second sort, the sum, the centred moments, the third and fourth
+powers) are never computed, and the burst, gap, checkpoint and flow-level
+sections run only for a requested column of theirs.  A tree censor asks
+for the columns its fitted model splits on.  ``extract_many`` picks the
+kernel from ``len(flows)`` alone: batches of fewer than ``_BATCH_BREAK_EVEN``
+flows take the per-flow kernel, which computes all 166 columns and is then
+sliced; everything else takes the batched one.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +57,72 @@ _DECILES = [10, 20, 30, 40, 50, 60, 70, 80, 90]
 
 _NAN = float("nan")
 _add_reduce = np.add.reduce
+
+
+def _feature_names() -> List[str]:
+    names: List[str] = []
+    # Packet-size summaries: overall, upstream, downstream  -> 3 * 8 = 24
+    for scope in ("all", "up", "down"):
+        names.extend(f"pkt_{scope}_{stat}" for stat in _SUMMARY_NAMES)
+    # Timing summaries: overall, upstream, downstream       -> 3 * 8 = 24
+    for scope in ("all", "up", "down"):
+        names.extend(f"time_{scope}_{stat}" for stat in _SUMMARY_NAMES)
+    # Packet-size deciles per direction                      -> 2 * 9 = 18
+    for scope in ("up", "down"):
+        names.extend(f"pkt_{scope}_p{q}" for q in _DECILES)
+    # Timing deciles per direction                           -> 2 * 9 = 18
+    for scope in ("up", "down"):
+        names.extend(f"time_{scope}_p{q}" for q in _DECILES)
+    # Burst length summaries per direction                   -> 2 * 8 = 16
+    for scope in ("up", "down"):
+        names.extend(f"burst_len_{scope}_{stat}" for stat in _SUMMARY_NAMES)
+    # Burst byte summaries per direction                     -> 2 * 8 = 16
+    for scope in ("up", "down"):
+        names.extend(f"burst_bytes_{scope}_{stat}" for stat in _SUMMARY_NAMES)
+    # Burst counts and rate features                         -> 6
+    names.extend(
+        [
+            "burst_count_up",
+            "burst_count_down",
+            "burst_count_total",
+            "direction_changes",
+            "bursts_per_packet",
+            "max_burst_fraction",
+        ]
+    )
+    # Same-direction gap summaries per direction             -> 2 * 8 = 16
+    for scope in ("up", "down"):
+        names.extend(f"gap_{scope}_{stat}" for stat in _SUMMARY_NAMES)
+    # Cumulative-size checkpoint features                    -> 10
+    names.extend(f"cumsum_frac_{i}" for i in range(1, 11))
+    # Flow-level features                                    -> 18
+    names.extend(
+        [
+            "n_packets",
+            "n_packets_up",
+            "n_packets_down",
+            "packet_ratio_up",
+            "packet_ratio_down",
+            "total_bytes",
+            "bytes_up",
+            "bytes_down",
+            "byte_ratio_up",
+            "byte_ratio_down",
+            "duration_ms",
+            "throughput_bytes_per_ms",
+            "throughput_up",
+            "throughput_down",
+            "mean_packet_rate",
+            "first_quarter_down_fraction",
+            "last_quarter_down_fraction",
+            "size_entropy",
+        ]
+    )
+    return names
+
+
+_FEATURE_NAMES = _feature_names()
+assert len(_FEATURE_NAMES) == N_STATISTICAL_FEATURES, len(_FEATURE_NAMES)
 
 
 def _order_statistics(ordered: np.ndarray) -> Tuple[float, float, float]:
@@ -247,9 +323,67 @@ def _raw_features(flow: Flow) -> List[float]:
 _BATCH_BREAK_EVEN = 4
 
 # Rows of a ``_segment_summaries`` table: the eight summaries, then the sum.
-_TOTAL = len(_SUMMARY_NAMES)
+_MIN, _MAX, _MEAN, _STD, _MEDIAN, _MAD, _SKEW, _KURTOSIS, _TOTAL = range(len(_SUMMARY_NAMES) + 1)
 # Min, max, mean, median and sum of a one-value segment are that value.
-_ONE_VALUE_ROWS = np.array([0, 1, 2, 4, _TOTAL])[:, None]
+_ONE_VALUE_ROWS = np.array([_MIN, _MAX, _MEAN, _MEDIAN, _TOTAL])[:, None]
+
+# The twelve segment groups in table order (the four deciled ones first),
+# named by the feature-name prefix of their summary columns.
+_GROUPS = (
+    "pkt_up", "pkt_down", "time_up", "time_down", "pkt_all", "time_all",
+    "burst_len_up", "burst_len_down", "burst_bytes_up", "burst_bytes_down", "gap_up", "gap_down",
+)
+_PKT_UP, _PKT_DOWN, _TIME_UP, _TIME_DOWN, _PKT_ALL, _TIME_ALL = map(
+    _GROUPS.index, ("pkt_up", "pkt_down", "time_up", "time_down", "pkt_all", "time_all")
+)
+_BURST_LEN_UP, _BURST_LEN_DOWN, _BURST_BYTES_UP, _BURST_BYTES_DOWN, _GAP_UP, _GAP_DOWN = map(
+    _GROUPS.index,
+    ("burst_len_up", "burst_len_down", "burst_bytes_up", "burst_bytes_down", "gap_up", "gap_down"),
+)
+assert (_PKT_UP, _PKT_DOWN, _TIME_UP, _TIME_DOWN) == (0, 1, 2, 3), "deciled groups lead"
+_BURST_GROUPS = (_BURST_LEN_UP, _BURST_LEN_DOWN, _BURST_BYTES_UP, _BURST_BYTES_DOWN)
+# The flow-level columns that read group sums (bytes up / down, duration).
+_SUMS_READ = {
+    "total_bytes": (_PKT_UP, _PKT_DOWN),
+    "bytes_up": (_PKT_UP,),
+    "bytes_down": (_PKT_DOWN,),
+    "byte_ratio_up": (_PKT_UP, _PKT_DOWN),
+    "byte_ratio_down": (_PKT_UP, _PKT_DOWN),
+    "duration_ms": (_TIME_ALL,),
+    "throughput_bytes_per_ms": (_PKT_UP, _PKT_DOWN, _TIME_ALL),
+    "throughput_up": (_PKT_UP, _TIME_ALL),
+    "throughput_down": (_PKT_DOWN, _TIME_ALL),
+    "mean_packet_rate": (_TIME_ALL,),
+}
+# Row of ``_COLUMN_READS`` for a group's deciles, after the nine table rows.
+_DECILE_ROW = _TOTAL + 1
+
+
+def _column_reads() -> np.ndarray:
+    """``reads[column, row, group]``: does ``column`` read that row of that group?"""
+    reads = np.zeros((N_STATISTICAL_FEATURES, _DECILE_ROW + 1, len(_GROUPS)), dtype=bool)
+    for column, name in enumerate(_FEATURE_NAMES):
+        scope, _, statistic = name.rpartition("_")
+        if scope in _GROUPS:
+            row = _SUMMARY_NAMES.index(statistic) if statistic in _SUMMARY_NAMES else _DECILE_ROW
+            reads[column, row, _GROUPS.index(scope)] = True
+        for group in _SUMS_READ.get(name, ()):
+            reads[column, _TOTAL, group] = True
+    return reads
+
+
+_COLUMN_READS = _column_reads()
+
+
+def _span(first: str, last: str) -> slice:
+    return slice(_FEATURE_NAMES.index(first), _FEATURE_NAMES.index(last) + 1)
+
+
+# Columns of the sections outside the segment table.
+_BURST_COUNT_COLUMNS = _span("burst_count_up", "max_burst_fraction")
+_CHECKPOINT_COLUMNS = _span("cumsum_frac_1", "cumsum_frac_10")
+_FLOW_COLUMNS = _span("n_packets", "last_quarter_down_fraction")
+_ENTROPY_COLUMN = _FEATURE_NAMES.index("size_entropy")
 
 
 def _segment_matrices(
@@ -296,43 +430,59 @@ def _row_order_statistics(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
 
 
 def _segment_summaries(
-    values: np.ndarray, counts: np.ndarray, n_deciled: int
+    values: np.ndarray, counts: np.ndarray, n_deciled: int, read: Sequence[bool]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``_summary`` of every segment of ``values``, one length bucket at a time.
 
     Segments are laid out as for ``_segment_matrices``.  Returns a
     ``(9, n_segments)`` table -- the eight summaries and the sum of each
     segment -- plus the ``(n_deciled, 9)`` deciles of the first ``n_deciled``
-    segments.  Every operation is elementwise, a row sort, or an ``axis=1``
-    ``add.reduce`` of a C-contiguous matrix, so a segment's bits are those of
-    ``_summary`` / ``_deciles`` on that segment alone.
+    segments.  Only the table rows ``read`` marks are computed for segments
+    of two or more values; the others stay 0.0.  Every operation is
+    elementwise, a row sort, or an ``axis=1`` ``add.reduce`` of a
+    C-contiguous matrix, so a segment's bits are those of ``_summary`` /
+    ``_deciles`` on that segment alone.
     """
+    order_statistics = read[_MIN] or read[_MAX] or read[_MEDIAN] or read[_MAD]
+    higher_moments = read[_SKEW] or read[_KURTOSIS]
+    moments = read[_STD] or higher_moments
+    totals = read[_MEAN] or read[_TOTAL] or moments
     table = np.zeros((_TOTAL + 1, counts.shape[0]))
     deciles = np.zeros((n_deciled, len(_DECILES)))
     for rows, matrix in _segment_matrices(values, counts):
         n = matrix.shape[1]
-        n_rows_deciled = int(np.searchsorted(rows, n_deciled))
+        n_rows_deciled = int(np.searchsorted(rows, n_deciled)) if n_deciled else 0
         if n == 1:
             table[_ONE_VALUE_ROWS, rows] = matrix[:, 0]
             deciles[rows[:n_rows_deciled]] = matrix[:n_rows_deciled]
             continue
-        ordered = np.sort(matrix, axis=1)
-        minimum, maximum, median = _row_order_statistics(ordered)
-        deviations = np.abs(matrix - median[:, None])
-        deviations.sort(axis=1)
-        mad = _row_order_statistics(deviations)[2]
-
-        total = _add_reduce(matrix, axis=1)
-        mean = total / n
-        centred = matrix - mean[:, None]
-        std = np.sqrt(_add_reduce(centred * centred, axis=1) / n)
-        flat = std < 1e-12
-        standardised = centred / std[:, None]
-        skew = np.where(flat, 0.0, _add_reduce(standardised ** 3, axis=1) / n)
-        kurtosis = np.where(flat, 0.0, _add_reduce(standardised ** 4, axis=1) / n - 3.0)
-        table[:, rows] = np.concatenate(
-            (minimum, maximum, mean, std, median, mad, skew, kurtosis, total)
-        ).reshape(-1, rows.shape[0])
+        computed = {}
+        if order_statistics or n_rows_deciled:
+            ordered = np.sort(matrix, axis=1)
+            computed[_MIN], computed[_MAX], computed[_MEDIAN] = _row_order_statistics(ordered)
+        if read[_MAD]:
+            deviations = np.abs(matrix - computed[_MEDIAN][:, None])
+            deviations.sort(axis=1)
+            computed[_MAD] = _row_order_statistics(deviations)[2]
+        if totals:
+            computed[_TOTAL] = _add_reduce(matrix, axis=1)
+            computed[_MEAN] = computed[_TOTAL] / n
+        if moments:
+            centred = matrix - computed[_MEAN][:, None]
+            std = computed[_STD] = np.sqrt(_add_reduce(centred * centred, axis=1) / n)
+        if higher_moments:
+            flat = std < 1e-12
+            standardised = centred / std[:, None]
+            if read[_SKEW]:
+                computed[_SKEW] = np.where(flat, 0.0, _add_reduce(standardised ** 3, axis=1) / n)
+            if read[_KURTOSIS]:
+                computed[_KURTOSIS] = np.where(
+                    flat, 0.0, _add_reduce(standardised ** 4, axis=1) / n - 3.0
+                )
+        if computed:
+            table[np.fromiter(computed, np.intp)[:, None], rows] = np.concatenate(
+                tuple(computed.values())
+            ).reshape(-1, rows.shape[0])
         if n_rows_deciled:
             previous, following, gamma, one_minus_gamma, upper = _decile_plan(n)
             ordered = ordered[:n_rows_deciled]
@@ -360,9 +510,13 @@ def _length_chunks(lengths: np.ndarray) -> List[np.ndarray]:
 
 
 def _per_flow_scans(
-    delays: np.ndarray, abs_sizes: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Timestamps, cumulative bytes and ascending sizes of every flow.
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    cumulated: Sequence[Optional[np.ndarray]],
+    ascending: Optional[np.ndarray],
+) -> List[Optional[np.ndarray]]:
+    """Per-flow running sums of each of ``cumulated``, then the per-flow
+    ascending sort of ``ascending``; ``None`` in, ``None`` out.
 
     Inputs and outputs hold the packets of all flows end to end.  The running
     sums must restart at every flow, so they run along the rows of a padded
@@ -371,20 +525,25 @@ def _per_flow_scans(
     by length keeps the padding linear in total packets however uneven the
     batch is.
     """
-    timestamps, cumulative, sorted_sizes = (np.empty_like(delays) for _ in range(3))
+    operands = (*cumulated, ascending)
+    scanned = [None if values is None else np.empty_like(values) for values in operands]
+    if all(values is None for values in operands):
+        return scanned
     for chunk in _length_chunks(lengths):
         steps = np.arange(lengths[chunk[-1]])
         valid = steps < lengths[chunk][:, None]
         cells = (starts[chunk][:, None] + steps)[valid]
         padded = np.zeros(valid.shape)
-        padded[valid] = delays[cells]
-        timestamps[cells] = np.cumsum(padded, axis=1)[valid]
-        padded[valid] = abs_sizes[cells]
-        cumulative[cells] = np.cumsum(padded, axis=1)[valid]
-        padded[~valid] = np.inf
-        padded.sort(axis=1)
-        sorted_sizes[cells] = padded[valid]
-    return timestamps, cumulative, sorted_sizes
+        for values, running in zip(cumulated, scanned):
+            if values is not None:
+                padded[valid] = values[cells]
+                running[cells] = np.cumsum(padded, axis=1)[valid]
+        if ascending is not None:
+            padded[valid] = ascending[cells]
+            padded[~valid] = np.inf
+            padded.sort(axis=1)
+            scanned[-1][cells] = padded[valid]
+    return scanned
 
 
 def _runs(
@@ -403,13 +562,20 @@ def _runs(
     return offsets, bounds[1:] - offsets, flow_of[offsets]
 
 
-def _batch_features(flows: Sequence[Flow]) -> np.ndarray:
-    """``_raw_features`` of every flow as one ``(len(flows), 166)`` matrix.
+def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
+    """``_raw_features`` of every flow as one ``(len(flows), 166)`` matrix,
+    exact in the columns the boolean ``wanted`` marks.
 
-    Works on the packets of all flows laid end to end.  Overflowed
-    intermediates come out non-finite exactly where the per-flow kernel's do
-    and are zeroed by the caller's ``nan_to_num``.
+    Works on the packets of all flows laid end to end and computes only what
+    a wanted column reads (``_COLUMN_READS``): other groups get no segments,
+    ``_segment_summaries`` reduces only the rows wanted columns read, and the
+    burst, gap, checkpoint and flow-level sections run only for a wanted
+    column of theirs.  Unwanted columns hold zeros or meaningless values.
+    Overflowed intermediates come out non-finite exactly where the per-flow
+    kernel's do and are zeroed by the caller's ``nan_to_num``.
     """
+    reads = _COLUMN_READS[wanted].any(axis=0)
+    grouped = reads.any(axis=0).tolist()
     m = len(flows)
     lengths = np.asarray([len(flow.sizes) for flow in flows], dtype=np.intp)
     stops = np.cumsum(lengths)
@@ -422,124 +588,141 @@ def _batch_features(flows: Sequence[Flow]) -> np.ndarray:
     down_mask = sizes < 0
     n_up = np.bincount(flow_of[up_mask], minlength=m)
     n_down = np.bincount(flow_of[down_mask], minlength=m)
-    timestamps, cumulative, sorted_sizes = _per_flow_scans(delays, abs_sizes, starts, lengths)
-
-    # Bursts: maximal same-direction runs.
-    burst_offsets, burst_counts, burst_flow = _runs(up_mask[1:] != up_mask[:-1], starts, flow_of)
-    up_bursts = up_mask[burst_offsets]
-    down_bursts = ~up_bursts
-    burst_lengths = burst_counts.astype(np.float64)
-    burst_bytes = _segment_totals(abs_sizes, burst_counts)
-    n_bursts = np.bincount(burst_flow, minlength=m)
-    n_up_bursts = np.bincount(burst_flow[up_bursts], minlength=m)
-    n_down_bursts = n_bursts - n_up_bursts
-    longest_burst = np.maximum.reduceat(burst_lengths, np.cumsum(n_bursts) - n_bursts)
-
-    # Same-direction gaps: one difference of the concatenated stamps, minus
-    # the elements that straddle two flows.
-    gaps = []
-    for mask in (up_mask, down_mask):
-        stamps, owner = timestamps[mask], flow_of[mask]
-        gaps.append((stamps[1:] - stamps[:-1])[owner[1:] == owner[:-1]])
-
-    # The segment table: the four deciled groups first, then the other eight.
-    table, deciles = _segment_summaries(
-        np.concatenate(
-            (
-                abs_sizes[up_mask],
-                abs_sizes[down_mask],
-                delays[up_mask],
-                delays[down_mask],
-                abs_sizes,
-                delays,
-                burst_lengths[up_bursts],
-                burst_lengths[down_bursts],
-                burst_bytes[up_bursts],
-                burst_bytes[down_bursts],
-                *gaps,
-            )
+    checkpointed = wanted[_CHECKPOINT_COLUMNS].any()
+    timestamps, cumulative, sorted_sizes = _per_flow_scans(
+        starts,
+        lengths,
+        (
+            delays if grouped[_GAP_UP] or grouped[_GAP_DOWN] else None,
+            abs_sizes if checkpointed else None,
         ),
-        np.concatenate(
-            (
-                n_up,
-                n_down,
-                n_up,
-                n_down,
-                lengths,
-                lengths,
-                n_up_bursts,
-                n_down_bursts,
-                n_up_bursts,
-                n_down_bursts,
-                np.maximum(n_up - 1, 0),
-                np.maximum(n_down - 1, 0),
-            )
-        ),
-        n_deciled=4 * m,
+        abs_sizes if wanted[_ENTROPY_COLUMN] else None,
     )
-    table = table.reshape(_TOTAL + 1, 12, m)
 
     def columns(*values: np.ndarray) -> np.ndarray:
         """One-value-per-flow arrays as the columns of a float matrix."""
         return np.concatenate(values).reshape(-1, m).T
 
+    def blank(section: slice) -> np.ndarray:
+        return np.zeros((m, section.stop - section.start))
+
+    # Bursts: maximal same-direction runs.
+    burst_columns = blank(_BURST_COUNT_COLUMNS)
+    if any(grouped[group] for group in _BURST_GROUPS) or wanted[_BURST_COUNT_COLUMNS].any():
+        burst_offsets, burst_counts, burst_flow = _runs(up_mask[1:] != up_mask[:-1], starts, flow_of)
+        up_bursts = up_mask[burst_offsets]
+        down_bursts = ~up_bursts
+        burst_lengths = burst_counts.astype(np.float64)
+        if grouped[_BURST_BYTES_UP] or grouped[_BURST_BYTES_DOWN]:
+            burst_bytes = _segment_totals(abs_sizes, burst_counts)
+        n_bursts = np.bincount(burst_flow, minlength=m)
+        n_up_bursts = np.bincount(burst_flow[up_bursts], minlength=m)
+        n_down_bursts = n_bursts - n_up_bursts
+        longest_burst = np.maximum.reduceat(burst_lengths, np.cumsum(n_bursts) - n_bursts)
+        burst_columns = columns(
+            n_up_bursts,
+            n_down_bursts,
+            n_bursts,
+            n_bursts - 1,
+            n_bursts / lengths,
+            longest_burst / lengths,
+        )
+
+    def gaps(mask: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Same-direction gaps: one difference of the concatenated stamps,
+        minus the elements that straddle two flows."""
+        stamps, owner = timestamps[mask], flow_of[mask]
+        return (stamps[1:] - stamps[:-1])[owner[1:] == owner[:-1]], np.maximum(count - 1, 0)
+
+    # The segment table, in ``_GROUPS`` order: each group's operand and one
+    # segment count per flow, built only when a wanted column reads it.
+    operands = {
+        _PKT_UP: lambda: (abs_sizes[up_mask], n_up),
+        _PKT_DOWN: lambda: (abs_sizes[down_mask], n_down),
+        _TIME_UP: lambda: (delays[up_mask], n_up),
+        _TIME_DOWN: lambda: (delays[down_mask], n_down),
+        _PKT_ALL: lambda: (abs_sizes, lengths),
+        _TIME_ALL: lambda: (delays, lengths),
+        _BURST_LEN_UP: lambda: (burst_lengths[up_bursts], n_up_bursts),
+        _BURST_LEN_DOWN: lambda: (burst_lengths[down_bursts], n_down_bursts),
+        _BURST_BYTES_UP: lambda: (burst_bytes[up_bursts], n_up_bursts),
+        _BURST_BYTES_DOWN: lambda: (burst_bytes[down_bursts], n_down_bursts),
+        _GAP_UP: lambda: gaps(up_mask, n_up),
+        _GAP_DOWN: lambda: gaps(down_mask, n_down),
+    }
+    unread = (abs_sizes[:0], np.zeros(m, dtype=np.intp))
+    segments = [operands[group]() if read else unread for group, read in enumerate(grouped)]
+    table, deciles = _segment_summaries(
+        np.concatenate([values for values, _ in segments]),
+        np.concatenate([counts for _, counts in segments]),
+        n_deciled=4 * m if reads[_DECILE_ROW].any() else 0,
+        read=reads[:_DECILE_ROW].any(axis=1).tolist(),
+    )
+    table = table.reshape(_TOTAL + 1, len(_GROUPS), m)
+
     def summaries(*groups: int) -> np.ndarray:
         """The eight summaries of each of ``groups``, side by side, one row per flow."""
         return table[:_TOTAL, groups].transpose(2, 1, 0).reshape(m, -1)
 
+    decile_columns = np.zeros((m, 4 * len(_DECILES)))
+    if deciles.shape[0]:
+        decile_columns = deciles.reshape(4, m, -1).transpose(1, 0, 2).reshape(m, -1)
+    checkpoint_columns = blank(_CHECKPOINT_COLUMNS)
+    if checkpointed:
+        last_cumulative = cumulative[stops - 1]
+        checkpoint_indexes = np.stack([_checkpoint_indexes(n) for n in lengths.tolist()])
+        checkpoint_columns = cumulative[starts[:, None] + checkpoint_indexes] / np.where(
+            last_cumulative > 0, last_cumulative, 1.0
+        )[:, None]
+
     # Flow-level.
-    bytes_up = table[_TOTAL, 0]
-    bytes_down = table[_TOTAL, 1]
-    total_bytes = bytes_up + bytes_down
-    duration = table[_TOTAL, 5]
-    safe_duration = np.where(duration > 0, duration, 1.0)
-    last_cumulative = cumulative[stops - 1]
-    checkpoint_indexes = np.stack([_checkpoint_indexes(n) for n in lengths.tolist()])
-    quarter = np.maximum(lengths // 4, 1)
-    down_before = np.concatenate(([0], np.cumsum(down_mask)))
-    # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
-    _, multiplicities, size_flow = _runs(sorted_sizes[1:] != sorted_sizes[:-1], starts, flow_of)
-    size_probabilities = multiplicities / lengths[size_flow]
-    entropy = -_segment_totals(
-        size_probabilities * np.log2(size_probabilities), np.bincount(size_flow, minlength=m)
-    )
+    flow_columns = blank(_FLOW_COLUMNS)
+    if wanted[_FLOW_COLUMNS].any():
+        bytes_up = table[_TOTAL, _PKT_UP]
+        bytes_down = table[_TOTAL, _PKT_DOWN]
+        total_bytes = bytes_up + bytes_down
+        duration = table[_TOTAL, _TIME_ALL]
+        safe_duration = np.where(duration > 0, duration, 1.0)
+        quarter = np.maximum(lengths // 4, 1)
+        down_before = np.concatenate(([0], np.cumsum(down_mask)))
+        flow_columns = columns(
+            lengths,
+            n_up,
+            n_down,
+            n_up / lengths,
+            n_down / lengths,
+            total_bytes,
+            bytes_up,
+            bytes_down,
+            np.where(total_bytes != 0, bytes_up / total_bytes, 0.0),
+            np.where(total_bytes != 0, bytes_down / total_bytes, 0.0),
+            duration,
+            total_bytes / safe_duration,
+            bytes_up / safe_duration,
+            bytes_down / safe_duration,
+            lengths / safe_duration,
+            (down_before[starts + quarter] - down_before[starts]) / quarter,
+            (down_before[stops] - down_before[stops - quarter]) / quarter,
+        )
+    entropy = np.zeros(m)
+    if sorted_sizes is not None:
+        # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
+        _, multiplicities, size_flow = _runs(sorted_sizes[1:] != sorted_sizes[:-1], starts, flow_of)
+        size_probabilities = multiplicities / lengths[size_flow]
+        entropy = -_segment_totals(
+            size_probabilities * np.log2(size_probabilities), np.bincount(size_flow, minlength=m)
+        )
 
     return np.concatenate(
         (
-            summaries(4, 0, 1, 5, 2, 3),
-            deciles.reshape(4, m, -1).transpose(1, 0, 2).reshape(m, -1),
-            summaries(6, 7, 8, 9),
-            columns(
-                n_up_bursts,
-                n_down_bursts,
-                n_bursts,
-                n_bursts - 1,
-                n_bursts / lengths,
-                longest_burst / lengths,
-            ),
-            summaries(10, 11),
-            cumulative[starts[:, None] + checkpoint_indexes]
-            / np.where(last_cumulative > 0, last_cumulative, 1.0)[:, None],
-            columns(
-                lengths,
-                n_up,
-                n_down,
-                n_up / lengths,
-                n_down / lengths,
-                total_bytes,
-                bytes_up,
-                bytes_down,
-                np.where(total_bytes != 0, bytes_up / total_bytes, 0.0),
-                np.where(total_bytes != 0, bytes_down / total_bytes, 0.0),
-                duration,
-                total_bytes / safe_duration,
-                bytes_up / safe_duration,
-                bytes_down / safe_duration,
-                lengths / safe_duration,
-                (down_before[starts + quarter] - down_before[starts]) / quarter,
-                (down_before[stops] - down_before[stops - quarter]) / quarter,
-                entropy,
-            ),
+            summaries(_PKT_ALL, _PKT_UP, _PKT_DOWN, _TIME_ALL, _TIME_UP, _TIME_DOWN),
+            decile_columns,
+            summaries(*_BURST_GROUPS),
+            burst_columns,
+            summaries(_GAP_UP, _GAP_DOWN),
+            checkpoint_columns,
+            flow_columns,
+            entropy[:, None],
         ),
         axis=1,
     )
@@ -549,74 +732,11 @@ class StatisticalFeatureExtractor:
     """Extract the 166-dimensional statistical feature vector from a flow."""
 
     def __init__(self) -> None:
-        self._names = self._build_names()
-        assert len(self._names) == N_STATISTICAL_FEATURES, len(self._names)
+        self._names = list(_FEATURE_NAMES)
 
     # ------------------------------------------------------------------ #
     # Feature names / categories
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _build_names() -> List[str]:
-        names: List[str] = []
-        # Packet-size summaries: overall, upstream, downstream  -> 3 * 8 = 24
-        for scope in ("all", "up", "down"):
-            names.extend(f"pkt_{scope}_{stat}" for stat in _SUMMARY_NAMES)
-        # Timing summaries: overall, upstream, downstream       -> 3 * 8 = 24
-        for scope in ("all", "up", "down"):
-            names.extend(f"time_{scope}_{stat}" for stat in _SUMMARY_NAMES)
-        # Packet-size deciles per direction                      -> 2 * 9 = 18
-        for scope in ("up", "down"):
-            names.extend(f"pkt_{scope}_p{q}" for q in _DECILES)
-        # Timing deciles per direction                           -> 2 * 9 = 18
-        for scope in ("up", "down"):
-            names.extend(f"time_{scope}_p{q}" for q in _DECILES)
-        # Burst length summaries per direction                   -> 2 * 8 = 16
-        for scope in ("up", "down"):
-            names.extend(f"burst_len_{scope}_{stat}" for stat in _SUMMARY_NAMES)
-        # Burst byte summaries per direction                     -> 2 * 8 = 16
-        for scope in ("up", "down"):
-            names.extend(f"burst_bytes_{scope}_{stat}" for stat in _SUMMARY_NAMES)
-        # Burst counts and rate features                         -> 6
-        names.extend(
-            [
-                "burst_count_up",
-                "burst_count_down",
-                "burst_count_total",
-                "direction_changes",
-                "bursts_per_packet",
-                "max_burst_fraction",
-            ]
-        )
-        # Same-direction gap summaries per direction             -> 2 * 8 = 16
-        for scope in ("up", "down"):
-            names.extend(f"gap_{scope}_{stat}" for stat in _SUMMARY_NAMES)
-        # Cumulative-size checkpoint features                    -> 10
-        names.extend(f"cumsum_frac_{i}" for i in range(1, 11))
-        # Flow-level features                                    -> 18
-        names.extend(
-            [
-                "n_packets",
-                "n_packets_up",
-                "n_packets_down",
-                "packet_ratio_up",
-                "packet_ratio_down",
-                "total_bytes",
-                "bytes_up",
-                "bytes_down",
-                "byte_ratio_up",
-                "byte_ratio_down",
-                "duration_ms",
-                "throughput_bytes_per_ms",
-                "throughput_up",
-                "throughput_down",
-                "mean_packet_rate",
-                "first_quarter_down_fraction",
-                "last_quarter_down_fraction",
-                "size_entropy",
-            ]
-        )
-        return names
-
     def feature_names(self) -> List[str]:
         """Stable ordered names of all 166 features."""
         return list(self._names)
@@ -644,20 +764,30 @@ class StatisticalFeatureExtractor:
         """The 166 features of one flow; bit-identical to its row of ``extract_many``."""
         return self.extract_many((flow,))[0]
 
-    def extract_many(self, flows: Sequence[Flow]) -> np.ndarray:
+    def extract_many(self, flows: Sequence[Flow], columns: Optional[Sequence[int]] = None) -> np.ndarray:
         """Extract features for a sequence of flows -> (n_flows, 166) matrix.
 
         A row depends on its own flow only, whatever else is in the batch, and
         is bit-identical to the seed implementation kept as the test oracle in
-        ``tests/oracles/statistical_reference.py``.
+        ``tests/oracles/statistical_reference.py``.  With ``columns``, returns
+        ``extract_many(flows)[:, columns]`` bit for bit; the batched kernel
+        computes only what those columns read.
         """
+        if columns is not None:
+            columns = np.asarray(columns, dtype=np.intp)
         if len(flows) < _BATCH_BREAK_EVEN:
             matrix = np.empty((len(flows), N_STATISTICAL_FEATURES), dtype=np.float64)
             for row, flow in zip(matrix, flows):
                 row[:] = _raw_features(flow)
         else:
+            wanted = np.ones(N_STATISTICAL_FEATURES, dtype=bool)
+            if columns is not None:
+                wanted[:] = False
+                wanted[columns] = True
             with np.errstate(all="ignore"):
-                matrix = _batch_features(flows)
+                matrix = _batch_features(flows, wanted)
+        if columns is not None:
+            matrix = matrix[:, columns]
         return np.nan_to_num(matrix, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
     def __call__(self, flow: Flow) -> np.ndarray:

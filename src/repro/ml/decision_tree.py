@@ -81,6 +81,9 @@ class DecisionTreeClassifier:
         self.n_classes_: int = 0
         self.classes_: np.ndarray = np.array([])
         self.feature_importances_: np.ndarray = np.array([])
+        # Sorted indexes of the features the internal nodes split on: the
+        # only columns ``predict_proba`` reads.
+        self.split_features_: np.ndarray = np.array([], dtype=np.intp)
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -95,7 +98,10 @@ class DecisionTreeClassifier:
         self.n_features_ = X.shape[1]
         self._importance_accumulator = np.zeros(self.n_features_)
         self._total_samples = len(y_encoded)
+        self._split_features = set()
         self._root = self._grow(X, y_encoded, depth=0)
+        self.split_features_ = np.array(sorted(self._split_features), dtype=np.intp)
+        del self._split_features
         total = self._importance_accumulator.sum()
         self.feature_importances_ = (
             self._importance_accumulator / total if total > 0 else self._importance_accumulator
@@ -126,6 +132,7 @@ class DecisionTreeClassifier:
             return make_leaf()
 
         self._importance_accumulator[feature] += gain * n_samples / self._total_samples
+        self._split_features.add(feature)
         left = self._grow(X[left_mask], y[left_mask], depth + 1)
         right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
         return _Node(feature=feature, threshold=threshold, left=left, right=right, n_samples=n_samples)

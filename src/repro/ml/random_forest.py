@@ -50,6 +50,8 @@ class RandomForestClassifier:
         self.trees_: List[DecisionTreeClassifier] = []
         self.classes_: np.ndarray = np.array([])
         self.feature_importances_: np.ndarray = np.array([])
+        # Sorted union of the trees' ``split_features_``.
+        self.split_features_: np.ndarray = np.array([], dtype=np.intp)
 
     def _resolve_max_features(self, n_features: int) -> Optional[int]:
         if self.max_features is None:
@@ -89,6 +91,9 @@ class RandomForestClassifier:
             # align importances regardless (importances are per feature).
             importances += tree.feature_importances_
         self.feature_importances_ = importances / self.n_estimators
+        self.split_features_ = np.unique(
+            np.concatenate([tree.split_features_ for tree in self.trees_])
+        )
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

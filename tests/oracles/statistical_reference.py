@@ -5,8 +5,9 @@ sort-once kernel replaced it (one ``np.percentile`` / ``np.median`` /
 ``.mean()`` / ``.std()`` call per statistic, a per-packet burst loop).  It is
 kept only as the reference the bitwise tests in ``tests/test_features.py``,
 ``tests/test_properties.py`` and ``tests/test_censors.py`` compare the
-production kernel against -- do not optimise or "fix" it; the only edit is
-the absolute ``repro.flows`` import.
+production kernel against -- do not optimise or "fix" it; the only edits are
+the absolute ``repro.flows`` import and ``extract_many``'s ``columns``
+argument, which slices the full matrix (the tree censors score through it).
 """
 
 from __future__ import annotations
@@ -278,9 +279,11 @@ class StatisticalFeatureExtractor:
             )
         return np.nan_to_num(vector, nan=0.0, posinf=0.0, neginf=0.0)
 
-    def extract_many(self, flows: Sequence[Flow]) -> np.ndarray:
-        """Extract features for a sequence of flows -> (n_flows, 166) matrix."""
-        return np.vstack([self.extract(flow) for flow in flows])
+    def extract_many(self, flows: Sequence[Flow], columns=None) -> np.ndarray:
+        """Extract features for a sequence of flows -> (n_flows, 166) matrix,
+        or its ``columns`` only (a slice of the full matrix)."""
+        matrix = np.vstack([self.extract(flow) for flow in flows])
+        return matrix if columns is None else matrix[:, columns]
 
     def __call__(self, flow: Flow) -> np.ndarray:
         return self.extract(flow)

@@ -89,20 +89,81 @@ class TestTreeCensors:
         assert counts["packet"] > counts["timing"]
 
 
+def deep_tree_training_set(tor_splits):
+    """The synthetic Tor set is separable on one feature.  Prefixes (what the
+    censor scores during training) with 30 % flipped labels grow a deep tree
+    over ~25 features from every group."""
+    flows = [flow.prefix(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
+    labels = np.array([flow.label for flow in flows])
+    flipped = np.random.default_rng(4).random(len(flows)) < 0.3
+    return flows, np.where(flipped, 1 - labels, labels)
+
+
+class TestTreeCensorColumns:
+    """Tree censors score through ``extract_many(flows, model.split_features_)``."""
+
+    @staticmethod
+    def _spy(monkeypatch, censor):
+        calls = []
+        extract_many, predict_proba = censor.extractor.extract_many, censor.model.predict_proba
+
+        def recording_extract_many(flows, columns=None):
+            calls.append(("extract_many", len(flows), None if columns is None else list(columns)))
+            return extract_many(flows, columns)
+
+        def recording_predict_proba(X):
+            calls.append(("predict_proba", len(X), None))
+            return predict_proba(X)
+
+        monkeypatch.setattr(censor.extractor, "extract_many", recording_extract_many)
+        monkeypatch.setattr(censor.model, "predict_proba", recording_predict_proba)
+        return calls
+
+    @pytest.mark.parametrize("make", [lambda: DecisionTreeCensor(rng=3), lambda: RandomForestCensor(10, rng=0)])
+    def test_scores_read_only_split_columns(self, make, tor_splits, monkeypatch):
+        censor = make().fit(tor_splits.clf_train.flows)
+        flows = tor_splits.test.flows
+        expected = censor.model.predict_proba(StatisticalFeatureExtractor().extract_many(flows))
+        calls = self._spy(monkeypatch, censor)
+        scores = censor.predict_scores(flows)
+        columns = censor.model.split_features_.tolist()
+        assert calls == [("extract_many", len(flows), columns), ("predict_proba", len(flows), None)]
+        benign = list(censor.model.classes_).index(1)
+        assert np.array_equal(scores.view(np.uint64), expected[:, benign].view(np.uint64))
+
+    def test_refit_scores_like_a_fresh_censor(self, tor_splits):
+        deep_flows, deep_labels = deep_tree_training_set(tor_splits)
+        censor = DecisionTreeCensor(rng=3, min_samples_split=2).fit(tor_splits.clf_train.flows)
+        assert len(censor.model.split_features_) == 1  # a stump
+        censor.fit(deep_flows, deep_labels)
+        fresh = DecisionTreeCensor(rng=3, min_samples_split=2).fit(deep_flows, deep_labels)
+        assert len(censor.model.split_features_) >= 20
+        assert np.array_equal(censor.model.split_features_, fresh.model.split_features_)
+        flows = tor_splits.test.flows + deep_flows[::7]
+        assert np.array_equal(
+            censor.predict_scores(flows).view(np.uint64), fresh.predict_scores(flows).view(np.uint64)
+        )
+
+    def test_single_leaf_tree_still_queries(self, tor_splits, monkeypatch):
+        censor = DecisionTreeCensor(rng=3).fit(tor_splits.clf_train.benign_flows)
+        assert censor.model.depth == 0 and censor.model.split_features_.size == 0
+        calls = self._spy(monkeypatch, censor)
+        flows = tor_splits.test.flows[:9]
+        assert np.all(censor.predict_scores(flows) == 1.0)
+        assert calls == [("extract_many", 9, []), ("predict_proba", 9, None)]
+        assert censor.query_count == 9
+
+
 class TestTreeCensorTrainingSemantics:
     """A tiny golden run: the feature kernel may not move a single training bit."""
 
     @staticmethod
     def _train(extractor, tor_splits, normalizer, fast_config, monkeypatch):
         censor = DecisionTreeCensor(rng=3, min_samples_split=2)
-        censor.extractor = extractor  # used by ``fit`` and by every scoring tick
-        # The synthetic Tor set is separable on one feature.  Prefixes (what the
-        # censor scores during training) with 30 % flipped labels grow a deep
-        # tree over ~25 features from every group, so a drifted feature shows.
-        flows = [flow.prefix(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
-        labels = np.array([flow.label for flow in flows])
-        flipped = np.random.default_rng(4).random(len(flows)) < 0.3
-        censor.fit(flows, np.where(flipped, 1 - labels, labels))
+        # Used by ``fit`` (all columns) and by every scoring tick (the ~25
+        # columns the deep tree splits on), so a drifted feature shows.
+        censor.extractor = extractor
+        censor.fit(*deep_tree_training_set(tor_splits))
         assert np.count_nonzero(censor.model.feature_importances_) >= 20
         agent = Amoeba(
             censor,

@@ -354,6 +354,62 @@ class TestBatchedKernelMatchesOracle:
         assert_bitwise_equal(matrix[:3], oracle_rows(flows[:3]), self.names)
 
 
+def overflowing_flows():
+    """``test_overflowing_sums_match_oracle``'s flows: sums overflow to inf / NaN."""
+    huge = 1.7e308
+    return [
+        Flow(sizes=[100.0, 200.0, 300.0, 400.0], delays=[0.0, huge, huge, huge]),
+        Flow(sizes=[huge, huge, -huge, huge, huge, -5.0], delays=[0.0, 1.0, huge, 2.0, huge, huge]),
+        Flow(sizes=[-huge, -huge, 7.0, -huge, -huge], delays=[huge] * 5),
+    ]
+
+
+def column_sets():
+    """Named column sets: empty, all, each column alone, each statistic
+    across its groups, each group's (or section's) columns, random subsets."""
+    names = StatisticalFeatureExtractor().feature_names()
+    sets = {"empty": [], "all": list(range(len(names)))}
+    sets.update({name: [column] for column, name in enumerate(names)})
+    for column, name in enumerate(names):
+        scope, _, statistic = name.rpartition("_")
+        sets.setdefault(f"every {statistic}", []).append(column)
+        sets.setdefault(f"group {scope}", []).append(column)
+    rng = np.random.default_rng(36)
+    for size in (2, 3, 5, 9, 17, 40, 100):
+        sets[f"random {size}"] = rng.choice(len(names), size, replace=False).tolist()
+    sets["unsorted with repeats"] = [165, 0, 85, 0, 122, 48]
+    return sets
+
+
+class TestColumnSubsetsMatchFullExtraction:
+    """``extract_many(flows, columns)`` is ``extract_many(flows)[:, columns]``, bit for bit."""
+
+    def test_every_column_set_on_both_kernels(self):
+        # Every batch but the last holds the overflowing flows, so inf / NaN
+        # operands share buckets with ordinary ones; the last, clean batch is
+        # the smallest that takes the batched kernel.
+        pool = [flow for family in SWEEP_FAMILIES for flow in sweep_flows(family)[::13]]
+        overflowing = overflowing_flows()
+        sizes = (_BATCH_BREAK_EVEN - 1, _BATCH_BREAK_EVEN, _BATCH_BREAK_EVEN + 1, 128)
+        batches = [overflowing + pool[: size - len(overflowing)] for size in sizes]
+        batches.append(pool[-_BATCH_BREAK_EVEN:])
+        assert [len(batch) for batch in batches] == [*sizes, _BATCH_BREAK_EVEN]
+        extractor = StatisticalFeatureExtractor()
+        sets = column_sets()
+        for batch in batches:
+            with np.errstate(all="ignore"):
+                full = extractor.extract_many(batch)
+                for name, columns in sets.items():
+                    actual = extractor.extract_many(batch, columns)
+                    assert actual.shape == (len(batch), len(columns)), name
+                    assert_bitwise_equal(actual, full[:, columns])
+
+    def test_empty_batch_with_columns(self):
+        extractor = StatisticalFeatureExtractor()
+        assert extractor.extract_many([], [0, 5]).shape == (0, 2)
+        assert extractor.extract_many([], []).shape == (0, 0)
+
+
 class TestCumulFeatures:
     def test_feature_count(self):
         extractor = CumulFeatureExtractor(n_interpolation=50)

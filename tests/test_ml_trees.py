@@ -148,3 +148,59 @@ class TestRandomForest:
         a = RandomForestClassifier(n_estimators=5, rng=42).fit(X, y).predict(X)
         b = RandomForestClassifier(n_estimators=5, rng=42).fit(X, y).predict(X)
         assert np.array_equal(a, b)
+
+
+def walked_split_features(tree):
+    """Features the internal nodes of a fitted tree split on, found by walking it."""
+    features, stack = set(), [tree._root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            features.add(node.feature)
+            stack += [node.left, node.right]
+    return sorted(features)
+
+
+class TestSplitFeatures:
+    """``split_features_``: the only columns a fitted model's ``predict_proba`` reads."""
+
+    def test_tree_records_the_features_it_splits_on(self):
+        X, y = make_xor()
+        rng = np.random.default_rng(1)
+        X = np.hstack([rng.normal(size=(len(X), 3)), X, rng.normal(size=(len(X), 2))])
+        tree = DecisionTreeClassifier(max_depth=6, rng=0).fit(X, y)
+        assert tree.split_features_.dtype == np.intp
+        assert tree.split_features_.tolist() == walked_split_features(tree)
+        assert {3, 4} <= set(tree.split_features_.tolist())
+        # Zeroing every other column changes no prediction.
+        kept = np.zeros_like(X)
+        kept[:, tree.split_features_] = X[:, tree.split_features_]
+        assert np.array_equal(tree.predict_proba(kept), tree.predict_proba(X))
+
+    def test_forest_records_the_union_over_its_trees(self):
+        X, y = make_blobs(n=60)
+        forest = RandomForestClassifier(n_estimators=7, max_depth=3, rng=0).fit(X, y)
+        union = sorted({f for tree in forest.trees_ for f in walked_split_features(tree)})
+        assert forest.split_features_.dtype == np.intp
+        assert forest.split_features_.tolist() == union
+
+    def test_refit_recomputes(self):
+        X, y = make_xor()
+        moved = np.hstack([np.zeros_like(X), X])  # constant columns never split
+        tree = DecisionTreeClassifier(max_depth=4, rng=0).fit(X, y)
+        assert tree.split_features_.tolist() == [0, 1]
+        tree.fit(moved, y)
+        assert tree.split_features_.tolist() == [2, 3] == walked_split_features(tree)
+        forest = RandomForestClassifier(n_estimators=5, max_features=None, rng=0).fit(X, y)
+        assert forest.split_features_.tolist() == [0, 1]
+        forest.fit(moved, y)
+        assert forest.split_features_.tolist() == [2, 3]
+
+    def test_single_leaf_splits_on_nothing(self):
+        X = np.random.default_rng(0).normal(size=(10, 3))
+        tree = DecisionTreeClassifier().fit(X, np.ones(10, dtype=int))
+        assert tree.depth == 0 and tree.split_features_.size == 0
+        assert tree.split_features_.dtype == np.intp
+        forest = RandomForestClassifier(n_estimators=3, rng=0).fit(X, np.ones(10, dtype=int))
+        assert forest.split_features_.size == 0 and forest.split_features_.dtype == np.intp
+        assert DecisionTreeClassifier().split_features_.size == 0

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
-from repro.features.statistical import _BATCH_BREAK_EVEN
+from repro.features.statistical import _BATCH_BREAK_EVEN, N_STATISTICAL_FEATURES
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
 from repro.serve import ServeConfig
@@ -134,6 +134,24 @@ class TestFeatureProperties:
             batched = extractor.extract_many(flows)
         assert np.array_equal(alone.view(np.uint64), expected[-1].view(np.uint64))
         assert np.array_equal(batched.view(np.uint64), expected.view(np.uint64))
+
+    @given(
+        flows=st.lists(oracle_flows, min_size=_BATCH_BREAK_EVEN - 1, max_size=_BATCH_BREAK_EVEN + 1),
+        columns=st.one_of(
+            st.just([]),
+            st.just(list(range(N_STATISTICAL_FEATURES))),
+            st.lists(st.integers(0, N_STATISTICAL_FEATURES - 1), min_size=1, max_size=40),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_statistical_columns_bit_identical_to_full_extraction(self, flows, columns):
+        # Random subsets may repeat a column or list them out of order.
+        extractor = StatisticalFeatureExtractor()
+        with np.errstate(all="ignore"):
+            full = extractor.extract_many(flows)
+            pruned = extractor.extract_many(flows, columns)
+        assert pruned.shape == (len(flows), len(columns))
+        assert np.array_equal(pruned.view(np.uint64), full[:, columns].view(np.uint64))
 
     @given(sizes=sizes_strategy, delays=delays_strategy)
     @settings(max_examples=30, deadline=None)
