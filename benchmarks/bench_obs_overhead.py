@@ -215,7 +215,7 @@ def _build_distributed_run():
     """One deterministic 2-worker sharded collect (fresh engine per leg).
 
     The engine is constructed inside ``run()`` so the telemetry flag set by
-    :func:`_paired` is inherited by the forked (or TCP-spawned) workers —
+    :func:`_paired` is inherited by the forked workers —
     that is exactly the production path, and it means the enabled legs pay
     the full cost under test: trace-context envelopes on every command
     frame, per-command worker spans, and the end-of-run telemetry fold.
@@ -252,7 +252,7 @@ def _build_distributed_run():
             engine.collect(DIST_TICKS)
             elapsed = time.perf_counter() - start
             if return_engine:
-                # Caller folds worker telemetry / scrapes before close.
+                # Caller folds worker telemetry before close.
                 return engine, config.n_envs * DIST_TICKS / elapsed
         finally:
             if not return_engine:
@@ -263,32 +263,26 @@ def _build_distributed_run():
 
 
 def test_distributed_telemetry_overhead_within_gate():
-    import urllib.request
-
     run = _build_distributed_run()
     ratio, off_all, on_all, ratios = _paired(run)
 
-    # One more instrumented run to archive: live /metrics scrape while the
-    # engine is still up, then the stitched cross-process span tree.
+    # One more instrumented run to archive: fold the workers' telemetry
+    # into the driver while the engine is still up, then export the
+    # stitched cross-process span tree.
     obs.enable()
     obs.reset()
-    service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
+    engine, _ = run(return_engine=True)
     try:
-        engine, _ = run(return_engine=True)
-        try:
-            engine.stats()  # folds worker metrics + spans into the driver
-            scraped = urllib.request.urlopen(
-                service.url + "/metrics", timeout=10
-            ).read().decode("utf-8")
-        finally:
-            engine.close()
+        engine.stats()  # folds worker metrics + spans into the driver
     finally:
-        obs.shutdown_telemetry()
+        engine.close()
     snapshot = obs.registry().snapshot()
     spans = obs.tracer().records()
     obs.disable()
 
-    assert "transport_frames_sent_total" in scraped, "live scrape missed transport metrics"
+    assert "transport_frames_sent_total" in obs.prometheus_text(snapshot), (
+        "folded registry missed transport metrics"
+    )
     driver_ids = {record.span_id for record in spans if not record.name.startswith("worker.")}
     worker_spans = [record for record in spans if record.name.startswith("worker.")]
     assert worker_spans, "no worker spans were folded back to the driver"

@@ -16,7 +16,7 @@ without writing Python:
   profile-fallback rate;
 * ``repro-amoeba telemetry`` — enable the :mod:`repro.obs` telemetry tier,
   run one tiny instrumented training iteration (or serving workload) and
-  render the live summary: counters, gauges, latency histograms and the
+  render the summary: counters, gauges, latency histograms and the
   nested span trace, optionally exported as JSONL and/or Prometheus text;
 * ``repro-amoeba backends`` — print the execution-backend diagnostic: which
   backends are registered, whether the compiled GEMM / fused-cell kernels
@@ -99,14 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument("--save-policy", default=None, help="path to save the trained policy (.npz)")
     attack.add_argument("--save-adversarial", default=None, help="path to save adversarial flows (JSONL)")
-    attack.add_argument(
-        "--telemetry-port",
-        type=int,
-        default=None,
-        help="enable telemetry and serve /metrics, /spans and /healthz on "
-        "this local port for the duration of the run (0 picks a free port; "
-        "watch it with 'repro-amoeba top')",
-    )
 
     serve = subparsers.add_parser(
         "serve", help="serve a saved policy to a synthetic live workload"
@@ -128,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--profiles", default=None,
                        help="JSONL of successful adversarial flows seeding the fallback profile database")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--telemetry-port",
-        type=int,
-        default=None,
-        help="enable telemetry and serve /metrics, /spans and /healthz on "
-        "this local port for the duration of the run (0 picks a free port; "
-        "watch it with 'repro-amoeba top')",
-    )
 
     telemetry = subparsers.add_parser(
         "telemetry",
@@ -153,25 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also dump the metric snapshot and span trace to this JSONL file")
     telemetry.add_argument("--prometheus", default=None,
                            help="also write a Prometheus text-exposition snapshot to this file")
-
-    top = subparsers.add_parser(
-        "top",
-        help="live terminal view over a running driver's /metrics endpoint "
-        "(start the driver with --telemetry-port or REPRO_TELEMETRY_PORT)",
-    )
-    top.add_argument(
-        "--url", default=None,
-        help="metrics endpoint to poll (default: built from --port)",
-    )
-    top.add_argument(
-        "--port", type=int, default=None,
-        help="local telemetry port to poll (shorthand for --url http://127.0.0.1:PORT/metrics)",
-    )
-    top.add_argument("--interval", type=float, default=1.0, help="seconds between scrapes")
-    top.add_argument(
-        "--iterations", type=int, default=None,
-        help="stop after this many scrapes (default: run until interrupted)",
-    )
 
     subparsers.add_parser(
         "backends", help="print the execution-backend diagnostic (kernels, fallbacks)"
@@ -209,22 +174,6 @@ def _command_evaluate_censors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_start_telemetry(args: argparse.Namespace) -> None:
-    """Arm telemetry + the live service when ``--telemetry-port`` was given.
-
-    Enabled *before* any engine/server construction so forked workers
-    inherit the flag; the service itself lives in this driver process only.
-    """
-    port = getattr(args, "telemetry_port", None)
-    if port is None:
-        return
-    from . import obs
-
-    obs.enable()
-    service = obs.serve_telemetry(port=port)
-    print(f"telemetry: {service.url}/metrics (also /spans, /healthz)")
-
-
 def _command_attack(args: argparse.Namespace) -> int:
     # Fail fast on argument errors, before the dataset build.
     n_envs = AmoebaConfig().n_envs
@@ -232,7 +181,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--workers must be 0 (in-process) or divide n_envs={n_envs}, got {args.workers}"
         )
-    _maybe_start_telemetry(args)
     data = prepare_experiment_data(
         args.dataset, n_censored=args.flows, n_benign=args.flows, max_packets=args.max_packets, rng=args.seed
     )
@@ -279,7 +227,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .flows import load_flows_jsonl
     from .serve import PolicyServer, ServeConfig, SyntheticWorkload, run_workload
 
-    _maybe_start_telemetry(args)
     size_scale = 16384.0 if args.dataset == "v2ray" else 1460.0
     mix = (
         {"v2ray": 0.6, "https": 0.4}
@@ -458,23 +405,12 @@ def _command_backends(_: argparse.Namespace) -> int:
     return 0
 
 
-def _command_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_top
-
-    if args.url and args.port is not None:
-        raise SystemExit("--url and --port are mutually exclusive")
-    url = args.url
-    if url is None:
-        if args.port is None:
-            raise SystemExit("repro-amoeba top needs --url or --port")
-        url = f"http://127.0.0.1:{args.port}/metrics"
-    rendered = run_top(url, interval_s=args.interval, iterations=args.iterations)
-    return 0 if rendered else 1
-
-
 def _command_info(_: argparse.Namespace) -> int:
     print(f"repro {__version__} — reproduction of Amoeba (CoNEXT 2023)")
-    print("experiments: see DESIGN.md (per-experiment index) and EXPERIMENTS.md (paper vs measured)")
+    print(
+        "experiments: see README.md (Tests and benchmarks) and "
+        "benchmarks/bench_table*.py / benchmarks/bench_fig*.py (one per paper table or figure)"
+    )
     print(f"censoring classifiers: {', '.join(CENSOR_NAMES)}")
     return 0
 
@@ -488,7 +424,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "attack": _command_attack,
         "serve": _command_serve,
         "telemetry": _command_telemetry,
-        "top": _command_top,
         "backends": _command_backends,
         "info": _command_info,
     }

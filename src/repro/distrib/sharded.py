@@ -125,9 +125,6 @@ class ShardedRolloutEngine:
         self._last_heartbeat: List[Optional[float]] = [None] * n_workers
         self._worker_restarts: List[int] = [0] * n_workers
         self._worker_replayed: List[int] = [0] * n_workers
-        # Expose a scrape endpoint if REPRO_TELEMETRY_PORT asks for one
-        # (no-op otherwise; forked workers fail the duplicate bind quietly).
-        obs.maybe_serve_telemetry()
         self._workers: List[_WorkerHandle] = []
         try:
             for index in range(n_workers):

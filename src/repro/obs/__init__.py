@@ -12,8 +12,11 @@ nn backends (`repro.nn.backend`) and the continuous-batching serving tier
   and per-span metadata, compiled to a shared no-op singleton when
   telemetry is disabled;
 * exporters: a JSONL event sink, a Prometheus text-exposition snapshot, and
-  the ``repro-amoeba telemetry`` CLI that renders a live summary or a trace
-  profile of one training iteration / serving flush.
+  the ``repro-amoeba telemetry`` CLI that renders the summary and span
+  trace of one training iteration / serving workload.
+
+Telemetry is read after the fact — from :func:`summary_text` or the
+exported files; nothing here opens a socket or starts a thread.
 
 **Off by default.**  Enable with ``REPRO_TELEMETRY=1`` in the environment
 (inherited by forked workers) or programmatically with :func:`enable` —
@@ -36,7 +39,7 @@ import os
 from typing import Dict, List, Mapping, Optional
 
 from . import _state
-from .export import JsonlSink, parse_prometheus_text, prometheus_text, read_jsonl
+from .export import JsonlSink, prometheus_text, read_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
 from .trace import NULL_SPAN, NullSpan, Span, SpanRecord, Tracer, render_spans
 
@@ -60,15 +63,6 @@ __all__ = [
     "take_worker_telemetry",
     "merge_worker_telemetry",
     "summary_text",
-    "serve_telemetry",
-    "maybe_serve_telemetry",
-    "active_telemetry",
-    "shutdown_telemetry",
-    "TelemetryService",
-    "SloRule",
-    "SloAlert",
-    "SloWatchdog",
-    "default_slo_rules",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -83,7 +77,6 @@ __all__ = [
     "JsonlSink",
     "read_jsonl",
     "prometheus_text",
-    "parse_prometheus_text",
 ]
 
 
@@ -233,22 +226,14 @@ def take_worker_telemetry() -> Dict[str, object]:
 
 
 def merge_worker_telemetry(payload, worker) -> None:
-    """Fold one worker's combined telemetry payload, labelled ``worker=<i>``.
-
-    Accepts the combined dict from :func:`take_worker_telemetry` or a bare
-    metrics snapshot list (the pre-span fold payload), so drivers and
-    workers can be upgraded independently.
-    """
+    """Fold one worker's :func:`take_worker_telemetry` payload, labelled ``worker=<i>``."""
     label = str(worker)
-    if isinstance(payload, Mapping):
-        merge_snapshot(payload.get("metrics") or (), extra_labels={"worker": label})
-        merge_spans(payload.get("spans") or (), extra_meta={"worker": label})
-    else:
-        merge_snapshot(payload or (), extra_labels={"worker": label})
+    merge_snapshot(payload["metrics"], extra_labels={"worker": label})
+    merge_spans(payload["spans"], extra_meta={"worker": label})
 
 
 # --------------------------------------------------------------------------- #
-# Live summary (the CLI's rendering)
+# Summary (the CLI's rendering)
 # --------------------------------------------------------------------------- #
 def summary_text(max_spans: int = 40) -> str:
     """Human-readable summary: every instrument plus the recent span tree."""
@@ -291,18 +276,6 @@ def summary_text(max_spans: int = 40) -> str:
     lines.append(render_spans(_TRACER.records(), max_spans=max_spans))
     return "\n".join(lines)
 
-
-# Imported after the module-level API above exists: the service and SLO
-# modules reach back into this package (registry(), tracer(), enabled())
-# lazily at request/evaluation time.
-from .service import (  # noqa: E402
-    TelemetryService,
-    active_telemetry,
-    maybe_serve_telemetry,
-    serve_telemetry,
-    shutdown_telemetry,
-)
-from .slo import SloAlert, SloRule, SloWatchdog, default_slo_rules  # noqa: E402
 
 # ``REPRO_TELEMETRY=1`` (or ``true``/``on``/``yes``) enables at import time;
 # forked workers inherit either the env var or the already-flipped flag.

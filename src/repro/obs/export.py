@@ -9,10 +9,10 @@ Two consumption styles:
   sample traces are archived as CI artifacts.
 * :func:`prometheus_text` renders a registry snapshot in the Prometheus
   text exposition format (counters as ``_total``, histograms with
-  cumulative ``le`` buckets, ``_sum`` and ``_count``), so a scrape endpoint
-  or a push gateway can be wired on top without new plumbing.
+  cumulative ``le`` buckets, ``_sum`` and ``_count``), the file
+  ``repro-amoeba telemetry --prometheus`` writes.
 
-Both exporters are pull-style over immutable snapshots — they never touch
+Both exporters work over immutable snapshots — they never touch
 instrument internals and can run at any cadence without perturbing the
 recording paths.
 """
@@ -20,7 +20,6 @@ recording paths.
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Dict, Iterable, List, Mapping, Optional
 
@@ -30,7 +29,6 @@ __all__ = [
     "JsonlSink",
     "read_jsonl",
     "prometheus_text",
-    "parse_prometheus_text",
 ]
 
 
@@ -38,63 +36,23 @@ __all__ = [
 # JSONL event stream
 # --------------------------------------------------------------------------- #
 class JsonlSink:
-    """Append-only JSONL event sink with optional size-bounded rotation.
+    """Append-only JSONL event sink.
 
-    Events carry a ``type`` (``"metrics"``, ``"spans"`` or ``"alerts"``), a
-    wall-clock ``ts`` and the payload.  The file handle opens lazily on
-    first write and is flushed per event, so a crash loses at most the
-    event being written.
-
-    ``max_bytes`` arms rotation: when an append would push the active file
-    past the bound, it is renamed to ``<path>.1`` (older generations shift
-    to ``.2`` … ``.<keep_files>``; the oldest drops) and a fresh file takes
-    its place.  Rotation keeps long soaks from filling the disk while
-    preserving a bounded recent history; each rotated file is still a
-    valid :func:`read_jsonl` input.  ``max_bytes=None`` (default) keeps
-    the original unbounded append-only behaviour.
+    Events carry a ``type`` (``"metrics"`` or ``"spans"``), a wall-clock
+    ``ts`` and the payload.  The file handle opens lazily on first write
+    and is flushed per event, so a crash loses at most the event being
+    written.
     """
 
-    def __init__(self, path, max_bytes: Optional[int] = None, keep_files: int = 3) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 when set")
-        if keep_files < 1:
-            raise ValueError("keep_files must be >= 1")
+    def __init__(self, path) -> None:
         self.path = path
-        self.max_bytes = max_bytes
-        self.keep_files = keep_files
         self._handle = None
-        self._size = 0
-
-    def _open(self) -> None:
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = os.path.getsize(self.path)
-
-    def _rotate(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        # Shift path.n -> path.(n+1), oldest first (the one past keep_files
-        # is overwritten and thus dropped); then path -> path.1.
-        for index in range(self.keep_files - 1, 0, -1):
-            src = f"{self.path}.{index}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{index + 1}")
-        os.replace(str(self.path), f"{self.path}.1")
-        self._open()
 
     def _write(self, event: Dict[str, object]) -> None:
         if self._handle is None:
-            self._open()
-        line = json.dumps(event) + "\n"
-        if (
-            self.max_bytes is not None
-            and self._size > 0
-            and self._size + len(line) > self.max_bytes
-        ):
-            self._rotate()
-        self._handle.write(line)
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(json.dumps(event) + "\n")
         self._handle.flush()
-        self._size += len(line)
 
     def write_metrics(self, snapshot: Iterable[Mapping[str, object]]) -> None:
         """Record one registry snapshot (``MetricsRegistry.snapshot()``)."""
@@ -108,15 +66,6 @@ class JsonlSink:
         ]
         if payload:
             self._write({"type": "spans", "ts": time.time(), "spans": payload})
-
-    def write_alerts(self, alerts: Iterable) -> None:
-        """Record SLO alert transitions (``SloWatchdog`` sink protocol)."""
-        payload = [
-            alert.as_dict() if hasattr(alert, "as_dict") else dict(alert)
-            for alert in alerts
-        ]
-        if payload:
-            self._write({"type": "alerts", "ts": time.time(), "alerts": payload})
 
     def close(self) -> None:
         if self._handle is not None:
@@ -197,20 +146,3 @@ def prometheus_text(snapshot: Iterable[Mapping[str, object]]) -> str:
         else:
             raise ValueError(f"unknown metric kind {kind!r}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus_text(text: str) -> Dict[str, float]:
-    """Parse exposition text back into ``{series: value}`` (round-trip tests).
-
-    The series key is the full ``name{labels}`` string as rendered; type
-    comments are skipped.  This is a deliberately small parser for the
-    repo's own output, not a general Prometheus client.
-    """
-    series: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        series[key] = float(value)
-    return series

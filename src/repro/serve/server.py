@@ -288,9 +288,6 @@ class PolicyServer:
         self._queue_depth_gauge = registry.gauge("serve.queue_depth", **labels)
         self._latencies_ms: Deque[float] = deque(maxlen=self.config.latency_history)
         self._flush_tick = 0  # drives child-span head sampling in flush()
-        # Expose a scrape endpoint if REPRO_TELEMETRY_PORT asks for one
-        # (no-op otherwise).
-        obs.maybe_serve_telemetry()
 
     # ------------------------------------------------------------------ #
     # Construction from a checkpoint

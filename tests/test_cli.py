@@ -58,6 +58,21 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--telemetry-port", "0"],
+            ["serve", "--policy", "p.npz", "--telemetry-port", "0"],
+            ["top"],
+        ],
+    )
+    def test_no_live_telemetry_service(self, argv):
+        # Telemetry is read after a run (``repro-amoeba telemetry``); no
+        # driver serves /metrics and there is no terminal view polling it.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_invalid_censor_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "--censor", "XGB"])
@@ -100,6 +115,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Amoeba" in out
         assert "CUMUL" in out
+
+    def test_info_points_at_files_that_exist(self, capsys):
+        import re
+        from pathlib import Path
+
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        paths = re.findall(r"[\w./-]+\.md\b", out)
+        assert paths, "info names no document"
+        root = Path(__file__).resolve().parents[1]
+        assert [p for p in paths if not (root / p).is_file()] == []
+        for pattern in re.findall(r"benchmarks/[\w*]+\.py", out):
+            assert list(root.glob(pattern)), pattern
 
     def test_generate_command_writes_file(self, tmp_path, capsys):
         output = tmp_path / "flows.jsonl"

@@ -30,6 +30,23 @@ from repro.utils.rng import collection_seed_tree
 ENCODER_HIDDEN = 8
 
 
+def parse_prometheus_text(text):
+    """Parse exposition text back into ``{series: value}``.
+
+    The series key is the full ``name{labels}`` string as rendered; type
+    comments are skipped.  A small parser for the repo's own output, not a
+    general Prometheus client.
+    """
+    series = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.rpartition(" ")
+        series[key] = float(value)
+    return series
+
+
 @pytest.fixture(autouse=True)
 def clean_obs():
     """Every test starts disabled with an empty registry, and leaves so."""
@@ -301,7 +318,7 @@ class TestSnapshotFold:
         hist.observe(1.5)
         hist.observe(9.0)
         text = obs.prometheus_text(registry.snapshot())
-        series = obs.parse_prometheus_text(text)
+        series = parse_prometheus_text(text)
         assert series['serve_decisions_total{server="0"}'] == 5.0
         assert series["serve_queue_depth"] == 3.0
         # Cumulative le buckets plus +Inf, _sum and _count.
@@ -940,62 +957,16 @@ class TestDistributedStitching:
 
 
 # --------------------------------------------------------------------- #
-# JsonlSink rotation
+# JsonlSink
 # --------------------------------------------------------------------- #
-class TestJsonlRotation:
-    def test_unbounded_by_default(self, tmp_path):
+class TestJsonlSink:
+    def test_append_only_never_rotates(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with obs.JsonlSink(path) as sink:
             for _ in range(50):
                 sink.write_metrics([{"kind": "counter", "name": "c", "labels": {}, "value": 1.0}])
         assert len(obs.read_jsonl(path)) == 50
-        assert not (tmp_path / "events.jsonl.1").exists()
-
-    def test_rotation_bounds_size_and_keeps_n_files(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        event = [{"kind": "counter", "name": "c", "labels": {}, "value": 1.0}]
-        with obs.JsonlSink(path, max_bytes=400, keep_files=2) as sink:
-            for _ in range(60):
-                sink.write_metrics(event)
-        import os as _os
-
-        assert _os.path.getsize(path) <= 400
-        rotated = sorted(p.name for p in tmp_path.iterdir())
-        assert rotated == ["events.jsonl", "events.jsonl.1", "events.jsonl.2"]
-        # No event was torn: every file is valid JSONL, and the total
-        # retained history is bounded.
-        total = sum(len(obs.read_jsonl(p)) for p in tmp_path.iterdir())
-        assert 0 < total < 60
-
-    def test_rotated_files_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with obs.JsonlSink(path, max_bytes=300, keep_files=3) as sink:
-            for index in range(30):
-                sink.write_metrics(
-                    [{"kind": "counter", "name": f"c{index}", "labels": {}, "value": 1.0}]
-                )
-        for rotated in tmp_path.iterdir():
-            for event in obs.read_jsonl(rotated):
-                assert event["type"] == "metrics"
-
-    def test_write_alerts_event(self, tmp_path):
-        from repro.obs.slo import SloAlert
-
-        path = tmp_path / "events.jsonl"
-        with obs.JsonlSink(path) as sink:
-            sink.write_alerts(
-                [SloAlert(rule="r", kind="counter", metric="m", value=2.0, threshold=1.0)]
-            )
-        (event,) = obs.read_jsonl(path)
-        assert event["type"] == "alerts"
-        assert event["alerts"][0]["rule"] == "r"
-        assert "exceeds" in event["alerts"][0]["message"]
-
-    def test_bad_bounds_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            obs.JsonlSink(tmp_path / "x.jsonl", max_bytes=0)
-        with pytest.raises(ValueError):
-            obs.JsonlSink(tmp_path / "x.jsonl", max_bytes=10, keep_files=0)
+        assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
 
 
 # --------------------------------------------------------------------- #
@@ -1008,7 +979,7 @@ class TestPrometheusConformance:
         for value in (0.5, 2.0, 2.0, 40.0):
             hist.observe(value)
         text = obs.prometheus_text(obs.registry().snapshot())
-        series = obs.parse_prometheus_text(text)
+        series = parse_prometheus_text(text)
         base = "serve_decision_latency_ms"
         assert series[f'{base}_sum{{server="0"}}'] == pytest.approx(44.5)
         assert series[f'{base}_count{{server="0"}}'] == 4
@@ -1031,341 +1002,54 @@ class TestPrometheusConformance:
     def test_counter_and_gauge_round_trip(self):
         obs.counter("serve.decisions", server="0").inc(7)
         obs.gauge("serve.queue_depth", server="0").set(3)
-        series = obs.parse_prometheus_text(obs.prometheus_text(obs.registry().snapshot()))
+        series = parse_prometheus_text(obs.prometheus_text(obs.registry().snapshot()))
         assert series['serve_decisions_total{server="0"}'] == 7
         assert series['serve_queue_depth{server="0"}'] == 3
 
-    def test_live_scrape_matches_in_process_snapshot(self):
-        import urllib.request
-
-        obs.enable()
-        obs.counter("serve.decisions").inc(11)
-        obs.histogram("serve.flush_size").observe(4.0)
-        service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
-        try:
-            scraped = urllib.request.urlopen(service.url + "/metrics", timeout=5).read()
-            expected = obs.prometheus_text(obs.registry().snapshot())
-            assert scraped.decode("utf-8") == expected
-        finally:
-            obs.shutdown_telemetry()
-
 
 # --------------------------------------------------------------------- #
-# Telemetry service endpoints
+# No live service: telemetry is read after a run, never served
 # --------------------------------------------------------------------- #
-class TestTelemetryService:
-    def _get(self, url):
-        import json as _json
-        import urllib.error
-        import urllib.request
+class TestRetiredLiveService:
+    REMOVED_NAMES = (
+        "serve_telemetry",
+        "maybe_serve_telemetry",
+        "active_telemetry",
+        "shutdown_telemetry",
+        "TelemetryService",
+        "SloRule",
+        "SloAlert",
+        "SloWatchdog",
+        "default_slo_rules",
+        "parse_prometheus_text",
+    )
 
-        try:
-            with urllib.request.urlopen(url, timeout=5) as response:
-                return response.status, _json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            return error.code, _json.loads(error.read())
+    def test_obs_exposes_no_service_names(self):
+        for name in self.REMOVED_NAMES:
+            assert name not in obs.__all__, name
+            assert not hasattr(obs, name), name
 
-    def test_spans_endpoint_tails_the_ring(self):
-        obs.enable()
-        for index in range(5):
-            with obs.span(f"step-{index}"):
-                pass
-        service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
-        try:
-            status, payload = self._get(service.url + "/spans?n=2")
-            assert status == 200
-            assert [span["name"] for span in payload["spans"]] == ["step-3", "step-4"]
-        finally:
-            obs.shutdown_telemetry()
+    @pytest.mark.parametrize("module", ["service", "slo", "top"])
+    def test_service_modules_are_gone(self, module):
+        import importlib
 
-    def test_healthz_flips_to_503_when_a_rule_fires(self):
-        from repro.obs import SloRule
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.obs.{module}")
 
-        obs.enable()
-        rule = SloRule(name="restarts", kind="counter", metric="distrib.worker_restarts", threshold=0.0)
-        service = obs.serve_telemetry(port=0, rules=[rule], watchdog_interval_s=3600)
-        try:
-            status, payload = self._get(service.url + "/healthz")
-            assert (status, payload["status"]) == (200, "ok")
-            obs.counter("distrib.worker_restarts", worker="0").inc()
-            service.watchdog.evaluate()
-            status, payload = self._get(service.url + "/healthz")
-            assert (status, payload["status"]) == (503, "alerting")
-            assert payload["alerts"][0]["rule"] == "restarts"
-        finally:
-            obs.shutdown_telemetry()
+    def test_jsonl_sink_has_no_rotation_or_alerts(self, tmp_path):
+        with pytest.raises(TypeError):
+            obs.JsonlSink(tmp_path / "x.jsonl", max_bytes=10)
+        assert not hasattr(obs.JsonlSink, "write_alerts")
 
-    def test_unknown_route_is_404_and_service_is_singleton(self):
-        import urllib.error
-        import urllib.request
+    def test_policy_server_starts_no_thread_under_the_old_port_variable(
+        self, monkeypatch
+    ):
+        import threading
 
-        service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
-        try:
-            assert obs.serve_telemetry(port=0) is service
-            assert obs.active_telemetry() is service
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(service.url + "/nope", timeout=5)
-            assert err.value.code == 404
-        finally:
-            obs.shutdown_telemetry()
-        assert obs.active_telemetry() is None
-
-    def test_maybe_serve_telemetry_reads_the_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY_PORT", "0")
-        try:
-            service = obs.maybe_serve_telemetry()
-            assert service is not None and service.port > 0
-            # Repeated calls (engine + server constructors) reuse it.
-            assert obs.maybe_serve_telemetry() is service
-        finally:
-            obs.shutdown_telemetry()
-
-    def test_maybe_serve_telemetry_tolerates_absence_and_garbage(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY_PORT", raising=False)
-        assert obs.maybe_serve_telemetry() is None
-        monkeypatch.setenv("REPRO_TELEMETRY_PORT", "not-a-port")
-        assert obs.maybe_serve_telemetry() is None
-
-    def test_maybe_serve_telemetry_swallows_bind_conflicts(self, monkeypatch):
-        import socket
-
-        blocker = socket.socket()
-        blocker.bind(("127.0.0.1", 0))
-        blocker.listen(1)
-        port = blocker.getsockname()[1]
-        monkeypatch.setenv("REPRO_TELEMETRY_PORT", str(port))
-        try:
-            # The forked-worker case: the port is taken, so the helper
-            # declines quietly instead of crashing the worker.
-            assert obs.maybe_serve_telemetry() is None
-        finally:
-            blocker.close()
-            obs.shutdown_telemetry()
-
-
-# --------------------------------------------------------------------- #
-# SLO watchdog
-# --------------------------------------------------------------------- #
-class TestSloWatchdog:
-    def test_ratio_rule_suppressed_below_min_events(self):
-        from repro.obs.slo import SloRule, evaluate_rule
-
-        rule = SloRule(
-            name="miss-rate", kind="ratio", metric="serve.deadline_misses",
-            denominator="serve.decisions", threshold=0.2, min_events=20,
-        )
-        obs.counter("serve.decisions").inc(10)
-        obs.counter("serve.deadline_misses").inc(9)
-        assert evaluate_rule(rule, obs.registry()) is None  # not enough data
-        obs.counter("serve.decisions").inc(10)
-        alert = evaluate_rule(rule, obs.registry())
-        assert alert is not None and alert.value == pytest.approx(0.45)
-
-    def test_ratio_folds_across_label_sets(self):
-        from repro.obs.slo import SloRule, evaluate_rule
-
-        rule = SloRule(
-            name="miss-rate", kind="ratio", metric="serve.deadline_misses",
-            denominator="serve.decisions", threshold=0.2, min_events=1,
-        )
-        obs.counter("serve.decisions", server="0").inc(50)
-        obs.counter("serve.decisions", server="1").inc(50)
-        obs.counter("serve.deadline_misses", server="1").inc(30)
-        alert = evaluate_rule(rule, obs.registry())
-        assert alert is not None and alert.value == pytest.approx(0.3)
-
-    def test_percentile_rule_on_histograms(self):
-        from repro.obs.slo import SloRule, evaluate_rule
-
-        rule = SloRule(
-            name="latency", kind="percentile", metric="serve.decision_latency_ms",
-            percentile=99.0, threshold=250.0, min_events=8,
-        )
-        hist = obs.histogram("serve.decision_latency_ms", server="0")
-        for _ in range(10):
-            hist.observe(1.0)
-        assert evaluate_rule(rule, obs.registry()) is None
-        for _ in range(10):
-            hist.observe(5000.0)
-        alert = evaluate_rule(rule, obs.registry())
-        assert alert is not None and alert.value > 250.0
-
-    def test_counter_and_gauge_rules(self):
-        from repro.obs.slo import SloRule, evaluate_rule
-
-        restarts = SloRule(name="r", kind="counter", metric="distrib.worker_restarts", threshold=0.0)
-        queue = SloRule(name="q", kind="gauge", metric="serve.queue_depth", threshold=512.0)
-        assert evaluate_rule(restarts, obs.registry()) is None  # no series yet
-        assert evaluate_rule(queue, obs.registry()) is None
-        obs.counter("distrib.worker_restarts", worker="1").inc()
-        obs.gauge("serve.queue_depth", server="0").set(600)
-        assert evaluate_rule(restarts, obs.registry()).value == 1.0
-        assert evaluate_rule(queue, obs.registry()).value == 600.0
-
-    def test_bad_rules_rejected(self):
-        from repro.obs.slo import SloRule
-
-        with pytest.raises(ValueError):
-            SloRule(name="x", kind="median", metric="m", threshold=1.0)
-        with pytest.raises(ValueError):
-            SloRule(name="x", kind="ratio", metric="m", threshold=1.0)
-
-    def test_watchdog_emits_only_on_transitions(self, tmp_path):
-        from repro.obs import SloRule, SloWatchdog
-
-        sink = obs.JsonlSink(tmp_path / "alerts.jsonl")
-        watchdog = SloWatchdog(
-            rules=[SloRule(name="restarts", kind="counter", metric="distrib.worker_restarts", threshold=0.0)],
-            sinks=[sink],
-        )
-        assert watchdog.evaluate() == [] and watchdog.ok()
-        obs.counter("distrib.worker_restarts").inc()
-        assert len(watchdog.evaluate()) == 1 and not watchdog.ok()
-        # Still firing: no duplicate sink event, no second counter bump.
-        watchdog.evaluate()
-        watchdog.evaluate()
-        sink.close()
-        events = obs.read_jsonl(tmp_path / "alerts.jsonl")
-        assert len(events) == 1
-        assert obs.registry().get("obs.alerts", rule="restarts").value == 1.0
-
-    def test_watchdog_refires_after_recovery(self):
-        from repro.obs import SloRule, SloWatchdog
-
-        gauge = obs.gauge("serve.queue_depth")
-        watchdog = SloWatchdog(
-            rules=[SloRule(name="q", kind="gauge", metric="serve.queue_depth", threshold=10.0)]
-        )
-        gauge.set(20)
-        assert len(watchdog.evaluate()) == 1
-        gauge.set(5)
-        assert watchdog.evaluate() == [] and watchdog.ok()
-        gauge.set(20)
-        assert len(watchdog.evaluate()) == 1
-        assert obs.registry().get("obs.alerts", rule="q").value == 2.0
-
-    def test_default_rules_cover_the_documented_slos(self):
-        from repro.obs import default_slo_rules
-
-        rules = {rule.name: rule for rule in default_slo_rules()}
-        assert set(rules) == {"deadline-miss-rate", "worker-restarts", "queue-depth"}
-        assert rules["deadline-miss-rate"].kind == "ratio"
-        assert rules["worker-restarts"].kind == "counter"
-        assert rules["queue-depth"].kind == "gauge"
-
-    def test_start_stop_thread(self):
-        from repro.obs import SloWatchdog
-
-        watchdog = SloWatchdog(rules=[], interval_s=0.01)
-        watchdog.start()
-        assert watchdog.start() is watchdog  # idempotent
-        watchdog.stop()
-        assert watchdog._thread is None
-
-
-# --------------------------------------------------------------------- #
-# repro-amoeba top
-# --------------------------------------------------------------------- #
-class TestTop:
-    def test_render_top_rates_from_successive_samples(self):
-        from repro.obs.top import render_top
-
-        first = {"serve_decisions_total": 100.0, "transport_frames_sent_total": 10.0}
-        second = {"serve_decisions_total": 300.0, "transport_frames_sent_total": 30.0}
-        frame = render_top(second, first, elapsed_s=2.0)
-        assert "decisions" in frame
-        assert "(100/s)" in frame  # (300-100)/2
-        assert "(10/s)" in frame
-
-    def test_bucket_quantile_from_exposition_lines(self):
-        from repro.obs.top import bucket_quantile
-
-        series = {
-            'serve_decision_latency_ms_bucket{le="1"}': 5.0,
-            'serve_decision_latency_ms_bucket{le="10"}': 9.0,
-            'serve_decision_latency_ms_bucket{le="+Inf"}': 10.0,
-        }
-        assert bucket_quantile(series, "serve_decision_latency_ms", 50.0) == 1.0
-        assert bucket_quantile(series, "serve_decision_latency_ms", 90.0) == 10.0
-        assert bucket_quantile({}, "serve_decision_latency_ms", 99.0) == 0.0
-
-    def test_run_top_polls_and_survives_scrape_failures(self):
-        from repro.obs.top import run_top
-
-        samples = [
-            OSError("not up yet"),
-            {"serve_decisions_total": 5.0},
-            {"serve_decisions_total": 9.0},
-        ]
-
-        def fetch(url):
-            sample = samples.pop(0)
-            if isinstance(sample, Exception):
-                raise sample
-            return sample
-
-        frames = []
-        rendered = run_top(
-            "http://x/metrics", interval_s=0.0, iterations=3, fetch=fetch,
-            out=frames.append, clear=False,
-        )
-        assert rendered == 2
-        assert "failed" in frames[0]
-        assert frames[1].startswith("repro-amoeba top")
-
-    def test_run_top_against_a_live_service(self):
-        from repro.obs.top import run_top
-
-        obs.enable()
-        obs.counter("serve.decisions").inc(42)
-        service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
-        frames = []
-        try:
-            rendered = run_top(
-                service.url + "/metrics", interval_s=0.0, iterations=1,
-                out=frames.append, clear=False,
-            )
-        finally:
-            obs.shutdown_telemetry()
-        assert rendered == 1
-        assert "42" in frames[0]
-
-
-class TestTopCli:
-    def test_parser_accepts_port_and_url(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["top", "--port", "9100", "--iterations", "2"])
-        assert args.port == 9100 and args.iterations == 2 and args.interval == 1.0
-        args = build_parser().parse_args(["top", "--url", "http://h:1/metrics"])
-        assert args.url == "http://h:1/metrics"
-
-    def test_serve_and_attack_accept_telemetry_port(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve", "--policy", "p.npz", "--telemetry-port", "0"])
-        assert args.telemetry_port == 0
-        args = build_parser().parse_args(["attack", "--telemetry-port", "9100"])
-        assert args.telemetry_port == 9100
-
-    def test_top_command_against_live_service(self, capsys):
-        from repro.cli import main
-
-        obs.enable()
-        obs.counter("serve.decisions").inc(7)
-        service = obs.serve_telemetry(port=0, rules=[], watchdog_interval_s=3600)
-        try:
-            code = main([
-                "top", "--url", service.url + "/metrics",
-                "--iterations", "1", "--interval", "0",
-            ])
-        finally:
-            obs.shutdown_telemetry()
-        assert code == 0
-        assert "repro-amoeba top" in capsys.readouterr().out
-
-    def test_top_needs_a_target(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["top"])
+        rng = np.random.default_rng(0)
+        encoder = StateEncoder(hidden_size=ENCODER_HIDDEN, num_layers=1, rng=rng)
+        actor = GaussianActor(state_dim=2 * ENCODER_HIDDEN, hidden_dims=(8,), rng=rng)
+        before = set(threading.enumerate())
+        PolicyServer(actor, encoder, config=ServeConfig(max_batch=2))
+        assert set(threading.enumerate()) - before == set()
