@@ -16,6 +16,14 @@ actions into adversarial packets:
 The payload constraint (1) is satisfied *by design*: a packet's payload is
 only considered sent once the cumulative adversarial bytes cover it.
 
+A step is two calls: :meth:`AdversarialFlowEnv.propose` advances the
+emulator (the transition never depends on the censor) and
+:meth:`AdversarialFlowEnv.apply` folds the censor's scores into the reward,
+at any later time.  The emulator runs on Python floats end to end: the
+action's two components go straight into :func:`shape_packet_core`, and the
+observation and emitted-action pairs stay tuples, from which a vectorized
+caller builds one ``(n, 2)`` array per tick.
+
 The reward combines the censor's decision on the adversarial prefix with the
 data-overhead and time-overhead penalties:
 
@@ -111,16 +119,16 @@ def shape_packet_core(
     Takes the two action components as Python floats and returns the plain
     tuple ``(emitted_bytes, added_delay, delay_action, is_truncation)`` —
     the fields of :class:`ShapedPacket`, in its order.  Every decision of
-    both tiers ends here: the training emulator
-    (:meth:`AdversarialFlowEnv.propose`) through :func:`shape_packet`, the
-    online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`)
-    directly with a row of ``actions.tolist()``.  That is what keeps served
-    decisions bit-identical to training-time shaping: truncation when the
-    requested packet is smaller than the remaining payload (unless the
-    per-packet truncation cap or the step budget forces the packet closed),
-    padding up to the requested size otherwise, integer byte / millisecond
-    discretisation, and the ``min_packet_bytes`` floor.  ``max_steps`` may
-    be ``None`` for an unbounded live stream.
+    both tiers ends here, called directly with a row of ``actions.tolist()``:
+    the training emulator (:meth:`AdversarialFlowEnv.propose`) and the
+    online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`).
+    That is what keeps served decisions bit-identical to training-time
+    shaping: truncation when the requested packet is smaller than the
+    remaining payload (unless the per-packet truncation cap or the step
+    budget forces the packet closed), padding up to the requested size
+    otherwise, integer byte / millisecond discretisation, and the
+    ``min_packet_bytes`` floor.  ``max_steps`` may be ``None`` for an
+    unbounded live stream.
 
     The arithmetic is plain Python floats — bit-equal to the ``np.clip`` /
     ``np.ceil`` formulation kept as the oracle in
@@ -147,6 +155,16 @@ def shape_packet_core(
     return emitted_bytes, added_delay, delay_action, is_truncation
 
 
+def _action_components(action) -> List[float]:
+    """The two components of anything array-like holding one action, as
+    Python floats (any shape that flattens to two: a list, a tuple, a
+    ``(1, 2)`` row, ``float32``)."""
+    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
+    if len(components) != 2:
+        raise ValueError(f"action must have 2 components, got ({len(components)},)")
+    return components
+
+
 def shape_packet(
     action: np.ndarray,
     remaining_bytes: float,
@@ -160,19 +178,16 @@ def shape_packet(
 ) -> ShapedPacket:
     """:func:`shape_packet_core` for anything array-like holding one action.
 
-    Validates that ``action`` has exactly two components (any shape that
-    flattens to two: a list, a tuple, a ``(1, 2)`` row, ``float32``), hands
-    them to the core as Python floats and names the result's fields.  One
-    definition of the arithmetic for both tiers; this wrapper only adds the
-    shape check and the :class:`ShapedPacket` record.
+    Validates that ``action`` has exactly two components, hands them to the
+    core as Python floats and names the result's fields.  One definition of
+    the arithmetic for both tiers; this wrapper only adds the shape check
+    and the :class:`ShapedPacket` record.
     """
-    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
-    if len(components) != 2:
-        raise ValueError(f"action must have 2 components, got ({len(components)},)")
+    size_action, delay_action = _action_components(action)
     return ShapedPacket(
         *shape_packet_core(
-            components[0],
-            components[1],
+            size_action,
+            delay_action,
             remaining_bytes,
             truncations_current_packet,
             steps_taken,
@@ -182,6 +197,20 @@ def shape_packet(
             max_truncations_per_packet,
             max_steps,
         )
+    )
+
+
+def _normalised_pair(
+    direction: float, size_bytes: float, delay_ms: float, size_scale: float, max_delay_ms: float
+) -> Tuple[float, float]:
+    """Signed size clipped to the size scale, delay clipped to the delay
+    bound — the arithmetic of both :func:`make_observation` and
+    :func:`record_action`, as a tuple of Python floats (the training
+    emulator keeps its pairs in this form and builds one ``(n, 2)`` array
+    per tick from them)."""
+    return (
+        _clip(direction * size_bytes / size_scale, -1.0, 1.0),
+        _clip(delay_ms / max_delay_ms, 0.0, 1.0),
     )
 
 
@@ -200,10 +229,7 @@ def make_observation(
     delay bound.
     """
     return np.array(
-        (
-            _clip(direction * remaining_bytes / size_scale, -1.0, 1.0),
-            _clip(base_delay / max_delay_ms, 0.0, 1.0),
-        ),
+        _normalised_pair(direction, remaining_bytes, base_delay, size_scale, max_delay_ms),
         dtype=np.float64,
     )
 
@@ -222,10 +248,7 @@ def record_action(
     :func:`make_observation`.
     """
     return np.array(
-        (
-            _clip(direction * emitted_bytes / size_scale, -1.0, 1.0),
-            _clip(emitted_delay / max_delay_ms, 0.0, 1.0),
-        ),
+        _normalised_pair(direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms),
         dtype=np.float64,
     )
 
@@ -296,7 +319,7 @@ class _Episode:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PendingStep:
     """Deterministic outcome of :meth:`AdversarialFlowEnv.propose`.
 
@@ -312,11 +335,14 @@ class PendingStep:
     environments and ticks into batched ``predict_scores`` calls, preserving
     the exact one-query-per-flow accounting of the sequential path.
 
-    ``next_observation`` is what the policy acts on next: the pending
-    (sub-)packet, or — filled in by an auto-resetting
+    ``recorded_action`` and ``next_observation`` are ``(size, delay)``
+    pairs of Python floats — a vectorized caller builds one ``(n, 2)``
+    array per tick from them.  ``next_observation`` is what the policy acts
+    on next: the pending (sub-)packet, or — filled in by an auto-resetting
     :class:`~repro.core.vec_env.VectorFlowEnv` — the first observation of
     the episode that replaced a finished one; ``None`` after a finished step
-    otherwise.
+    otherwise.  ``score`` is the prefix's censor score once the step is
+    applied (NaN while pending and for a masked step).
     """
 
     env: "AdversarialFlowEnv" = field(repr=False)
@@ -327,14 +353,28 @@ class PendingStep:
     done: bool
     data_penalty: float
     time_penalty: float
-    recorded_action: np.ndarray
-    next_observation: Optional[np.ndarray]
+    recorded_action: Tuple[float, float]
+    next_observation: Optional[Tuple[float, float]]
     applied: bool = False
+    score: float = math.nan
 
     @property
     def n_scores(self) -> int:
         """How many censor scores :meth:`AdversarialFlowEnv.apply` expects."""
         return (not self.masked) + self.done
+
+    def info(self) -> Dict:
+        """The per-step ``info`` dict of the Gym-style :meth:`~AdversarialFlowEnv.step`
+        API (without ``"episode"``, which the caller adds for a finished
+        step).  Collection never builds it."""
+        return {
+            "action_kind": self.action_kind,
+            "masked": self.masked,
+            "score": self.score,
+            "data_penalty": self.data_penalty,
+            "time_penalty": self.time_penalty,
+            "recorded_action": self.recorded_action,
+        }
 
     def flows_from(self, flow: Flow) -> List[Flow]:
         """The flows to score, cut from ``flow`` — this step's episode as
@@ -386,14 +426,17 @@ class AdversarialFlowEnv:
         self._flow_cursor = 0
 
         # Emulator state, initialised by reset(); what apply() needs of an
-        # episode lives in its _Episode record instead.
+        # episode lives in its _Episode record instead.  The current packet's
+        # direction and original delay are read off the flow once per packet.
         self._original: Optional[Flow] = None
         self._episode: Optional[_Episode] = None
         self._packet_index = 0
         self._remaining_bytes = 0.0
+        self._direction = 0.0
+        self._packet_delay = 0.0
         self._truncations_current_packet = 0
-        self._observation_history: List[np.ndarray] = []
-        self._action_history: List[np.ndarray] = []
+        self._observation_history: List[Tuple[float, float]] = []
+        self._action_history: List[Tuple[float, float]] = []
         self._steps = 0
         self._done = True
         self.last_summary: Optional[EpisodeSummary] = None
@@ -455,54 +498,51 @@ class AdversarialFlowEnv:
     def action_dim(self) -> int:
         return 2
 
-    def _current_direction(self) -> float:
-        assert self._original is not None
-        return packet_direction(self._original.sizes[self._packet_index])
+    def _start_packet(self) -> None:
+        """Read the packet at ``_packet_index`` off the original flow."""
+        size = self._original.sizes[self._packet_index]
+        self._remaining_bytes = float(abs(size))
+        self._direction = packet_direction(size)
+        self._packet_delay = float(self._original.delays[self._packet_index])
 
-    def _current_base_delay(self) -> float:
-        """Original delay of the current packet, only for its first sub-packet."""
-        assert self._original is not None
-        if self._truncations_current_packet > 0:
-            return 0.0
-        return float(self._original.delays[self._packet_index])
-
-    def _make_observation(self) -> np.ndarray:
-        return make_observation(
-            self._current_direction(),
+    def _observation(self) -> Tuple[float, float]:
+        """The pending (sub-)packet as a :func:`make_observation` pair; the
+        original delay counts only for its first sub-packet."""
+        return _normalised_pair(
+            self._direction,
             self._remaining_bytes,
-            self._current_base_delay(),
+            0.0 if self._truncations_current_packet > 0 else self._packet_delay,
             self.normalizer.size_scale,
             self.config.max_delay_ms,
         )
 
     def observation_history(self) -> np.ndarray:
         """All observations of the current episode as an (t, 2) array."""
-        if not self._observation_history:
-            return np.zeros((0, 2))
-        return np.vstack(self._observation_history)
+        return np.array(self._observation_history, dtype=np.float64).reshape(-1, 2)
 
     def action_history(self) -> np.ndarray:
         """All normalised actions of the current episode as a (t-1, 2) array."""
-        if not self._action_history:
-            return np.zeros((0, 2))
-        return np.vstack(self._action_history)
+        return np.array(self._action_history, dtype=np.float64).reshape(-1, 2)
 
     # ------------------------------------------------------------------ #
     # Gym-style API
     # ------------------------------------------------------------------ #
     def reset(self, flow: Optional[Flow] = None) -> np.ndarray:
         """Start a new episode, optionally on a caller-provided flow."""
+        return np.array(self._begin(flow), dtype=np.float64)
+
+    def _begin(self, flow: Optional[Flow] = None) -> Tuple[float, float]:
+        """:meth:`reset`, returning the first observation as a pair."""
         self._original = (flow or self._next_flow()).copy()
         self._episode = _Episode(self._original)
         self._packet_index = 0
-        self._remaining_bytes = float(abs(self._original.sizes[0]))
+        self._start_packet()
         self._truncations_current_packet = 0
-        self._observation_history = []
-        self._action_history = []
         self._steps = 0
         self._done = False
-        observation = self._make_observation()
-        self._observation_history.append(observation)
+        observation = self._observation()
+        self._observation_history = [observation]
+        self._action_history = []
         return observation
 
     def propose(self, action: np.ndarray) -> PendingStep:
@@ -512,80 +552,84 @@ class AdversarialFlowEnv:
         bookkeeping, reward-masking draw, emulator advance, episode
         termination) and returns a :class:`PendingStep` naming what the
         censor still has to score.  Complete the step with :meth:`apply` —
-        now, or after any number of further steps and resets.
+        now, or after any number of further steps and resets.  ``action`` is
+        anything holding two components (:func:`shape_packet`'s check).
         """
+        return self._propose(*_action_components(action))
+
+    def _propose(self, size_action: float, delay_action: float) -> PendingStep:
+        """:meth:`propose` on the two action components as Python floats —
+        what :class:`~repro.core.vec_env.VectorFlowEnv` calls with the rows
+        of one ``actions.tolist()`` per tick."""
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset() first")
-        assert self._original is not None and self._episode is not None
         episode = self._episode
-
+        config = self.config
         size_scale = self.normalizer.size_scale
-        shaped = shape_packet(
-            action,
-            remaining_bytes=self._remaining_bytes,
-            truncations_current_packet=self._truncations_current_packet,
-            steps_taken=self._steps,
-            size_scale=size_scale,
-            min_packet_bytes=self.config.min_packet_bytes,
-            max_delay_ms=self.config.max_delay_ms,
-            max_truncations_per_packet=self.config.max_truncations_per_packet,
-            max_steps=self.config.max_episode_steps,
+        max_delay_ms = config.max_delay_ms
+        remaining = self._remaining_bytes
+        truncations = self._truncations_current_packet
+        emitted_bytes, added_delay, time_penalty, is_truncation = shape_packet_core(
+            size_action,
+            delay_action,
+            remaining,
+            truncations,
+            self._steps,
+            size_scale,
+            config.min_packet_bytes,
+            max_delay_ms,
+            config.max_truncations_per_packet,
+            config.max_episode_steps,
         )
-        direction = self._current_direction()
-        base_delay = self._current_base_delay()
-        emitted_bytes = shaped.emitted_bytes
-        emitted_delay = base_delay + shaped.added_delay
+        direction = self._direction
+        emitted_delay = (0.0 if truncations > 0 else self._packet_delay) + added_delay
 
-        if shaped.is_truncation:
-            self._remaining_bytes -= emitted_bytes
+        if is_truncation:
+            remaining -= emitted_bytes
+            truncations += 1
             episode.consumed_payload += emitted_bytes
-            self._truncations_current_packet += 1
             episode.n_truncations += 1
-            data_penalty = (
-                self._remaining_bytes / size_scale
-                + self.config.lambda_split * self._truncations_current_packet
-            )
+            data_penalty = remaining / size_scale + config.lambda_split * truncations
             action_kind = ActionKind.TRUNCATION
         else:
-            padding_bytes = emitted_bytes - self._remaining_bytes
-            episode.consumed_payload += self._remaining_bytes
+            padding_bytes = emitted_bytes - remaining
+            episode.consumed_payload += remaining
             data_penalty = padding_bytes / size_scale
             if padding_bytes > 0:
                 episode.n_paddings += 1
                 action_kind = ActionKind.PADDING
             else:
                 action_kind = "exact"
-            self._remaining_bytes = 0.0
+            remaining = 0.0
+        self._remaining_bytes = remaining
+        self._truncations_current_packet = truncations
 
-        if shaped.added_delay >= 1.0:
+        if added_delay >= 1.0:
             episode.n_delays += 1
 
         # Record the emitted adversarial packet.
-        recorded_action = record_action(
-            direction, emitted_bytes, emitted_delay, size_scale, self.config.max_delay_ms
+        recorded_action = _normalised_pair(
+            direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms
         )
         episode.sizes.append(direction * emitted_bytes)
         episode.delays.append(emitted_delay)
-        episode.added_delay += shaped.added_delay
+        episode.added_delay += added_delay
         self._action_history.append(recorded_action)
         self._steps += 1
 
         # Reward masking (Section 5.5.3): masked steps never reach the censor.
-        masked = (
-            self.config.reward_mask_rate > 0.0
-            and self._rng.random() < self.config.reward_mask_rate
-        )
+        masked = config.reward_mask_rate > 0.0 and self._rng.random() < config.reward_mask_rate
 
         # Advance the emulator; termination does not depend on the score.
         done = False
-        if self._remaining_bytes <= 0:
+        if remaining <= 0:
             self._packet_index += 1
             self._truncations_current_packet = 0
             if self._packet_index >= self._original.n_packets:
                 done = True
             else:
-                self._remaining_bytes = float(abs(self._original.sizes[self._packet_index]))
-        if self._steps >= self.config.max_episode_steps:
+                self._start_packet()
+        if self._steps >= config.max_episode_steps:
             done = True
 
         if done:
@@ -593,20 +637,20 @@ class AdversarialFlowEnv:
             episode.adversarial = episode.flow()
             next_observation = None
         else:
-            next_observation = self._make_observation()
+            next_observation = self._observation()
             self._observation_history.append(next_observation)
 
         return PendingStep(
-            env=self,
-            episode=episode,
-            prefix_length=self._steps,
-            action_kind=action_kind,
-            masked=masked,
-            done=done,
-            data_penalty=data_penalty,
-            time_penalty=shaped.delay_action,  # already normalised by max_delay
-            recorded_action=recorded_action,
-            next_observation=next_observation,
+            self,
+            episode,
+            self._steps,
+            action_kind,
+            masked,
+            done,
+            data_penalty,
+            time_penalty,  # the clipped delay component: already normalised
+            recorded_action,
+            next_observation,
         )
 
     def apply(
@@ -623,44 +667,49 @@ class AdversarialFlowEnv:
             raise ValueError("this PendingStep was proposed by another environment")
         if pending.applied:
             raise RuntimeError("this PendingStep was already applied")
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        scores = np.asarray(scores, dtype=np.float64).reshape(-1).tolist()
         expected = pending.n_scores
         if len(scores) != expected:
             raise ValueError(f"expected {expected} scores for this step, got {len(scores)}")
-        pending.applied = True
-
-        if pending.masked:
-            adversarial_reward = self.config.masked_reward_value
-            score = float("nan")
-        else:
-            score = float(scores[0])
-            adversarial_reward = 1.0 if score >= 0.5 else 0.0
-
-        reward = (
-            adversarial_reward
-            - self.config.lambda_data * pending.data_penalty
-            - self.config.lambda_time * pending.time_penalty
+        reward, summary = self._settle(
+            pending,
+            None if pending.masked else scores[0],
+            scores[-1] if pending.done else None,
         )
-        pending.episode.reward += reward
-
-        info: Dict = {
-            "action_kind": pending.action_kind,
-            "masked": pending.masked,
-            "score": score,
-            "data_penalty": pending.data_penalty,
-            "time_penalty": pending.time_penalty,
-            "recorded_action": pending.recorded_action,
-        }
-
-        if pending.done:
-            summary = self._finalise_episode(pending.episode, float(scores[-1]))
+        info = pending.info()
+        if summary is not None:
             info["episode"] = summary
             observation = np.zeros(2)
         else:
-            assert pending.next_observation is not None
-            observation = pending.next_observation
-
+            observation = np.array(pending.next_observation, dtype=np.float64)
         return observation, float(reward), pending.done, info
+
+    def _settle(
+        self,
+        pending: PendingStep,
+        prefix_score: Optional[float],
+        final_score: Optional[float],
+    ) -> Tuple[float, Optional[EpisodeSummary]]:
+        """The reward arithmetic of :meth:`apply`, on scores already taken
+        out of the censor's array: the prefix's (``None`` when masked) and
+        the finished flow's (``None`` unless the step ended the episode).
+        Returns the reward and, for a finished episode, its summary."""
+        pending.applied = True
+        config = self.config
+        if prefix_score is None:
+            adversarial_reward = config.masked_reward_value
+        else:
+            pending.score = prefix_score
+            adversarial_reward = 1.0 if prefix_score >= 0.5 else 0.0
+        reward = (
+            adversarial_reward
+            - config.lambda_data * pending.data_penalty
+            - config.lambda_time * pending.time_penalty
+        )
+        pending.episode.reward += reward
+        if final_score is None:
+            return reward, None
+        return reward, self._finalise_episode(pending.episode, final_score)
 
     def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict]:
         """Apply an action (normalised size, normalised extra delay).

@@ -141,17 +141,25 @@ class RolloutBuffer:
         Used by the sharded rollout engine, whose workers return full
         per-shard segments: the merged arrays replace timestep-by-timestep
         :meth:`add` calls and leave the buffer ready for :meth:`finalize`.
+        Every array must have exactly its slot's shape — nothing is
+        broadcast — or ``ValueError`` names it and the buffer is left as it
+        was.
         """
-        expected = (self.rollout_length, self.n_envs)
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if rewards.shape != expected:
-            raise ValueError(f"rewards must have shape {expected}, got {rewards.shape}")
-        self.states[:] = states
-        self.actions[:] = actions
-        self.log_probs[:] = log_probs
-        self.rewards[:] = rewards
-        self.values[:] = values
-        self.dones[:] = dones
+        arrays = {
+            "states": states,
+            "actions": actions,
+            "log_probs": log_probs,
+            "rewards": rewards,
+            "values": values,
+            "dones": dones,
+        }
+        for name, array in arrays.items():
+            expected = getattr(self, name).shape
+            shape = np.shape(array)
+            if shape != expected:
+                raise ValueError(f"{name} must have shape {expected}, got {shape}")
+        for name, array in arrays.items():
+            getattr(self, name)[:] = array
         self._cursor = self.rollout_length
 
     def finalize(self, last_values: np.ndarray, gamma: float, gae_lambda: float) -> None:

@@ -22,7 +22,16 @@ rollout is complete, so the collection kernel
 (:class:`repro.distrib.shard.ShardRunner`) proposes a whole rollout and
 settles it once: a handful of large censor batches per PPO iteration instead
 of one small one per tick.  :meth:`VectorFlowEnv.step` and
-:meth:`~VectorFlowEnv.step_subset` are the same two calls on a single tick.
+:meth:`~VectorFlowEnv.step_subset` are the same two calls on a single tick,
+plus the Gym-style ``info`` dicts, which collection never builds.
+
+The tick allocates per tick, not per environment: ``propose`` turns the
+action batch into Python floats with one ``tolist()`` and hands each
+emulator its two components; each emulator returns its observation and
+emitted-action pairs as tuples on a slotted :class:`PendingStep`, from which
+the caller builds one ``(n, 2)`` array of each; and ``settle`` turns the
+censor's scores into one list and returns plain ``(rewards, finished)``
+pairs.
 
 An episode's packets live in one per-episode record shared by the
 environment and its pending steps; ``settle`` turns each record into one
@@ -45,12 +54,13 @@ O(T²)-per-episode full-history re-encode with O(T).
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..flows.flow import Flow
-from .env import AdversarialFlowEnv, PendingStep
+from .env import AdversarialFlowEnv, EpisodeSummary, PendingStep
 from .state_encoder import StateEncoder
 
 __all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree", "score_blocks"]
@@ -69,6 +79,25 @@ def score_blocks(n_flows: int) -> int:
     """How many ``predict_scores`` calls :meth:`VectorFlowEnv.settle` spends
     on ``n_flows`` pending flows."""
     return -(-n_flows // _SCORE_BLOCK)
+
+
+def _checked_indices(indices: Sequence[int], n_envs: int) -> List[int]:
+    """``indices`` as a list of environment slots, refused unless distinct,
+    non-negative and below ``n_envs``.
+
+    A repeated slot would advance one environment twice in a tick (and fold
+    two rows into one tracker slot), a negative one would wrap around to the
+    last environments; either way the tracked encoder state would silently
+    part from the environment's history.
+    """
+    rows = [operator.index(index) for index in indices]
+    if any(index < 0 for index in rows):
+        raise ValueError(f"environment indices must be non-negative, got {rows}")
+    if len(set(rows)) != len(rows):
+        raise ValueError(f"environment indices must be distinct, got {rows}")
+    if rows and max(rows) >= n_envs:
+        raise IndexError(f"environment index {max(rows)} out of range for {n_envs} environments")
+    return rows
 
 
 def build_envs_from_seed_tree(
@@ -144,42 +173,48 @@ class VectorFlowEnv:
     ) -> List[PendingStep]:
         """First half of a tick: advance the emulators, score nothing.
 
-        Every environment named by ``indices`` (all when omitted) takes its
-        row of ``actions``: masking draw, emitted packet, termination and —
-        on the all-environments path of an auto-resetting engine — the reset
-        onto the next flow, whose first observation becomes the step's
-        ``next_observation``.  The returned :class:`PendingStep` s carry
+        Every environment named by ``indices`` (all when omitted; distinct,
+        non-negative, in range — checked before any environment advances)
+        takes its row of ``actions``: masking draw, emitted packet,
+        termination and — on the all-environments path of an auto-resetting
+        engine — the reset onto the next flow, whose first observation
+        becomes the step's ``next_observation``.  The action batch becomes
+        Python floats once (one ``tolist()``), and each row goes to the
+        emulator as two floats.  The returned :class:`PendingStep` s carry
         everything the actor and encoder need for the next tick; rewards and
         episode summaries follow from :meth:`settle`.
         """
-        rows = range(self.n_envs) if indices is None else indices
+        rows = range(self.n_envs) if indices is None else _checked_indices(indices, self.n_envs)
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (len(rows), self.action_dim):
             raise ValueError(
                 f"actions must have shape {(len(rows), self.action_dim)}, got {actions.shape}"
             )
+        envs = self._envs
         auto_reset = self._auto_reset and indices is None
         pendings = []
-        for action, index in zip(actions, rows):
-            env = self._envs[index]
-            pending = env.propose(action)
+        for (size_action, delay_action), index in zip(actions.tolist(), rows):
+            env = envs[index]
+            pending = env._propose(size_action, delay_action)
             if pending.done and auto_reset:
-                pending.next_observation = env.reset()
+                pending.next_observation = env._begin()
             pendings.append(pending)
         return pendings
 
     def settle(
         self, ticks: Sequence[Sequence[PendingStep]]
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]]:
+    ) -> List[Tuple[np.ndarray, List[Tuple[int, EpisodeSummary]]]]:
         """Second half: score every pending flow of ``ticks``, apply in order.
 
         ``ticks`` are :meth:`propose` results, oldest first — one for a
         classic step, a whole rollout for deferred collection.  Each episode
         is materialised once and its steps are scored as prefix views of
         that one flow, ``_SCORE_BLOCK`` flows per ``predict_scores`` call;
-        then every step is applied in proposal order.  Returns one
-        ``(observations, rewards, dones, infos)`` per tick, as :meth:`step`.
-        Nothing pending means no censor call and no query.
+        the scores become one list of Python floats, and every step is
+        applied in proposal order.  Returns one ``(rewards, finished)`` per
+        tick: the ``(len(tick),)`` rewards and a ``(row, summary)`` for every
+        step that ended its episode.  Nothing pending means no censor call
+        and no query.
         """
         # Gather first, so that misuse is reported before any query is spent.
         episode_flows: Dict[int, Flow] = {}
@@ -200,28 +235,26 @@ class VectorFlowEnv:
         for start in range(0, len(flows), _SCORE_BLOCK):
             block = slice(start, start + _SCORE_BLOCK)
             scores[block] = self._censor.predict_scores(flows[block])
+        scores = scores.tolist()
 
         results = []
         cursor = 0
         for tick in ticks:
-            observations = np.zeros((len(tick), self.observation_dim))
-            rewards = np.zeros(len(tick))
-            dones = np.zeros(len(tick), dtype=bool)
-            infos: List[Dict] = []
+            rewards = []
+            finished = []
             for row, pending in enumerate(tick):
-                count = pending.n_scores
-                observation, reward, done, info = pending.env.apply(
-                    pending, scores[cursor : cursor + count]
-                )
-                cursor += count
-                if done and pending.next_observation is not None:
-                    info["terminal_observation"] = observation
-                    observation = pending.next_observation
-                observations[row] = observation
-                rewards[row] = reward
-                dones[row] = done
-                infos.append(info)
-            results.append((observations, rewards, dones, infos))
+                prefix_score = final_score = None
+                if not pending.masked:
+                    prefix_score = scores[cursor]
+                    cursor += 1
+                if pending.done:
+                    final_score = scores[cursor]
+                    cursor += 1
+                reward, summary = pending.env._settle(pending, prefix_score, final_score)
+                rewards.append(reward)
+                if summary is not None:
+                    finished.append((row, summary))
+            results.append((np.array(rewards, dtype=np.float64), finished))
         return results
 
     def step(
@@ -232,7 +265,7 @@ class VectorFlowEnv:
         Returns ``(observations, rewards, dones, infos)`` with shapes
         ``(N, obs_dim)``, ``(N,)``, ``(N,)`` and a list of N info dicts.
         """
-        return self.settle([self.propose(actions)])[0]
+        return self._step(self.propose(actions))
 
     def step_subset(
         self, indices: Sequence[int], actions: np.ndarray
@@ -241,9 +274,36 @@ class VectorFlowEnv:
 
         Used by batched evaluation, where episodes finish at different times
         and finished environments simply drop out of the batch (auto-reset is
-        never applied on this path).  Results align with ``indices``.
+        never applied on this path).  Results align with ``indices``, which
+        must be distinct, non-negative and in range.
         """
-        return self.settle([self.propose(actions, list(indices))])[0]
+        return self._step(self.propose(actions, indices))
+
+    def _step(
+        self, tick: List[PendingStep]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
+        """``settle([tick])`` in the Gym-style step form, info dicts and all."""
+        [(rewards, finished)] = self.settle([tick])
+        summaries = dict(finished)
+        observations = []
+        infos = []
+        for row, pending in enumerate(tick):
+            info = pending.info()
+            observation = pending.next_observation
+            if pending.done:
+                info["episode"] = summaries[row]
+                if observation is None:
+                    observation = (0.0, 0.0)
+                else:
+                    info["terminal_observation"] = np.zeros(self.observation_dim)
+            observations.append(observation)
+            infos.append(info)
+        return (
+            np.array(observations, dtype=np.float64).reshape(len(tick), self.observation_dim),
+            rewards,
+            np.array([pending.done for pending in tick], dtype=bool),
+            infos,
+        )
 
 
 class BatchedEpisodeEncoder:
@@ -323,25 +383,40 @@ class BatchedEpisodeEncoder:
         history, not the raw policy output).  For environments flagged done,
         both streams are reset and ``next_observations`` is interpreted as
         the auto-reset episode's initial observation, mirroring what a full
-        re-encode of the fresh histories would produce.
+        re-encode of the fresh histories would produce.  ``indices`` must be
+        distinct, non-negative and in range.
         """
         dones = np.asarray(dones, dtype=bool).reshape(-1)
-        rows = list(range(self.n_envs) if indices is None else indices)
-        count = len(rows)
+        num_layers, _, hidden_size = self._stream_shape
+        # The whole-slab step reads the slab as (num_layers, 2 * n, hidden)
+        # and replaces it with the step's output; a subset gathers its rows
+        # (a copy) and scatters the result back.  Either way the tracker
+        # changes only once the step has succeeded.
+        if indices is None:
+            rows = None
+            count = self.n_envs
+            hidden = self._hidden.reshape(num_layers, 2 * count, hidden_size)
+        else:
+            rows = _checked_indices(indices, self.n_envs)
+            count = len(rows)
+            hidden = self._hidden[:, :, rows].reshape(num_layers, 2 * count, hidden_size)
         if not (count == len(recorded_actions) == len(next_observations) == len(dones)):
             raise ValueError("indices, actions, observations and dones must align")
 
-        num_layers, _, hidden_size = self._stream_shape
-        # The gather copies, so the tracker changes only once the step has
-        # succeeded.  New episode: the observation history restarts *before*
-        # it takes the fresh episode's first observation, the action history
-        # *after* the step (nothing emitted yet).
-        hidden = self._hidden[:, :, rows].reshape(num_layers, 2 * count, hidden_size)
+        # New episode: the observation history restarts *before* it takes
+        # the fresh episode's first observation, the action history *after*
+        # the step (nothing emitted yet).
         ended = np.flatnonzero(dones)
-        hidden[:, ended] = 0.0
+        if len(ended):
+            if rows is None:
+                hidden = hidden.copy()
+            hidden[:, ended] = 0.0
         hidden = self._encoder.step_pairs(
             np.concatenate([next_observations, recorded_actions]), hidden
         )
         hidden[:, count + ended] = 0.0
-        self._hidden[:, :, rows] = hidden.reshape(num_layers, 2, count, hidden_size)
+        if rows is None:
+            self._hidden = hidden.reshape(num_layers, 2, count, hidden_size)
+        else:
+            self._hidden[:, :, rows] = hidden.reshape(num_layers, 2, count, hidden_size)
         return np.concatenate([hidden[-1, :count], hidden[-1, count:]], axis=1)

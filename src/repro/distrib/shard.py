@@ -4,12 +4,16 @@ A :class:`ShardRunner` owns one shard of the global environment batch: the
 environments themselves (each with its own seed stream), the per-slot
 exploration-noise streams, the incremental state tracker, and local replicas
 of the actor / critic / state-encoder whose weights are refreshed from
-broadcast checkpoints.  Each :meth:`ShardRunner.collect` tick runs one actor
-forward, one critic forward, one vectorized emulator advance
+broadcast checkpoints.  A :meth:`ShardRunner.collect` draws every slot's
+exploration noise for the whole segment up front (one ``(n_ticks,
+action_dim)`` draw per noise stream — the same numbers per-tick draws
+give), then each tick runs one actor forward, one critic forward, one
+vectorized emulator advance
 (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one incremental
-encoder step; the censor is not consulted until the last tick is proposed,
-then the rollout's pending flows are scored in a few large batches and the
-rewards and episode summaries filled in
+encoder step on the tick's ``(n, 2)`` observation and emitted-action arrays;
+the censor is not consulted until the last tick is proposed, then the
+rollout's pending flows are scored in a few large batches and the rewards
+and episode summaries filled in
 (:meth:`~repro.core.vec_env.VectorFlowEnv.settle`).  The result is the
 rollout per-tick scoring would have produced: bit for bit with a censor whose
 scores do not depend on the batch they arrive in (trees, SVM), up to the
@@ -205,12 +209,15 @@ class ShardRunner:
         summaries: List[Tuple[int, int, EpisodeSummary]] = []
 
         queries_before = self.censor.query_count
+        # Each slot's noise for the whole segment in one draw per stream:
+        # the same numbers, in the same order, as one ``normal(size=d)`` per
+        # tick (pinned by ``test_bulk_normal_equals_per_tick_draws``).
+        noise = np.stack(
+            [rng.normal(size=(n_ticks, action_dim)) for rng in self._noise_rngs], axis=1
+        )
         ticks = []
         for tick in range(n_ticks):
-            noise = np.stack(
-                [rng.normal(size=action_dim) for rng in self._noise_rngs]
-            )
-            tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise)
+            tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise[tick])
             tick_values = self.critic.value_batch(self._states)
             pendings = self._vec_env.propose(tick_actions)
             ticks.append(pendings)
@@ -221,8 +228,8 @@ class ShardRunner:
             values[tick] = tick_values
             dones[tick] = [pending.done for pending in pendings]
             self._states = self._tracker.step(
-                np.stack([pending.recorded_action for pending in pendings]),
-                np.stack([pending.next_observation for pending in pendings]),
+                np.array([pending.recorded_action for pending in pendings]),
+                np.array([pending.next_observation for pending in pendings]),
                 dones[tick],
             )
 
@@ -233,11 +240,9 @@ class ShardRunner:
             settled = self._vec_env.settle(ticks)
             scored = self.censor.query_count - queries_before
             score_span.annotate(flows=scored, blocks=score_blocks(scored))
-        for tick, (_, tick_rewards, _, infos) in enumerate(settled):
+        for tick, (tick_rewards, finished) in enumerate(settled):
             rewards[tick] = tick_rewards
-            for local_index, info in enumerate(infos):
-                if "episode" in info:
-                    summaries.append((tick, local_index, info["episode"]))
+            summaries.extend((tick, row, summary) for row, summary in finished)
 
         # Bootstrap values for GAE, computed with the collection-time critic
         # that produced the rollout's per-step values (bit-identical to a

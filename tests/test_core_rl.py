@@ -289,6 +289,39 @@ class TestRolloutBuffer:
         with pytest.raises(ValueError):
             RolloutBuffer(0, 1, 2, 2)
 
+    def test_load_refuses_every_broadcastable_wrong_shape(self):
+        """``load`` checks each array's exact shape: a ``(N, D)`` states
+        slab, an ``(A,)`` action or an ``(N,)`` row would otherwise be
+        broadcast over all ``T`` ticks without a word."""
+        length, n_envs, state_dim = 3, 2, 4
+        buffer = RolloutBuffer(length, n_envs, state_dim, 2)
+        shape = (length, n_envs)
+        good = dict(
+            states=np.ones(shape + (state_dim,)),
+            actions=np.ones(shape + (2,)),
+            log_probs=np.ones(shape),
+            rewards=np.ones(shape),
+            values=np.ones(shape),
+            dones=np.ones(shape, dtype=bool),
+        )
+        wrong = dict(
+            states=np.zeros((n_envs, state_dim)),
+            actions=np.zeros(2),
+            log_probs=np.zeros(n_envs),
+            rewards=np.zeros(n_envs),
+            values=np.zeros(n_envs),
+            dones=np.zeros(n_envs, dtype=bool),
+        )
+        for name, array in wrong.items():
+            with pytest.raises(ValueError, match=f"^{name} must have shape"):
+                buffer.load(**dict(good, **{name: array}))
+            # Refused before anything was written.
+            assert not buffer.full and not buffer.states.any() and not buffer.dones.any()
+        buffer.load(**good)
+        assert buffer.full
+        for name, array in good.items():
+            assert np.array_equal(getattr(buffer, name), array)
+
 
 class TestPPOUpdater:
     def test_update_returns_finite_stats_and_changes_actor(self):

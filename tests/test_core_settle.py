@@ -299,7 +299,9 @@ class TestOwnershipAndMisuse:
         flows = [flow for tick in ticks for flow in tick[0].flows_from(tick[0].episode.flow())]
         *prefixes, finished = flows
         settled = vec_env.settle(ticks)
-        summary = settled[-1][3][0]["episode"]
+        assert [finished for _, finished in settled[:-1]] == [[]] * (len(ticks) - 1)
+        [(row, summary)] = settled[-1][1]
+        assert row == 0
 
         assert summary.adversarial_flow is finished
         assert finished.sizes.flags.writeable and finished.delays.flags.writeable

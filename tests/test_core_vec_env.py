@@ -21,6 +21,7 @@ from oracles.tensor_inference import (
     reference_value_batch,
 )
 from repro import nn
+from repro.censors.base import CensorClassifier
 from repro.core import (
     AdversarialFlowEnv,
     Amoeba,
@@ -789,6 +790,226 @@ class TestTrainEquivalence:
         _, _, _, agent = self._run(equivalence_setup)
         with pytest.raises(ValueError):
             agent.attack_many(equivalence_setup[3][:2], batch_size=0)
+
+
+def test_bulk_normal_equals_per_tick_draws():
+    """Pinned numpy assumption: ``Generator.normal(size=(T, d))`` is ``T``
+    successive ``normal(size=d)`` draws, bit for bit, and leaves the bit
+    generator in the same state.
+
+    ``ShardRunner.collect`` draws each slot's exploration noise for the whole
+    segment in one call; if a numpy release drew a block in another order
+    (or buffered ahead), every collected rollout would part from the
+    per-tick draws of ``tests/oracles/sequential_collection.py`` and the
+    training digests would move.  Checked on numpy 2.4.6; CI's
+    ``numpy-floor`` job runs it on 1.24.
+    """
+    for seed in (0, 2024, 2**63 - 1):
+        for ticks, dim in ((1, 2), (2, 1), (7, 2), (64, 2), (33, 3), (0, 2)):
+            bulk_rng = np.random.default_rng(np.random.SeedSequence(seed))
+            tick_rng = np.random.default_rng(np.random.SeedSequence(seed))
+            bulk = bulk_rng.normal(size=(ticks, dim))
+            per_tick = np.array([tick_rng.normal(size=dim) for _ in range(ticks)]).reshape(ticks, dim)
+            assert bulk.shape == (ticks, dim) and bulk.dtype == np.float64
+            assert np.array_equal(bulk.view(np.uint64), per_tick.view(np.uint64))
+            assert bulk_rng.bit_generator.state == tick_rng.bit_generator.state
+            # ... and the streams carry on identically afterwards.
+            assert bulk_rng.normal() == tick_rng.normal()
+
+
+class TestIndexValidation:
+    """``step_subset`` / ``propose(indices=...)`` and the tracker's
+    ``step(indices=...)`` refuse a repeated or negative slot — before any
+    environment advances, any query is spent or any tracker row moves."""
+
+    @pytest.fixture
+    def vec_env(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+        envs = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
+        vec_env = VectorFlowEnv(envs, auto_reset=False)
+        vec_env.reset()
+        return vec_env
+
+    @pytest.mark.parametrize(
+        "indices,error",
+        [([0, 0], ValueError), ([2, 1, 2], ValueError), ([-1], ValueError), ([0, -3], ValueError), ([0, 3], IndexError)],
+    )
+    def test_step_subset_refuses_before_any_step(self, vec_env, trained_dt_censor, indices, error):
+        trained_dt_censor.reset_query_count()
+        before = [env.state_snapshot() for env in vec_env.envs]
+        actions = np.tile([0.9, 0.0], (len(indices), 1))
+        with pytest.raises(error, match="environment ind"):
+            vec_env.step_subset(indices, actions)
+        with pytest.raises(error, match="environment ind"):
+            vec_env.propose(actions, indices)
+        assert trained_dt_censor.query_count == 0
+        for env, snapshot in zip(vec_env.envs, before):
+            assert env._steps == snapshot["_steps"] == 0
+            assert env._rng.bit_generator.state == snapshot["_rng"].bit_generator.state
+
+    def test_distinct_subsets_still_step(self, vec_env):
+        observations, _, dones, infos = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
+        assert observations.shape == (2, 2) and len(infos) == 2
+        assert [env._steps for env in vec_env.envs] == [1, 0, 1]
+
+    @pytest.mark.parametrize("indices", [[0, 0], [1, 2, 1], [-1], [-2, 0]])
+    def test_tracker_refuses_repeated_or_negative_rows(self, indices):
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
+        tracker = BatchedEpisodeEncoder(encoder, 3)
+        tracker.reset_all(np.random.default_rng(0).uniform(-1, 1, size=(3, 2)))
+        before = tracker.snapshot()
+        count = len(indices)
+        with pytest.raises(ValueError, match="environment indices"):
+            tracker.step(np.ones((count, 2)), np.ones((count, 2)), np.zeros(count, bool), indices=indices)
+        after = tracker.snapshot()
+        for stream in before:
+            assert np.array_equal(after[stream], before[stream])
+
+
+class FlakyCensor(CensorClassifier):
+    """Delegates to a fitted censor; raises on the next call once armed."""
+
+    name = "flaky"
+
+    def __init__(self, base: CensorClassifier) -> None:
+        super().__init__()
+        self.base = base
+        self._fitted = True
+        self.fail_next = False
+
+    def fit(self, flows, labels=None):
+        return self
+
+    def _score_flows(self, flows):
+        if self.fail_next:
+            self.fail_next = False
+            raise KeyError("censor backend unavailable")
+        return self.base._score_flows(flows)
+
+
+class TestShardRunnerEdges:
+    """``ShardRunner`` against the seed per-environment loop
+    (``SequentialCollector``) at the edges of the tick: one slot, all or no
+    rewards masked, an episode ending on every tick, a snapshot / restore
+    between collects, and a censor failing inside ``settle``."""
+
+    N_TICKS = 9
+
+    @pytest.fixture(scope="class")
+    def agent(self, trained_dt_censor, normalizer):
+        config = AmoebaConfig.for_tor(
+            n_envs=3, encoder_hidden=8, actor_hidden=(16,), critic_hidden=(16,)
+        )
+        return Amoeba(
+            trained_dt_censor,
+            normalizer,
+            config,
+            rng=5,
+            encoder_pretrain_kwargs=dict(n_flows=10, max_length=10, epochs=1),
+        )
+
+    @staticmethod
+    def _kernel(kernel, agent, censor, normalizer, config, flows):
+        from repro.utils.rng import collection_seed_tree
+
+        return kernel(
+            agent.actor,
+            agent.critic,
+            agent.state_encoder,
+            censor,
+            normalizer,
+            config,
+            flows,
+            collection_seed_tree(np.random.default_rng(31), config.n_envs),
+        )
+
+    @staticmethod
+    def _assert_same_segment(got, want):
+        for name in (
+            "states", "actions", "log_probs", "values", "rewards", "dones",
+            "final_states", "final_values",
+        ):  # fmt: skip
+            left, right = getattr(got, name), getattr(want, name)
+            assert left.shape == right.shape, name
+            assert np.array_equal(left.view(np.uint64) if left.dtype == np.float64 else left,
+                                  right.view(np.uint64) if right.dtype == np.float64 else right), name
+        assert got.query_delta == want.query_delta
+        assert [
+            (tick, row, s.success, s.final_score, s.episode_reward, s.n_steps,
+             s.adversarial_flow.sizes.tobytes(), s.adversarial_flow.delays.tobytes())
+            for tick, row, s in got.summaries
+        ] == [
+            (tick, row, s.success, s.final_score, s.episode_reward, s.n_steps,
+             s.adversarial_flow.sizes.tobytes(), s.adversarial_flow.delays.tobytes())
+            for tick, row, s in want.summaries
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("n_envs", [1, 3])
+    @pytest.mark.parametrize("mask_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("max_episode_steps", [1, 20])
+    def test_equals_sequential_collector(
+        self, agent, trained_dt_censor, normalizer, tor_splits, n_envs, mask_rate, max_episode_steps
+    ):
+        from repro.distrib import ShardRunner
+
+        config = agent.config.with_overrides(
+            n_envs=n_envs, reward_mask_rate=mask_rate, max_episode_steps=max_episode_steps
+        )
+        flows = tor_splits.attack_train.censored_flows
+        censor = trained_dt_censor
+        sequential = self._kernel(SequentialCollector, agent, censor, normalizer, config, flows)
+        batched = self._kernel(ShardRunner, agent, censor, normalizer, config, flows)
+        for _ in range(2):
+            want = sequential.collect(self.N_TICKS)
+            got = batched.collect(self.N_TICKS)
+            self._assert_same_segment(got, want)
+        if max_episode_steps == 1:
+            assert got.dones.all()
+            assert len(got.summaries) == self.N_TICKS * n_envs
+        if mask_rate == 1.0:
+            assert got.query_delta == len(got.summaries)
+        else:
+            assert got.query_delta == self.N_TICKS * n_envs + len(got.summaries)
+
+    def test_snapshot_restore_between_collects_equals_sequential(
+        self, agent, trained_dt_censor, normalizer, tor_splits
+    ):
+        from repro.distrib import ShardRunner
+
+        config = agent.config.with_overrides(reward_mask_rate=0.4, max_episode_steps=6)
+        flows = tor_splits.attack_train.censored_flows
+        censor = trained_dt_censor
+        sequential = self._kernel(SequentialCollector, agent, censor, normalizer, config, flows)
+        first = self._kernel(ShardRunner, agent, censor, normalizer, config, flows)
+        self._assert_same_segment(first.collect(self.N_TICKS), sequential.collect(self.N_TICKS))
+        snapshot = first.snapshot()
+        resumed = self._kernel(ShardRunner, agent, censor, normalizer, config, flows)
+        resumed.restore(snapshot)
+        for _ in range(2):
+            self._assert_same_segment(resumed.collect(self.N_TICKS), sequential.collect(self.N_TICKS))
+
+    def test_censor_failure_in_settle_then_restore_equals_uninterrupted(
+        self, agent, trained_dt_censor, normalizer, tor_splits
+    ):
+        from repro.distrib import ShardRunner
+
+        config = agent.config.with_overrides(reward_mask_rate=0.4, max_episode_steps=6)
+        flows = tor_splits.attack_train.censored_flows
+        reference = self._kernel(
+            ShardRunner, agent, FlakyCensor(trained_dt_censor), normalizer, config, flows
+        )
+        expected = [reference.collect(self.N_TICKS) for _ in range(3)]
+
+        censor = FlakyCensor(trained_dt_censor)
+        runner = self._kernel(ShardRunner, agent, censor, normalizer, config, flows)
+        self._assert_same_segment(runner.collect(self.N_TICKS), expected[0])
+        snapshot = runner.snapshot()
+        censor.fail_next = True
+        with pytest.raises(KeyError, match="censor backend unavailable"):
+            runner.collect(self.N_TICKS)
+        runner.restore(snapshot)
+        for want in expected[1:]:
+            self._assert_same_segment(runner.collect(self.N_TICKS), want)
+        assert censor.query_count == reference.censor.query_count
 
 
 class TestTwoPhaseStep:

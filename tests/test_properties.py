@@ -300,40 +300,48 @@ class TestEnvironmentProperties:
                 ]
             )
 
-        def outcome(results):
-            return [
-                (
-                    rewards.tobytes(),
-                    dones.tobytes(),
-                    observations.tobytes(),
-                    [
-                        (
-                            info["episode"].episode_reward,
-                            info["episode"].final_score,
-                            info["episode"].n_steps,
-                            info["episode"].adversarial_flow.sizes.tobytes(),
-                            info["episode"].adversarial_flow.delays.tobytes(),
-                        )
-                        for info in infos
-                        if "episode" in info
-                    ],
-                    [info["score"] for info in infos if not info["masked"]],
-                )
-                for observations, rewards, dones, infos in results
-            ]
+        def summary_key(summary):
+            return (
+                summary.episode_reward,
+                summary.final_score,
+                summary.n_steps,
+                summary.adversarial_flow.sizes.tobytes(),
+                summary.adversarial_flow.delays.tobytes(),
+            )
+
+        def stepped_outcome(observations, rewards, dones, infos):
+            return (
+                rewards.tobytes(),
+                dones.tobytes(),
+                observations.tobytes(),
+                [(row, summary_key(info["episode"])) for row, info in enumerate(infos) if "episode" in info],
+                [info["score"] for info in infos if not info["masked"]],
+            )
+
+        def settled_outcome(tick, rewards, finished):
+            return (
+                rewards.tobytes(),
+                np.array([pending.done for pending in tick]).tobytes(),
+                np.array([pending.next_observation for pending in tick]).tobytes(),
+                [(row, summary_key(summary)) for row, summary in finished],
+                [pending.score for pending in tick if not pending.masked],
+            )
 
         actions = np.asarray(actions, dtype=np.float64)
         stepped, deferred = engine(), engine()
         assert np.array_equal(stepped.reset(), deferred.reset())
 
         trained_dt_censor.reset_query_count()
-        per_tick = outcome([stepped.step(tick) for tick in actions])
+        per_tick = [stepped_outcome(*stepped.step(tick)) for tick in actions]
         per_tick_queries = trained_dt_censor.query_count
 
         trained_dt_censor.reset_query_count()
         ticks = [deferred.propose(tick) for tick in actions]
         assert trained_dt_censor.query_count == 0
-        assert outcome(deferred.settle(ticks)) == per_tick
+        settled = deferred.settle(ticks)
+        assert [
+            settled_outcome(tick, *result) for tick, result in zip(ticks, settled)
+        ] == per_tick
         assert trained_dt_censor.query_count == per_tick_queries
 
 
