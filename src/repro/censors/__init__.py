@@ -3,8 +3,6 @@
 from .base import DECISION_THRESHOLD, CensorClassifier
 from .cumul_svm import CumulSVMClassifier
 from .deep_fingerprinting import DeepFingerprintingClassifier
-from .early_decision import EarlyDecisionCensor
-from .ensemble import EnsembleCensor
 from .gateway import CensorGateway, GatewayDecision, SocketPair
 from .lstm_classifier import LSTMClassifier
 from .sdae import SDAEClassifier
@@ -19,8 +17,6 @@ __all__ = [
     "CumulSVMClassifier",
     "DecisionTreeCensor",
     "RandomForestCensor",
-    "EnsembleCensor",
-    "EarlyDecisionCensor",
     "CensorGateway",
     "SocketPair",
     "GatewayDecision",

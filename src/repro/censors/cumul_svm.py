@@ -39,7 +39,7 @@ class CumulSVMClassifier(CensorClassifier):
         self.extractor = CumulFeatureExtractor(n_interpolation=n_interpolation)
         self.scaler = StandardScaler()
         self._rng = ensure_rng(rng)
-        self.svm = KernelSVM(kernel="rbf", gamma=gamma, C=C, epochs=epochs, rng=self._rng)
+        self.svm = KernelSVM(gamma=gamma, C=C, epochs=epochs, rng=self._rng)
 
     def fit(self, flows: Sequence[Flow], labels: Optional[Sequence[int]] = None) -> "CumulSVMClassifier":
         flows = list(flows)

@@ -15,8 +15,8 @@ from connection resets / blocked ports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Set, Tuple
 
 from ..flows.flow import Flow
 from .base import CensorClassifier
@@ -87,31 +87,6 @@ class CensorGateway:
             if self.block_destination_port:
                 self._blocked_destinations.add((socket_pair.dst_ip, socket_pair.dst_port))
         return GatewayDecision(allowed=allowed, score=float(score), blacklisted=not allowed)
-
-    # ------------------------------------------------------------------ #
-    def unblock(self, socket_pair: SocketPair) -> None:
-        """Remove a socket pair from the blacklist (e.g. timeout expiry).
-
-        The destination ``(dst_ip, dst_port)`` block is derived from the
-        blacklist, so it is lifted only once no remaining blacklisted socket
-        pair still targets that destination — unblocking one expired pair
-        must not silently unblock every other flagged source behind
-        ``block_destination_port=True``.
-        """
-        self._blacklist.discard(socket_pair)
-        destination = (socket_pair.dst_ip, socket_pair.dst_port)
-        if destination not in self._blocked_destinations:
-            return
-        if any((pair.dst_ip, pair.dst_port) == destination for pair in self._blacklist):
-            return
-        self._blocked_destinations.discard(destination)
-
-    def reset(self) -> None:
-        """Clear all gateway state (blacklist and counters)."""
-        self._blacklist.clear()
-        self._blocked_destinations.clear()
-        self._decisions = 0
-        self._blocked = 0
 
     @property
     def statistics(self) -> Dict[str, int]:

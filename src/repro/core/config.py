@@ -8,8 +8,8 @@ in seconds-to-minutes; the paper's exact widths can be restored by passing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from ..utils.validation import check_non_negative, check_positive, check_probability
 
@@ -92,9 +92,20 @@ class AmoebaConfig:
         check_non_negative(self.lambda_time, "lambda_time")
         check_probability(self.reward_mask_rate, "reward_mask_rate")
         check_positive(self.max_delay_ms, "max_delay_ms")
-        check_positive(self.gamma, "gamma")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must be within (0, 1], got {self.gamma}")
         check_probability(self.gae_lambda, "gae_lambda")
         check_positive(self.clip_epsilon, "clip_epsilon")
+        check_non_negative(self.entropy_coef, "entropy_coef")
+        check_non_negative(self.value_coef, "value_coef")
+        check_positive(self.max_grad_norm, "max_grad_norm")
+        widths = (self.encoder_hidden, self.encoder_layers, *self.actor_hidden, *self.critic_hidden)
+        if min(widths) < 1:
+            raise ValueError(
+                "encoder_hidden, encoder_layers and every actor / critic width must be >= 1"
+            )
+        if self.max_episode_steps < 1:
+            raise ValueError("max_episode_steps must be >= 1")
         if self.n_envs < 1 or self.rollout_length < 1:
             raise ValueError("n_envs and rollout_length must be >= 1")
         if self.n_minibatches < 1 or self.update_epochs < 1:

@@ -12,9 +12,10 @@ reconstruction error (Figure 13).
 
 All recurrent compute here runs on the fused packed-gate kernels
 (:func:`repro.nn.functional.gru_sequence` inside :meth:`StateEncoder.forward`
-for pre-training and full re-encodes; the array forward it shares with
-:func:`repro.nn.functional.gru_cell` inside :meth:`StateEncoder.step_pairs`,
-the incremental rollout and serving path, which builds no autograd graph).
+for pre-training and full re-encodes; the array step
+:func:`repro.nn.functional.gru_cell_forward` inside
+:meth:`StateEncoder.step_pairs`, the incremental rollout and serving path,
+which builds no autograd graph).
 Both inference paths multiply on the row-consistent kernel of the active
 :mod:`repro.nn.backend`, so the incremental state stays bit-identical to a
 full re-encode regardless of how environments are batched or how sequence

@@ -1,4 +1,4 @@
-"""Classical ML substrate: trees, forests, SVMs, scalers and metrics."""
+"""Classical ML substrate: trees, forests, the RBF-kernel SVM, a scaler and metrics."""
 
 from .decision_tree import DecisionTreeClassifier
 from .metrics import (
@@ -11,19 +11,15 @@ from .metrics import (
     recall_score,
 )
 from .random_forest import RandomForestClassifier
-from .scaler import MinMaxScaler, StandardScaler
-from .svm import KernelSVM, LinearSVM, linear_kernel, polynomial_kernel, rbf_kernel
+from .scaler import StandardScaler
+from .svm import KernelSVM, rbf_kernel
 
 __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
-    "LinearSVM",
     "KernelSVM",
     "rbf_kernel",
-    "linear_kernel",
-    "polynomial_kernel",
     "StandardScaler",
-    "MinMaxScaler",
     "accuracy_score",
     "precision_score",
     "recall_score",

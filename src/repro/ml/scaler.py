@@ -13,7 +13,7 @@ import numpy as np
 
 from ..utils.validation import check_2d
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -45,34 +45,3 @@ class StandardScaler:
             raise RuntimeError("StandardScaler must be fit before inverse_transform")
         X = check_2d(X, "X")
         return X * self.scale_ + self.mean_
-
-
-class MinMaxScaler:
-    """Scale features to [0, 1] based on the training range."""
-
-    def __init__(self) -> None:
-        self.min_: Optional[np.ndarray] = None
-        self.range_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = check_2d(X, "X")
-        self.min_ = X.min(axis=0)
-        value_range = X.max(axis=0) - self.min_
-        value_range[value_range == 0] = 1.0
-        self.range_ = value_range
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler must be fit before transform")
-        X = check_2d(X, "X")
-        return (X - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler must be fit before inverse_transform")
-        X = check_2d(X, "X")
-        return X * self.range_ + self.min_

@@ -1,28 +1,23 @@
-"""Support vector machines.
+"""The RBF-kernel support vector machine behind the CUMUL censor.
 
 CUMUL (Panchenko et al., NDSS'16) classifies flows with an RBF-kernel SVM over
 cumulative packet-size features.  scikit-learn's SMO solver is unavailable, so
-we provide:
-
-* :class:`LinearSVM` — primal Pegasos (stochastic sub-gradient) solver.
-* :class:`KernelSVM` — kernelised Pegasos maintaining an alpha expansion,
-  supporting RBF, linear and polynomial kernels.
-
-Both expose ``fit`` / ``predict`` / ``decision_function`` / ``predict_proba``
-(the latter via a Platt-style sigmoid on the margin) so they can slot into the
-same censor interface as the neural classifiers.
+:class:`KernelSVM` is a kernelised Pegasos solver maintaining an alpha
+expansion.  It exposes ``fit`` / ``predict`` / ``decision_function`` /
+``predict_proba`` (the latter via a Platt-style sigmoid on the margin) so it
+can slot into the same censor interface as the neural classifiers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_2d
 
-__all__ = ["LinearSVM", "KernelSVM", "rbf_kernel", "linear_kernel", "polynomial_kernel"]
+__all__ = ["KernelSVM", "rbf_kernel"]
 
 
 def rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
@@ -36,14 +31,6 @@ def rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared)
 
 
-def linear_kernel(X: np.ndarray, Y: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    return np.atleast_2d(X) @ np.atleast_2d(Y).T
-
-
-def polynomial_kernel(X: np.ndarray, Y: np.ndarray, gamma: float = 1.0, degree: int = 3, coef0: float = 1.0) -> np.ndarray:
-    return (gamma * (np.atleast_2d(X) @ np.atleast_2d(Y).T) + coef0) ** degree
-
-
 def _to_signed(y: np.ndarray) -> np.ndarray:
     """Map {0, 1} labels to {-1, +1}."""
     y = np.asarray(y).reshape(-1)
@@ -53,66 +40,11 @@ def _to_signed(y: np.ndarray) -> np.ndarray:
     return np.where(y == 1, 1.0, -1.0)
 
 
-class LinearSVM:
-    """Primal linear SVM trained with the Pegasos algorithm."""
-
-    def __init__(self, C: float = 1.0, epochs: int = 20, rng=None) -> None:
-        if C <= 0:
-            raise ValueError("C must be positive")
-        self.C = C
-        self.epochs = epochs
-        self._rng = ensure_rng(rng)
-        self.weights_: Optional[np.ndarray] = None
-        self.bias_: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVM":
-        X = check_2d(X, "X")
-        signed = _to_signed(y)
-        n_samples, n_features = X.shape
-        lam = 1.0 / (self.C * n_samples)
-        weights = np.zeros(n_features)
-        bias = 0.0
-        step = 0
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n_samples)
-            for index in order:
-                step += 1
-                eta = 1.0 / (lam * step)
-                margin = signed[index] * (X[index] @ weights + bias)
-                if margin < 1.0:
-                    weights = (1.0 - eta * lam) * weights + eta * signed[index] * X[index]
-                    bias += eta * signed[index]
-                else:
-                    weights = (1.0 - eta * lam) * weights
-        self.weights_ = weights
-        self.bias_ = bias
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if self.weights_ is None:
-            raise RuntimeError("classifier has not been fit")
-        X = check_2d(X, "X")
-        return X @ self.weights_ + self.bias_
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0).astype(int)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = 1.0 / (1.0 + np.exp(-self.decision_function(X)))
-        return np.column_stack([1.0 - scores, scores])
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y).reshape(-1)))
-
-
 class KernelSVM:
-    """Kernelised SVM trained with kernelised Pegasos.
+    """RBF-kernel SVM trained with kernelised Pegasos.
 
     Parameters
     ----------
-    kernel:
-        ``"rbf"`` (default), ``"linear"``, ``"poly"`` or a callable
-        ``kernel(X, Y, gamma)``.
     gamma:
         RBF bandwidth; ``"scale"`` uses ``1 / (n_features * X.var())``.
     C:
@@ -123,7 +55,6 @@ class KernelSVM:
 
     def __init__(
         self,
-        kernel="rbf",
         gamma="scale",
         C: float = 1.0,
         epochs: int = 20,
@@ -131,7 +62,6 @@ class KernelSVM:
     ) -> None:
         if C <= 0:
             raise ValueError("C must be positive")
-        self.kernel = kernel
         self.gamma = gamma
         self.C = C
         self.epochs = epochs
@@ -140,17 +70,6 @@ class KernelSVM:
         self.support_vectors_: Optional[np.ndarray] = None
         self.support_labels_: Optional[np.ndarray] = None
         self.gamma_: float = 1.0
-
-    def _kernel_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        if callable(self.kernel):
-            return lambda X, Y: self.kernel(X, Y, self.gamma_)
-        if self.kernel == "rbf":
-            return lambda X, Y: rbf_kernel(X, Y, self.gamma_)
-        if self.kernel == "linear":
-            return lambda X, Y: linear_kernel(X, Y)
-        if self.kernel == "poly":
-            return lambda X, Y: polynomial_kernel(X, Y, self.gamma_)
-        raise ValueError(f"unknown kernel {self.kernel!r}")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KernelSVM":
         X = check_2d(X, "X")
@@ -162,8 +81,7 @@ class KernelSVM:
         else:
             self.gamma_ = float(self.gamma)
 
-        kernel = self._kernel_fn()
-        gram = kernel(X, X)
+        gram = rbf_kernel(X, X, self.gamma_)
         lam = 1.0 / (self.C * n_samples)
         alpha = np.zeros(n_samples)
         step = 0
@@ -189,8 +107,7 @@ class KernelSVM:
         if self.alpha_ is None:
             raise RuntimeError("classifier has not been fit")
         X = check_2d(X, "X")
-        kernel = self._kernel_fn()
-        gram = kernel(X, self.support_vectors_)
+        gram = rbf_kernel(X, self.support_vectors_, self.gamma_)
         return self._scale * (gram @ (self.alpha_ * self.support_labels_))
 
     def predict(self, X: np.ndarray) -> np.ndarray:

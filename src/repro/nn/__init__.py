@@ -1,12 +1,13 @@
-"""Minimal neural-network substrate (numpy autodiff) used across the library.
+"""Minimal neural-network substrate (numpy autodiff): what training calls.
 
 Public surface:
 
 * :class:`Tensor`, :func:`no_grad` — reverse-mode autodiff core.
-* :mod:`repro.nn.functional` — activations, losses, Gaussian policy helpers.
+* :mod:`repro.nn.functional` — activations, the training losses, the
+  Gaussian policy helpers and the fused MLP / recurrent kernels.
 * Layers — :class:`Linear`, :class:`Sequential`, :class:`Conv1d`,
-  :class:`GRU`, :class:`LSTM`, regularisers.
-* Optimizers — :class:`SGD`, :class:`Adam`, :class:`RMSProp`.
+  :class:`MaxPool1d`, :class:`GRU`, :class:`LSTM`.
+* Optimizer — :class:`Adam`, plus :func:`clip_grad_norm`.
 """
 
 from . import backend, functional
@@ -24,28 +25,15 @@ from .backend import (
     set_default_backend,
     use_backend,
 )
-from .conv import Conv1d, GlobalAveragePool1d, MaxPool1d
-from .init import kaiming_uniform, orthogonal, xavier_normal, xavier_uniform
-from .layers import (
-    Dropout,
-    Flatten,
-    LayerNorm,
-    Linear,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
-from .optim import SGD, Adam, Optimizer, RMSProp, clip_grad_norm
+from .conv import Conv1d, MaxPool1d
+from .init import kaiming_uniform, orthogonal, xavier_uniform
+from .layers import Linear, Module, Parameter, ReLU, Sequential, Tanh
+from .optim import Adam, clip_grad_norm
 from .recurrent import GRU, GRUCell, LSTM, LSTMCell
 from .serialization import (
-    load_module,
     load_state_dict,
     metadata_from_bytes,
     pack_legacy_recurrent,
-    save_module,
     save_state_dict,
     split_prefixed_state,
     state_dict_from_bytes,
@@ -54,20 +42,16 @@ from .serialization import (
 from .tensor import (
     Tensor,
     as_tensor,
-    concatenate,
     is_grad_enabled,
     is_row_consistent_matmul,
     no_grad,
     rc_matmul,
     row_consistent_matmul,
-    stack,
 )
 
 __all__ = [
     "Tensor",
     "as_tensor",
-    "concatenate",
-    "stack",
     "no_grad",
     "is_grad_enabled",
     "row_consistent_matmul",
@@ -93,28 +77,17 @@ __all__ = [
     "Sequential",
     "ReLU",
     "Tanh",
-    "Sigmoid",
-    "Dropout",
-    "LayerNorm",
-    "Flatten",
     "Conv1d",
     "MaxPool1d",
-    "GlobalAveragePool1d",
     "GRUCell",
     "GRU",
     "LSTMCell",
     "LSTM",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "RMSProp",
     "clip_grad_norm",
     "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
     "orthogonal",
-    "save_module",
-    "load_module",
     "save_state_dict",
     "state_dict_to_bytes",
     "state_dict_from_bytes",

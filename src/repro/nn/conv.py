@@ -35,7 +35,7 @@ from . import init
 from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
-__all__ = ["Conv1d", "MaxPool1d", "GlobalAveragePool1d"]
+__all__ = ["Conv1d", "MaxPool1d"]
 
 
 def _windows_1d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
@@ -180,10 +180,3 @@ class MaxPool1d(Module):
             x._accumulate(full)
 
         return Tensor._make(out_data, (x,), backward)
-
-
-class GlobalAveragePool1d(Module):
-    """Average pooling over the temporal dimension, producing (batch, channels)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).mean(axis=-1)

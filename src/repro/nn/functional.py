@@ -1,9 +1,9 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
-These free functions mirror the subset of ``torch.nn.functional`` that the
-Amoeba reproduction needs: activations, stable softmax / log-softmax,
-classification and regression losses, and the Gaussian log-density used by
-the PPO policy.
+These free functions are the ones training calls: activations, the losses
+the censors fit with (BCE on logits, MAE) and the encoder / critic regress
+with (MAE, MSE), the Gaussian log-density, entropy and clipped surrogate of
+the PPO update, and the fused tanh MLP and recurrent sequence kernels.
 
 Every matmul in the fused tanh MLP and the fused recurrent kernels below
 goes through :func:`repro.nn.tensor.rc_matmul`, the single execution-backend
@@ -29,26 +29,18 @@ from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled, rc_matmul
 
 __all__ = [
     "relu",
-    "sigmoid",
     "tanh",
     "stable_sigmoid",
-    "softmax",
-    "log_softmax",
     "mse_loss",
     "mae_loss",
-    "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
-    "cross_entropy",
     "gaussian_log_prob",
     "gaussian_entropy",
     "clipped_surrogate_loss",
-    "huber_loss",
     "tanh_mlp_forward",
     "tanh_mlp",
     "gru_cell_forward",
-    "gru_cell",
     "gru_sequence",
-    "lstm_cell",
     "lstm_sequence",
 ]
 
@@ -59,27 +51,8 @@ def relu(x: Tensor) -> Tensor:
     return as_tensor(x).relu()
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return as_tensor(x).sigmoid()
-
-
 def tanh(x: Tensor) -> Tensor:
     return as_tensor(x).tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exped = shifted.exp()
-    return exped / exped.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -102,24 +75,6 @@ def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (prediction - target.detach()).abs().mean()
 
 
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss, quadratic near zero and linear for large residuals."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target.detach()
-    abs_diff = diff.abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * abs_diff - 0.5 * delta * delta
-    return Tensor.where(abs_diff.data <= delta, quadratic, linear).mean()
-
-
-def binary_cross_entropy(probabilities: Tensor, targets: Tensor, eps: float = 1e-7) -> Tensor:
-    """BCE on probabilities already passed through a sigmoid."""
-    probabilities = as_tensor(probabilities).clip(eps, 1.0 - eps)
-    targets = as_tensor(targets).detach()
-    loss = -(targets * probabilities.log() + (1.0 - targets) * (1.0 - probabilities).log())
-    return loss.mean()
-
-
 def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     """Numerically stable BCE that takes raw logits."""
     logits = as_tensor(logits)
@@ -128,16 +83,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     relu_term = logits.relu()
     softplus = (1.0 + (-logits.abs()).exp()).log()
     return (relu_term - logits * targets + softplus).mean()
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Multi-class cross entropy; ``targets`` are integer class indices."""
-    logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.int64)
-    log_probs = log_softmax(logits, axis=-1)
-    rows = np.arange(len(targets))
-    picked = log_probs[rows, targets]
-    return -picked.mean()
 
 
 def gaussian_log_prob(actions: Tensor, mean: Tensor, log_std: Tensor) -> Tensor:
@@ -302,19 +247,19 @@ def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
 # Each primitive computes its forward in plain numpy on packed gate weights
 # (``w_x`` holding all input projections side by side, ``w_h`` all hidden
 # projections, ``b`` all biases), caches the gate activations and implements
-# the closed-form backward in a single ``_backward`` closure.  One cell step
-# therefore records one autograd node (two for the LSTM's ``(h, c)`` pair)
-# instead of the ~15 a composed Tensor-op formulation produces, and the
-# full-sequence variants record one node for an entire layer × time block,
-# hoisting all input projections into a single ``(B·T, in) @ (in, gates·H)``
-# GEMM before the time loop.
+# the closed-form backward in a single closure.  A whole layer × time block
+# therefore records one autograd node (two for the LSTM, whose final cell
+# state is a second output) instead of the ~15 per step a composed Tensor-op
+# formulation produces, with all input projections hoisted into a single
+# ``(B·T, in) @ (in, gates·H)`` GEMM before the time loop.
 #
 # Numerical contract: every elementwise expression mirrors the composed
 # formulation operation for operation (``(gx + gh) + b``, the same sigmoid /
 # tanh forms), and all projections route through ``rc_matmul``; fused and
 # composed forwards are therefore bit-identical, and inside a
-# ``row_consistent_matmul()`` context the step and sequence paths are
-# bit-identical to each other regardless of batch/time chunking.
+# ``row_consistent_matmul()`` context the sequence path and the array step
+# (``gru_cell_forward``) are bit-identical to each other regardless of
+# batch/time chunking.
 #
 # The gate elementwise math itself is owned by the active execution backend
 # (``active_backend().gru_gates`` / ``.lstm_gates``): the `reference` backend
@@ -329,19 +274,6 @@ def gru_cell_forward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The GRU step on raw arrays — the one definition of its forward.
 
-    Returns the active backend's ``(h', reset, update, candidate, gh_n)``.
-    :func:`gru_cell` passes :func:`rc_matmul`, which honours the
-    ``row_consistent_matmul`` context; :meth:`repro.nn.GRU.step_arrays`, the
-    inference step, passes the backend's ``matmul2d`` itself.
-    """
-    gx = matmul(x, w_x)
-    gh = matmul(hidden, w_h)
-    return _backend.active_backend().gru_gates(gx, gh, b, hidden)
-
-
-def gru_cell(x: Tensor, hidden: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """One fused GRU step: ``(B, in) × (B, H) -> (B, H)``.
-
     Gate layout along the packed columns is ``[r | z | n]``::
 
         r = sigmoid(gx_r + gh_r + b_r)
@@ -349,40 +281,14 @@ def gru_cell(x: Tensor, hidden: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> 
         n = tanh(gx_n + r * gh_n + b_n)
         h' = (1 - z) * n + z * h
 
-    with ``gx = x @ w_x`` and ``gh = h @ w_h`` each a single GEMM.
+    with ``gx = matmul(x, w_x)`` and ``gh = matmul(hidden, w_h)`` each a
+    single GEMM.  Returns the active backend's ``(h', reset, update,
+    candidate, gh_n)``.  :meth:`repro.nn.GRU.step_arrays`, the inference
+    step, passes the backend's ``matmul2d``.
     """
-    x, hidden = as_tensor(x), as_tensor(hidden)
-    w_x, w_h, b = as_tensor(w_x), as_tensor(w_h), as_tensor(b)
-
-    out_data, reset, update, candidate, gh_n = gru_cell_forward(
-        x.data, hidden.data, w_x.data, w_h.data, b.data, rc_matmul
-    )
-
-    parents = (x, hidden, w_x, w_h, b)
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        d_candidate = grad * (1.0 - update)
-        d_update = grad * (hidden.data - candidate)
-        d_pre_n = d_candidate * (1.0 - candidate ** 2)
-        d_reset = d_pre_n * gh_n
-        d_pre_r = d_reset * reset * (1.0 - reset)
-        d_pre_z = d_update * update * (1.0 - update)
-        d_gx = np.concatenate([d_pre_r, d_pre_z, d_pre_n], axis=1)
-        d_gh = np.concatenate([d_pre_r, d_pre_z, d_pre_n * reset], axis=1)
-        if x.requires_grad:
-            x._accumulate(d_gx @ w_x.data.T)
-        if hidden.requires_grad:
-            hidden._accumulate(grad * update + d_gh @ w_h.data.T)
-        if w_x.requires_grad:
-            w_x._accumulate(x.data.T @ d_gx)
-        if w_h.requires_grad:
-            w_h._accumulate(hidden.data.T @ d_gh)
-        if b.requires_grad:
-            b._accumulate(d_gx.sum(axis=0))
-
-    return Tensor._make(out_data, parents, backward)
+    gx = matmul(x, w_x)
+    gh = matmul(hidden, w_h)
+    return _backend.active_backend().gru_gates(gx, gh, b, hidden)
 
 
 def gru_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, h0: Tensor) -> Tensor:
@@ -468,83 +374,6 @@ def gru_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, h0: Tensor) -> 
             h0._accumulate(d_hidden)
 
     return Tensor._make(outputs, parents, backward)
-
-
-def lstm_cell(
-    x: Tensor,
-    state: Tuple[Tensor, Tensor],
-    w_x: Tensor,
-    w_h: Tensor,
-    b: Tensor,
-) -> Tuple[Tensor, Tensor]:
-    """One fused LSTM step; returns ``(h', c')``.
-
-    Gate layout along the packed columns is ``[i | f | g | o]``::
-
-        i, f, o = sigmoid(pre);  g = tanh(pre)
-        c' = f * c + i * g
-        h' = o * tanh(c')
-
-    ``h'`` and ``c'`` are two autograd nodes sharing one cached forward; the
-    topological sort guarantees each node's backward fires once with its
-    fully-accumulated gradient, and their contributions to the shared
-    parents are additive.
-    """
-    hidden, cell = state
-    x, hidden, cell = as_tensor(x), as_tensor(hidden), as_tensor(cell)
-    w_x, w_h, b = as_tensor(w_x), as_tensor(w_h), as_tensor(b)
-    size = hidden.data.shape[-1]
-
-    gx = rc_matmul(x.data, w_x.data)
-    gh = rc_matmul(hidden.data, w_h.data)
-    new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell = (
-        _backend.active_backend().lstm_gates(gx, gh, b.data, cell.data)
-    )
-
-    parents = (x, hidden, cell, w_x, w_h, b)
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        return Tensor(new_hidden), Tensor(new_cell)
-
-    def propagate(d_cell: np.ndarray, d_pre_o: np.ndarray) -> None:
-        """Route a cell-state gradient (plus an output-gate pre-activation
-        gradient) back to the shared parents."""
-        d_i = d_cell * gate_g
-        d_f = d_cell * cell.data
-        d_g = d_cell * gate_i
-        d_pre = np.concatenate(
-            [
-                d_i * gate_i * (1.0 - gate_i),
-                d_f * gate_f * (1.0 - gate_f),
-                d_g * (1.0 - gate_g ** 2),
-                d_pre_o,
-            ],
-            axis=1,
-        )
-        if x.requires_grad:
-            x._accumulate(d_pre @ w_x.data.T)
-        if hidden.requires_grad:
-            hidden._accumulate(d_pre @ w_h.data.T)
-        if cell.requires_grad:
-            cell._accumulate(d_cell * gate_f)
-        if w_x.requires_grad:
-            w_x._accumulate(x.data.T @ d_pre)
-        if w_h.requires_grad:
-            w_h._accumulate(hidden.data.T @ d_pre)
-        if b.requires_grad:
-            b._accumulate(d_pre.sum(axis=0))
-
-    def backward_hidden(grad: np.ndarray) -> None:
-        d_o = grad * tanh_cell
-        d_cell = grad * gate_o * (1.0 - tanh_cell ** 2)
-        propagate(d_cell, d_o * gate_o * (1.0 - gate_o))
-
-    def backward_cell(grad: np.ndarray) -> None:
-        propagate(grad, np.zeros_like(grad))
-
-    return (
-        Tensor._make(new_hidden, parents, backward_hidden),
-        Tensor._make(new_cell, parents, backward_cell),
-    )
 
 
 def lstm_sequence(

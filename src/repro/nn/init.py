@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "orthogonal"]
+__all__ = ["xavier_uniform", "kaiming_uniform", "zeros", "orthogonal"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -33,14 +33,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = 
     fan_in, fan_out = _fan_in_out(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal initialisation N(0, gain^2 * 2/(fan_in+fan_out))."""
-    rng = rng or np.random.default_rng()
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Neural-network modules: parameters, dense layers, containers and regularisers.
+"""Neural-network modules: parameters, dense layers, activations and containers.
 
 The :class:`Module` base class provides parameter registration, recursive
 traversal, train/eval mode switching and state-dict export/import — the small
@@ -8,7 +8,7 @@ Amoeba agent rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,10 +23,6 @@ __all__ = [
     "Sequential",
     "ReLU",
     "Tanh",
-    "Sigmoid",
-    "Dropout",
-    "LayerNorm",
-    "Flatten",
 ]
 
 
@@ -200,50 +196,3 @@ class ReLU(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.tanh(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).flatten()
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, rate: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = self._rng.binomial(1, keep, size=x.data.shape) / keep
-        return x * Tensor(mask)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(features), name="gamma")
-        self.beta = Parameter(np.zeros(features), name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered / (variance + self.eps).sqrt()
-        return normalised * self.gamma + self.beta

@@ -1,31 +1,30 @@
-"""First-order optimizers: SGD (with momentum), Adam and RMSProp.
+"""Adam, the one optimizer training uses, and global-norm gradient clipping.
 
-The paper's hyperparameter search (Table 3) covers exactly these three; Adam
-with learning rate 5e-4 is the selected configuration for Amoeba.
+The paper's hyperparameter search (Table 3) selects Adam with learning rate
+5e-4 for Amoeba; the censors and the state encoder train with Adam too.
 
 Allocation discipline
 ---------------------
 The PPO update phase sits on every training iteration's critical path, and
-an optimizer step runs once per minibatch per epoch.  Each optimizer
-therefore preallocates its state and scratch at construction — one flat
-float64 buffer per kind (:func:`_flat_buffers`), with one view per parameter
-shaped like it — and performs the entire update with in-place ufuncs: zero
+an optimizer step runs once per minibatch per epoch.  ``Adam`` therefore
+preallocates its state and scratch at construction — one flat float64
+buffer per kind (:func:`_flat_buffers`), with one view per parameter shaped
+like it — and performs the entire update with in-place ufuncs: zero
 allocations per step, and ``param.data`` is mutated in place rather than
 rebound to a fresh array.  The in-place step applies *exactly* the same
 sequence of rounded floating point operations as the textbook allocating
 formulation, which lives in ``tests/oracles/optim_reference.py`` and is
-asserted bitwise against these classes in ``tests/test_nn_backend.py``.
+asserted bitwise against this class in ``tests/test_nn_backend.py``.
 
-``Adam`` exploits the flat layout: the models trained here have a handful of
-parameters, most of them bias-sized, so a per-parameter step is fourteen
-ufunc dispatches per parameter on a few dozen elements each.  When every
-parameter has a gradient (PPO, encoder pre-training, censor ``fit``) it
+The step is flat: the models trained here have a handful of parameters,
+most of them bias-sized, so a per-parameter step is fourteen ufunc
+dispatches per parameter on a few dozen elements each.  When every
+parameter has a gradient (PPO, encoder pre-training, censor ``fit``) Adam
 gathers the gradients into its flat buffer and runs the update once over
 all elements; elementwise arithmetic does not depend on where an element
 sits, so the result is bit-identical to the per-parameter step
 (``tests/oracles/composed_ppo.py``).  A parameter without a gradient must
-keep its moments untouched, and weight decay needs the parameter values
-next to the gradients: in both cases the same update runs per parameter on
+keep its moments untouched, so then the same update runs per parameter on
 the views.
 """
 
@@ -35,9 +34,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..utils.validation import check_positive
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSProp", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -73,22 +73,26 @@ def _flat_buffers(
     return flat, views
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and two float64 scratch
-    buffers (flat, with per-parameter views) for the in-place step.
+class Adam:
+    """Adam (Kingma & Ba, 2014) with the usual ``β₁ = 0.9``, ``β₂ = 0.999``
+    and ``ε = 1e-8``.
 
-    The views alias the flat buffers, which ``pickle`` / ``deepcopy`` do not
-    preserve: build a fresh optimizer in the process that steps it (every
-    caller here does), do not ship one.
+    The moment and scratch views alias flat buffers, which ``pickle`` /
+    ``deepcopy`` do not preserve: build a fresh optimizer in the process
+    that steps it (every caller here does), do not ship one.
     """
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3) -> None:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
+        self.lr = check_positive(lr, "learning rate")
+        self._step = 0
+        self._flat_state, (self._m, self._v, self._grads) = _flat_buffers(self.parameters, 3)
         self._flat_scratch, (self._scratch_a, self._scratch_b) = _flat_buffers(self.parameters, 2)
 
     def zero_grad(self) -> None:
@@ -96,70 +100,16 @@ class Optimizer:
             param.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity, scratch in zip(self.parameters, self._velocity, self._scratch_a):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                np.multiply(param.grad, self.lr, out=scratch)
-                velocity -= scratch
-                param.data += velocity
-            else:
-                np.multiply(param.grad, self.lr, out=scratch)
-                param.data -= scratch
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2014)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._flat_state, (self._m, self._v, self._grads) = _flat_buffers(self.parameters, 3)
-
-    def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        if self.weight_decay or any(p.grad is None for p in self.parameters):
+        if any(p.grad is None for p in self.parameters):
             for param, m, v, s_a, s_b in zip(
                 self.parameters, self._m, self._v, self._scratch_a, self._scratch_b
             ):
                 if param.grad is None:
                     continue
-                grad = param.grad
-                if self.weight_decay:
-                    np.multiply(param.data, self.weight_decay, out=s_a)
-                    s_a += grad
-                    grad = s_a
-                self._decrement(grad, m, v, s_a, s_b, bias1, bias2)
+                self._decrement(param.grad, m, v, s_a, s_b, bias1, bias2)
                 param.data -= s_b
             return
         for param, grad in zip(self.parameters, self._grads):
@@ -180,8 +130,6 @@ class Adam(Optimizer):
         #   s_a = sqrt(v/bias2) + eps
         #   s_b = (lr*(m/bias1)) / s_a ; p -= s_b
         # identical rounding at every step, hence identical trajectories.
-        # ``grad`` may alias ``s_a`` (weight decay): it is last read before
-        # ``s_a`` is first written.
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=s_b)
         m += s_b
@@ -195,35 +143,3 @@ class Adam(Optimizer):
         np.divide(m, bias1, out=s_b)
         s_b *= self.lr
         s_b /= s_a
-
-
-class RMSProp(Optimizer):
-    """RMSProp optimizer."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, sq, s_a, s_b in zip(
-            self.parameters, self._sq, self._scratch_a, self._scratch_b
-        ):
-            if param.grad is None:
-                continue
-            sq *= self.alpha
-            np.multiply(param.grad, 1.0 - self.alpha, out=s_b)
-            s_b *= param.grad
-            sq += s_b
-            np.sqrt(sq, out=s_a)
-            s_a += self.eps
-            np.multiply(param.grad, self.lr, out=s_b)
-            s_b /= s_a
-            param.data -= s_b

@@ -1,4 +1,4 @@
-"""Recurrent layers: GRU and LSTM cells and multi-layer sequence wrappers.
+"""Recurrent layers: GRU and LSTM over (batch, time, features) sequences.
 
 The Amoeba StateEncoder is a two-layer GRU (paper Appendix A.2) and one of
 the censoring classifiers is a multi-layer LSTM (Rimmer et al.).  Both are
@@ -6,25 +6,23 @@ implemented here on top of the autodiff :class:`~repro.nn.Tensor`.
 
 Parameter layout (cuDNN-style packing)
 --------------------------------------
-Each cell stores three packed parameters instead of one weight/bias triple
-per gate:
+Each layer's cell stores three packed parameters instead of one weight/bias
+triple per gate:
 
 * ``w_x`` — ``(input_size, n_gates * hidden_size)``: all input projections
   side by side (GRU gate order ``[r | z | n]``, LSTM ``[i | f | g | o]``).
 * ``w_h`` — ``(hidden_size, n_gates * hidden_size)``: all hidden projections.
 * ``b``  — ``(n_gates * hidden_size,)``: all biases.
 
-One step is therefore two GEMMs (``x @ w_x`` and ``h @ w_h``) plus the gate
-elementwise math, executed by the fused autograd primitives in
-:mod:`repro.nn.functional` (``gru_cell`` / ``lstm_cell`` for single steps,
-``gru_sequence`` / ``lstm_sequence`` for whole layer × time blocks with the
-input projections hoisted into a single GEMM).  Initialisation draws the
-per-gate blocks in the same order and with the same shapes as the legacy
-per-gate layout, so seeded runs produce identical weights; legacy per-gate
-checkpoints are folded into the packed layout on load by
-:func:`repro.nn.serialization.pack_legacy_recurrent`.  The legacy per-gate
-names (``w_xr``, ``b_f``, …) remain readable on the cells as views into the
-packed arrays.
+The cells are parameter holders (they give checkpoints their ``cellN.w_x``
+keys); the compute lives in :mod:`repro.nn.functional`.  Training runs each
+layer × time block as one fused node (``gru_sequence`` / ``lstm_sequence``,
+input projections hoisted into a single GEMM); the GRU's inference step,
+:meth:`GRU.step_arrays`, runs ``gru_cell_forward`` on plain arrays.
+Initialisation draws the per-gate blocks in the same order and with the same
+shapes as the legacy per-gate layout, so seeded runs produce identical
+weights; legacy per-gate checkpoints are folded into the packed layout on
+load by :func:`repro.nn.serialization.pack_legacy_recurrent`.
 """
 
 from __future__ import annotations
@@ -70,21 +68,9 @@ class _PackedRecurrentCell(Module):
     def _bias_for_gate(self, gate: str) -> np.ndarray:
         return init.zeros((self.hidden_size,))
 
-    def __getattr__(self, name: str):
-        # Legacy per-gate views (w_xr, w_hz, b_f, ...) as slices of the
-        # packed parameters, kept for introspection and tests.
-        params = self.__dict__.get("_parameters", {})
-        for prefix, packed_name in (("w_x", "w_x"), ("w_h", "w_h"), ("b_", "b")):
-            gate = name[len(prefix):]
-            if name.startswith(prefix) and gate in type(self).GATES and packed_name in params:
-                index = type(self).GATES.index(gate)
-                size = self.__dict__["hidden_size"]
-                return Tensor(params[packed_name].data[..., index * size : (index + 1) * size])
-        raise AttributeError(f"{type(self).__name__!s} object has no attribute {name!r}")
-
 
 class GRUCell(_PackedRecurrentCell):
-    """Single gated-recurrent-unit cell.
+    """Packed parameters of one gated-recurrent-unit layer.
 
     Follows the standard formulation::
 
@@ -94,14 +80,10 @@ class GRUCell(_PackedRecurrentCell):
         h' = (1 - z) * n + z * h
 
     with the three gates packed into single ``w_x`` / ``w_h`` / ``b``
-    parameters and evaluated by the fused :func:`repro.nn.functional.gru_cell`
-    primitive (one autograd node per step).
+    parameters.
     """
 
     GATES = ("r", "z", "n")
-
-    def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
-        return F.gru_cell(as_tensor(x), as_tensor(hidden), self.w_x, self.w_h, self.b)
 
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))
@@ -131,47 +113,19 @@ class GRU(Module):
         """Zero per-layer hidden states for a batch of the given size."""
         return [cell.initial_state(batch_size) for cell in self._cells]
 
-    def step(self, x_t: Tensor, hidden: Optional[List[Tensor]] = None) -> List[Tensor]:
-        """Advance the stack by one timestep.
-
-        Parameters
-        ----------
-        x_t:
-            Tensor of shape ``(batch, input_size)`` — the newest input only.
-        hidden:
-            Optional list of per-layer hidden states, each ``(batch,
-            hidden_size)``; zeros when omitted.
-
-        Returns
-        -------
-        The new per-layer hidden state list; the top layer (``[-1]``) is the
-        sequence representation after folding in ``x_t``.  Under
-        :func:`repro.nn.row_consistent_matmul` incrementally stepping a
-        sequence one element at a time produces exactly the same states as
-        :meth:`forward` over the whole sequence — this is what lets the
-        rollout engine encode histories in O(1) work per tick instead of
-        re-encoding from scratch.
-        """
-        x_t = as_tensor(x_t)
-        if hidden is None:
-            hidden = self.initial_state(x_t.shape[0])
-        new_hidden: List[Tensor] = []
-        step_input = x_t
-        for layer, cell in enumerate(self._cells):
-            state = cell(step_input, hidden[layer])
-            new_hidden.append(state)
-            step_input = state
-        return new_hidden
-
     def step_arrays(self, x_t: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-        """:meth:`step` for inference, on float64 arrays and off the graph.
+        """Advance the stack by one timestep, on float64 arrays and off the graph.
 
-        ``hidden`` is a ``(num_layers, batch, hidden_size)`` slab and so is
-        the result, which is freshly allocated.  The matmuls always run on
+        ``x_t`` is the ``(batch, input_size)`` newest input and ``hidden`` a
+        ``(num_layers, batch, hidden_size)`` slab; so is the result, which is
+        freshly allocated and whose top layer (``[-1]``) is the sequence
+        representation after folding in ``x_t``.  The matmuls always run on
         the active backend's row-consistent kernel, and the weights are read
-        from the parameters at call time, so the result is bit-identical to
-        :meth:`step` under ``no_grad()`` and ``row_consistent_matmul()``
-        whatever replaced or updated ``param.data`` since the last call.
+        from the parameters at call time, so stepping a sequence one element
+        at a time gives bit for bit the states :meth:`forward` computes over
+        the whole sequence under ``row_consistent_matmul()`` — whatever
+        replaced or updated ``param.data`` since the last call.  This is what
+        lets the rollout engine encode histories in O(1) work per tick.
         """
         matmul = _backend.active_backend().matmul2d
         new_hidden = np.empty(hidden.shape)
@@ -221,23 +175,17 @@ class GRU(Module):
 
 
 class LSTMCell(_PackedRecurrentCell):
-    """Single long short-term memory cell with forget-gate bias of 1.
+    """Packed parameters of one long short-term memory layer, with a
+    forget-gate bias of 1.
 
     The four gates (``i``, ``f``, ``g``, ``o``) are packed into single
-    ``w_x`` / ``w_h`` / ``b`` parameters and evaluated by the fused
-    :func:`repro.nn.functional.lstm_cell` primitive.
+    ``w_x`` / ``w_h`` / ``b`` parameters.
     """
 
     GATES = ("i", "f", "g", "o")
 
     def _bias_for_gate(self, gate: str) -> np.ndarray:
         return np.ones(self.hidden_size) if gate == "f" else np.zeros(self.hidden_size)
-
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        hidden, cell = state
-        return F.lstm_cell(
-            as_tensor(x), (as_tensor(hidden), as_tensor(cell)), self.w_x, self.w_h, self.b
-        )
 
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         zeros = np.zeros((batch_size, self.hidden_size))
@@ -267,21 +215,6 @@ class LSTM(Module):
     def initial_state(self, batch_size: int) -> List[Tuple[Tensor, Tensor]]:
         """Zero per-layer (hidden, cell) states for a batch of the given size."""
         return [cell.initial_state(batch_size) for cell in self._cells]
-
-    def step(
-        self, x_t: Tensor, state: Optional[List[Tuple[Tensor, Tensor]]] = None
-    ) -> List[Tuple[Tensor, Tensor]]:
-        """Advance the stack by one timestep on a ``(batch, input_size)`` input."""
-        x_t = as_tensor(x_t)
-        if state is None:
-            state = self.initial_state(x_t.shape[0])
-        new_state: List[Tuple[Tensor, Tensor]] = []
-        step_input = x_t
-        for layer, cell in enumerate(self._cells):
-            layer_state = cell(step_input, state[layer])
-            new_state.append(layer_state)
-            step_input = layer_state[0]
-        return new_state
 
     def forward(
         self,

@@ -20,17 +20,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .layers import Module
-
 __all__ = [
-    "save_module",
-    "load_module",
     "save_state_dict",
     "load_state_dict",
     "state_dict_to_bytes",
@@ -197,14 +192,3 @@ def split_prefixed_state(state: Dict[str, np.ndarray]) -> Dict[str, Dict[str, np
             raise ValueError(f"state key {key!r} carries no '<prefix>.' component")
         groups.setdefault(prefix, {})[leaf] = value
     return groups
-
-
-def save_module(module: Module, path: PathLike, metadata: Optional[dict] = None) -> Path:
-    """Persist a module's parameters to ``path`` (``.npz``)."""
-    return save_state_dict(module.state_dict(), path, metadata=metadata)
-
-
-def load_module(module: Module, path: PathLike) -> Module:
-    """Load parameters into an already-constructed ``module`` and return it."""
-    module.load_state_dict(load_state_dict(path))
-    return module

@@ -18,7 +18,7 @@ Design notes
   sums their gradients in that order, and floating-point addition does not
   commute across three terms.
 * Hot training paths record few, fat nodes with closed-form backwards
-  (:mod:`repro.nn.functional`: the recurrent cells, the tanh MLP, the
+  (:mod:`repro.nn.functional`: the recurrent sequences, the tanh MLP, the
   Gaussian log-density, the PPO losses) rather than one node per ufunc.
 * Broadcasting is supported for elementwise operations; gradients of
   broadcast operands are reduced back to the original shape with
@@ -31,7 +31,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -424,22 +424,6 @@ class Tensor:
             count = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(mask * g)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Linear algebra / shape manipulation
     # ------------------------------------------------------------------ #
@@ -514,22 +498,6 @@ class Tensor:
     # Combination ops
     # ------------------------------------------------------------------ #
     @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
-        tensors = [as_tensor(t) for t in tensors]
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, end)
-                    tensor._accumulate(grad[tuple(slicer)])
-
-        return Tensor._make(out_data, tuple(tensors), backward)
-
-    @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [as_tensor(t) for t in tensors]
         out_data = np.stack([t.data for t in tensors], axis=axis)
@@ -556,32 +524,9 @@ class Tensor:
 
         return Tensor._make(out_data, (a, b), backward)
 
-    # Comparison operators return plain numpy boolean arrays (no gradient).
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data > as_tensor(other).data
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data < as_tensor(other).data
-
-    def __ge__(self, other: ArrayLike) -> np.ndarray:
-        return self.data >= as_tensor(other).data
-
-    def __le__(self, other: ArrayLike) -> np.ndarray:
-        return self.data <= as_tensor(other).data
-
 
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (no copy when already a Tensor)."""
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Module-level alias of :meth:`Tensor.concatenate`."""
-    return Tensor.concatenate(list(tensors), axis=axis)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Module-level alias of :meth:`Tensor.stack`."""
-    return Tensor.stack(list(tensors), axis=axis)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sized
+from typing import Iterable
 
 import numpy as np
 
@@ -18,17 +18,17 @@ def check_probability(value: float, name: str) -> float:
 
 
 def check_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive."""
+    """Validate that ``value`` is strictly positive (NaN is not)."""
     value = float(value)
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is >= 0."""
+    """Validate that ``value`` is >= 0 (NaN is not)."""
     value = float(value)
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

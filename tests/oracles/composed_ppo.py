@@ -12,8 +12,9 @@ are kept only as the reference the bitwise tests in
 "fix" them.  The only edits turn methods into functions taking the module
 first (so a test can ``monkeypatch.setattr`` them over the production names),
 lift the surrogate block out of the update loop into a function with the
-production node's signature, and return the walk's order from
-``recursive_topological_order`` so it can be compared as well as run.
+production node's signature, return the walk's order from
+``recursive_topological_order`` so it can be compared as well as run, and
+drop the Adam step's weight-decay branch with the production option.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ def per_parameter_adam_step(self) -> None:
         if param.grad is None:
             continue
         grad = param.grad
-        if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=s_a)
-            s_a += grad
-            grad = s_a
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=s_b)
         m += s_b

@@ -14,7 +14,11 @@ or "fix" them.  The only edits turn the three methods into functions taking
 the module first, so a test can ``monkeypatch.setattr`` them over the
 production names, and call the ``forward`` bodies of that time -- the composed
 ``Sequential`` walk, now in :mod:`tests.oracles.composed_ppo` -- since the
-production ``forward`` has become one fused node.
+production ``forward`` has become one fused node.  For the same reason the
+encoder step runs the per-gate ``ComposedGRU.step`` of
+:mod:`tests.oracles.composed_recurrent` on slices of the packed weights: the
+production GRU has no ``Tensor`` step any more, and its array step is the
+code under test.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro import nn
 from repro.core.state_encoder import StateEncoder
 
 from .composed_ppo import composed_actor_forward, composed_critic_forward
+from .composed_recurrent import ComposedGRU
 from .encoder_states import split_states, stack_states
 
 __all__ = [
@@ -35,6 +40,20 @@ __all__ = [
     "reference_value_batch",
     "TwoSlabEpisodeEncoder",
 ]
+
+
+def composed_copy(gru: nn.GRU) -> ComposedGRU:
+    """A per-gate composed GRU holding the packed ``gru``'s current weights."""
+    composed = ComposedGRU(gru.input_size, gru.hidden_size, gru.num_layers)
+    size = gru.hidden_size
+    state = {}
+    for name, packed in gru.state_dict().items():
+        layer, kind = name.split(".")
+        for index, gate in enumerate(nn.GRUCell.GATES):
+            leaf = f"b_{gate}" if kind == "b" else f"{kind}{gate}"
+            state[f"{layer}.{leaf}"] = packed[..., index * size : (index + 1) * size]
+    composed.load_state_dict(state)
+    return composed
 
 
 def reference_step_pairs(self: StateEncoder, pairs: np.ndarray, states):
@@ -46,7 +65,9 @@ def reference_step_pairs(self: StateEncoder, pairs: np.ndarray, states):
     if states.shape != (self.num_layers, pairs.shape[0], self.hidden_size):
         raise ValueError(f"one state per row of pairs is required, got a {states.shape} slab")
     with nn.no_grad(), nn.row_consistent_matmul():
-        new_hidden = self.gru.step(nn.Tensor(pairs), [nn.Tensor(layer) for layer in states])
+        new_hidden = composed_copy(self.gru).step(
+            nn.Tensor(pairs), [nn.Tensor(layer) for layer in states]
+        )
     return np.array([layer.data for layer in new_hidden])
 
 

@@ -339,49 +339,6 @@ class TestGateway:
         gateway.observe(first, tor_splits.test.censored_flows[0])
         assert gateway.is_blocked(second)
 
-    def test_unblock_and_reset(self, trained_dt_censor, tor_splits):
-        gateway = CensorGateway(trained_dt_censor)
-        pair = SocketPair("10.0.0.6", 50005, "9.9.9.9", 443)
-        gateway.observe(pair, tor_splits.test.censored_flows[0])
-        gateway.unblock(pair)
-        assert not gateway.is_blocked(pair)
-        gateway.reset()
-        assert gateway.statistics["decisions"] == 0
-
-    def test_unblock_keeps_destination_blocked_for_other_pairs(
-        self, trained_dt_censor, tor_splits
-    ):
-        """Expiring one socket pair must not lift the destination block while
-        other blacklisted pairs still target the same (dst_ip, dst_port)."""
-        gateway = CensorGateway(trained_dt_censor, block_destination_port=True)
-        censored = tor_splits.test.censored_flows[0]
-        first = SocketPair("10.0.0.7", 50006, "7.7.7.7", 443)
-        second = SocketPair("10.0.0.8", 50007, "7.7.7.7", 443)
-        gateway.observe(first, censored)
-        # `second` was blacklisted directly, not just destination-blocked.
-        gateway._blacklist.add(second)
-
-        gateway.unblock(first)
-        assert gateway.is_blocked(second)
-        # Fresh sources are still destination-blocked while `second` remains.
-        probe = SocketPair("10.0.0.9", 50008, "7.7.7.7", 443)
-        assert gateway.is_blocked(probe)
-
-        gateway.unblock(second)
-        assert not gateway.is_blocked(probe)
-        assert not gateway.is_blocked(first)
-
-    def test_unblock_lifts_destination_block_when_last_pair_leaves(
-        self, trained_dt_censor, tor_splits
-    ):
-        gateway = CensorGateway(trained_dt_censor, block_destination_port=True)
-        pair = SocketPair("10.0.0.10", 50009, "6.6.6.6", 443)
-        gateway.observe(pair, tor_splits.test.censored_flows[0])
-        other_source = SocketPair("10.0.0.11", 50010, "6.6.6.6", 443)
-        assert gateway.is_blocked(other_source)
-        gateway.unblock(pair)
-        assert not gateway.is_blocked(other_source)
-
     def test_statistics_counting(self, trained_dt_censor, tor_splits):
         gateway = CensorGateway(trained_dt_censor)
         for index, flow in enumerate(tor_splits.test.flows[:6]):

@@ -16,6 +16,18 @@ def test_workflow_is_valid_yaml_with_jobs():
     assert "tier1" in workflow["jobs"]
 
 
+def test_reference_backend_job_runs_every_nn_suite():
+    """Every ``nn`` suite runs under the forced reference backend, so the
+    einsum and numpy-gate legs are exercised wherever ``rc_matmul`` is."""
+    yaml = pytest.importorskip("yaml")
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["reference-backend"]
+    assert job["env"]["REPRO_NN_BACKEND"] == "reference"
+    commands = " ".join(step.get("run", "") for step in job["steps"])
+    named = set(re.findall(r"\btests/test_nn_\w+\.py\b", commands))
+    suites = {f"tests/{path.name}" for path in (ROOT / "tests").glob("test_nn_*.py")}
+    assert sorted(suites - named) == []
+
+
 def test_every_named_test_and_benchmark_file_exists():
     named = set(re.findall(r"\b(?:tests|benchmarks)/[\w/.-]*?\.py\b", WORKFLOW.read_text()))
     assert named, "the workflow names no test or benchmark file"

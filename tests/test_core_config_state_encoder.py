@@ -52,11 +52,35 @@ class TestAmoebaConfig:
             {"min_packet_bytes": 0},
             {"max_delay_ms": 0.0},
             {"n_minibatches": 0},
+            # NaN used to slip past ``value <= 0`` style checks, and a
+            # negative ``max_grad_norm`` turns clipping into gradient ascent.
+            {"learning_rate": float("nan")},
+            {"max_grad_norm": -1.0},
+            {"max_grad_norm": 0.0},
+            {"max_grad_norm": float("nan")},
+            {"gamma": 2.0},
+            {"gamma": 0.0},
+            {"gamma": float("nan")},
+            {"entropy_coef": float("nan")},
+            {"entropy_coef": -0.01},
+            {"value_coef": -1.0},
+            {"lambda_time": float("nan")},
+            {"encoder_hidden": 0},
+            {"encoder_layers": 0},
+            {"actor_hidden": (64, 0)},
+            {"critic_hidden": (0,)},
+            {"max_episode_steps": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AmoebaConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        config = AmoebaConfig(
+            gamma=1.0, entropy_coef=0.0, value_coef=0.0, encoder_layers=1, max_episode_steps=1
+        )
+        assert config.gamma == 1.0
 
 
 class TestSyntheticDataset:

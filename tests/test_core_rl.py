@@ -369,10 +369,7 @@ class TestOneTrainingPath:
         "target,removed",
         [
             (Amoeba.train, {"vectorized"}),
-            (nn.Optimizer, {"preallocate"}),
-            (nn.SGD, {"preallocate"}),
             (nn.Adam, {"preallocate"}),
-            (nn.RMSProp, {"preallocate"}),
             (PPOUpdater, {"preallocate"}),
             (RolloutBuffer.minibatches, {"scratch", "normalise_advantages"}),
         ],

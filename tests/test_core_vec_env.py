@@ -376,6 +376,29 @@ class TestArrayEncoderStepMatchesTensorOracle:
                     encoder.step_pairs(pairs, slab), reference_step_pairs(encoder, pairs, slab)
                 )
 
+    @pytest.mark.parametrize("hidden,layers,n", [(16, 2, 1), (32, 2, 7), (8, 1, 33), (64, 2, 5)])
+    def test_five_chained_steps(self, backend, hidden, layers, n):
+        encoder = StateEncoder(hidden_size=hidden, num_layers=layers, rng=hidden + n)
+        rng = np.random.default_rng(n)
+        got = want = np.zeros((layers, n, hidden))
+        with nn.use_backend(backend):
+            for _ in range(5):
+                pairs = rng.uniform(-1, 1, size=(n, 2))
+                got = encoder.step_pairs(pairs, got)
+                want = reference_step_pairs(encoder, pairs, want)
+                assert_same_bits(got, want)
+
+    def test_reference_runs_no_production_recurrent_step(self, backend, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the production GRU step")
+
+        encoder = StateEncoder(hidden_size=8, num_layers=2, rng=3)
+        monkeypatch.setattr(nn.GRU, "step_arrays", forbidden)
+        monkeypatch.setattr(nn.functional, "gru_cell_forward", forbidden)
+        monkeypatch.setattr(nn.functional, "gru_sequence", forbidden)
+        with nn.use_backend(backend):
+            reference_step_pairs(encoder, np.zeros((2, 2)), np.zeros((2, 2, 8)))
+
     def test_float32_fortran_and_empty_slabs(self, backend):
         encoder = StateEncoder(hidden_size=6, num_layers=3, rng=5)
         rng = np.random.default_rng(8)
@@ -544,7 +567,7 @@ class TestDecisionTickEntryPoints:
 
         for owner in (GaussianActor, Critic, StateEncoder):
             monkeypatch.setattr(owner, "forward", refuse)
-        monkeypatch.setattr(nn.GRU, "step", refuse)
+        monkeypatch.setattr(nn.GRU, "forward", refuse)
         monkeypatch.setattr(nn.Sequential, "forward", refuse)
 
     @pytest.fixture

@@ -1,12 +1,10 @@
-"""Unit tests for SVMs, scalers and classification metrics."""
+"""Unit tests for the kernel SVM, the scaler and classification metrics."""
 
 import numpy as np
 import pytest
 
 from repro.ml import (
     KernelSVM,
-    LinearSVM,
-    MinMaxScaler,
     StandardScaler,
     accuracy_score,
     classification_report,
@@ -18,13 +16,6 @@ from repro.ml import (
 )
 
 
-def linear_data(seed=0, n=100):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, 2))
-    y = (X[:, 0] + X[:, 1] > 0).astype(int)
-    return X, y
-
-
 def circular_data(seed=0, n=150):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, size=(n, 2))
@@ -32,58 +23,23 @@ def circular_data(seed=0, n=150):
     return X, y
 
 
-class TestLinearSVM:
-    def test_separable_accuracy(self):
-        X, y = linear_data()
-        svm = LinearSVM(C=10.0, epochs=30, rng=0).fit(X, y)
-        assert svm.score(X, y) > 0.95
-
-    def test_decision_function_sign_matches_prediction(self):
-        X, y = linear_data()
-        svm = LinearSVM(rng=0).fit(X, y)
-        scores = svm.decision_function(X)
-        assert np.array_equal((scores >= 0).astype(int), svm.predict(X))
-
-    def test_predict_proba_in_unit_interval(self):
-        X, y = linear_data()
-        svm = LinearSVM(rng=0).fit(X, y)
-        proba = svm.predict_proba(X)
-        assert np.all((proba >= 0) & (proba <= 1))
-        assert np.allclose(proba.sum(axis=1), 1.0)
-
-    def test_rejects_nonbinary_labels(self):
-        with pytest.raises(ValueError):
-            LinearSVM().fit(np.zeros((4, 2)), np.array([0, 1, 2, 1]))
-
-    def test_rejects_invalid_c(self):
-        with pytest.raises(ValueError):
-            LinearSVM(C=0.0)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            LinearSVM().decision_function(np.zeros((1, 2)))
-
-
 class TestKernelSVM:
     def test_rbf_solves_circular_problem(self):
         X, y = circular_data()
-        svm = KernelSVM(kernel="rbf", C=10.0, epochs=20, rng=0).fit(X, y)
+        svm = KernelSVM(C=10.0, epochs=20, rng=0).fit(X, y)
         assert svm.score(X, y) > 0.9
 
-    def test_linear_kernel_on_linear_problem(self):
-        X, y = linear_data()
-        svm = KernelSVM(kernel="linear", epochs=20, rng=0).fit(X, y)
-        assert svm.score(X, y) > 0.9
-
-    def test_poly_kernel_runs(self):
-        X, y = linear_data()
-        svm = KernelSVM(kernel="poly", gamma=1.0, epochs=10, rng=0).fit(X, y)
-        assert 0.5 <= svm.score(X, y) <= 1.0
-
-    def test_unknown_kernel_rejected(self):
-        X, y = linear_data()
+    def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
-            KernelSVM(kernel="bogus").fit(X, y)
+            KernelSVM().fit(np.zeros((4, 2)), np.array([0, 1, 2, 1]))
+
+    def test_rejects_invalid_c(self):
+        with pytest.raises(ValueError):
+            KernelSVM(C=0.0)
+
+    def test_predict_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            KernelSVM().decision_function(np.zeros((1, 2)))
 
     def test_support_vectors_recorded(self):
         X, y = circular_data()
@@ -127,21 +83,9 @@ class TestScalers:
         scaled = StandardScaler().fit_transform(X)
         assert np.all(np.isfinite(scaled))
 
-    def test_minmax_scaler_range(self):
-        X = np.random.default_rng(0).uniform(-5, 5, size=(100, 3))
-        scaled = MinMaxScaler().fit_transform(X)
-        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
-
-    def test_minmax_inverse_roundtrip(self):
-        X = np.random.default_rng(0).uniform(-5, 5, size=(30, 2))
-        scaler = MinMaxScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.zeros((2, 2)))
 
 
 class TestMetrics:

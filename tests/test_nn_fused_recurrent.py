@@ -2,13 +2,14 @@
 
 Three layers of guarantees for the packed-gate fused primitives:
 
-1. **Gradcheck** — the hand-written closed-form backwards of ``gru_cell`` /
-   ``lstm_cell`` / ``gru_sequence`` / ``lstm_sequence`` agree with central
-   finite differences on every input and parameter.
+1. **Gradcheck** — the hand-written closed-form backwards of
+   ``gru_sequence`` / ``lstm_sequence`` agree with central finite
+   differences on every input and parameter.
 2. **Equivalence** — fused forward and gradients match the historical
    composed-graph formulation (kept in ``tests/oracles/composed_recurrent.py``) under the
-   same seed, on both the full-sequence and the incremental step paths; the
-   forward is bit-identical inside ``row_consistent_matmul()``.
+   same seed, on both the full-sequence path and the array step
+   (``gru_cell_forward`` / ``GRU.step_arrays``); the forward is
+   bit-identical inside ``row_consistent_matmul()``.
 3. **Serialization** — legacy per-gate checkpoints load into the packed
    layout through the :func:`repro.nn.serialization.pack_legacy_recurrent`
    shim and reproduce the same forward.
@@ -26,6 +27,7 @@ from oracles.composed_recurrent import (
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.serialization import pack_legacy_recurrent
+from repro.nn.tensor import rc_matmul
 
 GRU_GATES = ("r", "z", "n")
 LSTM_GATES = ("i", "f", "g", "o")
@@ -53,45 +55,6 @@ def assert_grads_close(analytic, numeric, rtol=1e-6, atol=1e-8):
 
 
 class TestFusedGradcheck:
-    def test_gru_cell_backward(self):
-        rng = np.random.default_rng(0)
-        cell = nn.GRUCell(2, 3, rng=rng)
-        x = nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        h = nn.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        proj = rng.normal(size=(3, 3))
-
-        out = F.gru_cell(x, h, cell.w_x, cell.w_h, cell.b)
-        (out * nn.Tensor(proj)).sum().backward()
-
-        def loss():
-            with nn.no_grad():
-                return float(
-                    (F.gru_cell(x, h, cell.w_x, cell.w_h, cell.b).data * proj).sum()
-                )
-
-        for tensor in (x, h, cell.w_x, cell.w_h, cell.b):
-            assert_grads_close(tensor.grad, numeric_grad(tensor.data, loss))
-
-    def test_lstm_cell_backward_through_both_outputs(self):
-        rng = np.random.default_rng(1)
-        cell = nn.LSTMCell(2, 3, rng=rng)
-        x = nn.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        h = nn.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        c = nn.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        proj_h = rng.normal(size=(2, 3))
-        proj_c = rng.normal(size=(2, 3))
-
-        new_h, new_c = F.lstm_cell(x, (h, c), cell.w_x, cell.w_h, cell.b)
-        ((new_h * nn.Tensor(proj_h)).sum() + (new_c * nn.Tensor(proj_c)).sum()).backward()
-
-        def loss():
-            with nn.no_grad():
-                out_h, out_c = F.lstm_cell(x, (h, c), cell.w_x, cell.w_h, cell.b)
-                return float((out_h.data * proj_h).sum() + (out_c.data * proj_c).sum())
-
-        for tensor in (x, h, c, cell.w_x, cell.w_h, cell.b):
-            assert_grads_close(tensor.grad, numeric_grad(tensor.data, loss))
-
     def test_gru_sequence_backward(self):
         rng = np.random.default_rng(2)
         cell = nn.GRUCell(2, 3, rng=rng)
@@ -152,24 +115,31 @@ class TestComposedEquivalence:
         packed = nn.GRUCell(3, 4, rng=np.random.default_rng(6))
         composed = ComposedGRUCell(3, 4, rng=np.random.default_rng(6))
         x, h = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+
+        def fused():
+            weights = (packed.w_x.data, packed.w_h.data, packed.b.data)
+            return F.gru_cell_forward(x, h, *weights, rc_matmul)[0]
+
         with nn.row_consistent_matmul():
-            fused = packed(nn.Tensor(x), nn.Tensor(h))
             reference = composed(nn.Tensor(x), nn.Tensor(h))
-            assert np.array_equal(fused.data, reference.data)
-        fused = packed(nn.Tensor(x), nn.Tensor(h))
+            assert np.array_equal(fused(), reference.data)
         reference = composed(nn.Tensor(x), nn.Tensor(h))
-        np.testing.assert_allclose(fused.data, reference.data, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fused(), reference.data, rtol=0, atol=1e-14)
 
     def test_lstm_cell_forward_identical(self):
+        """One LSTM step is a one-step fused sequence."""
         rng = np.random.default_rng(7)
         packed = nn.LSTMCell(3, 4, rng=np.random.default_rng(7))
         composed = ComposedLSTMCell(3, 4, rng=np.random.default_rng(7))
         x = rng.normal(size=(5, 3))
         h, c = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         with nn.row_consistent_matmul():
-            fh, fc = packed(nn.Tensor(x), (nn.Tensor(h), nn.Tensor(c)))
+            outputs, fc = F.lstm_sequence(
+                nn.Tensor(x[:, None, :]), packed.w_x, packed.w_h, packed.b,
+                nn.Tensor(h), nn.Tensor(c),
+            )
             rh, rc = composed(nn.Tensor(x), (nn.Tensor(h), nn.Tensor(c)))
-            assert np.array_equal(fh.data, rh.data)
+            assert np.array_equal(outputs.data[:, 0], rh.data)
             assert np.array_equal(fc.data, rc.data)
 
     @pytest.mark.parametrize("batch,steps", [(3, 6), (2, 1)])
@@ -203,13 +173,14 @@ class TestComposedEquivalence:
         packed = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(10))
         composed = ComposedGRU(2, 4, num_layers=2, rng=np.random.default_rng(10))
         x = rng.normal(size=(4, 7, 2))
+        hidden_packed = np.zeros((2, 4, 4))
+        hidden_composed = None
         with nn.row_consistent_matmul():
-            hidden_packed = hidden_composed = None
             for t in range(7):
-                hidden_packed = packed.step(nn.Tensor(x[:, t, :]), hidden_packed)
+                hidden_packed = packed.step_arrays(x[:, t, :], hidden_packed)
                 hidden_composed = composed.step(nn.Tensor(x[:, t, :]), hidden_composed)
             for fused_h, ref_h in zip(hidden_packed, hidden_composed):
-                assert np.array_equal(fused_h.data, ref_h.data)
+                assert np.array_equal(fused_h, ref_h.data)
 
     def test_gru_gradients_match_composed(self):
         rng = np.random.default_rng(11)
@@ -279,16 +250,6 @@ class TestComposedEquivalence:
                     rtol=1e-6, atol=1e-10,
                 )
 
-    def test_legacy_gate_views_on_packed_cells(self):
-        cell = nn.LSTMCell(3, 4, rng=np.random.default_rng(13))
-        assert np.array_equal(cell.b_f.data, cell.b.data[4:8])
-        assert np.array_equal(cell.w_xi.data, cell.w_x.data[:, :4])
-        assert np.array_equal(cell.w_ho.data, cell.w_h.data[:, 12:])
-        gru_cell = nn.GRUCell(3, 4, rng=np.random.default_rng(13))
-        assert np.array_equal(gru_cell.w_xn.data, gru_cell.w_x.data[:, 8:])
-        with pytest.raises(AttributeError):
-            gru_cell.w_xq
-
 
 class TestLegacyCheckpointPacking:
     def test_pack_legacy_recurrent_folds_complete_gate_sets(self):
@@ -312,10 +273,10 @@ class TestLegacyCheckpointPacking:
     def test_legacy_gru_checkpoint_roundtrip(self, tmp_path):
         composed = ComposedGRU(2, 4, num_layers=2, rng=np.random.default_rng(15))
         path = tmp_path / "legacy_gru.npz"
-        nn.save_module(composed, path)
+        nn.save_state_dict(composed.state_dict(), path)
 
         packed = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(99))
-        nn.load_module(packed, path)
+        packed.load_state_dict(nn.load_state_dict(path))
 
         x = np.random.default_rng(16).normal(size=(3, 6, 2))
         with nn.row_consistent_matmul():
@@ -326,10 +287,10 @@ class TestLegacyCheckpointPacking:
     def test_legacy_lstm_checkpoint_roundtrip(self, tmp_path):
         composed = ComposedLSTM(2, 3, num_layers=2, rng=np.random.default_rng(17))
         path = tmp_path / "legacy_lstm.npz"
-        nn.save_module(composed, path)
+        nn.save_state_dict(composed.state_dict(), path)
 
         packed = nn.LSTM(2, 3, num_layers=2, rng=np.random.default_rng(98))
-        nn.load_module(packed, path)
+        packed.load_state_dict(nn.load_state_dict(path))
 
         x = np.random.default_rng(18).normal(size=(2, 5, 2))
         with nn.row_consistent_matmul():
@@ -340,9 +301,9 @@ class TestLegacyCheckpointPacking:
     def test_packed_checkpoint_roundtrip_unchanged(self, tmp_path):
         model = nn.GRU(2, 4, rng=np.random.default_rng(19))
         path = tmp_path / "packed.npz"
-        nn.save_module(model, path)
+        nn.save_state_dict(model.state_dict(), path)
         clone = nn.GRU(2, 4, rng=np.random.default_rng(97))
-        nn.load_module(clone, path)
+        clone.load_state_dict(nn.load_state_dict(path))
         for original, loaded in zip(model.parameters(), clone.parameters()):
             assert np.array_equal(original.data, loaded.data)
 

@@ -1,10 +1,9 @@
-"""Unit tests for modules, dense layers, containers and regularisers."""
+"""Unit tests for modules, dense layers, containers and initialisers."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import functional as F
 
 
 class TestModuleProtocol:
@@ -19,7 +18,7 @@ class TestModuleProtocol:
         assert len(names) == len(set(names)) == 4
 
     def test_train_eval_propagates(self):
-        net = nn.Sequential(nn.Linear(2, 2), nn.Dropout(0.5))
+        net = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
         net.eval()
         assert all(not m.training for m in net.modules())
         net.train()
@@ -99,57 +98,11 @@ class TestSequential:
         assert np.allclose(net(x).data, x.data)
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        layer = nn.Dropout(0.9, rng=np.random.default_rng(0))
-        layer.eval()
-        x = nn.Tensor(np.ones((4, 4)))
-        assert np.allclose(layer(x).data, x.data)
-
-    def test_train_mode_zeroes_entries(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(nn.Tensor(np.ones((20, 20)))).data
-        assert np.any(out == 0.0)
-
-    def test_inverted_scaling_preserves_mean(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(1))
-        out = layer(nn.Tensor(np.ones((200, 200)))).data
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-
-class TestLayerNormAndFlatten:
-    def test_layernorm_normalises_last_dim(self):
-        layer = nn.LayerNorm(6)
-        x = nn.Tensor(np.random.default_rng(0).normal(3.0, 2.0, size=(4, 6)))
-        out = layer(x).data
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_layernorm_gradients(self):
-        layer = nn.LayerNorm(3)
-        x = nn.Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
-        layer(x).sum().backward()
-        assert x.grad is not None
-        assert layer.gamma.grad is not None
-
-    def test_flatten_keeps_batch_axis(self):
-        out = nn.Flatten()(nn.Tensor(np.zeros((3, 4, 5))))
-        assert out.shape == (3, 20)
-
-
 class TestInitializers:
     def test_xavier_uniform_bound(self):
         w = nn.xavier_uniform((100, 100), rng=np.random.default_rng(0))
         bound = np.sqrt(6.0 / 200)
         assert np.abs(w).max() <= bound + 1e-12
-
-    def test_xavier_normal_std(self):
-        w = nn.xavier_normal((500, 500), rng=np.random.default_rng(0))
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.1)
 
     def test_kaiming_uniform_shape(self):
         assert nn.kaiming_uniform((10, 20), rng=np.random.default_rng(0)).shape == (10, 20)

@@ -29,28 +29,8 @@ def train_linear(optimizer_cls, steps=200, **kwargs):
 
 
 class TestOptimizers:
-    def test_sgd_reduces_loss(self):
-        assert train_linear(nn.SGD, lr=0.05) < 0.05
-
-    def test_sgd_momentum_reduces_loss(self):
-        assert train_linear(nn.SGD, lr=0.01, momentum=0.9) < 0.05
-
     def test_adam_reduces_loss(self):
         assert train_linear(nn.Adam, lr=0.05) < 0.05
-
-    def test_rmsprop_reduces_loss(self):
-        assert train_linear(nn.RMSProp, lr=0.01) < 0.05
-
-    def test_adam_weight_decay_shrinks_weights(self):
-        model = nn.Linear(3, 1, rng=np.random.default_rng(0))
-        optimizer = nn.Adam(model.parameters(), lr=0.1, weight_decay=1.0)
-        before = np.abs(model.weight.data).mean()
-        for _ in range(50):
-            loss = (model(nn.Tensor(np.zeros((4, 3)))) ** 2).mean()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        assert np.abs(model.weight.data).mean() < before
 
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +38,13 @@ class TestOptimizers:
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
-            nn.SGD(nn.Linear(2, 2).parameters(), lr=-1.0)
+            nn.Adam(nn.Linear(2, 2).parameters(), lr=-1.0)
+
+    def test_nan_lr_rejected(self):
+        """A NaN step size used to pass the ``lr <= 0`` check and write NaN
+        into every weight on the first step."""
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            nn.Adam(nn.Linear(2, 2).parameters(), lr=float("nan"))
 
     def test_step_skips_parameters_without_grad(self):
         layer = nn.Linear(2, 2)
@@ -93,28 +79,28 @@ class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         model = nn.Sequential(nn.Linear(3, 4, rng=np.random.default_rng(0)), nn.Tanh(), nn.Linear(4, 1))
         path = tmp_path / "model.npz"
-        nn.save_module(model, path, metadata={"note": "test"})
+        nn.save_state_dict(model.state_dict(), path, metadata={"note": "test"})
         clone = nn.Sequential(nn.Linear(3, 4, rng=np.random.default_rng(9)), nn.Tanh(), nn.Linear(4, 1))
-        nn.load_module(clone, path)
+        clone.load_state_dict(nn.load_state_dict(path))
         x = nn.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
         assert np.allclose(model(x).data, clone(x).data)
 
     def test_metadata_roundtrip(self, tmp_path):
         model = nn.Linear(2, 2)
         path = tmp_path / "meta.npz"
-        nn.save_module(model, path, metadata={"epoch": 3})
+        nn.save_state_dict(model.state_dict(), path, metadata={"epoch": 3})
         assert load_metadata(path)["epoch"] == 3
 
     def test_save_creates_parent_directories(self, tmp_path):
         model = nn.Linear(2, 2)
         path = tmp_path / "nested" / "dir" / "model.npz"
-        nn.save_module(model, path)
+        nn.save_state_dict(model.state_dict(), path)
         assert path.exists()
 
     def test_state_dict_save_without_suffix(self, tmp_path):
         model = nn.Linear(2, 2)
         path = tmp_path / "weights"
-        nn.save_module(model, path)
+        nn.save_state_dict(model.state_dict(), path)
         loaded = nn.load_state_dict(path)
         assert "weight" in loaded
 
@@ -161,7 +147,7 @@ class TestInMemorySerialization:
         model = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(4))
         payload = nn.state_dict_to_bytes(model.state_dict())
         path = tmp_path / "model.npz"
-        nn.save_module(model, path)
+        nn.save_state_dict(model.state_dict(), path)
         from_disk = nn.load_state_dict(path)
         from_bytes = nn.state_dict_from_bytes(payload)
         assert set(from_disk) == set(from_bytes)

@@ -247,15 +247,15 @@ class TestGaussianLogProbValidation:
             F.gaussian_log_prob(np.zeros((5, 2)), nn.Tensor(np.zeros(2)), nn.Tensor(np.zeros(2)))
 
 
-def _trajectory(adam_step, steps, weight_decay=0.0, freeze_log_std=False):
+def _trajectory(adam_step, steps, freeze_log_std=False):
     """``steps`` policy + value updates on fresh minibatches; returns every
     parameter after every update, as bytes."""
     rng = np.random.default_rng(11)
     actor, critic = make_networks(3, (16, 8), state_dim=12)
     actor_parameters = actor.parameters()
     optimizers = [
-        nn.Adam(actor_parameters, lr=5e-3, weight_decay=weight_decay),
-        nn.Adam(critic.parameters(), lr=5e-3, weight_decay=weight_decay),
+        nn.Adam(actor_parameters, lr=5e-3),
+        nn.Adam(critic.parameters(), lr=5e-3),
     ]
     step_fn = production_step if adam_step is nn.Adam.step else composed_step
     snapshots = []
@@ -276,8 +276,8 @@ def _trajectory(adam_step, steps, weight_decay=0.0, freeze_log_std=False):
 class TestFlatAdamMatchesPerParameterStep:
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"freeze_log_std": True}, {"weight_decay": 0.01}],
-        ids=["all-gradients", "a-parameter-without-gradient", "weight-decay"],
+        [{}, {"freeze_log_std": True}],
+        ids=["all-gradients", "a-parameter-without-gradient"],
     )
     def test_200_update_trajectories(self, kwargs):
         got, got_optimizers = _trajectory(nn.Adam.step, 200, **kwargs)

@@ -10,9 +10,8 @@ from repro.nn.conv import _windows_1d
 
 class TestGRU:
     def test_cell_output_shape(self):
-        cell = nn.GRUCell(3, 5, rng=np.random.default_rng(0))
-        h = cell(nn.Tensor(np.zeros((2, 3))), cell.initial_state(2))
-        assert h.shape == (2, 5)
+        gru = nn.GRU(3, 5, rng=np.random.default_rng(0))
+        assert gru.step_arrays(np.zeros((2, 3)), np.zeros((1, 2, 5))).shape == (1, 2, 5)
 
     def test_sequence_output_shapes(self):
         gru = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(0))
@@ -51,12 +50,13 @@ class TestGRU:
     def test_step_matches_forward(self):
         gru = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 6, 2))
-        _, expected = gru(nn.Tensor(x))
-        hidden = None
+        with nn.row_consistent_matmul():
+            _, expected = gru(nn.Tensor(x))
+        hidden = np.zeros((2, 3, 4))
         for t in range(6):
-            hidden = gru.step(nn.Tensor(x[:, t, :]), hidden)
+            hidden = gru.step_arrays(x[:, t, :], hidden)
         for stepped, full in zip(hidden, expected):
-            assert np.array_equal(stepped.data, full.data)
+            assert np.array_equal(stepped, full.data)
 
     def test_initial_state_is_zero(self):
         gru = nn.GRU(2, 4, num_layers=2, rng=np.random.default_rng(0))
@@ -67,14 +67,15 @@ class TestGRU:
 
 class TestLSTM:
     def test_cell_returns_hidden_and_cell(self):
-        cell = nn.LSTMCell(3, 4, rng=np.random.default_rng(0))
-        h, c = cell(nn.Tensor(np.zeros((2, 3))), cell.initial_state(2))
+        lstm = nn.LSTM(3, 4, rng=np.random.default_rng(0))
+        _, [(h, c)] = lstm(nn.Tensor(np.zeros((2, 1, 3))))
         assert h.shape == (2, 4)
         assert c.shape == (2, 4)
 
     def test_forget_gate_bias_initialised_to_one(self):
         cell = nn.LSTMCell(3, 4)
-        assert np.allclose(cell.b_f.data, 1.0)
+        assert np.allclose(cell.b.data[4:8], 1.0)
+        assert np.all(np.delete(cell.b.data, np.s_[4:8]) == 0.0)
 
     def test_sequence_shapes(self):
         lstm = nn.LSTM(2, 5, num_layers=2, rng=np.random.default_rng(0))
@@ -87,17 +88,6 @@ class TestLSTM:
         out, _ = lstm(nn.Tensor(np.random.default_rng(1).normal(size=(2, 4, 2))))
         (out ** 2).mean().backward()
         assert all(p.grad is not None for p in lstm.parameters())
-
-    def test_step_matches_forward(self):
-        lstm = nn.LSTM(2, 3, num_layers=2, rng=np.random.default_rng(0))
-        x = np.random.default_rng(2).normal(size=(2, 5, 2))
-        _, expected = lstm(nn.Tensor(x))
-        state = None
-        for t in range(5):
-            state = lstm.step(nn.Tensor(x[:, t, :]), state)
-        for (h, c), (eh, ec) in zip(state, expected):
-            assert np.array_equal(h.data, eh.data)
-            assert np.array_equal(c.data, ec.data)
 
 
 class TestConv1d:
@@ -437,9 +427,3 @@ class TestPooling:
         pool = nn.MaxPool1d(10)
         with pytest.raises(ValueError):
             pool(nn.Tensor(np.zeros((1, 1, 4))))
-
-    def test_global_average_pool(self):
-        pool = nn.GlobalAveragePool1d()
-        out = pool(nn.Tensor(np.ones((2, 3, 4))))
-        assert out.shape == (2, 3)
-        assert np.allclose(out.data, 1.0)

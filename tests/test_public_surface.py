@@ -1,0 +1,58 @@
+"""Pins the public surface of ``repro.nn``, ``repro.censors`` and ``repro.ml``.
+
+These packages export what training, the censors and serving call, and
+nothing else.  A name added here is a name the project commits to keep.
+"""
+
+import importlib
+
+import pytest
+
+SURFACES = {
+    "repro.nn": {
+        "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
+        "row_consistent_matmul", "is_row_consistent_matmul", "rc_matmul",
+        "backend", "ExecutionBackend", "active_backend", "available_backends",
+        "compiled_kernel_available", "compiled_kernel_error", "default_backend",
+        "fused_cells_available", "fused_cells_error", "get_backend",
+        "register_backend", "set_default_backend", "use_backend",
+        "functional", "Module", "Parameter", "Linear", "Sequential", "ReLU", "Tanh",
+        "Conv1d", "MaxPool1d", "GRUCell", "GRU", "LSTMCell", "LSTM",
+        "Adam", "clip_grad_norm", "xavier_uniform", "kaiming_uniform", "orthogonal",
+        "save_state_dict", "state_dict_to_bytes", "state_dict_from_bytes",
+        "metadata_from_bytes", "load_state_dict", "split_prefixed_state",
+        "pack_legacy_recurrent",
+    },
+    "repro.nn.functional": {
+        "relu", "tanh", "stable_sigmoid", "mse_loss", "mae_loss",
+        "binary_cross_entropy_with_logits", "gaussian_log_prob", "gaussian_entropy",
+        "clipped_surrogate_loss", "tanh_mlp_forward", "tanh_mlp",
+        "gru_cell_forward", "gru_sequence", "lstm_sequence",
+    },
+    "repro.censors": {
+        "CensorClassifier", "DECISION_THRESHOLD", "DeepFingerprintingClassifier",
+        "SDAEClassifier", "LSTMClassifier", "CumulSVMClassifier",
+        "DecisionTreeCensor", "RandomForestCensor",
+        "CensorGateway", "SocketPair", "GatewayDecision",
+    },
+    "repro.ml": {
+        "DecisionTreeClassifier", "RandomForestClassifier", "KernelSVM", "rbf_kernel",
+        "StandardScaler", "accuracy_score", "precision_score", "recall_score",
+        "f1_score", "confusion_matrix", "classification_report", "ClassificationReport",
+    },
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(SURFACES))
+def test_exports_exactly_the_pinned_names(module_name):
+    module = importlib.import_module(module_name)
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == SURFACES[module_name]
+    for name in module.__all__:
+        assert hasattr(module, name), name
+
+
+@pytest.mark.parametrize("module_name", ["repro.censors.early_decision", "repro.censors.ensemble"])
+def test_retired_censor_wrappers_do_not_import(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
