@@ -30,6 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 from .flow import Flow, FlowLabel
 
 __all__ = [
@@ -49,13 +50,15 @@ TOR_CELL_SIZE = 536
 
 
 class FlowGenerator:
-    """Base class for synthetic flow generators."""
+    """Base class for synthetic flow generators (constructors validate, never draw)."""
 
     protocol = "unknown"
     label = FlowLabel.CENSORED
 
-    def __init__(self, rng=None) -> None:
+    def __init__(self, rng=None, mean_page_kb: float = 400.0, max_packets: int = 120) -> None:
         self._rng = ensure_rng(rng)
+        self.mean_page_kb = check_positive(mean_page_kb, "mean_page_kb")
+        self.max_packets = check_integer(max_packets, "max_packets", minimum=1)
 
     def generate(self) -> Flow:
         """Generate a single flow."""
@@ -104,23 +107,30 @@ class TorFlowGenerator(FlowGenerator):
         mean_page_kb: float = 350.0,
         max_packets: int = 120,
     ) -> None:
-        super().__init__(rng)
-        self.cell_size = cell_size
-        self.mss = mss
+        super().__init__(rng, mean_page_kb, max_packets)
+        self.cell_size = check_integer(cell_size, "cell_size", minimum=1)
+        self.mss = check_integer(mss, "mss", minimum=1)
         self.circuit_latency_ms = circuit_latency_ms
-        self.mean_page_kb = mean_page_kb
-        self.max_packets = max_packets
 
     def _cells_to_packets(self, n_cells: int, direction: float) -> List[float]:
-        """Pack ``n_cells`` onion cells into TCP segments (multiples of cell size)."""
-        packets: List[float] = []
+        """Pack ``n_cells`` onion cells into TCP segments (multiples of cell size).
+
+        Each packet draws ``integers(1, per_packet + 1)`` cells; the last one
+        takes what is left.  Draws come in rounds of ``ceil(remaining /
+        per_packet)``, the packets still certainly needed, so the stream
+        advances exactly as one scalar draw per packet would.
+        """
+        per_packet = max(1, self.mss // self.cell_size)
+        rounds = []
         remaining = n_cells
-        max_cells_per_packet = max(1, self.mss // self.cell_size)
         while remaining > 0:
-            cells = int(min(remaining, self._rng.integers(1, max_cells_per_packet + 1)))
-            packets.append(direction * cells * self.cell_size)
-            remaining -= cells
-        return packets
+            cells = self._rng.integers(1, per_packet + 1, size=-(-remaining // per_packet))
+            drawn = int(cells.sum())
+            if drawn >= remaining:
+                cells[-1] -= drawn - remaining
+            rounds.append(cells)
+            remaining -= drawn
+        return (np.concatenate(rounds) * (direction * self.cell_size)).tolist()
 
     def generate(self) -> Flow:
         sizes: List[float] = []
@@ -135,22 +145,19 @@ class TorFlowGenerator(FlowGenerator):
             for packet in self._cells_to_packets(request_cells, +1.0):
                 sizes.append(packet)
                 delays.append(
-                    0.0
-                    if not sizes[:-1]
-                    else self._jittered_delay(10.0 if request_index == 0 else 40.0)
+                    0.0 if len(sizes) == 1 else self._jittered_delay(10.0 if request_index == 0 else 40.0)
                 )
-            # Downstream burst after a full circuit round trip.
+            # Downstream burst after a full circuit round trip.  The whole
+            # burst is drawn (later flows depend on the stream), but only the
+            # packets kept under max_packets (at least one) draw a delay.
             response_cells = max(1, int(bytes_per_response // self.cell_size))
-            first_in_burst = True
-            for packet in self._cells_to_packets(response_cells, -1.0):
-                sizes.append(packet)
-                if first_in_burst:
-                    delays.append(self._jittered_delay(self.circuit_latency_ms))
-                    first_in_burst = False
-                else:
-                    delays.append(self._jittered_delay(2.0))
-                if len(sizes) >= self.max_packets:
-                    break
+            burst = self._cells_to_packets(response_cells, -1.0)
+            burst = burst[: max(1, self.max_packets - len(sizes))]
+            sizes.extend(burst)
+            delays.append(self._jittered_delay(self.circuit_latency_ms))
+            base_ms, jitter = 2.0, 0.3
+            trailing = self._rng.normal(base_ms, base_ms * jitter, size=len(burst) - 1)
+            delays.extend(np.maximum(trailing, 0.0).tolist())
             if len(sizes) >= self.max_packets:
                 break
 
@@ -180,11 +187,10 @@ class HTTPSFlowGenerator(FlowGenerator):
         mean_page_kb: float = 400.0,
         max_packets: int = 120,
     ) -> None:
-        super().__init__(rng)
-        self.mss = mss
+        super().__init__(rng, mean_page_kb, max_packets)
+        # The handshake's certificate burst draws integers(1000, mss + 1).
+        self.mss = check_integer(mss, "mss", minimum=1000)
         self.rtt_ms = rtt_ms
-        self.mean_page_kb = mean_page_kb
-        self.max_packets = max_packets
 
     def generate(self) -> Flow:
         sizes: List[float] = []
@@ -254,11 +260,10 @@ class V2RayFlowGenerator(FlowGenerator):
         mean_page_kb: float = 400.0,
         max_packets: int = 80,
     ) -> None:
-        super().__init__(rng)
-        self.max_record = max_record
+        super().__init__(rng, mean_page_kb, max_packets)
+        # Response records draw integers(2800, max_record - 500).
+        self.max_record = check_integer(max_record, "max_record", minimum=3301)
         self.proxy_rtt_ms = proxy_rtt_ms
-        self.mean_page_kb = mean_page_kb
-        self.max_packets = max_packets
 
     def generate(self) -> Flow:
         sizes: List[float] = []
@@ -326,11 +331,9 @@ class HTTPSRecordFlowGenerator(FlowGenerator):
         mean_page_kb: float = 400.0,
         max_packets: int = 80,
     ) -> None:
-        super().__init__(rng)
-        self.max_record = max_record
+        super().__init__(rng, mean_page_kb, max_packets)
+        self.max_record = check_integer(max_record, "max_record", minimum=1)
         self.rtt_ms = rtt_ms
-        self.mean_page_kb = mean_page_kb
-        self.max_packets = max_packets
 
     def generate(self) -> Flow:
         sizes: List[float] = []

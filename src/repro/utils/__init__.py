@@ -12,6 +12,7 @@ from .rng import (
 from .validation import (
     check_2d,
     check_fraction_sum,
+    check_integer,
     check_non_negative,
     check_positive,
     check_probability,
@@ -29,6 +30,7 @@ __all__ = [
     "check_probability",
     "check_positive",
     "check_non_negative",
+    "check_integer",
     "check_fraction_sum",
     "check_2d",
 ]

@@ -6,7 +6,14 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["check_probability", "check_positive", "check_non_negative", "check_fraction_sum", "check_2d"]
+__all__ = [
+    "check_probability",
+    "check_positive",
+    "check_non_negative",
+    "check_integer",
+    "check_fraction_sum",
+    "check_2d",
+]
 
 
 def check_probability(value: float, name: str) -> float:
@@ -31,6 +38,13 @@ def check_non_negative(value: float, name: str) -> float:
     if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
+
+
+def check_integer(value, name: str, minimum: int = 0) -> int:
+    """Validate that ``value`` is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_fraction_sum(fractions: Iterable[float], name: str = "fractions") -> None:

@@ -18,6 +18,7 @@ from repro.utils import (
     TrainingLogger,
     check_2d,
     check_fraction_sum,
+    check_integer,
     check_non_negative,
     check_positive,
     check_probability,
@@ -115,6 +116,13 @@ class TestValidation:
         assert check_non_negative(0, "x") == 0.0
         with pytest.raises(ValueError):
             check_non_negative(-1, "x")
+
+    def test_check_integer(self):
+        assert check_integer(np.int64(3), "n", minimum=1) == 3
+        assert type(check_integer(np.int64(3), "n")) is int
+        for bad in (0, -1, 2.0, 2.5, True, float("nan"), "3"):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                check_integer(bad, "n", minimum=1)
 
     def test_check_fraction_sum(self):
         check_fraction_sum([0.4, 0.4, 0.1, 0.1])
