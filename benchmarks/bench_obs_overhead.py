@@ -204,9 +204,8 @@ def test_telemetry_overhead_within_gate():
 
 
 # --------------------------------------------------------------------- #
-# Distributed leg: frame stamping + worker spans must also be ~free
+# Distributed leg: driver and worker instruments must also be ~free
 # --------------------------------------------------------------------- #
-DIST_TRACE_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs_trace_distributed.jsonl"
 DIST_WORKERS = 2
 DIST_TICKS = 16
 
@@ -217,8 +216,9 @@ def _build_distributed_run():
     The engine is constructed inside ``run()`` so the telemetry flag set by
     :func:`_paired` is inherited by the forked workers —
     that is exactly the production path, and it means the enabled legs pay
-    the full cost under test: trace-context envelopes on every command
-    frame, per-command worker spans, and the end-of-run telemetry fold.
+    the full cost under test: the driver's command spans and transport
+    counters plus each worker's own collect spans and counters, which stay
+    in the worker.
     """
     from repro.distrib import ShardedRolloutEngine
     from repro.nn.serialization import state_dict_to_bytes
@@ -237,7 +237,7 @@ def _build_distributed_run():
     )
     flows = data.splits.attack_train.censored_flows
 
-    def run(return_engine: bool = False):
+    def run() -> float:
         encoder = StateEncoder(
             hidden_size=config.encoder_hidden,
             num_layers=config.encoder_layers,
@@ -251,12 +251,8 @@ def _build_distributed_run():
             start = time.perf_counter()
             engine.collect(DIST_TICKS)
             elapsed = time.perf_counter() - start
-            if return_engine:
-                # Caller folds worker telemetry before close.
-                return engine, config.n_envs * DIST_TICKS / elapsed
         finally:
-            if not return_engine:
-                engine.close()
+            engine.close()
         return config.n_envs * DIST_TICKS / elapsed
 
     return run
@@ -266,37 +262,22 @@ def test_distributed_telemetry_overhead_within_gate():
     run = _build_distributed_run()
     ratio, off_all, on_all, ratios = _paired(run)
 
-    # One more instrumented run to archive: fold the workers' telemetry
-    # into the driver while the engine is still up, then export the
-    # stitched cross-process span tree.
+    # One more instrumented run: the driver records its own command spans
+    # and transport counters; the workers' telemetry stays in the workers.
     obs.enable()
     obs.reset()
-    engine, _ = run(return_engine=True)
-    try:
-        engine.stats()  # folds worker metrics + spans into the driver
-    finally:
-        engine.close()
+    run()
     snapshot = obs.registry().snapshot()
-    spans = obs.tracer().records()
+    span_names = {record.name for record in obs.tracer().records()}
     obs.disable()
 
     assert "transport_frames_sent_total" in obs.prometheus_text(snapshot), (
-        "folded registry missed transport metrics"
+        "driver registry missed transport metrics"
     )
-    driver_ids = {record.span_id for record in spans if not record.name.startswith("worker.")}
-    worker_spans = [record for record in spans if record.name.startswith("worker.")]
-    assert worker_spans, "no worker spans were folded back to the driver"
-    assert all(record.parent_id in driver_ids for record in worker_spans), (
-        "worker spans did not stitch under driver command spans"
+    assert "distrib.collect" in span_names, "driver recorded no distrib.collect span"
+    assert not any(name.startswith("worker.") for name in span_names), (
+        "a worker span reached the driver"
     )
-    assert {record.meta.get("worker") for record in worker_spans} == {
-        str(index) for index in range(DIST_WORKERS)
-    }
-
-    DIST_TRACE_PATH.write_text("")
-    with obs.JsonlSink(DIST_TRACE_PATH) as sink:
-        sink.write_metrics(snapshot)
-        sink.write_spans(spans)
 
     results = {}
     if RESULTS_PATH.exists():  # merge with the single-process legs if present
@@ -311,15 +292,13 @@ def test_distributed_telemetry_overhead_within_gate():
         "pair_ratios": [round(r, 4) for r in ratios],
         "disabled_legs": [round(x, 1) for x in off_all],
         "enabled_legs": [round(x, 1) for x in on_all],
-        "trace_artifact": DIST_TRACE_PATH.name,
     }
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     print(
         f"\ndistributed telemetry overhead (best of {REPS} adjacent off/on pairs):\n"
         f"  2-worker collect: best pair ratio {ratio:.3f} "
-        f"(pairs {[f'{r:.3f}' for r in ratios]})\n"
-        f"  stitched trace ({len(spans)} spans) written to {DIST_TRACE_PATH.name}"
+        f"(pairs {[f'{r:.3f}' for r in ratios]})"
     )
 
     assert ratio >= 1.0 - MAX_OVERHEAD, (

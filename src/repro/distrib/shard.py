@@ -249,8 +249,8 @@ class ShardRunner:
         # driver-side forward: the driver has not updated in between).
         final_values = self.critic.value_batch(self._states)
 
-        # Worker-side counters, folded across the fork boundary by the
-        # sharded engine (see ShardedRolloutEngine telemetry fold).
+        # Counted in the process that runs the shard: the driver when
+        # collecting in-process, the worker (and only it) when sharded.
         obs.counter("collect.ticks").inc(n_ticks)
         obs.counter("collect.scored_flows").inc(scored)
         if summaries:

@@ -50,22 +50,19 @@ checkpoint and replays at most the current iteration's commands.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..core.env import EpisodeSummary
-from ..obs import _state as _obs_state
 from .shard import ShardResult, ShardRunner
 from .transport import (
     ForkWorkerPool,
     Transport,
     TransportError,
     encode_message,
-    traced_message,
 )
 from .worker import rollout_worker_entry
 
@@ -119,12 +116,6 @@ class ShardedRolloutEngine:
         self._broken = False
         self._restarts = 0
         self._closed = False
-        # Per-worker fault/telemetry bookkeeping, surfaced by stats():
-        # monotonic time of the last successful reply, restarts performed,
-        # and commands replayed into replacements during recovery.
-        self._last_heartbeat: List[Optional[float]] = [None] * n_workers
-        self._worker_restarts: List[int] = [0] * n_workers
-        self._worker_replayed: List[int] = [0] * n_workers
         self._workers: List[_WorkerHandle] = []
         try:
             for index in range(n_workers):
@@ -199,25 +190,6 @@ class ShardedRolloutEngine:
         """Number of worker restarts (replay recoveries) so far."""
         return self._restarts
 
-    def stats(self) -> Dict[str, object]:
-        """Merged engine statistics: fault counters and worker liveness.
-
-        ``worker_heartbeat_age_s[i]`` is the time since worker ``i`` last
-        answered a command (``None`` before its first reply);
-        ``worker_restarts`` / ``worker_replayed`` count restarts and
-        replayed recovery commands per worker.
-        """
-        now = time.monotonic()
-        return {
-            "n_workers": self._n_workers,
-            "restarts": self._restarts,
-            "worker_restarts": list(self._worker_restarts),
-            "worker_replayed": list(self._worker_replayed),
-            "worker_heartbeat_age_s": [
-                None if beat is None else now - beat for beat in self._last_heartbeat
-            ],
-        }
-
     # ------------------------------------------------------------------ #
     # Commands
     # ------------------------------------------------------------------ #
@@ -263,8 +235,6 @@ class ShardedRolloutEngine:
             raise
         merged = self._merge(results)
         self._checkpoint_workers()
-        if _obs_state.enabled:
-            self._collect_worker_telemetry()
         return merged
 
     def _checkpoint_workers(self) -> None:
@@ -278,27 +248,6 @@ class ShardedRolloutEngine:
         # The snapshot round completed on every worker, so no logged command
         # remains to replay on a future restart.
         self._log.clear()
-
-    def _collect_worker_telemetry(self) -> None:
-        """Fold every worker's metrics and spans into the driver's (best effort).
-
-        The ``__telemetry__`` control frame is deliberately *not* logged: it
-        drains the worker's own obs registry and finished-span ring and
-        never touches runner state, so replay determinism is unaffected.  A
-        worker whose pipe is broken is simply skipped — its telemetry is
-        recovered as fresh (empty) after the next replay recovery, never
-        restarted for telemetry's sake.
-        """
-        for handle in self._workers:
-            try:
-                handle.conn.send(("__telemetry__",))
-                reply = handle.conn.recv()
-            except TransportError:
-                continue
-            self._last_heartbeat[handle.index] = time.monotonic()
-            if reply[0] != "result":
-                continue
-            obs.merge_worker_telemetry(reply[1], worker=handle.index)
 
     def close(self) -> None:
         """Shut all workers down (best effort; crashed workers are reaped)."""
@@ -378,7 +327,7 @@ class ShardedRolloutEngine:
         holds the original message tuple, sharing the same payload object).
         Returns the indices whose channel was already broken.
         """
-        frame = encode_message(traced_message(message))
+        frame = encode_message(message)
         failed: List[int] = []
         for handle in self._workers:
             try:
@@ -403,7 +352,6 @@ class ShardedRolloutEngine:
                 continue
             try:
                 replies[handle.index] = handle.conn.recv()
-                self._last_heartbeat[handle.index] = time.monotonic()
             except TransportError:
                 failed.append(handle.index)
         for index in failed:
@@ -429,34 +377,30 @@ class ShardedRolloutEngine:
         last_error: Optional[BaseException] = None
         for _ in range(self._max_restarts):
             self._restarts += 1
-            self._worker_restarts[index] += 1
             obs.counter("distrib.worker_restarts", worker=str(index)).inc()
             handle = self._respawn(index)
             try:
                 reply: Optional[tuple] = None
                 if self._snapshots is not None:
-                    handle.conn.send_command(("restore", self._snapshots[index]))
+                    handle.conn.send(("restore", self._snapshots[index]))
                     reply = handle.conn.recv()
                     if reply[0] == "error":
                         return reply
                 if self._last_payload is not None:
                     # Snapshots carry no weights; re-apply the last broadcast
                     # checkpoint (idempotent if the log replays a newer one).
-                    handle.conn.send_command(("load", self._last_payload))
+                    handle.conn.send(("load", self._last_payload))
                     reply = handle.conn.recv()
                     if reply[0] == "error":
                         return reply
                 for message in self._log:
-                    handle.conn.send_command(message)
+                    handle.conn.send(message)
                     reply = handle.conn.recv()
-                    self._worker_replayed[index] += 1
-                    obs.counter("distrib.worker_replayed", worker=str(index)).inc()
                     if reply[0] == "error":
                         # Deterministic failure inside the worker code path:
                         # restarting cannot help, surface it to the driver.
                         return reply
                 assert reply is not None
-                self._last_heartbeat[index] = time.monotonic()
                 return reply
             except TransportError as error:
                 last_error = error

@@ -31,8 +31,6 @@ from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .. import obs
-from ..obs import _state as _obs_state
 from .transport import ForkWorkerPool, Transport, TransportError, worker_command_loop
 
 __all__ = [
@@ -177,25 +175,6 @@ class SweepOrchestrator:
         replacement = self._spawn(worker.index)
         worker.process, worker.conn = replacement.process, replacement.conn
 
-    def _collect_worker_telemetry(self, workers: Sequence[_SweepWorker]) -> None:
-        """Fold idle workers' metrics and task spans back (best effort).
-
-        Runs at end-of-sweep, when every surviving worker is idle (no task
-        reply outstanding), so the ``__telemetry__`` round-trip cannot
-        interleave with a result.  Dead workers are skipped — their
-        telemetry died with them, which costs observability, never results.
-        """
-        for worker in workers:
-            if worker.current is not None:
-                continue
-            try:
-                worker.conn.send(("__telemetry__",))
-                reply = worker.conn.recv()
-            except TransportError:
-                continue
-            if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "result":
-                obs.merge_worker_telemetry(reply[1], worker=worker.index)
-
     def _shutdown(self, workers: Sequence[_SweepWorker]) -> None:
         for worker in workers:
             try:
@@ -256,8 +235,6 @@ class SweepOrchestrator:
                         continue
                     self._consume(worker, pending, attempts, records)
         finally:
-            if _obs_state.enabled:
-                self._collect_worker_telemetry(workers)
             self._shutdown(workers)
 
         ordered = [records[task.task_id] for task in normalized]
@@ -272,7 +249,7 @@ class SweepOrchestrator:
                 task = pending.popleft()
                 attempts[task.task_id] += 1
                 try:
-                    worker.conn.send_command(("task", task.task_id, task.params))
+                    worker.conn.send(("task", task.task_id, task.params))
                     worker.current = task
                 except TransportError:
                     # Worker died while idle: restart it, then retry the task

@@ -16,8 +16,8 @@ broken channel (not an error reply) as the only signal that the worker
 :func:`worker_command_loop`
     The one worker-side loop.  Workers are plain handler tables
     (``command -> callable returning the reply tuple``); unknown-command
-    and error-reply handling, close semantics and the telemetry fold live
-    here, in exactly one place.
+    and error-reply handling and close semantics live here, in exactly one
+    place.
 :class:`ForkWorkerPool`
     Driver-side worker placement: ``launch(index)`` forks one local child
     running the worker entry function and returns its channel and
@@ -28,6 +28,11 @@ Workers are local forks of the driver: nothing is pickled at spawn time
 ends are this program.  The tier reads clocks and moves bytes only — it
 draws no RNG and touches no numeric path, so the bit-equivalence ladder is
 indifferent to whether a rollout was collected in-process or by workers.
+
+Frames carry the bare protocol whether telemetry is on or off: telemetry
+stays in the process that records it, so the frame and byte counters below
+are the sender's and receiver's own, and no worker telemetry crosses the
+pipe.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ __all__ = [
     "ForkWorkerPool",
     "encode_message",
     "decode_message",
-    "TRACE_ENVELOPE",
-    "traced_message",
-    "untraced_message",
 ]
 
 # Raw pipe faults, normalised to TransportError.
@@ -78,46 +80,6 @@ def decode_message(frame: bytes) -> tuple:
 
 
 # --------------------------------------------------------------------- #
-# Trace-context propagation
-# --------------------------------------------------------------------- #
-# Driver->worker commands may ride inside a trace envelope carrying the
-# sender's (trace_id, parent_span_id); the worker command loop unwraps it
-# and opens its command span as a child of the driver-side span, so folded
-# worker span batches stitch into one cross-process tree.  The envelope
-# exists ONLY when telemetry is enabled: with telemetry off,
-# traced_message() is the identity function and frame bytes are identical
-# to an untraced build (pinned by test).  Replies never carry envelopes.
-TRACE_ENVELOPE = "__traced__"
-
-
-def traced_message(message: tuple) -> tuple:
-    """Wrap a driver->worker command with the current trace context.
-
-    Returns ``(TRACE_ENVELOPE, trace_id, parent_span_id, message)`` when
-    telemetry is enabled — even with no span open (both ids ``None``), so
-    the worker still opens a root command span and ships it back.  Returns
-    ``message`` unchanged when telemetry is off: zero frame overhead, and
-    the wire format cannot drift for un-instrumented runs.
-    """
-    if not _obs_state.enabled:
-        return message
-    context = obs.trace_context()
-    trace_id, parent_span_id = context if context is not None else (None, None)
-    return (TRACE_ENVELOPE, trace_id, parent_span_id, message)
-
-
-def untraced_message(message: tuple) -> Tuple[tuple, Optional[int], Optional[int]]:
-    """Inverse of :func:`traced_message`.
-
-    Returns ``(command_message, trace_id, parent_span_id)``; the ids are
-    ``None`` for a bare (unenveloped) message.
-    """
-    if isinstance(message, tuple) and len(message) == 4 and message[0] == TRACE_ENVELOPE:
-        return message[3], message[1], message[2]
-    return message, None, None
-
-
-# --------------------------------------------------------------------- #
 # The channel
 # --------------------------------------------------------------------- #
 class Transport:
@@ -134,15 +96,6 @@ class Transport:
     def send(self, message: tuple) -> None:
         """Serialize and ship one message tuple."""
         self.send_encoded(encode_message(message))
-
-    def send_command(self, message: tuple) -> None:
-        """Ship a driver->worker command, stamped with trace context.
-
-        Identical to :meth:`send` when telemetry is off (the envelope is
-        never added); drivers use this for commands, plain :meth:`send`
-        for everything else (replies, control frames).
-        """
-        self.send_encoded(encode_message(traced_message(message)))
 
     def send_encoded(self, frame: bytes) -> None:
         """Ship an already-serialized frame (see engine broadcast reuse)."""
@@ -206,13 +159,9 @@ def worker_command_loop(
     * a broken channel (driver gone) exits the loop; a broken channel
       while replying likewise — there is nobody left to answer;
     * ``close`` answers ``close_reply`` (when not ``None``) and exits;
-    * ``__telemetry__`` control frames are answered with ``("result",
-      obs.take_worker_telemetry())`` — the combined metrics+span fold
-      payload, available from *every* worker without per-table handlers;
-    * a command that arrived inside a trace envelope (see
-      :func:`traced_message`) runs under a ``worker.<command>`` span
-      parented on the driver-side sender, closed before the reply ships —
-      the span reaches the driver in the next telemetry fold.
+    * any other command without a handler is answered with an
+      ``("error", "unknown worker command …")`` reply, and the loop keeps
+      serving.
     """
     try:
         while True:
@@ -220,14 +169,7 @@ def worker_command_loop(
                 message = transport.recv()
             except TransportError:
                 break
-            message, trace_id, parent_span_id = untraced_message(message)
             command = message[0]
-            if command == "__telemetry__":
-                try:
-                    transport.send(("result", obs.take_worker_telemetry()))
-                except TransportError:
-                    break
-                continue
             if command == "close":
                 if close_reply is not None:
                     try:
@@ -240,13 +182,7 @@ def worker_command_loop(
                 if handler is None:
                     transport.send(("error", f"unknown worker command {command!r}"))
                     continue
-                # The span wraps handler execution only (not the reply
-                # send): it must be finished before take_worker_telemetry
-                # can ship it, and reply I/O time belongs to the driver's
-                # recv-side span anyway.
-                with obs.remote_span("worker." + str(command), trace_id, parent_span_id):
-                    reply = handler(*message[1:])
-                transport.send(reply)
+                transport.send(handler(*message[1:]))
             except TransportError:
                 break
             except Exception:

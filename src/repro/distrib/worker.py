@@ -15,10 +15,8 @@ command      payload                 reply
 ``close``     —                       ``("ok", None)``, then exit
 ============ ======================= ==============================
 
-Telemetry is not a table entry: the transport loop answers the
-``__telemetry__`` control frame for every worker, outside the replay log,
-so a restarted worker reports fresh (empty) telemetry instead of replaying
-observations and collection determinism is unaffected.
+Telemetry is not a command: a worker's instruments and spans stay in the
+worker process, so the table holds only the rollout commands.
 
 Exceptions inside a command come back as ``("error", traceback)`` so the
 engine can re-raise them in the driver — only a broken pipe (the worker

@@ -14,10 +14,8 @@ from .generators import (
 )
 from .io import (
     load_dataset,
-    load_flows_csv,
     load_flows_jsonl,
     save_dataset,
-    save_flows_csv,
     save_flows_jsonl,
 )
 from .network import NetworkCondition, apply_conditions
@@ -42,8 +40,6 @@ __all__ = [
     "apply_conditions",
     "save_flows_jsonl",
     "load_flows_jsonl",
-    "save_flows_csv",
-    "load_flows_csv",
     "save_dataset",
     "load_dataset",
 ]

@@ -1,4 +1,4 @@
-"""Flow (de)serialisation: JSON-lines and CSV.
+"""Flow (de)serialisation: JSON-lines.
 
 The paper publishes its captured datasets; this module provides the
 equivalent persistence layer so generated datasets, adversarial flows and
@@ -7,7 +7,6 @@ profile databases can be written to disk and reloaded by other tools.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable, List, Union
@@ -15,7 +14,7 @@ from typing import Iterable, List, Union
 from .dataset import FlowDataset
 from .flow import Flow
 
-__all__ = ["save_flows_jsonl", "load_flows_jsonl", "save_flows_csv", "load_flows_csv", "save_dataset", "load_dataset"]
+__all__ = ["save_flows_jsonl", "load_flows_jsonl", "save_dataset", "load_dataset"]
 
 PathLike = Union[str, Path]
 
@@ -40,46 +39,6 @@ def load_flows_jsonl(path: PathLike) -> List[Flow]:
             if not line:
                 continue
             flows.append(Flow.from_dict(json.loads(line)))
-    return flows
-
-
-def save_flows_csv(flows: Iterable[Flow], path: PathLike) -> Path:
-    """Write flows to CSV with one packet per row (flow_id, size, delay, label, protocol)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["flow_id", "packet_index", "size", "delay_ms", "label", "protocol"])
-        for flow_id, flow in enumerate(flows):
-            for packet_index, (size, delay) in enumerate(zip(flow.sizes, flow.delays)):
-                writer.writerow([flow_id, packet_index, size, delay, flow.label, flow.protocol])
-    return path
-
-
-def load_flows_csv(path: PathLike) -> List[Flow]:
-    """Load flows from a per-packet CSV written by :func:`save_flows_csv`."""
-    path = Path(path)
-    grouped: dict = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            flow_id = int(row["flow_id"])
-            entry = grouped.setdefault(
-                flow_id, {"sizes": [], "delays": [], "label": int(row["label"]), "protocol": row["protocol"]}
-            )
-            entry["sizes"].append(float(row["size"]))
-            entry["delays"].append(float(row["delay_ms"]))
-    flows = []
-    for flow_id in sorted(grouped):
-        entry = grouped[flow_id]
-        flows.append(
-            Flow(
-                sizes=entry["sizes"],
-                delays=entry["delays"],
-                label=entry["label"],
-                protocol=entry["protocol"],
-            )
-        )
     return flows
 
 

@@ -18,12 +18,15 @@ nn backends (`repro.nn.backend`) and the continuous-batching serving tier
 Telemetry is read after the fact — from :func:`summary_text` or the
 exported files; nothing here opens a socket or starts a thread.
 
+**Per process.**  Instruments and spans stay in the process that records
+them.  A forked worker inherits the enabled flag, and what it records stays
+in its own copy of the registry and span ring: nothing crosses the worker
+pipe, and command frames are the same bytes with telemetry on or off.
+
 **Off by default.**  Enable with ``REPRO_TELEMETRY=1`` in the environment
-(inherited by forked workers) or programmatically with :func:`enable` —
-*before* constructing sharded engines, so forked workers inherit the flag.
-The overhead contract is enforced by ``benchmarks/bench_obs_overhead.py``:
-enabled-telemetry training and serving throughput stay within 5% of
-disabled.
+or programmatically with :func:`enable`.  The overhead contract is enforced
+by ``benchmarks/bench_obs_overhead.py``: enabled-telemetry training and
+serving throughput stay within 5% of disabled.
 
 **Observing never changes behaviour.**  Telemetry reads clocks and writes
 its own state; it draws from no RNG stream and touches no numeric path, so
@@ -36,10 +39,10 @@ nothing because it participates in nothing.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List
 
 from . import _state
-from .export import JsonlSink, prometheus_text, read_jsonl
+from .export import JsonlSink, prometheus_text
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
 from .trace import NULL_SPAN, NullSpan, Span, SpanRecord, Tracer, render_spans
 
@@ -54,14 +57,6 @@ __all__ = [
     "gauge",
     "histogram",
     "span",
-    "remote_span",
-    "trace_context",
-    "take_snapshot",
-    "merge_snapshot",
-    "take_span_snapshot",
-    "merge_spans",
-    "take_worker_telemetry",
-    "merge_worker_telemetry",
     "summary_text",
     "MetricsRegistry",
     "Counter",
@@ -75,7 +70,6 @@ __all__ = [
     "SpanRecord",
     "render_spans",
     "JsonlSink",
-    "read_jsonl",
     "prometheus_text",
 ]
 
@@ -108,11 +102,7 @@ _TRACER = Tracer(on_finish=_record_span_duration)
 # Switch
 # --------------------------------------------------------------------------- #
 def enable() -> None:
-    """Turn telemetry on process-wide (spans, hot-path histograms).
-
-    Call before forking sharded engines/servers so workers inherit the flag
-    (or set ``REPRO_TELEMETRY=1``, which covers every process).
-    """
+    """Turn telemetry on process-wide (spans, hot-path histograms)."""
     _state.enabled = True
 
 
@@ -160,78 +150,6 @@ def span(name: str, **meta: object):
     return _TRACER.start_span(name, meta)
 
 
-def remote_span(
-    name: str,
-    trace_id: Optional[int],
-    parent_span_id: Optional[int],
-    **meta: object,
-):
-    """Open a span under a *propagated* parent (trace-context stitching).
-
-    The worker side of distributed tracing: ``trace_id``/``parent_span_id``
-    arrived on a command envelope from the driver (see
-    :func:`repro.distrib.transport.traced_message`), so the span this opens
-    is a child of the driver-side span that sent the command — the two
-    halves join into one tree when the worker's span batch is folded back.
-    A no-op when telemetry is disabled, like :func:`span`.
-    """
-    if not _state.enabled:
-        return NULL_SPAN
-    return _TRACER.start_span(name, meta, parent_id=parent_span_id, trace_id=trace_id)
-
-
-def trace_context() -> Optional[tuple]:
-    """``(trace_id, span_id)`` of the innermost open span, or ``None``."""
-    return _TRACER.current_context()
-
-
-# --------------------------------------------------------------------------- #
-# Fork-boundary fold
-# --------------------------------------------------------------------------- #
-# Spans shipped per fold are bounded: the most recent batch wins, so a
-# worker that folded rarely ships a window, never an unbounded backlog.
-_SPAN_BATCH_LIMIT = 1024
-
-
-def take_snapshot() -> List[Dict[str, object]]:
-    """Snapshot-and-zero the global registry (worker side of the fold)."""
-    return _REGISTRY.take_snapshot()
-
-
-def merge_snapshot(
-    entries, extra_labels: Optional[Mapping[str, str]] = None
-) -> None:
-    """Fold a worker snapshot into the global registry (driver side)."""
-    _REGISTRY.merge_snapshot(entries, extra_labels=extra_labels)
-
-
-def take_span_snapshot(max_spans: Optional[int] = _SPAN_BATCH_LIMIT) -> List[Dict[str, object]]:
-    """Drain-and-zero the global span ring (worker side of the span fold)."""
-    return _TRACER.take_snapshot(max_spans=max_spans)
-
-
-def merge_spans(entries, extra_meta: Optional[Mapping[str, object]] = None) -> None:
-    """Fold a worker span batch into the global tracer ring (driver side)."""
-    _TRACER.ingest(entries, extra_meta=extra_meta)
-
-
-def take_worker_telemetry() -> Dict[str, object]:
-    """The combined worker-side fold payload: metrics snapshot + span batch.
-
-    This is what a worker's ``__telemetry__`` command replies with; both
-    halves drain-and-zero in place, so repeated folds never double-count a
-    counter or re-ship a span.
-    """
-    return {"metrics": take_snapshot(), "spans": take_span_snapshot()}
-
-
-def merge_worker_telemetry(payload, worker) -> None:
-    """Fold one worker's :func:`take_worker_telemetry` payload, labelled ``worker=<i>``."""
-    label = str(worker)
-    merge_snapshot(payload["metrics"], extra_labels={"worker": label})
-    merge_spans(payload["spans"], extra_meta={"worker": label})
-
-
 # --------------------------------------------------------------------------- #
 # Summary (the CLI's rendering)
 # --------------------------------------------------------------------------- #
@@ -277,7 +195,6 @@ def summary_text(max_spans: int = 40) -> str:
     return "\n".join(lines)
 
 
-# ``REPRO_TELEMETRY=1`` (or ``true``/``on``/``yes``) enables at import time;
-# forked workers inherit either the env var or the already-flipped flag.
+# ``REPRO_TELEMETRY=1`` (or ``true``/``on``/``yes``) enables at import time.
 if os.environ.get("REPRO_TELEMETRY", "").strip().lower() in ("1", "true", "on", "yes"):
     enable()

@@ -3,10 +3,9 @@
 Two consumption styles:
 
 * :class:`JsonlSink` appends self-describing events — metric snapshots and
-  span batches — to a JSONL file.  The format round-trips: a snapshot
-  written by one process can be :func:`read_jsonl`-ed and
-  ``MetricsRegistry.merge_snapshot``-ed by another, which is also how
-  sample traces are archived as CI artifacts.
+  span batches — to a JSONL file, one JSON object per line (the file
+  ``repro-amoeba telemetry --trace-jsonl`` writes, and the sample trace CI
+  archives).
 * :func:`prometheus_text` renders a registry snapshot in the Prometheus
   text exposition format (counters as ``_total``, histograms with
   cumulative ``le`` buckets, ``_sum`` and ``_count``), the file
@@ -27,7 +26,6 @@ from .trace import SpanRecord
 
 __all__ = [
     "JsonlSink",
-    "read_jsonl",
     "prometheus_text",
 ]
 
@@ -59,7 +57,7 @@ class JsonlSink:
         self._write({"type": "metrics", "ts": time.time(), "metrics": list(snapshot)})
 
     def write_spans(self, spans: Iterable[SpanRecord]) -> None:
-        """Record a batch of finished spans (``Tracer.records()``/``take()``)."""
+        """Record a batch of finished spans (``Tracer.records()``)."""
         payload = [
             span.as_dict() if isinstance(span, SpanRecord) else dict(span)
             for span in spans
@@ -77,17 +75,6 @@ class JsonlSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def read_jsonl(path) -> List[Dict[str, object]]:
-    """Parse a :class:`JsonlSink` file back into its event list."""
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
 
 
 # --------------------------------------------------------------------------- #

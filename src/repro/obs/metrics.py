@@ -1,14 +1,9 @@
 """Metrics registry: counters, gauges and fixed-bucket log-scale histograms.
 
 The registry is the numeric half of the telemetry tier: every instrument is
-addressable by a dotted name plus a small label set, holds O(1) state (a
-float, or a fixed bucket array — never an unbounded list), and merges
-mechanically so per-worker registries can be folded across the fork
-boundary:
-
-* **counters** sum,
-* **gauges** take the last write,
-* **histograms** add bucket counts (same bucket edges required).
+addressable by a dotted name plus a small label set and holds O(1) state (a
+float, or a fixed bucket array — never an unbounded list).  A registry is
+per process: a forked worker records into its own copy.
 
 Instruments are created on first use and returned by identity afterwards,
 so hot paths can capture the instrument once and call ``inc``/``observe``
@@ -20,7 +15,7 @@ is sufficient for this codebase's one-recording-thread-per-process model
 Naming scheme (documented in the README "Telemetry" section): dotted
 ``tier.component.metric`` names — ``serve.flush_size``,
 ``train.ppo.actor_ms``, ``nn.gemm_ms`` — with labels reserved for bounded
-cardinality dimensions (``worker``, ``kernel``, ``cell``).
+cardinality dimensions (``worker``, ``server``, ``kernel``, ``logger``).
 """
 
 from __future__ import annotations
@@ -82,7 +77,7 @@ class _Instrument:
 
 
 class Counter(_Instrument):
-    """Monotonically increasing sum (merge: add)."""
+    """Monotonically increasing sum."""
 
     kind = "counter"
     __slots__ = ("_value",)
@@ -110,7 +105,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """Last-write-wins scalar (merge: overwrite)."""
+    """Last-write-wins scalar."""
 
     kind = "gauge"
     __slots__ = ("_value",)
@@ -180,10 +175,6 @@ class Histogram(_Instrument):
         if value > self.max:
             self.max = value
 
-    @property
-    def bucket_counts(self) -> List[int]:
-        return list(self._counts)
-
     def percentile(self, q: float) -> float:
         """Upper-edge estimate of the ``q``-th percentile (0..100)."""
         if self.count == 0:
@@ -201,19 +192,6 @@ class Histogram(_Instrument):
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        if self.edges != other.edges:
-            raise ValueError(
-                f"cannot merge histograms with different bucket edges "
-                f"({self.name!r}: {len(self.edges)} vs {len(other.edges)} edges)"
-            )
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -236,10 +214,9 @@ class MetricsRegistry:
         self._metrics: Dict[Tuple[str, LabelsKey], _Instrument] = {}
         self._lock = threading.Lock()
         # Bumped by reset(): hot paths that cache instrument references
-        # compare generations to know when a cached reference went stale
-        # (take_snapshot zeroes in place and does NOT bump — identities
-        # survive the fork-boundary fold).  A plain attribute, not a
-        # property: the per-event cache checks read it.
+        # compare generations to know when a cached reference went stale.
+        # A plain attribute, not a property: the per-event cache checks
+        # read it.
         self.generation = 0
 
     # ------------------------------------------------------------------ #
@@ -280,83 +257,13 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def instruments(self) -> List[_Instrument]:
         """All instruments, sorted by (name, labels) for stable rendering."""
         return [self._metrics[key] for key in sorted(self._metrics)]
 
-    def series(self, name: str) -> List[_Instrument]:
-        """Every labelled instrument registered under ``name``."""
-        return [
-            self._metrics[key] for key in sorted(self._metrics) if key[0] == name
-        ]
-
-    def get(self, name: str, **labels: str) -> Optional[_Instrument]:
-        return self._metrics.get((name, _labels_key(labels)))
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / merge (the fork-boundary protocol)
-    # ------------------------------------------------------------------ #
     def snapshot(self) -> List[Dict[str, object]]:
         """JSON-able dump of every instrument (stable order)."""
         return [instrument.snapshot() for instrument in self.instruments()]
-
-    def take_snapshot(self) -> List[Dict[str, object]]:
-        """Snapshot, then zero the accumulating state: the worker-side half
-        of the fold protocol.
-
-        Counters and histograms restart from zero so repeated folds never
-        double-count (gauges are last-write-wins and keep their value).
-        Instruments are reset *in place* — hot paths hold direct references
-        to them, which must stay live across a fold.
-        """
-        with self._lock:
-            payload = [instrument.snapshot() for instrument in self.instruments()]
-            for instrument in self._metrics.values():
-                if isinstance(instrument, Counter):
-                    instrument._value = 0.0
-                elif isinstance(instrument, Histogram):
-                    instrument._counts = [0] * (len(instrument.edges) + 1)
-                    instrument.count = 0
-                    instrument.sum = 0.0
-                    instrument.min = float("inf")
-                    instrument.max = float("-inf")
-        return payload
-
-    def merge_snapshot(
-        self,
-        entries: Iterable[Mapping[str, object]],
-        extra_labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        """Fold a snapshot (typically from a forked worker) into this registry.
-
-        ``extra_labels`` are added to every entry — the sharded engines tag
-        worker-side metrics with ``worker=<index>`` so per-worker health
-        stays visible after the merge.
-        """
-        extra = dict(extra_labels or {})
-        for entry in entries:
-            labels = {**dict(entry.get("labels") or {}), **extra}
-            kind = entry["kind"]
-            name = str(entry["name"])
-            if kind == "counter":
-                self.counter(name, **labels).inc(float(entry["value"]))
-            elif kind == "gauge":
-                self.gauge(name, **labels).set(float(entry["value"]))
-            elif kind == "histogram":
-                target = self.histogram(name, edges=entry["edges"], **labels)
-                other = Histogram(name, target.labels, edges=entry["edges"])
-                other._counts = [int(c) for c in entry["counts"]]
-                other.count = int(entry["count"])
-                other.sum = float(entry["sum"])
-                if other.count:
-                    other.min = float(entry["min"])
-                    other.max = float(entry["max"])
-                target.merge(other)
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in snapshot")
 
     def reset(self) -> None:
         """Drop every instrument (tests and CLI runs)."""

@@ -23,25 +23,18 @@ Exception safety: a span whose body raises still finishes (recording the
 exception type in ``error``) and re-raises — tracing never swallows or
 alters control flow.
 
-Distributed stitching: span ids embed the recording process's pid
-(refreshed on fork via ``os.register_at_fork``), so ids minted by a driver
-and its workers never collide.  A span opened with an explicit remote
-parent (``Tracer.start_span(..., parent_id=..., trace_id=...)`` — the
-worker side of trace-context propagation) keeps that parent link, and
-:meth:`Tracer.ingest` folds worker span batches back into the driver's
-ring, so :func:`render_spans` reconstructs one tree spanning processes.
-Ids come from a counter plus the pid — no RNG draw, per the observability
-contract.
+Spans stay in the process that records them: a forked worker's spans land
+in its own copy of the ring and are never shipped to the driver.  Ids come
+from a per-tracer counter — no RNG draw, per the observability contract.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 __all__ = ["SpanRecord", "Span", "NullSpan", "NULL_SPAN", "Tracer", "render_spans"]
 
@@ -49,21 +42,6 @@ __all__ = ["SpanRecord", "Span", "NullSpan", "NULL_SPAN", "Tracer", "render_span
 # ``time.`` attribute lookup per clock read shows up.
 _perf_counter = time.perf_counter
 _monotonic = time.monotonic
-
-# Per-process id prefix: span ids are (pid << 32) | counter so ids minted
-# in forked workers never collide with the driver's when batches are folded
-# back.  Refreshed in the child on fork (the forked Tracer inherits the
-# parent's counter state, but the pid prefix diverges immediately).
-_PID_SHIFT = 32
-_pid_prefix = os.getpid() << _PID_SHIFT
-
-
-def _refresh_pid_prefix() -> None:
-    global _pid_prefix
-    _pid_prefix = os.getpid() << _PID_SHIFT
-
-
-os.register_at_fork(after_in_child=_refresh_pid_prefix)
 
 
 @dataclass(slots=True)
@@ -78,7 +56,6 @@ class SpanRecord:
     duration_ms: float
     meta: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None
-    trace_id: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -90,22 +67,7 @@ class SpanRecord:
             "duration_ms": self.duration_ms,
             "meta": dict(self.meta),
             "error": self.error,
-            "trace_id": self.trace_id,
         }
-
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, object]) -> "SpanRecord":
-        return cls(
-            span_id=int(entry["span_id"]),
-            parent_id=None if entry.get("parent_id") is None else int(entry["parent_id"]),
-            name=str(entry["name"]),
-            depth=int(entry.get("depth", 0)),
-            start_s=float(entry.get("start_s", 0.0)),
-            duration_ms=float(entry.get("duration_ms", 0.0)),
-            meta=dict(entry.get("meta") or {}),
-            error=entry.get("error"),
-            trace_id=None if entry.get("trace_id") is None else int(entry["trace_id"]),
-        )
 
 
 class NullSpan:
@@ -127,7 +89,7 @@ NULL_SPAN = NullSpan()
 
 
 class Span:
-    """A live (enabled-mode) span; created via :meth:`Tracer.start`."""
+    """A live (enabled-mode) span; created via :meth:`Tracer.start_span`."""
 
     __slots__ = ("_tracer", "_record", "_t0")
 
@@ -174,38 +136,19 @@ class Tracer:
         self._on_finish = on_finish
 
     # ------------------------------------------------------------------ #
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    def start(self, name: str, **meta: object) -> Span:
-        return self.start_span(name, meta)
-
-    def start_span(
-        self,
-        name: str,
-        meta: Dict[str, object],
-        parent_id: Optional[int] = None,
-        trace_id: Optional[int] = None,
-    ) -> Span:
-        """Dict-taking twin of :meth:`start` — callers that already hold a
-        kwargs dict (``obs.span``) skip one repack per span.  The dict is
-        owned by the record from here on; pass a fresh one.
-
-        ``parent_id``/``trace_id`` preset a *remote* parent (trace-context
-        propagation: a worker opening the child span of a driver-side
-        command).  A locally open span still wins — remote context only
-        applies at the top of the stack.
+    def start_span(self, name: str, meta: Dict[str, object]) -> Span:
+        """Open a span named ``name``.  Takes the metadata as a dict, so
+        ``obs.span`` hands over its kwargs without a repack per span; the
+        dict is owned by the record from here on, so pass a fresh one.
         """
         record = SpanRecord(
-            span_id=_pid_prefix | next(self._ids),
-            parent_id=parent_id,  # local parents resolved at __enter__ time
+            span_id=next(self._ids),
+            parent_id=None,  # resolved at __enter__ time
             name=name,
             depth=0,
             start_s=0.0,
             duration_ms=0.0,
             meta=meta,
-            trace_id=trace_id,
         )
         return Span(self, record)
 
@@ -214,12 +157,6 @@ class Tracer:
             parent = self._stack[-1]
             record.parent_id = parent.span_id
             record.depth = parent.depth + 1
-            record.trace_id = parent.trace_id
-        elif record.trace_id is None:
-            # Root span (no local parent, no propagated context): it begins
-            # its own trace.  A preset remote parent keeps the propagated
-            # trace id instead.
-            record.trace_id = record.span_id
         record.start_s = _monotonic()
         self._stack.append(record)
 
@@ -233,66 +170,9 @@ class Tracer:
             self._on_finish(record)
 
     # ------------------------------------------------------------------ #
-    def current_context(self) -> Optional[Tuple[Optional[int], int]]:
-        """``(trace_id, span_id)`` of the innermost open span, or ``None``.
-
-        This is the driver side of trace-context propagation: the pair is
-        stamped onto outgoing command envelopes so the worker can open its
-        command span as a child of the span that sent the command.
-        """
-        if not self._stack:
-            return None
-        top = self._stack[-1]
-        return (top.trace_id, top.span_id)
-
-    # ------------------------------------------------------------------ #
     def records(self) -> List[SpanRecord]:
         """Finished spans, oldest first (non-draining)."""
         return list(self._finished)
-
-    def take(self) -> List[SpanRecord]:
-        """Drain and return the finished spans (streaming exporters)."""
-        records = list(self._finished)
-        self._finished.clear()
-        return records
-
-    def take_snapshot(self, max_spans: Optional[int] = None) -> List[Dict[str, object]]:
-        """Drain-and-zero the finished-span ring, as JSON-able dicts.
-
-        The span half of the fork-boundary fold protocol, mirroring
-        ``MetricsRegistry.take_snapshot``: the ring is cleared *in place*
-        (the tracer identity, id counter and open-span stack survive), so
-        repeated folds never re-ship a span.  ``max_spans`` bounds the
-        batch — the most recent spans win, older ones are dropped with the
-        ring (bounded batches, never an unbounded backlog).
-        """
-        records = list(self._finished)
-        self._finished.clear()
-        if max_spans is not None and len(records) > max_spans:
-            records = records[-max_spans:]
-        return [record.as_dict() for record in records]
-
-    def ingest(
-        self,
-        entries: Iterable[Mapping[str, object]],
-        extra_meta: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Fold a worker span batch into this ring (driver side of the fold).
-
-        ``extra_meta`` is added to every record — the sharded drivers tag
-        worker spans ``worker=<index>``.  Ingested records bypass
-        ``on_finish`` deliberately: the worker already fed its own
-        ``span.<name>`` histograms, which arrive via the *metrics* fold, so
-        feeding them again here would double-count durations.
-        """
-        extra = dict(extra_meta or {})
-        for entry in entries:
-            record = (
-                entry if isinstance(entry, SpanRecord) else SpanRecord.from_dict(entry)
-            )
-            if extra:
-                record.meta.update(extra)
-            self._finished.append(record)
 
     def reset(self) -> None:
         self._finished.clear()
@@ -302,12 +182,9 @@ class Tracer:
 def render_spans(records: List[SpanRecord], max_spans: Optional[int] = None) -> str:
     """ASCII tree of a span profile, reconstructed from parent links.
 
-    Records are stitched into trees by ``parent_id`` — which works across
-    process boundaries once worker batches are ingested, because span ids
-    are pid-prefixed and remote parents are propagated with the command
-    envelope.  Roots (and orphans whose parent fell out of the ring) sort
-    by start time; ``max_spans`` keeps CLI output bounded (the most recent
-    spans win).
+    Records are stitched into trees by ``parent_id``.  Roots (and orphans
+    whose parent fell out of the ring) sort by start time; ``max_spans``
+    keeps CLI output bounded (the most recent spans win).
     """
     ordered = sorted(records, key=lambda r: (r.start_s, r.span_id))
     if max_spans is not None and len(ordered) > max_spans:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import logging
 import sys
 import time
@@ -14,10 +13,6 @@ from ..obs import metrics as _obs_metrics
 __all__ = ["get_logger", "TrainingLogger"]
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
-
-# Distinguishes the gauges of multiple TrainingLogger instances sharing a
-# name in one process (e.g. several Amoeba agents in a sweep).
-_LOGGER_IDS = itertools.count()
 
 
 def get_logger(name: str, level: Optional[int] = None) -> logging.Logger:
@@ -42,14 +37,14 @@ def get_logger(name: str, level: Optional[int] = None) -> logging.Logger:
 class TrainingLogger:
     """Accumulates scalar metrics per step and reports periodic summaries.
 
-    Internals are registry-backed: every logged scalar lands in a
-    ``train.log.<key>`` gauge in the :mod:`repro.obs` metrics registry
-    (labelled by logger name and instance), so exporters and the
-    ``repro-amoeba telemetry`` CLI see training metrics without any change
-    to this class's public API.  ``history`` remains available for series
-    consumers; ``max_history`` bounds it to a sliding window per key
-    (``None`` — the default — keeps the historical keep-everything
-    behaviour for convergence plots).
+    Every logged scalar also lands in a ``train.log.<key>`` gauge in the
+    :mod:`repro.obs` metrics registry, labelled by logger name only, so
+    exporters and the ``repro-amoeba telemetry`` CLI see training metrics
+    and the registry does not grow with the number of loggers: loggers that
+    share a name share the gauges (last write wins), while each keeps its
+    own ``history`` and :meth:`latest`.  ``max_history`` bounds ``history``
+    to a sliding window per key (``None`` — the default — keeps everything,
+    for convergence plots).
     """
 
     def __init__(
@@ -67,7 +62,7 @@ class TrainingLogger:
         self._logger = logger or get_logger(name)
         self._start = time.monotonic()
         self._step = 0
-        self._labels = {"logger": name, "instance": str(next(_LOGGER_IDS))}
+        self._labels = {"logger": name}
         self._gauges: Dict[str, _obs_metrics.Gauge] = {}
 
         # Lazy import avoidance: repro.obs is dependency-free, so importing
@@ -104,11 +99,9 @@ class TrainingLogger:
             self._logger.info("step %d (%.1fs): %s", self._step, elapsed, summary)
 
     def latest(self, key: str, default: float = float("nan")) -> float:
-        """Most recent value for ``key`` (registry-gauge-backed)."""
-        gauge = self._gauges.get(key)
-        if gauge is not None:
-            return gauge.value
-        return default
+        """Most recent value this logger recorded for ``key``."""
+        series = self.history.get(key)
+        return series[-1] if series else default
 
     def series(self, key: str) -> list:
         return list(self.history.get(key, ()))

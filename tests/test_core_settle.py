@@ -403,7 +403,7 @@ class TestScoreTelemetry:
         try:
             result = runner.collect(N_TICKS)
             records = obs.tracer().records()
-            scored = obs.registry().get("collect.scored_flows")
+            scored = obs.registry().counter("collect.scored_flows")
         finally:
             obs.disable()
             obs.reset()
@@ -429,5 +429,5 @@ class TestScoreTelemetry:
         result = runner.collect(N_TICKS)
         assert obs.tracer().records() == []
         # Counters are plain integers and always live, like collect.ticks.
-        assert obs.registry().get("collect.scored_flows").value == result.query_delta
+        assert obs.registry().counter("collect.scored_flows").value == result.query_delta
         obs.reset()

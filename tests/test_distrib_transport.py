@@ -5,9 +5,12 @@ without touching any numeric path.  Every channel fault surfaces as
 ``TransportError``; the one worker-side command loop dispatches, answers
 errors and closes the same way for every worker table; a worker factory
 that raises is a surfaced error, not a restart loop; transport counters
-record only with telemetry on; and checkpoint broadcasts serialize their
-payload exactly once regardless of worker count.  Sharded == single-process
-bit-equivalence and SIGKILL recovery live in ``tests/test_distrib_sharded.py``.
+record only with telemetry on; checkpoint broadcasts serialize their
+payload exactly once regardless of worker count; and command frames are
+the bare protocol with telemetry on (the retired telemetry fold and
+trace-context envelope are unknown commands to a worker).  Sharded ==
+single-process bit-equivalence and SIGKILL recovery live in
+``tests/test_distrib_sharded.py``.
 """
 
 import multiprocessing
@@ -141,6 +144,27 @@ class TestWorkerCommandLoop:
         assert replies[1][0] == "error" and "kaboom" in replies[1][1]
         assert replies[2][0] == "error" and "unknown worker command" in replies[2][1]
         assert replies[3] == ("ok", None)
+
+    def test_trailing_elements_are_the_handler_payload(self):
+        replies = self._run_loop(
+            [("add", 2, 3), ("noargs",), ("close",)],
+            {"add": lambda a, b: ("result", a + b), "noargs": lambda: ("result", None)},
+        )
+        assert replies == [("result", 5), ("result", None), ("ok", None)]
+
+    def test_custom_close_reply(self):
+        replies = self._run_loop([("close",)], {}, close_reply=("bye", 7))
+        assert replies == [("bye", 7)]
+
+    def test_loop_exits_when_the_driver_goes_away(self):
+        worker, driver = _pipe_pair()
+        thread = threading.Thread(target=worker_command_loop, args=(worker, {}))
+        thread.start()
+        driver.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        # The loop closed its own end on the way out.
+        assert worker._closed
 
     def test_close_without_reply(self):
         worker, driver = _pipe_pair()
@@ -302,7 +326,7 @@ class TestTransportTelemetry:
         try:
             _talk_to_one_worker()
             by_name = {}
-            for entry in obs.take_snapshot():
+            for entry in obs.registry().snapshot():
                 by_name.setdefault(entry["name"], []).append(entry)
             for name in (
                 "transport.frames_sent",
@@ -322,4 +346,50 @@ class TestTransportTelemetry:
     def test_disabled_telemetry_records_nothing(self):
         obs.reset()
         _talk_to_one_worker()
-        assert obs.take_snapshot() == []
+        assert obs.registry().snapshot() == []
+
+
+# --------------------------------------------------------------------- #
+# Retired protocol: no telemetry fold, no trace-context envelope
+# --------------------------------------------------------------------- #
+class TestRetiredTelemetryProtocol:
+    def test_worker_answers_retired_frames_as_unknown_and_keeps_serving(self):
+        transport, process = ForkWorkerPool(rollout_worker_entry, _echo_factory).launch(0)
+        try:
+            for frame in (("__telemetry__",), ("__traced__", None, None, ("collect", 2))):
+                transport.send(frame)
+                kind, detail = transport.recv()
+                assert kind == "error" and "unknown worker command" in detail
+            transport.send(("collect", 2))
+            assert transport.recv() == ("result", 2)
+            transport.send(("close",))
+            assert transport.recv() == ("ok", None)
+        finally:
+            transport.close()
+            process.join(timeout=5)
+        assert not process.is_alive()
+
+    def test_send_all_ships_the_bare_frame_with_telemetry_on(self, monkeypatch):
+        shipped = []
+        original = Transport.send_encoded
+
+        def capture(self, frame):
+            shipped.append(frame)
+            original(self, frame)
+
+        obs.enable()
+        obs.reset()
+        try:
+            engine = ShardedRolloutEngine(_echo_factory, 2)
+            try:
+                monkeypatch.setattr(Transport, "send_encoded", capture)
+                with obs.span("driver.step"):
+                    engine._send_all(("collect", 3))
+                    replies = engine._drain([])
+            finally:
+                engine.close()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert replies == [3, 103]
+        assert shipped[:2] == [encode_message(("collect", 3))] * 2

@@ -11,10 +11,8 @@ from repro.flows import (
     build_tor_dataset,
     build_v2ray_dataset,
     load_dataset,
-    load_flows_csv,
     load_flows_jsonl,
     save_dataset,
-    save_flows_csv,
     save_flows_jsonl,
 )
 
@@ -153,13 +151,35 @@ class TestIO:
         assert len(loaded) == 8
         assert np.allclose(loaded[0].sizes, tor_dataset.flows[0].sizes)
 
-    def test_csv_roundtrip(self, tmp_path, tor_dataset):
-        path = tmp_path / "flows.csv"
-        save_flows_csv(tor_dataset.flows[:5], path)
-        loaded = load_flows_csv(path)
-        assert len(loaded) == 5
-        assert np.allclose(loaded[2].delays, tor_dataset.flows[2].delays)
-        assert loaded[2].label == tor_dataset.flows[2].label
+    def test_jsonl_roundtrip_keeps_every_field(self, tmp_path, tor_dataset):
+        path = tmp_path / "flows.jsonl"
+        flows = tor_dataset.flows[:3]
+        save_flows_jsonl(flows, path)
+        for original, loaded in zip(flows, load_flows_jsonl(path)):
+            assert np.array_equal(loaded.sizes, original.sizes)
+            assert np.array_equal(loaded.delays, original.delays)
+            assert loaded.label == original.label
+            assert loaded.protocol == original.protocol
+            assert loaded.metadata == original.metadata
+
+    def test_jsonl_load_skips_blank_lines(self, tmp_path, tor_dataset):
+        path = tmp_path / "flows.jsonl"
+        save_flows_jsonl(tor_dataset.flows[:2], path)
+        path.write_text(path.read_text().replace("\n", "\n\n"))
+        assert len(load_flows_jsonl(path)) == 2
+
+    def test_save_creates_parent_directories(self, tmp_path, tor_dataset):
+        path = tmp_path / "nested" / "dir" / "flows.jsonl"
+        assert save_flows_jsonl(tor_dataset.flows[:1], path) == path
+        assert len(load_flows_jsonl(path)) == 1
+
+    def test_dataset_name_defaults_to_the_file_stem(self, tmp_path, tor_dataset):
+        path = tmp_path / "captured.jsonl"
+        save_dataset(tor_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[0] = '{"n_flows": %d}' % len(tor_dataset)
+        path.write_text("\n".join(lines) + "\n")
+        assert load_dataset(path).name == "captured"
 
     def test_dataset_roundtrip(self, tmp_path, tor_dataset):
         path = tmp_path / "dataset.jsonl"

@@ -2,14 +2,16 @@
 
 Covers the metrics registry (instrument identity, label addressing,
 log-scale histogram bucket semantics), the tracing spans (nesting,
-exception paths, the disabled-mode no-op singleton), the fork-boundary
-snapshot/merge fold, the JSONL and Prometheus exporters (round-trip), the
-registry-backed ``TrainingLogger``/``get_logger`` behaviour, and — the
-standing contract — that observing never changes behaviour: rollout
+exception paths, the disabled-mode no-op singleton), the JSONL and
+Prometheus exporters (round-trip), the registry-backed
+``TrainingLogger``/``get_logger`` behaviour, that telemetry stays in the
+process that records it (no worker fold, no trace-context envelope), and —
+the standing contract — that observing never changes behaviour: rollout
 buffers and served decision streams are bit-identical with telemetry on
 or off.
 """
 
+import json
 import logging
 import sys
 
@@ -22,12 +24,22 @@ from repro.distrib import ShardedRolloutEngine, ShardRunner
 from repro.nn import backend as nn_backend
 from repro.nn.serialization import state_dict_to_bytes
 from repro.obs.metrics import Histogram, MetricsRegistry, log_bucket_edges
-from repro.obs.trace import NULL_SPAN, Tracer, render_spans
+from repro.obs.trace import NULL_SPAN, SpanRecord, Tracer, render_spans
 from repro.serve import PolicyServer, ServeConfig
 from repro.utils.logging import TrainingLogger, get_logger
 from repro.utils.rng import collection_seed_tree
 
 ENCODER_HIDDEN = 8
+
+
+def series(name):
+    """Every instrument the global registry holds under ``name``."""
+    return [i for i in obs.registry().instruments() if i.name == name]
+
+
+def read_events(path):
+    """The JSONL events a :class:`obs.JsonlSink` wrote, in order."""
+    return [json.loads(line) for line in path.read_text().splitlines() if line]
 
 
 def parse_prometheus_text(text):
@@ -95,23 +107,37 @@ class TestRegistry:
         gauge.inc(3)
         assert gauge.value == 5.0
 
-    def test_series_and_get(self):
-        registry = MetricsRegistry()
-        registry.counter("nn.gemm", kernel="compiled").inc()
-        registry.counter("nn.gemm", kernel="einsum")
-        assert len(registry.series("nn.gemm")) == 2
-        assert registry.get("nn.gemm", kernel="compiled").value == 1.0
-        assert registry.get("nn.gemm", kernel="avx") is None
-
     def test_reset_bumps_generation_snapshot_does_not(self):
         registry = MetricsRegistry()
         generation = registry.generation
         registry.counter("c").inc()
-        registry.take_snapshot()
+        registry.snapshot()
         assert registry.generation == generation  # identities survived
         registry.reset()
         assert registry.generation == generation + 1
-        assert len(registry) == 0
+        assert registry.instruments() == []
+
+    def test_snapshot_is_sorted_and_json_ready(self):
+        registry = MetricsRegistry()
+        registry.gauge("b.depth").set(2)
+        registry.counter("a.count", worker="1").inc()
+        registry.counter("a.count", worker="0").inc(4)
+        registry.histogram("c.lat", edges=[1.0]).observe(0.5)
+        snapshot = registry.snapshot()
+        assert [(e["name"], e["labels"]) for e in snapshot] == [
+            ("a.count", {"worker": "0"}),
+            ("a.count", {"worker": "1"}),
+            ("b.depth", {}),
+            ("c.lat", {}),
+        ]
+        assert [e["kind"] for e in snapshot] == ["counter", "counter", "gauge", "histogram"]
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
+    def test_empty_histogram_snapshot_reports_zero_extremes(self):
+        snapshot = Histogram("h", (), edges=[1.0]).snapshot()
+        assert snapshot["count"] == 0
+        assert snapshot["min"] == 0.0 and snapshot["max"] == 0.0
+        assert snapshot["counts"] == [0, 0]
 
 
 # --------------------------------------------------------------------- #
@@ -131,7 +157,7 @@ class TestHistogram:
         hist.observe(2.5)  # first edge >= 2.5 is 4.0
         hist.observe(100.0)  # beyond the last edge -> overflow
         hist.observe(-5.0)  # non-positive -> first bucket
-        assert hist.bucket_counts == [2, 0, 1, 0, 1]
+        assert hist.snapshot()["counts"] == [2, 0, 1, 0, 1]
         assert hist.count == 4
         assert hist.min == -5.0 and hist.max == 100.0
         assert hist.sum == pytest.approx(98.5)
@@ -140,7 +166,7 @@ class TestHistogram:
         hist = Histogram("h", ())
         for value in range(10_000):
             hist.observe(float(value))
-        assert len(hist.bucket_counts) == len(hist.edges) + 1
+        assert len(hist.snapshot()["counts"]) == len(hist.edges) + 1
         assert hist.count == 10_000
 
     def test_percentile_upper_edge_estimate(self):
@@ -170,13 +196,6 @@ class TestHistogram:
         assert registry.histogram("h") is registry.histogram("h", edges=[1.0, 2.0])
         with pytest.raises(ValueError, match="different bucket edges"):
             registry.histogram("h", edges=[1.0, 3.0])
-
-    def test_merge_requires_identical_edges(self):
-        a = Histogram("h", (), edges=[1.0, 2.0])
-        b = Histogram("h", (), edges=[1.0, 3.0])
-        with pytest.raises(ValueError, match="different bucket edges"):
-            a.merge(b)
-
 
 # --------------------------------------------------------------------- #
 # Spans
@@ -227,16 +246,16 @@ class TestSpans:
         obs.enable()
         with obs.span("train.iteration"):
             pass
-        hist = obs.registry().get("span.train.iteration")
-        assert hist is not None and hist.count == 1
+        (hist,) = series("span.train.iteration")
+        assert hist.count == 1
 
-    def test_ring_buffer_bounded_and_take_drains(self):
+    def test_ring_buffer_bounded(self):
         tracer = Tracer(max_spans=3)
         for index in range(5):
-            with tracer.start(f"s{index}"):
+            with tracer.start_span(f"s{index}", {}):
                 pass
         assert [r.name for r in tracer.records()] == ["s2", "s3", "s4"]
-        assert len(tracer.take()) == 3
+        tracer.reset()
         assert tracer.records() == []
 
     def test_render_spans_tree(self):
@@ -250,46 +269,125 @@ class TestSpans:
         assert lines[1].startswith("  child")
         assert render_spans([]) == "(no spans recorded)"
 
+    def test_span_ids_are_unique_and_increasing(self):
+        tracer = Tracer()
+        with tracer.start_span("a", {}):
+            with tracer.start_span("b", {}):
+                pass
+        with tracer.start_span("c", {}):
+            pass
+        ids = {r.name: r.span_id for r in tracer.records()}
+        assert ids["a"] < ids["b"] < ids["c"]
+
+    def test_sequential_top_level_spans_are_separate_roots(self):
+        obs.enable()
+        with obs.span("first"):
+            pass
+        with obs.span("second"):
+            pass
+        first, second = obs.tracer().records()
+        assert first.parent_id is None and second.parent_id is None
+        assert first.depth == second.depth == 0
+        assert second.start_s >= first.start_s
+
+    def test_as_dict_is_json_ready_and_copies_meta(self):
+        obs.enable()
+        with obs.span("work", batch=3):
+            pass
+        (record,) = obs.tracer().records()
+        payload = record.as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert set(payload) == {
+            "span_id", "parent_id", "name", "depth", "start_s",
+            "duration_ms", "meta", "error",
+        }
+        payload["meta"]["batch"] = 99
+        assert record.meta == {"batch": 3}
+
+    def test_reset_mid_span_makes_the_next_span_a_root(self):
+        tracer = Tracer()
+        with tracer.start_span("outer", {}):
+            tracer.reset()
+            with tracer.start_span("after_reset", {}):
+                pass
+        records = {r.name: r for r in tracer.records()}
+        assert records["after_reset"].parent_id is None
+        assert records["after_reset"].depth == 0
+        # The span open across the reset still finishes and is recorded.
+        assert set(records) == {"outer", "after_reset"}
+
+    def test_tracer_rejects_nonpositive_max_spans(self):
+        with pytest.raises(ValueError):
+            Tracer(max_spans=0)
+
+    def test_on_finish_sees_children_before_parents(self):
+        finished = []
+        tracer = Tracer(on_finish=lambda record: finished.append(record.name))
+        with tracer.start_span("parent", {}):
+            with tracer.start_span("child", {}):
+                pass
+        assert finished == ["child", "parent"]
+
+    def test_span_histograms_follow_a_registry_reset(self):
+        obs.enable()
+        with obs.span("train.iteration"):
+            pass
+        obs.reset()
+        with obs.span("train.iteration"):
+            pass
+        # The cached histogram was dropped with the registry: the new one
+        # is registered and holds only the post-reset span.
+        (hist,) = series("span.train.iteration")
+        assert hist.count == 1
+
+    def test_disabled_spans_feed_no_histogram(self):
+        with obs.span("train.iteration"):
+            pass
+        assert obs.registry().instruments() == []
+
 
 # --------------------------------------------------------------------- #
-# Snapshot / merge (the fork-boundary fold)
+# Span-tree rendering
 # --------------------------------------------------------------------- #
-class TestSnapshotFold:
-    def test_take_snapshot_zeroes_in_place(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        gauge = registry.gauge("g")
-        hist = registry.histogram("h")
-        counter.inc(4)
-        gauge.set(2.5)
-        hist.observe(1.0)
-        payload = {entry["name"]: entry for entry in registry.take_snapshot()}
-        assert payload["c"]["value"] == 4.0
-        assert payload["h"]["count"] == 1
-        # Counters/histograms restart; gauges keep their last write; every
-        # instrument keeps its identity (hot paths hold references).
-        assert registry.counter("c") is counter and counter.value == 0.0
-        assert registry.histogram("h") is hist and hist.count == 0
-        assert registry.gauge("g") is gauge and gauge.value == 2.5
+def _record(span_id, parent_id, name, start_s, **extra):
+    return SpanRecord(
+        span_id=span_id,
+        parent_id=parent_id,
+        name=name,
+        depth=0 if parent_id is None else 1,
+        start_s=start_s,
+        duration_ms=1.0,
+        **extra,
+    )
 
-    def test_merge_sums_counters_adds_buckets_labels_workers(self):
-        worker = MetricsRegistry()
-        worker.counter("collect.ticks").inc(8)
-        worker.gauge("g").set(7.0)
-        worker.histogram("h", edges=[1.0, 2.0]).observe(1.5)
-        driver = MetricsRegistry()
-        driver.merge_snapshot(worker.take_snapshot(), extra_labels={"worker": "0"})
-        driver.merge_snapshot(worker.snapshot(), extra_labels={"worker": "1"})
-        assert driver.get("collect.ticks", worker="0").value == 8.0
-        assert driver.get("collect.ticks", worker="1").value == 0.0  # zeroed above
-        assert driver.get("g", worker="0").value == 7.0
-        merged_hist = driver.get("h", worker="0")
-        assert merged_hist.count == 1 and merged_hist.bucket_counts == [0, 1, 0]
-        # Folding twice accumulates.
-        worker.counter("collect.ticks").inc(3)
-        driver.merge_snapshot(worker.take_snapshot(), extra_labels={"worker": "0"})
-        assert driver.get("collect.ticks", worker="0").value == 11.0
 
+class TestRenderSpans:
+    def test_max_spans_keeps_the_most_recent(self):
+        records = [_record(i, None, f"s{i}", float(i)) for i in range(1, 6)]
+        lines = render_spans(records, max_spans=2).splitlines()
+        assert [line.split()[0] for line in lines] == ["s4", "s5"]
+
+    def test_orphan_whose_parent_left_the_ring_is_a_root(self):
+        records = [_record(7, 3, "orphan", 1.0), _record(8, 7, "child", 2.0)]
+        lines = render_spans(records).splitlines()
+        assert lines[0].startswith("orphan")
+        assert lines[1].startswith("  child")
+
+    def test_error_marker_and_sorted_meta(self):
+        record = _record(1, None, "failing", 0.0, meta={"z": 1, "a": 2}, error="KeyError")
+        (line,) = render_spans([record]).splitlines()
+        assert line.endswith("a=2 z=1 !KeyError")
+
+    def test_roots_render_in_start_order(self):
+        records = [_record(2, None, "late", 5.0), _record(1, None, "early", 1.0)]
+        lines = render_spans(records).splitlines()
+        assert [line.split()[0] for line in lines] == ["early", "late"]
+
+
+# --------------------------------------------------------------------- #
+# Exporters
+# --------------------------------------------------------------------- #
+class TestExporters:
     def test_jsonl_round_trip(self, tmp_path):
         obs.enable()
         obs.counter("serve.decisions").inc(12)
@@ -300,12 +398,9 @@ class TestSnapshotFold:
         with obs.JsonlSink(path) as sink:
             sink.write_metrics(obs.registry().snapshot())
             sink.write_spans(obs.tracer().records())
-        events = obs.read_jsonl(path)
+        events = read_events(path)
         assert [event["type"] for event in events] == ["metrics", "spans"]
-        rebuilt = MetricsRegistry()
-        rebuilt.merge_snapshot(events[0]["metrics"])
-        assert rebuilt.get("serve.decisions").value == 12.0
-        assert rebuilt.get("serve.flush_size").count == 1
+        assert events[0]["metrics"] == obs.registry().snapshot()
         (span,) = events[1]["spans"]
         assert span["name"] == "serve.flush" and span["meta"] == {"batch": 4}
 
@@ -328,13 +423,69 @@ class TestSnapshotFold:
         assert series["lat_count"] == 3.0
         assert series["lat_sum"] == pytest.approx(11.0)
 
-    def test_global_take_snapshot_and_merge(self):
-        obs.counter("c").inc(2)
-        payload = obs.take_snapshot()
-        assert obs.counter("c").value == 0.0
-        obs.merge_snapshot(payload, extra_labels={"worker": "3"})
-        assert obs.registry().get("c", worker="3").value == 2.0
+    def test_jsonl_sink_opens_lazily_and_skips_empty_span_batches(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with obs.JsonlSink(path) as sink:
+            sink.write_spans([])
+        assert not path.exists()
 
+    def test_jsonl_sink_appends_across_sinks_and_takes_plain_dicts(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with obs.JsonlSink(path) as sink:
+            sink.write_metrics([])
+        with obs.JsonlSink(path) as sink:
+            sink.write_spans([{"name": "from.dict", "span_id": 1}])
+        events = read_events(path)
+        assert [event["type"] for event in events] == ["metrics", "spans"]
+        assert events[1]["spans"] == [{"name": "from.dict", "span_id": 1}]
+
+    def test_prometheus_sanitises_names_and_label_keys(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.decisions-total", **{"server.id": "0"}).inc()
+        text = obs.prometheus_text(registry.snapshot())
+        assert 'serve_decisions_total_total{server_id="0"} 1' in text.splitlines()
+
+    def test_prometheus_one_type_line_per_metric(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.decisions", server="0").inc()
+        registry.counter("serve.decisions", server="1").inc()
+        registry.histogram("lat", edges=[1.0], server="0").observe(0.5)
+        registry.histogram("lat", edges=[1.0], server="1").observe(0.5)
+        lines = obs.prometheus_text(registry.snapshot()).splitlines()
+        assert lines.count("# TYPE serve_decisions_total counter") == 1
+        assert lines.count("# TYPE lat histogram") == 1
+
+    def test_prometheus_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            obs.prometheus_text([{"kind": "summary", "name": "x"}])
+
+
+# --------------------------------------------------------------------- #
+# summary_text (the CLI's rendering)
+# --------------------------------------------------------------------- #
+class TestSummaryText:
+    def test_lists_every_kind_and_the_span_tree(self):
+        obs.enable()
+        obs.counter("serve.decisions", server="0").inc(3)
+        obs.gauge("serve.queue_depth").set(2)
+        with obs.span("serve.flush", batch=4):
+            pass
+        text = obs.summary_text()
+        lines = text.splitlines()
+        assert lines[0] == "telemetry: enabled"
+        assert "  serve.decisions{server=0} = 3" in lines
+        assert "  serve.queue_depth = 2" in lines
+        assert any(line.startswith("  span.serve.flush: count=1") for line in lines)
+        assert lines.index("counters:") < lines.index("gauges:") < lines.index("histograms:")
+        assert lines[lines.index("spans:") + 1].startswith("serve.flush")
+
+    def test_nothing_recorded(self):
+        assert obs.summary_text().splitlines() == [
+            "telemetry: disabled",
+            "(no metrics recorded)",
+            "spans:",
+            "(no spans recorded)",
+        ]
 
 # --------------------------------------------------------------------- #
 # Backend kernel timers (stride-sampled)
@@ -346,7 +497,7 @@ class TestBackendTimers:
         b = np.ones((8, 8))
         for _ in range(64):
             backend.matmul2d(a, b)
-        assert obs.registry().series("nn.gemm_ms") == []
+        assert series("nn.gemm_ms") == []
 
     def test_enabled_mode_samples_one_in_stride(self):
         backend = nn_backend.BlockedBackend()
@@ -354,12 +505,12 @@ class TestBackendTimers:
         b = np.ones((8, 8))
         obs.enable()
         reference = backend.matmul2d(a, b)
-        before = sum(h.count for h in obs.registry().series("nn.gemm_ms"))
+        before = sum(h.count for h in series("nn.gemm_ms"))
         for _ in range(4 * nn_backend._OBS_STRIDE):
             out = backend.matmul2d(a, b)
             # Observing never changes the result bits.
             assert np.array_equal(out, reference)
-        after = sum(h.count for h in obs.registry().series("nn.gemm_ms"))
+        after = sum(h.count for h in series("nn.gemm_ms"))
         assert after - before == 4
 
 
@@ -395,13 +546,22 @@ class TestLoggingHelpers:
         logger = TrainingLogger("probe", logger=logging.getLogger("repro.test.tl"))
         logger.log(loss=0.5, reward=1.25)
         logger.log(loss=0.25)
-        gauges = {g.labels_dict.get("logger"): g for g in obs.registry().series("train.log.loss")}
-        assert gauges["probe"].value == 0.25
-        (steps,) = [
-            c for c in obs.registry().series("train.log.steps")
-            if c.labels_dict.get("logger") == "probe"
-        ]
-        assert steps.value == 2.0
+        assert obs.registry().gauge("train.log.loss", logger="probe").value == 0.25
+        assert obs.registry().counter("train.log.steps", logger="probe").value == 2.0
+
+    def test_loggers_do_not_grow_the_registry(self):
+        for _ in range(1000):
+            TrainingLogger(logger=logging.getLogger("repro.test.tl")).log(loss=1.0, reward=0.5)
+        assert len(obs.registry().instruments()) <= 3
+
+    def test_same_name_loggers_keep_separate_latest(self):
+        first = TrainingLogger("shared", logger=logging.getLogger("repro.test.tl"))
+        second = TrainingLogger("shared", logger=logging.getLogger("repro.test.tl"))
+        first.log(loss=1.0)
+        second.log(loss=2.0)
+        assert first.latest("loss") == 1.0
+        assert second.latest("loss") == 2.0
+        assert first.latest("reward", default=-1.0) == -1.0
 
     def test_summary_reports_only_current_step(self, caplog):
         logger = logging.getLogger("repro.test.tl_summary")
@@ -453,7 +613,7 @@ class TestBitEquivalence:
             server.poll()
         server.drain()
         report = server.close_session(sid)
-        recorded = sum(h.count for h in obs.registry().series("serve.flush_size"))
+        recorded = sum(h.count for h in series("serve.flush_size"))
         obs.disable()
         return report, recorded
 
@@ -514,11 +674,11 @@ class TestBitEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Sharded engines: telemetry fold + health in merged stats
+# Sharded engines: telemetry stays in the process that records it
 # --------------------------------------------------------------------- #
 @pytest.mark.skipif(sys.platform == "win32", reason="requires POSIX fork")
 class TestShardedTelemetry:
-    def test_engine_stats_and_worker_fold(
+    def test_worker_telemetry_stays_in_the_worker(
         self, trained_dt_censor, normalizer, tor_splits
     ):
         config = AmoebaConfig.for_tor(
@@ -530,7 +690,7 @@ class TestShardedTelemetry:
             critic_hidden=(16,),
         )
         flows = tor_splits.attack_train.censored_flows
-        obs.enable()  # before forking, so workers inherit the flag
+        obs.enable()  # before forking, so the workers record too
         agent = Amoeba(
             trained_dt_censor,
             normalizer,
@@ -544,35 +704,29 @@ class TestShardedTelemetry:
         try:
             engine.broadcast(state_dict_to_bytes(agent._policy_state()))
             engine.collect(config.rollout_length)
-            stats = engine.stats()
         finally:
             engine.close()
             obs.disable()
 
-        assert stats["n_workers"] == 2
-        assert stats["worker_restarts"] == [0, 0]
-        assert stats["worker_replayed"] == [0, 0]
-        ages = stats["worker_heartbeat_age_s"]
-        assert len(ages) == 2 and all(age is not None and age >= 0.0 for age in ages)
-
-        # Worker-side counters were folded across the fork boundary into
-        # the driver registry, labelled by worker index; each worker hosts
-        # one env shard, so the per-worker tick counters sum to the total.
-        per_worker = [
-            obs.registry().get("collect.ticks", worker=str(index))
-            for index in range(2)
-        ]
-        assert all(counter is not None for counter in per_worker)
-        assert sum(counter.value for counter in per_worker) == 2 * config.rollout_length
+        names = {record.name for record in obs.tracer().records()}
+        assert {"distrib.load", "distrib.collect", "distrib.snapshot"} <= names
+        # The workers' collect.shard spans and collect.* counters stay in
+        # the workers; nothing is folded back or labelled by worker.
+        assert not any(name.startswith(("worker.", "collect.")) for name in names)
+        instruments = obs.registry().instruments()
+        assert not any(i.name.startswith("collect.") for i in instruments)
+        assert not any("worker" in i.labels_dict for i in instruments)
+        # Only the bare protocol crossed the pipes: load, collect, snapshot
+        # and close, one frame per worker each.
+        assert obs.registry().counter("transport.frames_sent").value == 4 * 2
 
     def test_sharded_collect_identical_on_and_off(
         self, trained_dt_censor, normalizer, tor_splits
     ):
-        """Acceptance: tracing the frames never perturbs the science.
+        """Acceptance: observing the workers never perturbs the science.
 
-        The same 2-worker sharded collect, with telemetry (and therefore
-        trace-context frame stamping) on versus off, must produce
-        bit-identical merged rollout arrays.
+        The same 2-worker sharded collect, with telemetry on versus off,
+        must produce bit-identical merged rollout arrays.
         """
         config = AmoebaConfig.for_tor(
             n_envs=2,
@@ -648,190 +802,10 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "serve.flush" in out  # the span tree rendered
         assert "serve.decision_latency_ms" in out  # histograms populated
-        events = obs.read_jsonl(trace)
+        events = read_events(trace)
         assert {event["type"] for event in events} == {"metrics", "spans"}
         assert "serve_decisions_total" in prom.read_text()
         assert not obs.enabled()  # the CLI disables telemetry on exit
-
-
-# --------------------------------------------------------------------- #
-# Distributed tracing: context propagation and stitched trees
-# --------------------------------------------------------------------- #
-class TestTraceContext:
-    def test_root_span_starts_its_own_trace(self):
-        obs.enable()
-        with obs.span("root"):
-            trace_id, span_id = obs.trace_context()
-        (record,) = obs.tracer().records()
-        assert record.trace_id == record.span_id == span_id == trace_id
-
-    def test_children_inherit_the_trace_id(self):
-        obs.enable()
-        with obs.span("outer"):
-            with obs.span("inner"):
-                pass
-        records = {r.name: r for r in obs.tracer().records()}
-        assert records["inner"].trace_id == records["outer"].trace_id
-        assert records["inner"].trace_id == records["outer"].span_id
-
-    def test_trace_context_none_outside_spans(self):
-        obs.enable()
-        assert obs.trace_context() is None
-
-    def test_remote_span_keeps_propagated_parent_and_trace(self):
-        obs.enable()
-        with obs.remote_span("worker.collect", trace_id=77, parent_span_id=42):
-            pass
-        (record,) = obs.tracer().records()
-        assert record.trace_id == 77
-        assert record.parent_id == 42
-
-    def test_remote_span_without_context_becomes_a_root(self):
-        obs.enable()
-        with obs.remote_span("worker.collect", trace_id=None, parent_span_id=None):
-            pass
-        (record,) = obs.tracer().records()
-        assert record.parent_id is None
-        assert record.trace_id == record.span_id
-
-    def test_local_parent_wins_over_remote_context(self):
-        tracer = Tracer()
-        with tracer.start("local-parent"):
-            with tracer.start_span("child", {}, parent_id=999, trace_id=888):
-                pass
-        records = {r.name: r for r in tracer.records()}
-        assert records["child"].parent_id == records["local-parent"].span_id
-        assert records["child"].trace_id == records["local-parent"].trace_id
-
-    def test_span_ids_are_pid_prefixed(self):
-        import os as _os
-
-        tracer = Tracer()
-        with tracer.start("a"):
-            pass
-        (record,) = tracer.records()
-        assert record.span_id >> 32 == _os.getpid()
-
-    def test_take_snapshot_drains_in_place(self):
-        tracer = Tracer()
-        for name in ("a", "b", "c"):
-            with tracer.start(name):
-                pass
-        batch = tracer.take_snapshot()
-        assert [entry["name"] for entry in batch] == ["a", "b", "c"]
-        assert tracer.records() == []  # drained in place
-        assert tracer.take_snapshot() == []  # nothing re-shipped
-        # The tracer identity survives: new spans keep recording.
-        with tracer.start("d"):
-            pass
-        assert [r.name for r in tracer.records()] == ["d"]
-
-    def test_take_snapshot_bounds_the_batch_most_recent_wins(self):
-        tracer = Tracer()
-        for index in range(6):
-            with tracer.start(f"s{index}"):
-                pass
-        batch = tracer.take_snapshot(max_spans=2)
-        assert [entry["name"] for entry in batch] == ["s4", "s5"]
-        assert tracer.records() == []
-
-    def test_ingest_applies_extra_meta_and_skips_histograms(self):
-        obs.enable()
-        worker = Tracer()
-        with worker.start("worker.collect"):
-            pass
-        obs.merge_spans(worker.take_snapshot(), extra_meta={"worker": "1"})
-        (record,) = obs.tracer().records()
-        assert record.name == "worker.collect"
-        assert record.meta["worker"] == "1"
-        # Ingest bypasses on_finish: worker histograms arrive via the
-        # metrics fold, never from re-observing folded spans.
-        assert obs.registry().get("span.worker.collect") is None
-
-    def test_span_record_dict_round_trip(self):
-        from repro.obs.trace import SpanRecord
-
-        tracer = Tracer()
-        with tracer.start_span("x", {"k": 1}, parent_id=5, trace_id=9):
-            pass
-        (record,) = tracer.records()
-        clone = SpanRecord.from_dict(record.as_dict())
-        assert clone.as_dict() == record.as_dict()
-
-    def test_render_spans_stitches_cross_process_parents(self):
-        from repro.obs.trace import SpanRecord
-
-        driver = SpanRecord(
-            span_id=1, parent_id=None, name="distrib.collect", depth=0,
-            start_s=0.0, duration_ms=5.0, trace_id=1,
-        )
-        workers = [
-            SpanRecord(
-                span_id=100 + index, parent_id=1, name="worker.collect", depth=0,
-                start_s=0.1, duration_ms=4.0, meta={"worker": str(index)}, trace_id=1,
-            )
-            for index in range(2)
-        ]
-        text = render_spans([driver, *workers])
-        lines = text.splitlines()
-        assert lines[0].startswith("distrib.collect")
-        assert lines[1].startswith("  worker.collect") and "worker=0" in lines[1]
-        assert lines[2].startswith("  worker.collect") and "worker=1" in lines[2]
-
-
-class TestTracedFrames:
-    def test_frames_byte_identical_when_telemetry_off(self):
-        from repro.distrib import transport as transport_mod
-
-        class Capture(transport_mod.Transport):
-            def __init__(self):
-                self.frames = []
-
-            def send_encoded(self, frame):
-                self.frames.append(frame)
-
-        capture = Capture()
-        message = ("collect", 16)
-        capture.send_command(message)
-        # With telemetry off the command frame is exactly the pre-tracing
-        # encoding: no envelope, no extra bytes on the wire.
-        assert capture.frames == [transport_mod.encode_message(message)]
-        assert transport_mod.traced_message(message) is message
-
-    def test_envelope_rides_the_frame_when_telemetry_on(self):
-        from repro.distrib import transport as transport_mod
-
-        class Capture(transport_mod.Transport):
-            def __init__(self):
-                self.frames = []
-
-            def send_encoded(self, frame):
-                self.frames.append(frame)
-
-        obs.enable()
-        capture = Capture()
-        with obs.span("driver.step"):
-            context = obs.trace_context()
-            capture.send_command(("collect", 16))
-        shipped = transport_mod.decode_message(capture.frames[0])
-        assert shipped[0] == transport_mod.TRACE_ENVELOPE
-        message, trace_id, parent_id = transport_mod.untraced_message(shipped)
-        assert message == ("collect", 16)
-        assert (trace_id, parent_id) == context
-
-    def test_envelope_without_open_span_carries_none_ids(self):
-        from repro.distrib import transport as transport_mod
-
-        obs.enable()
-        wrapped = transport_mod.traced_message(("snapshot",))
-        message, trace_id, parent_id = transport_mod.untraced_message(wrapped)
-        assert message == ("snapshot",)
-        assert trace_id is None and parent_id is None
-
-    def test_untraced_message_passes_bare_messages_through(self):
-        from repro.distrib.transport import untraced_message
-
-        assert untraced_message(("collect", 4)) == (("collect", 4), None, None)
 
 
 class _ScriptedTransport:
@@ -858,102 +832,16 @@ class _ScriptedTransport:
 
 
 class TestWorkerCommandLoopTracing:
-    def test_traced_command_opens_a_child_span(self):
-        from repro.distrib.transport import TRACE_ENVELOPE, worker_command_loop
-
-        obs.enable()
-        transport = _ScriptedTransport(
-            [(TRACE_ENVELOPE, 70, 7, ("work", 3)), ("close",)]
-        )
-        worker_command_loop(transport, {"work": lambda n: ("result", n * 2)})
-        assert ("result", 6) in transport.sent
-        records = [r for r in obs.tracer().records() if r.name == "worker.work"]
-        (record,) = records
-        assert record.parent_id == 7
-        assert record.trace_id == 70
-
-    def test_bare_command_still_works_and_opens_no_span_when_off(self):
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_bare_command_still_works_and_opens_no_span(self, enabled):
         from repro.distrib.transport import worker_command_loop
 
+        if enabled:
+            obs.enable()
         transport = _ScriptedTransport([("work", 5), ("close",)])
         worker_command_loop(transport, {"work": lambda n: ("result", n + 1)})
         assert ("result", 6) in transport.sent
         assert obs.tracer().records() == []
-
-    def test_builtin_telemetry_command(self):
-        from repro.distrib.transport import worker_command_loop
-
-        obs.enable()
-        obs.counter("collect.ticks").inc(4)
-        transport = _ScriptedTransport([("__telemetry__",), ("close",)])
-        worker_command_loop(transport, {})
-        kind, payload = transport.sent[0]
-        assert kind == "result"
-        assert {entry["name"] for entry in payload["metrics"]} >= {"collect.ticks"}
-        assert isinstance(payload["spans"], list)
-
-    def test_error_reply_still_sent_and_span_records_the_failure(self):
-        from repro.distrib.transport import TRACE_ENVELOPE, worker_command_loop
-
-        obs.enable()
-
-        def boom():
-            raise ValueError("no")
-
-        transport = _ScriptedTransport([(TRACE_ENVELOPE, 1, 1, ("boom",)), ("close",)])
-        worker_command_loop(transport, {"boom": boom})
-        assert transport.sent[0][0] == "error"
-        (record,) = [r for r in obs.tracer().records() if r.name == "worker.boom"]
-        assert record.error == "ValueError"
-
-
-def _stitch_echo_factory(index):
-    class Runner:
-        def load_weights(self, payload):
-            self.payload = payload
-
-        def collect(self, n_ticks):
-            return index * 100 + n_ticks
-
-        def snapshot(self):
-            return {"index": index}
-
-        def restore(self, state):
-            pass
-
-    return Runner()
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="requires POSIX fork")
-class TestDistributedStitching:
-    def test_two_worker_tree_has_worker_children_per_command(self):
-        obs.enable()
-        engine = ShardedRolloutEngine(_stitch_echo_factory, 2)
-        try:
-            engine.broadcast(b"weights")
-            engine._command(("collect", 3))
-            engine._command(("snapshot",))
-            engine._collect_worker_telemetry()
-        finally:
-            engine.close()
-        records = obs.tracer().records()
-        driver_ids = {r.span_id for r in records if r.name.startswith("distrib.")}
-        driver_names = {r.name for r in records if r.name.startswith("distrib.")}
-        assert driver_names >= {"distrib.load", "distrib.collect", "distrib.snapshot"}
-        workers = [r for r in records if r.name.startswith("worker.")]
-        # Every dispatched command produced one child span per worker,
-        # parented on the driver-side span that sent it.
-        by_name = {}
-        for record in workers:
-            by_name.setdefault(record.name, set()).add(record.meta.get("worker"))
-            assert record.parent_id in driver_ids, record.name
-        assert by_name["worker.load"] == {"0", "1"}
-        assert by_name["worker.collect"] == {"0", "1"}
-        assert by_name["worker.snapshot"] == {"0", "1"}
-        # One stitched tree per driver command: render places the worker
-        # spans beneath their driver parents.
-        text = render_spans(records)
-        assert "  worker.collect" in text
 
 
 # --------------------------------------------------------------------- #
@@ -965,7 +853,7 @@ class TestJsonlSink:
         with obs.JsonlSink(path) as sink:
             for _ in range(50):
                 sink.write_metrics([{"kind": "counter", "name": "c", "labels": {}, "value": 1.0}])
-        assert len(obs.read_jsonl(path)) == 50
+        assert len(read_events(path)) == 50
         assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
 
 
@@ -1005,6 +893,41 @@ class TestPrometheusConformance:
         series = parse_prometheus_text(obs.prometheus_text(obs.registry().snapshot()))
         assert series['serve_decisions_total{server="0"}'] == 7
         assert series['serve_queue_depth{server="0"}'] == 3
+
+
+# --------------------------------------------------------------------- #
+# Retired: the worker fold, the trace-context envelope, engine stats()
+# --------------------------------------------------------------------- #
+class TestRetiredFold:
+    """Telemetry stays in the process that records it: the worker fold,
+    the trace-context envelope and the engine's liveness table are gone."""
+
+    def test_obs_exposes_no_fold_names(self):
+        for name in (
+            "remote_span", "trace_context", "take_snapshot", "merge_snapshot",
+            "take_span_snapshot", "merge_spans", "take_worker_telemetry",
+            "merge_worker_telemetry", "read_jsonl",
+        ):
+            assert name not in obs.__all__, name
+            assert not hasattr(obs, name), name
+        for owner, name in (
+            (MetricsRegistry, "take_snapshot"),
+            (MetricsRegistry, "merge_snapshot"),
+            (Histogram, "merge"),
+            (Tracer, "take_snapshot"),
+            (Tracer, "ingest"),
+            (Tracer, "current_context"),
+        ):
+            assert not hasattr(owner, name), name
+
+    def test_transport_and_engine_expose_no_envelope(self):
+        from repro.distrib import transport
+
+        for name in ("TRACE_ENVELOPE", "traced_message", "untraced_message"):
+            assert not hasattr(transport, name), name
+        assert not hasattr(transport.Transport, "send_command")
+        assert not hasattr(ShardedRolloutEngine, "stats")
+        assert not hasattr(ShardedRolloutEngine, "_collect_worker_telemetry")
 
 
 # --------------------------------------------------------------------- #

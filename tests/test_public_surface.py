@@ -1,7 +1,8 @@
-"""Pins the public surface of ``repro.nn``, ``repro.censors`` and ``repro.ml``.
+"""Pins the public surface of ``repro.nn``, ``repro.censors``, ``repro.ml``,
+``repro.obs``, ``repro.distrib`` and ``repro.flows``.
 
-These packages export what training, the censors and serving call, and
-nothing else.  A name added here is a name the project commits to keep.
+These packages export what training, the censors, serving, telemetry and
+the CLI call, and nothing else.  A name added here is a name the project commits to keep.
 """
 
 import importlib
@@ -34,6 +35,26 @@ SURFACES = {
         "SDAEClassifier", "LSTMClassifier", "CumulSVMClassifier",
         "DecisionTreeCensor", "RandomForestCensor",
         "CensorGateway", "SocketPair", "GatewayDecision",
+    },
+    "repro.obs": {
+        "enable", "disable", "enabled", "reset", "registry", "tracer",
+        "counter", "gauge", "histogram", "span", "summary_text",
+        "MetricsRegistry", "Counter", "Gauge", "Histogram", "log_bucket_edges",
+        "Tracer", "Span", "NullSpan", "NULL_SPAN", "SpanRecord", "render_spans",
+        "JsonlSink", "prometheus_text",
+    },
+    "repro.distrib": {
+        "ShardRunner", "ShardResult", "ShardedRolloutEngine", "SweepOrchestrator",
+        "SweepTask", "SweepTaskRecord", "amoeba_grid_task", "Transport",
+        "TransportError", "worker_command_loop", "ForkWorkerPool",
+    },
+    "repro.flows": {
+        "Flow", "FlowLabel", "flow_matrix", "FlowGenerator", "TorFlowGenerator",
+        "HTTPSFlowGenerator", "V2RayFlowGenerator", "HTTPSRecordFlowGenerator",
+        "TCP_MSS", "TLS_MAX_RECORD", "TOR_CELL_SIZE", "FlowDataset", "DatasetSplits",
+        "build_tor_dataset", "build_v2ray_dataset", "NetworkCondition",
+        "apply_conditions", "save_flows_jsonl", "load_flows_jsonl", "save_dataset",
+        "load_dataset",
     },
     "repro.ml": {
         "DecisionTreeClassifier", "RandomForestClassifier", "KernelSVM", "rbf_kernel",
