@@ -6,8 +6,11 @@ slow for a large fraction of packets (67.5 % of delays < 0.37 ms on their
 testbed).  This benchmark prints the distribution summary and the fraction of
 delays below two latencies measured on this CPU implementation: the bare
 policy forward pass and the full per-packet pipeline (state encoding +
-inference), which is what an inline deployment would actually pay.  The
-benchmarked kernel is computing the same-direction delay series of one flow.
+inference), which is what an inline deployment would actually pay.  Its
+assertion uses the paper's fixed 0.370 ms instead, so the verdict is about
+the synthetic delay distribution, not about how fast the host runs the
+policy.  The benchmarked kernel is computing the same-direction delay series
+of one flow.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 
 from repro.core import AdversarialFlowEnv
 from repro.eval import delay_distribution_summary, empirical_cdf, format_table, fraction_below
+
+# Per-action inference latency the paper measured on a K80 GPU (§5.6.1).
+PAPER_INFERENCE_MS = 0.370
 
 
 def _measure(callable_, repeats=100):
@@ -65,16 +71,20 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     print(format_table(rows, columns=["metric", "p25", "median", "p75", "p95"], title="Figure 11: delay distribution"))
     print(f"  bare policy inference latency:      {policy_ms:.3f} ms")
     print(f"  full per-packet pipeline latency:   {pipeline_ms:.3f} ms")
+    below_paper = fraction_below(delays, PAPER_INFERENCE_MS)
     print(
         "  fraction of same-direction delays below the policy / pipeline latency: "
-        f"{fraction_below(delays, policy_ms):.1%} / {fraction_below(delays, pipeline_ms):.1%} "
-        "(paper: 67.5% below 0.37 ms on GPU)"
+        f"{fraction_below(delays, policy_ms):.1%} / {fraction_below(delays, pipeline_ms):.1%}"
+    )
+    print(
+        f"  fraction below the paper's {PAPER_INFERENCE_MS:.3f} ms: {below_paper:.1%} "
+        "(paper: 67.5% on its testbed)"
     )
     print(f"  ECDF checkpoints: P(d<=1ms)={ecdf.evaluate(1.0):.2f}, P(d<=10ms)={ecdf.evaluate(10.0):.2f}")
 
     # Shape check: a non-trivial fraction of packets arrive faster than the
-    # per-packet pipeline can run, motivating the offline profile mode.
-    assert fraction_below(delays, pipeline_ms) > 0.05
+    # paper's per-action inference latency, motivating the offline profile mode.
+    assert below_paper > 0.05
 
     flow = flows[0]
     benchmark(lambda: flow.same_direction_delays())

@@ -390,12 +390,12 @@ def _command_backends(_: argparse.Namespace) -> int:
         if error:
             print(f"  compile error: {error}")
     if nn_backend.fused_cells_available():
-        print("fused-cell kernels:  compiled (gru_gates / lstm_gates)")
+        print("fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates)")
     else:
         print("fused-cell kernels:  numpy fallback")
         error = nn_backend.fused_cells_error()
         if error:
-            print(f"  compile error: {error}")
+            print(f"  error: {error}")
 
     print("per-backend describe():")
     for name in nn_backend.available_backends():

@@ -19,8 +19,9 @@ serving tiers' bit-equivalence tests rely on — and bit-identical to the
 
 The training forwards (``forward`` / ``log_prob_and_entropy``) record the
 same MLP as **one** autograd node, :func:`repro.nn.functional.tanh_mlp`,
-whose forward is the very function :func:`mlp_forward` calls
-(:func:`~repro.nn.functional.tanh_mlp_forward`, parametrised by the matmul).
+whose forward is :func:`~repro.nn.functional.tanh_mlp_forward` (parametrised
+by the matmul) — the composition :func:`mlp_forward` runs under the
+``reference`` backend and the compiled ``blocked`` kernel is checked against.
 The ``nn.Sequential`` built by :func:`build_mlp` is the parameter container
 — state-dict keys and checkpoints do not change — and its composed
 ``Linear`` / ``Tanh`` forward is the bitwise reference in
@@ -64,11 +65,12 @@ def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     """``body(states)`` for inference: a :func:`build_mlp` forward on arrays.
 
     ``states`` is coerced to float64 and must be ``(n, in_features)``; the
-    result is a fresh ``(n, output_dim)`` array.  This is
+    result is a fresh ``(n, output_dim)`` array.  This is the active
+    backend's :meth:`~repro.nn.backend.ExecutionBackend.tanh_mlp`:
     :func:`repro.nn.functional.tanh_mlp_forward` — the forward the training
     node :func:`~repro.nn.functional.tanh_mlp` runs — on the row-consistent
-    kernel and on ``param.data`` as it is now, so a ``load_state_dict`` or an
-    optimizer step needs no invalidation.
+    kernel (one compiled call under ``blocked``), on ``param.data`` as it is
+    now, so a ``load_state_dict`` or an optimizer step needs no invalidation.
     """
     states = np.asarray(states, dtype=np.float64)
     width = body[0].in_features
@@ -77,7 +79,7 @@ def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     layers = [
         (layer.weight.data, layer.bias.data) for layer in body if isinstance(layer, nn.Linear)
     ]
-    return F.tanh_mlp_forward(states, layers, nn.active_backend().matmul2d)[-1]
+    return nn.active_backend().tanh_mlp(states, layers)
 
 
 class GaussianActor(nn.Module):

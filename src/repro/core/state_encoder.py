@@ -12,8 +12,8 @@ reconstruction error (Figure 13).
 
 All recurrent compute here runs on the fused packed-gate kernels
 (:func:`repro.nn.functional.gru_sequence` inside :meth:`StateEncoder.forward`
-for pre-training and full re-encodes; the array step
-:func:`repro.nn.functional.gru_cell_forward` inside
+for pre-training and full re-encodes; the active backend's array step
+``gru_step`` — one compiled call under ``blocked`` — inside
 :meth:`StateEncoder.step_pairs`, the incremental rollout and serving path,
 which builds no autograd graph).
 Both inference paths multiply on the row-consistent kernel of the active
@@ -111,7 +111,8 @@ class StateEncoder(nn.Module):
         the new slab is returned, freshly allocated.  All
         environments advance through the GRU as a single batched step on
         plain arrays (:meth:`repro.nn.GRU.step_arrays` — two row-consistent
-        GEMMs and one gate kernel per layer, no autograd graph), so the
+        GEMMs and the gate math per layer, one compiled call for the whole
+        stack under ``blocked``, no autograd graph), so the
         result for each row is bit-identical to stepping that environment
         alone, and therefore to a full :meth:`encode_pairs` re-encode of its
         history.

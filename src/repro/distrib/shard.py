@@ -7,11 +7,11 @@ of the actor / critic / state-encoder whose weights are refreshed from
 broadcast checkpoints.  A :meth:`ShardRunner.collect` draws every slot's
 exploration noise for the whole segment up front (one ``(n_ticks,
 action_dim)`` draw per noise stream — the same numbers per-tick draws
-give), then each tick runs one actor forward, one critic forward, one
-vectorized emulator advance
-(:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one incremental
-encoder step on the tick's ``(n, 2)`` observation and emitted-action arrays;
-the censor is not consulted until the last tick is proposed, then the
+give), then each tick runs one actor forward, one vectorized emulator
+advance (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one
+incremental encoder step on the tick's ``(n, 2)`` observation and
+emitted-action arrays.  After the last tick the critic values the whole
+rollout's states in one forward, and only then is the censor consulted: the
 rollout's pending flows are scored in a few large batches and the rewards
 and episode summaries filled in
 (:meth:`~repro.core.vec_env.VectorFlowEnv.settle`).  The result is the
@@ -203,7 +203,6 @@ class ShardRunner:
         states = np.zeros((n_ticks, n, state_dim))
         actions = np.zeros((n_ticks, n, action_dim))
         log_probs = np.zeros((n_ticks, n))
-        values = np.zeros((n_ticks, n))
         rewards = np.zeros((n_ticks, n))
         dones = np.zeros((n_ticks, n), dtype=bool)
         summaries: List[Tuple[int, int, EpisodeSummary]] = []
@@ -218,20 +217,23 @@ class ShardRunner:
         ticks = []
         for tick in range(n_ticks):
             tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise[tick])
-            tick_values = self.critic.value_batch(self._states)
             pendings = self._vec_env.propose(tick_actions)
             ticks.append(pendings)
 
             states[tick] = self._states
             actions[tick] = tick_actions
             log_probs[tick] = tick_log_probs
-            values[tick] = tick_values
             dones[tick] = [pending.done for pending in pendings]
             self._states = self._tracker.step(
                 np.array([pending.recorded_action for pending in pendings]),
                 np.array([pending.next_observation for pending in pendings]),
                 dones[tick],
             )
+
+        # The critic never feeds back into the tick, and its row-consistent
+        # forward makes each row independent of the batch, so one call over
+        # the whole rollout gives the per-tick values bit for bit.
+        values = self.critic.value_batch(states.reshape(-1, state_dim)).reshape(n_ticks, n)
 
         # The transition never depends on the censor and PPO reads rewards
         # only once the rollout is complete, so the whole rollout is scored

@@ -15,14 +15,17 @@ actually permits.
 This module turns the kernel choice into a small registry of **execution
 backends**, each owning the 2-D matmul kernel used inside a
 :func:`repro.nn.row_consistent_matmul` context
-(:meth:`ExecutionBackend.matmul2d`) and the fused recurrent gate kernels used
+(:meth:`ExecutionBackend.matmul2d`), the fused recurrent gate kernels used
 by ``nn.functional``'s GRU/LSTM forwards (:meth:`ExecutionBackend.gru_gates` /
-:meth:`ExecutionBackend.lstm_gates`).  Two backends ship, both ``float64``,
-both row-consistent, bit-identical to each other by test:
+:meth:`ExecutionBackend.lstm_gates`) and the two networks of the decision
+tick (:meth:`ExecutionBackend.gru_step` / :meth:`ExecutionBackend.tanh_mlp`).
+Two backends ship, both ``float64``, both row-consistent, bit-identical to
+each other by test:
 
 ``reference``
-    The original ``np.einsum("ik,kh->ih", a, b)`` matmul and the plain-numpy
-    gate math, kept verbatim as the testable oracle.
+    The original ``np.einsum("ik,kh->ih", a, b)`` matmul (in the layout
+    :func:`_einsum_matmul` gives it), the plain-numpy gate math and the
+    network compositions on them, kept as the testable oracle.
 
 ``blocked`` (default)
     A C kernel pack (``kernels.c`` beside this module) compiled on first use
@@ -30,13 +33,16 @@ both row-consistent, bit-identical to each other by test:
     per-element order as the reference — the GEMM k-loop is unrolled four
     wide with explicit sequential adds and compiled with
     ``-ffp-contract=off``, so no fused-multiply-add or reassociation can
-    change a single bit.  The fused GRU/LSTM gate kernels are *hybrid*: the
-    compiled code performs only exact IEEE arithmetic (adds, multiplies,
-    divides, negation), while the transcendental ``exp`` / ``tanh``
-    evaluations stay in numpy — numpy's SIMD ``exp``/``tanh`` differ from C
-    ``libm`` in the last ulp, but are value-deterministic (same input bits →
-    same output bits regardless of memory layout or batching), so splitting
-    the work this way is bit-identical to the pure-numpy oracle by
+    change a single bit.  The decision-tick networks run as one call each:
+    :meth:`~ExecutionBackend.gru_step` (a whole GRU stack) and
+    :meth:`~ExecutionBackend.tanh_mlp` (the actor / critic MLP), and the
+    training GRU's gate math is one call per timestep.  Their compiled code
+    performs only exact IEEE arithmetic (adds, multiplies, divides,
+    negation); the transcendental ``exp`` / ``tanh`` run numpy's *own*
+    float64 inner loops, taken from the ``np.exp`` / ``np.tanh`` ufunc
+    objects when the kernel loads — numpy's SIMD ``exp``/``tanh`` differ
+    from C ``libm`` in the last ulp, so borrowing numpy's loops is what
+    keeps every kernel bit-identical to the numpy composition by
     construction.  Everything is asserted against the reference on a
     self-check battery at load time and in the test suite; on any machine
     without a working C toolchain the backend degrades to the oracle paths
@@ -71,7 +77,7 @@ import sysconfig
 import tempfile
 import time
 import warnings
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,15 +284,19 @@ def compiled_kernel_error() -> Optional[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Fused recurrent gate kernels
+# Fused kernels
 # --------------------------------------------------------------------------- #
 # The numpy implementations below are the oracle: they are copied
 # operation-for-operation from the original nn/functional.py forwards (the
 # sigmoid is the exact Tensor.sigmoid expression, every add/multiply in the
 # same order), and they are what the `reference` backend — and any backend
-# that doesn't override the gate hooks — executes.  The compiled path
-# interleaves the C phase kernels (exact IEEE arithmetic) with numpy's
-# exp/tanh and is self-checked against these oracles at first use.
+# that doesn't override the gate hooks — executes.  The compiled GRU gates,
+# GRU step and tanh MLP call numpy's own exp/tanh loops (bound below); the
+# compiled LSTM path interleaves its C phase kernels with np.exp / np.tanh.
+# All of them are self-checked against the numpy composition at first use.
+
+# The ufuncs whose float64 inner loops the kernel pack runs for exp / tanh.
+_LOOP_UFUNCS = (np.exp, np.tanh)
 
 
 def _np_gru_gates(
@@ -322,19 +332,6 @@ def _np_lstm_gates(
     return new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell
 
 
-def _compiled_gru_gates(
-    kernel, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hybrid GRU gates: C for exact IEEE arithmetic, numpy for exp/tanh."""
-    size = hidden.shape[-1]
-    neg_pre = kernel.gru_phase1(gx, gh, b)
-    exp_pre = np.exp(neg_pre)
-    reset, update, cand_pre = kernel.gru_phase2(exp_pre, gx, gh, b)
-    candidate = np.tanh(cand_pre)
-    new_hidden = kernel.gru_phase3(update, candidate, hidden)
-    return new_hidden, reset, update, candidate, gh[..., 2 * size :]
-
-
 def _compiled_lstm_gates(
     kernel, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
@@ -352,47 +349,105 @@ _GATES_OK: Optional[bool] = None
 _GATES_ERROR: Optional[str] = None
 
 
-def _self_check_gates(kernel) -> None:
-    """Assert the hybrid gate pipelines reproduce the numpy oracles bitwise.
+def _assert_same(op: str, want, have, where: str) -> None:
+    wants, haves = (want, have) if isinstance(want, tuple) else ((want,), (have,))
+    for expected, got in zip(wants, haves):
+        if expected.shape != got.shape or not np.array_equal(
+            expected.view(np.uint64), got.view(np.uint64)
+        ):
+            raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
 
-    Shapes cover single rows and odd widths; the magnitude scales include
+
+def _self_check_fused_cells(kernel) -> None:
+    """Assert every fused kernel reproduces its numpy composition bitwise.
+
+    First the bound exp / tanh loops against ``np.exp`` / ``np.tanh`` (odd
+    lengths around the SIMD widths, magnitudes past overflow, and the IEEE
+    specials); then the gate kernels, the GRU step and the tanh MLP against
+    the ``reference`` backend's composition.  The magnitude scales include
     saturating pre-activations (|pre| ~ 50) where sigmoid/tanh clamp to the
     boundary, the regime where any op-order deviation would surface.
+    Raises on the first mismatch, naming the op.
     """
     rng = np.random.default_rng(20260807)
-    for batch, size in [(1, 3), (4, 5), (7, 16), (3, 1)]:
-        for scale in (1.0, 8.0, 50.0):
-            gx3 = rng.standard_normal((batch, 3 * size)) * scale
-            gh3 = rng.standard_normal((batch, 3 * size)) * scale
-            b3 = rng.standard_normal(3 * size) * scale
-            hidden = rng.standard_normal((batch, size))
-            expected = _np_gru_gates(gx3, gh3, b3, hidden)
-            got = _compiled_gru_gates(kernel, gx3, gh3, b3, hidden)
-            for want, have in zip(expected, got):
-                if not np.array_equal(want, have):
-                    raise RuntimeError(
-                        f"compiled GRU gates diverge from the numpy oracle at "
-                        f"batch={batch}, size={size}, scale={scale}"
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 709.79, -745.2, 20.0]
+    )
+    with np.errstate(all="ignore"):
+        for name, ufunc in zip(("exp", "tanh"), (np.exp, np.tanh)):
+            samples = [specials] + [
+                rng.standard_normal(length) * scale
+                for length in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 1000)
+                for scale in (1.0, 30.0, 800.0)
+            ]
+            for x in samples:
+                _assert_same(f"{name} loop", ufunc(x), kernel.bound_loop(name, x), f"length {len(x)}")
+
+    reference = get_backend("reference")
+    with use_backend("reference"):
+        for batch, size in [(1, 3), (4, 5), (7, 16), (3, 1)]:
+            for scale in (1.0, 8.0, 50.0):
+                where = f"batch={batch}, size={size}, scale={scale}"
+                gx3 = rng.standard_normal((batch, 3 * size)) * scale
+                gh3 = rng.standard_normal((batch, 3 * size)) * scale
+                b3 = rng.standard_normal(3 * size) * scale
+                hidden = rng.standard_normal((batch, size))
+                _assert_same(
+                    "gru_gates",
+                    reference.gru_gates(gx3, gh3, b3, hidden)[:4],
+                    kernel.gru_gates(gx3, gh3, b3, hidden),
+                    where,
+                )
+                gx4 = rng.standard_normal((batch, 4 * size)) * scale
+                gh4 = rng.standard_normal((batch, 4 * size)) * scale
+                b4 = rng.standard_normal(4 * size) * scale
+                cell = rng.standard_normal((batch, size))
+                _assert_same(
+                    "lstm gates",
+                    reference.lstm_gates(gx4, gh4, b4, cell),
+                    _compiled_lstm_gates(kernel, gx4, gh4, b4, cell),
+                    where,
+                )
+        for layers, batch, inputs, size in [(1, 1, 2, 3), (2, 16, 2, 8), (3, 5, 4, 1), (2, 0, 2, 4)]:
+            for scale in (1.0, 50.0):
+                widths = [inputs] + [size] * layers
+                cells = [
+                    (
+                        rng.standard_normal((widths[layer], 3 * size)) * scale,
+                        rng.standard_normal((size, 3 * size)) * scale,
+                        rng.standard_normal(3 * size) * scale,
                     )
-            gx4 = rng.standard_normal((batch, 4 * size)) * scale
-            gh4 = rng.standard_normal((batch, 4 * size)) * scale
-            b4 = rng.standard_normal(4 * size) * scale
-            cell = rng.standard_normal((batch, size))
-            expected = _np_lstm_gates(gx4, gh4, b4, cell)
-            got = _compiled_lstm_gates(kernel, gx4, gh4, b4, cell)
-            for want, have in zip(expected, got):
-                if not np.array_equal(want, have):
-                    raise RuntimeError(
-                        f"compiled LSTM gates diverge from the numpy oracle at "
-                        f"batch={batch}, size={size}, scale={scale}"
-                    )
+                    for layer in range(layers)
+                ]
+                x = rng.uniform(-1.0, 1.0, size=(batch, inputs))
+                hidden = rng.uniform(-1.0, 1.0, size=(layers, batch, size))
+                _assert_same(
+                    "gru_step",
+                    reference.gru_step(x, hidden, cells),
+                    kernel.gru_step(x, hidden, cells),
+                    f"layers={layers}, batch={batch}, size={size}, scale={scale}",
+                )
+        for widths, batch in [((5, 7, 3, 2), 7), ((1, 1), 1), ((34, 64, 32, 2), 16), ((3, 4, 1), 0)]:
+            for scale in (1.0, 50.0):
+                layers = [
+                    (rng.standard_normal((fan_in, fan_out)) * scale, rng.standard_normal(fan_out))
+                    for fan_in, fan_out in zip(widths[:-1], widths[1:])
+                ]
+                x = rng.standard_normal((batch, widths[0]))
+                _assert_same(
+                    "tanh_mlp",
+                    reference.tanh_mlp(x, layers),
+                    kernel.tanh_mlp(x, layers),
+                    f"widths={widths}, batch={batch}, scale={scale}",
+                )
 
 
 def _gates_kernel():
-    """The compiled module if its gate kernels passed self-check, else ``None``.
+    """The compiled module if its fused kernels passed self-check, else ``None``.
 
-    Gate availability is tracked separately from GEMM availability so a gate
-    self-check failure degrades only the gate path — the GEMM keeps its
+    Binds numpy's exp / tanh loops into the module, then self-checks.  Fused
+    availability is tracked separately from GEMM availability so a fused
+    self-check failure degrades only the fused paths — the GEMM keeps its
     compiled speed, and vice versa.
     """
     global _GATES_OK, _GATES_ERROR
@@ -401,15 +456,17 @@ def _gates_kernel():
         return None
     if _GATES_OK is None:
         try:
-            _self_check_gates(kernel)
+            kernel.bind_loops(*_LOOP_UFUNCS)
+            _self_check_fused_cells(kernel)
             _GATES_OK = True
         except Exception as exc:  # noqa: BLE001 - degrade, never break callers
             _GATES_OK = False
             _GATES_ERROR = f"{type(exc).__name__}: {exc}"
             warnings.warn(
                 "repro.nn.backend: compiled fused-cell kernels unavailable "
-                f"({_GATES_ERROR}); GRU/LSTM gate math is falling back to "
-                "numpy (identical bits, numpy speed).",
+                f"({_GATES_ERROR}); the GRU step, the tanh MLP and the GRU/LSTM "
+                "gate math are falling back to the numpy composition "
+                "(identical bits, numpy speed).",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -417,12 +474,12 @@ def _gates_kernel():
 
 
 def fused_cells_available() -> bool:
-    """``True`` when the blocked backend runs compiled fused-cell kernels."""
+    """``True`` when the blocked backend runs its compiled fused kernels."""
     return _gates_kernel() is not None
 
 
 def fused_cells_error() -> Optional[str]:
-    """Why the fused-cell kernels are unavailable (``None`` when active)."""
+    """Why the fused kernels are unavailable (``None`` when active)."""
     _gates_kernel()
     return _KERNEL_ERROR if _KERNEL is None else _GATES_ERROR
 
@@ -441,9 +498,10 @@ class ExecutionBackend:
     property the bit-equivalence ladder rests on — and
     ``tests/test_nn_backend.py`` holds the whole registry to that.
 
-    The gate hooks default to the numpy oracles, so any backend is safe for
-    the recurrent forwards; only ``blocked`` overrides them with compiled
-    (bit-identical) kernels.
+    The gate hooks default to the numpy oracles and the network hooks to
+    their composition on :meth:`matmul2d`, so any backend is safe for the
+    recurrent forwards and the decision tick; only ``blocked`` overrides
+    them with compiled (bit-identical) kernels.
     """
 
     name: str = "abstract"
@@ -470,6 +528,36 @@ class ExecutionBackend:
         """
         return _np_lstm_gates(gx, gh, b, cell)
 
+    def gru_step(
+        self, x: np.ndarray, hidden: np.ndarray, cells: Sequence[Tuple[np.ndarray, ...]]
+    ) -> np.ndarray:
+        """One step of a GRU stack: ``(layers, n, H)`` slab in, a fresh one out.
+
+        ``x`` is the ``(n, input_size)`` newest input and ``cells`` one packed
+        ``(w_x, w_h, b)`` per layer.  This composition —
+        :func:`~repro.nn.functional.gru_cell_forward` per layer on
+        :meth:`matmul2d`, each layer's output the next one's input — is the
+        oracle the compiled ``gru_step`` is checked against.
+        """
+        from .functional import gru_cell_forward
+
+        new_hidden = np.empty(hidden.shape)
+        step_input = x
+        for layer, (w_x, w_h, b) in enumerate(cells):
+            step_input = gru_cell_forward(step_input, hidden[layer], w_x, w_h, b, self.matmul2d)[0]
+            new_hidden[layer] = step_input
+        return new_hidden
+
+    def tanh_mlp(self, x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """The Linear–tanh–…–Linear forward on ``(n, in_features)`` rows.
+
+        :func:`~repro.nn.functional.tanh_mlp_forward` on :meth:`matmul2d`
+        (its last activation): the oracle of the compiled ``tanh_mlp``.
+        """
+        from .functional import tanh_mlp_forward
+
+        return tanh_mlp_forward(x, layers, self.matmul2d)[-1]
+
     def describe(self) -> Dict[str, object]:
         """Introspection payload (benchmarks embed this in their results)."""
         return {"name": self.name}
@@ -478,20 +566,40 @@ class ExecutionBackend:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum("ik,kh->ih", a, b)`` in the layout that makes it sequential.
+
+    On C-ordered float64 operands with at least two output columns, einsum
+    walks ``k`` in its outer loop, so each output element accumulates over
+    ``k`` in strictly increasing order with separate multiply/add rounding
+    steps.  A one-column product, or a Fortran-ordered operand, moves ``k``
+    into einsum's innermost loop, which sums with several SIMD partial sums —
+    a different rounding.  So both operands are made C-ordered float64 (as
+    the compiled GEMM reads them) and a single column is computed as the
+    first of two identical ones.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if b.ndim == 2 and b.shape[1] == 1:
+        return np.einsum("ik,kh->ih", a, np.repeat(b, 2, axis=1))[:, :1]
+    return np.einsum("ik,kh->ih", a, b)
+
+
 class ReferenceBackend(ExecutionBackend):
     """The original einsum + numpy path — the oracle every fast path is
     tested against.
 
-    ``np.einsum("ik,kh->ih")`` accumulates each output element over ``k`` in
-    strictly increasing order with separate multiply/add rounding steps,
-    which is the numerical definition of the row-consistency contract.  The
-    inherited gate hooks are the plain-numpy oracles.
+    ``np.einsum("ik,kh->ih")`` (in the layout :func:`_einsum_matmul` gives
+    it) accumulates each output element over ``k`` in strictly increasing
+    order with separate multiply/add rounding steps, which is the numerical
+    definition of the row-consistency contract.  The inherited gate hooks
+    are the plain-numpy oracles, the network hooks their composition.
     """
 
     name = "reference"
 
     def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,kh->ih", a, b)
+        return _einsum_matmul(a, b)
 
 
 # The enabled-telemetry GEMM timer is stride-sampled: one call in
@@ -534,9 +642,9 @@ class BlockedBackend(ExecutionBackend):
     """Compiled kernel pack, bit-identical to the reference paths.
 
     Dispatches the matmul to the runtime-compiled extension when available
-    and verified (see :func:`compiled_kernel_available`), and the recurrent
-    gate math to the hybrid compiled pipelines when they passed their own
-    self-check (:func:`fused_cells_available`).  Because every fast path
+    and verified (see :func:`compiled_kernel_available`), and the GRU step,
+    the tanh MLP and the recurrent gate math to the fused compiled kernels
+    when they passed their own self-check (:func:`fused_cells_available`).  Because every fast path
     produces identical bits to its oracle, the dispatch points are invisible
     to all numerical contracts — only the clock changes.
     """
@@ -551,16 +659,18 @@ class BlockedBackend(ExecutionBackend):
             tick[0] += 1
             if tick[0] % _OBS_STRIDE == 0:
                 t0 = time.perf_counter()
-        out = np.einsum("ik,kh->ih", a, b) if kernel is None else kernel.rc_gemm(a, b)
+        out = _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
         if t0 is not None:
             # Telemetry reads clocks only: the timed call is the same call.
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             _obs_instruments()["einsum" if kernel is None else "compiled"].observe(elapsed_ms)
         return out
 
-    # The float64 guards protect the C boundary: the extension would widen
-    # any other dtype silently (PyArray_FROM_OTF), which is not what the
-    # numpy oracle does with it.
+    # The float64 guards protect the C boundary of the gate kernels: the
+    # extension would widen any other dtype silently (PyArray_FROM_OTF),
+    # which is not what the numpy oracle does with it.  The network kernels
+    # need none: their compositions widen every operand to float64 exactly
+    # as the extension does (the GEMM casts its inputs; the slab is float64).
     def gru_gates(
         self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -571,8 +681,22 @@ class BlockedBackend(ExecutionBackend):
             and gh.dtype == np.float64
             and hidden.dtype == np.float64
         ):
-            return _compiled_gru_gates(kernel, gx, gh, b, hidden)
+            return (*kernel.gru_gates(gx, gh, b, hidden), gh[:, 2 * hidden.shape[-1] :])
         return _np_gru_gates(gx, gh, b, hidden)
+
+    def gru_step(
+        self, x: np.ndarray, hidden: np.ndarray, cells: Sequence[Tuple[np.ndarray, ...]]
+    ) -> np.ndarray:
+        kernel = _gates_kernel()
+        if kernel is None:
+            return super().gru_step(x, hidden, cells)
+        return kernel.gru_step(x, hidden, cells)
+
+    def tanh_mlp(self, x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        kernel = _gates_kernel()
+        if kernel is None:
+            return super().tanh_mlp(x, layers)
+        return kernel.tanh_mlp(x, layers)
 
     def lstm_gates(
         self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray

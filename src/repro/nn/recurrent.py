@@ -18,7 +18,9 @@ The cells are parameter holders (they give checkpoints their ``cellN.w_x``
 keys); the compute lives in :mod:`repro.nn.functional`.  Training runs each
 layer × time block as one fused node (``gru_sequence`` / ``lstm_sequence``,
 input projections hoisted into a single GEMM); the GRU's inference step,
-:meth:`GRU.step_arrays`, runs ``gru_cell_forward`` on plain arrays.
+:meth:`GRU.step_arrays`, runs the active backend's ``gru_step`` (the
+composition of ``gru_cell_forward`` per layer, or one compiled call) on
+plain arrays.
 Initialisation draws the per-gate blocks in the same order and with the same
 shapes as the legacy per-gate layout, so seeded runs produce identical
 weights; legacy per-gate checkpoints are folded into the packed layout on
@@ -119,23 +121,18 @@ class GRU(Module):
         ``x_t`` is the ``(batch, input_size)`` newest input and ``hidden`` a
         ``(num_layers, batch, hidden_size)`` slab; so is the result, which is
         freshly allocated and whose top layer (``[-1]``) is the sequence
-        representation after folding in ``x_t``.  The matmuls always run on
-        the active backend's row-consistent kernel, and the weights are read
+        representation after folding in ``x_t``.  The step is the active
+        backend's :meth:`~repro.nn.backend.ExecutionBackend.gru_step` — one
+        compiled call under ``blocked``, ``gru_cell_forward`` per layer on the
+        row-consistent kernel under ``reference`` — and the weights are read
         from the parameters at call time, so stepping a sequence one element
         at a time gives bit for bit the states :meth:`forward` computes over
         the whole sequence under ``row_consistent_matmul()`` — whatever
         replaced or updated ``param.data`` since the last call.  This is what
         lets the rollout engine encode histories in O(1) work per tick.
         """
-        matmul = _backend.active_backend().matmul2d
-        new_hidden = np.empty(hidden.shape)
-        step_input = x_t
-        for layer, cell in enumerate(self._cells):
-            step_input = F.gru_cell_forward(
-                step_input, hidden[layer], cell.w_x.data, cell.w_h.data, cell.b.data, matmul
-            )[0]
-            new_hidden[layer] = step_input
-        return new_hidden
+        cells = [(cell.w_x.data, cell.w_h.data, cell.b.data) for cell in self._cells]
+        return _backend.active_backend().gru_step(x_t, hidden, cells)
 
     def forward(
         self, x: Tensor, hidden: Optional[List[Tensor]] = None

@@ -605,12 +605,12 @@ class TestDecisionTickEntryPoints:
             collection_seed_tree(np.random.default_rng(0), config.n_envs),
         )
         runner.collect(config.rollout_length)
-        # One act and one value per tick, one bootstrap value, and one
-        # encoder step per tick after the reset's.
+        # One act per tick, one value call over the whole rollout, one
+        # bootstrap value, and one encoder step per tick after the reset's.
         assert spied == {
             "step_pairs": config.rollout_length + 1,
             "act_batch": config.rollout_length,
-            "value_batch": config.rollout_length + 1,
+            "value_batch": 2,
         }
 
     def test_attack_batch(self, agent, tor_splits, spied, no_tensor_forwards):
@@ -992,6 +992,36 @@ class TestShardRunnerEdges:
             assert got.query_delta == len(got.summaries)
         else:
             assert got.query_delta == self.N_TICKS * n_envs + len(got.summaries)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_rollout_values_equal_per_tick_critic_calls(
+        self, agent, trained_dt_censor, normalizer, tor_splits, workers
+    ):
+        """``collect`` values the whole rollout in one critic call; every tick's
+        row equals a per-tick call on that tick's states, bitwise, across
+        collects and auto-resets, in-process and in a forked worker."""
+        from repro.distrib import ShardedRolloutEngine, ShardRunner
+
+        config = agent.config.with_overrides(max_episode_steps=4)
+        flows = tor_splits.attack_train.censored_flows
+
+        def build(worker_index=0):
+            return self._kernel(ShardRunner, agent, trained_dt_censor, normalizer, config, flows)
+
+        if workers:
+            engine = ShardedRolloutEngine(build, workers)
+            collect, close = engine.collect, engine.close
+            engine.broadcast(state_dict_to_bytes(agent._policy_state()))
+        else:
+            collect, close = build().collect, lambda: None
+        try:
+            rollouts = [collect(self.N_TICKS) for _ in range(3)]
+        finally:
+            close()
+        assert sum(len(rollout.summaries) for rollout in rollouts) >= 2 * config.n_envs
+        for rollout in rollouts:
+            per_tick = np.stack([agent.critic.value_batch(states) for states in rollout.states])
+            assert np.array_equal(rollout.values.view(np.uint64), per_tick.view(np.uint64))
 
     def test_snapshot_restore_between_collects_equals_sequential(
         self, agent, trained_dt_censor, normalizer, tor_splits

@@ -54,6 +54,8 @@ SHAPES = [
     (128, 64, 2),
     (128, 64, 8),
     (257, 33, 17),
+    (16, 33, 1),
+    (5, 64, 1),
     (2, 0, 4),
     (0, 5, 3),
 ]
@@ -197,6 +199,22 @@ class TestBlockedEqualsReference:
             for row in range(13):
                 assert np.array_equal(backend.matmul2d(a[row : row + 1], b)[0], full[row])
 
+    def test_reference_accumulates_in_k_order_in_every_layout(self):
+        """One-column products and Fortran-ordered operands included: left
+        alone, einsum reduces ``k`` with SIMD partial sums in those layouts."""
+        rng = np.random.default_rng(6)
+        ref = nnb.get_backend("reference")
+        for rows, inner, cols in [(5, 33, 1), (1, 64, 1), (16, 8, 1), (5, 33, 3), (1, 8, 2)]:
+            a = rng.standard_normal((rows, inner))
+            b = rng.standard_normal((inner, cols))
+            sequential = np.zeros((rows, cols))
+            for k in range(inner):
+                sequential = sequential + a[:, k : k + 1] * b[k]
+            for left in (a, np.asfortranarray(a)):
+                for right in (b, np.asfortranarray(b)):
+                    got = ref.matmul2d(left, right)
+                    assert np.array_equal(got.view(np.uint64), sequential.view(np.uint64))
+
     def test_blocked_einsum_fallback_matches_reference(self, monkeypatch):
         """With the compiled kernel disabled, blocked degrades to identical bits."""
         monkeypatch.setattr(nnb, "_KERNEL", None)
@@ -330,7 +348,7 @@ class TestFusedCellKernels:
         def boom(kernel):
             raise RuntimeError("gate self-check forced to fail")
 
-        monkeypatch.setattr(nnb, "_self_check_gates", boom)
+        monkeypatch.setattr(nnb, "_self_check_fused_cells", boom)
         with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable"):
             assert not nnb.fused_cells_available()
         assert "forced to fail" in nnb.fused_cells_error()
@@ -373,6 +391,189 @@ class TestFusedCellKernels:
         assert np.array_equal(out_ref, out_blk)
         for g_ref, g_blk in zip(grads_ref, grads_blk):
             assert np.array_equal(g_ref, g_blk)
+
+
+def _same_bits(want, have):
+    assert want.shape == have.shape and want.dtype == have.dtype == np.float64
+    assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
+
+
+def test_bound_ufunc_loops_equal_ufunc():
+    """numpy's float64 exp / tanh inner loops, called the way the kernel pack
+    calls them (bound from the ufunc's first exact ``d->d`` loop-table entry,
+    run over a contiguous, non-overlapping copy), equal ``np.exp`` /
+    ``np.tanh`` bit for bit.
+
+    Pinned assumption, measured on numpy 2.4.6 (CI's numpy-floor job runs it
+    on 1.24): the loop numpy's type resolver runs for a contiguous float64
+    array is that table entry, and its values do not depend on the array's
+    length or on where an element falls in the SIMD tail.  If this fails, every fused
+    kernel (``gru_gates``, ``gru_step``, ``tanh_mlp``) would drift from the
+    numpy composition in the last ulp; the load-time self-check would then
+    degrade ``blocked`` to the composition (``fused_cells_error`` names the
+    loop), and the perf harness would refuse to measure.
+    """
+    kernel = nnb._gates_kernel()
+    if kernel is None:
+        pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+    rng = np.random.default_rng(60)
+    tiny = np.finfo(np.float64).tiny
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny, -tiny,
+         tiny / 3, 709.78, 709.79, -708.4, -745.1, -745.2, 19.06, -19.06, 1e-300]
+    )  # fmt: skip
+    samples = [specials]
+    for length in list(range(1, 68)) + [1000]:
+        for scale in (1e-310, 1e-3, 1.0, 30.0, 300.0, 800.0):
+            samples.append(rng.standard_normal(length) * scale)
+    with np.errstate(all="ignore"):
+        for x in samples:
+            for name, ufunc in (("exp", np.exp), ("tanh", np.tanh)):
+                _same_bits(ufunc(x), kernel.bound_loop(name, x))
+
+
+class TestFusedNetworkKernels:
+    """``step_pairs`` / ``act_batch`` / ``value_batch`` run one compiled call
+    each under ``blocked`` and equal the ``reference`` composition bitwise."""
+
+    ROWS = [0, 1, 7, 15, 16, 17]
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        from repro.core.actor_critic import Critic, GaussianActor
+        from repro.core.state_encoder import StateEncoder
+
+        encoder = StateEncoder(hidden_size=16, num_layers=2, rng=3)
+        return encoder, GaussianActor(32, rng=4), Critic(32, rng=5)
+
+    @staticmethod
+    def _tick(nets, pairs, slab, states, noise):
+        encoder, actor, critic = nets
+        return (
+            encoder.step_pairs(pairs, slab),
+            *actor.act_batch(states, noise=noise),
+            *actor.act_batch(states, deterministic=True),
+            critic.value_batch(states),
+        )
+
+    def _assert_backends_agree(self, nets, pairs, slab, states, noise=None):
+        if noise is None:
+            noise = np.random.default_rng(7).standard_normal((len(states), 2))
+        with nnb.use_backend("reference"):
+            want = self._tick(nets, pairs, slab, states, noise)
+        with nnb.use_backend("blocked"):
+            got = self._tick(nets, pairs, slab, states, noise)
+        for expected, actual in zip(want, got):
+            _same_bits(expected, actual)
+
+    @staticmethod
+    def _inputs(rng, rows, scale=1.0):
+        return (
+            rng.uniform(-1.0, 1.0, size=(rows, 2)) * scale,
+            rng.uniform(-1.0, 1.0, size=(2, rows, 16)) * scale,
+            rng.standard_normal((rows, 32)) * scale,
+        )
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    def test_tick_matches_reference(self, nets, rows, scale):
+        self._assert_backends_agree(nets, *self._inputs(np.random.default_rng(rows), rows, scale))
+
+    def test_saturating_pre_activations(self, nets):
+        """|pre| ~ 50: every sigmoid / tanh clamps to its boundary."""
+        rng = np.random.default_rng(61)
+        pairs, slab, states = self._inputs(rng, 16)
+        encoder, actor, critic = nets
+        first_gru = encoder.gru._cells[0].w_x.data
+        first_mlp = actor.body[0].weight.data
+        assert np.abs(pairs @ first_gru).max() < 50 < np.abs(pairs * 50 @ first_gru).max()
+        assert np.abs(states * 50 @ first_mlp).max() > 50
+        self._assert_backends_agree(nets, pairs * 50, slab, states * 50)
+
+    def test_noncontiguous_gathers_and_layouts(self, nets):
+        rng = np.random.default_rng(62)
+        pairs, _, states = self._inputs(rng, 7)
+        table = rng.uniform(-1.0, 1.0, size=(2, 2, 12, 16))
+        slots = np.array([9, 0, 4, 11, 2, 7, 5])
+        gathered = table[:, 0, slots]  # the server's session-table gather
+        self._assert_backends_agree(nets, pairs, gathered, states)
+        strided_pairs = np.repeat(pairs, 2, axis=0)[::2]
+        strided_states = np.repeat(states, 2, axis=1)[:, ::2]
+        assert not strided_pairs.flags.c_contiguous and not strided_states.flags.c_contiguous
+        self._assert_backends_agree(nets, strided_pairs, table[:, 1, slots], strided_states)
+        self._assert_backends_agree(
+            nets,
+            np.asfortranarray(pairs),
+            np.asfortranarray(gathered),
+            np.asfortranarray(states),
+        )
+
+    def test_float32_and_integer_inputs(self, nets):
+        rng = np.random.default_rng(63)
+        pairs, slab, states = self._inputs(rng, 15)
+        self._assert_backends_agree(
+            nets, pairs.astype(np.float32), slab.astype(np.float32), states.astype(np.float32)
+        )
+        self._assert_backends_agree(
+            nets,
+            rng.integers(-3, 4, size=(15, 2)),
+            rng.integers(-1, 2, size=(2, 15, 16)),
+            rng.integers(-5, 6, size=(15, 32)),
+        )
+
+    def test_non_finite_rows(self, nets):
+        rng = np.random.default_rng(64)
+        pairs, slab, states = self._inputs(rng, 17)
+        for row, value in ((1, np.nan), (4, np.inf), (9, -np.inf)):
+            pairs[row, row % 2] = value
+            slab[row % 2, row + 2, 3] = value
+            states[row, 5] = value
+        states[12] = np.nan
+        with np.errstate(invalid="ignore"):
+            self._assert_backends_agree(nets, pairs, slab, states)
+
+    def test_blocked_tick_calls_no_python_matmul_or_gates(self, nets, monkeypatch):
+        if not nnb.fused_cells_available():
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        from repro.nn import functional as F
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the blocked decision tick left the compiled kernels")
+
+        for owner, name in (
+            (nnb.BlockedBackend, "matmul2d"),
+            (nnb.BlockedBackend, "gru_gates"),
+            (nnb.ExecutionBackend, "gru_step"),
+            (nnb.ExecutionBackend, "tanh_mlp"),
+            (F, "gru_cell_forward"),
+            (F, "tanh_mlp_forward"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        pairs, slab, states = self._inputs(np.random.default_rng(65), 16)
+        with nnb.use_backend("blocked"):
+            self._tick(nets, pairs, slab, states, np.zeros((16, 2)))
+
+    def test_loop_mismatch_degrades_once_to_the_composition(self, nets, monkeypatch):
+        kernel = nnb._ensure_kernel()
+        if kernel is None:
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        monkeypatch.setattr(nnb, "_GATES_OK", None)
+        monkeypatch.setattr(nnb, "_GATES_ERROR", None)
+        monkeypatch.setattr(nnb, "_LOOP_UFUNCS", (np.exp, np.sinh))
+        try:
+            with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as record:
+                assert not nnb.fused_cells_available()
+            assert len(record) == 1
+            assert "tanh loop" in nnb.fused_cells_error()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert nnb.get_backend("blocked").describe()["fused_cells"] == "numpy-fallback"
+                # blocked now runs the composition, which still matches.
+                self._assert_backends_agree(
+                    nets, *self._inputs(np.random.default_rng(66), 7)
+                )
+        finally:
+            kernel.bind_loops(np.exp, np.tanh)
 
 
 class TestKernelFallbackWarning:
