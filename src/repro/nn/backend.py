@@ -384,6 +384,7 @@ def _self_check_fused_cells(kernel) -> None:
                 _assert_same(f"{name} loop", ufunc(x), kernel.bound_loop(name, x), f"length {len(x)}")
 
     reference = get_backend("reference")
+    # Active too: the GRU composition takes its gates from the active backend.
     with use_backend("reference"):
         for batch, size in [(1, 3), (4, 5), (7, 16), (3, 1)]:
             for scale in (1.0, 8.0, 50.0):
@@ -539,7 +540,7 @@ class ExecutionBackend:
         :meth:`matmul2d`, each layer's output the next one's input — is the
         oracle the compiled ``gru_step`` is checked against.
         """
-        from .functional import gru_cell_forward
+        from .functional import gru_cell_forward  # functional imports this module
 
         new_hidden = np.empty(hidden.shape)
         step_input = x
@@ -554,7 +555,7 @@ class ExecutionBackend:
         :func:`~repro.nn.functional.tanh_mlp_forward` on :meth:`matmul2d`
         (its last activation): the oracle of the compiled ``tanh_mlp``.
         """
-        from .functional import tanh_mlp_forward
+        from .functional import tanh_mlp_forward  # functional imports this module
 
         return tanh_mlp_forward(x, layers, self.matmul2d)[-1]
 

@@ -413,9 +413,10 @@ def test_bound_ufunc_loops_equal_ufunc():
     degrade ``blocked`` to the composition (``fused_cells_error`` names the
     loop), and the perf harness would refuse to measure.
     """
-    kernel = nnb._gates_kernel()
+    kernel = nnb._ensure_kernel()
     if kernel is None:
-        pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+    nnb.fused_cells_available()  # binds the loops
     rng = np.random.default_rng(60)
     tiny = np.finfo(np.float64).tiny
     specials = np.array(
@@ -533,8 +534,10 @@ class TestFusedNetworkKernels:
             self._assert_backends_agree(nets, pairs, slab, states)
 
     def test_blocked_tick_calls_no_python_matmul_or_gates(self, nets, monkeypatch):
-        if not nnb.fused_cells_available():
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        # With the GEMM compiled, a fused kernel failing its self-check is a bug.
+        assert nnb.fused_cells_available(), nnb.fused_cells_error()
         from repro.nn import functional as F
 
         def forbidden(*args, **kwargs):
