@@ -20,7 +20,7 @@ Subpackages
     profiles.
 ``repro.distrib``
     Distributed tier: sharded multi-process rollout collection with
-    checkpoint broadcast, and the fault-tolerant sweep orchestrator.
+    checkpoint broadcast and replay-based worker restarts.
 ``repro.serve``
     Serving tier: online policy serving with continuous batching, session
     management, deadline-driven profile fallback and a load generator.

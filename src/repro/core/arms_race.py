@@ -76,7 +76,6 @@ def run_arms_race(
     harvest_per_round: int = 30,
     config: Optional[AmoebaConfig] = None,
     eval_batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
     rng=None,
 ) -> ArmsRaceResult:
     """Run ``n_rounds`` of censor-retrains / attacker-retrains.
@@ -102,9 +101,6 @@ def run_arms_race(
         ASR each round; plumbed into ``config.eval_batch_size`` so every
         round's batched evaluation picks it up (``None`` keeps the agent's
         own ``max(n_envs, 8)`` sizing).
-    workers:
-        When set, each round's rollout collection is sharded across that
-        many worker processes (``Amoeba.train(workers=...)``).
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -125,11 +121,7 @@ def run_arms_race(
 
         # 2. Attacker trains a fresh agent against the updated censor.
         agent = Amoeba(censor, normalizer, config, rng=round_rng)
-        agent.train(
-            attack_train_flows,
-            total_timesteps=amoeba_timesteps,
-            workers=workers,
-        )
+        agent.train(attack_train_flows, total_timesteps=amoeba_timesteps)
         report = agent.evaluate(eval_flows)
 
         # 3. Censor harvests a uniform sample of this round's adversarial

@@ -1,9 +1,8 @@
 """Sharded rollout engine: W collection workers, one merged rollout.
 
 The engine partitions the global environment batch into ``W`` contiguous
-shards, forks one worker process per shard through
-:class:`~repro.distrib.transport.ForkWorkerPool` (each worker hosts a
-:class:`~repro.distrib.shard.ShardRunner` — its own
+shards, forks one worker process per shard through :class:`ForkWorkerPool`
+(each worker hosts a :class:`~repro.distrib.shard.ShardRunner` — its own
 :class:`~repro.core.vec_env.VectorFlowEnv`, censor replica and per-slot
 seed streams), and drives them with two commands per PPO iteration:
 
@@ -17,6 +16,26 @@ seed streams), and drives them with two commands per PPO iteration:
 
 Both commands are synchronous: the driver blocks until every shard has
 answered, so PPO collects with the current policy, then updates.
+
+Worker protocol
+---------------
+This module owns the rollout command vocabulary, both the sender (the
+engine) and the handlers (:func:`rollout_handlers`, served by
+:func:`~repro.distrib.transport.worker_command_loop`):
+
+============ ======================= ==============================
+command      payload                 reply
+============ ======================= ==============================
+``load``      checkpoint bytes        ``("ok", None)``
+``collect``   number of ticks         ``("result", ShardResult)``
+``snapshot``  —                       ``("result", runner state dict)``
+``restore``   runner state dict       ``("ok", None)``
+``close``     —                       ``("ok", None)``, then exit
+============ ======================= ==============================
+
+Exceptions inside a command come back as ``("error", traceback)`` and are
+re-raised in the driver — only a broken pipe (the worker process died) is
+treated as a restartable fault.
 
 Determinism contract
 --------------------
@@ -50,23 +69,114 @@ checkpoint and replays at most the current iteration's commands.
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..core.env import EpisodeSummary
 from .shard import ShardResult, ShardRunner
-from .transport import (
-    ForkWorkerPool,
-    Transport,
-    TransportError,
-    encode_message,
-)
-from .worker import rollout_worker_entry
+from .transport import Transport, TransportError, encode_message, worker_command_loop
 
-__all__ = ["ShardedRolloutEngine"]
+__all__ = ["ShardedRolloutEngine", "ForkWorkerPool"]
+
+# Restart budget per recovery attempt before the fault is re-raised.
+_MAX_RESTARTS = 3
+# How long close() waits for one worker's close reply, and then for the
+# process to exit, before it kills the worker: an idle worker answers at
+# once, a stopped one never does.
+_CLOSE_TIMEOUT_S = 1.0
+
+
+# --------------------------------------------------------------------- #
+# Worker side
+# --------------------------------------------------------------------- #
+def rollout_handlers(runner) -> Dict[str, Callable[..., tuple]]:
+    """The rollout command table over one :class:`ShardRunner`."""
+
+    def load(payload: bytes) -> tuple:
+        runner.load_weights(payload)
+        return ("ok", None)
+
+    def collect(n_ticks: int) -> tuple:
+        return ("result", runner.collect(n_ticks))
+
+    def snapshot() -> tuple:
+        return ("result", runner.snapshot())
+
+    def restore(state) -> tuple:
+        runner.restore(state)
+        return ("ok", None)
+
+    return {
+        "load": load,
+        "collect": collect,
+        "snapshot": snapshot,
+        "restore": restore,
+    }
+
+
+def rollout_worker_entry(
+    conn, runner_factory: Callable[[int], object], worker_index: int
+) -> None:
+    """Forked-child body: wrap the inherited pipe end, build the worker's
+    runner with ``runner_factory(worker_index)``, then serve
+    :func:`rollout_handlers` through :func:`worker_command_loop`."""
+    transport = Transport(conn)
+    try:
+        handlers = rollout_handlers(runner_factory(worker_index))
+    except Exception:
+        # A factory that cannot build its runner is a deterministic bug.
+        # The worker stays up and answers every command with the traceback,
+        # so the driver raises it instead of treating an exited worker as a
+        # crash to restart.
+        failure = ("error", traceback.format_exc())
+        handlers = dict.fromkeys(rollout_handlers(None), lambda *payload: failure)
+    worker_command_loop(transport, handlers)
+
+
+class ForkWorkerPool:
+    """Forks one local rollout worker per index, running
+    :func:`rollout_worker_entry` over ``runner_factory``.
+
+    Nothing is pickled — the factory and everything it closes over (censor
+    replicas, network architectures, flow pools) are inherited
+    copy-on-write, which is why ``fork`` is the only supported start
+    method.  Workers are daemonic: a rollout worker never forks, and a
+    driver that dies takes its workers with it.
+    """
+
+    def __init__(self, runner_factory: Callable[[int], object]) -> None:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                "worker pools require the 'fork' start method (POSIX only): "
+                "workers inherit censor replicas and network architectures "
+                "by copy-on-write instead of pickling"
+            )
+        self._context = multiprocessing.get_context("fork")
+        self._factory = runner_factory
+
+    def launch(self, index: int) -> Tuple[Transport, multiprocessing.Process]:
+        """Fork worker ``index``; returns its channel and process handle."""
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=rollout_worker_entry,
+            args=(child_conn, self._factory, index),
+            name=f"repro-rollout-worker-{index}",
+            daemon=True,
+        )
+        process.start()
+        # The parent must drop its reference to the child end, otherwise a
+        # dead worker never produces EOF on the parent's connection.
+        child_conn.close()
+        return Transport(parent_conn), process
+
+
+# --------------------------------------------------------------------- #
+# Driver side
+# --------------------------------------------------------------------- #
 
 
 @dataclass
@@ -87,26 +197,15 @@ class ShardedRolloutEngine:
         them.
     n_workers:
         Number of worker processes (= number of shards).
-    max_restarts:
-        Restart budget per recovery attempt before the fault is re-raised.
     """
 
     def __init__(
-        self,
-        runner_factory: Callable[[int], ShardRunner],
-        n_workers: int,
-        max_restarts: int = 3,
+        self, runner_factory: Callable[[int], ShardRunner], n_workers: int
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        self._pool = ForkWorkerPool(
-            rollout_worker_entry,
-            runner_factory,
-            name_prefix="repro-rollout-worker",
-            daemon=True,
-        )
+        self._pool = ForkWorkerPool(runner_factory)
         self._n_workers = n_workers
-        self._max_restarts = max_restarts
         self._log: List[tuple] = []
         self._snapshots: Optional[list] = None
         self._last_payload: Optional[bytes] = None
@@ -136,7 +235,6 @@ class ShardedRolloutEngine:
         flows: Sequence,
         seed_tree: Sequence[Tuple[np.random.SeedSequence, np.random.SeedSequence]],
         n_workers: int,
-        max_restarts: int = 3,
     ) -> "ShardedRolloutEngine":
         """Build the engine for an :class:`~repro.core.agent.Amoeba` agent.
 
@@ -171,7 +269,7 @@ class ShardedRolloutEngine:
                 seed_pairs=seed_tree[low : low + shard_size],
             )
 
-        return cls(runner_factory, n_workers, max_restarts=max_restarts)
+        return cls(runner_factory, n_workers)
 
     # ------------------------------------------------------------------ #
     # Introspection (used by tests and benchmarks)
@@ -250,30 +348,40 @@ class ShardedRolloutEngine:
         self._log.clear()
 
     def close(self) -> None:
-        """Shut all workers down (best effort; crashed workers are reaped)."""
+        """Shut all workers down; returns within a bounded time.
+
+        Every wait is bounded by ``_CLOSE_TIMEOUT_S``: a worker that does
+        not answer its close (stopped, wedged) or does not exit afterwards
+        is killed, and so is every live worker of a broken engine.
+        """
         if self._closed:
             return
         self._closed = True
+        answered = set()
         if not self._broken:
             # Polite handshake — only when every reply was drained; a busy
-            # worker would not answer until its whole rollout finished, so
-            # a close() after a failed collect must not block on recv and
-            # instead falls through to terminate() below.
+            # worker would not answer until its whole rollout finished.
             for handle in self._workers:
                 try:
                     handle.conn.send(("close",))
-                    handle.conn.recv()
+                except TransportError:
+                    pass
+            for handle in self._workers:
+                try:
+                    if handle.conn.poll(_CLOSE_TIMEOUT_S):
+                        handle.conn.recv()
+                        answered.add(handle.index)
                 except TransportError:
                     pass
         for handle in self._workers:
-            if self._broken and handle.process.is_alive():
-                # A mid-collect worker never exits on its own (it would
-                # block sending the result); don't wait out the join below.
-                handle.process.terminate()
-            handle.process.join(timeout=5)
+            if handle.index in answered:
+                handle.process.join(timeout=_CLOSE_TIMEOUT_S)
             if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5)
+                # SIGKILL, not SIGTERM: a stopped process never acts on
+                # SIGTERM, and a mid-collect one would block sending its
+                # result.
+                handle.process.kill()
+            handle.process.join(timeout=_CLOSE_TIMEOUT_S)
             handle.conn.close()
 
     def __enter__(self) -> "ShardedRolloutEngine":
@@ -375,7 +483,7 @@ class ShardedRolloutEngine:
         final — in-flight — command is returned as the worker's answer.
         """
         last_error: Optional[BaseException] = None
-        for _ in range(self._max_restarts):
+        for _ in range(_MAX_RESTARTS):
             self._restarts += 1
             obs.counter("distrib.worker_restarts", worker=str(index)).inc()
             handle = self._respawn(index)
@@ -407,7 +515,7 @@ class ShardedRolloutEngine:
                 continue
         raise RuntimeError(
             f"rollout worker {index} kept crashing through "
-            f"{self._max_restarts} restart attempts"
+            f"{_MAX_RESTARTS} restart attempts"
         ) from last_error
 
     # ------------------------------------------------------------------ #

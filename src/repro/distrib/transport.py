@@ -1,27 +1,23 @@
-"""Worker channels: one command protocol over pipes to forked workers.
+"""Worker channel: framed command tuples over pipes to forked workers.
 
-Both distributed drivers in this codebase — :class:`ShardedRolloutEngine`
-and :class:`SweepOrchestrator` — speak the same byte-oriented protocol to
-their workers: framed command tuples out, framed reply tuples back, with a
+The sharded rollout engine talks to its workers through a byte-oriented
+protocol: framed command tuples out, framed reply tuples back, with a
 broken channel (not an error reply) as the only signal that the worker
-*process* died.  This module holds that protocol once:
+*process* died.  This module holds the channel and the generic worker
+loop; the rollout command vocabulary and the fork pool live with their one
+driver in :mod:`repro.distrib.sharded`.
 
 :class:`Transport`
     One end of a ``multiprocessing`` duplex pipe to a forked worker.
     ``send``/``recv`` move whole pickled frames; ``send_encoded`` ships a
     pre-serialized frame (so a checkpoint broadcast is serialized once, not
-    once per worker); pipe EOF or a broken pipe surfaces as
-    :class:`TransportError`, the single restartable-fault signal the
-    drivers' recovery paths key on.
+    once per worker); ``poll`` bounds a wait; pipe EOF or a broken pipe
+    surfaces as :class:`TransportError`, the single restartable-fault
+    signal the engine's recovery path keys on.
 :func:`worker_command_loop`
-    The one worker-side loop.  Workers are plain handler tables
-    (``command -> callable returning the reply tuple``); unknown-command
-    and error-reply handling and close semantics live here, in exactly one
-    place.
-:class:`ForkWorkerPool`
-    Driver-side worker placement: ``launch(index)`` forks one local child
-    running the worker entry function and returns its channel and
-    :class:`multiprocessing.Process` handle.
+    The worker-side loop over a handler table (``command -> callable
+    returning the reply tuple``); unknown-command and error-reply handling
+    and close semantics live here, in exactly one place.
 
 Workers are local forks of the driver: nothing is pickled at spawn time
 (copy-on-write inheritance), so only frames ever cross the pipe, and both
@@ -37,10 +33,9 @@ pipe.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import traceback
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
 from .. import obs
 from ..obs import _state as _obs_state
@@ -49,7 +44,6 @@ __all__ = [
     "TransportError",
     "Transport",
     "worker_command_loop",
-    "ForkWorkerPool",
     "encode_message",
     "decode_message",
 ]
@@ -61,11 +55,10 @@ _CHANNEL_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 class TransportError(ConnectionError):
     """The peer's channel broke: the worker process died or closed its end.
 
-    This is the *restartable-fault* signal of the distributed tier —
-    drivers answer it with snapshot-restore + log replay (rollout) or task
-    re-queue (sweeps).  Worker *bugs*
-    never raise it; they come back as ordinary ``("error", traceback)``
-    replies.
+    This is the *restartable-fault* signal of the distributed tier — the
+    sharded engine answers it with snapshot-restore + log replay.  Worker
+    *bugs* never raise it; they come back as ordinary ``("error",
+    traceback)`` replies.
     """
 
 
@@ -126,10 +119,6 @@ class Transport:
         except _CHANNEL_ERRORS:
             return True  # EOF counts as readable: recv() will raise promptly
 
-    def fileno(self) -> int:
-        """Waitable descriptor for ``multiprocessing.connection.wait``."""
-        return self._conn.fileno()
-
     def close(self) -> None:
         if self._closed:
             return
@@ -144,21 +133,19 @@ class Transport:
 # The one worker-side command loop
 # --------------------------------------------------------------------- #
 def worker_command_loop(
-    transport: Transport,
-    handlers: Dict[str, Callable[..., tuple]],
-    close_reply: Optional[tuple] = ("ok", None),
+    transport: Transport, handlers: Dict[str, Callable[..., tuple]]
 ) -> None:
     """Serve framed commands until the channel breaks or ``close`` arrives.
 
     ``handlers`` maps a command name to ``handler(*payload) -> reply
     tuple``; the message's trailing elements are the payload.  The loop
-    owns everything each driver's worker loop would otherwise duplicate:
+    owns everything a worker's handler table would otherwise duplicate:
 
     * a raising handler is answered with ``("error", traceback)`` so the
       driver re-raises it — worker bugs are deterministic, never retried;
     * a broken channel (driver gone) exits the loop; a broken channel
       while replying likewise — there is nobody left to answer;
-    * ``close`` answers ``close_reply`` (when not ``None``) and exits;
+    * ``close`` answers ``("ok", None)`` and exits;
     * any other command without a handler is answered with an
       ``("error", "unknown worker command …")`` reply, and the loop keeps
       serving.
@@ -171,11 +158,10 @@ def worker_command_loop(
                 break
             command = message[0]
             if command == "close":
-                if close_reply is not None:
-                    try:
-                        transport.send(close_reply)
-                    except TransportError:
-                        pass
+                try:
+                    transport.send(("ok", None))
+                except TransportError:
+                    pass
                 break
             handler = handlers.get(command)
             try:
@@ -192,59 +178,3 @@ def worker_command_loop(
                     break
     finally:
         transport.close()
-
-
-# --------------------------------------------------------------------- #
-# Driver-side placement
-# --------------------------------------------------------------------- #
-WorkerEntry = Callable[[Transport, object, int], None]
-
-
-def _fork_worker_main(conn, entry: WorkerEntry, factory, worker_index: int) -> None:
-    """Forked-child shim: wrap the inherited pipe and run the entry."""
-    entry(Transport(conn), factory, worker_index)
-
-
-class ForkWorkerPool:
-    """Forks one local child per worker, running ``entry(transport,
-    factory, index)``.
-
-    Nothing is pickled — the entry, the factory and everything the factory
-    closes over (censor replicas, network architectures, flow pools) are
-    inherited copy-on-write, which is why ``fork`` is the only supported
-    start method.
-    """
-
-    def __init__(
-        self,
-        entry: WorkerEntry,
-        factory,
-        name_prefix: str = "repro-worker",
-        daemon: bool = True,
-    ) -> None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "worker pools require the 'fork' start method (POSIX only): "
-                "workers inherit censor replicas and network architectures "
-                "by copy-on-write instead of pickling"
-            )
-        self._context = multiprocessing.get_context("fork")
-        self._entry = entry
-        self._factory = factory
-        self._name_prefix = name_prefix
-        self._daemon = daemon
-
-    def launch(self, index: int) -> Tuple[Transport, multiprocessing.Process]:
-        """Fork worker ``index``; returns its channel and process handle."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_fork_worker_main,
-            args=(child_conn, self._entry, self._factory, index),
-            name=f"{self._name_prefix}-{index}",
-            daemon=self._daemon,
-        )
-        process.start()
-        # The parent must drop its reference to the child end, otherwise a
-        # dead worker never produces EOF on the parent's connection.
-        child_conn.close()
-        return Transport(parent_conn), process

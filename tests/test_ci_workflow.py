@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+NAMED_FILE = re.compile(r"\b(?:tests|benchmarks)/[\w/.-]*?\.py\b")
 
 
 def test_workflow_is_valid_yaml_with_jobs():
@@ -28,7 +29,26 @@ def test_reference_backend_job_runs_every_nn_suite():
     assert sorted(suites - named) == []
 
 
+def test_no_pytest_step_names_a_file_twice():
+    """A file listed twice in one pytest step runs twice for nothing."""
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    repeated = []
+    for job_name, job in jobs.items():
+        for step in job["steps"]:
+            command = step.get("run", "")
+            if "pytest" not in command:
+                continue
+            named = NAMED_FILE.findall(command)
+            repeated += [
+                (job_name, step.get("name"), path)
+                for path in sorted(set(named))
+                if named.count(path) > 1
+            ]
+    assert repeated == []
+
+
 def test_every_named_test_and_benchmark_file_exists():
-    named = set(re.findall(r"\b(?:tests|benchmarks)/[\w/.-]*?\.py\b", WORKFLOW.read_text()))
+    named = set(NAMED_FILE.findall(WORKFLOW.read_text()))
     assert named, "the workflow names no test or benchmark file"
     assert sorted(path for path in named if not (ROOT / path).is_file()) == []

@@ -1,4 +1,4 @@
-"""Sharded rollout subsystem: bit-equivalence, fault tolerance, sweeps.
+"""Sharded rollout subsystem: bit-equivalence and fault tolerance.
 
 The contract under test: sharded collection (W workers × n_envs-per-shard,
 each worker hosting its own ``VectorFlowEnv`` shard plus censor replica,
@@ -15,7 +15,6 @@ tier) stay gone.
 """
 
 import inspect
-import json
 import os
 import signal
 import time
@@ -26,16 +25,8 @@ import pytest
 import repro.distrib
 import repro.serve
 from repro.core import Amoeba, AmoebaConfig, run_arms_race
-from repro.distrib import (
-    ForkWorkerPool,
-    ShardedRolloutEngine,
-    ShardRunner,
-    SweepOrchestrator,
-    SweepTask,
-)
+from repro.distrib import ForkWorkerPool, ShardedRolloutEngine, ShardRunner
 from repro.distrib import transport as transport_mod
-from repro.distrib.sweep import sweep_worker_entry
-from repro.distrib.worker import rollout_worker_entry
 from repro.nn.serialization import state_dict_to_bytes
 from repro.pipeline import train_amoeba
 from repro.utils.rng import collection_seed_tree
@@ -366,31 +357,6 @@ class TestCollectFaults:
         assert not any(process.is_alive() for process in engine.processes)
 
 
-class TestArmsRaceIntegration:
-    def test_arms_race_with_sharded_collection(self, normalizer, tor_splits, fast_config):
-        """`run_arms_race(workers=...)` shards each round's collection and
-        plumbs `eval_batch_size` into the config default."""
-        from repro.censors import DecisionTreeCensor
-
-        result = run_arms_race(
-            censor_factory=lambda: DecisionTreeCensor(rng=0),
-            normalizer=normalizer,
-            clf_train_flows=tor_splits.clf_train.flows,
-            attack_train_flows=tor_splits.attack_train.censored_flows[:10],
-            test_flows=tor_splits.test.flows,
-            eval_flows=tor_splits.test.censored_flows[:4],
-            n_rounds=1,
-            amoeba_timesteps=2 * fast_config.rollout_length * fast_config.n_envs,
-            harvest_per_round=3,
-            config=fast_config,
-            eval_batch_size=2,
-            workers=2,
-            rng=0,
-        )
-        assert len(result.rounds) == 1
-        assert 0.0 <= result.rounds[0].attack_success_rate <= 1.0
-
-
 def _idle_runner_factory(index):
     return object()
 
@@ -450,100 +416,6 @@ class TestEngineValidation:
             assert engine.restarts_performed == 0
         finally:
             engine.close()
-
-
-def _sweep_task(params):
-    if params.get("crash_flag") and not os.path.exists(params["crash_flag"]):
-        with open(params["crash_flag"], "w") as handle:
-            handle.write("crashed")
-        os.kill(os.getpid(), signal.SIGKILL)
-    if params.get("boom"):
-        raise RuntimeError("task exploded")
-    return {"value": params["x"] * 2}
-
-
-class TestSweepOrchestrator:
-    def test_grid_with_crash_retry_and_manifest(self, tmp_path):
-        orchestrator = SweepOrchestrator(_sweep_task, n_workers=2, max_attempts=2)
-        tasks = [
-            SweepTask("plain", {"x": 1}),
-            SweepTask("crashes-once", {"x": 2, "crash_flag": str(tmp_path / "flag")}),
-            SweepTask("raises", {"x": 3, "boom": True}),
-        ]
-        manifest_path = tmp_path / "manifest.json"
-        records = orchestrator.run(tasks, manifest_path=manifest_path)
-
-        by_id = {record.task_id: record for record in records}
-        assert by_id["plain"].status == "ok"
-        assert by_id["plain"].result == {"value": 2}
-        # The crashing task was retried on a fresh worker and succeeded.
-        assert by_id["crashes-once"].status == "ok"
-        assert by_id["crashes-once"].attempts == 2
-        assert by_id["crashes-once"].result == {"value": 4}
-        # A raising task fails immediately (deterministic), no retry.
-        assert by_id["raises"].status == "failed"
-        assert by_id["raises"].attempts == 1
-        assert "task exploded" in by_id["raises"].error
-        assert orchestrator.restarts_performed >= 1
-
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["n_tasks"] == 3
-        assert manifest["completed"] == 2
-        assert manifest["failed"] == 1
-        assert [entry["task_id"] for entry in manifest["tasks"]] == [
-            "plain",
-            "crashes-once",
-            "raises",
-        ]
-
-    def test_collect_workers_nest_under_sweep_workers(self):
-        """Sharded collection inside a sweep task: sweep workers are
-        non-daemonic precisely so they may fork rollout workers."""
-        from repro.distrib import amoeba_grid_task
-
-        orchestrator = SweepOrchestrator(amoeba_grid_task, n_workers=1)
-        records = orchestrator.run(
-            [
-                SweepTask(
-                    "nested",
-                    {
-                        "seed": 0,
-                        "censor": "DT",
-                        "n_flows": 30,
-                        "max_packets": 16,
-                        "n_rounds": 1,
-                        "amoeba_timesteps": 32,
-                        "eval_flows": 2,
-                        "collect_workers": 2,
-                        "config": {
-                            "n_envs": 2,
-                            "rollout_length": 8,
-                            "max_episode_steps": 16,
-                            "encoder_hidden": 8,
-                            "actor_hidden": (16,),
-                            "critic_hidden": (16,),
-                        },
-                    },
-                )
-            ]
-        )
-        assert records[0].status == "ok", records[0].error
-        assert 0.0 <= records[0].result["final_asr"] <= 1.0
-
-    def test_param_dicts_get_auto_ids(self):
-        orchestrator = SweepOrchestrator(_sweep_task, n_workers=1)
-        records = orchestrator.run([{"x": 5}])
-        assert records[0].task_id == "task-0"
-        assert records[0].result == {"value": 10}
-
-    def test_duplicate_task_ids_rejected(self):
-        orchestrator = SweepOrchestrator(_sweep_task, n_workers=1)
-        with pytest.raises(ValueError):
-            orchestrator.run([SweepTask("same", {}), SweepTask("same", {})])
-
-    def test_empty_task_list(self):
-        orchestrator = SweepOrchestrator(_sweep_task, n_workers=1)
-        assert orchestrator.run([]) == []
 
 
 class TestEvalBatchSizeConfig:
@@ -665,22 +537,23 @@ class TestRetiredScaleOutPaths:
         assert "ShardedPolicyServer" not in repro.serve.__all__
 
     def test_worker_entrypoints(self):
-        # Pools take the entry function itself; there is no name table.
+        # The pool forks the one rollout entry; there is no name table and
+        # no entry, name or daemon option to pick another.
         assert not hasattr(transport_mod, "_WORKER_ENTRYPOINTS")
         assert not hasattr(transport_mod, "resolve_worker_entrypoint")
-        engine = ShardedRolloutEngine(_idle_runner_factory, 1)
-        try:
-            assert engine._pool._entry is rollout_worker_entry
-        finally:
-            engine.close()
-        assert SweepOrchestrator(_sweep_task)._pool._entry is sweep_worker_entry
+        assert list(inspect.signature(ForkWorkerPool).parameters) == ["runner_factory"]
+
+    @pytest.mark.parametrize(
+        "function", [ShardedRolloutEngine, ShardedRolloutEngine.for_agent]
+    )
+    def test_no_restart_budget_parameter(self, function):
+        assert "max_restarts" not in inspect.signature(function).parameters
 
     @pytest.mark.parametrize(
         "function",
         [
             ShardedRolloutEngine,
             ShardedRolloutEngine.for_agent,
-            SweepOrchestrator,
             Amoeba.train,
             train_amoeba,
             run_arms_race,

@@ -1,10 +1,11 @@
-"""Worker channels: framing, the command loop, the fork pool, telemetry.
+"""Worker channel: framing, the command loop, the fork pool, telemetry.
 
-The contract under test: the pipe channel carries the distributed protocols
+The contract under test: the pipe channel carries the rollout protocol
 without touching any numeric path.  Every channel fault surfaces as
-``TransportError``; the one worker-side command loop dispatches, answers
-errors and closes the same way for every worker table; a worker factory
-that raises is a surfaced error, not a restart loop; transport counters
+``TransportError``; the worker-side command loop dispatches, answers
+errors and closes in one place; a worker factory that raises is a surfaced
+error, not a restart loop; ``close()`` returns in bounded time and leaves
+no worker alive, even a stopped one; transport counters
 record only with telemetry on; checkpoint broadcasts serialize their
 payload exactly once regardless of worker count; and command frames are
 the bare protocol with telemetry on (the retired telemetry fold and
@@ -17,21 +18,20 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.distrib import ShardedRolloutEngine
+from repro.distrib import ForkWorkerPool, ShardedRolloutEngine
 from repro.distrib.transport import (
-    ForkWorkerPool,
     Transport,
     TransportError,
     decode_message,
     encode_message,
     worker_command_loop,
 )
-from repro.distrib.worker import rollout_worker_entry
 
 
 # --------------------------------------------------------------------- #
@@ -97,26 +97,23 @@ class TestFraming:
             b.send(("collect", 1))
         b.close()
 
-    def test_fork_pipe_poll_and_fileno(self):
+    def test_fork_pipe_poll(self):
         a, b = _pipe_pair()
         try:
             assert not a.poll(0.0)
             b.send(("x",))
             assert a.poll(1.0)
             assert a.recv() == ("x",)
-            assert isinstance(a.fileno(), int)
         finally:
             a.close()
             b.close()
 
 
 class TestWorkerCommandLoop:
-    def _run_loop(self, driver_actions, handlers, close_reply=("ok", None)):
+    def _run_loop(self, driver_actions, handlers):
         """Run the loop against a pipe pair; returns the driver's replies."""
         worker, driver = _pipe_pair()
-        thread = threading.Thread(
-            target=worker_command_loop, args=(worker, handlers, close_reply)
-        )
+        thread = threading.Thread(target=worker_command_loop, args=(worker, handlers))
         thread.start()
         replies = []
         try:
@@ -152,10 +149,6 @@ class TestWorkerCommandLoop:
         )
         assert replies == [("result", 5), ("result", None), ("ok", None)]
 
-    def test_custom_close_reply(self):
-        replies = self._run_loop([("close",)], {}, close_reply=("bye", 7))
-        assert replies == [("bye", 7)]
-
     def test_loop_exits_when_the_driver_goes_away(self):
         worker, driver = _pipe_pair()
         thread = threading.Thread(target=worker_command_loop, args=(worker, {}))
@@ -165,20 +158,6 @@ class TestWorkerCommandLoop:
         assert not thread.is_alive()
         # The loop closed its own end on the way out.
         assert worker._closed
-
-    def test_close_without_reply(self):
-        worker, driver = _pipe_pair()
-        thread = threading.Thread(
-            target=worker_command_loop, args=(worker, {}, None)
-        )
-        thread.start()
-        driver.send(("close",))
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        # The loop closed its end without replying.
-        with pytest.raises(TransportError):
-            driver.recv()
-        driver.close()
 
 
 # --------------------------------------------------------------------- #
@@ -207,7 +186,7 @@ def _broken_factory(index):
 
 class TestForkWorkerPool:
     def test_pool_round_trip_and_kill(self):
-        pool = ForkWorkerPool(rollout_worker_entry, _echo_factory)
+        pool = ForkWorkerPool(_echo_factory)
         transport, process = pool.launch(0)
         try:
             transport.send(("collect", 3))
@@ -222,7 +201,7 @@ class TestForkWorkerPool:
             transport.close()
 
     def test_pool_serves_indexed_workers(self):
-        pool = ForkWorkerPool(rollout_worker_entry, _echo_factory)
+        pool = ForkWorkerPool(_echo_factory)
         workers = [pool.launch(i) for i in range(2)]
         try:
             for transport, _ in workers:
@@ -240,7 +219,7 @@ class TestForkWorkerPool:
                 assert not process.is_alive()
 
     def test_factory_error_surfaces_as_error_reply(self):
-        pool = ForkWorkerPool(rollout_worker_entry, _broken_factory)
+        pool = ForkWorkerPool(_broken_factory)
         transport, process = pool.launch(0)
         try:
             # The worker stays up and answers every command with the
@@ -265,6 +244,50 @@ class TestForkWorkerPool:
             assert engine.restarts_performed == 0
         finally:
             engine.close()
+
+
+def _collect_fails_on_worker_0(index):
+    runner = _echo_factory(index)
+    if index == 0:
+
+        def collect(n_ticks):
+            raise RuntimeError("deterministic collect bug")
+
+        runner.collect = collect
+    return runner
+
+
+class TestBoundedClose:
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_close_kills_a_stopped_worker(self, broken):
+        """A SIGSTOPped worker never answers the close handshake and never
+        acts on SIGTERM: close() must still return promptly and reap it, on
+        the polite path and on a broken engine's."""
+        engine = ShardedRolloutEngine(_collect_fails_on_worker_0, 2)
+        processes = engine.processes
+        # close() runs in a thread so a hang fails this test instead of
+        # stalling the suite.
+        closer = threading.Thread(target=engine.close, daemon=True)
+        try:
+            engine.broadcast(b"checkpoint-bytes")
+            if broken:
+                with pytest.raises(RuntimeError, match="deterministic collect bug"):
+                    engine.collect(2)
+                assert engine._broken
+            os.kill(processes[1].pid, signal.SIGSTOP)
+            start = time.monotonic()
+            closer.start()
+            closer.join(timeout=8)
+            elapsed = time.monotonic() - start
+            assert not closer.is_alive(), "close() blocked on a stopped worker"
+            assert elapsed < 5.0
+            assert not any(process.is_alive() for process in processes)
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGKILL)
+            if closer.ident is not None:
+                closer.join(timeout=5)
 
 
 # --------------------------------------------------------------------- #
@@ -307,7 +330,7 @@ class TestBroadcastSerializesOnce:
 # --------------------------------------------------------------------- #
 def _talk_to_one_worker():
     """collect + close round-trips with one forked rollout worker."""
-    transport, process = ForkWorkerPool(rollout_worker_entry, _echo_factory).launch(0)
+    transport, process = ForkWorkerPool(_echo_factory).launch(0)
     try:
         transport.send(("collect", 2))
         assert transport.recv() == ("result", 2)
@@ -354,7 +377,7 @@ class TestTransportTelemetry:
 # --------------------------------------------------------------------- #
 class TestRetiredTelemetryProtocol:
     def test_worker_answers_retired_frames_as_unknown_and_keeps_serving(self):
-        transport, process = ForkWorkerPool(rollout_worker_entry, _echo_factory).launch(0)
+        transport, process = ForkWorkerPool(_echo_factory).launch(0)
         try:
             for frame in (("__telemetry__",), ("__traced__", None, None, ("collect", 2))):
                 transport.send(frame)

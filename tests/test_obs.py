@@ -11,6 +11,7 @@ buffers and served decision streams are bit-identical with telemetry on
 or off.
 """
 
+import inspect
 import json
 import logging
 import sys
@@ -928,6 +929,36 @@ class TestRetiredFold:
         assert not hasattr(transport.Transport, "send_command")
         assert not hasattr(ShardedRolloutEngine, "stats")
         assert not hasattr(ShardedRolloutEngine, "_collect_worker_telemetry")
+
+
+class TestRetiredSweep:
+    """``distrib`` serves one driver, the sharded engine: the sweep
+    orchestrator, its separate worker module and the options only the
+    sweep set are gone."""
+
+    def test_distrib_exposes_no_sweep_names(self):
+        import repro.distrib
+
+        for name in ("SweepOrchestrator", "SweepTask", "SweepTaskRecord", "amoeba_grid_task"):
+            assert name not in repro.distrib.__all__, name
+            assert not hasattr(repro.distrib, name), name
+
+    @pytest.mark.parametrize("module", ["sweep", "worker"])
+    def test_sweep_and_worker_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.distrib.{module}")
+
+    def test_arms_race_has_no_workers_parameter(self):
+        from repro.core import run_arms_race
+
+        assert "workers" not in inspect.signature(run_arms_race).parameters
+
+    def test_command_loop_has_no_close_reply_parameter(self):
+        from repro.distrib.transport import worker_command_loop
+
+        assert "close_reply" not in inspect.signature(worker_command_loop).parameters
 
 
 # --------------------------------------------------------------------- #

@@ -44,8 +44,7 @@ SURFACES = {
         "JsonlSink", "prometheus_text",
     },
     "repro.distrib": {
-        "ShardRunner", "ShardResult", "ShardedRolloutEngine", "SweepOrchestrator",
-        "SweepTask", "SweepTaskRecord", "amoeba_grid_task", "Transport",
+        "ShardRunner", "ShardResult", "ShardedRolloutEngine", "Transport",
         "TransportError", "worker_command_loop", "ForkWorkerPool",
     },
     "repro.flows": {
