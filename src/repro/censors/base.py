@@ -12,7 +12,9 @@ them interchangeably:
 * ``classify(flow)`` applies the 0.5 threshold, returning 1 (allow) or
   0 (block);
 * every scoring call increments ``query_count`` so experiments can reason
-  about the number of interactions with the censor (Figure 7).
+  about the number of interactions with the censor (Figure 7);
+* ``packet_window`` says how many leading packets a score reads, so a
+  caller may score one flow for every input that agrees on that window.
 """
 
 from __future__ import annotations
@@ -69,6 +71,17 @@ class CensorClassifier(abc.ABC):
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
+    @property
+    def packet_window(self) -> Optional[int]:
+        """How many leading packets a flow's score reads (``None``: all).
+
+        Two flows that agree on their first ``packet_window`` packets score
+        alike at the same batch position, which is what lets
+        :meth:`repro.core.vec_env.VectorFlowEnv.settle` score each episode
+        prefix past the window once.  Derived from the model, never set.
+        """
+        return None
+
     @abc.abstractmethod
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
         """Return benign probabilities for ``flows`` without touching counters."""
@@ -81,7 +94,9 @@ class CensorClassifier(abc.ABC):
         ``len(flows)`` separate :meth:`predict_score` calls — the batched
         rollout engine relies on this so Figures 7–9 (queries-to-convergence)
         are invariant to how scoring work is scheduled.  An empty sequence
-        performs no queries and returns an empty ``float64`` array.
+        performs no queries and returns an empty ``float64`` array.  A NaN
+        score raises :class:`FloatingPointError` instead of reading as
+        "blocked" downstream.
         """
         self._require_fitted()
         flows = list(flows)
@@ -91,6 +106,11 @@ class CensorClassifier(abc.ABC):
         scores = np.asarray(self._score_flows(flows), dtype=np.float64).reshape(-1)
         if len(scores) != len(flows):
             raise RuntimeError("classifier returned a wrong number of scores")
+        n_nan = int(np.count_nonzero(np.isnan(scores)))
+        if n_nan:
+            raise FloatingPointError(
+                f"{self.name} censor returned NaN for {n_nan} of {len(scores)} flows"
+            )
         return np.clip(scores, 0.0, 1.0)
 
     def predict_score(self, flow: Flow) -> float:
@@ -119,12 +139,14 @@ class CensorClassifier(abc.ABC):
         self._query_count = 0
 
     def record_external_queries(self, count: int) -> None:
-        """Fold queries issued by a replica of this censor into the counter.
+        """Count queries this censor answered without scoring them here.
 
         The sharded rollout engine forks one censor replica per worker; each
         replica counts the flows it scores locally and the driver folds the
-        per-collect deltas back here, so ``query_count`` reflects the same
-        one-query-per-flow accounting as single-process collection.
+        per-collect deltas back here.  ``VectorFlowEnv.settle`` counts the
+        steps whose input it already had a score for.  Either way
+        ``query_count`` keeps the one-query-per-flow accounting of
+        single-process, one-step-at-a-time collection.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

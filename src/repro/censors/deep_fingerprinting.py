@@ -6,6 +6,13 @@ tailored to consume the (signed size, delay) flow representation of Section 3
 instead of raw directions: the input is a two-channel sequence of length
 ``max_length`` processed by stacked Conv1d + ReLU + MaxPool blocks and a
 dense head with a sigmoid output.
+
+Training and the white-box attacks run the network on ``Tensor`` s; scoring
+runs the same layers on plain arrays (:func:`_conv_relu_pool`), reading the
+parameters at call time.  Both give the same bits: the same three BLAS
+products on the same operands, and elementwise steps that round alike
+(``tests/oracles/df_tensor_scoring.py`` keeps the ``Tensor`` scoring body
+the test suite compares against).
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
 from ..nn import functional as F
@@ -45,6 +53,28 @@ class _DFNetwork(nn.Module):
         x = x.flatten()
         x = self.fc1(x).relu()
         return self.fc2(x)
+
+
+def _conv_relu_pool(x: np.ndarray, conv: nn.Conv1d) -> np.ndarray:
+    """One DF block on a channel-last ``(n, length, channels)`` array:
+    ``conv`` (stride 1), ReLU and a max-pool of two, ``(n, length // 2,
+    out_channels)`` out.
+
+    The im2col columns come straight from the window view in ``Conv1d``'s
+    ``c * kernel_size + j`` order, ReLU is ``Tensor.relu``'s multiply by the
+    mask (negative inputs become ``-0.0``, as there), and the pool is
+    ``MaxPool1d``'s ``np.maximum`` of the even and odd positions.
+    """
+    n, length, channels = x.shape
+    padding = conv.padding
+    padded = np.zeros((n, length + 2 * padding, channels))
+    padded[:, padding : padding + length] = x
+    columns = sliding_window_view(padded, conv.kernel_size, axis=1)
+    columns = columns.reshape(n, -1, channels * conv.kernel_size)
+    h = columns @ conv.weight.data
+    h += conv.bias.data
+    h *= h > 0
+    return np.maximum(h[:, 0::2], h[:, 1::2])
 
 
 class DeepFingerprintingClassifier(CensorClassifier):
@@ -116,8 +146,19 @@ class DeepFingerprintingClassifier(CensorClassifier):
         self._fitted = True
         return self
 
+    @property
+    def packet_window(self) -> int:
+        return self._effective_length
+
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
-        batch = self._to_batch(flows)
-        with nn.no_grad():
-            logits = self.network(nn.Tensor(batch))
-        return F.stable_sigmoid(logits.data.reshape(-1))
+        network = self.network
+        h = self.representation.transform_many(flows)[:, : self._effective_length]
+        h = _conv_relu_pool(h, network.conv1)
+        h = _conv_relu_pool(h, network.conv2)
+        # fc1 reads the channel-first flatten of the Tensor network.
+        h = h.transpose(0, 2, 1).reshape(len(h), -1)
+        h = h @ network.fc1.weight.data
+        h += network.fc1.bias.data
+        h *= h > 0
+        logits = h @ network.fc2.weight.data + network.fc2.bias.data
+        return F.stable_sigmoid(logits.reshape(-1))

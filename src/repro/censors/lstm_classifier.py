@@ -115,6 +115,11 @@ class LSTMClassifier(CensorClassifier):
         self._fitted = True
         return self
 
+    @property
+    def packet_window(self) -> int:
+        # Scoring pads and truncates every flow to max_train_length packets.
+        return self.max_train_length
+
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
         # One padded (n_flows, max_train_length, 2) forward for the whole
         # batch — no per-flow model calls.

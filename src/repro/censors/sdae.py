@@ -145,6 +145,10 @@ class SDAEClassifier(CensorClassifier):
         self._fitted = True
         return self
 
+    @property
+    def packet_window(self) -> int:
+        return self.representation.max_length
+
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
         batch = self._to_batch(flows)
         with nn.no_grad():

@@ -190,7 +190,10 @@ class Amoeba:
         with one actor/critic forward and one incremental encoder step, and
         the censor scores the rollout's prefixes once all its ticks are
         proposed, a block of flows per call (the transition never depends
-        on the score, and GAE reads rewards only then).
+        on the score, and GAE reads rewards only then).  Each distinct
+        input is scored once — an episode's prefixes past the censor's
+        ``packet_window``, and its finished flow, share one score — while
+        every step still counts as a query.
 
         ``workers`` shards collection across that many worker processes
         (``n_envs`` must divide evenly): each worker hosts its contiguous

@@ -331,9 +331,10 @@ class PendingStep:
     ``propose`` / ``reset`` calls on the same environment.  The censor must
     score, in order: the adversarial prefix of ``prefix_length`` packets
     (unless the reward is masked), then the finished adversarial flow (when
-    the episode ended).  A vectorized driver gathers these across
-    environments and ticks into batched ``predict_scores`` calls, preserving
-    the exact one-query-per-flow accounting of the sequential path.
+    the episode ended) — which is that same prefix, so a driver may score
+    it once.  A vectorized driver gathers these across environments and
+    ticks into batched ``predict_scores`` calls, preserving the exact
+    one-query-per-flow accounting of the sequential path.
 
     ``recorded_action`` and ``next_observation`` are ``(size, delay)``
     pairs of Python floats — a vectorized caller builds one ``(n, 2)``
@@ -376,18 +377,16 @@ class PendingStep:
             "recorded_action": self.recorded_action,
         }
 
-    def flows_from(self, flow: Flow) -> List[Flow]:
-        """The flows to score, cut from ``flow`` — this step's episode as
-        returned by :meth:`_Episode.flow` now or at any later time — as
-        read-only prefix views (the finished flow itself for the last one)."""
+    @property
+    def flows_to_score(self) -> List[Flow]:
+        """The flows :meth:`AdversarialFlowEnv.apply` expects scores for: the
+        prefix (unless masked) as a read-only view of the episode's flow,
+        then the finished flow itself (when the step ended the episode)."""
+        flow = self.episode.flow()
         flows = [] if self.masked else [flow.prefix_view(self.prefix_length)]
         if self.done:
             flows.append(flow)
         return flows
-
-    @property
-    def flows_to_score(self) -> List[Flow]:
-        return self.flows_from(self.episode.flow())
 
 
 class AdversarialFlowEnv:

@@ -11,10 +11,10 @@ through their two-phase step API instead, and keeps the two phases apart:
    :class:`~repro.core.env.PendingStep` saying what the censor still has to
    score: the adversarial prefix of every unmasked step, plus the finished
    adversarial flow of every terminating episode;
-2. :meth:`VectorFlowEnv.settle` — all pending flows of any number of
-   proposed ticks go through ``predict_scores`` in fixed-size blocks, and
-   each environment folds its scores back into rewards and episode
-   summaries, in proposal order.
+2. :meth:`VectorFlowEnv.settle` — the distinct inputs of all pending flows
+   of any number of proposed ticks go through ``predict_scores`` in
+   fixed-size blocks, and each environment folds its scores back into
+   rewards and episode summaries, in proposal order.
 
 Nothing the policy needs for the next tick depends on the censor (paper
 §4.2: its verdict only shapes the reward) and PPO reads rewards when the
@@ -39,10 +39,14 @@ validated :class:`~repro.flows.flow.Flow` and hands the censor read-only
 prefix views of it, so scoring ``T`` growing prefixes of an episode costs one
 array and one validation instead of ``T`` copies and ``T`` validations.
 
-Per-flow query-count semantics are preserved exactly (one query per scored
-flow, Figures 7–9): batching changes *how many calls* reach the censor, not
-*how many flows* it scores.  Masked steps never contribute a prefix, so
-reward masking still suppresses queries (Section 5.5.3).
+Per-flow query-count semantics are preserved exactly (one query per step's
+flow, Figures 7–9): batching changes *how many calls* reach the censor, and
+scoring each distinct input once changes *how many rows* it computes, not
+*how many queries* are counted.  A censor reads at most its
+``packet_window`` leading packets, so an episode's prefixes past the window
+(and its finished flow, which is its last step's prefix) share one score.
+Masked steps never contribute a prefix, so reward masking still suppresses
+queries (Section 5.5.3).
 
 :class:`BatchedEpisodeEncoder` is the companion state tracker: it keeps the
 incremental GRU state of every environment's two histories (observation
@@ -65,19 +69,20 @@ from .state_encoder import StateEncoder
 
 __all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree", "score_blocks"]
 
-# Flows per ``predict_scores`` call in ``VectorFlowEnv.settle``.  A neural
-# censor's forward allocates activations proportional to its batch, so the
-# block bounds what deferring a whole rollout's scoring may add to the
-# process's peak: on ``train-neural`` (DF censor, ~1 100 flows per rollout)
-# scoring the rollout in one call raised ``peak_rss_mb`` 63.0 -> 71.3 MiB,
-# past the benchmark's 0.10 bound, while blocks of 128 leave it at the 63.0
-# per-tick scoring had (and blocks of 32 / 64 are no faster).
+# Distinct inputs per ``predict_scores`` call in ``VectorFlowEnv.settle``.  A
+# neural censor's forward allocates activations proportional to its batch,
+# so the block bounds what deferring a whole rollout's scoring may add to the
+# process's peak: on ``train-neural`` (DF censor, ~1 100 flows per rollout
+# before steps sharing an input were scored once) scoring the rollout in one
+# call raised ``peak_rss_mb`` 63.0 -> 71.3 MiB, past the benchmark's 0.10
+# bound, while blocks of 128 leave it at the 63.0 per-tick scoring had (and
+# blocks of 32 / 64 are no faster).
 _SCORE_BLOCK = 128
 
 
 def score_blocks(n_flows: int) -> int:
     """How many ``predict_scores`` calls :meth:`VectorFlowEnv.settle` spends
-    on ``n_flows`` pending flows."""
+    on ``n_flows`` distinct inputs."""
     return -(-n_flows // _SCORE_BLOCK)
 
 
@@ -145,6 +150,9 @@ class VectorFlowEnv:
         self._env_ids = frozenset(map(id, envs))
         self._censor = censor
         self._auto_reset = auto_reset
+        #: rows the censor has scored for :meth:`settle` — at most the
+        #: queries counted, as steps sharing an input share its score
+        self.flows_scored = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -207,50 +215,71 @@ class VectorFlowEnv:
         """Second half: score every pending flow of ``ticks``, apply in order.
 
         ``ticks`` are :meth:`propose` results, oldest first — one for a
-        classic step, a whole rollout for deferred collection.  Each episode
-        is materialised once and its steps are scored as prefix views of
-        that one flow, ``_SCORE_BLOCK`` flows per ``predict_scores`` call;
-        the scores become one list of Python floats, and every step is
-        applied in proposal order.  Returns one ``(rewards, finished)`` per
-        tick: the ``(len(tick),)`` rewards and a ``(row, summary)`` for every
-        step that ended its episode.  Nothing pending means no censor call
-        and no query.
+        classic step, a whole rollout for deferred collection.  A step's
+        input is its episode's first ``min(prefix_length, packet_window)``
+        packets (the censor's :attr:`~repro.censors.base.CensorClassifier.packet_window`;
+        the whole prefix when it is ``None``), and a finished episode's
+        flow is its last step's prefix, so every scored step reads one key
+        ``(episode, clipped length)``.  Each distinct key is scored once, in
+        order of first appearance, as a read-only prefix view of the
+        episode's one materialised flow, ``_SCORE_BLOCK`` flows per
+        ``predict_scores`` call; every step reads its key's score and is
+        applied in proposal order.  Steps whose key was already scored
+        still count as queries (:meth:`~repro.censors.base.CensorClassifier.record_external_queries`):
+        the attacker sent every step's flow.  No score outlives the call.
+
+        Returns one ``(rewards, finished)`` per tick: the ``(len(tick),)``
+        rewards and a ``(row, summary)`` for every step that ended its
+        episode.  Nothing pending means no censor call and no query.
         """
+        window = self._censor.packet_window
         # Gather first, so that misuse is reported before any query is spent.
         episode_flows: Dict[int, Flow] = {}
+        key_positions: Dict[Tuple[int, int], int] = {}
         flows: List[Flow] = []
+        step_positions: List[int] = []  # where each scored step's score is
+        queries = 0
         for tick in ticks:
             for pending in tick:
                 if id(pending.env) not in self._env_ids:
                     raise ValueError("PendingStep proposed outside this VectorFlowEnv")
                 if pending.applied:
                     raise RuntimeError("PendingStep was already applied")
-                if pending.n_scores:
-                    key = id(pending.episode)
-                    flow = episode_flows.get(key)
+                if not pending.n_scores:
+                    continue
+                queries += pending.n_scores
+                episode = id(pending.episode)
+                length = pending.prefix_length
+                if window is not None:
+                    length = min(length, window)
+                position = key_positions.get((episode, length))
+                if position is None:
+                    flow = episode_flows.get(episode)
                     if flow is None:
-                        flow = episode_flows[key] = pending.episode.flow()
-                    flows.extend(pending.flows_from(flow))
+                        flow = episode_flows[episode] = pending.episode.flow()
+                    position = key_positions[episode, length] = len(flows)
+                    flows.append(flow.prefix_view(length))
+                step_positions.append(position)
         scores = np.empty(len(flows))
         for start in range(0, len(flows), _SCORE_BLOCK):
             block = slice(start, start + _SCORE_BLOCK)
             scores[block] = self._censor.predict_scores(flows[block])
+        self._censor.record_external_queries(queries - len(flows))
+        self.flows_scored += len(flows)
         scores = scores.tolist()
 
         results = []
-        cursor = 0
+        step_positions = iter(step_positions)
         for tick in ticks:
             rewards = []
             finished = []
             for row, pending in enumerate(tick):
-                prefix_score = final_score = None
-                if not pending.masked:
-                    prefix_score = scores[cursor]
-                    cursor += 1
-                if pending.done:
-                    final_score = scores[cursor]
-                    cursor += 1
-                reward, summary = pending.env._settle(pending, prefix_score, final_score)
+                score = scores[next(step_positions)] if pending.n_scores else None
+                reward, summary = pending.env._settle(
+                    pending,
+                    None if pending.masked else score,
+                    score if pending.done else None,
+                )
                 rewards.append(reward)
                 if summary is not None:
                     finished.append((row, summary))

@@ -12,8 +12,8 @@ advance (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one
 incremental encoder step on the tick's ``(n, 2)`` observation and
 emitted-action arrays.  After the last tick the critic values the whole
 rollout's states in one forward, and only then is the censor consulted: the
-rollout's pending flows are scored in a few large batches and the rewards
-and episode summaries filled in
+rollout's distinct pending inputs are scored once each, in a few large
+batches, and the rewards and episode summaries filled in
 (:meth:`~repro.core.vec_env.VectorFlowEnv.settle`).  The result is the
 rollout per-tick scoring would have produced: bit for bit with a censor whose
 scores do not depend on the batch they arrive in (trees, SVM), up to the
@@ -52,8 +52,9 @@ class ShardResult:
 
     ``summaries`` lists finished episodes as ``(tick, local_env, summary)``
     in the order the single-process engine would have observed them;
-    ``query_delta`` is the number of flows this shard's censor replica
-    scored during the collect (the one-query-per-flow accounting of
+    ``query_delta`` is the number of queries this shard's censor replica
+    counted during the collect — one per step's flow, scored or answered
+    from an identical input (the one-query-per-flow accounting of
     Figures 7–9, invariant to sharding).  The sharded engine hands back the
     same type for the merged rollout, with global environment indices.
     """
@@ -238,10 +239,14 @@ class ShardRunner:
         # The transition never depends on the censor and PPO reads rewards
         # only once the rollout is complete, so the whole rollout is scored
         # here, in a few large censor batches instead of one small one per tick.
+        # Steps sharing an input share its score, so the censor scores at
+        # most as many flows as the queries the rollout counts.
+        flows_before = self._vec_env.flows_scored
         with obs.span("collect.score") as score_span:
             settled = self._vec_env.settle(ticks)
-            scored = self.censor.query_count - queries_before
-            score_span.annotate(flows=scored, blocks=score_blocks(scored))
+            queries = self.censor.query_count - queries_before
+            scored = self._vec_env.flows_scored - flows_before
+            score_span.annotate(queries=queries, flows=scored, blocks=score_blocks(scored))
         for tick, (tick_rewards, finished) in enumerate(settled):
             rewards[tick] = tick_rewards
             summaries.extend((tick, row, summary) for row, summary in finished)
@@ -268,5 +273,5 @@ class ShardRunner:
             final_states=self._states.copy(),
             final_values=np.asarray(final_values, dtype=np.float64),
             summaries=summaries,
-            query_delta=scored,
+            query_delta=queries,
         )

@@ -16,11 +16,13 @@ from repro.censors import (
 from repro import nn
 from repro.core import Amoeba
 from repro.eval.metrics import classifier_detection_report
-from repro.features import StatisticalFeatureExtractor
+from repro.censors.base import CensorClassifier
+from repro.features import SequenceRepresentation, StatisticalFeatureExtractor
 from repro.flows import Flow, FlowLabel
 from repro.nn import state_dict_to_bytes
 
 from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
+from oracles.df_tensor_scoring import tensor_score_flows
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -267,29 +269,35 @@ class TestNeuralCensors:
         assert 0.0 <= score <= 1.0
 
 
+def random_flow(rng, n_packets):
+    return Flow(
+        sizes=rng.uniform(60.0, 1460.0, n_packets) * rng.choice([-1.0, 1.0], n_packets),
+        delays=rng.exponential(10.0, n_packets),
+    )
+
+
 class TestDeepFingerprintingKernels:
     """DF fitted and queried on the production ``Conv1d`` / ``MaxPool1d`` and on
     the oracle kernels: no weight, score or input gradient may differ in a bit
-    (a drifted kernel shows here before it shows in a benchmark digest)."""
+    (a drifted kernel shows here before it shows in a benchmark digest).
+    Scores come from the ``Tensor`` scoring oracle, the path that runs the
+    patched kernels; :class:`TestDeepFingerprintingArrayScoring` ties the
+    production array scoring to it."""
 
     @staticmethod
     def _run(representation, tor_splits):
         censor = DeepFingerprintingClassifier(representation, epochs=3, rng=0).fit(
             tor_splits.clf_train.flows
         )
-        rng = np.random.default_rng(11)
-        long_flow = Flow(
-            sizes=rng.uniform(60.0, 1460.0, 80) * rng.choice([-1.0, 1.0], 80),
-            delays=rng.exponential(10.0, 80),
-        )
+        long_flow = random_flow(np.random.default_rng(11), 80)
         # white-box path (CW / NIDSGAN / BAP): gradient w.r.t. the network input
         batch = nn.Tensor(censor.prepare_input(tor_splits.test.flows[:6]), requires_grad=True)
         censor.forward_tensor(batch).sum().backward()
         assert np.count_nonzero(batch.grad) > 0
         run = {name: value.tobytes() for name, value in censor.network.state_dict().items()}
-        run["held-out scores"] = censor.predict_scores(tor_splits.test.flows).tobytes()
-        run["prefix scores"] = censor.predict_scores(
-            [long_flow.prefix(k) for k in range(1, 81)]
+        run["held-out scores"] = tensor_score_flows(censor, tor_splits.test.flows).tobytes()
+        run["prefix scores"] = tensor_score_flows(
+            censor, [long_flow.prefix(k) for k in range(1, 81)]
         ).tobytes()
         run["input gradient"] = batch.grad.tobytes()
         return run
@@ -304,6 +312,162 @@ class TestDeepFingerprintingKernels:
         assert production.keys() == oracle.keys() and len(production) > 4
         for key in production:
             assert production[key] == oracle[key], key
+
+
+class TestDeepFingerprintingArrayScoring:
+    """Production DF scoring runs on plain arrays; it must equal the ``Tensor``
+    scoring body of ``tests/oracles/df_tensor_scoring.py`` bit for bit, on the
+    production layers and on the reference kernels alike."""
+
+    @pytest.fixture(scope="class")
+    def censor(self, normalizer, tor_splits):
+        # max_length 42: the network (and the scoring window) is 40 packets.
+        representation = SequenceRepresentation(42, normalizer)
+        return DeepFingerprintingClassifier(representation, epochs=2, rng=0).fit(
+            tor_splits.clf_train.flows
+        )
+
+    @staticmethod
+    def batch(size, tor_splits):
+        rng = np.random.default_rng(size)
+        # longer than, exactly at and shorter than the 40-packet window
+        lengths = [61, 40, 12, 80, 41, 39, 5]
+        held_out = tor_splits.test.flows
+        return [
+            held_out[i % len(held_out)] if i % 3 == 2 else random_flow(rng, lengths[i % 7])
+            for i in range(size)
+        ]
+
+    @pytest.mark.parametrize("kernels", ["production", "reference"])
+    @pytest.mark.parametrize("size", [1, 2, 7, 31, 128])
+    def test_array_scoring_equals_tensor_oracle(self, censor, tor_splits, size, kernels, monkeypatch):
+        assert censor.packet_window == 40
+        if kernels == "reference":
+            monkeypatch.setattr(nn.Conv1d, "forward", ReferenceConv1d.forward)
+            monkeypatch.setattr(nn.MaxPool1d, "forward", ReferenceMaxPool1d.forward)
+        flows = self.batch(size, tor_splits)
+        production = censor._score_flows(flows)
+        oracle = tensor_score_flows(censor, flows)
+        assert production.shape == oracle.shape == (size,)
+        assert np.array_equal(production.view(np.uint64), oracle.view(np.uint64))
+
+    def test_scoring_reads_weights_at_call_time(self, censor, tor_splits):
+        flows = self.batch(7, tor_splits)
+        before = censor._score_flows(flows)
+        bias = censor.network.fc2.bias
+        saved = bias.data.copy()
+        try:
+            bias.data += 1.0
+            shifted = censor._score_flows(flows)
+            assert np.array_equal(
+                shifted.view(np.uint64), tensor_score_flows(censor, flows).view(np.uint64)
+            )
+            assert (shifted > before).all()
+        finally:
+            bias.data[...] = saved
+
+
+class TestPacketWindow:
+    """``packet_window`` is the number of leading packets a score reads: a flow
+    past it scores like its truncation to it, at the same batch position."""
+
+    @staticmethod
+    def assert_window_truthful(censor, tor_splits):
+        window = censor.packet_window
+        rng = np.random.default_rng(5)
+        long_flow = random_flow(rng, window + 17)
+        head = list(tor_splits.test.flows[:6])
+        full = censor._score_flows(head + [long_flow])
+        truncated = censor._score_flows(head + [long_flow.prefix(window)])
+        assert np.array_equal(full.view(np.uint64), truncated.view(np.uint64))
+        # the window is tight: a change inside it moves the score
+        moved = long_flow.prefix(window)
+        moved.sizes[window - 1] = -moved.sizes[window - 1]
+        assert censor._score_flows(head + [moved])[-1] != full[-1]
+
+    def test_df_window_is_the_network_length(self, normalizer, tor_splits):
+        censor = DeepFingerprintingClassifier(
+            SequenceRepresentation(42, normalizer), epochs=1, rng=0
+        ).fit(tor_splits.clf_train.flows)
+        assert censor.packet_window == 40
+        self.assert_window_truthful(censor, tor_splits)
+
+    def test_sdae_window_is_the_representation_length(self, normalizer, tor_splits):
+        censor = SDAEClassifier(
+            SequenceRepresentation(12, normalizer), epochs=1, pretrain_epochs=1, rng=0
+        ).fit(tor_splits.clf_train.flows)
+        assert censor.packet_window == 12
+        self.assert_window_truthful(censor, tor_splits)
+
+    def test_lstm_window_is_the_train_length(self, normalizer, tor_splits):
+        censor = LSTMClassifier(normalizer, epochs=1, hidden_size=8, max_train_length=12, rng=0).fit(
+            tor_splits.clf_train.flows[:20]
+        )
+        assert censor.packet_window == 12
+        self.assert_window_truthful(censor, tor_splits)
+
+    def test_whole_flow_censors_have_no_window(self):
+        for censor in (DecisionTreeCensor(rng=0), RandomForestCensor(rng=0), CumulSVMClassifier(rng=0)):
+            assert censor.packet_window is None
+
+
+class NaNCensor(CensorClassifier):
+    """A fitted censor whose scoring yields NaN for every third flow."""
+
+    name = "nan-probe"
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+        self._fitted = True
+
+    def fit(self, flows, labels=None):
+        return self
+
+    def _score_flows(self, flows):
+        scores = np.array(self.base._score_flows(flows), dtype=np.float64)
+        scores[::3] = np.nan
+        return scores
+
+
+class TestNaNScores:
+    """A NaN score is refused, never read as "blocked" (``NaN >= 0.5`` is False)."""
+
+    def test_predict_scores_raises(self, trained_dt_censor, tor_splits):
+        censor = NaNCensor(trained_dt_censor)
+        with pytest.raises(FloatingPointError, match="nan-probe censor returned NaN for 2 of 5"):
+            censor.predict_scores(tor_splits.test.flows[:5])
+        with pytest.raises(FloatingPointError, match="NaN for 1 of 1"):
+            censor.classify(tor_splits.test.flows[0])
+
+    def test_error_propagates_out_of_collect(self, trained_dt_censor, normalizer, tor_splits):
+        from repro.core import AmoebaConfig
+        from repro.distrib import ShardRunner
+        from repro.utils.rng import collection_seed_tree
+
+        censor = NaNCensor(trained_dt_censor)
+        config = AmoebaConfig.for_tor(
+            n_envs=2, encoder_hidden=8, actor_hidden=(16,), critic_hidden=(16,)
+        )
+        agent = Amoeba(
+            censor,
+            normalizer,
+            config,
+            rng=0,
+            encoder_pretrain_kwargs=dict(n_flows=10, max_length=10, epochs=1),
+        )
+        runner = ShardRunner(
+            agent.actor,
+            agent.critic,
+            agent.state_encoder,
+            censor,
+            normalizer,
+            config,
+            tor_splits.attack_train.censored_flows,
+            collection_seed_tree(np.random.default_rng(0), 2),
+        )
+        with pytest.raises(FloatingPointError, match="nan-probe censor returned NaN"):
+            runner.collect(4)
 
 
 class TestGateway:

@@ -5,9 +5,11 @@ The environment's transition never depends on the censor, so
 scores all pending flows afterwards.  The contract under test: that rollout
 is the one per-tick ``VectorFlowEnv.step`` produces — same rewards, dones,
 summaries, query counts — bit for bit with a batch-invariant (DT) censor and
-up to the thresholded score with a neural (DF) one; flows reach the censor
-once each, in tick order, as read-only views of one array per episode; and
-misuse of the two-phase API is an error, never a silently wrong reward.
+up to the thresholded score with a neural (DF) one; each distinct input
+``(episode, min(length, packet_window))`` reaches the censor once, in tick
+order, as a read-only view of one array per episode, while every step still
+counts as a query; and misuse of the two-phase API is an error, never a
+silently wrong reward.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.core import AdversarialFlowEnv, Amoeba, AmoebaConfig, BatchedEpisodeE
 from repro.core import vec_env as vec_env_module
 from repro.core.vec_env import build_envs_from_seed_tree
 from repro.distrib import ShardRunner
+from repro.features import SequenceRepresentation
 from repro.utils.rng import collection_seed_tree
 
 N_ENVS = 3
@@ -40,6 +43,10 @@ class RecordingCensor(CensorClassifier):
 
     def fit(self, flows, labels=None):
         return self
+
+    @property
+    def packet_window(self):
+        return self.base.packet_window
 
     def _score_flows(self, flows):
         self.calls.append(
@@ -247,7 +254,10 @@ class TestScoringBlocks:
         sizes = [len(call) for call in deferred.calls]
         assert sizes == [block] * (n_flows // block) + [n_flows % block]
         assert deferred.scored() == per_tick.scored()
-        assert deferred.query_count == per_tick.query_count == n_flows
+        # A finished flow is its last prefix: scored once, counted twice.
+        queries = reference["query_delta"]
+        assert deferred.query_count == per_tick.query_count == queries
+        assert 0 < queries - n_flows <= len(result.summaries)
         assert_same_rollout(result, reference)
 
     def test_default_block_is_bounded(self):
@@ -257,10 +267,13 @@ class TestScoringBlocks:
 
 
 class TestNeuralCensor:
-    def test_thresholded_rewards_and_queries_equal(self, agent, normalizer, representation, tor_splits):
-        censor = DeepFingerprintingClassifier(representation, epochs=3, rng=0).fit(
-            tor_splits.clf_train.flows
-        )
+    # 40 packets: episodes never pass the window; 6 (a 4-packet window):
+    # their prefixes past it share one score.
+    @pytest.mark.parametrize("max_length", [40, 6])
+    def test_thresholded_rewards_and_queries_equal(self, agent, normalizer, tor_splits, max_length):
+        censor = DeepFingerprintingClassifier(
+            SequenceRepresentation(max_length, normalizer), epochs=3, rng=0
+        ).fit(tor_splits.clf_train.flows)
         config = make_config(agent, 0.3)
         flows = tor_splits.attack_train.censored_flows
         reference = collect_per_tick(agent, censor, normalizer, config, flows)
@@ -296,7 +309,7 @@ class TestOwnershipAndMisuse:
             ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
         assert not env.done  # auto-reset: the environment already runs its next flow
 
-        flows = [flow for tick in ticks for flow in tick[0].flows_from(tick[0].episode.flow())]
+        flows = [flow for tick in ticks for flow in tick[0].flows_to_score]
         *prefixes, finished = flows
         settled = vec_env.settle(ticks)
         assert [finished for _, finished in settled[:-1]] == [[]] * (len(ticks) - 1)
@@ -312,10 +325,13 @@ class TestOwnershipAndMisuse:
             assert np.array_equal(prefix.sizes, finished.sizes[: prefix.n_packets])
             with pytest.raises(ValueError):
                 prefix.sizes[0] = 1.0
-        # Every flow the censor saw but the finished one was read-only.
+        # The censor saw every prefix once, read-only; the finished flow is
+        # the last prefix, so it was counted but not scored again.
         assert [writeable for call in censor.calls for _, _, writeable in call] == (
-            [False] * len(prefixes) + [True]
+            [False] * len(prefixes)
         )
+        assert censor.scored() == [(p.sizes.tobytes(), p.delays.tobytes()) for p in prefixes]
+        assert censor.query_count == len(flows)
         # The summary's arrays are its own: the next episode never touches them.
         before = finished.sizes.copy()
         vec_env.step(np.array([[0.9, 0.0]]))
@@ -391,13 +407,20 @@ class TestOwnershipAndMisuse:
             runner.collect(N_TICKS)
 
 
+@pytest.fixture(scope="module")
+def windowed_df_censor(normalizer, tor_splits):
+    """A DF censor reading 4 packets: 7-step episodes run past its window."""
+    return DeepFingerprintingClassifier(SequenceRepresentation(6, normalizer), epochs=1, rng=0).fit(
+        tor_splits.clf_train.flows
+    )
+
+
 class TestScoreTelemetry:
-    def test_score_span_and_counter(self, agent, trained_dt_censor, normalizer, tor_splits, monkeypatch):
+    def test_score_span_and_counter(self, agent, windowed_df_censor, normalizer, tor_splits, monkeypatch):
         monkeypatch.setattr(vec_env_module, "_SCORE_BLOCK", 16)
-        config = make_config(agent, 0.5)
-        runner = make_runner(
-            agent, trained_dt_censor, normalizer, config, tor_splits.attack_train.censored_flows
-        )
+        config = make_config(agent, 0.0)
+        censor = RecordingCensor(windowed_df_censor)
+        runner = make_runner(agent, censor, normalizer, config, tor_splits.attack_train.censored_flows)
         obs.enable()
         obs.reset()
         try:
@@ -410,24 +433,80 @@ class TestScoreTelemetry:
         shard = next(record for record in records if record.name == "collect.shard")
         score = next(record for record in records if record.name == "collect.score")
         assert score.parent_id == shard.span_id
+        flows = len(censor.scored())
         assert score.meta == {
-            "flows": result.query_delta,
-            "blocks": -(-result.query_delta // 16),
+            "queries": result.query_delta,
+            "flows": flows,
+            "blocks": len(censor.calls),
         }
-        assert scored.value == result.query_delta > 16
+        assert len(censor.calls) == -(-flows // 16) > 1
+        assert scored.value == flows < result.query_delta
 
     def test_disabled_mode_records_no_span(self, agent, trained_dt_censor, normalizer, tor_splits):
         obs.disable()
         obs.reset()
+        censor = RecordingCensor(trained_dt_censor)
         runner = make_runner(
             agent,
-            trained_dt_censor,
+            censor,
             normalizer,
             make_config(agent, 0.5),
             tor_splits.attack_train.censored_flows,
         )
-        result = runner.collect(N_TICKS)
+        runner.collect(N_TICKS)
         assert obs.tracer().records() == []
         # Counters are plain integers and always live, like collect.ticks.
-        assert obs.registry().counter("collect.scored_flows").value == result.query_delta
+        assert obs.registry().counter("collect.scored_flows").value == len(censor.scored())
         obs.reset()
+
+
+class TestDistinctInputsScoredOnce:
+    """``settle`` scores each ``(episode, min(length, packet_window))`` once;
+    every step still counts as a query and reads its key's score."""
+
+    def test_windowed_censor_scores_each_key_once(
+        self, agent, windowed_df_censor, normalizer, tor_splits
+    ):
+        window = windowed_df_censor.packet_window
+        assert window == 4
+        config = make_config(agent, 0.3)
+        flows = tor_splits.attack_train.censored_flows
+        per_tick = RecordingCensor(windowed_df_censor)
+        [reference] = collect_per_tick(agent, per_tick, normalizer, config, flows, n_collects=1)
+        deferred = RecordingCensor(windowed_df_censor)
+        runner = make_runner(agent, deferred, normalizer, config, flows)
+        result = runner.collect(N_TICKS)
+
+        # Per tick, the steps of one tick share no input but a finished
+        # flow's; deferred, an episode's prefixes past the window share one.
+        scored = deferred.scored()
+        assert scored == list(dict.fromkeys(per_tick.scored()))
+        assert len(scored) < len(per_tick.scored())
+        assert all(len(sizes) <= 8 * window for sizes, _ in scored)
+        assert deferred.query_count == per_tick.query_count > len(scored)
+        assert result.query_delta == reference["query_delta"]
+        assert np.array_equal(result.rewards, reference["rewards"])
+        assert np.array_equal(result.dones, reference["dones"])
+        assert [(t, r, s.success, s.episode_reward) for t, r, s in result.summaries] == [
+            (t, r, s.success, s.episode_reward) for t, r, s in reference["summaries"]
+        ]
+        assert result.summaries
+
+        # No score outlives its settle call: an episode in flight across the
+        # boundary has its window scored again by the next collect.
+        runner.collect(N_TICKS)
+        assert len(set(deferred.scored())) < len(deferred.scored())
+
+    def test_tree_censor_drops_only_the_finished_duplicate(
+        self, agent, trained_dt_censor, normalizer, tor_splits
+    ):
+        config = make_config(agent, 0.0)
+        censor = RecordingCensor(trained_dt_censor)
+        result = make_runner(
+            agent, censor, normalizer, config, tor_splits.attack_train.censored_flows
+        ).collect(N_TICKS)
+        # Every step's prefix is scored, once; a finished flow is its last
+        # step's prefix, so it is counted but not scored again.
+        assert len(censor.scored()) == len(set(censor.scored())) == N_TICKS * N_ENVS
+        assert result.query_delta == N_TICKS * N_ENVS + len(result.summaries)
+        assert result.summaries
