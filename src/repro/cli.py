@@ -14,10 +14,6 @@ without writing Python:
   live-traffic workload through the continuous-batching serving tier,
   reporting decisions/s, decision-latency percentiles and the
   profile-fallback rate;
-* ``repro-amoeba telemetry`` — enable the :mod:`repro.obs` telemetry tier,
-  run one tiny instrumented training iteration (or serving workload) and
-  render the summary: counters, gauges, latency histograms and the
-  nested span trace, optionally exported as JSONL and/or Prometheus text;
 * ``repro-amoeba backends`` — print the execution-backend diagnostic: which
   backends are registered, whether the compiled GEMM / fused-cell kernels
   loaded, and the compile error if they did not;
@@ -38,8 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .eval import format_table
@@ -121,23 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL of successful adversarial flows seeding the fallback profile database")
     serve.add_argument("--seed", type=int, default=0)
 
-    telemetry = subparsers.add_parser(
-        "telemetry",
-        help="run one instrumented training iteration or serving flush and "
-        "render the telemetry summary (metrics + span trace)",
-    )
-    telemetry.add_argument(
-        "--mode", choices=("train", "serve"), default="train",
-        help="profile one tiny training iteration or one serving workload"
-    )
-    telemetry.add_argument("--seed", type=int, default=0)
-    telemetry.add_argument("--max-spans", type=int, default=60,
-                           help="span-tree rows rendered in the summary")
-    telemetry.add_argument("--trace-jsonl", default=None,
-                           help="also dump the metric snapshot and span trace to this JSONL file")
-    telemetry.add_argument("--prometheus", default=None,
-                           help="also write a Prometheus text-exposition snapshot to this file")
-
     subparsers.add_parser(
         "backends", help="print the execution-backend diagnostic (kernels, fallbacks)"
     )
@@ -181,6 +158,9 @@ def _command_attack(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--workers must be 0 (in-process) or divide n_envs={n_envs}, got {args.workers}"
         )
+    for flag, value in (("--timesteps", args.timesteps), ("--eval-flows", args.eval_flows)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
     data = prepare_experiment_data(
         args.dataset, n_censored=args.flows, n_benign=args.flows, max_packets=args.max_packets, rng=args.seed
     )
@@ -284,90 +264,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_telemetry(args: argparse.Namespace) -> int:
-    """Profile one instrumented run and render the telemetry summary.
-
-    ``--mode train`` runs one PPO iteration of a deliberately tiny agent
-    (pre-built encoder, no pretraining) against a DT censor; ``--mode
-    serve`` pushes a small synthetic workload through a PolicyServer.  Both
-    enable telemetry for the duration, print :func:`repro.obs.summary_text`
-    (metrics + nested span trace) and optionally export the trace as JSONL
-    and/or a Prometheus text snapshot.
-    """
-    from . import obs
-
-    obs.enable()
-    obs.reset()
-    try:
-        if args.mode == "train":
-            _telemetry_train_iteration(args.seed)
-        else:
-            _telemetry_serve_workload(args.seed)
-
-        print(obs.summary_text(max_spans=args.max_spans))
-        if args.trace_jsonl:
-            with obs.JsonlSink(args.trace_jsonl) as sink:
-                sink.write_metrics(obs.registry().snapshot())
-                sink.write_spans(obs.tracer().records())
-            print(f"trace written to {args.trace_jsonl}")
-        if args.prometheus:
-            with open(args.prometheus, "w", encoding="utf-8") as handle:
-                handle.write(obs.prometheus_text(obs.registry().snapshot()))
-            print(f"prometheus snapshot written to {args.prometheus}")
-    finally:
-        obs.disable()
-    return 0
-
-
-def _telemetry_train_iteration(seed: int) -> None:
-    """One instrumented PPO iteration on a tiny agent (no encoder pretraining)."""
-    from .core.agent import Amoeba
-    from .core.config import AmoebaConfig
-    from .core.state_encoder import StateEncoder
-
-    data = prepare_experiment_data("tor", n_censored=24, n_benign=24, max_packets=16, rng=seed)
-    censor = make_censor("DT", data, rng=seed + 1)
-    censor.fit(data.splits.clf_train.flows)
-    config = AmoebaConfig(
-        n_envs=2,
-        rollout_length=16,
-        update_epochs=2,
-        n_minibatches=2,
-        actor_hidden=(16,),
-        critic_hidden=(16,),
-        encoder_hidden=8,
-        max_episode_steps=16,
-    )
-    encoder = StateEncoder(
-        hidden_size=config.encoder_hidden,
-        num_layers=config.encoder_layers,
-        rng=np.random.default_rng(seed),
-    )
-    agent = Amoeba(censor, data.normalizer, config, rng=seed + 2, state_encoder=encoder)
-    agent.train(
-        data.splits.attack_train.censored_flows,
-        total_timesteps=config.rollout_length * config.n_envs,
-    )
-
-
-def _telemetry_serve_workload(seed: int) -> None:
-    """One instrumented serving workload on a small synthetic policy."""
-    from .core.actor_critic import GaussianActor
-    from .core.state_encoder import StateEncoder
-    from .serve import PolicyServer, ServeConfig, SyntheticWorkload, run_workload
-
-    rng = np.random.default_rng(seed)
-    encoder = StateEncoder(hidden_size=8, num_layers=1, rng=rng)
-    encoder.eval()
-    actor = GaussianActor(state_dim=2 * 8, action_dim=2, hidden_dims=(16,), rng=rng)
-    server = PolicyServer(actor, encoder, config=ServeConfig(max_batch=8))
-    workload = SyntheticWorkload.generate(
-        n_sessions=8, mix={"tor": 0.6, "https": 0.4}, arrival_rate_pps=2000.0,
-        max_packets=12, rng=seed,
-    )
-    run_workload(server, workload)
-
-
 def _command_backends(_: argparse.Namespace) -> int:
     """Execution-backend diagnostic: kernels, fallback reasons.
 
@@ -423,7 +319,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "evaluate-censors": _command_evaluate_censors,
         "attack": _command_attack,
         "serve": _command_serve,
-        "telemetry": _command_telemetry,
         "backends": _command_backends,
         "info": _command_info,
     }

@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import nn, obs
 from ..censors.base import CensorClassifier
 from ..features.representation import FlowNormalizer
 from ..flows.flow import Flow, FlowLabel
@@ -256,40 +255,34 @@ class Amoeba:
         steps_done = 0
         iteration_steps = config.rollout_length * config.n_envs
         try:
-            iterations_counter = obs.counter("train.iterations")
-            timesteps_counter = obs.counter("train.timesteps")
             while steps_done < total_timesteps:
-                with obs.span("train.iteration", steps=iteration_steps):
-                    buffer.reset()
-                    with obs.span("train.collect"):
-                        if engine is None:
-                            result = runner.collect(config.rollout_length)
-                        else:
-                            engine.broadcast(state_dict_to_bytes(self._policy_state()))
-                            result = engine.collect(config.rollout_length)
-                            # Worker censor replicas counted these queries; fold
-                            # them into this process's censor (the inline runner
-                            # queries self.censor directly, so nothing to fold).
-                            self.censor.record_external_queries(result.query_delta)
-                        buffer.load(
-                            result.states,
-                            result.actions,
-                            result.log_probs,
-                            result.rewards,
-                            result.values,
-                            result.dones,
-                        )
-                    for _tick, _env_index, summary in result.summaries:
-                        self._episode_successes.append(summary.success)
-                    steps_done += iteration_steps
-                    # Bootstrap values computed shard-side with the
-                    # collection-time critic — identical to a driver-side
-                    # forward, since no update ran in between.
-                    buffer.finalize(result.final_values, config.gamma, config.gae_lambda)
-                    stats = self.updater.update(buffer)
-                    self._timesteps_trained += iteration_steps
-                    iterations_counter.inc()
-                    timesteps_counter.inc(iteration_steps)
+                buffer.reset()
+                if engine is None:
+                    result = runner.collect(config.rollout_length)
+                else:
+                    engine.broadcast(state_dict_to_bytes(self._policy_state()))
+                    result = engine.collect(config.rollout_length)
+                    # Worker censor replicas counted these queries; fold
+                    # them into this process's censor (the inline runner
+                    # queries self.censor directly, so nothing to fold).
+                    self.censor.record_external_queries(result.query_delta)
+                buffer.load(
+                    result.states,
+                    result.actions,
+                    result.log_probs,
+                    result.rewards,
+                    result.values,
+                    result.dones,
+                )
+                for _tick, _env_index, summary in result.summaries:
+                    self._episode_successes.append(summary.success)
+                steps_done += iteration_steps
+                # Bootstrap values computed shard-side with the
+                # collection-time critic — identical to a driver-side
+                # forward, since no update ran in between.
+                buffer.finalize(result.final_values, config.gamma, config.gae_lambda)
+                stats = self.updater.update(buffer)
+                self._timesteps_trained += iteration_steps
 
                 window = self._episode_successes[-50:]
                 train_asr = float(np.mean(window)) if window else 0.0

@@ -54,9 +54,7 @@ __all__ = [
     "EpisodeSummary",
     "ActionKind",
     "PendingStep",
-    "ShapedPacket",
     "packet_direction",
-    "shape_packet",
     "shape_packet_core",
     "make_observation",
     "record_action",
@@ -69,17 +67,6 @@ class ActionKind:
     TRUNCATION = "truncation"
     PADDING = "padding"
     DELAY = "delay"
-
-
-@dataclass(frozen=True)
-class ShapedPacket:
-    """Deterministic outcome of applying one policy action to the packet
-    currently being shaped."""
-
-    emitted_bytes: int    # unsigned bytes actually put on the wire
-    added_delay: float    # policy-added delay in ms (integer-discretised)
-    delay_action: float   # the clipped normalised delay component (time penalty)
-    is_truncation: bool   # True: the remainder is re-offered as the next observation
 
 
 def _clip(value: float, low: float, high: float) -> float:
@@ -117,8 +104,11 @@ def shape_packet_core(
     """The paper's truncation/padding/delay action semantics, in one place.
 
     Takes the two action components as Python floats and returns the plain
-    tuple ``(emitted_bytes, added_delay, delay_action, is_truncation)`` —
-    the fields of :class:`ShapedPacket`, in its order.  Every decision of
+    tuple ``(emitted_bytes, added_delay, delay_action, is_truncation)``: the
+    unsigned bytes put on the wire, the policy-added delay in ms
+    (integer-discretised), the clipped normalised delay component (the time
+    penalty) and whether the remainder is re-offered as the next
+    observation.  Every decision of
     both tiers ends here, called directly with a row of ``actions.tolist()``:
     the training emulator (:meth:`AdversarialFlowEnv.propose`) and the
     online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`).
@@ -163,41 +153,6 @@ def _action_components(action) -> List[float]:
     if len(components) != 2:
         raise ValueError(f"action must have 2 components, got ({len(components)},)")
     return components
-
-
-def shape_packet(
-    action: np.ndarray,
-    remaining_bytes: float,
-    truncations_current_packet: int,
-    steps_taken: int,
-    size_scale: float,
-    min_packet_bytes: int,
-    max_delay_ms: float,
-    max_truncations_per_packet: int,
-    max_steps: Optional[int],
-) -> ShapedPacket:
-    """:func:`shape_packet_core` for anything array-like holding one action.
-
-    Validates that ``action`` has exactly two components, hands them to the
-    core as Python floats and names the result's fields.  One definition of
-    the arithmetic for both tiers; this wrapper only adds the shape check
-    and the :class:`ShapedPacket` record.
-    """
-    size_action, delay_action = _action_components(action)
-    return ShapedPacket(
-        *shape_packet_core(
-            size_action,
-            delay_action,
-            remaining_bytes,
-            truncations_current_packet,
-            steps_taken,
-            size_scale,
-            min_packet_bytes,
-            max_delay_ms,
-            max_truncations_per_packet,
-            max_steps,
-        )
-    )
 
 
 def _normalised_pair(
@@ -552,7 +507,8 @@ class AdversarialFlowEnv:
         termination) and returns a :class:`PendingStep` naming what the
         censor still has to score.  Complete the step with :meth:`apply` —
         now, or after any number of further steps and resets.  ``action`` is
-        anything holding two components (:func:`shape_packet`'s check).
+        anything that flattens to two components; any other shape raises
+        ``ValueError``.
         """
         return self._propose(*_action_components(action))
 

@@ -23,14 +23,12 @@ weights.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import nn, obs
+from .. import nn
 from ..nn import functional as F
-from ..obs import _state as _obs_state
 from ..utils.rng import ensure_rng
 from .actor_critic import Critic, GaussianActor
 from .config import AmoebaConfig
@@ -79,21 +77,6 @@ class PPOUpdater:
     def update(self, buffer: RolloutBuffer) -> PPOUpdateStats:
         """Run the clipped-surrogate update over the buffer's minibatches."""
         config = self.config
-        # Telemetry reads clocks only: it draws from no RNG stream and
-        # touches no numeric path, so update results are bit-identical with
-        # telemetry on or off.
-        telemetry = _obs_state.enabled
-        actor_ms = obs.histogram("train.ppo.actor_ms") if telemetry else None
-        critic_ms = obs.histogram("train.ppo.critic_ms") if telemetry else None
-        with obs.span(
-            "train.ppo_update",
-            epochs=config.update_epochs,
-            minibatches=config.n_minibatches,
-        ):
-            return self._run_epochs(buffer, actor_ms, critic_ms)
-
-    def _run_epochs(self, buffer: RolloutBuffer, actor_ms, critic_ms) -> PPOUpdateStats:
-        config = self.config
         policy_losses = []
         value_losses = []
         entropies = []
@@ -104,7 +87,6 @@ class PPOUpdater:
                 states = nn.Tensor(batch.states)
 
                 # ---------------- actor ----------------
-                t0 = time.perf_counter() if actor_ms is not None else 0.0
                 log_probs, entropy = self.actor.log_prob_and_entropy(states, batch.actions)
                 surrogate_loss, ratio = F.clipped_surrogate_loss(
                     log_probs, batch.log_probs, batch.advantages, config.clip_epsilon
@@ -116,11 +98,8 @@ class PPOUpdater:
                 norm = nn.clip_grad_norm(self.actor.parameters(), config.max_grad_norm)
                 _require_finite(norm, "policy")
                 self.actor_optimizer.step()
-                if actor_ms is not None:
-                    actor_ms.observe((time.perf_counter() - t0) * 1000.0)
 
                 # ---------------- critic ----------------
-                t0 = time.perf_counter() if critic_ms is not None else 0.0
                 values = self.critic(states)
                 value_loss = F.mse_loss(values, batch.returns)
                 self.critic_optimizer.zero_grad()
@@ -128,8 +107,6 @@ class PPOUpdater:
                 norm = nn.clip_grad_norm(self.critic.parameters(), config.max_grad_norm)
                 _require_finite(norm, "value")
                 self.critic_optimizer.step()
-                if critic_ms is not None:
-                    critic_ms.observe((time.perf_counter() - t0) * 1000.0)
 
                 approx_kl = float(np.mean(batch.log_probs - log_probs.data))
                 clip_fraction = float(np.mean(np.abs(ratio - 1.0) > config.clip_epsilon))

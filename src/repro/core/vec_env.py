@@ -67,7 +67,7 @@ from ..flows.flow import Flow
 from .env import AdversarialFlowEnv, EpisodeSummary, PendingStep
 from .state_encoder import StateEncoder
 
-__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree", "score_blocks"]
+__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"]
 
 # Distinct inputs per ``predict_scores`` call in ``VectorFlowEnv.settle``.  A
 # neural censor's forward allocates activations proportional to its batch,
@@ -78,12 +78,6 @@ __all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"
 # bound, while blocks of 128 leave it at the 63.0 per-tick scoring had (and
 # blocks of 32 / 64 are no faster).
 _SCORE_BLOCK = 128
-
-
-def score_blocks(n_flows: int) -> int:
-    """How many ``predict_scores`` calls :meth:`VectorFlowEnv.settle` spends
-    on ``n_flows`` distinct inputs."""
-    return -(-n_flows // _SCORE_BLOCK)
 
 
 def _checked_indices(indices: Sequence[int], n_envs: int) -> List[int]:

@@ -23,11 +23,6 @@ collection with ``W × n_envs_per_shard`` environments is bit-equivalent to
 single-process vectorized collection with the same ``n_envs`` — identical
 buffers, rewards, episode summaries and per-flow censor query counts.  See
 the seed-tree layout in :mod:`repro.utils.rng`.
-
-Telemetry is per process: what a worker records (``collect.*`` counters,
-``collect.shard`` spans) stays in the worker, and the driver records its
-own ``distrib.<command>`` spans, transport counters and
-``distrib.worker_restarts``.  No telemetry crosses the worker pipe.
 """
 
 from .shard import ShardResult, ShardRunner

@@ -32,15 +32,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..censors.base import CensorClassifier
 from ..core.env import EpisodeSummary
-from ..core.vec_env import (
-    BatchedEpisodeEncoder,
-    VectorFlowEnv,
-    build_envs_from_seed_tree,
-    score_blocks,
-)
+from ..core.vec_env import BatchedEpisodeEncoder, VectorFlowEnv, build_envs_from_seed_tree
 from ..nn.serialization import load_prefixed_state, state_dict_from_bytes
 
 __all__ = ["ShardRunner", "ShardResult"]
@@ -190,10 +184,6 @@ class ShardRunner:
         """
         if n_ticks < 1:
             raise ValueError("n_ticks must be >= 1")
-        with obs.span("collect.shard", ticks=n_ticks, envs=self.n_envs):
-            return self._collect(n_ticks)
-
-    def _collect(self, n_ticks: int) -> ShardResult:
         if not self._started:
             self._states = self._tracker.reset_all(self._vec_env.reset())
             self._started = True
@@ -241,12 +231,8 @@ class ShardRunner:
         # here, in a few large censor batches instead of one small one per tick.
         # Steps sharing an input share its score, so the censor scores at
         # most as many flows as the queries the rollout counts.
-        flows_before = self._vec_env.flows_scored
-        with obs.span("collect.score") as score_span:
-            settled = self._vec_env.settle(ticks)
-            queries = self.censor.query_count - queries_before
-            scored = self._vec_env.flows_scored - flows_before
-            score_span.annotate(queries=queries, flows=scored, blocks=score_blocks(scored))
+        settled = self._vec_env.settle(ticks)
+        queries = self.censor.query_count - queries_before
         for tick, (tick_rewards, finished) in enumerate(settled):
             rewards[tick] = tick_rewards
             summaries.extend((tick, row, summary) for row, summary in finished)
@@ -255,13 +241,6 @@ class ShardRunner:
         # that produced the rollout's per-step values (bit-identical to a
         # driver-side forward: the driver has not updated in between).
         final_values = self.critic.value_batch(self._states)
-
-        # Counted in the process that runs the shard: the driver when
-        # collecting in-process, the worker (and only it) when sharded.
-        obs.counter("collect.ticks").inc(n_ticks)
-        obs.counter("collect.scored_flows").inc(scored)
-        if summaries:
-            obs.counter("collect.episodes").inc(len(summaries))
 
         return ShardResult(
             states=states,

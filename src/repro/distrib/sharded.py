@@ -75,7 +75,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..core.env import EpisodeSummary
 from .shard import ShardResult, ShardRunner
 from .transport import Transport, TransportError, encode_message, worker_command_loop
@@ -448,8 +447,7 @@ class ShardedRolloutEngine:
         """Send ``message`` to every worker; replay-recover crashed ones."""
         self._check_usable()
         self._log.append(message)
-        with obs.span("distrib." + str(message[0]), workers=self._n_workers):
-            return self._drain(self._send_all(message))
+        return self._drain(self._send_all(message))
 
     def _drain(self, failed: List[int]) -> list:
         """Collect one reply per worker, replay-recovering the ``failed``
@@ -485,7 +483,6 @@ class ShardedRolloutEngine:
         last_error: Optional[BaseException] = None
         for _ in range(_MAX_RESTARTS):
             self._restarts += 1
-            obs.counter("distrib.worker_restarts", worker=str(index)).inc()
             handle = self._respawn(index)
             try:
                 reply: Optional[tuple] = None

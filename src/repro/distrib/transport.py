@@ -21,14 +21,10 @@ driver in :mod:`repro.distrib.sharded`.
 
 Workers are local forks of the driver: nothing is pickled at spawn time
 (copy-on-write inheritance), so only frames ever cross the pipe, and both
-ends are this program.  The tier reads clocks and moves bytes only — it
-draws no RNG and touches no numeric path, so the bit-equivalence ladder is
-indifferent to whether a rollout was collected in-process or by workers.
-
-Frames carry the bare protocol whether telemetry is on or off: telemetry
-stays in the process that records it, so the frame and byte counters below
-are the sender's and receiver's own, and no worker telemetry crosses the
-pipe.
+ends are this program.  The tier moves bytes only — it draws no RNG and
+touches no numeric path, so the bit-equivalence ladder is indifferent to
+whether a rollout was collected in-process or by workers.  A frame is the
+bare pickled command or reply tuple and nothing else.
 """
 
 from __future__ import annotations
@@ -36,9 +32,6 @@ from __future__ import annotations
 import pickle
 import traceback
 from typing import Callable, Dict
-
-from .. import obs
-from ..obs import _state as _obs_state
 
 __all__ = [
     "TransportError",
@@ -96,9 +89,6 @@ class Transport:
             self._conn.send_bytes(frame)
         except _CHANNEL_ERRORS as error:
             raise TransportError(f"pipe peer is gone: {error}") from error
-        if _obs_state.enabled:
-            obs.counter("transport.frames_sent").inc()
-            obs.counter("transport.bytes_sent").inc(len(frame))
 
     def recv(self) -> tuple:
         """Block for the next message tuple; :class:`TransportError` on a
@@ -107,9 +97,6 @@ class Transport:
             frame = self._conn.recv_bytes()
         except _CHANNEL_ERRORS as error:
             raise TransportError(f"pipe peer is gone: {error}") from error
-        if _obs_state.enabled:
-            obs.counter("transport.frames_recv").inc()
-            obs.counter("transport.bytes_recv").inc(len(frame))
         return decode_message(frame)
 
     def poll(self, timeout: float = 0.0) -> bool:

@@ -75,13 +75,11 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-import time
 import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import _state as _obs_state
 
 __all__ = [
     "ExecutionBackend",
@@ -603,42 +601,6 @@ class ReferenceBackend(ExecutionBackend):
         return _einsum_matmul(a, b)
 
 
-# The enabled-telemetry GEMM timer is stride-sampled: one call in
-# _OBS_STRIDE gets the clock treatment.  A serving flush issues several
-# sub-10-microsecond GEMMs, so timing every one would cost a measurable
-# fraction of the kernel itself; a deterministic 1-in-16 sample keeps the
-# nn.gemm_ms distribution honest (the stride is phase-blind) at ~1/16th the
-# overhead.  Deterministic — no RNG draw — so enabling telemetry perturbs no
-# seeded stream.  The tick is a single-slot list, not an int, so the hot
-# path mutates in place instead of rebinding a global.
-_OBS_STRIDE = 16
-_OBS_MATMUL_TICK = [0]
-
-# The two nn.gemm_ms histograms, cached: this runs per matmul, so even the
-# registry's lock-free lookup (label-key build + dict probe) — and the
-# ``import`` statement that would fetch it — is measurable.  The cache is
-# invalidated by registry generation, which bumps on obs.reset().
-_OBS_INSTRUMENTS: Dict[str, object] = {"generation": -1}
-_OBS_REGISTRY = None
-
-
-def _obs_instruments() -> Dict[str, object]:
-    global _OBS_REGISTRY
-
-    registry = _OBS_REGISTRY
-    if registry is None:
-        from .. import obs
-
-        registry = _OBS_REGISTRY = obs.registry()
-    if _OBS_INSTRUMENTS["generation"] != registry.generation:
-        _OBS_INSTRUMENTS.update(
-            generation=registry.generation,
-            compiled=registry.histogram("nn.gemm_ms", kernel="compiled"),
-            einsum=registry.histogram("nn.gemm_ms", kernel="einsum"),
-        )
-    return _OBS_INSTRUMENTS
-
-
 class BlockedBackend(ExecutionBackend):
     """Compiled kernel pack, bit-identical to the reference paths.
 
@@ -654,18 +616,7 @@ class BlockedBackend(ExecutionBackend):
 
     def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         kernel = _ensure_kernel()
-        t0 = None
-        if _obs_state.enabled:
-            tick = _OBS_MATMUL_TICK
-            tick[0] += 1
-            if tick[0] % _OBS_STRIDE == 0:
-                t0 = time.perf_counter()
-        out = _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
-        if t0 is not None:
-            # Telemetry reads clocks only: the timed call is the same call.
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            _obs_instruments()["einsum" if kernel is None else "compiled"].observe(elapsed_ms)
-        return out
+        return _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
 
     # The float64 guards protect the C boundary of the gate kernels: the
     # extension would widen any other dtype silently (PyArray_FROM_OTF),

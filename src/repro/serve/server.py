@@ -40,13 +40,11 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder
 from ..nn.serialization import load_state_dict, split_prefixed_state
-from ..obs import _state as _obs_state
 from ..utils.rng import ensure_rng
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .session import (
@@ -59,15 +57,6 @@ from .session import (
 )
 
 __all__ = ["ServeConfig", "PolicyServer", "build_policy_from_state", "summarize_stats"]
-
-# Distinguishes the registry series of multiple PolicyServer instances in
-# one process (tests and benchmarks build several).
-_SERVER_IDS = itertools.count()
-
-# Every flush opens a ``serve.flush`` span; only every N-th also opens the
-# per-phase child spans (see the head-sampling comment in ``flush``).
-_TRACE_DETAIL_STRIDE = 8
-_NULL_SPAN = obs.NULL_SPAN
 
 
 @dataclass(frozen=True)
@@ -267,27 +256,16 @@ class PolicyServer:
         self._outbox: List[ShapingDecision] = []
         self._reports: List[SessionReport] = []
 
-        # Aggregate counters (the stats() payload), registry-backed so the
-        # telemetry exporters see them for free; the ``server`` label keeps
-        # multiple in-process servers distinguishable.  Demotions are not counted here: stats() derives
-        # them from session/report status so the metric stays authoritative
-        # however a session was demoted (deadline tracker or an operator
-        # calling FlowSession.demote()).
-        labels = {"server": str(next(_SERVER_IDS))}
-        registry = obs.registry()
-        self._sessions_opened = registry.counter("serve.sessions_opened", **labels)
-        self._sessions_closed = registry.counter("serve.sessions_closed", **labels)
-        self._decisions = registry.counter("serve.decisions", **labels)
-        self._deadline_misses = registry.counter("serve.deadline_misses", **labels)
-        self._flushes = registry.counter("serve.flushes", **labels)
-        # Enabled-mode instruments (histograms/gauge are observed only when
-        # telemetry is on; the counters above are always live because they
-        # back the public stats() API).
-        self._flush_size_hist = registry.histogram("serve.flush_size", **labels)
-        self._latency_hist = registry.histogram("serve.decision_latency_ms", **labels)
-        self._queue_depth_gauge = registry.gauge("serve.queue_depth", **labels)
+        # Lifetime counters (the stats() payload).  Demotions are not
+        # counted here: stats() derives them from session/report status so
+        # the metric stays authoritative however a session was demoted
+        # (deadline tracker or an operator calling FlowSession.demote()).
+        self._sessions_opened = 0
+        self._sessions_closed = 0
+        self._decisions = 0
+        self._deadline_misses = 0
+        self._flushes = 0
         self._latencies_ms: Deque[float] = deque(maxlen=self.config.latency_history)
-        self._flush_tick = 0  # drives child-span head sampling in flush()
 
     # ------------------------------------------------------------------ #
     # Construction from a checkpoint
@@ -347,7 +325,7 @@ class PolicyServer:
             miss_threshold=self.config.miss_threshold,
             protocol=protocol,
         )
-        self._sessions_opened.inc()
+        self._sessions_opened += 1
         return session_id
 
     def submit(self, session_id: str, size: float, delay_ms: float) -> None:
@@ -376,7 +354,7 @@ class PolicyServer:
                 session.profile_result = self.profile_db.embed_flow(payload, rng=self._rng)
         report = session.close()
         self._table.release(session.slot)
-        self._sessions_closed.inc()
+        self._sessions_closed += 1
         self._reports.append(report)
         return report
 
@@ -423,7 +401,6 @@ class PolicyServer:
         policy answers with a non-finite action (``ValueError``), is put
         back at the front of the queue with table and sessions untouched.
         """
-        telemetry = _obs_state.enabled
         batch = self._scheduler.take_batch()
         # Sessions may have left the online tier (demotion, close) between
         # enqueue and flush; their requests are dropped silently.
@@ -453,87 +430,63 @@ class PolicyServer:
         if unarmed:
             self._scheduler.put_back(batch)
             raise RuntimeError(f"a pending request's session has no armed observation: {unarmed}")
-        # Child-span head sampling: the parent ``serve.flush`` span times
-        # every flush, but the per-phase children (fold/act/apply) open only
-        # on every ``_TRACE_DETAIL_STRIDE``-th flush — a sub-millisecond
-        # flush cannot afford three extra spans each time, and one detailed
-        # trace per stride answers "where does a flush spend its time" just
-        # as well.  Deterministic (a flush counter, no RNG), so sampling
-        # never perturbs a seeded stream.
-        self._flush_tick += 1
-        detailed = telemetry and self._flush_tick % _TRACE_DETAIL_STRIDE == 0
-        with obs.span("serve.flush", batch=len(live)):
-            slots = np.array(slots)
-            hidden = self._table.hidden
+        slots = np.array(slots)
+        hidden = self._table.hidden
 
-            # 1) Fold the newly armed observations: one batched GRU step on
-            # the batch's rows of stream 0.  The fancy index is the copy (the
-            # table is untouched until the commit below); it comes back
-            # slot-major, so it is made row-contiguous once here instead of
-            # once per GEMM.  (``take`` on the strided stream view would copy
-            # the whole stream first.)
-            with obs.span("serve.fold", rows=len(live)) if detailed else _NULL_SPAN:
-                observations = np.array([s.current_observation() for s in sessions])
-                folded = self.encoder.step_pairs(
-                    observations, np.ascontiguousarray(hidden[:, 0, slots])
+        # 1) Fold the newly armed observations: one batched GRU step on the
+        # batch's rows of stream 0.  The fancy index is the copy (the table
+        # is untouched until the commit below); it comes back slot-major, so
+        # it is made row-contiguous once here instead of once per GEMM.
+        # (``take`` on the strided stream view would copy the whole stream
+        # first.)
+        observations = np.array([s.current_observation() for s in sessions])
+        folded = self.encoder.step_pairs(observations, np.ascontiguousarray(hidden[:, 0, slots]))
+
+        # 2) One deterministic policy forward for the whole batch, from the
+        # top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
+        states = np.concatenate([folded[-1], hidden[-1, 1, slots]], axis=1)
+        actions, _ = self.actor.act_batch(states, deterministic=True)
+        if not np.isfinite(actions).all():
+            self._scheduler.put_back(batch)
+            bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
+            raise ValueError(
+                f"non-finite action for sessions {[sessions[row].session_id for row in bad]}; "
+                "nothing was committed and the batch is back in the queue"
+            )
+
+        # Every check passed: commit.
+        self._flushes += 1
+
+        # 3+4) Apply actions through the per-session emulator, then fold the
+        # emitted actions (one batched GRU step).  The answer is stamped
+        # first; both scatters sit behind it.
+        now = self._clock()
+        hidden[:, 0, slots] = folded
+        decisions: List[ShapingDecision] = []
+        for (request, session), action in zip(live, actions.tolist()):
+            latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
+            decision = session.apply_action(action, latency_ms=latency_ms)
+            decisions.append(decision)
+            self._decisions += 1
+            self._latencies_ms.append(decision.latency_ms)
+            if decision.deadline_missed:
+                self._deadline_misses += 1
+
+        recorded = np.array([decision.recorded_action for decision in decisions])
+        hidden[:, 1, slots] = self.encoder.step_pairs(
+            recorded, np.ascontiguousarray(hidden[:, 1, slots])
+        )
+
+        # 5) Re-arm follow-up work: truncation remainders continue the same
+        #    packet; completed packets pull the next one from the backlog.
+        requeue_at = self._clock()
+        for _, session in live:
+            if not session.online:
+                continue
+            if session.in_flight or session.arm_next():
+                self._scheduler.submit(
+                    DecisionRequest(session_id=session.session_id, enqueued_at=requeue_at)
                 )
-
-            # 2) One deterministic policy forward for the whole batch, from
-            # the top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
-            with obs.span("serve.act") if detailed else _NULL_SPAN:
-                states = np.concatenate([folded[-1], hidden[-1, 1, slots]], axis=1)
-                actions, _ = self.actor.act_batch(states, deterministic=True)
-            if not np.isfinite(actions).all():
-                self._scheduler.put_back(batch)
-                bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
-                raise ValueError(
-                    f"non-finite action for sessions {[sessions[row].session_id for row in bad]}; "
-                    "nothing was committed and the batch is back in the queue"
-                )
-
-            # Every check passed: commit.
-            self._flushes.inc()
-            if telemetry:
-                self._flush_size_hist.observe(len(live))
-
-            # 3+4) Apply actions through the per-session emulator, then fold
-            # the emitted actions (one batched GRU step).  One span covers
-            # both: the action fold is part of committing the decision.  The
-            # answer is stamped first; both scatters sit behind it.
-            with obs.span("serve.apply") if detailed else _NULL_SPAN:
-                now = self._clock()
-                hidden[:, 0, slots] = folded
-                decisions: List[ShapingDecision] = []
-                for (request, session), action in zip(live, actions.tolist()):
-                    latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
-                    decision = session.apply_action(action, latency_ms=latency_ms)
-                    decisions.append(decision)
-                    self._decisions.inc()
-                    self._latencies_ms.append(decision.latency_ms)
-                    if telemetry:
-                        self._latency_hist.observe(decision.latency_ms)
-                    if decision.deadline_missed:
-                        self._deadline_misses.inc()
-
-                recorded = np.array([decision.recorded_action for decision in decisions])
-                hidden[:, 1, slots] = self.encoder.step_pairs(
-                    recorded, np.ascontiguousarray(hidden[:, 1, slots])
-                )
-
-            # 5) Re-arm follow-up work: truncation remainders continue the same
-            #    packet; completed packets pull the next one from the backlog.
-            requeue_at = self._clock()
-            for _, session in live:
-                if not session.online:
-                    continue
-                if session.in_flight or session.arm_next():
-                    self._scheduler.submit(
-                        DecisionRequest(
-                            session_id=session.session_id, enqueued_at=requeue_at
-                        )
-                    )
-        if telemetry:
-            self._queue_depth_gauge.set(self._scheduler.pending)
         self._outbox.extend(decisions)
         return decisions
 
@@ -561,13 +514,13 @@ class PolicyServer:
             if session.status == SessionStatus.DEMOTED
         )
         return {
-            "sessions_opened": int(self._sessions_opened.value),
-            "sessions_closed": int(self._sessions_closed.value),
+            "sessions_opened": self._sessions_opened,
+            "sessions_closed": self._sessions_closed,
             "sessions_demoted": demoted,
             "sessions_live": len(self._sessions),
-            "decisions": int(self._decisions.value),
-            "deadline_misses": int(self._deadline_misses.value),
-            "flushes": int(self._flushes.value),
+            "decisions": self._decisions,
+            "deadline_misses": self._deadline_misses,
+            "flushes": self._flushes,
             "latencies_ms": list(self._latencies_ms),
             "fallback_data_overheads": [r.data_overhead for r in profile_results],
             "fallback_fully_embedded": [bool(r.fully_embedded) for r in profile_results],

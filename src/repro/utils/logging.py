@@ -8,8 +8,6 @@ import time
 from collections import deque
 from typing import Deque, Dict, Optional
 
-from ..obs import metrics as _obs_metrics
-
 __all__ = ["get_logger", "TrainingLogger"]
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
@@ -37,14 +35,11 @@ def get_logger(name: str, level: Optional[int] = None) -> logging.Logger:
 class TrainingLogger:
     """Accumulates scalar metrics per step and reports periodic summaries.
 
-    Every logged scalar also lands in a ``train.log.<key>`` gauge in the
-    :mod:`repro.obs` metrics registry, labelled by logger name only, so
-    exporters and the ``repro-amoeba telemetry`` CLI see training metrics
-    and the registry does not grow with the number of loggers: loggers that
-    share a name share the gauges (last write wins), while each keeps its
-    own ``history`` and :meth:`latest`.  ``max_history`` bounds ``history``
-    to a sliding window per key (``None`` — the default — keeps everything,
-    for convergence plots).
+    Each logger keeps its own ``history`` per key and answers
+    :meth:`latest` / :meth:`series` from it; nothing is shared between
+    loggers, whatever their names.  ``max_history`` bounds ``history`` to a
+    sliding window per key (``None`` — the default — keeps everything, for
+    convergence plots).
     """
 
     def __init__(
@@ -62,34 +57,16 @@ class TrainingLogger:
         self._logger = logger or get_logger(name)
         self._start = time.monotonic()
         self._step = 0
-        self._labels = {"logger": name}
-        self._gauges: Dict[str, _obs_metrics.Gauge] = {}
-
-        # Lazy import avoidance: repro.obs is dependency-free, so importing
-        # the registry at module scope is safe; the instance just binds it.
-        from .. import obs as _obs
-
-        self._registry = _obs.registry()
-        self._steps_counter = self._registry.counter(
-            "train.log.steps", **self._labels
-        )
 
     def log(self, **metrics: float) -> None:
         """Record one step of scalar metrics."""
         self._step += 1
-        self._steps_counter.inc()
         for key, value in metrics.items():
             value = float(value)
             series = self.history.get(key)
             if series is None:
                 series = self.history[key] = deque(maxlen=self.max_history)
             series.append(value)
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                gauge = self._gauges[key] = self._registry.gauge(
-                    f"train.log.{key}", **self._labels
-                )
-            gauge.set(value)
         if self.report_every and self._step % self.report_every == 0:
             # Report only the metrics logged *this* step: a key that stopped
             # being logged (e.g. a periodic test_asr) must not be repeated

@@ -3,7 +3,7 @@
 These are the bodies the PPO update ran on before its graph became a handful
 of closed-form nodes: the ``Sequential`` actor / critic forwards,
 ``F.gaussian_log_prob`` (14 nodes), ``F.gaussian_entropy`` (4),
-``F.mse_loss`` (5), the clipped-surrogate block of ``PPOUpdater._run_epochs``
+``F.mse_loss`` (5), the clipped-surrogate block of ``PPOUpdater.update``
 (9), the per-parameter ``Adam.step`` and the recursive graph walk of
 ``Tensor.backward`` -- about 55 ``Tensor`` nodes per 128-row minibatch.  They
 are kept only as the reference the bitwise tests in

@@ -5,20 +5,32 @@ These are ``shape_packet`` / ``make_observation`` / ``record_action`` /
 Python-float rewrite: ``np.asarray`` / ``np.clip`` / ``np.sign`` / ``np.ceil``
 on scalars.  They are kept only as the reference the bitwise tests in
 ``tests/test_core_env.py`` and ``tests/test_properties.py`` compare the
-production helpers against -- do not optimise or "fix" them; the only edits
-are the absolute ``repro`` import and ``_current_direction`` becoming a free
-function of the packet size.
+production helpers against -- do not optimise or "fix" them; the only edit
+is ``_current_direction`` becoming a free function of the packet size.
+``ShapedPacket`` is the record ``shape_packet`` returned; production's
+``shape_packet_core`` returns the same four fields as a plain tuple, in this
+order, so ``ShapedPacket(*core)`` compares field for field.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.env import ShapedPacket
+__all__ = ["ShapedPacket", "shape_packet", "make_observation", "record_action", "current_direction"]
 
-__all__ = ["shape_packet", "make_observation", "record_action", "current_direction"]
+
+@dataclass(frozen=True)
+class ShapedPacket:
+    """Deterministic outcome of applying one policy action to the packet
+    currently being shaped."""
+
+    emitted_bytes: int    # unsigned bytes actually put on the wire
+    added_delay: float    # policy-added delay in ms (integer-discretised)
+    delay_action: float   # the clipped normalised delay component (time penalty)
+    is_truncation: bool   # True: the remainder is re-offered as the next observation
 
 
 def shape_packet(

@@ -13,9 +13,11 @@ raises from the middle of its apply loop, which is the hang the production
 flush was changed to prevent).
 
 ``ReferencePolicyServer.flush`` and the three ``ReferenceFlowSession``
-members are the parent's bodies, unedited; ``open_session`` /
-``close_session`` are the parent's too, except that they build the reference
-session and have no slot to take or return.  Everything else -- the emulator,
+members are the parent's bodies, unedited except that the telemetry spans
+and instruments they once fed are gone and the lifetime counters are plain
+integers, as in production; ``open_session`` / ``close_session`` are the
+parent's too, except that they build the reference session and have no slot
+to take or return.  Everything else -- the emulator,
 the scheduler, deadline tracking, reports -- is inherited from production,
 which is the point: only the state storage and the flush differ.
 
@@ -31,11 +33,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.core.state_encoder import EncoderState
-from repro.obs import _state as _obs_state
 from repro.serve.scheduler import DecisionRequest
-from repro.serve.server import _NULL_SPAN, _TRACE_DETAIL_STRIDE, PolicyServer, ServeConfig
+from repro.serve.server import PolicyServer, ServeConfig
 from repro.serve.session import FlowSession, SessionReport, SessionStatus, ShapingDecision
 
 from .encoder_states import split_states, stack_states
@@ -99,7 +99,7 @@ class ReferencePolicyServer(PolicyServer):
             miss_threshold=self.config.miss_threshold,
             protocol=protocol,
         )
-        self._sessions_opened.inc()
+        self._sessions_opened += 1
         return session_id
 
     def close_session(self, session_id: str) -> SessionReport:
@@ -110,7 +110,7 @@ class ReferencePolicyServer(PolicyServer):
             if payload is not None and self.profile_db is not None and len(self.profile_db):
                 session.profile_result = self.profile_db.embed_flow(payload, rng=self._rng)
         report = session.close()
-        self._sessions_closed.inc()
+        self._sessions_closed += 1
         self._reports.append(report)
         return report
 
@@ -121,7 +121,6 @@ class ReferencePolicyServer(PolicyServer):
         and one deterministic ``act_batch`` forward; row-consistent matmuls
         make each session's row independent of the batch composition.
         """
-        telemetry = _obs_state.enabled
         batch = self._scheduler.take_batch()
         # Sessions may have left the online tier (demotion, close) between
         # enqueue and flush; their requests are dropped silently.
@@ -137,84 +136,56 @@ class ReferencePolicyServer(PolicyServer):
         ]
         if not live:
             return []
-        self._flushes.inc()
-        if telemetry:
-            self._flush_size_hist.observe(len(live))
-        # Child-span head sampling: the parent ``serve.flush`` span times
-        # every flush, but the per-phase children (fold/act/apply) open only
-        # on every ``_TRACE_DETAIL_STRIDE``-th flush — a sub-millisecond
-        # flush cannot afford three extra spans each time, and one detailed
-        # trace per stride answers "where does a flush spend its time" just
-        # as well.  Deterministic (a flush counter, no RNG), so sampling
-        # never perturbs a seeded stream.
-        self._flush_tick += 1
-        detailed = telemetry and self._flush_tick % _TRACE_DETAIL_STRIDE == 0
-        with obs.span("serve.flush", batch=len(live)):
-            # Sessions own their encoder state; the flush stacks each stream
-            # once into a (num_layers, n, hidden) slab, steps the slab, and
-            # copies the new rows back out (see ``split_states``).
-            sessions = [session for _, session in live]
+        self._flushes += 1
+        # Sessions own their encoder state; the flush stacks each stream
+        # once into a (num_layers, n, hidden) slab, steps the slab, and
+        # copies the new rows back out (see ``split_states``).
+        sessions = [session for _, session in live]
 
-            # 1) Fold the newly armed observations (one batched GRU step).
-            observation_hidden = stack_states([s.observation_state for s in sessions])
-            fold_rows = [
-                row for row, s in enumerate(sessions) if s.observation_pending_fold
-            ]
-            if fold_rows:
-                with obs.span("serve.fold", rows=len(fold_rows)) if detailed else _NULL_SPAN:
-                    observations = np.array(
-                        [sessions[row].current_observation() for row in fold_rows]
-                    )
-                    folded = self.encoder.step_pairs(
-                        observations, observation_hidden[:, fold_rows]
-                    )
-                    observation_hidden[:, fold_rows] = folded
-                    for row, state in zip(fold_rows, split_states(folded)):
-                        sessions[row].mark_observation_folded(state)
+        # 1) Fold the newly armed observations (one batched GRU step).
+        observation_hidden = stack_states([s.observation_state for s in sessions])
+        fold_rows = [row for row, s in enumerate(sessions) if s.observation_pending_fold]
+        if fold_rows:
+            observations = np.array([sessions[row].current_observation() for row in fold_rows])
+            folded = self.encoder.step_pairs(observations, observation_hidden[:, fold_rows])
+            observation_hidden[:, fold_rows] = folded
+            for row, state in zip(fold_rows, split_states(folded)):
+                sessions[row].mark_observation_folded(state)
 
-            # 2) One deterministic policy forward for the whole batch, from
-            # the top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
-            action_hidden = stack_states([s.action_state for s in sessions])
-            with obs.span("serve.act") if detailed else _NULL_SPAN:
-                states = np.concatenate([observation_hidden[-1], action_hidden[-1]], axis=1)
-                actions, _ = self.actor.act_batch(states, deterministic=True)
+        # 2) One deterministic policy forward for the whole batch, from the
+        # top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
+        action_hidden = stack_states([s.action_state for s in sessions])
+        states = np.concatenate([observation_hidden[-1], action_hidden[-1]], axis=1)
+        actions, _ = self.actor.act_batch(states, deterministic=True)
 
-            # 3+4) Apply actions through the per-session emulator, then fold
-            # the emitted actions (one batched GRU step).  One span covers
-            # both: the action fold is part of committing the decision.
-            with obs.span("serve.apply") if detailed else _NULL_SPAN:
-                now = self._clock()
-                decisions: List[ShapingDecision] = []
-                for row, (request, session) in enumerate(live):
-                    latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
-                    decision = session.apply_action(actions[row], latency_ms=latency_ms)
-                    decisions.append(decision)
-                    self._decisions.inc()
-                    self._latencies_ms.append(decision.latency_ms)
-                    if telemetry:
-                        self._latency_hist.observe(decision.latency_ms)
-                    if decision.deadline_missed:
-                        self._deadline_misses.inc()
+        # 3+4) Apply actions through the per-session emulator, then fold the
+        # emitted actions (one batched GRU step).
+        now = self._clock()
+        decisions: List[ShapingDecision] = []
+        for row, (request, session) in enumerate(live):
+            latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
+            decision = session.apply_action(actions[row], latency_ms=latency_ms)
+            decisions.append(decision)
+            self._decisions += 1
+            self._latencies_ms.append(decision.latency_ms)
+            if decision.deadline_missed:
+                self._deadline_misses += 1
 
-                recorded = np.array([decision.recorded_action for decision in decisions])
-                folded_actions = split_states(self.encoder.step_pairs(recorded, action_hidden))
-                for session, state in zip(sessions, folded_actions):
-                    session.mark_action_folded(state)
+        recorded = np.array([decision.recorded_action for decision in decisions])
+        folded_actions = split_states(self.encoder.step_pairs(recorded, action_hidden))
+        for session, state in zip(sessions, folded_actions):
+            session.mark_action_folded(state)
 
-            # 5) Re-arm follow-up work: truncation remainders continue the same
-            #    packet; completed packets pull the next one from the backlog.
-            requeue_at = self._clock()
-            for _, session in live:
-                if not session.online:
-                    continue
-                if session.in_flight or session.arm_next():
-                    self._scheduler.submit(
-                        DecisionRequest(
-                            session_id=session.session_id, enqueued_at=requeue_at
-                        )
-                    )
-        if telemetry:
-            self._queue_depth_gauge.set(self._scheduler.pending)
+        # 5) Re-arm follow-up work: truncation remainders continue the same
+        #    packet; completed packets pull the next one from the backlog.
+        requeue_at = self._clock()
+        for _, session in live:
+            if not session.online:
+                continue
+            if session.in_flight or session.arm_next():
+                self._scheduler.submit(
+                    DecisionRequest(session_id=session.session_id, enqueued_at=requeue_at)
+                )
         self._outbox.extend(decisions)
         return decisions
 

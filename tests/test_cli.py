@@ -64,11 +64,13 @@ class TestParser:
             ["attack", "--telemetry-port", "0"],
             ["serve", "--policy", "p.npz", "--telemetry-port", "0"],
             ["top"],
+            ["telemetry"],
+            ["telemetry", "--mode", "serve"],
         ],
     )
     def test_no_live_telemetry_service(self, argv):
-        # Telemetry is read after a run (``repro-amoeba telemetry``); no
-        # driver serves /metrics and there is no terminal view polling it.
+        # There is no telemetry tier: no driver serves /metrics, no terminal
+        # view polls it and no subcommand renders a summary of it.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -238,6 +240,26 @@ class TestCommands:
         message = str(excinfo.value.code)
         assert "--workers" in message
         assert f"n_envs={AmoebaConfig().n_envs}" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--eval-flows", "0"],
+            ["--eval-flows", "-1"],
+            ["--timesteps", "0"],
+            ["--timesteps", "-5"],
+        ],
+    )
+    def test_attack_bad_budget_fails_before_the_dataset_build(self, argv, monkeypatch):
+        import repro.cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError(f"the dataset was built before {argv[0]} was checked")
+
+        monkeypatch.setattr(repro.cli, "prepare_experiment_data", no_dataset)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["attack", *argv])
+        assert str(excinfo.value.code) == f"{argv[0]} must be >= 1, got {argv[1]}"
 
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0

@@ -230,16 +230,16 @@ class TestEpisodeSummary:
 # --------------------------------------------------------------------- #
 # Python-float emulator helpers vs. the seed numpy formulation (oracle)
 # --------------------------------------------------------------------- #
+from repro.core import env as env_module  # noqa: E402
 from repro.core.env import (  # noqa: E402
-    ShapedPacket,
     make_observation,
     packet_direction,
     record_action,
-    shape_packet,
     shape_packet_core,
 )
 
 from oracles import emulator_reference as oracle  # noqa: E402
+from oracles.emulator_reference import ShapedPacket  # noqa: E402
 
 
 def _neighbours(value):
@@ -258,6 +258,11 @@ def bits(array) -> np.ndarray:
     return np.asarray(array, dtype=np.float64).view(np.uint64)
 
 
+def shaped(size_action, delay_action, **kwargs):
+    """``shape_packet_core``'s tuple, named with the oracle's record."""
+    return ShapedPacket(*shape_packet_core(float(size_action), float(delay_action), **kwargs))
+
+
 def assert_same_shaped(got, expected):
     assert type(got.emitted_bytes) is type(expected.emitted_bytes) is int
     assert got.emitted_bytes == expected.emitted_bytes
@@ -269,8 +274,8 @@ def assert_same_shaped(got, expected):
 
 
 class TestEmulatorOracle:
-    """`shape_packet` / `make_observation` / `record_action` are plain Python
-    floats now; the seed ``np.clip`` bodies in ``tests/oracles`` say what
+    """`shape_packet_core` / `make_observation` / `record_action` are plain
+    Python floats now; the seed ``np.clip`` bodies in ``tests/oracles`` say what
     every bit of their results must be."""
 
     LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
@@ -300,10 +305,13 @@ class TestEmulatorOracle:
                 )
                 action = np.array([size_action, delay_action])
                 assert_same_shaped(
-                    shape_packet(action, **kwargs), oracle.shape_packet(action, **kwargs)
+                    shaped(size_action, delay_action, **kwargs),
+                    oracle.shape_packet(action, **kwargs),
                 )
 
-    def test_shape_packet_accepts_what_the_oracle_accepts(self):
+    def test_propose_accepts_what_the_oracle_accepts(self):
+        # ``propose`` flattens its action to two Python floats before the
+        # core sees them; the oracle took the same shapes.
         kwargs = dict(
             remaining_bytes=900.0,
             truncations_current_packet=0,
@@ -314,11 +322,14 @@ class TestEmulatorOracle:
         )
         for action in ([0.25, 0.5], (0.25, 0.5), np.array([[0.25, 0.5]]), np.float32([0.25, 0.5])):
             assert_same_shaped(
-                shape_packet(action, **kwargs), oracle.shape_packet(action, **kwargs)
+                shaped(*env_module._action_components(action), **kwargs),
+                oracle.shape_packet(action, **kwargs),
             )
         for bad in ([0.5], [0.1, 0.2, 0.3], np.zeros((2, 2))):
             with pytest.raises(ValueError, match="2 components"):
-                shape_packet(bad, **kwargs)
+                env_module._action_components(bad)
+            with pytest.raises(ValueError, match="2 components"):
+                oracle.shape_packet(bad, **kwargs)
 
     def test_observation_and_record_sweep(self):
         for scale, max_delay in ((1460.0, 100.0), (16384.0, 250.0), (3.0, 7.0)):
@@ -344,8 +355,7 @@ class TestEmulatorOracle:
 
 class TestScalarCore:
     """``shape_packet_core`` takes two Python floats and returns a plain
-    tuple; ``shape_packet`` is its array-accepting wrapper.  Core ≡ wrapper ≡
-    the seed numpy oracle, field for field and bit for bit."""
+    tuple, equal to the seed numpy oracle field for field and bit for bit."""
 
     LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
     # (remaining, truncations, steps, max_truncations, max_steps)
@@ -372,7 +382,7 @@ class TestScalarCore:
             **self.LIMITS,
         )
 
-    def test_core_wrapper_and_oracle_agree(self):
+    def test_core_and_oracle_agree(self):
         for state in self.STATES:
             kwargs = self._kwargs(state)
             for size_action in self.COMPONENTS:
@@ -383,30 +393,37 @@ class TestScalarCore:
                     assert type(emitted) is int and type(is_truncation) is bool
                     assert type(added_delay) is float and type(clipped_delay) is float
                     action = [size_action, delay_action]
-                    wrapped = shape_packet(action, **kwargs)
-                    assert wrapped == ShapedPacket(*core)
-                    assert_same_shaped(wrapped, oracle.shape_packet(action, **kwargs))
-                    assert np.array_equal(bits(clipped_delay), bits(wrapped.delay_action))
+                    assert_same_shaped(ShapedPacket(*core), oracle.shape_packet(action, **kwargs))
 
-    def test_nan_raises_the_same_text_from_both_entry_points(self):
-        kwargs = self._kwargs(self.STATES[0])
+    def test_nan_raises_the_same_text_from_both_entry_points(self, env):
+        from repro.core.state_encoder import StateEncoder
+        from repro.serve import session as session_module
+
+        encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
+        table = session_module.SessionTable(encoder.num_layers, encoder.hidden_size)
+        session = session_module.FlowSession(
+            "s", table, table.acquire(), session_module.SessionLimits(size_scale=1460.0)
+        )
+        session.enqueue(900.0, 1.0)
+        assert session.arm_next()
+        env.reset()
         for size_action, delay_action in ((np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)):
-            with pytest.raises(ValueError) as from_core:
-                shape_packet_core(float(size_action), float(delay_action), **kwargs)
-            with pytest.raises(ValueError) as from_wrapper:
-                shape_packet(np.array([size_action, delay_action]), **kwargs)
-            assert str(from_core.value) == str(from_wrapper.value)
-            assert str(from_core.value).startswith("non-finite action [")
+            with pytest.raises(ValueError) as from_training:
+                env.propose(np.array([size_action, delay_action]))
+            with pytest.raises(ValueError) as from_serving:
+                session.apply_action([size_action, delay_action])
+            assert str(from_training.value) == str(from_serving.value)
+            assert str(from_training.value).startswith("non-finite action [")
 
-    def test_wrapper_still_validates_the_shape(self):
-        kwargs = self._kwargs(self.STATES[0])
+    def test_propose_validates_the_shape(self, env):
+        env.reset()
         for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), []):
             with pytest.raises(ValueError, match="2 components"):
-                shape_packet(bad, **kwargs)
+                env.propose(bad)
 
     def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
-        """One emulator: ``AdversarialFlowEnv.propose`` (through the wrapper)
-        and ``FlowSession.apply_action`` (directly) call one function."""
+        """One emulator: ``AdversarialFlowEnv.propose`` and
+        ``FlowSession.apply_action`` call one function."""
         from repro.core import env as env_module
         from repro.core.state_encoder import StateEncoder
         from repro.serve import session as session_module
@@ -458,9 +475,9 @@ class TestNonFiniteAction:
         )
         for action in ([np.nan, 0.0], [0.0, np.nan]):
             with pytest.raises(ValueError, match="non-finite action"):
-                shape_packet(action, **kwargs)
+                shape_packet_core(*action, **kwargs)
         # Infinite components clamp like any out-of-range value (as np.clip did).
-        assert shape_packet([np.inf, -np.inf], **kwargs).emitted_bytes == 1460
+        assert shaped(np.inf, -np.inf, **kwargs).emitted_bytes == 1460
 
     def test_env_step_rejects_nan_and_stays_usable(self, env):
         env.reset()

@@ -15,7 +15,6 @@ silently wrong reward.
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.censors import DeepFingerprintingClassifier
 from repro.censors.base import CensorClassifier
 from repro.core import AdversarialFlowEnv, Amoeba, AmoebaConfig, BatchedEpisodeEncoder, VectorFlowEnv
@@ -415,51 +414,6 @@ def windowed_df_censor(normalizer, tor_splits):
     )
 
 
-class TestScoreTelemetry:
-    def test_score_span_and_counter(self, agent, windowed_df_censor, normalizer, tor_splits, monkeypatch):
-        monkeypatch.setattr(vec_env_module, "_SCORE_BLOCK", 16)
-        config = make_config(agent, 0.0)
-        censor = RecordingCensor(windowed_df_censor)
-        runner = make_runner(agent, censor, normalizer, config, tor_splits.attack_train.censored_flows)
-        obs.enable()
-        obs.reset()
-        try:
-            result = runner.collect(N_TICKS)
-            records = obs.tracer().records()
-            scored = obs.registry().counter("collect.scored_flows")
-        finally:
-            obs.disable()
-            obs.reset()
-        shard = next(record for record in records if record.name == "collect.shard")
-        score = next(record for record in records if record.name == "collect.score")
-        assert score.parent_id == shard.span_id
-        flows = len(censor.scored())
-        assert score.meta == {
-            "queries": result.query_delta,
-            "flows": flows,
-            "blocks": len(censor.calls),
-        }
-        assert len(censor.calls) == -(-flows // 16) > 1
-        assert scored.value == flows < result.query_delta
-
-    def test_disabled_mode_records_no_span(self, agent, trained_dt_censor, normalizer, tor_splits):
-        obs.disable()
-        obs.reset()
-        censor = RecordingCensor(trained_dt_censor)
-        runner = make_runner(
-            agent,
-            censor,
-            normalizer,
-            make_config(agent, 0.5),
-            tor_splits.attack_train.censored_flows,
-        )
-        runner.collect(N_TICKS)
-        assert obs.tracer().records() == []
-        # Counters are plain integers and always live, like collect.ticks.
-        assert obs.registry().counter("collect.scored_flows").value == len(censor.scored())
-        obs.reset()
-
-
 class TestDistinctInputsScoredOnce:
     """``settle`` scores each ``(episode, min(length, packet_window))`` once;
     every step still counts as a query and reads its key's score."""
@@ -496,6 +450,19 @@ class TestDistinctInputsScoredOnce:
         # boundary has its window scored again by the next collect.
         runner.collect(N_TICKS)
         assert len(set(deferred.scored())) < len(deferred.scored())
+
+    def test_flows_scored_counts_the_rows_the_censor_scored(
+        self, agent, windowed_df_censor, normalizer, tor_splits, monkeypatch
+    ):
+        monkeypatch.setattr(vec_env_module, "_SCORE_BLOCK", 16)
+        censor = RecordingCensor(windowed_df_censor)
+        runner = make_runner(
+            agent, censor, normalizer, make_config(agent, 0.0), tor_splits.attack_train.censored_flows
+        )
+        result = runner.collect(N_TICKS)
+        flows = len(censor.scored())
+        assert runner._vec_env.flows_scored == flows < result.query_delta
+        assert len(censor.calls) == -(-flows // 16) > 1
 
     def test_tree_censor_drops_only_the_finished_duplicate(
         self, agent, trained_dt_censor, normalizer, tor_splits

@@ -567,3 +567,27 @@ class TestRetiredScaleOutPaths:
         for module in (repro.distrib, transport_mod):
             assert [name for name in module.__all__ if name.startswith(retired)] == []
             assert [name for name in vars(module) if name.startswith(retired)] == []
+
+
+class TestRetiredSweep:
+    """``distrib`` serves one driver, the sharded engine: the sweep
+    orchestrator, its separate worker module and the options only the
+    sweep set are gone."""
+
+    def test_distrib_exposes_no_sweep_names(self):
+        for name in ("SweepOrchestrator", "SweepTask", "SweepTaskRecord", "amoeba_grid_task"):
+            assert name not in repro.distrib.__all__, name
+            assert not hasattr(repro.distrib, name), name
+
+    @pytest.mark.parametrize("module", ["sweep", "worker"])
+    def test_sweep_and_worker_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.distrib.{module}")
+
+    def test_arms_race_has_no_workers_parameter(self):
+        assert "workers" not in inspect.signature(run_arms_race).parameters
+
+    def test_command_loop_has_no_close_reply_parameter(self):
+        assert "close_reply" not in inspect.signature(transport_mod.worker_command_loop).parameters

@@ -1,16 +1,15 @@
-"""Worker channel: framing, the command loop, the fork pool, telemetry.
+"""Worker channel: framing, the command loop, the fork pool.
 
 The contract under test: the pipe channel carries the rollout protocol
 without touching any numeric path.  Every channel fault surfaces as
 ``TransportError``; the worker-side command loop dispatches, answers
 errors and closes in one place; a worker factory that raises is a surfaced
 error, not a restart loop; ``close()`` returns in bounded time and leaves
-no worker alive, even a stopped one; transport counters
-record only with telemetry on; checkpoint broadcasts serialize their
+no worker alive, even a stopped one; checkpoint broadcasts serialize their
 payload exactly once regardless of worker count; and command frames are
-the bare protocol with telemetry on (the retired telemetry fold and
-trace-context envelope are unknown commands to a worker).  Sharded ==
-single-process bit-equivalence and SIGKILL recovery live in
+the bare protocol (the retired telemetry fold and trace-context envelope
+are unknown commands to a worker).  Sharded == single-process
+bit-equivalence and SIGKILL recovery live in
 ``tests/test_distrib_sharded.py``.
 """
 
@@ -23,7 +22,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro.distrib import ForkWorkerPool, ShardedRolloutEngine
 from repro.distrib.transport import (
     Transport,
@@ -326,53 +324,6 @@ class TestBroadcastSerializesOnce:
 
 
 # --------------------------------------------------------------------- #
-# Telemetry: transport counters are outside the ladder
-# --------------------------------------------------------------------- #
-def _talk_to_one_worker():
-    """collect + close round-trips with one forked rollout worker."""
-    transport, process = ForkWorkerPool(_echo_factory).launch(0)
-    try:
-        transport.send(("collect", 2))
-        assert transport.recv() == ("result", 2)
-        transport.send(("close",))
-        assert transport.recv() == ("ok", None)
-    finally:
-        transport.close()
-        process.join(timeout=5)
-    assert not process.is_alive()
-
-
-class TestTransportTelemetry:
-    def test_frame_and_byte_counters(self):
-        obs.enable()
-        obs.reset()
-        try:
-            _talk_to_one_worker()
-            by_name = {}
-            for entry in obs.registry().snapshot():
-                by_name.setdefault(entry["name"], []).append(entry)
-            for name in (
-                "transport.frames_sent",
-                "transport.bytes_sent",
-                "transport.frames_recv",
-                "transport.bytes_recv",
-            ):
-                assert name in by_name, name
-            # Driver side only: collect + close out, two replies back.
-            assert by_name["transport.frames_sent"][0]["value"] == 2
-            assert by_name["transport.frames_recv"][0]["value"] == 2
-            assert by_name["transport.bytes_sent"][0]["value"] > 0
-        finally:
-            obs.disable()
-            obs.reset()
-
-    def test_disabled_telemetry_records_nothing(self):
-        obs.reset()
-        _talk_to_one_worker()
-        assert obs.registry().snapshot() == []
-
-
-# --------------------------------------------------------------------- #
 # Retired protocol: no telemetry fold, no trace-context envelope
 # --------------------------------------------------------------------- #
 class TestRetiredTelemetryProtocol:
@@ -392,7 +343,7 @@ class TestRetiredTelemetryProtocol:
             process.join(timeout=5)
         assert not process.is_alive()
 
-    def test_send_all_ships_the_bare_frame_with_telemetry_on(self, monkeypatch):
+    def test_send_all_ships_the_bare_frame(self, monkeypatch):
         shipped = []
         original = Transport.send_encoded
 
@@ -400,19 +351,21 @@ class TestRetiredTelemetryProtocol:
             shipped.append(frame)
             original(self, frame)
 
-        obs.enable()
-        obs.reset()
+        engine = ShardedRolloutEngine(_echo_factory, 2)
         try:
-            engine = ShardedRolloutEngine(_echo_factory, 2)
-            try:
-                monkeypatch.setattr(Transport, "send_encoded", capture)
-                with obs.span("driver.step"):
-                    engine._send_all(("collect", 3))
-                    replies = engine._drain([])
-            finally:
-                engine.close()
+            monkeypatch.setattr(Transport, "send_encoded", capture)
+            engine._send_all(("collect", 3))
+            replies = engine._drain([])
         finally:
-            obs.disable()
-            obs.reset()
+            engine.close()
         assert replies == [3, 103]
         assert shipped[:2] == [encode_message(("collect", 3))] * 2
+
+    def test_transport_and_engine_expose_no_envelope(self):
+        from repro.distrib import transport
+
+        for name in ("TRACE_ENVELOPE", "traced_message", "untraced_message"):
+            assert not hasattr(transport, name), name
+        assert not hasattr(transport.Transport, "send_command")
+        assert not hasattr(ShardedRolloutEngine, "stats")
+        assert not hasattr(ShardedRolloutEngine, "_collect_worker_telemetry")

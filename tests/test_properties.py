@@ -22,7 +22,7 @@ from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
 from repro.serve import ServeConfig
 
-from repro.core.env import make_observation, record_action, shape_packet
+from repro.core.env import make_observation, record_action, shape_packet_core
 
 from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
@@ -401,7 +401,9 @@ class TestEmulatorOracleProperties:
             max_truncations_per_packet=max_truncations,
             max_steps=max_steps,
         )
-        got = shape_packet(np.asarray(action), **kwargs)
+        got = emulator_reference.ShapedPacket(
+            *shape_packet_core(*np.asarray(action, dtype=np.float64).tolist(), **kwargs)
+        )
         expected = emulator_reference.shape_packet(np.asarray(action), **kwargs)
         assert (got.emitted_bytes, got.is_truncation) == (
             expected.emitted_bytes,

@@ -1,8 +1,8 @@
 """Pins the public surface of ``repro.nn``, ``repro.censors``, ``repro.ml``,
-``repro.obs``, ``repro.distrib`` and ``repro.flows``.
+``repro.distrib`` and ``repro.flows``.
 
-These packages export what training, the censors, serving, telemetry and
-the CLI call, and nothing else.  A name added here is a name the project commits to keep.
+These packages export what training, the censors, serving and the CLI
+call, and nothing else.  A name added here is a name the project commits to keep.
 """
 
 import importlib
@@ -35,13 +35,6 @@ SURFACES = {
         "SDAEClassifier", "LSTMClassifier", "CumulSVMClassifier",
         "DecisionTreeCensor", "RandomForestCensor",
         "CensorGateway", "SocketPair", "GatewayDecision",
-    },
-    "repro.obs": {
-        "enable", "disable", "enabled", "reset", "registry", "tracer",
-        "counter", "gauge", "histogram", "span", "summary_text",
-        "MetricsRegistry", "Counter", "Gauge", "Histogram", "log_bucket_edges",
-        "Tracer", "Span", "NullSpan", "NULL_SPAN", "SpanRecord", "render_spans",
-        "JsonlSink", "prometheus_text",
     },
     "repro.distrib": {
         "ShardRunner", "ShardResult", "ShardedRolloutEngine", "Transport",
@@ -76,3 +69,10 @@ def test_exports_exactly_the_pinned_names(module_name):
 def test_retired_censor_wrappers_do_not_import(module_name):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module_name)
+
+
+def test_retired_telemetry_tier_does_not_import():
+    # Per-layer attribution is benchmarks/perf/run.py --trace 1; the results
+    # come from TrainingLogger.history, EvaluationReport and query_count.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs")

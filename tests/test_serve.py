@@ -258,6 +258,83 @@ class TestSessionLifecycle:
         assert server.session(sid).n_decisions >= 1
 
 
+class TestStatsCounters:
+    """``stats()``'s lifetime counters are each server's own: two servers in
+    one process count what each did, and a new server starts at zero."""
+
+    COUNTERS = ("sessions_opened", "sessions_closed", "decisions", "deadline_misses", "flushes")
+
+    @staticmethod
+    def _counting_flushes(server):
+        """Record the decision count of every flush that committed, including
+        the ones ``submit`` and ``drain`` run."""
+        committed = []
+        flush = server.flush
+
+        def counting():
+            decisions = flush()
+            if decisions:
+                committed.append(len(decisions))
+            return decisions
+
+        server.flush = counting
+        return committed
+
+    def _script(self, server, flow, session_ids, close):
+        committed = self._counting_flushes(server)
+        for sid in session_ids:
+            server.open_session(sid)
+        for size, delay in zip(flow.sizes, flow.delays):
+            for sid in session_ids:
+                server.submit(sid, size, delay)
+            server.poll()
+        server.drain()
+        for sid in close:
+            server.close_session(sid)
+        decisions = server.take_decisions()
+        assert sum(committed) == len(decisions)
+        return {
+            "sessions_opened": len(session_ids),
+            "sessions_closed": len(close),
+            "decisions": len(decisions),
+            "deadline_misses": sum(decision.deadline_missed for decision in decisions),
+            "flushes": len(committed),
+        }
+
+    def _counters(self, server):
+        return {key: server.stats()[key] for key in self.COUNTERS}
+
+    def test_each_server_counts_its_own_work(self, policy, simple_flow):
+        late = ServeConfig(
+            size_scale=1460.0, max_batch=2, flush_timeout_ms=0.0, deadline_ms=12.0, miss_window=64
+        )
+        first = make_server(policy, late, clock=FakeClock(0.005))
+        first_did = self._script(first, simple_flow, ["a", "b", "c"], close=["a", "c"])
+        assert first_did["deadline_misses"] > 0
+        assert first_did["flushes"] > 1
+        assert self._counters(first) == first_did
+
+        second = make_server(
+            policy, ServeConfig(size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0)
+        )
+        assert self._counters(second) == dict.fromkeys(self.COUNTERS, 0)
+        second_did = self._script(second, simple_flow, ["a", "b"], close=["a", "b"])
+        assert second_did["deadline_misses"] == 0
+        assert self._counters(second) == second_did
+        assert second.stats()["sessions_live"] == 0
+        # The second server's work did not reach the first's counters.
+        assert self._counters(first) == first_did
+        assert first.stats()["sessions_live"] == 1
+
+    def test_starts_no_thread_under_the_old_telemetry_port_variable(self, policy, monkeypatch):
+        import threading
+
+        monkeypatch.setenv("REPRO_TELEMETRY_PORT", "0")
+        before = set(threading.enumerate())
+        make_server(policy, ServeConfig(max_batch=2))
+        assert set(threading.enumerate()) - before == set()
+
+
 # --------------------------------------------------------------------- #
 # Batching invariants
 # --------------------------------------------------------------------- #

@@ -161,6 +161,53 @@ class TestLogging:
         assert logger.series("loss") == [1.0, 0.9]
 
 
+class TestLoggingHelpers:
+    def test_get_logger_level_applied_once(self):
+        logger = get_logger("repro.test.level_once", level=logging.DEBUG)
+        assert logger.level == logging.DEBUG
+        again = get_logger("repro.test.level_once", level=logging.WARNING)
+        assert again is logger
+        assert again.level == logging.DEBUG  # later levels must not mutate
+
+    def test_max_history_bounds_series(self):
+        logger = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"), max_history=3)
+        for step in range(10):
+            logger.log(loss=float(step))
+        assert logger.series("loss") == [7.0, 8.0, 9.0]
+        assert logger.latest("loss") == 9.0
+
+    def test_default_history_unbounded(self):
+        logger = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"))
+        for step in range(10):
+            logger.log(loss=float(step))
+        assert len(logger.series("loss")) == 10
+
+    def test_rejects_bad_max_history(self):
+        with pytest.raises(ValueError):
+            TrainingLogger(max_history=0)
+
+    def test_same_name_loggers_keep_separate_latest(self):
+        first = TrainingLogger("shared", logger=logging.getLogger("repro.test.tl"))
+        second = TrainingLogger("shared", logger=logging.getLogger("repro.test.tl"))
+        first.log(loss=1.0)
+        second.log(loss=2.0)
+        assert first.latest("loss") == 1.0
+        assert second.latest("loss") == 2.0
+        assert first.latest("reward", default=-1.0) == -1.0
+
+    def test_summary_reports_only_current_step(self, caplog):
+        logger = logging.getLogger("repro.test.tl_summary")
+        logger.propagate = True
+        training = TrainingLogger("t", report_every=2, logger=logger)
+        with caplog.at_level(logging.INFO, logger="repro.test.tl_summary"):
+            training.log(loss=1.0, test_asr=0.9)
+            training.log(loss=0.5)
+        (record,) = caplog.records
+        assert "loss=0.5000" in record.getMessage()
+        # test_asr was not logged this step; a stale value must not repeat.
+        assert "test_asr" not in record.getMessage()
+
+
 class TestPipeline:
     @pytest.fixture(scope="class")
     def data(self):
