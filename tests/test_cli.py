@@ -105,6 +105,18 @@ class TestParser:
             build_parser().parse_args(["serve", "--policy", "p.npz", "--backend", "blocked"])
         assert excinfo.value.code == 2
 
+    def test_subcommands_are_pinned(self, capsys):
+        import argparse
+
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == [
+            "attack", "backends", "evaluate-censors", "generate", "info", "serve",
+        ]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--help"])
+        assert "telemetry" not in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])

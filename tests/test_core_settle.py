@@ -477,3 +477,30 @@ class TestDistinctInputsScoredOnce:
         assert len(censor.scored()) == len(set(censor.scored())) == N_TICKS * N_ENVS
         assert result.query_delta == N_TICKS * N_ENVS + len(result.summaries)
         assert result.summaries
+
+
+class TestFreshRunnersReproduce:
+    """A rollout is a function of the replicas and the seed tree alone: two
+    runners built from the same seed collect the same bits, neural censor
+    scores included, whatever ran in the process in between."""
+
+    @pytest.mark.parametrize("mask_rate", [0.0, 0.5])
+    def test_neural_censor_rollouts_bit_identical(
+        self, agent, windowed_df_censor, normalizer, tor_splits, mask_rate
+    ):
+        config = make_config(agent, mask_rate)
+        flows = tor_splits.attack_train.censored_flows
+
+        def collect():
+            runner = make_runner(agent, windowed_df_censor, normalizer, config, flows)
+            return [runner.collect(N_TICKS) for _ in range(2)]
+
+        first, second = collect(), collect()
+        for got, want in zip(second, first):
+            for name in ("states", "actions", "log_probs", "values", "rewards", "dones"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(got.final_states, want.final_states)
+            assert [summary_key(item) for item in got.summaries] == [
+                summary_key(item) for item in want.summaries
+            ]
+            assert got.query_delta == want.query_delta > 0

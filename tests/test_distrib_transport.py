@@ -106,6 +106,97 @@ class TestFraming:
             a.close()
             b.close()
 
+    # One frame of each kind the rollout protocol ships: bare commands,
+    # checkpoint bytes, snapshots, tracebacks and rollout arrays.
+    FRAMES = {
+        "bare-command": ("close",),
+        "int-payload": ("collect", 0),
+        "empty-bytes": ("load", b""),
+        "bytes-over-64k": ("load", bytes(range(256)) * 300),
+        "none-reply": ("ok", None),
+        "big-int-state": ("restore", {"index": 3, "state": {"key": 2**100, "pos": 7}}),
+        "traceback": ("error", "Traceback (most recent call last):\n  boom\n"),
+        "float32-array": ("result", np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)),
+        "bool-array": ("result", np.array([[True, False], [False, True]])),
+        "nested-tuple": ("result", (np.int64(5), [np.zeros((0, 2)), (1.5, "x")])),
+    }
+
+    @staticmethod
+    def _assert_same(actual, expected):
+        if isinstance(expected, np.ndarray):
+            assert isinstance(actual, np.ndarray)
+            assert actual.dtype == expected.dtype and actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
+        elif isinstance(expected, (tuple, list)):
+            assert type(actual) is type(expected) and len(actual) == len(expected)
+            for got, want in zip(actual, expected):
+                TestFraming._assert_same(got, want)
+        elif isinstance(expected, dict):
+            assert actual.keys() == expected.keys()
+            for key in expected:
+                TestFraming._assert_same(actual[key], expected[key])
+        else:
+            assert type(actual) is type(expected) and actual == expected
+
+    @pytest.mark.parametrize("kind", list(FRAMES))
+    def test_every_frame_kind_crosses_the_pipe_bit_for_bit(self, kind):
+        message = self.FRAMES[kind]
+        a, b = _pipe_pair()
+        try:
+            a.send(message)
+            self._assert_same(b.recv(), message)
+        finally:
+            a.close()
+            b.close()
+
+    def test_close_is_idempotent(self):
+        a, b = _pipe_pair()
+        a.close()
+        a.close()
+        b.close()
+
+    def test_poll_reports_a_gone_peer_as_readable(self):
+        # EOF counts as readable, so a driver polling a dead worker goes on
+        # to recv() and gets the restartable fault instead of waiting.
+        a, b = _pipe_pair()
+        a.close()
+        assert b.poll(1.0)
+        with pytest.raises(TransportError):
+            b.recv()
+        b.close()
+
+    def test_send_after_own_close_is_a_transport_error(self):
+        a, b = _pipe_pair()
+        a.close()
+        with pytest.raises(TransportError):
+            a.send(("collect", 1))
+        b.close()
+
+
+class _ScriptedTransport:
+    """In-process stand-in for a worker's end: ``recv`` hands out a script,
+    then reports the driver gone; ``send_fails`` makes every reply find the
+    driver gone."""
+
+    def __init__(self, script, send_fails=False):
+        self.unread = list(script)
+        self.sent = []
+        self.send_fails = send_fails
+        self.closed = False
+
+    def recv(self):
+        if not self.unread:
+            raise TransportError("script exhausted")
+        return self.unread.pop(0)
+
+    def send(self, message):
+        if self.send_fails:
+            raise TransportError("driver gone")
+        self.sent.append(message)
+
+    def close(self):
+        self.closed = True
+
 
 class TestWorkerCommandLoop:
     def _run_loop(self, driver_actions, handlers):
@@ -146,6 +237,39 @@ class TestWorkerCommandLoop:
             {"add": lambda a, b: ("result", a + b), "noargs": lambda: ("result", None)},
         )
         assert replies == [("result", 5), ("result", None), ("ok", None)]
+
+    def test_bare_command_runs_in_process(self):
+        transport = _ScriptedTransport([("work", 5), ("close",)])
+        worker_command_loop(transport, {"work": lambda n: ("result", n + 1)})
+        assert transport.sent == [("result", 6), ("ok", None)]
+        assert transport.closed
+
+    def test_nothing_after_close_is_read(self):
+        transport = _ScriptedTransport([("close",), ("work", 1)])
+        worker_command_loop(transport, {"work": lambda n: ("result", n)})
+        assert transport.sent == [("ok", None)]
+        assert transport.unread == [("work", 1)]
+
+    def test_end_of_channel_ends_the_loop_without_a_reply(self):
+        transport = _ScriptedTransport([("work", 1)])
+        worker_command_loop(transport, {"work": lambda n: ("result", n)})
+        assert transport.sent == [("result", 1)]
+        assert transport.closed
+
+    def test_a_driver_gone_while_replying_ends_the_loop(self):
+        transport = _ScriptedTransport([("work", 1), ("work", 2)], send_fails=True)
+        worker_command_loop(transport, {"work": lambda n: ("result", n)})
+        assert transport.unread == [("work", 2)]
+        assert transport.closed
+
+    def test_a_driver_gone_while_reporting_an_error_ends_the_loop(self):
+        def boom():
+            raise RuntimeError("kaboom")
+
+        transport = _ScriptedTransport([("boom",), ("boom",)], send_fails=True)
+        worker_command_loop(transport, {"boom": boom})
+        assert transport.unread == [("boom",)]
+        assert transport.closed
 
     def test_loop_exits_when_the_driver_goes_away(self):
         worker, driver = _pipe_pair()

@@ -76,3 +76,21 @@ def test_retired_telemetry_tier_does_not_import():
     # come from TrainingLogger.history, EvaluationReport and query_count.
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.obs")
+
+
+@pytest.mark.parametrize("needle", ["repro.obs", "import obs", "_obs_state", "REPRO_TELEMETRY"])
+def test_no_source_reaches_for_the_retired_telemetry_tier(needle):
+    # Neither the package nor the oracles the tests compare it with may
+    # import, switch or name the retired tier.
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests" / "oracles").rglob("*.py"))
+    assert files
+    hits = [
+        f"{path.relative_to(root)}:{number}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if needle in line
+    ]
+    assert hits == []

@@ -3,9 +3,10 @@
 Covers the session lifecycle (admit -> decide -> demote-to-profile ->
 close), the scheduler's batching invariants — a session's decisions are
 bit-identical regardless of which batch they land in, thanks to
-``nn.row_consistent_matmul`` — the checkpoint reconstruction path, and
+``nn.row_consistent_matmul`` — the checkpoint reconstruction path,
 equivalence of the serving emulator with the training-time environment
-(``Amoeba.attack``).
+(``Amoeba.attack``), and the per-server ``stats()`` counters and their
+``summarize_stats`` summary.
 """
 
 import hashlib
@@ -111,6 +112,51 @@ class TestScheduler:
             ContinuousBatchScheduler(max_batch=0)
         with pytest.raises(ValueError):
             ContinuousBatchScheduler(flush_timeout_ms=-1.0)
+
+    def test_empty_queue_is_never_ready_and_has_no_age(self):
+        scheduler = ContinuousBatchScheduler(max_batch=1, flush_timeout_ms=0.0)
+        assert scheduler.oldest_age_ms(now=100.0) is None
+        assert not scheduler.ready(now=100.0)
+        assert scheduler.take_batch() == []
+
+    def test_zero_timeout_flushes_a_lone_request_at_once(self):
+        scheduler = ContinuousBatchScheduler(max_batch=8, flush_timeout_ms=0.0)
+        scheduler.submit(DecisionRequest(session_id="s", enqueued_at=2.0))
+        assert scheduler.oldest_age_ms(now=2.0) == 0.0
+        assert scheduler.ready(now=2.0)
+
+    def test_age_is_the_oldest_request_s(self):
+        scheduler = ContinuousBatchScheduler(max_batch=8, flush_timeout_ms=10.0)
+        scheduler.submit(DecisionRequest(session_id="old", enqueued_at=1.0))
+        scheduler.submit(DecisionRequest(session_id="new", enqueued_at=1.009))
+        assert scheduler.oldest_age_ms(now=1.010) == pytest.approx(10.0)
+        assert scheduler.ready(now=1.010)
+
+    def test_drop_unknown_session_drops_nothing(self):
+        scheduler = ContinuousBatchScheduler(max_batch=8, flush_timeout_ms=0.0)
+        scheduler.submit(DecisionRequest(session_id="a", enqueued_at=0.0))
+        assert scheduler.drop_session("zzz") == 0
+        assert scheduler.pending == 1
+
+    def test_drop_session_keeps_the_rest_in_fifo_order(self):
+        scheduler = ContinuousBatchScheduler(max_batch=8, flush_timeout_ms=0.0)
+        for session_id in ("a", "b", "a", "c", "b"):
+            scheduler.submit(DecisionRequest(session_id=session_id, enqueued_at=0.0))
+        assert scheduler.drop_session("a") == 2
+        assert [request.session_id for request in scheduler.take_batch()] == ["b", "c", "b"]
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 4])
+    def test_batches_partition_the_queue_in_fifo_order(self, max_batch):
+        scheduler = ContinuousBatchScheduler(max_batch=max_batch, flush_timeout_ms=0.0)
+        ids = [f"s{index}" for index in range(10)]
+        for session_id in ids:
+            scheduler.submit(DecisionRequest(session_id=session_id, enqueued_at=0.0))
+        batches = []
+        while scheduler.pending:
+            batches.append([request.session_id for request in scheduler.take_batch()])
+        assert [session_id for batch in batches for session_id in batch] == ids
+        assert all(len(batch) == max_batch for batch in batches[:-1])
+        assert 1 <= len(batches[-1]) <= max_batch
 
 
 # --------------------------------------------------------------------- #
@@ -326,6 +372,61 @@ class TestStatsCounters:
         assert self._counters(first) == first_did
         assert first.stats()["sessions_live"] == 1
 
+    @pytest.mark.parametrize("max_batch", [1, 2, 3, 5, 8])
+    def test_counters_match_a_scripted_run(self, policy, simple_flow, max_batch):
+        server = make_server(
+            policy, ServeConfig(size_scale=1460.0, max_batch=max_batch, flush_timeout_ms=0.0)
+        )
+        did = self._script(server, simple_flow, ["a", "b", "c"], close=["b"])
+        assert self._counters(server) == did
+        assert did["decisions"] >= 3 * simple_flow.n_packets
+        # A flush commits at most ``max_batch`` decisions.
+        assert did["flushes"] >= -(-did["decisions"] // max_batch)
+        if max_batch == 1:
+            assert did["flushes"] == did["decisions"]
+
+    def test_close_all_closes_and_counts_every_live_session(self, policy, simple_flow):
+        server = make_server(policy, ServeConfig(max_batch=4, flush_timeout_ms=0.0))
+        for sid in ("a", "b", "c"):
+            server.open_session(sid)
+            server.submit(sid, simple_flow.sizes[0], simple_flow.delays[0])
+        reports = server.close_all()
+        assert [report.session_id for report in reports] == ["a", "b", "c"]
+        stats = server.stats()
+        assert stats["sessions_opened"] == stats["sessions_closed"] == 3
+        assert stats["sessions_live"] == 0
+        assert stats["decisions"] == sum(report.n_decisions for report in reports) >= 3
+
+    def test_latency_window_is_bounded_but_counters_cover_the_lifetime(
+        self, policy, simple_flow
+    ):
+        server = make_server(
+            policy, ServeConfig(max_batch=1, flush_timeout_ms=0.0, latency_history=3)
+        )
+        serve_flow(server, simple_flow)
+        stats = server.stats()
+        assert stats["decisions"] > 3
+        assert len(stats["latencies_ms"]) == 3
+
+    def test_stats_hands_out_copies(self, policy, simple_flow):
+        server = make_server(policy, ServeConfig(max_batch=2, flush_timeout_ms=0.0))
+        serve_flow(server, simple_flow)
+        stats = server.stats()
+        stats["latencies_ms"].clear()
+        stats["decisions"] = -1
+        assert len(server.stats()["latencies_ms"]) == server.stats()["decisions"] > 0
+
+    def test_a_server_s_decisions_ignore_other_servers(self, policy, simple_flow, benign_flow):
+        config = ServeConfig(max_batch=4, flush_timeout_ms=0.0)
+        before = serve_flow(make_server(policy, config), simple_flow)
+        busy = make_server(policy, config)
+        for index in range(3):
+            serve_flow(busy, benign_flow, session_id=f"b{index}")
+        after = serve_flow(make_server(policy, config), simple_flow)
+        assert after.n_decisions == before.n_decisions
+        assert np.array_equal(after.shaped_flow.sizes, before.shaped_flow.sizes)
+        assert np.array_equal(after.shaped_flow.delays, before.shaped_flow.delays)
+
     def test_starts_no_thread_under_the_old_telemetry_port_variable(self, policy, monkeypatch):
         import threading
 
@@ -333,6 +434,76 @@ class TestStatsCounters:
         before = set(threading.enumerate())
         make_server(policy, ServeConfig(max_batch=2))
         assert set(threading.enumerate()) - before == set()
+
+
+def _merge_stats(*stats):
+    """Merge several servers' stats the way ``summarize_stats`` documents:
+    scalars sum, lists concatenate."""
+    merged = {}
+    for one in stats:
+        for key, value in one.items():
+            if isinstance(value, list):
+                merged[key] = merged.get(key, []) + value
+            else:
+                merged[key] = merged.get(key, 0) + value
+    return merged
+
+
+class TestSummarizeStats:
+    def test_empty_stats_summarize_to_zero_rates(self):
+        assert summarize_stats({}) == {
+            "decisions": 0.0,
+            "p50_latency_ms": 0.0,
+            "p99_latency_ms": 0.0,
+            "deadline_miss_rate": 0.0,
+            "profile_fallback_rate": 0.0,
+            "fallback_data_overhead": 0.0,
+            "fallback_fully_embedded_rate": 1.0,
+        }
+
+    def test_rates_are_ratios_of_the_counters(self):
+        summary = summarize_stats(
+            {"decisions": 8, "deadline_misses": 2, "sessions_opened": 4, "sessions_demoted": 1}
+        )
+        assert summary["decisions"] == 8.0
+        assert summary["deadline_miss_rate"] == 0.25
+        assert summary["profile_fallback_rate"] == 0.25
+
+    def test_percentiles_come_from_the_latency_window(self):
+        summary = summarize_stats({"latencies_ms": [float(v) for v in range(1, 101)]})
+        assert summary["p50_latency_ms"] == pytest.approx(50.5)
+        assert summary["p99_latency_ms"] == pytest.approx(99.01)
+
+    def test_fallback_results_average_over_results(self):
+        summary = summarize_stats(
+            {
+                "fallback_data_overheads": [0.5, 1.5, 1.0],
+                "fallback_fully_embedded": [True, False, True, True],
+            }
+        )
+        assert summary["fallback_data_overhead"] == 1.0
+        assert summary["fallback_fully_embedded_rate"] == 0.75
+
+    def test_merged_servers_weight_by_decisions_not_by_server(self):
+        busy = {"decisions": 90, "deadline_misses": 9, "sessions_opened": 9, "sessions_demoted": 0}
+        idle = {"decisions": 10, "deadline_misses": 10, "sessions_opened": 1, "sessions_demoted": 1}
+        summary = summarize_stats(_merge_stats(busy, idle))
+        # 19 of 100 decisions, not the mean of 10% and 100%.
+        assert summary["deadline_miss_rate"] == pytest.approx(0.19)
+        assert summary["profile_fallback_rate"] == pytest.approx(0.1)
+
+    def test_summary_of_two_served_servers(self, policy, simple_flow, benign_flow):
+        servers = [
+            make_server(policy, ServeConfig(max_batch=2, flush_timeout_ms=0.0)) for _ in range(2)
+        ]
+        serve_flow(servers[0], simple_flow)
+        serve_flow(servers[1], benign_flow)
+        stats = [server.stats() for server in servers]
+        summary = summarize_stats(_merge_stats(*stats))
+        assert summary["decisions"] == stats[0]["decisions"] + stats[1]["decisions"]
+        assert summary["p99_latency_ms"] >= summary["p50_latency_ms"] >= 0.0
+        assert summary["deadline_miss_rate"] == 0.0
+        assert summary["profile_fallback_rate"] == 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -540,6 +711,17 @@ class TestLoadgen:
         assert times == sorted(times)
         assert workload.n_packets == sum(f.n_packets for f in workload.flows.values())
         assert all(f.n_packets <= 6 for f in workload.flows.values())
+
+    def test_workload_is_a_function_of_its_seed(self):
+        def generate(seed):
+            return SyntheticWorkload.generate(
+                n_sessions=3, arrival_rate_pps=200.0, max_packets=5, rng=seed
+            )
+
+        first, again, other = generate(7), generate(7), generate(8)
+        assert first.events == again.events
+        assert first.protocols == again.protocols
+        assert first.events != other.events
 
     def test_workload_rejects_bad_mix(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,80 @@ class TestLoggingHelpers:
         # test_asr was not logged this step; a stale value must not repeat.
         assert "test_asr" not in record.getMessage()
 
+    @staticmethod
+    def _reporting_logger(name):
+        logger = logging.getLogger(name)
+        logger.propagate = True
+        return logger
+
+    @pytest.mark.parametrize("report_every", [1, 2, 3, 7])
+    def test_reports_every_nth_step(self, caplog, report_every):
+        name = f"repro.test.tl_every_{report_every}"
+        training = TrainingLogger("t", report_every=report_every, logger=self._reporting_logger(name))
+        with caplog.at_level(logging.INFO, logger=name):
+            for step in range(7):
+                training.log(loss=float(step))
+        messages = [record.getMessage() for record in caplog.records]
+        expected_steps = list(range(report_every, 8, report_every))
+        assert len(messages) == len(expected_steps)
+        for message, step in zip(messages, expected_steps):
+            assert message.startswith(f"step {step} ")
+            assert f"loss={step - 1:.4f}" in message
+
+    def test_report_every_zero_never_reports(self, caplog):
+        name = "repro.test.tl_silent"
+        training = TrainingLogger("t", report_every=0, logger=self._reporting_logger(name))
+        with caplog.at_level(logging.INFO, logger=name):
+            for step in range(5):
+                training.log(loss=float(step))
+        assert caplog.records == []
+        assert len(training.series("loss")) == 5
+
+    def test_series_of_an_unknown_key_is_empty(self):
+        training = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"))
+        training.log(loss=1.0)
+        assert training.series("reward") == []
+        assert "reward" not in training.history
+
+    def test_series_is_a_copy(self):
+        training = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"))
+        training.log(loss=1.0)
+        training.series("loss").append(99.0)
+        assert training.series("loss") == [1.0]
+
+    @pytest.mark.parametrize("max_history", [1, 2, 4])
+    def test_max_history_windows_each_key_on_its_own(self, max_history):
+        training = TrainingLogger(
+            "t", logger=logging.getLogger("repro.test.tl"), max_history=max_history
+        )
+        for step in range(6):
+            training.log(loss=float(step))
+            if step % 2:
+                training.log(reward=float(step))
+        assert training.series("loss") == [float(v) for v in range(6)][-max_history:]
+        assert training.series("reward") == [1.0, 3.0, 5.0][-max_history:]
+
+    def test_keys_logged_on_different_steps_keep_their_own_series(self):
+        training = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"))
+        training.log(loss=1.0)
+        training.log(loss=0.5, test_asr=0.7)
+        training.log(loss=0.25)
+        assert training.series("loss") == [1.0, 0.5, 0.25]
+        assert training.series("test_asr") == [0.7]
+        assert training.latest("test_asr") == 0.7
+
+    def test_values_are_stored_as_python_floats(self):
+        training = TrainingLogger("t", logger=logging.getLogger("repro.test.tl"))
+        training.log(loss=np.float32(0.5), steps=np.int64(3), done=True)
+        for key, value in (("loss", 0.5), ("steps", 3.0), ("done", 1.0)):
+            (stored,) = training.series(key)
+            assert type(stored) is float and stored == value
+
+    def test_get_logger_defaults_to_info_and_does_not_propagate(self):
+        logger = get_logger("repro.test.defaults")
+        assert logger.level == logging.INFO
+        assert logger.propagate is False
+
 
 class TestPipeline:
     @pytest.fixture(scope="class")
