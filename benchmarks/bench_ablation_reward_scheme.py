@@ -59,5 +59,5 @@ def test_ablation_reward_scheme(benchmark, tor_suite):
     # The fully-masked variant must spend (almost) no training queries.
     assert queries["no censor feedback (fully masked)"] < queries["per-step censor reward"]
 
-    state = np.zeros(tor_suite.agents["DF"].config.state_dim)
-    benchmark(lambda: tor_suite.agents["DF"].critic.value(state))
+    state = np.zeros((1, tor_suite.agents["DF"].config.state_dim))
+    benchmark(lambda: tor_suite.agents["DF"].critic.value_batch(state))

@@ -4,41 +4,43 @@ The paper measures 0.370 +/- 0.001 ms per action on an NVIDIA K80 and
 compares it against the inter-packet delay distribution (Figure 11) to argue
 for the offline profile mode.  This benchmark measures the same quantity for
 the CPU implementation — both the bare policy forward pass and the full
-per-packet pipeline (state encoding + policy inference), which is what an
-inline transport-layer integration would actually pay.
+per-packet pipeline (incremental state encoding + policy inference +
+emulator step, as ``Amoeba.attack_many`` and the serving tier run it),
+which is what an inline transport-layer integration would actually pay.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv
+from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder, VectorFlowEnv
 
 
 def test_deployment_policy_inference_latency(benchmark, tor_suite):
     agent = tor_suite.agents["DF"]
-    state = np.zeros(agent.config.state_dim)
-    result = benchmark(lambda: agent.actor.act(state, deterministic=True))
+    state = np.zeros((1, agent.config.state_dim))
+    benchmark(lambda: agent.actor.act_batch(state, deterministic=True))
     # The action must be immediately usable by the transport layer.
-    action, log_prob = agent.actor.act(state, deterministic=True)
-    assert action.shape == (2,)
-    assert np.isfinite(log_prob)
+    actions, log_probs = agent.actor.act_batch(state, deterministic=True)
+    assert actions.shape == (1, 2)
+    assert np.isfinite(log_probs[0])
 
 
 def test_deployment_full_step_latency(benchmark, tor_suite):
-    """State encoding + inference + emulator step for one packet."""
+    """Incremental state encoding + inference + emulator step for one packet."""
     agent = tor_suite.agents["DF"]
     data = tor_suite.data
     config = agent.config.with_overrides(reward_mask_rate=1.0, max_episode_steps=10_000)
     flow = data.splits.test.censored_flows[0]
     env = AdversarialFlowEnv(agent.censor, data.normalizer, config, [flow], rng=0)
-    env.reset()
+    vec_env = VectorFlowEnv([env])
+    tracker = BatchedEpisodeEncoder(agent.state_encoder, 1)
+    tracker.reset_all(vec_env.reset())
 
     def per_packet_step():
-        if env.done:
-            env.reset()
-        state = agent.encode_state(env)
-        action, _ = agent.actor.act(state, deterministic=True)
-        env.step(action)
+        # A finished flow restarts in place (VectorFlowEnv.step resets it).
+        actions, _ = agent.actor.act_batch(tracker.states(), deterministic=True)
+        observations, _, dones, infos = vec_env.step(actions)
+        tracker.step(np.array([infos[0]["recorded_action"]]), observations, dones)
 
     benchmark(per_packet_step)

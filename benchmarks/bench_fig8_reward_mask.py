@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv, AmoebaConfig, reward_mask_sweep
+from repro.core import AdversarialFlowEnv, AmoebaConfig, VectorFlowEnv, reward_mask_sweep
 from repro.eval import format_table
 
 from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
@@ -76,9 +76,10 @@ def test_fig8_reward_mask_sweep(benchmark, tor_suite):
     env = AdversarialFlowEnv(
         censor, data.normalizer, masked_config, data.splits.test.censored_flows[:1], rng=0
     )
+    vec_env = VectorFlowEnv([env])
 
     def masked_step():
         env.reset()
-        env.step(np.array([1.0, 0.0]))
+        vec_env.step_subset([0], np.array([[1.0, 0.0]]))
 
     benchmark(masked_step)

@@ -123,10 +123,6 @@ class CensorClassifier(abc.ABC):
     def classify_many(self, flows: Sequence[Flow]) -> np.ndarray:
         return (self.predict_scores(flows) >= DECISION_THRESHOLD).astype(int)
 
-    def predict_labels(self, flows: Sequence[Flow]) -> np.ndarray:
-        """Alias of :meth:`classify_many` (predicted FlowLabel values)."""
-        return self.classify_many(flows)
-
     # ------------------------------------------------------------------ #
     # Query accounting
     # ------------------------------------------------------------------ #

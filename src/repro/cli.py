@@ -213,12 +213,15 @@ def _command_serve(args: argparse.Namespace) -> int:
         if args.dataset == "v2ray"
         else {"tor": 0.6, "https": 0.4}
     )
-    config = ServeConfig(
-        size_scale=size_scale,
-        max_batch=args.max_batch,
-        flush_timeout_ms=args.flush_timeout_ms,
-        deadline_ms=args.deadline_ms,
-    )
+    try:
+        config = ServeConfig(
+            size_scale=size_scale,
+            max_batch=args.max_batch,
+            flush_timeout_ms=args.flush_timeout_ms,
+            deadline_ms=args.deadline_ms,
+        )
+    except ValueError as error:
+        raise SystemExit(f"serve: {error}") from None
     profile_db = None
     if args.profiles:
         profile_flows = load_flows_jsonl(args.profiles)

@@ -7,11 +7,12 @@ deviation is a learned, state-independent parameter vector, which is the
 standard PPO continuous-control parameterisation and implements the paper's
 reparameterisation trick ``a = mean + eps * sigma``.
 
-The batched inference paths (``act_batch`` / ``value_batch``) evaluate the
-MLP on plain arrays (:func:`mlp_forward`): no autograd graph is built for a
-forward nobody differentiates, every product runs on the active
-:mod:`repro.nn.backend`'s row-consistent kernel, and the weights are read
-from the parameters at call time.  Each output row is therefore
+The inference paths (``act_batch`` / ``value_batch``, the only ones: a
+single state is a one-row batch) evaluate the MLP on plain arrays
+(:func:`mlp_forward`): no autograd graph is built for a forward nobody
+differentiates, every product runs on the active :mod:`repro.nn.backend`'s
+row-consistent kernel, and the weights are read from the parameters at call
+time.  Each output row is therefore
 bit-independent of the batch composition — the property the collection and
 serving tiers' bit-equivalence tests rely on — and bit-identical to the
 ``Tensor`` forward under ``no_grad()`` and ``row_consistent_matmul()``, which
@@ -117,19 +118,6 @@ class GaussianActor(nn.Module):
         """
         return F.tanh_mlp(states, _linear_parameters(self.body)), self.log_std
 
-    def act(
-        self,
-        state: np.ndarray,
-        deterministic: bool = False,
-        noise: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, float]:
-        """Sample an action for a single state; returns (action, log_prob)."""
-        state = np.asarray(state, dtype=np.float64).reshape(1, -1)
-        if noise is not None:
-            noise = np.asarray(noise, dtype=np.float64).reshape(1, -1)
-        actions, log_probs = self.act_batch(state, deterministic=deterministic, noise=noise)
-        return actions[0], float(log_probs[0])
-
     def act_batch(
         self,
         states: np.ndarray,
@@ -140,10 +128,11 @@ class GaussianActor(nn.Module):
 
         ``states`` has shape ``(n, state_dim)``; returns ``(actions,
         log_probs)`` of shapes ``(n, action_dim)`` and ``(n,)``.  The noise
-        for row ``i`` is drawn from the same generator stream position as the
-        ``i``-th sequential :meth:`act` call would use, and the forward is
-        the row-consistent :func:`mlp_forward`, so a batched call is
-        bit-equivalent to ``n`` sequential single-state calls.
+        for row ``i`` is drawn from the same generator stream position as
+        the ``i``-th of ``n`` sequential one-row calls would use, and the
+        forward is the row-consistent :func:`mlp_forward`, so a batched call
+        is bit-equivalent to ``n`` sequential one-row calls.  There is no
+        single-state entry point: one state is ``act_batch(state[None])``.
 
         ``noise`` optionally supplies the standard-normal draws (one
         ``(n, action_dim)`` row per state) instead of consuming the actor's
@@ -195,15 +184,10 @@ class Critic(nn.Module):
         """Differentiable ``(n,)`` values: one ``tanh_mlp`` node and a reshape."""
         return F.tanh_mlp(states, _linear_parameters(self.body)).reshape(-1)
 
-    def value(self, state: np.ndarray) -> float:
-        """Value estimate of a single state (no gradient)."""
-        state = np.asarray(state, dtype=np.float64).reshape(1, -1)
-        return float(self.value_batch(state)[0])
-
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         """Value estimates for a ``(n, state_dim)`` batch in one forward pass.
 
-        The row-consistent :func:`mlp_forward`, so each row matches the
-        corresponding single-state :meth:`value` call bit-for-bit.
+        The row-consistent :func:`mlp_forward`, so each row matches a
+        one-row call on that state bit-for-bit.
         """
         return mlp_forward(self.body, states).reshape(-1)

@@ -30,7 +30,7 @@ from ..utils.logging import TrainingLogger
 from ..utils.rng import collection_seed_tree, ensure_rng, spawn_rngs
 from .actor_critic import Critic, GaussianActor
 from .config import AmoebaConfig
-from .env import ActionKind, AdversarialFlowEnv, EpisodeSummary
+from .env import AdversarialFlowEnv, EpisodeSummary
 from .ppo import PPOUpdater
 from .rollout import RolloutBuffer
 from .state_encoder import StateEncoder, pretrain_state_encoder
@@ -153,14 +153,6 @@ class Amoeba:
         self._timesteps_trained = 0
 
     # ------------------------------------------------------------------ #
-    # State construction: s_t = E(x_1:t) || E(a_1:t)
-    # ------------------------------------------------------------------ #
-    def encode_state(self, env: AdversarialFlowEnv) -> np.ndarray:
-        observation_code = self.state_encoder.encode_pairs(env.observation_history())
-        action_code = self.state_encoder.encode_pairs(env.action_history())
-        return np.concatenate([observation_code, action_code])
-
-    # ------------------------------------------------------------------ #
     # Training (Algorithm 1)
     # ------------------------------------------------------------------ #
     def _filter_censored(self, flows: Sequence[Flow]) -> List[Flow]:
@@ -182,8 +174,10 @@ class Amoeba:
         """Train the policy against the censor on the given censored flows.
 
         ``eval_flows``/``eval_every`` enable periodic held-out evaluation so
-        convergence curves (Figures 7 and 9) can be reproduced; each record in
-        the training log also stores the censor query count at that point.
+        convergence curves (Figures 7 and 9) can be reproduced: every
+        ``eval_every``-th iteration evaluates the first ``eval_size`` of
+        ``eval_flows``.  Each record in the training log also stores the
+        censor query count at that point.
 
         Collection is batched: all ``n_envs`` environments advance per tick
         with one actor/critic forward and one incremental encoder step, and
@@ -217,6 +211,16 @@ class Amoeba:
             raise ValueError("total_timesteps must be >= 1")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for in-process collection)")
+        # Refused here, before the first collect spends a censor query.
+        eval_sample: List[Flow] = []
+        if eval_every is not None:
+            if eval_every < 1:
+                raise ValueError(f"eval_every must be >= 1 (or None), got {eval_every}")
+            if eval_size < 1:
+                raise ValueError(f"eval_size must be >= 1, got {eval_size}")
+            eval_sample = list(eval_flows or ())[:eval_size]
+            if not eval_sample:
+                raise ValueError("eval_every is set but there are no eval_flows to evaluate")
         flows = self._filter_censored(flows)
         config = self.config
         buffer = RolloutBuffer(
@@ -256,7 +260,6 @@ class Amoeba:
         iteration_steps = config.rollout_length * config.n_envs
         try:
             while steps_done < total_timesteps:
-                buffer.reset()
                 if engine is None:
                     result = runner.collect(config.rollout_length)
                 else:
@@ -295,16 +298,8 @@ class Amoeba:
                     "value_loss": stats.value_loss,
                     "entropy": stats.entropy,
                 }
-                if (
-                    eval_flows is not None
-                    and eval_every is not None
-                    and (self._timesteps_trained // (config.rollout_length * config.n_envs))
-                    % max(1, eval_every)
-                    == 0
-                ):
-                    sample = list(eval_flows)[:eval_size]
-                    report = self.evaluate(sample)
-                    record["test_asr"] = report.attack_success_rate
+                if eval_sample and (self._timesteps_trained // iteration_steps) % eval_every == 0:
+                    record["test_asr"] = self.evaluate(eval_sample).attack_success_rate
                 self.training_log.log(**record)
                 if callback is not None:
                     callback(record)
@@ -348,7 +343,7 @@ class Amoeba:
         incremental encoder step and one censor score batch per tick.
         """
         envs = [self._make_eval_env(flow) for flow in flows]
-        vec_env = VectorFlowEnv(envs, auto_reset=False)
+        vec_env = VectorFlowEnv(envs)
         tracker = BatchedEpisodeEncoder(self.state_encoder, len(envs))
         observations = np.stack([env.reset(flow) for env, flow in zip(envs, flows)])
         tracker.reset_all(observations)
@@ -385,17 +380,11 @@ class Amoeba:
         are identical to attacking one by one; each flow's final censor
         score is computed from the same adversarial flow either way, but for
         neural censors its last bits may vary with the scoring batch shape.
-
-        When ``batch_size`` is omitted, ``config.eval_batch_size`` is used
-        if set (e.g. plumbed through :func:`~repro.core.arms_race.run_arms_race`),
-        falling back to ``max(n_envs, 8)``.
+        When ``batch_size`` is omitted it is ``max(n_envs, 8)``.
         """
         flows = list(flows)
         if batch_size is None:
-            if self.config.eval_batch_size is not None:
-                batch_size = self.config.eval_batch_size
-            else:
-                batch_size = max(self.config.n_envs, 8)
+            batch_size = max(self.config.n_envs, 8)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         results: List[AdversarialResult] = []

@@ -20,7 +20,7 @@ on the synthetic substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +75,6 @@ def run_arms_race(
     amoeba_timesteps: int = 1500,
     harvest_per_round: int = 30,
     config: Optional[AmoebaConfig] = None,
-    eval_batch_size: Optional[int] = None,
     rng=None,
 ) -> ArmsRaceResult:
     """Run ``n_rounds`` of censor-retrains / attacker-retrains.
@@ -96,18 +95,14 @@ def run_arms_race(
     harvest_per_round:
         Number of adversarial flows the censor collects per round and adds
         (labelled censored) to its next training set.
-    eval_batch_size:
-        Number of flows attacked in lockstep when measuring the attacker's
-        ASR each round; plumbed into ``config.eval_batch_size`` so every
-        round's batched evaluation picks it up (``None`` keeps the agent's
-        own ``max(n_envs, 8)`` sizing).
+
+    Each round's attacker is measured with :meth:`Amoeba.evaluate
+    <repro.core.agent.Amoeba.evaluate>` at its default batch size.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     rng = ensure_rng(rng)
     config = config or AmoebaConfig.for_tor()
-    if eval_batch_size is not None:
-        config = config.with_overrides(eval_batch_size=eval_batch_size)
 
     collected: List[Flow] = []
     rounds: List[ArmsRaceRound] = []

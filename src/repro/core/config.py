@@ -9,7 +9,7 @@ in seconds-to-minutes; the paper's exact widths can be restored by passing
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..utils.validation import check_non_negative, check_positive, check_probability
 
@@ -79,12 +79,6 @@ class AmoebaConfig:
     # Episode shaping
     max_episode_steps: int = 120
 
-    # Evaluation: how many flows `attack_many` / `evaluate` attack in
-    # lockstep through the vectorized engine.  ``None`` keeps the default
-    # sizing of ``max(n_envs, 8)``; an explicit value (e.g. from
-    # ``run_arms_race(eval_batch_size=...)``) overrides it.
-    eval_batch_size: Optional[int] = None
-
     def __post_init__(self) -> None:
         check_positive(self.learning_rate, "learning_rate")
         check_non_negative(self.lambda_split, "lambda_split")
@@ -114,8 +108,6 @@ class AmoebaConfig:
             raise ValueError("min_packet_bytes must be >= 1")
         if self.max_truncations_per_packet < 1:
             raise ValueError("max_truncations_per_packet must be >= 1")
-        if self.eval_batch_size is not None and self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1 (or None for the default)")
 
     # ------------------------------------------------------------------ #
     @property

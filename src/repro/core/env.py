@@ -16,13 +16,15 @@ actions into adversarial packets:
 The payload constraint (1) is satisfied *by design*: a packet's payload is
 only considered sent once the cumulative adversarial bytes cover it.
 
-A step is two calls: :meth:`AdversarialFlowEnv.propose` advances the
-emulator (the transition never depends on the censor) and
-:meth:`AdversarialFlowEnv.apply` folds the censor's scores into the reward,
-at any later time.  The emulator runs on Python floats end to end: the
-action's two components go straight into :func:`shape_packet_core`, and the
-observation and emitted-action pairs stay tuples, from which a vectorized
-caller builds one ``(n, 2)`` array per tick.
+The environment has no single-step protocol of its own: a
+:class:`~repro.core.vec_env.VectorFlowEnv` drives it in two phases.
+``AdversarialFlowEnv._propose`` advances the emulator (the transition never
+depends on the censor) and ``AdversarialFlowEnv._settle`` folds the censor's
+scores into the reward, at any later time.  The emulator runs on Python
+floats end to end: the action's two components go straight into
+:func:`shape_packet_core`, and the observation and emitted-action pairs stay
+tuples, from which the vectorized caller builds one ``(n, 2)`` array per
+tick.
 
 The reward combines the censor's decision on the adversarial prefix with the
 data-overhead and time-overhead penalties:
@@ -39,13 +41,13 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..censors.base import CensorClassifier
 from ..features.representation import FlowNormalizer
-from ..flows.flow import Flow, FlowLabel
+from ..flows.flow import Flow
 from ..utils.rng import ensure_rng
 from .config import AmoebaConfig
 
@@ -110,7 +112,7 @@ def shape_packet_core(
     penalty) and whether the remainder is re-offered as the next
     observation.  Every decision of
     both tiers ends here, called directly with a row of ``actions.tolist()``:
-    the training emulator (:meth:`AdversarialFlowEnv.propose`) and the
+    the training emulator (``AdversarialFlowEnv._propose``) and the
     online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`).
     That is what keeps served decisions bit-identical to training-time
     shaping: truncation when the requested packet is smaller than the
@@ -143,16 +145,6 @@ def shape_packet_core(
     else:
         emitted_bytes = max(requested_bytes, math.ceil(remaining_bytes))
     return emitted_bytes, added_delay, delay_action, is_truncation
-
-
-def _action_components(action) -> List[float]:
-    """The two components of anything array-like holding one action, as
-    Python floats (any shape that flattens to two: a list, a tuple, a
-    ``(1, 2)`` row, ``float32``)."""
-    components = np.asarray(action, dtype=np.float64).reshape(-1).tolist()
-    if len(components) != 2:
-        raise ValueError(f"action must have 2 components, got ({len(components)},)")
-    return components
 
 
 def _normalised_pair(
@@ -237,11 +229,11 @@ class _Episode:
     """Accounting of one episode, shared by the environment running it and
     by every :class:`PendingStep` it issued.
 
-    ``propose`` writes the emulator's side (emitted packets, payload, delay
-    and action counters), ``apply`` the censor's (running reward).  Because
-    the record outlives :meth:`AdversarialFlowEnv.reset`, ``apply`` reads the
-    same numbers whether it runs right after ``propose`` or at the end of a
-    rollout, long after the environment moved on to its next flow.
+    ``_propose`` writes the emulator's side (emitted packets, payload, delay
+    and action counters), ``_settle`` the censor's (running reward).  Because
+    the record outlives :meth:`AdversarialFlowEnv.reset`, ``_settle`` reads
+    the same numbers whether it runs right after ``_propose`` or at the end
+    of a rollout, long after the environment moved on to its next flow.
     """
 
     original: Flow
@@ -258,7 +250,7 @@ class _Episode:
     def flow(self) -> Flow:
         """The adversarial packets emitted so far as one validated flow.
 
-        An in-flight episode is rebuilt on every call; ``propose`` builds a
+        An in-flight episode is rebuilt on every call; ``_propose`` builds a
         finished one once and keeps it here — it is the summary's
         ``adversarial_flow`` and owns its arrays, and every step's prefix is
         a view into it.
@@ -276,20 +268,21 @@ class _Episode:
 
 @dataclass(eq=False, slots=True)
 class PendingStep:
-    """Deterministic outcome of :meth:`AdversarialFlowEnv.propose`.
+    """Deterministic outcome of ``AdversarialFlowEnv._propose``.
 
     The environment's transition is fully determined by the action — the
     censor's score only shapes the *reward* — so a step can be split into a
-    deterministic ``propose`` phase (emulator advance, masking draw, episode
-    termination) and an ``apply`` phase that consumes externally computed
+    deterministic ``_propose`` phase (emulator advance, masking draw, episode
+    termination) and a ``_settle`` phase that consumes externally computed
     censor scores, at any later time and after any number of further
-    ``propose`` / ``reset`` calls on the same environment.  The censor must
+    ``_propose`` / ``reset`` calls on the same environment.  The censor must
     score, in order: the adversarial prefix of ``prefix_length`` packets
     (unless the reward is masked), then the finished adversarial flow (when
     the episode ended) — which is that same prefix, so a driver may score
     it once.  A vectorized driver gathers these across environments and
     ticks into batched ``predict_scores`` calls, preserving the exact
-    one-query-per-flow accounting of the sequential path.
+    one-query-per-flow accounting of the sequential reference
+    (``tests/oracles/sequential_collection.py``).
 
     ``recorded_action`` and ``next_observation`` are ``(size, delay)``
     pairs of Python floats — a vectorized caller builds one ``(n, 2)``
@@ -316,13 +309,15 @@ class PendingStep:
 
     @property
     def n_scores(self) -> int:
-        """How many censor scores :meth:`AdversarialFlowEnv.apply` expects."""
+        """How many censor queries this step costs: the prefix (unless
+        masked) plus the finished flow (when the step ended the episode)."""
         return (not self.masked) + self.done
 
     def info(self) -> Dict:
-        """The per-step ``info`` dict of the Gym-style :meth:`~AdversarialFlowEnv.step`
-        API (without ``"episode"``, which the caller adds for a finished
-        step).  Collection never builds it."""
+        """The per-step ``info`` dict of :meth:`VectorFlowEnv.step
+        <repro.core.vec_env.VectorFlowEnv.step>` (without ``"episode"``,
+        which the caller adds for a finished step).  Collection never
+        builds it."""
         return {
             "action_kind": self.action_kind,
             "masked": self.masked,
@@ -331,17 +326,6 @@ class PendingStep:
             "time_penalty": self.time_penalty,
             "recorded_action": self.recorded_action,
         }
-
-    @property
-    def flows_to_score(self) -> List[Flow]:
-        """The flows :meth:`AdversarialFlowEnv.apply` expects scores for: the
-        prefix (unless masked) as a read-only view of the episode's flow,
-        then the finished flow itself (when the step ended the episode)."""
-        flow = self.episode.flow()
-        flows = [] if self.masked else [flow.prefix_view(self.prefix_length)]
-        if self.done:
-            flows.append(flow)
-        return flows
 
 
 class AdversarialFlowEnv:
@@ -379,7 +363,7 @@ class AdversarialFlowEnv:
         self._flow_order: List[int] = []
         self._flow_cursor = 0
 
-        # Emulator state, initialised by reset(); what apply() needs of an
+        # Emulator state, initialised by reset(); what _settle() needs of an
         # episode lives in its _Episode record instead.  The current packet's
         # direction and original delay are read off the flow once per packet.
         self._original: Optional[Flow] = None
@@ -389,11 +373,8 @@ class AdversarialFlowEnv:
         self._direction = 0.0
         self._packet_delay = 0.0
         self._truncations_current_packet = 0
-        self._observation_history: List[Tuple[float, float]] = []
-        self._action_history: List[Tuple[float, float]] = []
         self._steps = 0
         self._done = True
-        self.last_summary: Optional[EpisodeSummary] = None
 
     # Attributes shared with the driver and identical in every process fork;
     # everything else in __dict__ is per-episode / per-stream mutable state
@@ -470,16 +451,8 @@ class AdversarialFlowEnv:
             self.config.max_delay_ms,
         )
 
-    def observation_history(self) -> np.ndarray:
-        """All observations of the current episode as an (t, 2) array."""
-        return np.array(self._observation_history, dtype=np.float64).reshape(-1, 2)
-
-    def action_history(self) -> np.ndarray:
-        """All normalised actions of the current episode as a (t-1, 2) array."""
-        return np.array(self._action_history, dtype=np.float64).reshape(-1, 2)
-
     # ------------------------------------------------------------------ #
-    # Gym-style API
+    # The two phases of a step
     # ------------------------------------------------------------------ #
     def reset(self, flow: Optional[Flow] = None) -> np.ndarray:
         """Start a new episode, optionally on a caller-provided flow."""
@@ -494,30 +467,22 @@ class AdversarialFlowEnv:
         self._truncations_current_packet = 0
         self._steps = 0
         self._done = False
-        observation = self._observation()
-        self._observation_history = [observation]
-        self._action_history = []
-        return observation
-
-    def propose(self, action: np.ndarray) -> PendingStep:
-        """Phase 1 of a step: advance the emulator, defer censor scoring.
-
-        Applies the action's deterministic effects (packet emission, history
-        bookkeeping, reward-masking draw, emulator advance, episode
-        termination) and returns a :class:`PendingStep` naming what the
-        censor still has to score.  Complete the step with :meth:`apply` —
-        now, or after any number of further steps and resets.  ``action`` is
-        anything that flattens to two components; any other shape raises
-        ``ValueError``.
-        """
-        return self._propose(*_action_components(action))
+        return self._observation()
 
     def _propose(self, size_action: float, delay_action: float) -> PendingStep:
-        """:meth:`propose` on the two action components as Python floats —
-        what :class:`~repro.core.vec_env.VectorFlowEnv` calls with the rows
-        of one ``actions.tolist()`` per tick."""
+        """Phase 1 of a step: advance the emulator, defer censor scoring.
+
+        Applies the action's deterministic effects (packet emission,
+        reward-masking draw, emulator advance, episode termination) to the
+        two action components as Python floats — what
+        :class:`~repro.core.vec_env.VectorFlowEnv` passes from the rows of
+        one ``actions.tolist()`` per tick — and returns a
+        :class:`PendingStep` naming what the censor still has to score.
+        Complete the step with :meth:`_settle`, now or after any number of
+        further steps and resets.
+        """
         if self._done:
-            raise RuntimeError("step() called on a finished episode; call reset() first")
+            raise RuntimeError("a step was proposed on a finished episode; call reset() first")
         episode = self._episode
         config = self.config
         size_scale = self.normalizer.size_scale
@@ -569,7 +534,6 @@ class AdversarialFlowEnv:
         episode.sizes.append(direction * emitted_bytes)
         episode.delays.append(emitted_delay)
         episode.added_delay += added_delay
-        self._action_history.append(recorded_action)
         self._steps += 1
 
         # Reward masking (Section 5.5.3): masked steps never reach the censor.
@@ -593,7 +557,6 @@ class AdversarialFlowEnv:
             next_observation = None
         else:
             next_observation = self._observation()
-            self._observation_history.append(next_observation)
 
         return PendingStep(
             self,
@@ -608,47 +571,19 @@ class AdversarialFlowEnv:
             next_observation,
         )
 
-    def apply(
-        self, pending: PendingStep, scores: np.ndarray
-    ) -> Tuple[np.ndarray, float, bool, Dict]:
-        """Phase 2 of a step: fold censor scores into reward and summary.
-
-        ``scores`` must align with ``pending.flows_to_score`` (possibly a
-        slice of a batched :meth:`~repro.censors.base.CensorClassifier.predict_scores`
-        result covering many environments and ticks).  The steps of one
-        episode must be applied in the order they were proposed, each once.
-        """
-        if pending.env is not self:
-            raise ValueError("this PendingStep was proposed by another environment")
-        if pending.applied:
-            raise RuntimeError("this PendingStep was already applied")
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1).tolist()
-        expected = pending.n_scores
-        if len(scores) != expected:
-            raise ValueError(f"expected {expected} scores for this step, got {len(scores)}")
-        reward, summary = self._settle(
-            pending,
-            None if pending.masked else scores[0],
-            scores[-1] if pending.done else None,
-        )
-        info = pending.info()
-        if summary is not None:
-            info["episode"] = summary
-            observation = np.zeros(2)
-        else:
-            observation = np.array(pending.next_observation, dtype=np.float64)
-        return observation, float(reward), pending.done, info
-
     def _settle(
         self,
         pending: PendingStep,
         prefix_score: Optional[float],
         final_score: Optional[float],
     ) -> Tuple[float, Optional[EpisodeSummary]]:
-        """The reward arithmetic of :meth:`apply`, on scores already taken
-        out of the censor's array: the prefix's (``None`` when masked) and
-        the finished flow's (``None`` unless the step ended the episode).
-        Returns the reward and, for a finished episode, its summary."""
+        """Phase 2 of a step: fold censor scores into reward and summary.
+
+        The scores are already taken out of the censor's array: the
+        prefix's (``None`` when masked) and the finished flow's (``None``
+        unless the step ended the episode).  The steps of one episode must
+        be settled in the order they were proposed, each once.  Returns the
+        reward and, for a finished episode, its summary."""
         pending.applied = True
         config = self.config
         if prefix_score is None:
@@ -665,25 +600,6 @@ class AdversarialFlowEnv:
         if final_score is None:
             return reward, None
         return reward, self._finalise_episode(pending.episode, final_score)
-
-    def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict]:
-        """Apply an action (normalised size, normalised extra delay).
-
-        Thin wrapper chaining :meth:`propose` and :meth:`apply` with an
-        immediate censor query — the single-environment compatibility path.
-        Query accounting is unchanged: one query for the prefix of every
-        unmasked step plus one for the finished adversarial flow.
-        """
-        pending = self.propose(action)
-        scores = self.censor.predict_scores(pending.flows_to_score)
-        return self.apply(pending, scores)
-
-    # ------------------------------------------------------------------ #
-    # Episode bookkeeping
-    # ------------------------------------------------------------------ #
-    def _current_adversarial_flow(self) -> Flow:
-        assert self._episode is not None
-        return self._episode.flow()
 
     def _finalise_episode(self, episode: _Episode, final_score: float) -> EpisodeSummary:
         adversarial = episode.flow()
@@ -712,5 +628,4 @@ class AdversarialFlowEnv:
             n_steps=adversarial.n_packets,
             episode_reward=float(episode.reward),
         )
-        self.last_summary = summary
         return summary

@@ -1,9 +1,10 @@
 """Rollout buffer and generalized advantage estimation (Appendix A.1).
 
 PPO trains on fixed-length rollouts collected from ``N`` parallel
-environments (Algorithm 1, line 4).  The buffer stores states, actions,
-log-probabilities, rewards, value estimates and episode-boundary flags, and
-computes advantages via GAE(λ):
+environments (Algorithm 1, line 4).  The buffer holds one whole collected
+rollout — states, actions, log-probabilities, rewards, value estimates and
+episode-boundary flags, all ``(T, N, ...)`` arrays written at once by
+:meth:`RolloutBuffer.load` — and computes advantages via GAE(λ):
 
     A_t = Σ_l (γλ)^l [ r_{t+l} + γ V(s_{t+l+1}) − V(s_{t+l}) ].
 """
@@ -90,42 +91,14 @@ class RolloutBuffer:
         # set serves every epoch of every update this buffer feeds.
         self._slots: List[_Batch] = []
         self._normalised_advantages = np.empty(rollout_length * n_envs)
-        self.reset()
-
-    def reset(self) -> None:
-        shape = (self.rollout_length, self.n_envs)
-        self.states = np.zeros(shape + (self.state_dim,))
-        self.actions = np.zeros(shape + (self.action_dim,))
+        shape = (rollout_length, n_envs)
+        self.states = np.zeros(shape + (state_dim,))
+        self.actions = np.zeros(shape + (action_dim,))
         self.log_probs = np.zeros(shape)
         self.rewards = np.zeros(shape)
         self.values = np.zeros(shape)
         self.dones = np.zeros(shape, dtype=bool)
-        self._cursor = 0
-
-    @property
-    def full(self) -> bool:
-        return self._cursor >= self.rollout_length
-
-    def add(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        log_probs: np.ndarray,
-        rewards: np.ndarray,
-        values: np.ndarray,
-        dones: np.ndarray,
-    ) -> None:
-        """Append one timestep of data for all environments."""
-        if self.full:
-            raise RuntimeError("rollout buffer is full; call reset() before adding")
-        index = self._cursor
-        self.states[index] = states
-        self.actions[index] = actions
-        self.log_probs[index] = log_probs
-        self.rewards[index] = rewards
-        self.values[index] = values
-        self.dones[index] = dones
-        self._cursor += 1
+        self._loaded = False
 
     def load(
         self,
@@ -136,14 +109,14 @@ class RolloutBuffer:
         values: np.ndarray,
         dones: np.ndarray,
     ) -> None:
-        """Fill the whole buffer from pre-collected ``(T, N, ...)`` arrays.
+        """Fill the whole buffer from collected ``(T, N, ...)`` arrays.
 
-        Used by the sharded rollout engine, whose workers return full
-        per-shard segments: the merged arrays replace timestep-by-timestep
-        :meth:`add` calls and leave the buffer ready for :meth:`finalize`.
-        Every array must have exactly its slot's shape — nothing is
-        broadcast — or ``ValueError`` names it and the buffer is left as it
-        was.
+        The only way data enters the buffer: every collection path returns
+        a whole rollout (one :class:`~repro.distrib.shard.ShardResult`),
+        which replaces the previous one and leaves the buffer ready for
+        :meth:`finalize`.  Every array must have exactly its slot's shape —
+        nothing is broadcast — or ``ValueError`` names it and the buffer is
+        left as it was.
         """
         arrays = {
             "states": states,
@@ -160,12 +133,12 @@ class RolloutBuffer:
                 raise ValueError(f"{name} must have shape {expected}, got {shape}")
         for name, array in arrays.items():
             getattr(self, name)[:] = array
-        self._cursor = self.rollout_length
+        self._loaded = True
 
     def finalize(self, last_values: np.ndarray, gamma: float, gae_lambda: float) -> None:
-        """Compute advantages and returns once the buffer is full."""
-        if not self.full:
-            raise RuntimeError("cannot finalize a partially filled buffer")
+        """Compute advantages and returns of the loaded rollout."""
+        if not self._loaded:
+            raise RuntimeError("cannot finalize a buffer nothing was loaded into")
         self.advantages, self.returns = compute_gae(
             self.rewards, self.values, self.dones, last_values, gamma, gae_lambda
         )

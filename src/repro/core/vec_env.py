@@ -2,12 +2,15 @@
 
 The seed training loop stepped ``n_envs`` :class:`AdversarialFlowEnv`
 instances one at a time, issuing one ``censor.predict_score`` call per
-environment per step.  :class:`VectorFlowEnv` drives the same environments
-through their two-phase step API instead, and keeps the two phases apart:
+environment per step (that loop is now the reference in
+``tests/oracles/sequential_collection.py``).  :class:`VectorFlowEnv` drives
+the same environments through their two-phase step instead, and keeps the
+two phases apart; it is the only driver an environment has:
 
 1. :meth:`VectorFlowEnv.propose` — every environment advances its
    (deterministic) emulator — masking draw, emitted packet, termination,
-   auto-reset, next observation — and returns a
+   next observation, and on the all-environments path the reset onto the
+   next flow — and returns a
    :class:`~repro.core.env.PendingStep` saying what the censor still has to
    score: the adversarial prefix of every unmasked step, plus the finished
    adversarial flow of every terminating episode;
@@ -23,7 +26,10 @@ rollout is complete, so the collection kernel
 settles it once: a handful of large censor batches per PPO iteration instead
 of one small one per tick.  :meth:`VectorFlowEnv.step` and
 :meth:`~VectorFlowEnv.step_subset` are the same two calls on a single tick,
-plus the Gym-style ``info`` dicts, which collection never builds.
+plus per-step ``info`` dicts, which collection never builds: ``step``
+auto-resets every finished environment (what training needs),
+``step_subset`` never does (what batched evaluation needs, as its finished
+environments drop out of the batch).
 
 The tick allocates per tick, not per environment: ``propose`` turns the
 action batch into Python floats with one ``tolist()`` and hands each
@@ -126,14 +132,13 @@ class VectorFlowEnv:
     envs:
         The environments to drive.  They must all share the same censor
         instance (per-environment configs and RNG streams may differ).
-    auto_reset:
-        When ``True`` (the training default), an environment that finishes
-        its episode is reset immediately and the returned observation is the
-        new episode's initial observation; the pre-reset observation is kept
-        in ``info["terminal_observation"]``.
+
+    A tick over all environments resets every one that finishes its episode
+    at once, and the step's observation is the new episode's first; a tick
+    over named environments (``indices``) never resets one.
     """
 
-    def __init__(self, envs: Sequence[AdversarialFlowEnv], auto_reset: bool = True) -> None:
+    def __init__(self, envs: Sequence[AdversarialFlowEnv]) -> None:
         envs = list(envs)
         if not envs:
             raise ValueError("VectorFlowEnv needs at least one environment")
@@ -143,7 +148,6 @@ class VectorFlowEnv:
         self._envs = envs
         self._env_ids = frozenset(map(id, envs))
         self._censor = censor
-        self._auto_reset = auto_reset
         #: rows the censor has scored for :meth:`settle` — at most the
         #: queries counted, as steps sharing an input share its score
         self.flows_scored = 0
@@ -178,11 +182,11 @@ class VectorFlowEnv:
         Every environment named by ``indices`` (all when omitted; distinct,
         non-negative, in range — checked before any environment advances)
         takes its row of ``actions``: masking draw, emitted packet,
-        termination and — on the all-environments path of an auto-resetting
-        engine — the reset onto the next flow, whose first observation
-        becomes the step's ``next_observation``.  The action batch becomes
-        Python floats once (one ``tolist()``), and each row goes to the
-        emulator as two floats.  The returned :class:`PendingStep` s carry
+        termination and — on the all-environments path only — the reset
+        onto the next flow, whose first observation becomes the step's
+        ``next_observation``.  The action batch becomes Python floats once
+        (one ``tolist()``), and each row goes to the emulator as two
+        floats.  The returned :class:`PendingStep` s carry
         everything the actor and encoder need for the next tick; rewards and
         episode summaries follow from :meth:`settle`.
         """
@@ -193,12 +197,11 @@ class VectorFlowEnv:
                 f"actions must have shape {(len(rows), self.action_dim)}, got {actions.shape}"
             )
         envs = self._envs
-        auto_reset = self._auto_reset and indices is None
         pendings = []
         for (size_action, delay_action), index in zip(actions.tolist(), rows):
             env = envs[index]
             pending = env._propose(size_action, delay_action)
-            if pending.done and auto_reset:
+            if pending.done and indices is None:
                 pending.next_observation = env._begin()
             pendings.append(pending)
         return pendings
@@ -286,7 +289,10 @@ class VectorFlowEnv:
         """Advance all environments by one tick and score it at once.
 
         Returns ``(observations, rewards, dones, infos)`` with shapes
-        ``(N, obs_dim)``, ``(N,)``, ``(N,)`` and a list of N info dicts.
+        ``(N, obs_dim)``, ``(N,)``, ``(N,)`` and a list of N info dicts.  A
+        finished environment is reset: its row of ``observations`` is the
+        new episode's first, and its info carries the finished episode's
+        summary (``"episode"``) and a ``"terminal_observation"``.
         """
         return self._step(self.propose(actions))
 
@@ -296,16 +302,17 @@ class VectorFlowEnv:
         """Advance only the environments named by ``indices``.
 
         Used by batched evaluation, where episodes finish at different times
-        and finished environments simply drop out of the batch (auto-reset is
-        never applied on this path).  Results align with ``indices``, which
-        must be distinct, non-negative and in range.
+        and finished environments simply drop out of the batch (a finished
+        environment is never reset on this path; its observation row is
+        zero).  Results align with ``indices``, which must be distinct,
+        non-negative and in range.
         """
         return self._step(self.propose(actions, indices))
 
     def _step(
         self, tick: List[PendingStep]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        """``settle([tick])`` in the Gym-style step form, info dicts and all."""
+        """``settle([tick])`` in the step form, info dicts and all."""
         [(rewards, finished)] = self.settle([tick])
         summaries = dict(finished)
         observations = []
@@ -402,12 +409,12 @@ class BatchedEpisodeEncoder:
         """Fold one tick into the tracked states; returns the new ``s_t``.
 
         ``recorded_actions`` are the environments' *emitted* normalised
-        actions (what :class:`AdversarialFlowEnv` appends to its action
-        history, not the raw policy output).  For environments flagged done,
-        both streams are reset and ``next_observations`` is interpreted as
-        the auto-reset episode's initial observation, mirroring what a full
-        re-encode of the fresh histories would produce.  ``indices`` must be
-        distinct, non-negative and in range.
+        actions (each step's ``recorded_action``, not the raw policy
+        output).  For environments flagged done, both streams are reset and
+        ``next_observations`` is interpreted as the reset episode's initial
+        observation, mirroring what a full re-encode of the fresh histories
+        would produce.  ``indices`` must be distinct, non-negative and in
+        range.
         """
         dones = np.asarray(dones, dtype=bool).reshape(-1)
         num_layers, _, hidden_size = self._stream_shape

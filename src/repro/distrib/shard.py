@@ -108,7 +108,7 @@ class ShardRunner:
         self._noise_rngs = [
             np.random.default_rng(noise_seq) for _, noise_seq in seed_pairs
         ]
-        self._vec_env = VectorFlowEnv(self._envs, auto_reset=True)
+        self._vec_env = VectorFlowEnv(self._envs)
         self._tracker = BatchedEpisodeEncoder(encoder, len(self._envs))
         self._states: np.ndarray = np.zeros(0)
         self._started = False

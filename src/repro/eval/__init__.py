@@ -4,22 +4,12 @@ from .action_analysis import ActionHistogram, action_histogram, summarise_action
 from .convergence import ConvergenceCurve, curve_from_log, queries_to_reach
 from .ecdf import ECDF, delay_distribution_summary, empirical_cdf, fraction_below
 from .feature_importance import ImportanceBreakdown, cumulative_category_counts
-from .metrics import (
-    adversarial_flow_overheads,
-    attack_success_rate,
-    classifier_detection_report,
-    data_overhead,
-    time_overhead,
-)
+from .metrics import classifier_detection_report
 from .reporting import format_percent, format_series, format_table
 from .results_io import load_results_json, save_results_json
 from .transferability import TransferabilityMatrix, transferability_matrix
 
 __all__ = [
-    "attack_success_rate",
-    "data_overhead",
-    "time_overhead",
-    "adversarial_flow_overheads",
     "classifier_detection_report",
     "TransferabilityMatrix",
     "transferability_matrix",

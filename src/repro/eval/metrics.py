@@ -1,18 +1,16 @@
-"""Attack-level evaluation metrics (Section 5.3).
+"""Censor-level evaluation metrics.
 
-* **Attack success rate (ASR)** — fraction of adversarial flows misclassified
-  as benign.
-* **Data overhead** — padding / (original payload + padding).
-* **Time overhead** — added delays / (added delays + total transmission time).
-
-plus helpers to evaluate a censoring classifier's detection performance
-(accuracy / F1 with the *censored* class as the positive class, which is what
-Table 1's "no attack" columns report).
+:func:`classifier_detection_report` gives a censoring classifier's detection
+performance (accuracy / F1 with the *censored* class as the positive class,
+which is what Table 1's "no attack" columns report).  The attack-level
+metrics of Section 5.3 (attack success rate, data overhead, time overhead)
+have one definition: each finished episode's summary
+(:class:`repro.core.env.EpisodeSummary`), averaged by
+:meth:`repro.core.agent.Amoeba.evaluate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -21,49 +19,7 @@ from ..censors.base import CensorClassifier
 from ..flows.flow import Flow, FlowLabel
 from ..ml.metrics import accuracy_score, f1_score
 
-__all__ = [
-    "attack_success_rate",
-    "data_overhead",
-    "time_overhead",
-    "classifier_detection_report",
-    "adversarial_flow_overheads",
-]
-
-
-def attack_success_rate(successes: Sequence[bool]) -> float:
-    """Fraction of adversarial samples that evaded the censor."""
-    successes = list(successes)
-    if not successes:
-        raise ValueError("empty success list")
-    return float(np.mean([bool(s) for s in successes]))
-
-
-def data_overhead(original_payload: float, padding: float) -> float:
-    """padding / (original payload + padding)."""
-    if original_payload < 0 or padding < 0:
-        raise ValueError("payload and padding must be non-negative")
-    denominator = original_payload + padding
-    return float(padding / denominator) if denominator > 0 else 0.0
-
-
-def time_overhead(added_delays: float, total_transmission_time: float) -> float:
-    """delays / (delays + total transmission time)."""
-    if added_delays < 0 or total_transmission_time < 0:
-        raise ValueError("delays and transmission time must be non-negative")
-    denominator = added_delays + total_transmission_time
-    return float(added_delays / denominator) if denominator > 0 else 0.0
-
-
-def adversarial_flow_overheads(original: Flow, adversarial: Flow) -> Dict[str, float]:
-    """Compute data/time overhead of an adversarial flow w.r.t. its original."""
-    original_bytes = float(np.abs(original.sizes).sum())
-    adversarial_bytes = float(np.abs(adversarial.sizes).sum())
-    padding = max(0.0, adversarial_bytes - original_bytes)
-    added_delay = max(0.0, adversarial.duration - original.duration)
-    return {
-        "data_overhead": data_overhead(original_bytes, padding),
-        "time_overhead": time_overhead(added_delay, original.duration),
-    }
+__all__ = ["classifier_detection_report"]
 
 
 def classifier_detection_report(

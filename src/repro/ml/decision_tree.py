@@ -194,13 +194,6 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------------ #
     # Prediction
     # ------------------------------------------------------------------ #
-    def _traverse(self, x: np.ndarray) -> np.ndarray:
-        node = self._root
-        while node is not None and not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        assert node is not None
-        return node.value
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Return class-probability estimates of shape (n_samples, n_classes).
 

@@ -33,6 +33,7 @@ committed, the batch returns to the queue and the error names the sessions.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -46,6 +47,7 @@ from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder
 from ..nn.serialization import load_state_dict, split_prefixed_state
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_positive
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .session import (
     FlowSession,
@@ -72,6 +74,8 @@ class ServeConfig:
     whose recent decisions miss it too often (``miss_threshold`` over a
     ``miss_window`` sliding window) is demoted to the offline profile tier.
     ``deadline_ms=None`` disables demotion (pure throughput serving).
+    Every bound is checked at construction, as :class:`AmoebaConfig` checks
+    its own: a bad one raises ``ValueError`` before a session opens.
     """
 
     size_scale: float = 1460.0
@@ -97,6 +101,12 @@ class ServeConfig:
             raise ValueError("latency_history must be >= 1")
         if self.size_scale <= 0:
             raise ValueError("size_scale must be positive")
+        check_positive(self.max_delay_ms, "max_delay_ms")
+        if self.min_packet_bytes < 1:
+            raise ValueError("min_packet_bytes must be >= 1")
+        if self.max_truncations_per_packet < 1:
+            raise ValueError("max_truncations_per_packet must be >= 1")
+        _check_deadline(self.deadline_ms)
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.miss_window < 1:
@@ -126,6 +136,14 @@ class ServeConfig:
             max_truncations_per_packet=self.max_truncations_per_packet,
             max_steps=self.max_steps_per_session,
         )
+
+
+def _check_deadline(deadline_ms: Optional[float]) -> None:
+    """Refuse a decision deadline that is neither ``None`` nor a finite
+    number of milliseconds ``>= 0``: a negative one misses every decision
+    and a NaN one never misses."""
+    if deadline_ms is not None and not 0.0 <= float(deadline_ms) < math.inf:
+        raise ValueError(f"deadline_ms must be None or finite and >= 0, got {deadline_ms}")
 
 
 def build_policy_from_state(
@@ -309,8 +327,10 @@ class PolicyServer:
 
         ``deadline_ms`` overrides the server-wide decision deadline for this
         flow (e.g. its observed inter-packet gap); ``None`` inherits
-        ``config.deadline_ms``.
+        ``config.deadline_ms``.  It is checked as ``ServeConfig`` checks its
+        own.
         """
+        _check_deadline(deadline_ms)
         if session_id is None:
             session_id = f"s{next(self._session_counter)}"
         if session_id in self._sessions:

@@ -215,9 +215,8 @@ class FlowSession:
         self._steps = 0
         self._observation_armed = False  # current packet's obs awaiting fold
 
-        # Emitted adversarial packets and accounting.  Latencies are kept
-        # as a bounded recent window — sessions may serve unbounded live
-        # streams, and aggregate percentiles live server-side.
+        # Emitted adversarial packets and accounting (latency percentiles
+        # live server-side, in PolicyServer.stats()).
         self._out_sizes: List[float] = []
         self._out_delays: List[float] = []
         self._payload_consumed = 0.0
@@ -226,7 +225,6 @@ class FlowSession:
         self._n_packets_in = 0
         self._deadline_misses = 0
         self._recent_misses: Deque[bool] = deque(maxlen=max(1, int(miss_window)))
-        self._latencies_ms: Deque[float] = deque(maxlen=256)
 
         # Offline-tier payload (packets that arrived after demotion).
         self._profile_sizes: List[float] = []
@@ -260,10 +258,6 @@ class FlowSession:
     @property
     def deadline_misses(self) -> int:
         return self._deadline_misses
-
-    @property
-    def latencies_ms(self) -> List[float]:
-        return list(self._latencies_ms)
 
     def enqueue(self, size: float, delay_ms: float) -> None:
         """Accept one original packet for shaping (or profile fallback).
@@ -350,7 +344,7 @@ class FlowSession:
         return np.concatenate([self._stream(0)[-1], self._stream(1)[-1]])
 
     # ------------------------------------------------------------------ #
-    # Decision application (deterministic emulator, = env.propose)
+    # Decision application (deterministic emulator, = AdversarialFlowEnv._propose)
     # ------------------------------------------------------------------ #
     def apply_action(
         self, action: Sequence[float], latency_ms: float = 0.0
@@ -362,7 +356,7 @@ class FlowSession:
         array row.  The shaping arithmetic is
         :func:`repro.core.env.shape_packet_core` — the *same* function the
         training emulator ends in — so a deterministic policy served here
-        emits the same packets :meth:`AdversarialFlowEnv.propose` would, bit
+        emits the same packets ``AdversarialFlowEnv._propose`` would, bit
         for bit.  The observation the action answered counts as folded from
         here on (the server commits its table rows just before this call).
         """
@@ -436,7 +430,6 @@ class FlowSession:
     # Deadline tracking and demotion
     # ------------------------------------------------------------------ #
     def _record_latency(self, latency_ms: float) -> bool:
-        self._latencies_ms.append(float(latency_ms))
         if self.deadline_ms is None:
             return False
         missed = latency_ms > self.deadline_ms

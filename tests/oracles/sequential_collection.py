@@ -14,6 +14,19 @@ imports: the tick writes into ``(n_ticks, n_envs, ...)`` arrays instead of a
 for ``train`` to fold instead of being appended to the agent directly, and
 the noise streams are always present (the old ``noise_rngs=None`` default
 had no caller).
+
+The single-step APIs it was written against have since left ``src`` too, so
+the oracle spells them out, each the body the removed wrapper had:
+
+* ``AdversarialFlowEnv.step`` is :meth:`SequentialCollector._env_step` --
+  ``_propose``, one ``predict_scores`` call on the prefix (unless masked)
+  and the finished flow (when done), then ``_settle``;
+* ``observation_history()`` / ``action_history()`` are per-slot lists kept
+  here, fed from the reset observation, ``PendingStep.next_observation``
+  and ``PendingStep.recorded_action``;
+* ``Amoeba.encode_state`` is :meth:`SequentialCollector.encode_histories`;
+* ``GaussianActor.act`` / ``Critic.value`` are one-row ``act_batch`` /
+  ``value_batch`` calls.
 """
 
 from __future__ import annotations
@@ -49,14 +62,40 @@ class SequentialCollector:
         self.censor = censor
         self._noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in seed_pairs]
         self._envs = build_envs_from_seed_tree(censor, normalizer, config, flows, seed_pairs)
-        for env in self._envs:
-            env.reset()
-        self._states = np.stack([self.encode_state(env) for env in self._envs])
+        self._histories = [self._reset(env) for env in self._envs]
+        self._states = np.stack([self.encode_histories(history) for history in self._histories])
 
-    def encode_state(self, env: AdversarialFlowEnv) -> np.ndarray:
-        observation_code = self.encoder.encode_pairs(env.observation_history())
-        action_code = self.encoder.encode_pairs(env.action_history())
+    @staticmethod
+    def _reset(env: AdversarialFlowEnv) -> Tuple[List, List]:
+        """Start an episode; its (observation, action) histories."""
+        return [tuple(env.reset().tolist())], []
+
+    def encode_histories(self, history: Tuple[List, List]) -> np.ndarray:
+        observations, actions = history
+        observation_code = self.encoder.encode_pairs(
+            np.array(observations, dtype=np.float64).reshape(-1, 2)
+        )
+        action_code = self.encoder.encode_pairs(np.array(actions, dtype=np.float64).reshape(-1, 2))
         return np.concatenate([observation_code, action_code])
+
+    def _env_step(self, env: AdversarialFlowEnv, action: np.ndarray, history: Tuple[List, List]):
+        """One immediately scored step: ``(reward, done, summary)``."""
+        pending = env._propose(*action.tolist())
+        flow = pending.episode.flow()
+        flows = [] if pending.masked else [flow.prefix_view(pending.prefix_length)]
+        if pending.done:
+            flows.append(flow)
+        scores = self.censor.predict_scores(flows).tolist()
+        reward, summary = env._settle(
+            pending,
+            None if pending.masked else scores[0],
+            scores[-1] if pending.done else None,
+        )
+        observations, actions = history
+        actions.append(pending.recorded_action)
+        if not pending.done:
+            observations.append(pending.next_observation)
+        return reward, pending.done, summary
 
     def _draw_noise(self) -> np.ndarray:
         """Per-slot exploration noise from the collection seed tree."""
@@ -86,19 +125,19 @@ class SequentialCollector:
             noise = self._draw_noise()
 
             for index, env in enumerate(envs):
-                action, log_prob = self.actor.act(states[index], noise=noise[index])
-                value = self.critic.value(states[index])
-                _, reward, done, info = env.step(action)
-                actions[index] = action
-                log_probs[index] = log_prob
+                state = states[index : index + 1]
+                action, log_prob = self.actor.act_batch(state, noise=noise[index : index + 1])
+                value = self.critic.value_batch(state)[0]
+                reward, done, summary = self._env_step(env, action[0], self._histories[index])
+                actions[index] = action[0]
+                log_probs[index] = log_prob[0]
                 values[index] = value
                 rewards[index] = reward
                 dones[index] = done
                 if done:
-                    summary: EpisodeSummary = info["episode"]
                     summaries.append((tick, index, summary))
-                    env.reset()
-                next_states[index] = self.encode_state(env)
+                    self._histories[index] = self._reset(env)
+                next_states[index] = self.encode_histories(self._histories[index])
 
             rollout_states[tick] = states
             rollout_actions[tick] = actions

@@ -22,12 +22,12 @@ def gateway(tor_splits):
     return CensorGateway(classifier)
 
 
-def _make_vec_env(gateway, normalizer, config, flows, seeds, auto_reset=True):
+def _make_vec_env(gateway, normalizer, config, flows, seeds):
     envs = [
         AdversarialFlowEnv(gateway.classifier, normalizer, config, flows, rng=seed)
         for seed in seeds
     ]
-    return VectorFlowEnv(envs, auto_reset=auto_reset)
+    return VectorFlowEnv(envs)
 
 
 class TestGatewayBatchedAccounting:
@@ -55,9 +55,7 @@ class TestGatewayBatchedAccounting:
         self, gateway, normalizer, fast_config, simple_flow
     ):
         config = fast_config.with_overrides(reward_mask_rate=1.0)
-        vec_env = _make_vec_env(
-            gateway, normalizer, config, [simple_flow], seeds=[0, 1], auto_reset=False
-        )
+        vec_env = _make_vec_env(gateway, normalizer, config, [simple_flow], seeds=[0, 1])
         vec_env.reset()
         gateway.classifier.reset_query_count()
 

@@ -52,3 +52,14 @@ def test_every_named_test_and_benchmark_file_exists():
     named = set(NAMED_FILE.findall(WORKFLOW.read_text()))
     assert named, "the workflow names no test or benchmark file"
     assert sorted(path for path in named if not (ROOT / path).is_file()) == []
+
+
+def test_tier1_runs_every_example():
+    """No pytest suite imports ``examples/``; one tier-1 step runs them all
+    and stops at the first that exits nonzero."""
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    [command] = [run for run in runs if "examples/*.py" in run]
+    assert "set -e" in command and "PYTHONPATH=src python" in command
+    assert sorted((ROOT / "examples").glob("*.py"))

@@ -99,6 +99,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    @pytest.mark.parametrize("deadline", ["-1", "nan"])
+    def test_serve_refuses_a_bad_deadline_before_loading(self, tmp_path, deadline):
+        # Refused while building the config, before the checkpoint is read.
+        missing = str(tmp_path / "missing.npz")
+        with pytest.raises(SystemExit, match="deadline_ms"):
+            main(["serve", "--policy", missing, "--deadline-ms", deadline])
+
     def test_serve_has_no_backend_flag(self):
         # The registered backends are bit-identical; REPRO_NN_BACKEND picks.
         with pytest.raises(SystemExit) as excinfo:

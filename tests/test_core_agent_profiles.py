@@ -77,6 +77,30 @@ class TestAmoebaAgent:
         with pytest.raises(ValueError):
             trained_agent.train(tor_splits.attack_train.censored_flows, total_timesteps=0)
 
+    @pytest.mark.parametrize(
+        "eval_kwargs",
+        [
+            dict(eval_every=1, eval_size=0),
+            dict(eval_every=1, eval_flows=[]),
+            dict(eval_every=1, eval_flows=None),
+            dict(eval_every=0),
+            dict(eval_every=-3),
+            dict(eval_every=1, eval_size=-2),
+        ],
+    )
+    def test_train_refuses_bad_evaluation_before_any_query(
+        self, trained_agent, tor_splits, eval_kwargs
+    ):
+        """Misuse raises before the first collect: no censor query is spent
+        and no timestep is trained."""
+        kwargs = {"eval_flows": tor_splits.test.censored_flows[:4], **eval_kwargs}
+        queries = trained_agent.censor.query_count
+        timesteps = trained_agent.timesteps_trained
+        with pytest.raises(ValueError, match="eval_"):
+            trained_agent.train(tor_splits.attack_train.censored_flows[:20], 300, **kwargs)
+        assert trained_agent.censor.query_count == queries
+        assert trained_agent.timesteps_trained == timesteps
+
     def test_policy_save_load_roundtrip(self, trained_agent, tor_splits, tmp_path):
         path = tmp_path / "policy.npz"
         trained_agent.save_policy(path)
@@ -90,7 +114,7 @@ class TestAmoebaAgent:
         assert np.allclose(before.adversarial_flow.sizes, after.adversarial_flow.sizes)
 
     def test_encode_state_dimension(self, trained_agent, tor_splits, normalizer):
-        from repro.core import AdversarialFlowEnv
+        from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder
 
         env = AdversarialFlowEnv(
             trained_agent.censor,
@@ -99,9 +123,9 @@ class TestAmoebaAgent:
             [tor_splits.test.censored_flows[0]],
             rng=0,
         )
-        env.reset()
-        state = trained_agent.encode_state(env)
-        assert state.shape == (trained_agent.config.state_dim,)
+        tracker = BatchedEpisodeEncoder(trained_agent.state_encoder, 1)
+        states = tracker.reset_all(env.reset()[None])
+        assert states.shape == (1, trained_agent.config.state_dim)
 
 
 class TestRewardMasking:

@@ -141,44 +141,6 @@ class TestArmsRace:
         )
         assert result.rounds[0].collected_adversarial_flows == len(flows)
 
-    def test_every_round_evaluates_with_the_given_batch_size(
-        self, normalizer, tor_splits, fast_config, monkeypatch
-    ):
-        """``eval_batch_size`` reaches every round's evaluation: each
-        ``attack_many`` call resolves it from the round's config and attacks
-        the evaluation flows in chunks of that size (``fast_config`` alone
-        would attack all five at once)."""
-        calls, chunks = [], []
-        attack_many, attack_batch = Amoeba.attack_many, Amoeba._attack_batch
-
-        def attack_many_spy(self, flows, deterministic=True, batch_size=None):
-            calls.append((batch_size, self.config.eval_batch_size))
-            return attack_many(self, flows, deterministic=deterministic, batch_size=batch_size)
-
-        def attack_batch_spy(self, flows, deterministic):
-            chunks.append(len(flows))
-            return attack_batch(self, flows, deterministic)
-
-        monkeypatch.setattr(Amoeba, "train", lambda self, *a, **k: self.training_log)
-        monkeypatch.setattr(Amoeba, "attack_many", attack_many_spy)
-        monkeypatch.setattr(Amoeba, "_attack_batch", attack_batch_spy)
-        assert fast_config.eval_batch_size is None
-        run_arms_race(
-            censor_factory=lambda: DecisionTreeCensor(rng=0),
-            normalizer=normalizer,
-            clf_train_flows=tor_splits.clf_train.flows,
-            attack_train_flows=tor_splits.attack_train.censored_flows[:5],
-            test_flows=tor_splits.test.flows,
-            eval_flows=tor_splits.test.censored_flows[:5],
-            n_rounds=2,
-            harvest_per_round=2,
-            config=fast_config,
-            eval_batch_size=2,
-            rng=0,
-        )
-        assert calls == [(None, 2), (None, 2)]
-        assert chunks == [2, 2, 1, 2, 2, 1]
-
     def test_invalid_round_count(self, normalizer, tor_splits, fast_config):
         with pytest.raises(ValueError):
             run_arms_race(

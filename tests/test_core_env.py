@@ -1,10 +1,24 @@
-"""Unit tests for the adversarial flow environment (transport-layer emulator)."""
+"""Unit tests for the adversarial flow environment (transport-layer emulator).
+
+The environment has no single-step API of its own; these tests step it the
+way batched evaluation does, through ``VectorFlowEnv.step_subset`` on a
+one-slot engine (:func:`step`), which scores every step at once and never
+resets a finished episode.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import AdversarialFlowEnv, AmoebaConfig
+from repro.core import AdversarialFlowEnv, AmoebaConfig, VectorFlowEnv
 from repro.flows import Flow, FlowLabel
+
+
+def step(env, action):
+    """One immediately scored step of ``env``: ``(observation, reward, done, info)``."""
+    observations, rewards, dones, infos = VectorFlowEnv([env]).step_subset(
+        [0], np.asarray(action, dtype=np.float64)[None]
+    )
+    return observations[0], float(rewards[0]), bool(dones[0]), infos[0]
 
 
 @pytest.fixture
@@ -46,26 +60,19 @@ class TestEnvBasics:
     def test_step_before_reset_raises(self, trained_dt_censor, normalizer, env_config, small_flow):
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
         with pytest.raises(RuntimeError):
-            env.step(np.array([0.5, 0.0]))
+            step(env, np.array([0.5, 0.0]))
 
     def test_invalid_action_shape_rejected(self, env):
         env.reset()
         with pytest.raises(ValueError):
-            env.step(np.array([0.5]))
-
-    def test_observation_and_action_histories_grow(self, env):
-        env.reset()
-        assert env.observation_history().shape == (1, 2)
-        env.step(np.array([1.0, 0.0]))
-        assert env.action_history().shape == (1, 2)
-        assert env.observation_history().shape[0] >= 1
+            step(env, np.array([0.5]))
 
 
 class TestEmulatorSemantics:
     def test_padding_action_advances_to_next_packet(self, env, normalizer):
         env.reset()
         # Request a packet larger than the 1000-byte payload -> padding.
-        observation, reward, done, info = env.step(np.array([1.0, 0.0]))
+        observation, reward, done, info = step(env, np.array([1.0, 0.0]))
         assert info["action_kind"] == "padding"
         assert not done
         # Next observation is the second original packet (downstream 1460).
@@ -74,7 +81,7 @@ class TestEmulatorSemantics:
     def test_truncation_keeps_same_packet(self, env, normalizer):
         env.reset()
         small_action = 200.0 / normalizer.size_scale
-        observation, reward, done, info = env.step(np.array([small_action, 0.0]))
+        observation, reward, done, info = step(env, np.array([small_action, 0.0]))
         assert info["action_kind"] == "truncation"
         # Remaining payload of the first packet is 1000 - 200 = 800 bytes.
         assert observation[0] == pytest.approx(800.0 / normalizer.size_scale, abs=1e-2)
@@ -86,7 +93,7 @@ class TestEmulatorSemantics:
         done = False
         while not done:
             action = np.array([rng.uniform(-1, 1), rng.uniform(0, 1)])
-            _, _, done, info = env.step(action)
+            _, _, done, info = step(env, action)
         adversarial = info["episode"].adversarial_flow
         for direction in (1, -1):
             original_bytes = np.abs(small_flow.sizes[np.sign(small_flow.sizes) == direction]).sum()
@@ -99,9 +106,9 @@ class TestEmulatorSemantics:
         env.reset()
         # Even if the agent requests a positive size for a downstream packet,
         # the emitted adversarial packet keeps the original direction.
-        env.step(np.array([1.0, 0.0]))  # finish first (upstream) packet
-        _, _, _, _ = env.step(np.array([1.0, 0.0]))  # second packet is downstream
-        adversarial_sizes = env._current_adversarial_flow().sizes
+        step(env, np.array([1.0, 0.0]))  # finish first (upstream) packet
+        _, _, _, _ = step(env, np.array([1.0, 0.0]))  # second packet is downstream
+        adversarial_sizes = env._episode.flow().sizes
         assert adversarial_sizes[0] > 0
         assert adversarial_sizes[1] < 0
 
@@ -110,7 +117,7 @@ class TestEmulatorSemantics:
         env.reset()
         done = False
         while not done:
-            _, _, done, info = env.step(np.array([1.0, 0.5]))
+            _, _, done, info = step(env, np.array([1.0, 0.5]))
         adversarial = info["episode"].adversarial_flow
         assert adversarial.delays[1] >= small_flow.delays[1]
 
@@ -121,7 +128,7 @@ class TestEmulatorSemantics:
         tiny = 64.0 / normalizer.size_scale
         kinds = []
         for _ in range(3):
-            _, _, _, info = env.step(np.array([tiny, 0.0]))
+            _, _, _, info = step(env, np.array([tiny, 0.0]))
             kinds.append(info["action_kind"])
         assert kinds[0] == "truncation"
         assert kinds[1] == "truncation"
@@ -131,21 +138,21 @@ class TestEmulatorSemantics:
         config = AmoebaConfig.for_tor(max_episode_steps=2, max_truncations_per_packet=8)
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
         env.reset()
-        _, _, done, _ = env.step(np.array([0.1, 0.0]))
+        _, _, done, _ = step(env, np.array([0.1, 0.0]))
         if not done:
-            _, _, done, _ = env.step(np.array([0.1, 0.0]))
+            _, _, done, _ = step(env, np.array([0.1, 0.0]))
         assert done
 
     def test_min_packet_bytes_enforced(self, env):
         env.reset()
-        env.step(np.array([0.0, 0.0]))  # requests 0 bytes -> raised to min_packet_bytes
-        assert abs(env._current_adversarial_flow().sizes[0]) >= env.config.min_packet_bytes
+        step(env, np.array([0.0, 0.0]))  # requests 0 bytes -> raised to min_packet_bytes
+        assert abs(env._episode.flow().sizes[0]) >= env.config.min_packet_bytes
 
 
 class TestRewards:
     def test_reward_components_in_info(self, env):
         env.reset()
-        _, reward, _, info = env.step(np.array([1.0, 0.3]))
+        _, reward, _, info = step(env, np.array([1.0, 0.3]))
         assert "data_penalty" in info and "time_penalty" in info
         assert info["time_penalty"] == pytest.approx(0.3, abs=0.02)
 
@@ -153,7 +160,7 @@ class TestRewards:
         def first_reward(delay_fraction):
             env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
             env.reset()
-            _, reward, _, _ = env.step(np.array([1.0, delay_fraction]))
+            _, reward, _, _ = step(env, np.array([1.0, delay_fraction]))
             return reward
 
         assert first_reward(0.0) > first_reward(1.0)
@@ -164,7 +171,7 @@ class TestRewards:
         def first_reward(size_fraction):
             env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [tiny_flow], rng=0)
             env.reset()
-            _, reward, _, _ = env.step(np.array([size_fraction, 0.0]))
+            _, reward, _, _ = step(env, np.array([size_fraction, 0.0]))
             return reward
 
         assert first_reward(200.0 / 1460.0) >= first_reward(1.0)
@@ -174,12 +181,12 @@ class TestRewards:
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
         trained_dt_censor.reset_query_count()
         env.reset()
-        _, _, done, info = env.step(np.array([1.0, 0.0]))
+        _, _, done, info = step(env, np.array([1.0, 0.0]))
         assert info["masked"]
         assert np.isnan(info["score"])
         # Only the final episode classification queries the censor.
         while not done:
-            _, _, done, _ = env.step(np.array([1.0, 0.0]))
+            _, _, done, _ = step(env, np.array([1.0, 0.0]))
         assert trained_dt_censor.query_count == 1
 
 
@@ -188,7 +195,7 @@ class TestEpisodeSummary:
         env.reset()
         done = False
         while not done:
-            _, _, done, info = env.step(np.array([1.0, 0.2]))
+            _, _, done, info = step(env, np.array([1.0, 0.2]))
         summary = info["episode"]
         assert summary.adversarial_flow.n_packets == summary.n_steps
         assert 0.0 <= summary.data_overhead < 1.0
@@ -200,7 +207,7 @@ class TestEpisodeSummary:
         env.reset()
         done = False
         while not done:
-            _, _, done, info = env.step(np.array([1.0, 0.9]))
+            _, _, done, info = step(env, np.array([1.0, 0.9]))
         assert info["episode"].n_delays == info["episode"].n_steps
 
     def test_exact_transmission_zero_data_overhead(self, trained_dt_censor, normalizer, env_config):
@@ -209,7 +216,7 @@ class TestEpisodeSummary:
         env.reset()
         done = False
         while not done:
-            _, _, done, info = env.step(np.array([1.0, 0.0]))
+            _, _, done, info = step(env, np.array([1.0, 0.0]))
         assert info["episode"].data_overhead == pytest.approx(0.0, abs=1e-6)
 
     def test_flow_pool_cycles(self, trained_dt_censor, normalizer, env_config, small_flow):
@@ -223,14 +230,13 @@ class TestEpisodeSummary:
             seen_lengths.add(env._original.n_packets)
             done = False
             while not done:
-                _, _, done, _ = env.step(np.array([1.0, 0.0]))
+                _, _, done, _ = step(env, np.array([1.0, 0.0]))
         assert seen_lengths == {2, 3}
 
 
 # --------------------------------------------------------------------- #
 # Python-float emulator helpers vs. the seed numpy formulation (oracle)
 # --------------------------------------------------------------------- #
-from repro.core import env as env_module  # noqa: E402
 from repro.core.env import (  # noqa: E402
     make_observation,
     packet_direction,
@@ -308,28 +314,6 @@ class TestEmulatorOracle:
                     shaped(size_action, delay_action, **kwargs),
                     oracle.shape_packet(action, **kwargs),
                 )
-
-    def test_propose_accepts_what_the_oracle_accepts(self):
-        # ``propose`` flattens its action to two Python floats before the
-        # core sees them; the oracle took the same shapes.
-        kwargs = dict(
-            remaining_bytes=900.0,
-            truncations_current_packet=0,
-            steps_taken=0,
-            max_truncations_per_packet=8,
-            max_steps=None,
-            **self.LIMITS,
-        )
-        for action in ([0.25, 0.5], (0.25, 0.5), np.array([[0.25, 0.5]]), np.float32([0.25, 0.5])):
-            assert_same_shaped(
-                shaped(*env_module._action_components(action), **kwargs),
-                oracle.shape_packet(action, **kwargs),
-            )
-        for bad in ([0.5], [0.1, 0.2, 0.3], np.zeros((2, 2))):
-            with pytest.raises(ValueError, match="2 components"):
-                env_module._action_components(bad)
-            with pytest.raises(ValueError, match="2 components"):
-                oracle.shape_packet(bad, **kwargs)
 
     def test_observation_and_record_sweep(self):
         for scale, max_delay in ((1460.0, 100.0), (16384.0, 250.0), (3.0, 7.0)):
@@ -409,7 +393,7 @@ class TestScalarCore:
         env.reset()
         for size_action, delay_action in ((np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)):
             with pytest.raises(ValueError) as from_training:
-                env.propose(np.array([size_action, delay_action]))
+                VectorFlowEnv([env]).propose(np.array([[size_action, delay_action]]))
             with pytest.raises(ValueError) as from_serving:
                 session.apply_action([size_action, delay_action])
             assert str(from_training.value) == str(from_serving.value)
@@ -417,12 +401,14 @@ class TestScalarCore:
 
     def test_propose_validates_the_shape(self, env):
         env.reset()
-        for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), []):
-            with pytest.raises(ValueError, match="2 components"):
-                env.propose(bad)
+        vec_env = VectorFlowEnv([env])
+        for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), [], [0.1, 0.2]):
+            with pytest.raises(ValueError, match="actions must have shape"):
+                vec_env.propose(bad)
+        assert env._steps == 0
 
     def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
-        """One emulator: ``AdversarialFlowEnv.propose`` and
+        """One emulator: ``AdversarialFlowEnv._propose`` and
         ``FlowSession.apply_action`` call one function."""
         from repro.core import env as env_module
         from repro.core.state_encoder import StateEncoder
@@ -439,7 +425,7 @@ class TestScalarCore:
         monkeypatch.setattr(session_module, "shape_packet_core", spy)
 
         env.reset()
-        env.propose(np.array([0.5, 0.25]))
+        VectorFlowEnv([env]).propose(np.array([[0.5, 0.25]]))
         assert calls == [(0.5, 0.25)]
 
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
@@ -482,7 +468,7 @@ class TestNonFiniteAction:
     def test_env_step_rejects_nan_and_stays_usable(self, env):
         env.reset()
         with pytest.raises(ValueError, match="non-finite action"):
-            env.step(np.array([np.nan, 0.0]))
+            step(env, np.array([np.nan, 0.0]))
         # The emulator did not advance: the same packet is still pending.
-        observation, _, _, _ = env.step(np.array([1.0, 0.0]))
+        observation, _, _, _ = step(env, np.array([1.0, 0.0]))
         assert observation[0] == pytest.approx(-1.0)

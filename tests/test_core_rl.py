@@ -44,19 +44,20 @@ class TestActorCritic:
 
     def test_actor_act_returns_action_and_logprob(self):
         actor = GaussianActor(state_dim=4, rng=0)
-        action, log_prob = actor.act(np.zeros(4))
-        assert action.shape == (2,)
-        assert np.isfinite(log_prob)
+        actions, log_probs = actor.act_batch(np.zeros((1, 4)))
+        assert actions.shape == (1, 2) and log_probs.shape == (1,)
+        assert np.isfinite(log_probs[0])
 
     def test_deterministic_act_returns_mean(self):
         actor = GaussianActor(state_dim=4, rng=0)
-        a1, _ = actor.act(np.zeros(4), deterministic=True)
-        a2, _ = actor.act(np.zeros(4), deterministic=True)
-        assert np.allclose(a1, a2)
+        a1, _ = actor.act_batch(np.zeros((1, 4)), deterministic=True)
+        a2, _ = actor.act_batch(np.zeros((1, 4)), deterministic=True)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(a1, actor(nn.Tensor(np.zeros((1, 4))))[0].data)
 
     def test_stochastic_act_varies(self):
         actor = GaussianActor(state_dim=4, rng=0)
-        actions = {tuple(np.round(actor.act(np.zeros(4))[0], 6)) for _ in range(5)}
+        actions = {tuple(np.round(actor.act_batch(np.zeros((1, 4)))[0][0], 6)) for _ in range(5)}
         assert len(actions) > 1
 
     def test_log_prob_and_entropy_differentiable(self):
@@ -66,10 +67,6 @@ class TestActorCritic:
         log_probs, entropy = actor.log_prob_and_entropy(states, actions)
         (log_probs.mean() + entropy).backward()
         assert all(p.grad is not None for p in actor.parameters())
-
-    def test_critic_value_scalar(self):
-        critic = Critic(state_dim=4, hidden_dims=(8,), rng=0)
-        assert isinstance(critic.value(np.zeros(4)), float)
 
     def test_critic_batch_shape(self):
         critic = Critic(state_dim=4, hidden_dims=(8,), rng=0)
@@ -221,30 +218,21 @@ class TestRolloutBuffer:
     def make_full_buffer(self, length=4, n_envs=2, state_dim=3):
         buffer = RolloutBuffer(length, n_envs, state_dim, 2)
         rng = np.random.default_rng(0)
-        for _ in range(length):
-            buffer.add(
-                states=rng.normal(size=(n_envs, state_dim)),
-                actions=rng.normal(size=(n_envs, 2)),
-                log_probs=rng.normal(size=n_envs),
-                rewards=rng.normal(size=n_envs),
-                values=rng.normal(size=n_envs),
-                dones=rng.random(n_envs) < 0.3,
-            )
+        shape = (length, n_envs)
+        buffer.load(
+            states=rng.normal(size=shape + (state_dim,)),
+            actions=rng.normal(size=shape + (2,)),
+            log_probs=rng.normal(size=shape),
+            rewards=rng.normal(size=shape),
+            values=rng.normal(size=shape),
+            dones=rng.random(shape) < 0.3,
+        )
         buffer.finalize(np.zeros(n_envs), gamma=0.99, gae_lambda=0.95)
         return buffer
 
-    def test_full_flag(self):
-        buffer = RolloutBuffer(2, 1, 3, 2)
-        assert not buffer.full
-        for _ in range(2):
-            buffer.add(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool))
-        assert buffer.full
-        with pytest.raises(RuntimeError):
-            buffer.add(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool))
-
     def test_finalize_requires_full(self):
         buffer = RolloutBuffer(3, 1, 2, 2)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="nothing was loaded"):
             buffer.finalize(np.zeros(1), 0.99, 0.95)
 
     def test_minibatches_cover_all_samples(self):
@@ -316,11 +304,13 @@ class TestRolloutBuffer:
             with pytest.raises(ValueError, match=f"^{name} must have shape"):
                 buffer.load(**dict(good, **{name: array}))
             # Refused before anything was written.
-            assert not buffer.full and not buffer.states.any() and not buffer.dones.any()
+            assert not buffer.states.any() and not buffer.dones.any()
+            with pytest.raises(RuntimeError, match="nothing was loaded"):
+                buffer.finalize(np.zeros(n_envs), 0.99, 0.95)
         buffer.load(**good)
-        assert buffer.full
         for name, array in good.items():
             assert np.array_equal(getattr(buffer, name), array)
+        buffer.finalize(np.zeros(n_envs), 0.99, 0.95)
 
 
 class TestPPOUpdater:
@@ -334,18 +324,17 @@ class TestPPOUpdater:
 
         buffer = RolloutBuffer(config.rollout_length, config.n_envs, config.state_dim, 2)
         rng = np.random.default_rng(3)
-        for _ in range(config.rollout_length):
-            states = rng.normal(size=(config.n_envs, config.state_dim))
-            actions = np.stack([actor.act(s)[0] for s in states])
-            log_probs = np.array([actor.act(s)[1] for s in states])
-            buffer.add(
-                states=states,
-                actions=actions,
-                log_probs=log_probs,
-                rewards=rng.normal(size=config.n_envs),
-                values=rng.normal(size=config.n_envs),
-                dones=rng.random(config.n_envs) < 0.2,
-            )
+        shape = (config.rollout_length, config.n_envs)
+        states = rng.normal(size=shape + (config.state_dim,))
+        actions, log_probs = actor.act_batch(states.reshape(-1, config.state_dim))
+        buffer.load(
+            states=states,
+            actions=actions.reshape(shape + (2,)),
+            log_probs=log_probs.reshape(shape),
+            rewards=rng.normal(size=shape),
+            values=rng.normal(size=shape),
+            dones=rng.random(shape) < 0.2,
+        )
         buffer.finalize(np.zeros(config.n_envs), config.gamma, config.gae_lambda)
 
         weights_before = [p.data.copy() for p in actor.parameters()]

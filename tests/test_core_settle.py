@@ -131,6 +131,17 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
     return collects
 
 
+def flows_to_score(pending):
+    """The flows one step asks the censor about, in order: its prefix
+    (unless masked), then the finished flow (when the step ended the
+    episode) — read-only views of, or the episode's one flow."""
+    flow = pending.episode.flow()
+    flows = [] if pending.masked else [flow.prefix_view(pending.prefix_length)]
+    if pending.done:
+        flows.append(flow)
+    return flows
+
+
 def summary_key(item):
     tick, row, summary = item
     return (
@@ -301,14 +312,14 @@ class TestOwnershipAndMisuse:
         censor = RecordingCensor(trained_dt_censor)
         config = agent.config.with_overrides(max_episode_steps=30)
         env = AdversarialFlowEnv(censor, normalizer, config, [simple_flow], rng=0)
-        vec_env = VectorFlowEnv([env], auto_reset=True)
+        vec_env = VectorFlowEnv([env])
         vec_env.reset()
         ticks = []
         while not (ticks and ticks[-1][0].done):
             ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
         assert not env.done  # auto-reset: the environment already runs its next flow
 
-        flows = [flow for tick in ticks for flow in tick[0].flows_to_score]
+        flows = [flow for tick in ticks for flow in flows_to_score(tick[0])]
         *prefixes, finished = flows
         settled = vec_env.settle(ticks)
         assert [finished for _, finished in settled[:-1]] == [[]] * (len(ticks) - 1)
@@ -336,24 +347,6 @@ class TestOwnershipAndMisuse:
         vec_env.step(np.array([[0.9, 0.0]]))
         assert np.array_equal(finished.sizes, before)
         assert summary.n_steps == len(ticks) == finished.n_packets
-
-    def test_apply_twice_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
-        env.reset()
-        pending = env.propose(np.array([0.9, 0.0]))
-        scores = trained_dt_censor.predict_scores(pending.flows_to_score)
-        env.apply(pending, scores)
-        with pytest.raises(RuntimeError, match="already applied"):
-            env.apply(pending, scores)
-
-    def test_apply_rejects_foreign_pending(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        left = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
-        right = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
-        left.reset()
-        right.reset()
-        pending = left.propose(np.array([0.9, 0.0]))
-        with pytest.raises(ValueError, match="another environment"):
-            right.apply(pending, np.zeros(pending.n_scores))
 
     def test_settle_misuse_raises_before_any_query(
         self, trained_dt_censor, normalizer, fast_config, simple_flow

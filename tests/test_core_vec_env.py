@@ -57,23 +57,25 @@ def make_envs(censor, normalizer, config, flows, seeds):
 
 
 class TestRowConsistentForwards:
+    """A batch equals its rows forwarded one at a time (one-row batches)."""
+
     def test_act_batch_matches_sequential_act(self):
         states = np.random.default_rng(0).normal(size=(6, 4))
         batched = GaussianActor(state_dim=4, rng=7)
         sequential = GaussianActor(state_dim=4, rng=7)
         actions, log_probs = batched.act_batch(states)
         for index, state in enumerate(states):
-            action, log_prob = sequential.act(state)
-            assert np.array_equal(actions[index], action)
-            assert log_probs[index] == log_prob
+            action, log_prob = sequential.act_batch(state[None])
+            assert np.array_equal(actions[index], action[0])
+            assert log_probs[index] == log_prob[0]
 
     def test_act_batch_deterministic_matches(self):
         states = np.random.default_rng(1).normal(size=(5, 4))
         actor = GaussianActor(state_dim=4, rng=3)
         actions, _ = actor.act_batch(states, deterministic=True)
         for index, state in enumerate(states):
-            action, _ = actor.act(state, deterministic=True)
-            assert np.array_equal(actions[index], action)
+            action, _ = actor.act_batch(state[None], deterministic=True)
+            assert np.array_equal(actions[index], action[0])
 
     def test_value_batch_matches_sequential_value(self):
         states = np.random.default_rng(2).normal(size=(6, 4))
@@ -81,7 +83,7 @@ class TestRowConsistentForwards:
         values = critic.value_batch(states)
         assert values.shape == (6,)
         for index, state in enumerate(states):
-            assert values[index] == critic.value(state)
+            assert values[index] == critic.value_batch(state[None])[0]
 
     def test_batch_shape_validation(self):
         actor = GaussianActor(state_dim=4, rng=0)
@@ -140,7 +142,7 @@ class TestVectorFlowEnv:
         seeds = [11, 12, 13]
         reference = make_envs(trained_dt_censor, normalizer, mask_config, flows, seeds)
         vectorized = make_envs(trained_dt_censor, normalizer, mask_config, flows, seeds)
-        vec_env = VectorFlowEnv(vectorized, auto_reset=True)
+        vec_env = VectorFlowEnv(vectorized)
 
         for env in reference:
             env.reset()
@@ -152,10 +154,13 @@ class TestVectorFlowEnv:
             actions = np.column_stack(
                 [action_rng.uniform(-1, 1, size=3), action_rng.uniform(0, 1, size=3)]
             )
-            # Reference: the seed one-env-at-a-time path (auto-reset inline).
+            # Reference: one environment at a time, each step scored at once
+            # (a one-slot step_subset), the reset inline.
             expected = []
             for index, env in enumerate(reference):
-                observation, reward, done, info = env.step(actions[index])
+                [observation], [reward], [done], [info] = VectorFlowEnv([env]).step_subset(
+                    [0], actions[index : index + 1]
+                )
                 if done:
                     observation = env.reset()
                 expected.append((observation, reward, done, info))
@@ -186,7 +191,7 @@ class TestVectorFlowEnv:
     def test_masked_steps_do_not_query_censor(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         config = fast_config.with_overrides(reward_mask_rate=1.0)
         envs = make_envs(trained_dt_censor, normalizer, config, [simple_flow], [0, 1])
-        vec_env = VectorFlowEnv(envs, auto_reset=False)
+        vec_env = VectorFlowEnv(envs)
         vec_env.reset()
         trained_dt_censor.reset_query_count()
         finished = 0
@@ -208,6 +213,38 @@ class TestVectorFlowEnv:
             vec_env.step(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             vec_env.step_subset([0], np.zeros((2, 2)))
+
+    def test_step_resets_finished_slots_and_step_subset_never_does(
+        self, trained_dt_censor, normalizer, fast_config, simple_flow
+    ):
+        """The all-slots tick resets a finished environment onto its next
+        flow; the indexed tick leaves it finished.  No argument changes
+        either."""
+        with pytest.raises(TypeError):
+            VectorFlowEnv([], auto_reset=True)
+        finish = np.array([[1.0, 0.0]])
+        for stepper in ("step", "step_subset"):
+            [env] = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
+            vec_env = VectorFlowEnv([env])
+            first = vec_env.reset()[0]
+            done = False
+            while not done:
+                if stepper == "step":
+                    observations, _, dones, infos = vec_env.step(finish)
+                else:
+                    observations, _, dones, infos = vec_env.step_subset([0], finish)
+                done = dones[0]
+            assert infos[0]["episode"].n_steps == simple_flow.n_packets
+            if stepper == "step":
+                assert not env.done and env._steps == 0
+                assert np.array_equal(observations[0], first)
+                assert np.array_equal(infos[0]["terminal_observation"], np.zeros(2))
+            else:
+                assert env.done
+                assert np.array_equal(observations[0], np.zeros(2))
+                assert "terminal_observation" not in infos[0]
+                with pytest.raises(RuntimeError, match="finished episode"):
+                    vec_env.step_subset([0], finish)
 
 
 class TestBatchedEpisodeEncoder:
@@ -848,7 +885,7 @@ class TestIndexValidation:
     @pytest.fixture
     def vec_env(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         envs = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
-        vec_env = VectorFlowEnv(envs, auto_reset=False)
+        vec_env = VectorFlowEnv(envs)
         vec_env.reset()
         return vec_env
 
@@ -1066,38 +1103,33 @@ class TestShardRunnerEdges:
 
 
 class TestTwoPhaseStep:
-    def test_propose_apply_equals_step(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+    def test_propose_settle_equals_step(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         left = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
         right = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
+        left_vec, right_vec = VectorFlowEnv([left]), VectorFlowEnv([right])
         left.reset()
         right.reset()
+        action = np.array([[0.4, 0.1]])
         done = False
         while not done:
-            action = np.array([0.4, 0.1])
-            observation, reward, done, info = left.step(action)
+            [observation], [reward], [done], [info] = left_vec.step_subset([0], action)
 
-            pending = right.propose(action)
-            flows = pending.flows_to_score
-            scores = trained_dt_censor.predict_scores(flows) if flows else np.empty(0)
-            observation2, reward2, done2, info2 = right.apply(pending, scores)
+            [pending] = right_vec.propose(action, [0])
+            [(rewards, finished)] = right_vec.settle([[pending]])
 
-            assert np.array_equal(observation, observation2)
-            assert reward == reward2
-            assert done == done2
-            assert info["action_kind"] == info2["action_kind"]
-
-    def test_apply_rejects_wrong_score_count(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
-        env.reset()
-        pending = env.propose(np.array([0.9, 0.0]))
-        with pytest.raises(ValueError):
-            env.apply(pending, np.zeros(len(pending.flows_to_score) + 1))
+            assert reward == rewards[0]
+            assert done == pending.done == bool(finished)
+            assert info["action_kind"] == pending.action_kind
+            if not done:
+                assert np.array_equal(observation, pending.next_observation)
+        assert finished[0][1].episode_reward == info["episode"].episode_reward
 
     def test_propose_on_finished_episode_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
+        vec_env = VectorFlowEnv([env])
         env.reset()
         done = False
         while not done:
-            _, _, done, _ = env.step(np.array([1.0, 0.0]))
-        with pytest.raises(RuntimeError):
-            env.propose(np.array([1.0, 0.0]))
+            _, _, [done], _ = vec_env.step_subset([0], np.array([[1.0, 0.0]]))
+        with pytest.raises(RuntimeError, match="finished episode"):
+            vec_env.propose(np.array([[1.0, 0.0]]), [0])

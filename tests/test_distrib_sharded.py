@@ -418,16 +418,11 @@ class TestEngineValidation:
             engine.close()
 
 
-class TestEvalBatchSizeConfig:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AmoebaConfig.for_tor(eval_batch_size=0)
-        assert AmoebaConfig.for_tor(eval_batch_size=5).eval_batch_size == 5
-        assert AmoebaConfig.for_tor().eval_batch_size is None
+class TestAttackManyBatching:
+    """``attack_many`` chunks its flows by ``batch_size``, and by
+    ``max(n_envs, 8)`` when it is omitted; no config field changes that."""
 
-    def test_attack_many_uses_config_default(self, sharded_setup, monkeypatch):
-        agent = fresh_agent(sharded_setup)
-        agent.config = agent.config.with_overrides(eval_batch_size=2)
+    def _chunks(self, agent, monkeypatch, flows, **kwargs):
         seen = []
         original = agent._attack_batch
 
@@ -436,23 +431,20 @@ class TestEvalBatchSizeConfig:
             return original(flows, deterministic)
 
         monkeypatch.setattr(agent, "_attack_batch", spy)
-        flows = sharded_setup["flows"][:5]
-        agent.attack_many(flows)
-        assert seen == [2, 2, 1]
+        agent.attack_many(flows, **kwargs)
+        return seen
+
+    def test_default_batch_size(self, sharded_setup, monkeypatch):
+        agent = fresh_agent(sharded_setup)
+        batch = max(agent.config.n_envs, 8)
+        flows = sharded_setup["flows"][: batch + 1]
+        assert self._chunks(agent, monkeypatch, flows) == [batch, 1]
 
     def test_explicit_batch_size_still_wins(self, sharded_setup, monkeypatch):
         agent = fresh_agent(sharded_setup)
-        agent.config = agent.config.with_overrides(eval_batch_size=2)
-        seen = []
-        original = agent._attack_batch
-
-        def spy(flows, deterministic):
-            seen.append(len(flows))
-            return original(flows, deterministic)
-
-        monkeypatch.setattr(agent, "_attack_batch", spy)
-        agent.attack_many(sharded_setup["flows"][:5], batch_size=5)
-        assert seen == [5]
+        assert self._chunks(agent, monkeypatch, sharded_setup["flows"][:5], batch_size=2) == [2, 2, 1]
+        with pytest.raises(ValueError, match="batch_size"):
+            agent.attack_many(sharded_setup["flows"][:5], batch_size=0)
 
 
 class TestEvalRngIsolation:

@@ -1,4 +1,4 @@
-"""Tests for the evaluation package: metrics, transferability, convergence,
+"""Tests for the evaluation package: censor detection metrics, transferability, convergence,
 ECDFs, action analysis, feature importance and reporting."""
 
 import numpy as np
@@ -8,12 +8,9 @@ from repro.core.agent import AdversarialResult
 from repro.core.env import ActionKind
 from repro.eval import (
     action_histogram,
-    adversarial_flow_overheads,
-    attack_success_rate,
     classifier_detection_report,
     cumulative_category_counts,
     curve_from_log,
-    data_overhead,
     delay_distribution_summary,
     empirical_cdf,
     format_percent,
@@ -22,7 +19,6 @@ from repro.eval import (
     fraction_below,
     queries_to_reach,
     summarise_action_usage,
-    time_overhead,
     transferability_matrix,
 )
 from repro.eval.feature_importance import ImportanceBreakdown
@@ -50,31 +46,6 @@ def make_result(success=True, truncations=2, paddings=3, delays=1):
 
 
 class TestAttackMetrics:
-    def test_asr(self):
-        assert attack_success_rate([True, True, False, False]) == 0.5
-
-    def test_asr_empty_rejected(self):
-        with pytest.raises(ValueError):
-            attack_success_rate([])
-
-    def test_data_overhead_definition(self):
-        assert data_overhead(original_payload=900, padding=100) == pytest.approx(0.1)
-        assert data_overhead(0, 0) == 0.0
-
-    def test_data_overhead_negative_rejected(self):
-        with pytest.raises(ValueError):
-            data_overhead(-1, 0)
-
-    def test_time_overhead_definition(self):
-        assert time_overhead(added_delays=10, total_transmission_time=90) == pytest.approx(0.1)
-
-    def test_adversarial_flow_overheads(self):
-        original = Flow(sizes=[1000.0], delays=[0.0])
-        adversarial = Flow(sizes=[1000.0, 500.0], delays=[0.0, 50.0])
-        overheads = adversarial_flow_overheads(original, adversarial)
-        assert overheads["data_overhead"] == pytest.approx(500 / 1500)
-        assert overheads["time_overhead"] == pytest.approx(1.0)
-
     def test_detection_report_uses_censored_as_positive(self, trained_dt_censor, tor_splits):
         report = classifier_detection_report(trained_dt_censor, tor_splits.test.flows)
         assert 0.0 <= report["f1"] <= 1.0

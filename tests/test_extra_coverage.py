@@ -44,8 +44,9 @@ class TestReportingEdgeCases:
 class TestRolloutEdgeCases:
     def test_single_env_single_step_buffer(self):
         buffer = RolloutBuffer(1, 1, 2, 2)
-        buffer.add(
-            np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), np.ones(1), np.zeros(1), np.ones(1, dtype=bool)
+        buffer.load(
+            np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)),
+            np.ones((1, 1), dtype=bool),
         )
         buffer.finalize(np.zeros(1), gamma=0.9, gae_lambda=0.9)
         batches = list(buffer.minibatches(1, rng=0))
@@ -54,10 +55,10 @@ class TestRolloutEdgeCases:
 
     def test_minibatch_count_does_not_exceed_samples(self):
         buffer = RolloutBuffer(2, 1, 2, 2)
-        for _ in range(2):
-            buffer.add(
-                np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool)
-            )
+        buffer.load(
+            np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)),
+            np.zeros((2, 1), dtype=bool),
+        )
         buffer.finalize(np.zeros(1), 0.99, 0.95)
         batches = list(buffer.minibatches(8, rng=0))
         assert sum(len(b.states) for b in batches) == 2

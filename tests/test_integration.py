@@ -118,10 +118,11 @@ class TestEndToEnd:
         """The environment's reward must be coupled to the censor decision: an
         unmodified replay of a censored flow earns a lower adversarial reward
         than the benign class score threshold implies."""
-        from repro.core import AdversarialFlowEnv
+        from repro.core import AdversarialFlowEnv, VectorFlowEnv
 
         flow = tor_splits.test.censored_flows[0]
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, mini_config, [flow], rng=0)
+        vec_env = VectorFlowEnv([env])
         env.reset()
         # Replay the original packet sizes exactly (no padding, no delay).
         done = False
@@ -129,7 +130,7 @@ class TestEndToEnd:
         index = 0
         while not done:
             original_size = abs(flow.sizes[min(index, flow.n_packets - 1)]) / normalizer.size_scale
-            _, reward, done, _ = env.step(np.array([original_size, 0.0]))
+            _, [reward], [done], _ = vec_env.step_subset([0], np.array([[original_size, 0.0]]))
             rewards.append(reward)
             index += 1
         # A faithful replay of Tor traffic should mostly be flagged: adversarial

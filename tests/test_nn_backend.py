@@ -747,8 +747,8 @@ class TestMinibatchSlots:
 
         buf = RolloutBuffer(length, n_envs, state_dim, action_dim)
         r = np.random.default_rng(seed)
-        for _ in range(length):
-            buf.add(
+        ticks = [
+            (
                 r.normal(size=(n_envs, state_dim)),
                 r.normal(size=(n_envs, action_dim)),
                 r.normal(size=n_envs),
@@ -756,6 +756,9 @@ class TestMinibatchSlots:
                 r.normal(size=n_envs),
                 r.random(n_envs) < 0.1,
             )
+            for _ in range(length)
+        ]
+        buf.load(*(np.stack(column) for column in zip(*ticks)))
         buf.finalize(r.normal(size=n_envs), 0.99, 0.95)
         return buf
 

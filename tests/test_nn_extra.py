@@ -64,7 +64,7 @@ class TestActorBias:
         )
         delays = []
         for _ in range(100):
-            action, _ = actor.act(np.zeros(6))
-            delays.append(max(0.0, min(1.0, action[1])))
+            actions, _ = actor.act_batch(np.zeros((1, 6)))
+            delays.append(max(0.0, min(1.0, actions[0, 1])))
         # Most sampled delay actions clip to (near) zero.
         assert np.mean(delays) < 0.2

@@ -259,11 +259,12 @@ class TestEnvironmentProperties:
         )
         config = AmoebaConfig.for_tor(max_episode_steps=60, reward_mask_rate=1.0)
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
+        vec_env = VectorFlowEnv([env])
         env.reset()
         done = False
         index = 0
         while not done and index < len(actions):
-            _, _, done, info = env.step(np.asarray(actions[index]))
+            _, _, [done], [info] = vec_env.step_subset([0], np.asarray(actions[index])[None])
             index += 1
         if done:
             adversarial = info["episode"].adversarial_flow

@@ -1,5 +1,6 @@
 """Pins the public surface of ``repro.nn``, ``repro.censors``, ``repro.ml``,
-``repro.distrib`` and ``repro.flows``.
+``repro.distrib`` and ``repro.flows``, and that the retired single-step twins
+and knobs of ``repro.core`` stay gone.
 
 These packages export what training, the censors, serving and the CLI
 call, and nothing else.  A name added here is a name the project commits to keep.
@@ -92,5 +93,92 @@ def test_no_source_reaches_for_the_retired_telemetry_tier(needle):
         for path in files
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if needle in line
+    ]
+    assert hits == []
+
+
+# One step protocol: the emulator, the policy networks and the rollout buffer
+# keep only the batch calls that training, evaluation and serving run.  The
+# sequential reference steps itself (tests/oracles/sequential_collection.py).
+RETIRED_MEMBERS = [
+    ("repro.core.env", "AdversarialFlowEnv", "step"),
+    ("repro.core.env", "AdversarialFlowEnv", "apply"),
+    ("repro.core.env", "AdversarialFlowEnv", "propose"),
+    ("repro.core.env", "AdversarialFlowEnv", "observation_history"),
+    ("repro.core.env", "AdversarialFlowEnv", "action_history"),
+    ("repro.core.env", "PendingStep", "flows_to_score"),
+    ("repro.core.agent", "Amoeba", "encode_state"),
+    ("repro.core.actor_critic", "GaussianActor", "act"),
+    ("repro.core.actor_critic", "Critic", "value"),
+    ("repro.core.rollout", "RolloutBuffer", "add"),
+    ("repro.core.rollout", "RolloutBuffer", "full"),
+    ("repro.core.rollout", "RolloutBuffer", "reset"),
+    ("repro.censors.base", "CensorClassifier", "predict_labels"),
+    ("repro.ml.decision_tree", "DecisionTreeClassifier", "_traverse"),
+    ("repro.serve.session", "FlowSession", "latencies_ms"),
+]
+
+
+@pytest.mark.parametrize("module_name,owner,member", RETIRED_MEMBERS)
+def test_single_step_twins_are_gone(module_name, owner, member):
+    assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
+
+
+def test_retired_knobs_are_gone():
+    import dataclasses
+    import inspect
+
+    from repro.core import AmoebaConfig, VectorFlowEnv, run_arms_race
+
+    assert "eval_batch_size" not in {field.name for field in dataclasses.fields(AmoebaConfig)}
+    with pytest.raises(TypeError):
+        AmoebaConfig(eval_batch_size=4)
+    assert "eval_batch_size" not in inspect.signature(run_arms_race).parameters
+    with pytest.raises(TypeError):
+        VectorFlowEnv([], auto_reset=True)
+    metrics = importlib.import_module("repro.eval.metrics")
+    for name in ("attack_success_rate", "data_overhead", "time_overhead", "adversarial_flow_overheads"):
+        assert not hasattr(metrics, name)
+        assert not hasattr(importlib.import_module("repro.eval"), name)
+
+
+# CI runs no bench module but the four throughput smokes, so a call to a
+# retired name under benchmarks/ or examples/ would only fail by hand.
+RETIRED_CALLS = [
+    r"\.encode_state\(",
+    r"\.observation_history\(",
+    r"\.action_history\(",
+    r"\bactor\.act\(",
+    r"\bcritic\.value\(",
+    r"\benv\.(step|apply|propose)\(",
+    r"\.flows_to_score\b",
+    r"_action_components\b",
+    r"_current_adversarial_flow\b",
+    r"\.last_summary\b",
+    r"\b(buffer|buf)\.(add|reset)\(",
+    r"\bauto_reset=",
+    r"\beval_batch_size\b",
+    r"\.predict_labels\(",
+]
+
+
+@pytest.mark.parametrize("pattern", RETIRED_CALLS)
+def test_no_source_calls_a_retired_single_step_name(pattern):
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    files = [
+        path
+        for folder in ("src", "tests/oracles", "benchmarks", "examples")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    assert files
+    needle = re.compile(pattern)
+    hits = [
+        f"{path.relative_to(root)}:{number}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if needle.search(line)
     ]
     assert hits == []

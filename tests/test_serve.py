@@ -304,6 +304,45 @@ class TestSessionLifecycle:
         assert server.session(sid).n_decisions >= 1
 
 
+class TestConfigBounds:
+    """Bounds that would break serving are refused where they are given —
+    ``ServeConfig`` at construction, ``open_session`` per flow — not found
+    out later inside a flush."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(deadline_ms=-1.0),
+            dict(deadline_ms=float("nan")),
+            dict(deadline_ms=float("inf")),
+            dict(max_delay_ms=0.0),
+            dict(max_delay_ms=-5.0),
+            dict(max_delay_ms=float("nan")),
+            dict(min_packet_bytes=0),
+            dict(max_truncations_per_packet=0),
+        ],
+    )
+    def test_bad_bound_raises_at_construction(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=name):
+            ServeConfig(**overrides)
+        with pytest.raises(ValueError, match=name):
+            ServeConfig().with_overrides(**overrides)
+
+    def test_good_deadlines_construct(self):
+        for deadline in (None, 0.0, 2.5, 1e9):
+            assert ServeConfig(deadline_ms=deadline).deadline_ms == deadline
+
+    @pytest.mark.parametrize("deadline", [-5.0, float("nan"), float("-inf")])
+    def test_open_session_refuses_a_bad_deadline(self, policy, serve_config, deadline):
+        server = make_server(policy, serve_config)
+        with pytest.raises(ValueError, match="deadline_ms"):
+            server.open_session("s", deadline_ms=deadline)
+        assert server.stats()["sessions_opened"] == 0
+        # Nothing was admitted: the id is still free.
+        server.open_session("s", deadline_ms=3.0)
+
+
 class TestStatsCounters:
     """``stats()``'s lifetime counters are each server's own: two servers in
     one process count what each did, and a new server starts at zero."""
