@@ -116,10 +116,6 @@ class WhiteBoxAttack(abc.ABC):
     def perturb(self, inputs: np.ndarray) -> np.ndarray:
         """Return adversarially perturbed inputs (same shape as ``inputs``)."""
 
-    def fit(self, flows: Sequence[Flow]) -> "WhiteBoxAttack":
-        """Optional training phase (used by generator-based attacks)."""
-        return self
-
     # ------------------------------------------------------------------ #
     def evaluate(self, flows: Sequence[Flow]) -> AttackReport:
         """Perturb ``flows`` and measure ASR and estimated overheads."""

@@ -9,8 +9,8 @@ them interchangeably:
 * ``predict_score(flow)`` returns the probability that the flow is **benign**
   (class 1), matching the paper's decision function where a score below 0.5
   means the flow is blocked;
-* ``classify(flow)`` applies the 0.5 threshold, returning 1 (allow) or
-  0 (block);
+* ``classify_many(flows)`` applies the 0.5 threshold, returning 1 (allow)
+  or 0 (block) per flow;
 * every scoring call increments ``query_count`` so experiments can reason
   about the number of interactions with the censor (Figure 7);
 * ``packet_window`` says how many leading packets a score reads, so a
@@ -115,10 +115,6 @@ class CensorClassifier(abc.ABC):
 
     def predict_score(self, flow: Flow) -> float:
         return float(self.predict_scores([flow])[0])
-
-    def classify(self, flow: Flow) -> int:
-        """Apply the paper's decision function C(y): 1 = allow, 0 = block."""
-        return int(self.predict_score(flow) >= DECISION_THRESHOLD)
 
     def classify_many(self, flows: Sequence[Flow]) -> np.ndarray:
         return (self.predict_scores(flows) >= DECISION_THRESHOLD).astype(int)

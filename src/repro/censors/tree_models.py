@@ -65,15 +65,6 @@ class _FeatureBasedCensor(CensorClassifier):
         order = np.argsort(importances)[::-1][:top_k]
         return [(names[i], categories[i], float(importances[i])) for i in order]
 
-    def importance_category_counts(self, top_k: int = 50) -> dict:
-        """Count packet vs. timing features among the top-k important ones."""
-        top = self.top_feature_importances(top_k)
-        return {
-            "packet": sum(1 for _, category, _ in top if category == "packet"),
-            "timing": sum(1 for _, category, _ in top if category == "timing"),
-        }
-
-
 class DecisionTreeCensor(_FeatureBasedCensor):
     """Single CART decision tree over statistical features."""
 

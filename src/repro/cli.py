@@ -124,14 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
-    data = prepare_experiment_data(
-        args.dataset,
-        n_censored=args.flows,
-        n_benign=args.flows,
-        max_packets=args.max_packets,
-        drop_rate=args.drop_rate,
-        rng=args.seed,
-    )
+    try:
+        data = prepare_experiment_data(
+            args.dataset,
+            n_censored=args.flows,
+            n_benign=args.flows,
+            max_packets=args.max_packets,
+            drop_rate=args.drop_rate,
+            rng=args.seed,
+        )
+    except ValueError as error:
+        raise SystemExit(f"generate: {error}") from None
     path = save_dataset(data.dataset, args.output)
     print(f"wrote {len(data.dataset)} flows to {path}")
     print(f"summary: {data.dataset.summary()}")
@@ -220,6 +223,13 @@ def _command_serve(args: argparse.Namespace) -> int:
             flush_timeout_ms=args.flush_timeout_ms,
             deadline_ms=args.deadline_ms,
         )
+        workload = SyntheticWorkload.generate(
+            n_sessions=args.sessions,
+            mix=mix,
+            arrival_rate_pps=args.arrival_rate,
+            max_packets=args.max_packets,
+            rng=args.seed,
+        )
     except ValueError as error:
         raise SystemExit(f"serve: {error}") from None
     profile_db = None
@@ -229,14 +239,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         profile_db.add_flows(profile_flows)
         print(f"fallback profile database: {len(profile_db)} profiles from {args.profiles}")
 
-    server = PolicyServer.from_checkpoint(args.policy, config=config, profile_db=profile_db)
-    workload = SyntheticWorkload.generate(
-        n_sessions=args.sessions,
-        mix=mix,
-        arrival_rate_pps=args.arrival_rate,
-        max_packets=args.max_packets,
-        rng=args.seed,
-    )
+    try:
+        server = PolicyServer.from_checkpoint(args.policy, config=config, profile_db=profile_db)
+    except ValueError as error:
+        raise SystemExit(f"serve: {error}") from None
     report = run_workload(server, workload)
 
     print(

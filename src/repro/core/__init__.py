@@ -7,7 +7,7 @@ from .config import AmoebaConfig
 from .env import ActionKind, AdversarialFlowEnv, EpisodeSummary, PendingStep
 from .ppo import PPOUpdater, PPOUpdateStats
 from .profiles import AdversarialProfile, ProfileDatabase, ProfileEmbeddingResult
-from .reward_masking import MaskSweepPoint, expected_queries, reward_mask_sweep
+from .reward_masking import MaskSweepPoint, reward_mask_sweep
 from .rollout import RolloutBuffer, compute_gae
 from .state_encoder import (
     EncoderState,
@@ -50,7 +50,6 @@ __all__ = [
     "ProfileEmbeddingResult",
     "MaskSweepPoint",
     "reward_mask_sweep",
-    "expected_queries",
     "ArmsRaceRound",
     "ArmsRaceResult",
     "run_arms_race",

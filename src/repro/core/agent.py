@@ -21,8 +21,6 @@ from ..censors.base import CensorClassifier
 from ..features.representation import FlowNormalizer
 from ..flows.flow import Flow, FlowLabel
 from ..nn.serialization import (
-    load_prefixed_state,
-    load_state_dict,
     save_state_dict,
     state_dict_to_bytes,
 )
@@ -434,22 +432,17 @@ class Amoeba:
         return state
 
     def save_policy(self, path) -> None:
-        """Persist actor, critic and state-encoder parameters."""
-        save_state_dict(
-            self._policy_state(), path, metadata={"timesteps_trained": self._timesteps_trained}
-        )
+        """Persist actor, critic and state-encoder parameters.
 
-    def load_policy(self, path) -> None:
-        """Load parameters saved by :meth:`save_policy`."""
-        load_prefixed_state(
-            load_state_dict(path),
-            (
-                ("actor", self.actor),
-                ("critic", self.critic),
-                ("encoder", self.state_encoder),
-            ),
-        )
-
-    @property
-    def timesteps_trained(self) -> int:
-        return self._timesteps_trained
+        The metadata records the shaping bounds the policy was trained
+        under; ``PolicyServer.from_checkpoint`` refuses to serve it under
+        different ones.
+        """
+        metadata = {
+            "timesteps_trained": self._timesteps_trained,
+            "size_scale": self.normalizer.size_scale,
+            "min_packet_bytes": self.config.min_packet_bytes,
+            "max_delay_ms": self.config.max_delay_ms,
+            "max_truncations_per_packet": self.config.max_truncations_per_packet,
+        }
+        save_state_dict(self._policy_state(), path, metadata=metadata)

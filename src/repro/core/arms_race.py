@@ -53,12 +53,6 @@ class ArmsRaceResult:
 
     rounds: tuple
 
-    def asr_trajectory(self) -> List[float]:
-        return [round_.attack_success_rate for round_ in self.rounds]
-
-    def accuracy_trajectory(self) -> List[float]:
-        return [round_.censor_accuracy for round_ in self.rounds]
-
     def attacker_dominates(self) -> bool:
         """Did the attacker keep a majority ASR in the final round?"""
         return self.rounds[-1].attack_success_rate >= 0.5

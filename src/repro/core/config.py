@@ -85,7 +85,7 @@ class AmoebaConfig:
         check_non_negative(self.lambda_data, "lambda_data")
         check_non_negative(self.lambda_time, "lambda_time")
         check_probability(self.reward_mask_rate, "reward_mask_rate")
-        check_positive(self.max_delay_ms, "max_delay_ms")
+        check_positive(self.max_delay_ms, "max_delay_ms", finite=True)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be within (0, 1], got {self.gamma}")
         check_probability(self.gae_lambda, "gae_lambda")

@@ -419,13 +419,6 @@ class AdversarialFlowEnv:
     # Observation helpers
     # ------------------------------------------------------------------ #
     @property
-    def done(self) -> bool:
-        """True when no episode is in flight (before the first :meth:`reset`
-        or after the current episode terminated) — the public check drivers
-        use to decide whether to reset before stepping."""
-        return self._done
-
-    @property
     def observation_dim(self) -> int:
         return 2
 

@@ -35,10 +35,6 @@ class AdversarialProfile:
         return cls(sizes=np.asarray(flow.sizes, dtype=np.float64), delays=np.asarray(flow.delays, dtype=np.float64))
 
     @property
-    def n_packets(self) -> int:
-        return len(self.sizes)
-
-    @property
     def upstream_capacity(self) -> float:
         return float(self.sizes[self.sizes > 0].sum())
 

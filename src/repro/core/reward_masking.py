@@ -21,7 +21,7 @@ from ..utils.rng import ensure_rng
 from .agent import Amoeba
 from .config import AmoebaConfig
 
-__all__ = ["MaskSweepPoint", "reward_mask_sweep", "expected_queries"]
+__all__ = ["MaskSweepPoint", "reward_mask_sweep"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,6 @@ class MaskSweepPoint:
     planned_timesteps: int
     data_overhead: float
     time_overhead: float
-
-
-def expected_queries(total_timesteps: int, mask_rate: float) -> int:
-    """Number of censor queries the paper reports for a mask rate (Fig. 8 x-axis)."""
-    if not 0.0 <= mask_rate <= 1.0:
-        raise ValueError("mask_rate must be in [0, 1]")
-    return int(round(total_timesteps * (1.0 - mask_rate)))
 
 
 def reward_mask_sweep(

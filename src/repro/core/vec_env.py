@@ -158,10 +158,6 @@ class VectorFlowEnv:
         return len(self._envs)
 
     @property
-    def envs(self) -> List[AdversarialFlowEnv]:
-        return self._envs
-
-    @property
     def observation_dim(self) -> int:
         return self._envs[0].observation_dim
 
@@ -360,10 +356,6 @@ class BatchedEpisodeEncoder:
         self._hidden = np.zeros((encoder.num_layers, 2, n_envs, encoder.hidden_size))
 
     # ------------------------------------------------------------------ #
-    @property
-    def state_dim(self) -> int:
-        return 2 * self._encoder.hidden_size
-
     def states(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Current ``s_t`` for the given environments (all when omitted)."""
         top = self._hidden[-1]

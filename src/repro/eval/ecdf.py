@@ -26,11 +26,6 @@ class ECDF:
         """P(X <= x) under the empirical distribution."""
         return float(np.searchsorted(self.values, x, side="right") / len(self.values))
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        return float(np.quantile(self.values, q))
-
     def as_dict(self) -> Dict:
         return {"values": self.values.tolist(), "probabilities": self.probabilities.tolist()}
 

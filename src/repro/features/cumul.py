@@ -9,7 +9,7 @@ sizes + delays), which is what :meth:`CumulFeatureExtractor.extract` does.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class CumulFeatureExtractor:
     def n_features(self) -> int:
         base = 4 + self.n_interpolation
         return base + self.n_interpolation if self.include_timing else base
-
-    def feature_names(self) -> List[str]:
-        names = ["n_packets_up", "n_packets_down", "bytes_up", "bytes_down"]
-        names.extend(f"cumul_{i}" for i in range(self.n_interpolation))
-        if self.include_timing:
-            names.extend(f"cumtime_{i}" for i in range(self.n_interpolation))
-        return names
 
     def extract(self, flow: Flow) -> np.ndarray:
         sizes = np.asarray(flow.sizes, dtype=np.float64)

@@ -4,15 +4,15 @@ DF, SDAE and LSTM in the paper are "tailored to utilize the flow
 representation in Sec. 3 as input", i.e. the raw sequence of (signed packet
 size, inter-packet delay) pairs rather than hand-crafted features.  This
 module normalises and pads/truncates flows into fixed-size arrays suitable
-for those networks, and exposes the normalisation constants so adversarial
-actions expressed in [-1, 1] x [0, 1] can be mapped back to bytes and
-milliseconds.
+for those networks.  The inverse mapping, from an adversarial action in
+[-1, 1] x [0, 1] to bytes and milliseconds, is the emulator's
+(:func:`repro.core.env.shape_packet_core`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -44,24 +44,11 @@ class FlowNormalizer:
     def normalise_delays(self, delays: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(delays, dtype=np.float64) / self.delay_scale, 0.0, 1.0)
 
-    def denormalise_size(self, value: float) -> float:
-        """Map a normalised size in [-1, 1] back to signed bytes (discretised)."""
-        return float(int(np.clip(value, -1.0, 1.0) * self.size_scale))
-
-    def denormalise_delay(self, value: float) -> float:
-        """Map a normalised delay in [0, 1] back to milliseconds (discretised)."""
-        return float(int(np.clip(value, 0.0, 1.0) * self.delay_scale))
-
     def normalise_flow(self, flow: Flow) -> np.ndarray:
         """Return the (n_packets, 2) normalised pair representation of a flow."""
         return np.column_stack(
             [self.normalise_sizes(flow.sizes), self.normalise_delays(flow.delays)]
         )
-
-    @classmethod
-    def for_dataset(cls, max_packet_size: float, max_delay: float) -> "FlowNormalizer":
-        return cls(size_scale=float(max_packet_size), delay_scale=float(max_delay))
-
 
 class SequenceRepresentation:
     """Pad/truncate normalised flows into fixed-length sequence tensors."""
@@ -76,10 +63,6 @@ class SequenceRepresentation:
     def n_features(self) -> int:
         """Flattened dimensionality (for MLP-style models)."""
         return self.max_length * 2
-
-    def transform(self, flow: Flow) -> np.ndarray:
-        """Return a (max_length, 2) array of normalised (size, delay) pairs."""
-        return self.transform_many((flow,))[0]
 
     def transform_many(self, flows: Sequence[Flow]) -> np.ndarray:
         """Return a (n_flows, max_length, 2) array.
@@ -101,13 +84,3 @@ class SequenceRepresentation:
     def transform_flat(self, flows: Sequence[Flow]) -> np.ndarray:
         """Return a (n_flows, max_length * 2) array for MLP/SVM-style models."""
         return self.transform_many(flows).reshape(len(flows), -1)
-
-    def transform_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Pad/truncate an already-normalised (n, 2) pair array."""
-        pairs = np.asarray(pairs, dtype=np.float64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) pair array, got shape {pairs.shape}")
-        output = np.zeros((self.max_length, 2))
-        length = min(len(pairs), self.max_length)
-        output[:length] = pairs[:length]
-        return output

@@ -753,10 +753,6 @@ class StatisticalFeatureExtractor:
                 categories.append("packet")
         return categories
 
-    @property
-    def n_features(self) -> int:
-        return len(self._names)
-
     # ------------------------------------------------------------------ #
     # Extraction
     # ------------------------------------------------------------------ #

@@ -1,7 +1,7 @@
 """Traffic substrate: flow model, synthetic generators, datasets and network conditions."""
 
 from .dataset import DatasetSplits, FlowDataset, build_tor_dataset, build_v2ray_dataset
-from .flow import Flow, FlowLabel, flow_matrix
+from .flow import Flow, FlowLabel
 from .generators import (
     TCP_MSS,
     TLS_MAX_RECORD,
@@ -12,18 +12,12 @@ from .generators import (
     TorFlowGenerator,
     V2RayFlowGenerator,
 )
-from .io import (
-    load_dataset,
-    load_flows_jsonl,
-    save_dataset,
-    save_flows_jsonl,
-)
-from .network import NetworkCondition, apply_conditions
+from .io import load_flows_jsonl, save_dataset, save_flows_jsonl
+from .network import NetworkCondition
 
 __all__ = [
     "Flow",
     "FlowLabel",
-    "flow_matrix",
     "FlowGenerator",
     "TorFlowGenerator",
     "HTTPSFlowGenerator",
@@ -37,9 +31,7 @@ __all__ = [
     "build_tor_dataset",
     "build_v2ray_dataset",
     "NetworkCondition",
-    "apply_conditions",
     "save_flows_jsonl",
     "load_flows_jsonl",
     "save_dataset",
-    "load_dataset",
 ]

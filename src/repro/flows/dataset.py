@@ -55,10 +55,6 @@ class FlowDataset:
         return [flow for flow in self.flows if flow.label == FlowLabel.CENSORED]
 
     @property
-    def benign_flows(self) -> List[Flow]:
-        return [flow for flow in self.flows if flow.label == FlowLabel.BENIGN]
-
-    @property
     def max_packet_size(self) -> float:
         return float(max(np.abs(flow.sizes).max() for flow in self.flows))
 
@@ -66,20 +62,8 @@ class FlowDataset:
     def max_delay(self) -> float:
         return float(max(flow.delays.max() for flow in self.flows))
 
-    @property
-    def max_length(self) -> int:
-        return int(max(flow.n_packets for flow in self.flows))
-
-    def class_balance(self) -> Dict[int, int]:
-        labels = self.labels
-        return {int(label): int(np.sum(labels == label)) for label in np.unique(labels)}
-
     def subset(self, indices: Sequence[int], name: Optional[str] = None) -> "FlowDataset":
         return FlowDataset([self.flows[i] for i in indices], name=name or self.name)
-
-    def filter_by_label(self, label: int, name: Optional[str] = None) -> "FlowDataset":
-        flows = [flow for flow in self.flows if flow.label == label]
-        return FlowDataset(flows, name=name or f"{self.name}-label{label}")
 
     def shuffled(self, rng=None) -> "FlowDataset":
         rng = ensure_rng(rng)

@@ -10,13 +10,12 @@ Sizes are in bytes; delays are in milliseconds throughout the library.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["Flow", "FlowLabel", "flow_matrix"]
+__all__ = ["Flow", "FlowLabel"]
 
 
 class FlowLabel:
@@ -94,22 +93,6 @@ class Flow:
         return np.sign(self.sizes)
 
     @property
-    def absolute_sizes(self) -> np.ndarray:
-        return np.abs(self.sizes)
-
-    @property
-    def upstream_bytes(self) -> float:
-        return float(self.sizes[self.sizes > 0].sum())
-
-    @property
-    def downstream_bytes(self) -> float:
-        return float(-self.sizes[self.sizes < 0].sum())
-
-    @property
-    def total_bytes(self) -> float:
-        return float(np.abs(self.sizes).sum())
-
-    @property
     def duration(self) -> float:
         """Total transmission time in milliseconds (sum of inter-packet delays)."""
         return float(self.delays.sum())
@@ -119,25 +102,23 @@ class Flow:
         """Cumulative packet timestamps in milliseconds from flow start."""
         return np.cumsum(self.delays)
 
-    def _validated_prefix(self, length: int, view: bool) -> "Flow":
-        """The first ``length`` packets, built without ``__post_init__``.
+    def prefix_view(self, length: int) -> "Flow":
+        """The first ``length`` packets as read-only views of this flow's arrays.
 
-        Every invariant ``__post_init__`` establishes (equal lengths, finite
-        values, non-zero sizes, non-negative ``+0.0``-normalised delays) is
-        elementwise, so it is closed under taking a non-empty prefix: a flow
-        is validated once, when it is constructed, and its prefixes inherit
-        that.  ``view`` selects read-only views of this flow's arrays over
-        owning copies.
+        Built without ``__post_init__``: every invariant it establishes (equal
+        lengths, finite values, non-zero sizes, non-negative
+        ``+0.0``-normalised delays) is elementwise, so it is closed under
+        taking a non-empty prefix.  A flow is validated once, when it is
+        constructed, and its prefixes inherit that.  The views are
+        ``writeable=False`` so a scorer cannot alter the flow they alias;
+        ``.copy()`` gives an owning flow.
         """
         if length < 1:
             raise ValueError("prefix length must be >= 1")
         sizes = self.sizes[:length]  # slicing clamps to n_packets
         delays = self.delays[:length]
-        if view:
-            sizes.flags.writeable = False
-            delays.flags.writeable = False
-        else:
-            sizes, delays = sizes.copy(), delays.copy()
+        sizes.flags.writeable = False
+        delays.flags.writeable = False
         flow = object.__new__(Flow)
         flow.sizes = sizes
         flow.delays = delays
@@ -145,19 +126,6 @@ class Flow:
         flow.protocol = self.protocol
         flow.metadata = dict(self.metadata)
         return flow
-
-    def prefix(self, length: int) -> "Flow":
-        """Return a copy containing only the first ``length`` packets."""
-        return self._validated_prefix(length, view=False)
-
-    def prefix_view(self, length: int) -> "Flow":
-        """The first ``length`` packets as read-only views of this flow's arrays.
-
-        Zero-copy counterpart of :meth:`prefix` for handing many prefixes of
-        one flow to a scorer; the views are ``writeable=False`` so a reader
-        cannot alter the flow they alias.
-        """
-        return self._validated_prefix(length, view=True)
 
     def copy(self) -> "Flow":
         return Flow(
@@ -167,10 +135,6 @@ class Flow:
             protocol=self.protocol,
             metadata=dict(self.metadata),
         )
-
-    def as_pairs(self) -> np.ndarray:
-        """Return the (n_packets, 2) array of (size, delay) pairs."""
-        return np.column_stack([self.sizes, self.delays])
 
     def to_dict(self) -> Dict:
         """JSON-serialisable representation."""
@@ -210,22 +174,3 @@ class Flow:
             if len(stamps) > 1:
                 gaps.extend(np.diff(stamps).tolist())
         return np.asarray(gaps, dtype=np.float64)
-
-
-def flow_matrix(
-    flows: Sequence[Flow], max_length: int, normalise_size: float = 1.0, normalise_delay: float = 1.0
-) -> np.ndarray:
-    """Convert flows to a dense ``(n_flows, max_length, 2)`` array.
-
-    Flows shorter than ``max_length`` are zero padded, longer ones truncated.
-    Sizes are divided by ``normalise_size`` and delays by ``normalise_delay``
-    (typically the maximum packet size / delay of the dataset).
-    """
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    output = np.zeros((len(flows), max_length, 2))
-    for row, flow in enumerate(flows):
-        length = min(flow.n_packets, max_length)
-        output[row, :length, 0] = flow.sizes[:length] / normalise_size
-        output[row, :length, 1] = flow.delays[:length] / normalise_delay
-    return output

@@ -14,7 +14,7 @@ from typing import Iterable, List, Union
 from .dataset import FlowDataset
 from .flow import Flow
 
-__all__ = ["save_flows_jsonl", "load_flows_jsonl", "save_dataset", "load_dataset"]
+__all__ = ["save_flows_jsonl", "load_flows_jsonl", "save_dataset"]
 
 PathLike = Union[str, Path]
 
@@ -51,12 +51,3 @@ def save_dataset(dataset: FlowDataset, path: PathLike) -> Path:
         for flow in dataset:
             handle.write(json.dumps(flow.to_dict()) + "\n")
     return path
-
-
-def load_dataset(path: PathLike) -> FlowDataset:
-    """Load a dataset written by :func:`save_dataset`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        flows = [Flow.from_dict(json.loads(line)) for line in handle if line.strip()]
-    return FlowDataset(flows, name=header.get("__dataset__", path.stem))

@@ -19,7 +19,7 @@ from ..utils.rng import ensure_rng
 from ..utils.validation import check_non_negative, check_probability
 from .flow import Flow
 
-__all__ = ["NetworkCondition", "apply_conditions"]
+__all__ = ["NetworkCondition"]
 
 
 @dataclass
@@ -103,8 +103,3 @@ class NetworkCondition:
         """Apply the condition independently to each flow."""
         rng = ensure_rng(rng)
         return [self.apply(flow, rng=rng) for flow in flows]
-
-
-def apply_conditions(flows: Sequence[Flow], condition: NetworkCondition, rng=None) -> List[Flow]:
-    """Functional alias of :meth:`NetworkCondition.apply_many`."""
-    return condition.apply_many(flows, rng=rng)

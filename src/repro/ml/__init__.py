@@ -2,9 +2,7 @@
 
 from .decision_tree import DecisionTreeClassifier
 from .metrics import (
-    ClassificationReport,
     accuracy_score,
-    classification_report,
     confusion_matrix,
     f1_score,
     precision_score,
@@ -25,6 +23,4 @@ __all__ = [
     "recall_score",
     "f1_score",
     "confusion_matrix",
-    "classification_report",
-    "ClassificationReport",
 ]

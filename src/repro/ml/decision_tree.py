@@ -226,13 +226,6 @@ class DecisionTreeClassifier:
                 stack.append((node.right, right_indices))
         return output
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y).reshape(-1)))
-
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree."""

@@ -1,13 +1,12 @@
 """Classification metrics used throughout the evaluation (Sec. 5.3).
 
-The paper reports accuracy and F1 score for the censoring classifiers, and
-attack success rate / data overhead / time overhead for attacks (the latter
-live in :mod:`repro.eval.metrics` because they operate on flows).
+The paper reports accuracy and F1 score for the censoring classifiers
+(:func:`repro.eval.metrics.classifier_detection_report`).  Attack success
+rate and the overheads are properties of an episode, recorded in its summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "precision_score",
     "recall_score",
     "f1_score",
-    "classification_report",
-    "ClassificationReport",
 ]
 
 
@@ -69,35 +66,3 @@ def f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Container bundling the metrics the paper reports per classifier."""
-
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
-
-def classification_report(y_true: np.ndarray, y_pred: np.ndarray) -> ClassificationReport:
-    """Compute accuracy/precision/recall/F1 in one pass."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return ClassificationReport(
-        accuracy=accuracy_score(y_true, y_pred),
-        precision=precision_score(y_true, y_pred),
-        recall=recall_score(y_true, y_pred),
-        f1=f1_score(y_true, y_pred),
-        support=int(y_true.size),
-    )

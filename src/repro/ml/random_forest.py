@@ -109,10 +109,3 @@ class RandomForestClassifier:
                 aggregated[:, class_index[cls]] += probabilities[:, local_idx]
         aggregated /= self.n_estimators
         return aggregated
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y).reshape(-1)))

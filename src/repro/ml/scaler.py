@@ -39,9 +39,3 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler must be fit before inverse_transform")
-        X = check_2d(X, "X")
-        return X * self.scale_ + self.mean_

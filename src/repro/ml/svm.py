@@ -3,9 +3,9 @@
 CUMUL (Panchenko et al., NDSS'16) classifies flows with an RBF-kernel SVM over
 cumulative packet-size features.  scikit-learn's SMO solver is unavailable, so
 :class:`KernelSVM` is a kernelised Pegasos solver maintaining an alpha
-expansion.  It exposes ``fit`` / ``predict`` / ``decision_function`` /
-``predict_proba`` (the latter via a Platt-style sigmoid on the margin) so it
-can slot into the same censor interface as the neural classifiers.
+expansion.  It exposes ``fit`` / ``decision_function`` / ``predict_proba``
+(the latter via a Platt-style sigmoid on the margin) so it can slot into the
+same censor interface as the neural classifiers.
 """
 
 from __future__ import annotations
@@ -110,16 +110,6 @@ class KernelSVM:
         gram = rbf_kernel(X, self.support_vectors_, self.gamma_)
         return self._scale * (gram @ (self.alpha_ * self.support_labels_))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0).astype(int)
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         scores = 1.0 / (1.0 + np.exp(-self._calibration_scale * self.decision_function(X)))
         return np.column_stack([1.0 - scores, scores])
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y).reshape(-1)))
-
-    @property
-    def n_support_(self) -> int:
-        return 0 if self.alpha_ is None else len(self.alpha_)

@@ -43,7 +43,6 @@ from .tensor import (
     Tensor,
     as_tensor,
     is_grad_enabled,
-    is_row_consistent_matmul,
     no_grad,
     rc_matmul,
     row_consistent_matmul,
@@ -55,7 +54,6 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "row_consistent_matmul",
-    "is_row_consistent_matmul",
     "rc_matmul",
     "backend",
     "ExecutionBackend",

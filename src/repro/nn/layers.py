@@ -86,10 +86,6 @@ class Module:
             module.training = False
         return self
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     # ------------------------------------------------------------------ #
     # State-dict protocol
     # ------------------------------------------------------------------ #

@@ -43,7 +43,6 @@ __all__ = [
     "is_grad_enabled",
     "as_tensor",
     "row_consistent_matmul",
-    "is_row_consistent_matmul",
     "rc_matmul",
 ]
 
@@ -99,11 +98,6 @@ def row_consistent_matmul():
         yield
     finally:
         _ROW_CONSISTENT_MATMUL = previous
-
-
-def is_row_consistent_matmul() -> bool:
-    """Return ``True`` when matmul forwards are forced batch-size-invariant."""
-    return _ROW_CONSISTENT_MATMUL
 
 
 def rc_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,20 +188,12 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __len__(self) -> int:
         return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4)}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -314,9 +300,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -348,9 +331,6 @@ class Tensor:
                 self._accumulate(grad / self.data)
 
         return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -463,10 +443,6 @@ class Tensor:
                 self._accumulate(np.transpose(grad, inverse))
 
         return Tensor._make(out_data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -10,7 +10,7 @@ only states its parameters and which rows/series it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .censors import (
     SDAEClassifier,
 )
 from .core import Amoeba, AmoebaConfig, EvaluationReport
-from .eval.metrics import classifier_detection_report
 from .features import FlowNormalizer, SequenceRepresentation
 from .flows import (
     DatasetSplits,
@@ -34,6 +33,7 @@ from .flows import (
     build_v2ray_dataset,
 )
 from .utils.rng import ensure_rng, spawn_rngs
+from .utils.validation import check_probability
 
 __all__ = [
     "ExperimentData",
@@ -59,11 +59,6 @@ class ExperimentData:
     normalizer: FlowNormalizer
     representation: SequenceRepresentation
 
-    @property
-    def max_packet_size(self) -> float:
-        return self.normalizer.size_scale
-
-
 def prepare_experiment_data(
     dataset_name: str = "tor",
     n_censored: int = 200,
@@ -75,6 +70,7 @@ def prepare_experiment_data(
 ) -> ExperimentData:
     """Build a dataset ('tor' or 'v2ray'), split it and derive representations."""
     rng = ensure_rng(rng)
+    drop_rate = check_probability(drop_rate, "drop_rate")
     condition = NetworkCondition(drop_rate=drop_rate) if drop_rate > 0 else None
     if dataset_name == "tor":
         dataset = build_tor_dataset(
@@ -177,14 +173,3 @@ def train_amoeba(
         workers=workers,
     )
     return agent
-
-
-def censor_baseline_table(
-    censors: Dict[str, CensorClassifier], data: ExperimentData
-) -> List[Dict[str, object]]:
-    """Per-censor accuracy/F1 on the test split (Table 1 'None' columns)."""
-    rows = []
-    for name, censor in censors.items():
-        report = classifier_detection_report(censor, data.splits.test.flows)
-        rows.append({"censor": name, "accuracy": report["accuracy"], "f1": report["f1"]})
-    return rows

@@ -28,6 +28,7 @@ from ..flows.generators import (
     V2RayFlowGenerator,
 )
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 from .server import summarize_stats
 
 __all__ = ["PacketEvent", "SyntheticWorkload", "LoadReport", "run_workload"]
@@ -87,8 +88,8 @@ class SyntheticWorkload:
         """
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
-        if arrival_rate_pps <= 0:
-            raise ValueError("arrival_rate_pps must be positive")
+        check_positive(arrival_rate_pps, "arrival_rate_pps")
+        check_integer(max_packets, "max_packets", minimum=1)
         rng = ensure_rng(rng)
         mix = dict(mix or {"tor": 0.5, "https": 0.3, "v2ray": 0.2})
         unknown = set(mix) - set(_GENERATORS)

@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
+from ..utils.validation import check_non_negative
+
 __all__ = ["DecisionRequest", "ContinuousBatchScheduler"]
 
 
@@ -50,10 +52,8 @@ class ContinuousBatchScheduler:
     def __init__(self, max_batch: int = 16, flush_timeout_ms: float = 2.0) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if flush_timeout_ms < 0:
-            raise ValueError("flush_timeout_ms must be >= 0")
         self.max_batch = int(max_batch)
-        self.flush_timeout_ms = float(flush_timeout_ms)
+        self.flush_timeout_ms = check_non_negative(flush_timeout_ms, "flush_timeout_ms")
         self._queue: Deque[DecisionRequest] = deque()
 
     # ------------------------------------------------------------------ #

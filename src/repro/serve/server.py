@@ -7,7 +7,8 @@ inter-packet gaps (Figure 11) or fall back to the offline profile database
 
 * it loads an actor/encoder checkpoint written by ``Amoeba.save_policy``
   (architecture inferred from the state-dict shapes, so any historical
-  checkpoint serves without side-channel metadata);
+  checkpoint serves; one that records its training-time shaping bounds is
+  refused under a config that differs);
 * it manages thousands of concurrent flow **sessions**, whose incremental
   encoder state (observation stream, action stream) is one slot each of a
   resident :class:`~repro.serve.session.SessionTable`, so one per-packet
@@ -45,9 +46,9 @@ from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder
-from ..nn.serialization import load_state_dict, split_prefixed_state
+from ..nn.serialization import load_metadata, load_state_dict, split_prefixed_state
 from ..utils.rng import ensure_rng
-from ..utils.validation import check_positive
+from ..utils.validation import check_integer, check_non_negative, check_positive
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .session import (
     FlowSession,
@@ -99,13 +100,15 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.latency_history < 1:
             raise ValueError("latency_history must be >= 1")
-        if self.size_scale <= 0:
-            raise ValueError("size_scale must be positive")
-        check_positive(self.max_delay_ms, "max_delay_ms")
+        check_positive(self.size_scale, "size_scale", finite=True)
+        check_positive(self.max_delay_ms, "max_delay_ms", finite=True)
         if self.min_packet_bytes < 1:
             raise ValueError("min_packet_bytes must be >= 1")
         if self.max_truncations_per_packet < 1:
             raise ValueError("max_truncations_per_packet must be >= 1")
+        if self.max_steps_per_session is not None:
+            check_integer(self.max_steps_per_session, "max_steps_per_session", minimum=1)
+        check_non_negative(self.flush_timeout_ms, "flush_timeout_ms")
         _check_deadline(self.deadline_ms)
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -136,6 +139,20 @@ class ServeConfig:
             max_truncations_per_packet=self.max_truncations_per_packet,
             max_steps=self.max_steps_per_session,
         )
+
+
+_SHAPING_BOUNDS = ("size_scale", "min_packet_bytes", "max_delay_ms", "max_truncations_per_packet")
+
+
+def _check_shaping_bounds(metadata: dict, config: ServeConfig) -> None:
+    """Refuse a serving config whose shaping bounds differ from the ones a
+    checkpoint was trained under: the same action would emit other bytes."""
+    for key in _SHAPING_BOUNDS:
+        if key in metadata and float(metadata[key]) != float(getattr(config, key)):
+            raise ValueError(
+                f"checkpoint was trained with {key}={metadata[key]!r}, "
+                f"but the serving config has {key}={getattr(config, key)!r}"
+            )
 
 
 def _check_deadline(deadline_ms: Optional[float]) -> None:
@@ -297,7 +314,15 @@ class PolicyServer:
         clock: Callable[[], float] = time.perf_counter,
         rng=None,
     ) -> "PolicyServer":
-        """Build a server from an ``Amoeba.save_policy`` checkpoint."""
+        """Build a server from an ``Amoeba.save_policy`` checkpoint.
+
+        A checkpoint that records its training-time shaping bounds is
+        refused under a ``config`` whose bounds differ, before any session
+        opens; one that records none (every archive written before the
+        bounds were) serves under any ``config``.
+        """
+        config = config or ServeConfig()
+        _check_shaping_bounds(load_metadata(path), config)
         actor, encoder = build_policy_from_state(load_state_dict(path))
         return cls(
             actor, encoder, config=config, profile_db=profile_db, clock=clock, rng=rng
@@ -306,10 +331,6 @@ class PolicyServer:
     # ------------------------------------------------------------------ #
     # Session lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
-
     @property
     def pending_decisions(self) -> int:
         return self._scheduler.pending

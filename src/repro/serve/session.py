@@ -35,7 +35,6 @@ import numpy as np
 
 from ..core.env import make_observation, packet_direction, record_action, shape_packet_core
 from ..core.profiles import ProfileEmbeddingResult
-from ..core.state_encoder import EncoderState
 from ..flows.flow import Flow, FlowLabel
 
 __all__ = [
@@ -121,13 +120,6 @@ class SessionReport:
     profile_result: Optional[ProfileEmbeddingResult] = None
     unserved_packets: int = 0
 
-    @property
-    def data_overhead(self) -> float:
-        """padding / (payload + padding), as in Section 5.3."""
-        padding = max(0.0, self.emitted_bytes - self.payload_bytes)
-        denominator = self.payload_bytes + padding
-        return float(padding / denominator) if denominator > 0 else 0.0
-
 
 class SessionTable:
     """Encoder state of every live session, resident in one slab.
@@ -179,8 +171,7 @@ class FlowSession:
     :meth:`apply_action`.  Encoder-state folding is owned by the server so it
     can batch GRU steps across sessions; the state itself lives in ``slot``
     of the server's :class:`SessionTable`, and the session only reads it
-    (:attr:`observation_state`, :attr:`action_state`, :meth:`state_vector`,
-    each handing out a copy).
+    (:meth:`state_vector` hands out a copy).
     """
 
     def __init__(
@@ -327,20 +318,13 @@ class FlowSession:
             raise RuntimeError(f"session {self.session_id!r} is closed; its slot was returned")
         return self._table.hidden[:, stream, self.slot]
 
-    @property
-    def observation_state(self) -> EncoderState:
-        """Observation-history state, copied out of the table: the caller
-        owns it, and writing to it reaches neither the table nor a sibling."""
-        return EncoderState(hidden=self._stream(0).copy())
-
-    @property
-    def action_state(self) -> EncoderState:
-        """Action-history state, copied out of the table like
-        :attr:`observation_state`."""
-        return EncoderState(hidden=self._stream(1).copy())
-
     def state_vector(self) -> np.ndarray:
-        """Current policy input ``s_t = E(x_1:t) || E(a_1:t)`` (a copy)."""
+        """Current policy input ``s_t = E(x_1:t) || E(a_1:t)``.
+
+        A copy: the caller owns it, and writing to it reaches neither the
+        table nor a sibling.  A closed session has returned its slot and
+        raises.
+        """
         return np.concatenate([self._stream(0)[-1], self._stream(1)[-1]])
 
     # ------------------------------------------------------------------ #

@@ -4,8 +4,6 @@ from .logging import TrainingLogger, get_logger
 from .rng import (
     collection_seed_tree,
     ensure_rng,
-    seed_sequence_from_state,
-    seed_sequence_state,
     spawn_rngs,
     spawn_seed_sequences,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "spawn_rngs",
     "spawn_seed_sequences",
     "collection_seed_tree",
-    "seed_sequence_state",
-    "seed_sequence_from_state",
     "get_logger",
     "TrainingLogger",
     "check_probability",

@@ -28,14 +28,12 @@ training stack:
   collection bit-equivalent to single-process vectorized collection.
 
 ``SeedSequence`` objects pickle cheaply (entropy + spawn key), which is how
-seed trees travel to worker processes; :func:`seed_sequence_state` /
-:func:`seed_sequence_from_state` offer an explicit plain-dict form for
-manifests and logs.
+seed trees travel to worker processes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -44,8 +42,6 @@ __all__ = [
     "spawn_rngs",
     "spawn_seed_sequences",
     "collection_seed_tree",
-    "seed_sequence_state",
-    "seed_sequence_from_state",
 ]
 
 RngLike = Union[None, int, np.random.Generator]
@@ -94,15 +90,3 @@ def collection_seed_tree(
     keeps their trajectories bit-identical.
     """
     return [tuple(child.spawn(2)) for child in spawn_seed_sequences(rng, n_envs)]
-
-
-def seed_sequence_state(seq: np.random.SeedSequence) -> Dict[str, object]:
-    """Plain-dict description of a ``SeedSequence`` (for manifests / IPC)."""
-    return {"entropy": seq.entropy, "spawn_key": list(seq.spawn_key)}
-
-
-def seed_sequence_from_state(state: Dict[str, object]) -> np.random.SeedSequence:
-    """Rebuild a ``SeedSequence`` from :func:`seed_sequence_state` output."""
-    return np.random.SeedSequence(
-        entropy=state["entropy"], spawn_key=tuple(state.get("spawn_key", ()))
-    )

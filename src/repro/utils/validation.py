@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -24,11 +25,12 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive (NaN is not)."""
+def check_positive(value: float, name: str, finite: bool = False) -> float:
+    """Validate that ``value`` is strictly positive (NaN is not), and below
+    infinity when ``finite``."""
     value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not value > 0 or (finite and value == math.inf):
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}positive, got {value}")
     return value
 
 

@@ -17,7 +17,9 @@ members are the parent's bodies, unedited except that the telemetry spans
 and instruments they once fed are gone and the lifetime counters are plain
 integers, as in production; ``open_session`` / ``close_session`` are the
 parent's too, except that they build the reference session and have no slot
-to take or return.  Everything else -- the emulator,
+to take or return.  ``ReferenceFlowSession._stream`` is new: it hands out
+the session's own states, so :func:`hidden_states` reads a reference and a
+production session alike.  Everything else -- the emulator,
 the scheduler, deadline tracking, reports -- is inherited from production,
 which is the point: only the state storage and the flush differ.
 
@@ -47,15 +49,12 @@ __all__ = [
     "assert_same_decision",
     "assert_same_report",
     "bits",
+    "hidden_states",
 ]
 
 
 class ReferenceFlowSession(FlowSession):
     """A session that stores its two encoder states itself."""
-
-    # Plain attributes again: shadow production's read-only table properties.
-    observation_state: EncoderState = None
-    action_state: EncoderState = None
 
     def __init__(self, session_id, encoder, limits, **kwargs) -> None:
         super().__init__(session_id, None, None, limits, **kwargs)
@@ -75,6 +74,9 @@ class ReferenceFlowSession(FlowSession):
 
     def mark_action_folded(self, state: EncoderState) -> None:
         self.action_state = state
+
+    def _stream(self, stream: int) -> np.ndarray:
+        return (self.observation_state, self.action_state)[stream].hidden
 
 
 class ReferencePolicyServer(PolicyServer):
@@ -270,12 +272,8 @@ class LockstepServers:
         assert sorted(self.table._sessions) == sorted(self.reference._sessions)
         for session_id, ours in self.table._sessions.items():
             theirs = self.reference._sessions[session_id]
-            assert np.array_equal(
-                bits(ours.observation_state.hidden), bits(theirs.observation_state.hidden)
-            ), session_id
-            assert np.array_equal(
-                bits(ours.action_state.hidden), bits(theirs.action_state.hidden)
-            ), session_id
+            for got, want in zip(hidden_states(ours), hidden_states(theirs)):
+                assert np.array_equal(bits(got), bits(want)), session_id
             assert np.array_equal(bits(ours.state_vector()), bits(theirs.state_vector()))
             assert (ours.status, ours.in_flight, ours.backlog, ours.n_decisions) == (
                 theirs.status,
@@ -289,6 +287,15 @@ class LockstepServers:
                 assert np.array_equal(bits(ours[key]), bits(theirs[key]))
             else:
                 assert ours[key] == theirs[key], key
+
+
+def hidden_states(session: FlowSession) -> Tuple[np.ndarray, np.ndarray]:
+    """A session's ``(observation, action)`` hidden stacks, every layer, as copies.
+
+    Production reads them out of its table slot (a closed session raises);
+    the reference session holds them itself.
+    """
+    return session._stream(0).copy(), session._stream(1).copy()
 
 
 def assert_same_decision(got: ShapingDecision, want: ShapingDecision) -> None:

@@ -15,6 +15,7 @@ from repro.censors import (
 )
 from repro import nn
 from repro.core import Amoeba
+from repro.eval.feature_importance import ImportanceBreakdown
 from repro.eval.metrics import classifier_detection_report
 from repro.censors.base import CensorClassifier
 from repro.features import SequenceRepresentation, StatisticalFeatureExtractor
@@ -47,10 +48,10 @@ class TestCensorInterface:
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_classify_threshold(self, trained_dt_censor, tor_splits):
-        flow = tor_splits.test.flows[0]
-        decision = trained_dt_censor.classify(flow)
-        score = trained_dt_censor.predict_score(flow)
-        assert decision == int(score >= 0.5)
+        flows = tor_splits.test.flows[:6]
+        decisions = trained_dt_censor.classify_many(flows)
+        scores = trained_dt_censor.predict_scores(flows)
+        assert decisions.tolist() == (scores >= 0.5).astype(int).tolist()
 
     def test_label_validation(self, tor_splits):
         censor = DecisionTreeCensor(rng=0)
@@ -82,20 +83,20 @@ class TestTreeCensors:
         top = trained_dt_censor.top_feature_importances(top_k=20)
         assert len(top) == 20
         assert all(importance >= 0 for _, _, importance in top)
-        counts = trained_dt_censor.importance_category_counts(top_k=20)
-        assert counts["packet"] + counts["timing"] == 20
+        breakdown = ImportanceBreakdown.from_censor(trained_dt_censor, top_k=20)
+        assert breakdown.packet_count + breakdown.timing_count == 20
 
     def test_packet_features_dominate_importances(self, trained_dt_censor):
         """Figure 4's qualitative claim: packet features outrank timing features."""
-        counts = trained_dt_censor.importance_category_counts(top_k=20)
-        assert counts["packet"] > counts["timing"]
+        breakdown = ImportanceBreakdown.from_censor(trained_dt_censor, top_k=20)
+        assert breakdown.packet_count > breakdown.timing_count
 
 
 def deep_tree_training_set(tor_splits):
     """The synthetic Tor set is separable on one feature.  Prefixes (what the
     censor scores during training) with 30 % flipped labels grow a deep tree
     over ~25 features from every group."""
-    flows = [flow.prefix(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
+    flows = [flow.prefix_view(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
     labels = np.array([flow.label for flow in flows])
     flipped = np.random.default_rng(4).random(len(flows)) < 0.3
     return flows, np.where(flipped, 1 - labels, labels)
@@ -147,7 +148,8 @@ class TestTreeCensorColumns:
         )
 
     def test_single_leaf_tree_still_queries(self, tor_splits, monkeypatch):
-        censor = DecisionTreeCensor(rng=3).fit(tor_splits.clf_train.benign_flows)
+        benign = [f for f in tor_splits.clf_train.flows if f.label == FlowLabel.BENIGN]
+        censor = DecisionTreeCensor(rng=3).fit(benign)
         assert censor.model.depth == 0 and censor.model.split_features_.size == 0
         calls = self._spy(monkeypatch, censor)
         flows = tor_splits.test.flows[:9]
@@ -297,7 +299,7 @@ class TestDeepFingerprintingKernels:
         run = {name: value.tobytes() for name, value in censor.network.state_dict().items()}
         run["held-out scores"] = tensor_score_flows(censor, tor_splits.test.flows).tobytes()
         run["prefix scores"] = tensor_score_flows(
-            censor, [long_flow.prefix(k) for k in range(1, 81)]
+            censor, [long_flow.prefix_view(k) for k in range(1, 81)]
         ).tobytes()
         run["input gradient"] = batch.grad.tobytes()
         return run
@@ -378,10 +380,10 @@ class TestPacketWindow:
         long_flow = random_flow(rng, window + 17)
         head = list(tor_splits.test.flows[:6])
         full = censor._score_flows(head + [long_flow])
-        truncated = censor._score_flows(head + [long_flow.prefix(window)])
+        truncated = censor._score_flows(head + [long_flow.prefix_view(window)])
         assert np.array_equal(full.view(np.uint64), truncated.view(np.uint64))
         # the window is tight: a change inside it moves the score
-        moved = long_flow.prefix(window)
+        moved = long_flow.prefix_view(window).copy()
         moved.sizes[window - 1] = -moved.sizes[window - 1]
         assert censor._score_flows(head + [moved])[-1] != full[-1]
 
@@ -438,7 +440,7 @@ class TestNaNScores:
         with pytest.raises(FloatingPointError, match="nan-probe censor returned NaN for 2 of 5"):
             censor.predict_scores(tor_splits.test.flows[:5])
         with pytest.raises(FloatingPointError, match="NaN for 1 of 1"):
-            censor.classify(tor_splits.test.flows[0])
+            censor.classify_many(tor_splits.test.flows[:1])
 
     def test_error_propagates_out_of_collect(self, trained_dt_censor, normalizer, tor_splits):
         from repro.core import AmoebaConfig
@@ -474,7 +476,7 @@ class TestGateway:
     def test_benign_flow_allowed(self, trained_dt_censor, tor_splits):
         gateway = CensorGateway(trained_dt_censor)
         pair = SocketPair("10.0.0.1", 50000, "93.184.216.34", 443)
-        benign = tor_splits.test.benign_flows[0]
+        benign = next(f for f in tor_splits.test.flows if f.label == FlowLabel.BENIGN)
         decision = gateway.observe(pair, benign)
         assert decision.allowed
         assert not gateway.is_blocked(pair)
@@ -492,7 +494,8 @@ class TestGateway:
         pair = SocketPair("10.0.0.3", 50002, "1.2.3.4", 443)
         gateway.observe(pair, tor_splits.test.censored_flows[0])
         before = trained_dt_censor.query_count
-        decision = gateway.observe(pair, tor_splits.test.benign_flows[0])
+        benign = next(f for f in tor_splits.test.flows if f.label == FlowLabel.BENIGN)
+        decision = gateway.observe(pair, benign)
         assert decision.blacklisted
         assert trained_dt_censor.query_count == before
 

@@ -21,10 +21,13 @@ class TestResultsIO:
 
     def test_dataclass_and_as_dict_conversion(self, tmp_path):
         from repro.core.reward_masking import MaskSweepPoint
-        from repro.ml.metrics import classification_report
+
+        class Report:
+            def as_dict(self):
+                return {"accuracy": 1.0}
 
         point = MaskSweepPoint(0.5, 0.8, 100, 200, 0.3, 0.1)
-        report = classification_report([1, 0], [1, 0])
+        report = Report()
         payload = load_results_json(
             save_results_json({"point": point, "report": report}, tmp_path / "dc.json")
         )

@@ -106,6 +106,28 @@ class TestParser:
         with pytest.raises(SystemExit, match="deadline_ms"):
             main(["serve", "--policy", missing, "--deadline-ms", deadline])
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["--sessions", "0"], "n_sessions"),
+            (["--max-packets", "-3"], "max_packets"),
+            (["--max-packets", "0"], "max_packets"),
+            (["--arrival-rate", "nan"], "arrival_rate_pps"),
+        ],
+    )
+    def test_serve_refuses_a_bad_workload_before_loading(self, tmp_path, argv, name):
+        # A message, not a traceback, and before the checkpoint is read.
+        missing = str(tmp_path / "missing.npz")
+        with pytest.raises(SystemExit, match=f"serve: {name}"):
+            main(["serve", "--policy", missing, *argv])
+
+    @pytest.mark.parametrize("rate", ["-0.5", "nan", "1.5"])
+    def test_generate_refuses_a_bad_drop_rate(self, tmp_path, rate):
+        output = tmp_path / "flows.jsonl"
+        with pytest.raises(SystemExit, match="generate: drop_rate"):
+            main(["generate", "--flows", "4", "--drop-rate", rate, "--output", str(output)])
+        assert not output.exists()
+
     def test_serve_has_no_backend_flag(self):
         # The registered backends are bit-identical; REPRO_NN_BACKEND picks.
         with pytest.raises(SystemExit) as excinfo:
@@ -210,7 +232,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "asr" in out
 
-    def test_serve_command_small(self, tmp_path, capsys):
+    @staticmethod
+    def _policy(path, metadata=None):
         import numpy as np
 
         from repro.core import GaussianActor, StateEncoder
@@ -223,8 +246,11 @@ class TestCommands:
         for prefix, module in (("actor", actor), ("encoder", encoder)):
             for name, value in module.state_dict().items():
                 state[f"{prefix}.{name}"] = value
+        save_state_dict(state, path, metadata=metadata)
+
+    def test_serve_command_small(self, tmp_path, capsys):
         policy_path = tmp_path / "policy.npz"
-        save_state_dict(state, policy_path)
+        self._policy(policy_path)
 
         code = main(
             [
@@ -244,6 +270,14 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "decisions_per_s" in out and "fallback_rate" in out
+
+    def test_serve_refuses_a_policy_trained_on_another_size_scale(self, tmp_path, capsys):
+        policy_path = tmp_path / "policy.npz"
+        self._policy(policy_path, metadata={"size_scale": 16384.0, "max_delay_ms": 100.0})
+        argv = ["serve", "--policy", str(policy_path), "--sessions", "2", "--max-packets", "4"]
+        with pytest.raises(SystemExit, match="serve: checkpoint was trained with size_scale=16384.0"):
+            main(argv)
+        assert main(argv + ["--dataset", "v2ray"]) == 0
 
     @pytest.mark.parametrize("workers", ["3", "-1"])
     def test_attack_bad_workers_fail_before_the_dataset_build(self, workers, monkeypatch):

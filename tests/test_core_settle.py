@@ -317,7 +317,7 @@ class TestOwnershipAndMisuse:
         ticks = []
         while not (ticks and ticks[-1][0].done):
             ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
-        assert not env.done  # auto-reset: the environment already runs its next flow
+        assert not env._done  # auto-reset: the environment already runs its next flow
 
         flows = [flow for tick in ticks for flow in flows_to_score(tick[0])]
         *prefixes, finished = flows

@@ -236,11 +236,11 @@ class TestVectorFlowEnv:
                 done = dones[0]
             assert infos[0]["episode"].n_steps == simple_flow.n_packets
             if stepper == "step":
-                assert not env.done and env._steps == 0
+                assert not env._done and env._steps == 0
                 assert np.array_equal(observations[0], first)
                 assert np.array_equal(infos[0]["terminal_observation"], np.zeros(2))
             else:
-                assert env.done
+                assert env._done
                 assert np.array_equal(observations[0], np.zeros(2))
                 assert "terminal_observation" not in infos[0]
                 with pytest.raises(RuntimeError, match="finished episode"):
@@ -883,8 +883,11 @@ class TestIndexValidation:
     environment advances, any query is spent or any tracker row moves."""
 
     @pytest.fixture
-    def vec_env(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        envs = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
+    def envs(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+        return make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
+
+    @pytest.fixture
+    def vec_env(self, envs):
         vec_env = VectorFlowEnv(envs)
         vec_env.reset()
         return vec_env
@@ -893,23 +896,23 @@ class TestIndexValidation:
         "indices,error",
         [([0, 0], ValueError), ([2, 1, 2], ValueError), ([-1], ValueError), ([0, -3], ValueError), ([0, 3], IndexError)],
     )
-    def test_step_subset_refuses_before_any_step(self, vec_env, trained_dt_censor, indices, error):
+    def test_step_subset_refuses_before_any_step(self, vec_env, envs, trained_dt_censor, indices, error):
         trained_dt_censor.reset_query_count()
-        before = [env.state_snapshot() for env in vec_env.envs]
+        before = [env.state_snapshot() for env in envs]
         actions = np.tile([0.9, 0.0], (len(indices), 1))
         with pytest.raises(error, match="environment ind"):
             vec_env.step_subset(indices, actions)
         with pytest.raises(error, match="environment ind"):
             vec_env.propose(actions, indices)
         assert trained_dt_censor.query_count == 0
-        for env, snapshot in zip(vec_env.envs, before):
+        for env, snapshot in zip(envs, before):
             assert env._steps == snapshot["_steps"] == 0
             assert env._rng.bit_generator.state == snapshot["_rng"].bit_generator.state
 
-    def test_distinct_subsets_still_step(self, vec_env):
+    def test_distinct_subsets_still_step(self, vec_env, envs):
         observations, _, dones, infos = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
         assert observations.shape == (2, 2) and len(infos) == 2
-        assert [env._steps for env in vec_env.envs] == [1, 0, 1]
+        assert [env._steps for env in envs] == [1, 0, 1]
 
     @pytest.mark.parametrize("indices", [[0, 0], [1, 2, 1], [-1], [-2, 0]])
     def test_tracker_refuses_repeated_or_negative_rows(self, indices):

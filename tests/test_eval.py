@@ -145,10 +145,9 @@ class TestECDF:
         assert np.all(np.diff(ecdf.values) >= 0)
         assert ecdf.probabilities[-1] == 1.0
 
-    def test_ecdf_evaluate_and_quantile(self):
+    def test_ecdf_evaluate(self):
         ecdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
         assert ecdf.evaluate(2.5) == pytest.approx(0.5)
-        assert ecdf.quantile(0.5) == pytest.approx(2.5)
 
     def test_ecdf_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Additional coverage for corners not exercised elsewhere: serialization of
-agents, representation helpers, reporting edge cases and optimizer behaviour
+agents, reporting edge cases and optimizer behaviour
 in the RL loop."""
 
 import numpy as np
@@ -9,23 +9,8 @@ from repro import nn
 from repro.core import AmoebaConfig
 from repro.core.rollout import RolloutBuffer
 from repro.eval import format_table
-from repro.features import SequenceRepresentation
 from repro.flows import Flow, FlowLabel
 from repro.ml import DecisionTreeClassifier
-
-
-class TestRepresentationHelpers:
-    def test_transform_pairs_pads(self, representation):
-        pairs = np.array([[0.5, 0.1], [-0.3, 0.2]])
-        out = representation.transform_pairs(pairs)
-        assert out.shape == (40, 2)
-        assert np.allclose(out[:2], pairs)
-        assert np.all(out[2:] == 0)
-
-    def test_transform_pairs_truncates(self, normalizer):
-        representation = SequenceRepresentation(3, normalizer)
-        pairs = np.random.default_rng(0).uniform(-1, 1, size=(10, 2))
-        assert representation.transform_pairs(pairs).shape == (3, 2)
 
 
 class TestReportingEdgeCases:
@@ -99,12 +84,12 @@ class TestFlowMetadataPropagation:
 
     def test_prefix_keeps_metadata(self):
         flow = Flow(sizes=[100.0, -200.0], delays=[0.0, 1.0], metadata={"origin": "unit-test"})
-        assert flow.prefix(1).metadata["origin"] == "unit-test"
+        assert flow.prefix_view(1).metadata["origin"] == "unit-test"
 
 
 class TestSaveLoadAgentStateDict:
     def test_partial_state_dict_prefixes(self, tmp_path):
-        """save_policy/load_policy round-trips each submodule under its prefix."""
+        """save_policy writes each submodule under its prefix."""
         from repro.core import Amoeba
         from repro.censors import DecisionTreeCensor
         from repro.features import FlowNormalizer

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.flows import Flow, FlowLabel, flow_matrix
+from repro.flows import Flow, FlowLabel
 
 
 class TestFlowConstruction:
@@ -55,22 +55,11 @@ class TestFlowProperties:
     def test_directions(self, simple_flow):
         assert np.array_equal(simple_flow.directions, [1, -1, 1, -1])
 
-    def test_byte_accounting(self, simple_flow):
-        assert simple_flow.upstream_bytes == pytest.approx(1072.0)
-        assert simple_flow.downstream_bytes == pytest.approx(1608.0)
-        assert simple_flow.total_bytes == pytest.approx(2680.0)
-
     def test_duration_is_sum_of_delays(self, simple_flow):
         assert simple_flow.duration == pytest.approx(75.0)
 
     def test_timestamps_cumulative(self, simple_flow):
         assert np.allclose(simple_flow.timestamps, [0.0, 50.0, 70.0, 75.0])
-
-    def test_absolute_sizes(self, simple_flow):
-        assert np.all(simple_flow.absolute_sizes > 0)
-
-    def test_as_pairs_shape(self, simple_flow):
-        assert simple_flow.as_pairs().shape == (4, 2)
 
     def test_len_dunder(self, simple_flow):
         assert len(simple_flow) == 4
@@ -78,31 +67,37 @@ class TestFlowProperties:
 
 class TestFlowOperations:
     def test_prefix_truncates(self, simple_flow):
-        prefix = simple_flow.prefix(2)
+        prefix = simple_flow.prefix_view(2)
         assert prefix.n_packets == 2
         assert prefix.label == simple_flow.label
 
     def test_prefix_longer_than_flow_returns_full(self, simple_flow):
-        assert simple_flow.prefix(100).n_packets == 4
+        assert simple_flow.prefix_view(100).n_packets == 4
 
     def test_prefix_invalid_length(self, simple_flow):
         with pytest.raises(ValueError):
-            simple_flow.prefix(0)
+            simple_flow.prefix_view(0)
 
-    def test_prefix_owns_its_arrays_and_skips_revalidation(self, simple_flow, monkeypatch):
+    def test_prefix_skips_revalidation(self, simple_flow, monkeypatch):
         # A prefix of a validated flow is valid by construction.
         monkeypatch.setattr(
             Flow, "__post_init__", lambda self: pytest.fail("prefix re-validated the flow")
         )
-        prefix = simple_flow.prefix(3)
+        prefix = simple_flow.prefix_view(3)
         assert np.array_equal(prefix.sizes, [536.0, -1072.0, 536.0])
         assert np.array_equal(prefix.delays, [0.0, 50.0, 20.0])
         assert (prefix.label, prefix.protocol) == (simple_flow.label, simple_flow.protocol)
-        assert not np.shares_memory(prefix.sizes, simple_flow.sizes)
-        assert not np.shares_memory(prefix.delays, simple_flow.delays)
-        prefix.sizes[0] = 999.0
+
+    def test_copied_prefix_owns_its_arrays(self, simple_flow):
+        prefix = simple_flow.prefix_view(3)
         prefix.metadata["touched"] = True
-        assert simple_flow.sizes[0] == 536.0 and "touched" not in simple_flow.metadata
+        assert "touched" not in simple_flow.metadata
+        owned = prefix.copy()
+        assert np.array_equal(owned.sizes, [536.0, -1072.0, 536.0])
+        assert not np.shares_memory(owned.sizes, simple_flow.sizes)
+        assert not np.shares_memory(owned.delays, simple_flow.delays)
+        owned.sizes[0] = 999.0
+        assert simple_flow.sizes[0] == 536.0
 
     def test_prefix_view_is_zero_copy_and_read_only(self, simple_flow):
         view = simple_flow.prefix_view(2)
@@ -115,7 +110,7 @@ class TestFlowOperations:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        # The flow it aliases stays writable, and clamping matches prefix().
+        # The flow it aliases stays writable; the length clamps.
         assert simple_flow.sizes.flags.writeable
         assert simple_flow.prefix_view(100).n_packets == 4
         with pytest.raises(ValueError):
@@ -142,20 +137,3 @@ class TestFlowOperations:
         flow = Flow(sizes=[100.0], delays=[0.0])
         assert flow.same_direction_delays().size == 0
 
-
-class TestFlowMatrix:
-    def test_padding_and_truncation(self, simple_flow):
-        matrix = flow_matrix([simple_flow], max_length=6)
-        assert matrix.shape == (1, 6, 2)
-        assert np.all(matrix[0, 4:] == 0.0)
-        short = flow_matrix([simple_flow], max_length=2)
-        assert short.shape == (1, 2, 2)
-
-    def test_normalisation_applied(self, simple_flow):
-        matrix = flow_matrix([simple_flow], max_length=4, normalise_size=1460.0, normalise_delay=100.0)
-        assert np.abs(matrix[0, :, 0]).max() <= 1.0
-        assert matrix[0, 1, 1] == pytest.approx(0.5)
-
-    def test_invalid_max_length(self, simple_flow):
-        with pytest.raises(ValueError):
-            flow_matrix([simple_flow], max_length=0)

@@ -79,8 +79,8 @@ class TestHTTPSGenerator:
 
     def test_download_heavier_than_upload(self):
         flows = HTTPSFlowGenerator(rng=3).generate_many(10)
-        down = sum(f.downstream_bytes for f in flows)
-        up = sum(f.upstream_bytes for f in flows)
+        down = sum(-f.sizes[f.sizes < 0].sum() for f in flows)
+        up = sum(f.sizes[f.sizes > 0].sum() for f in flows)
         assert down > up
 
 

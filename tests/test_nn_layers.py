@@ -29,8 +29,8 @@ class TestModuleProtocol:
         out = layer(nn.Tensor(np.ones((1, 2)))).sum()
         out.backward()
         assert layer.weight.grad is not None
-        layer.zero_grad()
-        assert layer.weight.grad is None
+        nn.Adam(layer.parameters(), lr=0.1).zero_grad()
+        assert layer.weight.grad is None and layer.bias.grad is None
 
     def test_state_dict_roundtrip(self):
         a = nn.Linear(3, 2, rng=np.random.default_rng(0))

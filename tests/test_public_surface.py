@@ -1,9 +1,10 @@
 """Pins the public surface of ``repro.nn``, ``repro.censors``, ``repro.ml``,
-``repro.distrib`` and ``repro.flows``, and that the retired single-step twins
-and knobs of ``repro.core`` stay gone.
+``repro.distrib`` and ``repro.flows``, and that the retired single-step twins,
+knobs and unreached members stay gone.
 
-These packages export what training, the censors, serving and the CLI
-call, and nothing else.  A name added here is a name the project commits to keep.
+These packages export what training, the censors, serving, the CLI, the
+examples and the benchmarks call, and nothing else.  A name added here is a
+name the project commits to keep.
 """
 
 import importlib
@@ -13,7 +14,7 @@ import pytest
 SURFACES = {
     "repro.nn": {
         "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
-        "row_consistent_matmul", "is_row_consistent_matmul", "rc_matmul",
+        "row_consistent_matmul", "rc_matmul",
         "backend", "ExecutionBackend", "active_backend", "available_backends",
         "compiled_kernel_available", "compiled_kernel_error", "default_backend",
         "fused_cells_available", "fused_cells_error", "get_backend",
@@ -42,17 +43,16 @@ SURFACES = {
         "TransportError", "worker_command_loop", "ForkWorkerPool",
     },
     "repro.flows": {
-        "Flow", "FlowLabel", "flow_matrix", "FlowGenerator", "TorFlowGenerator",
+        "Flow", "FlowLabel", "FlowGenerator", "TorFlowGenerator",
         "HTTPSFlowGenerator", "V2RayFlowGenerator", "HTTPSRecordFlowGenerator",
         "TCP_MSS", "TLS_MAX_RECORD", "TOR_CELL_SIZE", "FlowDataset", "DatasetSplits",
         "build_tor_dataset", "build_v2ray_dataset", "NetworkCondition",
-        "apply_conditions", "save_flows_jsonl", "load_flows_jsonl", "save_dataset",
-        "load_dataset",
+        "save_flows_jsonl", "load_flows_jsonl", "save_dataset",
     },
     "repro.ml": {
         "DecisionTreeClassifier", "RandomForestClassifier", "KernelSVM", "rbf_kernel",
         "StandardScaler", "accuracy_score", "precision_score", "recall_score",
-        "f1_score", "confusion_matrix", "classification_report", "ClassificationReport",
+        "f1_score", "confusion_matrix",
     },
 }
 
@@ -118,10 +118,91 @@ RETIRED_MEMBERS = [
     ("repro.serve.session", "FlowSession", "latencies_ms"),
 ]
 
+# Unreached members: no CLI subcommand, example, benchmark or perf workload
+# calls them (a call trace over all of those finds none), so they are
+# deleted rather than kept for callers that do not exist.
+UNREACHED_MEMBERS = [
+    ("repro.nn.tensor", "Tensor", "size"),
+    ("repro.nn.tensor", "Tensor", "numpy"),
+    ("repro.nn.tensor", "Tensor", "__rtruediv__"),
+    ("repro.nn.tensor", "Tensor", "sqrt"),
+    ("repro.nn.tensor", "Tensor", "T"),
+    ("repro.nn.layers", "Module", "zero_grad"),
+    ("repro.ml.decision_tree", "DecisionTreeClassifier", "predict"),
+    ("repro.ml.decision_tree", "DecisionTreeClassifier", "score"),
+    ("repro.ml.random_forest", "RandomForestClassifier", "predict"),
+    ("repro.ml.random_forest", "RandomForestClassifier", "score"),
+    ("repro.ml.svm", "KernelSVM", "predict"),
+    ("repro.ml.svm", "KernelSVM", "score"),
+    ("repro.ml.svm", "KernelSVM", "n_support_"),
+    ("repro.ml.scaler", "StandardScaler", "inverse_transform"),
+    ("repro.flows.flow", "Flow", "absolute_sizes"),
+    ("repro.flows.flow", "Flow", "upstream_bytes"),
+    ("repro.flows.flow", "Flow", "downstream_bytes"),
+    ("repro.flows.flow", "Flow", "total_bytes"),
+    ("repro.flows.flow", "Flow", "as_pairs"),
+    ("repro.flows.flow", "Flow", "prefix"),
+    ("repro.flows.dataset", "FlowDataset", "benign_flows"),
+    ("repro.flows.dataset", "FlowDataset", "max_length"),
+    ("repro.flows.dataset", "FlowDataset", "class_balance"),
+    ("repro.flows.dataset", "FlowDataset", "filter_by_label"),
+    ("repro.features.representation", "FlowNormalizer", "denormalise_size"),
+    ("repro.features.representation", "FlowNormalizer", "denormalise_delay"),
+    ("repro.features.representation", "FlowNormalizer", "for_dataset"),
+    ("repro.features.representation", "SequenceRepresentation", "transform"),
+    ("repro.features.representation", "SequenceRepresentation", "transform_pairs"),
+    ("repro.features.statistical", "StatisticalFeatureExtractor", "n_features"),
+    ("repro.features.cumul", "CumulFeatureExtractor", "feature_names"),
+    ("repro.core.agent", "Amoeba", "load_policy"),
+    ("repro.core.agent", "Amoeba", "timesteps_trained"),
+    ("repro.core.profiles", "AdversarialProfile", "n_packets"),
+    ("repro.core.arms_race", "ArmsRaceResult", "asr_trajectory"),
+    ("repro.core.arms_race", "ArmsRaceResult", "accuracy_trajectory"),
+    ("repro.core.vec_env", "VectorFlowEnv", "envs"),
+    ("repro.core.vec_env", "BatchedEpisodeEncoder", "state_dim"),
+    ("repro.core.env", "AdversarialFlowEnv", "done"),
+    ("repro.censors.base", "CensorClassifier", "classify"),
+    ("repro.censors.tree_models", "DecisionTreeCensor", "importance_category_counts"),
+    ("repro.serve.session", "SessionReport", "data_overhead"),
+    ("repro.serve.session", "FlowSession", "observation_state"),
+    ("repro.serve.session", "FlowSession", "action_state"),
+    ("repro.serve.server", "PolicyServer", "n_sessions"),
+    ("repro.pipeline", "ExperimentData", "max_packet_size"),
+    ("repro.eval.ecdf", "ECDF", "quantile"),
+    ("repro.attacks.base", "WhiteBoxAttack", "fit"),
+]
+
+UNREACHED_FUNCTIONS = [
+    ("repro.nn.tensor", "is_row_consistent_matmul"),
+    ("repro.nn", "is_row_consistent_matmul"),
+    ("repro.ml.metrics", "classification_report"),
+    ("repro.ml.metrics", "ClassificationReport"),
+    ("repro.flows.flow", "flow_matrix"),
+    ("repro.flows.io", "load_dataset"),
+    ("repro.flows.network", "apply_conditions"),
+    ("repro.core.reward_masking", "expected_queries"),
+    ("repro.core", "expected_queries"),
+    ("repro.pipeline", "censor_baseline_table"),
+    ("repro.utils.rng", "seed_sequence_state"),
+    ("repro.utils.rng", "seed_sequence_from_state"),
+    ("repro.utils", "seed_sequence_state"),
+    ("repro.utils", "seed_sequence_from_state"),
+]
+
 
 @pytest.mark.parametrize("module_name,owner,member", RETIRED_MEMBERS)
 def test_single_step_twins_are_gone(module_name, owner, member):
     assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
+
+
+@pytest.mark.parametrize("module_name,owner,member", UNREACHED_MEMBERS)
+def test_unreached_members_are_gone(module_name, owner, member):
+    assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
+
+
+@pytest.mark.parametrize("module_name,name", UNREACHED_FUNCTIONS)
+def test_unreached_functions_are_gone(module_name, name):
+    assert not hasattr(importlib.import_module(module_name), name)
 
 
 def test_retired_knobs_are_gone():
@@ -159,6 +240,33 @@ RETIRED_CALLS = [
     r"\bauto_reset=",
     r"\beval_batch_size\b",
     r"\.predict_labels\(",
+    r"\bis_row_consistent_matmul\b",
+    r"\.numpy\(\)",
+    r"\.sqrt\(\)",
+    r"\.predict\(",
+    r"\.score\(",
+    r"\bn_support_\b",
+    r"\binverse_transform\b",
+    r"\b(classification_report|ClassificationReport)\b",
+    r"\b(absolute_sizes|upstream_bytes|downstream_bytes)\b",
+    r"\.total_bytes\b",
+    r"\.as_pairs\(",
+    r"\.prefix\(",
+    r"\bflow_matrix\b",
+    r"\b(benign_flows|class_balance|filter_by_label)\b",
+    r"\b(load_dataset|apply_conditions)\b",
+    r"\b(denormalise_size|denormalise_delay|for_dataset)\b",
+    r"\btransform_pairs\b",
+    r"\.load_policy\(",
+    r"\.timesteps_trained\b",
+    r"\bexpected_queries\b",
+    r"\b(asr|accuracy)_trajectory\b",
+    r"\.envs\b",
+    r"\.classify\(",
+    r"\bimportance_category_counts\b",
+    r"\bserver\.n_sessions\b",
+    r"\bcensor_baseline_table\b",
+    r"\bseed_sequence_(from_)?state\b",
 ]
 
 

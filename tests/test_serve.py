@@ -112,6 +112,8 @@ class TestScheduler:
             ContinuousBatchScheduler(max_batch=0)
         with pytest.raises(ValueError):
             ContinuousBatchScheduler(flush_timeout_ms=-1.0)
+        with pytest.raises(ValueError, match="flush_timeout_ms"):
+            ContinuousBatchScheduler(flush_timeout_ms=float("nan"))
 
     def test_empty_queue_is_never_ready_and_has_no_age(self):
         scheduler = ContinuousBatchScheduler(max_batch=1, flush_timeout_ms=0.0)
@@ -174,7 +176,6 @@ class TestSessionLifecycle:
         assert report.emitted_bytes >= report.payload_bytes
         assert report.shaped_flow.n_packets == report.n_decisions
         assert report.unserved_packets == 0
-        assert 0.0 <= report.data_overhead < 1.0
 
     def test_deadline_misses_demote_to_profile_tier(self, policy, simple_flow):
         # Every clock read advances 5 ms against a 1 ms decision deadline:
@@ -320,6 +321,15 @@ class TestConfigBounds:
             dict(max_delay_ms=float("nan")),
             dict(min_packet_bytes=0),
             dict(max_truncations_per_packet=0),
+            # An infinite shaping bound would overflow mid-flush, after the
+            # batch's table rows are written; a NaN timeout never fires.
+            dict(size_scale=float("inf")),
+            dict(size_scale=float("nan")),
+            dict(max_delay_ms=float("inf")),
+            dict(flush_timeout_ms=float("nan")),
+            dict(flush_timeout_ms=-1.0),
+            dict(max_steps_per_session=0),
+            dict(max_steps_per_session=-2),
         ],
     )
     def test_bad_bound_raises_at_construction(self, overrides):
@@ -332,6 +342,15 @@ class TestConfigBounds:
     def test_good_deadlines_construct(self):
         for deadline in (None, 0.0, 2.5, 1e9):
             assert ServeConfig(deadline_ms=deadline).deadline_ms == deadline
+
+    def test_unbounded_flush_timeout_and_step_budget_construct(self):
+        assert ServeConfig(flush_timeout_ms=float("inf")).flush_timeout_ms == float("inf")
+        assert ServeConfig(max_steps_per_session=None).max_steps_per_session is None
+        assert ServeConfig(max_steps_per_session=1).max_steps_per_session == 1
+
+    def test_training_config_refuses_an_infinite_delay_bound(self):
+        with pytest.raises(ValueError, match="max_delay_ms"):
+            AmoebaConfig(max_delay_ms=float("inf"))
 
     @pytest.mark.parametrize("deadline", [-5.0, float("nan"), float("-inf")])
     def test_open_session_refuses_a_bad_deadline(self, policy, serve_config, deadline):
@@ -639,10 +658,10 @@ class TestServingGolden:
 
 class TestSessionStateOwnership:
     def test_flush_hands_each_session_its_own_state(self, policy):
-        """Anything a session hands out owns its memory: the state properties
-        copy the session's rows out of the server's table, never a view that
-        pins or aliases it — and what they copy is the *stepped* state, not
-        a stale initial one."""
+        """What a session hands out owns its memory: ``state_vector`` copies
+        the session's rows out of the server's table, never a view that pins
+        or aliases it — and what it copies is the *stepped* state, not a
+        stale initial one."""
         server = make_server(
             policy, ServeConfig(size_scale=1460.0, max_batch=4, flush_timeout_ms=0.0)
         )
@@ -651,35 +670,31 @@ class TestSessionStateOwnership:
             server.submit(sid, 400.0 + 100.0 * i, 1.0)
         assert server.stats()["flushes"] == 1
         sessions = [server.session(sid) for sid in ids]
-        shape = (policy[1].num_layers, policy[1].hidden_size)
+        hidden = policy[1].hidden_size
         table = server._table.hidden
         for session in sessions:
-            for stream, state in enumerate((session.observation_state, session.action_state)):
-                assert state.hidden.shape == shape
-                assert state.hidden.base is None and state.hidden.flags.owndata
-                assert not np.shares_memory(state.hidden, table)
-                # The flush stepped both streams: zeros would be a stale state.
-                assert state.hidden.any()
-                assert np.array_equal(
-                    state.hidden.view(np.uint64), table[:, stream, session.slot].view(np.uint64)
-                )
+            vector = session.state_vector()
+            assert vector.shape == (2 * hidden,)
+            assert vector.base is None and vector.flags.owndata
+            assert not np.shares_memory(vector, table)
+            # The flush stepped both streams: zeros would be a stale state.
+            assert vector[:hidden].any() and vector[hidden:].any()
             assert np.array_equal(
-                session.state_vector(),
-                np.concatenate([table[-1, 0, session.slot], table[-1, 1, session.slot]]),
+                vector.view(np.uint64),
+                np.concatenate([table[-1, 0, session.slot], table[-1, 1, session.slot]]).view(
+                    np.uint64
+                ),
             )
-            assert not np.shares_memory(session.state_vector(), table)
         # Writing to a handed-out copy reaches neither the table, nor a
         # second read of the same session, nor a sibling.
         before = table.copy()
-        others = [s.observation_state.hidden.copy() for s in sessions[1:]]
-        first = sessions[0].observation_state
-        first.hidden[:] = 3.0
-        sessions[0].action_state.hidden[:] = 3.0
+        others = [s.state_vector() for s in sessions[1:]]
+        first = sessions[0].state_vector()
+        first[:] = 3.0
         assert np.array_equal(table, before)
-        assert np.array_equal(sessions[0].observation_state.hidden, before[:, 0, sessions[0].slot])
-        assert not np.array_equal(sessions[0].observation_state.hidden, first.hidden)
+        assert not np.array_equal(sessions[0].state_vector(), first)
         for session, expected in zip(sessions[1:], others):
-            assert np.array_equal(session.observation_state.hidden, expected)
+            assert np.array_equal(session.state_vector(), expected)
 
     def test_nan_action_is_a_named_error(self, policy, serve_config):
         """A non-finite policy output surfaces as ``ValueError("non-finite
@@ -727,6 +742,50 @@ class TestCheckpointServing:
         assert actor.state_dim == 2 * ENCODER_HIDDEN
         assert actor.action_dim == 2
 
+    def _agent_checkpoint(self, tmp_path, size_scale):
+        """A policy saved by ``Amoeba.save_policy`` under a ``size_scale``."""
+        from repro.censors import DecisionTreeCensor
+        from repro.features import FlowNormalizer
+
+        flows = [
+            Flow(sizes=[500.0, -500.0], delays=[0.0, 1.0], label=FlowLabel.CENSORED),
+            Flow(sizes=[100.0], delays=[0.0], label=FlowLabel.BENIGN),
+        ]
+        config = AmoebaConfig(
+            encoder_hidden=ENCODER_HIDDEN, actor_hidden=(8,), critic_hidden=(8,), n_envs=1
+        )
+        agent = Amoeba(
+            DecisionTreeCensor(rng=0).fit(flows),
+            FlowNormalizer(size_scale, 100.0),
+            config,
+            rng=0,
+            encoder_pretrain_kwargs={"n_flows": 10, "epochs": 1, "max_length": 6},
+        )
+        path = tmp_path / "policy.npz"
+        agent.save_policy(path)
+        return path, config
+
+    def test_checkpoint_refuses_other_shaping_bounds(self, tmp_path, simple_flow):
+        """A V2Ray policy served under the Tor size scale would emit packets
+        11x too small; the checkpoint's recorded bounds refuse it."""
+        path, config = self._agent_checkpoint(tmp_path, 16384.0)
+        for bad in (ServeConfig(), ServeConfig(size_scale=16384.0, max_delay_ms=50.0)):
+            with pytest.raises(ValueError, match="checkpoint was trained with"):
+                PolicyServer.from_checkpoint(path, config=bad)
+        with pytest.raises(ValueError, match="size_scale=16384.0"):
+            PolicyServer.from_checkpoint(path)
+        served = serve_flow(
+            PolicyServer.from_checkpoint(path, config=ServeConfig(size_scale=16384.0)), simple_flow
+        )
+        assert served.n_decisions >= simple_flow.n_packets
+        matched = ServeConfig.from_amoeba(config, 16384.0)
+        assert PolicyServer.from_checkpoint(path, config=matched).config is matched
+
+    def test_checkpoint_without_recorded_bounds_serves_any_config(self, policy, tmp_path):
+        path, _ = self._checkpoint(policy, tmp_path)
+        for config in (ServeConfig(), ServeConfig(size_scale=16384.0, max_delay_ms=7.0)):
+            assert PolicyServer.from_checkpoint(path, config=config).config is config
+
     def test_checkpoint_without_prefixes_rejected(self):
         with pytest.raises(ValueError):
             build_policy_from_state({"actor.log_std": np.zeros(2)})
@@ -768,6 +827,23 @@ class TestLoadgen:
         with pytest.raises(ValueError):
             SyntheticWorkload.generate(n_sessions=0, rng=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # A negative cap would slice packets off each flow's end.
+            dict(max_packets=-3),
+            dict(max_packets=0),
+            dict(max_packets=2.5),
+            # NaN passes ``nan <= 0``.
+            dict(arrival_rate_pps=float("nan")),
+            dict(arrival_rate_pps=0.0),
+        ],
+    )
+    def test_workload_refuses_bad_sizes(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=name):
+            SyntheticWorkload.generate(n_sessions=2, rng=0, **overrides)
+
     def test_run_workload_report(self, policy, serve_config):
         workload = SyntheticWorkload.generate(
             n_sessions=3, arrival_rate_pps=400.0, max_packets=6, rng=5
@@ -778,4 +854,4 @@ class TestLoadgen:
         assert report.decisions_per_s > 0
         assert report.p99_latency_ms >= report.p50_latency_ms >= 0.0
         assert report.profile_fallback_rate == 0.0
-        assert server.n_sessions == 0  # all sessions closed
+        assert len(server.reports()) == workload.n_sessions  # all sessions closed

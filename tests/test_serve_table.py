@@ -14,7 +14,7 @@ rests on.
 import numpy as np
 import pytest
 
-from oracles.serve_reference import LockstepServers, assert_same_decision, bits
+from oracles.serve_reference import LockstepServers, assert_same_decision, bits, hidden_states
 from repro.core import GaussianActor, StateEncoder
 from repro.serve import (
     DecisionRequest,
@@ -76,8 +76,7 @@ def serve_alone(policy, packets, session_id="s", **overrides):
     for size, delay in packets:
         server.submit(session_id, size, delay)
     decisions = server.drain()
-    session = server.session(session_id)
-    return decisions, session.observation_state.hidden, session.action_state.hidden
+    return (decisions, *hidden_states(server.session(session_id)))
 
 
 PACKETS = [(900.0, 0.0), (-1460.0, 3.0), (300.0, 1.5), (-80.0, 0.25), (5000.0, 12.0)]
@@ -234,13 +233,12 @@ class TestSlotLifeCycle:
             server.submit(first, -size, delay + 1.0)
         server.drain()
         slot = server.session(first).slot
-        assert server.session(first).observation_state.hidden.any()
+        assert hidden_states(server.session(first))[0].any()
         server.close_session(first)
 
         second = server.open_session("second")
         assert server.session(second).slot == slot
-        assert not server.session(second).observation_state.hidden.any()
-        assert not server.session(second).action_state.hidden.any()
+        assert not any(state.any() for state in hidden_states(server.session(second)))
         for size, delay in PACKETS:
             server.submit(second, size, delay)
         reused = server.drain()
@@ -248,9 +246,9 @@ class TestSlotLifeCycle:
         assert len(reused) == len(fresh)
         for got, want in zip(reused, fresh):
             assert_same_decision(got, want)
-        session = server.session(second)
-        assert np.array_equal(bits(session.observation_state.hidden), bits(observation))
-        assert np.array_equal(bits(session.action_state.hidden), bits(action))
+        got_observation, got_action = hidden_states(server.session(second))
+        assert np.array_equal(bits(got_observation), bits(observation))
+        assert np.array_equal(bits(got_action), bits(action))
 
     def test_slots_are_distinct_and_recycled(self, policy):
         server = make_server(policy)
@@ -269,11 +267,7 @@ class TestSlotLifeCycle:
         sid = server.open_session()
         session = server.session(sid)
         server.close_session(sid)
-        for read in (
-            lambda: session.observation_state,
-            lambda: session.action_state,
-            session.state_vector,
-        ):
+        for read in (lambda: hidden_states(session), session.state_vector):
             with pytest.raises(RuntimeError, match="closed"):
                 read()
 
@@ -364,10 +358,8 @@ class TestFlushIsAllOrNothing:
             assert_same_decision(got, want)
         for index in (0, 1, 3):
             ours, theirs = server.session(ids[index]), clean.session(clean_ids[index])
-            assert np.array_equal(
-                bits(ours.observation_state.hidden), bits(theirs.observation_state.hidden)
-            )
-            assert np.array_equal(bits(ours.action_state.hidden), bits(theirs.action_state.hidden))
+            for got, want in zip(hidden_states(ours), hidden_states(theirs)):
+                assert np.array_equal(bits(got), bits(want))
             assert not ours.in_flight
 
     def test_infinite_action_is_rejected_by_the_flush_too(self, policy, monkeypatch):

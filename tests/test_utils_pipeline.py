@@ -1,14 +1,15 @@
 """Tests for shared utilities and the high-level experiment pipeline."""
 
 import logging
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.eval.metrics import classifier_detection_report
 from repro.pipeline import (
     CENSOR_NAMES,
     NEURAL_CENSOR_NAMES,
-    censor_baseline_table,
     make_censor,
     prepare_experiment_data,
     train_amoeba,
@@ -25,8 +26,6 @@ from repro.utils import (
     collection_seed_tree,
     ensure_rng,
     get_logger,
-    seed_sequence_from_state,
-    seed_sequence_state,
     spawn_rngs,
     spawn_seed_sequences,
 )
@@ -69,20 +68,13 @@ class TestRng:
         assert len(entropies) == 1  # one shared root entropy draw
         assert [child.spawn_key[-1] for child in children] == [0, 1, 2, 3]
 
-    def test_seed_sequence_state_round_trip(self):
-        (child,) = spawn_seed_sequences(11, 1)
-        rebuilt = seed_sequence_from_state(seed_sequence_state(child))
-        left = np.random.default_rng(child).integers(0, 2**31, size=5)
-        right = np.random.default_rng(rebuilt).integers(0, 2**31, size=5)
-        assert np.array_equal(left, right)
-
     def test_collection_seed_tree_crosses_process_boundary_shape(self):
-        """The per-env (env, noise) pairs rebuild identically from their
-        plain-dict state — the property worker processes rely on."""
+        """The per-env (env, noise) pairs rebuild identically after a pickle
+        round trip — the property worker processes rely on."""
         tree = collection_seed_tree(5, 3)
         assert len(tree) == 3
         for env_seq, noise_seq in tree:
-            env_rebuilt = seed_sequence_from_state(seed_sequence_state(env_seq))
+            env_rebuilt = pickle.loads(pickle.dumps(env_seq))
             assert np.array_equal(
                 np.random.default_rng(env_seq).integers(0, 2**31, size=4),
                 np.random.default_rng(env_rebuilt).integers(0, 2**31, size=4),
@@ -301,6 +293,13 @@ class TestPipeline:
         with pytest.raises(ValueError):
             prepare_experiment_data("doh")
 
+    @pytest.mark.parametrize("drop_rate", [-0.5, float("nan"), 1.5])
+    def test_prepare_experiment_data_refuses_a_bad_drop_rate(self, drop_rate):
+        # A negative or NaN rate fails ``drop_rate > 0``, so the network
+        # condition that would check it is never built.
+        with pytest.raises(ValueError, match="drop_rate"):
+            prepare_experiment_data("tor", n_censored=4, n_benign=4, drop_rate=drop_rate, rng=0)
+
     def test_make_censor_all_names(self, data):
         for name in CENSOR_NAMES:
             censor = make_censor(name, data, rng=0, epochs=1)
@@ -311,12 +310,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             make_censor("XGBOOST", data)
 
-    def test_train_censors_and_baseline_table(self, data):
+    def test_train_censors_and_detection_reports(self, data):
         censors = train_censors(data, names=("DT", "RF"), rng=0)
         assert set(censors) == {"DT", "RF"}
-        rows = censor_baseline_table(censors, data)
-        assert len(rows) == 2
-        assert all(0.0 <= row["accuracy"] <= 1.0 for row in rows)
+        for censor in censors.values():
+            report = classifier_detection_report(censor, data.splits.test.flows)
+            assert 0.0 <= report["accuracy"] <= 1.0
 
     def test_train_amoeba_smoke(self, data, fast_config):
         censors = train_censors(data, names=("DT",), rng=0)
