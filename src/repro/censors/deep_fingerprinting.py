@@ -27,6 +27,7 @@ from ..nn import functional as F
 from ..features.representation import SequenceRepresentation
 from ..flows.flow import Flow
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 from .base import CensorClassifier
 from .training import train_binary_classifier
 
@@ -94,9 +95,9 @@ class DeepFingerprintingClassifier(CensorClassifier):
     ) -> None:
         super().__init__()
         self.representation = representation
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
+        self.epochs = check_integer(epochs, "epochs", minimum=1)
+        self.batch_size = check_integer(batch_size, "batch_size", minimum=1)
+        self.learning_rate = check_positive(learning_rate, "learning_rate", finite=True)
         self._rng = ensure_rng(rng)
         # Conv/pool stack needs a length divisible by 4; round the
         # representation length down accordingly when building the network.

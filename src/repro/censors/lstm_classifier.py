@@ -16,6 +16,7 @@ from .. import nn
 from ..features.representation import FlowNormalizer
 from ..flows.flow import Flow
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 from .base import CensorClassifier
 from ..nn import functional as F
 from ..utils.logging import TrainingLogger
@@ -54,9 +55,9 @@ class LSTMClassifier(CensorClassifier):
     ) -> None:
         super().__init__()
         self.normalizer = normalizer
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
+        self.epochs = check_integer(epochs, "epochs", minimum=1)
+        self.batch_size = check_integer(batch_size, "batch_size", minimum=1)
+        self.learning_rate = check_positive(learning_rate, "learning_rate", finite=True)
         self.max_train_length = max_train_length
         self._rng = ensure_rng(rng)
         self.network = _LSTMNetwork(hidden_size=hidden_size, num_layers=num_layers, rng=self._rng)

@@ -22,6 +22,7 @@ from ..nn import functional as F
 from ..features.representation import SequenceRepresentation
 from ..flows.flow import Flow
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 from .base import CensorClassifier
 from .training import train_binary_classifier
 
@@ -93,10 +94,10 @@ class SDAEClassifier(CensorClassifier):
     ) -> None:
         super().__init__()
         self.representation = representation
-        self.pretrain_epochs = pretrain_epochs
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
+        self.pretrain_epochs = check_integer(pretrain_epochs, "pretrain_epochs", minimum=0)
+        self.epochs = check_integer(epochs, "epochs", minimum=1)
+        self.batch_size = check_integer(batch_size, "batch_size", minimum=1)
+        self.learning_rate = check_positive(learning_rate, "learning_rate", finite=True)
         self.noise_std = noise_std
         self._rng = ensure_rng(rng)
         self.network = _SDAENetwork(representation.n_features, hidden_dims, rng=self._rng)

@@ -18,6 +18,7 @@ from .. import nn
 from ..nn import functional as F
 from ..utils.logging import TrainingLogger
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 
 __all__ = ["train_binary_classifier"]
 
@@ -48,6 +49,10 @@ def train_binary_classifier(
     labels:
         Binary labels (1 = benign).
     """
+    epochs = check_integer(epochs, "epochs", minimum=1)
+    batch_size = check_integer(batch_size, "batch_size", minimum=1)
+    learning_rate = check_positive(learning_rate, "learning_rate", finite=True)
+    max_grad_norm = check_positive(max_grad_norm, "max_grad_norm", finite=True)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if len(inputs) != len(labels):
         raise ValueError("inputs and labels must have the same length")

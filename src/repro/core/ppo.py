@@ -7,17 +7,20 @@ mean-squared-error value updates over ``n_minibatches`` minibatches:
     L_actor  = −E[ min( I_t(θ) Â_t , clip(I_t(θ), 1±ε) Â_t ) ] − c_H · H(π_θ)
     L_critic =  E[ ( V_c(s_t) − R_t )² ]
 
-One minibatch records ten autograd nodes, each with a closed-form backward
+One minibatch records seven autograd nodes, each with a closed-form backward
 in :mod:`repro.nn.functional`: the actor MLP (``tanh_mlp``), the Gaussian
-log-density, the entropy, the clipped surrogate, the three ops of
-``surrogate − c_H · H``; the critic MLP, its reshape and the MSE.  The update
-still goes through ``log_prob_and_entropy`` / ``Critic.__call__`` /
-``Tensor.backward`` / ``nn.clip_grad_norm`` / ``Adam.step`` — there is no
-tape, recorded-graph replay or cache — and is bit-identical to the composed
-``Tensor``-op formulation (~55 nodes) kept in
-``tests/oracles/composed_ppo.py``.  A non-finite gradient norm raises
-``FloatingPointError`` before the optimizer step instead of poisoning the
-weights.
+log-density, the entropy and the policy loss ``L_actor`` whole
+(``ppo_policy_loss``); the critic MLP, its reshape and the MSE.  Their
+elementwise work, the gradient norm and the Adam step run on the active
+:mod:`repro.nn.backend`'s training hooks (compiled under ``blocked``); the
+BLAS products and the reductions stay numpy calls.  The update still goes
+through ``log_prob_and_entropy`` / ``Critic.__call__`` / ``Tensor.backward``
+/ ``nn.clip_grad_norm`` / ``Adam.step`` — there is no tape, recorded-graph
+replay or cache — and is bit-identical to the composed ``Tensor``-op
+formulation (~55 nodes) kept in ``tests/oracles/composed_ppo.py``.  A
+non-finite gradient norm raises ``FloatingPointError`` before the optimizer
+step instead of poisoning the weights, and a rollout that was loaded but not
+finalized raises ``RuntimeError`` before the minibatch shuffle draws.
 """
 
 from __future__ import annotations
@@ -88,14 +91,18 @@ class PPOUpdater:
 
                 # ---------------- actor ----------------
                 log_probs, entropy = self.actor.log_prob_and_entropy(states, batch.actions)
-                surrogate_loss, ratio = F.clipped_surrogate_loss(
-                    log_probs, batch.log_probs, batch.advantages, config.clip_epsilon
+                policy_loss, ratio = F.ppo_policy_loss(
+                    log_probs,
+                    entropy,
+                    batch.log_probs,
+                    batch.advantages,
+                    config.clip_epsilon,
+                    config.entropy_coef,
                 )
-                policy_loss = surrogate_loss - config.entropy_coef * entropy
 
                 self.actor_optimizer.zero_grad()
                 policy_loss.backward()
-                norm = nn.clip_grad_norm(self.actor.parameters(), config.max_grad_norm)
+                norm = nn.clip_grad_norm(self.actor_optimizer.parameters, config.max_grad_norm)
                 _require_finite(norm, "policy")
                 self.actor_optimizer.step()
 
@@ -104,7 +111,7 @@ class PPOUpdater:
                 value_loss = F.mse_loss(values, batch.returns)
                 self.critic_optimizer.zero_grad()
                 value_loss.backward()
-                norm = nn.clip_grad_norm(self.critic.parameters(), config.max_grad_norm)
+                norm = nn.clip_grad_norm(self.critic_optimizer.parameters, config.max_grad_norm)
                 _require_finite(norm, "value")
                 self.critic_optimizer.step()
 

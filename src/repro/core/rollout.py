@@ -99,6 +99,7 @@ class RolloutBuffer:
         self.values = np.zeros(shape)
         self.dones = np.zeros(shape, dtype=bool)
         self._loaded = False
+        self._finalized = False
 
     def load(
         self,
@@ -134,6 +135,7 @@ class RolloutBuffer:
         for name, array in arrays.items():
             getattr(self, name)[:] = array
         self._loaded = True
+        self._finalized = False
 
     def finalize(self, last_values: np.ndarray, gamma: float, gae_lambda: float) -> None:
         """Compute advantages and returns of the loaded rollout."""
@@ -142,6 +144,7 @@ class RolloutBuffer:
         self.advantages, self.returns = compute_gae(
             self.rewards, self.values, self.dones, last_values, gamma, gae_lambda
         )
+        self._finalized = True
 
     def _minibatch_slots(self, n_splits: int) -> List[_Batch]:
         """Per-slot gather buffers for an ``n_splits``-way partition."""
@@ -177,7 +180,15 @@ class RolloutBuffer:
         update finishes forward, backward and optimizer step on each batch
         before asking for the next.  The contents equal ``array[index]`` bit
         for bit (``tests/test_nn_backend.py``).
+
+        The loaded rollout must be finalized first (:meth:`finalize`):
+        otherwise the first batch raises ``RuntimeError`` before ``rng`` draws
+        anything.
         """
+        if not self._finalized:
+            raise RuntimeError(
+                "minibatches needs advantages and returns: call finalize() after load()"
+            )
         rng = ensure_rng(rng)
         if n_minibatches < 1:
             raise ValueError("n_minibatches must be >= 1")

@@ -33,6 +33,7 @@ from .. import nn
 from ..nn import functional as F
 from ..utils.logging import TrainingLogger
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_integer, check_positive
 
 __all__ = [
     "EncoderState",
@@ -189,8 +190,16 @@ def pretrain_state_encoder(
     """Algorithm 2: train the Seq2Seq autoencoder and return its encoder.
 
     Mini-batch sequence lengths are sampled uniformly from [1, max_length] so
-    the encoder learns to represent prefixes of any length.
+    the encoder learns to represent prefixes of any length.  A budget that
+    trains nothing (no flows, no epochs, empty batches or sequences) or a
+    step size that is not a finite positive number raises ``ValueError``
+    before any work.
     """
+    n_flows = check_integer(n_flows, "n_flows", minimum=1)
+    max_length = check_integer(max_length, "max_length", minimum=1)
+    epochs = check_integer(epochs, "epochs", minimum=1)
+    batch_size = check_integer(batch_size, "batch_size", minimum=1)
+    learning_rate = check_positive(learning_rate, "learning_rate", finite=True)
     rng = ensure_rng(rng)
     logger = logger or TrainingLogger("state-encoder")
     dataset = make_synthetic_flow_dataset(n_flows, max_length, rng=rng)

@@ -17,8 +17,12 @@ backends**, each owning the 2-D matmul kernel used inside a
 :func:`repro.nn.row_consistent_matmul` context
 (:meth:`ExecutionBackend.matmul2d`), the fused recurrent gate kernels used
 by ``nn.functional``'s GRU/LSTM forwards (:meth:`ExecutionBackend.gru_gates` /
-:meth:`ExecutionBackend.lstm_gates`) and the two networks of the decision
-tick (:meth:`ExecutionBackend.gru_step` / :meth:`ExecutionBackend.tanh_mlp`).
+:meth:`ExecutionBackend.lstm_gates`), the two networks of the decision
+tick (:meth:`ExecutionBackend.gru_step` / :meth:`ExecutionBackend.tanh_mlp`)
+and the PPO update's elementwise work — the training tanh MLP's
+``bias_tanh`` / ``tanh_backward``, the loss nodes'
+``gaussian_log_density(_backward)`` / ``clipped_surrogate(_backward)``,
+``clip_grad_norm``'s ``grad_norm`` and ``Adam.step``'s ``adam_step``.
 Two backends ship, both ``float64``, both row-consistent, bit-identical to
 each other by test:
 
@@ -36,10 +40,12 @@ each other by test:
     change a single bit.  The decision-tick networks run as one call each:
     :meth:`~ExecutionBackend.gru_step` (a whole GRU stack) and
     :meth:`~ExecutionBackend.tanh_mlp` (the actor / critic MLP), and the
-    training GRU's gate math is one call per timestep.  Their compiled code
-    performs only exact IEEE arithmetic (adds, multiplies, divides,
-    negation); the transcendental ``exp`` / ``tanh`` run numpy's *own*
-    float64 inner loops, taken from the ``np.exp`` / ``np.tanh`` ufunc
+    training GRU's gate math is one call per timestep; each training hook
+    is one call between the update's numpy BLAS products.  Their compiled
+    code performs only exact IEEE arithmetic (adds, multiplies, divides,
+    negation, square roots; ``grad_norm`` reproduces numpy's pairwise sum,
+    a pinned numpy assumption); the transcendental ``exp`` / ``tanh`` run
+    numpy's *own* float64 inner loops, taken from the ``np.exp`` / ``np.tanh`` ufunc
     objects when the kernel loads — numpy's SIMD ``exp``/``tanh`` differ
     from C ``libm`` in the last ulp, so borrowing numpy's loops is what
     keeps every kernel bit-identical to the numpy composition by
@@ -70,6 +76,7 @@ import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +303,9 @@ def compiled_kernel_error() -> Optional[str]:
 # The ufuncs whose float64 inner loops the kernel pack runs for exp / tanh.
 _LOOP_UFUNCS = (np.exp, np.tanh)
 
+# log(2π) of the Gaussian policy's density (here) and entropy (nn.functional).
+_LOG_2PI = math.log(2.0 * math.pi)
+
 
 def _np_gru_gates(
     gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
@@ -309,6 +319,36 @@ def _np_gru_gates(
     candidate = np.tanh(gx[:, 2 * size :] + reset * gh_n + b[2 * size :])
     new_hidden = (1.0 - update) * candidate + update * hidden
     return new_hidden, reset, update, candidate, gh_n
+
+
+def _np_adam_decrement(grad, m, v, s_a, s_b, lr, beta1, beta2, eps, bias1, bias2) -> None:
+    """Oracle Adam arithmetic: advance the moments ``m`` / ``v`` by ``grad``
+    and leave the amount to subtract from the parameters in ``s_b``.
+
+    Operation for operation the textbook allocating step
+    (``tests/oracles/optim_reference.py``), every intermediate written into
+    one of the two scratch buffers::
+
+        s_b = (1-b1)*g        ; m = m*b1 + s_b
+        s_b = ((1-b2)*g)*g    ; v = v*b2 + s_b
+        s_a = sqrt(v/bias2) + eps
+        s_b = (lr*(m/bias1)) / s_a
+
+    so the rounding, and hence the trajectory, is identical.
+    """
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=s_b)
+    m += s_b
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=s_b)
+    s_b *= grad
+    v += s_b
+    np.divide(v, bias2, out=s_a)
+    np.sqrt(s_a, out=s_a)
+    s_a += eps
+    np.divide(m, bias1, out=s_b)
+    s_b *= lr
+    s_b /= s_a
 
 
 def _np_lstm_gates(
@@ -350,9 +390,11 @@ _GATES_ERROR: Optional[str] = None
 def _assert_same(op: str, want, have, where: str) -> None:
     wants, haves = (want, have) if isinstance(want, tuple) else ((want,), (have,))
     for expected, got in zip(wants, haves):
-        if expected.shape != got.shape or not np.array_equal(
-            expected.view(np.uint64), got.view(np.uint64)
-        ):
+        if expected.dtype != getattr(got, "dtype", None) or expected.shape != got.shape:
+            raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
+        if expected.dtype == np.float64:
+            expected, got = expected.view(np.uint64), got.view(np.uint64)
+        if not np.array_equal(expected, got):
             raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
 
 
@@ -439,6 +481,93 @@ def _self_check_fused_cells(kernel) -> None:
                     kernel.tanh_mlp(x, layers),
                     f"widths={widths}, batch={batch}, scale={scale}",
                 )
+    _self_check_training_kernels(kernel, reference, rng)
+
+
+def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
+    """The PPO update's elementwise kernels against the numpy hooks.
+
+    Ratios land inside, outside and exactly on the clip bounds, with
+    advantages of both signs and zero, so every branch of the surrogate's
+    masks is taken; Adam runs a few steps over parameters of several shapes.
+    """
+    for rows, cols in [(1, 1), (7, 2), (128, 64), (5, 33), (0, 3)]:
+        for scale in (1.0, 50.0):
+            where = f"rows={rows}, cols={cols}, scale={scale}"
+            y = rng.standard_normal((rows, cols)) * scale
+            bias = rng.standard_normal(cols) * scale
+            _assert_same("bias_tanh", reference.bias_tanh(y, bias), kernel.bias_tanh(y, bias), where)
+            activation = np.tanh(bias + y)
+            _assert_same(
+                "tanh_backward",
+                reference.tanh_backward(y, activation),
+                kernel.tanh_backward(y, activation),
+                where,
+            )
+            actions = rng.standard_normal((rows, cols)) * scale
+            mean = rng.standard_normal((rows, cols)) * scale
+            log_std = rng.standard_normal(cols)
+            density = reference.gaussian_log_density(actions, mean, log_std)
+            _assert_same(
+                "gaussian_log_density",
+                density,
+                kernel.gaussian_log_density(actions, mean, log_std, -(0.5 * _LOG_2PI)),
+                where,
+            )
+            grad = rng.standard_normal(rows) * scale
+            _assert_same(
+                "gaussian_log_density_backward",
+                reference.gaussian_log_density_backward(grad, *density[1:]),
+                kernel.gaussian_log_density_backward(grad, *density[1:]),
+                where,
+            )
+            for epsilon in (0.2, 0.05):
+                low, high = 1.0 - epsilon, 1.0 + epsilon
+                log_probs = rng.standard_normal(rows)
+                shift = rng.choice([0.0, 0.1, -0.1, 0.5, -0.5, 40.0, -800.0], size=rows)
+                old = log_probs - shift
+                on_bound = rng.random(rows) < 0.2
+                old[on_bound] = log_probs[on_bound] - np.log(rng.choice([low, high], size=rows))[on_bound]
+                advantages = rng.choice([0.0, 1.0, -1.0, 2.5], size=rows) * scale
+                surrogate = reference.clipped_surrogate(log_probs, old, advantages, low, high)
+                _assert_same(
+                    "clipped_surrogate",
+                    surrogate,
+                    kernel.clipped_surrogate(log_probs, old, advantages, low, high),
+                    where,
+                )
+                masks = (surrogate[1], advantages, surrogate[2], surrogate[3])
+                _assert_same(
+                    "clipped_surrogate_backward",
+                    reference.clipped_surrogate_backward(-1.0 / max(rows, 1), *masks),
+                    kernel.clipped_surrogate_backward(-1.0 / max(rows, 1), *masks),
+                    where,
+                )
+    # Terms of one magnitude, one gradient per call: the pairwise sum's
+    # structure shows in the last bits only when no term dominates.
+    gradients = [[rng.standard_normal(length)] for length in list(range(300)) + [1000, 4096, 8193]]
+    gradients.append([rng.standard_normal((64, 33)), rng.standard_normal(5), np.zeros(3)])
+    for grads in gradients:
+        _assert_same(
+            "grad_norm",
+            np.float64(reference.grad_norm(grads)),
+            np.float64(kernel.grad_norm(grads)),
+            f"sizes={[grad.size for grad in grads]}",
+        )
+    shapes = [(5, 3), (3,), (1,), (17, 4), (2,)]
+    total = sum(int(np.prod(shape)) for shape in shapes)
+    runs = []
+    for step in (reference.adam_step, kernel.adam_step):
+        params = [np.random.default_rng(1).standard_normal(shape) for shape in shapes]
+        state, scratch = np.zeros((3, total)), np.zeros((2, total))
+        grads_rng = np.random.default_rng(2)
+        for count in range(1, 4):
+            grads = [grads_rng.standard_normal(shape) * 10.0 ** count for shape in shapes]
+            hyper = (5e-4, 0.9, 0.999, 1e-8, 1.0 - 0.9 ** count, 1.0 - 0.999 ** count)
+            if step(params, grads, state, scratch, hyper) is NotImplemented:
+                raise RuntimeError("compiled adam_step declined float64 parameters")
+        runs.append(tuple(params) + (state[:2].copy(), scratch[1].copy()))
+    _assert_same("adam_step", *runs, f"shapes={shapes}")
 
 
 def _gates_kernel():
@@ -497,10 +626,10 @@ class ExecutionBackend:
     property the bit-equivalence ladder rests on — and
     ``tests/test_nn_backend.py`` holds the whole registry to that.
 
-    The gate hooks default to the numpy oracles and the network hooks to
-    their composition on :meth:`matmul2d`, so any backend is safe for the
-    recurrent forwards and the decision tick; only ``blocked`` overrides
-    them with compiled (bit-identical) kernels.
+    The gate and training hooks default to the numpy oracles and the network
+    hooks to their composition on :meth:`matmul2d`, so any backend is safe
+    for the recurrent forwards, the decision tick and the PPO update; only
+    ``blocked`` overrides them with compiled (bit-identical) kernels.
     """
 
     name: str = "abstract"
@@ -557,6 +686,115 @@ class ExecutionBackend:
 
         return tanh_mlp_forward(x, layers, self.matmul2d)[-1]
 
+    # The PPO update's elementwise work.  The training nodes of
+    # ``nn.functional`` and ``Adam.step`` call these between their BLAS
+    # products and numpy reductions, which stay in the callers; the numpy
+    # expressions below are the oracle of the compiled kernels.
+    def bias_tanh(self, y: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """A hidden tanh layer after its product: ``tanh(y + bias)``."""
+        return np.tanh(y + bias)
+
+    def tanh_backward(self, grad: np.ndarray, activation: np.ndarray) -> np.ndarray:
+        """The gradient through a tanh layer whose output is ``activation``."""
+        return grad * (1.0 - activation ** 2)
+
+    def gaussian_log_density(
+        self, actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-dimension diagonal-Gaussian log-density of ``actions``.
+
+        Returns ``(per_dim, diff, scaled, variance)``: the terms the caller
+        sums over the last axis, and the caches its backward needs.
+        """
+        variance = np.exp(log_std * 2.0)
+        diff = actions + -mean
+        scaled = (diff ** 2) * -0.5
+        per_dim = (scaled / variance + -log_std) + -(0.5 * _LOG_2PI)
+        return per_dim, diff, scaled, variance
+
+    def gaussian_log_density_backward(
+        self, grad: np.ndarray, diff: np.ndarray, scaled: np.ndarray, variance: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Backward of :meth:`gaussian_log_density` for the per-sample ``grad``.
+
+        Returns ``(d_per_dim, d_variance_terms, d_mean)``: ``grad`` spread
+        over the action dimensions, the per-element variance gradient (the
+        caller reduces both to the shape of ``log_std``) and the mean's.
+        """
+        d_per_dim = np.repeat(np.expand_dims(grad, -1), diff.shape[-1], axis=-1)
+        d_variance_terms = -d_per_dim * scaled / (variance ** 2)
+        return d_per_dim, d_variance_terms, -(d_per_dim / variance * -0.5 * 2 * diff)
+
+    def clipped_surrogate(
+        self,
+        log_probs: np.ndarray,
+        old_log_probs: np.ndarray,
+        advantages: np.ndarray,
+        low: float,
+        high: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-sample ``min(I·Â, clip(I, low, high)·Â)`` with ``I`` the ratio.
+
+        Returns ``(surrogate, ratio, take_raw, inside)``: the terms the
+        caller averages, the ratio, and the two masks of the backward (ties
+        take the unclipped branch; the clip bounds count as inside).
+        """
+        ratio = np.exp(log_probs + -old_log_probs)
+        inside = (ratio >= low) & (ratio <= high)
+        raw = ratio * advantages
+        clipped = np.clip(ratio, low, high) * advantages
+        take_raw = raw <= clipped
+        return np.where(take_raw, raw, clipped), ratio, take_raw, inside
+
+    def clipped_surrogate_backward(
+        self,
+        d_surrogate: float,
+        ratio: np.ndarray,
+        advantages: np.ndarray,
+        take_raw: np.ndarray,
+        inside: np.ndarray,
+    ) -> np.ndarray:
+        """Gradient of the log-probabilities, ``d_surrogate`` per term."""
+        d_ratio = (
+            d_surrogate * ~take_raw * advantages * inside + d_surrogate * take_raw * advantages
+        )
+        return d_ratio * ratio
+
+    def grad_norm(self, grads: Sequence[np.ndarray]) -> float:
+        """The global L2 norm of ``grads``: each one's sum of squares, summed
+        in order."""
+        return float(np.sqrt(sum(float((grad ** 2).sum()) for grad in grads)))
+
+    def adam_step(
+        self,
+        params: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray],
+        state: np.ndarray,
+        scratch: np.ndarray,
+        hyper: Tuple[float, float, float, float, float, float],
+    ) -> None:
+        """Adam's flat update of ``params`` in place.
+
+        ``state`` holds the flat first and second moments and a gradient
+        buffer, one row each, as long as all parameters together;
+        ``scratch`` two more rows; ``hyper`` is ``(lr, beta1, beta2, eps,
+        bias1, bias2)``.  The gradients are gathered into ``state[2]``,
+        :func:`_np_adam_decrement` runs once over all elements, leaving the
+        decrement in ``scratch[1]``, and each parameter subtracts its
+        segment of it.
+        """
+        m, v, flat_grad = state
+        s_a, s_b = scratch
+        bounds = np.cumsum([0] + [data.size for data in params])
+        views = [
+            (data, slice(start, end)) for data, start, end in zip(params, bounds, bounds[1:])
+        ]
+        for (data, segment), grad in zip(views, grads):
+            flat_grad[segment].reshape(data.shape)[...] = grad
+        _np_adam_decrement(flat_grad, m, v, s_a, s_b, *hyper)
+        for data, segment in views:
+            data -= s_b[segment].reshape(data.shape)
+
     def describe(self) -> Dict[str, object]:
         """Introspection payload (benchmarks embed this in their results)."""
         return {"name": self.name}
@@ -599,6 +837,26 @@ class ReferenceBackend(ExecutionBackend):
 
     def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _einsum_matmul(a, b)
+
+
+def _compiled(name: str, *constants):
+    """A :class:`BlockedBackend` hook running the compiled kernel ``name``.
+
+    The kernel gets the hook's arguments, then ``constants``.  It returns
+    ``NotImplemented`` for operands outside its float64 fast path, and then
+    — or when the fused kernels are unavailable — the hook runs the numpy
+    expression of :class:`ExecutionBackend`.
+    """
+    def hook(self, *args):
+        kernel = _gates_kernel()
+        result = NotImplemented if kernel is None else getattr(kernel, name)(*args, *constants)
+        if result is NotImplemented:
+            return getattr(ExecutionBackend, name)(self, *args)
+        return result
+
+    hook.__name__ = hook.__qualname__ = name
+    hook.__doc__ = getattr(ExecutionBackend, name).__doc__
+    return hook
 
 
 class BlockedBackend(ExecutionBackend):
@@ -662,6 +920,15 @@ class BlockedBackend(ExecutionBackend):
         ):
             return _compiled_lstm_gates(kernel, gx, gh, b, cell)
         return _np_lstm_gates(gx, gh, b, cell)
+
+    bias_tanh = _compiled("bias_tanh")
+    tanh_backward = _compiled("tanh_backward")
+    gaussian_log_density = _compiled("gaussian_log_density", -(0.5 * _LOG_2PI))
+    gaussian_log_density_backward = _compiled("gaussian_log_density_backward")
+    clipped_surrogate = _compiled("clipped_surrogate")
+    clipped_surrogate_backward = _compiled("clipped_surrogate_backward")
+    grad_norm = _compiled("grad_norm")
+    adam_step = _compiled("adam_step")
 
     def describe(self) -> Dict[str, object]:
         payload = super().describe()

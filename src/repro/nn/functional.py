@@ -12,14 +12,18 @@ on the active :mod:`repro.nn.backend` (the compiled blocked kernel by
 default) without any code here knowing which.
 
 The functions on the PPO update's path — ``tanh_mlp``, ``gaussian_log_prob``,
-``gaussian_entropy``, ``mse_loss``, ``clipped_surrogate_loss`` — each record
-one autograd node with a closed-form backward, bit-identical to the composed
-``Tensor``-op formulations kept in ``tests/oracles/composed_ppo.py``.
+``gaussian_entropy``, ``mse_loss``, ``ppo_policy_loss`` — each record one
+autograd node with a closed-form backward, bit-identical to the composed
+``Tensor``-op formulations kept in ``tests/oracles/composed_ppo.py``.  Their
+elementwise work (the MLP's bias + tanh and its tanh gradient, the Gaussian
+log-density, the ratio and clip of the surrogate) runs on the active
+backend's training hooks; every BLAS product is a numpy ``@`` and every
+reduction a numpy ``.sum()`` here, with the same operands and layout as the
+composed formulation, which is what keeps the bits.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,15 +40,13 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "gaussian_log_prob",
     "gaussian_entropy",
-    "clipped_surrogate_loss",
+    "ppo_policy_loss",
     "tanh_mlp_forward",
     "tanh_mlp",
     "gru_cell_forward",
     "gru_sequence",
     "lstm_sequence",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -98,22 +100,23 @@ def gaussian_log_prob(actions: Tensor, mean: Tensor, log_std: Tensor) -> Tensor:
     if actions.shape != mean.data.shape:
         expected = f"(n, {mean.data.shape[1]})" if mean.data.ndim == 2 else str(mean.data.shape)
         raise ValueError(f"actions must be {expected}, got {actions.shape}")
-    variance = np.exp(log_std.data * 2.0)
-    diff = actions + -mean.data
-    scaled = (diff ** 2) * -0.5
-    out_data = ((scaled / variance + -log_std.data) + -(0.5 * _LOG_2PI)).sum(axis=-1)
+    backend = _backend.active_backend()
+    per_dim, diff, scaled, variance = backend.gaussian_log_density(actions, mean.data, log_std.data)
+    out_data = per_dim.sum(axis=-1)
 
     def backward(grad: np.ndarray) -> None:
         # ``log_std`` collects two terms, the ``- log_std`` one first: with
         # the entropy bonus its gradient is a three-way sum, whose bits
         # depend on the order.
-        d_per_dim = np.repeat(np.expand_dims(grad, -1), mean.data.shape[-1], axis=-1)
+        d_per_dim, d_variance_terms, d_mean = backend.gaussian_log_density_backward(
+            grad, diff, scaled, variance
+        )
         if log_std.requires_grad:
             log_std._accumulate(-_unbroadcast(d_per_dim, log_std.data.shape))
-            d_variance = _unbroadcast(-d_per_dim * scaled / (variance ** 2), variance.shape)
+            d_variance = _unbroadcast(d_variance_terms, variance.shape)
             log_std._accumulate(d_variance * variance * 2.0)
         if mean.requires_grad:
-            mean._accumulate(-(d_per_dim / variance * -0.5 * 2 * diff))
+            mean._accumulate(d_mean)
 
     return Tensor._make(out_data, (mean, log_std), backward)
 
@@ -122,7 +125,7 @@ def gaussian_entropy(log_std: Tensor) -> Tensor:
     """Entropy of a diagonal Gaussian, summed over action dims, mean over batch
     (one node)."""
     log_std = as_tensor(log_std)
-    per_sample = (log_std.data + 0.5 * (_LOG_2PI + 1.0)).sum(axis=-1)
+    per_sample = (log_std.data + 0.5 * (_backend._LOG_2PI + 1.0)).sum(axis=-1)
     count = float(per_sample.size)
     out_data = per_sample.sum() / count
 
@@ -132,33 +135,39 @@ def gaussian_entropy(log_std: Tensor) -> Tensor:
     return Tensor._make(out_data, (log_std,), backward)
 
 
-def clipped_surrogate_loss(
-    log_probs: Tensor, old_log_probs: np.ndarray, advantages: np.ndarray, clip_epsilon: float
+def ppo_policy_loss(
+    log_probs: Tensor,
+    entropy: Tensor,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    clip_epsilon: float,
+    entropy_coef: float,
 ) -> Tuple[Tensor, np.ndarray]:
-    """PPO's clipped surrogate ``−E[min(I·Â, clip(I, 1±ε)·Â)]`` as one node.
+    """PPO's actor loss ``−E[min(I·Â, clip(I, 1±ε)·Â)] − c_H·H`` as one node.
 
-    ``I = exp(log_probs − old_log_probs)`` is the probability ratio; returns
-    ``(loss, I)`` — the ratio as a plain array, for the clip-fraction
-    diagnostic.  Where the two products tie the unclipped branch is taken,
-    and the clipped branch passes gradient only where ``I`` is inside the
-    clip range (bounds included).
+    ``I = exp(log_probs − old_log_probs)`` is the probability ratio and
+    ``H`` the policy ``entropy``; returns ``(loss, I)`` — the ratio as a
+    plain array, for the clip-fraction diagnostic.  Where the two products
+    tie the unclipped branch is taken, and the clipped branch passes
+    gradient only where ``I`` is inside the clip range (bounds included).
     """
-    log_probs = as_tensor(log_probs)
-    low, high = 1.0 - clip_epsilon, 1.0 + clip_epsilon
-    ratio = np.exp(log_probs.data + -old_log_probs)
-    inside = (ratio >= low) & (ratio <= high)
-    raw = ratio * advantages
-    clipped = np.clip(ratio, low, high) * advantages
-    take_raw = raw <= clipped
+    log_probs, entropy = as_tensor(log_probs), as_tensor(entropy)
+    backend = _backend.active_backend()
+    surrogate, ratio, take_raw, inside = backend.clipped_surrogate(
+        log_probs.data, old_log_probs, advantages, 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    )
     count = float(ratio.size)
-    out_data = -(np.where(take_raw, raw, clipped).sum() / count)
+    out_data = -(surrogate.sum() / count) + -(entropy.data * entropy_coef)
 
     def backward(grad: np.ndarray) -> None:
-        d_surrogate = -grad / count
-        d_ratio = d_surrogate * ~take_raw * advantages * inside + d_surrogate * take_raw * advantages
-        log_probs._accumulate(d_ratio * ratio)
+        if log_probs.requires_grad:
+            log_probs._accumulate(
+                backend.clipped_surrogate_backward(-grad / count, ratio, advantages, take_raw, inside)
+            )
+        if entropy.requires_grad:
+            entropy._accumulate(-grad * entropy_coef)
 
-    return Tensor._make(out_data, (log_probs,), backward), ratio
+    return Tensor._make(out_data, (log_probs, entropy), backward), ratio
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -181,12 +190,12 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Fused tanh MLP
 # --------------------------------------------------------------------------- #
-# The PPO update's graph is a handful of fat nodes — this one, the three loss
-# nodes above and ``clipped_surrogate_loss`` — under the same numerical
-# contract as the recurrent kernels below: every expression, forward and
-# backward, mirrors the composed ``Tensor``-op formulation operation for
-# operation, so values and gradients are bit-identical to it.  The composed
-# bodies live in ``tests/oracles/composed_ppo.py``.
+# The PPO update's graph is a handful of fat nodes — this one and the four
+# loss nodes above — under the same numerical contract as the recurrent
+# kernels below: every expression, forward and backward, mirrors the composed
+# ``Tensor``-op formulation operation for operation, so values and gradients
+# are bit-identical to it.  The composed bodies live in
+# ``tests/oracles/composed_ppo.py``.
 
 
 def tanh_mlp_forward(
@@ -195,18 +204,18 @@ def tanh_mlp_forward(
     """Linear-tanh-…-Linear on raw arrays — the one definition of its forward.
 
     ``layers`` holds one ``(weight, bias)`` pair per Linear; every layer but
-    the last is followed by a tanh.  Returns ``[x, h_1, …, h_{L-1}, out]``:
-    each layer's input, then the output.  :func:`tanh_mlp` passes
-    :func:`rc_matmul`; the inference forward
-    (:func:`repro.core.actor_critic.mlp_forward`) passes the active
-    backend's ``matmul2d`` itself.
+    the last is followed by a tanh, its bias and tanh the active backend's
+    ``bias_tanh``.  Returns ``[x, h_1, …, h_{L-1}, out]``: each layer's
+    input, then the output.  :func:`tanh_mlp` passes :func:`rc_matmul`;
+    the inference forward (:func:`repro.core.actor_critic.mlp_forward`)
+    passes the active backend's ``matmul2d`` itself.
     """
+    backend = _backend.active_backend()
     activations = [x]
     last = len(layers) - 1
     for index, (weight, bias) in enumerate(layers):
-        x = matmul(x, weight) + bias
-        if index < last:
-            x = np.tanh(x)
+        x = matmul(x, weight)
+        x = backend.bias_tanh(x, bias) if index < last else x + bias
         activations.append(x)
     return activations
 
@@ -223,6 +232,7 @@ def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"tanh_mlp expects a (n, features) input, got {x.data.shape}")
     activations = tanh_mlp_forward(x.data, [(w.data, b.data) for w, b in layers], rc_matmul)
+    backend = _backend.active_backend()
 
     def backward(grad: np.ndarray) -> None:
         for index in range(len(layers) - 1, -1, -1):
@@ -233,7 +243,7 @@ def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
             if weight.requires_grad:
                 weight._accumulate(layer_input.T @ grad)
             if index > 0:
-                grad = (grad @ weight.data.T) * (1.0 - layer_input ** 2)
+                grad = backend.tanh_backward(grad @ weight.data.T, layer_input)
             elif x.requires_grad:
                 x._accumulate(grad @ weight.data.T)
 

@@ -25,12 +25,23 @@
  * self-checks every kernel against the numpy composition before use.  The
  * LSTM gate phases still interleave with np.exp / np.tanh on the Python side
  * (_compiled_lstm_gates in backend.py).
+ *
+ * Training kernels (the PPO update's minibatch step, between numpy's BLAS
+ * products and reductions): bias_tanh and tanh_backward for the tanh MLP
+ * node, gaussian_log_density(_backward) and clipped_surrogate(_backward)
+ * for the loss nodes, grad_norm (numpy's pairwise sum of the squares,
+ * reproduced: the one reduction here) and adam_step (gather, the Adam
+ * arithmetic over the flat moments, scatter).  Each mirrors one numpy
+ * expression of backend.ExecutionBackend and returns NotImplemented for
+ * operands outside its float64 fast path.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 #include <numpy/ufuncobject.h>
+#include <math.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* Row-consistent f64 GEMM, bit-identical to np.einsum("ik,kh->ih"):  */
@@ -641,6 +652,421 @@ static PyObject *py_lstm_phase2(PyObject *self, PyObject *args) {
     return Py_BuildValue("NNNN", gi, gf, go, nc);
 }
 
+/* ------------------------------------------------------------------ */
+/* Training elementwise kernels: the PPO update's minibatch step.     */
+/*                                                                    */
+/* Each mirrors one numpy expression of backend.ExecutionBackend      */
+/* operation for operation (the expression is quoted above it); the   */
+/* BLAS products and the reductions around them stay numpy calls.     */
+/* Operands must be float64 ndarrays of the documented shapes:        */
+/* anything else returns NotImplemented and the caller runs the numpy */
+/* expression instead, which is how broadcasting and other dtypes     */
+/* keep numpy's own semantics.                                        */
+/* ------------------------------------------------------------------ */
+static int rc_is_f64(PyObject *obj, int ndim) {
+    return PyArray_Check(obj) && PyArray_TYPE((PyArrayObject *)obj) == NPY_DOUBLE &&
+           PyArray_NDIM((PyArrayObject *)obj) == ndim;
+}
+
+static int rc_same_shape(PyObject *a, PyObject *b) {
+    return PyArray_SAMESHAPE((PyArrayObject *)a, (PyArrayObject *)b);
+}
+
+/* C-contiguous float64 views of `count` operands (a copy only for a
+   strided one); 0 with every slot NULL on failure. */
+static int rc_contiguous(PyObject **objs, PyArrayObject **arrays, int count) {
+    for (int k = 0; k < count; ++k) {
+        arrays[k] = (PyArrayObject *)PyArray_FROM_OTF(objs[k], NPY_DOUBLE, NPY_ARRAY_IN_ARRAY);
+        if (arrays[k] == NULL) {
+            for (int j = 0; j < k; ++j) Py_CLEAR(arrays[j]);
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static void rc_release(PyArrayObject **arrays, int count) {
+    for (int k = 0; k < count; ++k) Py_XDECREF(arrays[k]);
+}
+
+#define RC_DATA(array) ((double *)PyArray_DATA(array))
+
+/* bias_tanh(y (n, k), bias (k,)) -> np.tanh(y + bias) */
+static PyObject *py_bias_tanh(PyObject *self, PyObject *args) {
+    PyObject *objs[2];
+    if (!PyArg_ParseTuple(args, "OO", &objs[0], &objs[1])) return NULL;
+    if (!rc_loops_bound()) return NULL;
+    if (!rc_is_f64(objs[0], 2) || !rc_is_f64(objs[1], 1) ||
+        PyArray_DIM((PyArrayObject *)objs[0], 1) != PyArray_DIM((PyArrayObject *)objs[1], 0))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[2];
+    if (!rc_contiguous(objs, in, 2)) return NULL;
+    const npy_intp rows = PyArray_DIM(in[0], 0), cols = PyArray_DIM(in[0], 1);
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(in[0]), NPY_DOUBLE);
+    double *pre = out ? PyMem_Malloc((rows * cols + 1) * sizeof(double)) : NULL;
+    if (pre == NULL) {
+        if (out != NULL) PyErr_NoMemory();
+        Py_CLEAR(out);
+    } else {
+        const double *y = RC_DATA(in[0]), *bias = RC_DATA(in[1]);
+        for (npy_intp i = 0; i < rows; ++i)
+            for (npy_intp j = 0; j < cols; ++j) pre[i * cols + j] = y[i * cols + j] + bias[j];
+        rc_apply_loop(&rc_tanh_loop, pre, RC_DATA(out), rows * cols);
+        PyMem_Free(pre);
+    }
+    rc_release(in, 2);
+    return (PyObject *)out;
+}
+
+/* tanh_backward(grad (n, k), activation (n, k)) ->
+   grad * (1.0 - activation ** 2)          (x ** 2 is np.square: x * x) */
+static PyObject *py_tanh_backward(PyObject *self, PyObject *args) {
+    PyObject *objs[2];
+    if (!PyArg_ParseTuple(args, "OO", &objs[0], &objs[1])) return NULL;
+    if (!rc_is_f64(objs[0], 2) || !rc_is_f64(objs[1], 2) || !rc_same_shape(objs[0], objs[1]))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[2];
+    if (!rc_contiguous(objs, in, 2)) return NULL;
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(in[0]), NPY_DOUBLE);
+    if (out != NULL) {
+        const double *restrict g = RC_DATA(in[0]), *restrict x = RC_DATA(in[1]);
+        double *restrict o = RC_DATA(out);
+        const npy_intp n = PyArray_SIZE(in[0]);
+        for (npy_intp i = 0; i < n; ++i) o[i] = g[i] * (1.0 - x[i] * x[i]);
+    }
+    rc_release(in, 2);
+    return (PyObject *)out;
+}
+
+/* gaussian_log_density(actions (n, d), mean (n, d), log_std (d,), c) ->
+   (per_dim, diff, scaled, variance):
+     variance = np.exp(log_std * 2.0)
+     diff     = actions + -mean
+     scaled   = (diff ** 2) * -0.5
+     per_dim  = ((scaled / variance) + -log_std) + c        c = -(0.5 log 2pi) */
+static PyObject *py_gaussian_log_density(PyObject *self, PyObject *args) {
+    PyObject *objs[3];
+    double constant;
+    if (!PyArg_ParseTuple(args, "OOOd", &objs[0], &objs[1], &objs[2], &constant)) return NULL;
+    if (!rc_loops_bound()) return NULL;
+    if (!rc_is_f64(objs[0], 2) || !rc_is_f64(objs[1], 2) || !rc_is_f64(objs[2], 1) ||
+        !rc_same_shape(objs[0], objs[1]) ||
+        PyArray_DIM((PyArrayObject *)objs[1], 1) != PyArray_DIM((PyArrayObject *)objs[2], 0))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[3];
+    if (!rc_contiguous(objs, in, 3)) return NULL;
+    const npy_intp rows = PyArray_DIM(in[1], 0), dims = PyArray_DIM(in[1], 1);
+    PyArrayObject *out[4] = {NULL, NULL, NULL, NULL};
+    PyObject *result = NULL;
+    double *doubled = NULL;
+    for (int k = 0; k < 3; ++k) {
+        out[k] = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(in[1]), NPY_DOUBLE);
+        if (out[k] == NULL) goto done;
+    }
+    out[3] = (PyArrayObject *)PyArray_SimpleNew(1, PyArray_DIMS(in[2]), NPY_DOUBLE);
+    if (out[3] == NULL) goto done;
+    doubled = PyMem_Malloc((dims + 1) * sizeof(double));
+    if (doubled == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const double *actions = RC_DATA(in[0]), *mean = RC_DATA(in[1]), *log_std = RC_DATA(in[2]);
+    double *per_dim = RC_DATA(out[0]), *diff = RC_DATA(out[1]), *scaled = RC_DATA(out[2]);
+    double *variance = RC_DATA(out[3]);
+    for (npy_intp j = 0; j < dims; ++j) doubled[j] = log_std[j] * 2.0;
+    rc_apply_loop(&rc_exp_loop, doubled, variance, dims);
+    for (npy_intp i = 0; i < rows; ++i) {
+        for (npy_intp j = 0; j < dims; ++j) {
+            const npy_intp at = i * dims + j;
+            const double d = actions[at] + -mean[at];
+            const double s = (d * d) * -0.5;
+            diff[at] = d;
+            scaled[at] = s;
+            per_dim[at] = ((s / variance[j]) + -log_std[j]) + constant;
+        }
+    }
+    result = Py_BuildValue("OOOO", out[0], out[1], out[2], out[3]);
+done:
+    PyMem_Free(doubled);
+    rc_release(out, 4);
+    rc_release(in, 3);
+    return result;
+}
+
+/* gaussian_log_density_backward(grad (n,), diff (n, d), scaled (n, d),
+   variance (d,)) -> (d_per_dim, d_variance_terms, d_mean), each (n, d):
+     d_per_dim        = grad repeated along the last axis
+     d_variance_terms = -d_per_dim * scaled / (variance ** 2)
+     d_mean           = -(d_per_dim / variance * -0.5 * 2 * diff)       */
+static PyObject *py_gaussian_log_density_backward(PyObject *self, PyObject *args) {
+    PyObject *objs[4];
+    if (!PyArg_ParseTuple(args, "OOOO", &objs[0], &objs[1], &objs[2], &objs[3])) return NULL;
+    if (!rc_is_f64(objs[0], 1) || !rc_is_f64(objs[1], 2) || !rc_is_f64(objs[2], 2) ||
+        !rc_is_f64(objs[3], 1) || !rc_same_shape(objs[1], objs[2]) ||
+        PyArray_DIM((PyArrayObject *)objs[0], 0) != PyArray_DIM((PyArrayObject *)objs[1], 0) ||
+        PyArray_DIM((PyArrayObject *)objs[1], 1) != PyArray_DIM((PyArrayObject *)objs[3], 0))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[4];
+    if (!rc_contiguous(objs, in, 4)) return NULL;
+    const npy_intp rows = PyArray_DIM(in[1], 0), dims = PyArray_DIM(in[1], 1);
+    PyArrayObject *out[3] = {NULL, NULL, NULL};
+    PyObject *result = NULL;
+    for (int k = 0; k < 3; ++k) {
+        out[k] = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(in[1]), NPY_DOUBLE);
+        if (out[k] == NULL) goto done;
+    }
+    const double *grad = RC_DATA(in[0]), *diff = RC_DATA(in[1]), *scaled = RC_DATA(in[2]);
+    const double *variance = RC_DATA(in[3]);
+    double *d_per_dim = RC_DATA(out[0]), *d_terms = RC_DATA(out[1]), *d_mean = RC_DATA(out[2]);
+    for (npy_intp i = 0; i < rows; ++i) {
+        const double g = grad[i];
+        for (npy_intp j = 0; j < dims; ++j) {
+            const npy_intp at = i * dims + j;
+            const double v = variance[j];
+            d_per_dim[at] = g;
+            d_terms[at] = (-g * scaled[at]) / (v * v);
+            d_mean[at] = -((((g / v) * -0.5) * 2.0) * diff[at]);
+        }
+    }
+    result = Py_BuildValue("OOO", out[0], out[1], out[2]);
+done:
+    rc_release(out, 3);
+    rc_release(in, 4);
+    return result;
+}
+
+/* np.clip on a float64: NaN passes through, then max, then min. */
+static inline double rc_clip(double x, double low, double high) {
+    const double raised = isnan(x) ? x : (x > low ? x : low);
+    return isnan(raised) ? raised : (raised < high ? raised : high);
+}
+
+/* clipped_surrogate(log_probs (n,), old_log_probs (n,), advantages (n,),
+   low, high) -> (surrogate, ratio, take_raw, inside):
+     ratio     = np.exp(log_probs + -old_log_probs)
+     inside    = (ratio >= low) & (ratio <= high)
+     raw       = ratio * advantages
+     clipped   = np.clip(ratio, low, high) * advantages
+     take_raw  = raw <= clipped
+     surrogate = np.where(take_raw, raw, clipped)                       */
+static PyObject *py_clipped_surrogate(PyObject *self, PyObject *args) {
+    PyObject *objs[3];
+    double low, high;
+    if (!PyArg_ParseTuple(args, "OOOdd", &objs[0], &objs[1], &objs[2], &low, &high)) return NULL;
+    if (!rc_loops_bound()) return NULL;
+    if (!rc_is_f64(objs[0], 1) || !rc_is_f64(objs[1], 1) || !rc_is_f64(objs[2], 1) ||
+        !rc_same_shape(objs[0], objs[1]) || !rc_same_shape(objs[0], objs[2]))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[3];
+    if (!rc_contiguous(objs, in, 3)) return NULL;
+    npy_intp *shape = PyArray_DIMS(in[0]);
+    const npy_intp n = shape[0];
+    PyArrayObject *out[4] = {NULL, NULL, NULL, NULL};
+    PyObject *result = NULL;
+    for (int k = 0; k < 4; ++k) {
+        out[k] = (PyArrayObject *)PyArray_SimpleNew(1, shape, k < 2 ? NPY_DOUBLE : NPY_BOOL);
+        if (out[k] == NULL) goto done;
+    }
+    const double *log_probs = RC_DATA(in[0]), *old = RC_DATA(in[1]), *adv = RC_DATA(in[2]);
+    double *surrogate = RC_DATA(out[0]), *ratio = RC_DATA(out[1]);
+    npy_bool *take_raw = PyArray_DATA(out[2]), *inside = PyArray_DATA(out[3]);
+    /* the exp argument goes through `surrogate`, overwritten below */
+    for (npy_intp i = 0; i < n; ++i) surrogate[i] = log_probs[i] + -old[i];
+    rc_apply_loop(&rc_exp_loop, surrogate, ratio, n);
+    for (npy_intp i = 0; i < n; ++i) {
+        const double r = ratio[i];
+        const double raw = r * adv[i];
+        const double clipped = rc_clip(r, low, high) * adv[i];
+        const int take = raw <= clipped;
+        inside[i] = (r >= low) & (r <= high);
+        take_raw[i] = take;
+        surrogate[i] = take ? raw : clipped;
+    }
+    result = Py_BuildValue("OOOO", out[0], out[1], out[2], out[3]);
+done:
+    rc_release(out, 4);
+    rc_release(in, 3);
+    return result;
+}
+
+/* clipped_surrogate_backward(d_surrogate, ratio (n,), advantages (n,),
+   take_raw (n,) bool, inside (n,) bool) -> gradient of the log-probs:
+     (d_surrogate * ~take_raw * advantages * inside
+      + d_surrogate * take_raw * advantages) * ratio                     */
+static PyObject *py_clipped_surrogate_backward(PyObject *self, PyObject *args) {
+    PyObject *objs[2], *take_obj, *inside_obj;
+    double ds;
+    if (!PyArg_ParseTuple(args, "dOOOO", &ds, &objs[0], &objs[1], &take_obj, &inside_obj))
+        return NULL;
+    if (!rc_is_f64(objs[0], 1) || !rc_is_f64(objs[1], 1) || !rc_same_shape(objs[0], objs[1]) ||
+        !PyArray_Check(take_obj) || !PyArray_Check(inside_obj) ||
+        PyArray_TYPE((PyArrayObject *)take_obj) != NPY_BOOL ||
+        PyArray_TYPE((PyArrayObject *)inside_obj) != NPY_BOOL ||
+        !rc_same_shape(objs[0], take_obj) || !rc_same_shape(objs[0], inside_obj))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[2];
+    if (!rc_contiguous(objs, in, 2)) return NULL;
+    PyArrayObject *masks[2] = {
+        (PyArrayObject *)PyArray_FROM_OTF(take_obj, NPY_BOOL, NPY_ARRAY_IN_ARRAY), NULL};
+    masks[1] = masks[0] ? (PyArrayObject *)PyArray_FROM_OTF(inside_obj, NPY_BOOL,
+                                                            NPY_ARRAY_IN_ARRAY)
+                        : NULL;
+    PyArrayObject *out = masks[1] ? (PyArrayObject *)PyArray_SimpleNew(
+                                        1, PyArray_DIMS(in[0]), NPY_DOUBLE)
+                                  : NULL;
+    if (out != NULL) {
+        const double *ratio = RC_DATA(in[0]), *adv = RC_DATA(in[1]);
+        const npy_bool *take_raw = PyArray_DATA(masks[0]), *inside = PyArray_DATA(masks[1]);
+        double *grad = RC_DATA(out);
+        const npy_intp n = PyArray_DIM(in[0], 0);
+        for (npy_intp i = 0; i < n; ++i) {
+            const double take = take_raw[i] ? 1.0 : 0.0;
+            const double clipped = ((ds * (take_raw[i] ? 0.0 : 1.0)) * adv[i]) *
+                                   (inside[i] ? 1.0 : 0.0);
+            grad[i] = (clipped + (ds * take) * adv[i]) * ratio[i];
+        }
+    }
+    Py_XDECREF(masks[0]);
+    Py_XDECREF(masks[1]);
+    rc_release(in, 2);
+    return (PyObject *)out;
+}
+
+/* numpy's float64 add.reduce of x[i] * x[i] (the pairwise sum of the
+   squares, from 0.0): below 8 terms in order, up to 128 in eight
+   interleaved partial sums folded ((0+1)+(2+3))+((4+5)+(6+7)) and the tail
+   in order, above that the two halves (the first a multiple of 8) apart. */
+static double rc_pairwise_sum_of_squares(const double *x, npy_intp n) {
+    if (n < 8) {
+        double total = 0.0;
+        for (npy_intp i = 0; i < n; ++i) total += x[i] * x[i];
+        return total;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; ++j) r[j] = x[j] * x[j];
+        npy_intp i = 8;
+        for (; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j) r[j] += x[i + j] * x[i + j];
+        double total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) total += x[i] * x[i];
+        return total;
+    }
+    npy_intp half = n / 2;
+    half -= half % 8;
+    return rc_pairwise_sum_of_squares(x, half) + rc_pairwise_sum_of_squares(x + half, n - half);
+}
+
+/* grad_norm(grads) -> sqrt(sum((g ** 2).sum() for g in grads)), the sum
+   taken in order from 0.0; every gradient a C-contiguous float64 array,
+   otherwise NotImplemented. */
+static PyObject *py_grad_norm(PyObject *self, PyObject *args) {
+    PyObject *grads_obj;
+    if (!PyArg_ParseTuple(args, "O", &grads_obj)) return NULL;
+    PyObject *grads = PySequence_Fast(grads_obj, "grad_norm expects a sequence of arrays");
+    if (grads == NULL) return NULL;
+    const Py_ssize_t count = PySequence_Fast_GET_SIZE(grads);
+    for (Py_ssize_t k = 0; k < count; ++k) {
+        PyObject *g = PySequence_Fast_GET_ITEM(grads, k);
+        if (!PyArray_Check(g) || PyArray_TYPE((PyArrayObject *)g) != NPY_DOUBLE ||
+            !PyArray_IS_C_CONTIGUOUS((PyArrayObject *)g)) {
+            Py_DECREF(grads);
+            Py_RETURN_NOTIMPLEMENTED;
+        }
+    }
+    double total = 0.0;
+    for (Py_ssize_t k = 0; k < count; ++k) {
+        PyArrayObject *g = (PyArrayObject *)PySequence_Fast_GET_ITEM(grads, k);
+        total += rc_pairwise_sum_of_squares(RC_DATA(g), PyArray_SIZE(g));
+    }
+    Py_DECREF(grads);
+    return PyFloat_FromDouble(sqrt(total));
+}
+
+static void rc_adam_decrement(const double *restrict g, double *restrict m, double *restrict v,
+                              double *restrict decrement, npy_intp n, double lr, double beta1,
+                              double beta2, double eps, double bias1, double bias2) {
+    const double keep1 = 1.0 - beta1, keep2 = 1.0 - beta2;
+    for (npy_intp i = 0; i < n; ++i) {
+        const double mi = m[i] * beta1 + g[i] * keep1;
+        const double vi = v[i] * beta2 + (g[i] * keep2) * g[i];
+        m[i] = mi;
+        v[i] = vi;
+        decrement[i] = ((mi / bias1) * lr) / (sqrt(vi / bias2) + eps);
+    }
+}
+
+/* adam_step(params, grads, state (3, N), scratch (2, N), (lr, beta1, beta2,
+   eps, bias1, bias2)) -> True: Adam.step's flat update in one pass.
+   Gather every gradient into state[2], run the 13 in-place operations of
+   backend._np_adam_decrement over all N elements (state[0] = m,
+   state[1] = v, scratch[1] the decrement), then `param -= decrement` per
+   parameter.  Every parameter must be a writable C-contiguous float64
+   array and every gradient a C-contiguous float64 array of its shape,
+   together N elements; otherwise NotImplemented, before anything is
+   written. */
+static PyObject *py_adam_step(PyObject *self, PyObject *args) {
+    PyObject *params_obj, *grads_obj, *state_obj, *scratch_obj;
+    double lr, beta1, beta2, eps, bias1, bias2;
+    if (!PyArg_ParseTuple(args, "OOOO(dddddd)", &params_obj, &grads_obj, &state_obj,
+                          &scratch_obj, &lr, &beta1, &beta2, &eps, &bias1, &bias2))
+        return NULL;
+    PyObject *params = PySequence_Fast(params_obj, "adam_step params must be a sequence");
+    if (params == NULL) return NULL;
+    PyObject *grads = PySequence_Fast(grads_obj, "adam_step grads must be a sequence");
+    if (grads == NULL) {
+        Py_DECREF(params);
+        return NULL;
+    }
+    const Py_ssize_t count = PySequence_Fast_GET_SIZE(params);
+    int eligible = PySequence_Fast_GET_SIZE(grads) == count && rc_is_f64(state_obj, 2) &&
+                   rc_is_f64(scratch_obj, 2);
+    PyArrayObject *state = (PyArrayObject *)state_obj, *scratch = (PyArrayObject *)scratch_obj;
+    npy_intp total = 0;
+    if (eligible)
+        eligible = PyArray_IS_C_CONTIGUOUS(state) && PyArray_ISWRITEABLE(state) &&
+                   PyArray_IS_C_CONTIGUOUS(scratch) && PyArray_ISWRITEABLE(scratch) &&
+                   PyArray_DIM(state, 0) == 3 && PyArray_DIM(scratch, 0) == 2 &&
+                   PyArray_DIM(scratch, 1) == PyArray_DIM(state, 1);
+    for (Py_ssize_t k = 0; eligible && k < count; ++k) {
+        PyObject *p = PySequence_Fast_GET_ITEM(params, k);
+        PyObject *g = PySequence_Fast_GET_ITEM(grads, k);
+        eligible = PyArray_Check(p) && PyArray_Check(g) &&
+                   PyArray_TYPE((PyArrayObject *)p) == NPY_DOUBLE &&
+                   PyArray_TYPE((PyArrayObject *)g) == NPY_DOUBLE &&
+                   PyArray_IS_C_CONTIGUOUS((PyArrayObject *)p) &&
+                   PyArray_ISWRITEABLE((PyArrayObject *)p) &&
+                   PyArray_IS_C_CONTIGUOUS((PyArrayObject *)g) && rc_same_shape(p, g);
+        if (eligible) total += PyArray_SIZE((PyArrayObject *)p);
+    }
+    if (!eligible || total != PyArray_DIM(state, 1)) {
+        Py_DECREF(params);
+        Py_DECREF(grads);
+        Py_RETURN_NOTIMPLEMENTED;
+    }
+    double *restrict m = RC_DATA(state), *restrict v = m + total, *restrict g = v + total;
+    double *restrict decrement = RC_DATA(scratch) + total;
+    npy_intp offset = 0;
+    for (Py_ssize_t k = 0; k < count; ++k) {
+        PyArrayObject *grad = (PyArrayObject *)PySequence_Fast_GET_ITEM(grads, k);
+        const npy_intp size = PyArray_SIZE(grad);
+        memcpy(g + offset, PyArray_DATA(grad), size * sizeof(double));
+        offset += size;
+    }
+    rc_adam_decrement(g, m, v, decrement, total, lr, beta1, beta2, eps, bias1, bias2);
+    offset = 0;
+    for (Py_ssize_t k = 0; k < count; ++k) {
+        PyArrayObject *param = (PyArrayObject *)PySequence_Fast_GET_ITEM(params, k);
+        double *restrict p = RC_DATA(param);
+        const npy_intp size = PyArray_SIZE(param);
+        for (npy_intp i = 0; i < size; ++i) p[i] = p[i] - decrement[offset + i];
+        offset += size;
+    }
+    Py_DECREF(params);
+    Py_DECREF(grads);
+    Py_RETURN_TRUE;
+}
+
 static PyMethodDef rc_gemm_methods[] = {
     {"rc_gemm", py_rc_gemm, METH_VARARGS,
      "Row-consistent f64 GEMM, bit-identical to np.einsum('ik,kh->ih')."},
@@ -658,6 +1084,20 @@ static PyMethodDef rc_gemm_methods[] = {
      "LSTM gate phase 1: packed -pre for i/f/o plus the g pre-activation."},
     {"lstm_phase2", py_lstm_phase2, METH_VARARGS,
      "LSTM gate phase 2: finish sigmoids, c' = (f*c) + (i*g)."},
+    {"bias_tanh", py_bias_tanh, METH_VARARGS, "np.tanh(y + bias) of a hidden layer."},
+    {"tanh_backward", py_tanh_backward, METH_VARARGS, "grad * (1.0 - activation ** 2)."},
+    {"gaussian_log_density", py_gaussian_log_density, METH_VARARGS,
+     "Diagonal-Gaussian log-density terms: (per_dim, diff, scaled, variance)."},
+    {"gaussian_log_density_backward", py_gaussian_log_density_backward, METH_VARARGS,
+     "Their backward: (d_per_dim, d_variance_terms, d_mean)."},
+    {"clipped_surrogate", py_clipped_surrogate, METH_VARARGS,
+     "PPO clipped surrogate terms: (surrogate, ratio, take_raw, inside)."},
+    {"clipped_surrogate_backward", py_clipped_surrogate_backward, METH_VARARGS,
+     "Gradient of the clipped surrogate terms w.r.t. the log-probabilities."},
+    {"grad_norm", py_grad_norm, METH_VARARGS,
+     "Global L2 norm of gradients, numpy's pairwise sums of their squares."},
+    {"adam_step", py_adam_step, METH_VARARGS,
+     "Adam's flat update in one pass: gather, decrement, scatter."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef rc_gemm_module = {

@@ -9,23 +9,27 @@ The PPO update phase sits on every training iteration's critical path, and
 an optimizer step runs once per minibatch per epoch.  ``Adam`` therefore
 preallocates its state and scratch at construction — one flat float64
 buffer per kind (:func:`_flat_buffers`), with one view per parameter shaped
-like it — and performs the entire update with in-place ufuncs: zero
-allocations per step, and ``param.data`` is mutated in place rather than
-rebound to a fresh array.  The in-place step applies *exactly* the same
-sequence of rounded floating point operations as the textbook allocating
-formulation, which lives in ``tests/oracles/optim_reference.py`` and is
-asserted bitwise against this class in ``tests/test_nn_backend.py``.
+like it — and mutates ``param.data`` in place rather than rebinding it.
 
-The step is flat: the models trained here have a handful of parameters,
-most of them bias-sized, so a per-parameter step is fourteen ufunc
-dispatches per parameter on a few dozen elements each.  When every
-parameter has a gradient (PPO, encoder pre-training, censor ``fit``) Adam
-gathers the gradients into its flat buffer and runs the update once over
-all elements; elementwise arithmetic does not depend on where an element
-sits, so the result is bit-identical to the per-parameter step
-(``tests/oracles/composed_ppo.py``).  A parameter without a gradient must
-keep its moments untouched, so then the same update runs per parameter on
-the views.
+The step is flat and is one execution-backend hook,
+:meth:`~repro.nn.backend.ExecutionBackend.adam_step`: when every parameter
+has a gradient (PPO, encoder pre-training, censor ``fit``) the gradients are
+gathered into the flat buffer, the update runs once over all elements and
+each parameter subtracts its segment.  Under the ``blocked`` backend that is
+one compiled pass; the numpy expression it is checked against
+(``backend._np_adam_decrement``: in-place ufuncs, zero allocations) applies
+*exactly* the same sequence of rounded operations as the textbook
+allocating formulation in ``tests/oracles/optim_reference.py`` and the
+per-parameter step in ``tests/oracles/composed_ppo.py``, and elementwise
+arithmetic does not depend on where an element sits, so all of them are
+bit-identical (``tests/test_nn_backend.py``, ``tests/test_nn_ppo_nodes.py``).
+A parameter without a gradient must keep its moments untouched, so then the
+numpy update runs per parameter on the views.
+
+``clip_grad_norm``'s norm is the backend's ``grad_norm`` hook, and both
+bounds are refused unless finite and positive before anything is touched: a
+negative ``max_norm`` would flip every gradient, a NaN one skip clipping,
+and an infinite learning rate write inf / NaN into every weight.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..utils.validation import check_positive
+from . import backend as _backend
 from .layers import Parameter
 
 __all__ = ["Adam", "clip_grad_norm"]
@@ -48,10 +53,11 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     private accumulation buffers owned by the autodiff engine, so no copy is
     needed and none is made.
     """
+    max_norm = check_positive(max_norm, "max_norm", finite=True)
     params = [p for p in parameters if p.grad is not None]
     if not params:
         return 0.0
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+    total = _backend.active_backend().grad_norm([p.grad for p in params])
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:
@@ -90,9 +96,9 @@ class Adam:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
-        self.lr = check_positive(lr, "learning rate")
+        self.lr = check_positive(lr, "learning rate", finite=True)
         self._step = 0
-        self._flat_state, (self._m, self._v, self._grads) = _flat_buffers(self.parameters, 3)
+        self._flat_state, (self._m, self._v, _) = _flat_buffers(self.parameters, 3)
         self._flat_scratch, (self._scratch_a, self._scratch_b) = _flat_buffers(self.parameters, 2)
 
     def zero_grad(self) -> None:
@@ -101,45 +107,28 @@ class Adam:
 
     def step(self) -> None:
         self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        if any(p.grad is None for p in self.parameters):
-            for param, m, v, s_a, s_b in zip(
-                self.parameters, self._m, self._v, self._scratch_a, self._scratch_b
+        hyper = (
+            self.lr,
+            self.beta1,
+            self.beta2,
+            self.eps,
+            1.0 - self.beta1 ** self._step,
+            1.0 - self.beta2 ** self._step,
+        )
+        grads = [param.grad for param in self.parameters]
+        if any(grad is None for grad in grads):
+            for param, grad, m, v, s_a, s_b in zip(
+                self.parameters, grads, self._m, self._v, self._scratch_a, self._scratch_b
             ):
-                if param.grad is None:
+                if grad is None:
                     continue
-                self._decrement(param.grad, m, v, s_a, s_b, bias1, bias2)
+                _backend._np_adam_decrement(grad, m, v, s_a, s_b, *hyper)
                 param.data -= s_b
             return
-        for param, grad in zip(self.parameters, self._grads):
-            grad[...] = param.grad
-        m, v, grad = self._flat_state
-        s_a, s_b = self._flat_scratch
-        self._decrement(grad, m, v, s_a, s_b, bias1, bias2)
-        for param, s_b in zip(self.parameters, self._scratch_b):
-            param.data -= s_b
-
-    def _decrement(self, grad, m, v, s_a, s_b, bias1: float, bias2: float) -> None:
-        """Advance the moments ``m`` / ``v`` by ``grad`` and leave the amount
-        to subtract from the parameters in ``s_b``."""
-        # Operation-for-operation the textbook allocating step, with every
-        # intermediate written into one of the two scratch buffers:
-        #   s_b = (1-b1)*g        ; m = m*b1 + s_b
-        #   s_b = ((1-b2)*g)*g    ; v = v*b2 + s_b
-        #   s_a = sqrt(v/bias2) + eps
-        #   s_b = (lr*(m/bias1)) / s_a ; p -= s_b
-        # identical rounding at every step, hence identical trajectories.
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s_b)
-        m += s_b
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s_b)
-        s_b *= grad
-        v += s_b
-        np.divide(v, bias2, out=s_a)
-        np.sqrt(s_a, out=s_a)
-        s_a += self.eps
-        np.divide(m, bias1, out=s_b)
-        s_b *= self.lr
-        s_b /= s_a
+        _backend.active_backend().adam_step(
+            [param.data for param in self.parameters],
+            grads,
+            self._flat_state,
+            self._flat_scratch,
+            hyper,
+        )

@@ -4,15 +4,17 @@ These are the bodies the PPO update ran on before its graph became a handful
 of closed-form nodes: the ``Sequential`` actor / critic forwards,
 ``F.gaussian_log_prob`` (14 nodes), ``F.gaussian_entropy`` (4),
 ``F.mse_loss`` (5), the clipped-surrogate block of ``PPOUpdater.update``
-(9), the per-parameter ``Adam.step`` and the recursive graph walk of
-``Tensor.backward`` -- about 55 ``Tensor`` nodes per 128-row minibatch.  They
+(9) and its ``surrogate - c_H * entropy`` line (3), the per-parameter
+``Adam.step`` and the recursive graph walk of ``Tensor.backward`` -- about
+55 ``Tensor`` nodes per 128-row minibatch.  They
 are kept only as the reference the bitwise tests in
 ``tests/test_nn_ppo_nodes.py``, ``tests/test_nn_tensor.py`` and
 ``tests/test_properties.py`` compare production against -- do not optimise or
 "fix" them.  The only edits turn methods into functions taking the module
 first (so a test can ``monkeypatch.setattr`` them over the production names),
-lift the surrogate block out of the update loop into a function with the
-production node's signature, return the walk's order from
+lift the surrogate block out of the update loop into a function, and it
+with the entropy line into one with the production ``F.ppo_policy_loss``
+node's signature, return the walk's order from
 ``recursive_topological_order`` so it can be compared as well as run, and
 drop the Adam step's weight-decay branch with the production option.
 """
@@ -35,6 +37,7 @@ __all__ = [
     "composed_gaussian_entropy",
     "composed_mse_loss",
     "composed_clipped_surrogate_loss",
+    "composed_ppo_policy_loss",
     "per_parameter_adam_step",
     "recursive_topological_order",
     "recursive_backward",
@@ -98,6 +101,21 @@ def composed_clipped_surrogate_loss(
         surrogate_clipped,
     )
     return -surrogate.mean(), ratio.data
+
+
+def composed_ppo_policy_loss(
+    log_probs: Tensor,
+    entropy: Tensor,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    clip_epsilon: float,
+    entropy_coef: float,
+) -> Tuple[Tensor, np.ndarray]:
+    surrogate_loss, ratio = composed_clipped_surrogate_loss(
+        log_probs, old_log_probs, advantages, clip_epsilon
+    )
+    policy_loss = surrogate_loss - entropy_coef * entropy
+    return policy_loss, ratio
 
 
 def per_parameter_adam_step(self) -> None:

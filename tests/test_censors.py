@@ -249,6 +249,53 @@ class TestNeuralCensors:
         with pytest.raises(ValueError):
             DeepFingerprintingClassifier(SequenceRepresentation(2, normalizer))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"epochs": 0}, "epochs"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"epochs": 2.0}, "epochs"),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["DF", "SDAE", "LSTM"])
+    def test_budget_that_trains_nothing_is_refused(self, family, kwargs, name, representation, normalizer):
+        """``epochs=0`` used to return a censor marked fitted with its random
+        initial weights, and ``batch_size=0`` to fail inside ``fit``."""
+        with pytest.raises(ValueError, match=name):
+            if family == "DF":
+                DeepFingerprintingClassifier(representation, rng=0, **kwargs)
+            elif family == "SDAE":
+                SDAEClassifier(representation, rng=0, **kwargs)
+            else:
+                LSTMClassifier(normalizer, rng=0, **kwargs)
+
+    def test_sdae_may_skip_pretraining_but_not_a_negative_count(self, representation):
+        assert SDAEClassifier(representation, pretrain_epochs=0, rng=0).pretrain_epochs == 0
+        with pytest.raises(ValueError, match="pretrain_epochs"):
+            SDAEClassifier(representation, pretrain_epochs=-1, rng=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"epochs": 0}, "epochs"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"max_grad_norm": -1.0}, "max_grad_norm"),
+        ],
+    )
+    def test_training_loop_refuses_before_any_step(self, kwargs, name):
+        from repro.censors.training import train_binary_classifier
+
+        model = nn.Linear(3, 1, rng=np.random.default_rng(0))
+        before = state_dict_to_bytes(model.state_dict())
+        with pytest.raises(ValueError, match=name):
+            train_binary_classifier(
+                model, lambda batch: model(nn.Tensor(batch)), np.ones((4, 3)), np.ones(4), **kwargs
+            )
+        assert state_dict_to_bytes(model.state_dict()) == before
+
     def test_sdae_learns(self, representation, tor_splits):
         censor = SDAEClassifier(representation, epochs=12, pretrain_epochs=2, rng=0).fit(
             tor_splits.clf_train.flows

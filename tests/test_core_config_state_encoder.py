@@ -96,6 +96,25 @@ class TestSyntheticDataset:
 
 
 class TestStateEncoder:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"epochs": 0}, "epochs"),
+            ({"n_flows": 0}, "n_flows"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"max_length": 0}, "max_length"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+        ],
+    )
+    def test_budget_that_trains_nothing_is_refused(self, kwargs, name):
+        """``epochs=0`` / ``n_flows=0`` used to return an untrained encoder
+        silently, and ``batch_size=0`` to fail inside the epoch loop."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            pretrain_state_encoder(hidden_size=4, num_layers=1, rng=rng, **kwargs)
+        assert rng.bit_generator.state == state
+
     @pytest.fixture(scope="class")
     def pretrained(self):
         encoder, autoencoder, log = pretrain_state_encoder(

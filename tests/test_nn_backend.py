@@ -1,6 +1,6 @@
 """Execution-backend tier tests (repro.nn.backend).
 
-Four families of guarantees:
+Five families of guarantees:
 
 * **Registry mechanics** — lookup, default selection, scoped overrides.
 * **The bit-equivalence contract** — every registered backend must be
@@ -15,6 +15,10 @@ Four families of guarantees:
   exactly the same floating-point trajectory as the allocating references
   kept in ``tests/oracles/optim_reference.py`` (and, for the gather, plain
   ``array[index]``).
+* **The PPO update's training hooks** — each compiled kernel equals the
+  numpy expression of ``ExecutionBackend`` bit for bit, a ``blocked``
+  update takes no numpy fallback, and the numpy behaviour the kernels
+  reproduce is pinned by name (``TestPinnedNumpyAssumptions``).
 """
 
 import json
@@ -155,6 +159,14 @@ class TestBlockedEqualsReference:
             lstm = TestFusedCellKernels._lstm_operands(rng, 5, 6, scale)
             for want, have in zip(ref.lstm_gates(*lstm), backend.lstm_gates(*lstm)):
                 assert np.array_equal(want, have), (name, "lstm", scale)
+        for rows in (1, 2, 7, 8, 9, 37, 128, 129):
+            for scale in (1.0, 50.0):
+                for hook, operands in TestTrainingHooks.operands(rng, rows, scale=scale):
+                    want, have = getattr(ref, hook)(*operands), getattr(backend, hook)(*operands)
+                    _same_results(want, have, (name, hook, rows, scale))
+        for seed in range(4):
+            runs = [TestTrainingHooks.adam_run(b, seed) for b in (ref, backend)]
+            _same_results(*runs, (name, "adam_step", seed))
 
     def test_bit_identical_across_shapes(self):
         rng = np.random.default_rng(0)
@@ -396,6 +408,215 @@ class TestFusedCellKernels:
 def _same_bits(want, have):
     assert want.shape == have.shape and want.dtype == have.dtype == np.float64
     assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
+
+
+def _same_results(want, have, what):
+    """Equal bits for float64 arrays, equal values for masks and floats."""
+    wants, haves = (want, have) if isinstance(want, tuple) else ((want,), (have,))
+    assert len(wants) == len(haves), what
+    for expected, got in zip(wants, haves):
+        expected, got = np.asarray(expected), np.asarray(got)
+        assert expected.dtype == got.dtype and expected.shape == got.shape, what
+        if expected.dtype == np.float64:
+            expected, got = expected.view(np.uint64), got.view(np.uint64)
+        assert np.array_equal(expected, got), what
+
+
+class TestTrainingHooks:
+    """The PPO update's elementwise hooks.  Their operands feed the
+    registry-wide bitwise test above; here a ``blocked`` update must take
+    no numpy fallback, and operands outside the float64 fast path take the
+    numpy expression itself."""
+
+    @staticmethod
+    def operands(rng, rows, cols=7, scale=1.0):
+        """``(hook, args)`` for every training hook but ``adam_step``."""
+        y = rng.standard_normal((rows, cols)) * scale
+        bias = rng.standard_normal(cols)
+        activation = np.tanh(y)
+        actions, mean = rng.standard_normal((rows, 2)) * scale, rng.standard_normal((rows, 2))
+        log_std = rng.standard_normal(2) * 0.5
+        _, diff, scaled, variance = nnb.get_backend("reference").gaussian_log_density(
+            actions, mean, log_std
+        )
+        log_probs = rng.standard_normal(rows)
+        old = log_probs - rng.choice([0.0, 0.1, -0.1, 0.5, -0.5, 30.0, -800.0], size=rows)
+        old[: min(rows, 2)] = log_probs[: min(rows, 2)] - np.log([0.8, 1.2][: min(rows, 2)])
+        advantages = rng.choice([0.0, 1.0, -1.0, 0.3], size=rows) * scale
+        ratio, take_raw, inside = nnb.get_backend("reference").clipped_surrogate(
+            log_probs, old, advantages, 0.8, 1.2
+        )[1:]
+        shapes = [(rows, cols), (cols,), (rows,), (rows * 33,)]
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
+        return [
+            ("bias_tanh", (y, bias)),
+            ("tanh_backward", (y, activation)),
+            ("gaussian_log_density", (actions, mean, log_std)),
+            ("gaussian_log_density_backward", (rng.standard_normal(rows), diff, scaled, variance)),
+            ("clipped_surrogate", (log_probs, old, advantages, 0.8, 1.2)),
+            ("clipped_surrogate_backward", (-1.0 / rows, ratio, advantages, take_raw, inside)),
+            ("grad_norm", (grads,)),
+        ]
+
+    @staticmethod
+    def adam_run(backend, rng, steps=5, shapes=((4, 3), (3,), (1,), (33, 2))):
+        """Parameters, moments and the last decrement after ``steps`` of
+        ``backend.adam_step``."""
+        rng = np.random.default_rng(rng)
+        params = [rng.standard_normal(shape) for shape in shapes]
+        total = sum(param.size for param in params)
+        state, scratch = np.zeros((3, total)), np.zeros((2, total))
+        for step in range(1, steps + 1):
+            grads = [rng.standard_normal(shape) * 10.0 ** (step - 3) for shape in shapes]
+            hyper = (1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9 ** step, 1.0 - 0.999 ** step)
+            backend.adam_step(params, grads, state, scratch, hyper)
+        return tuple(params) + (state[0].copy(), state[1].copy(), scratch[1].copy())
+
+    def test_blocked_update_runs_the_compiled_kernels(self, monkeypatch):
+        """Under ``blocked`` no training hook falls back to numpy on the PPO
+        update's own operands."""
+        if not nnb.fused_cells_available():
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        from repro.core.actor_critic import Critic, GaussianActor
+        from repro.core.config import AmoebaConfig
+        from repro.core.ppo import PPOUpdater
+
+        hooks = [hook for hook, _ in self.operands(np.random.default_rng(0), 2)] + ["adam_step"]
+        for hook in hooks:
+
+            def forbidden(*args, _hook=hook, **kwargs):
+                raise AssertionError(f"{_hook} fell back to the numpy expression")
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=2, update_epochs=1)
+        actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
+        critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
+        with nnb.use_backend("blocked"):
+            PPOUpdater(actor, critic, config, rng=3).update(TestMinibatchSlots._filled_buffer())
+
+    def test_update_identical_on_both_backends(self):
+        from repro.core.actor_critic import Critic, GaussianActor
+        from repro.core.config import AmoebaConfig
+        from repro.core.ppo import PPOUpdater
+
+        def run(name):
+            config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=3, update_epochs=2)
+            actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
+            critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
+            with nnb.use_backend(name):
+                updater = PPOUpdater(actor, critic, config, rng=3)
+                stats = [updater.update(TestMinibatchSlots._filled_buffer()) for _ in range(3)]
+            return stats, [p.data.copy() for p in actor.parameters() + critic.parameters()]
+
+        (want_stats, want), (got_stats, got) = run("reference"), run("blocked")
+        assert got_stats == want_stats
+        for expected, value in zip(want, got):
+            _same_bits(expected, value)
+
+    def test_operands_outside_the_fast_path_take_the_numpy_expression(self):
+        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        rng = np.random.default_rng(71)
+        y32 = rng.standard_normal((4, 3)).astype(np.float32)
+        bias = rng.standard_normal(3)
+        assert blocked.bias_tanh(y32, bias.astype(np.float32)).dtype == np.float32
+        # Broadcasting the kernels do not take: a (1, d) log_std, a scalar
+        # advantage, gradients of mixed layouts and a Fortran-ordered one.
+        actions, mean = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        log_std = rng.standard_normal((1, 2))
+        _same_results(
+            reference.gaussian_log_density(actions, mean, log_std),
+            blocked.gaussian_log_density(actions, mean, log_std),
+            "gaussian_log_density",
+        )
+        log_probs, old = rng.standard_normal(6), rng.standard_normal(6)
+        _same_results(
+            reference.clipped_surrogate(log_probs, old, 0.5, 0.9, 1.1),
+            blocked.clipped_surrogate(log_probs, old, 0.5, 0.9, 1.1),
+            "clipped_surrogate",
+        )
+        grads = [np.asfortranarray(rng.standard_normal((5, 4))), rng.standard_normal(3)]
+        assert blocked.grad_norm(grads) == reference.grad_norm(grads)
+        params = [np.asfortranarray(rng.standard_normal((3, 2))), rng.standard_normal(2)]
+        grads = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        runs = []
+        for backend in (reference, blocked):
+            copies = [param.copy(order="A") for param in params]
+            state, scratch = np.zeros((3, 8)), np.zeros((2, 8))
+            backend.adam_step(copies, grads, state, scratch, (0.1, 0.9, 0.999, 1e-8, 0.1, 0.001))
+            runs.append(tuple(copies) + (state[0].copy(), state[1].copy()))
+        _same_results(*runs, "adam_step")
+
+    def test_strided_views_take_the_compiled_path(self):
+        """Strided (non-contiguous) float64 views take the compiled path and
+        still match."""
+        kernel = nnb._gates_kernel()
+        if kernel is None:
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        rng = np.random.default_rng(72)
+        y = rng.standard_normal((6, 8))[:, ::2]
+        activation = np.tanh(rng.standard_normal((6, 8)))[:, 1::2]
+        bias = rng.standard_normal(8)[::2]
+        reference = nnb.get_backend("reference")
+        _same_results(reference.bias_tanh(y, bias), kernel.bias_tanh(y, bias), "bias_tanh")
+        _same_results(
+            reference.tanh_backward(y, activation), kernel.tanh_backward(y, activation), "tanh_backward"
+        )
+
+
+class TestPinnedNumpyAssumptions:
+    """numpy behaviour the training kernels reproduce rather than call.
+
+    Pinned on numpy 2.4.6 (CI's numpy-floor job runs them on 1.24).  If one
+    fails, the kernel that mirrors it fails its load-time self-check, the
+    ``blocked`` backend degrades to the numpy expressions (same bits, numpy
+    speed) with ``fused_cells_error`` naming it, and the perf harness refuses
+    to measure.
+    """
+
+    @staticmethod
+    def _values(rng):
+        tiny = np.finfo(np.float64).tiny
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, tiny, 1e154, 1e-160, 1.5])
+        return [specials] + [
+            rng.standard_normal(length) * 10.0 ** rng.integers(-150, 150, length)
+            for length in list(range(1, 40)) + [127, 128, 129, 1000, 4096, 16385]
+        ]
+
+    def test_square_power_equals_self_product(self):
+        """``x ** 2`` (numpy's ``square`` fast path) is ``x * x``: the kernels
+        ``tanh_backward`` and ``gaussian_log_density`` square by multiplying."""
+        for x in self._values(np.random.default_rng(80)):
+            with np.errstate(all="ignore"):
+                _same_bits(x ** 2, x * x)
+
+    def test_ndarray_sum_is_the_pairwise_sum_from_zero(self):
+        """``ndarray.sum()`` of a C-contiguous float64 array, any shape, is
+        numpy's pairwise sum over its elements in memory order starting from
+        0.0 -- the reduction ``grad_norm``'s kernel reproduces -- so the
+        kernel equals ``(g ** 2).sum()`` per gradient."""
+        kernel = nnb._gates_kernel()
+        if kernel is None:
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        rng = np.random.default_rng(81)
+        # Terms of one magnitude too: a dominating term would hide the sum's
+        # structure in rounding.
+        arrays = self._values(rng)[1:] + [
+            rng.standard_normal(shape)
+            for shape in [(64, 64), (64, 32), (256, 64), (3, 5, 7)] + list(range(1, 300))
+        ]
+        with np.errstate(all="ignore"):
+            for x in arrays:
+                want = np.float64(np.sqrt(float((x ** 2).sum())))
+                _same_bits(np.asarray(want), np.asarray(np.float64(kernel.grad_norm([x]))))
+        assert np.array([-0.0]).sum() == 0.0 and not np.signbit(np.array([-0.0]).sum())
+
+    def test_clip_passes_nan_and_keeps_the_bound_on_a_tie(self):
+        """``np.clip`` of a float64 returns a NaN input itself and a bound as
+        is; ``clipped_surrogate``'s kernel clips the same way."""
+        x = np.array([np.nan, -np.nan, 0.8, 1.2, 0.0, np.inf, -np.inf, 1.0])
+        got = np.clip(x, 0.8, 1.2)
+        want = np.array([np.nan, -np.nan, 0.8, 1.2, 0.8, 1.2, 0.8, 1.0])
+        _same_bits(got, want)
 
 
 def test_bound_ufunc_loops_equal_ufunc():

@@ -43,8 +43,15 @@ class TestOptimizers:
     def test_nan_lr_rejected(self):
         """A NaN step size used to pass the ``lr <= 0`` check and write NaN
         into every weight on the first step."""
-        with pytest.raises(ValueError, match="learning rate must be positive"):
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
             nn.Adam(nn.Linear(2, 2).parameters(), lr=float("nan"))
+
+    @pytest.mark.parametrize("lr", [float("inf"), float("-inf")])
+    def test_infinite_lr_rejected(self, lr):
+        """An infinite step size used to be accepted, and the first step
+        wrote inf / NaN into every weight."""
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            nn.Adam(nn.Linear(2, 2).parameters(), lr=lr)
 
     def test_step_skips_parameters_without_grad(self):
         layer = nn.Linear(2, 2)
@@ -55,6 +62,16 @@ class TestOptimizers:
 
 
 class TestGradClipping:
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bound_that_would_corrupt_the_gradients_is_refused(self, max_norm):
+        """A negative bound used to flip every gradient's sign, and a NaN one
+        to skip clipping silently; neither may touch a gradient."""
+        param = nn.Parameter(np.zeros(3))
+        param.grad = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="max_norm must be finite and positive"):
+            nn.clip_grad_norm([param], max_norm)
+        assert np.array_equal(param.grad, [1.0, 2.0, 3.0])
+
     def test_clip_reduces_norm(self):
         layer = nn.Linear(2, 2)
         (layer(nn.Tensor(np.full((8, 2), 100.0))) ** 2).sum().backward()

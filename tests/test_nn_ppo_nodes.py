@@ -1,7 +1,7 @@
 """The PPO update's fat autograd nodes and the flat Adam step.
 
 The contract under test: ``F.tanh_mlp``, ``F.gaussian_log_prob``,
-``F.gaussian_entropy``, ``F.mse_loss``, ``F.clipped_surrogate_loss`` and
+``F.gaussian_entropy``, ``F.mse_loss``, ``F.ppo_policy_loss`` and
 ``Adam.step`` are **bit-identical** (``view(uint64)``) — values, every
 gradient, whole parameter trajectories, a whole ``Amoeba.train`` — to the
 composed ``Tensor``-op bodies and the per-parameter step they replaced, kept
@@ -55,10 +55,9 @@ def weights_bytes(actor, critic):
 
 def production_step(actor, critic, states, batch):
     log_probs, entropy = actor.log_prob_and_entropy(states, batch["actions"])
-    surrogate, ratio = F.clipped_surrogate_loss(
-        log_probs, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON
+    policy_loss, ratio = F.ppo_policy_loss(
+        log_probs, entropy, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON, ENTROPY_COEF
     )
-    policy_loss = surrogate - ENTROPY_COEF * entropy
     policy_loss.backward()
     value_loss = F.mse_loss(critic(states), batch["returns"])
     value_loss.backward()
@@ -67,10 +66,9 @@ def production_step(actor, critic, states, batch):
 
 def composed_step(actor, critic, states, batch):
     log_probs, entropy = oracle.composed_log_prob_and_entropy(actor, states, batch["actions"])
-    surrogate, ratio = oracle.composed_clipped_surrogate_loss(
-        log_probs, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON
+    policy_loss, ratio = oracle.composed_ppo_policy_loss(
+        log_probs, entropy, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON, ENTROPY_COEF
     )
-    policy_loss = surrogate - ENTROPY_COEF * entropy
     oracle.recursive_backward(policy_loss)
     values = oracle.composed_critic_forward(critic, states)
     value_loss = oracle.composed_mse_loss(values, nn.Tensor(batch["returns"]))
@@ -149,14 +147,30 @@ class TestNodesMatchComposedOracle:
         new = np.log(np.array([1.0 + CLIP_EPSILON, 1.0 - CLIP_EPSILON, 1.0, 3.0]))
         advantages = np.array([1.0, -1.0, 0.0, 2.0])
         grads = []
-        for surrogate in (F.clipped_surrogate_loss, oracle.composed_clipped_surrogate_loss):
+        for policy_loss in (F.ppo_policy_loss, oracle.composed_ppo_policy_loss):
             log_probs = nn.Tensor(new, requires_grad=True)
-            loss, ratio = surrogate(log_probs, old, advantages, CLIP_EPSILON)
+            entropy = nn.Tensor(np.array(1.25), requires_grad=True)
+            loss, ratio = policy_loss(log_probs, entropy, old, advantages, CLIP_EPSILON, ENTROPY_COEF)
             loss.backward()
-            grads.append((loss.data, ratio, log_probs.grad))
+            grads.append((loss.data, ratio, log_probs.grad, entropy.grad))
         for got, want in zip(*grads):
             assert_same_bits(got, want)
         assert grads[0][2][3] == 0.0  # clipped away: no gradient
+
+    def test_policy_loss_is_one_node_over_log_probs_and_entropy(self):
+        log_probs = nn.Tensor(np.log([0.5, 1.1, 1.5]), requires_grad=True)
+        entropy = nn.Tensor(np.array(0.75), requires_grad=True)
+        loss, _ = F.ppo_policy_loss(
+            log_probs, entropy, np.zeros(3), np.ones(3), CLIP_EPSILON, ENTROPY_COEF
+        )
+        assert loss._parents == (log_probs, entropy)
+        # Only the entropy bonus differentiates: the log-probabilities are data.
+        loss, _ = F.ppo_policy_loss(
+            nn.Tensor(log_probs.data), entropy, np.zeros(3), np.ones(3), CLIP_EPSILON, ENTROPY_COEF
+        )
+        entropy.grad = None
+        loss.backward()
+        assert entropy.grad == -ENTROPY_COEF
 
     def test_mlp_rejects_non_matrix_input(self):
         actor, _ = make_networks(0, (8,), state_dim=4)
@@ -222,18 +236,21 @@ class TestNodeGradients:
         numeric = numerical_gradient(lambda: F.mse_loss(prediction, target).item(), prediction.data)
         assert np.allclose(prediction.grad, numeric, atol=1e-6)
 
-    def test_clipped_surrogate_loss(self):
+    def test_ppo_policy_loss(self):
         rng = np.random.default_rng(3)
         # Ratios well inside, well outside and on both sides of the range,
         # none within the finite-difference step of a kink.
         log_probs = nn.Tensor(np.log([0.5, 0.9, 1.1, 1.5, 0.7, 1.3]), requires_grad=True)
+        entropy = nn.Tensor(np.array(0.4), requires_grad=True)
         old, advantages = np.zeros(6), rng.normal(size=6)
-        F.clipped_surrogate_loss(log_probs, old, advantages, CLIP_EPSILON)[0].backward()
-        numeric = numerical_gradient(
-            lambda: F.clipped_surrogate_loss(log_probs, old, advantages, CLIP_EPSILON)[0].item(),
-            log_probs.data,
-        )
-        assert np.allclose(log_probs.grad, numeric, atol=1e-6)
+
+        def loss():
+            return F.ppo_policy_loss(log_probs, entropy, old, advantages, CLIP_EPSILON, 0.3)[0]
+
+        loss().backward()
+        for tensor in (log_probs, entropy):
+            numeric = numerical_gradient(lambda: loss().item(), tensor.data)
+            assert np.allclose(tensor.grad, numeric, atol=1e-6)
 
 
 class TestGaussianLogProbValidation:
@@ -358,9 +375,9 @@ class TestPPOUpdater:
 
         monkeypatch.setattr(nn.Tensor, "_make", staticmethod(counting_make))
         updater.update(buffer)
-        # Ten today (55 on the composed graph): MLP, log-density, entropy,
-        # surrogate, ``- c_H * H`` (3); MLP, reshape, MSE.
-        assert 0 < len(calls) <= 14
+        # Seven (55 on the composed graph): MLP, log-density, entropy, the
+        # policy loss; MLP, reshape, MSE.
+        assert len(calls) == 7
 
     def test_update_reaches_the_networks_through_the_wrapped_entry_points(self, setup, monkeypatch):
         # benchmarks/perf/layers.py attributes the update by wrapping exactly
@@ -390,6 +407,30 @@ class TestPPOUpdater:
             "step": 2,
             "clip_grad_norm": 2,
         }
+
+    def test_unfinalized_buffer_is_refused_before_the_generator_draws(self, setup):
+        updater, _ = setup
+        config = updater.config
+        shape = (config.rollout_length, config.n_envs)
+        buffer = RolloutBuffer(config.rollout_length, config.n_envs, 6, 2)
+        arrays = (np.zeros(shape + (6,)), np.zeros(shape + (2,))) + (np.zeros(shape),) * 3
+        buffer.load(*arrays, np.zeros(shape, dtype=bool))
+        state = updater._rng.bit_generator.state
+        before = weights_bytes(updater.actor, updater.critic)
+        with pytest.raises(RuntimeError, match="finalize"):
+            updater.update(buffer)
+        assert updater._rng.bit_generator.state == state
+        assert weights_bytes(updater.actor, updater.critic) == before
+
+    def test_reloaded_buffer_needs_a_new_finalize(self, setup):
+        updater, buffer = setup
+        buffer.load(
+            buffer.states, buffer.actions, buffer.log_probs, buffer.rewards, buffer.values, buffer.dones
+        )
+        with pytest.raises(RuntimeError, match="finalize"):
+            next(buffer.minibatches(1, rng=0))
+        buffer.finalize(np.zeros(buffer.n_envs), 0.99, 0.95)
+        assert len(next(buffer.minibatches(1, rng=0)).states) == buffer.rollout_length * buffer.n_envs
 
     @pytest.mark.parametrize("loss_name", ["policy", "value"])
     def test_non_finite_gradient_raises_before_the_step(self, setup, loss_name):
@@ -426,7 +467,7 @@ def _patch_in_oracles(monkeypatch):
     monkeypatch.setattr(F, "mse_loss", oracle.composed_mse_loss)
     monkeypatch.setattr(F, "gaussian_log_prob", oracle.composed_gaussian_log_prob)
     monkeypatch.setattr(F, "gaussian_entropy", oracle.composed_gaussian_entropy)
-    monkeypatch.setattr(F, "clipped_surrogate_loss", oracle.composed_clipped_surrogate_loss)
+    monkeypatch.setattr(F, "ppo_policy_loss", oracle.composed_ppo_policy_loss)
     monkeypatch.setattr(nn.Adam, "step", oracle.per_parameter_adam_step)
     monkeypatch.setattr(nn.Tensor, "backward", oracle.recursive_backward)
 

@@ -651,14 +651,15 @@ class TestPPONodeOracleProperties:
         moved = np.array([not (unchanged_rows >> row & 1) for row in range(n)])
         drift = rng.normal(size=n) * 0.3 * moved
 
-        def run(log_prob_and_entropy, critic_forward, surrogate_loss, mse_loss, backward):
+        def run(log_prob_and_entropy, critic_forward, policy_loss_node, mse_loss, backward):
             actor = GaussianActor(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed))
             critic = Critic(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed + 1))
             actor.log_std.data = np.random.default_rng(seed + 2).normal(size=2) * 0.3
             inputs = nn.Tensor(states)
             log_probs, entropy = log_prob_and_entropy(actor, inputs, actions)
-            surrogate, ratio = surrogate_loss(log_probs, log_probs.data - drift, advantages, clip_epsilon)
-            policy_loss = surrogate - 0.01 * entropy
+            policy_loss, ratio = policy_loss_node(
+                log_probs, entropy, log_probs.data - drift, advantages, clip_epsilon, 0.01
+            )
             backward(policy_loss)
             value_loss = mse_loss(critic_forward(critic, inputs), nn.Tensor(returns))
             backward(value_loss)
@@ -668,14 +669,14 @@ class TestPPONodeOracleProperties:
         got = run(
             GaussianActor.log_prob_and_entropy,
             Critic.forward,
-            nn.functional.clipped_surrogate_loss,
+            nn.functional.ppo_policy_loss,
             nn.functional.mse_loss,
             nn.Tensor.backward,
         )
         want = run(
             composed_ppo.composed_log_prob_and_entropy,
             composed_ppo.composed_critic_forward,
-            composed_ppo.composed_clipped_surrogate_loss,
+            composed_ppo.composed_ppo_policy_loss,
             composed_ppo.composed_mse_loss,
             composed_ppo.recursive_backward,
         )

@@ -29,7 +29,7 @@ SURFACES = {
     "repro.nn.functional": {
         "relu", "tanh", "stable_sigmoid", "mse_loss", "mae_loss",
         "binary_cross_entropy_with_logits", "gaussian_log_prob", "gaussian_entropy",
-        "clipped_surrogate_loss", "tanh_mlp_forward", "tanh_mlp",
+        "ppo_policy_loss", "tanh_mlp_forward", "tanh_mlp",
         "gru_cell_forward", "gru_sequence", "lstm_sequence",
     },
     "repro.censors": {
