@@ -234,14 +234,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"serve: {error}") from None
     profile_db = None
     if args.profiles:
-        profile_flows = load_flows_jsonl(args.profiles)
+        try:
+            profile_flows = load_flows_jsonl(args.profiles)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"serve: {error}") from None
         profile_db = ProfileDatabase()
         profile_db.add_flows(profile_flows)
         print(f"fallback profile database: {len(profile_db)} profiles from {args.profiles}")
 
     try:
         server = PolicyServer.from_checkpoint(args.policy, config=config, profile_db=profile_db)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(f"serve: {error}") from None
     report = run_workload(server, workload)
 

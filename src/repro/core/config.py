@@ -8,10 +8,16 @@ in seconds-to-minutes; the paper's exact widths can be restored by passing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
-from ..utils.validation import check_non_negative, check_positive, check_probability
+from ..utils.validation import (
+    check_integer,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 __all__ = ["AmoebaConfig"]
 
@@ -80,12 +86,25 @@ class AmoebaConfig:
     max_episode_steps: int = 120
 
     def __post_init__(self) -> None:
+        # Every float is finite and every count or width a positive integer,
+        # so misuse raises here, before a censor query is spent.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                check_integer(value, field.name, minimum=1)
+            elif field.type == "Tuple[int, ...]":
+                for width in value:
+                    check_integer(width, field.name, minimum=1)
+            elif field.type in ("float", "Tuple[float, float]"):
+                entries = (value,) if field.type == "float" else value
+                if not all(math.isfinite(entry) for entry in entries):
+                    raise ValueError(f"{field.name} must be finite, got {value!r}")
         check_positive(self.learning_rate, "learning_rate")
         check_non_negative(self.lambda_split, "lambda_split")
         check_non_negative(self.lambda_data, "lambda_data")
         check_non_negative(self.lambda_time, "lambda_time")
         check_probability(self.reward_mask_rate, "reward_mask_rate")
-        check_positive(self.max_delay_ms, "max_delay_ms", finite=True)
+        check_positive(self.max_delay_ms, "max_delay_ms")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be within (0, 1], got {self.gamma}")
         check_probability(self.gae_lambda, "gae_lambda")
@@ -93,21 +112,6 @@ class AmoebaConfig:
         check_non_negative(self.entropy_coef, "entropy_coef")
         check_non_negative(self.value_coef, "value_coef")
         check_positive(self.max_grad_norm, "max_grad_norm")
-        widths = (self.encoder_hidden, self.encoder_layers, *self.actor_hidden, *self.critic_hidden)
-        if min(widths) < 1:
-            raise ValueError(
-                "encoder_hidden, encoder_layers and every actor / critic width must be >= 1"
-            )
-        if self.max_episode_steps < 1:
-            raise ValueError("max_episode_steps must be >= 1")
-        if self.n_envs < 1 or self.rollout_length < 1:
-            raise ValueError("n_envs and rollout_length must be >= 1")
-        if self.n_minibatches < 1 or self.update_epochs < 1:
-            raise ValueError("n_minibatches and update_epochs must be >= 1")
-        if self.min_packet_bytes < 1:
-            raise ValueError("min_packet_bytes must be >= 1")
-        if self.max_truncations_per_packet < 1:
-            raise ValueError("max_truncations_per_packet must be >= 1")
 
     # ------------------------------------------------------------------ #
     @property

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..flows.flow import Flow
+from ..utils.validation import check_integer
 
 __all__ = ["CumulFeatureExtractor"]
 
@@ -32,9 +33,7 @@ class CumulFeatureExtractor:
     """
 
     def __init__(self, n_interpolation: int = 100, include_timing: bool = True) -> None:
-        if n_interpolation < 2:
-            raise ValueError("n_interpolation must be >= 2")
-        self.n_interpolation = n_interpolation
+        self.n_interpolation = check_integer(n_interpolation, "n_interpolation", minimum=2)
         self.include_timing = include_timing
 
     @property
@@ -72,6 +71,3 @@ class CumulFeatureExtractor:
         for row, flow in zip(matrix, flows):
             row[:] = self.extract(flow)
         return matrix
-
-    def __call__(self, flow: Flow) -> np.ndarray:
-        return self.extract(flow)

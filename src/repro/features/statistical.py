@@ -17,25 +17,23 @@ The exact feature count is 166, asserted in the test suite, and every feature
 has a stable name (``feature_names()``) so importance analyses (Figure 4) can
 classify features as packet- or timing-derived.
 
-Two kernels compute the same bits.  ``_raw_features`` handles one flow with
-scalar bookkeeping; ``_batch_features`` handles many at once: every summary
-operand of every flow goes into one segment table (concatenated values plus a
-count per segment), segments are bucketed by length, and each distinct length
-is reduced as one C-contiguous ``(k, n)`` matrix.  numpy's pairwise
+One kernel computes them, for a batch of any size: every summary operand of
+every flow goes into one segment table (concatenated values plus a count per
+segment), segments are bucketed by length, and each distinct length is
+reduced as one C-contiguous ``(k, n)`` matrix.  numpy's pairwise
 ``add.reduce`` along ``axis=1`` of such a matrix runs the 1-D inner loop on
-every row, so a row's sums round exactly as the per-flow kernel's do
-(pinned in ``tests/test_features.py::test_row_reduce_equals_vector_reduce``).
+every row, so a row's sums round exactly as the 1-D reduce of that segment
+alone does (pinned in
+``tests/test_features.py::test_row_reduce_equals_vector_reduce``), and every
+row is bit-identical to the seed extractor kept as the test oracle.
 
 ``extract_many(flows, columns)`` returns ``extract_many(flows)[:, columns]``,
-bit for bit, and the batched kernel computes only what those columns read:
-unread segment groups get no segments, unread summaries (the sort, the
-MAD's second sort, the sum, the centred moments, the third and fourth
-powers) are never computed, and the burst, gap, checkpoint and flow-level
-sections run only for a requested column of theirs.  A tree censor asks
-for the columns its fitted model splits on.  ``extract_many`` picks the
-kernel from ``len(flows)`` alone: batches of fewer than ``_BATCH_BREAK_EVEN``
-flows take the per-flow kernel, which computes all 166 columns and is then
-sliced; everything else takes the batched one.
+bit for bit, and computes only what those columns read: unread segment
+groups get no segments, unread summaries (the sort, the MAD's second sort,
+the sum, the centred moments, the third and fourth powers) are never
+computed, and the burst, gap, checkpoint and flow-level sections run only
+for a requested column of theirs.  A tree censor asks for the columns its
+fitted model splits on.
 """
 
 from __future__ import annotations
@@ -125,56 +123,6 @@ _FEATURE_NAMES = _feature_names()
 assert len(_FEATURE_NAMES) == N_STATISTICAL_FEATURES, len(_FEATURE_NAMES)
 
 
-def _order_statistics(ordered: np.ndarray) -> Tuple[float, float, float]:
-    """``(min, max, median)`` of an ascending array of two or more values."""
-    ascending = ordered.tolist()
-    if ascending[-1] != ascending[-1]:
-        # NaN (an overflowed sum upstream) sorts last; numpy's min, max and
-        # median all propagate it.
-        return _NAN, _NAN, _NAN
-    half = len(ascending) >> 1
-    if len(ascending) & 1:
-        median = ascending[half]
-    else:
-        median = (ascending[half - 1] + ascending[half]) / 2
-    return ascending[0], ascending[-1], median
-
-
-def _summary(values: np.ndarray) -> Tuple[Tuple[float, ...], np.ndarray, float]:
-    """Eight summary statistics of ``values``, its ascending sort and its sum.
-
-    ``values`` is sorted once and the sorted copy yields min, max and median
-    (the deviations are sorted once more for the MAD).  Mean, std, skew and
-    kurtosis share one ``values - mean`` and reduce the *unsorted* operand in
-    the order ``ndarray.mean`` / ``ndarray.std`` do, so pairwise-summation
-    rounding is exactly that of the numpy methods.
-    """
-    n = values.shape[0]
-    if n == 0:
-        return (0.0,) * len(_SUMMARY_NAMES), values, 0.0
-    if n == 1:
-        value = float(values[0])
-        return (value, value, value, 0.0, value, 0.0, 0.0, 0.0), values, value
-    ordered = values.copy()
-    ordered.sort()
-    minimum, maximum, median = _order_statistics(ordered)
-    deviations = np.abs(values - median)
-    deviations.sort()
-    mad = _order_statistics(deviations)[2]
-
-    total = float(_add_reduce(values))
-    mean = total / n
-    centred = values - mean
-    std = math.sqrt(float(_add_reduce(centred * centred)) / n)
-    if std < 1e-12:
-        skew = kurtosis = 0.0
-    else:
-        standardised = centred / std
-        skew = float(_add_reduce(standardised ** 3)) / n
-        kurtosis = float(_add_reduce(standardised ** 4)) / n - 3.0
-    return (minimum, maximum, mean, std, median, mad, skew, kurtosis), ordered, total
-
-
 def _run_bounds(values: np.ndarray) -> List[int]:
     """Start of every maximal run of equal consecutive values, then ``len(values)``."""
     return [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.shape[0]]
@@ -196,20 +144,6 @@ def _decile_plan(n: int) -> Tuple[np.ndarray, ...]:
     return previous, previous + 1, gamma, 1 - gamma, gamma >= 0.5
 
 
-def _deciles(ordered: np.ndarray) -> List[float]:
-    """The nine deciles of an ascending array, bit-equal to ``np.percentile``."""
-    n = ordered.shape[0]
-    if n < 2:
-        return [float(ordered[0]) if n else 0.0] * len(_DECILES)
-    previous, following, gamma, one_minus_gamma, upper = _decile_plan(n)
-    below = ordered[previous]
-    above = ordered[following]
-    difference = above - below
-    return np.where(
-        upper, above - difference * one_minus_gamma, below + difference * gamma
-    ).tolist()
-
-
 @lru_cache(maxsize=1024)
 def _checkpoint_indexes(n_packets: int) -> np.ndarray:
     """Index of the last packet inside each tenth of an ``n_packets`` flow."""
@@ -218,109 +152,6 @@ def _checkpoint_indexes(n_packets: int) -> np.ndarray:
         dtype=np.intp,
     )
 
-
-def _raw_features(flow: Flow) -> List[float]:
-    """The 166 features of ``flow`` in ``feature_names()`` order, before ``nan_to_num``."""
-    sizes = np.asarray(flow.sizes, dtype=np.float64)
-    delays = np.asarray(flow.delays, dtype=np.float64)
-    n_packets = sizes.shape[0]
-    abs_sizes = np.abs(sizes)
-    up_mask = sizes > 0
-    down_mask = sizes < 0
-
-    # Packet-size and timing summaries (overall / up / down); the per-direction
-    # deciles are read off the same sorted arrays.
-    all_sizes, sorted_sizes, _ = _summary(abs_sizes)
-    up_sizes, sorted_up_sizes, bytes_up = _summary(abs_sizes[up_mask])
-    down_sizes, sorted_down_sizes, bytes_down = _summary(abs_sizes[down_mask])
-    all_delays, _, duration = _summary(delays)
-    up_delays, sorted_up_delays, _ = _summary(delays[up_mask])
-    down_delays, sorted_down_delays, _ = _summary(delays[down_mask])
-
-    # Bursts: maximal same-direction runs.
-    bounds = _run_bounds(up_mask)
-    n_bursts = len(bounds) - 1
-    burst_lengths = np.diff(np.asarray(bounds, dtype=np.float64))
-    # Per-slice sums: ``add.reduceat`` associates differently and is not
-    # bit-equal to ``abs_sizes[start:stop].sum()`` on non-integer sizes.
-    burst_bytes = np.asarray(
-        [_add_reduce(abs_sizes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-    )
-    up_bursts = up_mask[bounds[:-1]]
-    down_bursts = ~up_bursts
-    n_up_bursts = np.count_nonzero(up_bursts)
-
-    # Same-direction gaps.
-    timestamps = np.cumsum(delays)
-    up_stamps = timestamps[up_mask]
-    down_stamps = timestamps[down_mask]
-
-    # Cumulative-size checkpoints: fraction of bytes sent by each decile of packets.
-    cumulative = np.cumsum(abs_sizes)
-    total_bytes = cumulative[-1] if cumulative[-1] > 0 else 1.0
-    checkpoints = cumulative[_checkpoint_indexes(n_packets)] / total_bytes
-
-    # Flow-level.
-    safe_duration = duration if duration > 0 else 1.0
-    quarter = max(1, n_packets // 4)
-    n_up = np.count_nonzero(up_mask)
-    n_down = np.count_nonzero(down_mask)
-    # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
-    size_probabilities = np.diff(_run_bounds(sorted_sizes)) / n_packets
-    entropy = -_add_reduce(size_probabilities * np.log2(size_probabilities))
-
-    return [
-        *all_sizes,
-        *up_sizes,
-        *down_sizes,
-        *all_delays,
-        *up_delays,
-        *down_delays,
-        *_deciles(sorted_up_sizes),
-        *_deciles(sorted_down_sizes),
-        *_deciles(sorted_up_delays),
-        *_deciles(sorted_down_delays),
-        *_summary(burst_lengths[up_bursts])[0],
-        *_summary(burst_lengths[down_bursts])[0],
-        *_summary(burst_bytes[up_bursts])[0],
-        *_summary(burst_bytes[down_bursts])[0],
-        n_up_bursts,
-        n_bursts - n_up_bursts,
-        n_bursts,
-        n_bursts - 1,
-        n_bursts / n_packets,
-        float(burst_lengths.max()) / n_packets,
-        *_summary(up_stamps[1:] - up_stamps[:-1])[0],
-        *_summary(down_stamps[1:] - down_stamps[:-1])[0],
-        *checkpoints.tolist(),
-        n_packets,
-        n_up,
-        n_down,
-        n_up / n_packets,
-        n_down / n_packets,
-        bytes_up + bytes_down,
-        bytes_up,
-        bytes_down,
-        bytes_up / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
-        bytes_down / (bytes_up + bytes_down) if bytes_up + bytes_down else 0.0,
-        duration,
-        (bytes_up + bytes_down) / safe_duration,
-        bytes_up / safe_duration,
-        bytes_down / safe_duration,
-        n_packets / safe_duration,
-        np.count_nonzero(down_mask[:quarter]) / quarter,
-        np.count_nonzero(down_mask[-quarter:]) / quarter,
-        entropy,
-    ]
-
-
-# ---------------------------------------------------------------------- #
-# Batched kernel
-# ---------------------------------------------------------------------- #
-# Batches smaller than this go through ``_raw_features``: the batched kernel
-# pays a fixed cost per call that a few flows cannot amortise.  Measured
-# break-even, see CHANGES.md (PR 17).
-_BATCH_BREAK_EVEN = 4
 
 # Rows of a ``_segment_summaries`` table: the eight summaries, then the sum.
 _MIN, _MAX, _MEAN, _STD, _MEDIAN, _MAD, _SKEW, _KURTOSIS, _TOTAL = range(len(_SUMMARY_NAMES) + 1)
@@ -416,7 +247,11 @@ def _segment_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _row_order_statistics(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_order_statistics`` of every row of a ``(k, n >= 2)`` row-sorted matrix."""
+    """``(min, max, median)`` of every row of a ``(k, n >= 2)`` row-sorted matrix.
+
+    NaN (an overflowed sum upstream) sorts last; numpy's min, max and median
+    all propagate it, so a row whose maximum is NaN gets NaN in all three.
+    """
     n = ordered.shape[1]
     half = n >> 1
     minimum, maximum = ordered[:, 0], ordered[:, -1]
@@ -432,16 +267,19 @@ def _row_order_statistics(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
 def _segment_summaries(
     values: np.ndarray, counts: np.ndarray, n_deciled: int, read: Sequence[bool]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``_summary`` of every segment of ``values``, one length bucket at a time.
+    """Summaries of every segment of ``values``, one length bucket at a time.
 
     Segments are laid out as for ``_segment_matrices``.  Returns a
     ``(9, n_segments)`` table -- the eight summaries and the sum of each
     segment -- plus the ``(n_deciled, 9)`` deciles of the first ``n_deciled``
     segments.  Only the table rows ``read`` marks are computed for segments
-    of two or more values; the others stay 0.0.  Every operation is
-    elementwise, a row sort, or an ``axis=1`` ``add.reduce`` of a
-    C-contiguous matrix, so a segment's bits are those of ``_summary`` /
-    ``_deciles`` on that segment alone.
+    of two or more values; the others stay 0.0 (as do the std, MAD, skew and
+    kurtosis of a one-value segment).  Mean, std, skew and kurtosis reduce
+    the *unsorted* values in the order ``ndarray.mean`` / ``ndarray.std`` do,
+    and the deciles replay ``np.percentile``'s ``linear`` lerp.  Every
+    operation is elementwise, a row sort, or an ``axis=1`` ``add.reduce`` of
+    a C-contiguous matrix, so a segment's bits are those of the same
+    operations on that segment alone.
     """
     order_statistics = read[_MIN] or read[_MAX] or read[_MEDIAN] or read[_MAD]
     higher_moments = read[_SKEW] or read[_KURTOSIS]
@@ -563,16 +401,18 @@ def _runs(
 
 
 def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
-    """``_raw_features`` of every flow as one ``(len(flows), 166)`` matrix,
-    exact in the columns the boolean ``wanted`` marks.
+    """The 166 features of every flow of a non-empty batch, in
+    ``feature_names()`` order and before ``nan_to_num``, as one
+    ``(len(flows), 166)`` matrix exact in the columns the boolean ``wanted``
+    marks.
 
     Works on the packets of all flows laid end to end and computes only what
     a wanted column reads (``_COLUMN_READS``): other groups get no segments,
     ``_segment_summaries`` reduces only the rows wanted columns read, and the
     burst, gap, checkpoint and flow-level sections run only for a wanted
     column of theirs.  Unwanted columns hold zeros or meaningless values.
-    Overflowed intermediates come out non-finite exactly where the per-flow
-    kernel's do and are zeroed by the caller's ``nan_to_num``.
+    Overflowed intermediates come out non-finite exactly where the seed
+    extractor's do and are zeroed by the caller's ``nan_to_num``.
     """
     reads = _COLUMN_READS[wanted].any(axis=0)
     grouped = reads.any(axis=0).tolist()
@@ -766,25 +606,19 @@ class StatisticalFeatureExtractor:
         A row depends on its own flow only, whatever else is in the batch, and
         is bit-identical to the seed implementation kept as the test oracle in
         ``tests/oracles/statistical_reference.py``.  With ``columns``, returns
-        ``extract_many(flows)[:, columns]`` bit for bit; the batched kernel
-        computes only what those columns read.
+        ``extract_many(flows)[:, columns]`` bit for bit and computes only
+        what those columns read.
         """
+        wanted = np.ones(N_STATISTICAL_FEATURES, dtype=bool)
         if columns is not None:
             columns = np.asarray(columns, dtype=np.intp)
-        if len(flows) < _BATCH_BREAK_EVEN:
-            matrix = np.empty((len(flows), N_STATISTICAL_FEATURES), dtype=np.float64)
-            for row, flow in zip(matrix, flows):
-                row[:] = _raw_features(flow)
+            wanted[:] = False
+            wanted[columns] = True
+        if not len(flows):
+            matrix = np.zeros((0, N_STATISTICAL_FEATURES))
         else:
-            wanted = np.ones(N_STATISTICAL_FEATURES, dtype=bool)
-            if columns is not None:
-                wanted[:] = False
-                wanted[columns] = True
             with np.errstate(all="ignore"):
                 matrix = _batch_features(flows, wanted)
         if columns is not None:
             matrix = matrix[:, columns]
         return np.nan_to_num(matrix, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-
-    def __call__(self, flow: Flow) -> np.ndarray:
-        return self.extract(flow)

@@ -30,15 +30,29 @@ def save_flows_jsonl(flows: Iterable[Flow], path: PathLike) -> Path:
 
 
 def load_flows_jsonl(path: PathLike) -> List[Flow]:
-    """Load flows from a JSON-lines file written by :func:`save_flows_jsonl`."""
+    """Load flows from a JSON-lines file written by :func:`save_flows_jsonl`
+    or :func:`save_dataset` (whose header line is skipped).
+
+    A line that is not a valid flow raises ``ValueError("<path>:<line>: <reason>")``.
+    """
     path = Path(path)
     flows: List[Flow] = []
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            flows.append(Flow.from_dict(json.loads(line)))
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+                if "__dataset__" in payload:
+                    continue
+                flows.append(Flow.from_dict(payload))
+            except KeyError as error:
+                raise ValueError(f"{path}:{number}: a flow needs the key {error}") from None
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"{path}:{number}: {error}") from None
     return flows
 
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..utils.rng import ensure_rng
-from ..utils.validation import check_2d
+from ..utils.validation import check_2d, check_integer, check_non_negative
 
 __all__ = ["DecisionTreeClassifier"]
 
@@ -44,6 +44,14 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(proportions ** 2))
 
 
+def _check_tree_limits(max_depth: Optional[int], min_samples_split: int) -> Tuple[Optional[int], int]:
+    """``max_depth`` is ``None`` or >= 1 (a depth-0 tree is one constant
+    leaf) and ``min_samples_split`` an integer >= 2."""
+    if max_depth is not None:
+        max_depth = check_integer(max_depth, "max_depth", minimum=1)
+    return max_depth, check_integer(min_samples_split, "min_samples_split", minimum=2)
+
+
 class DecisionTreeClassifier:
     """Binary/ multi-class CART classifier.
 
@@ -69,11 +77,12 @@ class DecisionTreeClassifier:
         max_features: Optional[int] = None,
         rng=None,
     ) -> None:
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_impurity_decrease = min_impurity_decrease
+        self.max_depth, self.min_samples_split = _check_tree_limits(max_depth, min_samples_split)
+        self.min_impurity_decrease = check_non_negative(
+            min_impurity_decrease, "min_impurity_decrease", finite=True
+        )
+        if max_features is not None:
+            max_features = check_integer(max_features, "max_features", minimum=1)
         self.max_features = max_features
         self._rng = ensure_rng(rng)
         self._root: Optional[_Node] = None

@@ -7,8 +7,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..utils.rng import ensure_rng, spawn_rngs
-from ..utils.validation import check_2d
-from .decision_tree import DecisionTreeClassifier
+from ..utils.validation import check_2d, check_integer
+from .decision_tree import DecisionTreeClassifier, _check_tree_limits
 
 __all__ = ["RandomForestClassifier"]
 
@@ -39,11 +39,15 @@ class RandomForestClassifier:
         bootstrap: bool = True,
         rng=None,
     ) -> None:
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
+        self.n_estimators = check_integer(n_estimators, "n_estimators", minimum=1)
+        self.max_depth, self.min_samples_split = _check_tree_limits(max_depth, min_samples_split)
+        if isinstance(max_features, str):
+            if max_features not in ("sqrt", "log2"):
+                raise ValueError(
+                    f"max_features must be None, 'sqrt', 'log2' or an integer >= 1, got {max_features!r}"
+                )
+        elif max_features is not None:
+            max_features = check_integer(max_features, "max_features", minimum=1)
         self.max_features = max_features
         self.bootstrap = bootstrap
         self._rng = ensure_rng(rng)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils.rng import ensure_rng
-from ..utils.validation import check_2d
+from ..utils.validation import check_2d, check_integer, check_positive
 
 __all__ = ["KernelSVM", "rbf_kernel"]
 
@@ -60,11 +60,11 @@ class KernelSVM:
         epochs: int = 20,
         rng=None,
     ) -> None:
-        if C <= 0:
-            raise ValueError("C must be positive")
+        if gamma != "scale":
+            gamma = check_positive(gamma, "gamma", finite=True)
         self.gamma = gamma
-        self.C = C
-        self.epochs = epochs
+        self.C = check_positive(C, "C", finite=True)
+        self.epochs = check_integer(epochs, "epochs", minimum=1)
         self._rng = ensure_rng(rng)
         self.alpha_: Optional[np.ndarray] = None
         self.support_vectors_: Optional[np.ndarray] = None

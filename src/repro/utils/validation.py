@@ -34,11 +34,12 @@ def check_positive(value: float, name: str, finite: bool = False) -> float:
     return value
 
 
-def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is >= 0 (NaN is not)."""
+def check_non_negative(value: float, name: str, finite: bool = False) -> float:
+    """Validate that ``value`` is >= 0 (NaN is not), and below infinity when
+    ``finite``."""
     value = float(value)
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not value >= 0 or (finite and value == math.inf):
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}non-negative, got {value}")
     return value
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -120,6 +122,24 @@ class TestParser:
         missing = str(tmp_path / "missing.npz")
         with pytest.raises(SystemExit, match=f"serve: {name}"):
             main(["serve", "--policy", missing, *argv])
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "No such file or directory"),
+            ('{"sizes": [100.0], "delays": [0.0]}\n{not json\n', ":2: Expecting property name"),
+            ('{"delays": [0.0]}\n', ":1: a flow needs the key 'sizes'"),
+            ('{"sizes": [100.0, -5.0], "delays": [0.0]}\n', ":1: sizes and delays must have equal length"),
+        ],
+    )
+    def test_serve_refuses_bad_profiles_before_loading(self, tmp_path, content, message):
+        # A message, not a traceback, and before the checkpoint is read.
+        profiles = tmp_path / "profiles.jsonl"
+        if content is not None:
+            profiles.write_text(content)
+        missing = str(tmp_path / "missing.npz")
+        with pytest.raises(SystemExit, match=f"^serve: .*{re.escape(message)}"):
+            main(["serve", "--policy", missing, "--profiles", str(profiles)])
 
     @pytest.mark.parametrize("rate", ["-0.5", "nan", "1.5"])
     def test_generate_refuses_a_bad_drop_rate(self, tmp_path, rate):
@@ -270,6 +290,21 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "decisions_per_s" in out and "fallback_rate" in out
+
+    def test_serve_reports_a_missing_checkpoint(self, tmp_path):
+        missing = tmp_path / "missing.npz"
+        with pytest.raises(SystemExit, match="^serve: .*No such file or directory"):
+            main(["serve", "--policy", str(missing), "--sessions", "2", "--max-packets", "4"])
+
+    def test_serve_reads_generate_output_as_profiles(self, tmp_path, capsys):
+        # ``generate --output`` writes a dataset header line first.
+        flows_path = tmp_path / "flows.jsonl"
+        assert main(["generate", "--flows", "6", "--output", str(flows_path), "--seed", "3"]) == 0
+        policy_path = tmp_path / "policy.npz"
+        self._policy(policy_path)
+        argv = ["serve", "--policy", str(policy_path), "--sessions", "2", "--max-packets", "4"]
+        assert main([*argv, "--profiles", str(flows_path)]) == 0
+        assert f"profiles from {flows_path}" in capsys.readouterr().out
 
     def test_serve_refuses_a_policy_trained_on_another_size_scale(self, tmp_path, capsys):
         policy_path = tmp_path / "policy.npz"

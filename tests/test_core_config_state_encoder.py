@@ -76,6 +76,47 @@ class TestAmoebaConfig:
         with pytest.raises(ValueError):
             AmoebaConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            # Accepted before, then raised only at the first update, after a
+            # rollout had spent its censor queries ...
+            ({"max_grad_norm": float("inf")}, "max_grad_norm"),
+            ({"entropy_coef": float("inf")}, "entropy_coef"),
+            ({"initial_log_std": float("inf")}, "initial_log_std"),
+            # ... or trained with no error at all ...
+            ({"clip_epsilon": float("inf")}, "clip_epsilon"),
+            ({"value_coef": float("inf")}, "value_coef"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"lambda_data": float("inf")}, "lambda_data"),
+            ({"masked_reward_value": float("nan")}, "masked_reward_value"),
+            ({"initial_action_bias": (0.0, float("-inf"))}, "initial_action_bias"),
+            # ... or failed inside numpy with a bare ``TypeError``.
+            ({"n_envs": 2.5}, "n_envs"),
+            ({"rollout_length": 8.0}, "rollout_length"),
+            ({"encoder_hidden": 8.5}, "encoder_hidden"),
+            ({"actor_hidden": (16.0,)}, "actor_hidden"),
+            ({"max_episode_steps": True}, "max_episode_steps"),
+        ],
+    )
+    def test_misuse_raises_before_a_query_is_spent(
+        self, trained_dt_censor, normalizer, tor_splits, fast_config, kwargs, name
+    ):
+        from repro.core import Amoeba
+
+        queries = trained_dt_censor.query_count
+        with pytest.raises(ValueError, match=name):
+            config = fast_config.with_overrides(**{"n_envs": 2, "rollout_length": 8, **kwargs})
+            agent = Amoeba(
+                trained_dt_censor,
+                normalizer,
+                config,
+                rng=0,
+                encoder_pretrain_kwargs={"n_flows": 4, "epochs": 1, "max_length": 4},
+            )
+            agent.train(tor_splits.attack_train.censored_flows[:4], total_timesteps=32)
+        assert trained_dt_censor.query_count == queries
+
     def test_boundary_values_accepted(self):
         config = AmoebaConfig(
             gamma=1.0, entropy_coef=0.0, value_coef=0.0, encoder_layers=1, max_episode_steps=1

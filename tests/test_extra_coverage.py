@@ -66,10 +66,12 @@ class TestConfigDerivedBehaviour:
 
 class TestTreeProbabilityCalibration:
     def test_leaf_probabilities_reflect_class_mixture(self):
-        # A deliberately impure leaf: force depth 0 so the root is a leaf.
+        # A deliberately impure leaf: identical rows admit no split, so the
+        # root is a leaf (a depth-0 tree is refused at construction).
         X = np.zeros((10, 2))
         y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-        tree = DecisionTreeClassifier(max_depth=0).fit(X, y)
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.n_leaves == 1
         proba = tree.predict_proba(np.zeros((1, 2)))[0]
         assert proba[list(tree.classes_).index(1)] == pytest.approx(0.3)
 

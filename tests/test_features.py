@@ -12,7 +12,7 @@ from repro.features import (
     SequenceRepresentation,
     StatisticalFeatureExtractor,
 )
-from repro.features.statistical import _BATCH_BREAK_EVEN, _deciles
+from repro.features.statistical import _SUMMARY_NAMES, _segment_summaries
 from repro.flows import Flow, FlowLabel
 
 from oracles.statistical_reference import (
@@ -100,10 +100,6 @@ class TestStatisticalFeatures:
         benign = extractor.extract_many(benign_flows[:20]).mean(axis=0)
         assert not np.allclose(censored, benign)
 
-    def test_callable_interface(self, simple_flow):
-        extractor = StatisticalFeatureExtractor()
-        assert np.allclose(extractor(simple_flow), extractor.extract(simple_flow))
-
 
 SWEEP_FAMILIES = (
     "integer sizes",
@@ -150,7 +146,7 @@ def sweep_flows(family):
 
 
 class TestStatisticalKernelMatchesOracle:
-    """The sort-once kernel is bit-identical to the seed implementation."""
+    """The kernel is bit-identical to the seed implementation."""
 
     @pytest.mark.parametrize("family", SWEEP_FAMILIES)
     def test_sweep_is_bitwise_equal_to_oracle(self, family):
@@ -197,16 +193,24 @@ class TestStatisticalKernelMatchesOracle:
         assert StatisticalFeatureExtractor().extract_many([]).shape == (0, 166)
 
     def test_decile_lerp_equals_numpy_percentile(self):
-        """A numpy upgrade that changes the ``linear`` formula must fail here."""
+        """A numpy upgrade that changes the ``linear`` formula must fail here.
+
+        The three value families of each length are three segments of one
+        length bucket, so the kernel's row lerp runs on a ``(3, n)`` matrix.
+        """
         rng = np.random.default_rng(11)
+        no_summaries = [False] * (len(_SUMMARY_NAMES) + 1)
         for n in range(1, 201):
-            for values in (
+            families = (
                 rng.uniform(0.0, 1500.0, n),
                 rng.choice([0.1, 0.3, 536.0, 1460.0], n),
                 np.full(n, 1.0 / 3.0),
-            ):
-                expected = [np.percentile(values, q) for q in range(10, 100, 10)]
-                assert_bitwise_equal(_deciles(np.sort(values)), expected)
+            )
+            _, deciles = _segment_summaries(
+                np.concatenate(families), np.full(3, n), n_deciled=3, read=no_summaries
+            )
+            expected = [[np.percentile(values, q) for q in range(10, 100, 10)] for values in families]
+            assert_bitwise_equal(deciles, expected)
 
 
 def test_row_reduce_equals_vector_reduce():
@@ -237,7 +241,7 @@ def test_row_reduce_equals_vector_reduce():
                     alone = np.asarray([np.add.reduce(operand(row)) for row in rows])
                     assert np.array_equal(reduced.view(np.uint64), alone.view(np.uint64)), (
                         f"add.reduce(axis=1) of {name} no longer equals the 1-D reduce ({where}, "
-                        f"numpy {np.__version__}): _batch_features is not bit-identical to _raw_features"
+                        f"numpy {np.__version__}): _batch_features is not bit-identical to the seed extractor"
                     )
                 assert np.array_equal(
                     np.cumsum(matrix, axis=1).view(np.uint64),
@@ -259,7 +263,7 @@ def oracle_rows(flows):
 
 
 class TestBatchedKernelMatchesOracle:
-    """The length-bucketed row kernel behind large ``extract_many`` batches."""
+    """The length-bucketed row kernel behind every ``extract_many`` batch."""
 
     names = StatisticalFeatureExtractor().feature_names()
 
@@ -281,16 +285,6 @@ class TestBatchedKernelMatchesOracle:
             block = prefixes[start : start + 128]
             assert_bitwise_equal(extractor.extract_many(block), oracle_rows(block), self.names)
 
-    def test_both_sides_of_the_batch_size_selection_agree(self):
-        rng = np.random.default_rng(32)
-        flows = [mixed_flow(rng, n) for n in (1, 2, 9, 40, 3, 128, 17)][: _BATCH_BREAK_EVEN + 1]
-        assert len(flows) == _BATCH_BREAK_EVEN + 1
-        extractor = StatisticalFeatureExtractor()
-        expected = oracle_rows(flows)
-        for size in (_BATCH_BREAK_EVEN - 1, _BATCH_BREAK_EVEN, _BATCH_BREAK_EVEN + 1):
-            assert_bitwise_equal(extractor.extract_many(flows[:size]), expected[:size], self.names)
-            assert_bitwise_equal(extractor.extract_many(flows[-size:]), expected[-size:], self.names)
-
     def test_overflowed_rows_do_not_leak_into_their_bucket(self):
         # ``test_overflowing_sums_match_oracle``'s flows, each next to ordinary
         # flows with the same direction pattern -- hence the same operand
@@ -310,7 +304,6 @@ class TestBatchedKernelMatchesOracle:
                     Flow(sizes=np.sign(flow.sizes) * rng.uniform(1.0, 1500.0, n), delays=rng.exponential(10.0, n))
                 )
             flows.insert(len(flows) - 1, flow)
-        assert len(flows) >= _BATCH_BREAK_EVEN
         with np.errstate(all="ignore"):
             actual = StatisticalFeatureExtractor().extract_many(flows)
         assert np.all(np.isfinite(actual))
@@ -349,9 +342,9 @@ class TestBatchedKernelMatchesOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured 31 float64 per packet (the per-flow kernel alone peaks at 14).
+        # Measured 31 float64 per packet.
         assert peak < 64 * 8 * (n + 500), f"peak {peak / 1e6:.0f} MB"
-        assert_bitwise_equal(matrix[250], extractor.extract(long_flow), self.names)
+        assert_bitwise_equal(matrix[250:251], oracle_rows([long_flow]), self.names)
         assert_bitwise_equal(matrix[:3], oracle_rows(flows[:3]), self.names)
 
 
@@ -385,16 +378,14 @@ def column_sets():
 class TestColumnSubsetsMatchFullExtraction:
     """``extract_many(flows, columns)`` is ``extract_many(flows)[:, columns]``, bit for bit."""
 
-    def test_every_column_set_on_both_kernels(self):
-        # Every batch but the last holds the overflowing flows, so inf / NaN
-        # operands share buckets with ordinary ones; the last, clean batch is
-        # the smallest that takes the batched kernel.
+    def test_every_column_set(self):
+        # The 128-flow batch holds the overflowing flows, so inf / NaN
+        # operands share buckets with ordinary ones; the others are one
+        # overflowing flow alone and a small clean batch.
         pool = [flow for family in SWEEP_FAMILIES for flow in sweep_flows(family)[::13]]
         overflowing = overflowing_flows()
-        sizes = (_BATCH_BREAK_EVEN - 1, _BATCH_BREAK_EVEN, _BATCH_BREAK_EVEN + 1, 128)
-        batches = [overflowing + pool[: size - len(overflowing)] for size in sizes]
-        batches.append(pool[-_BATCH_BREAK_EVEN:])
-        assert [len(batch) for batch in batches] == [*sizes, _BATCH_BREAK_EVEN]
+        batches = [overflowing[1:2], overflowing + pool[: 128 - len(overflowing)], pool[-3:]]
+        assert [len(batch) for batch in batches] == [1, 128, 3]
         extractor = StatisticalFeatureExtractor()
         sets = column_sets()
         for batch in batches:
@@ -411,6 +402,64 @@ class TestColumnSubsetsMatchFullExtraction:
         assert extractor.extract_many([], []).shape == (0, 0)
 
 
+_NAMES = StatisticalFeatureExtractor().feature_names()
+# What the censors ask for: nothing (every column), no column, the fitted DT
+# stump's one split column, sixteen columns across every section (an RF's
+# split set), every column.
+SWEEP_COLUMN_SETS = {
+    "none": None,
+    "empty": [],
+    "DT stump": [_NAMES.index("pkt_all_min")],
+    "RF-like 16": [
+        _NAMES.index(name)
+        for name in (
+            "pkt_all_min", "pkt_up_mean", "pkt_down_std", "time_all_median", "time_up_mad",
+            "pkt_up_p50", "time_down_p90", "burst_len_up_max", "burst_bytes_down_skew",
+            "burst_count_total", "gap_up_kurtosis", "cumsum_frac_3", "n_packets_down",
+            "byte_ratio_up", "throughput_down", "size_entropy",
+        )
+    ],
+    "all 166": list(range(N_STATISTICAL_FEATURES)),
+}
+SWEEP_BATCH_SIZES = (0, 1, 2, 3, 4, 5, 8, 128)
+
+
+def batch_sweep_pool():
+    """Overflowing and one-packet flows first, then ordinary ones of 1..300 packets."""
+    rng = np.random.default_rng(37)
+    singles = [
+        *overflowing_flows(),
+        Flow(sizes=[812.5], delays=[0.0]),
+        Flow(sizes=[-812.5], delays=[3.0]),
+        mixed_flow(rng, 300),  # an ``attack_many`` final flow
+    ]
+    return singles, singles + [mixed_flow(rng, int(n)) for n in rng.integers(1, 301, 130)]
+
+
+class TestBatchSizeSweepMatchesOracle:
+    """Every batch size, with and without columns, equals the seed oracle's rows."""
+
+    singles, pool = batch_sweep_pool()
+    expected = oracle_rows(pool)
+
+    @pytest.mark.parametrize("column_set", SWEEP_COLUMN_SETS)
+    @pytest.mark.parametrize("size", SWEEP_BATCH_SIZES)
+    def test_batch_against_oracle(self, size, column_set):
+        columns = SWEEP_COLUMN_SETS[column_set]
+        selected = slice(None) if columns is None else columns
+        if size == 1:
+            windows = [range(index, index + 1) for index in range(len(self.singles))]
+        else:
+            windows = [range(size), range(len(self.pool) - size, len(self.pool))]
+        extractor = StatisticalFeatureExtractor()
+        for window in windows:
+            batch = [self.pool[index] for index in window]
+            with np.errstate(all="ignore"):
+                actual = extractor.extract_many(batch, columns)
+            assert np.all(np.isfinite(actual))
+            assert_bitwise_equal(actual, self.expected[list(window)][:, selected])
+
+
 class TestCumulFeatures:
     def test_feature_count(self, simple_flow):
         extractor = CumulFeatureExtractor(n_interpolation=50)
@@ -421,9 +470,11 @@ class TestCumulFeatures:
         extractor = CumulFeatureExtractor(n_interpolation=30, include_timing=False)
         assert extractor.n_features == 34
 
-    def test_invalid_interpolation(self):
-        with pytest.raises(ValueError):
-            CumulFeatureExtractor(n_interpolation=1)
+    @pytest.mark.parametrize("n_interpolation", [1, 0, float("nan"), 2.5])
+    def test_invalid_interpolation(self, n_interpolation):
+        # NaN used to be accepted, and 2.5 to fail only in ``extract``.
+        with pytest.raises(ValueError, match="n_interpolation"):
+            CumulFeatureExtractor(n_interpolation=n_interpolation)
 
     def test_aggregate_counters(self, simple_flow):
         vector = CumulFeatureExtractor(n_interpolation=10).extract(simple_flow)

@@ -1,6 +1,7 @@
 """Unit tests for datasets, splits, network conditions and flow I/O."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,3 +180,33 @@ class TestIO:
         assert len(lines) == len(tor_dataset)
         restored = Flow.from_dict(json.loads(lines[0]))
         assert np.array_equal(restored.sizes, tor_dataset[0].sizes)
+
+    def test_saved_dataset_loads_back_without_its_header(self, tmp_path, tor_dataset):
+        # The header line used to end the read in ``KeyError: 'sizes'``.
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(tor_dataset, path)
+        loaded = load_flows_jsonl(path)
+        assert len(loaded) == len(tor_dataset)
+        for original, restored in zip(tor_dataset, loaded):
+            assert np.array_equal(restored.sizes, original.sizes)
+            assert np.array_equal(restored.delays, original.delays)
+            assert restored.label == original.label
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"delays": [0.0]}', "a flow needs the key 'sizes'"),
+            ('{"sizes": [100.0, -200.0], "delays": [0.0]}', "sizes and delays must have equal length"),
+            ('{"sizes": [0.0], "delays": [0.0]}', "non-zero"),
+            ('{"sizes": [100.0], "delays": [0.0], "label": "x"}', "invalid literal"),
+        ],
+    )
+    def test_a_bad_line_names_its_path_and_line(self, tmp_path, tor_dataset, line, reason):
+        path = tmp_path / "flows.jsonl"
+        save_flows_jsonl(tor_dataset.flows[:2], path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: .*{re.escape(reason)}"):
+            load_flows_jsonl(path)

@@ -36,6 +36,29 @@ class TestKernelSVM:
         with pytest.raises(ValueError):
             KernelSVM(C=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            # ``epochs=0`` and ``C=inf`` used to fail in ``fit`` with
+            # ``ZeroDivisionError``; NaN ``C`` gave NaN scores and a negative
+            # or NaN ``gamma`` near-constant ones.
+            ({"epochs": 0}, "epochs"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"C": float("inf")}, "C"),
+            ({"C": float("nan")}, "C"),
+            ({"gamma": -1.0}, "gamma"),
+            ({"gamma": float("nan")}, "gamma"),
+            ({"gamma": float("inf")}, "gamma"),
+        ],
+    )
+    def test_hyperparameters_that_train_nothing_are_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            KernelSVM(**kwargs)
+
+    def test_explicit_gamma_is_used(self):
+        X, y = circular_data()
+        assert KernelSVM(gamma=0.5, epochs=2, rng=0).fit(X, y).gamma_ == 0.5
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             KernelSVM().decision_function(np.zeros((1, 2)))

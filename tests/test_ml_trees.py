@@ -110,6 +110,37 @@ class TestDecisionTree:
         assert set(predicted(tree, X)) <= {0, 1, 2}
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "model,kwargs,name",
+    [
+        # Depth 0 (or -1) and ``max_features=0`` used to fit a constant
+        # model marked fitted; NaN counts were accepted; ``n_estimators=2.5``
+        # failed in ``fit`` with a bare ``TypeError``.
+        (DecisionTreeClassifier, {"max_depth": 0}, "max_depth"),
+        (DecisionTreeClassifier, {"max_depth": -1}, "max_depth"),
+        (DecisionTreeClassifier, {"max_depth": 2.5}, "max_depth"),
+        (DecisionTreeClassifier, {"min_samples_split": NAN}, "min_samples_split"),
+        (DecisionTreeClassifier, {"min_impurity_decrease": NAN}, "min_impurity_decrease"),
+        (DecisionTreeClassifier, {"min_impurity_decrease": float("inf")}, "min_impurity_decrease"),
+        (DecisionTreeClassifier, {"max_features": 0}, "max_features"),
+        (RandomForestClassifier, {"max_depth": 0}, "max_depth"),
+        (RandomForestClassifier, {"max_depth": -1}, "max_depth"),
+        (RandomForestClassifier, {"min_samples_split": NAN}, "min_samples_split"),
+        (RandomForestClassifier, {"max_features": 0}, "max_features"),
+        (RandomForestClassifier, {"max_features": "auto"}, "max_features"),
+        (RandomForestClassifier, {"max_features": NAN}, "max_features"),
+        (RandomForestClassifier, {"n_estimators": 2.5}, "n_estimators"),
+        (RandomForestClassifier, {"n_estimators": NAN}, "n_estimators"),
+    ],
+)
+def test_hyperparameters_that_train_nothing_are_refused(model, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        model(**kwargs)
+
+
 class TestRandomForest:
     def test_forest_fits_xor(self):
         X, y = make_xor()

@@ -205,6 +205,20 @@ def test_unreached_functions_are_gone(module_name, name):
     assert not hasattr(importlib.import_module(module_name), name)
 
 
+# Every class has ``__call__`` (its constructor), so the instances are asked.
+@pytest.mark.parametrize(
+    "module_name,owner",
+    [
+        ("repro.features.statistical", "StatisticalFeatureExtractor"),
+        ("repro.features.cumul", "CumulFeatureExtractor"),
+    ],
+)
+def test_feature_extractors_have_no_call_twin(module_name, owner):
+    extractor = getattr(importlib.import_module(module_name), owner)()
+    assert "__call__" not in vars(type(extractor))
+    assert not callable(extractor)
+
+
 def test_retired_knobs_are_gone():
     import dataclasses
     import inspect
@@ -267,6 +281,9 @@ RETIRED_CALLS = [
     r"\bserver\.n_sessions\b",
     r"\bcensor_baseline_table\b",
     r"\bseed_sequence_(from_)?state\b",
+    # One statistical-feature kernel: the per-flow one and its batch-size switch are gone.
+    r"\b_raw_features\b",
+    r"\b_BATCH_BREAK_EVEN\b",
 ]
 
 
