@@ -12,7 +12,11 @@ runs the same layers on plain arrays (:func:`_conv_relu_pool`), reading the
 parameters at call time.  Both give the same bits: the same three BLAS
 products on the same operands, and elementwise steps that round alike
 (``tests/oracles/df_tensor_scoring.py`` keeps the ``Tensor`` scoring body
-the test suite compares against).
+the test suite compares against).  Around each conv product scoring calls
+two backend hooks, one compiled call each under ``blocked``:
+``im2col_1d`` (the column matrix ``Conv1d`` builds too) and
+``bias_relu_pool`` (bias, ReLU and pool, written channel-first so fc1's
+flatten is a free reshape).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
 from ..nn import functional as F
@@ -57,25 +60,19 @@ class _DFNetwork(nn.Module):
 
 
 def _conv_relu_pool(x: np.ndarray, conv: nn.Conv1d) -> np.ndarray:
-    """One DF block on a channel-last ``(n, length, channels)`` array:
-    ``conv`` (stride 1), ReLU and a max-pool of two, ``(n, length // 2,
-    out_channels)`` out.
+    """One DF block on plain arrays: ``conv`` (stride 1), ReLU and a
+    max-pool of two, ``(n, channels, length)`` in (any layout),
+    ``(n, out_channels, length // 2)`` out (C-contiguous).
 
-    The im2col columns come straight from the window view in ``Conv1d``'s
-    ``c * kernel_size + j`` order, ReLU is ``Tensor.relu``'s multiply by the
-    mask (negative inputs become ``-0.0``, as there), and the pool is
-    ``MaxPool1d``'s ``np.maximum`` of the even and odd positions.
+    The columns are ``Conv1d``'s own (the backend's ``im2col_1d``), the
+    product is numpy's ``@`` on them, and the backend's ``bias_relu_pool``
+    does ``Tensor.relu``'s multiply by the mask (negative inputs become
+    ``-0.0``, as there) and ``MaxPool1d``'s ``np.maximum`` of the even and
+    odd positions.
     """
-    n, length, channels = x.shape
-    padding = conv.padding
-    padded = np.zeros((n, length + 2 * padding, channels))
-    padded[:, padding : padding + length] = x
-    columns = sliding_window_view(padded, conv.kernel_size, axis=1)
-    columns = columns.reshape(n, -1, channels * conv.kernel_size)
-    h = columns @ conv.weight.data
-    h += conv.bias.data
-    h *= h > 0
-    return np.maximum(h[:, 0::2], h[:, 1::2])
+    backend = nn.active_backend()
+    columns = backend.im2col_1d(x, conv.kernel_size, conv.stride, conv.padding)
+    return backend.bias_relu_pool(columns @ conv.weight.data, conv.bias.data)
 
 
 class DeepFingerprintingClassifier(CensorClassifier):
@@ -154,10 +151,10 @@ class DeepFingerprintingClassifier(CensorClassifier):
     def _score_flows(self, flows: Sequence[Flow]) -> np.ndarray:
         network = self.network
         h = self.representation.transform_many(flows)[:, : self._effective_length]
-        h = _conv_relu_pool(h, network.conv1)
+        h = _conv_relu_pool(h.transpose(0, 2, 1), network.conv1)
         h = _conv_relu_pool(h, network.conv2)
         # fc1 reads the channel-first flatten of the Tensor network.
-        h = h.transpose(0, 2, 1).reshape(len(h), -1)
+        h = h.reshape(len(h), -1)
         h = h @ network.fc1.weight.data
         h += network.fc1.bias.data
         h *= h > 0

@@ -8,7 +8,7 @@ inference time — matching the paper's description of the LSTM censor.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from ..features.representation import FlowNormalizer
 from ..flows.flow import Flow
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_integer, check_positive
-from .base import CensorClassifier
 from ..nn import functional as F
-from ..utils.logging import TrainingLogger
+from .base import CensorClassifier
+from .training import train_binary_classifier
 
 __all__ = ["LSTMClassifier"]
 
@@ -88,31 +88,19 @@ class LSTMClassifier(CensorClassifier):
     # ------------------------------------------------------------------ #
     def fit(self, flows: Sequence[Flow], labels: Optional[Sequence[int]] = None) -> "LSTMClassifier":
         flows = list(flows)
-        labels = self._resolve_labels(flows, labels).astype(np.float64)
-        optimizer = nn.Adam(self.network.parameters(), lr=self.learning_rate)
-        logger = TrainingLogger("lstm-censor")
-        n_samples = len(flows)
-
-        # Normalise and pad every flow once; minibatches are then plain row
-        # selections instead of epochs × (n / batch_size) re-normalisations.
-        padded = self._to_padded_batch(flows)
-
-        self.network.train()
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n_samples)
-            for start in range(0, n_samples, self.batch_size):
-                batch_idx = order[start : start + self.batch_size]
-                batch = padded[batch_idx]
-                targets = labels[batch_idx]
-
-                logits = self.network(nn.Tensor(batch)).reshape(-1)
-                loss = F.binary_cross_entropy_with_logits(logits, nn.Tensor(targets))
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self.network.parameters(), 5.0)
-                optimizer.step()
-                logger.log(loss=loss.item())
-        self.network.eval()
+        labels = self._resolve_labels(flows, labels)
+        # Every flow is normalised and padded once; minibatches are row
+        # selections of the padded array.
+        train_binary_classifier(
+            self.network,
+            lambda batch: self.network(nn.Tensor(batch)),
+            self._to_padded_batch(flows),
+            labels,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            rng=self._rng,
+        )
         self._fitted = True
         return self
 

@@ -298,7 +298,10 @@ def _command_backends(_: argparse.Namespace) -> int:
         if error:
             print(f"  compile error: {error}")
     if nn_backend.fused_cells_available():
-        print("fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates)")
+        print(
+            "fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates, "
+            "the PPO training hooks, im2col_1d / bias_relu_pool)"
+        )
     else:
         print("fused-cell kernels:  numpy fallback")
         error = nn_backend.fused_cells_error()

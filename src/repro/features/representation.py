@@ -4,9 +4,11 @@ DF, SDAE and LSTM in the paper are "tailored to utilize the flow
 representation in Sec. 3 as input", i.e. the raw sequence of (signed packet
 size, inter-packet delay) pairs rather than hand-crafted features.  This
 module normalises and pads/truncates flows into fixed-size arrays suitable
-for those networks.  The inverse mapping, from an adversarial action in
-[-1, 1] x [0, 1] to bytes and milliseconds, is the emulator's
-(:func:`repro.core.env.shape_packet_core`).
+for those networks; :meth:`SequenceRepresentation.transform_many` does a
+whole batch in one pass (one concatenation, one normalisation per channel,
+one masked scatter), with no Python write per flow.  The inverse mapping,
+from an adversarial action in [-1, 1] x [0, 1] to bytes and milliseconds,
+is the emulator's (:func:`repro.core.env.shape_packet_core`).
 """
 
 from __future__ import annotations
@@ -67,18 +69,29 @@ class SequenceRepresentation:
     def transform_many(self, flows: Sequence[Flow]) -> np.ndarray:
         """Return a (n_flows, max_length, 2) array.
 
-        Raw sizes and delays are written into the zero-padded output first
-        and normalised in one pass per channel; the arithmetic is elementwise,
-        so every entry equals the per-flow ``normalise_flow`` value bit for
-        bit (padding stays ``+0.0``).
+        Every flow's first ``max_length`` raw sizes and delays are packed by
+        one concatenation, normalised in one pass per channel and scattered
+        into the zero-padded output at the rows one length mask selects.
+        The arithmetic is elementwise, so every entry equals the per-flow
+        ``normalise_flow`` value bit for bit (padding stays ``+0.0``).
         """
-        output = np.zeros((len(flows), self.max_length, 2))
-        for row, flow in zip(output, flows):
-            length = min(flow.n_packets, self.max_length)
-            row[:length, 0] = flow.sizes[:length]
-            row[:length, 1] = flow.delays[:length]
-        output[:, :, 0] = self.normalizer.normalise_sizes(output[:, :, 0])
-        output[:, :, 1] = self.normalizer.normalise_delays(output[:, :, 1])
+        max_length = self.max_length
+        output = np.zeros((len(flows), max_length, 2))
+        if not len(flows):
+            return output
+        sizes = [flow.sizes for flow in flows]
+        delays = [flow.delays for flow in flows]
+        lengths = np.fromiter(map(len, sizes), np.intp, len(sizes))
+        if lengths.max() > max_length:  # slice only when some flow is too long
+            sizes = [head[:max_length] for head in sizes]
+            delays = [head[:max_length] for head in delays]
+            lengths = np.minimum(lengths, max_length)
+        packed = np.concatenate(sizes + delays)
+        total = len(packed) // 2
+        rows = np.flatnonzero(np.arange(max_length) < lengths[:, None])
+        pairs = output.reshape(-1, 2)
+        pairs[rows, 0] = self.normalizer.normalise_sizes(packed[:total])
+        pairs[rows, 1] = self.normalizer.normalise_delays(packed[total:])
         return output
 
     def transform_flat(self, flows: Sequence[Flow]) -> np.ndarray:

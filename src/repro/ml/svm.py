@@ -10,6 +10,7 @@ same censor interface as the neural classifiers.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,8 @@ class KernelSVM:
     Parameters
     ----------
     gamma:
-        RBF bandwidth; ``"scale"`` uses ``1 / (n_features * X.var())``.
+        RBF bandwidth, a finite positive number; ``"scale"`` (the one string
+        accepted) uses ``1 / (n_features * X.var())``.
     C:
         Inverse regularisation strength (larger C = less regularisation).
     epochs:
@@ -60,8 +62,10 @@ class KernelSVM:
         epochs: int = 20,
         rng=None,
     ) -> None:
-        if gamma != "scale":
+        if isinstance(gamma, Real):
             gamma = check_positive(gamma, "gamma", finite=True)
+        elif not (isinstance(gamma, str) and gamma == "scale"):
+            raise ValueError(f"gamma must be 'scale' or a finite positive number, got {gamma!r}")
         self.gamma = gamma
         self.C = check_positive(C, "C", finite=True)
         self.epochs = check_integer(epochs, "epochs", minimum=1)

@@ -22,9 +22,11 @@ tick (:meth:`ExecutionBackend.gru_step` / :meth:`ExecutionBackend.tanh_mlp`)
 and the PPO update's elementwise work — the training tanh MLP's
 ``bias_tanh`` / ``tanh_backward``, the loss nodes'
 ``gaussian_log_density(_backward)`` / ``clipped_surrogate(_backward)``,
-``clip_grad_norm``'s ``grad_norm`` and ``Adam.step``'s ``adam_step``.
-Two backends ship, both ``float64``, both row-consistent, bit-identical to
-each other by test:
+``clip_grad_norm``'s ``grad_norm`` and ``Adam.step``'s ``adam_step`` —
+and a Conv1d's work around its BLAS product: ``im2col_1d`` (the column
+matrix of ``nn.Conv1d`` and DF scoring) and ``bias_relu_pool`` (DF
+scoring's epilogue).  Two backends ship, both ``float64``, both
+row-consistent, bit-identical to each other by test:
 
 ``reference``
     The original ``np.einsum("ik,kh->ih", a, b)`` matmul (in the layout
@@ -41,7 +43,8 @@ each other by test:
     :meth:`~ExecutionBackend.gru_step` (a whole GRU stack) and
     :meth:`~ExecutionBackend.tanh_mlp` (the actor / critic MLP), and the
     training GRU's gate math is one call per timestep; each training hook
-    is one call between the update's numpy BLAS products.  Their compiled
+    is one call between the update's numpy BLAS products, as is each
+    conv-block hook around DF's conv products.  Their compiled
     code performs only exact IEEE arithmetic (adds, multiplies, divides,
     negation, square roots; ``grad_norm`` reproduces numpy's pairwise sum,
     a pinned numpy assumption); the transcendental ``exp`` / ``tanh`` run
@@ -86,6 +89,7 @@ import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 __all__ = [
@@ -482,6 +486,7 @@ def _self_check_fused_cells(kernel) -> None:
                     f"widths={widths}, batch={batch}, scale={scale}",
                 )
     _self_check_training_kernels(kernel, reference, rng)
+    _self_check_conv_kernels(kernel, reference, rng)
 
 
 def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
@@ -570,6 +575,48 @@ def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> 
     _assert_same("adam_step", *runs, f"shapes={shapes}")
 
 
+def _self_check_conv_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
+    """The conv-block kernels against the numpy hooks.
+
+    ``im2col_1d`` over empty and single-row batches, inputs shorter than the
+    kernel, strides and paddings past the kernel width, on channel-first
+    arrays and on the transposed views of channel-last ones;
+    ``bias_relu_pool`` on products holding NaN, infinities and zeros of
+    both signs, so every branch of the ReLU mask and the pool's tie and NaN
+    rules is taken.
+    """
+    for n, channels, length, kernel_size, stride, padding in [
+        (0, 2, 8, 5, 1, 2), (1, 2, 2, 5, 1, 2), (3, 16, 20, 5, 1, 2), (2, 3, 9, 3, 2, 0),
+        (2, 4, 7, 2, 3, 4), (1, 2, 4, 5, 1, 1),
+    ]:
+        for channel_last in (False, True):
+            where = f"x=({n}, {channels}, {length}), kernel={kernel_size}, stride={stride}, padding={padding}"
+            if channel_last:
+                x = rng.standard_normal((n, length, channels)).transpose(0, 2, 1)
+            else:
+                x = rng.standard_normal((n, channels, length))
+            columns = kernel.im2col_1d(x, kernel_size, stride, padding)
+            if columns is NotImplemented:
+                raise RuntimeError(f"compiled im2col_1d declined {where}")
+            _assert_same("im2col_1d", reference.im2col_1d(x, kernel_size, stride, padding), columns, where)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
+    for n, length, channels in [(0, 4, 2), (1, 2, 1), (3, 8, 16), (5, 40, 3), (2, 6, 7)]:
+        for scale in (1.0, 50.0):
+            h = rng.standard_normal((n, length, channels)) * scale
+            special = rng.random(h.shape) < 0.3
+            h[special] = rng.choice(specials, size=int(special.sum()))
+            bias = rng.standard_normal(channels) * scale
+            bias[rng.random(channels) < 0.3] = rng.choice([0.0, -0.0])
+            with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
+                want = reference.bias_relu_pool(h, bias)
+            _assert_same(
+                "bias_relu_pool",
+                want,
+                kernel.bias_relu_pool(h, bias),
+                f"h=({n}, {length}, {channels}), scale={scale}",
+            )
+
+
 def _gates_kernel():
     """The compiled module if its fused kernels passed self-check, else ``None``.
 
@@ -592,9 +639,9 @@ def _gates_kernel():
             _GATES_ERROR = f"{type(exc).__name__}: {exc}"
             warnings.warn(
                 "repro.nn.backend: compiled fused-cell kernels unavailable "
-                f"({_GATES_ERROR}); the GRU step, the tanh MLP and the GRU/LSTM "
-                "gate math are falling back to the numpy composition "
-                "(identical bits, numpy speed).",
+                f"({_GATES_ERROR}); the GRU step, the tanh MLP, the GRU/LSTM "
+                "gate math, the training hooks and the conv-block hooks are "
+                "falling back to the numpy composition (identical bits, numpy speed).",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -795,6 +842,31 @@ class ExecutionBackend:
         for data, segment in views:
             data -= s_b[segment].reshape(data.shape)
 
+    # A Conv1d's work around its BLAS product, which stays in the callers
+    # (``nn.Conv1d.forward`` and DF scoring): the column matrix in front of
+    # it and DF's bias / ReLU / pool epilogue after it.
+    def im2col_1d(self, x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
+        """The ``(n, positions, C * kernel_size)`` column matrix of a 1-D
+        convolution over ``x`` ``(n, C, L)`` zero-padded by ``padding`` at
+        both ends: column ``c * kernel_size + j`` of position ``p`` holds the
+        padded ``x[:, c, p * stride + j]``."""
+        if padding > 0:
+            padded = np.zeros(x.shape[:2] + (x.shape[2] + 2 * padding,), x.dtype)
+            padded[:, :, padding:-padding] = x
+            x = padded
+        windows = sliding_window_view(x, kernel_size, axis=2)[:, :, ::stride]
+        batch, channels, positions, _ = windows.shape
+        return windows.transpose(0, 2, 1, 3).reshape(batch, positions, channels * kernel_size)
+
+    def bias_relu_pool(self, h: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Bias, ReLU and a max-pool of two over the positions of a conv
+        product ``h`` ``(n, L, C)``, out in the conv layout ``(n, C, L // 2)``
+        (C-contiguous).  ReLU is ``Tensor.relu``'s multiply by the mask, the
+        pool ``MaxPool1d``'s ``np.maximum`` of the even and odd positions."""
+        h = h + bias
+        h *= h > 0
+        return np.ascontiguousarray(np.maximum(h[:, 0::2], h[:, 1::2]).transpose(0, 2, 1))
+
     def describe(self) -> Dict[str, object]:
         """Introspection payload (benchmarks embed this in their results)."""
         return {"name": self.name}
@@ -929,6 +1001,8 @@ class BlockedBackend(ExecutionBackend):
     clipped_surrogate_backward = _compiled("clipped_surrogate_backward")
     grad_norm = _compiled("grad_norm")
     adam_step = _compiled("adam_step")
+    im2col_1d = _compiled("im2col_1d")
+    bias_relu_pool = _compiled("bias_relu_pool")
 
     def describe(self) -> Dict[str, object]:
         payload = super().describe()

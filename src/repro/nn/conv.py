@@ -2,7 +2,11 @@
 
 Convolution is implemented via the im2col trick so that the forward and
 backward passes are expressed as matrix multiplications handled by the
-autodiff engine.
+autodiff engine.  The column matrix comes from the active backend's
+``im2col_1d`` hook: the transposed window view of a zero-padded copy under
+``reference``, one compiled copy that writes the padding in place under
+``blocked`` -- the same values either way, so the product sees the same
+operand.  DF's array scoring calls the same hook.
 
 No kernel here reduces over a ``kernel_size``-wide axis or loops over output
 positions; each makes ``kernel_size`` whole-array passes over strided slices
@@ -26,11 +30,12 @@ asserted ``view(uint64)``-equal to it.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import backend as _backend
 from . import init
 from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor, is_grad_enabled
@@ -47,21 +52,6 @@ def _windows_1d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
 def _check_at_least(layer: str, name: str, value: int, minimum: int) -> None:
     if value < minimum:
         raise ValueError(f"{layer}: {name} must be >= {minimum}, got {value}")
-
-
-def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int) -> Tuple[np.ndarray, int]:
-    """Convert (batch, channels, length) to column matrix for 1-D convolution.
-
-    Returns an array of shape (batch, out_length, channels * kernel_size) and
-    the output length.  Column ``c * kernel_size + j`` of position ``p`` holds
-    ``x[:, c, p * stride + j]``; the one copy is the reshape of the
-    transposed window view.
-    """
-    batch, channels, _ = x.shape
-    windows = _windows_1d(x, kernel_size, stride)
-    out_length = windows.shape[2]
-    columns = windows.transpose(0, 2, 1, 3).reshape(batch, out_length, channels * kernel_size)
-    return columns, out_length
 
 
 class Conv1d(Module):
@@ -93,12 +83,10 @@ class Conv1d(Module):
         x = as_tensor(x)
         if x.ndim != 3:
             raise ValueError(f"Conv1d expects (batch, channels, length), got shape {x.shape}")
-        data = x.data
-        if self.padding > 0:
-            padded = np.zeros(data.shape[:2] + (data.shape[2] + 2 * self.padding,), data.dtype)
-            padded[:, :, self.padding : -self.padding] = data
-            data = padded
-        columns, out_length = _im2col_1d(data, self.kernel_size, self.stride)
+        columns = _backend.active_backend().im2col_1d(
+            x.data, self.kernel_size, self.stride, self.padding
+        )
+        out_length = columns.shape[1]
 
         # The column extraction is a linear (gather) operation; we rebuild the
         # gradient w.r.t. the padded input manually in the backward closure

@@ -34,6 +34,13 @@
  * arithmetic over the flat moments, scatter).  Each mirrors one numpy
  * expression of backend.ExecutionBackend and returns NotImplemented for
  * operands outside its float64 fast path.
+ *
+ * Conv-block kernels (Conv1d's forward and DF scoring, around numpy's BLAS
+ * product): im2col_1d (the column matrix, zero padding written in place of
+ * a padded temporary; copies only) and bias_relu_pool (bias, ReLU as a
+ * multiply by the mask, np.maximum of the even and odd positions, written
+ * in the conv layout so DF's fc1 flatten is a free reshape).  Same
+ * NotImplemented contract.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1067,6 +1074,120 @@ static PyObject *py_adam_step(PyObject *self, PyObject *args) {
     Py_RETURN_TRUE;
 }
 
+/* ------------------------------------------------------------------ */
+/* Conv-block kernels: the copy in front of a Conv1d's BLAS product   */
+/* and DF's epilogue after it (the product stays numpy's `@`).        */
+/* ------------------------------------------------------------------ */
+
+/* im2col_1d(x (n, C, L), kernel, stride, padding) -> (n, P, C * kernel),
+   C-contiguous, with P = (L + 2 * padding - kernel) // stride + 1:
+   column c * kernel + j of position p is x[:, c, p * stride + j - padding],
+   0.0 off either end.  backend.ExecutionBackend.im2col_1d zero-pads a copy
+   of the batch and reshapes the transposed window view; here one flow at a
+   time is staged in a zero-padded (C, L + 2 * padding) buffer, so there is
+   no padded temporary of the batch, and every value is copied, so keeps
+   its bits.  x may have any strides (DF scoring passes the transposed view
+   of a channel-last array).
+   NotImplemented for an x that is not an aligned float64 array, for a
+   window longer than the padded input (numpy raises), and wherever numpy's
+   reshape merges the (C, kernel) axes of the window view without a copy:
+   one channel, a kernel of one, or a channel stride of `kernel` time steps
+   (a padded input exactly one window long).  numpy then returns a strided
+   view, and the products of the forward and of the weight gradient could
+   take another BLAS path on it than on a C-contiguous copy. */
+static PyObject *py_im2col_1d(PyObject *self, PyObject *args) {
+    PyObject *obj;
+    Py_ssize_t kernel, stride, padding;
+    if (!PyArg_ParseTuple(args, "Onnn", &obj, &kernel, &stride, &padding)) return NULL;
+    if (!rc_is_f64(obj, 3) || !PyArray_ISALIGNED((PyArrayObject *)obj) || kernel < 1 ||
+        stride < 1 || padding < 0)
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *x = (PyArrayObject *)obj;
+    const npy_intp n = PyArray_DIM(x, 0), channels = PyArray_DIM(x, 1);
+    const npy_intp length = PyArray_DIM(x, 2);
+    if (length + 2 * padding < kernel) Py_RETURN_NOTIMPLEMENTED;
+    /* the strides of the array numpy takes its windows from: x, or a
+       C-contiguous zero-padded copy of it */
+    const npy_intp s_window_c = padding > 0 ? (length + 2 * padding) * (npy_intp)sizeof(double)
+                                            : PyArray_STRIDE(x, 1);
+    const npy_intp s_window_t = padding > 0 ? (npy_intp)sizeof(double) : PyArray_STRIDE(x, 2);
+    if (channels == 1 || kernel == 1 || s_window_c == kernel * s_window_t)
+        Py_RETURN_NOTIMPLEMENTED;
+    const npy_intp positions = (length + 2 * padding - kernel) / stride + 1;
+    const npy_intp width = channels * kernel;
+    npy_intp dims[3] = {n, positions, width};
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(3, dims, NPY_DOUBLE);
+    if (out == NULL) return NULL;
+    /* every window of a staged channel is a contiguous run, and the
+       columns are written in order */
+    const npy_intp padded_length = length + 2 * padding;
+    double *restrict padded = PyMem_Calloc(channels * padded_length + 1, sizeof(double));
+    if (padded == NULL) {
+        Py_DECREF(out);
+        return PyErr_NoMemory();
+    }
+    const char *base = PyArray_BYTES(x);
+    const npy_intp s_n = PyArray_STRIDE(x, 0), s_c = PyArray_STRIDE(x, 1);
+    const npy_intp s_t = PyArray_STRIDE(x, 2);
+    double *restrict col = RC_DATA(out);
+    for (npy_intp b = 0; b < n; ++b) {
+        for (npy_intp c = 0; c < channels; ++c) {
+            const char *src = base + b * s_n + c * s_c;
+            double *restrict row = padded + c * padded_length + padding;
+            for (npy_intp t = 0; t < length; ++t) row[t] = *(const double *)(src + t * s_t);
+        }
+        for (npy_intp p = 0; p < positions; ++p) {
+            const double *restrict window = padded + p * stride;
+            for (npy_intp c = 0; c < channels; ++c, col += kernel, window += padded_length)
+                for (npy_intp j = 0; j < kernel; ++j) col[j] = window[j];
+        }
+    }
+    PyMem_Free(padded);
+    return (PyObject *)out;
+}
+
+/* bias_relu_pool(h (n, L, C), bias (C,)) -> (n, C, L // 2), C-contiguous:
+     h = h + bias
+     h *= h > 0                       a negative becomes -0.0, NaN passes
+     np.maximum(h[:, 0::2], h[:, 1::2]), transposed to the conv layout
+   np.maximum(a, b) is a when a is NaN, else a when a > b, else b (its
+   second operand on a tie of zeros).  Both numpy behaviours are pinned in
+   tests.  NotImplemented for operands that are not float64 of these
+   shapes, or an odd L (numpy raises). */
+static PyObject *py_bias_relu_pool(PyObject *self, PyObject *args) {
+    PyObject *objs[2];
+    if (!PyArg_ParseTuple(args, "OO", &objs[0], &objs[1])) return NULL;
+    if (!rc_is_f64(objs[0], 3) || !rc_is_f64(objs[1], 1) ||
+        PyArray_DIM((PyArrayObject *)objs[0], 2) != PyArray_DIM((PyArrayObject *)objs[1], 0) ||
+        PyArray_DIM((PyArrayObject *)objs[0], 1) % 2 != 0)
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[2];
+    if (!rc_contiguous(objs, in, 2)) return NULL;
+    const npy_intp n = PyArray_DIM(in[0], 0), length = PyArray_DIM(in[0], 1);
+    const npy_intp channels = PyArray_DIM(in[0], 2), half = length / 2;
+    npy_intp dims[3] = {n, channels, half};
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(3, dims, NPY_DOUBLE);
+    if (out != NULL) {
+        const double *restrict h = RC_DATA(in[0]), *restrict bias = RC_DATA(in[1]);
+        double *restrict pooled = RC_DATA(out);
+        for (npy_intp b = 0; b < n; ++b) {
+            const double *block = h + b * length * channels;
+            double *dst = pooled + b * channels * half;
+            for (npy_intp q = 0; q < half; ++q) {
+                const double *even = block + 2 * q * channels, *odd = even + channels;
+                for (npy_intp c = 0; c < channels; ++c) {
+                    double a = even[c] + bias[c], z = odd[c] + bias[c];
+                    a = a * (a > 0.0 ? 1.0 : 0.0);
+                    z = z * (z > 0.0 ? 1.0 : 0.0);
+                    dst[c * half + q] = isnan(a) ? a : (a > z ? a : z);
+                }
+            }
+        }
+    }
+    rc_release(in, 2);
+    return (PyObject *)out;
+}
+
 static PyMethodDef rc_gemm_methods[] = {
     {"rc_gemm", py_rc_gemm, METH_VARARGS,
      "Row-consistent f64 GEMM, bit-identical to np.einsum('ik,kh->ih')."},
@@ -1098,6 +1219,10 @@ static PyMethodDef rc_gemm_methods[] = {
      "Global L2 norm of gradients, numpy's pairwise sums of their squares."},
     {"adam_step", py_adam_step, METH_VARARGS,
      "Adam's flat update in one pass: gather, decrement, scatter."},
+    {"im2col_1d", py_im2col_1d, METH_VARARGS,
+     "Conv1d column matrix (n, positions, C * kernel), zero padding written in place."},
+    {"bias_relu_pool", py_bias_relu_pool, METH_VARARGS,
+     "Bias, ReLU and a max-pool of two, (n, L, C) in, (n, C, L // 2) out."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef rc_gemm_module = {

@@ -10,8 +10,9 @@ are kept only as the reference the bitwise tests
 (``tests/test_nn_recurrent_conv.py``, ``tests/test_properties.py``,
 ``tests/test_censors.py``) compare the production kernels against -- do not
 optimise or "fix" them.  Each class inherits the production constructor and
-replaces ``forward``; the window view and the im2col gather, which the rewrite
-did not touch, are the production helpers.
+replaces ``forward``; the window view, which the rewrite did not touch, is
+the production helper.  The im2col gather is kept here verbatim
+(:func:`_im2col_1d`): production now runs the backend's ``im2col_1d`` hook.
 
 To run a whole network on the oracle, patch the production classes::
 
@@ -24,10 +25,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn.conv import _im2col_1d, _windows_1d
+from repro.nn.conv import _windows_1d
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = ["ReferenceConv1d", "ReferenceMaxPool1d"]
+
+
+def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int):
+    """Convert (batch, channels, length) to column matrix for 1-D convolution.
+
+    Returns an array of shape (batch, out_length, channels * kernel_size) and
+    the output length.  Column ``c * kernel_size + j`` of position ``p`` holds
+    ``x[:, c, p * stride + j]``; the one copy is the reshape of the
+    transposed window view.
+    """
+    batch, channels, _ = x.shape
+    windows = _windows_1d(x, kernel_size, stride)
+    out_length = windows.shape[2]
+    columns = windows.transpose(0, 2, 1, 3).reshape(batch, out_length, channels * kernel_size)
+    return columns, out_length
 
 
 class ReferenceConv1d(nn.Conv1d):

@@ -325,6 +325,56 @@ def random_flow(rng, n_packets):
     )
 
 
+def _lstm_fit_as_it_was(censor, flows):
+    """``LSTMClassifier.fit``'s own loop before it called the shared
+    ``train_binary_classifier``, verbatim but for the ``self`` → ``censor``."""
+    from repro.nn import functional as F
+
+    flows = list(flows)
+    labels = censor._resolve_labels(flows, None).astype(np.float64)
+    optimizer = nn.Adam(censor.network.parameters(), lr=censor.learning_rate)
+    padded = censor._to_padded_batch(flows)
+    censor.network.train()
+    for _ in range(censor.epochs):
+        order = censor._rng.permutation(len(flows))
+        for start in range(0, len(flows), censor.batch_size):
+            batch_idx = order[start : start + censor.batch_size]
+            logits = censor.network(nn.Tensor(padded[batch_idx])).reshape(-1)
+            loss = F.binary_cross_entropy_with_logits(logits, nn.Tensor(labels[batch_idx]))
+            optimizer.zero_grad()
+            loss.backward()
+            nn.clip_grad_norm(censor.network.parameters(), 5.0)
+            optimizer.step()
+    censor.network.eval()
+    censor._fitted = True
+    return censor
+
+
+class TestLSTMTrainingLoop:
+    """``LSTMClassifier.fit`` is the shared ``train_binary_classifier``: for a
+    fixed seed it trains the weights, draws the permutations and scores the
+    flows of its former private copy, byte for byte."""
+
+    @pytest.mark.parametrize("batch_size", [7, 16])
+    def test_fit_equals_its_former_loop(self, normalizer, tor_splits, batch_size):
+        flows = tor_splits.clf_train.flows[:40]
+        censors = [
+            LSTMClassifier(
+                normalizer, hidden_size=8, epochs=2, batch_size=batch_size, max_train_length=20, rng=3
+            )
+            for _ in range(2)
+        ]
+        censors[0].fit(flows)
+        _lstm_fit_as_it_was(censors[1], flows)
+        shared, former = (censor.network.state_dict() for censor in censors)
+        assert shared.keys() == former.keys()
+        for name in shared:
+            assert shared[name].tobytes() == former[name].tobytes(), name
+        assert censors[0]._rng.bit_generator.state == censors[1]._rng.bit_generator.state
+        held_out = tor_splits.test.flows[:10]
+        assert censors[0].predict_scores(held_out).tobytes() == censors[1].predict_scores(held_out).tobytes()
+
+
 class TestDeepFingerprintingKernels:
     """DF fitted and queried on the production ``Conv1d`` / ``MaxPool1d`` and on
     the oracle kernels: no weight, score or input gradient may differ in a bit
@@ -366,7 +416,8 @@ class TestDeepFingerprintingKernels:
 class TestDeepFingerprintingArrayScoring:
     """Production DF scoring runs on plain arrays; it must equal the ``Tensor``
     scoring body of ``tests/oracles/df_tensor_scoring.py`` bit for bit, on the
-    production layers and on the reference kernels alike."""
+    production layers and on the reference kernels alike, whichever backend
+    runs the conv-block hooks (the oracle always runs on ``reference``)."""
 
     @pytest.fixture(scope="class")
     def censor(self, normalizer, tor_splits):
@@ -379,26 +430,66 @@ class TestDeepFingerprintingArrayScoring:
     @staticmethod
     def batch(size, tor_splits):
         rng = np.random.default_rng(size)
-        # longer than, exactly at and shorter than the 40-packet window
-        lengths = [61, 40, 12, 80, 41, 39, 5]
+        # longer than, exactly at and shorter than the 40-packet window, down
+        # to one and two packets (shorter than the kernel)
+        lengths = [61, 40, 12, 80, 41, 39, 5, 1, 2]
         held_out = tor_splits.test.flows
         return [
-            held_out[i % len(held_out)] if i % 3 == 2 else random_flow(rng, lengths[i % 7])
+            held_out[i % len(held_out)] if i % 3 == 2 else random_flow(rng, lengths[i % 9])
             for i in range(size)
         ]
 
+    @staticmethod
+    def oracle(censor, flows):
+        with nn.use_backend("reference"):
+            return tensor_score_flows(censor, flows)
+
+    @pytest.mark.parametrize("backend", ["blocked", "reference"])
     @pytest.mark.parametrize("kernels", ["production", "reference"])
-    @pytest.mark.parametrize("size", [1, 2, 7, 31, 128])
-    def test_array_scoring_equals_tensor_oracle(self, censor, tor_splits, size, kernels, monkeypatch):
+    @pytest.mark.parametrize("size", [1, 2, 7, 31, 128, 129])
+    def test_array_scoring_equals_tensor_oracle(
+        self, censor, tor_splits, size, kernels, backend, monkeypatch
+    ):
         assert censor.packet_window == 40
         if kernels == "reference":
             monkeypatch.setattr(nn.Conv1d, "forward", ReferenceConv1d.forward)
             monkeypatch.setattr(nn.MaxPool1d, "forward", ReferenceMaxPool1d.forward)
         flows = self.batch(size, tor_splits)
-        production = censor._score_flows(flows)
-        oracle = tensor_score_flows(censor, flows)
+        with nn.use_backend(backend):
+            production = censor._score_flows(flows)
+        oracle = self.oracle(censor, flows)
         assert production.shape == oracle.shape == (size,)
         assert np.array_equal(production.view(np.uint64), oracle.view(np.uint64))
+
+    def test_blocked_scoring_runs_the_compiled_hooks(self, censor, tor_splits, monkeypatch):
+        """Under ``blocked`` neither conv-block hook falls back to numpy."""
+        from repro.nn import backend as nnb
+
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        # With the GEMM compiled, a kernel failing its self-check is a bug.
+        assert nnb.fused_cells_available(), nnb.fused_cells_error()
+        for hook in ("im2col_1d", "bias_relu_pool"):
+
+            def forbidden(*args, _hook=hook, **kwargs):
+                raise AssertionError(f"{_hook} fell back to the numpy expression")
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        with nn.use_backend("blocked"):
+            for size in (1, 2, 129):
+                assert censor._score_flows(self.batch(size, tor_splits)).shape == (size,)
+
+    def test_kernels_that_failed_their_self_check_score_the_same_bits(
+        self, censor, tor_splits, monkeypatch
+    ):
+        from repro.nn import backend as nnb
+
+        flows = self.batch(31, tor_splits)
+        monkeypatch.setattr(nnb, "_GATES_OK", False)
+        monkeypatch.setattr(nnb, "_GATES_ERROR", "forced by test")
+        with nn.use_backend("blocked"):
+            degraded = censor._score_flows(flows)
+        assert np.array_equal(degraded.view(np.uint64), self.oracle(censor, flows).view(np.uint64))
 
     def test_scoring_reads_weights_at_call_time(self, censor, tor_splits):
         flows = self.batch(7, tor_splits)

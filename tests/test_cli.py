@@ -306,6 +306,18 @@ class TestCommands:
         assert main([*argv, "--profiles", str(flows_path)]) == 0
         assert f"profiles from {flows_path}" in capsys.readouterr().out
 
+    def test_serve_refuses_truncated_generate_output(self, tmp_path):
+        # 20 flows cut to a header and four flows: a message before the
+        # checkpoint is read, not a four-profile database.
+        flows_path = tmp_path / "flows.jsonl"
+        assert main(["generate", "--flows", "20", "--output", str(flows_path), "--seed", "3"]) == 0
+        lines = flows_path.read_text().splitlines(keepends=True)
+        flows_path.write_text("".join(lines[:5]))
+        missing = str(tmp_path / "missing.npz")
+        expected = f"^serve: {re.escape(str(flows_path))}: the header declares {len(lines) - 1} flows, the file holds 4$"
+        with pytest.raises(SystemExit, match=expected):
+            main(["serve", "--policy", missing, "--profiles", str(flows_path)])
+
     def test_serve_refuses_a_policy_trained_on_another_size_scale(self, tmp_path, capsys):
         policy_path = tmp_path / "policy.npz"
         self._policy(policy_path, metadata={"size_scale": 16384.0, "max_delay_ms": 100.0})

@@ -538,10 +538,17 @@ class TestSequenceRepresentation:
     def test_transform_many_bit_identical_to_per_flow_normalisation(self, tor_dataset, normalizer):
         """One fill + one normalisation pass per channel equals padding each
         flow's ``normalise_flow`` pairs (what the seed stacked), bit for bit."""
-        flows = list(tor_dataset.flows[:12]) + [
+        rng = np.random.default_rng(7)
+        long_flow = Flow(sizes=rng.uniform(60.0, 1460.0, 61) * rng.choice([-1.0, 1.0], 61),
+                         delays=rng.exponential(10.0, 61))
+        flows = list(tor_dataset.flows[:12]) + [long_flow,
             Flow(sizes=[5e-324, -1e300, 1460.0], delays=[0.0, 1e300, 5e-324]),
             Flow(sizes=[-536.0], delays=[0.0]),
+            Flow(sizes=[-0.5], delays=[-0.0]),
+            long_flow.prefix_view(1),
+            long_flow.prefix_view(long_flow.n_packets),
         ]
+        one_packet = [flow for flow in flows if flow.n_packets == 1]
         for max_length in (1, 7, 40):
             representation = SequenceRepresentation(max_length, normalizer)
             expected = np.zeros((len(flows), max_length, 2))
@@ -551,8 +558,16 @@ class TestSequenceRepresentation:
             got = representation.transform_many(flows)
             assert got.flags.c_contiguous and got.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-            assert np.array_equal(representation.transform_many(flows[:1])[0], expected[0])
-        assert representation.transform_many([]).shape == (0, 40, 2)
+            # any sub-batch is the same rows: one flow, the one-packet flows
+            # alone, over-length flows alone, the batch reversed
+            for rows in ([0], [i for i, flow in enumerate(flows) if flow.n_packets == 1],
+                         [i for i, flow in enumerate(flows) if flow.n_packets > max_length],
+                         list(range(len(flows)))[::-1]):
+                sub = representation.transform_many([flows[i] for i in rows])
+                assert np.array_equal(sub.view(np.uint64), expected[rows].view(np.uint64)), rows
+            empty = representation.transform_many([])
+            assert empty.shape == (0, max_length, 2) and empty.dtype == np.float64
+        assert len(one_packet) == 3 and any(flow.n_packets > 40 for flow in flows)
 
     def test_invalid_max_length(self, normalizer):
         with pytest.raises(ValueError):

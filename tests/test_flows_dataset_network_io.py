@@ -192,6 +192,47 @@ class TestIO:
             assert np.array_equal(restored.delays, original.delays)
             assert restored.label == original.label
 
+    def test_a_truncated_dataset_is_refused(self, tmp_path, tor_dataset):
+        # A 20-flow dataset cut to five lines used to load four flows.
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(tor_dataset.subset(range(20)), path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:5]))
+        expected = f"^{re.escape(str(path))}: the header declares 20 flows, the file holds 4$"
+        with pytest.raises(ValueError, match=expected):
+            load_flows_jsonl(path)
+
+    def test_flows_appended_to_a_dataset_are_refused(self, tmp_path, tor_dataset):
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(tor_dataset.subset(range(3)), path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(tor_dataset[3].to_dict()) + "\n")
+        with pytest.raises(ValueError, match="declares 3 flows, the file holds 4"):
+            load_flows_jsonl(path)
+
+    def test_concatenated_datasets_load_by_their_headers(self, tmp_path, tor_dataset):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_dataset(tor_dataset.subset(range(3)), first)
+        save_dataset(tor_dataset.subset(range(3, 5)), second)
+        both = tmp_path / "both.jsonl"
+        both.write_text(first.read_text() + second.read_text())
+        assert len(load_flows_jsonl(both)) == 5
+
+    @pytest.mark.parametrize("count", ["-1", "2.0", "true", "null", '"1"'])
+    def test_a_header_count_that_is_not_a_count_is_refused(self, tmp_path, count):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text('{"__dataset__": "tor", "n_flows": %s}\n{"sizes": [100.0], "delays": [0.0]}\n' % count)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: the header's n_flows must be a count"):
+            load_flows_jsonl(path)
+
+    def test_header_less_files_load_as_before(self, tmp_path, tor_dataset):
+        path = tmp_path / "flows.jsonl"
+        save_flows_jsonl(tor_dataset.flows[:5], path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        assert len(load_flows_jsonl(path)) == 2
+        named = tmp_path / "named.jsonl"
+        named.write_text('{"__dataset__": "tor"}\n' + path.read_text())
+        assert len(load_flows_jsonl(named)) == 2
+
     @pytest.mark.parametrize(
         "line,reason",
         [

@@ -55,6 +55,12 @@ class TestKernelSVM:
         with pytest.raises(ValueError, match=name):
             KernelSVM(**kwargs)
 
+    @pytest.mark.parametrize("gamma", ["auto", "Scale", "", None, [0.5]])
+    def test_a_gamma_that_is_neither_scale_nor_a_number_is_refused(self, gamma):
+        # "auto" used to raise "could not convert string to float: 'auto'".
+        with pytest.raises(ValueError, match=r"^gamma must be 'scale' or a finite positive number, got "):
+            KernelSVM(gamma=gamma)
+
     def test_explicit_gamma_is_used(self):
         X, y = circular_data()
         assert KernelSVM(gamma=0.5, epochs=2, rng=0).fit(X, y).gamma_ == 0.5

@@ -167,6 +167,12 @@ class TestBlockedEqualsReference:
         for seed in range(4):
             runs = [TestTrainingHooks.adam_run(b, seed) for b in (ref, backend)]
             _same_results(*runs, (name, "adam_step", seed))
+        for n in (0, 1, 128):
+            for channels in (2, 16):
+                for hook, operands in TestConvHooks.operands(rng, n, channels):
+                    with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
+                        want, have = getattr(ref, hook)(*operands), getattr(backend, hook)(*operands)
+                    _same_results(want, have, (name, hook, n, channels, operands[0].shape))
 
     def test_bit_identical_across_shapes(self):
         rng = np.random.default_rng(0)
@@ -563,8 +569,104 @@ class TestTrainingHooks:
         )
 
 
+class TestConvHooks:
+    """The conv-block hooks of ``Conv1d`` and DF scoring.  Their operands feed
+    the registry-wide bitwise test above; here the compiled kernels take every
+    DF operand, and operands outside their fast path take the numpy
+    expression itself (or raise as it does)."""
+
+    SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324])
+
+    @staticmethod
+    def operands(rng, n, channels):
+        """``(hook, args)`` for both hooks: DF's two convolutions (kernel 5,
+        padding 2) on inputs shorter than the kernel, at and past DF's
+        40-packet window, channel-first and channel-last; a strided one;
+        then products holding NaN, infinities and zeros of both signs."""
+        cases = []
+        for length in (2, 3, 4, 20, 41):
+            x = rng.standard_normal((n, channels, length))
+            cases.append(("im2col_1d", (x, 5, 1, 2)))
+            cases.append(("im2col_1d", (np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1), 5, 1, 2)))
+        cases.append(("im2col_1d", (rng.standard_normal((n, channels, 23)), 3, 2, 0)))
+        for length in (2, 4, 40):
+            h = rng.standard_normal((n, length, channels)) * 10.0
+            special = rng.random(h.shape) < 0.25
+            h[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
+            bias = rng.standard_normal(channels)
+            bias[: channels // 2] = 0.0
+            cases.append(("bias_relu_pool", (h, bias)))
+        return cases
+
+    def test_blocked_takes_every_df_operand(self, monkeypatch):
+        """The compiled kernels decline none of the operands above."""
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        assert nnb.fused_cells_available(), nnb.fused_cells_error()
+        for hook in ("im2col_1d", "bias_relu_pool"):
+
+            def forbidden(*args, _hook=hook, **kwargs):
+                raise AssertionError(f"{_hook} fell back to the numpy expression")
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        blocked = nnb.get_backend("blocked")
+        rng = np.random.default_rng(90)
+        with np.errstate(invalid="ignore"):
+            for hook, operands in self.operands(rng, 3, 2) + self.operands(rng, 1, 16):
+                getattr(blocked, hook)(*operands)
+
+    @pytest.mark.parametrize(
+        "x,kernel_size,stride,padding",
+        [
+            (np.ones((2, 1, 9)), 3, 1, 1),  # one channel: numpy returns a strided view
+            (np.ones((2, 3, 9)), 1, 2, 0),  # a kernel of one: a strided view again
+            (np.ones((2, 3, 1)), 5, 1, 2),  # the padded input is one window long
+            (np.ones((2, 3, 9), dtype=np.float32), 3, 1, 1),
+            (np.arange(54.0).reshape(2, 3, 9)[:, :, ::-1], 3, 1, 1),  # compiled: negative strides
+        ],
+    )
+    def test_im2col_layouts_are_the_numpy_expressions(self, x, kernel_size, stride, padding):
+        """Outside the kernel's fast path numpy's result -- a strided view or
+        another dtype -- is the hook's, so ``Conv1d``'s products and gradients
+        see the same operand; inside it, the same C-contiguous copy."""
+        want = nnb.get_backend("reference").im2col_1d(x, kernel_size, stride, padding)
+        have = nnb.get_backend("blocked").im2col_1d(x, kernel_size, stride, padding)
+        assert want.dtype == have.dtype and want.shape == have.shape
+        assert want.strides == have.strides
+        assert np.array_equal(want, have)
+
+    def test_windows_longer_than_the_padded_input_raise_on_both_backends(self):
+        for name in nnb.available_backends():
+            with pytest.raises(ValueError):
+                nnb.get_backend(name).im2col_1d(np.ones((2, 3, 3)), 5, 1, 0)
+
+    def test_bias_relu_pool_outside_the_fast_path(self):
+        rng = np.random.default_rng(91)
+        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        h32 = rng.standard_normal((2, 4, 3)).astype(np.float32)
+        assert blocked.bias_relu_pool(h32, np.zeros(3, np.float32)).dtype == np.float32
+        strided = rng.standard_normal((2, 8, 6))[:, ::2, ::2]
+        bias = rng.standard_normal(3)
+        _same_results(reference.bias_relu_pool(strided, bias), blocked.bias_relu_pool(strided, bias), "strided")
+        for name in nnb.available_backends():  # an odd length does not pool in pairs
+            with pytest.raises(ValueError):
+                nnb.get_backend(name).bias_relu_pool(rng.standard_normal((2, 5, 3)), bias)
+
+    def test_outputs_are_fresh_c_contiguous_arrays(self):
+        rng = np.random.default_rng(92)
+        x = rng.standard_normal((3, 4, 10))
+        for name in nnb.available_backends():
+            backend = nnb.get_backend(name)
+            columns = backend.im2col_1d(x, 5, 1, 2)
+            pooled = backend.bias_relu_pool(columns @ rng.standard_normal((20, 6)), np.zeros(6))
+            for out in (columns, pooled):
+                assert out.flags.c_contiguous and out.flags.writeable and not np.shares_memory(out, x)
+            assert pooled.shape == (3, 6, 5)
+
+
 class TestPinnedNumpyAssumptions:
-    """numpy behaviour the training kernels reproduce rather than call.
+    """numpy behaviour the training and conv-block kernels reproduce rather
+    than call.
 
     Pinned on numpy 2.4.6 (CI's numpy-floor job runs them on 1.24).  If one
     fails, the kernel that mirrors it fails its load-time self-check, the
@@ -609,6 +711,31 @@ class TestPinnedNumpyAssumptions:
                 want = np.float64(np.sqrt(float((x ** 2).sum())))
                 _same_bits(np.asarray(want), np.asarray(np.float64(kernel.grad_norm([x]))))
         assert np.array([-0.0]).sum() == 0.0 and not np.signbit(np.array([-0.0]).sum())
+
+    def test_relu_mask_multiply_signs_negatives_and_passes_nan(self):
+        """``h *= h > 0`` (``Tensor.relu``, DF's scoring epilogue) multiplies
+        each element by the mask as a float64 ``1.0`` / ``0.0``: a negative
+        becomes ``-0.0``, ``-0.0`` and ``+0.0`` keep their signs, a NaN passes
+        with its sign and ``-inf`` becomes NaN -- the multiply
+        ``bias_relu_pool``'s kernel performs, over SIMD bodies and tails."""
+        rng = np.random.default_rng(82)
+        samples = [self._values(rng)[0], np.array([np.nan, -np.nan, -0.0, -2.5, -5e-324])]
+        for length in list(range(1, 40)) + [127, 128, 129, 1000]:
+            x = rng.standard_normal(length) * 10.0
+            special = rng.random(length) < 0.3
+            x[special] = rng.choice([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], size=int(special.sum()))
+            samples.append(x)
+        with np.errstate(invalid="ignore"):
+            for x in samples:
+                h = x.copy()
+                h *= h > 0
+                product = x * np.where(x > 0, 1.0, 0.0)
+                nan = np.isnan(x)
+                assert np.array_equal(np.isnan(h), nan | (x == -np.inf))
+                _same_bits(h[nan], x[nan])
+                finite = ~np.isnan(h)
+                _same_bits(h[finite], product[finite])
+                assert np.signbit(h[(x < 0) & (x > -np.inf)]).all()
 
     def test_clip_passes_nan_and_keeps_the_bound_on_a_tie(self):
         """``np.clip`` of a float64 returns a NaN input itself and a bound as

@@ -157,15 +157,16 @@ class TestLoopFreeWindows:
 
     @pytest.mark.parametrize("kernel_size,stride", [(5, 1), (3, 2), (2, 2), (4, 3), (7, 7)])
     @pytest.mark.parametrize("contiguous", [True, False])
-    def test_im2col_matches_loop(self, kernel_size, stride, contiguous):
-        from repro.nn.conv import _im2col_1d
-
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize("backend", nn.available_backends())
+    def test_im2col_matches_loop(self, kernel_size, stride, contiguous, padding, backend):
+        """Every backend's ``im2col_1d`` hook (the one ``Conv1d`` and DF
+        scoring call) equals the seed loop over the zero-padded input."""
         x = np.random.default_rng(kernel_size * 10 + stride).normal(size=(3, 4, 23))
         if not contiguous:
             x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
-        columns, out_length = _im2col_1d(x, kernel_size, stride)
-        expected = _loop_im2col(x, kernel_size, stride)
-        assert out_length == expected.shape[1]
+        columns = nn.get_backend(backend).im2col_1d(x, kernel_size, stride, padding)
+        expected = _loop_im2col(np.pad(x, ((0, 0), (0, 0), (padding, padding))), kernel_size, stride)
         assert columns.flags.c_contiguous and columns.flags.writeable
         assert np.array_equal(columns.view(np.uint64), expected.view(np.uint64))
 
