@@ -110,9 +110,6 @@ class DeepFingerprintingClassifier(CensorClassifier):
         sequences = sequences[:, : self._effective_length, :]
         return np.transpose(sequences, (0, 2, 1))
 
-    def _forward(self, batch: np.ndarray) -> nn.Tensor:
-        return self.network(nn.Tensor(batch))
-
     def forward_tensor(self, batch: nn.Tensor) -> nn.Tensor:
         """Differentiable forward pass on an already-built input tensor.
 
@@ -133,7 +130,6 @@ class DeepFingerprintingClassifier(CensorClassifier):
         inputs = self._to_batch(flows)
         train_binary_classifier(
             self.network,
-            self._forward,
             inputs,
             labels,
             epochs=self.epochs,

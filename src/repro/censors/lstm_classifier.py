@@ -93,7 +93,6 @@ class LSTMClassifier(CensorClassifier):
         # selections of the padded array.
         train_binary_classifier(
             self.network,
-            lambda batch: self.network(nn.Tensor(batch)),
             self._to_padded_batch(flows),
             labels,
             epochs=self.epochs,

@@ -135,7 +135,6 @@ class SDAEClassifier(CensorClassifier):
         self._pretrain(inputs)
         train_binary_classifier(
             self.network,
-            lambda batch: self.network(nn.Tensor(batch)),
             inputs,
             labels,
             epochs=self.epochs,

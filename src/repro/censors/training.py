@@ -3,14 +3,11 @@
 DF, SDAE and the LSTM classifier are all trained as binary classifiers with a
 sigmoid output and binary cross-entropy on the (size, delay) sequence
 representation.  The loop here does mini-batch Adam with optional shuffling
-and early reporting; it is intentionally free of model-specific logic so each
-classifier only has to provide a ``forward`` that maps a batch array to
-logits.
+and early reporting; it is intentionally free of model-specific logic: each
+classifier's network maps a batch ``Tensor`` to logits.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,25 +22,21 @@ __all__ = ["train_binary_classifier"]
 
 def train_binary_classifier(
     model: nn.Module,
-    forward: Callable[[np.ndarray], nn.Tensor],
     inputs: np.ndarray,
     labels: np.ndarray,
     epochs: int = 10,
     batch_size: int = 32,
     learning_rate: float = 1e-3,
     rng=None,
-    logger: Optional[TrainingLogger] = None,
     max_grad_norm: float = 5.0,
 ) -> TrainingLogger:
-    """Train ``model`` so that ``forward(batch)`` produces benign logits.
+    """Train ``model`` so that ``model(nn.Tensor(batch))`` produces benign logits.
 
     Parameters
     ----------
     model:
-        The module whose parameters are optimised.
-    forward:
-        Callable mapping a numpy batch to a Tensor of logits with shape
-        ``(batch,)`` or ``(batch, 1)``.
+        The module whose parameters are optimised; it maps a batch to logits
+        of shape ``(batch,)`` or ``(batch, 1)``.
     inputs:
         Training inputs, first axis is the sample axis.
     labels:
@@ -59,7 +52,7 @@ def train_binary_classifier(
     if len(inputs) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = ensure_rng(rng)
-    logger = logger or TrainingLogger("classifier-training")
+    logger = TrainingLogger("classifier-training")
     optimizer = nn.Adam(model.parameters(), lr=learning_rate)
 
     n_samples = len(inputs)
@@ -71,8 +64,7 @@ def train_binary_classifier(
             batch_inputs = inputs[batch_idx]
             batch_labels = labels[batch_idx]
 
-            logits = forward(batch_inputs)
-            logits = logits.reshape(-1)
+            logits = model(nn.Tensor(batch_inputs)).reshape(-1)
             loss = F.binary_cross_entropy_with_logits(logits, nn.Tensor(batch_labels))
 
             optimizer.zero_grad()

@@ -153,7 +153,6 @@ class LoadReport:
     n_sessions: int
     n_packets: int
     decisions: int
-    wall_seconds: float
     decisions_per_s: float
     p50_latency_ms: float
     p99_latency_ms: float
@@ -161,21 +160,8 @@ class LoadReport:
     profile_fallback_rate: float
     stats: Dict[str, object] = field(repr=False, default_factory=dict)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "n_sessions": float(self.n_sessions),
-            "n_packets": float(self.n_packets),
-            "decisions": float(self.decisions),
-            "wall_seconds": self.wall_seconds,
-            "decisions_per_s": self.decisions_per_s,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "profile_fallback_rate": self.profile_fallback_rate,
-        }
 
-
-def run_workload(server, workload: SyntheticWorkload, close_sessions: bool = True) -> LoadReport:
+def run_workload(server, workload: SyntheticWorkload) -> LoadReport:
     """Drive a :class:`~repro.serve.server.PolicyServer` through a workload;
     returns aggregate metrics.
 
@@ -190,8 +176,7 @@ def run_workload(server, workload: SyntheticWorkload, close_sessions: bool = Tru
         server.submit(event.session_id, event.size, event.delay_ms)
         server.poll()
     server.drain()
-    if close_sessions:
-        server.close_all()
+    server.close_all()
     wall = time.perf_counter() - start
 
     stats = server.stats()
@@ -201,7 +186,6 @@ def run_workload(server, workload: SyntheticWorkload, close_sessions: bool = Tru
         n_sessions=workload.n_sessions,
         n_packets=workload.n_packets,
         decisions=decisions,
-        wall_seconds=float(wall),
         decisions_per_s=decisions / wall if wall > 0 else 0.0,
         p50_latency_ms=summary["p50_latency_ms"],
         p99_latency_ms=summary["p99_latency_ms"],

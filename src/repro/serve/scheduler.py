@@ -12,8 +12,8 @@ and *which* requests form the batch.  Because all policy and encoder
 forwards multiply on the row-consistent :mod:`repro.nn.backend` kernel, a session's
 decisions are bit-identical regardless of which batch its requests land in
 — ``max_batch=1`` degenerates to the sequential one-session-at-a-time
-reference path that ``benchmarks/bench_throughput_serving.py`` compares
-against.
+reference path (``tests/test_serve.py::TestBatchingInvariants`` holds
+every batch size to it; ``examples/serve_policy.py`` prints both rates).
 """
 
 from __future__ import annotations

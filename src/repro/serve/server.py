@@ -98,22 +98,20 @@ class ServeConfig:
     latency_history: int = 4096
 
     def __post_init__(self) -> None:
-        if self.latency_history < 1:
-            raise ValueError("latency_history must be >= 1")
-        check_positive(self.size_scale, "size_scale", finite=True)
-        check_positive(self.max_delay_ms, "max_delay_ms", finite=True)
-        if self.min_packet_bytes < 1:
-            raise ValueError("min_packet_bytes must be >= 1")
-        if self.max_truncations_per_packet < 1:
-            raise ValueError("max_truncations_per_packet must be >= 1")
+        for name in (
+            "min_packet_bytes",
+            "max_truncations_per_packet",
+            "max_batch",
+            "miss_window",
+            "latency_history",
+        ):
+            check_integer(getattr(self, name), name, minimum=1)
         if self.max_steps_per_session is not None:
             check_integer(self.max_steps_per_session, "max_steps_per_session", minimum=1)
+        check_positive(self.size_scale, "size_scale", finite=True)
+        check_positive(self.max_delay_ms, "max_delay_ms", finite=True)
         check_non_negative(self.flush_timeout_ms, "flush_timeout_ms")
         _check_deadline(self.deadline_ms)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.miss_window < 1:
-            raise ValueError("miss_window must be >= 1")
         if not 0.0 < self.miss_threshold <= 1.0:
             raise ValueError("miss_threshold must be in (0, 1]")
 

@@ -291,9 +291,7 @@ class TestNeuralCensors:
         model = nn.Linear(3, 1, rng=np.random.default_rng(0))
         before = state_dict_to_bytes(model.state_dict())
         with pytest.raises(ValueError, match=name):
-            train_binary_classifier(
-                model, lambda batch: model(nn.Tensor(batch)), np.ones((4, 3)), np.ones(4), **kwargs
-            )
+            train_binary_classifier(model, np.ones((4, 3)), np.ones(4), **kwargs)
         assert state_dict_to_bytes(model.state_dict()) == before
 
     def test_sdae_learns(self, representation, tor_splits):

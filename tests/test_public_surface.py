@@ -167,6 +167,7 @@ UNREACHED_MEMBERS = [
     ("repro.serve.session", "FlowSession", "observation_state"),
     ("repro.serve.session", "FlowSession", "action_state"),
     ("repro.serve.server", "PolicyServer", "n_sessions"),
+    ("repro.serve.loadgen", "LoadReport", "as_dict"),
     ("repro.pipeline", "ExperimentData", "max_packet_size"),
     ("repro.eval.ecdf", "ECDF", "quantile"),
     ("repro.attacks.base", "WhiteBoxAttack", "fit"),
@@ -224,11 +225,16 @@ def test_retired_knobs_are_gone():
     import inspect
 
     from repro.core import AmoebaConfig, VectorFlowEnv, run_arms_race
+    from repro.serve import LoadReport, run_workload
 
     assert "eval_batch_size" not in {field.name for field in dataclasses.fields(AmoebaConfig)}
     with pytest.raises(TypeError):
         AmoebaConfig(eval_batch_size=4)
     assert "eval_batch_size" not in inspect.signature(run_arms_race).parameters
+    # No caller left sessions open, and only the retired serving smoke read
+    # the wall time (through ``LoadReport.as_dict``).
+    assert "close_sessions" not in inspect.signature(run_workload).parameters
+    assert "wall_seconds" not in {field.name for field in dataclasses.fields(LoadReport)}
     with pytest.raises(TypeError):
         VectorFlowEnv([], auto_reset=True)
     metrics = importlib.import_module("repro.eval.metrics")
@@ -237,8 +243,8 @@ def test_retired_knobs_are_gone():
         assert not hasattr(importlib.import_module("repro.eval"), name)
 
 
-# CI runs no bench module but the four throughput smokes, so a call to a
-# retired name under benchmarks/ or examples/ would only fail by hand.
+# CI runs no ``benchmarks/bench_*.py`` module, so a call to a retired name
+# there would only fail by hand.
 RETIRED_CALLS = [
     r"\.encode_state\(",
     r"\.observation_history\(",
@@ -284,6 +290,9 @@ RETIRED_CALLS = [
     # One statistical-feature kernel: the per-flow one and its batch-size switch are gone.
     r"\b_raw_features\b",
     r"\b_BATCH_BREAK_EVEN\b",
+    # One performance instrument: the load report's smoke-only surface is gone.
+    r"\bwall_seconds\b",
+    r"\bclose_sessions\b",
 ]
 
 

@@ -330,6 +330,14 @@ class TestConfigBounds:
             dict(flush_timeout_ms=-1.0),
             dict(max_steps_per_session=0),
             dict(max_steps_per_session=-2),
+            # Counts are integers: a fractional floor would put a
+            # fractional byte count on the wire.
+            dict(min_packet_bytes=64.5),
+            dict(max_truncations_per_packet=1.5),
+            dict(max_batch=2.5),
+            dict(max_batch=True),
+            dict(miss_window=2.5),
+            dict(latency_history=10.5),
         ],
     )
     def test_bad_bound_raises_at_construction(self, overrides):
@@ -855,3 +863,22 @@ class TestLoadgen:
         assert report.p99_latency_ms >= report.p50_latency_ms >= 0.0
         assert report.profile_fallback_rate == 0.0
         assert len(server.reports()) == workload.n_sessions  # all sessions closed
+
+    def test_impossible_deadline_demotes_sessions_to_profiles(self, policy):
+        """No decision meets a 1 ns deadline, so every session whose miss
+        window fills is demoted and served from the offline profile tier,
+        here a database built from the workload's own flows."""
+        workload = SyntheticWorkload.generate(
+            n_sessions=12, arrival_rate_pps=4000.0, max_packets=16, rng=13
+        )
+        profile_db = ProfileDatabase()
+        profile_db.add_flows(list(workload.flows.values()))
+        config = ServeConfig(
+            size_scale=1460.0, flush_timeout_ms=0.5, max_batch=16, deadline_ms=1e-6, miss_window=4
+        )
+        report = run_workload(make_server(policy, config, profile_db=profile_db), workload)
+        summary = summarize_stats(report.stats)
+        assert report.profile_fallback_rate > 0.5
+        assert report.deadline_miss_rate > 0.5
+        assert report.profile_fallback_rate == summary["profile_fallback_rate"]
+        assert report.deadline_miss_rate == summary["deadline_miss_rate"]
