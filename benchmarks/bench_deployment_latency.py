@@ -19,9 +19,9 @@ from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder, VectorFlowEnv
 def test_deployment_policy_inference_latency(benchmark, tor_suite):
     agent = tor_suite.agents["DF"]
     state = np.zeros((1, agent.config.state_dim))
-    benchmark(lambda: agent.actor.act_batch(state, deterministic=True))
+    benchmark(lambda: agent.actor.act_batch(state))
     # The action must be immediately usable by the transport layer.
-    actions, log_probs = agent.actor.act_batch(state, deterministic=True)
+    actions, log_probs = agent.actor.act_batch(state)
     assert actions.shape == (1, 2)
     assert np.isfinite(log_probs[0])
 
@@ -39,7 +39,7 @@ def test_deployment_full_step_latency(benchmark, tor_suite):
 
     def per_packet_step():
         # A finished flow restarts in place (VectorFlowEnv.step resets it).
-        actions, _ = agent.actor.act_batch(tracker.states(), deterministic=True)
+        actions, _ = agent.actor.act_batch(tracker.states())
         observations, _, dones, infos = vec_env.step(actions)
         tracker.step(np.array([infos[0]["recorded_action"]]), observations, dones)
 

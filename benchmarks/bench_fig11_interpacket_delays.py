@@ -43,7 +43,7 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     # Latency of the bare policy forward pass (the paper's 0.37 ms quantity).
     agent = tor_suite.agents["DF"]
     state = np.zeros((1, agent.config.state_dim))
-    policy_ms = _measure(lambda: agent.actor.act_batch(state, deterministic=True), repeats=200)
+    policy_ms = _measure(lambda: agent.actor.act_batch(state), repeats=200)
 
     # Latency of the full per-packet pipeline: one incremental encoder step,
     # inference and the emulator step (a finished flow restarts in place).
@@ -56,7 +56,7 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     tracker.reset_all(vec_env.reset())
 
     def pipeline_step():
-        actions, _ = agent.actor.act_batch(tracker.states(), deterministic=True)
+        actions, _ = agent.actor.act_batch(tracker.states())
         observations, _, dones, infos = vec_env.step(actions)
         tracker.step(np.array([infos[0]["recorded_action"]]), observations, dones)
 

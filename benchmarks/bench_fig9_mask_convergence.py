@@ -56,4 +56,4 @@ def test_fig9_convergence_under_masking(benchmark, tor_suite):
     # Benchmark kernel: a single deterministic policy inference step.
     agent_df = tor_suite.agents["DF"]
     state = np.zeros((1, agent_df.config.state_dim))
-    benchmark(lambda: agent_df.actor.act_batch(state, deterministic=True))
+    benchmark(lambda: agent_df.actor.act_batch(state))

@@ -44,7 +44,7 @@ def main() -> None:
     state = np.zeros((1, agent.config.state_dim))
     start = time.perf_counter()
     for _ in range(200):
-        agent.actor.act_batch(state, deterministic=True)
+        agent.actor.act_batch(state)
     inference_ms = (time.perf_counter() - start) / 200 * 1000.0
     delays = np.concatenate([flow.same_direction_delays() for flow in data.dataset.flows])
     print(f"single-step inference latency: {inference_ms:.3f} ms")

@@ -2,9 +2,9 @@
 
 DF, SDAE and the LSTM classifier are all trained as binary classifiers with a
 sigmoid output and binary cross-entropy on the (size, delay) sequence
-representation.  The loop here does mini-batch Adam with optional shuffling
-and early reporting; it is intentionally free of model-specific logic: each
-classifier's network maps a batch ``Tensor`` to logits.
+representation.  The loop here does shuffled mini-batch Adam; it is
+intentionally free of model-specific logic: each classifier's network maps a
+batch ``Tensor`` to logits.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..utils.logging import TrainingLogger
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_integer, check_positive
 
@@ -29,7 +28,7 @@ def train_binary_classifier(
     learning_rate: float = 1e-3,
     rng=None,
     max_grad_norm: float = 5.0,
-) -> TrainingLogger:
+) -> None:
     """Train ``model`` so that ``model(nn.Tensor(batch))`` produces benign logits.
 
     Parameters
@@ -52,7 +51,6 @@ def train_binary_classifier(
     if len(inputs) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = ensure_rng(rng)
-    logger = TrainingLogger("classifier-training")
     optimizer = nn.Adam(model.parameters(), lr=learning_rate)
 
     n_samples = len(inputs)
@@ -61,20 +59,11 @@ def train_binary_classifier(
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, batch_size):
             batch_idx = order[start : start + batch_size]
-            batch_inputs = inputs[batch_idx]
-            batch_labels = labels[batch_idx]
-
-            logits = model(nn.Tensor(batch_inputs)).reshape(-1)
-            loss = F.binary_cross_entropy_with_logits(logits, nn.Tensor(batch_labels))
+            logits = model(nn.Tensor(inputs[batch_idx])).reshape(-1)
+            loss = F.binary_cross_entropy_with_logits(logits, nn.Tensor(labels[batch_idx]))
 
             optimizer.zero_grad()
             loss.backward()
             nn.clip_grad_norm(model.parameters(), max_grad_norm)
             optimizer.step()
-
-            with nn.no_grad():
-                predictions = (logits.data >= 0.0).astype(int)
-                accuracy = float(np.mean(predictions == batch_labels))
-            logger.log(loss=loss.item(), accuracy=accuracy)
     model.eval()
-    return logger

@@ -98,8 +98,7 @@ class GaussianActor(nn.Module):
         super().__init__()
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._rng = ensure_rng(rng)
-        self.body = build_mlp(state_dim, hidden_dims, action_dim, rng=self._rng)
+        self.body = build_mlp(state_dim, hidden_dims, action_dim, rng=rng)
         if initial_action_bias is not None:
             bias = np.asarray(initial_action_bias, dtype=np.float64)
             if bias.shape != (action_dim,):
@@ -119,43 +118,34 @@ class GaussianActor(nn.Module):
         return F.tanh_mlp(states, _linear_parameters(self.body)), self.log_std
 
     def act_batch(
-        self,
-        states: np.ndarray,
-        deterministic: bool = False,
-        noise: Optional[np.ndarray] = None,
+        self, states: np.ndarray, noise: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample actions for a batch of states in one forward pass.
+        """Actions for a batch of states in one forward pass.
 
         ``states`` has shape ``(n, state_dim)``; returns ``(actions,
-        log_probs)`` of shapes ``(n, action_dim)`` and ``(n,)``.  The noise
-        for row ``i`` is drawn from the same generator stream position as
-        the ``i``-th of ``n`` sequential one-row calls would use, and the
-        forward is the row-consistent :func:`mlp_forward`, so a batched call
-        is bit-equivalent to ``n`` sequential one-row calls.  There is no
+        log_probs)`` of shapes ``(n, action_dim)`` and ``(n,)``.  The forward
+        is the row-consistent :func:`mlp_forward`, so each row is
+        bit-identical to a one-row call on that state.  There is no
         single-state entry point: one state is ``act_batch(state[None])``.
 
-        ``noise`` optionally supplies the standard-normal draws (one
-        ``(n, action_dim)`` row per state) instead of consuming the actor's
-        own generator.  The collection engines use this to give every
-        environment slot its own noise stream, which keeps trajectories
-        independent of how slots are batched or sharded across processes.
-
-        A deterministic call returns the mean itself, whose log-density is
+        Without ``noise`` the action is the mean itself, whose log-density is
         the same constant on every row and is computed once, not per row.
+        ``noise`` (one standard-normal ``(n, action_dim)`` row per state)
+        samples ``mean + noise * std`` instead.  The actor owns no random
+        stream: collection draws the noise from each environment slot's
+        stream and sampled evaluation from each flow's, which keeps a row's
+        action independent of how rows are batched.
         """
         mean = mlp_forward(self.body, states)
         std = np.exp(self.log_std.data)
-        if deterministic:
+        if noise is None:
             log_density_at_mean = np.sum(-np.log(std) - _HALF_LOG_2PI)
             return mean, np.full(len(mean), log_density_at_mean)
-        if noise is None:
-            noise = self._rng.normal(size=(len(mean), self.action_dim))
-        else:
-            noise = np.asarray(noise, dtype=np.float64)
-            if noise.shape != (len(mean), self.action_dim):
-                raise ValueError(
-                    f"noise must have shape {(len(mean), self.action_dim)}, got {noise.shape}"
-                )
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != (len(mean), self.action_dim):
+            raise ValueError(
+                f"noise must have shape {(len(mean), self.action_dim)}, got {noise.shape}"
+            )
         actions = mean + noise * std
         log_probs = np.sum(
             -0.5 * ((actions - mean) / std) ** 2 - np.log(std) - _HALF_LOG_2PI, axis=1

@@ -130,10 +130,10 @@ class Amoeba:
             # Keep the configuration honest when a custom encoder is provided.
             self.config = self.config.with_overrides(encoder_hidden=self.state_encoder.hidden_size)
 
-        # Evaluation owns stream 3 so `evaluate()` / mid-training eval never
-        # advances the main RNG: training outcomes are invariant to the
-        # evaluation cadence.  Spawning 4 children instead of 3 leaves the
-        # first three streams (and the parent's state) bit-identical.
+        # Evaluation owns stream 3 (its emulator draws, and each sampled
+        # attack_many call's per-flow noise children) so `evaluate()` /
+        # mid-training eval never advances the main RNG: training outcomes
+        # are invariant to the evaluation cadence.
         actor_rng, critic_rng, ppo_rng, eval_rng = spawn_rngs(self._rng, 4)
         self._eval_rng = eval_rng
         self.actor = GaussianActor(
@@ -331,26 +331,44 @@ class Amoeba:
             self.censor, self.normalizer, eval_config, [flow], rng=self._eval_rng
         )
 
-    def _attack_batch(
-        self, flows: List[Flow], deterministic: bool
+    def attack(self, flow: Flow, deterministic: bool = True) -> AdversarialResult:
+        """Generate the adversarial version of a single flow."""
+        return self.attack_many([flow], deterministic=deterministic)[0]
+
+    def attack_many(
+        self, flows: Sequence[Flow], deterministic: bool = True
     ) -> List[AdversarialResult]:
-        """Attack a batch of flows in lockstep through the vectorized engine.
+        """Attack every flow in one lockstep batch through the vectorized engine.
 
         Episodes finish at different times; finished environments drop out of
         the batch while the survivors keep sharing one actor forward, one
-        incremental encoder step and one censor score batch per tick.
+        incremental encoder step and one censor score batch per tick.  Each
+        row is independent of the others: with the default deterministic
+        policy a flow's adversarial flow is the one attacking it alone gives
+        (for a neural censor the final score's last bits may vary with the
+        scoring batch shape), and a sampled attack draws flow ``i``'s noise
+        from child ``i`` of one :func:`spawn_rngs` call on the eval stream,
+        so it depends on the stream's position and on ``i`` only.
         """
+        flows = list(flows)
+        if not flows:
+            return []
+        noise_rngs = None if deterministic else spawn_rngs(self._eval_rng, len(flows))
         envs = [self._make_eval_env(flow) for flow in flows]
         vec_env = VectorFlowEnv(envs)
         tracker = BatchedEpisodeEncoder(self.state_encoder, len(envs))
         observations = np.stack([env.reset(flow) for env, flow in zip(envs, flows)])
         tracker.reset_all(observations)
 
+        action_dim = self.actor.action_dim
         results: List[Optional[AdversarialResult]] = [None] * len(envs)
         active = list(range(len(envs)))
         while active:
             states = tracker.states(active)
-            actions, _ = self.actor.act_batch(states, deterministic=deterministic)
+            noise = None
+            if noise_rngs is not None:
+                noise = np.stack([noise_rngs[index].normal(size=action_dim) for index in active])
+            actions, _ = self.actor.act_batch(states, noise=noise)
             observations, _, dones, infos = vec_env.step_subset(active, actions)
             for row, index in enumerate(active):
                 if dones[row]:
@@ -361,48 +379,12 @@ class Amoeba:
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
-    def attack(self, flow: Flow, deterministic: bool = True) -> AdversarialResult:
-        """Generate the adversarial version of a single flow."""
-        return self._attack_batch([flow], deterministic=deterministic)[0]
-
-    def attack_many(
-        self,
-        flows: Sequence[Flow],
-        deterministic: bool = True,
-        batch_size: Optional[int] = None,
-    ) -> List[AdversarialResult]:
-        """Attack every flow, ``batch_size`` environments at a time.
-
-        Batching only changes how the work is scheduled, never the query
-        count.  With the default deterministic policy the adversarial flows
-        are identical to attacking one by one; each flow's final censor
-        score is computed from the same adversarial flow either way, but for
-        neural censors its last bits may vary with the scoring batch shape.
-        When ``batch_size`` is omitted it is ``max(n_envs, 8)``.
-        """
-        flows = list(flows)
-        if batch_size is None:
-            batch_size = max(self.config.n_envs, 8)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        results: List[AdversarialResult] = []
-        for start in range(0, len(flows), batch_size):
-            results.extend(
-                self._attack_batch(flows[start : start + batch_size], deterministic)
-            )
-        return results
-
-    def evaluate(
-        self,
-        flows: Sequence[Flow],
-        deterministic: bool = True,
-        batch_size: Optional[int] = None,
-    ) -> EvaluationReport:
+    def evaluate(self, flows: Sequence[Flow], deterministic: bool = True) -> EvaluationReport:
         """Attack every flow and aggregate ASR / data overhead / time overhead."""
         flows = list(flows)
         if not flows:
             raise ValueError("cannot evaluate on an empty flow list")
-        results = self.attack_many(flows, deterministic=deterministic, batch_size=batch_size)
+        results = self.attack_many(flows, deterministic=deterministic)
         return EvaluationReport(
             attack_success_rate=float(np.mean([r.success for r in results])),
             data_overhead=float(np.mean([r.data_overhead for r in results])),

@@ -21,8 +21,7 @@ thresholded score with a neural one.
 
 The runner is process-agnostic and is the *only* batched tick
 implementation: ``Amoeba.train`` hosts one inline shard for in-process
-vectorized collection, the sharded engine hosts one per worker process, and
-the throughput benchmarks run it as their batched engine.
+vectorized collection and the sharded engine hosts one per worker process.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class ShardResult:
     values: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    final_states: np.ndarray
     final_values: np.ndarray
     summaries: List[Tuple[int, int, EpisodeSummary]]
     query_delta: int
@@ -146,7 +144,7 @@ class ShardRunner:
         # Everything is copied (env.state_snapshot deep-copies) so the
         # snapshot stays frozen while the runner keeps advancing; a pipe
         # would copy implicitly via pickling, but in-process users of the
-        # runner (benchmarks, tests) share no such boundary.
+        # runner (``Amoeba.train``'s inline shard, tests) share no such boundary.
         return {
             "envs": [env.state_snapshot() for env in self._envs],
             "noise_rng_states": [rng.bit_generator.state for rng in self._noise_rngs],
@@ -249,7 +247,6 @@ class ShardRunner:
             values=values,
             rewards=rewards,
             dones=dones,
-            final_states=self._states.copy(),
             final_values=np.asarray(final_values, dtype=np.float64),
             summaries=summaries,
             query_delta=queries,

@@ -533,9 +533,6 @@ class ShardedRolloutEngine:
             values=np.concatenate([result.values for result in results], axis=1),
             rewards=np.concatenate([result.rewards for result in results], axis=1),
             dones=np.concatenate([result.dones for result in results], axis=1),
-            final_states=np.concatenate(
-                [result.final_states for result in results], axis=0
-            ),
             final_values=np.concatenate(
                 [result.final_values for result in results], axis=0
             ),

@@ -484,7 +484,7 @@ class PolicyServer:
         # 2) One deterministic policy forward for the whole batch, from the
         # top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
         states = np.concatenate([folded[-1], hidden[-1, 1, slots]], axis=1)
-        actions, _ = self.actor.act_batch(states, deterministic=True)
+        actions, _ = self.actor.act_batch(states)
         if not np.isfinite(actions).all():
             self._scheduler.put_back(batch)
             bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))

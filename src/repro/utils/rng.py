@@ -12,7 +12,16 @@ other side of a process boundary from a compact, picklable description
 training stack:
 
 * ``Amoeba(rng=seed)`` owns the root generator.  Construction consumes one
-  :func:`spawn_rngs` call for ``(actor, critic, ppo)`` in that order.
+  :func:`spawn_rngs` call for ``(actor, critic, ppo, eval)`` in that order.
+  The actor and critic streams only initialise weights (the actor owns no
+  noise stream); the ppo stream shuffles minibatches.
+* The eval stream (stream 3) serves evaluation only, so evaluating never
+  moves training.  Its evaluation environments draw their reward-masking
+  coin flips from it, and each sampled ``attack_many`` call consumes one
+  :func:`spawn_rngs` call on it with one child per flow: flow ``i``'s
+  exploration noise comes from child ``i``, so a sampled attack depends on
+  the stream's position and on ``i``, never on the other flows of the call.
+  Deterministic evaluation spawns nothing.
 * Each ``Amoeba.train`` call consumes one :func:`collection_seed_tree`
   call: the root generator contributes a single 63-bit entropy draw, from
   which ``n_envs`` ``SeedSequence`` children are spawned — child ``i``

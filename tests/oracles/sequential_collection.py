@@ -154,7 +154,6 @@ class SequentialCollector:
             values=rollout_values,
             rewards=rollout_rewards,
             dones=rollout_dones,
-            final_states=self._states.copy(),
             final_values=self.critic.value_batch(self._states),
             summaries=summaries,
             query_delta=self.censor.query_count - queries_before,

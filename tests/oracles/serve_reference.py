@@ -158,7 +158,7 @@ class ReferencePolicyServer(PolicyServer):
         # top GRU layer of each stream (s_t = E(x_1:t) || E(a_1:t)).
         action_hidden = stack_states([s.action_state for s in sessions])
         states = np.concatenate([observation_hidden[-1], action_hidden[-1]], axis=1)
-        actions, _ = self.actor.act_batch(states, deterministic=True)
+        actions, _ = self.actor.act_batch(states)
 
         # 3+4) Apply actions through the per-session emulator, then fold the
         # emitted actions (one batched GRU step).

@@ -4,7 +4,7 @@ These are the bodies of ``StateEncoder.step_pairs``, ``GaussianActor
 .act_batch``, ``Critic.value_batch`` and ``BatchedEpisodeEncoder`` as they
 stood before the production tick moved onto plain arrays: every forward wraps
 its arrays in ``Tensor``s and walks ``Module.__call__`` under ``no_grad()``
-and ``row_consistent_matmul()``, a deterministic ``act_batch`` computes the
+and ``row_consistent_matmul()``, an ``act_batch`` without noise computes the
 per-row log-probability of the mean, and the tracker keeps one
 ``(num_layers, n_envs, hidden)`` slab per stream and steps them apart.  They
 are kept only as the reference the bitwise tests in
@@ -12,9 +12,12 @@ are kept only as the reference the bitwise tests in
 ``tests/test_properties.py`` compare production against -- do not optimise
 or "fix" them.  The only edits turn the three methods into functions taking
 the module first, so a test can ``monkeypatch.setattr`` them over the
-production names, and call the ``forward`` bodies of that time -- the composed
-``Sequential`` walk, now in :mod:`tests.oracles.composed_ppo` -- since the
-production ``forward`` has become one fused node.  For the same reason the
+production names, and call the ``forward`` bodies of that time -- the
+composed ``Sequential`` walk, now in :mod:`tests.oracles.composed_ppo` --
+since the production ``forward`` has become one fused node.
+``reference_act_batch`` also follows ``act_batch``'s signature as it is now:
+no noise means the mean, and there is no ``deterministic`` flag and no draw
+from an actor-owned generator.  For the same reason the
 encoder step runs the per-gate ``ComposedGRU.step`` of
 :mod:`tests.oracles.composed_recurrent` on slices of the packed weights: the
 production GRU has no ``Tensor`` step any more, and its array step is the
@@ -74,7 +77,6 @@ def reference_step_pairs(self: StateEncoder, pairs: np.ndarray, states):
 def reference_act_batch(
     self,
     states: np.ndarray,
-    deterministic: bool = False,
     noise: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     states = np.asarray(states, dtype=np.float64)
@@ -84,17 +86,14 @@ def reference_act_batch(
         mean, log_std = composed_actor_forward(self, nn.Tensor(states))
     mean = mean.data
     std = np.exp(log_std.data)
-    if deterministic:
+    if noise is None:
         actions = mean.copy()
     else:
-        if noise is None:
-            noise = self._rng.normal(size=(len(states), self.action_dim))
-        else:
-            noise = np.asarray(noise, dtype=np.float64)
-            if noise.shape != (len(states), self.action_dim):
-                raise ValueError(
-                    f"noise must have shape {(len(states), self.action_dim)}, got {noise.shape}"
-                )
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != (len(states), self.action_dim):
+            raise ValueError(
+                f"noise must have shape {(len(states), self.action_dim)}, got {noise.shape}"
+            )
         actions = mean + noise * std
     log_probs = np.sum(
         -0.5 * ((actions - mean) / std) ** 2

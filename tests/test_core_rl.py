@@ -50,15 +50,21 @@ class TestActorCritic:
 
     def test_deterministic_act_returns_mean(self):
         actor = GaussianActor(state_dim=4, rng=0)
-        a1, _ = actor.act_batch(np.zeros((1, 4)), deterministic=True)
-        a2, _ = actor.act_batch(np.zeros((1, 4)), deterministic=True)
+        a1, _ = actor.act_batch(np.zeros((1, 4)))
+        a2, _ = actor.act_batch(np.zeros((1, 4)))
         assert np.array_equal(a1, a2)
         assert np.array_equal(a1, actor(nn.Tensor(np.zeros((1, 4))))[0].data)
 
-    def test_stochastic_act_varies(self):
+    def test_sampled_act_is_mean_plus_scaled_noise(self):
         actor = GaussianActor(state_dim=4, rng=0)
-        actions = {tuple(np.round(actor.act_batch(np.zeros((1, 4)))[0][0], 6)) for _ in range(5)}
-        assert len(actions) > 1
+        states = np.random.default_rng(1).normal(size=(3, 4))
+        noise = np.random.default_rng(2).normal(size=(3, 2))
+        mean, _ = actor.act_batch(states)
+        actions, _ = actor.act_batch(states, noise=noise)
+        assert not np.array_equal(actions, mean)
+        assert np.array_equal(actions, mean + noise * np.exp(actor.log_std.data))
+        with pytest.raises(ValueError, match="noise must have shape"):
+            actor.act_batch(states, noise=noise[:2])
 
     def test_log_prob_and_entropy_differentiable(self):
         actor = GaussianActor(state_dim=4, rng=0)
@@ -96,13 +102,11 @@ class TestArrayForwardsMatchTensorOracle:
             for n in range(1, 34):
                 states = rng.normal(size=(n, 64))
                 noise = rng.normal(size=(n, 2))
-                for kwargs in ({"noise": noise}, {"deterministic": True}, {}):
+                for kwargs in ({"noise": noise}, {}):
                     got = production.act_batch(states, **kwargs)
                     want = reference_act_batch(oracle, states, **kwargs)
                     for got_part, want_part in zip(got, want):
                         assert_same_bits(got_part, want_part)
-        # The own-generator draws advanced both streams identically.
-        assert production._rng.bit_generator.state == oracle._rng.bit_generator.state
 
     def test_value_batch_every_batch_size(self, backend):
         critic = Critic(64, rng=6)
@@ -118,7 +122,7 @@ class TestArrayForwardsMatchTensorOracle:
         states = np.random.default_rng(3).normal(size=(5, 64))
         with nn.use_backend(backend):
             for variant in (states.astype(np.float32), np.asfortranarray(states), states[:0]):
-                for kwargs in ({"deterministic": True}, {}):
+                for kwargs in ({}, {"noise": np.ones((len(variant), 2))}):
                     got = production.act_batch(variant, **kwargs)
                     want = reference_act_batch(oracle, variant, **kwargs)
                     for got_part, want_part in zip(got, want):
@@ -136,17 +140,17 @@ class TestArrayForwardsMatchTensorOracle:
         donor_actor, donor_critic = GaussianActor(64, rng=9), Critic(64, rng=10)
         states = np.random.default_rng(4).normal(size=(8, 64))
         with nn.use_backend(backend):
-            before = production.act_batch(states, deterministic=True)[0]
+            before = production.act_batch(states)[0]
             for actor in (production, oracle):
                 actor.load_state_dict(donor_actor.state_dict())
             critic.load_state_dict(donor_critic.state_dict())
             for module in (production, oracle, critic):
                 for parameter in module.parameters():
                     parameter.data *= 1.25
-            after = production.act_batch(states, deterministic=True)
+            after = production.act_batch(states)
             assert not np.array_equal(before, after[0])
             for got_part, want_part in zip(
-                after, reference_act_batch(oracle, states, deterministic=True)
+                after, reference_act_batch(oracle, states)
             ):
                 assert_same_bits(got_part, want_part)
             assert_same_bits(critic.value_batch(states), reference_value_batch(critic, states))
@@ -157,12 +161,12 @@ class TestArrayForwardsMatchTensorOracle:
         states = np.random.default_rng(5).normal(size=(4, 64))
         kept = states.copy()
         with nn.use_backend(backend):
-            first = production.act_batch(states, deterministic=True)[0]
+            first = production.act_batch(states)[0]
             pinned = first.copy()
             first[:] = 7.0
             critic.value_batch(states)[:] = 7.0
             assert np.array_equal(states, kept)
-            assert np.array_equal(production.act_batch(states, deterministic=True)[0], pinned)
+            assert np.array_equal(production.act_batch(states)[0], pinned)
 
     def test_wrong_state_width_is_a_named_error(self, backend):
         """A mis-sized state used to reach the kernel: ``rc_gemm expects
@@ -326,7 +330,9 @@ class TestPPOUpdater:
         rng = np.random.default_rng(3)
         shape = (config.rollout_length, config.n_envs)
         states = rng.normal(size=shape + (config.state_dim,))
-        actions, log_probs = actor.act_batch(states.reshape(-1, config.state_dim))
+        actions, log_probs = actor.act_batch(
+            states.reshape(-1, config.state_dim), noise=rng.normal(size=(states[..., 0].size, 2))
+        )
         buffer.load(
             states=states,
             actions=actions.reshape(shape + (2,)),

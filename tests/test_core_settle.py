@@ -105,11 +105,13 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
     collects = []
     for _ in range(n_collects):
         queries_before = censor.query_count
+        tick_states = np.zeros((N_TICKS,) + states.shape)
         rewards = np.zeros((N_TICKS, N_ENVS))
         dones = np.zeros((N_TICKS, N_ENVS), dtype=bool)
         actions = np.zeros((N_TICKS, N_ENVS, 2))
         summaries = []
         for tick in range(N_TICKS):
+            tick_states[tick] = states
             noise = np.stack([rng.normal(size=2) for rng in noise_rngs])
             actions[tick], _ = agent.actor.act_batch(states, noise=noise)
             observations, rewards[tick], dones[tick], infos = vec_env.step(actions[tick])
@@ -124,7 +126,7 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
                 dones=dones,
                 actions=actions,
                 summaries=summaries,
-                final_states=states.copy(),
+                states=tick_states,
                 query_delta=censor.query_count - queries_before,
             )
         )
@@ -166,7 +168,7 @@ def assert_same_rollout(result, reference):
     assert np.array_equal(result.rewards, reference["rewards"])
     assert np.array_equal(result.dones, reference["dones"])
     assert np.array_equal(result.actions, reference["actions"])
-    assert np.array_equal(result.final_states, reference["final_states"])
+    assert np.array_equal(result.states, reference["states"])
     assert [summary_key(item) for item in result.summaries] == [
         summary_key(item) for item in reference["summaries"]
     ]
@@ -490,9 +492,10 @@ class TestFreshRunnersReproduce:
 
         first, second = collect(), collect()
         for got, want in zip(second, first):
-            for name in ("states", "actions", "log_probs", "values", "rewards", "dones"):
+            for name in (
+                "states", "actions", "log_probs", "values", "rewards", "dones", "final_values"
+            ):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert np.array_equal(got.final_states, want.final_states)
             assert [summary_key(item) for item in got.summaries] == [
                 summary_key(item) for item in want.summaries
             ]

@@ -61,20 +61,20 @@ class TestRowConsistentForwards:
 
     def test_act_batch_matches_sequential_act(self):
         states = np.random.default_rng(0).normal(size=(6, 4))
-        batched = GaussianActor(state_dim=4, rng=7)
-        sequential = GaussianActor(state_dim=4, rng=7)
-        actions, log_probs = batched.act_batch(states)
+        noise = np.random.default_rng(1).normal(size=(6, 2))
+        actor = GaussianActor(state_dim=4, rng=7)
+        actions, log_probs = actor.act_batch(states, noise=noise)
         for index, state in enumerate(states):
-            action, log_prob = sequential.act_batch(state[None])
+            action, log_prob = actor.act_batch(state[None], noise=noise[index : index + 1])
             assert np.array_equal(actions[index], action[0])
             assert log_probs[index] == log_prob[0]
 
     def test_act_batch_deterministic_matches(self):
         states = np.random.default_rng(1).normal(size=(5, 4))
         actor = GaussianActor(state_dim=4, rng=3)
-        actions, _ = actor.act_batch(states, deterministic=True)
+        actions, _ = actor.act_batch(states)
         for index, state in enumerate(states):
-            action, _ = actor.act_batch(state[None], deterministic=True)
+            action, _ = actor.act_batch(state[None])
             assert np.array_equal(actions[index], action[0])
 
     def test_value_batch_matches_sequential_value(self):
@@ -651,7 +651,12 @@ class TestDecisionTickEntryPoints:
         }
 
     def test_attack_batch(self, agent, tor_splits, spied, no_tensor_forwards):
-        results = agent.attack_many(tor_splits.test.censored_flows[:3], batch_size=3)
+        """One call is one lockstep batch: nine flows (more than ``n_envs``
+        and more than eight) share one actor forward per tick until the
+        longest episode ends."""
+        flows = tor_splits.attack_train.censored_flows[:9]
+        assert len(flows) == 9 > agent.config.n_envs
+        results = agent.attack_many(flows)
         ticks = max(result.n_steps for result in results)
         assert spied == {"step_pairs": ticks + 1, "act_batch": ticks, "value_batch": 0}
 
@@ -698,7 +703,7 @@ class TestArrayTickTrainingSemantics:
             tor_splits.attack_train.censored_flows[:20],
             total_timesteps=2 * fast_config.rollout_length * fast_config.n_envs,
         )
-        results = agent.attack_many(tor_splits.test.censored_flows[:5], batch_size=3)
+        results = agent.attack_many(tor_splits.test.censored_flows[:5])
         return {
             "rewards": np.stack(rewards).tobytes(),
             "query_count": censor.query_count,
@@ -808,7 +813,7 @@ class TestTrainEquivalence:
             bat = batched.collect(config.rollout_length)
             for name in (
                 "states", "actions", "log_probs", "values", "rewards", "dones",
-                "final_states", "final_values",
+                "final_values",
             ):  # fmt: skip
                 assert np.array_equal(getattr(seq, name), getattr(bat, name)), name
             assert seq.query_delta == bat.query_delta > 0
@@ -821,35 +826,103 @@ class TestTrainEquivalence:
         assert episodes > 0
 
     def test_batched_evaluation_matches_one_by_one(self, equivalence_setup):
-        censor, _, _, _ = equivalence_setup
+        """Det mode: one lockstep batch attacks each flow as attacking it
+        alone does, with the same queries; a DT censor scores
+        batch-invariantly, so the final scores agree bit for bit too."""
+        censor, _, _, flows = equivalence_setup
         _, _, _, agent = self._run(equivalence_setup)
-        flows = equivalence_setup[3][:5]
+        flows = flows[:5]
 
         censor.reset_query_count()
-        one_by_one = agent.evaluate(flows, batch_size=1)
+        one_by_one = [agent.attack(flow) for flow in flows]
         queries_one = censor.query_count
         censor.reset_query_count()
-        batched = agent.evaluate(flows, batch_size=4)
+        batched = agent.attack_many(flows)
         queries_batched = censor.query_count
 
         assert queries_one == queries_batched == len(flows)
-        assert one_by_one.attack_success_rate == batched.attack_success_rate
-        assert one_by_one.data_overhead == batched.data_overhead
-        for left, right in zip(one_by_one.results, batched.results):
+        assert [result_key(r) for r in one_by_one] == [result_key(r) for r in batched]
+        report = agent.evaluate(flows)
+        assert [result_key(r) for r in report.results] == [result_key(r) for r in batched]
+
+    def test_batched_evaluation_matches_one_by_one_with_a_neural_censor(
+        self, equivalence_setup, representation, tor_splits
+    ):
+        """A DF censor's BLAS forward may move the final score's last bits
+        with the batch shape; the adversarial flows may not move at all."""
+        from repro.censors import DeepFingerprintingClassifier
+
+        _, normalizer, config, flows = equivalence_setup
+        censor = DeepFingerprintingClassifier(representation, epochs=1, rng=0).fit(
+            tor_splits.clf_train.flows
+        )
+        agent = Amoeba(
+            censor,
+            normalizer,
+            config,
+            rng=42,
+            encoder_pretrain_kwargs=dict(n_flows=20, max_length=10, epochs=1),
+        )
+        flows = flows[:5]
+        one_by_one = [agent.attack(flow) for flow in flows]
+        queries_one = censor.query_count
+        censor.reset_query_count()
+        batched = agent.attack_many(flows)
+        assert censor.query_count == queries_one == len(flows)
+        for left, right in zip(one_by_one, batched):
+            assert result_key(left)[:2] == result_key(right)[:2]
+            assert left.n_steps == right.n_steps
             assert left.success == right.success
             assert left.final_score == pytest.approx(right.final_score)
-            assert left.n_steps == right.n_steps
-            assert np.array_equal(
-                left.adversarial_flow.sizes, right.adversarial_flow.sizes
-            )
-            assert np.array_equal(
-                left.adversarial_flow.delays, right.adversarial_flow.delays
-            )
 
-    def test_attack_many_invalid_batch_size(self, equivalence_setup):
+    def test_sampled_evaluation_is_batch_invariant(self, equivalence_setup):
+        """Sampled mode: flow ``i``'s noise is child ``i`` of the call's one
+        spawn from the eval stream, so its result is the same in the full
+        call, in a call cut after it and in a call whose other flows are
+        all replaced."""
+        _, _, _, flows = equivalence_setup
         _, _, _, agent = self._run(equivalence_setup)
-        with pytest.raises(ValueError):
-            agent.attack_many(equivalence_setup[3][:2], batch_size=0)
+        own, others = list(flows[:6]), list(flows[6:11])
+        index = 2
+        start = agent._eval_rng.bit_generator.state
+
+        def sampled(call_flows):
+            agent._eval_rng.bit_generator.state = start
+            result = agent.attack_many(call_flows, deterministic=False)[index]
+            assert np.array_equal(result.original_flow.sizes, own[index].sizes)
+            return result_key(result)
+
+        full = sampled(own)
+        assert sampled(own[: index + 1]) == full
+        assert sampled(others[:index] + [own[index]] + others[index:]) == full
+        # The noise reached the policy: sampling moved the flow off the mean.
+        assert result_key(agent.attack(own[index]))[:2] != full[:2]
+
+    def test_same_seed_agents_repeat_a_sampled_evaluation(self, equivalence_setup):
+        flows = equivalence_setup[3][:4]
+        first, second = (
+            self._agent(equivalence_setup).evaluate(flows, deterministic=False)
+            for _ in range(2)
+        )
+        assert [result_key(r) for r in first.results] == [result_key(r) for r in second.results]
+
+    def test_attack_many_of_no_flows_is_empty(self, equivalence_setup):
+        agent = self._agent(equivalence_setup)
+        assert agent.attack_many([]) == []
+        assert agent.attack_many([], deterministic=False) == []
+
+
+def result_key(result):
+    """What must agree bit for bit between two attacks of the same flow."""
+    return (
+        result.adversarial_flow.sizes.tobytes(),
+        result.adversarial_flow.delays.tobytes(),
+        result.final_score,
+        result.n_steps,
+        result.success,
+        result.data_overhead,
+        result.time_overhead,
+    )
 
 
 def test_bulk_normal_equals_per_tick_draws():
@@ -989,7 +1062,7 @@ class TestShardRunnerEdges:
     def _assert_same_segment(got, want):
         for name in (
             "states", "actions", "log_probs", "values", "rewards", "dones",
-            "final_states", "final_values",
+            "final_values",
         ):  # fmt: skip
             left, right = getattr(got, name), getattr(want, name)
             assert left.shape == right.shape, name

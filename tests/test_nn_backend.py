@@ -801,7 +801,7 @@ class TestFusedNetworkKernels:
         return (
             encoder.step_pairs(pairs, slab),
             *actor.act_batch(states, noise=noise),
-            *actor.act_batch(states, deterministic=True),
+            *actor.act_batch(states),
             critic.value_batch(states),
         )
 

@@ -63,8 +63,9 @@ class TestActorBias:
             state_dim=6, hidden_dims=(8,), initial_action_bias=(0.0, -1.0), rng=0
         )
         delays = []
+        rng = np.random.default_rng(0)
         for _ in range(100):
-            actions, _ = actor.act_batch(np.zeros((1, 6)))
+            actions, _ = actor.act_batch(np.zeros((1, 6)), noise=rng.normal(size=(1, 2)))
             delays.append(max(0.0, min(1.0, actions[0, 1])))
         # Most sampled delay actions clip to (near) zero.
         assert np.mean(delays) < 0.2

@@ -342,7 +342,8 @@ class TestFlatAdamMatchesPerParameterStep:
 def _filled_buffer(config, actor, rng, state_dim):
     shape = (config.rollout_length, config.n_envs)
     states = rng.normal(size=shape + (state_dim,))
-    actions, log_probs = actor.act_batch(states.reshape(-1, state_dim))
+    flat = states.reshape(-1, state_dim)
+    actions, log_probs = actor.act_batch(flat, noise=rng.normal(size=(len(flat), 2)))
     buffer = RolloutBuffer(config.rollout_length, config.n_envs, state_dim, 2)
     buffer.load(
         states,

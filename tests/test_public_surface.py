@@ -293,7 +293,30 @@ RETIRED_CALLS = [
     # One performance instrument: the load report's smoke-only surface is gone.
     r"\bwall_seconds\b",
     r"\bclose_sessions\b",
+    # One evaluation batch, one noise source.
+    r"\b(attack_many|evaluate)\(.*\bbatch_size=",
+    r"\bact_batch\(.*\bdeterministic=",
+    r"\b_attack_batch\b",
+    r"\bfinal_states\b",
 ]
+
+
+def test_one_evaluation_batch_and_one_noise_source():
+    """``attack_many`` runs every flow in one lockstep batch and draws sampled
+    noise per flow from the eval stream; the actor samples only from noise it
+    is handed, and the shard result ships no state nobody reads."""
+    import dataclasses
+    import inspect
+
+    from repro.core import Amoeba, GaussianActor
+    from repro.distrib import ShardResult
+
+    for method in (Amoeba.attack_many, Amoeba.evaluate):
+        assert "batch_size" not in inspect.signature(method).parameters
+    assert not hasattr(Amoeba, "_attack_batch")
+    assert list(inspect.signature(GaussianActor.act_batch).parameters) == ["self", "states", "noise"]
+    assert not hasattr(GaussianActor(4, rng=0), "_rng")
+    assert "final_states" not in {field.name for field in dataclasses.fields(ShardResult)}
 
 
 @pytest.mark.parametrize("pattern", RETIRED_CALLS)
