@@ -7,16 +7,19 @@ instead of raw directions: the input is a two-channel sequence of length
 ``max_length`` processed by stacked Conv1d + ReLU + MaxPool blocks and a
 dense head with a sigmoid output.
 
-Training and the white-box attacks run the network on ``Tensor`` s; scoring
-runs the same layers on plain arrays (:func:`_conv_relu_pool`), reading the
-parameters at call time.  Both give the same bits: the same three BLAS
-products on the same operands, and elementwise steps that round alike
-(``tests/oracles/df_tensor_scoring.py`` keeps the ``Tensor`` scoring body
-the test suite compares against).  Around each conv product scoring calls
-two backend hooks, one compiled call each under ``blocked``:
-``im2col_1d`` (the column matrix ``Conv1d`` builds too) and
-``bias_relu_pool`` (bias, ReLU and pool, written channel-first so fc1's
-flatten is a free reshape).
+Training and the white-box attacks run the network on ``Tensor`` s, one
+autograd node per conv block (``nn.Conv1d.relu_pool``: convolution, ReLU
+and max-pool, with a closed-form backward), bit-identical to the composed
+Conv1d → ReLU → MaxPool1d graph kept in ``tests/oracles/conv_reference.py``;
+scoring runs the same forward on plain arrays (:func:`_conv_relu_pool`),
+reading the parameters at call time.  Both give the same bits: the same
+three BLAS products on the same operands, and elementwise steps that round
+alike (``tests/oracles/df_tensor_scoring.py`` keeps the ``Tensor`` scoring
+body the test suite compares against).  Around each conv product both call
+two backend hooks, one compiled call each under ``blocked``: ``im2col_1d``
+(the column matrix) and ``bias_relu_pool`` (bias, ReLU and pool, written
+channel-first so fc1's flatten is a free reshape); the block's backward
+adds ``bias_relu_pool_backward`` and ``col2im_1d``.
 """
 
 from __future__ import annotations
@@ -44,16 +47,13 @@ class _DFNetwork(nn.Module):
         super().__init__()
         rng = ensure_rng(rng)
         self.conv1 = nn.Conv1d(2, channels[0], kernel_size=5, padding=2, rng=rng)
-        self.pool1 = nn.MaxPool1d(2)
         self.conv2 = nn.Conv1d(channels[0], channels[1], kernel_size=5, padding=2, rng=rng)
-        self.pool2 = nn.MaxPool1d(2)
         flattened = channels[1] * (max_length // 4)
         self.fc1 = nn.Linear(flattened, hidden, rng=rng, initializer="kaiming")
         self.fc2 = nn.Linear(hidden, 1, rng=rng)
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
-        x = self.pool1(self.conv1(x).relu())
-        x = self.pool2(self.conv2(x).relu())
+        x = self.conv2.relu_pool(self.conv1.relu_pool(x))
         x = x.flatten()
         x = self.fc1(x).relu()
         return self.fc2(x)
@@ -64,11 +64,11 @@ def _conv_relu_pool(x: np.ndarray, conv: nn.Conv1d) -> np.ndarray:
     max-pool of two, ``(n, channels, length)`` in (any layout),
     ``(n, out_channels, length // 2)`` out (C-contiguous).
 
-    The columns are ``Conv1d``'s own (the backend's ``im2col_1d``), the
-    product is numpy's ``@`` on them, and the backend's ``bias_relu_pool``
-    does ``Tensor.relu``'s multiply by the mask (negative inputs become
-    ``-0.0``, as there) and ``MaxPool1d``'s ``np.maximum`` of the even and
-    odd positions.
+    The forward of ``conv.relu_pool`` without the node: the backend's
+    ``im2col_1d``, numpy's ``@`` on the columns, and the backend's
+    ``bias_relu_pool`` (``Tensor.relu``'s multiply by the mask, so negative
+    inputs become ``-0.0``, and ``np.maximum`` of the even and odd
+    positions).
     """
     backend = nn.active_backend()
     columns = backend.im2col_1d(x, conv.kernel_size, conv.stride, conv.padding)

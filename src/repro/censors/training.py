@@ -9,6 +9,8 @@ batch ``Tensor`` to logits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import nn
@@ -40,6 +42,10 @@ def train_binary_classifier(
         Training inputs, first axis is the sample axis.
     labels:
         Binary labels (1 = benign).
+
+    A non-finite gradient norm (say, from an infinite input) raises
+    ``FloatingPointError`` before the optimizer steps, leaving the weights
+    of the last finite step.
     """
     epochs = check_integer(epochs, "epochs", minimum=1)
     batch_size = check_integer(batch_size, "batch_size", minimum=1)
@@ -64,6 +70,10 @@ def train_binary_classifier(
 
             optimizer.zero_grad()
             loss.backward()
-            nn.clip_grad_norm(model.parameters(), max_grad_norm)
+            norm = nn.clip_grad_norm(model.parameters(), max_grad_norm)
+            if not math.isfinite(norm):  # Adam would write it into every weight
+                raise FloatingPointError(
+                    f"non-finite gradient norm ({norm}) in the classifier loss; optimizer step refused"
+                )
             optimizer.step()
     model.eval()

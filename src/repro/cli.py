@@ -300,7 +300,8 @@ def _command_backends(_: argparse.Namespace) -> int:
     if nn_backend.fused_cells_available():
         print(
             "fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates, "
-            "the PPO training hooks, im2col_1d / bias_relu_pool)"
+            "the PPO training hooks, im2col_1d / bias_relu_pool, "
+            "DF training's bias_relu_pool_backward / col2im_1d)"
         )
     else:
         print("fused-cell kernels:  numpy fallback")

@@ -530,7 +530,10 @@ class AdversarialFlowEnv:
         self._steps += 1
 
         # Reward masking (Section 5.5.3): masked steps never reach the censor.
-        masked = config.reward_mask_rate > 0.0 and self._rng.random() < config.reward_mask_rate
+        # A rate of 0 or 1 fixes the outcome and draws nothing (evaluation
+        # masks every step and so leaves the eval stream where it was).
+        rate = config.reward_mask_rate
+        masked = rate >= 1.0 or (rate > 0.0 and self._rng.random() < rate)
 
         # Advance the emulator; termination does not depend on the score.
         done = False

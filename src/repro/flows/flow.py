@@ -11,6 +11,7 @@ Sizes are in bytes; delays are in milliseconds throughout the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List
 
 import numpy as np
@@ -110,8 +111,10 @@ class Flow:
         ``+0.0``-normalised delays) is elementwise, so it is closed under
         taking a non-empty prefix.  A flow is validated once, when it is
         constructed, and its prefixes inherit that.  The views are
-        ``writeable=False`` so a scorer cannot alter the flow they alias;
-        ``.copy()`` gives an owning flow.
+        ``writeable=False`` so a scorer cannot alter the flow they alias, and
+        ``metadata`` is a read-only ``MappingProxyType`` over this flow's
+        own dict (no copy per scored prefix); ``.copy()`` gives an owning
+        flow with a plain dict.
         """
         if length < 1:
             raise ValueError("prefix length must be >= 1")
@@ -124,8 +127,12 @@ class Flow:
         flow.delays = delays
         flow.label = self.label
         flow.protocol = self.protocol
-        flow.metadata = dict(self.metadata)
+        flow.metadata = MappingProxyType(self.metadata)
         return flow
+
+    def __getstate__(self) -> Dict:
+        # pickle and deepcopy cannot copy a view's read-only metadata proxy
+        return {**self.__dict__, "metadata": dict(self.metadata)}
 
     def copy(self) -> "Flow":
         return Flow(

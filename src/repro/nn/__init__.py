@@ -5,8 +5,8 @@ Public surface:
 * :class:`Tensor`, :func:`no_grad` — reverse-mode autodiff core.
 * :mod:`repro.nn.functional` — activations, the training losses, the
   Gaussian policy helpers and the fused MLP / recurrent kernels.
-* Layers — :class:`Linear`, :class:`Sequential`, :class:`Conv1d`,
-  :class:`MaxPool1d`, :class:`GRU`, :class:`LSTM`.
+* Layers — :class:`Linear`, :class:`Sequential`, :class:`Conv1d` (DF's
+  fused conv–ReLU–pool block), :class:`GRU`, :class:`LSTM`.
 * Optimizer — :class:`Adam`, plus :func:`clip_grad_norm`.
 """
 
@@ -25,7 +25,7 @@ from .backend import (
     set_default_backend,
     use_backend,
 )
-from .conv import Conv1d, MaxPool1d
+from .conv import Conv1d
 from .init import kaiming_uniform, orthogonal, xavier_uniform
 from .layers import Linear, Module, Parameter, ReLU, Sequential, Tanh
 from .optim import Adam, clip_grad_norm
@@ -76,7 +76,6 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Conv1d",
-    "MaxPool1d",
     "GRUCell",
     "GRU",
     "LSTMCell",

@@ -23,10 +23,13 @@ and the PPO update's elementwise work — the training tanh MLP's
 ``bias_tanh`` / ``tanh_backward``, the loss nodes'
 ``gaussian_log_density(_backward)`` / ``clipped_surrogate(_backward)``,
 ``clip_grad_norm``'s ``grad_norm`` and ``Adam.step``'s ``adam_step`` —
-and a Conv1d's work around its BLAS product: ``im2col_1d`` (the column
-matrix of ``nn.Conv1d`` and DF scoring) and ``bias_relu_pool`` (DF
-scoring's epilogue).  Two backends ship, both ``float64``, both
-row-consistent, bit-identical to each other by test:
+and DF's conv block around its BLAS products: ``im2col_1d`` (the column
+matrix of ``nn.Conv1d.relu_pool`` and DF scoring), ``bias_relu_pool`` (its
+bias / ReLU / pool epilogue) and, for DF training and the white-box input
+gradient, ``bias_relu_pool_backward`` (the pool-select × ReLU-mask
+gradient) and ``col2im_1d`` (the column-gradient scatter).  Two backends
+ship, both ``float64``, both row-consistent, bit-identical to each other by
+test:
 
 ``reference``
     The original ``np.einsum("ik,kh->ih", a, b)`` matmul (in the layout
@@ -578,12 +581,13 @@ def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> 
 def _self_check_conv_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
     """The conv-block kernels against the numpy hooks.
 
-    ``im2col_1d`` over empty and single-row batches, inputs shorter than the
-    kernel, strides and paddings past the kernel width, on channel-first
-    arrays and on the transposed views of channel-last ones;
-    ``bias_relu_pool`` on products holding NaN, infinities and zeros of
-    both signs, so every branch of the ReLU mask and the pool's tie and NaN
-    rules is taken.
+    ``im2col_1d`` and its backward ``col2im_1d`` over empty and single-row
+    batches, inputs shorter than the kernel, strides and paddings past the
+    kernel width, on channel-first arrays and on the transposed views of
+    channel-last ones; ``bias_relu_pool`` and its backward on products
+    holding NaN, infinities, zeros of both signs and tied pairs, over even
+    and odd lengths, so every branch of the ReLU mask and the pool's tie
+    and NaN rules is taken.
     """
     for n, channels, length, kernel_size, stride, padding in [
         (0, 2, 8, 5, 1, 2), (1, 2, 2, 5, 1, 2), (3, 16, 20, 5, 1, 2), (2, 3, 9, 3, 2, 0),
@@ -599,22 +603,35 @@ def _self_check_conv_kernels(kernel, reference: "ExecutionBackend", rng) -> None
             if columns is NotImplemented:
                 raise RuntimeError(f"compiled im2col_1d declined {where}")
             _assert_same("im2col_1d", reference.im2col_1d(x, kernel_size, stride, padding), columns, where)
+        grad = rng.standard_normal(columns.shape)
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        scattered = kernel.col2im_1d(grad, length, kernel_size, stride, padding)
+        if scattered is NotImplemented:
+            raise RuntimeError(f"compiled col2im_1d declined {where}")
+        _assert_same(
+            "col2im_1d", reference.col2im_1d(grad, length, kernel_size, stride, padding), scattered, where
+        )
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
-    for n, length, channels in [(0, 4, 2), (1, 2, 1), (3, 8, 16), (5, 40, 3), (2, 6, 7)]:
-        for scale in (1.0, 50.0):
-            h = rng.standard_normal((n, length, channels)) * scale
+    for n, length, channels in [(0, 4, 2), (1, 2, 1), (3, 8, 16), (5, 40, 3), (2, 6, 7), (2, 7, 3), (1, 3, 2)]:
+        for scale in (1.0, 50.0, 0.0):
+            where = f"h=({n}, {length}, {channels}), scale={scale}"
+            if scale:
+                h = rng.standard_normal((n, length, channels)) * scale
+            else:  # small integers: tied pairs
+                h = rng.integers(-2, 3, size=(n, length, channels)).astype(np.float64)
             special = rng.random(h.shape) < 0.3
             h[special] = rng.choice(specials, size=int(special.sum()))
             bias = rng.standard_normal(channels) * scale
             bias[rng.random(channels) < 0.3] = rng.choice([0.0, -0.0])
+            grad = rng.standard_normal((n, channels, length // 2))
+            special = rng.random(grad.shape) < 0.3
+            grad[special] = rng.choice(specials, size=int(special.sum()))
             with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
                 want = reference.bias_relu_pool(h, bias)
-            _assert_same(
-                "bias_relu_pool",
-                want,
-                kernel.bias_relu_pool(h, bias),
-                f"h=({n}, {length}, {channels}), scale={scale}",
-            )
+                want_grad = reference.bias_relu_pool_backward(grad, h, bias)
+                have_grad = kernel.bias_relu_pool_backward(grad, h, bias)
+            _assert_same("bias_relu_pool", want, kernel.bias_relu_pool(h, bias), where)
+            _assert_same("bias_relu_pool_backward", want_grad, have_grad, where)
 
 
 def _gates_kernel():
@@ -640,8 +657,10 @@ def _gates_kernel():
             warnings.warn(
                 "repro.nn.backend: compiled fused-cell kernels unavailable "
                 f"({_GATES_ERROR}); the GRU step, the tanh MLP, the GRU/LSTM "
-                "gate math, the training hooks and the conv-block hooks are "
-                "falling back to the numpy composition (identical bits, numpy speed).",
+                "gate math, the PPO training hooks and the conv-block hooks "
+                "(im2col_1d / bias_relu_pool and DF training's "
+                "bias_relu_pool_backward / col2im_1d) are falling back to the "
+                "numpy composition (identical bits, numpy speed).",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -842,9 +861,10 @@ class ExecutionBackend:
         for data, segment in views:
             data -= s_b[segment].reshape(data.shape)
 
-    # A Conv1d's work around its BLAS product, which stays in the callers
-    # (``nn.Conv1d.forward`` and DF scoring): the column matrix in front of
-    # it and DF's bias / ReLU / pool epilogue after it.
+    # DF's conv block around its BLAS products, which stay in the callers
+    # (``nn.Conv1d.relu_pool`` and DF scoring): the column matrix in front
+    # of the forward product and the bias / ReLU / pool epilogue after it;
+    # in the backward, the epilogue's gradient and the column scatter.
     def im2col_1d(self, x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
         """The ``(n, positions, C * kernel_size)`` column matrix of a 1-D
         convolution over ``x`` ``(n, C, L)`` zero-padded by ``padding`` at
@@ -862,10 +882,48 @@ class ExecutionBackend:
         """Bias, ReLU and a max-pool of two over the positions of a conv
         product ``h`` ``(n, L, C)``, out in the conv layout ``(n, C, L // 2)``
         (C-contiguous).  ReLU is ``Tensor.relu``'s multiply by the mask, the
-        pool ``MaxPool1d``'s ``np.maximum`` of the even and odd positions."""
+        pool ``MaxPool1d(2)``'s ``np.maximum`` of the even and odd positions
+        (an odd last position is dropped)."""
+        pairs = 2 * (h.shape[1] // 2)
         h = h + bias
         h *= h > 0
-        return np.ascontiguousarray(np.maximum(h[:, 0::2], h[:, 1::2]).transpose(0, 2, 1))
+        return np.ascontiguousarray(np.maximum(h[:, 0:pairs:2], h[:, 1:pairs:2]).transpose(0, 2, 1))
+
+    def bias_relu_pool_backward(self, grad: np.ndarray, h: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Backward of :meth:`bias_relu_pool` for the pooled gradient ``grad``
+        ``(n, C, L // 2)``: the gradient of ``h`` ``(n, L, C)``.  Each pooled
+        gradient goes to the first maximum of its pair, added to ``+0.0`` as
+        ``MaxPool1d``'s scatter did (odd offset first), and is multiplied by
+        the ReLU mask as ``Tensor.relu``'s backward does; the mask and the
+        pair's maximum are recomputed from ``h`` and ``bias``."""
+        pairs = 2 * (h.shape[1] // 2)
+        z = h + bias
+        mask = z > 0
+        r = z * mask
+        take_odd = r[:, 1:pairs:2] > r[:, 0:pairs:2]  # strict: the first maximum wins
+        g = grad.transpose(0, 2, 1)
+        d_h = np.zeros(h.shape)
+        d_h[:, 1:pairs:2] += np.where(take_odd, g, 0.0)
+        d_h[:, 0:pairs:2] += np.where(take_odd, 0.0, g)
+        return d_h * mask
+
+    def col2im_1d(
+        self, grad: np.ndarray, length: int, kernel_size: int, stride: int, padding: int
+    ) -> np.ndarray:
+        """Backward of :meth:`im2col_1d`: the gradient ``(n, C, length)`` of
+        its input for the column gradient ``grad`` ``(n, positions, C *
+        kernel_size)``.  Each input element sums the terms of the windows
+        that read it from ``+0.0``, kernel offset ``kernel_size - 1`` first:
+        descending offsets are ascending positions, so overlapping windows
+        add in position order."""
+        batch, positions, width = grad.shape
+        channels = width // kernel_size
+        padded = np.zeros((batch, channels, length + 2 * padding))
+        patch_grad = grad.reshape(batch, positions, channels, kernel_size).transpose(0, 2, 1, 3)
+        span = (positions - 1) * stride + 1
+        for offset in reversed(range(kernel_size)):
+            padded[:, :, offset : offset + span : stride] += patch_grad[..., offset]
+        return padded[:, :, padding : padding + length]
 
     def describe(self) -> Dict[str, object]:
         """Introspection payload (benchmarks embed this in their results)."""
@@ -1003,6 +1061,8 @@ class BlockedBackend(ExecutionBackend):
     adam_step = _compiled("adam_step")
     im2col_1d = _compiled("im2col_1d")
     bias_relu_pool = _compiled("bias_relu_pool")
+    bias_relu_pool_backward = _compiled("bias_relu_pool_backward")
+    col2im_1d = _compiled("col2im_1d")
 
     def describe(self) -> Dict[str, object]:
         payload = super().describe()

@@ -1,31 +1,32 @@
-"""1-D convolution and pooling layers (for the Deep Fingerprinting classifier).
+"""1-D convolution block (for the Deep Fingerprinting classifier).
 
-Convolution is implemented via the im2col trick so that the forward and
-backward passes are expressed as matrix multiplications handled by the
-autodiff engine.  The column matrix comes from the active backend's
-``im2col_1d`` hook: the transposed window view of a zero-padded copy under
-``reference``, one compiled copy that writes the padding in place under
-``blocked`` -- the same values either way, so the product sees the same
-operand.  DF's array scoring calls the same hook.
+:class:`Conv1d` holds a convolution's parameters; :meth:`Conv1d.relu_pool`
+runs it as DF's whole conv block -- convolution, ReLU and a max-pool of two
+-- and records **one** autograd node where the composed graph recorded six
+(column matrix, product, bias add, transpose, ReLU, ``MaxPool1d``; five
+when the input needs no gradient).
 
-No kernel here reduces over a ``kernel_size``-wide axis or loops over output
-positions; each makes ``kernel_size`` whole-array passes over strided slices
-of one window view:
+The convolution is the im2col trick: the column matrix comes from the
+active backend's ``im2col_1d`` hook, the product is numpy's ``@`` on it, and
+the backend's ``bias_relu_pool`` hook does the bias, the ReLU (a multiply by
+the mask) and the pool (``np.maximum`` of the even and odd positions), out
+in the conv layout.  That is DF scoring's own forward.  The closed-form
+backward runs two more hooks around numpy's products:
 
-* ``MaxPool1d.forward`` folds ``np.maximum`` over the window's offsets.  The
-  left fold equals ``max`` over the window bit for bit, including the sign of
-  a zero maximum (``np.maximum`` returns its second operand on a tie of
-  zeros, as the reduction does) — an assumption about numpy pinned by
-  ``tests/test_nn_recurrent_conv.py::test_maximum_fold_equals_window_reduce``.
-* Both backward scatters add offset ``kernel_size - 1`` first and offset 0
-  last.  Input element ``i`` sits at offset ``j = i - p * stride`` of window
-  ``p``, so descending ``j`` is ascending ``p``: every element accumulates
-  the same terms in the same order as a loop over positions would, also
-  where windows overlap.
+* ``bias_relu_pool_backward`` sends each pooled gradient to the first
+  maximum of its pair (through ``+0.0 +``, as the pool's scatter did) and
+  multiplies by the ReLU mask;
+* ``col2im_1d`` scatters the column gradient back onto the input, adding
+  kernel offset ``kernel_size - 1`` first and offset 0 last from ``+0.0``,
+  so every input element sums its terms in the order the composed graph's
+  per-offset strided ``+=`` did.
 
-The per-position loops and the window-copy reduction these replaced are the
-reference in ``tests/oracles/conv_reference.py``; outputs and gradients are
-asserted ``view(uint64)``-equal to it.
+Every BLAS product and reduction is a numpy call on operands of the
+composed graph's shapes and strides (the batched ``swapaxes(columns) @
+grad`` and its batch-axis sum for the weight, ``grad @ weight.T`` for the
+columns, ``_unbroadcast``'s sums for the bias), so forward values and all
+three gradients are ``view(uint64)``-equal to the composed Conv1d → ReLU →
+MaxPool1d graph kept in ``tests/oracles/conv_reference.py``.
 """
 
 from __future__ import annotations
@@ -33,20 +34,13 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import backend as _backend
 from . import init
 from .layers import Module, Parameter
-from .tensor import Tensor, as_tensor, is_grad_enabled
+from .tensor import Tensor, _unbroadcast, as_tensor
 
-__all__ = ["Conv1d", "MaxPool1d"]
-
-
-def _windows_1d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Read-only strided view ``(batch, channels, out_length, kernel_size)`` of
-    the windows a 1-D kernel visits along the last axis (no data copied)."""
-    return sliding_window_view(x, kernel_size, axis=2)[:, :, ::stride]
+__all__ = ["Conv1d"]
 
 
 def _check_at_least(layer: str, name: str, value: int, minimum: int) -> None:
@@ -55,7 +49,13 @@ def _check_at_least(layer: str, name: str, value: int, minimum: int) -> None:
 
 
 class Conv1d(Module):
-    """1-D convolution over inputs of shape ``(batch, channels, length)``."""
+    """1-D convolution parameters for inputs of shape ``(batch, channels, length)``.
+
+    ``weight`` is ``(in_channels * kernel_size, out_channels)`` (row
+    ``c * kernel_size + j`` multiplies input channel ``c`` at window offset
+    ``j``), ``bias`` is ``(out_channels,)``.  The layer has no ``forward``;
+    :meth:`relu_pool` is the block DF trains and attacks through.
+    """
 
     def __init__(
         self,
@@ -79,92 +79,39 @@ class Conv1d(Module):
         self.weight = Parameter(init.xavier_uniform(weight_shape, rng=rng), name="weight")
         self.bias = Parameter(init.zeros((out_channels,)), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
+    def relu_pool(self, x: Tensor) -> Tensor:
+        """Convolution, ReLU and a max-pool of two over ``x`` as one node.
+
+        ``(batch, in_channels, length)`` in, ``(batch, out_channels,
+        positions // 2)`` out (C-contiguous), ``positions`` being the
+        convolution's output length (at least 2, else ``ValueError``); an
+        odd last position is dropped, as ``MaxPool1d(2)`` drops it.  Among
+        tied maxima the gradient goes to the first.  The input gradient is
+        computed only when ``x`` requires one (the white-box attacks
+        differentiate DF's input).
+        """
         x = as_tensor(x)
         if x.ndim != 3:
             raise ValueError(f"Conv1d expects (batch, channels, length), got shape {x.shape}")
-        columns = _backend.active_backend().im2col_1d(
-            x.data, self.kernel_size, self.stride, self.padding
-        )
-        out_length = columns.shape[1]
-
-        # The column extraction is a linear (gather) operation; we rebuild the
-        # gradient w.r.t. the padded input manually in the backward closure
-        # and let matmul handle the weight gradient.
-        col_tensor = Tensor(columns, requires_grad=x.requires_grad)
-
-        if x.requires_grad:
-            padding = self.padding
-            kernel_size = self.kernel_size
-            stride = self.stride
-            input_shape = x.data.shape
-
-            def col_backward(grad: np.ndarray) -> None:
-                batch, channels, length = input_shape
-                padded = np.zeros((batch, channels, length + 2 * padding))
-                # (batch, channels, out_length, kernel_size), like the windows
-                patch_grad = grad.reshape(batch, out_length, channels, kernel_size)
-                patch_grad = patch_grad.transpose(0, 2, 1, 3)
-                span = (out_length - 1) * stride + 1
-                for offset in reversed(range(kernel_size)):
-                    padded[:, :, offset : offset + span : stride] += patch_grad[..., offset]
-                if padding > 0:
-                    padded = padded[:, :, padding:-padding]
-                x._accumulate(padded)
-
-            col_tensor._backward = col_backward
-            col_tensor._parents = (x,)
-
-        out = col_tensor @ self.weight + self.bias  # (batch, out_length, out_channels)
-        return out.transpose(0, 2, 1)  # (batch, out_channels, out_length)
-
-
-class MaxPool1d(Module):
-    """Max pooling over the last dimension of ``(batch, channels, length)``.
-
-    ``stride=None`` means ``kernel_size`` (non-overlapping windows).  The
-    output is C-contiguous and owns its memory whatever the input's layout.
-    Among tied maxima the gradient goes to the first, and a tie of zeros
-    pools to the window's last zero (both as ``argmax`` / ``max`` over the
-    window have it).
-    """
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        _check_at_least("MaxPool1d", "kernel_size", kernel_size, 1)
-        if stride is None:
-            stride = kernel_size
-        _check_at_least("MaxPool1d", "stride", stride, 1)
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if x.ndim != 3:
-            raise ValueError(f"MaxPool1d expects (batch, channels, length), got shape {x.shape}")
-        data = x.data
-        kernel_size, stride = self.kernel_size, self.stride
-        windows = _windows_1d(data, kernel_size, stride)
-        track = is_grad_enabled() and x.requires_grad
-        out_data = np.array(windows[..., 0], order="C")
-        argmax = np.zeros(out_data.shape, dtype=np.intp) if track else None
-        for offset in range(1, kernel_size):
-            candidate = windows[..., offset]
-            if track:
-                argmax[candidate > out_data] = offset  # strict: first maximum wins
-            # running maximum first: on a tie of zeros numpy keeps the second
-            # operand, which is what the reduction over the window returns
-            np.maximum(out_data, candidate, out=out_data)
-        if not track:
-            return Tensor(out_data)
-        span = (out_data.shape[2] - 1) * stride + 1
+        backend = _backend.active_backend()
+        weight, bias = self.weight, self.bias
+        kernel_size, stride, padding = self.kernel_size, self.stride, self.padding
+        columns = backend.im2col_1d(x.data, kernel_size, stride, padding)
+        if columns.shape[1] < 2:  # as MaxPool1d(2) refused a window longer than its input
+            raise ValueError(f"Conv1d.relu_pool: {columns.shape[1]} position(s), the pool needs 2")
+        h = columns @ weight.data  # (batch, positions, out_channels)
+        # the backward recomputes the mask from the product and this bias
+        bias_data = bias.data.copy()
+        length = x.data.shape[2]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(data)
-            for offset in reversed(range(kernel_size)):
-                # the zeros added off the argmax leave the sum's bits alone:
-                # a sum that starts at +0.0 is never -0.0
-                full[:, :, offset : offset + span : stride] += np.where(argmax == offset, grad, 0.0)
-            x._accumulate(full)
+            d_h = backend.bias_relu_pool_backward(grad, h, bias_data)
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(d_h, bias_data.shape))
+            if weight.requires_grad:
+                weight._accumulate(_unbroadcast(np.swapaxes(columns, -1, -2) @ d_h, weight.data.shape))
+            if x.requires_grad:
+                d_columns = d_h @ weight.data.T
+                x._accumulate(backend.col2im_1d(d_columns, length, kernel_size, stride, padding))
 
-        return Tensor._make(out_data, (x,), backward)
+        return Tensor._make(backend.bias_relu_pool(h, bias_data), (x, weight, bias), backward)

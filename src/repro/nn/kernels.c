@@ -35,12 +35,16 @@
  * expression of backend.ExecutionBackend and returns NotImplemented for
  * operands outside its float64 fast path.
  *
- * Conv-block kernels (Conv1d's forward and DF scoring, around numpy's BLAS
- * product): im2col_1d (the column matrix, zero padding written in place of
- * a padded temporary; copies only) and bias_relu_pool (bias, ReLU as a
- * multiply by the mask, np.maximum of the even and odd positions, written
- * in the conv layout so DF's fc1 flatten is a free reshape).  Same
- * NotImplemented contract.
+ * Conv-block kernels (DF's fused conv block, Conv1d.relu_pool, and DF
+ * scoring, around numpy's BLAS products): im2col_1d (the column matrix,
+ * zero padding written in place of a padded temporary; copies only) and
+ * bias_relu_pool (bias, ReLU as a multiply by the mask, np.maximum of the
+ * even and odd positions, written in the conv layout so DF's fc1 flatten
+ * is a free reshape); for DF training and the white-box input gradient,
+ * bias_relu_pool_backward (the pool-select x ReLU-mask gradient, the mask
+ * and the pair's maximum recomputed from the product) and col2im_1d (the
+ * column-gradient scatter, one strided += per kernel offset, last first).
+ * Same NotImplemented contract.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1075,8 +1079,8 @@ static PyObject *py_adam_step(PyObject *self, PyObject *args) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Conv-block kernels: the copy in front of a Conv1d's BLAS product   */
-/* and DF's epilogue after it (the product stays numpy's `@`).        */
+/* Conv-block kernels: the copy in front of DF's conv product, the    */
+/* epilogue after it and their backwards (the products stay numpy's). */
 /* ------------------------------------------------------------------ */
 
 /* im2col_1d(x (n, C, L), kernel, stride, padding) -> (n, P, C * kernel),
@@ -1149,17 +1153,16 @@ static PyObject *py_im2col_1d(PyObject *self, PyObject *args) {
 /* bias_relu_pool(h (n, L, C), bias (C,)) -> (n, C, L // 2), C-contiguous:
      h = h + bias
      h *= h > 0                       a negative becomes -0.0, NaN passes
-     np.maximum(h[:, 0::2], h[:, 1::2]), transposed to the conv layout
-   np.maximum(a, b) is a when a is NaN, else a when a > b, else b (its
-   second operand on a tie of zeros).  Both numpy behaviours are pinned in
-   tests.  NotImplemented for operands that are not float64 of these
-   shapes, or an odd L (numpy raises). */
+     np.maximum(h[:, 0:2m:2], h[:, 1:2m:2]), transposed to the conv layout
+   with m = L // 2 (an odd last position is dropped).  np.maximum(a, b) is
+   a when a is NaN, else a when a > b, else b (its second operand on a tie
+   of zeros).  Both numpy behaviours are pinned in tests.  NotImplemented
+   for operands that are not float64 of these shapes. */
 static PyObject *py_bias_relu_pool(PyObject *self, PyObject *args) {
     PyObject *objs[2];
     if (!PyArg_ParseTuple(args, "OO", &objs[0], &objs[1])) return NULL;
     if (!rc_is_f64(objs[0], 3) || !rc_is_f64(objs[1], 1) ||
-        PyArray_DIM((PyArrayObject *)objs[0], 2) != PyArray_DIM((PyArrayObject *)objs[1], 0) ||
-        PyArray_DIM((PyArrayObject *)objs[0], 1) % 2 != 0)
+        PyArray_DIM((PyArrayObject *)objs[0], 2) != PyArray_DIM((PyArrayObject *)objs[1], 0))
         Py_RETURN_NOTIMPLEMENTED;
     PyArrayObject *in[2];
     if (!rc_contiguous(objs, in, 2)) return NULL;
@@ -1185,6 +1188,104 @@ static PyObject *py_bias_relu_pool(PyObject *self, PyObject *args) {
         }
     }
     rc_release(in, 2);
+    return (PyObject *)out;
+}
+
+/* bias_relu_pool_backward(grad (n, C, L // 2), h (n, L, C), bias (C,)) ->
+   (n, L, C), C-contiguous: the gradient of h.  With the forward's
+     z = h + bias,  mask = z > 0,  r = z * mask
+   recomputed, pair q sends g = grad[:, c, q] to its first maximum
+   (take_odd = r[2q + 1] > r[2q], strict, so a NaN or a tie keeps the even
+   one) and 0.0 to the other, each added to +0.0, then multiplied by its
+   mask -- MaxPool1d's where / += scatter and Tensor.relu's grad * mask.
+   An odd last position gets +0.0.  NotImplemented for operands that are
+   not float64 of these shapes. */
+static PyObject *py_bias_relu_pool_backward(PyObject *self, PyObject *args) {
+    PyObject *objs[3];
+    if (!PyArg_ParseTuple(args, "OOO", &objs[0], &objs[1], &objs[2])) return NULL;
+    if (!rc_is_f64(objs[0], 3) || !rc_is_f64(objs[1], 3) || !rc_is_f64(objs[2], 1))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *g_obj = (PyArrayObject *)objs[0], *h_obj = (PyArrayObject *)objs[1];
+    const npy_intp n = PyArray_DIM(h_obj, 0), length = PyArray_DIM(h_obj, 1);
+    const npy_intp channels = PyArray_DIM(h_obj, 2), half = length / 2;
+    if (PyArray_DIM(g_obj, 0) != n || PyArray_DIM(g_obj, 1) != channels ||
+        PyArray_DIM(g_obj, 2) != half || PyArray_DIM((PyArrayObject *)objs[2], 0) != channels)
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[3];
+    if (!rc_contiguous(objs, in, 3)) return NULL;
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(3, PyArray_DIMS(in[1]), NPY_DOUBLE);
+    if (out != NULL) {
+        const double *restrict grad = RC_DATA(in[0]), *restrict h = RC_DATA(in[1]);
+        const double *restrict bias = RC_DATA(in[2]);
+        double *restrict d_h = RC_DATA(out);
+        for (npy_intp b = 0; b < n; ++b) {
+            const double *block = h + b * length * channels, *g = grad + b * channels * half;
+            double *dst = d_h + b * length * channels;
+            for (npy_intp q = 0; q < half; ++q) {
+                const double *even = block + 2 * q * channels, *odd = even + channels;
+                double *d_even = dst + 2 * q * channels, *d_odd = d_even + channels;
+                for (npy_intp c = 0; c < channels; ++c) {
+                    const double ze = even[c] + bias[c], zo = odd[c] + bias[c];
+                    const double me = ze > 0.0 ? 1.0 : 0.0, mo = zo > 0.0 ? 1.0 : 0.0;
+                    const double gv = g[c * half + q];
+                    const int take_odd = zo * mo > ze * me;
+                    d_even[c] = (0.0 + (take_odd ? 0.0 : gv)) * me;
+                    d_odd[c] = (0.0 + (take_odd ? gv : 0.0)) * mo;
+                }
+            }
+            if (length % 2 != 0)
+                for (npy_intp c = 0; c < channels; ++c) dst[(length - 1) * channels + c] = 0.0;
+        }
+    }
+    rc_release(in, 3);
+    return (PyObject *)out;
+}
+
+/* col2im_1d(grad (n, P, C * kernel), length, kernel, stride, padding) ->
+   (n, C, length), C-contiguous: the backward of im2col_1d, in the loop
+   order of backend.ExecutionBackend.col2im_1d -- each channel row starts
+   at +0.0 and takes one strided += per kernel offset, last offset first
+   (column c * kernel + j of window p lands on p * stride + j - padding),
+   so every element sums the same terms in the same order.  Positions in
+   the padding take no store.  NotImplemented for a grad that is not
+   float64 of a width divisible by kernel, or whose windows do not fit the
+   padded length (numpy raises). */
+static PyObject *py_col2im_1d(PyObject *self, PyObject *args) {
+    PyObject *obj;
+    Py_ssize_t length, kernel, stride, padding;
+    if (!PyArg_ParseTuple(args, "Onnnn", &obj, &length, &kernel, &stride, &padding)) return NULL;
+    if (!rc_is_f64(obj, 3) || length < 0 || kernel < 1 || stride < 1 || padding < 0)
+        Py_RETURN_NOTIMPLEMENTED;
+    const npy_intp n = PyArray_DIM((PyArrayObject *)obj, 0);
+    const npy_intp positions = PyArray_DIM((PyArrayObject *)obj, 1);
+    const npy_intp width = PyArray_DIM((PyArrayObject *)obj, 2);
+    if (width % kernel != 0 ||
+        (positions > 0 && (positions - 1) * stride + kernel > length + 2 * padding))
+        Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *in[1];
+    if (!rc_contiguous(&obj, in, 1)) return NULL;
+    const npy_intp channels = width / kernel;
+    npy_intp dims[3] = {n, channels, length};
+    PyArrayObject *out = (PyArrayObject *)PyArray_ZEROS(3, dims, NPY_DOUBLE, 0);
+    if (out != NULL) {
+        const double *restrict grad = RC_DATA(in[0]);
+        double *restrict x = RC_DATA(out);
+        for (npy_intp b = 0; b < n; ++b) {
+            const double *g = grad + b * positions * width;
+            for (npy_intp c = 0; c < channels; ++c, x += length) {
+                for (npy_intp j = kernel - 1; j >= 0; --j) {
+                    /* windows p whose offset j lands inside the row:
+                       0 <= p * stride + j - padding < length */
+                    const npy_intp lead = padding - j;
+                    npy_intp p = lead > 0 ? (lead + stride - 1) / stride : 0;
+                    const double *column = g + c * kernel + j;
+                    for (npy_intp t = p * stride - lead; p < positions && t < length; ++p, t += stride)
+                        x[t] += column[p * width];
+                }
+            }
+        }
+    }
+    rc_release(in, 1);
     return (PyObject *)out;
 }
 
@@ -1223,6 +1324,10 @@ static PyMethodDef rc_gemm_methods[] = {
      "Conv1d column matrix (n, positions, C * kernel), zero padding written in place."},
     {"bias_relu_pool", py_bias_relu_pool, METH_VARARGS,
      "Bias, ReLU and a max-pool of two, (n, L, C) in, (n, C, L // 2) out."},
+    {"bias_relu_pool_backward", py_bias_relu_pool_backward, METH_VARARGS,
+     "Gradient of bias_relu_pool's h: pool-select times ReLU mask, (n, L, C) out."},
+    {"col2im_1d", py_col2im_1d, METH_VARARGS,
+     "Backward of im2col_1d: column gradient scattered onto (n, C, length)."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef rc_gemm_module = {

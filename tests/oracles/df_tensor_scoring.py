@@ -3,12 +3,14 @@
 This is the body of ``DeepFingerprintingClassifier._score_flows`` as it stood
 before scoring moved onto plain arrays: the channel-first input of
 ``_to_batch`` wrapped in a ``Tensor`` and walked through ``Module.__call__``
-(``Conv1d`` / ``MaxPool1d`` / ``Linear`` forwards) under ``no_grad()``.  It
-is kept only as the reference the bitwise tests in ``tests/test_censors.py``
-compare the array scoring against -- do not optimise or "fix" it.  The only
-edit turns the method into a function taking the censor first.  Because it
-calls the layers' ``forward`` s, patching the reference kernels of
-:mod:`tests.oracles.conv_reference` over them runs it on those.
+(the network's conv blocks and ``Linear`` forwards) under ``no_grad()``.
+It is kept only as the reference the bitwise tests in
+``tests/test_censors.py`` compare the array scoring against -- do not
+optimise or "fix" it.  The only edit turns the method into a function
+taking the censor first.  Because it calls the network's ``forward``,
+patching :func:`tests.oracles.conv_reference.composed_relu_pool` over
+``nn.Conv1d.relu_pool`` runs it on the composed Conv1d → ReLU → MaxPool1d
+graph.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.features import SequenceRepresentation, StatisticalFeatureExtractor
 from repro.flows import Flow, FlowLabel
 from repro.nn import state_dict_to_bytes
 
-from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
+from oracles.conv_reference import composed_relu_pool
 from oracles.df_tensor_scoring import tensor_score_flows
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
@@ -294,6 +294,22 @@ class TestNeuralCensors:
             train_binary_classifier(model, np.ones((4, 3)), np.ones(4), **kwargs)
         assert state_dict_to_bytes(model.state_dict()) == before
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_training_loop_refuses_a_non_finite_gradient(self, bad):
+        """An infinite or NaN input makes the gradient norm non-finite: the
+        loop raises before Adam writes NaN into every weight."""
+        from repro.censors.deep_fingerprinting import _DFNetwork
+        from repro.censors.training import train_binary_classifier
+
+        model = _DFNetwork(8, rng=np.random.default_rng(0))
+        inputs = np.random.default_rng(1).normal(size=(6, 2, 8))
+        inputs[3, 1, 5] = bad
+        before = state_dict_to_bytes(model.state_dict())
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            with np.errstate(all="ignore"):
+                train_binary_classifier(model, inputs, np.ones(6), batch_size=6, rng=0)
+        assert state_dict_to_bytes(model.state_dict()) == before
+
     def test_sdae_learns(self, representation, tor_splits):
         censor = SDAEClassifier(representation, epochs=12, pretrain_epochs=2, rng=0).fit(
             tor_splits.clf_train.flows
@@ -374,12 +390,16 @@ class TestLSTMTrainingLoop:
 
 
 class TestDeepFingerprintingKernels:
-    """DF fitted and queried on the production ``Conv1d`` / ``MaxPool1d`` and on
-    the oracle kernels: no weight, score or input gradient may differ in a bit
-    (a drifted kernel shows here before it shows in a benchmark digest).
-    Scores come from the ``Tensor`` scoring oracle, the path that runs the
-    patched kernels; :class:`TestDeepFingerprintingArrayScoring` ties the
-    production array scoring to it."""
+    """DF fitted and queried on the fused conv block (``Conv1d.relu_pool``, one
+    autograd node per block) and on the composed Conv1d → ReLU → MaxPool1d
+    graph of ``tests/oracles/conv_reference.py``: no weight, score or input
+    gradient may differ in a bit, whichever backend runs the fused block's
+    hooks (a drifted kernel shows here before it shows in a benchmark
+    digest).  Scores come from the ``Tensor`` scoring oracle, the path that
+    runs the patched graph; :class:`TestDeepFingerprintingArrayScoring` ties
+    the production array scoring to it."""
+
+    HOOKS = ("im2col_1d", "bias_relu_pool", "bias_relu_pool_backward", "col2im_1d")
 
     @staticmethod
     def _run(representation, tor_splits):
@@ -399,22 +419,49 @@ class TestDeepFingerprintingKernels:
         run["input gradient"] = batch.grad.tobytes()
         return run
 
-    def test_production_and_oracle_kernels_agree_bytewise(
-        self, representation, tor_splits, monkeypatch
-    ):
-        production = self._run(representation, tor_splits)
-        monkeypatch.setattr(nn.Conv1d, "forward", ReferenceConv1d.forward)
-        monkeypatch.setattr(nn.MaxPool1d, "forward", ReferenceMaxPool1d.forward)
-        oracle = self._run(representation, tor_splits)
-        assert production.keys() == oracle.keys() and len(production) > 4
-        for key in production:
-            assert production[key] == oracle[key], key
+    @pytest.mark.parametrize("backend", ["blocked", "reference"])
+    def test_fused_and_composed_agree_bytewise(self, representation, tor_splits, backend, monkeypatch):
+        with nn.use_backend(backend):
+            fused = self._run(representation, tor_splits)
+        monkeypatch.setattr(nn.Conv1d, "relu_pool", composed_relu_pool)
+        with nn.use_backend("reference"):
+            composed = self._run(representation, tor_splits)
+        assert fused.keys() == composed.keys() and len(fused) > 4
+        for key in fused:
+            assert fused[key] == composed[key], key
+
+    def test_one_node_per_conv_block(self, representation):
+        from repro.nn.tensor import _topological_order
+
+        censor = DeepFingerprintingClassifier(representation, rng=0)
+        out = censor.network(nn.Tensor(np.zeros((3, 2, censor.packet_window))))
+        nodes = [tensor for tensor in _topological_order(out) if tensor._backward is not None]
+        # two conv blocks, the flatten, fc1 (product, bias), its ReLU, fc2 (product, bias)
+        assert len(nodes) == 8
+
+    def test_blocked_training_runs_the_compiled_hooks(self, representation, tor_splits, monkeypatch):
+        """Under ``blocked`` no conv-block hook of the fit, the white-box
+        gradient or the scoring falls back to numpy."""
+        from repro.nn import backend as nnb
+
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        # With the GEMM compiled, a kernel failing its self-check is a bug.
+        assert nnb.fused_cells_available(), nnb.fused_cells_error()
+        for hook in self.HOOKS:
+
+            def forbidden(*args, _hook=hook, **kwargs):
+                raise AssertionError(f"{_hook} fell back to the numpy expression")
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        with nn.use_backend("blocked"):
+            self._run(representation, tor_splits)
 
 
 class TestDeepFingerprintingArrayScoring:
     """Production DF scoring runs on plain arrays; it must equal the ``Tensor``
     scoring body of ``tests/oracles/df_tensor_scoring.py`` bit for bit, on the
-    production layers and on the reference kernels alike, whichever backend
+    fused conv block and on the composed graph alike, whichever backend
     runs the conv-block hooks (the oracle always runs on ``reference``)."""
 
     @pytest.fixture(scope="class")
@@ -450,8 +497,7 @@ class TestDeepFingerprintingArrayScoring:
     ):
         assert censor.packet_window == 40
         if kernels == "reference":
-            monkeypatch.setattr(nn.Conv1d, "forward", ReferenceConv1d.forward)
-            monkeypatch.setattr(nn.MaxPool1d, "forward", ReferenceMaxPool1d.forward)
+            monkeypatch.setattr(nn.Conv1d, "relu_pool", composed_relu_pool)
         flows = self.batch(size, tor_splits)
         with nn.use_backend(backend):
             production = censor._score_flows(flows)

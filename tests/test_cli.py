@@ -367,6 +367,10 @@ class TestCommands:
         assert "registered backends: blocked, reference\n" in out
         assert "rc-GEMM kernel:" in out
         assert "fused-cell kernels:" in out
+        from repro.nn import backend as nn_backend
+
+        if nn_backend.fused_cells_available():  # the compiled list names DF training's hooks
+            assert "bias_relu_pool_backward / col2im_1d" in out
         # One describe() line per registered backend.
         assert "  blocked: " in out and "  reference: name=reference\n" in out
 

@@ -906,6 +906,21 @@ class TestTrainEquivalence:
         )
         assert [result_key(r) for r in first.results] == [result_key(r) for r in second.results]
 
+    def test_deterministic_evaluation_draws_nothing(self, equivalence_setup):
+        """Evaluation masks every step (rate 1), which fixes the outcome: a
+        det ``attack_many`` leaves the eval stream untouched, so a sampled
+        evaluation after it equals the same-seed sampled evaluation alone."""
+        flows = equivalence_setup[3][:4]
+        alone, after_det = self._agent(equivalence_setup), self._agent(equivalence_setup)
+        start = after_det._eval_rng.bit_generator.state
+        after_det.attack_many(flows)
+        assert after_det._eval_rng.bit_generator.state == start
+        first, second = (
+            [result_key(r) for r in agent.evaluate(flows, deterministic=False).results]
+            for agent in (alone, after_det)
+        )
+        assert first == second
+
     def test_attack_many_of_no_flows_is_empty(self, equivalence_setup):
         agent = self._agent(equivalence_setup)
         assert agent.attack_many([]) == []

@@ -1,5 +1,8 @@
 """Unit tests for the Flow data model."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -90,14 +93,26 @@ class TestFlowOperations:
 
     def test_copied_prefix_owns_its_arrays(self, simple_flow):
         prefix = simple_flow.prefix_view(3)
-        prefix.metadata["touched"] = True
-        assert "touched" not in simple_flow.metadata
         owned = prefix.copy()
+        owned.metadata["touched"] = True
+        assert "touched" not in simple_flow.metadata
         assert np.array_equal(owned.sizes, [536.0, -1072.0, 536.0])
         assert not np.shares_memory(owned.sizes, simple_flow.sizes)
         assert not np.shares_memory(owned.delays, simple_flow.delays)
         owned.sizes[0] = 999.0
         assert simple_flow.sizes[0] == 536.0
+
+    def test_prefix_view_metadata_is_a_read_only_view(self, simple_flow):
+        view = simple_flow.prefix_view(2)
+        with pytest.raises(TypeError):
+            view.metadata["touched"] = True
+        assert "touched" not in simple_flow.metadata
+        simple_flow.metadata["origin"] = "unit-test"  # the view reflects its flow's dict
+        assert view.metadata["origin"] == "unit-test"
+        assert type(view.copy().metadata) is dict and type(view.to_dict()["metadata"]) is dict
+        assert view.copy().metadata == {"origin": "unit-test"}
+        for clone in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view)):
+            assert clone.metadata == {"origin": "unit-test"} and np.array_equal(clone.sizes, view.sizes)
 
     def test_prefix_view_is_zero_copy_and_read_only(self, simple_flow):
         view = simple_flow.prefix_view(2)

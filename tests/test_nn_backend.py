@@ -367,8 +367,10 @@ class TestFusedCellKernels:
             raise RuntimeError("gate self-check forced to fail")
 
         monkeypatch.setattr(nnb, "_self_check_fused_cells", boom)
-        with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable"):
+        with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as caught:
             assert not nnb.fused_cells_available()
+        message = str(caught[0].message)
+        assert "bias_relu_pool_backward" in message and "col2im_1d" in message
         assert "forced to fail" in nnb.fused_cells_error()
         # Subsequent calls are silent (the warning is one-time per process).
         with warnings.catch_warnings():
@@ -570,32 +572,47 @@ class TestTrainingHooks:
 
 
 class TestConvHooks:
-    """The conv-block hooks of ``Conv1d`` and DF scoring.  Their operands feed
-    the registry-wide bitwise test above; here the compiled kernels take every
-    DF operand, and operands outside their fast path take the numpy
-    expression itself (or raise as it does)."""
+    """The conv-block hooks of DF's fused block and of DF scoring.  Their
+    operands feed the registry-wide bitwise test above; here the compiled
+    kernels take every DF operand, and operands outside their fast path take
+    the numpy expression itself (or raise as it does)."""
 
     SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324])
+    HOOKS = ("im2col_1d", "bias_relu_pool", "bias_relu_pool_backward", "col2im_1d")
 
     @staticmethod
     def operands(rng, n, channels):
-        """``(hook, args)`` for both hooks: DF's two convolutions (kernel 5,
-        padding 2) on inputs shorter than the kernel, at and past DF's
-        40-packet window, channel-first and channel-last; a strided one;
-        then products holding NaN, infinities and zeros of both signs."""
+        """``(hook, args)`` for the four hooks: DF's two convolutions (kernel
+        5, padding 2) on inputs shorter than the kernel, at and past DF's
+        40-packet window, channel-first and channel-last, and their column
+        gradients; a strided one; then products and pooled gradients
+        holding NaN, infinities, zeros of both signs and tied pairs, over
+        even and odd lengths."""
         cases = []
         for length in (2, 3, 4, 20, 41):
             x = rng.standard_normal((n, channels, length))
             cases.append(("im2col_1d", (x, 5, 1, 2)))
             cases.append(("im2col_1d", (np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1), 5, 1, 2)))
+            grad = rng.standard_normal((n, length, channels * 5))
+            grad[rng.random(grad.shape) < 0.2] = -0.0
+            cases.append(("col2im_1d", (grad, length, 5, 1, 2)))
         cases.append(("im2col_1d", (rng.standard_normal((n, channels, 23)), 3, 2, 0)))
-        for length in (2, 4, 40):
-            h = rng.standard_normal((n, length, channels)) * 10.0
-            special = rng.random(h.shape) < 0.25
-            h[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
-            bias = rng.standard_normal(channels)
-            bias[: channels // 2] = 0.0
-            cases.append(("bias_relu_pool", (h, bias)))
+        cases.append(("col2im_1d", (rng.standard_normal((n, 11, channels * 3)), 23, 3, 2, 0)))
+        for length in (2, 3, 4, 40, 41):
+            for ties in (False, True):
+                if ties:
+                    h = rng.integers(-2, 3, size=(n, length, channels)).astype(np.float64)
+                else:
+                    h = rng.standard_normal((n, length, channels)) * 10.0
+                special = rng.random(h.shape) < 0.25
+                h[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
+                bias = rng.standard_normal(channels)
+                bias[: channels // 2] = 0.0
+                grad = rng.standard_normal((n, channels, length // 2))
+                special = rng.random(grad.shape) < 0.25
+                grad[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
+                cases.append(("bias_relu_pool", (h, bias)))
+                cases.append(("bias_relu_pool_backward", (grad, h, bias)))
         return cases
 
     def test_blocked_takes_every_df_operand(self, monkeypatch):
@@ -603,7 +620,7 @@ class TestConvHooks:
         if not nnb.compiled_kernel_available():
             pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
         assert nnb.fused_cells_available(), nnb.fused_cells_error()
-        for hook in ("im2col_1d", "bias_relu_pool"):
+        for hook in self.HOOKS:
 
             def forbidden(*args, _hook=hook, **kwargs):
                 raise AssertionError(f"{_hook} fell back to the numpy expression")
@@ -648,9 +665,33 @@ class TestConvHooks:
         strided = rng.standard_normal((2, 8, 6))[:, ::2, ::2]
         bias = rng.standard_normal(3)
         _same_results(reference.bias_relu_pool(strided, bias), blocked.bias_relu_pool(strided, bias), "strided")
-        for name in nnb.available_backends():  # an odd length does not pool in pairs
+        grad = rng.standard_normal((2, 3, 2))[:, :, ::-1]
+        _same_results(
+            reference.bias_relu_pool_backward(grad, strided, bias),
+            blocked.bias_relu_pool_backward(grad, strided, bias),
+            "strided",
+        )
+        grad32 = rng.standard_normal((2, 3, 2)).astype(np.float32)
+        assert blocked.bias_relu_pool_backward(grad32, h32, np.zeros(3)).dtype == np.float64
+        odd = rng.standard_normal((2, 5, 3))  # an odd last position is dropped, as MaxPool1d(2) does
+        for name in nnb.available_backends():
+            pooled = nnb.get_backend(name).bias_relu_pool(odd, bias)
+            _same_results(reference.bias_relu_pool(odd[:, :4], bias), pooled, name)
+            d_odd = nnb.get_backend(name).bias_relu_pool_backward(np.ones((2, 3, 2)), odd, bias)
+            assert np.array_equal(d_odd[:, 4].view(np.uint64), np.zeros((2, 3)).view(np.uint64))
+
+    def test_col2im_outside_the_fast_path(self):
+        rng = np.random.default_rng(93)
+        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        strided = rng.standard_normal((2, 8, 12))[:, ::2, ::2]  # (2, 4, 6): 2 channels, kernel 3
+        _same_results(
+            reference.col2im_1d(strided, 6, 3, 1, 0), blocked.col2im_1d(strided, 6, 3, 1, 0), "strided"
+        )
+        grad32 = rng.standard_normal((2, 4, 6)).astype(np.float32)
+        _same_results(reference.col2im_1d(grad32, 6, 3, 1, 0), blocked.col2im_1d(grad32, 6, 3, 1, 0), "f32")
+        for name in nnb.available_backends():  # windows past the padded input
             with pytest.raises(ValueError):
-                nnb.get_backend(name).bias_relu_pool(rng.standard_normal((2, 5, 3)), bias)
+                nnb.get_backend(name).col2im_1d(rng.standard_normal((2, 5, 6)), 3, 3, 1, 0)
 
     def test_outputs_are_fresh_c_contiguous_arrays(self):
         rng = np.random.default_rng(92)
@@ -658,10 +699,13 @@ class TestConvHooks:
         for name in nnb.available_backends():
             backend = nnb.get_backend(name)
             columns = backend.im2col_1d(x, 5, 1, 2)
-            pooled = backend.bias_relu_pool(columns @ rng.standard_normal((20, 6)), np.zeros(6))
-            for out in (columns, pooled):
+            h = columns @ rng.standard_normal((20, 6))
+            pooled = backend.bias_relu_pool(h, np.zeros(6))
+            d_h = backend.bias_relu_pool_backward(np.ones(pooled.shape), h, np.zeros(6))
+            for out in (columns, pooled, d_h):
                 assert out.flags.c_contiguous and out.flags.writeable and not np.shares_memory(out, x)
-            assert pooled.shape == (3, 6, 5)
+            assert pooled.shape == (3, 6, 5) and d_h.shape == h.shape
+            assert backend.col2im_1d(columns, 10, 5, 1, 2).shape == x.shape
 
 
 class TestPinnedNumpyAssumptions:
@@ -736,6 +780,31 @@ class TestPinnedNumpyAssumptions:
                 finite = ~np.isnan(h)
                 _same_bits(h[finite], product[finite])
                 assert np.signbit(h[(x < 0) & (x > -np.inf)]).all()
+
+    def test_zero_plus_selected_gradient_is_the_scalar_add(self):
+        """``d = zeros; d += np.where(take, g, 0.0)`` (``MaxPool1d``'s scatter,
+        ``bias_relu_pool_backward``'s oracle) is, element by element, the
+        scalar ``0.0 + g`` -- a ``-0.0`` becomes ``+0.0``, a NaN keeps its
+        sign -- then ``* mask`` the scalar multiply by ``1.0`` / ``0.0``:
+        what ``bias_relu_pool_backward``'s kernel computes, over SIMD bodies
+        and tails."""
+        rng = np.random.default_rng(83)
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5]
+        for length in list(range(1, 40)) + [127, 128, 129, 1000]:
+            g = rng.standard_normal(length)
+            special = rng.random(length) < 0.4
+            g[special] = rng.choice(specials, size=int(special.sum()))
+            take = rng.random(length) < 0.5
+            mask = rng.random(length) < 0.7
+            d = np.zeros(length)
+            d += np.where(take, g, 0.0)
+            with np.errstate(invalid="ignore"):
+                d = d * mask
+            scalar = [
+                (0.0 + (value if chosen else 0.0)) * (1.0 if kept else 0.0)
+                for value, chosen, kept in zip(g.tolist(), take.tolist(), mask.tolist())
+            ]
+            _same_bits(d, np.array(scalar))
 
     def test_clip_passes_nan_and_keeps_the_bound_on_a_tie(self):
         """``np.clip`` of a float64 returns a NaN input itself and a bound as

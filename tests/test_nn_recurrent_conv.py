@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
+from oracles.conv_reference import composed_relu_pool, windows_1d
 from repro import nn
-from repro.nn.conv import _windows_1d
 
 
 class TestGRU:
@@ -91,41 +90,44 @@ class TestLSTM:
 
 
 class TestConv1d:
+    """``Conv1d`` holds the parameters; ``relu_pool`` is the conv block."""
+
     def test_output_shape_with_padding(self):
         conv = nn.Conv1d(2, 6, kernel_size=3, padding=1, rng=np.random.default_rng(0))
-        out = conv(nn.Tensor(np.zeros((4, 2, 20))))
-        assert out.shape == (4, 6, 20)
+        out = conv.relu_pool(nn.Tensor(np.zeros((4, 2, 20))))
+        assert out.shape == (4, 6, 10)
 
     def test_output_shape_with_stride(self):
         conv = nn.Conv1d(1, 3, kernel_size=3, stride=2, rng=np.random.default_rng(0))
-        out = conv(nn.Tensor(np.zeros((1, 1, 11))))
-        assert out.shape == (1, 3, 5)
+        out = conv.relu_pool(nn.Tensor(np.zeros((1, 1, 11))))
+        assert out.shape == (1, 3, 2)  # 5 positions pool to 2; the odd last one is dropped
 
-    def test_rejects_wrong_rank(self):
-        conv = nn.Conv1d(1, 1, kernel_size=3)
-        with pytest.raises(ValueError):
-            conv(nn.Tensor(np.zeros((3, 5))))
+    def test_has_no_forward(self):
+        assert "forward" not in vars(nn.Conv1d)
+        with pytest.raises(NotImplementedError):
+            nn.Conv1d(1, 1, kernel_size=3)(nn.Tensor(np.zeros((1, 1, 5))))
 
     def test_known_convolution_value(self):
         conv = nn.Conv1d(1, 1, kernel_size=2)
         conv.weight.data = np.array([[1.0], [1.0]])  # sum of the window
         conv.bias.data = np.zeros(1)
-        out = conv(nn.Tensor(np.array([[[1.0, 2.0, 3.0]]])))
-        assert np.allclose(out.data, [[[3.0, 5.0]]])
+        out = conv.relu_pool(nn.Tensor(np.array([[[1.0, 2.0, 3.0, 4.0, -9.0]]])))
+        # conv [3, 5, 7, -5] -> relu [3, 5, 7, -0] -> pairs (3, 5), (7, -0)
+        assert np.array_equal(out.data, [[[5.0, 7.0]]])
 
     def test_weight_gradient_numerically(self):
         rng = np.random.default_rng(0)
         conv = nn.Conv1d(2, 3, kernel_size=3, padding=1, rng=rng)
         x = np.random.default_rng(1).normal(size=(2, 2, 8))
-        out = conv(nn.Tensor(x))
+        out = conv.relu_pool(nn.Tensor(x))
         (out ** 2).mean().backward()
         analytic = conv.weight.grad[0, 0]
         eps = 1e-6
         original = conv.weight.data[0, 0]
         conv.weight.data[0, 0] = original + eps
-        plus = (conv(nn.Tensor(x)) ** 2).mean().item()
+        plus = (conv.relu_pool(nn.Tensor(x)) ** 2).mean().item()
         conv.weight.data[0, 0] = original - eps
-        minus = (conv(nn.Tensor(x)) ** 2).mean().item()
+        minus = (conv.relu_pool(nn.Tensor(x)) ** 2).mean().item()
         conv.weight.data[0, 0] = original
         assert analytic == pytest.approx((plus - minus) / (2 * eps), abs=1e-6)
 
@@ -152,15 +154,16 @@ def _loop_pool_windows(data, kernel_size, stride):
 
 
 class TestLoopFreeWindows:
-    """Conv1d / MaxPool1d build their windows from one strided view; the
-    values, their order and the signs of zeros equal the seed loops'."""
+    """The ``im2col_1d`` hook and the conv block build their windows from one
+    strided view; the values, their order and the signs of zeros equal the
+    seed loops'."""
 
     @pytest.mark.parametrize("kernel_size,stride", [(5, 1), (3, 2), (2, 2), (4, 3), (7, 7)])
     @pytest.mark.parametrize("contiguous", [True, False])
     @pytest.mark.parametrize("padding", [0, 2])
     @pytest.mark.parametrize("backend", nn.available_backends())
     def test_im2col_matches_loop(self, kernel_size, stride, contiguous, padding, backend):
-        """Every backend's ``im2col_1d`` hook (the one ``Conv1d`` and DF
+        """Every backend's ``im2col_1d`` hook (the one the conv block and DF
         scoring call) equals the seed loop over the zero-padded input."""
         x = np.random.default_rng(kernel_size * 10 + stride).normal(size=(3, 4, 23))
         if not contiguous:
@@ -170,29 +173,35 @@ class TestLoopFreeWindows:
         assert columns.flags.c_contiguous and columns.flags.writeable
         assert np.array_equal(columns.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("kernel_size,stride", [(2, None), (3, 2), (2, 1), (5, 5)])
-    def test_maxpool_matches_loop_including_zero_signs(self, kernel_size, stride):
-        rng = np.random.default_rng(kernel_size)
-        data = rng.normal(size=(3, 4, 21))
-        data *= data > 0  # relu the way Tensor.relu does it: negatives become -0.0
-        data = np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
-        pool = nn.MaxPool1d(kernel_size, stride)
-        expected = _loop_pool_windows(data, pool.kernel_size, pool.stride).max(axis=-1)
-        with nn.no_grad():
-            out = pool(nn.Tensor(data))
-        assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
-        tracked = pool(nn.Tensor(data, requires_grad=True))
-        assert np.array_equal(tracked.data.view(np.uint64), expected.view(np.uint64))
-        assert not out.requires_grad and tracked.requires_grad
+    @pytest.mark.parametrize("length", [20, 21])  # an odd last position is dropped
+    @pytest.mark.parametrize("channel_last", [False, True])
+    @pytest.mark.parametrize("backend", nn.available_backends())
+    def test_bias_relu_pool_matches_loop_including_zero_signs(self, length, channel_last, backend):
+        """Every backend's ``bias_relu_pool`` equals the seed loop's window
+        ``max`` over the ReLU of the biased product, signs of zeros included."""
+        rng = np.random.default_rng(length)
+        h = rng.normal(size=(3, length, 4)).round(1)  # one decimal: pairs tie
+        h[rng.random(h.shape) < 0.2] = rng.choice([0.0, -0.0])
+        if channel_last:  # the product's layout seen from the other side
+            h = np.ascontiguousarray(h.transpose(0, 2, 1)).transpose(0, 2, 1)
+        bias = np.array([0.0, -0.0, 0.5, -0.5])
+        activations = h + bias
+        activations *= activations > 0
+        expected = _loop_pool_windows(activations.transpose(0, 2, 1), 2, 2).max(axis=-1)
+        pooled = nn.get_backend(backend).bias_relu_pool(h, bias)
+        assert np.array_equal(pooled.view(np.uint64), expected.view(np.uint64))
 
-    def test_padded_convolution_matches_np_pad(self):
+    @pytest.mark.parametrize("backend", nn.available_backends())
+    def test_padded_block_matches_np_pad_and_loops(self, backend):
         conv = nn.Conv1d(2, 3, kernel_size=5, padding=2, rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(4, 2, 16))
+        x = np.random.default_rng(1).normal(size=(4, 2, 17))
         padded = np.pad(x, ((0, 0), (0, 0), (2, 2)))
-        expected = (
-            nn.Tensor(_loop_im2col(padded, 5, 1)) @ conv.weight + conv.bias
-        ).data.transpose(0, 2, 1)
-        assert np.array_equal(conv(nn.Tensor(x)).data.view(np.uint64), expected.view(np.uint64))
+        product = (nn.Tensor(_loop_im2col(padded, 5, 1)) @ conv.weight + conv.bias).data
+        activations = product.transpose(0, 2, 1) * (product.transpose(0, 2, 1) > 0)
+        expected = _loop_pool_windows(activations, 2, 2).max(axis=-1)
+        with nn.use_backend(backend):
+            out = conv.relu_pool(nn.Tensor(x))
+        assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
 
 
 def _bits(values):
@@ -222,44 +231,40 @@ def _upstream(rng, shape):
 def test_maximum_fold_equals_window_reduce():
     """A numpy upgrade that changes which zero ``maximum`` returns must fail here.
 
-    ``MaxPool1d.forward`` folds ``np.maximum(running, candidate)`` over the
-    strided slices of its window view and relies on that being, bit for bit,
-    ``max(axis=-1)`` of the contiguous window copy the oracle reduces.
+    The conv block pools with ``np.maximum(even, odd)`` (``bias_relu_pool``,
+    whose compiled kernel mirrors it) and relies on that being, bit for bit,
+    ``max(axis=-1)`` of the contiguous window copy the oracle's
+    ``MaxPool1d`` reduces.
     """
     rng = np.random.default_rng(23)
     special = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
-    for length in range(1, 71):  # SIMD bodies and scalar tails
-        for kernel_size in (2, 3, 5):
-            if length < kernel_size:
-                continue
-            for stride in (kernel_size, 1):
-                for channel_last in (False, True):
-                    for draw in ("special", "normal"):
-                        shape = (2, 3, length)
-                        data = rng.choice(special, shape) if draw == "special" else rng.normal(size=shape)
-                        if channel_last:
-                            data = _channel_last(data)
-                        windows = _windows_1d(data, kernel_size, stride)
-                        reduced = np.ascontiguousarray(windows).max(axis=-1)
-                        folded = np.array(windows[..., 0], order="C")
-                        for offset in range(1, kernel_size):
-                            np.maximum(folded, windows[..., offset], out=folded)
-                        nan = np.isnan(reduced)
-                        assert np.array_equal(nan, np.isnan(folded)) and np.array_equal(
-                            folded[~nan].view(np.uint64), reduced[~nan].view(np.uint64)
-                        ), (
-                            f"the left fold of np.maximum no longer equals max(axis=-1) of the window "
-                            f"copy (length={length} kernel_size={kernel_size} stride={stride} "
-                            f"channel_last={channel_last} values={draw}, numpy {np.__version__}): the "
-                            f"sign of a zero maximum in DF activations changes -- no digest can move, "
-                            f"but MaxPool1d is not bit-identical to tests/oracles/conv_reference.py"
-                        )
+    for length in range(2, 71):  # SIMD bodies and scalar tails
+        for stride in (2, 1):
+            for channel_last in (False, True):
+                for draw in ("special", "normal"):
+                    shape = (2, 3, length)
+                    data = rng.choice(special, shape) if draw == "special" else rng.normal(size=shape)
+                    if channel_last:
+                        data = _channel_last(data)
+                    windows = windows_1d(data, 2, stride)
+                    reduced = np.ascontiguousarray(windows).max(axis=-1)
+                    folded = np.maximum(windows[..., 0], windows[..., 1])
+                    nan = np.isnan(reduced)
+                    assert np.array_equal(nan, np.isnan(folded)) and np.array_equal(
+                        folded[~nan].view(np.uint64), reduced[~nan].view(np.uint64)
+                    ), (
+                        f"np.maximum of a pair no longer equals max(axis=-1) of the window copy "
+                        f"(length={length} stride={stride} channel_last={channel_last} "
+                        f"values={draw}, numpy {np.__version__}): the sign of a zero maximum in DF "
+                        f"activations changes -- no digest can move, but the conv block is not "
+                        f"bit-identical to tests/oracles/conv_reference.py"
+                    )
 
 
-_POOL_SWEEP = sorted(
+# conv kernel / stride of the tied-activation sweep
+_BLOCK_SWEEP = sorted(
     {(2, 2), (2, 1), (3, 2), (3, 1), (5, 5), (4, 3), (1, 1), (2, 3), (5, 1)}
-    | {(k, s) for k in range(1, 6) for s in (None, 1, 2, 3, k + 2)},
-    key=str,  # None (the default stride) does not order against ints
+    | {(k, s) for k in range(1, 6) for s in (1, 2, 3, k + 2)}
 )
 _CONV_SWEEP = [
     # in, out, kernel, stride, padding
@@ -274,35 +279,50 @@ _CONV_SWEEP = [
 ]
 
 
-class TestKernelOracle:
-    """The fold / offset-scatter kernels equal the window-copy reduction and
-    the per-position loops of ``tests/oracles/conv_reference.py`` in every bit."""
+def _block_runs(layer, data, upstream, input_grad=True, parameters=None):
+    """``(out, input grad, weight grad, bias grad)`` of the fused block and of
+    the composed graph, on one ``Conv1d(**layer)`` (seeded; ``parameters``
+    overrides its weight and bias) and one input."""
+    runs = []
+    for block in (nn.Conv1d.relu_pool, composed_relu_pool):
+        conv = nn.Conv1d(**layer, rng=np.random.default_rng(5))
+        if parameters is not None:
+            conv.weight.data, conv.bias.data = (array.copy() for array in parameters)
+        x = nn.Tensor(data.copy(order="K"), requires_grad=input_grad)
+        out = block(conv, x)
+        assert out.requires_grad and out.data.flags.c_contiguous
+        out.backward(upstream(out.shape))
+        runs.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
+    return runs
 
-    @pytest.mark.parametrize("kernel_size,stride", _POOL_SWEEP)
+
+def _assert_runs_equal(runs):
+    for fused, composed in zip(*runs):
+        assert (fused is None) == (composed is None)
+        if fused is not None:
+            assert fused.shape == composed.shape
+            assert np.array_equal(_bits(fused), _bits(composed))
+
+
+class TestKernelOracle:
+    """``Conv1d.relu_pool`` -- one node, the backend's conv-block hooks --
+    equals the composed Conv1d → ReLU → MaxPool1d graph of the per-position
+    seed layers (``tests/oracles/conv_reference.py``) in every bit: output,
+    input, weight and bias gradients."""
+
+    @pytest.mark.parametrize("kernel_size,stride", _BLOCK_SWEEP)
     @pytest.mark.parametrize("channel_last", [False, True])
-    def test_maxpool_forward_and_gradient(self, kernel_size, stride, channel_last):
-        rng = np.random.default_rng(kernel_size * 31 + (stride or 0))
-        pools = nn.MaxPool1d(kernel_size, stride), ReferenceMaxPool1d(kernel_size, stride)
-        for length in (9, 20, 21, 40):  # 9 and 21 leave a remainder at most strides
-            data = _activations(rng, (3, 4, length), channel_last)
-            grad = _upstream(rng, pools[1](nn.Tensor(data)).shape)
-            outputs, gradients = [], []
-            for pool in pools:
-                x = nn.Tensor(data.copy(order="K"), requires_grad=True)
-                out = pool(x)
-                assert out.requires_grad and out.data.flags.c_contiguous
-                out.backward(grad)
-                outputs.append(out.data)
-                gradients.append(x.grad)
-            assert np.array_equal(_bits(outputs[0]), _bits(outputs[1]))
-            assert np.array_equal(_bits(gradients[0]), _bits(gradients[1]))
-            # no gradient wanted: same bits, nothing recorded
-            plain = pools[0](nn.Tensor(data))
-            with nn.no_grad():
-                silenced = pools[0](nn.Tensor(data, requires_grad=True))
-            for out in (plain, silenced):
-                assert not out.requires_grad and out._backward is None
-                assert np.array_equal(_bits(out.data), _bits(outputs[1]))
+    def test_block_on_tied_activations(self, kernel_size, stride, channel_last):
+        """Weights and inputs of one decimal, biases with zeros of both signs:
+        pooled pairs tie, products cancel to zeros of either sign."""
+        rng = np.random.default_rng(kernel_size * 31 + stride)
+        layer = dict(in_channels=3, out_channels=4, kernel_size=kernel_size, stride=stride, padding=1)
+        weight = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(3 * kernel_size, 4))
+        bias = np.array([0.0, -0.0, 0.5, -0.5])
+        for length in (kernel_size + stride, 20, 21, 40):
+            data = _activations(rng, (3, 3, length), channel_last)
+            upstream = lambda shape: _upstream(np.random.default_rng(length), shape)  # noqa: E731
+            _assert_runs_equal(_block_runs(layer, data, upstream, parameters=(weight, bias)))
 
     @pytest.mark.parametrize("in_channels,out_channels,kernel_size,stride,padding", _CONV_SWEEP)
     @pytest.mark.parametrize("channel_last", [False, True])
@@ -310,83 +330,60 @@ class TestKernelOracle:
         self, in_channels, out_channels, kernel_size, stride, padding, channel_last
     ):
         rng = np.random.default_rng(kernel_size * 31 + stride)
+        layer = dict(
+            in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size,
+            stride=stride, padding=padding,
+        )
         for length in (8, 20, 41):
             data = rng.normal(size=(3, in_channels, length))
             if channel_last:
                 data = _channel_last(data)
-            results = []
-            for layer in (nn.Conv1d, ReferenceConv1d):
-                conv = layer(
-                    in_channels, out_channels, kernel_size, stride=stride, padding=padding,
-                    rng=np.random.default_rng(5),
-                )
-                x = nn.Tensor(data.copy(order="K"), requires_grad=True)
-                out = conv(x)
-                out.backward(_upstream(np.random.default_rng(length), out.shape))
-                results.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
-            for ours, reference in zip(*results):
-                assert np.array_equal(_bits(ours), _bits(reference))
+            upstream = lambda shape: _upstream(np.random.default_rng(length), shape)  # noqa: E731
+            _assert_runs_equal(_block_runs(layer, data, upstream))
+
+    def test_untracked_block_records_nothing(self):
+        conv = nn.Conv1d(2, 4, kernel_size=5, padding=2, rng=np.random.default_rng(5))
+        data = np.random.default_rng(0).normal(size=(3, 2, 20))
+        tracked = conv.relu_pool(nn.Tensor(data, requires_grad=True))
+        with nn.no_grad():
+            silenced = conv.relu_pool(nn.Tensor(data, requires_grad=True))
+        assert tracked.requires_grad and tracked._backward is not None
+        assert not silenced.requires_grad and silenced._backward is None
+        assert np.array_equal(_bits(silenced.data), _bits(tracked.data))
 
     def test_conv_without_input_gradient(self):
         data = np.random.default_rng(0).normal(size=(3, 2, 20))
-        results = []
-        for layer in (nn.Conv1d, ReferenceConv1d):
-            conv = layer(2, 4, 5, padding=2, rng=np.random.default_rng(5))
-            out = conv(nn.Tensor(data))
-            out.sum().backward()
-            results.append((out.data, conv.weight.grad, conv.bias.grad))
-        for ours, reference in zip(*results):
-            assert np.array_equal(_bits(ours), _bits(reference))
+        layer = dict(in_channels=2, out_channels=4, kernel_size=5, padding=2)
+        runs = _block_runs(layer, data, np.ones, input_grad=False)
+        assert runs[0][1] is None
+        _assert_runs_equal(runs)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_tied_maxima_send_the_gradient_to_the_first(self, stride):
-        data = np.full((2, 3, 11), 2.0)  # every window is one long tie
-        grads = []
-        for pool in (nn.MaxPool1d(3, stride), ReferenceMaxPool1d(3, stride)):
-            x = nn.Tensor(data, requires_grad=True)
-            pool(x).sum().backward()
-            grads.append(x.grad)
-        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
-        assert np.all(grads[0][:, :, 0] == 1.0)  # the first of window 0, not its last
-        if stride == 1:  # overlapping windows, each won by its own first cell
-            assert np.all(grads[0][:, :, : 11 - 2] == 1.0) and np.all(grads[0][:, :, -2:] == 0.0)
+        layer = dict(in_channels=2, out_channels=3, kernel_size=1, stride=stride)
+        ones = (np.ones((2, 3)), np.zeros(3))
+        runs = _block_runs(layer, np.full((2, 2, 11), 2.0), np.ones, parameters=ones)
+        _assert_runs_equal(runs)
+        grad = runs[0][1]  # every product is 4.0: every pair is one tie
+        assert np.all(grad[:, :, 0] == 3.0)  # the first of pair 0 ...
+        assert np.all(grad[:, :, stride] == 0.0)  # ... not its second
 
     def test_non_finite_upstream_gradient_reaches_only_the_argmax(self):
-        data = _activations(np.random.default_rng(3), (2, 3, 12), channel_last=False)
+        rng = np.random.default_rng(3)
         grad = np.ones((2, 3, 6))
         grad[0, 0, 0], grad[1, 2, 3], grad[0, 1, 5] = np.inf, -np.inf, np.nan
-        grads = []
-        for pool in (nn.MaxPool1d(2), ReferenceMaxPool1d(2)):
-            x = nn.Tensor(data, requires_grad=True)
-            pool(x).backward(grad)
-            grads.append(x.grad)
-        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
-        assert np.count_nonzero(~np.isfinite(grads[0])) == 3
-
-    def test_kernel_size_one_copies(self):
-        data = np.random.default_rng(0).normal(size=(2, 3, 8))
-        for stride in (None, 2):
-            out = nn.MaxPool1d(1, stride)(nn.Tensor(data))
-            assert not np.shares_memory(out.data, data)
-            assert out.data.flags.writeable and out.data.flags.owndata
-            assert np.array_equal(_bits(out.data), _bits(data[:, :, :: stride or 1]))
+        h = rng.uniform(0.5, 1.5, size=(2, 12, 3))  # positive: the ReLU passes everything
+        for name in nn.available_backends():
+            d_h = nn.get_backend(name).bias_relu_pool_backward(grad, h, np.zeros(3))
+            assert np.count_nonzero(~np.isfinite(d_h)) == 3
+        layer = dict(in_channels=3, out_channels=3, kernel_size=3, padding=1)
+        data = _activations(rng, (2, 3, 12), channel_last=False)
+        with np.errstate(invalid="ignore"):
+            _assert_runs_equal(_block_runs(layer, data, lambda shape: grad))
 
 
 class TestLayerArguments:
     """Constructor and rank checks name the layer and the offending value."""
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            (dict(kernel_size=2, stride=0), r"MaxPool1d: stride must be >= 1, got 0"),
-            (dict(kernel_size=2, stride=-1), r"MaxPool1d: stride must be >= 1, got -1"),
-            (dict(kernel_size=0), r"MaxPool1d: kernel_size must be >= 1, got 0"),
-            (dict(kernel_size=-3, stride=1), r"MaxPool1d: kernel_size must be >= 1, got -3"),
-        ],
-    )
-    def test_maxpool_rejects(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            nn.MaxPool1d(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -401,30 +398,30 @@ class TestLayerArguments:
         with pytest.raises(ValueError, match=message):
             nn.Conv1d(1, 1, **kwargs)
 
-    def test_default_stride_is_the_kernel_size(self):
-        assert nn.MaxPool1d(3).stride == 3
-        assert nn.MaxPool1d(3, stride=None).stride == 3
-        assert nn.MaxPool1d(3, stride=1).stride == 1
-
     @pytest.mark.parametrize("shape", [(3, 5), (5,), (1, 2, 3, 4)])
-    def test_maxpool_rejects_wrong_rank(self, shape):
-        with pytest.raises(ValueError, match=r"MaxPool1d expects \(batch, channels, length\)"):
-            nn.MaxPool1d(2)(nn.Tensor(np.zeros(shape)))
+    def test_relu_pool_rejects_wrong_rank(self, shape):
+        with pytest.raises(ValueError, match=r"Conv1d expects \(batch, channels, length\)"):
+            nn.Conv1d(1, 1, kernel_size=2).relu_pool(nn.Tensor(np.zeros(shape)))
+
+
+def _pass_through():
+    """A one-channel kernel-1 convolution that copies its input."""
+    conv = nn.Conv1d(1, 1, kernel_size=1)
+    conv.weight.data = np.ones((1, 1))
+    return conv
 
 
 class TestPooling:
     def test_maxpool_shape_and_values(self):
-        pool = nn.MaxPool1d(2)
-        out = pool(nn.Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]])))
-        assert np.allclose(out.data, [[[3.0, 5.0]]])
+        out = _pass_through().relu_pool(nn.Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]])))
+        assert np.array_equal(out.data, [[[3.0, 5.0]]])
 
     def test_maxpool_gradient_goes_to_max(self):
-        pool = nn.MaxPool1d(2)
         x = nn.Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]]), requires_grad=True)
-        pool(x).sum().backward()
-        assert np.allclose(x.grad, [[[0.0, 1.0, 0.0, 1.0]]])
+        _pass_through().relu_pool(x).sum().backward()
+        assert np.array_equal(x.grad, [[[0.0, 1.0, 0.0, 1.0]]])
 
     def test_maxpool_rejects_oversized_window(self):
-        pool = nn.MaxPool1d(10)
+        conv = nn.Conv1d(1, 1, kernel_size=10)
         with pytest.raises(ValueError):
-            pool(nn.Tensor(np.zeros((1, 1, 4))))
+            conv.relu_pool(nn.Tensor(np.zeros((1, 1, 4))))

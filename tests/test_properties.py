@@ -25,7 +25,7 @@ from repro.serve import ServeConfig
 from repro.core.env import make_observation, record_action, shape_packet_core
 
 from oracles import composed_ppo, emulator_reference
-from oracles.conv_reference import ReferenceConv1d, ReferenceMaxPool1d
+from oracles.conv_reference import composed_relu_pool
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -434,55 +434,71 @@ class TestEmulatorOracleProperties:
             assert np.array_equal(_bits(got), _bits(expected))
 
 
-# Activations for the kernel oracle property: ties, both zeros and a -0.0
-# upstream gradient must all be likely, so cells come from a small pool.
-_cells = st.sampled_from([-0.0, 0.0, 0.5, 0.5, 1.0, -1.0, 2.5, 1e-300, 1e300])
+# Values for the conv block property: ties, zeros of both signs and NaN must
+# all be likely, in the input, the weights, the bias and the upstream
+# gradient, so cells come from a small pool (drawn by a seeded generator:
+# a batch of 33 is too many cells to draw one by one).
+_CELLS = np.array([-0.0, 0.0, 0.5, 0.5, 1.0, -1.0, 2.5, 1e-300, 1e300])
 
 
-def _laid_out(cells, shape, channel_last):
-    data = np.asarray(cells, dtype=np.float64).reshape(shape)
+def _laid_out(data, channel_last):
     if channel_last:
         data = np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
     return data
 
 
-class TestConvKernelOracleProperties:
-    """``Conv1d`` / ``MaxPool1d`` equal the window-copy reduction and the
-    per-position loops (``tests/oracles/conv_reference.py``) in every bit, for
-    any shape, kernel, stride and operand layout."""
+def _block_results(block, values, weight, bias, grad, kernel_size, stride, padding):
+    channels, out_channels = values.shape[1], bias.shape[0]
+    conv = nn.Conv1d(channels, out_channels, kernel_size, stride=stride, padding=padding)
+    conv.weight.data, conv.bias.data = weight.copy(), bias.copy()
+    x = nn.Tensor(values.copy(order="K"), requires_grad=True)
+    out = block(conv, x)
+    out.backward(grad)
+    return out.data, x.grad, conv.weight.grad, conv.bias.grad
+
+
+class TestConvBlockOracleProperties:
+    """``Conv1d.relu_pool`` (one node) equals the composed Conv1d → ReLU →
+    MaxPool1d graph of ``tests/oracles/conv_reference.py`` in every bit --
+    output, input, weight and bias gradients -- on both backends."""
 
     @given(
-        data=st.data(),
-        batch=st.integers(1, 3),
-        channels=st.integers(1, 4),
-        kernel_size=st.integers(1, 5),
-        stride=st.one_of(st.none(), st.integers(1, 7)),
-        extra=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+        nan_share=st.sampled_from([0.0, 0.05]),
+        batch=st.sampled_from([1, 2, 33]),
+        channels=st.sampled_from([2, 16]),
+        out_channels=st.sampled_from([2, 16]),
+        length=st.sampled_from([2, 3, 4, 5, 7, 8, 21]),
+        padding=st.sampled_from([0, 2]),
         channel_last=st.booleans(),
+        backend=st.sampled_from(nn.available_backends()),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_maxpool_bit_identical_to_oracle(
-        self, data, batch, channels, kernel_size, stride, extra, channel_last
+    @settings(max_examples=80, deadline=None)
+    def test_block_bit_identical_to_composed(
+        self, seed, nan_share, batch, channels, out_channels, length, padding, channel_last, backend
     ):
-        shape = (batch, channels, kernel_size + extra)
-        size = batch * channels * (kernel_size + extra)
-        values = _laid_out(data.draw(st.lists(_cells, min_size=size, max_size=size)), shape, channel_last)
-        pools = nn.MaxPool1d(kernel_size, stride), ReferenceMaxPool1d(kernel_size, stride)
-        out_shape = pools[1](nn.Tensor(values)).shape
-        out_size = int(np.prod(out_shape))
-        grad = np.asarray(data.draw(st.lists(_cells, min_size=out_size, max_size=out_size))).reshape(out_shape)
-        results = []
-        for pool in pools:
-            x = nn.Tensor(values.copy(order="K"), requires_grad=True)
-            out = pool(x)
-            out.backward(grad)
-            results.append((out.data, x.grad))
-        for ours, reference in zip(*results):
+        kernel_size = 5  # DF's; the lengths run from shorter than it to odd
+        positions = length + 2 * padding - kernel_size + 1
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            cells = rng.choice(_CELLS, size=shape)
+            cells[rng.random(shape) < nan_share] = np.nan
+            return cells
+
+        values = _laid_out(draw(batch, channels, length), channel_last)
+        weight, bias = draw(channels * kernel_size, out_channels), draw(out_channels)
+        if positions < 2:  # no pair to pool: both refuse
+            for block in (nn.Conv1d.relu_pool, composed_relu_pool):
+                with pytest.raises(ValueError), nn.use_backend(backend), np.errstate(all="ignore"):
+                    _block_results(block, values, weight, bias, None, kernel_size, 1, padding)
+            return
+        grad = draw(batch, out_channels, positions // 2)
+        with np.errstate(all="ignore"), nn.use_backend(backend):
+            fused = _block_results(nn.Conv1d.relu_pool, values, weight, bias, grad, kernel_size, 1, padding)
+            composed = _block_results(composed_relu_pool, values, weight, bias, grad, kernel_size, 1, padding)
+        for ours, reference in zip(fused, composed):
             assert np.array_equal(_bits(np.ascontiguousarray(ours)), _bits(np.ascontiguousarray(reference)))
-        with nn.no_grad():
-            untracked = pools[0](nn.Tensor(values))
-        assert np.array_equal(_bits(untracked.data), _bits(results[1][0]))
-        assert not np.shares_memory(untracked.data, values)
 
     @given(
         seed=st.integers(0, 2**16),
@@ -500,19 +516,19 @@ class TestConvKernelOracleProperties:
         self, seed, batch, in_channels, out_channels, kernel_size, stride, padding, extra,
         channel_last,
     ):
+        """Any kernel, stride and padding, on normal values."""
         rng = np.random.default_rng(seed)
-        shape = (batch, in_channels, kernel_size + extra)
-        values = _laid_out(rng.normal(size=shape), shape, channel_last)
-        results = []
-        for layer in (nn.Conv1d, ReferenceConv1d):
-            conv = layer(
-                in_channels, out_channels, kernel_size, stride=stride, padding=padding,
-                rng=np.random.default_rng(seed),
-            )
-            x = nn.Tensor(values.copy(order="K"), requires_grad=True)
-            out = conv(x)
-            out.backward(np.random.default_rng(seed + 1).normal(size=out.shape))
-            results.append((out.data, x.grad, conv.weight.grad, conv.bias.grad))
+        length = kernel_size + stride + extra  # at least two positions to pool
+        shape = (batch, in_channels, length)
+        values = _laid_out(rng.normal(size=shape), channel_last)
+        weight = rng.normal(size=(in_channels * kernel_size, out_channels))
+        bias = rng.normal(size=out_channels)
+        positions = (length + 2 * padding - kernel_size) // stride + 1
+        grad = rng.normal(size=(batch, out_channels, positions // 2))
+        results = [
+            _block_results(block, values, weight, bias, grad, kernel_size, stride, padding)
+            for block in (nn.Conv1d.relu_pool, composed_relu_pool)
+        ]
         for ours, reference in zip(*results):
             assert np.array_equal(_bits(np.ascontiguousarray(ours)), _bits(np.ascontiguousarray(reference)))
 
