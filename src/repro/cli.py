@@ -300,6 +300,7 @@ def _command_backends(_: argparse.Namespace) -> int:
     if nn_backend.fused_cells_available():
         print(
             "fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates, "
+            "the BPTT step hooks gru_bptt_step / lstm_bptt_step, "
             "the PPO training hooks, im2col_1d / bias_relu_pool, "
             "DF training's bias_relu_pool_backward / col2im_1d)"
         )

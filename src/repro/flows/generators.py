@@ -20,6 +20,13 @@ paper says the censoring classifiers key on*:
 Each generator returns :class:`~repro.flows.flow.Flow` objects; the page-size
 and object-count distributions are log-normal, matching the heavy-tailed
 nature of web-page weights.
+
+Draw order is part of every dataset.  The Tor and the two HTTPS generators
+draw their response bursts in bulk (``integers`` / ``normal`` with
+``size=k``), in the order the per-packet loops kept in
+``tests/oracles/flow_generators_reference.py`` draw them, so sizes, delays
+and the final generator state are theirs; V2Ray draws a record size between
+every two delays and stays per packet.
 """
 
 from __future__ import annotations
@@ -84,6 +91,59 @@ class FlowGenerator:
     def _jittered_delay(self, base_ms: float, jitter: float = 0.3) -> float:
         """Return a non-negative delay around ``base_ms`` with relative jitter."""
         return float(max(0.0, self._rng.normal(base_ms, base_ms * jitter)))
+
+    def _jittered_delays(self, base_ms: float, count: int, jitter: float = 0.3) -> List[float]:
+        """``count`` :meth:`_jittered_delay` draws as one ``normal(size=count)``
+        call, which consumes the stream as the scalar draws do (a pinned numpy
+        assumption)."""
+        draws = self._rng.normal(base_ms, base_ms * jitter, size=count).tolist()
+        return [draw if draw > 0.0 else 0.0 for draw in draws]
+
+    def _response_burst(
+        self,
+        remaining: float,
+        segment: float,
+        floor: int,
+        tail_high: int,
+        first_ms: float,
+        rest_ms: float,
+        sizes: List[float],
+        delays: List[float],
+    ) -> None:
+        """Append a downstream burst of ``remaining`` bytes, up to
+        ``max_packets``: segments of at most ``segment`` bytes, one below
+        ``floor`` bytes replaced by ``integers(floor, tail_high)``; the first
+        packet waits a jittered ``first_ms``, the others ``rest_ms``.
+
+        Draws in the order of one packet at a time (a tail's integer, then
+        its delay), in bulk: the run of segments that draw no integer is
+        planned first, its delays drawn as the first packet's scalar and one
+        :meth:`_jittered_delays` call for the rest; then a tail segment, if
+        the run ended at one, draws its integer and its delay.
+        """
+        first = True
+        while remaining > 0 and len(sizes) < self.max_packets:
+            run: List[float] = []
+            while remaining > 0 and len(sizes) + len(run) < self.max_packets:
+                size = min(remaining, segment)
+                if size < floor:
+                    break
+                run.append(-size)
+                remaining -= size
+            if run:
+                sizes.extend(run)
+                rest = len(run)
+                if first:
+                    delays.append(self._jittered_delay(first_ms))
+                    rest -= 1
+                delays.extend(self._jittered_delays(rest_ms, rest))
+                first = False
+            if remaining > 0 and len(sizes) < self.max_packets:
+                size = float(self._rng.integers(floor, tail_high))
+                sizes.append(-size)
+                delays.append(self._jittered_delay(first_ms if first else rest_ms))
+                first = False
+                remaining -= size
 
 
 class TorFlowGenerator(FlowGenerator):
@@ -155,9 +215,7 @@ class TorFlowGenerator(FlowGenerator):
             burst = burst[: max(1, self.max_packets - len(sizes))]
             sizes.extend(burst)
             delays.append(self._jittered_delay(self.circuit_latency_ms))
-            base_ms, jitter = 2.0, 0.3
-            trailing = self._rng.normal(base_ms, base_ms * jitter, size=len(burst) - 1)
-            delays.extend(np.maximum(trailing, 0.0).tolist())
+            delays.extend(self._jittered_delays(2.0, len(burst) - 1))
             if len(sizes) >= self.max_packets:
                 break
 
@@ -214,17 +272,7 @@ class HTTPSFlowGenerator(FlowGenerator):
             delays.append(self._jittered_delay(15.0 if request_index == 0 else 60.0))
             # Response: MSS-sized segments plus a fractional tail segment.
             remaining = max(200.0, self._rng.normal(bytes_per_response, bytes_per_response * 0.4))
-            first_in_burst = True
-            while remaining > 0 and len(sizes) < self.max_packets:
-                segment = min(remaining, float(self.mss))
-                if segment < 80:
-                    segment = float(self._rng.integers(80, 300))
-                sizes.append(-segment)
-                delays.append(
-                    self._jittered_delay(self.rtt_ms) if first_in_burst else self._jittered_delay(0.8)
-                )
-                first_in_burst = False
-                remaining -= segment
+            self._response_burst(remaining, float(self.mss), 80, 300, self.rtt_ms, 0.8, sizes, delays)
             if len(sizes) >= self.max_packets:
                 break
 
@@ -351,17 +399,7 @@ class HTTPSRecordFlowGenerator(FlowGenerator):
             )
             # Response: servers coalesce data into records close to the maximum.
             remaining = max(300.0, self._rng.normal(bytes_per_response, bytes_per_response * 0.4))
-            first_in_burst = True
-            while remaining > 0 and len(sizes) < self.max_packets:
-                record = min(remaining, float(self.max_record))
-                if record < 100:
-                    record = float(self._rng.integers(100, 400))
-                sizes.append(-record)
-                delays.append(
-                    self._jittered_delay(self.rtt_ms) if first_in_burst else self._jittered_delay(1.0)
-                )
-                first_in_burst = False
-                remaining -= record
+            self._response_burst(remaining, float(self.max_record), 100, 400, self.rtt_ms, 1.0, sizes, delays)
             if len(sizes) >= self.max_packets:
                 break
 

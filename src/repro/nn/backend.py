@@ -27,7 +27,10 @@ and DF's conv block around its BLAS products: ``im2col_1d`` (the column
 matrix of ``nn.Conv1d.relu_pool`` and DF scoring), ``bias_relu_pool`` (its
 bias / ReLU / pool epilogue) and, for DF training and the white-box input
 gradient, ``bias_relu_pool_backward`` (the pool-select × ReLU-mask
-gradient) and ``col2im_1d`` (the column-gradient scatter).  Two backends
+gradient) and ``col2im_1d`` (the column-gradient scatter) — and one step
+of the recurrent sequences' closed-form BPTT: ``gru_bptt_step`` /
+``lstm_bptt_step`` (the step's gate gradients written into its rows of the
+gate-gradient slabs, the carried gradient returned).  Two backends
 ship, both ``float64``, both row-consistent, bit-identical to each other by
 test:
 
@@ -47,7 +50,8 @@ test:
     :meth:`~ExecutionBackend.tanh_mlp` (the actor / critic MLP), and the
     training GRU's gate math is one call per timestep; each training hook
     is one call between the update's numpy BLAS products, as is each
-    conv-block hook around DF's conv products.  Their compiled
+    conv-block hook around DF's conv products and each BPTT step between
+    the recurrence's products.  Their compiled
     code performs only exact IEEE arithmetic (adds, multiplies, divides,
     negation, square roots; ``grad_norm`` reproduces numpy's pairwise sum,
     a pinned numpy assumption); the transcendental ``exp`` / ``tanh`` run
@@ -490,6 +494,7 @@ def _self_check_fused_cells(kernel) -> None:
                 )
     _self_check_training_kernels(kernel, reference, rng)
     _self_check_conv_kernels(kernel, reference, rng)
+    _self_check_bptt_kernels(kernel, reference, rng)
 
 
 def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
@@ -634,6 +639,51 @@ def _self_check_conv_kernels(kernel, reference: "ExecutionBackend", rng) -> None
             _assert_same("bias_relu_pool_backward", want_grad, have_grad, where)
 
 
+# Cache kinds of the BPTT step hooks, in argument order: sigmoid gates
+# ("s"), tanh outputs ("t") and raw values ("r").
+_GRU_BPTT_CACHES = "sstrr"  # resets, updates, candidates, h_prevs, gh_ns
+_LSTM_BPTT_CACHES = "sststr"  # gates i / f / g / o, tanh_cells, c_prevs
+
+
+def _bptt_caches(rng, shape: Tuple[int, ...], scale: float, kinds: str) -> List[np.ndarray]:
+    """Random forward caches of a BPTT step hook: activations of
+    pre-activations of magnitude ``scale`` (saturated at 50), or raw values."""
+    caches = []
+    for kind in kinds:
+        pre = rng.standard_normal(shape) * scale
+        caches.append(1.0 / (1.0 + np.exp(-pre)) if kind == "s" else np.tanh(pre) if kind == "t" else pre)
+    return caches
+
+
+def _self_check_bptt_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
+    """The BPTT step kernels against the numpy hooks over single rows and
+    odd sizes, the first, a middle and the last step, saturated gates, and
+    LSTM steps with and without an output gradient.  The slabs start NaN, so
+    a row written on one side only shows."""
+    with np.errstate(all="ignore"):
+        for batch, steps, size in [(1, 1, 1), (3, 4, 5), (16, 3, 32)]:
+            for scale in (1.0, 50.0):
+                for t in sorted({0, steps // 2, steps - 1}):
+                    where = f"batch={batch}, steps={steps}, size={size}, scale={scale}, t={t}"
+                    d_hidden = rng.standard_normal((batch, size)) * scale
+                    d_cell = rng.standard_normal((batch, size)) * scale
+                    grad = rng.standard_normal((batch, steps, size))
+                    gru = _bptt_caches(rng, grad.shape, scale, _GRU_BPTT_CACHES)
+                    lstm = _bptt_caches(rng, grad.shape, scale, _LSTM_BPTT_CACHES)
+                    runs = []
+                    for backend in (reference, kernel):
+                        slabs = np.full((2, batch, steps, 3 * size), np.nan)
+                        runs.append((backend.gru_bptt_step(t, d_hidden, grad, *gru, *slabs), slabs))
+                    _assert_same("gru_bptt_step", *runs, where)
+                    for upstream in (grad, None):
+                        runs = []
+                        for backend in (reference, kernel):
+                            slab = np.full((batch, steps, 4 * size), np.nan)
+                            carry = backend.lstm_bptt_step(t, d_hidden, d_cell, upstream, *lstm, slab)
+                            runs.append((carry, slab))
+                        _assert_same("lstm_bptt_step", *runs, where)
+
+
 def _gates_kernel():
     """The compiled module if its fused kernels passed self-check, else ``None``.
 
@@ -657,8 +707,9 @@ def _gates_kernel():
             warnings.warn(
                 "repro.nn.backend: compiled fused-cell kernels unavailable "
                 f"({_GATES_ERROR}); the GRU step, the tanh MLP, the GRU/LSTM "
-                "gate math, the PPO training hooks and the conv-block hooks "
-                "(im2col_1d / bias_relu_pool and DF training's "
+                "gate math, the BPTT step hooks (gru_bptt_step / "
+                "lstm_bptt_step), the PPO training hooks and the conv-block "
+                "hooks (im2col_1d / bias_relu_pool and DF training's "
                 "bias_relu_pool_backward / col2im_1d) are falling back to the "
                 "numpy composition (identical bits, numpy speed).",
                 RuntimeWarning,
@@ -692,10 +743,11 @@ class ExecutionBackend:
     property the bit-equivalence ladder rests on — and
     ``tests/test_nn_backend.py`` holds the whole registry to that.
 
-    The gate and training hooks default to the numpy oracles and the network
-    hooks to their composition on :meth:`matmul2d`, so any backend is safe
-    for the recurrent forwards, the decision tick and the PPO update; only
-    ``blocked`` overrides them with compiled (bit-identical) kernels.
+    The gate, training, conv-block and BPTT hooks default to the numpy
+    oracles and the network hooks to their composition on :meth:`matmul2d`,
+    so any backend is safe for the recurrent forwards and backwards, the
+    decision tick, the PPO update and DF; only ``blocked`` overrides them
+    with compiled (bit-identical) kernels.
     """
 
     name: str = "abstract"
@@ -925,6 +977,81 @@ class ExecutionBackend:
             padded[:, :, offset : offset + span : stride] += patch_grad[..., offset]
         return padded[:, :, padding : padding + length]
 
+    # One time step of the recurrent sequences' closed-form BPTT
+    # (``nn.functional.gru_sequence`` / ``lstm_sequence``): the step's
+    # elementwise block, written into its rows of the gate-gradient slabs.
+    # The recurrent product that follows it, and the hoisted weight / input
+    # products and bias sums after the loop, stay numpy calls in the caller.
+    def gru_bptt_step(
+        self,
+        t: int,
+        d_hidden: np.ndarray,
+        grad: np.ndarray,
+        resets: np.ndarray,
+        updates: np.ndarray,
+        candidates: np.ndarray,
+        h_prevs: np.ndarray,
+        gh_ns: np.ndarray,
+        d_gx_all: np.ndarray,
+        d_gh_all: np.ndarray,
+    ) -> np.ndarray:
+        """GRU step ``t``: fold ``grad[:, t]`` into the carried ``d_hidden``,
+        write the ``[r | z | n]`` pre-activation gradients into
+        ``d_gx_all[:, t]`` and their hidden-side counterparts into
+        ``d_gh_all[:, t]``, and return the carry ``d_hidden * update`` to
+        which the caller adds ``d_gh_all[:, t] @ w_h.T``.  The caches and
+        ``grad`` are ``(B, T, H)``, the slabs ``(B, T, 3H)``."""
+        size = d_hidden.shape[-1]
+        d_hidden = d_hidden + grad[:, t]
+        reset, update = resets[:, t], updates[:, t]
+        candidate = candidates[:, t]
+        d_candidate = d_hidden * (1.0 - update)
+        d_update = d_hidden * (h_prevs[:, t] - candidate)
+        d_pre_n = d_candidate * (1.0 - candidate ** 2)
+        d_reset = d_pre_n * gh_ns[:, t]
+        d_pre_r = d_reset * reset * (1.0 - reset)
+        d_pre_z = d_update * update * (1.0 - update)
+        d_gx_all[:, t, :size] = d_pre_r
+        d_gx_all[:, t, size : 2 * size] = d_pre_z
+        d_gx_all[:, t, 2 * size :] = d_pre_n
+        d_gh_all[:, t, : 2 * size] = d_gx_all[:, t, : 2 * size]
+        d_gh_all[:, t, 2 * size :] = d_pre_n * reset
+        return d_hidden * update
+
+    def lstm_bptt_step(
+        self,
+        t: int,
+        d_hidden: np.ndarray,
+        d_cell: np.ndarray,
+        grad: Optional[np.ndarray],
+        gates_i: np.ndarray,
+        gates_f: np.ndarray,
+        gates_g: np.ndarray,
+        gates_o: np.ndarray,
+        tanh_cells: np.ndarray,
+        c_prevs: np.ndarray,
+        d_pre_all: np.ndarray,
+    ) -> np.ndarray:
+        """LSTM step ``t``: fold ``grad[:, t]`` (when the outputs have a
+        gradient) into ``d_hidden``, add the step's term to the carried
+        ``d_cell``, write the ``[i | f | g | o]`` pre-activation gradients
+        into ``d_pre_all[:, t]`` and return the carry ``d_cell * gate_f``.
+        The caller's next ``d_hidden`` is ``d_pre_all[:, t] @ w_h.T``.  The
+        caches and ``grad`` are ``(B, T, H)``, the slab ``(B, T, 4H)``."""
+        size = d_hidden.shape[-1]
+        if grad is not None:
+            d_hidden = d_hidden + grad[:, t]
+        gate_i, gate_f = gates_i[:, t], gates_f[:, t]
+        gate_g, gate_o = gates_g[:, t], gates_o[:, t]
+        tanh_cell = tanh_cells[:, t]
+        d_o = d_hidden * tanh_cell
+        d_cell = d_cell + d_hidden * gate_o * (1.0 - tanh_cell ** 2)
+        d_pre_all[:, t, :size] = d_cell * gate_g * gate_i * (1.0 - gate_i)
+        d_pre_all[:, t, size : 2 * size] = d_cell * c_prevs[:, t] * gate_f * (1.0 - gate_f)
+        d_pre_all[:, t, 2 * size : 3 * size] = d_cell * gate_i * (1.0 - gate_g ** 2)
+        d_pre_all[:, t, 3 * size :] = d_o * gate_o * (1.0 - gate_o)
+        return d_cell * gate_f
+
     def describe(self) -> Dict[str, object]:
         """Introspection payload (benchmarks embed this in their results)."""
         return {"name": self.name}
@@ -1063,6 +1190,8 @@ class BlockedBackend(ExecutionBackend):
     bias_relu_pool = _compiled("bias_relu_pool")
     bias_relu_pool_backward = _compiled("bias_relu_pool_backward")
     col2im_1d = _compiled("col2im_1d")
+    gru_bptt_step = _compiled("gru_bptt_step")
+    lstm_bptt_step = _compiled("lstm_bptt_step")
 
     def describe(self) -> Dict[str, object]:
         payload = super().describe()

@@ -107,11 +107,11 @@ class Conv1d(Module):
         def backward(grad: np.ndarray) -> None:
             d_h = backend.bias_relu_pool_backward(grad, h, bias_data)
             if bias.requires_grad:
-                bias._accumulate(_unbroadcast(d_h, bias_data.shape))
+                bias._accumulate_fresh(_unbroadcast(d_h, bias_data.shape))
             if weight.requires_grad:
-                weight._accumulate(_unbroadcast(np.swapaxes(columns, -1, -2) @ d_h, weight.data.shape))
+                weight._accumulate_fresh(_unbroadcast(np.swapaxes(columns, -1, -2) @ d_h, weight.data.shape))
             if x.requires_grad:
                 d_columns = d_h @ weight.data.T
-                x._accumulate(backend.col2im_1d(d_columns, length, kernel_size, stride, padding))
+                x._accumulate_fresh(backend.col2im_1d(d_columns, length, kernel_size, stride, padding))
 
         return Tensor._make(backend.bias_relu_pool(h, bias_data), (x, weight, bias), backward)

@@ -19,7 +19,13 @@ elementwise work (the MLP's bias + tanh and its tanh gradient, the Gaussian
 log-density, the ratio and clip of the surrogate) runs on the active
 backend's training hooks; every BLAS product is a numpy ``@`` and every
 reduction a numpy ``.sum()`` here, with the same operands and layout as the
-composed formulation, which is what keeps the bits.
+composed formulation, which is what keeps the bits.  The recurrent
+sequences' backwards follow the same split: one backend BPTT step hook per
+time step between numpy products.
+
+Backwards hand their parents the arrays they have just allocated through
+``Tensor._accumulate_fresh``, which adopts a first gradient instead of
+copying it.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         d_square = grad / count * diff
-        prediction._accumulate(_unbroadcast(d_square + d_square, prediction.data.shape))
+        prediction._accumulate_fresh(_unbroadcast(d_square + d_square, prediction.data.shape))
 
     return Tensor._make(out_data, (prediction,), backward)
 
@@ -112,11 +118,11 @@ def gaussian_log_prob(actions: Tensor, mean: Tensor, log_std: Tensor) -> Tensor:
             grad, diff, scaled, variance
         )
         if log_std.requires_grad:
-            log_std._accumulate(-_unbroadcast(d_per_dim, log_std.data.shape))
+            log_std._accumulate_fresh(-_unbroadcast(d_per_dim, log_std.data.shape))
             d_variance = _unbroadcast(d_variance_terms, variance.shape)
-            log_std._accumulate(d_variance * variance * 2.0)
+            log_std._accumulate_fresh(d_variance * variance * 2.0)
         if mean.requires_grad:
-            mean._accumulate(d_mean)
+            mean._accumulate_fresh(d_mean)
 
     return Tensor._make(out_data, (mean, log_std), backward)
 
@@ -130,7 +136,7 @@ def gaussian_entropy(log_std: Tensor) -> Tensor:
     out_data = per_sample.sum() / count
 
     def backward(grad: np.ndarray) -> None:
-        log_std._accumulate(np.full(log_std.data.shape, grad / count))
+        log_std._accumulate_fresh(np.full(log_std.data.shape, grad / count))
 
     return Tensor._make(out_data, (log_std,), backward)
 
@@ -161,11 +167,11 @@ def ppo_policy_loss(
 
     def backward(grad: np.ndarray) -> None:
         if log_probs.requires_grad:
-            log_probs._accumulate(
+            log_probs._accumulate_fresh(
                 backend.clipped_surrogate_backward(-grad / count, ratio, advantages, take_raw, inside)
             )
         if entropy.requires_grad:
-            entropy._accumulate(-grad * entropy_coef)
+            entropy._accumulate_fresh(-grad * entropy_coef)
 
     return Tensor._make(out_data, (log_probs, entropy), backward), ratio
 
@@ -239,13 +245,13 @@ def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
             weight, bias = layers[index]
             layer_input = activations[index]
             if bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0))
+                bias._accumulate_fresh(grad.sum(axis=0))
             if weight.requires_grad:
-                weight._accumulate(layer_input.T @ grad)
+                weight._accumulate_fresh(layer_input.T @ grad)
             if index > 0:
                 grad = backend.tanh_backward(grad @ weight.data.T, layer_input)
             elif x.requires_grad:
-                x._accumulate(grad @ weight.data.T)
+                x._accumulate_fresh(grad @ weight.data.T)
 
     parents = (x,) + tuple(parameter for layer in layers for parameter in layer)
     return Tensor._make(activations[-1], parents, backward)
@@ -271,12 +277,16 @@ def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
 # (``gru_cell_forward``) are bit-identical to each other regardless of
 # batch/time chunking.
 #
-# The gate elementwise math itself is owned by the active execution backend
-# (``active_backend().gru_gates`` / ``.lstm_gates``): the `reference` backend
-# runs the original numpy expressions, the default `blocked` backend runs
-# compiled kernels that are self-checked bit-identical to them.  Only the
-# forwards dispatch — the cached activations come back from the backend and
-# the closed-form backwards below stay plain numpy.
+# The elementwise math is owned by the active execution backend: the gate
+# math of the forwards (``active_backend().gru_gates`` / ``.lstm_gates``),
+# whose cached activations come back from the backend, and one time step of
+# the closed-form backwards (``.gru_bptt_step`` / ``.lstm_bptt_step``).  The
+# `reference` backend runs the original numpy expressions, the default
+# `blocked` backend compiled kernels self-checked bit-identical to them.
+# The products stay here as numpy ``@`` on the same operands: the
+# recurrent ``d_t @ w_h.T`` between two steps, and the hoisted ``dW_x`` /
+# ``dW_h`` / ``dx`` products and bias sums after the loop — which is what
+# keeps every gradient byte-identical across backends.
 
 
 def gru_cell_forward(
@@ -301,6 +311,24 @@ def gru_cell_forward(
     return _backend.active_backend().gru_gates(gx, gh, b, hidden)
 
 
+def _check_sequence(
+    name: str, x: Tensor, w_x: Tensor, w_h: Tensor, states: Sequence[Tuple[str, Tensor]]
+) -> None:
+    """Refuse, before any projection, an ``x`` that is not ``(B, T ≥ 1, in)``
+    or an initial state that is not ``(B, H)`` — the shapes ``w_x`` and
+    ``w_h`` fix — so every backend raises the same ``ValueError``."""
+    inputs, size = w_x.data.shape[0], w_h.data.shape[0]
+    ok = x.data.ndim == 3 and x.data.shape[1] >= 1 and x.data.shape[2] == inputs
+    batch = x.data.shape[0] if x.data.ndim == 3 else "B"
+    ok = ok and all(state.data.shape == (batch, size) for _, state in states)
+    if not ok:
+        wanted = ", ".join(f"{label} ({batch}, {size})" for label, _ in states)
+        got = ", ".join(f"{label} {state.data.shape}" for label, state in states)
+        raise ValueError(
+            f"{name} expects x ({batch}, T >= 1, {inputs}) and {wanted}; got x {x.data.shape}, {got}"
+        )
+
+
 def gru_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, h0: Tensor) -> Tensor:
     """Fused single-layer GRU over a ``(B, T, in)`` sequence.
 
@@ -308,11 +336,15 @@ def gru_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, h0: Tensor) -> 
     ``(B·T, in) @ (in, 3H)`` GEMM; the loop then performs one hidden GEMM and
     the gate elementwise math per step.  Returns the ``(B, T, H)`` outputs as
     a single autograd node whose backward runs the closed-form BPTT
-    recurrence, rebuilding ``dw_x`` / ``dx`` with two hoisted GEMMs.  The
-    final hidden state is ``outputs[:, -1, :]``.
+    recurrence — per step the active backend's ``gru_bptt_step`` and the
+    recurrent product ``d_gh_t @ w_h.T`` — rebuilding ``dw_x`` / ``dw_h`` /
+    ``dx`` with hoisted GEMMs.  The final hidden state is
+    ``outputs[:, -1, :]``.  ``x`` must be ``(B, T ≥ 1, in)`` and ``h0``
+    ``(B, H)``, else ``ValueError``.
     """
     x, h0 = as_tensor(x), as_tensor(h0)
     w_x, w_h, b = as_tensor(w_x), as_tensor(w_h), as_tensor(b)
+    _check_sequence("gru_sequence", x, w_x, w_h, [("h0", h0)])
     batch, steps, _ = x.data.shape
     size = h0.data.shape[-1]
     w_h_data, b_data = w_h.data, b.data
@@ -351,37 +383,27 @@ def gru_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, h0: Tensor) -> 
     def backward(grad: np.ndarray) -> None:
         d_gx_all = np.empty((batch, steps, 3 * size))
         d_gh_all = np.empty((batch, steps, 3 * size))
+        w_h_t = w_h_data.T
         d_hidden = np.zeros((batch, size))
         for t in range(steps - 1, -1, -1):
-            d_hidden = d_hidden + grad[:, t]
-            reset, update = resets[:, t], updates[:, t]
-            candidate = candidates[:, t]
-            d_candidate = d_hidden * (1.0 - update)
-            d_update = d_hidden * (h_prevs[:, t] - candidate)
-            d_pre_n = d_candidate * (1.0 - candidate ** 2)
-            d_reset = d_pre_n * gh_ns[:, t]
-            d_pre_r = d_reset * reset * (1.0 - reset)
-            d_pre_z = d_update * update * (1.0 - update)
-            d_gx_all[:, t, :size] = d_pre_r
-            d_gx_all[:, t, size : 2 * size] = d_pre_z
-            d_gx_all[:, t, 2 * size :] = d_pre_n
-            d_gh_all[:, t, : 2 * size] = d_gx_all[:, t, : 2 * size]
-            d_gh_all[:, t, 2 * size :] = d_pre_n * reset
-            d_hidden = d_hidden * update + d_gh_all[:, t] @ w_h_data.T
+            carry = backend.gru_bptt_step(
+                t, d_hidden, grad, resets, updates, candidates, h_prevs, gh_ns, d_gx_all, d_gh_all
+            )
+            d_hidden = carry + d_gh_all[:, t] @ w_h_t
         d_gx_flat = d_gx_all.reshape(batch * steps, 3 * size)
         if x.requires_grad:
-            x._accumulate((d_gx_flat @ w_x.data.T).reshape(x.data.shape))
+            x._accumulate_fresh((d_gx_flat @ w_x.data.T).reshape(x.data.shape))
         if w_x.requires_grad:
-            w_x._accumulate(x_flat.T @ d_gx_flat)
+            w_x._accumulate_fresh(x_flat.T @ d_gx_flat)
         if w_h.requires_grad:
-            w_h._accumulate(
+            w_h._accumulate_fresh(
                 h_prevs.reshape(batch * steps, size).T
                 @ d_gh_all.reshape(batch * steps, 3 * size)
             )
         if b.requires_grad:
-            b._accumulate(d_gx_flat.sum(axis=0))
+            b._accumulate_fresh(d_gx_flat.sum(axis=0))
         if h0.requires_grad:
-            h0._accumulate(d_hidden)
+            h0._accumulate_fresh(d_hidden)
 
     return Tensor._make(outputs, parents, backward)
 
@@ -402,9 +424,13 @@ def lstm_sequence(
     BPTT recurrence (the final hidden state is ``outputs[:, -1, :]``), and
     ``final_cell`` is a second node over the same cached forward so
     gradients flowing into the final cell state alone are also supported.
+    Both backwards run, per step, the active backend's ``lstm_bptt_step``
+    and the recurrent product ``d_pre_t @ w_h.T``.  ``x`` must be
+    ``(B, T ≥ 1, in)`` and ``h0`` / ``c0`` ``(B, H)``, else ``ValueError``.
     """
     x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
     w_x, w_h, b = as_tensor(w_x), as_tensor(w_h), as_tensor(b)
+    _check_sequence("lstm_sequence", x, w_x, w_h, [("h0", h0), ("c0", c0)])
     batch, steps, _ = x.data.shape
     size = h0.data.shape[-1]
     w_h_data, b_data = w_h.data, b.data
@@ -446,38 +472,31 @@ def lstm_sequence(
 
     def run_bptt(grad_outputs: Optional[np.ndarray], grad_final_cell: Optional[np.ndarray]) -> None:
         d_pre_all = np.empty((batch, steps, 4 * size))
+        w_h_t = w_h_data.T
         d_hidden = np.zeros((batch, size))
         d_cell = np.zeros((batch, size)) if grad_final_cell is None else grad_final_cell.copy()
         for t in range(steps - 1, -1, -1):
-            if grad_outputs is not None:
-                d_hidden = d_hidden + grad_outputs[:, t]
-            gate_i, gate_f = gates_i[:, t], gates_f[:, t]
-            gate_g, gate_o = gates_g[:, t], gates_o[:, t]
-            tanh_cell = tanh_cells[:, t]
-            d_o = d_hidden * tanh_cell
-            d_cell = d_cell + d_hidden * gate_o * (1.0 - tanh_cell ** 2)
-            d_pre_all[:, t, :size] = d_cell * gate_g * gate_i * (1.0 - gate_i)
-            d_pre_all[:, t, size : 2 * size] = d_cell * c_prevs[:, t] * gate_f * (1.0 - gate_f)
-            d_pre_all[:, t, 2 * size : 3 * size] = d_cell * gate_i * (1.0 - gate_g ** 2)
-            d_pre_all[:, t, 3 * size :] = d_o * gate_o * (1.0 - gate_o)
-            d_hidden = d_pre_all[:, t] @ w_h_data.T
-            d_cell = d_cell * gate_f
+            d_cell = backend.lstm_bptt_step(
+                t, d_hidden, d_cell, grad_outputs,
+                gates_i, gates_f, gates_g, gates_o, tanh_cells, c_prevs, d_pre_all,
+            )
+            d_hidden = d_pre_all[:, t] @ w_h_t
         d_pre_flat = d_pre_all.reshape(batch * steps, 4 * size)
         if x.requires_grad:
-            x._accumulate((d_pre_flat @ w_x.data.T).reshape(x.data.shape))
+            x._accumulate_fresh((d_pre_flat @ w_x.data.T).reshape(x.data.shape))
         if w_x.requires_grad:
-            w_x._accumulate(x_flat.T @ d_pre_flat)
+            w_x._accumulate_fresh(x_flat.T @ d_pre_flat)
         if w_h.requires_grad:
-            w_h._accumulate(
+            w_h._accumulate_fresh(
                 h_prevs.reshape(batch * steps, size).T
                 @ d_pre_all.reshape(batch * steps, 4 * size)
             )
         if b.requires_grad:
-            b._accumulate(d_pre_flat.sum(axis=0))
+            b._accumulate_fresh(d_pre_flat.sum(axis=0))
         if h0.requires_grad:
-            h0._accumulate(d_hidden)
+            h0._accumulate_fresh(d_hidden)
         if c0.requires_grad:
-            c0._accumulate(d_cell)
+            c0._accumulate_fresh(d_cell)
 
     def backward_outputs(grad: np.ndarray) -> None:
         run_bptt(grad, None)

@@ -45,6 +45,14 @@
  * and the pair's maximum recomputed from the product) and col2im_1d (the
  * column-gradient scatter, one strided += per kernel offset, last first).
  * Same NotImplemented contract.
+ *
+ * BPTT step kernels (the recurrent sequences' closed-form backward in
+ * nn/functional.py, one call per time step): gru_bptt_step and
+ * lstm_bptt_step run a step's elementwise block -- the carry add, the gate
+ * gradients, the writes of the step's rows of the gate-gradient slabs --
+ * and return the carried gradient.  The recurrent product between two
+ * steps and the hoisted weight / input products after the loop stay
+ * numpy's.  Exact IEEE arithmetic only; same NotImplemented contract.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1289,6 +1297,163 @@ static PyObject *py_col2im_1d(PyObject *self, PyObject *args) {
     return (PyObject *)out;
 }
 
+/* ------------------------------------------------------------------ */
+/* BPTT step kernels: one time step t of the closed-form backward of  */
+/* gru_sequence / lstm_sequence.  Every operand is read and written   */
+/* through its strides, so the (B, H) rows of step t of a (B, T, W)   */
+/* slab need no copy; the slabs written must not overlap the inputs   */
+/* (the callers allocate them).  NotImplemented, before anything is   */
+/* written, for an operand that is not an aligned float64 array of    */
+/* the documented shape, a slab that is read-only, or t outside       */
+/* [0, T).                                                            */
+/* ------------------------------------------------------------------ */
+
+/* 1 when obj is an aligned float64 array of shape dims (and writable
+   when asked). */
+static int rc_is_shaped(PyObject *obj, int ndim, const npy_intp *dims, int writable) {
+    if (!rc_is_f64(obj, ndim)) return 0;
+    PyArrayObject *a = (PyArrayObject *)obj;
+    if (!PyArray_ISALIGNED(a) || (writable && !PyArray_ISWRITEABLE(a))) return 0;
+    for (int k = 0; k < ndim; ++k)
+        if (PyArray_DIM(a, k) != dims[k]) return 0;
+    return 1;
+}
+
+/* The (B, W) rows of one operand: step t of a (B, T, W) slab, or a whole
+   (B, W) array (t ignored). */
+typedef struct {
+    char *base;
+    npy_intp s_b, s_j;
+} rc_rows;
+
+static rc_rows rc_step_rows(PyObject *obj, npy_intp t) {
+    PyArrayObject *a = (PyArrayObject *)obj;
+    rc_rows rows;
+    const int three = PyArray_NDIM(a) == 3;
+    rows.base = PyArray_BYTES(a) + (three ? t * PyArray_STRIDE(a, 1) : 0);
+    rows.s_b = PyArray_STRIDE(a, 0);
+    rows.s_j = PyArray_STRIDE(a, three ? 2 : 1);
+    return rows;
+}
+
+#define RC_ROW(rows, b, j) (*(double *)((rows).base + (b) * (rows).s_b + (j) * (rows).s_j))
+
+/* gru_bptt_step(t, d_hidden (B, H), grad (B, T, H), resets, updates,
+   candidates, h_prevs, gh_ns (B, T, H), d_gx_all, d_gh_all (B, T, 3H))
+   -> the carry (B, H), C-contiguous.  Oracle
+   (backend.ExecutionBackend.gru_bptt_step):
+     d_hidden  = d_hidden + grad[:, t]
+     d_cand    = d_hidden * (1.0 - z);  d_update = d_hidden * (h_prev - n)
+     d_pre_n   = d_cand * (1.0 - n ** 2);  d_reset = d_pre_n * gh_n
+     d_pre_r   = (d_reset * r) * (1.0 - r)
+     d_pre_z   = (d_update * z) * (1.0 - z)
+     d_gx[:, t] = [d_pre_r | d_pre_z | d_pre_n]
+     d_gh[:, t] = [d_pre_r | d_pre_z | d_pre_n * r]
+     return d_hidden * z                       (x ** 2 is x * x) */
+static PyObject *py_gru_bptt_step(PyObject *self, PyObject *args) {
+    Py_ssize_t t;
+    PyObject *o[9];
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOO", &t, &o[0], &o[1], &o[2], &o[3], &o[4], &o[5],
+                          &o[6], &o[7], &o[8]))
+        return NULL;
+    if (!rc_is_f64(o[0], 2) || !rc_is_f64(o[1], 3)) Py_RETURN_NOTIMPLEMENTED;
+    const npy_intp batch = PyArray_DIM((PyArrayObject *)o[0], 0);
+    const npy_intp size = PyArray_DIM((PyArrayObject *)o[0], 1);
+    const npy_intp steps = PyArray_DIM((PyArrayObject *)o[1], 1);
+    const npy_intp hidden_dims[2] = {batch, size}, cache_dims[3] = {batch, steps, size};
+    const npy_intp slab_dims[3] = {batch, steps, 3 * size};
+    int eligible = t >= 0 && t < steps && rc_is_shaped(o[0], 2, hidden_dims, 0);
+    for (int k = 1; eligible && k < 7; ++k) eligible = rc_is_shaped(o[k], 3, cache_dims, 0);
+    for (int k = 7; eligible && k < 9; ++k) eligible = rc_is_shaped(o[k], 3, slab_dims, 1);
+    if (!eligible) Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, hidden_dims, NPY_DOUBLE);
+    if (out == NULL) return NULL;
+    const rc_rows dh = rc_step_rows(o[0], t), g = rc_step_rows(o[1], t);
+    const rc_rows r = rc_step_rows(o[2], t), z = rc_step_rows(o[3], t);
+    const rc_rows n = rc_step_rows(o[4], t), hp = rc_step_rows(o[5], t);
+    const rc_rows ghn = rc_step_rows(o[6], t);
+    const rc_rows dgx = rc_step_rows(o[7], t), dgh = rc_step_rows(o[8], t);
+    double *carry = RC_DATA(out);
+    for (npy_intp b = 0; b < batch; ++b) {
+        for (npy_intp j = 0; j < size; ++j) {
+            const double d = RC_ROW(dh, b, j) + RC_ROW(g, b, j);
+            const double vr = RC_ROW(r, b, j), vz = RC_ROW(z, b, j), vn = RC_ROW(n, b, j);
+            const double d_cand = d * (1.0 - vz);
+            const double d_update = d * (RC_ROW(hp, b, j) - vn);
+            const double d_pre_n = d_cand * (1.0 - vn * vn);
+            const double d_reset = d_pre_n * RC_ROW(ghn, b, j);
+            const double d_pre_r = (d_reset * vr) * (1.0 - vr);
+            const double d_pre_z = (d_update * vz) * (1.0 - vz);
+            RC_ROW(dgx, b, j) = d_pre_r;
+            RC_ROW(dgx, b, size + j) = d_pre_z;
+            RC_ROW(dgx, b, 2 * size + j) = d_pre_n;
+            RC_ROW(dgh, b, j) = d_pre_r;
+            RC_ROW(dgh, b, size + j) = d_pre_z;
+            RC_ROW(dgh, b, 2 * size + j) = d_pre_n * vr;
+            carry[b * size + j] = d * vz;
+        }
+    }
+    return (PyObject *)out;
+}
+
+/* lstm_bptt_step(t, d_hidden (B, H), d_cell (B, H), grad (B, T, H) or None,
+   gates_i, gates_f, gates_g, gates_o, tanh_cells, c_prevs (B, T, H),
+   d_pre_all (B, T, 4H)) -> the carry (B, H), C-contiguous.  Oracle
+   (backend.ExecutionBackend.lstm_bptt_step):
+     d_hidden = d_hidden + grad[:, t]          (when grad is not None)
+     d_o      = d_hidden * tc
+     d_cell   = d_cell + (d_hidden * o) * (1.0 - tc ** 2)
+     d_pre[:, t] = [((d_cell * g) * i) * (1.0 - i)
+                   | ((d_cell * c_prev) * f) * (1.0 - f)
+                   | (d_cell * i) * (1.0 - g ** 2)
+                   | (d_o * o) * (1.0 - o)]
+     return d_cell * f                          (x ** 2 is x * x) */
+static PyObject *py_lstm_bptt_step(PyObject *self, PyObject *args) {
+    Py_ssize_t t;
+    PyObject *o[10];
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOOO", &t, &o[0], &o[1], &o[2], &o[3], &o[4], &o[5],
+                          &o[6], &o[7], &o[8], &o[9]))
+        return NULL;
+    const int has_grad = o[2] != Py_None;
+    if (!rc_is_f64(o[0], 2) || !rc_is_f64(o[9], 3)) Py_RETURN_NOTIMPLEMENTED;
+    const npy_intp batch = PyArray_DIM((PyArrayObject *)o[0], 0);
+    const npy_intp size = PyArray_DIM((PyArrayObject *)o[0], 1);
+    const npy_intp steps = PyArray_DIM((PyArrayObject *)o[9], 1);
+    const npy_intp hidden_dims[2] = {batch, size}, cache_dims[3] = {batch, steps, size};
+    const npy_intp slab_dims[3] = {batch, steps, 4 * size};
+    int eligible = t >= 0 && t < steps && rc_is_shaped(o[0], 2, hidden_dims, 0) &&
+                   rc_is_shaped(o[1], 2, hidden_dims, 0) &&
+                   (!has_grad || rc_is_shaped(o[2], 3, cache_dims, 0)) &&
+                   rc_is_shaped(o[9], 3, slab_dims, 1);
+    for (int k = 3; eligible && k < 9; ++k) eligible = rc_is_shaped(o[k], 3, cache_dims, 0);
+    if (!eligible) Py_RETURN_NOTIMPLEMENTED;
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, hidden_dims, NPY_DOUBLE);
+    if (out == NULL) return NULL;
+    const rc_rows dh = rc_step_rows(o[0], t), dc = rc_step_rows(o[1], t);
+    const rc_rows g = has_grad ? rc_step_rows(o[2], t) : dh;
+    const rc_rows gi = rc_step_rows(o[3], t), gf = rc_step_rows(o[4], t);
+    const rc_rows gg = rc_step_rows(o[5], t), go = rc_step_rows(o[6], t);
+    const rc_rows tc = rc_step_rows(o[7], t), cp = rc_step_rows(o[8], t);
+    const rc_rows dpre = rc_step_rows(o[9], t);
+    double *carry = RC_DATA(out);
+    for (npy_intp b = 0; b < batch; ++b) {
+        for (npy_intp j = 0; j < size; ++j) {
+            const double d = has_grad ? RC_ROW(dh, b, j) + RC_ROW(g, b, j) : RC_ROW(dh, b, j);
+            const double vi = RC_ROW(gi, b, j), vf = RC_ROW(gf, b, j);
+            const double vg = RC_ROW(gg, b, j), vo = RC_ROW(go, b, j);
+            const double vt = RC_ROW(tc, b, j);
+            const double d_o = d * vt;
+            const double d_cell = RC_ROW(dc, b, j) + (d * vo) * (1.0 - vt * vt);
+            RC_ROW(dpre, b, j) = ((d_cell * vg) * vi) * (1.0 - vi);
+            RC_ROW(dpre, b, size + j) = ((d_cell * RC_ROW(cp, b, j)) * vf) * (1.0 - vf);
+            RC_ROW(dpre, b, 2 * size + j) = (d_cell * vi) * (1.0 - vg * vg);
+            RC_ROW(dpre, b, 3 * size + j) = (d_o * vo) * (1.0 - vo);
+            carry[b * size + j] = d_cell * vf;
+        }
+    }
+    return (PyObject *)out;
+}
+
 static PyMethodDef rc_gemm_methods[] = {
     {"rc_gemm", py_rc_gemm, METH_VARARGS,
      "Row-consistent f64 GEMM, bit-identical to np.einsum('ik,kh->ih')."},
@@ -1328,6 +1493,10 @@ static PyMethodDef rc_gemm_methods[] = {
      "Gradient of bias_relu_pool's h: pool-select times ReLU mask, (n, L, C) out."},
     {"col2im_1d", py_col2im_1d, METH_VARARGS,
      "Backward of im2col_1d: column gradient scattered onto (n, C, length)."},
+    {"gru_bptt_step", py_gru_bptt_step, METH_VARARGS,
+     "One GRU BPTT step: gate gradients into the step's slab rows, the carry out."},
+    {"lstm_bptt_step", py_lstm_bptt_step, METH_VARARGS,
+     "One LSTM BPTT step: gate gradients into the step's slab rows, the carry out."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef rc_gemm_module = {

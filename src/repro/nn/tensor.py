@@ -23,6 +23,11 @@ Design notes
 * Broadcasting is supported for elementwise operations; gradients of
   broadcast operands are reduced back to the original shape with
   :func:`_unbroadcast`.
+* ``.grad`` is a private buffer (``clip_grad_norm`` scales it in place): a
+  first gradient that is borrowed — the upstream gradient passed through,
+  a view of it, a cache — is copied, while one the node has just allocated
+  (a product, a reduction, an elementwise result) is handed over as is
+  (:meth:`Tensor._accumulate_fresh`).
 * Graph recording can be disabled globally with :func:`no_grad`, which is
   used for inference-only passes (e.g. the censor classifying a flow, or the
   actor generating rollouts).
@@ -220,11 +225,41 @@ class Tensor:
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` to this tensor's gradient.  A first gradient is
+        copied: ``grad`` may be borrowed (the upstream gradient passed
+        through, a view of it, a forward cache), and ``.grad`` is a private
+        buffer that ``clip_grad_norm`` scales in place."""
         grad = np.asarray(grad, dtype=np.float64)
         if self.grad is None:
             self.grad = grad.copy()
         else:
             self.grad = self.grad + grad
+
+    def _accumulate_fresh(self, grad: np.ndarray) -> None:
+        """:meth:`_accumulate` for an array its caller has just allocated
+        and keeps no reference to (a product, a reduction, an elementwise
+        result): a first gradient adopts it rather than copying it, if it
+        is a writable C-contiguous float64 array — the buffer a copy would
+        have made."""
+        if (
+            self.grad is None
+            and type(grad) is np.ndarray
+            and grad.dtype == np.float64
+            and grad.flags.c_contiguous
+            and grad.flags.writeable
+        ):
+            self.grad = grad
+        else:
+            self._accumulate(grad)
+
+    def _accumulate_reduced(self, grad: np.ndarray) -> None:
+        """Accumulate ``grad`` reduced to this tensor's shape: a reduction is
+        fresh and handed over, ``grad`` itself (equal shapes) is borrowed."""
+        reduced = _unbroadcast(grad, self.data.shape)
+        if reduced is grad:
+            self._accumulate(grad)
+        else:
+            self._accumulate_fresh(reduced)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -251,9 +286,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.data.shape))
+                self._accumulate_reduced(grad)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.data.shape))
+                other._accumulate_reduced(grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -262,7 +297,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate_fresh(-grad)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -278,9 +313,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+                self._accumulate_fresh(_unbroadcast(grad * other.data, self.data.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+                other._accumulate_fresh(_unbroadcast(grad * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -292,9 +327,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+                self._accumulate_fresh(_unbroadcast(grad / other.data, self.data.shape))
             if other.requires_grad:
-                other._accumulate(
+                other._accumulate_fresh(
                     _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
                 )
 
@@ -307,7 +342,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate_fresh(grad * exponent * self.data ** (exponent - 1))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -319,7 +354,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate_fresh(grad * out_data)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -328,7 +363,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate_fresh(grad / self.data)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -337,7 +372,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
+                self._accumulate_fresh(grad * (1.0 - out_data ** 2))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -346,7 +381,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate_fresh(grad * out_data * (1.0 - out_data))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -356,7 +391,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate_fresh(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -366,7 +401,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * sign)
+                self._accumulate_fresh(grad * sign)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -377,7 +412,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate_fresh(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -416,16 +451,16 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 if other.data.ndim == 1:
-                    self._accumulate(np.outer(grad, other.data).reshape(self.data.shape))
+                    self._accumulate_fresh(np.outer(grad, other.data).reshape(self.data.shape))
                 else:
-                    self._accumulate(
+                    self._accumulate_fresh(
                         _unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.data.shape)
                     )
             if other.requires_grad:
                 if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad).reshape(other.data.shape))
+                    other._accumulate_fresh(np.outer(self.data, grad).reshape(other.data.shape))
                 else:
-                    other._accumulate(
+                    other._accumulate_fresh(
                         _unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.data.shape)
                     )
 
@@ -466,7 +501,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate_fresh(full)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -494,9 +529,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * condition, a.data.shape))
+                a._accumulate_fresh(_unbroadcast(grad * condition, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * (~condition), b.data.shape))
+                b._accumulate_fresh(_unbroadcast(grad * (~condition), b.data.shape))
 
         return Tensor._make(out_data, (a, b), backward)
 

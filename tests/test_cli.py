@@ -369,8 +369,9 @@ class TestCommands:
         assert "fused-cell kernels:" in out
         from repro.nn import backend as nn_backend
 
-        if nn_backend.fused_cells_available():  # the compiled list names DF training's hooks
+        if nn_backend.fused_cells_available():  # the compiled list names the training hooks
             assert "bias_relu_pool_backward / col2im_1d" in out
+            assert "gru_bptt_step / lstm_bptt_step" in out
         # One describe() line per registered backend.
         assert "  blocked: " in out and "  reference: name=reference\n" in out
 
@@ -391,3 +392,22 @@ class TestCommands:
         assert "cc1: fatal error: boom" in out
         assert "numpy fallback" in out
         assert "gates: boom" in out
+
+    def test_fused_fallback_warning_names_the_bptt_hooks(self, capsys, monkeypatch):
+        """A failed fused self-check announces every hook it degrades, the
+        BPTT step hooks of pre-training and LSTM fit among them, and the
+        diagnostic reports the failure."""
+        from repro.nn import backend as nn_backend
+
+        monkeypatch.setattr(nn_backend, "_GATES_OK", None)
+        monkeypatch.setattr(nn_backend, "_GATES_ERROR", None)
+
+        def boom(kernel):
+            raise RuntimeError("self-check forced to fail")
+
+        monkeypatch.setattr(nn_backend, "_self_check_fused_cells", boom)
+        with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as caught:
+            assert main(["backends"]) == 0
+        assert "gru_bptt_step / lstm_bptt_step" in str(caught[0].message)
+        out = capsys.readouterr().out
+        assert "fused-cell kernels:  numpy fallback" in out and "forced to fail" in out

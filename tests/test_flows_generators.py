@@ -18,7 +18,11 @@ from repro.flows import (
     build_v2ray_dataset,
 )
 
-from oracles.flow_generators_reference import ReferenceTorFlowGenerator
+from oracles.flow_generators_reference import (
+    ReferenceHTTPSFlowGenerator,
+    ReferenceHTTPSRecordFlowGenerator,
+    ReferenceTorFlowGenerator,
+)
 
 GENERATORS = [TorFlowGenerator, HTTPSFlowGenerator, V2RayFlowGenerator, HTTPSRecordFlowGenerator]
 
@@ -200,6 +204,72 @@ class TestTorBulkDrawsOracle:
         fast = TorFlowGenerator(rng=max_packets, **kwargs)
         reference = ReferenceTorFlowGenerator(rng=max_packets, **kwargs)
         assert_same_flows_and_stream(fast, reference, fast.generate_many(150), reference.generate_many(150))
+
+
+# (production, reference, constructor variant): the defaults, the smallest
+# segment sizes accepted, and a record size below the tail floor, where every
+# segment of a burst draws its own integer.
+HTTPS_CASES = {
+    "https-default": (HTTPSFlowGenerator, ReferenceHTTPSFlowGenerator, {}),
+    "https-mss_1000": (HTTPSFlowGenerator, ReferenceHTTPSFlowGenerator, {"mss": 1000}),
+    "https-small_pages": (HTTPSFlowGenerator, ReferenceHTTPSFlowGenerator, {"mean_page_kb": 5}),
+    "records-default": (HTTPSRecordFlowGenerator, ReferenceHTTPSRecordFlowGenerator, {}),
+    "records-1460": (HTTPSRecordFlowGenerator, ReferenceHTTPSRecordFlowGenerator, {"max_record": 1460}),
+    "records-50": (HTTPSRecordFlowGenerator, ReferenceHTTPSRecordFlowGenerator, {"max_record": 50}),
+    "records-1": (HTTPSRecordFlowGenerator, ReferenceHTTPSRecordFlowGenerator, {"max_record": 1}),
+}
+
+
+class _IntegersLog:
+    """Wraps a generator, recording the ``(low, high)`` of its ``integers`` draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bounds = []
+
+    def integers(self, low, high, *args, **kwargs):
+        self.bounds.append((low, high))
+        return self._rng.integers(low, high, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestHTTPSBulkBurstsOracle:
+    """The benign generators' bulk response bursts consume the stream exactly
+    as the per-packet seed loops in ``tests/oracles/flow_generators_reference.py``
+    do: same sizes, same delays, same final bit-generator state."""
+
+    @pytest.mark.parametrize("case", sorted(HTTPS_CASES))
+    @pytest.mark.parametrize("max_packets", [1, 7, 40, 120])
+    def test_single_flows_match_reference(self, max_packets, case):
+        generator_cls, reference_cls, kwargs = HTTPS_CASES[case]
+        for seed in range(5):
+            fast = generator_cls(rng=seed, max_packets=max_packets, **kwargs)
+            reference = reference_cls(rng=seed, max_packets=max_packets, **kwargs)
+            assert_same_flows_and_stream(fast, reference, [fast.generate()], [reference.generate()])
+
+    @pytest.mark.parametrize("case", sorted(HTTPS_CASES))
+    @pytest.mark.parametrize("max_packets", [1, 7, 40, 120])
+    def test_generate_many_carries_the_stream(self, max_packets, case):
+        generator_cls, reference_cls, kwargs = HTTPS_CASES[case]
+        fast = generator_cls(rng=max_packets, max_packets=max_packets, **kwargs)
+        reference = reference_cls(rng=max_packets, max_packets=max_packets, **kwargs)
+        assert_same_flows_and_stream(fast, reference, fast.generate_many(60), reference.generate_many(60))
+
+    @pytest.mark.parametrize(
+        "case, tail", [("https-default", (80, 300)), ("records-1460", (100, 400)), ("records-50", (100, 400))]
+    )
+    def test_sweep_covers_cut_bursts_and_tail_segments(self, case, tail):
+        """The sweep above reaches both draw-order corners: bursts cut by
+        ``max_packets`` (a full flow ending downstream) and tail segments that
+        draw an integer before their delay."""
+        generator_cls, _, kwargs = HTTPS_CASES[case]
+        generator = generator_cls(rng=40, max_packets=40, **kwargs)
+        generator._rng = draws = _IntegersLog(generator._rng)
+        flows = generator.generate_many(60)
+        assert any(flow.n_packets == 40 and flow.sizes[-1] < 0 for flow in flows)
+        assert tail in draws.bounds
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8])

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles.optim_reference import AllocatingAdam
 from repro import nn
@@ -173,6 +174,11 @@ class TestBlockedEqualsReference:
                     with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
                         want, have = getattr(ref, hook)(*operands), getattr(backend, hook)(*operands)
                     _same_results(want, have, (name, hook, n, channels, operands[0].shape))
+        for batch, size in ((1, 1), (2, 3), (33, 32)):
+            for scale in (1.0, 50.0):
+                for hook, operands in TestBPTTHooks.operands(rng, batch, 3, size, scale, specials=0.1):
+                    want, have = TestBPTTHooks.run(ref, hook, operands), TestBPTTHooks.run(backend, hook, operands)
+                    TestBPTTHooks.same(want, have, (name, hook, batch, size, scale, operands[0]))
 
     def test_bit_identical_across_shapes(self):
         rng = np.random.default_rng(0)
@@ -708,6 +714,138 @@ class TestConvHooks:
             assert backend.col2im_1d(columns, 10, 5, 1, 2).shape == x.shape
 
 
+class TestBPTTHooks:
+    """The BPTT step hooks of ``gru_sequence`` / ``lstm_sequence``.  Their
+    operands feed the registry-wide bitwise test above; here the compiled
+    kernels equal the numpy bodies on every bit over sizes, saturated gates
+    and IEEE specials, pre-training and LSTM fit never take the numpy body
+    under ``blocked``, and operands outside the kernels' fast path take it."""
+
+    HOOKS = ("gru_bptt_step", "lstm_bptt_step")
+    SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+    @staticmethod
+    def operands(rng, batch, steps, size, scale=1.0, specials=0.0):
+        """``(hook, args)`` of both hooks at every step (the LSTM's with and
+        without an output gradient): gate caches of pre-activations of
+        magnitude ``scale``, a share ``specials`` of every input replaced by
+        ±0.0 / NaN / ±inf, NaN-filled slabs."""
+
+        def spiked(array):
+            hit = rng.random(array.shape) < specials
+            array[hit] = rng.choice(TestBPTTHooks.SPECIALS, size=int(hit.sum()))
+            return array
+
+        shape = (batch, steps, size)
+        cases = []
+        for t in range(steps):
+            d_hidden = spiked(rng.standard_normal((batch, size)) * scale)
+            d_cell = spiked(rng.standard_normal((batch, size)) * scale)
+            grad = spiked(rng.standard_normal(shape))
+            gru = [spiked(cache) for cache in nnb._bptt_caches(rng, shape, scale, nnb._GRU_BPTT_CACHES)]
+            lstm = [spiked(cache) for cache in nnb._bptt_caches(rng, shape, scale, nnb._LSTM_BPTT_CACHES)]
+            gru_slabs = np.full((2, batch, steps, 3 * size), np.nan)
+            cases.append(("gru_bptt_step", (t, d_hidden, grad, *gru, *gru_slabs)))
+            for upstream in (grad, None):
+                lstm_slab = np.full((batch, steps, 4 * size), np.nan)
+                cases.append(("lstm_bptt_step", (t, d_hidden, d_cell, upstream, *lstm, lstm_slab)))
+        return cases
+
+    @staticmethod
+    def same(want, have, what):
+        """Equal bits in every element but a NaN, which must be NaN in both
+        but may carry another sign or payload: where two NaNs meet, x86
+        returns the first operand's, and neither numpy's loops nor the C
+        compiler fix which operand of a commutative add or multiply is first."""
+        assert len(want) == len(have), what
+        for expected, got in zip(want, have):
+            assert expected.shape == got.shape and got.dtype == expected.dtype == np.float64, what
+            nan = np.isnan(expected)
+            assert np.array_equal(nan, np.isnan(got)), what
+            assert np.array_equal(expected[~nan].view(np.uint64), got[~nan].view(np.uint64)), what
+
+    @staticmethod
+    def run(backend, hook, operands):
+        """``hook`` on copies of the slabs it writes: ``(carry, *slabs)``."""
+        count = 2 if hook == "gru_bptt_step" else 1
+        slabs = [slab.copy() for slab in operands[-count:]]
+        with np.errstate(all="ignore"):
+            return (getattr(backend, hook)(*operands[:-count], *slabs), *slabs)
+
+    @given(
+        batch=st.sampled_from([1, 2, 33]),
+        size=st.sampled_from([1, 3, 32]),
+        steps=st.integers(1, 3),
+        scale=st.sampled_from([1.0, 50.0]),
+        specials=st.sampled_from([0.0, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_compiled_kernels_equal_the_numpy_bodies(self, batch, size, steps, scale, specials, seed):
+        kernel = nnb._gates_kernel()
+        if kernel is None:
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        reference = nnb.get_backend("reference")
+        for hook, operands in self.operands(np.random.default_rng(seed), batch, steps, size, scale, specials):
+            have = self.run(kernel, hook, operands)
+            assert have[0] is not NotImplemented, hook
+            self.same(self.run(reference, hook, operands), have, (hook, operands[0]))
+
+    def test_blocked_pretraining_and_lstm_fit_never_fall_back(self, monkeypatch):
+        """Under ``blocked`` every BPTT step of the StateEncoder's pre-training
+        and of the LSTM censor's fit is one compiled call."""
+        if not nnb.fused_cells_available():
+            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        from repro.core import pretrain_state_encoder
+        from repro.pipeline import make_censor, prepare_experiment_data
+
+        kernel, calls = nnb._gates_kernel(), {hook: 0 for hook in self.HOOKS}
+        for hook in self.HOOKS:
+
+            def forbidden(*args, _hook=hook, **kwargs):
+                raise AssertionError(f"{_hook} fell back to the numpy body")
+
+            def counted(*args, _hook=hook, _kernel=getattr(kernel, hook)):
+                calls[_hook] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+            monkeypatch.setattr(kernel, hook, counted)
+        with nnb.use_backend("blocked"):
+            pretrain_state_encoder(hidden_size=8, num_layers=2, n_flows=20, max_length=6, epochs=1, rng=0)
+            assert calls["gru_bptt_step"] > 0
+            data = prepare_experiment_data("tor", n_censored=10, n_benign=10, max_packets=8, rng=0)
+            make_censor("LSTM", data, rng=1, epochs=4).fit(data.splits.clf_train.flows)
+            assert calls["lstm_bptt_step"] > 0
+
+    def test_operands_outside_the_fast_path_take_the_numpy_body(self):
+        """Strided operands stay on the compiled path; float32, a read-only
+        slab or a step outside ``[0, T)`` take the numpy body (which raises
+        for the step, as it always did)."""
+        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        kernel = nnb._gates_kernel()
+        rng = np.random.default_rng(95)
+        hook, operands = self.operands(rng, 4, 3, 5)[0]
+        t, d_hidden, grad, *rest = operands
+        strided = np.ascontiguousarray(grad.transpose(2, 1, 0)).transpose(2, 1, 0)
+        args = (t, d_hidden[:, ::-1].copy()[:, ::-1], strided, *rest)
+        if kernel is not None:
+            assert self.run(kernel, hook, args)[0] is not NotImplemented
+        _same_results(self.run(reference, hook, args), self.run(blocked, hook, args), "strided")
+        narrow = (t, d_hidden.astype(np.float32), grad, *rest)
+        if kernel is not None:
+            assert self.run(kernel, hook, narrow)[0] is NotImplemented
+        _same_results(self.run(reference, hook, narrow), self.run(blocked, hook, narrow), "float32")
+        frozen = [slab.copy() for slab in rest[-2:]]
+        for slab in frozen:
+            slab.flags.writeable = False
+        if kernel is not None:
+            assert kernel.gru_bptt_step(t, d_hidden, grad, *rest[:-2], *frozen) is NotImplemented
+        for name in nnb.available_backends():
+            with pytest.raises(IndexError):
+                self.run(nnb.get_backend(name), hook, (3, d_hidden, grad, *rest))
+
+
 class TestPinnedNumpyAssumptions:
     """numpy behaviour the training and conv-block kernels reproduce rather
     than call.
@@ -734,6 +872,18 @@ class TestPinnedNumpyAssumptions:
         for x in self._values(np.random.default_rng(80)):
             with np.errstate(all="ignore"):
                 _same_bits(x ** 2, x * x)
+
+    def test_square_power_of_a_step_view_equals_self_product(self):
+        """``x ** 2`` of the strided ``(B, H)`` view ``caches[:, t]`` of a
+        ``(B, T, H)`` cache is ``x * x`` too: ``gru_bptt_step`` and
+        ``lstm_bptt_step`` square the candidate, tanh-cell and g-gate views
+        by multiplying."""
+        rng = np.random.default_rng(81)
+        for x in self._values(rng)[:40]:
+            cache = np.stack([x, -x[::-1], x * 3.0], axis=1).reshape(len(x), 3, 1) * np.ones(4)
+            for t in range(3):
+                with np.errstate(all="ignore"):
+                    _same_bits(cache[:, t] ** 2, cache[:, t] * cache[:, t])
 
     def test_ndarray_sum_is_the_pairwise_sum_from_zero(self):
         """``ndarray.sum()`` of a C-contiguous float64 array, any shape, is

@@ -323,3 +323,49 @@ class TestStableSigmoid:
     def test_preserves_shape(self):
         assert F.stable_sigmoid(np.zeros((3, 4))).shape == (3, 4)
         assert np.all(F.stable_sigmoid(np.zeros((3, 4))) == 0.5)
+
+
+class TestSequenceShapes:
+    """``x`` must be ``(B, T >= 1, in)`` and each initial state ``(B, H)``.
+    Anything else -- a ``(1, H)`` state the reference numpy would broadcast,
+    a state of another width, a sequence with no steps -- raises one
+    ``ValueError`` naming the shapes, on every backend, before any
+    projection."""
+
+    CASES = [
+        ((4, 3, 2), (1, 5), (4, 5)),  # h0 of one row for a batch of four
+        ((4, 3, 2), (4, 5), (1, 5)),  # c0 of one row (LSTM)
+        ((4, 3, 2), (4, 6), (4, 5)),  # h0 of another width
+        ((4, 0, 2), (4, 5), (4, 5)),  # no time steps
+        ((4, 3, 3), (4, 5), (4, 5)),  # inputs of another width
+        ((4, 3), (4, 5), (4, 5)),  # not a sequence
+    ]
+
+    @staticmethod
+    def _run(family, backend, x_shape, h_shape, c_shape, monkeypatch):
+        def no_projection(*args):
+            raise AssertionError("projected before checking the shapes")
+
+        monkeypatch.setattr(F, "rc_matmul", no_projection)
+        cell = (nn.GRUCell if family == "gru" else nn.LSTMCell)(2, 5, rng=np.random.default_rng(0))
+        x, h0, c0 = nn.Tensor(np.ones(x_shape)), nn.Tensor(np.zeros(h_shape)), nn.Tensor(np.zeros(c_shape))
+        with nn.use_backend(backend), pytest.raises(ValueError) as excinfo:
+            if family == "gru":
+                F.gru_sequence(x, cell.w_x, cell.w_h, cell.b, h0)
+            else:
+                F.lstm_sequence(x, cell.w_x, cell.w_h, cell.b, h0, c0)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "family, x_shape, h_shape, c_shape",
+        [("lstm", *case) for case in CASES] + [("gru", *case) for case in CASES if case[2] == (4, 5)],
+    )
+    def test_every_backend_raises_the_same_error(self, family, x_shape, h_shape, c_shape, monkeypatch):
+        messages = {
+            self._run(family, backend, x_shape, h_shape, c_shape, monkeypatch)
+            for backend in nn.available_backends()
+        }
+        assert len(messages) == 1
+        (message,) = messages
+        assert message.startswith(f"{family}_sequence expects x (")
+        assert f"got x {x_shape}, h0 {h_shape}" in message

@@ -309,3 +309,106 @@ class TestGraphWalk:
             backward(loss)
             grads.append(x.grad)
         assert np.array_equal(grads[0].view(np.uint64), grads[1].view(np.uint64))
+
+
+def _cached_arrays(nodes):
+    """Every array a recorded graph holds besides gradients: each node's
+    ``data`` and whatever its backward closure captured (caches, parents'
+    data, nested closures such as the LSTM's shared BPTT runner)."""
+    arrays, seen = [], set()
+    stack = [node.data for node in nodes] + [node._backward for node in nodes if node._backward]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, Tensor):
+            stack.append(value.data)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            for cell in value.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    continue
+    return arrays
+
+
+class TestGradientOwnership:
+    """After ``backward`` no ``.grad`` shares memory with another ``.grad``,
+    a forward cache or the upstream gradient: a node hands over only the
+    arrays it has just allocated, and ``clip_grad_norm`` scales ``.grad`` in
+    place, so a shared buffer would scale twice or corrupt a cache."""
+
+    @pytest.fixture
+    def backwards(self, monkeypatch):
+        """Checks ownership after every ``backward`` of the test; returns the
+        number of graphs checked."""
+        from repro.nn.tensor import _topological_order
+
+        checked = []
+        original = Tensor.backward
+
+        def checking(root, grad=None):
+            original(root, grad)
+            nodes = _topological_order(root)
+            grads = [node.grad for node in nodes if node.grad is not None]
+            borrowed = _cached_arrays(nodes) + ([grad] if isinstance(grad, np.ndarray) else [])
+            for index, owned in enumerate(grads):
+                for other in grads[index + 1 :] + borrowed:
+                    assert not np.shares_memory(owned, other)
+            checked.append(len(grads))
+
+        monkeypatch.setattr(Tensor, "backward", checking)
+        return checked
+
+    def test_df_fit_steps(self, backwards):
+        from repro.pipeline import make_censor, prepare_experiment_data
+
+        data = prepare_experiment_data("v2ray", n_censored=12, n_benign=12, max_packets=16, rng=0)
+        make_censor("DF", data, rng=1, epochs=1).fit(data.splits.clf_train.flows)
+        assert backwards and min(backwards) > 8
+
+    def test_ppo_minibatches(self, backwards):
+        from repro.core.actor_critic import Critic, GaussianActor
+        from repro.core.config import AmoebaConfig
+        from repro.core.ppo import PPOUpdater
+        from repro.core.rollout import RolloutBuffer
+
+        rng = np.random.default_rng(4)
+        buffer = RolloutBuffer(8, 3, 6, 2)
+        buffer.load(
+            rng.normal(size=(8, 3, 6)),
+            rng.normal(size=(8, 3, 2)),
+            rng.normal(size=(8, 3)),
+            rng.normal(size=(8, 3)),
+            rng.normal(size=(8, 3)),
+            rng.random((8, 3)) < 0.1,
+        )
+        buffer.finalize(rng.normal(size=3), 0.99, 0.95)
+        config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=2, update_epochs=2)
+        actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
+        critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
+        PPOUpdater(actor, critic, config, rng=3).update(buffer)
+        assert backwards and min(backwards) > 4
+
+    @pytest.mark.parametrize("family", ["gru", "lstm"])
+    def test_recurrent_sequences(self, backwards, family):
+        rng = np.random.default_rng(5)
+        layers = (nn.GRU if family == "gru" else nn.LSTM)(3, 4, num_layers=2, rng=rng)
+        x = Tensor(rng.standard_normal((5, 6, 3)), requires_grad=True)
+        if family == "gru":
+            state = [Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(2)]
+        else:
+            state = [
+                tuple(Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(2))
+                for _ in range(2)
+            ]
+        outputs, final = layers(x, state)
+        outputs.backward(rng.standard_normal(outputs.shape))
+        if family == "lstm":  # the final cell state's own node
+            final[-1][1].backward(rng.standard_normal((5, 4)))
+        assert backwards and min(backwards) >= 8
