@@ -41,6 +41,6 @@ def test_deployment_full_step_latency(benchmark, tor_suite):
         # A finished flow restarts in place (VectorFlowEnv.step resets it).
         actions, _ = agent.actor.act_batch(tracker.states())
         observations, _, dones, infos = vec_env.step(actions)
-        tracker.step(np.array([infos[0]["recorded_action"]]), observations, dones)
+        tracker.step(np.concatenate([observations, [infos[0]["recorded_action"]]]), dones)
 
     benchmark(per_packet_step)

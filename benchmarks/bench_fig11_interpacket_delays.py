@@ -58,7 +58,7 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     def pipeline_step():
         actions, _ = agent.actor.act_batch(tracker.states())
         observations, _, dones, infos = vec_env.step(actions)
-        tracker.step(np.array([infos[0]["recorded_action"]]), observations, dones)
+        tracker.step(np.concatenate([observations, [infos[0]["recorded_action"]]]), dones)
 
     pipeline_ms = _measure(pipeline_step, repeats=50)
 

@@ -373,8 +373,8 @@ class Amoeba:
             for row, index in enumerate(active):
                 if dones[row]:
                     results[index] = AdversarialResult.from_summary(infos[row]["episode"])
-            recorded_actions = np.array([info["recorded_action"] for info in infos])
-            tracker.step(recorded_actions, observations, dones, indices=active)
+            recorded_actions = [info["recorded_action"] for info in infos]
+            tracker.step(np.concatenate([observations, recorded_actions]), dones, indices=active)
             active = [index for row, index in enumerate(active) if not dones[row]]
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]

@@ -18,13 +18,12 @@ only considered sent once the cumulative adversarial bytes cover it.
 
 The environment has no single-step protocol of its own: a
 :class:`~repro.core.vec_env.VectorFlowEnv` drives it in two phases.
-``AdversarialFlowEnv._propose`` advances the emulator (the transition never
-depends on the censor) and ``AdversarialFlowEnv._settle`` folds the censor's
-scores into the reward, at any later time.  The emulator runs on Python
-floats end to end: the action's two components go straight into
-:func:`shape_packet_core`, and the observation and emitted-action pairs stay
-tuples, from which the vectorized caller builds one ``(n, 2)`` array per
-tick.
+``AdversarialFlowEnv._propose`` advances the emulator on Python floats (the
+transition never depends on the censor) and returns the step as a plain
+tuple, which the caller transposes into one tick record for all its slots;
+``VectorFlowEnv.settle`` later turns the censor's scores into rewards, as
+arrays.  Emitted packets go into the environment's preallocated rows; an
+episode copies its own out when it ends.
 
 The reward combines the censor's decision on the adversarial prefix with the
 data-overhead and time-overhead penalties:
@@ -55,7 +54,6 @@ __all__ = [
     "AdversarialFlowEnv",
     "EpisodeSummary",
     "ActionKind",
-    "PendingStep",
     "packet_direction",
     "shape_packet_core",
     "make_observation",
@@ -153,12 +151,19 @@ def _normalised_pair(
     """Signed size clipped to the size scale, delay clipped to the delay
     bound — the arithmetic of both :func:`make_observation` and
     :func:`record_action`, as a tuple of Python floats (the training
-    emulator keeps its pairs in this form and builds one ``(n, 2)`` array
-    per tick from them)."""
-    return (
-        _clip(direction * size_bytes / size_scale, -1.0, 1.0),
-        _clip(delay_ms / max_delay_ms, 0.0, 1.0),
-    )
+    emulator keeps its pairs in this form and builds one array per tick
+    from them).  Each clip is :func:`_clip`'s, written out."""
+    size = direction * size_bytes / size_scale
+    if size < -1.0:
+        size = -1.0
+    elif size > 1.0:
+        size = 1.0
+    delay = delay_ms / max_delay_ms
+    if delay < 0.0:
+        delay = 0.0
+    elif delay > 1.0:
+        delay = 1.0
+    return size, delay
 
 
 def make_observation(
@@ -224,21 +229,18 @@ class EpisodeSummary:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Episode:
-    """Accounting of one episode, shared by the environment running it and
-    by every :class:`PendingStep` it issued.
-
-    ``_propose`` writes the emulator's side (emitted packets, payload, delay
-    and action counters), ``_settle`` the censor's (running reward).  Because
-    the record outlives :meth:`AdversarialFlowEnv.reset`, ``_settle`` reads
-    the same numbers whether it runs right after ``_propose`` or at the end
-    of a rollout, long after the environment moved on to its next flow.
-    """
+    """Accounting of one episode, shared by its environment and by the tick
+    records holding its steps: ``_propose`` writes the emulator's side,
+    ``VectorFlowEnv.settle`` the running reward.  Its packets are the first
+    ``length`` entries of ``sizes`` / ``delays``, the environment's rows
+    until it ends (then its own copy) or is abandoned (then the rows)."""
 
     original: Flow
-    sizes: List[float] = field(default_factory=list)
-    delays: List[float] = field(default_factory=list)
+    sizes: np.ndarray = field(repr=False)
+    delays: np.ndarray = field(repr=False)
+    length: int = 0
     reward: float = 0.0
     consumed_payload: float = 0.0
     added_delay: float = 0.0
@@ -248,84 +250,44 @@ class _Episode:
     adversarial: Optional[Flow] = None  # flow() of the finished episode
 
     def flow(self) -> Flow:
-        """The adversarial packets emitted so far as one validated flow.
-
-        An in-flight episode is rebuilt on every call; ``_propose`` builds a
-        finished one once and keeps it here — it is the summary's
-        ``adversarial_flow`` and owns its arrays, and every step's prefix is
-        a view into it.
-        """
+        """The packets emitted so far as one validated flow: over the rows
+        while in flight (rebuilt per call), built once by :meth:`finish`
+        (the summary's ``adversarial_flow``, owning its arrays)."""
         if self.adversarial is not None:
             return self.adversarial
         return Flow(
-            sizes=np.asarray(self.sizes),
-            delays=np.asarray(self.delays),
+            sizes=self.sizes[: self.length],
+            delays=self.delays[: self.length],
             label=self.original.label,
             protocol=f"{self.original.protocol}-adv",
             metadata={"original_packets": self.original.n_packets},
         )
 
+    def finish(self) -> None:
+        """End the episode: its flow owns a copy of the packets in the rows."""
+        self.sizes = self.sizes[: self.length].copy()
+        self.delays = self.delays[: self.length].copy()
+        self.adversarial = self.flow()
 
-@dataclass(eq=False, slots=True)
-class PendingStep:
-    """Deterministic outcome of ``AdversarialFlowEnv._propose``.
-
-    The environment's transition is fully determined by the action — the
-    censor's score only shapes the *reward* — so a step can be split into a
-    deterministic ``_propose`` phase (emulator advance, masking draw, episode
-    termination) and a ``_settle`` phase that consumes externally computed
-    censor scores, at any later time and after any number of further
-    ``_propose`` / ``reset`` calls on the same environment.  The censor must
-    score, in order: the adversarial prefix of ``prefix_length`` packets
-    (unless the reward is masked), then the finished adversarial flow (when
-    the episode ended) — which is that same prefix, so a driver may score
-    it once.  A vectorized driver gathers these across environments and
-    ticks into batched ``predict_scores`` calls, preserving the exact
-    one-query-per-flow accounting of the sequential reference
-    (``tests/oracles/sequential_collection.py``).
-
-    ``recorded_action`` and ``next_observation`` are ``(size, delay)``
-    pairs of Python floats — a vectorized caller builds one ``(n, 2)``
-    array per tick from them.  ``next_observation`` is what the policy acts
-    on next: the pending (sub-)packet, or — filled in by an auto-resetting
-    :class:`~repro.core.vec_env.VectorFlowEnv` — the first observation of
-    the episode that replaced a finished one; ``None`` after a finished step
-    otherwise.  ``score`` is the prefix's censor score once the step is
-    applied (NaN while pending and for a masked step).
-    """
-
-    env: "AdversarialFlowEnv" = field(repr=False)
-    episode: _Episode = field(repr=False)
-    prefix_length: int
-    action_kind: str
-    masked: bool
-    done: bool
-    data_penalty: float
-    time_penalty: float
-    recorded_action: Tuple[float, float]
-    next_observation: Optional[Tuple[float, float]]
-    applied: bool = False
-    score: float = math.nan
-
-    @property
-    def n_scores(self) -> int:
-        """How many censor queries this step costs: the prefix (unless
-        masked) plus the finished flow (when the step ended the episode)."""
-        return (not self.masked) + self.done
-
-    def info(self) -> Dict:
-        """The per-step ``info`` dict of :meth:`VectorFlowEnv.step
-        <repro.core.vec_env.VectorFlowEnv.step>` (without ``"episode"``,
-        which the caller adds for a finished step).  Collection never
-        builds it."""
-        return {
-            "action_kind": self.action_kind,
-            "masked": self.masked,
-            "score": self.score,
-            "data_penalty": self.data_penalty,
-            "time_penalty": self.time_penalty,
-            "recorded_action": self.recorded_action,
-        }
+    def summary(self, final_score: float) -> EpisodeSummary:
+        """The finished episode's statistics, once ``reward`` holds every step's."""
+        adversarial = self.flow()
+        payload = float(self.consumed_payload)
+        padding = max(0.0, float(np.abs(adversarial.sizes).sum()) - payload)
+        duration = float(adversarial.delays.sum())
+        return EpisodeSummary(
+            adversarial_flow=adversarial,
+            original_flow=self.original,
+            success=bool(final_score >= 0.5),
+            final_score=float(final_score),
+            data_overhead=float(padding / (payload + padding) if (payload + padding) > 0 else 0.0),
+            time_overhead=float(self.added_delay / duration if duration > 0 else 0.0),
+            n_truncations=self.n_truncations,
+            n_paddings=self.n_paddings,
+            n_delays=self.n_delays,
+            n_steps=adversarial.n_packets,
+            episode_reward=float(self.reward),
+        )
 
 
 class AdversarialFlowEnv:
@@ -363,11 +325,15 @@ class AdversarialFlowEnv:
         self._flow_order: List[int] = []
         self._flow_cursor = 0
 
-        # Emulator state, initialised by reset(); what _settle() needs of an
-        # episode lives in its _Episode record instead.  The current packet's
-        # direction and original delay are read off the flow once per packet.
-        self._original: Optional[Flow] = None
+        # Emulator state, initialised by reset(); what settling needs of an
+        # episode lives in its _Episode record instead.  The current flow's
+        # packets are Python floats; the emitted ones go into two rows that
+        # the episodes of this environment reuse.
+        self._original_sizes: List[float] = []
+        self._original_delays: List[float] = []
         self._episode: Optional[_Episode] = None
+        self._sizes = np.empty(0)
+        self._delays = np.empty(0)
         self._packet_index = 0
         self._remaining_bytes = 0.0
         self._direction = 0.0
@@ -426,22 +392,15 @@ class AdversarialFlowEnv:
     def action_dim(self) -> int:
         return 2
 
-    def _start_packet(self) -> None:
-        """Read the packet at ``_packet_index`` off the original flow."""
-        size = self._original.sizes[self._packet_index]
-        self._remaining_bytes = float(abs(size))
-        self._direction = packet_direction(size)
-        self._packet_delay = float(self._original.delays[self._packet_index])
-
-    def _observation(self) -> Tuple[float, float]:
-        """The pending (sub-)packet as a :func:`make_observation` pair; the
-        original delay counts only for its first sub-packet."""
+    def _start_packet(self) -> Tuple[float, float]:
+        """Read the packet at ``_packet_index`` off the original flow and
+        return its first sub-packet's observation pair."""
+        size = self._original_sizes[self._packet_index]
+        remaining = self._remaining_bytes = abs(size)
+        direction = self._direction = packet_direction(size)
+        delay = self._packet_delay = self._original_delays[self._packet_index]
         return _normalised_pair(
-            self._direction,
-            self._remaining_bytes,
-            0.0 if self._truncations_current_packet > 0 else self._packet_delay,
-            self.normalizer.size_scale,
-            self.config.max_delay_ms,
+            direction, remaining, delay, self.normalizer.size_scale, self.config.max_delay_ms
         )
 
     # ------------------------------------------------------------------ #
@@ -453,26 +412,38 @@ class AdversarialFlowEnv:
 
     def _begin(self, flow: Optional[Flow] = None) -> Tuple[float, float]:
         """:meth:`reset`, returning the first observation as a pair."""
-        self._original = (flow or self._next_flow()).copy()
-        self._episode = _Episode(self._original)
+        original = (flow or self._next_flow()).copy()
+        self._original_sizes = original.sizes.tolist()
+        self._original_delays = original.delays.tolist()
+        config = self.config
+        # A packet closes after max_truncations_per_packet truncations at most.
+        # An episode abandoned in flight keeps its rows for settling.
+        most_steps = min(
+            config.max_episode_steps,
+            original.n_packets * (1 + config.max_truncations_per_packet),
+        )
+        abandoned = self._episode is not None and self._episode.adversarial is None
+        if abandoned or len(self._sizes) < most_steps:
+            self._sizes, self._delays = np.empty(most_steps), np.empty(most_steps)
+        self._episode = _Episode(original, self._sizes, self._delays)
         self._packet_index = 0
-        self._start_packet()
         self._truncations_current_packet = 0
         self._steps = 0
         self._done = False
-        return self._observation()
+        return self._start_packet()
 
-    def _propose(self, size_action: float, delay_action: float) -> PendingStep:
+    def _propose(self, size_action: float, delay_action: float, restart: bool = False) -> Tuple:
         """Phase 1 of a step: advance the emulator, defer censor scoring.
 
-        Applies the action's deterministic effects (packet emission,
-        reward-masking draw, emulator advance, episode termination) to the
-        two action components as Python floats — what
-        :class:`~repro.core.vec_env.VectorFlowEnv` passes from the rows of
-        one ``actions.tolist()`` per tick — and returns a
-        :class:`PendingStep` naming what the censor still has to score.
-        Complete the step with :meth:`_settle`, now or after any number of
-        further steps and resets.
+        Applies the action (two Python floats) — emitted packet, masking
+        draw, emulator advance, termination — and returns ``(episode,
+        prefix_length, action_kind, masked, done, data_penalty,
+        time_penalty, next_observation, recorded_action)``, the pairs as
+        tuples.  The censor still has to score the episode's first
+        ``prefix_length`` packets (unless masked), which after the last
+        step are the finished flow.  After a finished step the next
+        observation is the next episode's first with ``restart`` (begun
+        here), else ``(0.0, 0.0)``.
         """
         if self._done:
             raise RuntimeError("a step was proposed on a finished episode; call reset() first")
@@ -480,19 +451,21 @@ class AdversarialFlowEnv:
         config = self.config
         size_scale = self.normalizer.size_scale
         max_delay_ms = config.max_delay_ms
+        max_steps = config.max_episode_steps
         remaining = self._remaining_bytes
         truncations = self._truncations_current_packet
+        steps = self._steps
         emitted_bytes, added_delay, time_penalty, is_truncation = shape_packet_core(
             size_action,
             delay_action,
             remaining,
             truncations,
-            self._steps,
+            steps,
             size_scale,
             config.min_packet_bytes,
             max_delay_ms,
             config.max_truncations_per_packet,
-            config.max_episode_steps,
+            max_steps,
         )
         direction = self._direction
         emitted_delay = (0.0 if truncations > 0 else self._packet_delay) + added_delay
@@ -513,21 +486,19 @@ class AdversarialFlowEnv:
                 action_kind = ActionKind.PADDING
             else:
                 action_kind = "exact"
-            remaining = 0.0
-        self._remaining_bytes = remaining
-        self._truncations_current_packet = truncations
-
+        # The added delay is a whole number of milliseconds: 0.0 adds nothing.
         if added_delay >= 1.0:
             episode.n_delays += 1
+            episode.added_delay += added_delay
 
         # Record the emitted adversarial packet.
         recorded_action = _normalised_pair(
             direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms
         )
-        episode.sizes.append(direction * emitted_bytes)
-        episode.delays.append(emitted_delay)
-        episode.added_delay += added_delay
-        self._steps += 1
+        self._sizes[steps] = direction * emitted_bytes
+        self._delays[steps] = emitted_delay
+        steps += 1
+        self._steps = episode.length = steps
 
         # Reward masking (Section 5.5.3): masked steps never reach the censor.
         # A rate of 0 or 1 fixes the outcome and draws nothing (evaluation
@@ -535,93 +506,29 @@ class AdversarialFlowEnv:
         rate = config.reward_mask_rate
         masked = rate >= 1.0 or (rate > 0.0 and self._rng.random() < rate)
 
-        # Advance the emulator; termination does not depend on the score.
-        done = False
-        if remaining <= 0:
-            self._packet_index += 1
+        # Advance the emulator; termination does not depend on the score.  A
+        # truncation re-offers the remainder, without the original delay;
+        # anything else sends the packet and moves on to the next one.
+        done = steps >= max_steps
+        if is_truncation:
+            self._remaining_bytes = remaining
+            self._truncations_current_packet = truncations
+            next_observation = _normalised_pair(direction, remaining, 0.0, size_scale, max_delay_ms)
+        else:
             self._truncations_current_packet = 0
-            if self._packet_index >= self._original.n_packets:
-                done = True
+            self._packet_index += 1
+            if self._packet_index < len(self._original_sizes):
+                next_observation = self._start_packet()
             else:
-                self._start_packet()
-        if self._steps >= config.max_episode_steps:
-            done = True
-
+                self._remaining_bytes = 0.0
+                done = True
         if done:
             self._done = True
-            episode.adversarial = episode.flow()
-            next_observation = None
-        else:
-            next_observation = self._observation()
+            episode.finish()
+            next_observation = self._begin() if restart else (0.0, 0.0)
 
-        return PendingStep(
-            self,
-            episode,
-            self._steps,
-            action_kind,
-            masked,
-            done,
-            data_penalty,
-            time_penalty,  # the clipped delay component: already normalised
-            recorded_action,
-            next_observation,
-        )
-
-    def _settle(
-        self,
-        pending: PendingStep,
-        prefix_score: Optional[float],
-        final_score: Optional[float],
-    ) -> Tuple[float, Optional[EpisodeSummary]]:
-        """Phase 2 of a step: fold censor scores into reward and summary.
-
-        The scores are already taken out of the censor's array: the
-        prefix's (``None`` when masked) and the finished flow's (``None``
-        unless the step ended the episode).  The steps of one episode must
-        be settled in the order they were proposed, each once.  Returns the
-        reward and, for a finished episode, its summary."""
-        pending.applied = True
-        config = self.config
-        if prefix_score is None:
-            adversarial_reward = config.masked_reward_value
-        else:
-            pending.score = prefix_score
-            adversarial_reward = 1.0 if prefix_score >= 0.5 else 0.0
-        reward = (
-            adversarial_reward
-            - config.lambda_data * pending.data_penalty
-            - config.lambda_time * pending.time_penalty
-        )
-        pending.episode.reward += reward
-        if final_score is None:
-            return reward, None
-        return reward, self._finalise_episode(pending.episode, final_score)
-
-    def _finalise_episode(self, episode: _Episode, final_score: float) -> EpisodeSummary:
-        adversarial = episode.flow()
-        success = final_score >= 0.5
-
-        original_payload = float(episode.consumed_payload)
-        adversarial_bytes = float(np.abs(adversarial.sizes).sum())
-        padding = max(0.0, adversarial_bytes - original_payload)
-        data_overhead = padding / (original_payload + padding) if (original_payload + padding) > 0 else 0.0
-
-        adversarial_duration = float(adversarial.delays.sum())
-        time_overhead = (
-            episode.added_delay / adversarial_duration if adversarial_duration > 0 else 0.0
-        )
-
-        summary = EpisodeSummary(
-            adversarial_flow=adversarial,
-            original_flow=episode.original,
-            success=bool(success),
-            final_score=float(final_score),
-            data_overhead=float(data_overhead),
-            time_overhead=float(time_overhead),
-            n_truncations=episode.n_truncations,
-            n_paddings=episode.n_paddings,
-            n_delays=episode.n_delays,
-            n_steps=adversarial.n_packets,
-            episode_reward=float(episode.reward),
-        )
-        return summary
+        # time_penalty is the clipped delay component: already normalised.
+        return (
+            episode, steps, action_kind, masked, done, data_penalty, time_penalty,
+            next_observation, recorded_action,
+        )  # fmt: skip

@@ -1,88 +1,59 @@
 """Vectorized environment stepping: propose every tick, settle the censor once.
 
-The seed training loop stepped ``n_envs`` :class:`AdversarialFlowEnv`
-instances one at a time, issuing one ``censor.predict_score`` call per
-environment per step (that loop is now the reference in
-``tests/oracles/sequential_collection.py``).  :class:`VectorFlowEnv` drives
-the same environments through their two-phase step instead, and keeps the
-two phases apart; it is the only driver an environment has:
+:class:`VectorFlowEnv` is the only driver of :class:`AdversarialFlowEnv`
+(the seed's per-environment loop, one ``predict_score`` per step, is the
+reference in ``tests/oracles/sequential_collection.py``).  A tick has two
+halves:
 
-1. :meth:`VectorFlowEnv.propose` — every environment advances its
-   (deterministic) emulator — masking draw, emitted packet, termination,
-   next observation, and on the all-environments path the reset onto the
-   next flow — and returns a
-   :class:`~repro.core.env.PendingStep` saying what the censor still has to
-   score: the adversarial prefix of every unmasked step, plus the finished
-   adversarial flow of every terminating episode;
-2. :meth:`VectorFlowEnv.settle` — the distinct inputs of all pending flows
-   of any number of proposed ticks go through ``predict_scores`` in
-   fixed-size blocks, and each environment folds its scores back into
-   rewards and episode summaries, in proposal order.
+1. :meth:`VectorFlowEnv.propose` advances every emulator — masking draw,
+   emitted packet, termination, next observation and, over all
+   environments, the reset onto the next flow — and returns one
+   :class:`TickRecord`: parallel per-slot tuples (episode, prefix length,
+   masked, penalties, ...), the dones and the ``(2n, 2)`` slab of next
+   observations and emitted actions the encoder steps, with no per-step
+   object;
+2. :meth:`VectorFlowEnv.settle` scores the distinct inputs of any number of
+   records in fixed-size ``predict_scores`` blocks and computes every
+   reward as one array expression; only finished episodes are visited one
+   by one, for their summaries.
 
-Nothing the policy needs for the next tick depends on the censor (paper
-§4.2: its verdict only shapes the reward) and PPO reads rewards when the
-rollout is complete, so the collection kernel
-(:class:`repro.distrib.shard.ShardRunner`) proposes a whole rollout and
-settles it once: a handful of large censor batches per PPO iteration instead
-of one small one per tick.  :meth:`VectorFlowEnv.step` and
-:meth:`~VectorFlowEnv.step_subset` are the same two calls on a single tick,
-plus per-step ``info`` dicts, which collection never builds: ``step``
-auto-resets every finished environment (what training needs),
-``step_subset`` never does (what batched evaluation needs, as its finished
-environments drop out of the batch).
+The censor's verdict only shapes the reward (paper §4.2), so the collection
+kernel (:class:`repro.distrib.shard.ShardRunner`) proposes a whole rollout
+and settles it once.  :meth:`~VectorFlowEnv.step` (resets finished
+environments; training) and :meth:`~VectorFlowEnv.step_subset` (never does;
+batched evaluation) are the two halves on one tick, plus ``info`` dicts.
 
-The tick allocates per tick, not per environment: ``propose`` turns the
-action batch into Python floats with one ``tolist()`` and hands each
-emulator its two components; each emulator returns its observation and
-emitted-action pairs as tuples on a slotted :class:`PendingStep`, from which
-the caller builds one ``(n, 2)`` array of each; and ``settle`` turns the
-censor's scores into one list and returns plain ``(rewards, finished)``
-pairs.
+One query is counted per step's flow (Figures 7–9) however the scoring is
+batched; a censor reads at most its ``packet_window`` leading packets, so
+an episode's prefixes past the window (and its finished flow, its last
+prefix) share one score, and masked steps never reach it (Section 5.5.3).
+An episode's packets live in its environment's preallocated rows until it
+ends and copies them into one validated flow, of which the censor sees
+read-only prefix views.
 
-An episode's packets live in one per-episode record shared by the
-environment and its pending steps; ``settle`` turns each record into one
-validated :class:`~repro.flows.flow.Flow` and hands the censor read-only
-prefix views of it, so scoring ``T`` growing prefixes of an episode costs one
-array and one validation instead of ``T`` copies and ``T`` validations.
-
-Per-flow query-count semantics are preserved exactly (one query per step's
-flow, Figures 7–9): batching changes *how many calls* reach the censor, and
-scoring each distinct input once changes *how many rows* it computes, not
-*how many queries* are counted.  A censor reads at most its
-``packet_window`` leading packets, so an episode's prefixes past the window
-(and its finished flow, which is its last step's prefix) share one score.
-Masked steps never contribute a prefix, so reward masking still suppresses
-queries (Section 5.5.3).
-
-:class:`BatchedEpisodeEncoder` is the companion state tracker: it keeps the
-incremental GRU state of every environment's two histories (observation
-stream and action stream) in one resident slab and folds only the newest
-(size, delay) pair of each per tick — both streams as one ``(2·n_envs, 2)``
-GRU step, since they share the encoder's weights — replacing the seed's
-O(T²)-per-episode full-history re-encode with O(T).
+:class:`BatchedEpisodeEncoder` keeps every environment's two GRU histories
+(observations, emitted actions) in one resident slab and folds each tick's
+newest pairs in one ``(2·n_envs, 2)`` step: O(T) per episode, where the
+seed re-encoded the whole history every step.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import accumulate, chain, groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..flows.flow import Flow
-from .env import AdversarialFlowEnv, EpisodeSummary, PendingStep
+from .env import AdversarialFlowEnv, EpisodeSummary
 from .state_encoder import StateEncoder
 
 __all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"]
 
-# Distinct inputs per ``predict_scores`` call in ``VectorFlowEnv.settle``.  A
-# neural censor's forward allocates activations proportional to its batch,
-# so the block bounds what deferring a whole rollout's scoring may add to the
-# process's peak: on ``train-neural`` (DF censor, ~1 100 flows per rollout
-# before steps sharing an input were scored once) scoring the rollout in one
-# call raised ``peak_rss_mb`` 63.0 -> 71.3 MiB, past the benchmark's 0.10
-# bound, while blocks of 128 leave it at the 63.0 per-tick scoring had (and
-# blocks of 32 / 64 are no faster).
+# Distinct inputs per ``predict_scores`` call in ``VectorFlowEnv.settle``: a
+# neural censor's activations grow with its batch, and on ``train-neural``
+# one call per rollout raised ``peak_rss_mb`` 63.0 -> 71.3 MiB (past the 0.10
+# bound) where blocks of 128 keep per-tick scoring's 63.0 (32 / 64: no faster).
 _SCORE_BLOCK = 128
 
 
@@ -124,6 +95,41 @@ def build_envs_from_seed_tree(
     ]
 
 
+class TickRecord:
+    """One proposed tick as parallel per-slot tuples and arrays.
+
+    Entry ``i`` belongs to slot ``rows[i]``: its ``episodes`` record,
+    ``prefix_lengths`` (the censor reads that many of the episode's packets),
+    ``action_kinds``, ``masked``, ``dones`` (an array) and the reward's
+    ``data_penalties`` / ``time_penalties``.  ``pairs`` stacks the next
+    observations (zeros after a finished step not restarted) on the emitted
+    actions.  ``settle`` sets ``scores`` (NaN when masked) and ``applied``.
+    """
+
+    __slots__ = (
+        "owner", "rows", "episodes", "prefix_lengths", "action_kinds", "masked", "dones",
+        "data_penalties", "time_penalties", "pairs", "scores", "applied",
+    )  # fmt: skip
+
+    def __init__(self, owner: "VectorFlowEnv", rows: Sequence[int], steps: List[Tuple]) -> None:
+        self.owner = owner
+        self.rows = rows
+        (
+            self.episodes, self.prefix_lengths, self.action_kinds, self.masked, dones,
+            self.data_penalties, self.time_penalties, observations, recorded,
+        ) = list(zip(*steps)) or [()] * 9  # fmt: skip
+        self.dones = np.array(dones, dtype=bool)
+        self.pairs = np.fromiter(
+            chain.from_iterable(observations + recorded), np.float64, 4 * len(steps)
+        ).reshape(-1, 2)
+        self.scores: Optional[np.ndarray] = None
+        self.applied = False
+
+    @property
+    def next_observations(self) -> np.ndarray:
+        return self.pairs[: len(self.episodes)]
+
+
 class VectorFlowEnv:
     """Steps N adversarial environments; censor scoring is a separate call.
 
@@ -146,8 +152,15 @@ class VectorFlowEnv:
         if any(env.censor is not censor for env in envs):
             raise ValueError("all environments must share the same censor instance")
         self._envs = envs
-        self._env_ids = frozenset(map(id, envs))
         self._censor = censor
+        # One column per slot (evaluation slots carry their own configs) of
+        # masked reward value, lambda_data and lambda_time, or one for all
+        # slots that share them bit for bit.
+        coefficients = np.array(
+            [(e.config.masked_reward_value, e.config.lambda_data, e.config.lambda_time) for e in envs]
+        ).T
+        shared = (coefficients.view(np.uint64) == coefficients[:, :1].view(np.uint64)).all()
+        self._coefficients = coefficients[:, :1] if shared else coefficients
         #: rows the censor has scored for :meth:`settle` — at most the
         #: queries counted, as steps sharing an input share its score
         self.flows_scored = 0
@@ -170,114 +183,143 @@ class VectorFlowEnv:
         """Reset every environment; returns the (N, obs_dim) observations."""
         return np.stack([env.reset() for env in self._envs])
 
-    def propose(
-        self, actions: np.ndarray, indices: Optional[Sequence[int]] = None
-    ) -> List[PendingStep]:
+    def propose(self, actions: np.ndarray, indices: Optional[Sequence[int]] = None) -> TickRecord:
         """First half of a tick: advance the emulators, score nothing.
 
         Every environment named by ``indices`` (all when omitted; distinct,
         non-negative, in range — checked before any environment advances)
-        takes its row of ``actions``: masking draw, emitted packet,
-        termination and — on the all-environments path only — the reset
-        onto the next flow, whose first observation becomes the step's
-        ``next_observation``.  The action batch becomes Python floats once
-        (one ``tolist()``), and each row goes to the emulator as two
-        floats.  The returned :class:`PendingStep` s carry
-        everything the actor and encoder need for the next tick; rewards and
-        episode summaries follow from :meth:`settle`.
+        takes its row of ``actions``, as two Python floats of one
+        ``tolist()``; on the all-environments path a finished episode's
+        slot begins the next flow at once.  The :class:`TickRecord` carries
+        all the actor and encoder need for the next tick.
         """
-        rows = range(self.n_envs) if indices is None else _checked_indices(indices, self.n_envs)
+        restart = indices is None
+        rows = range(self.n_envs) if restart else _checked_indices(indices, self.n_envs)
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (len(rows), self.action_dim):
             raise ValueError(
                 f"actions must have shape {(len(rows), self.action_dim)}, got {actions.shape}"
             )
         envs = self._envs
-        pendings = []
-        for (size_action, delay_action), index in zip(actions.tolist(), rows):
-            env = envs[index]
-            pending = env._propose(size_action, delay_action)
-            if pending.done and indices is None:
-                pending.next_observation = env._begin()
-            pendings.append(pending)
-        return pendings
+        steps = [
+            envs[index]._propose(size_action, delay_action, restart)
+            for (size_action, delay_action), index in zip(actions.tolist(), rows)
+        ]
+        return TickRecord(self, rows, steps)
 
     def settle(
-        self, ticks: Sequence[Sequence[PendingStep]]
-    ) -> List[Tuple[np.ndarray, List[Tuple[int, EpisodeSummary]]]]:
-        """Second half: score every pending flow of ``ticks``, apply in order.
+        self, ticks: Sequence[TickRecord]
+    ) -> Tuple[np.ndarray, List[Tuple[int, int, EpisodeSummary]]]:
+        """Second half: score every pending flow of ``ticks``, reward every step.
 
-        ``ticks`` are :meth:`propose` results, oldest first — one for a
-        classic step, a whole rollout for deferred collection.  A step's
-        input is its episode's first ``min(prefix_length, packet_window)``
-        packets (the censor's :attr:`~repro.censors.base.CensorClassifier.packet_window`;
-        the whole prefix when it is ``None``), and a finished episode's
-        flow is its last step's prefix, so every scored step reads one key
-        ``(episode, clipped length)``.  Each distinct key is scored once, in
-        order of first appearance, as a read-only prefix view of the
-        episode's one materialised flow, ``_SCORE_BLOCK`` flows per
-        ``predict_scores`` call; every step reads its key's score and is
-        applied in proposal order.  Steps whose key was already scored
-        still count as queries (:meth:`~repro.censors.base.CensorClassifier.record_external_queries`):
-        the attacker sent every step's flow.  No score outlives the call.
-
-        Returns one ``(rewards, finished)`` per tick: the ``(len(tick),)``
-        rewards and a ``(row, summary)`` for every step that ended its
-        episode.  Nothing pending means no censor call and no query.
+        ``ticks`` are :meth:`propose` records, oldest first.  Each distinct
+        input ``(episode, min(prefix_length, packet_window))`` of a scored
+        step (unmasked, or finished) is scored once, in order of first
+        appearance, ``_SCORE_BLOCK`` flows per ``predict_scores`` call; the
+        steps sharing it still count as queries, and no score outlives the
+        call.  Returns the rewards of all steps, tick after tick, as one
+        array expression, and ``(tick, row, summary)`` for every step that
+        ended its episode.
         """
-        window = self._censor.packet_window
-        # Gather first, so that misuse is reported before any query is spent.
-        episode_flows: Dict[int, Flow] = {}
-        key_positions: Dict[Tuple[int, int], int] = {}
-        flows: List[Flow] = []
-        step_positions: List[int] = []  # where each scored step's score is
-        queries = 0
+        ticks = list(ticks)
+        # Refuse misuse first, so that it is reported before any query is spent.
         for tick in ticks:
-            for pending in tick:
-                if id(pending.env) not in self._env_ids:
-                    raise ValueError("PendingStep proposed outside this VectorFlowEnv")
-                if pending.applied:
-                    raise RuntimeError("PendingStep was already applied")
-                if not pending.n_scores:
-                    continue
-                queries += pending.n_scores
-                episode = id(pending.episode)
-                length = pending.prefix_length
-                if window is not None:
-                    length = min(length, window)
-                position = key_positions.get((episode, length))
-                if position is None:
-                    flow = episode_flows.get(episode)
-                    if flow is None:
-                        flow = episode_flows[episode] = pending.episode.flow()
-                    position = key_positions[episode, length] = len(flows)
-                    flows.append(flow.prefix_view(length))
-                step_positions.append(position)
-        scores = np.empty(len(flows))
-        for start in range(0, len(flows), _SCORE_BLOCK):
-            block = slice(start, start + _SCORE_BLOCK)
-            scores[block] = self._censor.predict_scores(flows[block])
-        self._censor.record_external_queries(queries - len(flows))
-        self.flows_scored += len(flows)
-        scores = scores.tolist()
+            if tick.owner is not self:
+                raise ValueError("tick proposed outside this VectorFlowEnv")
+            if tick.applied:
+                raise RuntimeError("tick was already applied")
+        if len(set(map(id, ticks))) != len(ticks):
+            raise RuntimeError("tick was already applied: it is listed twice")
 
-        results = []
-        step_positions = iter(step_positions)
-        for tick in ticks:
-            rewards = []
-            finished = []
-            for row, pending in enumerate(tick):
-                score = scores[next(step_positions)] if pending.n_scores else None
-                reward, summary = pending.env._settle(
-                    pending,
-                    None if pending.masked else score,
-                    score if pending.done else None,
-                )
-                rewards.append(reward)
-                if summary is not None:
-                    finished.append((row, summary))
-            results.append((np.array(rewards, dtype=np.float64), finished))
-        return results
+        if not ticks:
+            return np.zeros(0), []
+
+        def column(name, dtype):
+            return np.fromiter(chain.from_iterable(getattr(t, name) for t in ticks), dtype, n_steps)
+
+        episodes = list(chain.from_iterable(tick.episodes for tick in ticks))
+        n_steps = len(episodes)
+        lengths = column("prefix_lengths", np.intp)
+        masked = column("masked", bool)
+        dones = np.concatenate([tick.dones for tick in ticks])
+        # The call's episodes, numbered in order of first appearance.
+        distinct = list(dict.fromkeys(episodes))
+        numbers = dict(zip(distinct, range(len(distinct))))
+        episode_numbers = np.fromiter(map(numbers.__getitem__, episodes), np.intp, n_steps)
+
+        # The unmasked steps and the finished ones read a score each.
+        scored = ~masked | dones
+        step_scores = np.full(n_steps, np.nan)
+        n_scored = 0
+        if scored.any():
+            step_scores[scored], n_scored = self._score(
+                distinct, episode_numbers[scored], lengths[scored]
+            )
+        queries = n_steps - int(np.count_nonzero(masked)) + int(np.count_nonzero(dones))
+        self._censor.record_external_queries(queries - n_scored)
+
+        coefficients = self._coefficients
+        if coefficients.shape[1] > 1:
+            coefficients = coefficients.take(np.concatenate([tick.rows for tick in ticks]), axis=1)
+        masked_value, lambda_data, lambda_time = coefficients
+        # r_adv: the masked value, else 1.0 / 0.0 by the 0.5 threshold.
+        adversarial = np.where(masked, masked_value, step_scores >= 0.5)
+        rewards = (
+            adversarial
+            - lambda_data * column("data_penalties", np.float64)
+            - lambda_time * column("time_penalties", np.float64)
+        )
+
+        # Each episode's running reward: ``add.at`` adds the steps' rewards
+        # one at a time, in order, as the seed's per-step sum did.
+        totals = np.array([episode.reward for episode in distinct])
+        np.add.at(totals, episode_numbers, rewards)
+        for episode, total in zip(distinct, totals.tolist()):
+            episode.reward = total
+
+        sizes = [len(tick.episodes) for tick in ticks]
+        ends = list(accumulate(sizes))
+        finished = []
+        if dones.any():
+            # A finished step is always scored: its score is the final flow's.
+            positions = dones.nonzero()[0]
+            at = np.searchsorted(ends, positions, side="right")
+            rows = positions - np.subtract(ends, sizes)[at]
+            finished = [
+                (index, row, episodes[position].summary(step_scores[position]))
+                for index, row, position in zip(at.tolist(), rows.tolist(), positions.tolist())
+            ]
+        step_scores[masked] = np.nan
+        for tick, stop, size in zip(ticks, ends, sizes):
+            tick.scores = step_scores[stop - size : stop]
+            tick.applied = True
+        return rewards, finished
+
+    def _score(
+        self, episodes: List, numbers: np.ndarray, lengths: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """The steps' scores, and how many distinct inputs were scored.
+        Sorted, the keys run episode by episode: one ``prefix_views`` call
+        per episode."""
+        window = self._censor.packet_window
+        if window is not None:
+            lengths = np.minimum(lengths, window)
+        stride = int(lengths.max()) + 1
+        step_keys = (numbers * stride + lengths).tolist()
+        first_seen = dict.fromkeys(step_keys)
+        views = {}
+        for number, keys in groupby(sorted(first_seen), lambda key: key // stride):
+            keys = list(keys)
+            prefixes = episodes[number].flow().prefix_views([key - number * stride for key in keys])
+            views.update(zip(keys, prefixes))
+        flows = [views[key] for key in first_seen]
+        scores = []
+        for start in range(0, len(flows), _SCORE_BLOCK):
+            scores += self._censor.predict_scores(flows[start : start + _SCORE_BLOCK]).tolist()
+        self.flows_scored += len(flows)
+        key_scores = dict(zip(first_seen, scores))
+        step_scores = np.fromiter(map(key_scores.__getitem__, step_keys), np.float64, len(step_keys))
+        return step_scores, len(flows)
 
     def step(
         self, actions: np.ndarray
@@ -290,7 +332,7 @@ class VectorFlowEnv:
         new episode's first, and its info carries the finished episode's
         summary (``"episode"``) and a ``"terminal_observation"``.
         """
-        return self._step(self.propose(actions))
+        return self._step(self.propose(actions), restarted=True)
 
     def step_subset(
         self, indices: Sequence[int], actions: np.ndarray
@@ -303,33 +345,32 @@ class VectorFlowEnv:
         zero).  Results align with ``indices``, which must be distinct,
         non-negative and in range.
         """
-        return self._step(self.propose(actions, indices))
+        return self._step(self.propose(actions, indices), restarted=False)
 
     def _step(
-        self, tick: List[PendingStep]
+        self, tick: TickRecord, restarted: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
         """``settle([tick])`` in the step form, info dicts and all."""
-        [(rewards, finished)] = self.settle([tick])
-        summaries = dict(finished)
-        observations = []
-        infos = []
-        for row, pending in enumerate(tick):
-            info = pending.info()
-            observation = pending.next_observation
-            if pending.done:
-                info["episode"] = summaries[row]
-                if observation is None:
-                    observation = (0.0, 0.0)
-                else:
-                    info["terminal_observation"] = np.zeros(self.observation_dim)
-            observations.append(observation)
-            infos.append(info)
-        return (
-            np.array(observations, dtype=np.float64).reshape(len(tick), self.observation_dim),
-            rewards,
-            np.array([pending.done for pending in tick], dtype=bool),
-            infos,
-        )
+        rewards, finished = self.settle([tick])
+        infos = [
+            {
+                "action_kind": action_kind,
+                "masked": masked,
+                "score": score,
+                "data_penalty": data_penalty,
+                "time_penalty": time_penalty,
+                "recorded_action": tuple(recorded_action),
+            }
+            for action_kind, masked, score, data_penalty, time_penalty, recorded_action in zip(
+                tick.action_kinds, tick.masked, tick.scores.tolist(), tick.data_penalties,
+                tick.time_penalties, tick.pairs[len(tick.episodes) :].tolist(),
+            )
+        ]  # fmt: skip
+        for _, row, summary in finished:
+            infos[row]["episode"] = summary
+            if restarted:
+                infos[row]["terminal_observation"] = np.zeros(self.observation_dim)
+        return tick.next_observations, rewards, tick.dones, infos
 
 
 class BatchedEpisodeEncoder:
@@ -392,21 +433,16 @@ class BatchedEpisodeEncoder:
         return self.states()
 
     def step(
-        self,
-        recorded_actions: np.ndarray,
-        next_observations: np.ndarray,
-        dones: np.ndarray,
-        indices: Optional[Sequence[int]] = None,
+        self, pairs: np.ndarray, dones: np.ndarray, indices: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Fold one tick into the tracked states; returns the new ``s_t``.
 
-        ``recorded_actions`` are the environments' *emitted* normalised
-        actions (each step's ``recorded_action``, not the raw policy
-        output).  For environments flagged done, both streams are reset and
-        ``next_observations`` is interpreted as the reset episode's initial
-        observation, mirroring what a full re-encode of the fresh histories
-        would produce.  ``indices`` must be distinct, non-negative and in
-        range.
+        ``pairs`` is the tick's ``(2n, 2)`` slab as a :class:`TickRecord`
+        holds it: next observations, then the *emitted* normalised actions
+        (not the raw policy output).  For environments flagged done both
+        streams restart, the observation being the new episode's first, as
+        a re-encode of the fresh histories would.  ``indices`` must be
+        distinct, non-negative and in range.
         """
         dones = np.asarray(dones, dtype=bool).reshape(-1)
         num_layers, _, hidden_size = self._stream_shape
@@ -422,21 +458,20 @@ class BatchedEpisodeEncoder:
             rows = _checked_indices(indices, self.n_envs)
             count = len(rows)
             hidden = self._hidden[:, :, rows].reshape(num_layers, 2 * count, hidden_size)
-        if not (count == len(recorded_actions) == len(next_observations) == len(dones)):
-            raise ValueError("indices, actions, observations and dones must align")
+        if not (2 * count == len(pairs) and count == len(dones)):
+            raise ValueError("indices, pairs (two per environment) and dones must align")
 
         # New episode: the observation history restarts *before* it takes
         # the fresh episode's first observation, the action history *after*
         # the step (nothing emitted yet).
-        ended = np.flatnonzero(dones)
+        ended = dones.nonzero()[0]
         if len(ended):
             if rows is None:
                 hidden = hidden.copy()
             hidden[:, ended] = 0.0
-        hidden = self._encoder.step_pairs(
-            np.concatenate([next_observations, recorded_actions]), hidden
-        )
-        hidden[:, count + ended] = 0.0
+        hidden = self._encoder.step_pairs(pairs, hidden)
+        if len(ended):
+            hidden[:, count + ended] = 0.0
         if rows is None:
             self._hidden = hidden.reshape(num_layers, 2, count, hidden_size)
         else:

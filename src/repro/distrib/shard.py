@@ -8,12 +8,12 @@ broadcast checkpoints.  A :meth:`ShardRunner.collect` draws every slot's
 exploration noise for the whole segment up front (one ``(n_ticks,
 action_dim)`` draw per noise stream — the same numbers per-tick draws
 give), then each tick runs one actor forward, one vectorized emulator
-advance (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`) and one
-incremental encoder step on the tick's ``(n, 2)`` observation and
-emitted-action arrays.  After the last tick the critic values the whole
-rollout's states in one forward, and only then is the censor consulted: the
-rollout's distinct pending inputs are scored once each, in a few large
-batches, and the rewards and episode summaries filled in
+advance (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`, one tick
+record) and one incremental encoder step on the record's slab of next
+observations and emitted actions.  After the last tick the critic values
+the whole rollout's states in one forward, and only then is the censor
+consulted: the rollout's distinct pending inputs are scored once each, in
+a few large batches, and its rewards computed as arrays
 (:meth:`~repro.core.vec_env.VectorFlowEnv.settle`).  The result is the
 rollout per-tick scoring would have produced: bit for bit with a censor whose
 scores do not depend on the batch they arrive in (trees, SVM), up to the
@@ -192,9 +192,7 @@ class ShardRunner:
         states = np.zeros((n_ticks, n, state_dim))
         actions = np.zeros((n_ticks, n, action_dim))
         log_probs = np.zeros((n_ticks, n))
-        rewards = np.zeros((n_ticks, n))
         dones = np.zeros((n_ticks, n), dtype=bool)
-        summaries: List[Tuple[int, int, EpisodeSummary]] = []
 
         queries_before = self.censor.query_count
         # Each slot's noise for the whole segment in one draw per stream:
@@ -206,18 +204,14 @@ class ShardRunner:
         ticks = []
         for tick in range(n_ticks):
             tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise[tick])
-            pendings = self._vec_env.propose(tick_actions)
-            ticks.append(pendings)
+            record = self._vec_env.propose(tick_actions)
+            ticks.append(record)
 
             states[tick] = self._states
             actions[tick] = tick_actions
             log_probs[tick] = tick_log_probs
-            dones[tick] = [pending.done for pending in pendings]
-            self._states = self._tracker.step(
-                np.array([pending.recorded_action for pending in pendings]),
-                np.array([pending.next_observation for pending in pendings]),
-                dones[tick],
-            )
+            dones[tick] = record.dones
+            self._states = self._tracker.step(record.pairs, record.dones)
 
         # The critic never feeds back into the tick, and its row-consistent
         # forward makes each row independent of the batch, so one call over
@@ -229,11 +223,8 @@ class ShardRunner:
         # here, in a few large censor batches instead of one small one per tick.
         # Steps sharing an input share its score, so the censor scores at
         # most as many flows as the queries the rollout counts.
-        settled = self._vec_env.settle(ticks)
+        rewards, summaries = self._vec_env.settle(ticks)
         queries = self.censor.query_count - queries_before
-        for tick, (tick_rewards, finished) in enumerate(settled):
-            rewards[tick] = tick_rewards
-            summaries.extend((tick, row, summary) for row, summary in finished)
 
         # Bootstrap values for GAE, computed with the collection-time critic
         # that produced the rollout's per-step values (bit-identical to a
@@ -245,7 +236,7 @@ class ShardRunner:
             actions=actions,
             log_probs=log_probs,
             values=values,
-            rewards=rewards,
+            rewards=rewards.reshape(n_ticks, n),
             dones=dones,
             final_values=np.asarray(final_values, dtype=np.float64),
             summaries=summaries,

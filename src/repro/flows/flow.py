@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -70,10 +70,10 @@ class Flow:
         # NaN passes both comparisons below, so non-finite values are rejected first.
         if not (np.isfinite(self.sizes).all() and np.isfinite(self.delays).all()):
             raise ValueError("packet sizes and inter-packet delays must be finite")
-        if np.any(self.sizes == 0):
+        if (self.sizes == 0).any():
             raise ValueError("packet sizes must be non-zero (sign encodes direction)")
         if np.signbit(self.delays).any():
-            if np.any(self.delays < 0):
+            if (self.delays < 0).any():
                 raise ValueError("inter-packet delays must be non-negative")
             # Only -0.0 is left: store +0.0 so equal delays are also bit-equal.
             self.delays = np.abs(self.delays)
@@ -103,45 +103,47 @@ class Flow:
         """Cumulative packet timestamps in milliseconds from flow start."""
         return np.cumsum(self.delays)
 
-    def prefix_view(self, length: int) -> "Flow":
-        """The first ``length`` packets as read-only views of this flow's arrays.
+    def prefix_views(self, lengths: Sequence[int]) -> List["Flow"]:
+        """The first ``length`` packets, for every entry of ``lengths``, as
+        read-only views of this flow's arrays.
 
-        Built without ``__post_init__``: every invariant it establishes (equal
-        lengths, finite values, non-zero sizes, non-negative
-        ``+0.0``-normalised delays) is elementwise, so it is closed under
-        taking a non-empty prefix.  A flow is validated once, when it is
-        constructed, and its prefixes inherit that.  The views are
-        ``writeable=False`` so a scorer cannot alter the flow they alias, and
-        ``metadata`` is a read-only ``MappingProxyType`` over this flow's
-        own dict (no copy per scored prefix); ``.copy()`` gives an owning
-        flow with a plain dict.
+        Built without ``__post_init__``: every invariant it establishes is
+        elementwise, so closed under taking a non-empty prefix, and a flow
+        is validated once, when it is constructed.  The views are cut from
+        one ``writeable=False`` view of each array, so a scorer cannot alter
+        the flow they alias, and share one read-only ``MappingProxyType``
+        over its metadata; ``.copy()`` gives an owning flow.
         """
-        if length < 1:
-            raise ValueError("prefix length must be >= 1")
-        sizes = self.sizes[:length]  # slicing clamps to n_packets
-        delays = self.delays[:length]
+        sizes = self.sizes.view()
+        delays = self.delays.view()
         sizes.flags.writeable = False
         delays.flags.writeable = False
-        flow = object.__new__(Flow)
-        flow.sizes = sizes
-        flow.delays = delays
-        flow.label = self.label
-        flow.protocol = self.protocol
-        flow.metadata = MappingProxyType(self.metadata)
-        return flow
+        label, protocol = self.label, self.protocol
+        metadata = MappingProxyType(self.metadata)
+        if min(lengths, default=1) < 1:
+            raise ValueError("prefix length must be >= 1")
+        views = []
+        for length in lengths:
+            flow = object.__new__(Flow)
+            flow.sizes = sizes[:length]  # slicing clamps to n_packets
+            flow.delays = delays[:length]
+            flow.label = label
+            flow.protocol = protocol
+            flow.metadata = metadata
+            views.append(flow)
+        return views
 
     def __getstate__(self) -> Dict:
         # pickle and deepcopy cannot copy a view's read-only metadata proxy
         return {**self.__dict__, "metadata": dict(self.metadata)}
 
     def copy(self) -> "Flow":
-        return Flow(
-            sizes=self.sizes.copy(),
-            delays=self.delays.copy(),
-            label=self.label,
-            protocol=self.protocol,
-            metadata=dict(self.metadata),
-        )
+        """An owning copy (writable arrays, a plain metadata dict); like
+        :meth:`prefix_views`, not validated again."""
+        flow = object.__new__(Flow)
+        flow.__dict__.update(self.__dict__, metadata=dict(self.metadata))
+        flow.sizes, flow.delays = self.sizes.copy(), self.delays.copy()
+        return flow
 
     def to_dict(self) -> Dict:
         """JSON-serialisable representation."""

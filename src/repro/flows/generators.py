@@ -178,19 +178,25 @@ class TorFlowGenerator(FlowGenerator):
         Each packet draws ``integers(1, per_packet + 1)`` cells; the last one
         takes what is left.  Draws come in rounds of ``ceil(remaining /
         per_packet)``, the packets still certainly needed, so the stream
-        advances exactly as one scalar draw per packet would.
+        advances exactly as one scalar draw per packet would (a round of one
+        packet, as every request's, is that scalar draw).
         """
         per_packet = max(1, self.mss // self.cell_size)
-        rounds = []
+        cells: List[int] = []
         remaining = n_cells
         while remaining > 0:
-            cells = self._rng.integers(1, per_packet + 1, size=-(-remaining // per_packet))
-            drawn = int(cells.sum())
+            needed = -(-remaining // per_packet)
+            if needed == 1:
+                draws = [int(self._rng.integers(1, per_packet + 1))]
+            else:
+                draws = self._rng.integers(1, per_packet + 1, size=needed).tolist()
+            drawn = sum(draws)
             if drawn >= remaining:
-                cells[-1] -= drawn - remaining
-            rounds.append(cells)
+                draws[-1] -= drawn - remaining
+            cells += draws
             remaining -= drawn
-        return (np.concatenate(rounds) * (direction * self.cell_size)).tolist()
+        scale = direction * self.cell_size
+        return [count * scale for count in cells]
 
     def generate(self) -> Flow:
         sizes: List[float] = []

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import io
 import json
+import struct
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
+    "CheckpointError",
     "save_state_dict",
     "load_state_dict",
     "state_dict_to_bytes",
@@ -82,6 +86,57 @@ PathLike = Union[str, Path]
 _META_KEY = "__meta__"
 
 
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be read back (empty, truncated, corrupt, not
+    an archive) or served; the message names the file or the parameter."""
+
+
+@contextmanager
+def _archive(data: bytes, source: str) -> Iterator[np.lib.npyio.NpzFile]:
+    """The open ``.npz`` archive of ``data``; what reading a damaged one
+    raises (zip, EOF, ``.npy``, JSON) is a :class:`CheckpointError`."""
+    try:
+        archive = np.load(io.BytesIO(data))
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            yield archive
+    except (
+        zipfile.BadZipFile, NotImplementedError, EOFError, OSError, ValueError, KeyError, struct.error
+    ) as error:  # fmt: skip
+        raise CheckpointError(
+            f"{source} is not a readable checkpoint ({type(error).__name__}: {error})"
+        ) from error
+
+
+def _state(data: bytes, source: str) -> Dict[str, np.ndarray]:
+    with _archive(data, source) as archive:
+        state = {key: archive[key] for key in archive.files if key != _META_KEY}
+    return pack_legacy_recurrent(state)
+
+
+def _metadata(data: bytes, source: str) -> dict:
+    with _archive(data, source) as archive:
+        if _META_KEY not in archive.files:
+            # An archive older than the metadata -- unless damage hid it.
+            if archive.zip.testzip() is not None:
+                raise ValueError("a member fails its CRC check")
+            return {}
+        metadata = json.loads(archive[_META_KEY].tobytes())
+        if not isinstance(metadata, dict):
+            raise ValueError("its metadata is not a JSON object")
+    return metadata
+
+
+def _read_file(path: PathLike) -> Tuple[bytes, str]:
+    """A file's bytes and name, with numpy's implicit ``.npz`` suffix
+    applied when the bare path is absent."""
+    path = Path(path)
+    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
+        path = path.with_suffix(path.suffix + ".npz")
+    return path.read_bytes(), str(path)
+
+
 def save_state_dict(state: Dict[str, np.ndarray], path: PathLike, metadata: Optional[dict] = None) -> Path:
     """Save a state dict (mapping of parameter name to array) to ``path``.
 
@@ -97,27 +152,20 @@ def save_state_dict(state: Dict[str, np.ndarray], path: PathLike, metadata: Opti
     return path
 
 
-def _resolve_npz_path(path: PathLike) -> Path:
-    """Apply numpy's implicit ``.npz`` suffix when the bare path is absent."""
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    return path
-
-
 def load_state_dict(path: PathLike) -> Dict[str, np.ndarray]:
     """Load a state dict previously written by :func:`save_state_dict`.
 
     Legacy per-gate recurrent parameters are transparently folded into the
     packed layout (see :func:`pack_legacy_recurrent`).  Disk archives and
-    broadcast payloads share one parser (:func:`state_dict_from_bytes`).
+    broadcast payloads share one parser; a file that cannot be read raises
+    :class:`CheckpointError` naming it.
     """
-    return state_dict_from_bytes(_resolve_npz_path(path).read_bytes())
+    return _state(*_read_file(path))
 
 
 def load_metadata(path: PathLike) -> dict:
     """Return the JSON metadata stored alongside a state dict, if any."""
-    return metadata_from_bytes(_resolve_npz_path(path).read_bytes())
+    return _metadata(*_read_file(path))
 
 
 def state_dict_to_bytes(state: Dict[str, np.ndarray], metadata: Optional[dict] = None) -> bytes:
@@ -140,19 +188,15 @@ def state_dict_from_bytes(data: bytes) -> Dict[str, np.ndarray]:
     """Inverse of :func:`state_dict_to_bytes`.
 
     Like :func:`load_state_dict`, legacy per-gate recurrent parameters are
-    transparently folded into the packed layout.
+    transparently folded into the packed layout.  A payload that cannot be
+    read raises :class:`CheckpointError`.
     """
-    with np.load(io.BytesIO(data)) as archive:
-        state = {key: archive[key] for key in archive.files if key != _META_KEY}
-    return pack_legacy_recurrent(state)
+    return _state(data, "checkpoint payload")
 
 
 def metadata_from_bytes(data: bytes) -> dict:
     """Return the JSON metadata stored in a :func:`state_dict_to_bytes` payload."""
-    with np.load(io.BytesIO(data)) as archive:
-        if _META_KEY not in archive.files:
-            return {}
-        return json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+    return _metadata(data, "checkpoint payload")
 
 
 def load_prefixed_state(state: Dict[str, np.ndarray], modules) -> None:

@@ -46,7 +46,8 @@ from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
 from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder
-from ..nn.serialization import load_metadata, load_state_dict, split_prefixed_state
+from ..nn.serialization import CheckpointError, load_metadata, load_state_dict
+from ..nn.serialization import split_prefixed_state
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_integer, check_non_negative, check_positive
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
@@ -178,6 +179,16 @@ def build_policy_from_state(
     missing = {"actor", "encoder"} - set(groups)
     if missing:
         raise ValueError(f"checkpoint lacks required prefixes: {sorted(missing)}")
+    # Refused before any session opens: a dtype cast silently, NaN / inf.
+    for prefix in ("actor", "encoder"):
+        for name, value in groups[prefix].items():
+            value = np.asarray(value)
+            if not np.issubdtype(value.dtype, np.floating):
+                raise CheckpointError(
+                    f"checkpoint parameter {prefix}.{name} has dtype {value.dtype}"
+                )
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"checkpoint parameter {prefix}.{name} is not finite")
 
     encoder_state = groups["encoder"]
     cell_names = {key.split(".")[1] for key in encoder_state if key.startswith("gru.cell")}

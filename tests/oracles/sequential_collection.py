@@ -20,10 +20,13 @@ the oracle spells them out, each the body the removed wrapper had:
 
 * ``AdversarialFlowEnv.step`` is :meth:`SequentialCollector._env_step` --
   ``_propose``, one ``predict_scores`` call on the prefix (unless masked)
-  and the finished flow (when done), then ``_settle``;
+  and the finished flow (when done), then the per-step reward and summary
+  body ``AdversarialFlowEnv._settle`` had (:meth:`SequentialCollector._settle`:
+  Python float arithmetic, one step at a time, where ``VectorFlowEnv.settle``
+  now computes a rollout's rewards as arrays);
 * ``observation_history()`` / ``action_history()`` are per-slot lists kept
-  here, fed from the reset observation, ``PendingStep.next_observation``
-  and ``PendingStep.recorded_action``;
+  here, fed from the reset observation and the next-observation and
+  recorded-action pairs ``_propose`` returns;
 * ``Amoeba.encode_state`` is :meth:`SequentialCollector.encode_histories`;
 * ``GaussianActor.act`` / ``Critic.value`` are one-row ``act_batch`` /
   ``value_batch`` calls.
@@ -80,22 +83,47 @@ class SequentialCollector:
 
     def _env_step(self, env: AdversarialFlowEnv, action: np.ndarray, history: Tuple[List, List]):
         """One immediately scored step: ``(reward, done, summary)``."""
-        pending = env._propose(*action.tolist())
-        flow = pending.episode.flow()
-        flows = [] if pending.masked else [flow.prefix_view(pending.prefix_length)]
-        if pending.done:
+        episode, prefix_length, _, masked, done, data_penalty, time_penalty, next_observation, recorded_action = (
+            env._propose(*action.tolist())
+        )
+        flow = episode.flow()
+        flows = [] if masked else [flow.prefix_views([prefix_length])[0]]
+        if done:
             flows.append(flow)
         scores = self.censor.predict_scores(flows).tolist()
-        reward, summary = env._settle(
-            pending,
-            None if pending.masked else scores[0],
-            scores[-1] if pending.done else None,
+        reward, summary = self._settle(
+            env,
+            episode,
+            data_penalty,
+            time_penalty,
+            None if masked else scores[0],
+            scores[-1] if done else None,
         )
         observations, actions = history
-        actions.append(pending.recorded_action)
-        if not pending.done:
-            observations.append(pending.next_observation)
-        return reward, pending.done, summary
+        actions.append(recorded_action)
+        if not done:
+            observations.append(next_observation)
+        return reward, done, summary
+
+    @staticmethod
+    def _settle(env, episode, data_penalty, time_penalty, prefix_score, final_score):
+        """Fold one step's censor scores into its reward and the episode's:
+        the prefix's score (``None`` when masked) and the finished flow's
+        (``None`` unless the step ended the episode)."""
+        config = env.config
+        if prefix_score is None:
+            adversarial_reward = config.masked_reward_value
+        else:
+            adversarial_reward = 1.0 if prefix_score >= 0.5 else 0.0
+        reward = (
+            adversarial_reward
+            - config.lambda_data * data_penalty
+            - config.lambda_time * time_penalty
+        )
+        episode.reward += reward
+        if final_score is None:
+            return reward, None
+        return reward, episode.summary(final_score)
 
     def _draw_noise(self) -> np.ndarray:
         """Per-slot exploration noise from the collection seed tree."""

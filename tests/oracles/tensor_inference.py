@@ -162,14 +162,11 @@ class TwoSlabEpisodeEncoder:
         return self.states()
 
     def step(
-        self,
-        recorded_actions: np.ndarray,
-        next_observations: np.ndarray,
-        dones: np.ndarray,
-        indices: Optional[Sequence[int]] = None,
+        self, pairs: np.ndarray, dones: np.ndarray, indices: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         dones = np.asarray(dones, dtype=bool).reshape(-1)
         rows = list(range(self.n_envs) if indices is None else indices)
+        next_observations, recorded_actions = pairs[: len(rows)], pairs[len(rows) :]
         if not (len(rows) == len(recorded_actions) == len(next_observations) == len(dones)):
             raise ValueError("indices, actions, observations and dones must align")
 

@@ -96,7 +96,7 @@ def deep_tree_training_set(tor_splits):
     """The synthetic Tor set is separable on one feature.  Prefixes (what the
     censor scores during training) with 30 % flipped labels grow a deep tree
     over ~25 features from every group."""
-    flows = [flow.prefix_view(k) for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
+    flows = [flow.prefix_views([k])[0] for flow in tor_splits.clf_train.flows for k in (3, 8, 20, 40)]
     labels = np.array([flow.label for flow in flows])
     flipped = np.random.default_rng(4).random(len(flows)) < 0.3
     return flows, np.where(flipped, 1 - labels, labels)
@@ -414,7 +414,7 @@ class TestDeepFingerprintingKernels:
         run = {name: value.tobytes() for name, value in censor.network.state_dict().items()}
         run["held-out scores"] = tensor_score_flows(censor, tor_splits.test.flows).tobytes()
         run["prefix scores"] = tensor_score_flows(
-            censor, [long_flow.prefix_view(k) for k in range(1, 81)]
+            censor, long_flow.prefix_views(range(1, 81))
         ).tobytes()
         run["input gradient"] = batch.grad.tobytes()
         return run
@@ -562,10 +562,10 @@ class TestPacketWindow:
         long_flow = random_flow(rng, window + 17)
         head = list(tor_splits.test.flows[:6])
         full = censor._score_flows(head + [long_flow])
-        truncated = censor._score_flows(head + [long_flow.prefix_view(window)])
+        truncated = censor._score_flows(head + [long_flow.prefix_views([window])[0]])
         assert np.array_equal(full.view(np.uint64), truncated.view(np.uint64))
         # the window is tight: a change inside it moves the score
-        moved = long_flow.prefix_view(window).copy()
+        moved = long_flow.prefix_views([window])[0].copy()
         moved.sizes[window - 1] = -moved.sizes[window - 1]
         assert censor._score_flows(head + [moved])[-1] != full[-1]
 

@@ -296,6 +296,30 @@ class TestCommands:
         with pytest.raises(SystemExit, match="^serve: .*No such file or directory"):
             main(["serve", "--policy", str(missing), "--sessions", "2", "--max-packets", "4"])
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "nan"])
+    def test_serve_reports_an_unservable_checkpoint_in_one_line(self, tmp_path, damage):
+        import numpy as np
+
+        from repro.nn.serialization import load_state_dict, save_state_dict
+
+        policy_path = tmp_path / "policy.npz"
+        self._policy(policy_path)
+        data = policy_path.read_bytes()
+        if damage == "truncated":
+            policy_path.write_bytes(data[: len(data) // 2])
+        elif damage == "empty":
+            policy_path.write_bytes(b"")
+        else:
+            state = load_state_dict(policy_path)
+            state["actor.log_std"] = np.full_like(state["actor.log_std"], np.nan)
+            save_state_dict(state, policy_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["serve", "--policy", str(policy_path), "--sessions", "2", "--max-packets", "4"])
+        message = str(raised.value.code)
+        assert message.startswith("serve: ") and "\n" not in message
+        expected = "actor.log_std is not finite" if damage == "nan" else "is not a readable checkpoint"
+        assert expected in message
+
     def test_serve_reads_generate_output_as_profiles(self, tmp_path, capsys):
         # ``generate --output`` writes a dataset header line first.
         flows_path = tmp_path / "flows.jsonl"

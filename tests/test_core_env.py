@@ -227,7 +227,7 @@ class TestEpisodeSummary:
         seen_lengths = set()
         for _ in range(4):
             env.reset()
-            seen_lengths.add(env._original.n_packets)
+            seen_lengths.add(env._episode.original.n_packets)
             done = False
             while not done:
                 _, _, done, _ = step(env, np.array([1.0, 0.0]))

@@ -119,7 +119,7 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
                 (tick, row, info["episode"]) for row, info in enumerate(infos) if "episode" in info
             )
             recorded = np.stack([info["recorded_action"] for info in infos])
-            states = tracker.step(recorded, observations, dones[tick])
+            states = tracker.step(np.concatenate([observations, recorded]), dones[tick])
         collects.append(
             dict(
                 rewards=rewards,
@@ -133,13 +133,14 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
     return collects
 
 
-def flows_to_score(pending):
-    """The flows one step asks the censor about, in order: its prefix
-    (unless masked), then the finished flow (when the step ended the
-    episode) — read-only views of, or the episode's one flow."""
-    flow = pending.episode.flow()
-    flows = [] if pending.masked else [flow.prefix_view(pending.prefix_length)]
-    if pending.done:
+def flows_to_score(tick, row):
+    """The flows one step (``row`` of a proposed tick) asks the censor
+    about, in order: its prefix (unless masked), then the finished flow
+    (when the step ended the episode) — read-only views of, or the
+    episode's one flow."""
+    flow = tick.episodes[row].flow()
+    flows = [] if tick.masked[row] else [flow.prefix_views([tick.prefix_lengths[row]])[0]]
+    if tick.dones[row]:
         flows.append(flow)
     return flows
 
@@ -218,7 +219,8 @@ class TestDeferredEqualsPerTick:
         vec_env = VectorFlowEnv(
             [AdversarialFlowEnv(censor, normalizer, config, long_flows, rng=0)]
         )
-        assert vec_env.settle([]) == [] and censor.calls == []
+        rewards, finished = vec_env.settle([])
+        assert len(rewards) == 0 and finished == [] and censor.calls == []
 
     def test_snapshot_restore_between_collects(self, agent, trained_dt_censor, normalizer, tor_splits):
         config = make_config(agent, 0.5)
@@ -230,7 +232,7 @@ class TestDeferredEqualsPerTick:
         head = first.collect(N_TICKS)
         snapshot = first.snapshot()
         # Episodes are in flight at the boundary, emitted packets and all.
-        assert any(len(env["_episode"].sizes) > 0 for env in snapshot["envs"])
+        assert any(env["_episode"].length > 0 for env in snapshot["envs"])
         first.collect(N_TICKS)  # the snapshot must not alias the live runner
 
         resumed = make_runner(agent, trained_dt_censor, normalizer, config, flows)
@@ -317,16 +319,15 @@ class TestOwnershipAndMisuse:
         vec_env = VectorFlowEnv([env])
         vec_env.reset()
         ticks = []
-        while not (ticks and ticks[-1][0].done):
+        while not (ticks and ticks[-1].dones[0]):
             ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
         assert not env._done  # auto-reset: the environment already runs its next flow
 
-        flows = [flow for tick in ticks for flow in flows_to_score(tick[0])]
+        flows = [flow for tick in ticks for flow in flows_to_score(tick, 0)]
         *prefixes, finished = flows
-        settled = vec_env.settle(ticks)
-        assert [finished for _, finished in settled[:-1]] == [[]] * (len(ticks) - 1)
-        [(row, summary)] = settled[-1][1]
-        assert row == 0
+        _, settled = vec_env.settle(ticks)
+        [(tick_index, row, summary)] = settled
+        assert (tick_index, row) == (len(ticks) - 1, 0)
 
         assert summary.adversarial_flow is finished
         assert finished.sizes.flags.writeable and finished.delays.flags.writeable
@@ -365,11 +366,20 @@ class TestOwnershipAndMisuse:
         foreign = theirs.propose(np.array([[0.9, 0.0]]))
         with pytest.raises(ValueError, match="outside this VectorFlowEnv"):
             ours.settle([foreign])
+        with pytest.raises(ValueError, match="outside this VectorFlowEnv"):
+            ours.settle([tick, foreign])
+        with pytest.raises(RuntimeError, match="listed twice"):
+            ours.settle([tick, tick])
+        assert censor.query_count == 0 and censor.calls == [] and not tick.applied
         ours.settle([tick])
         queries = censor.query_count
         with pytest.raises(RuntimeError, match="already applied"):
             ours.settle([tick])
+        later = ours.propose(np.tile([0.9, 0.0], (2, 1)))
+        with pytest.raises(RuntimeError, match="already applied"):
+            ours.settle([later, tick])
         assert censor.query_count == queries == 2
+        assert not later.applied
 
     def test_wrong_score_count_from_censor_raises(
         self, trained_dt_censor, normalizer, fast_config, simple_flow
@@ -500,3 +510,97 @@ class TestFreshRunnersReproduce:
                 summary_key(item) for item in want.summaries
             ]
             assert got.query_delta == want.query_delta > 0
+
+
+class TestPerSlotConfigs:
+    def test_each_slot_is_rewarded_with_its_own_coefficients(
+        self, trained_dt_censor, normalizer, tor_splits
+    ):
+        """Slots whose configs differ (reward coefficients, masking, step
+        budgets) settle together as each settles alone."""
+        flows = tor_splits.attack_train.censored_flows[:4]
+        configs = [
+            AmoebaConfig.for_tor(max_episode_steps=5),
+            AmoebaConfig.for_v2ray(max_episode_steps=9, reward_mask_rate=0.5, masked_reward_value=0.25),
+            AmoebaConfig(lambda_time=0.7, lambda_data=-0.0, max_episode_steps=3),
+        ]
+
+        def envs():
+            return [
+                AdversarialFlowEnv(trained_dt_censor, normalizer, config, flows, rng=slot)
+                for slot, config in enumerate(configs)
+            ]
+
+        together = VectorFlowEnv(envs())
+        alone = [VectorFlowEnv([env]) for env in envs()]
+        together.reset()
+        for vec_env in alone:
+            vec_env.reset()
+        actions = np.random.default_rng(7).uniform(-1, 1, size=(12, len(configs), 2))
+        for tick_actions in actions:
+            observations, rewards, dones, infos = together.step(tick_actions)
+            for slot, vec_env in enumerate(alone):
+                got = vec_env.step(tick_actions[slot : slot + 1])
+                assert got[0].tobytes() == observations[slot : slot + 1].tobytes()
+                assert got[1].view(np.uint64)[0] == rewards[slot : slot + 1].view(np.uint64)[0]
+                assert got[2][0] == dones[slot]
+                if dones[slot]:
+                    assert got[3][0]["episode"].episode_reward == infos[slot]["episode"].episode_reward
+
+
+class TestPinnedNumpyAssumptions:
+    """``settle`` computes rewards as arrays where the seed computed them one
+    Python float at a time; these pin the numpy behaviour that makes the two
+    bit-identical (the reference is the per-step body kept in
+    ``tests/oracles/sequential_collection.py``)."""
+
+    def test_array_reward_equals_python_float_reward(self):
+        """``np.where(masked, masked_value, score >= 0.5) - λd·data - λt·time``
+        on float64 rounds every operation as Python floats do, in the same
+        order: the masked value, signed zeros, subnormal and huge
+        penalties included."""
+        rng = np.random.default_rng(0)
+        n = 4096
+        masked = rng.random(n) < 0.4
+        scores = rng.random(n)
+        scores[::9] = 0.5
+        scores[1::9] = np.nextafter(0.5, 0.0)
+        pool = np.array([0.0, -0.0, 0.5, 1.0, 0.25, 1 / 3, 5e-324, 1e-300, 1e300, 2.0**-60])
+        masked_value = rng.choice(np.array([0.5, 0.0, -0.0, 1.0, 1 / 3]), n)
+        lambda_data = rng.choice(np.array([0.0, -0.0, 0.2, 2.0, 0.1, 1 / 7]), n)
+        lambda_time = rng.choice(np.array([0.0, 0.2, 0.7, 1e-200]), n)
+        data = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.exponential(3.0, n))
+        time = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.random(n))
+
+        got = np.where(masked, masked_value, scores >= 0.5) - lambda_data * data - lambda_time * time
+        want = [
+            (value if mask else (1.0 if score >= 0.5 else 0.0)) - ld * d - lt * t
+            for mask, value, score, ld, d, lt, t in zip(
+                masked.tolist(), masked_value.tolist(), scores.tolist(), lambda_data.tolist(),
+                data.tolist(), lambda_time.tolist(), time.tolist(),
+            )
+        ]  # fmt: skip
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        assert any(np.signbit(value) and value == 0.0 for value in want)
+
+    def test_add_at_equals_the_in_order_python_sum(self):
+        """``np.add.at(totals, episodes, rewards)`` adds the rewards one at
+        a time, in index order, to their episode's running total: each
+        total is the in-order Python sum from where it stood, signed zeros,
+        cancellation and episodes interleaved across the index included."""
+        rng = np.random.default_rng(1)
+        n_episodes, n_steps = 40, 3000
+        totals = np.zeros(n_episodes)
+        for episode in range(n_episodes):  # carried totals: sums from +0.0
+            for value in rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(0, 20)):
+                totals[episode] += value
+        episodes = rng.integers(0, n_episodes, n_steps)
+        pool = np.array([-0.0, 0.0, 0.1, -1e-17, 1e16, -1e16, 1.0, 2.0 / 3.0, 5e-324])
+        rewards = np.where(rng.random(n_steps) < 0.5, rng.choice(pool, n_steps), rng.normal(size=n_steps))
+        want = totals.tolist()
+        for episode, reward in zip(episodes.tolist(), rewards.tolist()):
+            want[episode] += reward
+        got = totals.copy()
+        np.add.at(got, episodes, rewards)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()

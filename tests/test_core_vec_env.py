@@ -254,7 +254,7 @@ class TestBatchedEpisodeEncoder:
             BatchedEpisodeEncoder(encoder, 0)
         tracker = BatchedEpisodeEncoder(encoder, 2)
         with pytest.raises(ValueError):
-            tracker.step(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2, dtype=bool))
+            tracker.step(np.zeros((3, 2)), np.zeros(2, dtype=bool))
 
     def test_states_shape_and_reset(self):
         encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
@@ -347,7 +347,7 @@ class TestEncoderSlab:
             actions = rng.uniform(-1, 1, size=(len(rows), 2))
             observations = rng.uniform(-1, 1, size=(len(rows), 2))
             dones = rng.uniform(size=len(rows)) < 0.3
-            got = tracker.step(actions, observations, dones, indices=indices)
+            got = tracker.step(np.concatenate([observations, actions]), dones, indices=indices)
             expected = self._reference_step(
                 encoder, reference, actions, observations, dones, rows
             )
@@ -513,8 +513,8 @@ class TestArrayEncoderStepMatchesTensorOracle:
                 observations = rng.uniform(-1, 1, size=(count, 2))
                 dones = rng.uniform(size=count) < 0.25
                 assert_same_bits(
-                    tracker.step(actions, observations, dones, indices=indices),
-                    oracle.step(actions, observations, dones, indices=indices),
+                    tracker.step(np.concatenate([observations, actions]), dones, indices=indices),
+                    oracle.step(np.concatenate([observations, actions]), dones, indices=indices),
                 )
                 self._assert_trackers_agree(tracker, oracle)
                 if tick == 30:
@@ -540,8 +540,8 @@ class TestArrayEncoderStepMatchesTensorOracle:
                 observations = rng.uniform(-1, 1, size=(len(active), 2))
                 dones = rng.uniform(size=len(active)) < 0.2
                 assert_same_bits(
-                    tracker.step(actions, observations, dones, indices=active),
-                    oracle.step(actions, observations, dones, indices=active),
+                    tracker.step(np.concatenate([observations, actions]), dones, indices=active),
+                    oracle.step(np.concatenate([observations, actions]), dones, indices=active),
                 )
                 self._assert_trackers_agree(tracker, oracle)
                 active = [index for row, index in enumerate(active) if not dones[row]]
@@ -552,9 +552,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         with nn.use_backend(backend):
             tracker = BatchedEpisodeEncoder(encoder, 3)
             tracker.reset_all(rng.uniform(-1, 1, size=(3, 2)))
-            stepped = tracker.step(
-                rng.uniform(-1, 1, size=(3, 2)), rng.uniform(-1, 1, size=(3, 2)), np.zeros(3, bool)
-            )
+            stepped = tracker.step(rng.uniform(-1, 1, size=(6, 2)), np.zeros(3, bool))
             pinned = stepped.copy()
             stepped[:] = 5.0
             tracker.states()[:] = 5.0
@@ -567,9 +565,9 @@ class TestArrayEncoderStepMatchesTensorOracle:
             tracker = BatchedEpisodeEncoder(encoder, 3)
             before = tracker.reset_all(np.full((3, 2), 0.5))
             with pytest.raises(ValueError):
-                tracker.step(np.zeros((3, 3)), np.zeros((3, 3)), np.ones(3, dtype=bool))
+                tracker.step(np.zeros((6, 3)), np.ones(3, dtype=bool))
             with pytest.raises(IndexError):
-                tracker.step(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1, dtype=bool), indices=[3])
+                tracker.step(np.zeros((2, 2)), np.ones(1, dtype=bool), indices=[3])
             assert np.array_equal(tracker.states(), before)
 
 
@@ -622,8 +620,8 @@ class TestDecisionTickEntryPoints:
         tracker = BatchedEpisodeEncoder(encoder, 3)
         tracker.reset_all(np.zeros((3, 2)))
         assert spied["step_pairs"] == 1
-        tracker.step(np.zeros((3, 2)), np.zeros((3, 2)), np.array([False, True, False]))
-        tracker.step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=bool), indices=[0, 2])
+        tracker.step(np.zeros((6, 2)), np.array([False, True, False]))
+        tracker.step(np.zeros((4, 2)), np.zeros(2, dtype=bool), indices=[0, 2])
         assert spied["step_pairs"] == 3
 
     def test_shard_runner_collect(self, agent, tor_splits, spied, no_tensor_forwards):
@@ -921,6 +919,32 @@ class TestTrainEquivalence:
         )
         assert first == second
 
+    def test_attack_many_over_flows_of_different_lengths_equals_each_alone(
+        self, equivalence_setup
+    ):
+        """Lanes leave the lockstep batch at different ticks.  Deterministic:
+        each result is ``attack`` of its flow.  Sampled: flow ``i`` keeps
+        its result when every other flow is a one-packet flow, which
+        finishes on the first tick and leaves flow ``i`` stepping alone."""
+        _, _, _, flows = equivalence_setup
+        _, _, _, agent = self._run(equivalence_setup)
+        lengths = (2, 5, 9, 14)
+        mixed = [flow.prefix_views([length])[0].copy() for flow, length in zip(flows, lengths)]
+        assert [flow.n_packets for flow in mixed] == list(lengths)
+
+        batched = agent.attack_many(mixed)
+        assert len({result.n_steps for result in batched}) > 1
+        assert [result_key(r) for r in batched] == [result_key(agent.attack(f)) for f in mixed]
+
+        stub = Flow(sizes=np.array([536.0]), delays=np.array([0.0]))
+        start = agent._eval_rng.bit_generator.state
+        sampled = agent.attack_many(mixed, deterministic=False)
+        for index, flow in enumerate(mixed):
+            agent._eval_rng.bit_generator.state = start
+            alone = [stub] * index + [flow] + [stub] * (len(mixed) - index - 1)
+            result = agent.attack_many(alone, deterministic=False)[index]
+            assert result_key(result) == result_key(sampled[index])
+
     def test_attack_many_of_no_flows_is_empty(self, equivalence_setup):
         agent = self._agent(equivalence_setup)
         assert agent.attack_many([]) == []
@@ -1010,7 +1034,7 @@ class TestIndexValidation:
         before = tracker.snapshot()
         count = len(indices)
         with pytest.raises(ValueError, match="environment indices"):
-            tracker.step(np.ones((count, 2)), np.ones((count, 2)), np.zeros(count, bool), indices=indices)
+            tracker.step(np.ones((2 * count, 2)), np.zeros(count, bool), indices=indices)
         after = tracker.snapshot()
         for stream in before:
             assert np.array_equal(after[stream], before[stream])
@@ -1205,15 +1229,15 @@ class TestTwoPhaseStep:
         while not done:
             [observation], [reward], [done], [info] = left_vec.step_subset([0], action)
 
-            [pending] = right_vec.propose(action, [0])
-            [(rewards, finished)] = right_vec.settle([[pending]])
+            tick = right_vec.propose(action, [0])
+            rewards, finished = right_vec.settle([tick])
 
             assert reward == rewards[0]
-            assert done == pending.done == bool(finished)
-            assert info["action_kind"] == pending.action_kind
+            assert done == tick.dones[0] == bool(finished)
+            assert info["action_kind"] == tick.action_kinds[0]
             if not done:
-                assert np.array_equal(observation, pending.next_observation)
-        assert finished[0][1].episode_reward == info["episode"].episode_reward
+                assert np.array_equal(observation, tick.next_observations[0])
+        assert finished[0][2].episode_reward == info["episode"].episode_reward
 
     def test_propose_on_finished_episode_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)

@@ -86,7 +86,7 @@ class TestFlowMetadataPropagation:
 
     def test_prefix_keeps_metadata(self):
         flow = Flow(sizes=[100.0, -200.0], delays=[0.0, 1.0], metadata={"origin": "unit-test"})
-        assert flow.prefix_view(1).metadata["origin"] == "unit-test"
+        assert flow.prefix_views([1])[0].metadata["origin"] == "unit-test"
 
 
 class TestSaveLoadAgentStateDict:

@@ -273,9 +273,9 @@ class TestBatchedKernelMatchesOracle:
         rng = np.random.default_rng(31)
         episodes = [mixed_flow(rng, n) for n in (80, 80, 67, 55, 41, 33, 12, 1)]
         prefixes = [
-            episode.prefix_view(length)
+            prefix
             for episode in episodes
-            for length in range(1, episode.n_packets + 1)
+            for prefix in episode.prefix_views(range(1, episode.n_packets + 1))
         ]
         order = rng.permutation(len(prefixes))  # a block interleaves the episodes
         prefixes = [prefixes[index] for index in order]
@@ -545,8 +545,8 @@ class TestSequenceRepresentation:
             Flow(sizes=[5e-324, -1e300, 1460.0], delays=[0.0, 1e300, 5e-324]),
             Flow(sizes=[-536.0], delays=[0.0]),
             Flow(sizes=[-0.5], delays=[-0.0]),
-            long_flow.prefix_view(1),
-            long_flow.prefix_view(long_flow.n_packets),
+            long_flow.prefix_views([1])[0],
+            long_flow.prefix_views([long_flow.n_packets])[0],
         ]
         one_packet = [flow for flow in flows if flow.n_packets == 1]
         for max_length in (1, 7, 40):

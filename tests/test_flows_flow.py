@@ -70,29 +70,29 @@ class TestFlowProperties:
 
 class TestFlowOperations:
     def test_prefix_truncates(self, simple_flow):
-        prefix = simple_flow.prefix_view(2)
+        prefix = simple_flow.prefix_views([2])[0]
         assert prefix.n_packets == 2
         assert prefix.label == simple_flow.label
 
     def test_prefix_longer_than_flow_returns_full(self, simple_flow):
-        assert simple_flow.prefix_view(100).n_packets == 4
+        assert simple_flow.prefix_views([100])[0].n_packets == 4
 
     def test_prefix_invalid_length(self, simple_flow):
         with pytest.raises(ValueError):
-            simple_flow.prefix_view(0)
+            simple_flow.prefix_views([0])[0]
 
     def test_prefix_skips_revalidation(self, simple_flow, monkeypatch):
         # A prefix of a validated flow is valid by construction.
         monkeypatch.setattr(
             Flow, "__post_init__", lambda self: pytest.fail("prefix re-validated the flow")
         )
-        prefix = simple_flow.prefix_view(3)
+        prefix = simple_flow.prefix_views([3])[0]
         assert np.array_equal(prefix.sizes, [536.0, -1072.0, 536.0])
         assert np.array_equal(prefix.delays, [0.0, 50.0, 20.0])
         assert (prefix.label, prefix.protocol) == (simple_flow.label, simple_flow.protocol)
 
     def test_copied_prefix_owns_its_arrays(self, simple_flow):
-        prefix = simple_flow.prefix_view(3)
+        prefix = simple_flow.prefix_views([3])[0]
         owned = prefix.copy()
         owned.metadata["touched"] = True
         assert "touched" not in simple_flow.metadata
@@ -103,7 +103,7 @@ class TestFlowOperations:
         assert simple_flow.sizes[0] == 536.0
 
     def test_prefix_view_metadata_is_a_read_only_view(self, simple_flow):
-        view = simple_flow.prefix_view(2)
+        view = simple_flow.prefix_views([2])[0]
         with pytest.raises(TypeError):
             view.metadata["touched"] = True
         assert "touched" not in simple_flow.metadata
@@ -115,7 +115,7 @@ class TestFlowOperations:
             assert clone.metadata == {"origin": "unit-test"} and np.array_equal(clone.sizes, view.sizes)
 
     def test_prefix_view_is_zero_copy_and_read_only(self, simple_flow):
-        view = simple_flow.prefix_view(2)
+        view = simple_flow.prefix_views([2])[0]
         assert np.array_equal(view.sizes, simple_flow.sizes[:2])
         assert np.array_equal(view.delays, simple_flow.delays[:2])
         assert (view.label, view.protocol) == (simple_flow.label, simple_flow.protocol)
@@ -127,9 +127,9 @@ class TestFlowOperations:
                 array[0] = 1.0
         # The flow it aliases stays writable; the length clamps.
         assert simple_flow.sizes.flags.writeable
-        assert simple_flow.prefix_view(100).n_packets == 4
+        assert simple_flow.prefix_views([100])[0].n_packets == 4
         with pytest.raises(ValueError):
-            simple_flow.prefix_view(0)
+            simple_flow.prefix_views([0])[0]
 
     def test_copy_is_independent(self, simple_flow):
         clone = simple_flow.copy()

@@ -177,3 +177,51 @@ class TestInMemorySerialization:
         clone.load_state_dict(nn.state_dict_from_bytes(nn.state_dict_to_bytes(model.state_dict())))
         x = nn.Tensor(np.random.default_rng(7).normal(size=(4, 3)))
         assert np.array_equal(model(x).data, clone(x).data)
+
+    def test_unreadable_payloads_raise_one_named_error(self, tmp_path):
+        """Truncation at any point, any flipped bit that breaks the archive,
+        an empty payload, a bare ``.npy`` and metadata that is not a JSON
+        object: each is a ``CheckpointError`` (a ``ValueError``) naming the
+        source, never a zip, EOF or JSON exception of its own."""
+        from repro.nn.serialization import (
+            CheckpointError,
+            load_metadata,
+            metadata_from_bytes,
+        )
+
+        state = {"actor.weight": np.arange(12.0).reshape(4, 3), "encoder.b": np.ones(5)}
+        payload = nn.state_dict_to_bytes(state, metadata={"step": 7})
+        damaged = [payload[:cut] for cut in range(0, len(payload), 37)]
+        damaged += [
+            payload[:position] + bytes([payload[position] ^ 0x40]) + payload[position + 1 :]
+            for position in range(0, len(payload), 11)
+        ]
+        damaged += [np.lib.format.magic(1, 0) + b"\x00" * 8, b"PK\x03\x04"]
+        refused = 0
+        for data in damaged:
+            for reader in (nn.state_dict_from_bytes, metadata_from_bytes):
+                try:
+                    loaded = reader(data)
+                except CheckpointError as error:
+                    assert isinstance(error, ValueError)
+                    assert str(error).startswith("checkpoint payload is not a readable checkpoint")
+                    refused += 1
+                    continue
+                # A flip the archive does not notice (a timestamp, say)
+                # still reads back the same content.
+                if reader is metadata_from_bytes:
+                    assert loaded == {"step": 7}
+                else:
+                    assert set(loaded) == set(state)
+                    assert all(np.array_equal(loaded[key], state[key]) for key in state)
+        assert refused > len(damaged)
+
+        path = tmp_path / "policy.npz"
+        path.write_bytes(nn.state_dict_to_bytes(state, metadata=[1, 2]))  # not an object
+        with pytest.raises(CheckpointError, match=f"{path} is not a readable checkpoint"):
+            load_metadata(path)
+        assert set(nn.load_state_dict(path)) == set(state)
+        path.write_bytes(payload[: len(payload) // 2])
+        for reader in (nn.load_state_dict, load_metadata):
+            with pytest.raises(CheckpointError, match=f"{path} is not a readable checkpoint"):
+                reader(path)

@@ -15,6 +15,7 @@ from repro.core import (
     VectorFlowEnv,
     compute_gae,
 )
+from repro.censors.base import CensorClassifier
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
 from repro.features.statistical import N_STATISTICAL_FEATURES
@@ -99,7 +100,7 @@ class TestFlowProperties:
     @settings(max_examples=40, deadline=None)
     def test_prefix_never_longer_than_flow(self, sizes, delays, length):
         flow = make_flow(sizes, delays)
-        prefix = flow.prefix_view(length)
+        prefix = flow.prefix_views([length])[0]
         assert 1 <= prefix.n_packets <= flow.n_packets
 
     @given(sizes=sizes_strategy, delays=delays_strategy, drop=st.floats(0.0, 0.5))
@@ -321,10 +322,10 @@ class TestEnvironmentProperties:
         def settled_outcome(tick, rewards, finished):
             return (
                 rewards.tobytes(),
-                np.array([pending.done for pending in tick]).tobytes(),
-                np.array([pending.next_observation for pending in tick]).tobytes(),
+                tick.dones.tobytes(),
+                tick.next_observations.tobytes(),
                 [(row, summary_key(summary)) for row, summary in finished],
-                [pending.score for pending in tick if not pending.masked],
+                [score for score, masked in zip(tick.scores.tolist(), tick.masked) if not masked],
             )
 
         actions = np.asarray(actions, dtype=np.float64)
@@ -338,11 +339,162 @@ class TestEnvironmentProperties:
         trained_dt_censor.reset_query_count()
         ticks = [deferred.propose(tick) for tick in actions]
         assert trained_dt_censor.query_count == 0
-        settled = deferred.settle(ticks)
+        rewards, finished = deferred.settle(ticks)
         assert [
-            settled_outcome(tick, *result) for tick, result in zip(ticks, settled)
+            settled_outcome(
+                tick,
+                rewards[index * len(tick.episodes) : (index + 1) * len(tick.episodes)],
+                [(row, summary) for at, row, summary in finished if at == index],
+            )
+            for index, tick in enumerate(ticks)
         ] == per_tick
         assert trained_dt_censor.query_count == per_tick_queries
+
+
+class _WindowedCensor(CensorClassifier):
+    """A fitted censor that reads only its ``window`` leading packets: the
+    tree censor's scores of those packets, bit for bit."""
+
+    name = "windowed"
+
+    def __init__(self, base: CensorClassifier, window: int) -> None:
+        super().__init__()
+        self.base = base
+        self.window = window
+        self._fitted = True
+
+    def fit(self, flows, labels=None):
+        return self
+
+    @property
+    def packet_window(self):
+        return self.window
+
+    def _score_flows(self, flows):
+        return self.base._score_flows([flow.prefix_views([self.window])[0] for flow in flows])
+
+
+@pytest.fixture(scope="module")
+def windowed_df_censor(normalizer, tor_splits):
+    """A DF censor reading 4 packets, so short episodes run past its window."""
+    from repro.censors import DeepFingerprintingClassifier
+    from repro.features import SequenceRepresentation
+
+    return DeepFingerprintingClassifier(SequenceRepresentation(6, normalizer), epochs=1, rng=0).fit(
+        tor_splits.clf_train.flows
+    )
+
+
+def _collect_with_both_kernels(censor, normalizer, flows, config, seed, n_ticks=10, n_collects=2):
+    """Two collects of ``n_ticks`` from ``ShardRunner`` and from the seed
+    per-environment loop, on same-seed replicas and seed trees; each
+    kernel's results and the queries it counted."""
+    from oracles.sequential_collection import SequentialCollector
+    from repro.distrib import ShardRunner
+    from repro.utils.rng import collection_seed_tree
+
+    outcomes = []
+    for kernel in (ShardRunner, SequentialCollector):
+        rng = np.random.default_rng(seed)
+        encoder = StateEncoder(hidden_size=4, num_layers=1, rng=rng)
+        actor = GaussianActor(2 * encoder.hidden_size, hidden_dims=(6,), rng=rng)
+        critic = Critic(2 * encoder.hidden_size, hidden_dims=(6,), rng=rng)
+        runner = kernel(
+            actor, critic, encoder, censor, normalizer, config, flows,
+            collection_seed_tree(rng, config.n_envs),
+        )  # fmt: skip
+        censor.reset_query_count()
+        results = [runner.collect(n_ticks) for _ in range(n_collects)]
+        outcomes.append((results, censor.query_count))
+    return outcomes
+
+
+class TestCollectionProperties:
+    """``ShardRunner.collect`` (tick records, rewards settled as arrays) is
+    the seed per-environment loop of ``tests/oracles/sequential_collection.py``:
+    over reward masking rates, episode caps below the flows' lengths (slots
+    finish and restart inside one rollout) and censor windows."""
+
+    @given(
+        mask_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        max_episode_steps=st.integers(1, 8),
+        n_envs=st.integers(1, 3),
+        window=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_collect_equals_sequential_collector_bit_for_bit(
+        self, mask_rate, max_episode_steps, n_envs, window, seed, trained_dt_censor, normalizer, tor_splits
+    ):
+        """A tree censor, on whole prefixes or on a window it declares."""
+        censor = trained_dt_censor if window is None else _WindowedCensor(trained_dt_censor, window)
+        config = AmoebaConfig.for_tor(
+            n_envs=n_envs, reward_mask_rate=mask_rate, max_episode_steps=max_episode_steps
+        )
+        flows = tor_splits.attack_train.censored_flows[:6]
+        (got, got_queries), (want, want_queries) = _collect_with_both_kernels(
+            censor, normalizer, flows, config, seed
+        )
+        assert got_queries == want_queries
+        for left, right in zip(got, want):
+            for name in (
+                "states", "actions", "log_probs", "values", "rewards", "dones", "final_values",
+            ):  # fmt: skip
+                assert _bits(getattr(left, name)).tobytes() == _bits(getattr(right, name)).tobytes(), name
+            assert left.query_delta == right.query_delta
+            assert [
+                (tick, row, _bits(summary.episode_reward).tobytes(), _bits(summary.final_score).tobytes(),
+                 summary.n_steps, summary.n_truncations, summary.n_paddings, summary.n_delays,
+                 summary.data_overhead, summary.time_overhead,
+                 summary.adversarial_flow.sizes.tobytes(), summary.adversarial_flow.delays.tobytes())
+                for tick, row, summary in left.summaries
+            ] == [
+                (tick, row, _bits(summary.episode_reward).tobytes(), _bits(summary.final_score).tobytes(),
+                 summary.n_steps, summary.n_truncations, summary.n_paddings, summary.n_delays,
+                 summary.data_overhead, summary.time_overhead,
+                 summary.adversarial_flow.sizes.tobytes(), summary.adversarial_flow.delays.tobytes())
+                for tick, row, summary in right.summaries
+            ]  # fmt: skip
+        if max_episode_steps < 10:
+            assert sum(len(result.summaries) for result in got) >= n_envs
+
+    @given(
+        mask_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        max_episode_steps=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_collect_equals_sequential_collector_thresholded_with_a_neural_censor(
+        self, mask_rate, max_episode_steps, seed, windowed_df_censor, normalizer, tor_splits
+    ):
+        """A DF censor's score may move in its last bits with the batch it
+        is scored in; everything that reads it only through the 0.5
+        threshold may not move at all."""
+        config = AmoebaConfig.for_tor(
+            n_envs=2, reward_mask_rate=mask_rate, max_episode_steps=max_episode_steps
+        )
+        flows = tor_splits.attack_train.censored_flows[:6]
+        (got, got_queries), (want, want_queries) = _collect_with_both_kernels(
+            windowed_df_censor, normalizer, flows, config, seed
+        )
+        assert got_queries == want_queries
+        for left, right in zip(got, want):
+            for name in ("states", "actions", "log_probs", "values", "rewards", "dones"):
+                assert _bits(getattr(left, name)).tobytes() == _bits(getattr(right, name)).tobytes(), name
+            assert left.query_delta == right.query_delta
+            assert [
+                (tick, row, s.success, s.episode_reward, s.adversarial_flow.sizes.tobytes())
+                for tick, row, s in left.summaries
+            ] == [
+                (tick, row, s.success, s.episode_reward, s.adversarial_flow.sizes.tobytes())
+                for tick, row, s in right.summaries
+            ]
+            assert np.allclose(
+                [s.final_score for _, _, s in left.summaries],
+                [s.final_score for _, _, s in right.summaries],
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 def _around(*centres):
@@ -561,8 +713,9 @@ class TestEncoderTickOracleProperties:
                 dones = np.array([bool(mask >> env & 1) for env in range(n_envs)])
                 actions = rng.uniform(-1, 1, size=(n_envs, 2))
                 observations = rng.uniform(-1, 1, size=(n_envs, 2))
-                got = tracker.step(actions, observations, dones)
-                want = oracle.step(actions, observations, dones)
+                pairs = np.concatenate([observations, actions])
+                got = tracker.step(pairs, dones)
+                want = oracle.step(pairs, dones)
                 assert np.array_equal(_bits(got), _bits(want))
             for stream, slab in oracle.snapshot().items():
                 assert np.array_equal(_bits(tracker.snapshot()[stream]), _bits(slab))

@@ -106,7 +106,8 @@ RETIRED_MEMBERS = [
     ("repro.core.env", "AdversarialFlowEnv", "propose"),
     ("repro.core.env", "AdversarialFlowEnv", "observation_history"),
     ("repro.core.env", "AdversarialFlowEnv", "action_history"),
-    ("repro.core.env", "PendingStep", "flows_to_score"),
+    ("repro.core.env", "AdversarialFlowEnv", "_settle"),
+    ("repro.core.env", "AdversarialFlowEnv", "_finalise_episode"),
     ("repro.core.agent", "Amoeba", "encode_state"),
     ("repro.core.actor_critic", "GaussianActor", "act"),
     ("repro.core.actor_critic", "Critic", "value"),
@@ -122,6 +123,8 @@ RETIRED_MEMBERS = [
 # calls them (a call trace over all of those finds none), so they are
 # deleted rather than kept for callers that do not exist.
 UNREACHED_MEMBERS = [
+    # Settling cuts all of an episode's prefixes in one call.
+    ("repro.flows.flow", "Flow", "prefix_view"),
     ("repro.nn.tensor", "Tensor", "size"),
     ("repro.nn.tensor", "Tensor", "numpy"),
     ("repro.nn.tensor", "Tensor", "__rtruediv__"),
@@ -199,6 +202,17 @@ def test_single_step_twins_are_gone(module_name, owner, member):
     assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
 
 
+def test_collection_tick_has_no_per_step_object():
+    """``VectorFlowEnv.propose`` returns one tick record of per-slot tuples
+    and arrays; the per-step ``PendingStep`` object is gone, and ``settle``
+    rewards a rollout as arrays with no per-step method of the emulator."""
+    import repro.core
+    from repro.core import env
+
+    assert not hasattr(env, "PendingStep") and "PendingStep" not in env.__all__
+    assert not hasattr(repro.core, "PendingStep") and "PendingStep" not in repro.core.__all__
+
+
 @pytest.mark.parametrize("module_name,owner,member", UNREACHED_MEMBERS)
 def test_unreached_members_are_gone(module_name, owner, member):
     assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
@@ -256,6 +270,8 @@ RETIRED_CALLS = [
     r"\bcritic\.value\(",
     r"\benv\.(step|apply|propose)\(",
     r"\.flows_to_score\b",
+    r"\bPendingStep\b",
+    r"\.prefix_view\(",
     r"_action_components\b",
     r"_current_adversarial_flow\b",
     r"\.last_summary\b",

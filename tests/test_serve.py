@@ -10,6 +10,7 @@ equivalence of the serving emulator with the training-time environment
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,11 @@ class TestSessionStateOwnership:
 
 # --------------------------------------------------------------------- #
 # Checkpoint reconstruction
+def _flip(data: bytes, position: int) -> bytes:
+    """``data`` with one bit of the byte at ``position`` flipped."""
+    return data[:position] + bytes([data[position] ^ 0x01]) + data[position + 1 :]
+
+
 # --------------------------------------------------------------------- #
 class TestCheckpointServing:
     def _checkpoint(self, policy, tmp_path):
@@ -793,6 +799,58 @@ class TestCheckpointServing:
         path, _ = self._checkpoint(policy, tmp_path)
         for config in (ServeConfig(), ServeConfig(size_scale=16384.0, max_delay_ms=7.0)):
             assert PolicyServer.from_checkpoint(path, config=config).config is config
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda data: data[: len(data) // 2], "BadZipFile"),
+            (lambda data: b"", "EOFError"),
+            (lambda data: _flip(data, len(data) // 2), "Bad CRC-32"),
+            (lambda data: np.lib.format.magic(1, 0) + b"{}", "not a readable checkpoint"),
+            (lambda data: b"not a checkpoint at all", "not a readable checkpoint"),
+        ],
+    )
+    def test_unreadable_checkpoint_is_one_named_error(self, policy, tmp_path, damage, message):
+        from repro.nn.serialization import CheckpointError
+
+        path, _ = self._checkpoint(policy, tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))) as raised:
+            PolicyServer.from_checkpoint(path)
+        assert message in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "name,spoil,message",
+        [
+            ("actor.body.layer0.weight", lambda v: np.where(v == v.flat[3], np.nan, v), "is not finite"),
+            ("encoder.gru.cell0.w_h", lambda v: np.where(v == v.flat[0], -np.inf, v), "is not finite"),
+            ("actor.log_std", lambda v: v.astype(np.int64), "dtype int64"),
+            ("encoder.gru.cell1.b", lambda v: v.astype(bool), "dtype bool"),
+        ],
+    )
+    def test_unservable_parameters_are_refused_before_any_session(
+        self, policy, tmp_path, name, spoil, message
+    ):
+        from repro.nn.serialization import CheckpointError
+
+        path, state = self._checkpoint(policy, tmp_path)
+        save_state_dict({**state, name: spoil(np.asarray(state[name]))}, path)
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint parameter {name}")) as raised:
+            PolicyServer.from_checkpoint(path)
+        assert message in str(raised.value)
+
+    def test_float32_parameters_serve_identically(self, policy, serve_config, tmp_path, simple_flow):
+        """Widening float32 to float64 is exact, so such a checkpoint loads."""
+        path, state = self._checkpoint(policy, tmp_path)
+        narrow = {name: np.asarray(value, np.float32) for name, value in state.items()}
+        served = []
+        for checkpoint in (narrow, {name: value.astype(np.float64) for name, value in narrow.items()}):
+            save_state_dict(checkpoint, path)
+            served.append(serve_flow(PolicyServer.from_checkpoint(path, config=serve_config), simple_flow))
+        assert np.array_equal(served[0].shaped_flow.sizes, served[1].shaped_flow.sizes)
+        assert np.array_equal(served[0].shaped_flow.delays, served[1].shaped_flow.delays)
+        assert served[0].n_decisions >= simple_flow.n_packets
 
     def test_checkpoint_without_prefixes_rejected(self):
         with pytest.raises(ValueError):
