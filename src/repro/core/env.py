@@ -23,7 +23,10 @@ transition never depends on the censor) and returns the step as a plain
 tuple, which the caller transposes into one tick record for all its slots;
 ``VectorFlowEnv.settle`` later turns the censor's scores into rewards, as
 arrays.  Emitted packets go into the environment's preallocated rows; an
-episode copies its own out when it ends.
+episode copies its own out when it ends.  Observations and emitted-action
+records are :func:`normalised_pair`'s ``(size, delay)`` float pairs, in
+training and in serving (:class:`~repro.serve.session.FlowSession`) alike;
+neither tier builds an array per step, only one per tick or flush.
 
 The reward combines the censor's decision on the adversarial prefix with the
 data-overhead and time-overhead penalties:
@@ -56,8 +59,7 @@ __all__ = [
     "ActionKind",
     "packet_direction",
     "shape_packet_core",
-    "make_observation",
-    "record_action",
+    "normalised_pair",
 ]
 
 
@@ -145,14 +147,19 @@ def shape_packet_core(
     return emitted_bytes, added_delay, delay_action, is_truncation
 
 
-def _normalised_pair(
+def normalised_pair(
     direction: float, size_bytes: float, delay_ms: float, size_scale: float, max_delay_ms: float
 ) -> Tuple[float, float]:
-    """Signed size clipped to the size scale, delay clipped to the delay
-    bound — the arithmetic of both :func:`make_observation` and
-    :func:`record_action`, as a tuple of Python floats (the training
-    emulator keeps its pairs in this form and builds one array per tick
-    from them).  Each clip is :func:`_clip`'s, written out."""
+    """The normalised ``(size, delay)`` pair of one packet, as two Python floats.
+
+    Signed size clipped to the size scale, delay clipped to the delay bound
+    (each clip is :func:`_clip`'s, written out).  It is the one definition of
+    both encoder streams' inputs, in both tiers: the observation of the
+    pending (sub-)packet (remaining payload, original delay — zero for a
+    follow-up sub-packet) and the record of the emitted adversarial packet
+    (emitted bytes and delay).  Callers keep the pairs as tuples and build
+    one array per tick or flush from them.
+    """
     size = direction * size_bytes / size_scale
     if size < -1.0:
         size = -1.0
@@ -164,45 +171,6 @@ def _normalised_pair(
     elif delay > 1.0:
         delay = 1.0
     return size, delay
-
-
-def make_observation(
-    direction: float,
-    remaining_bytes: float,
-    base_delay: float,
-    size_scale: float,
-    max_delay_ms: float,
-) -> np.ndarray:
-    """Normalised (size, delay) observation of the pending (sub-)packet.
-
-    Shared by the training environment and the serving tier so the policy
-    input is one definition: signed remaining payload clipped to the size
-    scale, original delay (zero for follow-up sub-packets) clipped to the
-    delay bound.
-    """
-    return np.array(
-        _normalised_pair(direction, remaining_bytes, base_delay, size_scale, max_delay_ms),
-        dtype=np.float64,
-    )
-
-
-def record_action(
-    direction: float,
-    emitted_bytes: float,
-    emitted_delay: float,
-    size_scale: float,
-    max_delay_ms: float,
-) -> np.ndarray:
-    """Normalised record of the *emitted* adversarial packet.
-
-    This is what enters the action-history encoder stream — shared between
-    environment and serving tier for the same reason as
-    :func:`make_observation`.
-    """
-    return np.array(
-        _normalised_pair(direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms),
-        dtype=np.float64,
-    )
 
 
 @dataclass
@@ -399,7 +367,7 @@ class AdversarialFlowEnv:
         remaining = self._remaining_bytes = abs(size)
         direction = self._direction = packet_direction(size)
         delay = self._packet_delay = self._original_delays[self._packet_index]
-        return _normalised_pair(
+        return normalised_pair(
             direction, remaining, delay, self.normalizer.size_scale, self.config.max_delay_ms
         )
 
@@ -492,7 +460,7 @@ class AdversarialFlowEnv:
             episode.added_delay += added_delay
 
         # Record the emitted adversarial packet.
-        recorded_action = _normalised_pair(
+        recorded_action = normalised_pair(
             direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms
         )
         self._sizes[steps] = direction * emitted_bytes
@@ -513,7 +481,7 @@ class AdversarialFlowEnv:
         if is_truncation:
             self._remaining_bytes = remaining
             self._truncations_current_packet = truncations
-            next_observation = _normalised_pair(direction, remaining, 0.0, size_scale, max_delay_ms)
+            next_observation = normalised_pair(direction, remaining, 0.0, size_scale, max_delay_ms)
         else:
             self._truncations_current_packet = 0
             self._packet_index += 1

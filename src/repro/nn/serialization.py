@@ -21,7 +21,9 @@ from __future__ import annotations
 import io
 import json
 import struct
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -91,18 +93,37 @@ class CheckpointError(ValueError):
     an archive) or served; the message names the file or the parameter."""
 
 
+_END_OF_CENTRAL_DIRECTORY = b"PK\x05\x06"
+
+
+def _check_members(archive: zipfile.ZipFile, data: bytes) -> None:
+    """Refuse an archive whose members are not all there and intact: a
+    damaged length field can make ``zipfile`` list fewer members than the
+    end record counts, and a ``.npy`` header must pass its CRC before numpy
+    parses it."""
+    members = archive.infolist()
+    (total,) = struct.unpack_from("<H", data, data.rfind(_END_OF_CENTRAL_DIRECTORY) + 10)
+    if len(members) != total:
+        raise ValueError(f"its central directory lists {len(members)} of {total} members")
+    for member in members:
+        archive.read(member)  # raises BadZipFile on a CRC mismatch
+
+
 @contextmanager
 def _archive(data: bytes, source: str) -> Iterator[np.lib.npyio.NpzFile]:
-    """The open ``.npz`` archive of ``data``; what reading a damaged one
-    raises (zip, EOF, ``.npy``, JSON) is a :class:`CheckpointError`."""
+    """The open ``.npz`` archive of ``data``, every member present and intact;
+    what reading a damaged one raises is a :class:`CheckpointError`."""
     try:
         archive = np.load(io.BytesIO(data))
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("not an .npz archive")
         with archive:
+            _check_members(archive.zip, data)
             yield archive
     except (
-        zipfile.BadZipFile, NotImplementedError, EOFError, OSError, ValueError, KeyError, struct.error
+        zipfile.BadZipFile, NotImplementedError, EOFError, OSError, ValueError, KeyError,
+        struct.error, zlib.error, tokenize.TokenError,
+        RuntimeError,  # zipfile on a member whose encryption flag is set
     ) as error:  # fmt: skip
         raise CheckpointError(
             f"{source} is not a readable checkpoint ({type(error).__name__}: {error})"
@@ -118,10 +139,7 @@ def _state(data: bytes, source: str) -> Dict[str, np.ndarray]:
 def _metadata(data: bytes, source: str) -> dict:
     with _archive(data, source) as archive:
         if _META_KEY not in archive.files:
-            # An archive older than the metadata -- unless damage hid it.
-            if archive.zip.testzip() is not None:
-                raise ValueError("a member fails its CRC check")
-            return {}
+            return {}  # an archive older than the metadata
         metadata = json.loads(archive[_META_KEY].tobytes())
         if not isinstance(metadata, dict):
             raise ValueError("its metadata is not a JSON object")

@@ -19,17 +19,16 @@ every batch size to it; ``examples/serve_policy.py`` prints both rates).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from ..utils.validation import check_non_negative
 
 __all__ = ["DecisionRequest", "ContinuousBatchScheduler"]
 
 
-@dataclass(frozen=True)
-class DecisionRequest:
-    """One pending per-packet decision for one session."""
+class DecisionRequest(NamedTuple):
+    """One pending per-packet decision for one session (a light immutable
+    record: the server builds one per decision)."""
 
     session_id: str
     enqueued_at: float  # server-clock seconds, for latency / timeout tracking
@@ -84,10 +83,8 @@ class ContinuousBatchScheduler:
 
     def take_batch(self) -> List[DecisionRequest]:
         """Pop up to ``max_batch`` requests, FIFO."""
-        batch: List[DecisionRequest] = []
-        while self._queue and len(batch) < self.max_batch:
-            batch.append(self._queue.popleft())
-        return batch
+        popleft = self._queue.popleft
+        return [popleft() for _ in range(min(len(self._queue), self.max_batch))]
 
     def put_back(self, batch: List[DecisionRequest]) -> None:
         """Undo a :meth:`take_batch`: ``batch`` returns to the front of the

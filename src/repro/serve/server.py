@@ -16,7 +16,9 @@ inter-packet gaps (Figure 11) or fall back to the offline profile database
 * a :class:`~repro.serve.scheduler.ContinuousBatchScheduler` coalesces
   pending decisions across sessions into single ``act_batch`` /
   ``step_pairs`` forwards (flush on full batch or timeout), which gather
-  the batch's table rows and scatter the stepped rows back;
+  the batch's table rows and scatter the stepped rows back; sessions hand
+  it float pairs and named-tuple records, so it builds one array per
+  stream, and its counters take the batch at once;
 * per-session deadline tracking demotes flows the online path cannot serve
   in time to the :class:`~repro.core.profiles.ProfileDatabase` offline tier,
   whose embedding overhead is reported per session at close.
@@ -228,6 +230,13 @@ def build_policy_from_state(
     return actor, encoder
 
 
+def _pair_slab(pairs: List[Tuple[float, float]]) -> np.ndarray:
+    """``np.array(pairs)`` for a list of ``(float, float)`` pairs, read in one
+    flat pass (at a full batch of 16 pairs it takes half the time)."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    return flat.reshape(-1, 2)
+
+
 def summarize_stats(stats: Dict[str, object]) -> Dict[str, float]:
     """Percentile / rate summary of a :meth:`PolicyServer.stats` dict.
 
@@ -389,7 +398,7 @@ class PolicyServer:
         session.enqueue(size, delay_ms)
         if session.arm_next():
             self._scheduler.submit(
-                DecisionRequest(session_id=session_id, enqueued_at=self._clock())
+                DecisionRequest(session_id, self._clock())
             )
         if self._scheduler.pending >= self.config.max_batch:
             self.flush()
@@ -452,29 +461,27 @@ class PolicyServer:
         back at the front of the queue with table and sessions untouched.
         """
         batch = self._scheduler.take_batch()
-        # Sessions may have left the online tier (demotion, close) between
-        # enqueue and flush; their requests are dropped silently.
-        live: List[Tuple[DecisionRequest, FlowSession]] = [
-            (request, self._sessions[request.session_id])
-            for request in batch
-            if request.session_id in self._sessions
-        ]
+        # One pass over the batch: sessions may have left the online tier
+        # (demotion, close) between enqueue and flush; their requests are
+        # dropped silently.
+        open_sessions = self._sessions
         live = [
             (request, session)
-            for request, session in live
-            if session.online and session.in_flight
+            for request in batch
+            if (session := open_sessions.get(request.session_id)) is not None
+            and session.online
+            and session.in_flight
         ]
         if not live:
             return []
-        sessions = [session for _, session in live]
+        requests, sessions = zip(*live)
         slots = [session.slot for session in sessions]
         # What the scatter rests on: distinct slots (a duplicate would keep
         # one of two rows, silently) and one unfolded observation per row.
         if len(set(slots)) != len(slots):
             self._scheduler.put_back(batch)
             raise RuntimeError(
-                "a batch names a session twice: "
-                f"{[request.session_id for request, _ in live]}"
+                f"a batch names a session twice: {[request.session_id for request in requests]}"
             )
         unarmed = [s.session_id for s in sessions if not s.observation_pending_fold]
         if unarmed:
@@ -484,12 +491,12 @@ class PolicyServer:
         hidden = self._table.hidden
 
         # 1) Fold the newly armed observations: one batched GRU step on the
-        # batch's rows of stream 0.  The fancy index is the copy (the table
-        # is untouched until the commit below); it comes back slot-major, so
-        # it is made row-contiguous once here instead of once per GEMM.
-        # (``take`` on the strided stream view would copy the whole stream
-        # first.)
-        observations = np.array([s.current_observation() for s in sessions])
+        # batch's rows of stream 0, from one array of the sessions' float
+        # pairs.  The fancy index is the copy (the table is untouched until
+        # the commit below); it comes back slot-major, so it is made
+        # row-contiguous once here instead of once per GEMM.  (``take`` on
+        # the strided stream view would copy the whole stream first.)
+        observations = _pair_slab([s.current_observation() for s in sessions])
         folded = self.encoder.step_pairs(observations, np.ascontiguousarray(hidden[:, 0, slots]))
 
         # 2) One deterministic policy forward for the whole batch, from the
@@ -508,21 +515,22 @@ class PolicyServer:
         self._flushes += 1
 
         # 3+4) Apply actions through the per-session emulator, then fold the
-        # emitted actions (one batched GRU step).  The answer is stamped
-        # first; both scatters sit behind it.
+        # emitted actions (one batched GRU step on one array of the
+        # decisions' recorded pairs).  The answer is stamped first; both
+        # scatters sit behind it.  The counters and the latency window take
+        # the whole batch at once.
         now = self._clock()
         hidden[:, 0, slots] = folded
-        decisions: List[ShapingDecision] = []
-        for (request, session), action in zip(live, actions.tolist()):
-            latency_ms = max(0.0, (now - request.enqueued_at) * 1000.0)
-            decision = session.apply_action(action, latency_ms=latency_ms)
-            decisions.append(decision)
-            self._decisions += 1
-            self._latencies_ms.append(decision.latency_ms)
-            if decision.deadline_missed:
-                self._deadline_misses += 1
+        latencies = [max(0.0, (now - request.enqueued_at) * 1000.0) for request in requests]
+        decisions = [
+            session.apply_action(action, latency_ms)
+            for session, action, latency_ms in zip(sessions, actions.tolist(), latencies)
+        ]
+        self._decisions += len(decisions)
+        self._latencies_ms.extend(latencies)
+        self._deadline_misses += sum([decision.deadline_missed for decision in decisions])
 
-        recorded = np.array([decision.recorded_action for decision in decisions])
+        recorded = _pair_slab([decision.recorded_action for decision in decisions])
         hidden[:, 1, slots] = self.encoder.step_pairs(
             recorded, np.ascontiguousarray(hidden[:, 1, slots])
         )
@@ -530,13 +538,9 @@ class PolicyServer:
         # 5) Re-arm follow-up work: truncation remainders continue the same
         #    packet; completed packets pull the next one from the backlog.
         requeue_at = self._clock()
-        for _, session in live:
-            if not session.online:
-                continue
-            if session.in_flight or session.arm_next():
-                self._scheduler.submit(
-                    DecisionRequest(session_id=session.session_id, enqueued_at=requeue_at)
-                )
+        for session in sessions:
+            if session.online and (session.in_flight or session.arm_next()):
+                self._scheduler.submit(DecisionRequest(session.session_id, requeue_at))
         self._outbox.extend(decisions)
         return decisions
 

@@ -9,6 +9,9 @@ incremental encoder streams (observation history and action history) are
 so a per-packet policy decision costs one batched GRU step instead of
 re-encoding the whole history (the PR 1 O(T) contract, now spent on
 inference serving) and no per-session array is built or split on the way.
+Nor is one built per decision: observations and recorded actions are
+``(size, delay)`` float pairs and the records are named tuples, so the flush
+stacks one array per encoder stream and nothing else.
 
 The deterministic shaping rules — truncation / padding / minimum packet
 size / per-packet truncation cap / step budget — are the *same code* the
@@ -27,13 +30,14 @@ when the online path cannot beat the flow's inter-packet-delay budget.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.env import make_observation, packet_direction, record_action, shape_packet_core
+from ..core.env import normalised_pair, packet_direction, shape_packet_core
 from ..core.profiles import ProfileEmbeddingResult
 from ..flows.flow import Flow, FlowLabel
 
@@ -79,24 +83,23 @@ class SessionLimits:
     max_steps: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PendingPacket:
+class PendingPacket(NamedTuple):
     """One original (payload) packet waiting to be shaped."""
 
     size: float      # signed bytes (positive upstream, negative downstream)
     delay_ms: float  # original inter-packet delay
 
 
-@dataclass(frozen=True)
-class ShapingDecision:
-    """One emitted adversarial packet (the answer to one decision request)."""
+class ShapingDecision(NamedTuple):
+    """One emitted adversarial packet (the answer to one decision request);
+    ``recorded_action`` is the float pair the action stream folds."""
 
     session_id: str
     step: int
     kind: str                 # ActionKind.TRUNCATION / PADDING / "exact"
     emitted_size: float       # signed bytes actually sent on the wire
     emitted_delay_ms: float   # original + policy-added delay
-    recorded_action: np.ndarray = field(repr=False)
+    recorded_action: Tuple[float, float]
     latency_ms: float = 0.0
     deadline_missed: bool = False
 
@@ -253,10 +256,11 @@ class FlowSession:
     def enqueue(self, size: float, delay_ms: float) -> None:
         """Accept one original packet for shaping (or profile fallback).
 
-        A zero-size packet is rejected at this ingestion boundary (the sign
-        encodes direction, exactly as in the :class:`~repro.flows.flow.Flow`
-        model); letting one through would arm a payload-less decision that
-        crashes mid-flush and disturbs its batch-mates.
+        A packet no flow could carry — zero or non-finite size (the sign
+        encodes direction, as in :class:`~repro.flows.flow.Flow`), negative
+        or non-finite delay — is refused here, before it is counted or
+        queued: let through, it would wedge or split a later flush, or sink
+        the session's report at close.
         """
         if self.closed:
             raise RuntimeError(f"session {self.session_id!r} is closed")
@@ -264,12 +268,16 @@ class FlowSession:
         delay_ms = float(delay_ms)
         if size == 0.0:
             raise ValueError("packet size must be non-zero (sign encodes direction)")
+        if not math.isfinite(size):
+            raise ValueError(f"packet size must be finite, got {size}")
+        if not 0.0 <= delay_ms < math.inf:
+            raise ValueError(f"packet delay must be finite and >= 0, got {delay_ms}")
         self._n_packets_in += 1
         if self.status == SessionStatus.DEMOTED:
             self._profile_sizes.append(size)
             self._profile_delays.append(delay_ms)
             return
-        self._inbox.append(PendingPacket(size=size, delay_ms=delay_ms))
+        self._inbox.append(PendingPacket(size, delay_ms))
 
     def arm_next(self) -> bool:
         """Start shaping the next queued packet; True if a decision is now due.
@@ -291,20 +299,18 @@ class FlowSession:
     # ------------------------------------------------------------------ #
     # Observation / action folding hooks (called by the server)
     # ------------------------------------------------------------------ #
-    def current_observation(self) -> np.ndarray:
-        """Normalised (size, delay) observation of the pending sub-packet.
+    def current_observation(self) -> Tuple[float, float]:
+        """Normalised ``(size, delay)`` float pair of the pending sub-packet.
 
-        Delegates to :func:`repro.core.env.make_observation` — the same
-        formula the training environment uses — with the original delay
-        zeroed for follow-up sub-packets after a truncation.
+        :func:`repro.core.env.normalised_pair` — the same formula the
+        training environment uses — with the original delay zeroed for
+        follow-up sub-packets after a truncation.  The flush stacks its
+        batch's pairs into one array.
         """
         base = 0.0 if self._truncations_current_packet > 0 else self._base_delay
-        return make_observation(
-            self._direction,
-            self._remaining_bytes,
-            base,
-            self.limits.size_scale,
-            self.limits.max_delay_ms,
+        limits = self.limits
+        return normalised_pair(
+            self._direction, self._remaining_bytes, base, limits.size_scale, limits.max_delay_ms
         )
 
     @property
@@ -344,18 +350,21 @@ class FlowSession:
         for bit.  The observation the action answered counts as folded from
         here on (the server commits its table rows just before this call).
         """
-        if not self.online:
+        if self.status != SessionStatus.OPEN:
             raise RuntimeError(f"session {self.session_id!r} is not online")
-        if self._remaining_bytes <= 0:
+        remaining = self._remaining_bytes
+        if remaining <= 0:
             raise RuntimeError("no packet armed; call arm_next() first")
         limits = self.limits
+        truncations = self._truncations_current_packet
+        direction = self._direction
 
         size_action, delay_action = action
         emitted_bytes, added_delay, _, is_truncation = shape_packet_core(
             size_action,
             delay_action,
-            self._remaining_bytes,
-            self._truncations_current_packet,
+            remaining,
+            truncations,
             self._steps,
             limits.size_scale,
             limits.min_packet_bytes,
@@ -363,46 +372,44 @@ class FlowSession:
             limits.max_truncations_per_packet,
             limits.max_steps,
         )
-        base_delay = 0.0 if self._truncations_current_packet > 0 else self._base_delay
-        emitted_delay = base_delay + added_delay
-        self._observation_armed = False
+        emitted_delay = (0.0 if truncations > 0 else self._base_delay) + added_delay
 
         if is_truncation:
-            self._remaining_bytes -= emitted_bytes
+            self._remaining_bytes = remaining - emitted_bytes
             self._payload_consumed += emitted_bytes
-            self._truncations_current_packet += 1
+            self._truncations_current_packet = truncations + 1
             kind = "truncation"
             # The remainder is re-offered as the next observation (base
             # delay zero), exactly like the training emulator.
             self._observation_armed = True
         else:
-            padding = emitted_bytes - self._remaining_bytes
-            self._payload_consumed += self._remaining_bytes
+            self._payload_consumed += remaining
             self._remaining_bytes = 0.0
-            kind = "padding" if padding > 0 else "exact"
+            self._observation_armed = False
+            kind = "padding" if emitted_bytes - remaining > 0 else "exact"
 
-        recorded_action = record_action(
-            self._direction, emitted_bytes, emitted_delay, limits.size_scale, limits.max_delay_ms
-        )
-        self._out_sizes.append(self._direction * emitted_bytes)
+        emitted_size = direction * emitted_bytes
+        self._out_sizes.append(emitted_size)
         self._out_delays.append(emitted_delay)
         self._added_delay_total += added_delay
-        self._steps += 1
+        steps = self._steps = self._steps + 1
         self._n_decisions += 1
 
-        missed = self._record_latency(latency_ms)
+        missed = self.deadline_ms is not None and self._record_latency(latency_ms)
         decision = ShapingDecision(
-            session_id=self.session_id,
-            step=self._steps,
-            kind=kind,
-            emitted_size=self._direction * emitted_bytes,
-            emitted_delay_ms=emitted_delay,
-            recorded_action=recorded_action,
-            latency_ms=float(latency_ms),
-            deadline_missed=missed,
+            self.session_id,
+            steps,
+            kind,
+            emitted_size,
+            emitted_delay,
+            normalised_pair(
+                direction, emitted_bytes, emitted_delay, limits.size_scale, limits.max_delay_ms
+            ),
+            float(latency_ms),
+            missed,
         )
 
-        if limits.max_steps is not None and self._steps >= limits.max_steps:
+        if limits.max_steps is not None and steps >= limits.max_steps:
             # Step budget exhausted: the session leaves the online tier with
             # whatever is still queued unserved (mirrors the episode cap).
             self.status = SessionStatus.CLOSED
@@ -414,8 +421,6 @@ class FlowSession:
     # Deadline tracking and demotion
     # ------------------------------------------------------------------ #
     def _record_latency(self, latency_ms: float) -> bool:
-        if self.deadline_ms is None:
-            return False
         missed = latency_ms > self.deadline_ms
         if missed:
             self._deadline_misses += 1

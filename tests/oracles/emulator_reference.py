@@ -9,7 +9,9 @@ production helpers against -- do not optimise or "fix" them; the only edit
 is ``_current_direction`` becoming a free function of the packet size.
 ``ShapedPacket`` is the record ``shape_packet`` returned; production's
 ``shape_packet_core`` returns the same four fields as a plain tuple, in this
-order, so ``ShapedPacket(*core)`` compares field for field.
+order, so ``ShapedPacket(*core)`` compares field for field.  Production has
+no ``make_observation`` / ``record_action`` any more: both were one formula,
+which ``normalised_pair`` returns as a pair of Python floats.
 """
 
 from __future__ import annotations

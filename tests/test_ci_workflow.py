@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
-NAMED_FILE = re.compile(r"\b(?:tests|benchmarks)/[\w/.-]*?\.py\b")
+NAMED_FILE = re.compile(r"\b(?:tests|benchmarks)/[\w/.-]*?\.(?:py|npz)\b")
 
 
 def test_workflow_is_valid_yaml_with_jobs():

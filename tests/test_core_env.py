@@ -238,9 +238,8 @@ class TestEpisodeSummary:
 # Python-float emulator helpers vs. the seed numpy formulation (oracle)
 # --------------------------------------------------------------------- #
 from repro.core.env import (  # noqa: E402
-    make_observation,
+    normalised_pair,
     packet_direction,
-    record_action,
     shape_packet_core,
 )
 
@@ -280,9 +279,10 @@ def assert_same_shaped(got, expected):
 
 
 class TestEmulatorOracle:
-    """`shape_packet_core` / `make_observation` / `record_action` are plain
-    Python floats now; the seed ``np.clip`` bodies in ``tests/oracles`` say what
-    every bit of their results must be."""
+    """`shape_packet_core` and `normalised_pair` are plain Python floats now;
+    the seed ``np.clip`` bodies in ``tests/oracles`` say what every bit of
+    their results must be.  `normalised_pair` is both encoder streams' input:
+    the seed's `make_observation` and `record_action` were one formula."""
 
     LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
 
@@ -320,14 +320,12 @@ class TestEmulatorOracle:
             for direction in (1.0, -1.0, 0.0):
                 for magnitude in (0.0, 1.0, 64.0, 1460.0, 1460.5, 1e300, 5e-324, np.inf):
                     for delay in [abs(v) for v in EDGE_VALUES] + [-0.0, 50.0, 100.0, 1e4]:
-                        for ours, reference in (
-                            (make_observation, oracle.make_observation),
-                            (record_action, oracle.record_action),
-                        ):
-                            got = ours(direction, magnitude, delay, scale, max_delay)
+                        got = normalised_pair(direction, magnitude, delay, scale, max_delay)
+                        assert type(got) is tuple and len(got) == 2
+                        assert all(type(value) is float for value in got)
+                        for reference in (oracle.make_observation, oracle.record_action):
                             expected = reference(direction, magnitude, delay, scale, max_delay)
-                            assert got.dtype == expected.dtype == np.float64
-                            assert got.shape == (2,)
+                            assert expected.dtype == np.float64 and expected.shape == (2,)
                             assert np.array_equal(bits(got), bits(expected))
 
     def test_packet_direction_matches_np_sign(self):

@@ -1427,7 +1427,7 @@ class TestServingBackendSelection:
                 server.open_session(f"s{i}")
                 server.submit(f"s{i}", 500.0 + 10 * i, 1.0)
             return [
-                (d.session_id, d.recorded_action.tobytes()) for d in server.drain()
+                (d.session_id, np.array(d.recorded_action).tobytes()) for d in server.drain()
             ]
 
         default = run()

@@ -1,8 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import io
+import struct
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.core import (
@@ -21,9 +26,10 @@ from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFea
 from repro.features.statistical import N_STATISTICAL_FEATURES
 from repro.flows import Flow, FlowLabel, NetworkCondition
 from repro.ml import StandardScaler, accuracy_score, f1_score
+from repro.nn.serialization import CheckpointError, metadata_from_bytes
 from repro.serve import ServeConfig
 
-from repro.core.env import make_observation, record_action, shape_packet_core
+from repro.core.env import normalised_pair, shape_packet_core
 
 from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import composed_relu_pool
@@ -576,13 +582,11 @@ class TestEmulatorOracleProperties:
     def test_observation_and_record_bit_identical_to_oracle(
         self, direction, magnitude, delay, scales
     ):
-        for ours, reference in (
-            (make_observation, emulator_reference.make_observation),
-            (record_action, emulator_reference.record_action),
-        ):
-            got = ours(direction, magnitude, delay, *scales)
+        got = normalised_pair(direction, magnitude, delay, *scales)
+        assert type(got) is tuple and all(type(value) is float for value in got)
+        for reference in (emulator_reference.make_observation, emulator_reference.record_action):
             expected = reference(direction, magnitude, delay, *scales)
-            assert got.dtype == np.float64 and got.shape == (2,)
+            assert expected.dtype == np.float64 and expected.shape == (2,)
             assert np.array_equal(_bits(got), _bits(expected))
 
 
@@ -739,6 +743,25 @@ _serve_ops = st.one_of(
     st.tuples(st.just("demote"), st.integers(0, 5)),
 )
 
+# Sizes far above what one decision can emit (at most ``size_scale`` = 1460
+# bytes), so a packet is truncated until the per-packet cap closes it.
+# Submits are three of the seven kinds, so batches fill.
+_flush_submit = st.tuples(
+    st.just("submit"),
+    st.integers(0, 4),
+    st.sampled_from([-60000.0, -9000.0, -1461.0, 64.0, 1461.0, 20000.0, 60000.0]),
+    st.sampled_from([0.0, 2.0, 99.0]),
+)
+_flush_ops = st.one_of(
+    _flush_submit,
+    _flush_submit,
+    _flush_submit,
+    st.tuples(st.just("poll")),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("close"), st.integers(0, 4)),
+    st.tuples(st.just("demote"), st.integers(0, 4)),
+)
+
 
 class TestServeTableOracleProperties:
     """The session-table server equals the stack / split server
@@ -786,6 +809,60 @@ class TestServeTableOracleProperties:
             else:
                 servers.demote(name)
         servers.drain()
+        for name in list(servers.table._sessions):
+            servers.close(name)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        max_batch=st.sampled_from([1, 3, 16]),
+        max_truncations=st.sampled_from([1, 8]),
+        max_steps=st.sampled_from([None, 6]),
+        deadline_ms=st.sampled_from([None, 0.5, 1.2]),
+        ops=st.lists(_flush_ops, min_size=8, max_size=80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flush_bookkeeping_bit_identical_to_stack_split_oracle(
+        self, seed, max_batch, max_truncations, max_steps, deadline_ms, ops
+    ):
+        """The flush's per-batch bookkeeping (one filtering pass, float-pair
+        slabs, counters and latency window updated once per flush) keeps
+        every stream, table row and counter equal to the oracle's per-decision
+        flush after every operation, with packets large enough that every
+        one is cut into several sub-packets (the truncation cap closes it)
+        and explicit flushes of part-full batches."""
+        rng = np.random.default_rng(seed)
+        encoder = StateEncoder(hidden_size=4, num_layers=2, rng=rng)
+        actor = GaussianActor(state_dim=8, hidden_dims=(6,), rng=rng)
+        config = ServeConfig(
+            size_scale=1460.0,
+            max_batch=max_batch,
+            flush_timeout_ms=1.0,
+            max_truncations_per_packet=max_truncations,
+            max_steps_per_session=max_steps,
+            deadline_ms=deadline_ms,
+            miss_window=2,
+        )
+        servers = LockstepServers((actor, encoder), config, tick_s=0.0004)
+        for op, *args in ops:
+            name = f"s{args[0]}" if args else None
+            if name is not None and name not in servers.table._sessions:
+                servers.open(name)  # a session is opened by its first operation
+            if op == "poll":
+                servers.poll()
+            elif op == "flush":
+                servers.table.flush()
+                servers.reference.flush()
+                servers.check()
+            elif servers.table.session(name).closed:
+                continue  # its step budget closed it; nothing to do
+            elif op == "submit":
+                servers.submit(name, args[1], args[2])
+            elif op == "close":
+                servers.close(name)
+            else:
+                servers.demote(name)
+        servers.drain()
+        assert len(servers.decisions) == servers.table.stats()["decisions"]
         for name in list(servers.table._sessions):
             servers.close(name)
 
@@ -861,3 +938,75 @@ class TestECDFProperties:
         ecdf = empirical_cdf(samples)
         assert ecdf.probabilities[-1] == pytest.approx(1.0)
         assert np.all(np.diff(ecdf.probabilities) >= 0)
+
+
+_FIXTURE_POLICY = Path(__file__).resolve().parents[1] / "benchmarks/perf/fixtures/policy.npz"
+_POLICY_BYTES = _FIXTURE_POLICY.read_bytes()
+
+
+def _structural_bytes(data: bytes) -> list:
+    """Byte offsets of what is not array data: every local file header and
+    ``.npy`` header, the central directory and the end record."""
+    archive = zipfile.ZipFile(io.BytesIO(data))
+    positions = []
+    for info in archive.infolist():
+        positions.extend(range(info.header_offset, info.header_offset + 30 + len(info.filename) + 128))
+    end = data.rfind(b"PK\x05\x06")
+    (directory,) = struct.unpack_from("<L", data, end + 16)
+    positions.extend(range(directory, len(data)))
+    return positions
+
+
+# Any bit, or (as often) a bit of the archive's structure, where damage can
+# hide members or reach a parser instead of failing a CRC.
+_policy_bits = st.one_of(
+    st.integers(0, 8 * len(_POLICY_BYTES) - 1),
+    st.builds(
+        lambda position, bit: 8 * position + bit,
+        st.sampled_from(_structural_bytes(_POLICY_BYTES)),
+        st.integers(0, 7),
+    ),
+)
+
+
+class TestCheckpointBytesProperties:
+    """Any truncation or any one flipped bit of the fixture policy reads back
+    as the original content (keys in order, dtypes, shapes, bytes; the same
+    metadata) or raises ``CheckpointError``: never another exception, never
+    different content."""
+
+    ORIGINAL = nn.state_dict_from_bytes(_POLICY_BYTES)
+    METADATA = metadata_from_bytes(_POLICY_BYTES)
+
+    def _assert_original_or_refused(self, data: bytes) -> None:
+        try:
+            state = nn.state_dict_from_bytes(data)
+        except CheckpointError:
+            pass
+        else:
+            assert list(state) == list(self.ORIGINAL)
+            for key, original in self.ORIGINAL.items():
+                assert (state[key].dtype, state[key].shape) == (original.dtype, original.shape)
+                assert state[key].tobytes() == original.tobytes(), key
+        try:
+            metadata = metadata_from_bytes(data)
+        except CheckpointError:
+            return
+        assert metadata == self.METADATA
+
+    @given(cut=st.integers(0, len(_POLICY_BYTES)))
+    @settings(max_examples=150, deadline=None)
+    def test_any_truncation_reads_the_original_or_is_refused(self, cut):
+        self._assert_original_or_refused(_POLICY_BYTES[:cut])
+
+    # A flip inside a member's ``.npy`` header once raised tokenize.TokenError;
+    # one in a central-directory length field once hid seven members (the
+    # metadata among them) behind passing CRCs.
+    @example(bit=2396)
+    @example(bit=1459569)
+    @given(bit=_policy_bits)
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_flip_reads_the_original_or_is_refused(self, bit):
+        data = bytearray(_POLICY_BYTES)
+        data[bit // 8] ^= 1 << (bit % 8)
+        self._assert_original_or_refused(bytes(data))

@@ -117,6 +117,10 @@ RETIRED_MEMBERS = [
     ("repro.censors.base", "CensorClassifier", "predict_labels"),
     ("repro.ml.decision_tree", "DecisionTreeClassifier", "_traverse"),
     ("repro.serve.session", "FlowSession", "latencies_ms"),
+    # One pair function: both encoder streams' inputs are ``normalised_pair``'s
+    # float pairs; the ndarray wrappers of it are gone.
+    ("repro.core", "env", "make_observation"),
+    ("repro.core", "env", "record_action"),
 ]
 
 # Unreached members: no CLI subcommand, example, benchmark or perf workload
@@ -200,6 +204,34 @@ UNREACHED_FUNCTIONS = [
 @pytest.mark.parametrize("module_name,owner,member", RETIRED_MEMBERS)
 def test_single_step_twins_are_gone(module_name, owner, member):
     assert not hasattr(getattr(importlib.import_module(module_name), owner), member)
+
+
+def test_serving_flush_has_no_per_decision_array():
+    """A served decision, its request and a queued packet are named tuples of
+    Python values: a ``ShapingDecision`` holds no ndarray, and its recorded
+    action is the float pair the flush stacks once per batch."""
+    import numpy as np
+
+    from repro.core import GaussianActor, StateEncoder
+    from repro.serve import DecisionRequest, PolicyServer, ServeConfig, ShapingDecision
+    from repro.serve.session import PendingPacket
+
+    for record in (ShapingDecision, DecisionRequest, PendingPacket):
+        assert issubclass(record, tuple) and hasattr(record, "_fields")
+    encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
+    server = PolicyServer(GaussianActor(8, hidden_dims=(4,), rng=1), encoder, ServeConfig(max_batch=2))
+    for session_id in ("a", "b"):
+        server.open_session(session_id)
+        server.submit(session_id, 3000.0, 1.0)
+    decisions = server.drain()
+    assert decisions
+    for decision in decisions:
+        assert not any(isinstance(value, np.ndarray) for value in decision)
+        assert type(decision.recorded_action) is tuple
+        assert [type(value) for value in decision.recorded_action] == [float, float]
+    for session_id in ("a", "b"):
+        observation = server.session(session_id).current_observation()
+        assert type(observation) is tuple and len(observation) == 2
 
 
 def test_collection_tick_has_no_per_step_object():
@@ -319,6 +351,8 @@ RETIRED_CALLS = [
     r"\bfinal_states\b",
     # One node per DF conv block.
     r"\bnn\.MaxPool1d\b",
+    # One pair function (the seed bodies of the wrappers stay in the emulator oracle).
+    r"(\bcore\.env import .*|\benv\.)\b(make_observation|record_action)\b",
 ]
 
 

@@ -305,6 +305,51 @@ class TestSessionLifecycle:
         server.drain()
         assert server.session(sid).n_decisions >= 1
 
+    @pytest.mark.parametrize(
+        "size,delay,message",
+        [
+            (np.nan, 1.0, "size must be finite"),
+            (np.inf, 1.0, "size must be finite"),
+            (-np.inf, 1.0, "size must be finite"),
+            (500.0, np.nan, "delay must be finite and >= 0"),
+            (500.0, -5.0, "delay must be finite and >= 0"),
+            (-500.0, np.inf, "delay must be finite and >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("demoted", [False, True])
+    def test_unusable_packet_refused_at_the_door(
+        self, policy, serve_config, simple_flow, size, delay, message, demoted
+    ):
+        """A NaN would wedge every later flush, an infinite size would fail
+        mid-flush after committing its batch-mates, and a negative or
+        infinite delay would be emitted and then sink the reports at close:
+        ``submit`` refuses each before anything moves, and the neighbouring
+        session is served exactly as it is alone."""
+        alone = serve_flow(make_server(policy, serve_config), simple_flow, "good")
+        server = make_server(policy, serve_config)
+        good, bad = server.open_session("good"), server.open_session("bad")
+        server.submit(bad, 900.0, 2.0)
+        if demoted:
+            server.session(bad).demote()
+        for step, (packet_size, packet_delay) in enumerate(zip(simple_flow.sizes, simple_flow.delays)):
+            server.submit(good, packet_size, packet_delay)
+            if step == 1:
+                stats, pending = server.stats(), server.pending_decisions
+                session = server.session(bad)
+                before = (session.status, session.backlog, session.in_flight, session.n_decisions)
+                with pytest.raises(ValueError, match=message):
+                    server.submit(bad, size, delay)
+                assert server.stats() == stats and server.pending_decisions == pending
+                after = (session.status, session.backlog, session.in_flight, session.n_decisions)
+                assert after == before
+            server.poll()
+        reports = {report.session_id: report for report in server.close_all()}
+        assert reports["bad"].n_packets_in == 1
+        served = reports["good"]
+        assert (served.n_decisions, served.unserved_packets) == (alone.n_decisions, 0)
+        assert np.array_equal(served.shaped_flow.sizes, alone.shaped_flow.sizes)
+        assert np.array_equal(served.shaped_flow.delays, alone.shaped_flow.delays)
+
 
 class TestConfigBounds:
     """Bounds that would break serving are refused where they are given —
