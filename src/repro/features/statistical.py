@@ -19,21 +19,25 @@ classify features as packet- or timing-derived.
 
 One kernel computes them, for a batch of any size: every summary operand of
 every flow goes into one segment table (concatenated values plus a count per
-segment), segments are bucketed by length, and each distinct length is
-reduced as one C-contiguous ``(k, n)`` matrix.  numpy's pairwise
-``add.reduce`` along ``axis=1`` of such a matrix runs the 1-D inner loop on
-every row, so a row's sums round exactly as the 1-D reduce of that segment
-alone does (pinned in
+segment).  Min and max are one ``np.minimum`` / ``np.maximum.reduceat`` over
+the whole table.  For every other summary the segments are bucketed by
+length, and each distinct length is reduced as one C-contiguous ``(k, n)``
+matrix; only the median, the MAD and the deciles sort its rows.  numpy's
+pairwise ``add.reduce`` along ``axis=1`` of such a matrix runs the 1-D inner
+loop on every row, so a row's sums round exactly as the 1-D reduce of that
+segment alone does (pinned in
 ``tests/test_features.py::test_row_reduce_equals_vector_reduce``), and every
 row is bit-identical to the seed extractor kept as the test oracle.
 
 ``extract_many(flows, columns)`` returns ``extract_many(flows)[:, columns]``,
-bit for bit, and computes only what those columns read: unread segment
-groups get no segments, unread summaries (the sort, the MAD's second sort,
-the sum, the centred moments, the third and fourth powers) are never
-computed, and the burst, gap, checkpoint and flow-level sections run only
-for a requested column of theirs.  A tree censor asks for the columns its
-fitted model splits on.
+bit for bit, and computes only what those columns read: unread operands
+(the delays, the directions) are not gathered, unread segment groups get no
+segments, unread summaries (the length buckets, the sort, the MAD's second
+sort, the sum, the centred moments, the third and fourth powers) are never
+computed, the burst, gap, checkpoint and flow-level sections run only for a
+requested column of theirs, and only the requested columns are assembled.
+A tree censor asks for the columns its fitted model splits on; the DT
+stumps of both datasets split on an extremum, which costs no length bucket.
 """
 
 from __future__ import annotations
@@ -173,6 +177,9 @@ _BURST_LEN_UP, _BURST_LEN_DOWN, _BURST_BYTES_UP, _BURST_BYTES_DOWN, _GAP_UP, _GA
 )
 assert (_PKT_UP, _PKT_DOWN, _TIME_UP, _TIME_DOWN) == (0, 1, 2, 3), "deciled groups lead"
 _BURST_GROUPS = (_BURST_LEN_UP, _BURST_LEN_DOWN, _BURST_BYTES_UP, _BURST_BYTES_DOWN)
+# The groups whose operands read the delays, and those that read the directions.
+_TIMED_GROUPS = (_TIME_UP, _TIME_DOWN, _TIME_ALL, _GAP_UP, _GAP_DOWN)
+_DIRECTED_GROUPS = tuple(group for group in range(len(_GROUPS)) if group not in (_PKT_ALL, _TIME_ALL))
 # The flow-level columns that read group sums (bytes up / down, duration).
 _SUMS_READ = {
     "total_bytes": (_PKT_UP, _PKT_DOWN),
@@ -210,7 +217,12 @@ def _span(first: str, last: str) -> slice:
     return slice(_FEATURE_NAMES.index(first), _FEATURE_NAMES.index(last) + 1)
 
 
+# Feature column of each summary row of each group: ``[row, group]``.
+_SUMMARY_COLUMNS = np.array(
+    [[_FEATURE_NAMES.index(f"{group}_{statistic}") for group in _GROUPS] for statistic in _SUMMARY_NAMES]
+)
 # Columns of the sections outside the segment table.
+_DECILE_COLUMNS = _span("pkt_up_p10", "time_down_p90")
 _BURST_COUNT_COLUMNS = _span("burst_count_up", "max_burst_fraction")
 _CHECKPOINT_COLUMNS = _span("cumsum_frac_1", "cumsum_frac_10")
 _FLOW_COLUMNS = _span("n_packets", "last_quarter_down_fraction")
@@ -267,26 +279,44 @@ def _row_order_statistics(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
 def _segment_summaries(
     values: np.ndarray, counts: np.ndarray, n_deciled: int, read: Sequence[bool]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Summaries of every segment of ``values``, one length bucket at a time.
+    """Summaries of every segment of ``values``.
 
     Segments are laid out as for ``_segment_matrices``.  Returns a
     ``(9, n_segments)`` table -- the eight summaries and the sum of each
     segment -- plus the ``(n_deciled, 9)`` deciles of the first ``n_deciled``
     segments.  Only the table rows ``read`` marks are computed for segments
     of two or more values; the others stay 0.0 (as do the std, MAD, skew and
-    kurtosis of a one-value segment).  Mean, std, skew and kurtosis reduce
-    the *unsorted* values in the order ``ndarray.mean`` / ``ndarray.std`` do,
-    and the deciles replay ``np.percentile``'s ``linear`` lerp.  Every
-    operation is elementwise, a row sort, or an ``axis=1`` ``add.reduce`` of
-    a C-contiguous matrix, so a segment's bits are those of the same
-    operations on that segment alone.
+    kurtosis of a one-value segment, and every row of an empty one).
+
+    Min and max alone are one ``minimum`` / ``maximum.reduceat`` over the
+    non-empty segments, which equals each segment's ``ndarray.min()`` /
+    ``max()``, NaN included (pinned in
+    ``tests/test_features.py::test_reduceat_extrema_equal_segment_extrema``).
+    Every other row is computed one length bucket at a time, and only the
+    median, MAD and deciles sort the rows (min and max then come from that
+    sort).  Sums and moments stay on the per-length rows: an ``add.reduceat``
+    sums sequentially, not pairwise as ``ndarray.sum`` does.  Mean, std,
+    skew and kurtosis reduce the *unsorted* values in the order
+    ``ndarray.mean`` / ``ndarray.std`` do, and the deciles replay
+    ``np.percentile``'s ``linear`` lerp.  Every operation is elementwise, a
+    row sort, or an ``axis=1`` ``add.reduce`` of a C-contiguous matrix, so a
+    segment's bits are those of the same operations on that segment alone.
     """
-    order_statistics = read[_MIN] or read[_MAX] or read[_MEDIAN] or read[_MAD]
+    extrema = read[_MIN] or read[_MAX]
+    order_statistics = read[_MEDIAN] or read[_MAD] or (extrema and n_deciled > 0)
     higher_moments = read[_SKEW] or read[_KURTOSIS]
     moments = read[_STD] or higher_moments
     totals = read[_MEAN] or read[_TOTAL] or moments
     table = np.zeros((_TOTAL + 1, counts.shape[0]))
     deciles = np.zeros((n_deciled, len(_DECILES)))
+    if extrema and not order_statistics:
+        filled = counts > 0
+        starts = (np.cumsum(counts) - counts)[filled]
+        for row, extremum in ((_MIN, np.minimum), (_MAX, np.maximum)):
+            if read[row]:
+                table[row, filled] = extremum.reduceat(values, starts)
+    if not (order_statistics or n_deciled or totals):
+        return table, deciles
     for rows, matrix in _segment_matrices(values, counts):
         n = matrix.shape[1]
         n_rows_deciled = int(np.searchsorted(rows, n_deciled)) if n_deciled else 0
@@ -402,32 +432,39 @@ def _runs(
 
 def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
     """The 166 features of every flow of a non-empty batch, in
-    ``feature_names()`` order and before ``nan_to_num``, as one
-    ``(len(flows), 166)`` matrix exact in the columns the boolean ``wanted``
-    marks.
+    ``feature_names()`` order and before non-finite values are zeroed, as
+    one feature-major ``(166, len(flows))`` matrix exact in the rows the
+    boolean ``wanted`` marks.
 
     Works on the packets of all flows laid end to end and computes only what
-    a wanted column reads (``_COLUMN_READS``): other groups get no segments,
-    ``_segment_summaries`` reduces only the rows wanted columns read, and the
-    burst, gap, checkpoint and flow-level sections run only for a wanted
-    column of theirs.  Unwanted columns hold zeros or meaningless values.
-    Overflowed intermediates come out non-finite exactly where the seed
-    extractor's do and are zeroed by the caller's ``nan_to_num``.
+    a wanted column reads (``_COLUMN_READS``): the delays and the directions
+    are gathered only for a group or section that reads them, other groups
+    get no segments, ``_segment_summaries`` reduces only the rows wanted
+    columns read, the burst, gap, checkpoint and flow-level sections run only
+    for a wanted column of theirs, and only the wanted summary cells are
+    written.  Unwanted rows hold zeros or meaningless values.  Overflowed
+    intermediates come out non-finite exactly where the seed extractor's do
+    and are zeroed by the caller.
     """
     reads = _COLUMN_READS[wanted].any(axis=0)
     grouped = reads.any(axis=0).tolist()
+    bursts = any(grouped[group] for group in _BURST_GROUPS) or wanted[_BURST_COUNT_COLUMNS].any()
+    flow_level = wanted[_FLOW_COLUMNS].any()
     m = len(flows)
+    features = np.zeros((N_STATISTICAL_FEATURES, m))
     lengths = np.asarray([len(flow.sizes) for flow in flows], dtype=np.intp)
     stops = np.cumsum(lengths)
     starts = stops - lengths
     flow_of = np.repeat(np.arange(m), lengths)
     sizes = np.concatenate([flow.sizes for flow in flows], dtype=np.float64)
-    delays = np.concatenate([flow.delays for flow in flows], dtype=np.float64)
+    if any(grouped[group] for group in _TIMED_GROUPS):
+        delays = np.concatenate([flow.delays for flow in flows], dtype=np.float64)
     abs_sizes = np.abs(sizes)
-    up_mask = sizes > 0
-    down_mask = sizes < 0
-    n_up = np.bincount(flow_of[up_mask], minlength=m)
-    n_down = np.bincount(flow_of[down_mask], minlength=m)
+    if bursts or flow_level or any(grouped[group] for group in _DIRECTED_GROUPS):
+        up_mask = sizes > 0
+        down_mask = sizes < 0
+        n_up = np.bincount(flow_of[up_mask], minlength=m)
+        n_down = lengths - n_up  # sizes are non-zero
     checkpointed = wanted[_CHECKPOINT_COLUMNS].any()
     timestamps, cumulative, sorted_sizes = _per_flow_scans(
         starts,
@@ -439,16 +476,8 @@ def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
         abs_sizes if wanted[_ENTROPY_COLUMN] else None,
     )
 
-    def columns(*values: np.ndarray) -> np.ndarray:
-        """One-value-per-flow arrays as the columns of a float matrix."""
-        return np.concatenate(values).reshape(-1, m).T
-
-    def blank(section: slice) -> np.ndarray:
-        return np.zeros((m, section.stop - section.start))
-
     # Bursts: maximal same-direction runs.
-    burst_columns = blank(_BURST_COUNT_COLUMNS)
-    if any(grouped[group] for group in _BURST_GROUPS) or wanted[_BURST_COUNT_COLUMNS].any():
+    if bursts:
         burst_offsets, burst_counts, burst_flow = _runs(up_mask[1:] != up_mask[:-1], starts, flow_of)
         up_bursts = up_mask[burst_offsets]
         down_bursts = ~up_bursts
@@ -459,7 +488,7 @@ def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
         n_up_bursts = np.bincount(burst_flow[up_bursts], minlength=m)
         n_down_bursts = n_bursts - n_up_bursts
         longest_burst = np.maximum.reduceat(burst_lengths, np.cumsum(n_bursts) - n_bursts)
-        burst_columns = columns(
+        features[_BURST_COUNT_COLUMNS] = (
             n_up_bursts,
             n_down_bursts,
             n_bursts,
@@ -499,25 +528,19 @@ def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
         read=reads[:_DECILE_ROW].any(axis=1).tolist(),
     )
     table = table.reshape(_TOTAL + 1, len(_GROUPS), m)
-
-    def summaries(*groups: int) -> np.ndarray:
-        """The eight summaries of each of ``groups``, side by side, one row per flow."""
-        return table[:_TOTAL, groups].transpose(2, 1, 0).reshape(m, -1)
-
-    decile_columns = np.zeros((m, 4 * len(_DECILES)))
+    cells = wanted[_SUMMARY_COLUMNS]
+    features[_SUMMARY_COLUMNS[cells]] = table[:_TOTAL][cells]
     if deciles.shape[0]:
-        decile_columns = deciles.reshape(4, m, -1).transpose(1, 0, 2).reshape(m, -1)
-    checkpoint_columns = blank(_CHECKPOINT_COLUMNS)
+        features[_DECILE_COLUMNS] = deciles.reshape(4, m, -1).transpose(0, 2, 1).reshape(-1, m)
     if checkpointed:
         last_cumulative = cumulative[stops - 1]
-        checkpoint_indexes = np.stack([_checkpoint_indexes(n) for n in lengths.tolist()])
-        checkpoint_columns = cumulative[starts[:, None] + checkpoint_indexes] / np.where(
+        checkpoint_indexes = np.stack([_checkpoint_indexes(n) for n in lengths.tolist()], axis=1)
+        features[_CHECKPOINT_COLUMNS] = cumulative[starts + checkpoint_indexes] / np.where(
             last_cumulative > 0, last_cumulative, 1.0
-        )[:, None]
+        )
 
     # Flow-level.
-    flow_columns = blank(_FLOW_COLUMNS)
-    if wanted[_FLOW_COLUMNS].any():
+    if flow_level:
         bytes_up = table[_TOTAL, _PKT_UP]
         bytes_down = table[_TOTAL, _PKT_DOWN]
         total_bytes = bytes_up + bytes_down
@@ -525,7 +548,7 @@ def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
         safe_duration = np.where(duration > 0, duration, 1.0)
         quarter = np.maximum(lengths // 4, 1)
         down_before = np.concatenate(([0], np.cumsum(down_mask)))
-        flow_columns = columns(
+        features[_FLOW_COLUMNS] = (
             lengths,
             n_up,
             n_down,
@@ -544,28 +567,14 @@ def _batch_features(flows: Sequence[Flow], wanted: np.ndarray) -> np.ndarray:
             (down_before[starts + quarter] - down_before[starts]) / quarter,
             (down_before[stops] - down_before[stops - quarter]) / quarter,
         )
-    entropy = np.zeros(m)
     if sorted_sizes is not None:
         # Multiplicities of the distinct sizes are run lengths of the sorted sizes.
         _, multiplicities, size_flow = _runs(sorted_sizes[1:] != sorted_sizes[:-1], starts, flow_of)
         size_probabilities = multiplicities / lengths[size_flow]
-        entropy = -_segment_totals(
+        features[_ENTROPY_COLUMN] = -_segment_totals(
             size_probabilities * np.log2(size_probabilities), np.bincount(size_flow, minlength=m)
         )
-
-    return np.concatenate(
-        (
-            summaries(_PKT_ALL, _PKT_UP, _PKT_DOWN, _TIME_ALL, _TIME_UP, _TIME_DOWN),
-            decile_columns,
-            summaries(*_BURST_GROUPS),
-            burst_columns,
-            summaries(_GAP_UP, _GAP_DOWN),
-            checkpoint_columns,
-            flow_columns,
-            entropy[:, None],
-        ),
-        axis=1,
-    )
+    return features
 
 
 class StatisticalFeatureExtractor:
@@ -615,10 +624,13 @@ class StatisticalFeatureExtractor:
             wanted[:] = False
             wanted[columns] = True
         if not len(flows):
-            matrix = np.zeros((0, N_STATISTICAL_FEATURES))
+            features = np.zeros((N_STATISTICAL_FEATURES, 0))
         else:
             with np.errstate(all="ignore"):
-                matrix = _batch_features(flows, wanted)
+                features = _batch_features(flows, wanted)
         if columns is not None:
-            matrix = matrix[:, columns]
-        return np.nan_to_num(matrix, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+            features = features[columns]
+        matrix = np.ascontiguousarray(features.T)
+        # What nan_to_num(nan=0, posinf=0, neginf=0) does, in one pass.
+        np.copyto(matrix, 0.0, where=~np.isfinite(matrix))
+        return matrix

@@ -18,7 +18,7 @@ from repro.core import Amoeba
 from repro.eval.feature_importance import ImportanceBreakdown
 from repro.eval.metrics import classifier_detection_report
 from repro.censors.base import CensorClassifier
-from repro.features import SequenceRepresentation, StatisticalFeatureExtractor
+from repro.features import SequenceRepresentation, StatisticalFeatureExtractor, statistical
 from repro.flows import Flow, FlowLabel
 from repro.nn import state_dict_to_bytes
 
@@ -133,6 +133,30 @@ class TestTreeCensorColumns:
         assert calls == [("extract_many", len(flows), columns), ("predict_proba", len(flows), None)]
         benign = list(censor.model.classes_).index(1)
         assert np.array_equal(scores.view(np.uint64), expected[:, benign].view(np.uint64))
+
+    @pytest.mark.parametrize("dataset", ["tor", "v2ray"])
+    def test_extremum_splits_score_without_length_buckets(self, dataset, request, monkeypatch):
+        """Both datasets' DT stumps split on an extremum (``pkt_all_min``,
+        ``time_down_max``): scoring takes it from one reduceat, with no
+        length bucket and no row sort, and scores as before bit for bit."""
+        flows = request.getfixturevalue(f"{dataset}_dataset").flows
+        censor = DecisionTreeCensor(rng=3).fit(flows[::2])
+        names = censor.extractor.feature_names()
+        split = [names[column] for column in censor.model.split_features_]
+        assert split and all(name.endswith(("_min", "_max")) for name in split), split
+        prefixes = [prefix for flow in flows[1:17:2] for prefix in flow.prefix_views(range(1, 41))]
+        expected = censor.predict_scores(prefixes)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"scoring an extremum split called {name}")
+
+            return call
+
+        monkeypatch.setattr(statistical, "_segment_matrices", forbidden("_segment_matrices"))
+        monkeypatch.setattr(np, "sort", forbidden("np.sort"))
+        scores = censor.predict_scores(prefixes)
+        assert np.array_equal(scores.view(np.uint64), expected.view(np.uint64))
 
     def test_refit_scores_like_a_fresh_censor(self, tor_splits):
         deep_flows, deep_labels = deep_tree_training_set(tor_splits)

@@ -249,6 +249,35 @@ def test_row_reduce_equals_vector_reduce():
                 ), f"cumsum(axis=1) no longer equals the 1-D cumsum ({where}, numpy {np.__version__})"
 
 
+def test_reduceat_extrema_equal_segment_extrema():
+    """A numpy upgrade that changes ``minimum`` / ``maximum.reduceat`` must fail here.
+
+    An extremum-only read takes the min / max of every segment from one
+    ``reduceat`` over the concatenated segments and relies on each result
+    carrying the bits of that segment's ``ndarray.min()`` / ``max()`` -- a
+    NaN (an overflowed gap or burst) anywhere in the segment included.
+    """
+    rng = np.random.default_rng(19)
+    lengths = np.asarray([*range(1, 41), 63, 64, 65, 127, 128, 129, 1000, *rng.integers(1, 300, 200)])
+    starts = np.cumsum(lengths) - lengths
+    for family in ("normal", "ties", "non-finite"):
+        if family == "normal":
+            values = rng.standard_normal(lengths.sum()) * 10.0 ** rng.integers(-6, 7, lengths.sum())
+        elif family == "ties":
+            values = rng.choice([0.0, 0.1, 536.0, 1460.0], lengths.sum())
+        else:
+            values = rng.choice([1.0, 5e-324, 1.7e308, np.inf, -np.inf, np.inf - np.inf], lengths.sum())
+            values[starts[::3]] = np.nan  # a NaN first,
+            values[(starts + lengths - 1)[1::3]] = np.nan  # last, or nowhere in the segment
+        for ufunc, method in ((np.minimum, "min"), (np.maximum, "max")):
+            reduced = ufunc.reduceat(values, starts)
+            alone = np.asarray([getattr(values[start : start + n], method)() for start, n in zip(starts, lengths)])
+            assert np.array_equal(reduced.view(np.uint64), alone.view(np.uint64)), (
+                f"{ufunc.__name__}.reduceat no longer equals ndarray.{method}() per segment ({family}, "
+                f"numpy {np.__version__}): _segment_summaries is not bit-identical to the seed extractor"
+            )
+
+
 def mixed_flow(rng, n):
     """A bidirectional flow of ``n`` packets with non-integer sizes and a few ties."""
     sizes = np.where(rng.random(n) < 0.3, 536.0, rng.uniform(1.0, 1500.0, n))

@@ -1,5 +1,6 @@
 """Unit tests for datasets, splits, network conditions and flow I/O."""
 
+import hashlib
 import json
 import re
 
@@ -172,14 +173,27 @@ class TestIO:
         assert save_flows_jsonl(tor_dataset.flows[:1], path) == path
         assert len(load_flows_jsonl(path)) == 1
 
+    @staticmethod
+    def _assert_header_then_flows(path, name, flows):
+        header, *lines = path.read_text().splitlines(keepends=True)
+        assert json.loads(header) == {
+            "__dataset__": name,
+            "n_flows": len(flows),
+            "sha256": hashlib.sha256("".join(lines).encode()).hexdigest(),
+        }
+        assert len(lines) == len(flows)
+        restored = Flow.from_dict(json.loads(lines[0]))
+        assert np.array_equal(restored.sizes, flows[0].sizes)
+
     def test_saved_dataset_is_a_header_then_one_flow_per_line(self, tmp_path, tor_dataset):
         path = tmp_path / "dataset.jsonl"
         save_dataset(tor_dataset, path)
-        header, *lines = path.read_text().splitlines()
-        assert json.loads(header) == {"__dataset__": tor_dataset.name, "n_flows": len(tor_dataset)}
-        assert len(lines) == len(tor_dataset)
-        restored = Flow.from_dict(json.loads(lines[0]))
-        assert np.array_equal(restored.sizes, tor_dataset[0].sizes)
+        self._assert_header_then_flows(path, tor_dataset.name, tor_dataset.flows)
+
+    def test_saved_flows_are_a_nameless_header_then_one_flow_per_line(self, tmp_path, tor_dataset):
+        path = tmp_path / "flows.jsonl"
+        save_flows_jsonl(tor_dataset.flows[:5], path)
+        self._assert_header_then_flows(path, None, tor_dataset.flows[:5])
 
     def test_saved_dataset_loads_back_without_its_header(self, tmp_path, tor_dataset):
         # The header line used to end the read in ``KeyError: 'sizes'``.
@@ -225,13 +239,55 @@ class TestIO:
             load_flows_jsonl(path)
 
     def test_header_less_files_load_as_before(self, tmp_path, tor_dataset):
+        # As ``save_flows_jsonl`` and ``save_dataset`` wrote them before the
+        # files carried a sha256: no header, a name only, a name and a count.
         path = tmp_path / "flows.jsonl"
-        save_flows_jsonl(tor_dataset.flows[:5], path)
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        path.write_text("".join(json.dumps(flow.to_dict()) + "\n" for flow in tor_dataset.flows[:2]))
         assert len(load_flows_jsonl(path)) == 2
-        named = tmp_path / "named.jsonl"
-        named.write_text('{"__dataset__": "tor"}\n' + path.read_text())
-        assert len(load_flows_jsonl(named)) == 2
+        for header in ('{"__dataset__": "tor"}', '{"__dataset__": "tor", "n_flows": 2}'):
+            named = tmp_path / "named.jsonl"
+            named.write_text(header + "\n" + path.read_text())
+            assert len(load_flows_jsonl(named)) == 2
+
+    @pytest.mark.parametrize("writer", [save_dataset, save_flows_jsonl])
+    def test_a_changed_flow_line_is_refused(self, tmp_path, tor_dataset, writer):
+        # One digit of one size changed: the count holds, the sha256 does not.
+        path = tmp_path / "dataset.jsonl"
+        writer(tor_dataset.subset(range(3)), path)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        changed = first.replace('"sizes": [', '"sizes": [1', 1)
+        assert changed != first and len(load_flows_jsonl(path)) == 3
+        path.write_text("".join([header, changed, *rest]))
+        expected = f"^{re.escape(str(path))}:1: the flows after this header do not match its sha256$"
+        with pytest.raises(ValueError, match=expected):
+            load_flows_jsonl(path)
+
+    def test_each_concatenated_section_is_checked(self, tmp_path, tor_dataset):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_dataset(tor_dataset.subset(range(3)), first)
+        save_dataset(tor_dataset.subset(range(3, 5)), second)
+        lines = second.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace('"delays": [', '"delays": [1', 1)
+        both = tmp_path / "both.jsonl"
+        both.write_text(first.read_text() + "".join(lines))
+        with pytest.raises(ValueError, match=":5: the flows after this header do not match its sha256$"):
+            load_flows_jsonl(both)
+
+    @pytest.mark.parametrize("content", ["", "\n\n"])
+    def test_an_empty_file_is_refused(self, tmp_path, content):
+        # A zero-flow file still has its header; an empty one is a file cut at byte 0.
+        path = tmp_path / "flows.jsonl"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file holds no header and no flow$"):
+            load_flows_jsonl(path)
+        save_flows_jsonl([], path)
+        assert load_flows_jsonl(path) == []
+
+    def test_a_sha256_that_is_not_a_string_is_refused(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text('{"__dataset__": "tor", "sha256": 7}\n{"sizes": [100.0], "delays": [0.0]}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: the header's sha256 must be a string"):
+            load_flows_jsonl(path)
 
     @pytest.mark.parametrize(
         "line,reason",
@@ -245,9 +301,10 @@ class TestIO:
         ],
     )
     def test_a_bad_line_names_its_path_and_line(self, tmp_path, tor_dataset, line, reason):
+        # Header, two flows, a blank line, then the bad line.
         path = tmp_path / "flows.jsonl"
         save_flows_jsonl(tor_dataset.flows[:2], path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("\n" + line + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: .*{re.escape(reason)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: .*{re.escape(reason)}"):
             load_flows_jsonl(path)

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -24,7 +25,15 @@ from repro.censors.base import CensorClassifier
 from repro.eval import empirical_cdf
 from repro.features import CumulFeatureExtractor, FlowNormalizer, StatisticalFeatureExtractor
 from repro.features.statistical import N_STATISTICAL_FEATURES
-from repro.flows import Flow, FlowLabel, NetworkCondition
+from repro.flows import (
+    Flow,
+    FlowLabel,
+    NetworkCondition,
+    build_tor_dataset,
+    load_flows_jsonl,
+    save_dataset,
+    save_flows_jsonl,
+)
 from repro.ml import StandardScaler, accuracy_score, f1_score
 from repro.nn.serialization import CheckpointError, metadata_from_bytes
 from repro.serve import ServeConfig
@@ -76,6 +85,43 @@ oracle_flows = st.lists(_packets, min_size=1, max_size=200).map(
         delays=[delay for _, _, delay in packets],
     )
 )
+
+
+_HUGE = 1.7e308
+_FEATURE_NAMES = StatisticalFeatureExtractor().feature_names()
+_EXTREMA = [column for column, name in enumerate(_FEATURE_NAMES) if name.endswith(("_min", "_max"))]
+# Extremum columns alone, or with any other columns beside them.
+_extremum_column_sets = st.one_of(
+    st.lists(st.sampled_from(_EXTREMA), min_size=1, max_size=6),
+    st.tuples(
+        st.lists(st.sampled_from(_EXTREMA), min_size=1, max_size=3),
+        st.lists(st.integers(0, N_STATISTICAL_FEATURES - 1), min_size=1, max_size=6),
+    ).map(lambda sets: sets[0] + sets[1]),
+)
+
+
+@st.composite
+def _prefix_batches(draw):
+    """Growing prefixes (the one-packet one always among them) of one to
+    three flows, each mixed, one-directional (every group of the other
+    direction empty), or holding a burst whose bytes and gaps overflow to
+    inf / NaN."""
+    flows = []
+    for _ in range(draw(st.integers(1, 3))):
+        packets = draw(st.lists(_packets, min_size=1, max_size=40))
+        sizes = [magnitude * sign for magnitude, sign, _ in packets]
+        delays = [delay for _, _, delay in packets]
+        kind = draw(st.sampled_from(["mixed", "up", "down", "overflowing"]))
+        if kind in ("up", "down"):
+            sizes = [abs(size) if kind == "up" else -abs(size) for size in sizes]
+        elif kind == "overflowing":
+            at = draw(st.integers(0, len(sizes)))
+            sizes[at:at] = [draw(st.sampled_from([-_HUGE, _HUGE]))] * 3
+            delays[at:at] = [_HUGE] * 3
+        flow = Flow(sizes=sizes, delays=delays)
+        lengths = draw(st.lists(st.integers(1, flow.n_packets), max_size=8))
+        flows.extend(flow.prefix_views(sorted({1, *lengths, flow.n_packets})))
+    return flows
 
 
 def make_flow(sizes, delays):
@@ -158,6 +204,23 @@ class TestFeatureProperties:
             pruned = extractor.extract_many(flows, columns)
         assert pruned.shape == (len(flows), len(columns))
         assert np.array_equal(pruned.view(np.uint64), full[:, columns].view(np.uint64))
+
+    # Gaps of NaN (inf - inf) beside finite ones: min must be NaN, not the
+    # least finite gap.
+    @example(
+        flows=Flow(sizes=[100.0, 7.0, 100.0, _HUGE, _HUGE, _HUGE, -5.0], delays=[0.0, 1.0, 2.0] + [_HUGE] * 4)
+        .prefix_views(range(1, 8)),
+        columns=[_FEATURE_NAMES.index(name) for name in ("gap_up_min", "gap_up_max", "time_all_max")],
+    )
+    @given(flows=_prefix_batches(), columns=_extremum_column_sets)
+    @settings(max_examples=120, deadline=None)
+    def test_extremum_reads_bit_identical_to_seed_oracle(self, flows, columns):
+        # Extremum-only sets take min / max from one reduceat; mixed sets add
+        # the length buckets, the row sort or a section beside it.
+        with np.errstate(all="ignore"):
+            expected = np.vstack([ReferenceStatisticalFeatureExtractor().extract(flow) for flow in flows])
+            actual = StatisticalFeatureExtractor().extract_many(flows, columns)
+        assert np.array_equal(actual.view(np.uint64), expected[:, columns].view(np.uint64))
 
     @given(sizes=sizes_strategy, delays=delays_strategy)
     @settings(max_examples=30, deadline=None)
@@ -776,7 +839,7 @@ class TestServeTableOracleProperties:
         deadline_ms=st.sampled_from([None, 5.0]),
         ops=st.lists(_serve_ops, min_size=1, max_size=40),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_any_schedule_bit_identical_to_stack_split_oracle(
         self, seed, max_batch, max_steps, deadline_ms, ops
     ):
@@ -794,14 +857,14 @@ class TestServeTableOracleProperties:
         servers = LockstepServers((actor, encoder), config, tick_s=0.0008)
         for op, *args in ops:
             name = f"s{args[0]}" if args else None
-            is_open = name in servers.table._sessions
-            if op == "open":
-                if not is_open:
-                    servers.open(name)
-            elif op in ("poll", "drain"):
+            if name is not None and name not in servers.table._sessions:
+                # A session is opened by its first operation, and reopened
+                # (on a recycled slot) by the first one after its close.
+                servers.open(name)
+            if op in ("poll", "drain"):
                 getattr(servers, op)()
-            elif not is_open or servers.table.session(name).closed:
-                continue  # nothing to submit to / close / demote
+            elif op == "open" or servers.table.session(name).closed:
+                continue  # already open, or its step budget closed it
             elif op == "submit":
                 servers.submit(name, args[1], args[2])
             elif op == "close":
@@ -1008,5 +1071,70 @@ class TestCheckpointBytesProperties:
     @settings(max_examples=300, deadline=None)
     def test_any_bit_flip_reads_the_original_or_is_refused(self, bit):
         data = bytearray(_POLICY_BYTES)
+        data[bit // 8] ^= 1 << (bit % 8)
+        self._assert_original_or_refused(bytes(data))
+
+
+_PROFILE_FLOWS = build_tor_dataset(n_censored=6, n_benign=6, rng=np.random.default_rng(21), max_packets=40)
+
+
+def _flow_file_bytes(writer) -> bytes:
+    """What ``writer`` writes for the 12 flows of ``_PROFILE_FLOWS``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "flows.jsonl"
+        writer(_PROFILE_FLOWS if writer is save_dataset else _PROFILE_FLOWS.flows, path)
+        return path.read_bytes()
+
+
+_FLOW_FILES = {writer.__name__: _flow_file_bytes(writer) for writer in (save_dataset, save_flows_jsonl)}
+_flow_file_names = st.sampled_from(sorted(_FLOW_FILES))
+
+
+@st.composite
+def _flow_file_bits(draw):
+    """A file and one bit of it: any bit, or (as often) a bit of its header
+    line or of a line break."""
+    name = draw(_flow_file_names)
+    data = _FLOW_FILES[name]
+    structural = [*range(data.index(b"\n") + 1), *(i for i, byte in enumerate(data) if byte == ord("\n"))]
+    position = draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(structural)))
+    return name, 8 * position + draw(st.integers(0, 7))
+
+
+class TestFlowFileBytesProperties:
+    """Any truncation or any one flipped bit of a ``save_dataset`` file or a
+    ``save_flows_jsonl`` file (what ``serve --profiles`` reads) loads as the
+    saved flows (sizes and delays bit for bit, label, protocol, metadata) or
+    raises ``ValueError``: never another exception, never other flows."""
+
+    @staticmethod
+    def _assert_original_or_refused(data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "flows.jsonl"
+            path.write_bytes(data)
+            try:
+                flows = load_flows_jsonl(path)
+            except ValueError as error:
+                assert str(error).startswith(str(path))
+                return
+        assert len(flows) == len(_PROFILE_FLOWS)
+        for got, want in zip(flows, _PROFILE_FLOWS):
+            assert got.sizes.tobytes() == want.sizes.tobytes()
+            assert got.delays.tobytes() == want.delays.tobytes()
+            assert (got.label, got.protocol, got.metadata) == (want.label, want.protocol, want.metadata)
+
+    # Cut at byte 0, a file used to load as no flows at all.
+    @example(cut=("save_dataset", 0))
+    @given(cut=_flow_file_names.flatmap(lambda name: st.tuples(st.just(name), st.integers(0, len(_FLOW_FILES[name])))))
+    @settings(max_examples=150, deadline=None)
+    def test_any_truncation_loads_the_original_or_is_refused(self, cut):
+        name, length = cut
+        self._assert_original_or_refused(_FLOW_FILES[name][:length])
+
+    @given(flip=_flow_file_bits())
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_flip_loads_the_original_or_is_refused(self, flip):
+        name, bit = flip
+        data = bytearray(_FLOW_FILES[name])
         data[bit // 8] ^= 1 << (bit % 8)
         self._assert_original_or_refused(bytes(data))
