@@ -18,11 +18,12 @@ serving tiers' bit-equivalence tests rely on — and bit-identical to the
 ``Tensor`` forward under ``no_grad()`` and ``row_consistent_matmul()``, which
 ``tests/oracles/tensor_inference.py`` keeps as the reference.
 
-The training forwards (``forward`` / ``log_prob_and_entropy``) record the
-same MLP as **one** autograd node, :func:`repro.nn.functional.tanh_mlp`,
-whose forward is :func:`~repro.nn.functional.tanh_mlp_forward` (parametrised
-by the matmul) — the composition :func:`mlp_forward` runs under the
-``reference`` backend and the compiled ``blocked`` kernel is checked against.
+The training forwards (``log_prob_and_entropy``, ``Critic.forward``) run
+the same :func:`~repro.nn.functional.tanh_mlp_forward` on ``rc_matmul`` and
+keep its activations for :func:`~repro.nn.functional.tanh_mlp_backward`: the
+critic's values are one node (its reshape folded in), and the actor's
+log-probabilities and entropy are two that
+:func:`~repro.nn.functional.ppo_policy_loss` folds into the policy loss.
 The ``nn.Sequential`` built by :func:`build_mlp` is the parameter container
 — state-dict keys and checkpoints do not change — and its composed
 ``Linear`` / ``Tanh`` forward is the bitwise reference in
@@ -42,6 +43,8 @@ from ..utils.rng import ensure_rng
 __all__ = ["GaussianActor", "Critic", "build_mlp", "mlp_forward"]
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+# A diagonal Gaussian's entropy per action dimension, less its log_std.
+_ENTROPY_OFFSET = 0.5 * (nn.backend._LOG_2PI + 1.0)
 
 
 def build_mlp(input_dim: int, hidden_dims: Sequence[int], output_dim: int, rng=None) -> nn.Sequential:
@@ -62,6 +65,21 @@ def _linear_parameters(body: nn.Sequential) -> List[Tuple[nn.Parameter, nn.Param
     return [(layer.weight, layer.bias) for layer in body if isinstance(layer, nn.Linear)]
 
 
+def _check_states(body: nn.Sequential, states: np.ndarray) -> None:
+    width = body[0].in_features
+    if states.ndim != 2 or states.shape[1] != width:
+        raise ValueError(f"states must be (n, {width}), got {states.shape}")
+
+
+def _training_forward(body: nn.Sequential, states: nn.Tensor):
+    """A training node's parents, ``(weight, bias)`` pairs and activations."""
+    _check_states(body, states.data)
+    layers = _linear_parameters(body)
+    arrays = [(weight.data, bias.data) for weight, bias in layers]
+    activations = F.tanh_mlp_forward(states.data, arrays, nn.rc_matmul)
+    return (states,) + tuple(p for layer in layers for p in layer), layers, activations
+
+
 def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     """``body(states)`` for inference: a :func:`build_mlp` forward on arrays.
 
@@ -69,17 +87,13 @@ def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     result is a fresh ``(n, output_dim)`` array.  This is the active
     backend's :meth:`~repro.nn.backend.ExecutionBackend.tanh_mlp`:
     :func:`repro.nn.functional.tanh_mlp_forward` — the forward the training
-    node :func:`~repro.nn.functional.tanh_mlp` runs — on the row-consistent
-    kernel (one compiled call under ``blocked``), on ``param.data`` as it is
-    now, so a ``load_state_dict`` or an optimizer step needs no invalidation.
+    nodes run — on the row-consistent kernel (one compiled call under
+    ``blocked``), on ``param.data`` as it is now, so a ``load_state_dict``
+    or an optimizer step needs no invalidation.
     """
     states = np.asarray(states, dtype=np.float64)
-    width = body[0].in_features
-    if states.ndim != 2 or states.shape[1] != width:
-        raise ValueError(f"states must be (n, {width}), got {states.shape}")
-    layers = [
-        (layer.weight.data, layer.bias.data) for layer in body if isinstance(layer, nn.Linear)
-    ]
+    _check_states(body, states)
+    layers = [(weight.data, bias.data) for weight, bias in _linear_parameters(body)]
     return nn.active_backend().tanh_mlp(states, layers)
 
 
@@ -109,14 +123,6 @@ class GaussianActor(nn.Module):
         self.log_std = nn.Parameter(np.full(action_dim, float(initial_log_std)), name="log_std")
 
     # ------------------------------------------------------------------ #
-    def forward(self, states: nn.Tensor) -> Tuple[nn.Tensor, nn.Tensor]:
-        """Return (mean, log_std) for a batch of states.
-
-        The body runs as one :func:`~repro.nn.functional.tanh_mlp` node;
-        ``self.body`` stays the parameter container (state-dict keys).
-        """
-        return F.tanh_mlp(states, _linear_parameters(self.body)), self.log_std
-
     def act_batch(
         self, states: np.ndarray, noise: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,11 +161,38 @@ class GaussianActor(nn.Module):
     def log_prob_and_entropy(self, states: nn.Tensor, actions: np.ndarray) -> Tuple[nn.Tensor, nn.Tensor]:
         """Differentiable log-probabilities of ``actions`` and policy entropy.
 
-        Three autograd nodes: the MLP, the log-density, the entropy.
+        The MLP and the Gaussian log-density run on arrays, and their caches
+        stay in the two nodes' backwards, which
+        :func:`~repro.nn.functional.ppo_policy_loss` folds into its own node.
+        ``actions`` must be ``(n, action_dim)``: nothing broadcasts.
         """
-        mean, log_std = self.forward(states)
-        log_probs = F.gaussian_log_prob(actions, mean, log_std)
-        entropy = F.gaussian_entropy(log_std)
+        states = nn.as_tensor(states)
+        parents, layers, activations = _training_forward(self.body, states)
+        mean, log_std = activations[-1], self.log_std
+        actions = np.asarray(actions, dtype=np.float64)
+        if actions.shape != mean.shape:
+            raise ValueError(f"actions must be (n, {self.action_dim}), got {actions.shape}")
+        backend = nn.active_backend()
+        per_dim, diff, scaled, variance = backend.gaussian_log_density(actions, mean, log_std.data)
+
+        def log_prob_backward(grad: np.ndarray) -> None:
+            # ``log_std`` collects two terms here, the ``- log_std`` one first,
+            # after the entropy's: a three-way sum whose bits depend on the order.
+            d_per_dim, d_variance_terms, d_mean = backend.gaussian_log_density_backward(
+                grad, diff, scaled, variance
+            )
+            if log_std.requires_grad:
+                log_std._accumulate_fresh(-d_per_dim.sum(axis=0))
+                log_std._accumulate_fresh(d_variance_terms.sum(axis=0) * variance * 2.0)
+            F.tanh_mlp_backward(d_mean, states, layers, activations)
+
+        def entropy_backward(grad: np.ndarray) -> None:
+            log_std._accumulate_fresh(np.full(log_std.data.shape, grad))
+
+        log_probs = nn.Tensor._make(per_dim.sum(axis=-1), parents + (log_std,), log_prob_backward)
+        entropy = nn.Tensor._make(
+            (log_std.data + _ENTROPY_OFFSET).sum(axis=-1), (log_std,), entropy_backward
+        )
         return log_probs, entropy
 
 
@@ -171,8 +204,16 @@ class Critic(nn.Module):
         self.body = build_mlp(state_dim, hidden_dims, 1, rng=ensure_rng(rng))
 
     def forward(self, states: nn.Tensor) -> nn.Tensor:
-        """Differentiable ``(n,)`` values: one ``tanh_mlp`` node and a reshape."""
-        return F.tanh_mlp(states, _linear_parameters(self.body)).reshape(-1)
+        """Differentiable ``(n,)`` values as one node: the MLP with its
+        ``(n, 1) → (n,)`` reshape folded in."""
+        states = nn.as_tensor(states)
+        parents, layers, activations = _training_forward(self.body, states)
+        out = activations[-1]
+
+        def backward(grad: np.ndarray) -> None:
+            F.tanh_mlp_backward(grad.reshape(out.shape), states, layers, activations)
+
+        return nn.Tensor._make(out.reshape(-1), parents, backward)
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         """Value estimates for a ``(n, state_dim)`` batch in one forward pass.

@@ -7,20 +7,21 @@ mean-squared-error value updates over ``n_minibatches`` minibatches:
     L_actor  = −E[ min( I_t(θ) Â_t , clip(I_t(θ), 1±ε) Â_t ) ] − c_H · H(π_θ)
     L_critic =  E[ ( V_c(s_t) − R_t )² ]
 
-One minibatch records seven autograd nodes, each with a closed-form backward
-in :mod:`repro.nn.functional`: the actor MLP (``tanh_mlp``), the Gaussian
-log-density, the entropy and the policy loss ``L_actor`` whole
-(``ppo_policy_loss``); the critic MLP, its reshape and the MSE.  Their
-elementwise work, the gradient norm and the Adam step run on the active
-:mod:`repro.nn.backend`'s training hooks (compiled under ``blocked``); the
-BLAS products and the reductions stay numpy calls.  The update still goes
-through ``log_prob_and_entropy`` / ``Critic.__call__`` / ``Tensor.backward``
-/ ``nn.clip_grad_norm`` / ``Adam.step`` — there is no tape, recorded-graph
-replay or cache — and is bit-identical to the composed ``Tensor``-op
-formulation (~55 nodes) kept in ``tests/oracles/composed_ppo.py``.  A
-non-finite gradient norm raises ``FloatingPointError`` before the optimizer
-step instead of poisoning the weights, and a rollout that was loaded but not
-finalized raises ``RuntimeError`` before the minibatch shuffle draws.
+One minibatch's graph is three autograd nodes, each with a closed-form
+backward: the policy loss ``L_actor`` whole (``F.ppo_policy_loss``, which
+folds in the actor's log-probabilities and entropy, so its backward runs
+surrogate → Gaussian log-density → MLP in one closure), the critic's values
+(its MLP and reshape) and the MSE.  Their elementwise work, the gradient
+norm and the Adam step run on the active :mod:`repro.nn.backend`'s training
+hooks (compiled under ``blocked``); the BLAS products and the reductions
+stay numpy calls.  The update still goes through ``log_prob_and_entropy`` /
+``Critic.__call__`` / ``Tensor.backward`` / ``nn.clip_grad_norm`` /
+``Adam.step`` — there is no tape, recorded-graph replay or cache — and is
+bit-identical to the composed ``Tensor``-op formulation (~55 nodes) kept in
+``tests/oracles/composed_ppo.py``.  A non-finite gradient norm raises
+``FloatingPointError`` before the optimizer step instead of poisoning the
+weights, and a rollout that was loaded but not finalized raises
+``RuntimeError`` before the minibatch shuffle draws.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ episode-boundary flags, all ``(T, N, ...)`` arrays written at once by
 :meth:`RolloutBuffer.load` — and computes advantages via GAE(λ):
 
     A_t = Σ_l (γλ)^l [ r_{t+l} + γ V(s_{t+l+1}) − V(s_{t+l}) ].
+
+:func:`compute_gae` computes every step's TD error and decay at once and
+loops only over the recurrence, bit-identical to the per-step loop kept in
+``tests/oracles/gae_reference.py``; it refuses a ``gamma``, ``gae_lambda``
+or ``last_values`` that ``AmoebaConfig`` would not produce.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from ..utils.rng import ensure_rng
+from ..utils.validation import check_probability
 
 __all__ = ["RolloutBuffer", "compute_gae"]
 
@@ -37,12 +43,18 @@ def compute_gae(
         Arrays of shape ``(T, N)`` — T timesteps, N environments.  ``dones``
         marks steps that *terminate* an episode.
     last_values:
-        Value estimates of the state following the final step, shape ``(N,)``.
+        Value estimates of the state following the final step: ``N`` values.
+    gamma, gae_lambda:
+        Within ``AmoebaConfig``'s bounds, ``(0, 1]`` and ``[0, 1]``.
 
     Returns
     -------
     advantages, returns:
         Arrays of shape ``(T, N)``; returns are ``advantages + values``.
+
+    Every step's ``δ_t`` and decay ``γλ(1 − done_t)`` are computed at once;
+    only ``A_t = δ_t + decay_t · A_{t+1}`` runs step by step.  A bad argument
+    raises ``ValueError`` naming it before any arithmetic.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -50,16 +62,28 @@ def compute_gae(
     if rewards.shape != values.shape or rewards.shape != dones.shape:
         raise ValueError("rewards, values and dones must share the same (T, N) shape")
     steps, n_envs = rewards.shape
-    advantages = np.zeros_like(rewards)
-    last_advantage = np.zeros(n_envs)
-    next_values = np.asarray(last_values, dtype=np.float64).reshape(n_envs)
+    last_values = np.asarray(last_values, dtype=np.float64)
+    if last_values.size != n_envs:
+        raise ValueError(f"last_values must hold N = {n_envs} values, got shape {last_values.shape}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be within (0, 1], got {gamma}")
+    gae_lambda = check_probability(gae_lambda, "gae_lambda")
 
-    for t in reversed(range(steps)):
-        non_terminal = 1.0 - dones[t].astype(np.float64)
-        delta = rewards[t] + gamma * next_values * non_terminal - values[t]
-        last_advantage = delta + gamma * gae_lambda * non_terminal * last_advantage
-        advantages[t] = last_advantage
-        next_values = values[t]
+    non_terminal = 1.0 - dones.astype(np.float64)
+    next_values = np.concatenate([values[1:], last_values.reshape(1, n_envs)])
+    bootstrap = gamma * next_values * non_terminal
+    delta = rewards + bootstrap - values
+    # Which of two NaNs an add keeps depends on numpy's loop (its vector
+    # tail swaps the operands), so steps where a reward and its bootstrap
+    # are both NaN are added again as (N,) rows, as the per-step loop did.
+    for t in np.flatnonzero((np.isnan(rewards) & np.isnan(bootstrap)).any(axis=1)):
+        delta[t] = rewards[t] + bootstrap[t] - values[t]
+    decay = gamma * gae_lambda * non_terminal
+    advantages = np.empty_like(rewards)
+    last = np.zeros(n_envs)
+    for t in range(steps - 1, -1, -1):
+        last = delta[t] + decay[t] * last
+        advantages[t] = last
 
     returns = advantages + values
     return advantages, returns
@@ -138,7 +162,8 @@ class RolloutBuffer:
         self._finalized = False
 
     def finalize(self, last_values: np.ndarray, gamma: float, gae_lambda: float) -> None:
-        """Compute advantages and returns of the loaded rollout."""
+        """Compute advantages and returns of the loaded rollout (a
+        :func:`compute_gae` ``ValueError`` leaves the buffer as it was)."""
         if not self._loaded:
             raise RuntimeError("cannot finalize a buffer nothing was loaded into")
         self.advantages, self.returns = compute_gae(

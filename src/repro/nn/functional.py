@@ -2,26 +2,27 @@
 
 These free functions are the ones training calls: activations, the losses
 the censors fit with (BCE on logits, MAE) and the encoder / critic regress
-with (MAE, MSE), the Gaussian log-density, entropy and clipped surrogate of
-the PPO update, and the fused tanh MLP and recurrent sequence kernels.
+with (MAE, MSE), the PPO update's clipped-surrogate policy loss, the tanh
+MLP's forward and backward, and the fused recurrent sequence kernels.
 
-Every matmul in the fused tanh MLP and the fused recurrent kernels below
-goes through :func:`repro.nn.tensor.rc_matmul`, the single execution-backend
-choke point: inside a ``row_consistent_matmul`` context the projections run
-on the active :mod:`repro.nn.backend` (the compiled blocked kernel by
-default) without any code here knowing which.
+Every matmul of the training MLP forward and of the fused recurrent kernels
+below goes through :func:`repro.nn.tensor.rc_matmul`, the single
+execution-backend choke point: inside a ``row_consistent_matmul`` context
+the projections run on the active :mod:`repro.nn.backend` (the compiled
+blocked kernel by default) without any code here knowing which.
 
-The functions on the PPO update's path — ``tanh_mlp``, ``gaussian_log_prob``,
-``gaussian_entropy``, ``mse_loss``, ``ppo_policy_loss`` — each record one
-autograd node with a closed-form backward, bit-identical to the composed
-``Tensor``-op formulations kept in ``tests/oracles/composed_ppo.py``.  Their
-elementwise work (the MLP's bias + tanh and its tanh gradient, the Gaussian
-log-density, the ratio and clip of the surrogate) runs on the active
-backend's training hooks; every BLAS product is a numpy ``@`` and every
-reduction a numpy ``.sum()`` here, with the same operands and layout as the
-composed formulation, which is what keeps the bits.  The recurrent
-sequences' backwards follow the same split: one backend BPTT step hook per
-time step between numpy products.
+The PPO update's graph is three nodes with closed-form backwards,
+bit-identical to the composed ``Tensor``-op formulations kept in
+``tests/oracles/composed_ppo.py``: ``ppo_policy_loss``, into which the
+actor's log-probabilities and entropy fold; the critic's values, whose MLP
+runs through ``tanh_mlp_forward`` / ``tanh_mlp_backward`` as the actor's
+does; and ``mse_loss``.  Their elementwise work (the MLP's bias + tanh and
+its tanh gradient, the Gaussian log-density, the ratio and clip of the
+surrogate) runs on the active backend's training hooks; every BLAS product
+is a numpy ``@`` and every reduction a numpy ``.sum()``, with the same
+operands and layout as the composed formulation, which is what keeps the
+bits.  The recurrent sequences' backwards follow the same split: one
+backend BPTT step hook per time step between numpy products.
 
 Backwards hand their parents the arrays they have just allocated through
 ``Tensor._accumulate_fresh``, which adopts a first gradient instead of
@@ -44,11 +45,9 @@ __all__ = [
     "mse_loss",
     "mae_loss",
     "binary_cross_entropy_with_logits",
-    "gaussian_log_prob",
-    "gaussian_entropy",
     "ppo_policy_loss",
     "tanh_mlp_forward",
-    "tanh_mlp",
+    "tanh_mlp_backward",
     "gru_cell_forward",
     "gru_sequence",
     "lstm_sequence",
@@ -93,52 +92,13 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     return (relu_term - logits * targets + softplus).mean()
 
 
-def gaussian_log_prob(actions: Tensor, mean: Tensor, log_std: Tensor) -> Tensor:
-    """Log density of ``actions`` under a diagonal Gaussian policy (one node).
-
-    Sums over the action dimension (last axis), returning one log-probability
-    per sample, as required by the PPO surrogate objective.  ``actions`` are
-    data, not a differentiable input, and must have the shape of ``mean``;
-    ``log_std`` broadcasts against it.
-    """
-    actions = as_tensor(actions).data
-    mean, log_std = as_tensor(mean), as_tensor(log_std)
-    if actions.shape != mean.data.shape:
-        expected = f"(n, {mean.data.shape[1]})" if mean.data.ndim == 2 else str(mean.data.shape)
-        raise ValueError(f"actions must be {expected}, got {actions.shape}")
-    backend = _backend.active_backend()
-    per_dim, diff, scaled, variance = backend.gaussian_log_density(actions, mean.data, log_std.data)
-    out_data = per_dim.sum(axis=-1)
-
-    def backward(grad: np.ndarray) -> None:
-        # ``log_std`` collects two terms, the ``- log_std`` one first: with
-        # the entropy bonus its gradient is a three-way sum, whose bits
-        # depend on the order.
-        d_per_dim, d_variance_terms, d_mean = backend.gaussian_log_density_backward(
-            grad, diff, scaled, variance
-        )
-        if log_std.requires_grad:
-            log_std._accumulate_fresh(-_unbroadcast(d_per_dim, log_std.data.shape))
-            d_variance = _unbroadcast(d_variance_terms, variance.shape)
-            log_std._accumulate_fresh(d_variance * variance * 2.0)
-        if mean.requires_grad:
-            mean._accumulate_fresh(d_mean)
-
-    return Tensor._make(out_data, (mean, log_std), backward)
-
-
-def gaussian_entropy(log_std: Tensor) -> Tensor:
-    """Entropy of a diagonal Gaussian, summed over action dims, mean over batch
-    (one node)."""
-    log_std = as_tensor(log_std)
-    per_sample = (log_std.data + 0.5 * (_backend._LOG_2PI + 1.0)).sum(axis=-1)
-    count = float(per_sample.size)
-    out_data = per_sample.sum() / count
-
-    def backward(grad: np.ndarray) -> None:
-        log_std._accumulate_fresh(np.full(log_std.data.shape, grad / count))
-
-    return Tensor._make(out_data, (log_std,), backward)
+def _folded(tensor: Tensor) -> Tuple[Tuple[Tensor, ...], Callable[[np.ndarray], None]]:
+    """The parents and the backward a consumer records in place of ``tensor``:
+    a node's own, so its closure runs inside the consumer's and the walk never
+    visits it, or a leaf itself."""
+    if tensor._backward is None:
+        return (tensor,), tensor._accumulate_fresh
+    return tensor._parents, tensor._backward
 
 
 def ppo_policy_loss(
@@ -156,6 +116,11 @@ def ppo_policy_loss(
     plain array, for the clip-fraction diagnostic.  Where the two products
     tie the unclipped branch is taken, and the clipped branch passes
     gradient only where ``I`` is inside the clip range (bounds included).
+
+    Nodes passed as ``log_probs`` / ``entropy`` (``log_prob_and_entropy``
+    returns two) are folded in: the loss records their parents, the actor's
+    parameters, and runs their backwards in its own, the entropy's first, so
+    the whole actor loss is one node of the walked graph.
     """
     log_probs, entropy = as_tensor(log_probs), as_tensor(entropy)
     backend = _backend.active_backend()
@@ -164,16 +129,18 @@ def ppo_policy_loss(
     )
     count = float(ratio.size)
     out_data = -(surrogate.sum() / count) + -(entropy.data * entropy_coef)
+    log_prob_parents, log_prob_backward = _folded(log_probs)
+    entropy_parents, entropy_backward = _folded(entropy)
 
     def backward(grad: np.ndarray) -> None:
+        if entropy.requires_grad:
+            entropy_backward(-grad * entropy_coef)
         if log_probs.requires_grad:
-            log_probs._accumulate_fresh(
+            log_prob_backward(
                 backend.clipped_surrogate_backward(-grad / count, ratio, advantages, take_raw, inside)
             )
-        if entropy.requires_grad:
-            entropy._accumulate_fresh(-grad * entropy_coef)
 
-    return Tensor._make(out_data, (log_probs, entropy), backward), ratio
+    return Tensor._make(out_data, log_prob_parents + entropy_parents, backward), ratio
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -194,13 +161,13 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Fused tanh MLP
+# Tanh MLP
 # --------------------------------------------------------------------------- #
-# The PPO update's graph is a handful of fat nodes — this one and the four
-# loss nodes above — under the same numerical contract as the recurrent
-# kernels below: every expression, forward and backward, mirrors the composed
-# ``Tensor``-op formulation operation for operation, so values and gradients
-# are bit-identical to it.  The composed bodies live in
+# The actor's and the critic's training nodes (``repro.core.actor_critic``)
+# run the MLP through this forward / backward pair under the same numerical
+# contract as the recurrent kernels below: every expression mirrors the
+# composed ``Linear`` / ``Tanh`` formulation operation for operation, so
+# values and gradients are bit-identical to it.  The composed bodies live in
 # ``tests/oracles/composed_ppo.py``.
 
 
@@ -212,9 +179,9 @@ def tanh_mlp_forward(
     ``layers`` holds one ``(weight, bias)`` pair per Linear; every layer but
     the last is followed by a tanh, its bias and tanh the active backend's
     ``bias_tanh``.  Returns ``[x, h_1, …, h_{L-1}, out]``: each layer's
-    input, then the output.  :func:`tanh_mlp` passes :func:`rc_matmul`;
-    the inference forward (:func:`repro.core.actor_critic.mlp_forward`)
-    passes the active backend's ``matmul2d`` itself.
+    input, then the output.  The training nodes pass :func:`rc_matmul`; the
+    inference forward (:func:`repro.core.actor_critic.mlp_forward`) passes
+    the active backend's ``matmul2d`` itself.
     """
     backend = _backend.active_backend()
     activations = [x]
@@ -226,35 +193,30 @@ def tanh_mlp_forward(
     return activations
 
 
-def tanh_mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
-    """A whole tanh MLP over a ``(n, features)`` batch as one autograd node.
+def tanh_mlp_backward(
+    grad: np.ndarray,
+    x: Tensor,
+    layers: Sequence[Tuple[Tensor, Tensor]],
+    activations: Sequence[np.ndarray],
+) -> None:
+    """Accumulate the gradients of a :func:`tanh_mlp_forward` whose output
+    received ``grad`` — the one definition of its backward.
 
-    The node keeps the activations of :func:`tanh_mlp_forward`; its backward
-    walks the layers last to first and computes an input gradient only where
-    one is wanted (hidden layers, and ``x`` itself when it requires grad —
-    gradient-based attacks differentiate their inputs).
+    Walks the layers last to first and computes an input gradient only where
+    one is wanted: the hidden layers, and ``x`` itself when it requires grad.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"tanh_mlp expects a (n, features) input, got {x.data.shape}")
-    activations = tanh_mlp_forward(x.data, [(w.data, b.data) for w, b in layers], rc_matmul)
     backend = _backend.active_backend()
-
-    def backward(grad: np.ndarray) -> None:
-        for index in range(len(layers) - 1, -1, -1):
-            weight, bias = layers[index]
-            layer_input = activations[index]
-            if bias.requires_grad:
-                bias._accumulate_fresh(grad.sum(axis=0))
-            if weight.requires_grad:
-                weight._accumulate_fresh(layer_input.T @ grad)
-            if index > 0:
-                grad = backend.tanh_backward(grad @ weight.data.T, layer_input)
-            elif x.requires_grad:
-                x._accumulate_fresh(grad @ weight.data.T)
-
-    parents = (x,) + tuple(parameter for layer in layers for parameter in layer)
-    return Tensor._make(activations[-1], parents, backward)
+    for index in range(len(layers) - 1, -1, -1):
+        weight, bias = layers[index]
+        layer_input = activations[index]
+        if bias.requires_grad:
+            bias._accumulate_fresh(grad.sum(axis=0))
+        if weight.requires_grad:
+            weight._accumulate_fresh(layer_input.T @ grad)
+        if index > 0:
+            grad = backend.tanh_backward(grad @ weight.data.T, layer_input)
+        elif x.requires_grad:
+            x._accumulate_fresh(grad @ weight.data.T)
 
 
 # --------------------------------------------------------------------------- #

@@ -63,3 +63,22 @@ def test_tier1_runs_every_example():
     [command] = [run for run in runs if "examples/*.py" in run]
     assert "set -e" in command and "PYTHONPATH=src python" in command
     assert sorted((ROOT / "examples").glob("*.py"))
+
+
+def test_tier1_trains_and_serves_through_the_installed_package():
+    """One tier-1 step trains a policy with the installed console script,
+    away from the checkout, and serves the checkpoint it has just written."""
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    [command] = [run for run in runs if "repro-amoeba attack" in run]
+    lines = [line.strip() for line in command.splitlines() if line.strip()]
+    assert lines[0] == 'cd "$RUNNER_TEMP"'
+    assert "PYTHONPATH" not in command
+    attack = next(line for line in lines if line.startswith("repro-amoeba attack"))
+    serve = next(line for line in lines if line.startswith("repro-amoeba serve"))
+    checkpoint = re.search(r'--save-policy ("\$RUNNER_TEMP/[\w.]+\.npz")', attack).group(1)
+    assert f"--policy {checkpoint}" in serve
+    assert lines.index(attack) < lines.index(serve)
+    install = [i for i, run in enumerate(runs) if "pip install ." in run]
+    assert install and install[0] < runs.index(command)

@@ -16,7 +16,7 @@ from repro.core import (
     RolloutBuffer,
     compute_gae,
 )
-from repro.core.actor_critic import build_mlp
+from repro.core.actor_critic import _training_forward, build_mlp
 
 from oracles.tensor_inference import reference_act_batch, reference_value_batch
 
@@ -38,9 +38,11 @@ class TestActorCritic:
 
     def test_actor_forward_shapes(self):
         actor = GaussianActor(state_dim=6, action_dim=2, hidden_dims=(8,), rng=0)
-        mean, log_std = actor(nn.Tensor(np.zeros((5, 6))))
+        mean, _ = actor.act_batch(np.zeros((5, 6)))
+        log_probs, entropy = actor.log_prob_and_entropy(nn.Tensor(np.zeros((5, 6))), mean)
         assert mean.shape == (5, 2)
-        assert log_std.shape == (2,)
+        assert log_probs.shape == (5,) and entropy.shape == ()
+        assert actor.log_std.shape == (2,)
 
     def test_actor_act_returns_action_and_logprob(self):
         actor = GaussianActor(state_dim=4, rng=0)
@@ -53,7 +55,8 @@ class TestActorCritic:
         a1, _ = actor.act_batch(np.zeros((1, 4)))
         a2, _ = actor.act_batch(np.zeros((1, 4)))
         assert np.array_equal(a1, a2)
-        assert np.array_equal(a1, actor(nn.Tensor(np.zeros((1, 4))))[0].data)
+        # The mean the training node differentiates, bit for bit.
+        assert np.array_equal(a1, _training_forward(actor.body, nn.Tensor(np.zeros((1, 4))))[2][-1])
 
     def test_sampled_act_is_mean_plus_scaled_noise(self):
         actor = GaussianActor(state_dim=4, rng=0)
@@ -209,6 +212,54 @@ class TestGAE:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compute_gae(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 1), dtype=bool), np.zeros(1), 0.9, 0.95)
+
+    @pytest.mark.parametrize(
+        "last_values", [np.zeros(1), np.zeros(3), np.zeros((2, 2)), np.zeros(0)], ids=str
+    )
+    def test_last_values_must_hold_n_elements(self, last_values):
+        with pytest.raises(ValueError, match=r"last_values must hold N = 2 values"):
+            compute_gae(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2), dtype=bool), last_values, 0.9, 0.95)
+
+    def test_last_values_of_any_shape_with_n_elements(self):
+        args = np.ones((3, 2)), np.zeros((3, 2)), np.zeros((3, 2), dtype=bool)
+        flat = compute_gae(*args, np.array([1.0, 2.0]), 0.9, 0.95)
+        column = compute_gae(*args, np.array([[1.0], [2.0]]), 0.9, 0.95)
+        assert all(np.array_equal(a, b) for a, b in zip(flat, column))
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 1.0 + 1e-12, 2.0])
+    def test_gamma_outside_zero_one_is_refused(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be within \(0, 1\]"):
+            compute_gae(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1), dtype=bool), np.zeros(1), gamma, 0.95)
+
+    @pytest.mark.parametrize("gae_lambda", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12, 2.0])
+    def test_gae_lambda_outside_zero_one_is_refused(self, gae_lambda):
+        with pytest.raises(ValueError, match=r"gae_lambda must be within \[0, 1\]"):
+            compute_gae(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1), dtype=bool), np.zeros(1), 0.9, gae_lambda)
+
+    @pytest.mark.parametrize("gamma,gae_lambda", [(1.0, 0.0), (1.0, 1.0), (1e-300, 0.5)])
+    def test_closed_bounds_are_accepted(self, gamma, gae_lambda):
+        rewards = np.ones((2, 1))
+        advantages, _ = compute_gae(rewards, np.zeros((2, 1)), np.zeros((2, 1), dtype=bool), np.zeros(1), gamma, gae_lambda)
+        assert np.all(np.isfinite(advantages))
+
+    @pytest.mark.parametrize(
+        "last_values,gamma,gae_lambda",
+        [(np.zeros(3), 0.9, 0.95), (np.zeros(2), np.nan, 0.95), (np.zeros(2), 0.9, 2.0)],
+        ids=["last_values", "gamma", "gae_lambda"],
+    )
+    def test_finalize_refuses_and_keeps_the_buffer(self, last_values, gamma, gae_lambda):
+        buffer = RolloutBuffer(3, 2, 1, 2)
+        shape = (3, 2)
+        buffer.load(np.zeros(shape + (1,)), np.zeros(shape + (2,)), *([np.ones(shape)] * 3), np.zeros(shape, dtype=bool))
+        with pytest.raises(ValueError, match="last_values|gamma|gae_lambda"):
+            buffer.finalize(last_values, gamma, gae_lambda)
+        with pytest.raises(RuntimeError, match="finalize"):
+            next(buffer.minibatches(1, rng=0))
+        buffer.finalize(np.zeros(2), 0.9, 0.95)
+        advantages = buffer.advantages.copy()
+        with pytest.raises(ValueError):
+            buffer.finalize(last_values, gamma, gae_lambda)
+        assert np.array_equal(buffer.advantages, advantages)
 
     def test_multi_env_independence(self):
         rewards = np.array([[1.0, 0.0]])

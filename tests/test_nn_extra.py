@@ -50,9 +50,9 @@ class TestActorBias:
         actor = GaussianActor(
             state_dim=6, hidden_dims=(8,), initial_action_bias=(0.0, -1.0), rng=0
         )
-        mean, _ = actor(nn.Tensor(np.zeros((1, 6))))
+        mean, _ = actor.act_batch(np.zeros((1, 6)))
         # With zero input and tanh activations, the output equals the bias.
-        assert mean.data[0, 1] == pytest.approx(-1.0)
+        assert mean[0, 1] == pytest.approx(-1.0)
 
     def test_invalid_bias_shape_rejected(self):
         with pytest.raises(ValueError):

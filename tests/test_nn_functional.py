@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import GaussianActor
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -45,30 +46,42 @@ class TestLosses:
         assert np.isfinite(loss.item())
 
 
+def _zero_mean_actor(log_std):
+    """An actor whose mean is exactly 0 on every state (its output layer is
+    zeroed), with ``log_std`` on both action dimensions."""
+    actor = GaussianActor(3, hidden_dims=(4,), rng=0)
+    output = actor.body[len(actor.body) - 1]
+    output.weight.data = np.zeros_like(output.weight.data)
+    output.bias.data = np.zeros_like(output.bias.data)
+    actor.log_std.data = np.full(2, float(log_std))
+    return actor
+
+
 class TestGaussianPolicy:
+    """The actor's log-density and entropy, through ``log_prob_and_entropy``."""
+
     def test_log_prob_matches_scipy_formula(self):
-        mean = Tensor(np.zeros((1, 2)))
-        log_std = Tensor(np.zeros(2))
-        actions = Tensor(np.zeros((1, 2)))
-        lp = F.gaussian_log_prob(actions, mean, log_std).item()
+        actor = _zero_mean_actor(0.0)
+        log_probs, _ = actor.log_prob_and_entropy(Tensor(np.ones((1, 3))), np.zeros((1, 2)))
         expected = 2 * (-0.5 * np.log(2 * np.pi))
-        assert lp == pytest.approx(expected)
+        assert log_probs.item() == pytest.approx(expected)
 
     def test_log_prob_decreases_away_from_mean(self):
-        mean = Tensor(np.zeros((1, 2)))
-        log_std = Tensor(np.zeros(2))
-        near = F.gaussian_log_prob(Tensor(np.zeros((1, 2))), mean, log_std).item()
-        far = F.gaussian_log_prob(Tensor(np.full((1, 2), 3.0)), mean, log_std).item()
+        actor, states = _zero_mean_actor(0.0), Tensor(np.ones((2, 3)))
+        log_probs, _ = actor.log_prob_and_entropy(states, np.array([[0.0, 0.0], [3.0, 3.0]]))
+        near, far = log_probs.data
         assert near > far
 
     def test_entropy_increases_with_std(self):
-        small = F.gaussian_entropy(Tensor(np.full(2, -1.0))).item()
-        large = F.gaussian_entropy(Tensor(np.full(2, 1.0))).item()
+        states = Tensor(np.ones((1, 3)))
+        small = _zero_mean_actor(-1.0).log_prob_and_entropy(states, np.zeros((1, 2)))[1].item()
+        large = _zero_mean_actor(1.0).log_prob_and_entropy(states, np.zeros((1, 2)))[1].item()
         assert large > small
+        assert large == pytest.approx(2 * (1.0 + 0.5 * (np.log(2 * np.pi) + 1.0)))
 
     def test_log_prob_gradient_flows_to_mean(self):
-        mean = Tensor(np.zeros((4, 2)), requires_grad=True)
-        log_std = Tensor(np.zeros(2), requires_grad=True)
-        actions = Tensor(np.random.default_rng(0).normal(size=(4, 2)))
-        F.gaussian_log_prob(actions, mean, log_std).mean().backward()
-        assert mean.grad is not None and log_std.grad is not None
+        actor = _zero_mean_actor(0.0)
+        actions = np.random.default_rng(0).normal(size=(4, 2))
+        log_probs, _ = actor.log_prob_and_entropy(Tensor(np.ones((4, 3))), actions)
+        log_probs.mean().backward()
+        assert all(p.grad is not None for p in actor.parameters())

@@ -1,12 +1,14 @@
 """The PPO update's fat autograd nodes and the flat Adam step.
 
-The contract under test: ``F.tanh_mlp``, ``F.gaussian_log_prob``,
-``F.gaussian_entropy``, ``F.mse_loss``, ``F.ppo_policy_loss`` and
+The contract under test: ``GaussianActor.log_prob_and_entropy`` folded into
+``F.ppo_policy_loss``, the critic's values node, ``F.mse_loss`` and
 ``Adam.step`` are **bit-identical** (``view(uint64)``) — values, every
 gradient, whole parameter trajectories, a whole ``Amoeba.train`` — to the
 composed ``Tensor``-op bodies and the per-parameter step they replaced, kept
 verbatim in ``tests/oracles/composed_ppo.py``.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.core.ppo import PPOUpdater
 from repro.core.rollout import RolloutBuffer
 from repro.nn import functional as F
 from repro.nn import state_dict_to_bytes
+from repro.nn.tensor import _topological_order
 
 CLIP_EPSILON = 0.2
 ENTROPY_COEF = 0.01
@@ -103,23 +106,23 @@ class TestNodesMatchComposedOracle:
         else:
             assert got_states.grad is None and want_states.grad is None
 
-    def test_log_std_alone_and_mean_alone(self):
-        rng = np.random.default_rng(0)
-        actions, mean_data = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
-        log_std_data = rng.normal(size=2)
-        for mean_grad, log_std_grad in ((True, False), (False, True)):
-            grads = []
-            for log_prob in (F.gaussian_log_prob, oracle.composed_gaussian_log_prob):
-                mean = nn.Tensor(mean_data, requires_grad=mean_grad)
-                log_std = nn.Tensor(log_std_data, requires_grad=log_std_grad)
-                out = log_prob(nn.Tensor(actions), mean, log_std)
-                out.backward(np.arange(9.0))
-                grads.append((out.data, mean.grad, log_std.grad))
-            for got, want in zip(*grads):
-                if want is None:
-                    assert got is None
-                else:
-                    assert_same_bits(got, want)
+    @pytest.mark.parametrize("frozen", ["log_std", "body"])
+    def test_frozen_log_std_or_frozen_body(self, frozen):
+        batch = make_batch(np.random.default_rng(4), 9)
+        outcomes = []
+        for step in (production_step, composed_step):
+            actor, critic = make_networks(2, (8,))
+            parameters = [actor.log_std] if frozen == "log_std" else actor.body.parameters()
+            for parameter in parameters:
+                parameter.requires_grad = False
+            step(actor, critic, nn.Tensor(batch["states"]), batch)
+            outcomes.append([p.grad for p in actor.parameters()])
+        for got, want in zip(*outcomes):
+            if want is None:
+                assert got is None
+            else:
+                assert_same_bits(got, want)
+        assert sum(grad is None for grad in outcomes[0]) == (1 if frozen == "log_std" else 4)
 
     def test_nothing_recorded_without_a_differentiable_input(self):
         with nn.no_grad():
@@ -172,10 +175,35 @@ class TestNodesMatchComposedOracle:
         loss.backward()
         assert entropy.grad == -ENTROPY_COEF
 
-    def test_mlp_rejects_non_matrix_input(self):
-        actor, _ = make_networks(0, (8,), state_dim=4)
-        with pytest.raises(ValueError, match=r"\(n, features\) input, got \(4,\)"):
-            actor(nn.Tensor(np.zeros(4)))
+    def test_actor_loss_is_one_node_over_the_actor_parameters(self):
+        batch = make_batch(np.random.default_rng(5), 6)
+        actor, _ = make_networks(0, (8, 4))
+        states = nn.Tensor(batch["states"])
+        log_probs, entropy = actor.log_prob_and_entropy(states, batch["actions"])
+        loss, _ = F.ppo_policy_loss(
+            log_probs, entropy, batch["old_log_probs"], batch["advantages"], CLIP_EPSILON, ENTROPY_COEF
+        )
+        parameters = actor.parameters()
+        assert len(parameters) == 7
+        assert {id(p) for p in loss._parents} == {id(p) for p in parameters} | {id(states)}
+        walked = [node for node in _topological_order(loss) if node._backward is not None]
+        assert walked == [loss]
+
+    def test_critic_values_are_one_node(self):
+        _, critic = make_networks(0, (8, 4))
+        states = nn.Tensor(np.zeros((5, 64)))
+        values = critic(states)
+        assert values.shape == (5,)
+        assert values._parents == (states,) + tuple(critic.parameters())
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 63), (3, 64, 1)], ids=str)
+    def test_training_forwards_reject_misshaped_states(self, shape):
+        actor, critic = make_networks(0, (8,))
+        message = r"states must be \(n, 64\), got " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            actor.log_prob_and_entropy(nn.Tensor(np.zeros(shape)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=message):
+            critic(nn.Tensor(np.zeros(shape)))
 
 
 def numerical_gradient(fn, x, eps=1e-6):
@@ -195,38 +223,35 @@ def numerical_gradient(fn, x, eps=1e-6):
 class TestNodeGradients:
     """Finite differences: the closed-form backwards are gradients at all."""
 
-    def test_tanh_mlp(self):
+    def test_critic_values(self):
         rng = np.random.default_rng(0)
+        critic = Critic(4, hidden_dims=(6, 3), rng=rng)
         x = nn.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        layers = [
-            (nn.Parameter(rng.normal(size=(4, 6)) * 0.5), nn.Parameter(rng.normal(size=6))),
-            (nn.Parameter(rng.normal(size=(6, 3)) * 0.5), nn.Parameter(rng.normal(size=3))),
-            (nn.Parameter(rng.normal(size=(3, 2)) * 0.5), nn.Parameter(rng.normal(size=2))),
-        ]
-        weights = rng.normal(size=(5, 2))
+        weights = rng.normal(size=5)
 
         def value():
-            return float((F.tanh_mlp(x, layers).data * weights).sum())
+            return float((critic(x).data * weights).sum())
 
-        F.tanh_mlp(x, layers).backward(weights)
-        for tensor in [x] + [p for layer in layers for p in layer]:
+        critic(x).backward(weights)
+        for tensor in [x] + critic.parameters():
             assert np.allclose(tensor.grad, numerical_gradient(value, tensor.data), atol=1e-6)
 
-    def test_gaussian_log_prob_and_entropy(self):
+    def test_actor_log_probs_and_entropy(self):
         rng = np.random.default_rng(1)
+        actor = GaussianActor(4, hidden_dims=(5,), rng=rng)
+        actor.log_std.data = rng.normal(size=2) * 0.3
+        x = nn.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         actions = rng.normal(size=(6, 2))
-        mean = nn.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
-        log_std = nn.Tensor(rng.normal(size=2) * 0.3, requires_grad=True)
         weights = rng.normal(size=6)
 
-        def value():
-            log_probs = F.gaussian_log_prob(actions, mean, log_std).data
-            return float((log_probs * weights).sum() + 0.7 * F.gaussian_entropy(log_std).data)
+        def objective():
+            log_probs, entropy = actor.log_prob_and_entropy(x, actions)
+            return (log_probs * nn.Tensor(weights)).sum() + entropy * 0.7
 
-        F.gaussian_log_prob(actions, mean, log_std).backward(weights)
-        (0.7 * F.gaussian_entropy(log_std)).backward()
-        assert np.allclose(mean.grad, numerical_gradient(value, mean.data), atol=1e-6)
-        assert np.allclose(log_std.grad, numerical_gradient(value, log_std.data), atol=1e-6)
+        objective().backward()
+        for tensor in [x] + actor.parameters():
+            numeric = numerical_gradient(lambda: objective().item(), tensor.data)
+            assert np.allclose(tensor.grad, numeric, atol=1e-6)
 
     def test_mse_loss(self):
         rng = np.random.default_rng(2)
@@ -253,15 +278,13 @@ class TestNodeGradients:
             assert np.allclose(tensor.grad, numeric, atol=1e-6)
 
 
-class TestGaussianLogProbValidation:
-    def test_misshaped_actions_do_not_broadcast(self):
-        mean = nn.Tensor(np.zeros((5, 2)), requires_grad=True)
-        with pytest.raises(ValueError, match=r"actions must be \(n, 2\), got \(2,\)"):
-            F.gaussian_log_prob(np.zeros(2), mean, nn.Tensor(np.zeros(2)))
-        with pytest.raises(ValueError, match=r"actions must be \(n, 2\), got \(1, 2\)"):
-            F.gaussian_log_prob(np.zeros((1, 2)), mean, nn.Tensor(np.zeros(2)))
-        with pytest.raises(ValueError, match=r"actions must be \(2,\), got \(5, 2\)"):
-            F.gaussian_log_prob(np.zeros((5, 2)), nn.Tensor(np.zeros(2)), nn.Tensor(np.zeros(2)))
+class TestLogProbValidation:
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (5, 1), (5, 2, 1)], ids=str)
+    def test_misshaped_actions_do_not_broadcast(self, shape):
+        actor, _ = make_networks(0, (8,), state_dim=4)
+        message = r"actions must be \(n, 2\), got " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            actor.log_prob_and_entropy(nn.Tensor(np.zeros((5, 4))), np.zeros(shape))
 
 
 def _trajectory(adam_step, steps, freeze_log_std=False):
@@ -375,10 +398,22 @@ class TestPPOUpdater:
             return make(*args)
 
         monkeypatch.setattr(nn.Tensor, "_make", staticmethod(counting_make))
+        walked = []
+        walk = nn.tensor._topological_order
+
+        def counting_walk(root):
+            order = walk(root)
+            walked.extend(node for node in order if node._backward is not None)
+            return order
+
+        monkeypatch.setattr(nn.tensor, "_topological_order", counting_walk)
         updater.update(buffer)
-        # Seven (55 on the composed graph): MLP, log-density, entropy, the
-        # policy loss; MLP, reshape, MSE.
-        assert len(calls) == 7
+        # Three nodes in the graphs the two backwards walk (55 on the composed
+        # graph, 7 before the actor's forward was folded into its loss): the
+        # policy loss; the critic's values and the MSE.  Two more are made
+        # and folded: the actor's log-probabilities and entropy.
+        assert len(walked) == 3
+        assert len(calls) == 5
 
     def test_update_reaches_the_networks_through_the_wrapped_entry_points(self, setup, monkeypatch):
         # benchmarks/perf/layers.py attributes the update by wrapping exactly
@@ -462,12 +497,9 @@ class TestPPOUpdater:
 
 
 def _patch_in_oracles(monkeypatch):
-    monkeypatch.setattr(GaussianActor, "forward", oracle.composed_actor_forward)
     monkeypatch.setattr(GaussianActor, "log_prob_and_entropy", oracle.composed_log_prob_and_entropy)
     monkeypatch.setattr(Critic, "forward", oracle.composed_critic_forward)
     monkeypatch.setattr(F, "mse_loss", oracle.composed_mse_loss)
-    monkeypatch.setattr(F, "gaussian_log_prob", oracle.composed_gaussian_log_prob)
-    monkeypatch.setattr(F, "gaussian_entropy", oracle.composed_gaussian_entropy)
     monkeypatch.setattr(F, "ppo_policy_loss", oracle.composed_ppo_policy_loss)
     monkeypatch.setattr(nn.Adam, "step", oracle.per_parameter_adam_step)
     monkeypatch.setattr(nn.Tensor, "backward", oracle.recursive_backward)

@@ -17,6 +17,8 @@ from repro.core import (
     BatchedEpisodeEncoder,
     Critic,
     GaussianActor,
+    PPOUpdater,
+    RolloutBuffer,
     StateEncoder,
     VectorFlowEnv,
     compute_gae,
@@ -42,6 +44,7 @@ from repro.core.env import normalised_pair, shape_packet_core
 
 from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import composed_relu_pool
+from oracles.gae_reference import reference_compute_gae
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -306,6 +309,57 @@ class TestGAEProperties:
         advantages, returns = compute_gae(rewards_arr, values, dones, np.zeros(1), gamma, lam)
         assert np.allclose(returns, advantages + values)
         assert np.all(np.isfinite(advantages))
+
+
+# Values GAE must carry bit for bit: signed zeros, magnitudes whose products
+# overflow, NaN and both infinities.
+_GAE_SPECIALS = np.array([0.0, -0.0, 1e308, -1e308, 1e-308, np.nan, np.inf, -np.inf])
+
+
+def _with_specials(rng, array, share):
+    """``array`` with a ``share`` of its elements replaced by special values."""
+    mask = rng.random(array.shape) < share
+    array[mask] = rng.choice(_GAE_SPECIALS, size=int(mask.sum()))
+    return array
+
+
+class TestGAEOracleProperties:
+    """``compute_gae`` hoists ``non_terminal``, ``delta`` and the decay out of
+    the loop; advantages and returns equal the per-step loop of
+    ``tests/oracles/gae_reference.py`` in every bit (``view(uint64)``)."""
+
+    @given(
+        steps=st.integers(1, 70),
+        n_envs=st.integers(1, 9),
+        dones=st.sampled_from(["none", "all", "last", "random"]),
+        gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        gae_lambda=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        special_share=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(steps=1, n_envs=1, dones="none", gamma=1.0, gae_lambda=1.0, special_share=0.0, seed=0)
+    @example(steps=70, n_envs=9, dones="random", gamma=1.0, gae_lambda=0.0, special_share=0.5, seed=1)
+    def test_hoisted_terms_equal_per_step_loop(
+        self, steps, n_envs, dones, gamma, gae_lambda, special_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (steps, n_envs)
+        rewards = _with_specials(rng, rng.normal(size=shape) * 10.0, special_share)
+        values = _with_specials(rng, rng.normal(size=shape) * 10.0, special_share)
+        last_values = _with_specials(rng, rng.normal(size=n_envs), special_share)
+        done = {
+            "none": np.zeros(shape, dtype=bool),
+            "all": np.ones(shape, dtype=bool),
+            "last": np.arange(steps)[:, None].repeat(n_envs, axis=1) == steps - 1,
+            "random": rng.random(shape) < 0.3,
+        }[dones]
+        with np.errstate(all="ignore"):
+            got = compute_gae(rewards, values, done, last_values, gamma, gae_lambda)
+            want = reference_compute_gae(rewards, values, done, last_values, gamma, gae_lambda)
+        for got_array, want_array in zip(got, want):
+            assert got_array.shape == shape
+            assert np.array_equal(_bits(got_array), _bits(want_array))
 
 
 class TestEnvironmentProperties:
@@ -992,6 +1046,123 @@ class TestPPONodeOracleProperties:
         assert np.array_equal(got[2][~moved], np.ones(np.count_nonzero(~moved)))
         for got_array, want_array in zip(got, want):
             assert np.array_equal(_bits(got_array), _bits(want_array))
+
+
+def _old_log_prob_for_ratio(new: float, target: float) -> float:
+    """An old log-probability whose ratio ``exp(new + -old)`` — the
+    production and composed ratio expression — is exactly ``target``: the
+    nearest ``old`` to ``new - log(target)`` that hits it.  With ``|new|``
+    small the reachable ratios are finer than the spacing of floats near
+    ``target``, so there always is one."""
+    old = new - np.log(target)
+    for _ in range(64):
+        ratio = np.exp(new + -old)
+        if ratio == target:
+            return old
+        old = np.nextafter(old, np.inf if ratio > target else -np.inf)
+    raise AssertionError(f"no old log-probability gives ratio {target} from {new}")
+
+
+class TestPolicyLossEdgeProperties:
+    """The folded policy loss on the edges of the clipped surrogate: ratios
+    exactly on both clip bounds and exactly 1, products tied between the
+    raw and clipped branches, ``±0.0`` advantages — every bit of the loss,
+    the ratio and every actor gradient equals the composed graph
+    (``tests/oracles/composed_ppo.py``).  A NaN advantage makes the same
+    values NaN, and the update raises ``FloatingPointError`` naming the
+    policy loss and leaves every weight as it was."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 24),
+        hidden=st.lists(st.integers(1, 8), max_size=2).map(tuple),
+        clip_epsilon=st.one_of(st.sampled_from([0.1, 0.2]), st.floats(0.05, 0.3)),
+        kinds=st.lists(st.sampled_from(["high", "low", "one", "free"]), min_size=24, max_size=24),
+        advantage_pool=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        nan_row=st.one_of(st.none(), st.integers(0, 23)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_clip_bounds_ties_and_signed_zeros_match_composed_graph(
+        self, seed, n, hidden, clip_epsilon, kinds, advantage_pool, nan_row
+    ):
+        rng = np.random.default_rng(seed)
+        state_dim = 5
+        states = rng.normal(size=(n, state_dim))
+
+        def networks():
+            actor = GaussianActor(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed))
+            critic = Critic(state_dim, hidden_dims=hidden, rng=np.random.default_rng(seed + 1))
+            # log_std cancels the density's constant, so log-probabilities
+            # near the mean are small and every ratio near 1 is reachable.
+            actor.log_std.data = np.full(2, -0.5 * np.log(2.0 * np.pi))
+            return actor, critic
+
+        actor, _ = networks()
+        mean, _ = actor.act_batch(states)
+        actions = mean + rng.normal(size=(n, 2)) * 0.05
+        with nn.no_grad():
+            new = actor.log_prob_and_entropy(nn.Tensor(states), actions)[0].data
+        targets = {"high": 1.0 + clip_epsilon, "low": 1.0 - clip_epsilon, "one": 1.0}
+        old = new - rng.normal(size=n) * 0.3
+        exact = {row: targets[kinds[row]] for row in range(n) if kinds[row] in targets}
+        for row, target in exact.items():
+            old[row] = _old_log_prob_for_ratio(new[row], target)
+        advantages = rng.choice(np.array(advantage_pool), size=n)
+        if nan_row is not None and nan_row < n:
+            advantages[nan_row] = np.nan
+
+        def run(log_prob_and_entropy, policy_loss_node, backward):
+            actor, _ = networks()
+            log_probs, entropy = log_prob_and_entropy(actor, nn.Tensor(states), actions)
+            loss, ratio = policy_loss_node(log_probs, entropy, old, advantages, clip_epsilon, 0.01)
+            backward(loss)
+            return [loss.data, ratio] + [p.grad for p in actor.parameters()]
+
+        with np.errstate(invalid="ignore"):
+            got = run(
+                GaussianActor.log_prob_and_entropy,
+                nn.functional.ppo_policy_loss,
+                nn.Tensor.backward,
+            )
+            want = run(
+                composed_ppo.composed_log_prob_and_entropy,
+                composed_ppo.composed_ppo_policy_loss,
+                composed_ppo.recursive_backward,
+            )
+        for row, target in exact.items():
+            assert got[1][row] == target
+        if nan_row is None or nan_row >= n:
+            for got_array, want_array in zip(got, want):
+                assert np.array_equal(_bits(got_array), _bits(want_array))
+            return
+
+        # A NaN advantage poisons the loss and every gradient; which NaN is
+        # not part of the contract, since the update refuses to step on it.
+        for got_array, want_array in zip(got, want):
+            assert np.array_equal(got_array, want_array, equal_nan=True)
+        actor, critic = networks()
+        buffer = RolloutBuffer(n, 1, state_dim, 2)
+        buffer.load(
+            states[:, None],
+            actions[:, None],
+            old[:, None],
+            np.zeros((n, 1)),
+            np.zeros((n, 1)),
+            np.zeros((n, 1), dtype=bool),
+        )
+        buffer.finalize(np.zeros(1), 0.99, 0.95)
+        buffer.advantages[nan_row, 0] = np.nan
+        config = AmoebaConfig(n_minibatches=1, update_epochs=1, clip_epsilon=clip_epsilon)
+        updater = PPOUpdater(actor, critic, config, rng=0)
+        before = [p.data.copy() for p in actor.parameters() + critic.parameters()]
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="policy loss"):
+            updater.update(buffer)
+        after = actor.parameters() + critic.parameters()
+        assert all(np.array_equal(_bits(a), _bits(b.data)) for a, b in zip(before, after))
 
 
 class TestECDFProperties:

@@ -28,8 +28,8 @@ SURFACES = {
     },
     "repro.nn.functional": {
         "relu", "tanh", "stable_sigmoid", "mse_loss", "mae_loss",
-        "binary_cross_entropy_with_logits", "gaussian_log_prob", "gaussian_entropy",
-        "ppo_policy_loss", "tanh_mlp_forward", "tanh_mlp",
+        "binary_cross_entropy_with_logits", "ppo_policy_loss",
+        "tanh_mlp_forward", "tanh_mlp_backward",
         "gru_cell_forward", "gru_sequence", "lstm_sequence",
     },
     "repro.censors": {
@@ -198,6 +198,11 @@ UNREACHED_FUNCTIONS = [
     # One node per DF conv block: the composed graph's pool layer is the oracle's.
     ("repro.nn", "MaxPool1d"),
     ("repro.nn.conv", "MaxPool1d"),
+    # One node per PPO loss: the actor's log-density, entropy and MLP are
+    # folded into the policy loss, and the critic's MLP is its values node.
+    ("repro.nn.functional", "gaussian_log_prob"),
+    ("repro.nn.functional", "gaussian_entropy"),
+    ("repro.nn.functional", "tanh_mlp"),
 ]
 
 
@@ -243,6 +248,20 @@ def test_collection_tick_has_no_per_step_object():
 
     assert not hasattr(env, "PendingStep") and "PendingStep" not in env.__all__
     assert not hasattr(repro.core, "PendingStep") and "PendingStep" not in repro.core.__all__
+
+
+def test_actor_has_no_tensor_forward():
+    """The actor's only training forward is ``log_prob_and_entropy``: the
+    ``(mean, log_std)`` forward it used to call is gone, so calling the actor
+    reaches ``Module.forward`` and raises."""
+    import numpy as np
+
+    from repro import nn
+    from repro.core import GaussianActor
+
+    assert "forward" not in vars(GaussianActor)
+    with pytest.raises(NotImplementedError):
+        GaussianActor(4, rng=0)(nn.Tensor(np.zeros((1, 4))))
 
 
 @pytest.mark.parametrize("module_name,owner,member", UNREACHED_MEMBERS)
@@ -353,6 +372,8 @@ RETIRED_CALLS = [
     r"\bnn\.MaxPool1d\b",
     # One pair function (the seed bodies of the wrappers stay in the emulator oracle).
     r"(\bcore\.env import .*|\benv\.)\b(make_observation|record_action)\b",
+    # One node per PPO loss (the composed bodies stay in the PPO oracle).
+    r"\b(F|functional)\.(gaussian_log_prob|gaussian_entropy|tanh_mlp)\(",
 ]
 
 
