@@ -279,9 +279,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_backends(_: argparse.Namespace) -> int:
     """Execution-backend diagnostic: kernels, fallback reasons.
 
-    This is the operational surface for the one-time einsum-fallback warning:
-    when the compiled kernel (or the fused-cell kernel) failed to build, the
-    exact compiler/loader error is reproduced here.
+    This is the operational surface for the one-time fallback warnings: the
+    exact compiler / loader error of the GEMM, and every hook of the
+    ``blocked`` backend with whether it runs compiled.
     """
     from .nn import backend as nn_backend
 
@@ -294,21 +294,16 @@ def _command_backends(_: argparse.Namespace) -> int:
         print("rc-GEMM kernel:      compiled (row-consistent C extension)")
     else:
         print("rc-GEMM kernel:      einsum fallback (row-consistent, slower)")
-        error = nn_backend.compiled_kernel_error()
-        if error:
-            print(f"  compile error: {error}")
-    if nn_backend.fused_cells_available():
-        print(
-            "fused-cell kernels:  compiled (gru_step / tanh_mlp / gru_gates / lstm_gates, "
-            "the BPTT step hooks gru_bptt_step / lstm_bptt_step, "
-            "the PPO training hooks, im2col_1d / bias_relu_pool, "
-            "DF training's bias_relu_pool_backward / col2im_1d)"
-        )
+        print(f"  compile error: {nn_backend.compiled_kernel_error()}")
+    status = nn_backend.hook_status()
+    failed = [name for name, reason in status.items() if reason]
+    if failed:
+        print(f"fused-cell kernels:  numpy fallback for {len(failed)} of {len(status)} hooks")
+        print(f"  error: {nn_backend.fused_cells_error()}")
     else:
-        print("fused-cell kernels:  numpy fallback")
-        error = nn_backend.fused_cells_error()
-        if error:
-            print(f"  error: {error}")
+        print(f"fused-cell kernels:  compiled ({len(status)} hooks)")
+    for name in status:
+        print(f"  hook {name + ':':<31}{'numpy fallback' if name in failed else 'compiled'}")
 
     print("per-backend describe():")
     for name in nn_backend.available_backends():

@@ -21,8 +21,6 @@ from .backend import (
     fused_cells_available,
     fused_cells_error,
     get_backend,
-    register_backend,
-    set_default_backend,
     use_backend,
 )
 from .conv import Conv1d
@@ -65,8 +63,6 @@ __all__ = [
     "fused_cells_available",
     "fused_cells_error",
     "get_backend",
-    "register_backend",
-    "set_default_backend",
     "use_backend",
     "functional",
     "Module",

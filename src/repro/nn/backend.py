@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the ``repro.nn`` matmul core.
+"""Execution backends of ``repro.nn``: the row-consistent matmul and the hooks.
 
 Every inference-time matmul in this library funnels through
 :func:`repro.nn.rc_matmul`, whose row-consistent branch used to be a hard-coded
@@ -8,36 +8,19 @@ axis in strictly increasing ``k`` order with a separate multiply and add per
 term, so the ``i``-th row of a batched forward is bit-identical to a
 single-row forward.  Every equivalence tier (batched vs. sequential rollout,
 sharded collection, batched serving vs. ``max_batch=1``) rests on that
-property.  It is also the slowest matmul in the codebase: numpy's
-einsum kernel is unblocked and unvectorised compared to what the contract
-actually permits.
+property.
 
-This module turns the kernel choice into a small registry of **execution
-backends**, each owning the 2-D matmul kernel used inside a
-:func:`repro.nn.row_consistent_matmul` context
-(:meth:`ExecutionBackend.matmul2d`), the fused recurrent gate kernels used
-by ``nn.functional``'s GRU/LSTM forwards (:meth:`ExecutionBackend.gru_gates` /
-:meth:`ExecutionBackend.lstm_gates`), the two networks of the decision
-tick (:meth:`ExecutionBackend.gru_step` / :meth:`ExecutionBackend.tanh_mlp`)
-and the PPO update's elementwise work — the training tanh MLP's
-``bias_tanh`` / ``tanh_backward``, the loss nodes'
-``gaussian_log_density(_backward)`` / ``clipped_surrogate(_backward)``,
-``clip_grad_norm``'s ``grad_norm`` and ``Adam.step``'s ``adam_step`` —
-and DF's conv block around its BLAS products: ``im2col_1d`` (the column
-matrix of ``nn.Conv1d.relu_pool`` and DF scoring), ``bias_relu_pool`` (its
-bias / ReLU / pool epilogue) and, for DF training and the white-box input
-gradient, ``bias_relu_pool_backward`` (the pool-select × ReLU-mask
-gradient) and ``col2im_1d`` (the column-gradient scatter) — and one step
-of the recurrent sequences' closed-form BPTT: ``gru_bptt_step`` /
-``lstm_bptt_step`` (the step's gate gradients written into its rows of the
-gate-gradient slabs, the carried gradient returned).  Two backends
-ship, both ``float64``, both row-consistent, bit-identical to each other by
-test:
+A backend owns the 2-D matmul of a :func:`repro.nn.row_consistent_matmul`
+context (:meth:`ExecutionBackend.matmul2d`) and the **hooks**: the numpy
+bodies on :class:`ExecutionBackend` that the recurrent cells, the decision
+tick, the PPO update, DF's conv block and the BPTT recurrences call.  Two
+backends ship, both ``float64``, both row-consistent, bit-identical to each
+other by test:
 
 ``reference``
     The original ``np.einsum("ik,kh->ih", a, b)`` matmul (in the layout
-    :func:`_einsum_matmul` gives it), the plain-numpy gate math and the
-    network compositions on them, kept as the testable oracle.
+    :func:`_einsum_matmul` gives it) and the numpy bodies, kept as the
+    testable oracle.
 
 ``blocked`` (default)
     A C kernel pack (``kernels.c`` beside this module) compiled on first use
@@ -45,39 +28,25 @@ test:
     per-element order as the reference — the GEMM k-loop is unrolled four
     wide with explicit sequential adds and compiled with
     ``-ffp-contract=off``, so no fused-multiply-add or reassociation can
-    change a single bit.  The decision-tick networks run as one call each:
-    :meth:`~ExecutionBackend.gru_step` (a whole GRU stack) and
-    :meth:`~ExecutionBackend.tanh_mlp` (the actor / critic MLP), and the
-    training GRU's gate math is one call per timestep; each training hook
-    is one call between the update's numpy BLAS products, as is each
-    conv-block hook around DF's conv products and each BPTT step between
-    the recurrence's products.  Their compiled
-    code performs only exact IEEE arithmetic (adds, multiplies, divides,
-    negation, square roots; ``grad_norm`` reproduces numpy's pairwise sum,
-    a pinned numpy assumption); the transcendental ``exp`` / ``tanh`` run
-    numpy's *own* float64 inner loops, taken from the ``np.exp`` / ``np.tanh`` ufunc
-    objects when the kernel loads — numpy's SIMD ``exp``/``tanh`` differ
-    from C ``libm`` in the last ulp, so borrowing numpy's loops is what
-    keeps every kernel bit-identical to the numpy composition by
-    construction.  Everything is asserted against the reference on a
-    self-check battery at load time and in the test suite; on any machine
-    without a working C toolchain the backend degrades to the oracle paths
-    (same bits, reference speed) with a one-time :class:`RuntimeWarning`.
+    change a single bit.  Its hooks are the rows of ``_HOOKS``: each names a
+    numpy body (the oracle and the fallback), the kernel-pack functions that
+    replace it, whether they run numpy's own float64 ``exp`` / ``tanh``
+    loops (bound from the ufuncs when the kernel loads: numpy's SIMD
+    transcendentals differ from libm in the last ulp) and the operands of
+    its self-check.  At first use each row is checked bitwise against its
+    body on its own; a row that mismatches — or whose bound loops do — runs
+    its numpy body alone, announced by one :class:`RuntimeWarning` naming
+    it.  Without a working C toolchain the GEMM and every hook run the
+    reference paths (same bits, reference speed).
 
-Selection API::
-
-    nn.set_default_backend("blocked")        # process-wide default
-    with nn.use_backend("reference"):        # scoped override
-        agent.train(...)
-    nn.active_backend().name                 # introspection
-
-The ``REPRO_NN_BACKEND`` environment variable overrides the initial default
-(useful for CI A/B runs); ``REPRO_NN_KERNEL_CACHE`` relocates the compiled
-kernel cache (default: a ``repro-amoeba-kernels`` directory under the user
-cache dir, falling back to the system temp dir).  The cache holds one
-extension per (source, flags, interpreter, numpy) and a ``.sha256`` sidecar
-recording what a verified build hashed to; an entry that no longer matches
-its sidecar is rebuilt, never loaded.
+Selection: the ``REPRO_NN_BACKEND`` environment variable picks the process
+default (useful for CI A/B runs); :func:`use_backend` scopes an override and
+:func:`active_backend` tells which backend runs.  ``REPRO_NN_KERNEL_CACHE``
+relocates the compiled kernel cache (default: a ``repro-amoeba-kernels``
+directory under the user cache dir, falling back to the system temp dir).
+The cache holds one extension per (source, flags, interpreter, numpy) and a
+``.sha256`` sidecar recording what a verified build hashed to; an entry that
+no longer matches its sidecar is rebuilt, never loaded.
 """
 
 from __future__ import annotations
@@ -93,7 +62,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,17 +72,16 @@ __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
     "BlockedBackend",
-    "register_backend",
     "get_backend",
     "available_backends",
     "active_backend",
     "default_backend",
-    "set_default_backend",
     "use_backend",
     "compiled_kernel_available",
     "compiled_kernel_error",
     "fused_cells_available",
     "fused_cells_error",
+    "hook_status",
 ]
 
 
@@ -192,9 +160,9 @@ def _compile_kernel(target: str) -> None:
         if result.returncode == 0:
             os.replace(temp_target, target)
             return
-    raise RuntimeError(
-        f"kernel compilation failed: {result.stderr.strip().splitlines()[-1:] or result.stderr}"
-    )
+    stderr = result.stderr.strip().splitlines()
+    reason = stderr[-1] if stderr else f"{compiler} exited with status {result.returncode}"
+    raise RuntimeError(f"kernel compilation failed: {reason}")
 
 
 def _file_sha256(path: str) -> str:
@@ -240,13 +208,9 @@ def _self_check(kernel) -> None:
     """
     rng = np.random.default_rng(20260807)
     for rows, inner, cols in [(1, 5, 3), (3, 4, 7), (8, 134, 64), (5, 7, 2), (2, 0, 4)]:
-        a = rng.standard_normal((rows, inner))
-        b = rng.standard_normal((inner, cols))
-        if not np.array_equal(kernel.rc_gemm(a, b), np.einsum("ik,kh->ih", a, b)):
-            raise RuntimeError(
-                f"compiled rc_gemm diverges from reference einsum at shape "
-                f"({rows}, {inner}) @ ({inner}, {cols})"
-            )
+        a, b = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        where = f"shape ({rows}, {inner}) @ ({inner}, {cols})"
+        _assert_same("rc_gemm", np.einsum("ik,kh->ih", a, b), kernel.rc_gemm(a, b), where)
 
 
 def _ensure_kernel():
@@ -258,8 +222,8 @@ def _ensure_kernel():
     digest is recorded only once the new build has passed its self-check.
     Failures of any kind — no compiler, unwritable cache, self-check
     mismatch — are recorded, announced once via :class:`RuntimeWarning`,
-    and the blocked backend permanently degrades to the reference paths for
-    this process (identical bits, reference speed).
+    and the blocked backend's GEMM and hooks permanently degrade to the
+    reference paths for this process (identical bits, reference speed).
     """
     global _KERNEL, _KERNEL_ERROR
     if _KERNEL is not _UNSET:
@@ -300,38 +264,8 @@ def compiled_kernel_error() -> Optional[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Fused kernels
+# Backends
 # --------------------------------------------------------------------------- #
-# The numpy implementations below are the oracle: they are copied
-# operation-for-operation from the original nn/functional.py forwards (the
-# sigmoid is the exact Tensor.sigmoid expression, every add/multiply in the
-# same order), and they are what the `reference` backend — and any backend
-# that doesn't override the gate hooks — executes.  The compiled GRU gates,
-# GRU step and tanh MLP call numpy's own exp/tanh loops (bound below); the
-# compiled LSTM path interleaves its C phase kernels with np.exp / np.tanh.
-# All of them are self-checked against the numpy composition at first use.
-
-# The ufuncs whose float64 inner loops the kernel pack runs for exp / tanh.
-_LOOP_UFUNCS = (np.exp, np.tanh)
-
-# log(2π) of the Gaussian policy's density (here) and entropy (nn.functional).
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _np_gru_gates(
-    gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Oracle GRU gate math; returns ``(h', reset, update, candidate, gh_n)``."""
-    size = hidden.shape[-1]
-    pre_rz = gx[:, : 2 * size] + gh[:, : 2 * size] + b[: 2 * size]
-    reset = 1.0 / (1.0 + np.exp(-pre_rz[:, :size]))
-    update = 1.0 / (1.0 + np.exp(-pre_rz[:, size:]))
-    gh_n = gh[:, 2 * size :]
-    candidate = np.tanh(gx[:, 2 * size :] + reset * gh_n + b[2 * size :])
-    new_hidden = (1.0 - update) * candidate + update * hidden
-    return new_hidden, reset, update, candidate, gh_n
-
-
 def _np_adam_decrement(grad, m, v, s_a, s_b, lr, beta1, beta2, eps, bias1, bias2) -> None:
     """Oracle Adam arithmetic: advance the moments ``m`` / ``v`` by ``grad``
     and leave the amount to subtract from the parameters in ``s_b``.
@@ -362,392 +296,22 @@ def _np_adam_decrement(grad, m, v, s_a, s_b, lr, beta1, beta2, eps, bias1, bias2
     s_b /= s_a
 
 
-def _np_lstm_gates(
-    gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Oracle LSTM gate math.
-
-    Returns ``(h', c', gate_i, gate_f, gate_g, gate_o, tanh_cell)``.
-    """
-    size = cell.shape[-1]
-    pre = gx + gh + b
-    gate_i = 1.0 / (1.0 + np.exp(-pre[:, :size]))
-    gate_f = 1.0 / (1.0 + np.exp(-pre[:, size : 2 * size]))
-    gate_g = np.tanh(pre[:, 2 * size : 3 * size])
-    gate_o = 1.0 / (1.0 + np.exp(-pre[:, 3 * size :]))
-    new_cell = gate_f * cell + gate_i * gate_g
-    tanh_cell = np.tanh(new_cell)
-    new_hidden = gate_o * tanh_cell
-    return new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell
-
-
-def _compiled_lstm_gates(
-    kernel, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Hybrid LSTM gates: C for exact IEEE arithmetic, numpy for exp/tanh."""
-    neg_ifo, pre_g = kernel.lstm_phase1(gx, gh, b)
-    exp_ifo = np.exp(neg_ifo)
-    gate_g = np.tanh(pre_g)
-    gate_i, gate_f, gate_o, new_cell = kernel.lstm_phase2(exp_ifo, gate_g, cell)
-    tanh_cell = np.tanh(new_cell)
-    new_hidden = gate_o * tanh_cell
-    return new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell
-
-
-_GATES_OK: Optional[bool] = None
-_GATES_ERROR: Optional[str] = None
-
-
-def _assert_same(op: str, want, have, where: str) -> None:
-    wants, haves = (want, have) if isinstance(want, tuple) else ((want,), (have,))
-    for expected, got in zip(wants, haves):
-        if expected.dtype != getattr(got, "dtype", None) or expected.shape != got.shape:
-            raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
-        if expected.dtype == np.float64:
-            expected, got = expected.view(np.uint64), got.view(np.uint64)
-        if not np.array_equal(expected, got):
-            raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
-
-
-def _self_check_fused_cells(kernel) -> None:
-    """Assert every fused kernel reproduces its numpy composition bitwise.
-
-    First the bound exp / tanh loops against ``np.exp`` / ``np.tanh`` (odd
-    lengths around the SIMD widths, magnitudes past overflow, and the IEEE
-    specials); then the gate kernels, the GRU step and the tanh MLP against
-    the ``reference`` backend's composition.  The magnitude scales include
-    saturating pre-activations (|pre| ~ 50) where sigmoid/tanh clamp to the
-    boundary, the regime where any op-order deviation would surface.
-    Raises on the first mismatch, naming the op.
-    """
-    rng = np.random.default_rng(20260807)
-    specials = np.array(
-        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 709.79, -745.2, 20.0]
-    )
-    with np.errstate(all="ignore"):
-        for name, ufunc in zip(("exp", "tanh"), (np.exp, np.tanh)):
-            samples = [specials] + [
-                rng.standard_normal(length) * scale
-                for length in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 1000)
-                for scale in (1.0, 30.0, 800.0)
-            ]
-            for x in samples:
-                _assert_same(f"{name} loop", ufunc(x), kernel.bound_loop(name, x), f"length {len(x)}")
-
-    reference = get_backend("reference")
-    # Active too: the GRU composition takes its gates from the active backend.
-    with use_backend("reference"):
-        for batch, size in [(1, 3), (4, 5), (7, 16), (3, 1)]:
-            for scale in (1.0, 8.0, 50.0):
-                where = f"batch={batch}, size={size}, scale={scale}"
-                gx3 = rng.standard_normal((batch, 3 * size)) * scale
-                gh3 = rng.standard_normal((batch, 3 * size)) * scale
-                b3 = rng.standard_normal(3 * size) * scale
-                hidden = rng.standard_normal((batch, size))
-                _assert_same(
-                    "gru_gates",
-                    reference.gru_gates(gx3, gh3, b3, hidden)[:4],
-                    kernel.gru_gates(gx3, gh3, b3, hidden),
-                    where,
-                )
-                gx4 = rng.standard_normal((batch, 4 * size)) * scale
-                gh4 = rng.standard_normal((batch, 4 * size)) * scale
-                b4 = rng.standard_normal(4 * size) * scale
-                cell = rng.standard_normal((batch, size))
-                _assert_same(
-                    "lstm gates",
-                    reference.lstm_gates(gx4, gh4, b4, cell),
-                    _compiled_lstm_gates(kernel, gx4, gh4, b4, cell),
-                    where,
-                )
-        for layers, batch, inputs, size in [(1, 1, 2, 3), (2, 16, 2, 8), (3, 5, 4, 1), (2, 0, 2, 4)]:
-            for scale in (1.0, 50.0):
-                widths = [inputs] + [size] * layers
-                cells = [
-                    (
-                        rng.standard_normal((widths[layer], 3 * size)) * scale,
-                        rng.standard_normal((size, 3 * size)) * scale,
-                        rng.standard_normal(3 * size) * scale,
-                    )
-                    for layer in range(layers)
-                ]
-                x = rng.uniform(-1.0, 1.0, size=(batch, inputs))
-                hidden = rng.uniform(-1.0, 1.0, size=(layers, batch, size))
-                _assert_same(
-                    "gru_step",
-                    reference.gru_step(x, hidden, cells),
-                    kernel.gru_step(x, hidden, cells),
-                    f"layers={layers}, batch={batch}, size={size}, scale={scale}",
-                )
-        for widths, batch in [((5, 7, 3, 2), 7), ((1, 1), 1), ((34, 64, 32, 2), 16), ((3, 4, 1), 0)]:
-            for scale in (1.0, 50.0):
-                layers = [
-                    (rng.standard_normal((fan_in, fan_out)) * scale, rng.standard_normal(fan_out))
-                    for fan_in, fan_out in zip(widths[:-1], widths[1:])
-                ]
-                x = rng.standard_normal((batch, widths[0]))
-                _assert_same(
-                    "tanh_mlp",
-                    reference.tanh_mlp(x, layers),
-                    kernel.tanh_mlp(x, layers),
-                    f"widths={widths}, batch={batch}, scale={scale}",
-                )
-    _self_check_training_kernels(kernel, reference, rng)
-    _self_check_conv_kernels(kernel, reference, rng)
-    _self_check_bptt_kernels(kernel, reference, rng)
-
-
-def _self_check_training_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
-    """The PPO update's elementwise kernels against the numpy hooks.
-
-    Ratios land inside, outside and exactly on the clip bounds, with
-    advantages of both signs and zero, so every branch of the surrogate's
-    masks is taken; Adam runs a few steps over parameters of several shapes.
-    """
-    for rows, cols in [(1, 1), (7, 2), (128, 64), (5, 33), (0, 3)]:
-        for scale in (1.0, 50.0):
-            where = f"rows={rows}, cols={cols}, scale={scale}"
-            y = rng.standard_normal((rows, cols)) * scale
-            bias = rng.standard_normal(cols) * scale
-            _assert_same("bias_tanh", reference.bias_tanh(y, bias), kernel.bias_tanh(y, bias), where)
-            activation = np.tanh(bias + y)
-            _assert_same(
-                "tanh_backward",
-                reference.tanh_backward(y, activation),
-                kernel.tanh_backward(y, activation),
-                where,
-            )
-            actions = rng.standard_normal((rows, cols)) * scale
-            mean = rng.standard_normal((rows, cols)) * scale
-            log_std = rng.standard_normal(cols)
-            density = reference.gaussian_log_density(actions, mean, log_std)
-            _assert_same(
-                "gaussian_log_density",
-                density,
-                kernel.gaussian_log_density(actions, mean, log_std, -(0.5 * _LOG_2PI)),
-                where,
-            )
-            grad = rng.standard_normal(rows) * scale
-            _assert_same(
-                "gaussian_log_density_backward",
-                reference.gaussian_log_density_backward(grad, *density[1:]),
-                kernel.gaussian_log_density_backward(grad, *density[1:]),
-                where,
-            )
-            for epsilon in (0.2, 0.05):
-                low, high = 1.0 - epsilon, 1.0 + epsilon
-                log_probs = rng.standard_normal(rows)
-                shift = rng.choice([0.0, 0.1, -0.1, 0.5, -0.5, 40.0, -800.0], size=rows)
-                old = log_probs - shift
-                on_bound = rng.random(rows) < 0.2
-                old[on_bound] = log_probs[on_bound] - np.log(rng.choice([low, high], size=rows))[on_bound]
-                advantages = rng.choice([0.0, 1.0, -1.0, 2.5], size=rows) * scale
-                surrogate = reference.clipped_surrogate(log_probs, old, advantages, low, high)
-                _assert_same(
-                    "clipped_surrogate",
-                    surrogate,
-                    kernel.clipped_surrogate(log_probs, old, advantages, low, high),
-                    where,
-                )
-                masks = (surrogate[1], advantages, surrogate[2], surrogate[3])
-                _assert_same(
-                    "clipped_surrogate_backward",
-                    reference.clipped_surrogate_backward(-1.0 / max(rows, 1), *masks),
-                    kernel.clipped_surrogate_backward(-1.0 / max(rows, 1), *masks),
-                    where,
-                )
-    # Terms of one magnitude, one gradient per call: the pairwise sum's
-    # structure shows in the last bits only when no term dominates.
-    gradients = [[rng.standard_normal(length)] for length in list(range(300)) + [1000, 4096, 8193]]
-    gradients.append([rng.standard_normal((64, 33)), rng.standard_normal(5), np.zeros(3)])
-    for grads in gradients:
-        _assert_same(
-            "grad_norm",
-            np.float64(reference.grad_norm(grads)),
-            np.float64(kernel.grad_norm(grads)),
-            f"sizes={[grad.size for grad in grads]}",
-        )
-    shapes = [(5, 3), (3,), (1,), (17, 4), (2,)]
-    total = sum(int(np.prod(shape)) for shape in shapes)
-    runs = []
-    for step in (reference.adam_step, kernel.adam_step):
-        params = [np.random.default_rng(1).standard_normal(shape) for shape in shapes]
-        state, scratch = np.zeros((3, total)), np.zeros((2, total))
-        grads_rng = np.random.default_rng(2)
-        for count in range(1, 4):
-            grads = [grads_rng.standard_normal(shape) * 10.0 ** count for shape in shapes]
-            hyper = (5e-4, 0.9, 0.999, 1e-8, 1.0 - 0.9 ** count, 1.0 - 0.999 ** count)
-            if step(params, grads, state, scratch, hyper) is NotImplemented:
-                raise RuntimeError("compiled adam_step declined float64 parameters")
-        runs.append(tuple(params) + (state[:2].copy(), scratch[1].copy()))
-    _assert_same("adam_step", *runs, f"shapes={shapes}")
-
-
-def _self_check_conv_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
-    """The conv-block kernels against the numpy hooks.
-
-    ``im2col_1d`` and its backward ``col2im_1d`` over empty and single-row
-    batches, inputs shorter than the kernel, strides and paddings past the
-    kernel width, on channel-first arrays and on the transposed views of
-    channel-last ones; ``bias_relu_pool`` and its backward on products
-    holding NaN, infinities, zeros of both signs and tied pairs, over even
-    and odd lengths, so every branch of the ReLU mask and the pool's tie
-    and NaN rules is taken.
-    """
-    for n, channels, length, kernel_size, stride, padding in [
-        (0, 2, 8, 5, 1, 2), (1, 2, 2, 5, 1, 2), (3, 16, 20, 5, 1, 2), (2, 3, 9, 3, 2, 0),
-        (2, 4, 7, 2, 3, 4), (1, 2, 4, 5, 1, 1),
-    ]:
-        for channel_last in (False, True):
-            where = f"x=({n}, {channels}, {length}), kernel={kernel_size}, stride={stride}, padding={padding}"
-            if channel_last:
-                x = rng.standard_normal((n, length, channels)).transpose(0, 2, 1)
-            else:
-                x = rng.standard_normal((n, channels, length))
-            columns = kernel.im2col_1d(x, kernel_size, stride, padding)
-            if columns is NotImplemented:
-                raise RuntimeError(f"compiled im2col_1d declined {where}")
-            _assert_same("im2col_1d", reference.im2col_1d(x, kernel_size, stride, padding), columns, where)
-        grad = rng.standard_normal(columns.shape)
-        grad[rng.random(grad.shape) < 0.2] = -0.0
-        scattered = kernel.col2im_1d(grad, length, kernel_size, stride, padding)
-        if scattered is NotImplemented:
-            raise RuntimeError(f"compiled col2im_1d declined {where}")
-        _assert_same(
-            "col2im_1d", reference.col2im_1d(grad, length, kernel_size, stride, padding), scattered, where
-        )
-    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
-    for n, length, channels in [(0, 4, 2), (1, 2, 1), (3, 8, 16), (5, 40, 3), (2, 6, 7), (2, 7, 3), (1, 3, 2)]:
-        for scale in (1.0, 50.0, 0.0):
-            where = f"h=({n}, {length}, {channels}), scale={scale}"
-            if scale:
-                h = rng.standard_normal((n, length, channels)) * scale
-            else:  # small integers: tied pairs
-                h = rng.integers(-2, 3, size=(n, length, channels)).astype(np.float64)
-            special = rng.random(h.shape) < 0.3
-            h[special] = rng.choice(specials, size=int(special.sum()))
-            bias = rng.standard_normal(channels) * scale
-            bias[rng.random(channels) < 0.3] = rng.choice([0.0, -0.0])
-            grad = rng.standard_normal((n, channels, length // 2))
-            special = rng.random(grad.shape) < 0.3
-            grad[special] = rng.choice(specials, size=int(special.sum()))
-            with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
-                want = reference.bias_relu_pool(h, bias)
-                want_grad = reference.bias_relu_pool_backward(grad, h, bias)
-                have_grad = kernel.bias_relu_pool_backward(grad, h, bias)
-            _assert_same("bias_relu_pool", want, kernel.bias_relu_pool(h, bias), where)
-            _assert_same("bias_relu_pool_backward", want_grad, have_grad, where)
-
-
-# Cache kinds of the BPTT step hooks, in argument order: sigmoid gates
-# ("s"), tanh outputs ("t") and raw values ("r").
-_GRU_BPTT_CACHES = "sstrr"  # resets, updates, candidates, h_prevs, gh_ns
-_LSTM_BPTT_CACHES = "sststr"  # gates i / f / g / o, tanh_cells, c_prevs
-
-
-def _bptt_caches(rng, shape: Tuple[int, ...], scale: float, kinds: str) -> List[np.ndarray]:
-    """Random forward caches of a BPTT step hook: activations of
-    pre-activations of magnitude ``scale`` (saturated at 50), or raw values."""
-    caches = []
-    for kind in kinds:
-        pre = rng.standard_normal(shape) * scale
-        caches.append(1.0 / (1.0 + np.exp(-pre)) if kind == "s" else np.tanh(pre) if kind == "t" else pre)
-    return caches
-
-
-def _self_check_bptt_kernels(kernel, reference: "ExecutionBackend", rng) -> None:
-    """The BPTT step kernels against the numpy hooks over single rows and
-    odd sizes, the first, a middle and the last step, saturated gates, and
-    LSTM steps with and without an output gradient.  The slabs start NaN, so
-    a row written on one side only shows."""
-    with np.errstate(all="ignore"):
-        for batch, steps, size in [(1, 1, 1), (3, 4, 5), (16, 3, 32)]:
-            for scale in (1.0, 50.0):
-                for t in sorted({0, steps // 2, steps - 1}):
-                    where = f"batch={batch}, steps={steps}, size={size}, scale={scale}, t={t}"
-                    d_hidden = rng.standard_normal((batch, size)) * scale
-                    d_cell = rng.standard_normal((batch, size)) * scale
-                    grad = rng.standard_normal((batch, steps, size))
-                    gru = _bptt_caches(rng, grad.shape, scale, _GRU_BPTT_CACHES)
-                    lstm = _bptt_caches(rng, grad.shape, scale, _LSTM_BPTT_CACHES)
-                    runs = []
-                    for backend in (reference, kernel):
-                        slabs = np.full((2, batch, steps, 3 * size), np.nan)
-                        runs.append((backend.gru_bptt_step(t, d_hidden, grad, *gru, *slabs), slabs))
-                    _assert_same("gru_bptt_step", *runs, where)
-                    for upstream in (grad, None):
-                        runs = []
-                        for backend in (reference, kernel):
-                            slab = np.full((batch, steps, 4 * size), np.nan)
-                            carry = backend.lstm_bptt_step(t, d_hidden, d_cell, upstream, *lstm, slab)
-                            runs.append((carry, slab))
-                        _assert_same("lstm_bptt_step", *runs, where)
-
-
-def _gates_kernel():
-    """The compiled module if its fused kernels passed self-check, else ``None``.
-
-    Binds numpy's exp / tanh loops into the module, then self-checks.  Fused
-    availability is tracked separately from GEMM availability so a fused
-    self-check failure degrades only the fused paths — the GEMM keeps its
-    compiled speed, and vice versa.
-    """
-    global _GATES_OK, _GATES_ERROR
-    kernel = _ensure_kernel()
-    if kernel is None:
-        return None
-    if _GATES_OK is None:
-        try:
-            kernel.bind_loops(*_LOOP_UFUNCS)
-            _self_check_fused_cells(kernel)
-            _GATES_OK = True
-        except Exception as exc:  # noqa: BLE001 - degrade, never break callers
-            _GATES_OK = False
-            _GATES_ERROR = f"{type(exc).__name__}: {exc}"
-            warnings.warn(
-                "repro.nn.backend: compiled fused-cell kernels unavailable "
-                f"({_GATES_ERROR}); the GRU step, the tanh MLP, the GRU/LSTM "
-                "gate math, the BPTT step hooks (gru_bptt_step / "
-                "lstm_bptt_step), the PPO training hooks and the conv-block "
-                "hooks (im2col_1d / bias_relu_pool and DF training's "
-                "bias_relu_pool_backward / col2im_1d) are falling back to the "
-                "numpy composition (identical bits, numpy speed).",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return kernel if _GATES_OK else None
-
-
-def fused_cells_available() -> bool:
-    """``True`` when the blocked backend runs its compiled fused kernels."""
-    return _gates_kernel() is not None
-
-
-def fused_cells_error() -> Optional[str]:
-    """Why the fused kernels are unavailable (``None`` when active)."""
-    _gates_kernel()
-    return _KERNEL_ERROR if _KERNEL is None else _GATES_ERROR
-
-
-# --------------------------------------------------------------------------- #
-# Backends
-# --------------------------------------------------------------------------- #
 class ExecutionBackend:
     """One executor of the row-consistent matmul core.
 
     Subclasses define the 2-D matmul kernel used inside a
-    :func:`repro.nn.row_consistent_matmul` context and, optionally, the
-    fused recurrent gate kernels.  Every registered backend must be
+    :func:`repro.nn.row_consistent_matmul` context.  Both backends must be
     bit-identical to ``reference`` — :meth:`matmul2d` output rows depend
     only on the corresponding input row and the reduction length, the
     property the bit-equivalence ladder rests on — and
-    ``tests/test_nn_backend.py`` holds the whole registry to that.
+    ``tests/test_nn_backend.py`` holds the registry to that.
 
-    The gate, training, conv-block and BPTT hooks default to the numpy
-    oracles and the network hooks to their composition on :meth:`matmul2d`,
-    so any backend is safe for the recurrent forwards and backwards, the
-    decision tick, the PPO update and DF; only ``blocked`` overrides them
-    with compiled (bit-identical) kernels.
+    The other methods are the hooks.  Their bodies here are numpy (the
+    network hooks compose :meth:`matmul2d`): the oracles every compiled
+    kernel of ``blocked`` is checked against and the paths it falls back to.
+    The numpy expressions are copied operation for operation from the
+    original ``Tensor`` forwards (the sigmoid is ``Tensor.sigmoid``'s
+    expression, every add and multiply in the same order).
     """
 
     name: str = "abstract"
@@ -764,7 +328,14 @@ class ExecutionBackend:
         Returns ``(new_hidden, reset, update, candidate, gh_n)`` — the
         outputs plus the activation caches the closed-form backward needs.
         """
-        return _np_gru_gates(gx, gh, b, hidden)
+        size = hidden.shape[-1]
+        pre_rz = gx[:, : 2 * size] + gh[:, : 2 * size] + b[: 2 * size]
+        reset = 1.0 / (1.0 + np.exp(-pre_rz[:, :size]))
+        update = 1.0 / (1.0 + np.exp(-pre_rz[:, size:]))
+        gh_n = gh[:, 2 * size :]
+        candidate = np.tanh(gx[:, 2 * size :] + reset * gh_n + b[2 * size :])
+        new_hidden = (1.0 - update) * candidate + update * hidden
+        return new_hidden, reset, update, candidate, gh_n
 
     def lstm_gates(
         self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray
@@ -772,7 +343,16 @@ class ExecutionBackend:
         """Fused LSTM gate math; returns
         ``(new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell)``.
         """
-        return _np_lstm_gates(gx, gh, b, cell)
+        size = cell.shape[-1]
+        pre = gx + gh + b
+        gate_i = 1.0 / (1.0 + np.exp(-pre[:, :size]))
+        gate_f = 1.0 / (1.0 + np.exp(-pre[:, size : 2 * size]))
+        gate_g = np.tanh(pre[:, 2 * size : 3 * size])
+        gate_o = 1.0 / (1.0 + np.exp(-pre[:, 3 * size :]))
+        new_cell = gate_f * cell + gate_i * gate_g
+        tanh_cell = np.tanh(new_cell)
+        new_hidden = gate_o * tanh_cell
+        return new_hidden, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell
 
     def gru_step(
         self, x: np.ndarray, hidden: np.ndarray, cells: Sequence[Tuple[np.ndarray, ...]]
@@ -1096,35 +676,467 @@ class ReferenceBackend(ExecutionBackend):
         return _einsum_matmul(a, b)
 
 
-def _compiled(name: str, *constants):
-    """A :class:`BlockedBackend` hook running the compiled kernel ``name``.
+# --------------------------------------------------------------------------- #
+# The hook table
+# --------------------------------------------------------------------------- #
+# One row per hook of the ``blocked`` backend.  A new hook is one C function
+# in kernels.c, one numpy body on ExecutionBackend and one row here;
+# tests/test_nn_backend.py::TestHookTable holds the three to each other.
 
-    The kernel gets the hook's arguments, then ``constants``.  It returns
-    ``NotImplemented`` for operands outside its float64 fast path, and then
-    — or when the fused kernels are unavailable — the hook runs the numpy
-    expression of :class:`ExecutionBackend`.
+# The ufuncs whose float64 inner loops the kernel pack runs for exp / tanh.
+_LOOP_UFUNCS = (np.exp, np.tanh)
+
+# log(2π) of the Gaussian policy's density (here) and entropy (core.actor_critic).
+_LOG_2PI = math.log(2.0 * math.pi)
+
+# IEEE specials the elementwise samplers plant among their operands.
+_SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
+
+
+class _Hook(NamedTuple):
+    """One row of the table.
+
+    ``name`` is the :class:`ExecutionBackend` method whose numpy body is
+    both the oracle and the fallback.  The compiled path calls the
+    kernel-pack function ``name`` with the hook's arguments and then
+    ``constants``, or is what ``call(kernel)`` builds from the functions
+    ``symbols``; it returns ``NotImplemented`` to decline operands outside
+    its fast path.  ``loops`` marks a kernel that runs the bound exp / tanh
+    loops.  ``samples(rng)`` yields the self-check's ``(where, args)``.  The
+    results are compared bit for bit (a NaN by position only where
+    ``nan_aware``) — for a hook that writes into its arguments, what
+    ``outputs(result, args)`` picks, each side on its own stream of the same
+    operands.
     """
-    def hook(self, *args):
-        kernel = _gates_kernel()
-        result = NotImplemented if kernel is None else getattr(kernel, name)(*args, *constants)
+
+    name: str
+    samples: Callable[[np.random.Generator], Iterator[Tuple[str, tuple]]]
+    loops: bool = False
+    constants: Tuple[float, ...] = ()
+    symbols: Tuple[str, ...] = ()
+    call: Optional[Callable] = None
+    outputs: Optional[Callable] = None
+    nan_aware: bool = False
+
+    @property
+    def kernels(self) -> Tuple[str, ...]:
+        """The kernel-pack functions this row claims."""
+        return self.symbols or (self.name,)
+
+    def compiled(self, kernel) -> Callable:
+        """The compiled path of this hook on the loaded kernel pack."""
+        if self.call is not None:
+            return self.call(kernel)
+        function, constants = getattr(kernel, self.name), self.constants
+        return (lambda *args: function(*args, *constants)) if constants else function
+
+
+# The float64 guards protect the C boundary of the gate kernels: the
+# extension would widen any other dtype silently (PyArray_FROM_OTF), which is
+# not what the numpy body does with it.
+def _gru_gates_call(kernel) -> Callable:
+    gates = kernel.gru_gates
+
+    def call(gx, gh, b, hidden):
+        if gx.dtype != np.float64 or gh.dtype != np.float64 or hidden.dtype != np.float64:
+            return NotImplemented
+        return (*gates(gx, gh, b, hidden), gh[:, 2 * hidden.shape[-1] :])
+
+    return call
+
+
+def _lstm_gates_call(kernel) -> Callable:
+    """C phases for the exact IEEE arithmetic, numpy for exp / tanh."""
+    phase1, phase2 = kernel.lstm_phase1, kernel.lstm_phase2
+
+    def call(gx, gh, b, cell):
+        if gx.dtype != np.float64 or gh.dtype != np.float64 or cell.dtype != np.float64:
+            return NotImplemented
+        neg_ifo, pre_g = phase1(gx, gh, b)
+        gate_g = np.tanh(pre_g)
+        gate_i, gate_f, gate_o, new_cell = phase2(np.exp(neg_ifo), gate_g, cell)
+        tanh_cell = np.tanh(new_cell)
+        return gate_o * tanh_cell, new_cell, gate_i, gate_f, gate_g, gate_o, tanh_cell
+
+    return call
+
+
+# Samplers.  Magnitude scales reach saturating pre-activations (|pre| ~ 50),
+# where sigmoid / tanh clamp to the boundary and any op-order deviation
+# would surface.
+def _gate_samples(gates: int) -> Callable:
+    """``(gx, gh, b, state)`` of a cell with ``gates`` gates."""
+
+    def samples(rng):
+        for batch, size in [(1, 3), (4, 5), (7, 16), (3, 1)]:
+            for scale in (1.0, 8.0, 50.0):
+                width = gates * size
+                yield f"batch={batch}, size={size}, scale={scale}", (
+                    rng.standard_normal((batch, width)) * scale,
+                    rng.standard_normal((batch, width)) * scale,
+                    rng.standard_normal(width) * scale,
+                    rng.standard_normal((batch, size)),
+                )
+
+    return samples
+
+
+def _gru_step_samples(rng):
+    for layers, batch, inputs, size in [(1, 1, 2, 3), (2, 16, 2, 8), (3, 5, 4, 1), (2, 0, 2, 4)]:
+        for scale in (1.0, 50.0):
+            shapes = [[(fan_in, 3 * size), (size, 3 * size), 3 * size] for fan_in in [inputs] + [size] * (layers - 1)]
+            cells = [tuple(rng.standard_normal(shape) * scale for shape in cell) for cell in shapes]
+            x = rng.uniform(-1.0, 1.0, size=(batch, inputs))
+            hidden = rng.uniform(-1.0, 1.0, size=(layers, batch, size))
+            yield f"layers={layers}, batch={batch}, size={size}, scale={scale}", (x, hidden, cells)
+
+
+def _tanh_mlp_samples(rng):
+    for widths, batch in [((5, 7, 3, 2), 7), ((1, 1), 1), ((34, 64, 32, 2), 16), ((3, 4, 1), 0)]:
+        for scale in (1.0, 50.0):
+            layers = [
+                (rng.standard_normal((fan_in, fan_out)) * scale, rng.standard_normal(fan_out))
+                for fan_in, fan_out in zip(widths[:-1], widths[1:])
+            ]
+            x = rng.standard_normal((batch, widths[0]))
+            yield f"widths={widths}, batch={batch}, scale={scale}", (x, layers)
+
+
+def _elementwise_shapes() -> Iterator[Tuple[str, int, int, float]]:
+    for rows, cols in [(1, 1), (7, 2), (128, 64), (5, 33), (0, 3), (129, 7)]:
+        for scale in (1.0, 50.0):
+            yield f"rows={rows}, cols={cols}, scale={scale}", rows, cols, scale
+
+
+def _bias_tanh_samples(rng):
+    for where, rows, cols, scale in _elementwise_shapes():
+        yield where, (rng.standard_normal((rows, cols)) * scale, rng.standard_normal(cols) * scale)
+
+
+def _tanh_backward_samples(rng):
+    for where, args in _bias_tanh_samples(rng):
+        yield where, (args[0], np.tanh(args[1] + args[0]))
+
+
+def _density_samples(rng):
+    for where, rows, cols, scale in _elementwise_shapes():
+        actions, mean = rng.standard_normal((2, rows, cols)) * scale
+        yield where, (actions, mean, rng.standard_normal(cols))
+
+
+def _density_backward_samples(rng):
+    """A per-sample gradient and the forward's caches on its samples."""
+    reference = get_backend("reference")
+    for (where, args), (_, rows, _, scale) in zip(_density_samples(rng), _elementwise_shapes()):
+        yield where, (rng.standard_normal(rows) * scale, *reference.gaussian_log_density(*args)[1:])
+
+
+def _surrogate_samples(rng):
+    """Ratios inside, outside and exactly on the clip bounds, advantages of
+    both signs and zero: every branch of the surrogate's masks."""
+    for where, rows, _, scale in _elementwise_shapes():
+        for epsilon in (0.2, 0.05):
+            low, high = 1.0 - epsilon, 1.0 + epsilon
+            log_probs = rng.standard_normal(rows)
+            old = log_probs - rng.choice([0.0, 0.1, -0.1, 0.5, -0.5, 40.0, -800.0], size=rows)
+            on_bound = rng.random(rows) < 0.2
+            old[on_bound] = log_probs[on_bound] - np.log(rng.choice([low, high], size=rows))[on_bound]
+            advantages = rng.choice([0.0, 1.0, -1.0, 2.5], size=rows) * scale
+            yield f"{where}, epsilon={epsilon}", (log_probs, old, advantages, low, high)
+
+
+def _surrogate_backward_samples(rng):
+    reference = get_backend("reference")
+    for where, args in _surrogate_samples(rng):
+        _, ratio, take_raw, inside = reference.clipped_surrogate(*args)
+        yield where, (-1.0 / max(ratio.size, 1), ratio, args[2], take_raw, inside)
+
+
+def _grad_norm_samples(rng):
+    """Terms of one magnitude, one gradient per call: the pairwise sum's
+    structure shows in the last bits only when no term dominates."""
+    for length in list(range(300)) + [1000, 4096, 8193]:
+        yield f"size={length}", ([rng.standard_normal(length)],)
+    yield "mixed sizes", ([rng.standard_normal((64, 33)), rng.standard_normal(5), np.zeros(3)],)
+    shapes = [(9, 7), (7,), (9,), (297,)]
+    yield "mixed magnitudes", ([rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes],)
+
+
+def _adam_samples(rng):
+    """Steps 1-3 of parameters of several shapes, from zero moments on the first."""
+    shapes = [(5, 3), (3,), (1,), (17, 4), (2,)]
+    total = sum(int(np.prod(shape)) for shape in shapes)
+    for count in (1, 2, 3):
+        state = np.zeros((3, total))
+        if count > 1:
+            state[0], state[1] = rng.standard_normal(total), rng.standard_normal(total) ** 2
+        params = [rng.standard_normal(shape) for shape in shapes]
+        grads = [rng.standard_normal(shape) * 10.0 ** count for shape in shapes]
+        hyper = (5e-4, 0.9, 0.999, 1e-8, 1.0 - 0.9 ** count, 1.0 - 0.999 ** count)
+        yield f"shapes={shapes}, step={count}", (params, grads, state, np.zeros((2, total)), hyper)
+
+
+def _adam_outputs(result, args):
+    """The parameters, the moments and the decrement (the gradient row and
+    the kernel's other scratch row are its own business)."""
+    params, _, state, scratch, _ = args
+    return (*params, state[:2], scratch[1])
+
+
+# Empty and single-row batches, inputs shorter than the kernel, strides and
+# paddings past the kernel width, DF's 41-packet convolution.
+_CONV_SHAPES = [
+    (0, 2, 8, 5, 1, 2), (1, 2, 2, 5, 1, 2), (3, 16, 20, 5, 1, 2), (2, 3, 9, 3, 2, 0),
+    (2, 4, 7, 2, 3, 4), (1, 2, 4, 5, 1, 1), (2, 16, 41, 5, 1, 2),
+]
+
+
+def _im2col_samples(rng):
+    """Channel-first arrays and the transposed views of channel-last ones."""
+    for n, channels, length, kernel_size, stride, padding in _CONV_SHAPES:
+        where = f"x=({n}, {channels}, {length}), kernel={kernel_size}, stride={stride}, padding={padding}"
+        yield where, (rng.standard_normal((n, channels, length)), kernel_size, stride, padding)
+        x = rng.standard_normal((n, length, channels)).transpose(0, 2, 1)
+        yield f"{where}, channel-last", (x, kernel_size, stride, padding)
+
+
+def _col2im_samples(rng):
+    for n, channels, length, kernel_size, stride, padding in _CONV_SHAPES:
+        positions = (length + 2 * padding - kernel_size) // stride + 1
+        grad = rng.standard_normal((n, positions, channels * kernel_size))
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        yield f"grad={grad.shape}, length={length}", (grad, length, kernel_size, stride, padding)
+
+
+def _pool_samples(rng):
+    """``(grad, h, bias)``: products and pooled gradients holding NaN,
+    infinities, zeros of both signs and tied pairs, over even and odd
+    lengths, so every branch of the ReLU mask and of the pool's tie and NaN
+    rules is taken."""
+    shapes = [(0, 4, 2), (1, 2, 1), (3, 8, 16), (5, 40, 3), (2, 6, 7), (2, 7, 3), (1, 3, 2), (2, 41, 16)]
+    for n, length, channels in shapes:
+        for scale in (1.0, 50.0, 0.0):
+            if scale:
+                h = rng.standard_normal((n, length, channels)) * scale
+            else:  # small integers: tied pairs
+                h = rng.integers(-2, 3, size=(n, length, channels)).astype(np.float64)
+            grad = rng.standard_normal((n, channels, length // 2))
+            for array in (h, grad):
+                special = rng.random(array.shape) < 0.3
+                array[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+            bias = rng.standard_normal(channels) * scale
+            bias[rng.random(channels) < 0.3] = rng.choice([0.0, -0.0])
+            yield f"h=({n}, {length}, {channels}), scale={scale}", (grad, h, bias)
+
+
+def _pool_forward_samples(rng):
+    for where, (_, h, bias) in _pool_samples(rng):
+        yield where, (h, bias)
+
+
+# Cache kinds of the BPTT step hooks, in argument order: sigmoid gates ("s"),
+# tanh outputs ("t") and raw values ("r").
+_BPTT_CACHES = {
+    "gru_bptt_step": "sstrr",  # resets, updates, candidates, h_prevs, gh_ns
+    "lstm_bptt_step": "sststr",  # gates i / f / g / o, tanh_cells, c_prevs
+}
+
+
+def _bptt_operands(rng, hook: str, batch: int, steps: int, size: int, scale=1.0, specials=0.0):
+    """``(where, args)`` of BPTT step ``hook`` at the first, a middle and the
+    last step (the LSTM's with and without an output gradient): caches of
+    pre-activations of magnitude ``scale``, a share ``specials`` of every
+    input replaced by ±0.0 / NaN / ±inf, and NaN-filled slabs, so a row
+    written on one side only shows."""
+
+    def spiked(array):
+        hit = rng.random(array.shape) < specials
+        array[hit] = rng.choice(_SPECIALS[:6], size=int(hit.sum()))  # ±0.0, ±NaN, ±inf
+        return array
+
+    def cache(kind):
+        pre = rng.standard_normal((batch, steps, size)) * scale
+        return spiked(1.0 / (1.0 + np.exp(-pre)) if kind == "s" else np.tanh(pre) if kind == "t" else pre)
+
+    d_hidden, d_cell = spiked(rng.standard_normal((2, batch, size)) * scale)
+    grad = spiked(rng.standard_normal((batch, steps, size)))
+    caches = [cache(kind) for kind in _BPTT_CACHES[hook]]
+    for t in sorted({0, steps // 2, steps - 1}):
+        where = f"batch={batch}, steps={steps}, size={size}, scale={scale}, specials={specials}, t={t}"
+        if hook == "gru_bptt_step":
+            yield where, (t, d_hidden, grad, *caches, *np.full((2, batch, steps, 3 * size), np.nan))
+            continue
+        for upstream in (grad, None):
+            slab = np.full((batch, steps, 4 * size), np.nan)
+            yield f"{where}, grad={upstream is not None}", (t, d_hidden, d_cell, upstream, *caches, slab)
+
+
+def _bptt_samples(hook: str) -> Callable:
+    """Single rows and odd sizes, saturated gates, and IEEE specials."""
+
+    def samples(rng):
+        for batch, steps, size in [(1, 1, 1), (3, 4, 5), (16, 3, 32)]:
+            for scale, specials in ((1.0, 0.0), (50.0, 0.0), (1.0, 0.1)):
+                yield from _bptt_operands(rng, hook, batch, steps, size, scale, specials)
+
+    return samples
+
+
+_HOOKS: Tuple[_Hook, ...] = (
+    _Hook("gru_gates", _gate_samples(3), loops=True, call=_gru_gates_call),
+    _Hook("lstm_gates", _gate_samples(4), symbols=("lstm_phase1", "lstm_phase2"), call=_lstm_gates_call),
+    _Hook("gru_step", _gru_step_samples, loops=True),
+    _Hook("tanh_mlp", _tanh_mlp_samples, loops=True),
+    _Hook("bias_tanh", _bias_tanh_samples, loops=True),
+    _Hook("tanh_backward", _tanh_backward_samples),
+    _Hook("gaussian_log_density", _density_samples, loops=True, constants=(-(0.5 * _LOG_2PI),)),
+    _Hook("gaussian_log_density_backward", _density_backward_samples),
+    _Hook("clipped_surrogate", _surrogate_samples, loops=True),
+    _Hook("clipped_surrogate_backward", _surrogate_backward_samples),
+    _Hook("grad_norm", _grad_norm_samples),
+    _Hook("adam_step", _adam_samples, outputs=_adam_outputs),
+    _Hook("im2col_1d", _im2col_samples),
+    _Hook("bias_relu_pool", _pool_forward_samples),
+    _Hook("bias_relu_pool_backward", _pool_samples),
+    _Hook("col2im_1d", _col2im_samples),
+    # Compared: the carry and the gate-gradient slabs the step wrote.
+    _Hook("gru_bptt_step", _bptt_samples("gru_bptt_step"), outputs=lambda c, args: (c, *args[-2:]), nan_aware=True),
+    _Hook("lstm_bptt_step", _bptt_samples("lstm_bptt_step"), outputs=lambda c, args: (c, args[-1]), nan_aware=True),
+)
+
+
+# --------------------------------------------------------------------------- #
+# The self-check
+# --------------------------------------------------------------------------- #
+def _leaves(value) -> List[np.ndarray]:
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [np.asarray(value)]
+
+
+def _same(expected: np.ndarray, got: np.ndarray, nan_aware: bool) -> bool:
+    if expected.dtype != got.dtype or expected.shape != got.shape:
+        return False
+    if expected.dtype != np.float64:
+        return np.array_equal(expected, got)
+    if nan_aware:
+        # Where two NaNs meet, x86 returns the first operand's, and neither
+        # numpy's loops nor the C compiler fix which operand of a
+        # commutative add or multiply is first: a NaN must be a NaN.
+        nan = np.isnan(expected)
+        if not np.array_equal(nan, np.isnan(got)):
+            return False
+        expected, got = expected[~nan], got[~nan]
+    return np.array_equal(expected.view(np.uint64), got.view(np.uint64))
+
+
+def _assert_same(op: str, want, have, where: str, nan_aware: bool = False) -> None:
+    wants, haves = _leaves(want), _leaves(have)
+    if len(wants) != len(haves) or not all(map(_same, wants, haves, [nan_aware] * len(wants))):
+        raise RuntimeError(f"compiled {op} diverges from numpy at {where}")
+
+
+def _check_loops(kernel) -> None:
+    """Bind numpy's exp / tanh loops into the kernel pack and check them
+    against the ufuncs: odd lengths around the SIMD widths, magnitudes past
+    overflow, and the IEEE specials."""
+    kernel.bind_loops(*_LOOP_UFUNCS)
+    rng = np.random.default_rng(20260807)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 709.79, -745.2, 20.0])
+    samples = [specials] + [
+        rng.standard_normal(length) * scale
+        for length in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 1000)
+        for scale in (1.0, 30.0, 800.0)
+    ]
+    for name, ufunc in zip(("exp", "tanh"), (np.exp, np.tanh)):
+        for x in samples:
+            _assert_same(f"{name} loop", ufunc(x), kernel.bound_loop(name, x), f"length {len(x)}")
+
+
+def _check_hook(hook: _Hook, compiled: Callable) -> None:
+    """Run ``hook``'s samples through ``compiled`` and through its numpy
+    body; raise on the first difference or declined operand."""
+    body = getattr(get_backend("reference"), hook.name)
+    outputs = hook.outputs or (lambda result, args: result)
+    # The body of a hook that writes into its arguments gets its own stream.
+    twins = hook.samples(np.random.default_rng(20260807)) if hook.outputs else None
+    for where, args in hook.samples(np.random.default_rng(20260807)):
+        have = compiled(*args)
+        if have is NotImplemented:
+            raise RuntimeError(f"compiled {hook.name} declined {where}")
+        want_args = next(twins)[1] if twins else args
+        _assert_same(hook.name, outputs(body(*want_args), want_args), outputs(have, args), where, hook.nan_aware)
+
+
+def _check_hooks() -> Dict[str, str]:
+    """Self-check every row on its own; ``{name: why}`` of the rows that must
+    run their numpy body.  That is every row when the kernel pack did not
+    load, and a mismatch of the bound loops fails exactly the ``loops`` rows.
+    Announces the failures of a loaded pack once."""
+    kernel = _ensure_kernel()
+    if kernel is None:
+        return {hook.name: _KERNEL_ERROR for hook in _HOOKS}
+    failed: Dict[str, str] = {}
+    # Active too: the GRU step's body takes its gates from the active backend.
+    with use_backend("reference"), np.errstate(all="ignore"):
+        try:
+            _check_loops(kernel)
+        except Exception as exc:  # noqa: BLE001 - degrade, never break callers
+            failed = {hook.name: f"{type(exc).__name__}: {exc}" for hook in _HOOKS if hook.loops}
+        for hook in _HOOKS:
+            if hook.name in failed:
+                continue
+            try:
+                _check_hook(hook, hook.compiled(kernel))
+            except Exception as exc:  # noqa: BLE001 - degrade, never break callers
+                failed[hook.name] = f"{type(exc).__name__}: {exc}"
+    if failed:
+        warnings.warn(
+            f"repro.nn.backend: compiled hooks failed their self-check ({_failure_text(failed)}); "
+            "the 'blocked' backend runs their numpy bodies (identical bits, numpy speed) "
+            "and keeps every other hook compiled. Run `repro-amoeba backends` for details.",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    return failed
+
+
+def _failure_text(failed: Dict[str, str]) -> Optional[str]:
+    """``"hook, hook: reason; …"``, one entry per distinct reason."""
+    hooks_by_reason: Dict[str, List[str]] = {}
+    for name, reason in failed.items():
+        hooks_by_reason.setdefault(reason, []).append(name)
+    return "; ".join(f"{', '.join(names)}: {reason}" for reason, names in hooks_by_reason.items()) or None
+
+
+def _declined(*args):
+    return NotImplemented
+
+
+def _dispatch(backend: ExecutionBackend, name: str, compiled: Callable) -> Callable:
+    """The resolved hook: ``compiled``, and wherever it declines, the numpy
+    body — looked up when called, so a patched body is the one that runs."""
+
+    def hook(*args):
+        result = compiled(*args)
         if result is NotImplemented:
-            return getattr(ExecutionBackend, name)(self, *args)
+            return getattr(ExecutionBackend, name)(backend, *args)
         return result
 
     hook.__name__ = hook.__qualname__ = name
-    hook.__doc__ = getattr(ExecutionBackend, name).__doc__
     return hook
 
 
 class BlockedBackend(ExecutionBackend):
     """Compiled kernel pack, bit-identical to the reference paths.
 
-    Dispatches the matmul to the runtime-compiled extension when available
-    and verified (see :func:`compiled_kernel_available`), and the GRU step,
-    the tanh MLP and the recurrent gate math to the fused compiled kernels
-    when they passed their own self-check (:func:`fused_cells_available`).  Because every fast path
-    produces identical bits to its oracle, the dispatch points are invisible
-    to all numerical contracts — only the clock changes.
+    The matmul runs the compiled GEMM when it loaded and passed its
+    self-check (:func:`compiled_kernel_available`).  Every other hook is a
+    row of ``_HOOKS``: at the first use of any of them each row is
+    self-checked on its own and resolved once into this instance — to its
+    compiled path, or to its numpy body if its check failed.  Because every
+    path produces identical bits, the dispatch is invisible to all
+    numerical contracts; only the clock changes.
     """
 
     name = "blocked"
@@ -1133,95 +1145,75 @@ class BlockedBackend(ExecutionBackend):
         kernel = _ensure_kernel()
         return _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
 
-    # The float64 guards protect the C boundary of the gate kernels: the
-    # extension would widen any other dtype silently (PyArray_FROM_OTF),
-    # which is not what the numpy oracle does with it.  The network kernels
-    # need none: their compositions widen every operand to float64 exactly
-    # as the extension does (the GEMM casts its inputs; the slab is float64).
-    def gru_gates(
-        self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        kernel = _gates_kernel()
-        if (
-            kernel is not None
-            and gx.dtype == np.float64
-            and gh.dtype == np.float64
-            and hidden.dtype == np.float64
-        ):
-            return (*kernel.gru_gates(gx, gh, b, hidden), gh[:, 2 * hidden.shape[-1] :])
-        return _np_gru_gates(gx, gh, b, hidden)
-
-    def gru_step(
-        self, x: np.ndarray, hidden: np.ndarray, cells: Sequence[Tuple[np.ndarray, ...]]
-    ) -> np.ndarray:
-        kernel = _gates_kernel()
-        if kernel is None:
-            return super().gru_step(x, hidden, cells)
-        return kernel.gru_step(x, hidden, cells)
-
-    def tanh_mlp(self, x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        kernel = _gates_kernel()
-        if kernel is None:
-            return super().tanh_mlp(x, layers)
-        return kernel.tanh_mlp(x, layers)
-
-    def lstm_gates(
-        self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, cell: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        kernel = _gates_kernel()
-        if (
-            kernel is not None
-            and gx.dtype == np.float64
-            and gh.dtype == np.float64
-            and cell.dtype == np.float64
-        ):
-            return _compiled_lstm_gates(kernel, gx, gh, b, cell)
-        return _np_lstm_gates(gx, gh, b, cell)
-
-    bias_tanh = _compiled("bias_tanh")
-    tanh_backward = _compiled("tanh_backward")
-    gaussian_log_density = _compiled("gaussian_log_density", -(0.5 * _LOG_2PI))
-    gaussian_log_density_backward = _compiled("gaussian_log_density_backward")
-    clipped_surrogate = _compiled("clipped_surrogate")
-    clipped_surrogate_backward = _compiled("clipped_surrogate_backward")
-    grad_norm = _compiled("grad_norm")
-    adam_step = _compiled("adam_step")
-    im2col_1d = _compiled("im2col_1d")
-    bias_relu_pool = _compiled("bias_relu_pool")
-    bias_relu_pool_backward = _compiled("bias_relu_pool_backward")
-    col2im_1d = _compiled("col2im_1d")
-    gru_bptt_step = _compiled("gru_bptt_step")
-    lstm_bptt_step = _compiled("lstm_bptt_step")
+    def _resolve(self) -> Dict[str, str]:
+        """Check and install every row once; ``{name: why}`` of the hooks
+        running their numpy body."""
+        if "_failed" not in self.__dict__:
+            self._failed = _check_hooks()
+            for hook in _HOOKS:
+                compiled = _declined if hook.name in self._failed else hook.compiled(_KERNEL)
+                self.__dict__[hook.name] = _dispatch(self, hook.name, compiled)
+        return self._failed
 
     def describe(self) -> Dict[str, object]:
-        payload = super().describe()
-        payload["kernel"] = "compiled" if compiled_kernel_available() else "einsum-fallback"
-        payload["kernel_error"] = compiled_kernel_error()
-        payload["fused_cells"] = (
-            "compiled" if fused_cells_available() else "numpy-fallback"
-        )
-        payload["fused_cells_error"] = fused_cells_error()
-        return payload
+        failed = self._resolve()
+        return {
+            "name": self.name,
+            "kernel": "compiled" if compiled_kernel_available() else "einsum-fallback",
+            "kernel_error": compiled_kernel_error(),
+            "fused_cells": "numpy-fallback" if failed else "compiled",
+            "fused_cells_error": _failure_text(failed),
+        }
+
+
+class _TableHook:
+    """A hook of :class:`BlockedBackend` until the first use of any hook,
+    which installs every row in the instance: from then on the instance's
+    own attribute answers and this is never consulted again."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.__doc__ = getattr(ExecutionBackend, name).__doc__
+
+    def __get__(self, backend, owner=None):
+        if backend is None:
+            return self
+        backend._resolve()
+        return backend.__dict__[self.name]
+
+
+for _row in _HOOKS:
+    setattr(BlockedBackend, _row.name, _TableHook(_row.name))
+
+
+def hook_status() -> Dict[str, Optional[str]]:
+    """Each hook of the table: ``None`` when ``blocked`` runs it compiled,
+    else why it runs the numpy body."""
+    failed = _REGISTRY["blocked"]._resolve()
+    return {hook.name: failed.get(hook.name) for hook in _HOOKS}
+
+
+def fused_cells_available() -> bool:
+    """``True`` when the blocked backend runs every hook compiled."""
+    return not _REGISTRY["blocked"]._resolve()
+
+
+def fused_cells_error() -> Optional[str]:
+    """Which hooks run their numpy body, and why (``None`` when none does)."""
+    return _failure_text(_REGISTRY["blocked"]._resolve())
 
 
 # --------------------------------------------------------------------------- #
 # Registry and selection
 # --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, ExecutionBackend] = {}
-_DEFAULT: Optional[ExecutionBackend] = None
+_REGISTRY: Dict[str, ExecutionBackend] = {
+    backend.name: backend for backend in (ReferenceBackend(), BlockedBackend())
+}
 _OVERRIDES: List[ExecutionBackend] = []
 
 
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Add ``backend`` to the registry (replacing any same-named entry)."""
-    if not backend.name or backend.name == "abstract":
-        raise ValueError("backend must define a concrete name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
 def get_backend(name: str) -> ExecutionBackend:
-    """Look up a registered backend by name."""
+    """Look up a backend by name."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -1231,19 +1223,12 @@ def get_backend(name: str) -> ExecutionBackend:
 
 
 def available_backends() -> List[str]:
-    """Names of all registered backends."""
+    """Names of both backends."""
     return sorted(_REGISTRY)
 
 
 def default_backend() -> ExecutionBackend:
     """The process-wide default backend (active when no override is open)."""
-    return _DEFAULT
-
-
-def set_default_backend(name: str) -> ExecutionBackend:
-    """Set the process-wide default backend; returns the new default."""
-    global _DEFAULT
-    _DEFAULT = get_backend(name)
     return _DEFAULT
 
 
@@ -1265,16 +1250,12 @@ def use_backend(name: str) -> Iterator[ExecutionBackend]:
         _OVERRIDES.pop()
 
 
-register_backend(ReferenceBackend())
-register_backend(BlockedBackend())
-
 _initial = os.environ.get("REPRO_NN_BACKEND", "blocked")
 if _initial not in _REGISTRY:
     warnings.warn(
-        f"REPRO_NN_BACKEND={_initial!r} is not a registered backend; "
-        f"falling back to 'blocked'",
+        f"REPRO_NN_BACKEND={_initial!r} is not a backend; falling back to 'blocked'",
         RuntimeWarning,
         stacklevel=2,
     )
     _initial = "blocked"
-set_default_backend(_initial)
+_DEFAULT: ExecutionBackend = _REGISTRY[_initial]

@@ -14,45 +14,15 @@
  * any multiply/add pair.  Auto-vectorisation is safe because SIMD lanes run
  * across the *output* axis `h`; the per-element reduction order is untouched.
  *
- * Fused kernels: the GRU gate pass (gru_gates), one step of a whole GRU
- * stack (gru_step) and the tanh MLP forward (tanh_mlp) each run as one call.
- * Their own code performs only exact IEEE-754 arithmetic (negate / add /
- * multiply / divide) on rc_gemm_rows projections; the transcendental exp and
- * tanh run numpy's own float64 inner loops, taken from the np.exp / np.tanh
- * ufunc objects at load (bind_loops) and called on contiguous scratch.
- * numpy's exp/tanh differ from C libm in the last ulp, so libm is never
- * used: the values are numpy's bits by construction, and backend.py
- * self-checks every kernel against the numpy composition before use.  The
- * LSTM gate phases still interleave with np.exp / np.tanh on the Python side
- * (_compiled_lstm_gates in backend.py).
- *
- * Training kernels (the PPO update's minibatch step, between numpy's BLAS
- * products and reductions): bias_tanh and tanh_backward for the tanh MLP
- * node, gaussian_log_density(_backward) and clipped_surrogate(_backward)
- * for the loss nodes, grad_norm (numpy's pairwise sum of the squares,
- * reproduced: the one reduction here) and adam_step (gather, the Adam
- * arithmetic over the flat moments, scatter).  Each mirrors one numpy
- * expression of backend.ExecutionBackend and returns NotImplemented for
- * operands outside its float64 fast path.
- *
- * Conv-block kernels (DF's fused conv block, Conv1d.relu_pool, and DF
- * scoring, around numpy's BLAS products): im2col_1d (the column matrix,
- * zero padding written in place of a padded temporary; copies only) and
- * bias_relu_pool (bias, ReLU as a multiply by the mask, np.maximum of the
- * even and odd positions, written in the conv layout so DF's fc1 flatten
- * is a free reshape); for DF training and the white-box input gradient,
- * bias_relu_pool_backward (the pool-select x ReLU-mask gradient, the mask
- * and the pair's maximum recomputed from the product) and col2im_1d (the
- * column-gradient scatter, one strided += per kernel offset, last first).
- * Same NotImplemented contract.
- *
- * BPTT step kernels (the recurrent sequences' closed-form backward in
- * nn/functional.py, one call per time step): gru_bptt_step and
- * lstm_bptt_step run a step's elementwise block -- the carry add, the gate
- * gradients, the writes of the step's rows of the gate-gradient slabs --
- * and return the carried gradient.  The recurrent product between two
- * steps and the hoisted weight / input products after the loop stay
- * numpy's.  Exact IEEE arithmetic only; same NotImplemented contract.
+ * Every other entry point but bind_loops / bound_loop is one hook of
+ * backend.py's table (_HOOKS), which names the numpy body it mirrors
+ * operation for operation and self-checks it bitwise at load.  Their own
+ * code performs only exact IEEE-754 arithmetic; exp and tanh run numpy's own
+ * float64 inner loops, taken from the np.exp / np.tanh ufuncs at load
+ * (bind_loops), because numpy's differ from C libm in the last ulp: every
+ * entry point that runs them first calls rc_loops_bound(), and the table
+ * marks exactly those rows.  Operands outside a kernel's float64 fast path
+ * return NotImplemented, and the hook runs the numpy body instead.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -251,7 +221,7 @@ static PyObject *py_bound_loop(PyObject *self, PyObject *args) {
 
 /* ------------------------------------------------------------------ */
 /* Fused GRU gates: the whole gate pass in one call, numpy's own      */
-/* exp/tanh loops in the middle.  Oracle (backend._np_gru_gates):     */
+/* exp/tanh loops in the middle. Oracle: ExecutionBackend.gru_gates:  */
 /*   pre_rz    = (gx[:, :2H] + gh[:, :2H]) + b[:2H]                   */
 /*   r, z      = 1/(1+exp(-pre_rz[:, :H])), 1/(1+exp(-pre_rz[:, H:])) */
 /*   candidate = tanh((gx[:, 2H:] + r * gh[:, 2H:]) + b[2H:])         */

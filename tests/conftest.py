@@ -82,3 +82,44 @@ def benign_flow():
         label=FlowLabel.BENIGN,
         protocol="https",
     )
+
+
+@pytest.fixture
+def fresh_blocked(monkeypatch):
+    """``install(**wraps)`` puts a new ``blocked`` backend in the registry
+    whose hook table is self-checked anew at its first use, the compiled path
+    of each row named in ``wraps`` replaced by ``wraps[name](compiled)``."""
+    from repro.nn import backend as nnb
+
+    def install(**wraps):
+        table = tuple(
+            hook._replace(call=lambda kernel, hook=hook, wrap=wraps[hook.name]: wrap(hook.compiled(kernel)))
+            if hook.name in wraps
+            else hook
+            for hook in nnb._HOOKS
+        )
+        assert set(wraps) <= {hook.name for hook in table}, sorted(wraps)
+        monkeypatch.setattr(nnb, "_HOOKS", table)
+        backend = nnb.BlockedBackend()
+        monkeypatch.setitem(nnb._REGISTRY, "blocked", backend)
+        return backend
+
+    return install
+
+
+@pytest.fixture
+def flip_first_bit():
+    """Wraps a compiled path so its first output element has its lowest bit
+    flipped: a kernel that fails its self-check."""
+    return _flip_first_bit
+
+
+def _flip_first_bit(compiled):
+    def call(*args):
+        result = compiled(*args)
+        first = result[0] if isinstance(result, tuple) else result
+        if isinstance(first, np.ndarray) and first.size:
+            first.view(np.uint64).flat[0] ^= np.uint64(1)
+        return result
+
+    return call

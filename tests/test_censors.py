@@ -548,14 +548,14 @@ class TestDeepFingerprintingArrayScoring:
                 assert censor._score_flows(self.batch(size, tor_splits)).shape == (size,)
 
     def test_kernels_that_failed_their_self_check_score_the_same_bits(
-        self, censor, tor_splits, monkeypatch
+        self, censor, tor_splits, fresh_blocked
     ):
         from repro.nn import backend as nnb
 
         flows = self.batch(31, tor_splits)
-        monkeypatch.setattr(nnb, "_GATES_OK", False)
-        monkeypatch.setattr(nnb, "_GATES_ERROR", "forced by test")
-        with nn.use_backend("blocked"):
+        fresh_blocked(**{hook.name: lambda compiled: nnb._declined for hook in nnb._HOOKS})
+        with pytest.warns(RuntimeWarning, match="failed their self-check"), nn.use_backend("blocked"):
+            assert not nnb.fused_cells_available()
             degraded = censor._score_flows(flows)
         assert np.array_equal(degraded.view(np.uint64), self.oracle(censor, flows).view(np.uint64))
 

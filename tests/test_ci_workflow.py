@@ -82,3 +82,12 @@ def test_tier1_trains_and_serves_through_the_installed_package():
     assert lines.index(attack) < lines.index(serve)
     install = [i for i, run in enumerate(runs) if "pip install ." in run]
     assert install and install[0] < runs.index(command)
+
+
+def test_installed_kernel_step_fails_on_any_fallback_line():
+    """The installed package's ``repro-amoeba backends`` report fails the
+    step on any fallback: the GEMM, the hook summary or a single hook line."""
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    [command] = [step["run"] for step in steps if "repro-amoeba backends" in step.get("run", "")]
+    assert 'if grep "fallback" backends.txt; then exit 1; fi' in command.splitlines()[-1]

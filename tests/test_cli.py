@@ -393,13 +393,13 @@ class TestCommands:
         assert "fused-cell kernels:" in out
         from repro.nn import backend as nn_backend
 
-        if nn_backend.fused_cells_available():  # the compiled list names the training hooks
-            assert "bias_relu_pool_backward / col2im_1d" in out
-            assert "gru_bptt_step / lstm_bptt_step" in out
+        # One line per hook of the table, in its order.
+        hooks = re.findall(r"^  hook (\w+): +(compiled|numpy fallback)$", out, re.M)
+        assert [name for name, _ in hooks] == list(nn_backend.hook_status())
         # One describe() line per registered backend.
         assert "  blocked: " in out and "  reference: name=reference\n" in out
 
-    def test_backends_command_reports_fallback_error(self, capsys, monkeypatch):
+    def test_backends_command_reports_fallback_error(self, capsys, monkeypatch, fresh_blocked):
         # When the compiled kernel is unavailable the diagnostic must surface
         # the recorded compile/loader error verbatim.
         from repro.nn import backend as nn_backend
@@ -408,30 +408,26 @@ class TestCommands:
         monkeypatch.setattr(
             nn_backend, "compiled_kernel_error", lambda: "cc1: fatal error: boom"
         )
-        monkeypatch.setattr(nn_backend, "fused_cells_available", lambda: False)
-        monkeypatch.setattr(nn_backend, "fused_cells_error", lambda: "gates: boom")
-        assert main(["backends"]) == 0
+        fresh_blocked(gru_step=lambda compiled: nn_backend._declined)
+        with pytest.warns(RuntimeWarning, match="gru_step: RuntimeError: compiled gru_step declined"):
+            assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "einsum fallback" in out
         assert "cc1: fatal error: boom" in out
-        assert "numpy fallback" in out
-        assert "gates: boom" in out
+        assert f"numpy fallback for 1 of {len(nn_backend._HOOKS)} hooks" in out
+        assert "  error: gru_step: RuntimeError: compiled gru_step declined" in out
+        assert re.findall(r"hook (\w+): +numpy fallback", out) == ["gru_step"]
 
-    def test_fused_fallback_warning_names_the_bptt_hooks(self, capsys, monkeypatch):
-        """A failed fused self-check announces every hook it degrades, the
-        BPTT step hooks of pre-training and LSTM fit among them, and the
-        diagnostic reports the failure."""
-        from repro.nn import backend as nn_backend
-
-        monkeypatch.setattr(nn_backend, "_GATES_OK", None)
-        monkeypatch.setattr(nn_backend, "_GATES_ERROR", None)
-
-        def boom(kernel):
-            raise RuntimeError("self-check forced to fail")
-
-        monkeypatch.setattr(nn_backend, "_self_check_fused_cells", boom)
-        with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as caught:
+    def test_fallback_warning_names_the_failed_hooks(self, capsys, fresh_blocked, flip_first_bit):
+        """A failed self-check announces exactly the hooks it degrades, the
+        BPTT step hooks of pre-training and LSTM fit here, and the
+        diagnostic reports each."""
+        fresh_blocked(gru_bptt_step=flip_first_bit, lstm_bptt_step=flip_first_bit)
+        with pytest.warns(RuntimeWarning, match="failed their self-check") as caught:
             assert main(["backends"]) == 0
-        assert "gru_bptt_step / lstm_bptt_step" in str(caught[0].message)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "gru_bptt_step: RuntimeError" in message and "lstm_bptt_step: RuntimeError" in message
         out = capsys.readouterr().out
-        assert "fused-cell kernels:  numpy fallback" in out and "forced to fail" in out
+        assert "fused-cell kernels:  numpy fallback for 2 of" in out
+        assert re.findall(r"hook (\w+): +numpy fallback", out) == ["gru_bptt_step", "lstm_bptt_step"]

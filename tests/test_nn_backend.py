@@ -1,12 +1,16 @@
 """Execution-backend tier tests (repro.nn.backend).
 
-Five families of guarantees:
+Six families of guarantees:
 
 * **Registry mechanics** — lookup, default selection, scoped overrides.
-* **The bit-equivalence contract** — every registered backend must be
-  bit-identical to the reference einsum on every shape (including the
-  kernel's k-unroll boundaries) and must satisfy the row-consistency
-  property (output rows invariant to batch composition).
+* **The bit-equivalence contract** — both backends must be bit-identical
+  to the reference einsum on every shape (including the kernel's k-unroll
+  boundaries) and on every hook's self-check operands, and must satisfy
+  the row-consistency property (output rows invariant to batch
+  composition).
+* **The hook table** — every hook is one row, every kernel-pack function
+  is claimed by one, and a row that fails its self-check degrades that
+  hook alone.
 * **The kernel build cache** — the C source is packaged beside the module,
   nothing but the extension and its digest lands in the cache directory,
   and a corrupted cache entry is rebuilt instead of loaded.
@@ -26,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -67,18 +72,15 @@ SHAPES = [
 
 
 class TestRegistry:
-    def test_three_backends_registered(self):
-        # Exactly the two row-consistent executors; a third needs the
-        # registry-wide bitwise test below to hold for it first.
+    def test_two_backends_registered(self):
+        # Exactly the two row-consistent executors, built at import; there
+        # is no registration entry point.
         assert nnb.available_backends() == ["blocked", "reference"]
+        assert not hasattr(nnb, "register_backend") and not hasattr(nnb, "set_default_backend")
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown execution backend"):
             nnb.get_backend("no-such-backend")
-
-    def test_register_rejects_unnamed(self):
-        with pytest.raises(ValueError):
-            nnb.register_backend(nnb.ExecutionBackend())
 
     def test_default_is_blocked(self):
         # CI's reference-backend job forces the default via the env var;
@@ -103,14 +105,6 @@ class TestRegistry:
                 raise RuntimeError("boom")
         assert nnb.active_backend().name == before
 
-    def test_set_default_backend_roundtrip(self):
-        original = nnb.default_backend().name
-        try:
-            assert nnb.set_default_backend("reference").name == "reference"
-            assert nnb.active_backend().name == "reference"
-        finally:
-            nnb.set_default_backend(original)
-
     def test_describe_payloads(self):
         assert nnb.get_backend("reference").describe() == {"name": "reference"}
         blocked = nnb.get_backend("blocked").describe()
@@ -133,8 +127,9 @@ class TestBlockedEqualsReference:
     def test_every_registered_backend_is_bit_identical_to_reference(self, name):
         """The condition of being registered at all: same bits as the
         reference on the shape / magnitude sweep, under any split of the
-        batch, and through the gate hooks.  No backend can declare itself an
-        exception — there is no flag to declare it with."""
+        batch, and through every hook of the table on its self-check
+        operands.  No backend can declare itself an exception — there is no
+        flag to declare it with."""
         backend, ref = nnb.get_backend(name), nnb.get_backend("reference")
         rng = np.random.default_rng(12)
         operands = list(_pairs(rng, SHAPES))
@@ -153,32 +148,10 @@ class TestBlockedEqualsReference:
                     backend.matmul2d(chunk, b) for chunk in np.array_split(a, n_chunks, axis=0)
                 ]
                 assert np.array_equal(np.concatenate(parts, axis=0), full), (name, n_chunks)
-        for scale in (1.0, 50.0):
-            gru = TestFusedCellKernels._gru_operands(rng, 5, 6, scale)
-            for want, have in zip(ref.gru_gates(*gru), backend.gru_gates(*gru)):
-                assert np.array_equal(want, have), (name, "gru", scale)
-            lstm = TestFusedCellKernels._lstm_operands(rng, 5, 6, scale)
-            for want, have in zip(ref.lstm_gates(*lstm), backend.lstm_gates(*lstm)):
-                assert np.array_equal(want, have), (name, "lstm", scale)
-        for rows in (1, 2, 7, 8, 9, 37, 128, 129):
-            for scale in (1.0, 50.0):
-                for hook, operands in TestTrainingHooks.operands(rng, rows, scale=scale):
-                    want, have = getattr(ref, hook)(*operands), getattr(backend, hook)(*operands)
-                    _same_results(want, have, (name, hook, rows, scale))
-        for seed in range(4):
-            runs = [TestTrainingHooks.adam_run(b, seed) for b in (ref, backend)]
-            _same_results(*runs, (name, "adam_step", seed))
-        for n in (0, 1, 128):
-            for channels in (2, 16):
-                for hook, operands in TestConvHooks.operands(rng, n, channels):
-                    with np.errstate(invalid="ignore"):  # -inf * 0 in the ReLU
-                        want, have = getattr(ref, hook)(*operands), getattr(backend, hook)(*operands)
-                    _same_results(want, have, (name, hook, n, channels, operands[0].shape))
-        for batch, size in ((1, 1), (2, 3), (33, 32)):
-            for scale in (1.0, 50.0):
-                for hook, operands in TestBPTTHooks.operands(rng, batch, 3, size, scale, specials=0.1):
-                    want, have = TestBPTTHooks.run(ref, hook, operands), TestBPTTHooks.run(backend, hook, operands)
-                    TestBPTTHooks.same(want, have, (name, hook, batch, size, scale, operands[0]))
+        for hook in nnb._HOOKS:
+            for seed in range(3):
+                for want, have, where in _table_runs(hook, ref, backend, seed):
+                    _same_results(want, have, (name, hook.name, seed, where), hook.nan_aware)
 
     def test_bit_identical_across_shapes(self):
         rng = np.random.default_rng(0)
@@ -239,12 +212,17 @@ class TestBlockedEqualsReference:
                     got = ref.matmul2d(left, right)
                     assert np.array_equal(got.view(np.uint64), sequential.view(np.uint64))
 
-    def test_blocked_einsum_fallback_matches_reference(self, monkeypatch):
-        """With the compiled kernel disabled, blocked degrades to identical bits."""
+    def test_blocked_einsum_fallback_matches_reference(self, monkeypatch, fresh_blocked):
+        """With the compiled kernel disabled, blocked degrades to identical
+        bits, and every hook runs its numpy body for the kernel's reason."""
         monkeypatch.setattr(nnb, "_KERNEL", None)
         monkeypatch.setattr(nnb, "_KERNEL_ERROR", "forced by test")
-        blocked = nnb.get_backend("blocked")
-        assert blocked.describe()["kernel"] == "einsum-fallback"
+        blocked = fresh_blocked()
+        description = blocked.describe()
+        assert description["kernel"] == "einsum-fallback"
+        assert description["fused_cells"] == "numpy-fallback"
+        assert description["fused_cells_error"].endswith(": forced by test")
+        assert set(nnb.hook_status().values()) == {"forced by test"}
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 19))
         b = rng.standard_normal((19, 5))
@@ -326,7 +304,7 @@ class TestFusedCellKernels:
         hidden = rng.standard_normal((5, size))
         gx, gh = big_gx[:, 1, :], big_gh[:, 1, :]
         assert not gx.flags["C_CONTIGUOUS"]
-        expected = nnb._np_gru_gates(gx, gh, b, hidden)
+        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
         got = nnb.get_backend("blocked").gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
@@ -335,7 +313,7 @@ class TestFusedCellKernels:
         gx4, gh4 = big4[:, 0, :], rng.standard_normal((4, 2, 4 * size))[:, 1, :]
         b4 = rng.standard_normal(4 * size)
         cell = rng.standard_normal((4, size))
-        expected = nnb._np_lstm_gates(gx4, gh4, b4, cell)
+        expected = nnb.get_backend("reference").lstm_gates(gx4, gh4, b4, cell)
         got = nnb.get_backend("blocked").lstm_gates(gx4, gh4, b4, cell)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
@@ -348,40 +326,21 @@ class TestFusedCellKernels:
         )
         got = nnb.get_backend("blocked").gru_gates(gx, gh, b, hidden)
         assert got[0].dtype == np.float32
-        expected = nnb._np_gru_gates(gx, gh, b, hidden)
+        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
-    def test_numpy_fallback_when_gates_unavailable(self, monkeypatch):
-        monkeypatch.setattr(nnb, "_GATES_OK", False)
-        monkeypatch.setattr(nnb, "_GATES_ERROR", "forced by test")
-        blocked = nnb.get_backend("blocked")
-        assert blocked.describe()["fused_cells"] == "numpy-fallback"
-        assert nnb.fused_cells_error() == "forced by test"
+    def test_numpy_fallback_when_gates_fail_their_self_check(self, fresh_blocked, flip_first_bit):
+        blocked = fresh_blocked(gru_gates=flip_first_bit)
+        with pytest.warns(RuntimeWarning, match="gru_gates: RuntimeError: compiled gru_gates diverges"):
+            assert blocked.describe()["fused_cells"] == "numpy-fallback"
+        assert nnb.fused_cells_error().startswith("gru_gates: ")
         rng = np.random.default_rng(54)
         gx, gh, b, hidden = self._gru_operands(rng, 3, 4)
-        expected = nnb._np_gru_gates(gx, gh, b, hidden)
+        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
         got = blocked.gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
-
-    def test_gate_selfcheck_failure_warns_once_and_degrades(self, monkeypatch):
-        monkeypatch.setattr(nnb, "_GATES_OK", None)
-        monkeypatch.setattr(nnb, "_GATES_ERROR", None)
-
-        def boom(kernel):
-            raise RuntimeError("gate self-check forced to fail")
-
-        monkeypatch.setattr(nnb, "_self_check_fused_cells", boom)
-        with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as caught:
-            assert not nnb.fused_cells_available()
-        message = str(caught[0].message)
-        assert "bias_relu_pool_backward" in message and "col2im_1d" in message
-        assert "forced to fail" in nnb.fused_cells_error()
-        # Subsequent calls are silent (the warning is one-time per process).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not nnb.fused_cells_available()
 
     @pytest.mark.parametrize("family", ["gru", "lstm"])
     def test_functional_cells_identical_across_backends(self, family):
@@ -424,84 +383,162 @@ def _same_bits(want, have):
     assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
 
 
-def _same_results(want, have, what):
-    """Equal bits for float64 arrays, equal values for masks and floats."""
+def _same_results(want, have, what, nan_aware=False):
+    """Equal bits for float64 arrays, equal values for masks and floats.
+
+    Where ``nan_aware``, a NaN must be NaN on both sides but may carry
+    another sign or payload: where two NaNs meet, x86 returns the first
+    operand's, and neither numpy's loops nor the C compiler fix which
+    operand of a commutative add or multiply is first."""
     wants, haves = (want, have) if isinstance(want, tuple) else ((want,), (have,))
     assert len(wants) == len(haves), what
     for expected, got in zip(wants, haves):
         expected, got = np.asarray(expected), np.asarray(got)
         assert expected.dtype == got.dtype and expected.shape == got.shape, what
         if expected.dtype == np.float64:
+            if nan_aware:
+                nan = np.isnan(expected)
+                assert np.array_equal(nan, np.isnan(got)), what
+                expected, got = expected[~nan], got[~nan]
             expected, got = expected.view(np.uint64), got.view(np.uint64)
         assert np.array_equal(expected, got), what
 
 
+def _table_runs(hook, want_backend, have_backend, seed):
+    """``(want, have, where)`` per sample of the table row ``hook`` for
+    ``seed``: its outputs on two backends, each on its own stream of the
+    same operands (a hook may write into its arguments)."""
+    outputs = hook.outputs or (lambda result, args: result)
+    streams = [hook.samples(np.random.default_rng(seed)) for _ in range(2)]
+    for (where, want_args), (_, have_args) in zip(*streams):
+        with np.errstate(all="ignore"):
+            want = outputs(getattr(want_backend, hook.name)(*want_args), want_args)
+            have = outputs(getattr(have_backend, hook.name)(*have_args), have_args)
+        yield want, have, where
+
+
+def _kernel_pack():
+    """The loaded kernel pack with its exp / tanh loops bound (skips the
+    test where no C toolchain built it)."""
+    if not nnb.compiled_kernel_available():
+        pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+    nnb.hook_status()  # binds the loops
+    return nnb._ensure_kernel()
+
+
+def _forbid_numpy_bodies(monkeypatch, hooks):
+    """Make the numpy body of each of ``hooks`` raise: a ``blocked`` run
+    that reaches one has fallen back.  The table is resolved first, since
+    its self-check runs the bodies."""
+    nnb.hook_status()
+    for hook in hooks:
+
+        def forbidden(*args, _hook=hook, **kwargs):
+            raise AssertionError(f"{_hook} fell back to the numpy body")
+
+        monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+
+
+class TestHookTable:
+    """A hook of ``blocked`` is one C function in ``kernels.c``, one numpy
+    body on ``ExecutionBackend`` and one row of ``nnb._HOOKS``; a row that
+    fails its self-check degrades that hook alone."""
+
+    # Kernel-pack functions that are no hook: the GEMM and the loop binding.
+    NOT_HOOKS = {"rc_gemm", "bind_loops", "bound_loop"}
+
+    def test_every_hook_method_has_exactly_one_row(self):
+        methods = {
+            name for name, value in vars(nnb.ExecutionBackend).items()
+            if callable(value) and not name.startswith("_")
+        } - {"matmul2d", "describe"}
+        names = [hook.name for hook in nnb._HOOKS]
+        assert len(names) == len(set(names))
+        assert sorted(names) == sorted(methods)
+
+    def test_every_kernel_function_is_claimed_by_exactly_one_row(self):
+        kernel = nnb._ensure_kernel()
+        if kernel is None:
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        functions = {name for name, value in vars(kernel).items() if isinstance(value, types.BuiltinFunctionType)}
+        claimed = [symbol for hook in nnb._HOOKS for symbol in hook.kernels]
+        assert sorted(claimed) == sorted(functions - self.NOT_HOOKS)
+        lstm = next(hook for hook in nnb._HOOKS if hook.name == "lstm_gates")
+        assert lstm.kernels == ("lstm_phase1", "lstm_phase2")
+
+    def test_loops_marks_exactly_the_kernels_that_run_the_bound_loops(self):
+        """The rows a loop mismatch disables are the entry points of
+        ``kernels.c`` that require the loops bound (``rc_loops_bound``)."""
+        source = Path(nnb._KERNEL_SOURCE_PATH).read_text()
+        entry_points = re.split(r"^static PyObject \*py_", source, flags=re.M)[1:]
+        calling = {body.split("(", 1)[0] for body in entry_points if "rc_loops_bound()" in body}
+        loops = {symbol for hook in nnb._HOOKS if hook.loops for symbol in hook.kernels}
+        assert calling - {"bound_loop"} == loops
+        assert sorted(hook.name for hook in nnb._HOOKS if hook.loops) == sorted(
+            ["gru_gates", "gru_step", "tanh_mlp", "bias_tanh", "gaussian_log_density", "clipped_surrogate"]
+        )
+
+    def test_one_mismatching_row_degrades_that_hook_alone(self, monkeypatch, capsys, fresh_blocked, flip_first_bit):
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        blocked = fresh_blocked(bias_tanh=flip_first_bit)
+        with pytest.warns(RuntimeWarning, match="failed their self-check") as caught:
+            status = nnb.hook_status()
+        assert len(caught) == 1 and "bias_tanh: RuntimeError" in str(caught[0].message)
+        assert [name for name, reason in status.items() if reason] == ["bias_tanh"]
+        assert status["bias_tanh"].startswith("RuntimeError: compiled bias_tanh diverges from numpy")
+        description = blocked.describe()
+        assert description["kernel"] == "compiled" and description["fused_cells"] == "numpy-fallback"
+        assert description["fused_cells_error"] == f"bias_tanh: {status['bias_tanh']}"
+
+        # Exactly that hook runs its numpy body, and blocked keeps reference's bits.
+        bodies = []
+        for hook in nnb._HOOKS:
+
+            def spy(backend, *args, _name=hook.name, _body=getattr(nnb.ExecutionBackend, hook.name)):
+                if backend is blocked:
+                    bodies.append(_name)
+                return _body(backend, *args)
+
+            monkeypatch.setattr(nnb.ExecutionBackend, hook.name, spy)
+        reference = nnb.get_backend("reference")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the warning fired once
+            for hook in nnb._HOOKS:
+                for want, have, where in _table_runs(hook, reference, blocked, seed=0):
+                    _same_results(want, have, (hook.name, where), hook.nan_aware)
+            assert not nnb.fused_cells_available()
+        assert set(bodies) == {"bias_tanh"}
+
+        from repro.cli import main
+
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert f"fused-cell kernels:  numpy fallback for 1 of {len(nnb._HOOKS)} hooks" in out
+        assert re.findall(r"hook (\w+): +numpy fallback", out) == ["bias_tanh"]
+        assert len(re.findall(r"hook \w+: +compiled", out)) == len(nnb._HOOKS) - 1
+
+
 class TestTrainingHooks:
-    """The PPO update's elementwise hooks.  Their operands feed the
+    """The PPO update's elementwise hooks.  Their table rows feed the
     registry-wide bitwise test above; here a ``blocked`` update must take
     no numpy fallback, and operands outside the float64 fast path take the
     numpy expression itself."""
 
-    @staticmethod
-    def operands(rng, rows, cols=7, scale=1.0):
-        """``(hook, args)`` for every training hook but ``adam_step``."""
-        y = rng.standard_normal((rows, cols)) * scale
-        bias = rng.standard_normal(cols)
-        activation = np.tanh(y)
-        actions, mean = rng.standard_normal((rows, 2)) * scale, rng.standard_normal((rows, 2))
-        log_std = rng.standard_normal(2) * 0.5
-        _, diff, scaled, variance = nnb.get_backend("reference").gaussian_log_density(
-            actions, mean, log_std
-        )
-        log_probs = rng.standard_normal(rows)
-        old = log_probs - rng.choice([0.0, 0.1, -0.1, 0.5, -0.5, 30.0, -800.0], size=rows)
-        old[: min(rows, 2)] = log_probs[: min(rows, 2)] - np.log([0.8, 1.2][: min(rows, 2)])
-        advantages = rng.choice([0.0, 1.0, -1.0, 0.3], size=rows) * scale
-        ratio, take_raw, inside = nnb.get_backend("reference").clipped_surrogate(
-            log_probs, old, advantages, 0.8, 1.2
-        )[1:]
-        shapes = [(rows, cols), (cols,), (rows,), (rows * 33,)]
-        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
-        return [
-            ("bias_tanh", (y, bias)),
-            ("tanh_backward", (y, activation)),
-            ("gaussian_log_density", (actions, mean, log_std)),
-            ("gaussian_log_density_backward", (rng.standard_normal(rows), diff, scaled, variance)),
-            ("clipped_surrogate", (log_probs, old, advantages, 0.8, 1.2)),
-            ("clipped_surrogate_backward", (-1.0 / rows, ratio, advantages, take_raw, inside)),
-            ("grad_norm", (grads,)),
-        ]
-
-    @staticmethod
-    def adam_run(backend, rng, steps=5, shapes=((4, 3), (3,), (1,), (33, 2))):
-        """Parameters, moments and the last decrement after ``steps`` of
-        ``backend.adam_step``."""
-        rng = np.random.default_rng(rng)
-        params = [rng.standard_normal(shape) for shape in shapes]
-        total = sum(param.size for param in params)
-        state, scratch = np.zeros((3, total)), np.zeros((2, total))
-        for step in range(1, steps + 1):
-            grads = [rng.standard_normal(shape) * 10.0 ** (step - 3) for shape in shapes]
-            hyper = (1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9 ** step, 1.0 - 0.999 ** step)
-            backend.adam_step(params, grads, state, scratch, hyper)
-        return tuple(params) + (state[0].copy(), state[1].copy(), scratch[1].copy())
+    HOOKS = (
+        "bias_tanh", "tanh_backward", "gaussian_log_density", "gaussian_log_density_backward",
+        "clipped_surrogate", "clipped_surrogate_backward", "grad_norm", "adam_step",
+    )
 
     def test_blocked_update_runs_the_compiled_kernels(self, monkeypatch):
         """Under ``blocked`` no training hook falls back to numpy on the PPO
         update's own operands."""
-        if not nnb.fused_cells_available():
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        _kernel_pack()
         from repro.core.actor_critic import Critic, GaussianActor
         from repro.core.config import AmoebaConfig
         from repro.core.ppo import PPOUpdater
 
-        hooks = [hook for hook, _ in self.operands(np.random.default_rng(0), 2)] + ["adam_step"]
-        for hook in hooks:
-
-            def forbidden(*args, _hook=hook, **kwargs):
-                raise AssertionError(f"{_hook} fell back to the numpy expression")
-
-            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        _forbid_numpy_bodies(monkeypatch, self.HOOKS)
         config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=2, update_epochs=1)
         actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
         critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
@@ -563,9 +600,7 @@ class TestTrainingHooks:
     def test_strided_views_take_the_compiled_path(self):
         """Strided (non-contiguous) float64 views take the compiled path and
         still match."""
-        kernel = nnb._gates_kernel()
-        if kernel is None:
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        kernel = _kernel_pack()
         rng = np.random.default_rng(72)
         y = rng.standard_normal((6, 8))[:, ::2]
         activation = np.tanh(rng.standard_normal((6, 8)))[:, 1::2]
@@ -579,64 +614,28 @@ class TestTrainingHooks:
 
 class TestConvHooks:
     """The conv-block hooks of DF's fused block and of DF scoring.  Their
-    operands feed the registry-wide bitwise test above; here the compiled
+    table rows feed the registry-wide bitwise test above; here the compiled
     kernels take every DF operand, and operands outside their fast path take
     the numpy expression itself (or raise as it does)."""
 
-    SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324])
     HOOKS = ("im2col_1d", "bias_relu_pool", "bias_relu_pool_backward", "col2im_1d")
 
-    @staticmethod
-    def operands(rng, n, channels):
-        """``(hook, args)`` for the four hooks: DF's two convolutions (kernel
-        5, padding 2) on inputs shorter than the kernel, at and past DF's
-        40-packet window, channel-first and channel-last, and their column
-        gradients; a strided one; then products and pooled gradients
-        holding NaN, infinities, zeros of both signs and tied pairs, over
-        even and odd lengths."""
-        cases = []
-        for length in (2, 3, 4, 20, 41):
-            x = rng.standard_normal((n, channels, length))
-            cases.append(("im2col_1d", (x, 5, 1, 2)))
-            cases.append(("im2col_1d", (np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1), 5, 1, 2)))
-            grad = rng.standard_normal((n, length, channels * 5))
-            grad[rng.random(grad.shape) < 0.2] = -0.0
-            cases.append(("col2im_1d", (grad, length, 5, 1, 2)))
-        cases.append(("im2col_1d", (rng.standard_normal((n, channels, 23)), 3, 2, 0)))
-        cases.append(("col2im_1d", (rng.standard_normal((n, 11, channels * 3)), 23, 3, 2, 0)))
-        for length in (2, 3, 4, 40, 41):
-            for ties in (False, True):
-                if ties:
-                    h = rng.integers(-2, 3, size=(n, length, channels)).astype(np.float64)
-                else:
-                    h = rng.standard_normal((n, length, channels)) * 10.0
-                special = rng.random(h.shape) < 0.25
-                h[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
-                bias = rng.standard_normal(channels)
-                bias[: channels // 2] = 0.0
-                grad = rng.standard_normal((n, channels, length // 2))
-                special = rng.random(grad.shape) < 0.25
-                grad[special] = rng.choice(TestConvHooks.SPECIALS, size=int(special.sum()))
-                cases.append(("bias_relu_pool", (h, bias)))
-                cases.append(("bias_relu_pool_backward", (grad, h, bias)))
-        return cases
-
     def test_blocked_takes_every_df_operand(self, monkeypatch):
-        """The compiled kernels decline none of the operands above."""
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        """The compiled kernels decline none of their rows' operands: DF's
+        convolutions (kernel 5, padding 2) on inputs shorter than the kernel
+        and past DF's 40-packet window, channel-first and channel-last, and
+        products holding NaN, infinities, signed zeros and tied pairs."""
+        _kernel_pack()
+        # With the GEMM compiled, a kernel failing its self-check is a bug.
         assert nnb.fused_cells_available(), nnb.fused_cells_error()
-        for hook in self.HOOKS:
-
-            def forbidden(*args, _hook=hook, **kwargs):
-                raise AssertionError(f"{_hook} fell back to the numpy expression")
-
-            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
+        _forbid_numpy_bodies(monkeypatch, self.HOOKS)
         blocked = nnb.get_backend("blocked")
-        rng = np.random.default_rng(90)
-        with np.errstate(invalid="ignore"):
-            for hook, operands in self.operands(rng, 3, 2) + self.operands(rng, 1, 16):
-                getattr(blocked, hook)(*operands)
+        for hook in nnb._HOOKS:
+            if hook.name in self.HOOKS:
+                for seed in range(2):
+                    for _, args in hook.samples(np.random.default_rng(seed)):
+                        with np.errstate(invalid="ignore"):
+                            getattr(blocked, hook.name)(*args)
 
     @pytest.mark.parametrize(
         "x,kernel_size,stride,padding",
@@ -722,47 +721,16 @@ class TestBPTTHooks:
     under ``blocked``, and operands outside the kernels' fast path take it."""
 
     HOOKS = ("gru_bptt_step", "lstm_bptt_step")
-    SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
 
     @staticmethod
     def operands(rng, batch, steps, size, scale=1.0, specials=0.0):
-        """``(hook, args)`` of both hooks at every step (the LSTM's with and
-        without an output gradient): gate caches of pre-activations of
-        magnitude ``scale``, a share ``specials`` of every input replaced by
-        ±0.0 / NaN / ±inf, NaN-filled slabs."""
-
-        def spiked(array):
-            hit = rng.random(array.shape) < specials
-            array[hit] = rng.choice(TestBPTTHooks.SPECIALS, size=int(hit.sum()))
-            return array
-
-        shape = (batch, steps, size)
-        cases = []
-        for t in range(steps):
-            d_hidden = spiked(rng.standard_normal((batch, size)) * scale)
-            d_cell = spiked(rng.standard_normal((batch, size)) * scale)
-            grad = spiked(rng.standard_normal(shape))
-            gru = [spiked(cache) for cache in nnb._bptt_caches(rng, shape, scale, nnb._GRU_BPTT_CACHES)]
-            lstm = [spiked(cache) for cache in nnb._bptt_caches(rng, shape, scale, nnb._LSTM_BPTT_CACHES)]
-            gru_slabs = np.full((2, batch, steps, 3 * size), np.nan)
-            cases.append(("gru_bptt_step", (t, d_hidden, grad, *gru, *gru_slabs)))
-            for upstream in (grad, None):
-                lstm_slab = np.full((batch, steps, 4 * size), np.nan)
-                cases.append(("lstm_bptt_step", (t, d_hidden, d_cell, upstream, *lstm, lstm_slab)))
-        return cases
-
-    @staticmethod
-    def same(want, have, what):
-        """Equal bits in every element but a NaN, which must be NaN in both
-        but may carry another sign or payload: where two NaNs meet, x86
-        returns the first operand's, and neither numpy's loops nor the C
-        compiler fix which operand of a commutative add or multiply is first."""
-        assert len(want) == len(have), what
-        for expected, got in zip(want, have):
-            assert expected.shape == got.shape and got.dtype == expected.dtype == np.float64, what
-            nan = np.isnan(expected)
-            assert np.array_equal(nan, np.isnan(got)), what
-            assert np.array_equal(expected[~nan].view(np.uint64), got[~nan].view(np.uint64)), what
+        """``(hook, args)`` of both hooks: their table rows' operands at the
+        first, a middle and the last step."""
+        return [
+            (hook, args)
+            for hook in TestBPTTHooks.HOOKS
+            for _, args in nnb._bptt_operands(rng, hook, batch, steps, size, scale, specials)
+        ]
 
     @staticmethod
     def run(backend, hook, operands):
@@ -782,35 +750,29 @@ class TestBPTTHooks:
     )
     @settings(max_examples=40, deadline=None)
     def test_compiled_kernels_equal_the_numpy_bodies(self, batch, size, steps, scale, specials, seed):
-        kernel = nnb._gates_kernel()
-        if kernel is None:
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        kernel = _kernel_pack()
         reference = nnb.get_backend("reference")
         for hook, operands in self.operands(np.random.default_rng(seed), batch, steps, size, scale, specials):
             have = self.run(kernel, hook, operands)
             assert have[0] is not NotImplemented, hook
-            self.same(self.run(reference, hook, operands), have, (hook, operands[0]))
+            _same_results(self.run(reference, hook, operands), have, (hook, operands[0]), nan_aware=True)
 
     def test_blocked_pretraining_and_lstm_fit_never_fall_back(self, monkeypatch):
         """Under ``blocked`` every BPTT step of the StateEncoder's pre-training
         and of the LSTM censor's fit is one compiled call."""
-        if not nnb.fused_cells_available():
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        _kernel_pack()
         from repro.core import pretrain_state_encoder
         from repro.pipeline import make_censor, prepare_experiment_data
 
-        kernel, calls = nnb._gates_kernel(), {hook: 0 for hook in self.HOOKS}
+        blocked, calls = nnb.get_backend("blocked"), {hook: 0 for hook in self.HOOKS}
         for hook in self.HOOKS:
 
-            def forbidden(*args, _hook=hook, **kwargs):
-                raise AssertionError(f"{_hook} fell back to the numpy body")
-
-            def counted(*args, _hook=hook, _kernel=getattr(kernel, hook)):
+            def counted(*args, _hook=hook, _resolved=getattr(blocked, hook)):
                 calls[_hook] += 1
-                return _kernel(*args)
+                return _resolved(*args)
 
-            monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
-            monkeypatch.setattr(kernel, hook, counted)
+            monkeypatch.setattr(blocked, hook, counted)
+        _forbid_numpy_bodies(monkeypatch, self.HOOKS)
         with nnb.use_backend("blocked"):
             pretrain_state_encoder(hidden_size=8, num_layers=2, n_flows=20, max_length=6, epochs=1, rng=0)
             assert calls["gru_bptt_step"] > 0
@@ -823,7 +785,7 @@ class TestBPTTHooks:
         slab or a step outside ``[0, T)`` take the numpy body (which raises
         for the step, as it always did)."""
         blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
-        kernel = nnb._gates_kernel()
+        kernel = nnb._ensure_kernel()
         rng = np.random.default_rng(95)
         hook, operands = self.operands(rng, 4, 3, 5)[0]
         t, d_hidden, grad, *rest = operands
@@ -890,9 +852,7 @@ class TestPinnedNumpyAssumptions:
         numpy's pairwise sum over its elements in memory order starting from
         0.0 -- the reduction ``grad_norm``'s kernel reproduces -- so the
         kernel equals ``(g ** 2).sum()`` per gradient."""
-        kernel = nnb._gates_kernel()
-        if kernel is None:
-            pytest.skip(f"fused kernels unavailable: {nnb.fused_cells_error()}")
+        kernel = _kernel_pack()
         rng = np.random.default_rng(81)
         # Terms of one magnitude too: a dominating term would hide the sum's
         # structure in rounding.
@@ -977,13 +937,11 @@ def test_bound_ufunc_loops_equal_ufunc():
     length or on where an element falls in the SIMD tail.  If this fails, every fused
     kernel (``gru_gates``, ``gru_step``, ``tanh_mlp``) would drift from the
     numpy composition in the last ulp; the load-time self-check would then
-    degrade ``blocked`` to the composition (``fused_cells_error`` names the
-    loop), and the perf harness would refuse to measure.
+    degrade every hook whose kernel runs the loops to its numpy body
+    (``fused_cells_error`` names the loop), and the perf harness would
+    refuse to measure.
     """
-    kernel = nnb._ensure_kernel()
-    if kernel is None:
-        pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-    nnb.fused_cells_available()  # binds the loops
+    kernel = _kernel_pack()
     rng = np.random.default_rng(60)
     tiny = np.finfo(np.float64).tiny
     specials = np.array(
@@ -1101,8 +1059,7 @@ class TestFusedNetworkKernels:
             self._assert_backends_agree(nets, pairs, slab, states)
 
     def test_blocked_tick_calls_no_python_matmul_or_gates(self, nets, monkeypatch):
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        _kernel_pack()
         # With the GEMM compiled, a fused kernel failing its self-check is a bug.
         assert nnb.fused_cells_available(), nnb.fused_cells_error()
         from repro.nn import functional as F
@@ -1112,7 +1069,7 @@ class TestFusedNetworkKernels:
 
         for owner, name in (
             (nnb.BlockedBackend, "matmul2d"),
-            (nnb.BlockedBackend, "gru_gates"),
+            (nnb.get_backend("blocked"), "gru_gates"),
             (nnb.ExecutionBackend, "gru_step"),
             (nnb.ExecutionBackend, "tanh_mlp"),
             (F, "gru_cell_forward"),
@@ -1123,18 +1080,22 @@ class TestFusedNetworkKernels:
         with nnb.use_backend("blocked"):
             self._tick(nets, pairs, slab, states, np.zeros((16, 2)))
 
-    def test_loop_mismatch_degrades_once_to_the_composition(self, nets, monkeypatch):
-        kernel = nnb._ensure_kernel()
-        if kernel is None:
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-        monkeypatch.setattr(nnb, "_GATES_OK", None)
-        monkeypatch.setattr(nnb, "_GATES_ERROR", None)
+    def test_loop_mismatch_degrades_once_to_the_composition(self, nets, monkeypatch, fresh_blocked):
+        """A bound loop that differs from its ufunc fails exactly the rows
+        whose kernels run the loops; the conv and BPTT hooks stay compiled."""
+        kernel = _kernel_pack()
+        fresh_blocked()
         monkeypatch.setattr(nnb, "_LOOP_UFUNCS", (np.exp, np.sinh))
         try:
-            with pytest.warns(RuntimeWarning, match="fused-cell kernels unavailable") as record:
-                assert not nnb.fused_cells_available()
+            with pytest.warns(RuntimeWarning, match="failed their self-check") as record:
+                status = nnb.hook_status()
             assert len(record) == 1
+            failed = [name for name, reason in status.items() if reason]
+            assert failed == [hook.name for hook in nnb._HOOKS if hook.loops]
+            assert all("tanh loop" in status[name] for name in failed)
             assert "tanh loop" in nnb.fused_cells_error()
+            compiled = TestConvHooks.HOOKS + TestBPTTHooks.HOOKS + ("lstm_gates", "tanh_backward")
+            assert all(status[name] is None for name in compiled)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert nnb.get_backend("blocked").describe()["fused_cells"] == "numpy-fallback"
@@ -1147,7 +1108,8 @@ class TestFusedNetworkKernels:
 
 
 class TestKernelFallbackWarning:
-    def test_compile_failure_warns_once_and_reports(self, monkeypatch):
+    def test_compile_failure_warns_once_and_reports(self, monkeypatch, fresh_blocked):
+        fresh_blocked()
         monkeypatch.setattr(nnb, "_KERNEL", nnb._UNSET)
         monkeypatch.setattr(nnb, "_KERNEL_ERROR", None)
         monkeypatch.setattr(
@@ -1176,9 +1138,28 @@ class TestKernelFallbackWarning:
             warnings.simplefilter("error")
             assert not nnb.compiled_kernel_available()
 
+    @pytest.mark.parametrize(
+        "script,reason",
+        [
+            ('echo "cc1: note: first" >&2\necho "cc1: fatal error: boom" >&2\nexit 1\n', "cc1: fatal error: boom"),
+            ("exit 3\n", "{compiler} exited with status 3"),
+        ],
+    )
+    def test_compile_failure_names_the_last_stderr_line_or_the_status(
+        self, tmp_path, monkeypatch, script, reason
+    ):
+        compiler = tmp_path / "cc"
+        compiler.write_text("#!/bin/sh\n" + script)
+        compiler.chmod(0o755)
+        monkeypatch.setenv("CC", str(compiler))
+        with pytest.raises(RuntimeError) as excinfo:
+            nnb._compile_kernel(str(tmp_path / "kernel.so"))
+        assert str(excinfo.value) == "kernel compilation failed: " + reason.format(compiler=compiler)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cc"]
+
 
 class TestTensorRouting:
-    def test_rc_matmul_routes_through_active_backend(self):
+    def test_rc_matmul_routes_through_active_backend(self, monkeypatch):
         calls = []
 
         class Probe(nnb.ExecutionBackend):
@@ -1188,15 +1169,10 @@ class TestTensorRouting:
                 calls.append((a.shape, b.shape))
                 return np.einsum("ik,kh->ih", a, b)
 
-        nnb.register_backend(Probe())
-        try:
-            a = np.ones((2, 3))
-            b = np.ones((3, 4))
-            with nn.row_consistent_matmul(), nnb.use_backend("probe-test"):
-                rc_matmul(a, b)
-            assert calls == [((2, 3), (3, 4))]
-        finally:
-            nnb._REGISTRY.pop("probe-test", None)
+        monkeypatch.setitem(nnb._REGISTRY, "probe-test", Probe())
+        with nn.row_consistent_matmul(), nnb.use_backend("probe-test"):
+            rc_matmul(np.ones((2, 3)), np.ones((3, 4)))
+        assert calls == [((2, 3), (3, 4))]
 
     def test_tensor_matmul_uses_backend_inside_rc_context(self):
         rng = np.random.default_rng(7)
@@ -1219,7 +1195,7 @@ class TestTensorRouting:
         assert x.grad is not None and w.grad is not None
         np.testing.assert_allclose(w.grad, x.data.sum(axis=0, keepdims=True).T @ np.ones((1, 2)))
 
-    def test_outside_rc_context_backend_not_consulted(self):
+    def test_outside_rc_context_backend_not_consulted(self, monkeypatch):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
@@ -1230,12 +1206,9 @@ class TestTensorRouting:
             def matmul2d(self, a, b):
                 raise AssertionError("backend consulted outside the rc context")
 
-        nnb.register_backend(Tripwire())
-        try:
-            with nnb.use_backend("tripwire-test"):
-                out = rc_matmul(a, b)  # no rc context: plain float64 BLAS
-        finally:
-            nnb._REGISTRY.pop("tripwire-test", None)
+        monkeypatch.setitem(nnb._REGISTRY, "tripwire-test", Tripwire())
+        with nnb.use_backend("tripwire-test"):
+            out = rc_matmul(a, b)  # no rc context: plain float64 BLAS
         assert np.array_equal(out, a @ b)
 
     def test_linear_layer_batch_invariance_under_blocked(self):

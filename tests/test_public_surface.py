@@ -17,8 +17,7 @@ SURFACES = {
         "row_consistent_matmul", "rc_matmul",
         "backend", "ExecutionBackend", "active_backend", "available_backends",
         "compiled_kernel_available", "compiled_kernel_error", "default_backend",
-        "fused_cells_available", "fused_cells_error", "get_backend",
-        "register_backend", "set_default_backend", "use_backend",
+        "fused_cells_available", "fused_cells_error", "get_backend", "use_backend",
         "functional", "Module", "Parameter", "Linear", "Sequential", "ReLU", "Tanh",
         "Conv1d", "GRUCell", "GRU", "LSTMCell", "LSTM",
         "Adam", "clip_grad_norm", "xavier_uniform", "kaiming_uniform", "orthogonal",
@@ -203,6 +202,11 @@ UNREACHED_FUNCTIONS = [
     ("repro.nn.functional", "gaussian_log_prob"),
     ("repro.nn.functional", "gaussian_entropy"),
     ("repro.nn.functional", "tanh_mlp"),
+    # The two backends are built at import; REPRO_NN_BACKEND picks the default.
+    ("repro.nn", "register_backend"),
+    ("repro.nn.backend", "register_backend"),
+    ("repro.nn", "set_default_backend"),
+    ("repro.nn.backend", "set_default_backend"),
 ]
 
 
