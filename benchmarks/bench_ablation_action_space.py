@@ -12,36 +12,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AmoebaConfig, Amoeba
 from repro.eval import format_table
+from repro.pipeline import run_experiment
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 
 def test_ablation_action_space(benchmark, tor_suite):
-    data = tor_suite.data
-    censor = tor_suite.censors["DF"]
-    eval_flows = tor_suite.eval_flows()[: EVAL_FLOWS // 2]
-
+    spec = HALF_TOR_SPEC.with_overrides(censors=("DF",), agent_seed=555)
     variants = {
-        "truncation+padding": AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-            max_episode_steps=2 * MAX_PACKETS
-        ),
+        "truncation+padding": spec,
         # lambda_split > 0.1 suppresses truncation (Appendix A.4); combined with a
         # single-truncation budget this makes the agent effectively padding-only.
-        "padding-only": AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-            max_episode_steps=2 * MAX_PACKETS,
-            lambda_split=1.0,
-            max_truncations_per_packet=1,
-        ),
+        "padding-only": spec.with_overrides(agent=dict(lambda_split=1.0, max_truncations_per_packet=1)),
     }
 
     rows = []
     results = {}
-    for label, config in variants.items():
-        agent = Amoeba(censor, data.normalizer, config, rng=555)
-        agent.train(data.splits.attack_train.censored_flows, total_timesteps=AMOEBA_TIMESTEPS // 2)
-        report = agent.evaluate(eval_flows)
+    for label, variant in variants.items():
+        report = run_experiment(variant).reports["DF"]
         truncation_usage = np.mean(
             [r.action_counts["truncation"] for r in report.results]
         )
@@ -67,6 +56,6 @@ def test_ablation_action_space(benchmark, tor_suite):
     # The padding-only configuration must indeed use (almost) no truncation.
     assert results["padding-only"][1] <= results["truncation+padding"][1] + 1e-9
 
-    flow = eval_flows[0]
+    flow = tor_suite.eval_flows()[0]
     agent = tor_suite.agents["DF"]
     benchmark.pedantic(lambda: agent.attack(flow), rounds=3, iterations=1)

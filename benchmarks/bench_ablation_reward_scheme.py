@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Amoeba, AmoebaConfig
 from repro.eval import format_table
+from repro.pipeline import run_experiment
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 
 def test_ablation_reward_scheme(benchmark, tor_suite):
-    data = tor_suite.data
-    censor = tor_suite.censors["DF"]
-    eval_flows = tor_suite.eval_flows()[: EVAL_FLOWS // 2]
-
+    spec = HALF_TOR_SPEC.with_overrides(censors=("DF",), agent_seed=717)
     variants = {
         "per-step censor reward": 0.0,
         "no censor feedback (fully masked)": 1.0,
@@ -30,14 +27,9 @@ def test_ablation_reward_scheme(benchmark, tor_suite):
     rows = []
     queries = {}
     for label, mask_rate in variants.items():
-        config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-            max_episode_steps=2 * MAX_PACKETS, reward_mask_rate=mask_rate
-        )
-        censor.reset_query_count()
-        agent = Amoeba(censor, data.normalizer, config, rng=717)
-        agent.train(data.splits.attack_train.censored_flows, total_timesteps=AMOEBA_TIMESTEPS // 2)
-        queries[label] = censor.query_count
-        report = agent.evaluate(eval_flows)
+        result = run_experiment(spec.with_overrides(agent=dict(reward_mask_rate=mask_rate)))
+        queries[label] = result.training_queries["DF"]
+        report = result.reports["DF"]
         rows.append(
             {
                 "reward_scheme": label,

@@ -12,29 +12,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Amoeba, AmoebaConfig, StateEncoder
+from repro.core import Amoeba, StateEncoder
 from repro.eval import format_table
+from repro.pipeline import run_experiment
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 
 def test_ablation_state_encoder(benchmark, tor_suite):
-    data = tor_suite.data
-    censor = tor_suite.censors["DT"]
-    eval_flows = tor_suite.eval_flows()[: EVAL_FLOWS // 2]
-    config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-        max_episode_steps=2 * MAX_PACKETS
-    )
+    spec = HALF_TOR_SPEC.with_overrides(censors=("DT",), agent_seed=616)
+    # Pre-trained encoder (Algorithm 2): the spec's own agent.
+    result = run_experiment(spec)
+    pretrained_agent = result.agents["DT"]
 
-    # Pre-trained encoder (Algorithm 2) vs. random frozen encoder.
-    pretrained_agent = Amoeba(censor, data.normalizer, config, rng=616)
+    # Random frozen encoder: the same config, censor and budget.
+    config = spec.agent_config()
     random_encoder = StateEncoder(hidden_size=config.encoder_hidden, num_layers=config.encoder_layers, rng=617)
-    random_agent = Amoeba(censor, data.normalizer, config, rng=618, state_encoder=random_encoder)
+    random_agent = Amoeba(result.censors["DT"], result.data.normalizer, config, rng=618, state_encoder=random_encoder)
+    random_agent.train(result.data.splits.attack_train.censored_flows, total_timesteps=spec.timesteps)
 
     rows = []
-    for label, agent in (("pretrained encoder", pretrained_agent), ("random encoder", random_agent)):
-        agent.train(data.splits.attack_train.censored_flows, total_timesteps=AMOEBA_TIMESTEPS // 2)
-        report = agent.evaluate(eval_flows)
+    for label, report in (
+        ("pretrained encoder", result.reports["DT"]),
+        ("random encoder", random_agent.evaluate(result.eval_flows())),
+    ):
         rows.append(
             {
                 "state_encoder": label,

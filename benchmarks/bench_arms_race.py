@@ -12,30 +12,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.censors import RandomForestCensor
-from repro.core import AmoebaConfig, run_arms_race
+from repro.core import run_arms_race
 from repro.eval import format_table
 from repro.flows import FlowLabel
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 
 def test_arms_race(benchmark, tor_suite):
     data = tor_suite.data
-    config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-        max_episode_steps=2 * MAX_PACKETS
-    )
+    spec = HALF_TOR_SPEC.with_overrides(agent_seed=123)
     result = run_arms_race(
         censor_factory=lambda: RandomForestCensor(n_estimators=10, rng=0),
         normalizer=data.normalizer,
         clf_train_flows=data.splits.clf_train.flows,
         attack_train_flows=data.splits.attack_train.censored_flows,
         test_flows=data.splits.test.flows,
-        eval_flows=tor_suite.eval_flows()[: EVAL_FLOWS // 2],
+        eval_flows=data.splits.test.censored_flows[: spec.eval_flows],
         n_rounds=3,
-        amoeba_timesteps=AMOEBA_TIMESTEPS // 2,
+        amoeba_timesteps=spec.timesteps,
         harvest_per_round=10,
-        config=config,
-        rng=123,
+        config=spec.agent_config(),
+        rng=spec.agent_seed,
     )
 
     rows = [

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.censors import DeepFingerprintingClassifier
-from repro.core import AmoebaConfig
 from repro.eval import format_table
 from repro.flows import NetworkCondition
-from repro.pipeline import prepare_experiment_data, train_amoeba
+from repro.pipeline import make_censor, run_experiment, train_amoeba
 
-from conftest import AMOEBA_TIMESTEPS, CENSOR_EPOCHS, DATASET_FLOWS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 DROP_RATES = (0.0, 0.05, 0.10)
 
@@ -29,22 +27,17 @@ def test_fig6_packet_drop_grid(benchmark):
     # Build one experiment per drop rate (training environment).
     experiments = {}
     for index, rate in enumerate(DROP_RATES):
-        data = prepare_experiment_data(
-            "tor",
-            n_censored=DATASET_FLOWS // 2,
-            n_benign=DATASET_FLOWS // 2,
-            max_packets=MAX_PACKETS,
-            drop_rate=rate,
-            rng=400 + index,
+        spec = HALF_TOR_SPEC.with_overrides(
+            flows=HALF_TOR_SPEC.flows // 2, drop_rate=rate, censors=(),
+            data_seed=400 + index, censor_seed=401 + index, agent_seed=402 + index,
         )
-        censor = DeepFingerprintingClassifier(
-            data.representation, epochs=CENSOR_EPOCHS, rng=401 + index
-        ).fit(data.splits.clf_train.flows)
-        config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-            max_episode_steps=2 * MAX_PACKETS
-        )
+        data = run_experiment(spec).data
+        # This figure seeds its DF with censor_seed itself, not with
+        # train_censors' child for DF, which keeps its table as recorded.
+        censor = make_censor("DF", data, rng=spec.censor_seed, epochs=spec.censor_epochs)
+        censor.fit(data.splits.clf_train.flows)
         agent = train_amoeba(
-            censor, data, total_timesteps=AMOEBA_TIMESTEPS // 2, config=config, rng=402 + index
+            censor, data, total_timesteps=spec.timesteps, config=spec.agent_config(), rng=spec.agent_seed
         )
         experiments[rate] = (data, agent)
 
@@ -55,7 +48,7 @@ def test_fig6_packet_drop_grid(benchmark):
         row = {"train_drop": f"{train_rate:.0%}"}
         for j, test_rate in enumerate(DROP_RATES):
             test_data, _ = experiments[test_rate]
-            report = agent.evaluate(test_data.splits.test.censored_flows[: EVAL_FLOWS // 2])
+            report = agent.evaluate(test_data.splits.test.censored_flows[: HALF_TOR_SPEC.eval_flows])
             matrix[i, j] = report.attack_success_rate
             row[f"test_{test_rate:.0%}"] = report.attack_success_rate
         rows.append(row)

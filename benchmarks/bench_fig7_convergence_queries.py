@@ -13,28 +13,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks import BAPAttack, NIDSGANAttack
-from repro.core import AmoebaConfig, Amoeba
 from repro.eval import curve_from_log, format_series
+from repro.pipeline import run_experiment
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import TOR_SPEC
 
 
-def test_fig7_convergence(benchmark, tor_suite):
-    data = tor_suite.data
-    censor = tor_suite.censors["DF"]
-    attack_train = data.splits.attack_train.censored_flows
-    eval_flows = tor_suite.eval_flows()[: EVAL_FLOWS // 2]
-
+def test_fig7_convergence(benchmark):
     # --- Amoeba: track train-ASR against cumulative censor queries. ---------
-    censor.reset_query_count()
-    config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-        max_episode_steps=2 * MAX_PACKETS
-    )
-    agent = Amoeba(censor, data.normalizer, config, rng=777)
-    agent.train(attack_train, total_timesteps=AMOEBA_TIMESTEPS)
-    amoeba_curve = curve_from_log(agent.training_log, y_key="train_asr", x_key="queries", label="Amoeba")
-    amoeba_queries = int(censor.query_count)
-    amoeba_asr = agent.evaluate(eval_flows).attack_success_rate
+    spec = TOR_SPEC.with_overrides(censors=("DF",), eval_flows=TOR_SPEC.eval_flows // 2, agent_seed=777)
+    result = run_experiment(spec)
+    censor = result.censors["DF"]
+    attack_train = result.data.splits.attack_train.censored_flows
+    eval_flows = result.eval_flows()
+    amoeba_curve = curve_from_log(result.agents["DF"].training_log, y_key="train_asr", x_key="queries", label="Amoeba")
+    amoeba_queries = result.training_queries["DF"]
+    amoeba_asr = result.reports["DF"].attack_success_rate
 
     # --- White-box baselines: queries spent during generator training. ------
     nidsgan = NIDSGANAttack(censor, epochs=5, rng=0).fit(attack_train[:40])

@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv, AmoebaConfig, VectorFlowEnv, reward_mask_sweep
+from repro.core import AdversarialFlowEnv, VectorFlowEnv, reward_mask_sweep
 from repro.eval import format_table
 
-from conftest import AMOEBA_TIMESTEPS, EVAL_FLOWS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 MASK_RATES = (0.0, 0.5, 0.9)
 
 
 def test_fig8_reward_mask_sweep(benchmark, tor_suite):
     data = tor_suite.data
-    config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-        max_episode_steps=2 * MAX_PACKETS
-    )
+    # The sweep trains its agents from one generator seeded with agent_seed.
+    spec = HALF_TOR_SPEC.with_overrides(agent_seed=888)
+    config = spec.agent_config()
     rows = []
     degradations = {}
     for censor_name in ("DF", "DT"):
@@ -34,12 +34,12 @@ def test_fig8_reward_mask_sweep(benchmark, tor_suite):
             censor,
             data.normalizer,
             data.splits.attack_train.censored_flows,
-            tor_suite.eval_flows()[: EVAL_FLOWS // 2],
+            data.splits.test.censored_flows[: spec.eval_flows],
             mask_rates=MASK_RATES,
-            total_timesteps=AMOEBA_TIMESTEPS // 2,
+            total_timesteps=spec.timesteps,
             base_config=config,
             repeats=1,
-            rng=888,
+            rng=spec.agent_seed,
         )
         for point in points:
             rows.append(

@@ -10,29 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Amoeba, AmoebaConfig
 from repro.eval import curve_from_log, format_series
+from repro.pipeline import run_experiment
 
-from conftest import AMOEBA_TIMESTEPS, FAST_AGENT_OVERRIDES, MAX_PACKETS
+from conftest import HALF_TOR_SPEC
 
 MASK_RATES = (0.0, 0.5, 0.9)
 
 
 def test_fig9_convergence_under_masking(benchmark, tor_suite):
-    data = tor_suite.data
-    censor = tor_suite.censors["DF"]
+    spec = HALF_TOR_SPEC.with_overrides(censors=("DF",), agent_seed=999)
     curves = {}
     for mask_rate in MASK_RATES:
-        config = AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES).with_overrides(
-            max_episode_steps=2 * MAX_PACKETS, reward_mask_rate=mask_rate
-        )
-        censor.reset_query_count()
-        agent = Amoeba(censor, data.normalizer, config, rng=999)
-        agent.train(data.splits.attack_train.censored_flows, total_timesteps=AMOEBA_TIMESTEPS // 2)
+        result = run_experiment(spec.with_overrides(agent=dict(reward_mask_rate=mask_rate)))
         curve = curve_from_log(
-            agent.training_log, y_key="train_asr", x_key="timesteps", label=f"mask={mask_rate:.0%}"
+            result.agents["DF"].training_log, y_key="train_asr", x_key="timesteps", label=f"mask={mask_rate:.0%}"
         )
-        curves[mask_rate] = (curve, censor.query_count)
+        curves[mask_rate] = (curve, result.training_queries["DF"])
 
     print()
     for mask_rate, (curve, queries) in curves.items():

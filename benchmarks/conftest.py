@@ -1,11 +1,16 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure from the paper's evaluation
-(Section 5).  Heavy work — dataset synthesis, censor training, Amoeba
-training — happens once per session in the fixtures below and is shared
-across benchmarks; the ``benchmark`` fixture then times a representative
-kernel (policy inference, flow scoring, attack generation) so
-``pytest-benchmark`` output stays meaningful.
+(Section 5).  Each run is a :class:`~repro.pipeline.ExperimentSpec`: the two
+suites below (``TOR_SPEC`` and ``V2RAY_SPEC``: dataset synthesis, all six
+censors, one trained Amoeba agent per censor) run once per session and are
+shared across benchmarks.  A benchmark that trains its own agents derives
+its spec from ``TOR_SPEC`` or ``HALF_TOR_SPEC`` with ``with_overrides``;
+since each censor is keyed by its name, a one-censor spec rebuilds the
+suite's censor exactly, and ``str(spec)`` prints what a benchmark runs.
+The ``benchmark`` fixture then times a representative kernel (policy
+inference, flow scoring, attack generation) so ``pytest-benchmark`` output
+stays meaningful.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -19,108 +24,45 @@ Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict
 
-import numpy as np
 import pytest
 
-from repro.censors.base import CensorClassifier
-from repro.core import Amoeba, AmoebaConfig, EvaluationReport
-from repro.pipeline import (
-    CENSOR_NAMES,
-    ExperimentData,
-    prepare_experiment_data,
-    train_amoeba,
-    train_censors,
-)
+from repro.pipeline import ExperimentResult, ExperimentSpec, run_experiment
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
 
 if SCALE == "full":
-    DATASET_FLOWS = 400
-    MAX_PACKETS = 80
-    CENSOR_EPOCHS = 20
-    AMOEBA_TIMESTEPS = 20_000
-    EVAL_FLOWS = 100
+    SCALED = dict(flows=400, max_packets=80, censor_epochs=20, timesteps=20_000, eval_flows=100)
 else:
-    DATASET_FLOWS = 72
-    MAX_PACKETS = 32
-    CENSOR_EPOCHS = 8
-    AMOEBA_TIMESTEPS = 800
-    EVAL_FLOWS = 16
+    SCALED = dict(flows=72, max_packets=32, censor_epochs=8, timesteps=800, eval_flows=16)
 
-FAST_AGENT_OVERRIDES = dict(
-    n_envs=2,
-    rollout_length=32,
-    encoder_hidden=16,
-    actor_hidden=(32, 16),
-    critic_hidden=(32, 16),
+TOR_SPEC = ExperimentSpec(
+    **SCALED,
+    agent=dict(
+        n_envs=2,
+        rollout_length=32,
+        encoder_hidden=16,
+        actor_hidden=(32, 16),
+        critic_hidden=(32, 16),
+        max_episode_steps=2 * SCALED["max_packets"],
+    ),
+    data_seed=101,
+    censor_seed=102,
+    agent_seed=111,
 )
-
-
-@dataclass
-class ExperimentSuite:
-    """Everything one dataset-level experiment produces."""
-
-    data: ExperimentData
-    censors: Dict[str, CensorClassifier]
-    agents: Dict[str, Amoeba] = field(default_factory=dict)
-    reports: Dict[str, EvaluationReport] = field(default_factory=dict)
-    training_queries: Dict[str, int] = field(default_factory=dict)
-
-    def eval_flows(self):
-        return self.data.splits.test.censored_flows[:EVAL_FLOWS]
-
-
-def _build_suite(dataset_name: str, censor_names, seed: int) -> ExperimentSuite:
-    data = prepare_experiment_data(
-        dataset_name,
-        n_censored=DATASET_FLOWS,
-        n_benign=DATASET_FLOWS,
-        max_packets=MAX_PACKETS,
-        rng=seed,
-    )
-    censors = train_censors(data, names=censor_names, rng=seed + 1, epochs=CENSOR_EPOCHS)
-    suite = ExperimentSuite(data=data, censors=censors)
-
-    base_config = (
-        AmoebaConfig.for_v2ray(**FAST_AGENT_OVERRIDES)
-        if dataset_name == "v2ray"
-        else AmoebaConfig.for_tor(**FAST_AGENT_OVERRIDES)
-    )
-    base_config = base_config.with_overrides(max_episode_steps=2 * MAX_PACKETS)
-
-    for index, (name, censor) in enumerate(censors.items()):
-        censor.reset_query_count()
-        agent = train_amoeba(
-            censor,
-            data,
-            total_timesteps=AMOEBA_TIMESTEPS,
-            config=base_config,
-            rng=seed + 10 + index,
-        )
-        suite.training_queries[name] = censor.query_count
-        suite.agents[name] = agent
-        suite.reports[name] = agent.evaluate(suite.eval_flows())
-    return suite
+V2RAY_SPEC = TOR_SPEC.with_overrides(dataset="v2ray", data_seed=202, censor_seed=203, agent_seed=212)
+# Most benches that train their own agents give them half the suite's budget
+# and evaluate them on half its flows.
+HALF_TOR_SPEC = TOR_SPEC.with_overrides(timesteps=TOR_SPEC.timesteps // 2, eval_flows=TOR_SPEC.eval_flows // 2)
 
 
 @pytest.fixture(scope="session")
-def tor_suite() -> ExperimentSuite:
+def tor_suite() -> ExperimentResult:
     """Tor dataset, all six censors, one trained Amoeba agent per censor."""
-    return _build_suite("tor", CENSOR_NAMES, seed=101)
+    return run_experiment(TOR_SPEC)
 
 
 @pytest.fixture(scope="session")
-def v2ray_suite() -> ExperimentSuite:
+def v2ray_suite() -> ExperimentResult:
     """V2Ray dataset, all six censors, one trained Amoeba agent per censor."""
-    return _build_suite("v2ray", CENSOR_NAMES, seed=202)
-
-
-@pytest.fixture(scope="session")
-def tor_data() -> ExperimentData:
-    """Lightweight Tor experiment data without any trained models."""
-    return prepare_experiment_data(
-        "tor", n_censored=DATASET_FLOWS, n_benign=DATASET_FLOWS, max_packets=MAX_PACKETS, rng=303
-    )
+    return run_experiment(V2RAY_SPEC)

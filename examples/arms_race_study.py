@@ -14,14 +14,18 @@ Run with:  python examples/arms_race_study.py
 from __future__ import annotations
 
 from repro.censors import RandomForestCensor
-from repro.core import AmoebaConfig, run_arms_race
+from repro.core import run_arms_race
 from repro.eval import format_table
-from repro.pipeline import prepare_experiment_data
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("tor", n_censored=100, n_benign=100, max_packets=32, rng=61)
-    config = AmoebaConfig.for_tor(n_envs=2, rollout_length=32, max_episode_steps=64)
+    # The data only (no censors): each round fits its own censor.
+    spec = ExperimentSpec(
+        flows=100, max_packets=32, censors=(), agent=dict(n_envs=2, rollout_length=32), timesteps=1500,
+        eval_flows=15, data_seed=61, agent_seed=62,
+    )
+    data = run_experiment(spec).data
 
     result = run_arms_race(
         censor_factory=lambda: RandomForestCensor(n_estimators=15, rng=0),
@@ -29,12 +33,12 @@ def main() -> None:
         clf_train_flows=data.splits.clf_train.flows,
         attack_train_flows=data.splits.attack_train.censored_flows,
         test_flows=data.splits.test.flows,
-        eval_flows=data.splits.test.censored_flows[:15],
+        eval_flows=data.splits.test.censored_flows[: spec.eval_flows],
         n_rounds=3,
-        amoeba_timesteps=1500,
+        amoeba_timesteps=spec.timesteps,
         harvest_per_round=15,
-        config=config,
-        rng=62,
+        config=spec.agent_config(),
+        rng=spec.agent_seed,
     )
 
     rows = [

@@ -24,17 +24,18 @@ import numpy as np
 
 from repro.core import ProfileDatabase
 from repro.eval import delay_distribution_summary, format_percent, fraction_below
-from repro.pipeline import prepare_experiment_data, train_amoeba, train_censors
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("tor", n_censored=100, n_benign=100, max_packets=32, rng=31)
-    censors = train_censors(data, names=("RF",), rng=32)
-    censor = censors["RF"]
-    agent = train_amoeba(censor, data, total_timesteps=2500, rng=33)
+    spec = ExperimentSpec(
+        flows=100, max_packets=32, censors=("RF",), timesteps=2500, data_seed=31, censor_seed=32, agent_seed=33
+    )
+    result = run_experiment(spec)
+    data, agent = result.data, result.agents["RF"]
 
     # --- Online mode -------------------------------------------------------
-    online = agent.evaluate(data.splits.test.censored_flows[:20])
+    online = result.reports["RF"]
     print(
         f"online mode:  ASR={format_percent(online.attack_success_rate)}  "
         f"DO={format_percent(online.data_overhead)}  TO={format_percent(online.time_overhead)}"

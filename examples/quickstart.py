@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Quickstart: train Amoeba against one censoring classifier and evade it.
 
-This is the smallest end-to-end use of the public API:
+This is the smallest end-to-end use of the public API.  One
+``ExperimentSpec`` states the paper's recipe (Section 5.4) and
+``run_experiment`` runs it:
 
-1. synthesise a Tor-vs-HTTPS dataset and split it (Section 5.4 of the paper);
+1. synthesise a Tor-vs-HTTPS dataset and split it;
 2. train a censoring classifier (a decision tree over 166 statistical
    features) on the censor's share of the data;
 3. train the Amoeba agent against that classifier using only its
@@ -16,42 +18,36 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.censors import DecisionTreeCensor
-from repro.core import Amoeba, AmoebaConfig
 from repro.eval import format_percent
 from repro.eval.metrics import classifier_detection_report
-from repro.features import FlowNormalizer
-from repro.flows import build_tor_dataset
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    rng = np.random.default_rng(0)
+    spec = ExperimentSpec(
+        flows=150, max_packets=40, censors=("DT",), agent=dict(n_envs=2, rollout_length=32, max_episode_steps=80),
+        data_seed=0, censor_seed=1, agent_seed=2,
+    )
+    print(f"running {spec}")
+    result = run_experiment(spec)
 
     # 1. Dataset: Tor (censored) vs plain HTTPS (benign) flows at the TCP layer.
-    dataset = build_tor_dataset(n_censored=150, n_benign=150, rng=rng, max_packets=40)
-    splits = dataset.split(rng=rng)
-    print(f"dataset: {len(dataset)} flows, splits = {splits.sizes()}")
+    splits = result.data.splits
+    print(f"dataset: {len(result.data.dataset)} flows, splits = {splits.sizes()}")
 
-    # 2. The censor trains its classifier on its own capture (clf_train).
-    censor = DecisionTreeCensor(rng=1).fit(splits.clf_train.flows)
-    baseline = classifier_detection_report(censor, splits.test.flows)
+    # 2. The censor trained its classifier on its own capture (clf_train).
+    baseline = classifier_detection_report(result.censors["DT"], splits.test.flows)
     print(
         f"censor (DT) before any attack: accuracy={baseline['accuracy']:.3f} "
         f"F1={baseline['f1']:.3f}"
     )
 
-    # 3. The attacker trains Amoeba on its own traffic (attack_train), observing
-    #    only the censor's per-prefix allow/block decisions.
-    normalizer = FlowNormalizer(size_scale=1460.0, delay_scale=200.0)
-    config = AmoebaConfig.for_tor(n_envs=2, rollout_length=32, max_episode_steps=80)
-    agent = Amoeba(censor, normalizer, config, rng=2)
-    agent.train(splits.attack_train.censored_flows, total_timesteps=3000)
-    print(f"training used {censor.query_count} censor queries")
+    # 3. The attacker trained Amoeba on its own traffic (attack_train),
+    #    observing only the censor's per-prefix allow/block decisions.
+    print(f"training used {result.training_queries['DT']} censor queries")
 
-    # 4. Evaluate on held-out censored flows.
-    report = agent.evaluate(splits.test.censored_flows)
+    # 4. Evaluation on held-out censored flows.
+    report = result.reports["DT"]
     print(
         f"Amoeba: ASR={format_percent(report.attack_success_rate)}  "
         f"data overhead={format_percent(report.data_overhead)}  "

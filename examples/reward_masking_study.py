@@ -12,39 +12,28 @@ Run with:  python examples/reward_masking_study.py
 
 from __future__ import annotations
 
-from repro.core import reward_mask_sweep
-from repro.core.config import AmoebaConfig
 from repro.eval import format_table
-from repro.pipeline import prepare_experiment_data, train_censors
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("tor", n_censored=100, n_benign=100, max_packets=32, rng=51)
-    censor = train_censors(data, names=("DT",), rng=52)["DT"]
-
-    config = AmoebaConfig.for_tor(n_envs=2, rollout_length=32, max_episode_steps=64)
-    points = reward_mask_sweep(
-        censor,
-        data.normalizer,
-        data.splits.attack_train.censored_flows,
-        data.splits.test.censored_flows[:15],
-        mask_rates=(0.0, 0.3, 0.6, 0.9),
-        total_timesteps=2000,
-        base_config=config,
-        repeats=1,
-        rng=53,
+    spec = ExperimentSpec(
+        flows=100, max_packets=32, censors=("DT",), agent=dict(n_envs=2, rollout_length=32), timesteps=2000,
+        eval_flows=15, data_seed=51, censor_seed=52, agent_seed=53,
     )
-
-    rows = [
-        {
-            "mask_rate": f"{point.mask_rate:.0%}",
-            "actual_queries": point.actual_queries,
-            "asr": point.attack_success_rate,
-            "data_overhead": point.data_overhead,
-            "time_overhead": point.time_overhead,
-        }
-        for point in points
-    ]
+    rows = []
+    for mask_rate in (0.0, 0.3, 0.6, 0.9):
+        result = run_experiment(spec.with_overrides(agent=dict(reward_mask_rate=mask_rate)))
+        report = result.reports["DT"]
+        rows.append(
+            {
+                "mask_rate": f"{mask_rate:.0%}",
+                "actual_queries": result.training_queries["DT"],
+                "asr": report.attack_success_rate,
+                "data_overhead": report.data_overhead,
+                "time_overhead": report.time_overhead,
+            }
+        )
     print(
         format_table(
             rows,

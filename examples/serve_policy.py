@@ -25,7 +25,7 @@ import tempfile
 
 from repro.core import ProfileDatabase
 from repro.eval import format_percent
-from repro.pipeline import prepare_experiment_data, train_amoeba, train_censors
+from repro.pipeline import ExperimentSpec, run_experiment
 from repro.serve import (
     PolicyServer,
     ServeConfig,
@@ -37,9 +37,11 @@ from repro.serve import (
 
 def main() -> None:
     # --- 1. Train and checkpoint ------------------------------------------
-    data = prepare_experiment_data("tor", n_censored=80, n_benign=80, max_packets=24, rng=51)
-    censor = train_censors(data, names=("DT",), rng=52)["DT"]
-    agent = train_amoeba(censor, data, total_timesteps=2000, rng=53)
+    spec = ExperimentSpec(
+        flows=80, max_packets=24, censors=("DT",), timesteps=2000, data_seed=51, censor_seed=52, agent_seed=53
+    )
+    result = run_experiment(spec)
+    data, agent = result.data, result.agents["DT"]
     checkpoint = Path(tempfile.mkdtemp()) / "policy.npz"
     agent.save_policy(checkpoint)
     print(f"policy checkpoint written to {checkpoint}")

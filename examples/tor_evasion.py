@@ -17,23 +17,22 @@ import numpy as np
 from repro.censors import CensorGateway, SocketPair
 from repro.eval import format_percent, format_table
 from repro.eval.metrics import classifier_detection_report
-from repro.pipeline import prepare_experiment_data, train_amoeba, train_censors
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("tor", n_censored=120, n_benign=120, max_packets=36, rng=7)
+    spec = ExperimentSpec(
+        flows=120, max_packets=36, censors=("DF", "DT", "RF"), timesteps=2500, eval_flows=25,
+        data_seed=7, censor_seed=8, agent_seed=9,
+    )
+    result = run_experiment(spec)
+    data, censors, agents = result.data, result.censors, result.agents
     print(f"Tor dataset: {data.dataset.summary()}")
 
-    censor_names = ("DF", "DT", "RF")
-    censors = train_censors(data, names=censor_names, rng=8, epochs=8)
-
     rows = []
-    agents = {}
     for name, censor in censors.items():
         baseline = classifier_detection_report(censor, data.splits.test.flows)
-        agent = train_amoeba(censor, data, total_timesteps=2500, rng=9)
-        agents[name] = agent
-        report = agent.evaluate(data.splits.test.censored_flows[:25])
+        report = result.reports[name]
         rows.append(
             {
                 "censor": name,

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Transferability study (Figure 10): do adversarial flows transfer across censors?
 
-Trains Amoeba against two source classifiers (a CNN and a random forest),
-stores the generated adversarial flows and replays them against every
-classifier, printing the resulting ASR matrix.  The paper's observation is
+Trains Amoeba against three source classifiers (a CNN, a decision tree and
+a random forest), stores the generated adversarial flows and replays them
+against every classifier, printing the resulting ASR matrix.  The paper's observation is
 that transfer is strong between similar architectures (SDAE <-> DF,
 DT <-> RF) and weaker across families.
 
@@ -13,21 +13,22 @@ Run with:  python examples/transferability_study.py
 from __future__ import annotations
 
 from repro.eval import transferability_matrix
-from repro.pipeline import prepare_experiment_data, train_amoeba, train_censors
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("tor", n_censored=100, n_benign=100, max_packets=32, rng=41)
-    censors = train_censors(data, names=("DF", "DT", "RF"), rng=42, epochs=8)
+    spec = ExperimentSpec(
+        flows=100, max_packets=32, censors=("DF", "DT", "RF"), timesteps=2500,
+        data_seed=41, censor_seed=42, agent_seed=43,
+    )
+    result = run_experiment(spec)
 
     adversarial_by_source = {}
-    for source in ("DF", "RF"):
-        agent = train_amoeba(censors[source], data, total_timesteps=2500, rng=43)
-        report = agent.evaluate(data.splits.test.censored_flows[:20])
+    for source, report in result.reports.items():
         adversarial_by_source[source] = [r.adversarial_flow for r in report.results]
         print(f"agent trained against {source}: ASR on {source} = {report.attack_success_rate:.2f}")
 
-    matrix = transferability_matrix(adversarial_by_source, censors)
+    matrix = transferability_matrix(adversarial_by_source, result.censors)
     print()
     print("Transferability (rows: trained against, columns: evaluated on):")
     print(matrix.format_table())

@@ -16,20 +16,23 @@ from __future__ import annotations
 from repro.attacks import BAPAttack, CWAttack, NIDSGANAttack
 from repro.eval import format_table
 from repro.eval.metrics import classifier_detection_report
-from repro.pipeline import make_censor, prepare_experiment_data, train_amoeba
+from repro.pipeline import ExperimentSpec, run_experiment
 
 
 def main() -> None:
-    data = prepare_experiment_data("v2ray", n_censored=100, n_benign=100, max_packets=32, rng=21)
+    spec = ExperimentSpec(
+        dataset="v2ray", flows=100, max_packets=32, censors=("DF",), censor_epochs=10, timesteps=2500,
+        data_seed=21, censor_seed=22, agent_seed=25,
+    )
+    result = run_experiment(spec)
+    data, censor = result.data, result.censors["DF"]
     print(f"V2Ray dataset: {data.dataset.summary()}")
 
-    censor = make_censor("DF", data, rng=22, epochs=10)
-    censor.fit(data.splits.clf_train.flows)
     baseline = classifier_detection_report(censor, data.splits.test.flows)
     print(f"DF censor baseline: accuracy={baseline['accuracy']:.3f} F1={baseline['f1']:.3f}")
 
     attack_train = data.splits.attack_train.censored_flows
-    test_flows = data.splits.test.censored_flows[:20]
+    test_flows = result.eval_flows()
 
     rows = []
     cw = CWAttack(censor, max_iterations=20).evaluate(test_flows)
@@ -39,15 +42,14 @@ def main() -> None:
     bap = BAPAttack(censor, epochs=10, rng=24).fit(attack_train[:40]).evaluate(test_flows)
     rows.append(bap.as_dict())
 
-    agent = train_amoeba(censor, data, total_timesteps=2500, rng=25)
-    amoeba_report = agent.evaluate(test_flows)
+    amoeba_report = result.reports["DF"]
     rows.append(
         {
             "attack": "Amoeba (black-box)",
             "asr": amoeba_report.attack_success_rate,
             "data_overhead": amoeba_report.data_overhead,
             "time_overhead": amoeba_report.time_overhead,
-            "queries": censor.query_count,
+            "queries": result.training_queries["DF"],
             "n_flows": amoeba_report.n_flows,
         }
     )

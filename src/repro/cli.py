@@ -38,15 +38,8 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .eval import format_table
 from .eval.metrics import classifier_detection_report
-from .core.config import AmoebaConfig
 from .flows import save_dataset, save_flows_jsonl
-from .pipeline import (
-    CENSOR_NAMES,
-    make_censor,
-    prepare_experiment_data,
-    train_amoeba,
-    train_censors,
-)
+from .pipeline import CENSOR_NAMES, ExperimentSpec, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -125,14 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_generate(args: argparse.Namespace) -> int:
     try:
-        data = prepare_experiment_data(
-            args.dataset,
-            n_censored=args.flows,
-            n_benign=args.flows,
-            max_packets=args.max_packets,
-            drop_rate=args.drop_rate,
-            rng=args.seed,
-        )
+        data = run_experiment(_spec(args, drop_rate=args.drop_rate, censors=())).data
     except ValueError as error:
         raise SystemExit(f"generate: {error}") from None
     path = save_dataset(data.dataset, args.output)
@@ -141,14 +127,18 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec(args: argparse.Namespace, **fields) -> ExperimentSpec:
+    """The spec of a command's flags: ``--seed`` seeds the data, ``+ 1`` the
+    censors and ``+ 2`` the agent."""
+    seeds = dict(data_seed=args.seed, censor_seed=args.seed + 1, agent_seed=args.seed + 2)
+    return ExperimentSpec(dataset=args.dataset, flows=args.flows, max_packets=args.max_packets, **seeds, **fields)
+
+
 def _command_evaluate_censors(args: argparse.Namespace) -> int:
-    data = prepare_experiment_data(
-        args.dataset, n_censored=args.flows, n_benign=args.flows, max_packets=args.max_packets, rng=args.seed
-    )
-    censors = train_censors(data, names=args.censors, rng=args.seed + 1, epochs=args.epochs)
+    result = run_experiment(_spec(args, censors=args.censors, censor_epochs=args.epochs, timesteps=0))
     rows = []
-    for name, censor in censors.items():
-        report = classifier_detection_report(censor, data.splits.test.flows)
+    for name, censor in result.censors.items():
+        report = classifier_detection_report(censor, result.data.splits.test.flows)
         rows.append({"censor": name, "accuracy": report["accuracy"], "f1": report["f1"]})
     print(format_table(rows, columns=["censor", "accuracy", "f1"], title=f"Censor detection ({args.dataset})"))
     return 0
@@ -156,30 +146,19 @@ def _command_evaluate_censors(args: argparse.Namespace) -> int:
 
 def _command_attack(args: argparse.Namespace) -> int:
     # Fail fast on argument errors, before the dataset build.
-    n_envs = AmoebaConfig().n_envs
+    for flag, value in (("--timesteps", args.timesteps), ("--eval-flows", args.eval_flows)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    spec = _spec(args, censors=(args.censor,), timesteps=args.timesteps, eval_flows=args.eval_flows)
+    n_envs = spec.agent_config().n_envs
     if args.workers < 0 or (args.workers and n_envs % args.workers):
         raise SystemExit(
             f"--workers must be 0 (in-process) or divide n_envs={n_envs}, got {args.workers}"
         )
-    for flag, value in (("--timesteps", args.timesteps), ("--eval-flows", args.eval_flows)):
-        if value < 1:
-            raise SystemExit(f"{flag} must be >= 1, got {value}")
-    data = prepare_experiment_data(
-        args.dataset, n_censored=args.flows, n_benign=args.flows, max_packets=args.max_packets, rng=args.seed
-    )
-    censor = make_censor(args.censor, data, rng=args.seed + 1)
-    censor.fit(data.splits.clf_train.flows)
-    baseline = classifier_detection_report(censor, data.splits.test.flows)
+    result = run_experiment(spec, workers=args.workers or None)
+    agent, report = result.agents[args.censor], result.reports[args.censor]
+    baseline = classifier_detection_report(result.censors[args.censor], result.data.splits.test.flows)
     print(f"censor {args.censor}: accuracy={baseline['accuracy']:.3f} F1={baseline['f1']:.3f} (no attack)")
-
-    agent = train_amoeba(
-        censor,
-        data,
-        total_timesteps=args.timesteps,
-        rng=args.seed + 2,
-        workers=args.workers or None,
-    )
-    report = agent.evaluate(data.splits.test.censored_flows[: args.eval_flows])
     print(
         format_table(
             [
@@ -188,7 +167,7 @@ def _command_attack(args: argparse.Namespace) -> int:
                     "asr": report.attack_success_rate,
                     "data_overhead": report.data_overhead,
                     "time_overhead": report.time_overhead,
-                    "training_queries": censor.query_count,
+                    "training_queries": result.training_queries[args.censor],
                 }
             ],
             columns=["censor", "asr", "data_overhead", "time_overhead", "training_queries"],

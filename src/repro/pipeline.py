@@ -1,18 +1,17 @@
 """High-level experiment pipeline.
 
-The benchmarks and examples all follow the same recipe from Section 5.4 of
-the paper: build a dataset, split it 40/40/10/10, train censoring classifiers
-on ``clf_train``, train Amoeba on ``attack_train`` against each censor, and
-evaluate on ``test``.  This module packages that recipe so each benchmark
-only states its parameters and which rows/series it reports.
+The benchmarks, the examples and the CLI all follow the same recipe from
+Section 5.4 of the paper: build a dataset, split it 40/40/10/10, train
+censoring classifiers on ``clf_train``, train Amoeba on ``attack_train``
+against each censor, and evaluate on ``test``.  An :class:`ExperimentSpec`
+states one run of that recipe and :func:`run_experiment` runs it, so each
+driver only states its parameters and which rows/series it reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .censors import (
     CensorClassifier,
@@ -27,6 +26,7 @@ from .core import Amoeba, AmoebaConfig, EvaluationReport
 from .features import FlowNormalizer, SequenceRepresentation
 from .flows import (
     DatasetSplits,
+    Flow,
     FlowDataset,
     NetworkCondition,
     build_tor_dataset,
@@ -37,6 +37,9 @@ from .utils.validation import check_probability
 
 __all__ = [
     "ExperimentData",
+    "ExperimentSpec",
+    "ExperimentResult",
+    "run_experiment",
     "prepare_experiment_data",
     "make_censor",
     "train_censors",
@@ -133,14 +136,29 @@ def train_censors(
     rng=None,
     epochs: int = 8,
 ) -> Dict[str, CensorClassifier]:
-    """Train the requested censors on the ``clf_train`` split."""
-    rng = ensure_rng(rng)
+    """Train the requested censors on the ``clf_train`` split.
+
+    ``rng`` spawns one child per name of :data:`CENSOR_NAMES`, and each
+    censor fits with the child of its own name: a censor depends on its
+    name and ``rng``, not on the other names of the call.
+    """
+    unknown = [name for name in names if name.upper() not in CENSOR_NAMES]
+    if unknown:
+        raise ValueError(f"unknown censor {unknown[0]!r}; expected one of {CENSOR_NAMES}")
+    children = spawn_rngs(rng, len(CENSOR_NAMES))
     censors: Dict[str, CensorClassifier] = {}
-    for name, child_rng in zip(names, spawn_rngs(rng, len(names))):
-        censor = make_censor(name, data, rng=child_rng, epochs=epochs)
+    for name in names:
+        censor = make_censor(name, data, rng=children[CENSOR_NAMES.index(name.upper())], epochs=epochs)
         censor.fit(data.splits.clf_train.flows)
         censors[name] = censor
     return censors
+
+
+def _default_agent_config(dataset_name: str, max_packets: int) -> AmoebaConfig:
+    """The dataset's agent config: its ``lambda_data``, and episodes of at
+    most two steps per packet, capped at 120."""
+    config = AmoebaConfig.for_v2ray() if dataset_name == "v2ray" else AmoebaConfig.for_tor()
+    return config.with_overrides(max_episode_steps=min(120, 2 * max_packets))
 
 
 def train_amoeba(
@@ -160,10 +178,7 @@ def train_amoeba(
     """
     rng = ensure_rng(rng)
     if config is None:
-        config = (
-            AmoebaConfig.for_v2ray() if data.dataset_name == "v2ray" else AmoebaConfig.for_tor()
-        )
-        config = config.with_overrides(max_episode_steps=min(120, 2 * data.representation.max_length))
+        config = _default_agent_config(data.dataset_name, data.representation.max_length)
     agent = Amoeba(censor, data.normalizer, config, rng=rng)
     agent.train(
         data.splits.attack_train.censored_flows,
@@ -173,3 +188,97 @@ def train_amoeba(
         workers=workers,
     )
     return agent
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One run of the recipe, stated once; :func:`run_experiment` runs it.
+
+    The data is ``flows`` flows per class of ``dataset`` (``max_packets``,
+    ``drop_rate``) drawn from ``data_seed``.  The ``censors`` fit for
+    ``censor_epochs`` through :func:`train_censors` from ``censor_seed``.
+    The agent against the ``i``-th censor trains for ``timesteps`` from
+    ``agent_seed + i`` with :meth:`agent_config` (the dataset's default with
+    the ``agent`` overrides, given as a dict), then is evaluated
+    deterministically on the first ``eval_flows`` censored test flows.
+    ``timesteps=0`` stops after the fit and ``censors=()`` after the data.
+    ``str(spec)`` names exactly the fields that differ from these defaults.
+    """
+
+    dataset: str = "tor"
+    flows: int = 200
+    max_packets: int = 60
+    drop_rate: float = 0.0
+    censors: Tuple[str, ...] = CENSOR_NAMES
+    censor_epochs: int = 8
+    agent: Tuple[Tuple[str, Any], ...] = ()
+    timesteps: int = 3000
+    eval_flows: int = 20
+    data_seed: int = 0
+    censor_seed: int = 1
+    agent_seed: int = 2
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "censors", tuple(self.censors))
+        object.__setattr__(self, "agent", tuple(sorted(dict(self.agent).items())))
+        self.agent_config()  # an unknown or invalid override fails here, not mid-run
+
+    def agent_config(self) -> AmoebaConfig:
+        """The agent config every run of this spec trains with."""
+        return _default_agent_config(self.dataset, self.max_packets).with_overrides(**dict(self.agent))
+
+    def with_overrides(self, **changes) -> "ExperimentSpec":
+        """A copy with ``changes``; ``agent`` overrides merge into this spec's."""
+        if "agent" in changes:
+            changes["agent"] = {**dict(self.agent), **dict(changes["agent"])}
+        return replace(self, **changes)
+
+    def __str__(self) -> str:
+        changed = [
+            f"{spec_field.name}={dict(value) if spec_field.name == 'agent' else value!r}"
+            for spec_field in fields(self)
+            if (value := getattr(self, spec_field.name)) != spec_field.default
+        ]
+        return f"ExperimentSpec({', '.join(changed)})"
+
+
+@dataclass
+class ExperimentResult:
+    """What one run of ``spec`` built and measured, keyed by censor name."""
+
+    spec: ExperimentSpec
+    data: ExperimentData
+    censors: Dict[str, CensorClassifier]
+    agents: Dict[str, Amoeba] = field(default_factory=dict)
+    reports: Dict[str, EvaluationReport] = field(default_factory=dict)
+    training_queries: Dict[str, int] = field(default_factory=dict)
+
+    def eval_flows(self) -> List[Flow]:
+        """The censored test flows every agent is evaluated on."""
+        return self.data.splits.test.censored_flows[: self.spec.eval_flows]
+
+    @property
+    def histories(self) -> Dict[str, Dict[str, Any]]:
+        """Each agent's per-iteration training record (``TrainingLogger.history``)."""
+        return {name: agent.training_log.history for name, agent in self.agents.items()}
+
+
+def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ExperimentResult:
+    """Prepare, fit, then train and evaluate one agent per censor, as
+    ``spec`` states.  ``workers`` reaches :func:`train_amoeba` and changes
+    no result."""
+    data = prepare_experiment_data(
+        spec.dataset, spec.flows, spec.flows, spec.max_packets, drop_rate=spec.drop_rate, rng=spec.data_seed
+    )
+    censors = train_censors(data, names=spec.censors, rng=spec.censor_seed, epochs=spec.censor_epochs)
+    result = ExperimentResult(spec=spec, data=data, censors=censors)
+    if spec.timesteps == 0:
+        return result
+    config = spec.agent_config()
+    for index, (name, censor) in enumerate(censors.items()):
+        censor.reset_query_count()
+        agent = train_amoeba(censor, data, spec.timesteps, config, rng=spec.agent_seed + index, workers=workers)
+        result.training_queries[name] = censor.query_count
+        result.agents[name] = agent
+        result.reports[name] = agent.evaluate(result.eval_flows())
+    return result

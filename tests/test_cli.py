@@ -358,7 +358,7 @@ class TestCommands:
         def no_dataset(*args, **kwargs):
             raise AssertionError("the dataset was built before --workers was checked")
 
-        monkeypatch.setattr(repro.cli, "prepare_experiment_data", no_dataset)
+        monkeypatch.setattr(repro.cli, "run_experiment", no_dataset)
         with pytest.raises(SystemExit) as excinfo:
             main(["attack", "--workers", workers])
         message = str(excinfo.value.code)
@@ -380,7 +380,7 @@ class TestCommands:
         def no_dataset(*args, **kwargs):
             raise AssertionError(f"the dataset was built before {argv[0]} was checked")
 
-        monkeypatch.setattr(repro.cli, "prepare_experiment_data", no_dataset)
+        monkeypatch.setattr(repro.cli, "run_experiment", no_dataset)
         with pytest.raises(SystemExit) as excinfo:
             main(["attack", *argv])
         assert str(excinfo.value.code) == f"{argv[0]} must be >= 1, got {argv[1]}"

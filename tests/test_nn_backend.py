@@ -518,6 +518,34 @@ class TestHookTable:
         assert re.findall(r"hook (\w+): +numpy fallback", out) == ["bias_tanh"]
         assert len(re.findall(r"hook \w+: +compiled", out)) == len(nnb._HOOKS) - 1
 
+    def test_a_body_patched_before_first_use_is_not_the_oracle(self, monkeypatch, fresh_blocked):
+        """The self-check runs the bodies bound when the table was built: a
+        raising spy patched over ``gru_gates`` before the first use fails no
+        row (``gru_step``'s body takes its gates from the active backend),
+        and sees exactly the calls that fall back."""
+        if not nnb.compiled_kernel_available():
+            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        blocked = fresh_blocked()
+        calls = []
+
+        def spy(backend, *args):
+            calls.append(backend)
+            raise AssertionError("gru_gates fell back to the numpy body")
+
+        monkeypatch.setattr(nnb.ExecutionBackend, "gru_gates", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no row failed its self-check
+            status = nnb.hook_status()
+        assert status == dict.fromkeys(status) and calls == []
+
+        rng = np.random.default_rng(3)
+        gx, gh, b, hidden = (rng.standard_normal(shape) for shape in [(2, 6), (2, 6), 6, (2, 2)])
+        blocked.gru_gates(gx, gh, b, hidden)  # float64: compiled
+        assert calls == []
+        with pytest.raises(AssertionError, match="fell back"):
+            blocked.gru_gates(gx.astype(np.float32), gh, b, hidden)  # declined: the body
+        assert calls == [blocked]
+
 
 class TestTrainingHooks:
     """The PPO update's elementwise hooks.  Their table rows feed the

@@ -1,5 +1,6 @@
 """Tests for shared utilities and the high-level experiment pipeline."""
 
+import dataclasses
 import logging
 import pickle
 
@@ -7,11 +8,15 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import classifier_detection_report
+import repro.pipeline
+from repro.core import AmoebaConfig
 from repro.pipeline import (
     CENSOR_NAMES,
     NEURAL_CENSOR_NAMES,
+    ExperimentSpec,
     make_censor,
     prepare_experiment_data,
+    run_experiment,
     train_amoeba,
     train_censors,
 )
@@ -317,6 +322,34 @@ class TestPipeline:
             report = classifier_detection_report(censor, data.splits.test.flows)
             assert 0.0 <= report["accuracy"] <= 1.0
 
+    @pytest.fixture(scope="class")
+    def all_six(self, data):
+        return train_censors(data, rng=3)
+
+    @staticmethod
+    def _fitted(censor):
+        """A censor's fitted parameters: its network's weights, or the
+        pickled trees / SVM."""
+        network = getattr(censor, "network", None)
+        if network is not None:
+            return [parameter.data.tobytes() for _, parameter in network.named_parameters()]
+        return pickle.dumps(censor.model if hasattr(censor, "model") else censor)
+
+    @pytest.mark.parametrize("name", CENSOR_NAMES)
+    def test_a_censor_is_keyed_by_its_name_not_its_position(self, data, all_six, name):
+        alone = train_censors(data, names=[name], rng=3)[name]
+        assert self._fitted(alone) == self._fitted(all_six[name])
+        flows = data.splits.test.flows
+        assert alone.predict_scores(flows).tobytes() == all_six[name].predict_scores(flows).tobytes()
+
+    def test_unknown_censor_is_refused_before_any_fit(self, data, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a censor was built before the names were checked")
+
+        monkeypatch.setattr(repro.pipeline, "make_censor", no_fit)
+        with pytest.raises(ValueError, match=r"unknown censor 'XGBOOST'; expected one of \('SDAE', 'DF'"):
+            train_censors(data, names=["DT", "XGBOOST"], rng=0)
+
     def test_train_amoeba_smoke(self, data, fast_config):
         censors = train_censors(data, names=("DT",), rng=0)
         agent = train_amoeba(
@@ -324,3 +357,110 @@ class TestPipeline:
         )
         report = agent.evaluate(data.splits.test.censored_flows[:3])
         assert 0.0 <= report.attack_success_rate <= 1.0
+
+
+class TestExperimentSpec:
+    # A value other than the default for every field.
+    CHANGED = dict(
+        dataset="v2ray",
+        flows=30,
+        max_packets=20,
+        drop_rate=0.05,
+        censors=("DT",),
+        censor_epochs=2,
+        agent={"n_envs": 2},
+        timesteps=64,
+        eval_flows=4,
+        data_seed=10,
+        censor_seed=11,
+        agent_seed=12,
+    )
+
+    def test_defaults_print_as_no_field(self):
+        assert str(ExperimentSpec()) == "ExperimentSpec()"
+        assert sorted(field.name for field in dataclasses.fields(ExperimentSpec)) == sorted(self.CHANGED)
+
+    @pytest.mark.parametrize("name", sorted(CHANGED))
+    def test_str_names_exactly_the_fields_that_differ(self, name):
+        value = self.CHANGED[name]
+        assert str(ExperimentSpec(**{name: value})) == f"ExperimentSpec({name}={value!r})"
+
+    def test_str_of_several_fields_follows_field_order(self):
+        spec = ExperimentSpec(agent_seed=5, flows=30, agent={"rollout_length": 16, "n_envs": 2})
+        assert str(spec) == "ExperimentSpec(flows=30, agent={'n_envs': 2, 'rollout_length': 16}, agent_seed=5)"
+        back_to_default = spec.with_overrides(flows=200)
+        assert str(back_to_default) == "ExperimentSpec(agent={'n_envs': 2, 'rollout_length': 16}, agent_seed=5)"
+
+    def test_agent_overrides_merge_and_apply_over_the_dataset_default(self):
+        spec = ExperimentSpec(max_packets=32, agent={"n_envs": 2}).with_overrides(agent={"reward_mask_rate": 0.5})
+        assert spec.agent_config() == AmoebaConfig.for_tor(n_envs=2, reward_mask_rate=0.5, max_episode_steps=64)
+        assert ExperimentSpec(dataset="v2ray").agent_config() == AmoebaConfig.for_v2ray(max_episode_steps=120)
+        assert spec == ExperimentSpec(max_packets=32, agent={"reward_mask_rate": 0.5, "n_envs": 2})
+
+    def test_an_unknown_agent_override_fails_at_construction(self):
+        with pytest.raises(TypeError, match="n_env"):
+            ExperimentSpec(agent={"n_env": 2})
+
+    def test_run_follows_the_recipe(self):
+        agent = dict(n_envs=2, rollout_length=16, encoder_hidden=8, actor_hidden=(16,), critic_hidden=(16,))
+        spec = ExperimentSpec(
+            flows=40, max_packets=24, censors=("DT", "RF"), agent=agent, timesteps=64, eval_flows=3,
+            data_seed=0, censor_seed=3, agent_seed=9,
+        )
+        result = run_experiment(spec)
+        data = prepare_experiment_data("tor", n_censored=40, n_benign=40, max_packets=24, rng=0)
+
+        def sizes(flows):
+            return [flow.sizes.tobytes() for flow in flows]
+
+        assert sizes(result.data.splits.test.flows) == sizes(data.splits.test.flows)
+        assert sizes(result.eval_flows()) == sizes(data.splits.test.censored_flows[:3])
+        assert list(result.agents) == list(result.reports) == list(result.training_queries) == ["DT", "RF"]
+        # The agent against the second censor draws from agent_seed + 1.
+        rf = result.censors["RF"]
+        rf.reset_query_count()
+        alone = train_amoeba(rf, result.data, total_timesteps=64, config=spec.agent_config(), rng=10)
+        assert rf.query_count == result.training_queries["RF"]
+        assert alone.evaluate(result.eval_flows()).as_dict() == result.reports["RF"].as_dict()
+        assert result.histories["RF"]["queries"] == alone.training_log.history["queries"]
+
+    def test_zero_timesteps_stops_after_the_fit_and_no_censors_after_the_data(self):
+        fit_only = run_experiment(ExperimentSpec(flows=20, max_packets=12, censors=("DT",), timesteps=0))
+        assert list(fit_only.censors) == ["DT"] and fit_only.agents == {} and fit_only.reports == {}
+        data_only = run_experiment(ExperimentSpec(flows=20, max_packets=12, censors=()))
+        assert data_only.censors == {} and data_only.agents == {}
+
+
+class TestSemanticPin:
+    """One tiny run per censor family, pinned to its exact outcome, as
+    ``TestPretrainingGolden`` pins Algorithm 2: a change that moves any of
+    these numbers changed what training does, not only how fast it runs.
+    Overheads are pinned to 1e-9, like that golden."""
+
+    SPEC = ExperimentSpec(
+        flows=60,
+        max_packets=16,
+        agent=dict(n_envs=2, rollout_length=32, encoder_hidden=8, actor_hidden=(16,), critic_hidden=(16,)),
+        timesteps=1024,
+        eval_flows=6,
+        data_seed=5,
+        censor_seed=6,
+        agent_seed=7,
+    )
+
+    # censor: (det ASR, training queries, data_overhead, time_overhead)
+    PINNED = {
+        "DT": (1.0, 1059, 0.045327114290481134, 0.0),
+        "DF": (5 / 6, 1058, 0.12474968763757986, 0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_run_is_pinned(self, name):
+        result = run_experiment(self.SPEC.with_overrides(censors=(name,)))
+        report = result.reports[name]
+        asr, queries, data_overhead, time_overhead = self.PINNED[name]
+        assert report.n_flows == 6
+        assert report.attack_success_rate == asr
+        assert result.training_queries[name] == queries
+        assert report.data_overhead == pytest.approx(data_overhead, rel=0, abs=1e-9)
+        assert report.time_overhead == pytest.approx(time_overhead, rel=0, abs=1e-9)
