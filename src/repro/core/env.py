@@ -16,7 +16,10 @@ actions into adversarial packets:
 The payload constraint (1) is satisfied *by design*: a packet's payload is
 only considered sent once the cumulative adversarial bytes cover it.
 
-The environment has no single-step protocol of its own: a
+The per-packet state machine is :class:`PacketShaper`, the one emulator:
+each episode of the environment steps one, and so does each serving
+session (:class:`~repro.serve.session.FlowSession`).  The environment has
+no single-step protocol of its own: a
 :class:`~repro.core.vec_env.VectorFlowEnv` drives it in two phases.
 ``AdversarialFlowEnv._propose`` advances the emulator on Python floats (the
 transition never depends on the censor) and returns the step as a plain
@@ -58,7 +61,7 @@ __all__ = [
     "EpisodeSummary",
     "ActionKind",
     "packet_direction",
-    "shape_packet_core",
+    "PacketShaper",
     "normalised_pair",
 ]
 
@@ -91,60 +94,118 @@ def packet_direction(size: float) -> float:
     return 0.0 if size == 0 else float(size)  # NaN stays NaN, as np.sign
 
 
-def shape_packet_core(
-    size_action: float,
-    delay_action: float,
-    remaining_bytes: float,
-    truncations_current_packet: int,
-    steps_taken: int,
-    size_scale: float,
-    min_packet_bytes: int,
-    max_delay_ms: float,
-    max_truncations_per_packet: int,
-    max_steps: Optional[int],
-) -> Tuple[int, float, float, bool]:
-    """The paper's truncation/padding/delay action semantics, in one place.
+class PacketShaper:
+    """The emulator's per-packet state machine (§4.2), one per flow.
 
-    Takes the two action components as Python floats and returns the plain
-    tuple ``(emitted_bytes, added_delay, delay_action, is_truncation)``: the
-    unsigned bytes put on the wire, the policy-added delay in ms
-    (integer-discretised), the clipped normalised delay component (the time
-    penalty) and whether the remainder is re-offered as the next
-    observation.  Every decision of
-    both tiers ends here, called directly with a row of ``actions.tolist()``:
-    the training emulator (``AdversarialFlowEnv._propose``) and the
-    online serving tier (:meth:`repro.serve.session.FlowSession.apply_action`).
-    That is what keeps served decisions bit-identical to training-time
-    shaping: truncation when the requested packet is smaller than the
-    remaining payload (unless the per-packet truncation cap or the step
-    budget forces the packet closed), padding up to the requested size
-    otherwise, integer byte / millisecond discretisation, and the
-    ``min_packet_bytes`` floor.  ``max_steps`` may be ``None`` for an
-    unbounded live stream.
+    The one definition of the paper's truncation / padding / delay action
+    semantics, stepped alike by the training environment (one shaper per
+    episode) and by the online serving tier (one per
+    :class:`~repro.serve.session.FlowSession`), which is what keeps served
+    decisions bit-identical to training-time shaping.  It holds the shaping
+    bounds, the packet being shaped — its direction, remaining payload
+    bytes, original delay (``delay_ms``: ``0.0`` once the packet has been
+    truncated, as a follow-up sub-packet adds none) and truncations so far
+    — and the flow's step count, consumed payload and policy-added delay.
+    ``max_steps`` may be ``None`` for an unbounded live stream.
 
-    The arithmetic is plain Python floats — bit-equal to the ``np.clip`` /
-    ``np.ceil`` formulation kept as the oracle in
-    ``tests/oracles/emulator_reference.py``.  Infinite components clamp like
-    any other out-of-range value; a NaN component raises ``ValueError`` here
-    instead of failing as ``int(nan)`` further down.
+    :meth:`begin` reads one original packet, :meth:`observation` is the
+    pending (sub-)packet's :func:`normalised_pair`, and :meth:`apply` turns
+    one action into the emitted packet.  The arithmetic is plain Python
+    floats, bit-equal to the ``np.clip`` / ``np.ceil`` formulation kept as
+    the oracle in ``tests/oracles/emulator_reference.py``.
     """
-    if size_action != size_action or delay_action != delay_action:
-        raise ValueError(f"non-finite action {[size_action, delay_action]}")
-    size_action = _clip(size_action, -1.0, 1.0)
-    delay_action = _clip(delay_action, 0.0, 1.0)
 
-    requested_bytes = max(min_packet_bytes, abs(int(size_action * size_scale)))
-    added_delay = float(int(delay_action * max_delay_ms))
+    __slots__ = (
+        "size_scale", "min_packet_bytes", "max_delay_ms", "max_truncations_per_packet",
+        "max_steps", "direction", "remaining_bytes", "delay_ms", "truncations", "steps",
+        "consumed_payload", "added_delay",
+    )  # fmt: skip
 
-    force_close = truncations_current_packet >= max_truncations_per_packet or (
-        max_steps is not None and steps_taken + 1 >= max_steps
-    )
-    is_truncation = requested_bytes < remaining_bytes and not force_close
-    if is_truncation:
-        emitted_bytes = requested_bytes
-    else:
-        emitted_bytes = max(requested_bytes, math.ceil(remaining_bytes))
-    return emitted_bytes, added_delay, delay_action, is_truncation
+    def __init__(
+        self,
+        size_scale: float,
+        min_packet_bytes: int = 64,
+        max_delay_ms: float = 100.0,
+        max_truncations_per_packet: int = 8,
+        max_steps: Optional[int] = None,
+    ) -> None:
+        self.size_scale = size_scale
+        self.min_packet_bytes = min_packet_bytes
+        self.max_delay_ms = max_delay_ms
+        self.max_truncations_per_packet = max_truncations_per_packet
+        self.max_steps = max_steps
+        self.direction = 0.0
+        self.remaining_bytes = 0.0
+        self.delay_ms = 0.0
+        self.truncations = 0
+        self.steps = 0
+        self.consumed_payload = 0.0
+        self.added_delay = 0.0
+
+    def begin(self, size: float, delay_ms: float) -> None:
+        """Start shaping one original packet (signed size, original delay)."""
+        self.direction = packet_direction(size)
+        self.remaining_bytes = abs(size)
+        self.delay_ms = delay_ms
+        self.truncations = 0
+
+    def observation(self) -> Tuple[float, float]:
+        """The pending (sub-)packet's normalised ``(size, delay)`` pair."""
+        return normalised_pair(
+            self.direction, self.remaining_bytes, self.delay_ms, self.size_scale, self.max_delay_ms
+        )
+
+    def apply(self, size_action: float, delay_action: float) -> Tuple:
+        """Shape the pending (sub-)packet with one action.
+
+        Returns ``(kind, emitted_size, emitted_delay, added_delay,
+        time_penalty, recorded_action)``: the :class:`ActionKind` label (or
+        ``"exact"``), the signed bytes put on the wire, their delay in ms
+        (original plus policy-added), the policy-added delay
+        (integer-discretised), the clipped normalised delay component and
+        the emitted packet's :func:`normalised_pair`.  A truncation — the
+        requested packet is smaller than the remaining payload, unless the
+        per-packet truncation cap or the step budget forces the packet
+        closed — re-offers the remainder, with no original delay; anything
+        else pads up to the requested size and closes the packet.  Bytes
+        and milliseconds are integers, and no packet is smaller than
+        ``min_packet_bytes``.  Infinite components clamp like any other
+        out-of-range value; a NaN one raises ``ValueError`` before any
+        state changes.
+        """
+        if size_action != size_action or delay_action != delay_action:
+            raise ValueError(f"non-finite action {[size_action, delay_action]}")
+        size_action = _clip(size_action, -1.0, 1.0)
+        delay_action = _clip(delay_action, 0.0, 1.0)
+        requested_bytes = max(self.min_packet_bytes, abs(int(size_action * self.size_scale)))
+        added_delay = float(int(delay_action * self.max_delay_ms))
+
+        remaining = self.remaining_bytes
+        emitted_delay = self.delay_ms + added_delay
+        steps = self.steps = self.steps + 1
+        max_steps = self.max_steps
+        if (
+            requested_bytes < remaining
+            and self.truncations < self.max_truncations_per_packet
+            and (max_steps is None or steps < max_steps)
+        ):
+            emitted_bytes = requested_bytes
+            self.remaining_bytes = remaining - requested_bytes
+            self.delay_ms = 0.0
+            self.truncations += 1
+            self.consumed_payload += requested_bytes
+            kind = ActionKind.TRUNCATION
+        else:
+            emitted_bytes = max(requested_bytes, math.ceil(remaining))
+            self.remaining_bytes = 0.0
+            self.consumed_payload += remaining
+            kind = ActionKind.PADDING if emitted_bytes > remaining else "exact"
+        self.added_delay += added_delay
+        direction = self.direction
+        return (
+            kind, direction * emitted_bytes, emitted_delay, added_delay, delay_action,
+            normalised_pair(direction, emitted_bytes, emitted_delay, self.size_scale, self.max_delay_ms),
+        )  # fmt: skip
 
 
 def normalised_pair(
@@ -200,18 +261,17 @@ class EpisodeSummary:
 @dataclass(eq=False)
 class _Episode:
     """Accounting of one episode, shared by its environment and by the tick
-    records holding its steps: ``_propose`` writes the emulator's side,
-    ``VectorFlowEnv.settle`` the running reward.  Its packets are the first
-    ``length`` entries of ``sizes`` / ``delays``, the environment's rows
-    until it ends (then its own copy) or is abandoned (then the rows)."""
+    records holding its steps: its :class:`PacketShaper` and ``_propose``
+    write the emulator's side, ``VectorFlowEnv.settle`` the running reward.
+    Its packets are the first ``shaper.steps`` entries of ``sizes`` /
+    ``delays``, the environment's rows until it ends (then its own copy) or
+    is abandoned (then the rows)."""
 
     original: Flow
     sizes: np.ndarray = field(repr=False)
     delays: np.ndarray = field(repr=False)
-    length: int = 0
+    shaper: PacketShaper = field(repr=False)
     reward: float = 0.0
-    consumed_payload: float = 0.0
-    added_delay: float = 0.0
     n_truncations: int = 0
     n_paddings: int = 0
     n_delays: int = 0
@@ -224,8 +284,8 @@ class _Episode:
         if self.adversarial is not None:
             return self.adversarial
         return Flow(
-            sizes=self.sizes[: self.length],
-            delays=self.delays[: self.length],
+            sizes=self.sizes[: self.shaper.steps],
+            delays=self.delays[: self.shaper.steps],
             label=self.original.label,
             protocol=f"{self.original.protocol}-adv",
             metadata={"original_packets": self.original.n_packets},
@@ -233,14 +293,15 @@ class _Episode:
 
     def finish(self) -> None:
         """End the episode: its flow owns a copy of the packets in the rows."""
-        self.sizes = self.sizes[: self.length].copy()
-        self.delays = self.delays[: self.length].copy()
+        length = self.shaper.steps
+        self.sizes = self.sizes[:length].copy()
+        self.delays = self.delays[:length].copy()
         self.adversarial = self.flow()
 
     def summary(self, final_score: float) -> EpisodeSummary:
         """The finished episode's statistics, once ``reward`` holds every step's."""
         adversarial = self.flow()
-        payload = float(self.consumed_payload)
+        payload = float(self.shaper.consumed_payload)
         padding = max(0.0, float(np.abs(adversarial.sizes).sum()) - payload)
         duration = float(adversarial.delays.sum())
         return EpisodeSummary(
@@ -249,7 +310,7 @@ class _Episode:
             success=bool(final_score >= 0.5),
             final_score=float(final_score),
             data_overhead=float(padding / (payload + padding) if (payload + padding) > 0 else 0.0),
-            time_overhead=float(self.added_delay / duration if duration > 0 else 0.0),
+            time_overhead=float(self.shaper.added_delay / duration if duration > 0 else 0.0),
             n_truncations=self.n_truncations,
             n_paddings=self.n_paddings,
             n_delays=self.n_delays,
@@ -293,21 +354,17 @@ class AdversarialFlowEnv:
         self._flow_order: List[int] = []
         self._flow_cursor = 0
 
-        # Emulator state, initialised by reset(); what settling needs of an
-        # episode lives in its _Episode record instead.  The current flow's
-        # packets are Python floats; the emitted ones go into two rows that
-        # the episodes of this environment reuse.
+        # Emulator state, initialised by reset(): the current flow's packets
+        # as Python floats and the index of the one being shaped; the packet
+        # state machine is the episode's PacketShaper, and what settling
+        # needs lives in the _Episode record too.  The emitted packets go
+        # into two rows that the episodes of this environment reuse.
         self._original_sizes: List[float] = []
         self._original_delays: List[float] = []
         self._episode: Optional[_Episode] = None
         self._sizes = np.empty(0)
         self._delays = np.empty(0)
         self._packet_index = 0
-        self._remaining_bytes = 0.0
-        self._direction = 0.0
-        self._packet_delay = 0.0
-        self._truncations_current_packet = 0
-        self._steps = 0
         self._done = True
 
     # Attributes shared with the driver and identical in every process fork;
@@ -360,17 +417,6 @@ class AdversarialFlowEnv:
     def action_dim(self) -> int:
         return 2
 
-    def _start_packet(self) -> Tuple[float, float]:
-        """Read the packet at ``_packet_index`` off the original flow and
-        return its first sub-packet's observation pair."""
-        size = self._original_sizes[self._packet_index]
-        remaining = self._remaining_bytes = abs(size)
-        direction = self._direction = packet_direction(size)
-        delay = self._packet_delay = self._original_delays[self._packet_index]
-        return normalised_pair(
-            direction, remaining, delay, self.normalizer.size_scale, self.config.max_delay_ms
-        )
-
     # ------------------------------------------------------------------ #
     # The two phases of a step
     # ------------------------------------------------------------------ #
@@ -381,8 +427,8 @@ class AdversarialFlowEnv:
     def _begin(self, flow: Optional[Flow] = None) -> Tuple[float, float]:
         """:meth:`reset`, returning the first observation as a pair."""
         original = (flow or self._next_flow()).copy()
-        self._original_sizes = original.sizes.tolist()
-        self._original_delays = original.delays.tolist()
+        sizes = self._original_sizes = original.sizes.tolist()
+        delays = self._original_delays = original.delays.tolist()
         config = self.config
         # A packet closes after max_truncations_per_packet truncations at most.
         # An episode abandoned in flight keeps its rows for settling.
@@ -393,12 +439,18 @@ class AdversarialFlowEnv:
         abandoned = self._episode is not None and self._episode.adversarial is None
         if abandoned or len(self._sizes) < most_steps:
             self._sizes, self._delays = np.empty(most_steps), np.empty(most_steps)
-        self._episode = _Episode(original, self._sizes, self._delays)
+        shaper = PacketShaper(
+            self.normalizer.size_scale,
+            config.min_packet_bytes,
+            config.max_delay_ms,
+            config.max_truncations_per_packet,
+            config.max_episode_steps,
+        )
+        self._episode = _Episode(original, self._sizes, self._delays, shaper)
         self._packet_index = 0
-        self._truncations_current_packet = 0
-        self._steps = 0
         self._done = False
-        return self._start_packet()
+        shaper.begin(sizes[0], delays[0])
+        return shaper.observation()
 
     def _propose(self, size_action: float, delay_action: float, restart: bool = False) -> Tuple:
         """Phase 1 of a step: advance the emulator, defer censor scoring.
@@ -416,57 +468,29 @@ class AdversarialFlowEnv:
         if self._done:
             raise RuntimeError("a step was proposed on a finished episode; call reset() first")
         episode = self._episode
+        shaper = episode.shaper
         config = self.config
-        size_scale = self.normalizer.size_scale
-        max_delay_ms = config.max_delay_ms
-        max_steps = config.max_episode_steps
-        remaining = self._remaining_bytes
-        truncations = self._truncations_current_packet
-        steps = self._steps
-        emitted_bytes, added_delay, time_penalty, is_truncation = shape_packet_core(
-            size_action,
-            delay_action,
-            remaining,
-            truncations,
-            steps,
-            size_scale,
-            config.min_packet_bytes,
-            max_delay_ms,
-            config.max_truncations_per_packet,
-            max_steps,
+        step = shaper.steps
+        remaining = shaper.remaining_bytes
+        kind, emitted_size, emitted_delay, added_delay, time_penalty, recorded_action = (
+            shaper.apply(size_action, delay_action)
         )
-        direction = self._direction
-        emitted_delay = (0.0 if truncations > 0 else self._packet_delay) + added_delay
-
-        if is_truncation:
-            remaining -= emitted_bytes
-            truncations += 1
-            episode.consumed_payload += emitted_bytes
+        if kind == ActionKind.TRUNCATION:
             episode.n_truncations += 1
-            data_penalty = remaining / size_scale + config.lambda_split * truncations
-            action_kind = ActionKind.TRUNCATION
+            data_penalty = (
+                shaper.remaining_bytes / shaper.size_scale
+                + config.lambda_split * shaper.truncations
+            )
         else:
-            padding_bytes = emitted_bytes - remaining
-            episode.consumed_payload += remaining
-            data_penalty = padding_bytes / size_scale
-            if padding_bytes > 0:
+            data_penalty = (abs(emitted_size) - remaining) / shaper.size_scale
+            if kind == ActionKind.PADDING:
                 episode.n_paddings += 1
-                action_kind = ActionKind.PADDING
-            else:
-                action_kind = "exact"
         # The added delay is a whole number of milliseconds: 0.0 adds nothing.
         if added_delay >= 1.0:
             episode.n_delays += 1
-            episode.added_delay += added_delay
-
-        # Record the emitted adversarial packet.
-        recorded_action = normalised_pair(
-            direction, emitted_bytes, emitted_delay, size_scale, max_delay_ms
-        )
-        self._sizes[steps] = direction * emitted_bytes
-        self._delays[steps] = emitted_delay
-        steps += 1
-        self._steps = episode.length = steps
+        self._sizes[step] = emitted_size
+        self._delays[step] = emitted_delay
+        steps = step + 1
 
         # Reward masking (Section 5.5.3): masked steps never reach the censor.
         # A rate of 0 or 1 fixes the outcome and draws nothing (evaluation
@@ -475,28 +499,24 @@ class AdversarialFlowEnv:
         masked = rate >= 1.0 or (rate > 0.0 and self._rng.random() < rate)
 
         # Advance the emulator; termination does not depend on the score.  A
-        # truncation re-offers the remainder, without the original delay;
-        # anything else sends the packet and moves on to the next one.
-        done = steps >= max_steps
-        if is_truncation:
-            self._remaining_bytes = remaining
-            self._truncations_current_packet = truncations
-            next_observation = normalised_pair(direction, remaining, 0.0, size_scale, max_delay_ms)
-        else:
-            self._truncations_current_packet = 0
-            self._packet_index += 1
-            if self._packet_index < len(self._original_sizes):
-                next_observation = self._start_packet()
-            else:
-                self._remaining_bytes = 0.0
+        # truncation leaves the shaper on the remainder; anything else sends
+        # the packet and moves on to the next one.
+        done = steps >= config.max_episode_steps
+        if kind != ActionKind.TRUNCATION:
+            index = self._packet_index = self._packet_index + 1
+            if index == len(self._original_sizes):
                 done = True
+            elif not done:
+                shaper.begin(self._original_sizes[index], self._original_delays[index])
         if done:
             self._done = True
             episode.finish()
             next_observation = self._begin() if restart else (0.0, 0.0)
+        else:
+            next_observation = shaper.observation()
 
         # time_penalty is the clipped delay component: already normalised.
         return (
-            episode, steps, action_kind, masked, done, data_penalty, time_penalty,
+            episode, steps, kind, masked, done, data_penalty, time_penalty,
             next_observation, recorded_action,
         )  # fmt: skip

@@ -8,7 +8,7 @@ for those networks; :meth:`SequenceRepresentation.transform_many` does a
 whole batch in one pass (one concatenation, one normalisation per channel,
 one masked scatter), with no Python write per flow.  The inverse mapping,
 from an adversarial action in [-1, 1] x [0, 1] to bytes and milliseconds,
-is the emulator's (:func:`repro.core.env.shape_packet_core`).
+is the emulator's (:meth:`repro.core.env.PacketShaper.apply`).
 """
 
 from __future__ import annotations

@@ -17,13 +17,7 @@ flow shaping (the deployment tier of Section 5.6).
 from .loadgen import LoadReport, PacketEvent, SyntheticWorkload, run_workload
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
 from .server import PolicyServer, ServeConfig, build_policy_from_state, summarize_stats
-from .session import (
-    FlowSession,
-    SessionLimits,
-    SessionReport,
-    SessionStatus,
-    ShapingDecision,
-)
+from .session import FlowSession, SessionReport, SessionStatus, ShapingDecision
 
 __all__ = [
     "PolicyServer",
@@ -33,7 +27,6 @@ __all__ = [
     "ContinuousBatchScheduler",
     "DecisionRequest",
     "FlowSession",
-    "SessionLimits",
     "SessionReport",
     "SessionStatus",
     "ShapingDecision",

@@ -46,6 +46,7 @@ import numpy as np
 
 from ..core.actor_critic import GaussianActor
 from ..core.config import AmoebaConfig
+from ..core.env import PacketShaper
 from ..core.profiles import ProfileDatabase
 from ..core.state_encoder import StateEncoder
 from ..nn.serialization import CheckpointError, load_metadata, load_state_dict
@@ -53,14 +54,7 @@ from ..nn.serialization import split_prefixed_state
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_integer, check_non_negative, check_positive
 from .scheduler import ContinuousBatchScheduler, DecisionRequest
-from .session import (
-    FlowSession,
-    SessionLimits,
-    SessionReport,
-    SessionStatus,
-    SessionTable,
-    ShapingDecision,
-)
+from .session import FlowSession, SessionReport, SessionStatus, SessionTable, ShapingDecision
 
 __all__ = ["ServeConfig", "PolicyServer", "build_policy_from_state", "summarize_stats"]
 
@@ -131,15 +125,6 @@ class ServeConfig:
 
     def with_overrides(self, **overrides) -> "ServeConfig":
         return replace(self, **overrides)
-
-    def session_limits(self) -> SessionLimits:
-        return SessionLimits(
-            size_scale=self.size_scale,
-            min_packet_bytes=self.min_packet_bytes,
-            max_delay_ms=self.max_delay_ms,
-            max_truncations_per_packet=self.max_truncations_per_packet,
-            max_steps=self.max_steps_per_session,
-        )
 
 
 _SHAPING_BOUNDS = ("size_scale", "min_packet_bytes", "max_delay_ms", "max_truncations_per_packet")
@@ -374,14 +359,21 @@ class PolicyServer:
             session_id = f"s{next(self._session_counter)}"
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} already open")
+        config = self.config
         self._sessions[session_id] = FlowSession(
             session_id,
             self._table,
             self._table.acquire(),
-            self.config.session_limits(),
-            deadline_ms=self.config.deadline_ms if deadline_ms is None else deadline_ms,
-            miss_window=self.config.miss_window,
-            miss_threshold=self.config.miss_threshold,
+            PacketShaper(
+                config.size_scale,
+                config.min_packet_bytes,
+                config.max_delay_ms,
+                config.max_truncations_per_packet,
+                config.max_steps_per_session,
+            ),
+            deadline_ms=config.deadline_ms if deadline_ms is None else deadline_ms,
+            miss_window=config.miss_window,
+            miss_threshold=config.miss_threshold,
             protocol=protocol,
         )
         self._sessions_opened += 1

@@ -1,25 +1,27 @@
 """Per-flow serving session: incremental state + the online shaping emulator.
 
 A :class:`FlowSession` is the serving-tier counterpart of one
-:class:`~repro.core.env.AdversarialFlowEnv` episode: the emulator state,
-accounting and deadline tracking of one live tunnelled flow.  Its two
-incremental encoder streams (observation history and action history) are
-*not* stored on the session: they are one slot of the server's resident
-:class:`SessionTable`, which the flush gathers from and scatters to by row,
-so a per-packet policy decision costs one batched GRU step instead of
-re-encoding the whole history (the PR 1 O(T) contract, now spent on
-inference serving) and no per-session array is built or split on the way.
+:class:`~repro.core.env.AdversarialFlowEnv` episode: the packet queue,
+emitted packets, accounting and deadline tracking of one live tunnelled
+flow.  Its two incremental encoder streams (observation history and action
+history) are *not* stored on the session: they are one slot of the server's
+resident :class:`SessionTable`, which the flush gathers from and scatters
+to by row, so a per-packet policy decision costs one batched GRU step
+instead of re-encoding the whole history (the PR 1 O(T) contract, now spent
+on inference serving) and no per-session array is built or split on the way.
 Nor is one built per decision: observations and recorded actions are
 ``(size, delay)`` float pairs and the records are named tuples, so the flush
 stacks one array per encoder stream and nothing else.
 
 The deterministic shaping rules — truncation / padding / minimum packet
-size / per-packet truncation cap / step budget — are the *same code* the
-training emulator runs (:func:`repro.core.env.shape_packet_core`), minus
-everything reward- or censor-related (a proxy shaping live traffic never
-sees the censor's verdict).  Driving a session with a deterministic policy
-therefore emits bit-identical adversarial packets to :meth:`Amoeba.attack`
-on the same flow, which is asserted in ``tests/test_serve.py``.
+size / per-packet truncation cap / step budget — are the state machine the
+training emulator steps: each session owns a
+:class:`~repro.core.env.PacketShaper`, built by the server with its shaping
+bounds, and only what is reward- or censor-related stays in training (a
+proxy shaping live traffic never sees the censor's verdict).  Driving a
+session with a deterministic policy therefore emits bit-identical
+adversarial packets to :meth:`Amoeba.attack` on the same flow, which is
+asserted in ``tests/test_serve.py``.
 
 Sessions also carry the latency bookkeeping of the paper's deployment
 argument (Section 5.6, Figure 11): every decision is stamped with the time
@@ -37,13 +39,12 @@ from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.env import normalised_pair, packet_direction, shape_packet_core
+from ..core.env import ActionKind, PacketShaper
 from ..core.profiles import ProfileEmbeddingResult
 from ..flows.flow import Flow, FlowLabel
 
 __all__ = [
     "SessionStatus",
-    "SessionLimits",
     "PendingPacket",
     "ShapingDecision",
     "SessionReport",
@@ -61,26 +62,6 @@ class SessionStatus:
     OPEN = "open"          # online tier: per-packet policy inference
     DEMOTED = "demoted"    # offline tier: payload embedded into profiles
     CLOSED = "closed"
-
-
-@dataclass(frozen=True)
-class SessionLimits:
-    """Deterministic shaping bounds, mirroring the training-time emulator.
-
-    ``min_packet_bytes`` / ``max_delay_ms`` / ``max_truncations_per_packet``
-    must match the :class:`~repro.core.config.AmoebaConfig` the policy was
-    trained with, otherwise the served action semantics drift from the
-    training distribution.  ``max_steps`` bounds the number of decisions a
-    session may take (``None`` = unbounded live stream); when set it mirrors
-    ``max_episode_steps``: the step *before* the budget force-closes the
-    current packet with padding, and reaching the budget closes the session.
-    """
-
-    size_scale: float
-    min_packet_bytes: int = 64
-    max_delay_ms: float = 100.0
-    max_truncations_per_packet: int = 8
-    max_steps: Optional[int] = None
 
 
 class PendingPacket(NamedTuple):
@@ -171,9 +152,13 @@ class FlowSession:
     The session is driven by the :class:`~repro.serve.server.PolicyServer`:
     packets arrive via :meth:`enqueue`, decision requests are armed via
     :meth:`arm_next`, and the scheduler's flush applies the policy action via
-    :meth:`apply_action`.  Encoder-state folding is owned by the server so it
-    can batch GRU steps across sessions; the state itself lives in ``slot``
-    of the server's :class:`SessionTable`, and the session only reads it
+    :meth:`apply_action`.  The packet being shaped, the step count and the
+    payload and delay accounting are the session's ``shaper`` (a
+    :class:`~repro.core.env.PacketShaper` with the server's shaping bounds;
+    ``max_steps`` is the session's step budget, ``None`` for an unbounded
+    live stream).  Encoder-state folding is owned by the server so it can
+    batch GRU steps across sessions; the state itself lives in ``slot`` of
+    the server's :class:`SessionTable`, and the session only reads it
     (:meth:`state_vector` hands out a copy).
     """
 
@@ -182,14 +167,14 @@ class FlowSession:
         session_id: str,
         table: SessionTable,
         slot: int,
-        limits: SessionLimits,
+        shaper: PacketShaper,
         deadline_ms: Optional[float] = None,
         miss_window: int = 8,
         miss_threshold: float = 0.5,
         protocol: str = "live",
     ) -> None:
         self.session_id = session_id
-        self.limits = limits
+        self.shaper = shaper
         self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
         self.miss_threshold = float(miss_threshold)
         self.status = SessionStatus.OPEN
@@ -200,22 +185,14 @@ class FlowSession:
         self._table: Optional[SessionTable] = table
         self.slot = slot
 
-        # Emulator state of the packet currently being shaped.
+        # Packets waiting to be shaped (the one being shaped is the shaper's).
         self._inbox: Deque[PendingPacket] = deque()
-        self._direction = 0.0
-        self._remaining_bytes = 0.0
-        self._base_delay = 0.0
-        self._truncations_current_packet = 0
-        self._steps = 0
         self._observation_armed = False  # current packet's obs awaiting fold
 
         # Emitted adversarial packets and accounting (latency percentiles
         # live server-side, in PolicyServer.stats()).
         self._out_sizes: List[float] = []
         self._out_delays: List[float] = []
-        self._payload_consumed = 0.0
-        self._added_delay_total = 0.0
-        self._n_decisions = 0
         self._n_packets_in = 0
         self._deadline_misses = 0
         self._recent_misses: Deque[bool] = deque(maxlen=max(1, int(miss_window)))
@@ -239,7 +216,7 @@ class FlowSession:
     @property
     def in_flight(self) -> bool:
         """A packet is currently being shaped (decision pending)."""
-        return self._remaining_bytes > 0 or self._observation_armed
+        return self.shaper.remaining_bytes > 0 or self._observation_armed
 
     @property
     def backlog(self) -> int:
@@ -247,7 +224,7 @@ class FlowSession:
 
     @property
     def n_decisions(self) -> int:
-        return self._n_decisions
+        return self.shaper.steps
 
     @property
     def deadline_misses(self) -> int:
@@ -282,17 +259,13 @@ class FlowSession:
     def arm_next(self) -> bool:
         """Start shaping the next queued packet; True if a decision is now due.
 
-        Mirrors the environment's per-packet reset: direction and remaining
-        bytes come from the new packet, the original inter-packet delay is
-        only charged on its first sub-packet.
+        The shaper begins the packet, as the environment begins each
+        packet of its flow.
         """
         if not self.online or self.in_flight or not self._inbox:
             return False
         packet = self._inbox.popleft()
-        self._direction = packet_direction(packet.size)
-        self._remaining_bytes = float(abs(packet.size))
-        self._base_delay = float(packet.delay_ms)
-        self._truncations_current_packet = 0
+        self.shaper.begin(packet.size, packet.delay_ms)
         self._observation_armed = True
         return True
 
@@ -300,18 +273,11 @@ class FlowSession:
     # Observation / action folding hooks (called by the server)
     # ------------------------------------------------------------------ #
     def current_observation(self) -> Tuple[float, float]:
-        """Normalised ``(size, delay)`` float pair of the pending sub-packet.
-
-        :func:`repro.core.env.normalised_pair` — the same formula the
-        training environment uses — with the original delay zeroed for
-        follow-up sub-packets after a truncation.  The flush stacks its
-        batch's pairs into one array.
+        """Normalised ``(size, delay)`` float pair of the pending sub-packet
+        (:meth:`PacketShaper.observation <repro.core.env.PacketShaper.observation>`,
+        as in training).  The flush stacks its batch's pairs into one array.
         """
-        base = 0.0 if self._truncations_current_packet > 0 else self._base_delay
-        limits = self.limits
-        return normalised_pair(
-            self._direction, self._remaining_bytes, base, limits.size_scale, limits.max_delay_ms
-        )
+        return self.shaper.observation()
 
     @property
     def observation_pending_fold(self) -> bool:
@@ -334,7 +300,7 @@ class FlowSession:
         return np.concatenate([self._stream(0)[-1], self._stream(1)[-1]])
 
     # ------------------------------------------------------------------ #
-    # Decision application (deterministic emulator, = AdversarialFlowEnv._propose)
+    # Decision application (the training emulator's PacketShaper.apply)
     # ------------------------------------------------------------------ #
     def apply_action(
         self, action: Sequence[float], latency_ms: float = 0.0
@@ -343,57 +309,27 @@ class FlowSession:
 
         ``action`` is the ``(size, delay)`` pair — a row of the flush's
         ``actions.tolist()``, or any other 2-sequence of floats such as an
-        array row.  The shaping arithmetic is
-        :func:`repro.core.env.shape_packet_core` — the *same* function the
-        training emulator ends in — so a deterministic policy served here
+        array row.  The shaping is :meth:`PacketShaper.apply
+        <repro.core.env.PacketShaper.apply>` — the *same* state machine the
+        training emulator steps — so a deterministic policy served here
         emits the same packets ``AdversarialFlowEnv._propose`` would, bit
         for bit.  The observation the action answered counts as folded from
-        here on (the server commits its table rows just before this call).
+        here on (the server commits its table rows just before this call);
+        a truncation re-offers the remainder as the next one.
         """
         if self.status != SessionStatus.OPEN:
             raise RuntimeError(f"session {self.session_id!r} is not online")
-        remaining = self._remaining_bytes
-        if remaining <= 0:
+        shaper = self.shaper
+        if shaper.remaining_bytes <= 0:
             raise RuntimeError("no packet armed; call arm_next() first")
-        limits = self.limits
-        truncations = self._truncations_current_packet
-        direction = self._direction
-
         size_action, delay_action = action
-        emitted_bytes, added_delay, _, is_truncation = shape_packet_core(
-            size_action,
-            delay_action,
-            remaining,
-            truncations,
-            self._steps,
-            limits.size_scale,
-            limits.min_packet_bytes,
-            limits.max_delay_ms,
-            limits.max_truncations_per_packet,
-            limits.max_steps,
+        kind, emitted_size, emitted_delay, _, _, recorded_action = shaper.apply(
+            size_action, delay_action
         )
-        emitted_delay = (0.0 if truncations > 0 else self._base_delay) + added_delay
-
-        if is_truncation:
-            self._remaining_bytes = remaining - emitted_bytes
-            self._payload_consumed += emitted_bytes
-            self._truncations_current_packet = truncations + 1
-            kind = "truncation"
-            # The remainder is re-offered as the next observation (base
-            # delay zero), exactly like the training emulator.
-            self._observation_armed = True
-        else:
-            self._payload_consumed += remaining
-            self._remaining_bytes = 0.0
-            self._observation_armed = False
-            kind = "padding" if emitted_bytes - remaining > 0 else "exact"
-
-        emitted_size = direction * emitted_bytes
+        self._observation_armed = kind == ActionKind.TRUNCATION
         self._out_sizes.append(emitted_size)
         self._out_delays.append(emitted_delay)
-        self._added_delay_total += added_delay
-        steps = self._steps = self._steps + 1
-        self._n_decisions += 1
+        steps = shaper.steps
 
         missed = self.deadline_ms is not None and self._record_latency(latency_ms)
         decision = ShapingDecision(
@@ -402,14 +338,12 @@ class FlowSession:
             kind,
             emitted_size,
             emitted_delay,
-            normalised_pair(
-                direction, emitted_bytes, emitted_delay, limits.size_scale, limits.max_delay_ms
-            ),
+            recorded_action,
             float(latency_ms),
             missed,
         )
 
-        if limits.max_steps is not None and steps >= limits.max_steps:
+        if shaper.max_steps is not None and steps >= shaper.max_steps:
             # Step budget exhausted: the session leaves the online tier with
             # whatever is still queued unserved (mirrors the episode cap).
             self.status = SessionStatus.CLOSED
@@ -436,19 +370,22 @@ class FlowSession:
     def demote(self) -> None:
         """Fall back to the offline profile tier (Section 5.6.1).
 
-        The online path stops: the unfinished packet remainder and every
-        queued or future packet are routed to the profile payload, to be
-        embedded into pre-stored adversarial shapes at close time.
+        The online path stops: the pending (sub-)packet and every queued or
+        future packet are routed to the profile payload, to be embedded into
+        pre-stored adversarial shapes at close time.  The pending one keeps
+        the delay the shaper would have charged it: its original delay,
+        ``0.0`` only after a truncation.
         """
         if self.closed:
             raise RuntimeError(f"session {self.session_id!r} is closed")
         if self.status == SessionStatus.DEMOTED:
             return
         self.status = SessionStatus.DEMOTED
-        if self._remaining_bytes > 0:
-            self._profile_sizes.append(self._direction * self._remaining_bytes)
-            self._profile_delays.append(0.0)
-            self._remaining_bytes = 0.0
+        shaper = self.shaper
+        if shaper.remaining_bytes > 0:
+            self._profile_sizes.append(shaper.direction * shaper.remaining_bytes)
+            self._profile_delays.append(shaper.delay_ms)
+            shaper.remaining_bytes = 0.0
         self._observation_armed = False
         while self._inbox:
             packet = self._inbox.popleft()
@@ -472,7 +409,8 @@ class FlowSession:
     def close(self) -> SessionReport:
         """Finalise the session and return its accounting report."""
         demoted = self.status == SessionStatus.DEMOTED
-        unserved = len(self._inbox) + (1 if self._remaining_bytes > 0 else 0)
+        shaper = self.shaper
+        unserved = len(self._inbox) + (1 if shaper.remaining_bytes > 0 else 0)
         self.status = SessionStatus.CLOSED
         self._table = None  # the server returns the slot; never read it again
         shaped = None
@@ -488,11 +426,11 @@ class FlowSession:
             session_id=self.session_id,
             status=SessionStatus.DEMOTED if demoted else SessionStatus.CLOSED,
             demoted=demoted,
-            n_decisions=self._n_decisions,
+            n_decisions=shaper.steps,
             n_packets_in=self._n_packets_in,
-            payload_bytes=float(self._payload_consumed),
+            payload_bytes=float(shaper.consumed_payload),
             emitted_bytes=float(np.sum(np.abs(self._out_sizes))) if self._out_sizes else 0.0,
-            added_delay_ms=float(self._added_delay_total),
+            added_delay_ms=float(shaper.added_delay),
             deadline_misses=self._deadline_misses,
             shaped_flow=shaped,
             profile_result=self.profile_result,

@@ -16,11 +16,14 @@ flush was changed to prevent).
 members are the parent's bodies, unedited except that the telemetry spans
 and instruments they once fed are gone and the lifetime counters are plain
 integers, as in production; ``open_session`` / ``close_session`` are the
-parent's too, except that they build the reference session and have no slot
-to take or return.  ``ReferenceFlowSession._stream`` is new: it hands out
-the session's own states, so :func:`hidden_states` reads a reference and a
-production session alike.  Everything else -- the emulator,
-the scheduler, deadline tracking, reports -- is inherited from production,
+parent's too, except that they build the reference session, have no slot
+to take or return, and hand the session the
+:class:`~repro.core.env.PacketShaper` production's ``open_session`` builds
+(the parent passed the retired ``SessionLimits``).
+``ReferenceFlowSession._stream`` is new: it hands out the session's own
+states, so :func:`hidden_states` reads a reference and a production session
+alike.  Everything else -- the emulator, the scheduler, deadline tracking,
+reports -- is inherited from production,
 which is the point: only the state storage and the flush differ.
 
 :class:`LockstepServers` is the harness both test modules drive: one
@@ -35,6 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.env import PacketShaper
 from repro.core.state_encoder import EncoderState
 from repro.serve.scheduler import DecisionRequest
 from repro.serve.server import PolicyServer, ServeConfig
@@ -56,8 +60,8 @@ __all__ = [
 class ReferenceFlowSession(FlowSession):
     """A session that stores its two encoder states itself."""
 
-    def __init__(self, session_id, encoder, limits, **kwargs) -> None:
-        super().__init__(session_id, None, None, limits, **kwargs)
+    def __init__(self, session_id, encoder, shaper, **kwargs) -> None:
+        super().__init__(session_id, None, None, shaper, **kwargs)
         # Incremental dual-stream encoder state (s_t = E(x_1:t) || E(a_1:t)).
         self.observation_state = encoder.initial_state()
         self.action_state = encoder.initial_state()
@@ -92,13 +96,20 @@ class ReferencePolicyServer(PolicyServer):
             session_id = f"s{next(self._session_counter)}"
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} already open")
+        config = self.config
         self._sessions[session_id] = ReferenceFlowSession(
             session_id,
             self.encoder,
-            self.config.session_limits(),
-            deadline_ms=self.config.deadline_ms if deadline_ms is None else deadline_ms,
-            miss_window=self.config.miss_window,
-            miss_threshold=self.config.miss_threshold,
+            PacketShaper(
+                config.size_scale,
+                config.min_packet_bytes,
+                config.max_delay_ms,
+                config.max_truncations_per_packet,
+                config.max_steps_per_session,
+            ),
+            deadline_ms=config.deadline_ms if deadline_ms is None else deadline_ms,
+            miss_window=config.miss_window,
+            miss_threshold=config.miss_threshold,
             protocol=protocol,
         )
         self._sessions_opened += 1

@@ -77,7 +77,10 @@ def test_tier1_collects_every_fidelity_bench():
 
 def test_tier1_trains_and_serves_through_the_installed_package():
     """One tier-1 step trains a policy with the installed console script,
-    away from the checkout, and serves the checkpoint it has just written."""
+    away from the checkout, and serves the checkpoint it has just written:
+    once plainly, and once with a deadline every decision misses, which
+    demotes each session and embeds its payload into the profiles the
+    attack saved."""
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [step.get("run", "") for step in steps]
@@ -86,10 +89,16 @@ def test_tier1_trains_and_serves_through_the_installed_package():
     assert lines[0] == 'cd "$RUNNER_TEMP"'
     assert "PYTHONPATH" not in command
     attack = next(line for line in lines if line.startswith("repro-amoeba attack"))
-    serve = next(line for line in lines if line.startswith("repro-amoeba serve"))
+    serves = [line for line in lines if line.startswith("repro-amoeba serve")]
+    assert len(serves) == 2
     checkpoint = re.search(r'--save-policy ("\$RUNNER_TEMP/[\w.]+\.npz")', attack).group(1)
-    assert f"--policy {checkpoint}" in serve
-    assert lines.index(attack) < lines.index(serve)
+    profiles = re.search(r'--save-adversarial ("\$RUNNER_TEMP/[\w.]+\.jsonl")', attack).group(1)
+    for serve in serves:
+        assert f"--policy {checkpoint}" in serve
+        assert lines.index(attack) < lines.index(serve)
+    [fallback] = [serve for serve in serves if "--profiles" in serve]
+    assert f"--profiles {profiles}" in fallback
+    assert re.search(r"--deadline-ms 0(\s|$)", fallback)
     install = [i for i, run in enumerate(runs) if "pip install ." in run]
     assert install and install[0] < runs.index(command)
 

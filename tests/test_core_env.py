@@ -238,13 +238,12 @@ class TestEpisodeSummary:
 # Python-float emulator helpers vs. the seed numpy formulation (oracle)
 # --------------------------------------------------------------------- #
 from repro.core.env import (  # noqa: E402
+    PacketShaper,
     normalised_pair,
     packet_direction,
-    shape_packet_core,
 )
 
 from oracles import emulator_reference as oracle  # noqa: E402
-from oracles.emulator_reference import ShapedPacket  # noqa: E402
 
 
 def _neighbours(value):
@@ -263,23 +262,74 @@ def bits(array) -> np.ndarray:
     return np.asarray(array, dtype=np.float64).view(np.uint64)
 
 
-def shaped(size_action, delay_action, **kwargs):
-    """``shape_packet_core``'s tuple, named with the oracle's record."""
-    return ShapedPacket(*shape_packet_core(float(size_action), float(delay_action), **kwargs))
-
-
-def assert_same_shaped(got, expected):
-    assert type(got.emitted_bytes) is type(expected.emitted_bytes) is int
-    assert got.emitted_bytes == expected.emitted_bytes
-    assert got.is_truncation is expected.is_truncation
-    assert np.array_equal(
-        bits([got.added_delay, got.delay_action]),
-        bits([expected.added_delay, expected.delay_action]),
+def shaper_at(
+    remaining_bytes,
+    truncations_current_packet,
+    steps_taken,
+    size_scale,
+    min_packet_bytes,
+    max_delay_ms,
+    max_truncations_per_packet,
+    max_steps,
+    direction=-1.0,
+    delay_ms=7.0,
+):
+    """A :class:`PacketShaper` set to the packet state the oracle's arguments
+    name: ``remaining_bytes`` of a ``direction`` packet, after
+    ``truncations_current_packet`` truncations (its delay then ``0.0``) and
+    ``steps_taken`` steps of the flow."""
+    shaper = PacketShaper(
+        size_scale, min_packet_bytes, max_delay_ms, max_truncations_per_packet, max_steps
     )
+    shaper.begin(direction * remaining_bytes, delay_ms)
+    shaper.truncations = truncations_current_packet
+    shaper.steps = steps_taken
+    if truncations_current_packet:
+        shaper.delay_ms = 0.0
+    return shaper
+
+
+def assert_apply_matches_oracle(shaper, action, expected):
+    """``shaper.apply(*action)`` is the oracle's ``expected`` record, bit for
+    bit, and leaves the shaper where the emulator goes next."""
+    direction, remaining, delay = shaper.direction, shaper.remaining_bytes, shaper.delay_ms
+    truncations, steps, payload = shaper.truncations, shaper.steps, shaper.consumed_payload
+    got = shaper.apply(float(action[0]), float(action[1]))
+    assert type(got) is tuple and len(got) == 6
+    kind, emitted_size, emitted_delay, added_delay, time_penalty, recorded = got
+    assert [type(value) for value in (emitted_size, emitted_delay, added_delay, time_penalty)] == [
+        float
+    ] * 4
+    assert (kind == "truncation") is expected.is_truncation
+    assert np.array_equal(
+        bits([emitted_size, added_delay, time_penalty, emitted_delay]),
+        bits([
+            direction * expected.emitted_bytes,
+            expected.added_delay,
+            expected.delay_action,
+            delay + expected.added_delay,
+        ]),
+    )
+    assert type(recorded) is tuple
+    assert np.array_equal(
+        bits(recorded),
+        bits(oracle.record_action(
+            direction, expected.emitted_bytes, emitted_delay, shaper.size_scale, shaper.max_delay_ms
+        )),
+    )
+    assert shaper.steps == steps + 1
+    if expected.is_truncation:
+        assert (shaper.remaining_bytes, shaper.truncations, shaper.delay_ms) == (
+            remaining - expected.emitted_bytes, truncations + 1, 0.0
+        )
+        assert shaper.consumed_payload == payload + expected.emitted_bytes
+    else:
+        assert kind == ("padding" if expected.emitted_bytes - remaining > 0 else "exact")
+        assert (shaper.remaining_bytes, shaper.consumed_payload) == (0.0, payload + remaining)
 
 
 class TestEmulatorOracle:
-    """`shape_packet_core` and `normalised_pair` are plain Python floats now;
+    """`PacketShaper.apply` and `normalised_pair` are plain Python floats now;
     the seed ``np.clip`` bodies in ``tests/oracles`` say what every bit of
     their results must be.  `normalised_pair` is both encoder streams' input:
     the seed's `make_observation` and `record_action` were one formula."""
@@ -299,20 +349,19 @@ class TestEmulatorOracle:
         ],
     )
     def test_shape_packet_sweep(self, remaining, truncations, steps, max_truncations, max_steps):
+        kwargs = dict(
+            remaining_bytes=remaining,
+            truncations_current_packet=truncations,
+            steps_taken=steps,
+            max_truncations_per_packet=max_truncations,
+            max_steps=max_steps,
+            **self.LIMITS,
+        )
         for size_action in EDGE_VALUES:
             for delay_action in EDGE_VALUES:
-                kwargs = dict(
-                    remaining_bytes=remaining,
-                    truncations_current_packet=truncations,
-                    steps_taken=steps,
-                    max_truncations_per_packet=max_truncations,
-                    max_steps=max_steps,
-                    **self.LIMITS,
-                )
                 action = np.array([size_action, delay_action])
-                assert_same_shaped(
-                    shaped(size_action, delay_action, **kwargs),
-                    oracle.shape_packet(action, **kwargs),
+                assert_apply_matches_oracle(
+                    shaper_at(**kwargs), action, oracle.shape_packet(action, **kwargs)
                 )
 
     def test_observation_and_record_sweep(self):
@@ -336,8 +385,9 @@ class TestEmulatorOracle:
 
 
 class TestScalarCore:
-    """``shape_packet_core`` takes two Python floats and returns a plain
-    tuple, equal to the seed numpy oracle field for field and bit for bit."""
+    """``PacketShaper.apply`` takes two Python floats and returns a plain
+    tuple, equal to the seed numpy oracle field for field and bit for bit
+    from every packet state below, in both directions."""
 
     LIMITS = dict(size_scale=1460.0, min_packet_bytes=64, max_delay_ms=100.0)
     # (remaining, truncations, steps, max_truncations, max_steps)
@@ -367,15 +417,21 @@ class TestScalarCore:
     def test_core_and_oracle_agree(self):
         for state in self.STATES:
             kwargs = self._kwargs(state)
-            for size_action in self.COMPONENTS:
-                for delay_action in self.COMPONENTS:
-                    core = shape_packet_core(float(size_action), float(delay_action), **kwargs)
-                    assert type(core) is tuple and len(core) == 4
-                    emitted, added_delay, clipped_delay, is_truncation = core
-                    assert type(emitted) is int and type(is_truncation) is bool
-                    assert type(added_delay) is float and type(clipped_delay) is float
-                    action = [size_action, delay_action]
-                    assert_same_shaped(ShapedPacket(*core), oracle.shape_packet(action, **kwargs))
+            for direction in (1.0, -1.0):
+                for size_action in self.COMPONENTS:
+                    for delay_action in self.COMPONENTS:
+                        action = [size_action, delay_action]
+                        assert_apply_matches_oracle(
+                            shaper_at(direction=direction, delay_ms=12.0, **kwargs),
+                            action,
+                            oracle.shape_packet(action, **kwargs),
+                        )
+
+    def test_begin_builds_no_observation(self):
+        shaper = PacketShaper(1460.0)
+        assert shaper.begin(-900.0, 5.0) is None
+        assert (shaper.direction, shaper.remaining_bytes, shaper.delay_ms) == (-1.0, 900.0, 5.0)
+        assert shaper.observation() == normalised_pair(-1.0, 900.0, 5.0, 1460.0, 100.0)
 
     def test_nan_raises_the_same_text_from_both_entry_points(self, env):
         from repro.core.state_encoder import StateEncoder
@@ -383,9 +439,7 @@ class TestScalarCore:
 
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
         table = session_module.SessionTable(encoder.num_layers, encoder.hidden_size)
-        session = session_module.FlowSession(
-            "s", table, table.acquire(), session_module.SessionLimits(size_scale=1460.0)
-        )
+        session = session_module.FlowSession("s", table, table.acquire(), PacketShaper(1460.0))
         session.enqueue(900.0, 1.0)
         assert session.arm_next()
         env.reset()
@@ -403,24 +457,22 @@ class TestScalarCore:
         for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), [], [0.1, 0.2]):
             with pytest.raises(ValueError, match="actions must have shape"):
                 vec_env.propose(bad)
-        assert env._steps == 0
+        assert env._episode.shaper.steps == 0
 
     def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
         """One emulator: ``AdversarialFlowEnv._propose`` and
-        ``FlowSession.apply_action`` call one function."""
-        from repro.core import env as env_module
+        ``FlowSession.apply_action`` step one state machine,
+        ``PacketShaper.apply``."""
         from repro.core.state_encoder import StateEncoder
         from repro.serve import session as session_module
 
-        assert session_module.shape_packet_core is env_module.shape_packet_core
-        real, calls = env_module.shape_packet_core, []
+        real, calls = PacketShaper.apply, []
 
-        def spy(*args, **kwargs):
-            calls.append(args[:2])
-            return real(*args, **kwargs)
+        def spy(shaper, *args):
+            calls.append(args)
+            return real(shaper, *args)
 
-        monkeypatch.setattr(env_module, "shape_packet_core", spy)
-        monkeypatch.setattr(session_module, "shape_packet_core", spy)
+        monkeypatch.setattr(PacketShaper, "apply", spy)
 
         env.reset()
         VectorFlowEnv([env]).propose(np.array([[0.5, 0.25]]))
@@ -428,9 +480,8 @@ class TestScalarCore:
 
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
         table = session_module.SessionTable(encoder.num_layers, encoder.hidden_size)
-        session = session_module.FlowSession(
-            "s", table, table.acquire(), session_module.SessionLimits(size_scale=1460.0)
-        )
+        session = session_module.FlowSession("s", table, table.acquire(), PacketShaper(1460.0))
+        assert type(session.shaper) is type(env._episode.shaper) is PacketShaper
         session.enqueue(900.0, 1.0)
         assert session.arm_next()
         from_list = session.apply_action([0.5, 0.25])
@@ -447,21 +498,17 @@ class TestScalarCore:
 
 class TestNonFiniteAction:
     def test_helper_names_the_problem(self):
-        kwargs = dict(
-            remaining_bytes=900.0,
-            truncations_current_packet=0,
-            steps_taken=0,
-            size_scale=1460.0,
-            min_packet_bytes=64,
-            max_delay_ms=100.0,
-            max_truncations_per_packet=8,
-            max_steps=None,
-        )
         for action in ([np.nan, 0.0], [0.0, np.nan]):
+            shaper = PacketShaper(1460.0)
+            shaper.begin(900.0, 3.0)
             with pytest.raises(ValueError, match="non-finite action"):
-                shape_packet_core(*action, **kwargs)
+                shaper.apply(*action)
+            # Raised before any state changed.
+            assert (shaper.remaining_bytes, shaper.delay_ms, shaper.steps) == (900.0, 3.0, 0)
         # Infinite components clamp like any out-of-range value (as np.clip did).
-        assert shaped(np.inf, -np.inf, **kwargs).emitted_bytes == 1460
+        shaper = PacketShaper(1460.0)
+        shaper.begin(900.0, 3.0)
+        assert shaper.apply(np.inf, -np.inf)[1] == 1460.0
 
     def test_env_step_rejects_nan_and_stays_usable(self, env):
         env.reset()

@@ -232,7 +232,7 @@ class TestDeferredEqualsPerTick:
         head = first.collect(N_TICKS)
         snapshot = first.snapshot()
         # Episodes are in flight at the boundary, emitted packets and all.
-        assert any(env["_episode"].length > 0 for env in snapshot["envs"])
+        assert any(env["_episode"].shaper.steps > 0 for env in snapshot["envs"])
         first.collect(N_TICKS)  # the snapshot must not alias the live runner
 
         resumed = make_runner(agent, trained_dt_censor, normalizer, config, flows)

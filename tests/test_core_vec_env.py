@@ -236,7 +236,7 @@ class TestVectorFlowEnv:
                 done = dones[0]
             assert infos[0]["episode"].n_steps == simple_flow.n_packets
             if stepper == "step":
-                assert not env._done and env._steps == 0
+                assert not env._done and env._episode.shaper.steps == 0
                 assert np.array_equal(observations[0], first)
                 assert np.array_equal(infos[0]["terminal_observation"], np.zeros(2))
             else:
@@ -1018,13 +1018,13 @@ class TestIndexValidation:
             vec_env.propose(actions, indices)
         assert trained_dt_censor.query_count == 0
         for env, snapshot in zip(envs, before):
-            assert env._steps == snapshot["_steps"] == 0
+            assert env._episode.shaper.steps == snapshot["_episode"].shaper.steps == 0
             assert env._rng.bit_generator.state == snapshot["_rng"].bit_generator.state
 
     def test_distinct_subsets_still_step(self, vec_env, envs):
         observations, _, dones, infos = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
         assert observations.shape == (2, 2) and len(infos) == 2
-        assert [env._steps for env in envs] == [1, 0, 1]
+        assert [env._episode.shaper.steps for env in envs] == [1, 0, 1]
 
     @pytest.mark.parametrize("indices", [[0, 0], [1, 2, 1], [-1], [-2, 0]])
     def test_tracker_refuses_repeated_or_negative_rows(self, indices):

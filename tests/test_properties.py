@@ -39,8 +39,9 @@ from repro.flows import (
 from repro.ml import StandardScaler, accuracy_score, f1_score
 from repro.nn.serialization import CheckpointError, metadata_from_bytes
 from repro.serve import ServeConfig
+from repro.serve.session import FlowSession, SessionTable
 
-from repro.core.env import normalised_pair, shape_packet_core
+from repro.core.env import PacketShaper, normalised_pair
 
 from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import composed_relu_pool
@@ -660,12 +661,16 @@ class TestEmulatorOracleProperties:
         max_steps=st.sampled_from([None, 1, 80]),
         min_packet_bytes=st.sampled_from([0, 64, 1500]),
         scales=st.sampled_from([(1460.0, 100.0), (16384.0, 250.0)]),
+        direction=st.sampled_from([-1.0, 1.0]),
+        delay_ms=st.sampled_from([0.0, 7.5, 1e4]),
     )
     @settings(max_examples=300, deadline=None)
     def test_shape_packet_bit_identical_to_oracle(
         self, action, remaining, truncations, steps, max_truncations, max_steps,
-        min_packet_bytes, scales,
+        min_packet_bytes, scales, direction, delay_ms,
     ):
+        """``PacketShaper.apply`` from a packet state set here: the emitted
+        packet, added delay and time penalty are the oracle's."""
         kwargs = dict(
             remaining_bytes=remaining,
             truncations_current_packet=truncations,
@@ -676,17 +681,22 @@ class TestEmulatorOracleProperties:
             max_truncations_per_packet=max_truncations,
             max_steps=max_steps,
         )
-        got = emulator_reference.ShapedPacket(
-            *shape_packet_core(*np.asarray(action, dtype=np.float64).tolist(), **kwargs)
+        shaper = PacketShaper(scales[0], min_packet_bytes, scales[1], max_truncations, max_steps)
+        shaper.begin(direction * remaining, delay_ms)
+        shaper.truncations, shaper.steps = truncations, steps
+        kind, emitted_size, emitted_delay, added_delay, time_penalty, _ = shaper.apply(
+            *np.asarray(action, dtype=np.float64).tolist()
         )
         expected = emulator_reference.shape_packet(np.asarray(action), **kwargs)
-        assert (got.emitted_bytes, got.is_truncation) == (
-            expected.emitted_bytes,
-            expected.is_truncation,
-        )
+        assert (kind == "truncation") is expected.is_truncation
         assert np.array_equal(
-            _bits([got.added_delay, got.delay_action]),
-            _bits([expected.added_delay, expected.delay_action]),
+            _bits([emitted_size, added_delay, time_penalty, emitted_delay]),
+            _bits([
+                direction * expected.emitted_bytes,
+                expected.added_delay,
+                expected.delay_action,
+                delay_ms + expected.added_delay,
+            ]),
         )
 
     @given(
@@ -705,6 +715,85 @@ class TestEmulatorOracleProperties:
             expected = reference(direction, magnitude, delay, *scales)
             assert expected.dtype == np.float64 and expected.shape == (2,)
             assert np.array_equal(_bits(got), _bits(expected))
+
+
+_packet_sizes = st.one_of(
+    st.sampled_from([1.0, 63.5, 64.0, 1460.0, 1460.5, 5000.0]),
+    st.floats(min_value=0.5, max_value=20000.0),
+)
+
+
+class TestOneShaperBothTiers:
+    """Training and serving step the same emulator: one flow and one action
+    stream through ``VectorFlowEnv.propose`` and through a ``FlowSession``
+    (enqueue, arm, observe, apply) with equal bounds give bitwise-equal
+    observations, emitted packets, recorded pairs and kinds, step for step,
+    and both sides end at the same step."""
+
+    @given(
+        packets=st.lists(
+            st.tuples(_packet_sizes, st.booleans(), st.sampled_from([0.0, 3.0, 99.5, 150.0])),
+            min_size=1,
+            max_size=6,
+        ),
+        actions=st.lists(st.tuples(_components, _components), min_size=1, max_size=12),
+        max_truncations=st.integers(0, 8),
+        budget=st.sampled_from([None, 1, 2, 3, 5, 8]),
+        min_packet_bytes=st.sampled_from([1, 64, 1500]),
+        scales=st.sampled_from([(1460.0, 100.0), (16384.0, 250.0)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_propose_and_session_shape_alike(
+        self, packets, actions, max_truncations, budget, min_packet_bytes, scales,
+        trained_dt_censor,
+    ):
+        size_scale, max_delay_ms = scales
+        flow = Flow(
+            sizes=[size if upstream else -size for size, upstream, _ in packets],
+            delays=[delay for _, _, delay in packets],
+            label=FlowLabel.CENSORED,
+        )
+        # An unbounded session is a training budget the flow cannot reach.
+        config = AmoebaConfig.for_tor(
+            min_packet_bytes=min_packet_bytes,
+            max_delay_ms=max_delay_ms,
+            max_episode_steps=budget or 10_000,
+        )
+        # AmoebaConfig refuses a truncation cap of 0; a shaper takes one.
+        config.max_truncations_per_packet = max_truncations
+        normalizer = FlowNormalizer(size_scale=size_scale, delay_scale=max_delay_ms)
+        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
+        vec_env = VectorFlowEnv([env])
+        table = SessionTable(1, 4)
+        session = FlowSession(
+            "s",
+            table,
+            table.acquire(),
+            PacketShaper(size_scale, min_packet_bytes, max_delay_ms, max_truncations, budget),
+        )
+        for size, delay in zip(flow.sizes.tolist(), flow.delays.tolist()):
+            session.enqueue(size, delay)
+        assert session.arm_next()
+
+        observation = tuple(vec_env.reset()[0].tolist())
+        step, done = 0, False
+        while not done:
+            assert _bits(session.current_observation()).tobytes() == _bits(observation).tobytes()
+            action = actions[step % len(actions)]
+            tick = vec_env.propose(np.array([action]), [0])
+            decision = session.apply_action(action)
+            episode, [done] = tick.episodes[0], tick.dones.tolist()
+            assert tick.action_kinds[0] == decision.kind
+            assert _bits([episode.sizes[step], episode.delays[step]]).tobytes() == _bits(
+                [decision.emitted_size, decision.emitted_delay_ms]
+            ).tobytes()
+            assert _bits(tick.pairs[1]).tobytes() == _bits(decision.recorded_action).tobytes()
+            step += 1
+            # The server's re-arm rule: the session goes on exactly when
+            # the episode does.
+            assert (session.online and (session.in_flight or session.arm_next())) is not done
+            observation = tuple(tick.next_observations[0].tolist())
+        assert episode.shaper.steps == session.n_decisions == decision.step == step
 
 
 # Values for the conv block property: ties, zeros of both signs and NaN must

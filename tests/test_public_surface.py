@@ -120,6 +120,11 @@ RETIRED_MEMBERS = [
     # float pairs; the ndarray wrappers of it are gone.
     ("repro.core", "env", "make_observation"),
     ("repro.core", "env", "record_action"),
+    # One packet shaper: both tiers step ``PacketShaper``; the free shaping
+    # function and the serving tier's copy of the bounds are gone.
+    ("repro.core", "env", "shape_packet_core"),
+    ("repro.serve", "session", "SessionLimits"),
+    ("repro.serve.server", "ServeConfig", "session_limits"),
 ]
 
 # Unreached members: no CLI subcommand, example, benchmark or perf workload
@@ -318,6 +323,9 @@ def test_retired_knobs_are_gone():
 # CI runs no ``benchmarks/bench_*.py`` module, so a call to a retired name
 # there would only fail by hand.
 RETIRED_CALLS = [
+    r"\bshape_packet_core\(",
+    r"\bSessionLimits\(",
+    r"\.session_limits\(",
     r"\.encode_state\(",
     r"\.observation_history\(",
     r"\.action_history\(",

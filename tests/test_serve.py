@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import Amoeba, AmoebaConfig, GaussianActor, StateEncoder
+from repro.core.env import PacketShaper
 from repro.core.profiles import AdversarialProfile, ProfileDatabase
 from repro.flows import Flow, FlowLabel
 from repro.nn.serialization import save_state_dict, split_prefixed_state
@@ -31,6 +32,7 @@ from repro.serve import (
     run_workload,
     summarize_stats,
 )
+from repro.serve.session import FlowSession, SessionTable
 
 ENCODER_HIDDEN = 8
 
@@ -264,6 +266,43 @@ class TestSessionLifecycle:
         report = server.close_session(sid)
         assert report.demoted
         assert summarize_stats(server.stats())["profile_fallback_rate"] == 1.0
+
+    def test_demotion_keeps_an_armed_packets_delay(self, policy, serve_config):
+        """A packet armed but not yet shaped goes to the profile tier with
+        its original delay, so the fallback flow's duration (what
+        ``ProfileDatabase.embed_flow`` records as ``original_duration``)
+        counts it."""
+        server = make_server(policy, serve_config)
+        sid = server.open_session()
+        server.submit(sid, 900.0, 5.0)
+        server.submit(sid, -300.0, 7.0)
+        session = server.session(sid)
+        assert session.in_flight and session.backlog == 1 and session.n_decisions == 0
+        session.demote()
+        payload = session.profile_payload()
+        assert payload.sizes.tolist() == [900.0, -300.0]
+        assert payload.delays.tolist() == [5.0, 7.0]
+        assert payload.duration == 12.0
+
+    def test_demotion_after_a_truncation_adds_no_delay(self):
+        """The remainder of a truncated packet is a follow-up sub-packet: it
+        goes to the profile tier with no delay, as the shaper would have
+        sent it."""
+        table = SessionTable(1, ENCODER_HIDDEN)
+        session = FlowSession("t", table, table.acquire(), PacketShaper(1460.0))
+        session.enqueue(900.0, 5.0)
+        assert session.arm_next()
+        decision = session.apply_action([0.1, 0.0])  # 146 of 900 bytes
+        assert (decision.kind, decision.emitted_size, decision.emitted_delay_ms) == (
+            "truncation", 146.0, 5.0
+        )
+        session.enqueue(-300.0, 7.0)
+        session.demote()
+        payload = session.profile_payload()
+        assert payload.sizes.tolist() == [754.0, -300.0]
+        assert payload.delays.tolist() == [0.0, 7.0]
+        report = session.close()
+        assert (report.payload_bytes, report.n_decisions, report.unserved_packets) == (146.0, 1, 0)
 
     def test_step_budget_closes_session(self, policy, simple_flow):
         config = ServeConfig(
