@@ -16,7 +16,7 @@ reading the parameters at call time.  Both give the same bits: the same
 three BLAS products on the same operands, and elementwise steps that round
 alike (``tests/oracles/df_tensor_scoring.py`` keeps the ``Tensor`` scoring
 body the test suite compares against).  Around each conv product both call
-two backend hooks, one compiled call each under ``blocked``: ``im2col_1d``
+two backend hooks, one compiled call each: ``im2col_1d``
 (the column matrix) and ``bias_relu_pool`` (bias, ReLU and pool, written
 channel-first so fc1's flatten is a free reshape); the block's backward
 adds ``bias_relu_pool_backward`` and ``col2im_1d``.

@@ -14,9 +14,9 @@ without writing Python:
   live-traffic workload through the continuous-batching serving tier,
   reporting decisions/s, decision-latency percentiles and the
   profile-fallback rate;
-* ``repro-amoeba backends`` — print the execution-backend diagnostic: which
-  backends are registered, whether the compiled GEMM / fused-cell kernels
-  loaded, and the compile error if they did not;
+* ``repro-amoeba backends`` — print the executor's diagnostic: whether the
+  compiled GEMM loaded (and the compile error if not), and whether each
+  hook runs compiled;
 * ``repro-amoeba info`` — print the library version and experiment index.
 
 Examples
@@ -256,39 +256,29 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_backends(_: argparse.Namespace) -> int:
-    """Execution-backend diagnostic: kernels, fallback reasons.
+    """The executor's diagnostic: kernels, fallback reasons.
 
     This is the operational surface for the one-time fallback warnings: the
-    exact compiler / loader error of the GEMM, and every hook of the
-    ``blocked`` backend with whether it runs compiled.
+    exact compiler / loader error of the GEMM, and every hook of the table
+    with whether it runs compiled.
     """
     from .nn import backend as nn_backend
 
-    active = nn_backend.active_backend()
-    print(f"registered backends: {', '.join(nn_backend.available_backends())}")
-    print(f"default backend:     {nn_backend.default_backend().name}")
-    print(f"active backend:      {active.name}")
-
-    if nn_backend.compiled_kernel_available():
+    description = nn_backend.active_backend().describe()
+    if description["kernel"] == "compiled":
         print("rc-GEMM kernel:      compiled (row-consistent C extension)")
     else:
         print("rc-GEMM kernel:      einsum fallback (row-consistent, slower)")
-        print(f"  compile error: {nn_backend.compiled_kernel_error()}")
+        print(f"  compile error: {description['kernel_error']}")
     status = nn_backend.hook_status()
     failed = [name for name, reason in status.items() if reason]
     if failed:
         print(f"fused-cell kernels:  numpy fallback for {len(failed)} of {len(status)} hooks")
-        print(f"  error: {nn_backend.fused_cells_error()}")
+        print(f"  error: {description['fused_cells_error']}")
     else:
         print(f"fused-cell kernels:  compiled ({len(status)} hooks)")
     for name in status:
         print(f"  hook {name + ':':<31}{'numpy fallback' if name in failed else 'compiled'}")
-
-    print("per-backend describe():")
-    for name in nn_backend.available_backends():
-        description = nn_backend.get_backend(name).describe()
-        details = ", ".join(f"{key}={value}" for key, value in sorted(description.items()))
-        print(f"  {name}: {details}")
     return 0
 
 

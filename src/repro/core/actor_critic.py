@@ -87,8 +87,8 @@ def mlp_forward(body: nn.Sequential, states: np.ndarray) -> np.ndarray:
     result is a fresh ``(n, output_dim)`` array.  This is the active
     backend's :meth:`~repro.nn.backend.ExecutionBackend.tanh_mlp`:
     :func:`repro.nn.functional.tanh_mlp_forward` — the forward the training
-    nodes run — on the row-consistent kernel (one compiled call under
-    ``blocked``), on ``param.data`` as it is now, so a ``load_state_dict``
+    nodes run — on the row-consistent kernel (one compiled call), on
+    ``param.data`` as it is now, so a ``load_state_dict``
     or an optimizer step needs no invalidation.
     """
     states = np.asarray(states, dtype=np.float64)

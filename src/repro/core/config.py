@@ -22,9 +22,12 @@ from ..utils.validation import (
 __all__ = ["AmoebaConfig"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmoebaConfig:
     """Hyperparameters of the Amoeba agent and its PPO optimisation.
+
+    Frozen: every bound is checked once, at construction, so a changed
+    value is a new config (:meth:`with_overrides`), checked like the first.
 
     Attributes mirror Table 3 of the paper:
 

@@ -13,7 +13,7 @@ folds in the actor's log-probabilities and entropy, so its backward runs
 surrogate → Gaussian log-density → MLP in one closure), the critic's values
 (its MLP and reshape) and the MSE.  Their elementwise work, the gradient
 norm and the Adam step run on the active :mod:`repro.nn.backend`'s training
-hooks (compiled under ``blocked``); the BLAS products and the reductions
+hooks (compiled where the kernel pack loaded); the BLAS products and the reductions
 stay numpy calls.  The update still goes through ``log_prob_and_entropy`` /
 ``Critic.__call__`` / ``Tensor.backward`` / ``nn.clip_grad_norm`` /
 ``Adam.step`` — there is no tape, recorded-graph replay or cache — and is

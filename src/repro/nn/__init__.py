@@ -11,18 +11,7 @@ Public surface:
 """
 
 from . import backend, functional
-from .backend import (
-    ExecutionBackend,
-    active_backend,
-    available_backends,
-    compiled_kernel_available,
-    compiled_kernel_error,
-    default_backend,
-    fused_cells_available,
-    fused_cells_error,
-    get_backend,
-    use_backend,
-)
+from .backend import ExecutionBackend, active_backend
 from .conv import Conv1d
 from .init import kaiming_uniform, orthogonal, xavier_uniform
 from .layers import Linear, Module, Parameter, ReLU, Sequential, Tanh
@@ -56,14 +45,6 @@ __all__ = [
     "backend",
     "ExecutionBackend",
     "active_backend",
-    "available_backends",
-    "compiled_kernel_available",
-    "compiled_kernel_error",
-    "default_backend",
-    "fused_cells_available",
-    "fused_cells_error",
-    "get_backend",
-    "use_backend",
     "functional",
     "Module",
     "Parameter",

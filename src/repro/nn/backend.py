@@ -1,4 +1,4 @@
-"""Execution backends of ``repro.nn``: the row-consistent matmul and the hooks.
+"""The executor of ``repro.nn``: the row-consistent matmul and the hooks.
 
 Every inference-time matmul in this library funnels through
 :func:`repro.nn.rc_matmul`, whose row-consistent branch used to be a hard-coded
@@ -10,48 +10,38 @@ single-row forward.  Every equivalence tier (batched vs. sequential rollout,
 sharded collection, batched serving vs. ``max_batch=1``) rests on that
 property.
 
-A backend owns the 2-D matmul of a :func:`repro.nn.row_consistent_matmul`
-context (:meth:`ExecutionBackend.matmul2d`) and the **hooks**: the numpy
-bodies on :class:`ExecutionBackend` that the recurrent cells, the decision
-tick, the PPO update, DF's conv block and the BPTT recurrences call.  Two
-backends ship, both ``float64``, both row-consistent, bit-identical to each
-other by test:
+One :class:`ExecutionBackend`, the instance :func:`active_backend` returns,
+executes the 2-D matmul of a :func:`repro.nn.row_consistent_matmul` context
+(:meth:`ExecutionBackend.matmul2d`) and the **hooks**: the numpy bodies on
+the class that the recurrent cells, the decision tick, the PPO update, DF's
+conv block and the BPTT recurrences call.  Its kernel pack (``kernels.c``
+beside this module) is compiled on first use and performs the *identical*
+floating-point operations in the identical per-element order as the einsum
+and the bodies — the GEMM k-loop is unrolled four wide with explicit
+sequential adds and compiled with ``-ffp-contract=off``, so no
+fused-multiply-add or reassociation can change a single bit.  Its hooks are
+the rows of ``_HOOKS``: each names a numpy body (the oracle and the
+fallback), the kernel-pack functions that replace it, whether they run
+numpy's own float64 ``exp`` / ``tanh`` loops (bound from the ufuncs when the
+kernel loads: numpy's SIMD transcendentals differ from libm in the last ulp)
+and the operands of its self-check.  At first use each row is checked
+bitwise against its body on its own; a row that mismatches — or whose bound
+loops do — runs its numpy body alone, announced by one
+:class:`RuntimeWarning` naming it.  Without a working C toolchain the GEMM is
+the einsum and every hook runs its numpy body (same bits, numpy speed).
 
-``reference``
-    The original ``np.einsum("ik,kh->ih", a, b)`` matmul (in the layout
-    :func:`_einsum_matmul` gives it) and the numpy bodies, kept as the
-    testable oracle.
-
-``blocked`` (default)
-    A C kernel pack (``kernels.c`` beside this module) compiled on first use
-    that performs the *identical* floating-point operations in the identical
-    per-element order as the reference — the GEMM k-loop is unrolled four
-    wide with explicit sequential adds and compiled with
-    ``-ffp-contract=off``, so no fused-multiply-add or reassociation can
-    change a single bit.  Its hooks are the rows of ``_HOOKS``: each names a
-    numpy body (the oracle and the fallback), the kernel-pack functions that
-    replace it, whether they run numpy's own float64 ``exp`` / ``tanh``
-    loops (bound from the ufuncs when the kernel loads: numpy's SIMD
-    transcendentals differ from libm in the last ulp) and the operands of
-    its self-check.  At first use each row is checked bitwise against its
-    body on its own; a row that mismatches — or whose bound loops do — runs
-    its numpy body alone, announced by one :class:`RuntimeWarning` naming
-    it.  Without a working C toolchain the GEMM and every hook run the
-    reference paths (same bits, reference speed).
-
-Selection: the ``REPRO_NN_BACKEND`` environment variable picks the process
-default (useful for CI A/B runs); :func:`use_backend` scopes an override and
-:func:`active_backend` tells which backend runs.  ``REPRO_NN_KERNEL_CACHE``
-relocates the compiled kernel cache (default: a ``repro-amoeba-kernels``
-directory under the user cache dir, falling back to the system temp dir).
-The cache holds one extension per (source, flags, interpreter, numpy) and a
-``.sha256`` sidecar recording what a verified build hashed to; an entry that
-no longer matches its sidecar is rebuilt, never loaded.
+Nothing selects another executor.  ``ExecutionBackend(compiled=False)`` is
+the same class without a kernel — exactly that no-toolchain fallback — and
+the oracle of the self-check.  ``REPRO_NN_KERNEL_CACHE`` relocates the
+compiled kernel cache (default: a ``repro-amoeba-kernels`` directory under
+the user cache dir, falling back to the system temp dir).  The cache holds
+one extension per (source, flags, interpreter, numpy) and a ``.sha256``
+sidecar recording what a verified build hashed to; an entry that no longer
+matches its sidecar is rebuilt, never loaded.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -68,21 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-__all__ = [
-    "ExecutionBackend",
-    "ReferenceBackend",
-    "BlockedBackend",
-    "get_backend",
-    "available_backends",
-    "active_backend",
-    "default_backend",
-    "use_backend",
-    "compiled_kernel_available",
-    "compiled_kernel_error",
-    "fused_cells_available",
-    "fused_cells_error",
-    "hook_status",
-]
+__all__ = ["ExecutionBackend", "active_backend", "hook_status"]
 
 
 # --------------------------------------------------------------------------- #
@@ -107,6 +83,8 @@ _BASE_CFLAGS = [
 _UNSET = object()
 _KERNEL = _UNSET
 _KERNEL_ERROR: Optional[str] = None
+# Why an executor built with ``compiled=False`` runs every numpy body.
+_NO_KERNEL = "built without a kernel"
 
 
 def _cache_dir() -> str:
@@ -221,9 +199,10 @@ def _ensure_kernel():
     missing, truncated or corrupted cache entry costs one rebuild, and the
     digest is recorded only once the new build has passed its self-check.
     Failures of any kind — no compiler, unwritable cache, self-check
-    mismatch — are recorded, announced once via :class:`RuntimeWarning`,
-    and the blocked backend's GEMM and hooks permanently degrade to the
-    reference paths for this process (identical bits, reference speed).
+    mismatch — are recorded in ``_KERNEL_ERROR``, announced once via
+    :class:`RuntimeWarning`, and the GEMM and every hook permanently run
+    the einsum and the numpy bodies for this process (identical bits,
+    numpy speed).
     """
     global _KERNEL, _KERNEL_ERROR
     if _KERNEL is not _UNSET:
@@ -242,9 +221,9 @@ def _ensure_kernel():
         _KERNEL = None
         _KERNEL_ERROR = f"{type(exc).__name__}: {exc}"
         warnings.warn(
-            "repro.nn.backend: compiled blocked kernel unavailable "
-            f"({_KERNEL_ERROR}); the 'blocked' backend is falling back to "
-            "the reference einsum (identical bits, reference speed). "
+            "repro.nn.backend: compiled kernel unavailable "
+            f"({_KERNEL_ERROR}); falling back to the einsum GEMM and the "
+            "numpy hook bodies (identical bits, numpy speed). "
             "Run `repro-amoeba backends` for details.",
             RuntimeWarning,
             stacklevel=2,
@@ -252,19 +231,8 @@ def _ensure_kernel():
     return _KERNEL
 
 
-def compiled_kernel_available() -> bool:
-    """``True`` when the blocked backend is running its compiled GEMM."""
-    return _ensure_kernel() is not None
-
-
-def compiled_kernel_error() -> Optional[str]:
-    """The reason the compiled kernel is unavailable (``None`` when loaded)."""
-    _ensure_kernel()
-    return _KERNEL_ERROR
-
-
 # --------------------------------------------------------------------------- #
-# Backends
+# The executor
 # --------------------------------------------------------------------------- #
 def _np_adam_decrement(grad, m, v, s_a, s_b, lr, beta1, beta2, eps, bias1, bias2) -> None:
     """Oracle Adam arithmetic: advance the moments ``m`` / ``v`` by ``grad``
@@ -297,28 +265,41 @@ def _np_adam_decrement(grad, m, v, s_a, s_b, lr, beta1, beta2, eps, bias1, bias2
 
 
 class ExecutionBackend:
-    """One executor of the row-consistent matmul core.
+    """The executor of the row-consistent matmul core and of the hooks.
 
-    Subclasses define the 2-D matmul kernel used inside a
-    :func:`repro.nn.row_consistent_matmul` context.  Both backends must be
-    bit-identical to ``reference`` — :meth:`matmul2d` output rows depend
-    only on the corresponding input row and the reduction length, the
-    property the bit-equivalence ladder rests on — and
-    ``tests/test_nn_backend.py`` holds the registry to that.
+    :meth:`matmul2d` output rows depend only on the corresponding input row
+    and the reduction length — the property the bit-equivalence ladder
+    rests on.  The other public methods are the hooks.  Their bodies here
+    are numpy (the network hooks compose :meth:`matmul2d` and the gate
+    hooks of the same executor): the oracles every compiled kernel is
+    checked against and the paths it falls back to.  The numpy expressions
+    are copied operation for operation from the original ``Tensor``
+    forwards (the sigmoid is ``Tensor.sigmoid``'s expression, every add and
+    multiply in the same order).
 
-    The other methods are the hooks.  Their bodies here are numpy (the
-    network hooks compose :meth:`matmul2d`): the oracles every compiled
-    kernel of ``blocked`` is checked against and the paths it falls back to.
-    The numpy expressions are copied operation for operation from the
-    original ``Tensor`` forwards (the sigmoid is ``Tensor.sigmoid``'s
-    expression, every add and multiply in the same order).
+    The instance :func:`active_backend` returns is built ``compiled``: its
+    matmul runs the compiled GEMM where the kernel pack loaded and passed
+    its self-check, and each hook is a row of ``_HOOKS``.  At the first use
+    of any hook every row is self-checked on its own and resolved once into
+    the instance — to its compiled path, or to its numpy body if its check
+    failed.  Built with ``compiled=False`` the executor has no kernel: the
+    einsum and the bodies as the table bound them, which is what runs where
+    no kernel pack can be built.  Every path produces identical bits, so
+    the dispatch is invisible to all numerical contracts; only the clock
+    changes.
     """
 
-    name: str = "abstract"
+    def __init__(self, compiled: bool = True) -> None:
+        self.compiled = compiled
+        self.name = "blocked" if compiled else "numpy"
+        self._failed: Optional[Dict[str, str]] = None
+        for hook in _HOOKS:
+            self.__dict__[hook.name] = _first_use(self, hook.name) if compiled else hook.body.__get__(self)
 
     def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Multiply two 2-D float64 arrays, returning a float64 array."""
-        raise NotImplementedError
+        kernel = _ensure_kernel() if self.compiled else None
+        return _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
 
     def gru_gates(
         self, gx: np.ndarray, gh: np.ndarray, b: np.ndarray, hidden: np.ndarray
@@ -361,28 +342,30 @@ class ExecutionBackend:
 
         ``x`` is the ``(n, input_size)`` newest input and ``cells`` one packed
         ``(w_x, w_h, b)`` per layer.  This composition —
-        :func:`~repro.nn.functional.gru_cell_forward` per layer on
-        :meth:`matmul2d`, each layer's output the next one's input — is the
-        oracle the compiled ``gru_step`` is checked against.
+        :func:`~repro.nn.functional.gru_cell_forward` per layer on this
+        executor's :meth:`matmul2d` and ``gru_gates``, each layer's output
+        the next one's input — is the oracle the compiled ``gru_step`` is
+        checked against.
         """
         from .functional import gru_cell_forward  # functional imports this module
 
         new_hidden = np.empty(hidden.shape)
         step_input = x
         for layer, (w_x, w_h, b) in enumerate(cells):
-            step_input = gru_cell_forward(step_input, hidden[layer], w_x, w_h, b, self.matmul2d)[0]
+            step_input = gru_cell_forward(step_input, hidden[layer], w_x, w_h, b, self.matmul2d, self)[0]
             new_hidden[layer] = step_input
         return new_hidden
 
     def tanh_mlp(self, x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """The Linear–tanh–…–Linear forward on ``(n, in_features)`` rows.
 
-        :func:`~repro.nn.functional.tanh_mlp_forward` on :meth:`matmul2d`
-        (its last activation): the oracle of the compiled ``tanh_mlp``.
+        :func:`~repro.nn.functional.tanh_mlp_forward` on this executor's
+        :meth:`matmul2d` and ``bias_tanh`` (its last activation): the oracle
+        of the compiled ``tanh_mlp``.
         """
         from .functional import tanh_mlp_forward  # functional imports this module
 
-        return tanh_mlp_forward(x, layers, self.matmul2d)[-1]
+        return tanh_mlp_forward(x, layers, self.matmul2d, self)[-1]
 
     # The PPO update's elementwise work.  The training nodes of
     # ``nn.functional`` and ``Adam.step`` call these between their BLAS
@@ -632,12 +615,33 @@ class ExecutionBackend:
         d_pre_all[:, t, 3 * size :] = d_o * gate_o * (1.0 - gate_o)
         return d_cell * gate_f
 
+    def _resolve(self) -> Dict[str, str]:
+        """Check and install every row once; ``{name: why}`` of the hooks
+        running their numpy body."""
+        if self._failed is None and not self.compiled:
+            self._failed = {hook.name: _NO_KERNEL for hook in _HOOKS}
+        elif self._failed is None:
+            self._failed = _check_hooks()
+            for hook in _HOOKS:
+                compiled = _declined if hook.name in self._failed else hook.compiled(_KERNEL)
+                self.__dict__[hook.name] = _dispatch(self, hook.name, compiled)
+        return self._failed
+
     def describe(self) -> Dict[str, object]:
-        """Introspection payload (benchmarks embed this in their results)."""
-        return {"name": self.name}
+        """What runs the GEMM and the hooks, and why not compiled where not
+        (``benchmarks/perf/run.py`` embeds this in its results)."""
+        failed = self._resolve()
+        kernel = _ensure_kernel() if self.compiled else None
+        return {
+            "name": self.name,
+            "kernel": "einsum-fallback" if kernel is None else "compiled",
+            "kernel_error": _KERNEL_ERROR if self.compiled else _NO_KERNEL,
+            "fused_cells": "numpy-fallback" if failed else "compiled",
+            "fused_cells_error": _failure_text(failed),
+        }
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
+        return f"{type(self).__name__}(compiled={self.compiled})"
 
 
 def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -659,27 +663,10 @@ def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kh->ih", a, b)
 
 
-class ReferenceBackend(ExecutionBackend):
-    """The original einsum + numpy path — the oracle every fast path is
-    tested against.
-
-    ``np.einsum("ik,kh->ih")`` (in the layout :func:`_einsum_matmul` gives
-    it) accumulates each output element over ``k`` in strictly increasing
-    order with separate multiply/add rounding steps, which is the numerical
-    definition of the row-consistency contract.  The inherited gate hooks
-    are the plain-numpy oracles, the network hooks their composition.
-    """
-
-    name = "reference"
-
-    def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _einsum_matmul(a, b)
-
-
 # --------------------------------------------------------------------------- #
 # The hook table
 # --------------------------------------------------------------------------- #
-# One row per hook of the ``blocked`` backend.  A new hook is one C function
+# One row per hook of the executor.  A new hook is one C function
 # in kernels.c, one numpy body on ExecutionBackend and one row here;
 # tests/test_nn_backend.py::TestHookTable holds the three to each other.
 
@@ -828,9 +815,9 @@ def _density_samples(rng):
 
 def _density_backward_samples(rng):
     """A per-sample gradient and the forward's caches on its samples."""
-    reference = get_backend("reference")
+    oracle = ExecutionBackend(compiled=False)
     for (where, args), (_, rows, _, scale) in zip(_density_samples(rng), _elementwise_shapes()):
-        yield where, (rng.standard_normal(rows) * scale, *reference.gaussian_log_density(*args)[1:])
+        yield where, (rng.standard_normal(rows) * scale, *oracle.gaussian_log_density(*args)[1:])
 
 
 def _surrogate_samples(rng):
@@ -848,9 +835,9 @@ def _surrogate_samples(rng):
 
 
 def _surrogate_backward_samples(rng):
-    reference = get_backend("reference")
+    oracle = ExecutionBackend(compiled=False)
     for where, args in _surrogate_samples(rng):
-        _, ratio, take_raw, inside = reference.clipped_surrogate(*args)
+        _, ratio, take_raw, inside = oracle.clipped_surrogate(*args)
         yield where, (-1.0 / max(ratio.size, 1), ratio, args[2], take_raw, inside)
 
 
@@ -1006,8 +993,8 @@ _HOOKS: Tuple[_Hook, ...] = (
     _Hook("lstm_bptt_step", _bptt_samples("lstm_bptt_step"), outputs=lambda c, args: (c, args[-1]), nan_aware=True),
 )
 # Each row's body is bound now, so a body patched later (a test's spy) is
-# never the self-check's oracle; ``_dispatch`` still looks its fallback up
-# when called, which is what such spies rely on.
+# never the self-check's oracle nor a no-kernel executor's hook; ``_dispatch``
+# still looks its fallback up when called, which is what such spies rely on.
 _HOOKS = tuple(hook._replace(body=getattr(ExecutionBackend, hook.name)) for hook in _HOOKS)
 
 
@@ -1059,24 +1046,10 @@ def _check_loops(kernel) -> None:
             _assert_same(f"{name} loop", ufunc(x), kernel.bound_loop(name, x), f"length {len(x)}")
 
 
-@contextlib.contextmanager
-def _oracle() -> Iterator[ExecutionBackend]:
-    """A ``reference`` backend whose hooks are the table's bound bodies,
-    active while it is held: the GRU step's body takes its gates from the
-    active backend."""
-    oracle = ReferenceBackend()
-    for hook in _HOOKS:
-        setattr(oracle, hook.name, hook.body.__get__(oracle))
-    _OVERRIDES.append(oracle)
-    try:
-        yield oracle
-    finally:
-        _OVERRIDES.pop()
-
-
 def _check_hook(hook: _Hook, compiled: Callable, oracle: ExecutionBackend) -> None:
     """Run ``hook``'s samples through ``compiled`` and through its body on
-    ``oracle``; raise on the first difference or declined operand."""
+    the no-kernel ``oracle``; raise on the first difference or declined
+    operand."""
     body = getattr(oracle, hook.name)
     outputs = hook.outputs or (lambda result, args: result)
     # The body of a hook that writes into its arguments gets its own stream.
@@ -1098,7 +1071,8 @@ def _check_hooks() -> Dict[str, str]:
     if kernel is None:
         return {hook.name: _KERNEL_ERROR for hook in _HOOKS}
     failed: Dict[str, str] = {}
-    with _oracle() as oracle, np.errstate(all="ignore"):
+    oracle = ExecutionBackend(compiled=False)
+    with np.errstate(all="ignore"):
         try:
             _check_loops(kernel)
         except Exception as exc:  # noqa: BLE001 - degrade, never break callers
@@ -1113,8 +1087,8 @@ def _check_hooks() -> Dict[str, str]:
     if failed:
         warnings.warn(
             f"repro.nn.backend: compiled hooks failed their self-check ({_failure_text(failed)}); "
-            "the 'blocked' backend runs their numpy bodies (identical bits, numpy speed) "
-            "and keeps every other hook compiled. Run `repro-amoeba backends` for details.",
+            "they run their numpy bodies (identical bits, numpy speed) "
+            "and every other hook stays compiled. Run `repro-amoeba backends` for details.",
             RuntimeWarning,
             stacklevel=4,
         )
@@ -1133,6 +1107,18 @@ def _declined(*args):
     return NotImplemented
 
 
+def _first_use(backend: ExecutionBackend, name: str) -> Callable:
+    """Hook ``name`` of a compiled executor until the first use of any
+    hook, which installs every row in the instance over these."""
+
+    def hook(*args):
+        backend._resolve()
+        return backend.__dict__[name](*args)
+
+    hook.__name__ = hook.__qualname__ = name
+    return hook
+
+
 def _dispatch(backend: ExecutionBackend, name: str, compiled: Callable) -> Callable:
     """The resolved hook: ``compiled``, and wherever it declines, the numpy
     body — looked up when called, so a patched body is the one that runs."""
@@ -1147,135 +1133,16 @@ def _dispatch(backend: ExecutionBackend, name: str, compiled: Callable) -> Calla
     return hook
 
 
-class BlockedBackend(ExecutionBackend):
-    """Compiled kernel pack, bit-identical to the reference paths.
-
-    The matmul runs the compiled GEMM when it loaded and passed its
-    self-check (:func:`compiled_kernel_available`).  Every other hook is a
-    row of ``_HOOKS``: at the first use of any of them each row is
-    self-checked on its own and resolved once into this instance — to its
-    compiled path, or to its numpy body if its check failed.  Because every
-    path produces identical bits, the dispatch is invisible to all
-    numerical contracts; only the clock changes.
-    """
-
-    name = "blocked"
-
-    def matmul2d(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        kernel = _ensure_kernel()
-        return _einsum_matmul(a, b) if kernel is None else kernel.rc_gemm(a, b)
-
-    def _resolve(self) -> Dict[str, str]:
-        """Check and install every row once; ``{name: why}`` of the hooks
-        running their numpy body."""
-        if "_failed" not in self.__dict__:
-            self._failed = _check_hooks()
-            for hook in _HOOKS:
-                compiled = _declined if hook.name in self._failed else hook.compiled(_KERNEL)
-                self.__dict__[hook.name] = _dispatch(self, hook.name, compiled)
-        return self._failed
-
-    def describe(self) -> Dict[str, object]:
-        failed = self._resolve()
-        return {
-            "name": self.name,
-            "kernel": "compiled" if compiled_kernel_available() else "einsum-fallback",
-            "kernel_error": compiled_kernel_error(),
-            "fused_cells": "numpy-fallback" if failed else "compiled",
-            "fused_cells_error": _failure_text(failed),
-        }
-
-
-class _TableHook:
-    """A hook of :class:`BlockedBackend` until the first use of any hook,
-    which installs every row in the instance: from then on the instance's
-    own attribute answers and this is never consulted again."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.__doc__ = getattr(ExecutionBackend, name).__doc__
-
-    def __get__(self, backend, owner=None):
-        if backend is None:
-            return self
-        backend._resolve()
-        return backend.__dict__[self.name]
-
-
-for _row in _HOOKS:
-    setattr(BlockedBackend, _row.name, _TableHook(_row.name))
-
-
 def hook_status() -> Dict[str, Optional[str]]:
-    """Each hook of the table: ``None`` when ``blocked`` runs it compiled,
+    """Each hook of the table: ``None`` when the executor runs it compiled,
     else why it runs the numpy body."""
-    failed = _REGISTRY["blocked"]._resolve()
+    failed = _EXECUTOR._resolve()
     return {hook.name: failed.get(hook.name) for hook in _HOOKS}
 
 
-def fused_cells_available() -> bool:
-    """``True`` when the blocked backend runs every hook compiled."""
-    return not _REGISTRY["blocked"]._resolve()
-
-
-def fused_cells_error() -> Optional[str]:
-    """Which hooks run their numpy body, and why (``None`` when none does)."""
-    return _failure_text(_REGISTRY["blocked"]._resolve())
-
-
-# --------------------------------------------------------------------------- #
-# Registry and selection
-# --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, ExecutionBackend] = {
-    backend.name: backend for backend in (ReferenceBackend(), BlockedBackend())
-}
-_OVERRIDES: List[ExecutionBackend] = []
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Look up a backend by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_backends() -> List[str]:
-    """Names of both backends."""
-    return sorted(_REGISTRY)
-
-
-def default_backend() -> ExecutionBackend:
-    """The process-wide default backend (active when no override is open)."""
-    return _DEFAULT
+_EXECUTOR = ExecutionBackend()
 
 
 def active_backend() -> ExecutionBackend:
-    """The backend the next row-consistent matmul will execute on."""
-    if _OVERRIDES:
-        return _OVERRIDES[-1]
-    return _DEFAULT
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[ExecutionBackend]:
-    """Scoped backend override (nestable; innermost wins)."""
-    backend = get_backend(name)
-    _OVERRIDES.append(backend)
-    try:
-        yield backend
-    finally:
-        _OVERRIDES.pop()
-
-
-_initial = os.environ.get("REPRO_NN_BACKEND", "blocked")
-if _initial not in _REGISTRY:
-    warnings.warn(
-        f"REPRO_NN_BACKEND={_initial!r} is not a backend; falling back to 'blocked'",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    _initial = "blocked"
-_DEFAULT: ExecutionBackend = _REGISTRY[_initial]
+    """The executor every row-consistent matmul and every hook runs on."""
+    return _EXECUTOR

@@ -8,8 +8,8 @@ MLP's forward and backward, and the fused recurrent sequence kernels.
 Every matmul of the training MLP forward and of the fused recurrent kernels
 below goes through :func:`repro.nn.tensor.rc_matmul`, the single
 execution-backend choke point: inside a ``row_consistent_matmul`` context
-the projections run on the active :mod:`repro.nn.backend` (the compiled
-blocked kernel by default) without any code here knowing which.
+the projections run on the :mod:`repro.nn.backend` executor (its compiled
+GEMM where the kernel pack loaded) without any code here knowing which.
 
 The PPO update's graph is three nodes with closed-form backwards,
 bit-identical to the composed ``Tensor``-op formulations kept in
@@ -172,18 +172,21 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def tanh_mlp_forward(
-    x: np.ndarray, layers: Sequence[Tuple[np.ndarray, np.ndarray]], matmul: Callable
+    x: np.ndarray,
+    layers: Sequence[Tuple[np.ndarray, np.ndarray]],
+    matmul: Callable,
+    executor: Optional[_backend.ExecutionBackend] = None,
 ) -> List[np.ndarray]:
     """Linear-tanh-…-Linear on raw arrays — the one definition of its forward.
 
     ``layers`` holds one ``(weight, bias)`` pair per Linear; every layer but
-    the last is followed by a tanh, its bias and tanh the active backend's
-    ``bias_tanh``.  Returns ``[x, h_1, …, h_{L-1}, out]``: each layer's
-    input, then the output.  The training nodes pass :func:`rc_matmul`; the
-    inference forward (:func:`repro.core.actor_critic.mlp_forward`) passes
-    the active backend's ``matmul2d`` itself.
+    the last is followed by a tanh, its bias and tanh the ``bias_tanh`` of
+    ``executor`` (by default the active one).  Returns ``[x, h_1, …,
+    h_{L-1}, out]``: each layer's input, then the output.  The training
+    nodes pass :func:`rc_matmul`; the executor's ``tanh_mlp`` body passes
+    its own ``matmul2d`` and itself.
     """
-    backend = _backend.active_backend()
+    backend = executor or _backend.active_backend()
     activations = [x]
     last = len(layers) - 1
     for index, (weight, bias) in enumerate(layers):
@@ -239,20 +242,25 @@ def tanh_mlp_backward(
 # (``gru_cell_forward``) are bit-identical to each other regardless of
 # batch/time chunking.
 #
-# The elementwise math is owned by the active execution backend: the gate
-# math of the forwards (``active_backend().gru_gates`` / ``.lstm_gates``),
-# whose cached activations come back from the backend, and one time step of
-# the closed-form backwards (``.gru_bptt_step`` / ``.lstm_bptt_step``).  The
-# `reference` backend runs the original numpy expressions, the default
-# `blocked` backend compiled kernels self-checked bit-identical to them.
-# The products stay here as numpy ``@`` on the same operands: the
-# recurrent ``d_t @ w_h.T`` between two steps, and the hoisted ``dW_x`` /
-# ``dW_h`` / ``dx`` products and bias sums after the loop — which is what
-# keeps every gradient byte-identical across backends.
+# The elementwise math is owned by the executor: the gate math of the
+# forwards (``active_backend().gru_gates`` / ``.lstm_gates``), whose cached
+# activations come back from it, and one time step of the closed-form
+# backwards (``.gru_bptt_step`` / ``.lstm_bptt_step``): compiled kernels
+# self-checked bit-identical to the original numpy expressions, which run
+# wherever a kernel does not.  The products stay here as numpy ``@`` on the
+# same operands: the recurrent ``d_t @ w_h.T`` between two steps, and the
+# hoisted ``dW_x`` / ``dW_h`` / ``dx`` products and bias sums after the
+# loop — which is what keeps every gradient byte-identical on either path.
 
 
 def gru_cell_forward(
-    x: np.ndarray, hidden: np.ndarray, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, matmul
+    x: np.ndarray,
+    hidden: np.ndarray,
+    w_x: np.ndarray,
+    w_h: np.ndarray,
+    b: np.ndarray,
+    matmul: Callable,
+    executor: Optional[_backend.ExecutionBackend] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The GRU step on raw arrays — the one definition of its forward.
 
@@ -264,13 +272,14 @@ def gru_cell_forward(
         h' = (1 - z) * n + z * h
 
     with ``gx = matmul(x, w_x)`` and ``gh = matmul(hidden, w_h)`` each a
-    single GEMM.  Returns the active backend's ``(h', reset, update,
-    candidate, gh_n)``.  :meth:`repro.nn.GRU.step_arrays`, the inference
-    step, passes the backend's ``matmul2d``.
+    single GEMM.  Returns the ``gru_gates`` of ``executor`` (by default the
+    active one): ``(h', reset, update, candidate, gh_n)``.  The executor's
+    ``gru_step`` body, the inference step, passes its own ``matmul2d`` and
+    itself.
     """
     gx = matmul(x, w_x)
     gh = matmul(hidden, w_h)
-    return _backend.active_backend().gru_gates(gx, gh, b, hidden)
+    return (executor or _backend.active_backend()).gru_gates(gx, gh, b, hidden)
 
 
 def _check_sequence(
@@ -278,7 +287,7 @@ def _check_sequence(
 ) -> None:
     """Refuse, before any projection, an ``x`` that is not ``(B, T ≥ 1, in)``
     or an initial state that is not ``(B, H)`` — the shapes ``w_x`` and
-    ``w_h`` fix — so every backend raises the same ``ValueError``."""
+    ``w_h`` fix — so compiled and numpy hooks raise the same ``ValueError``."""
     inputs, size = w_x.data.shape[0], w_h.data.shape[0]
     ok = x.data.ndim == 3 and x.data.shape[1] >= 1 and x.data.shape[2] == inputs
     batch = x.data.shape[0] if x.data.ndim == 3 else "B"

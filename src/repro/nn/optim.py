@@ -15,8 +15,8 @@ The step is flat and is one execution-backend hook,
 :meth:`~repro.nn.backend.ExecutionBackend.adam_step`: when every parameter
 has a gradient (PPO, encoder pre-training, censor ``fit``) the gradients are
 gathered into the flat buffer, the update runs once over all elements and
-each parameter subtracts its segment.  Under the ``blocked`` backend that is
-one compiled pass; the numpy expression it is checked against
+each parameter subtracts its segment.  Compiled, that is one pass; the
+numpy expression it is checked against
 (``backend._np_adam_decrement``: in-place ufuncs, zero allocations) applies
 *exactly* the same sequence of rounded operations as the textbook
 allocating formulation in ``tests/oracles/optim_reference.py`` and the

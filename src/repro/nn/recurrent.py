@@ -121,10 +121,10 @@ class GRU(Module):
         ``x_t`` is the ``(batch, input_size)`` newest input and ``hidden`` a
         ``(num_layers, batch, hidden_size)`` slab; so is the result, which is
         freshly allocated and whose top layer (``[-1]``) is the sequence
-        representation after folding in ``x_t``.  The step is the active
-        backend's :meth:`~repro.nn.backend.ExecutionBackend.gru_step` — one
-        compiled call under ``blocked``, ``gru_cell_forward`` per layer on the
-        row-consistent kernel under ``reference`` — and the weights are read
+        representation after folding in ``x_t``.  The step is the executor's
+        :meth:`~repro.nn.backend.ExecutionBackend.gru_step` — one compiled
+        call, or ``gru_cell_forward`` per layer on the row-consistent einsum
+        where the kernel pack is missing — and the weights are read
         from the parameters at call time, so stepping a sequence one element
         at a time gives bit for bit the states :meth:`forward` computes over
         the whole sequence under ``row_consistent_matmul()`` — whatever

@@ -83,11 +83,11 @@ def row_consistent_matmul():
     BLAS picks different kernels (GEMV vs. GEMM, different micro-tilings)
     depending on the number of rows of the left operand, so the ``i``-th row
     of ``X @ W`` is generally *not* bit-identical to ``X[i:i+1] @ W``.  Inside
-    this context, 2-D matmul forwards are executed by the active
-    :mod:`repro.nn.backend` kernel — the ``blocked`` default and the
-    ``reference`` einsum oracle both accumulate each output element over the
-    reduction axis in a fixed order, making each output row independent of
-    how the batch is chunked.
+    this context, 2-D matmul forwards are executed by the
+    :mod:`repro.nn.backend` executor — its compiled GEMM and the einsum it
+    falls back to both accumulate each output element over the reduction
+    axis in a fixed order, making each output row independent of how the
+    batch is chunked.
 
     The vectorized rollout engine runs policy/encoder inference under this
     context so that stepping ``N`` environments as one ``(N, d)`` forward is
@@ -112,10 +112,10 @@ def rc_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :meth:`Tensor.matmul` and all fused recurrent gate projections in
     :mod:`repro.nn.functional` route through it.  Inside a
     :func:`row_consistent_matmul` context the multiplication is delegated to
-    the active :class:`repro.nn.backend.ExecutionBackend` kernel, which owns
-    the accumulation-order, dtype and scratch-allocation policy; outside the
+    the active :class:`repro.nn.backend.ExecutionBackend`, which owns the
+    accumulation-order, dtype and scratch-allocation policy; outside the
     context the fast BLAS path is used unconditionally.  Routing everything
-    through one kernel is what makes backend swaps safe: no caller can hold
+    through one kernel is what makes its fallback safe: no caller can hold
     a stale private copy of the einsum branch whose bits could de-synchronise
     from the rest of the library.
     """

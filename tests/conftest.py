@@ -84,11 +84,37 @@ def benign_flow():
     )
 
 
+@pytest.fixture(scope="session")
+def kernel_pack():
+    """The loaded kernel pack, its exp / tanh loops bound: the one place a
+    test that needs the compiled kernel skips where no C toolchain built it
+    (session-scoped, so hypothesis-driven tests may request it too)."""
+    from repro.nn import backend as nnb
+
+    kernel = nnb._ensure_kernel()
+    if kernel is None:
+        pytest.skip(f"compiled kernel unavailable: {nnb._KERNEL_ERROR}")
+    nnb.hook_status()  # binds the loops
+    return kernel
+
+
+@pytest.fixture
+def compiled_executor(kernel_pack):
+    """The executor, every hook of it compiled (with the GEMM compiled, a
+    kernel that fails its self-check is a bug)."""
+    from repro.nn import backend as nnb
+
+    description = nnb.active_backend().describe()
+    assert description["fused_cells"] == "compiled", description["fused_cells_error"]
+    return nnb.active_backend()
+
+
 @pytest.fixture
 def fresh_blocked(monkeypatch):
-    """``install(**wraps)`` puts a new ``blocked`` backend in the registry
-    whose hook table is self-checked anew at its first use, the compiled path
-    of each row named in ``wraps`` replaced by ``wraps[name](compiled)``."""
+    """``install(**wraps)`` makes a new compiled executor the one
+    ``repro.nn.active_backend()`` returns; its hook table is self-checked
+    anew at its first use, the compiled path of each row named in ``wraps``
+    replaced by ``wraps[name](compiled)``."""
     from repro.nn import backend as nnb
 
     def install(**wraps):
@@ -100,8 +126,8 @@ def fresh_blocked(monkeypatch):
         )
         assert set(wraps) <= {hook.name for hook in table}, sorted(wraps)
         monkeypatch.setattr(nnb, "_HOOKS", table)
-        backend = nnb.BlockedBackend()
-        monkeypatch.setitem(nnb._REGISTRY, "blocked", backend)
+        backend = nnb.ExecutionBackend()
+        monkeypatch.setattr(nnb, "_EXECUTOR", backend)
         return backend
 
     return install

@@ -24,6 +24,7 @@ from repro.nn import state_dict_to_bytes
 
 from oracles.conv_reference import composed_relu_pool
 from oracles.df_tensor_scoring import tensor_score_flows
+from oracles.executors import EXECUTORS, executing
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -443,12 +444,12 @@ class TestDeepFingerprintingKernels:
         run["input gradient"] = batch.grad.tobytes()
         return run
 
-    @pytest.mark.parametrize("backend", ["blocked", "reference"])
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_fused_and_composed_agree_bytewise(self, representation, tor_splits, backend, monkeypatch):
-        with nn.use_backend(backend):
+        with executing(backend):
             fused = self._run(representation, tor_splits)
         monkeypatch.setattr(nn.Conv1d, "relu_pool", composed_relu_pool)
-        with nn.use_backend("reference"):
+        with executing("numpy"):
             composed = self._run(representation, tor_splits)
         assert fused.keys() == composed.keys() and len(fused) > 4
         for key in fused:
@@ -463,30 +464,27 @@ class TestDeepFingerprintingKernels:
         # two conv blocks, the flatten, fc1 (product, bias), its ReLU, fc2 (product, bias)
         assert len(nodes) == 8
 
-    def test_blocked_training_runs_the_compiled_hooks(self, representation, tor_splits, monkeypatch):
-        """Under ``blocked`` no conv-block hook of the fit, the white-box
-        gradient or the scoring falls back to numpy."""
+    def test_compiled_training_runs_the_compiled_hooks(
+        self, representation, tor_splits, monkeypatch, compiled_executor
+    ):
+        """Compiled, no conv-block hook of the fit, the white-box gradient or
+        the scoring falls back to numpy."""
         from repro.nn import backend as nnb
 
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-        # With the GEMM compiled, a kernel failing its self-check is a bug.
-        assert nnb.fused_cells_available(), nnb.fused_cells_error()
         for hook in self.HOOKS:
 
             def forbidden(*args, _hook=hook, **kwargs):
                 raise AssertionError(f"{_hook} fell back to the numpy expression")
 
             monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
-        with nn.use_backend("blocked"):
-            self._run(representation, tor_splits)
+        self._run(representation, tor_splits)
 
 
 class TestDeepFingerprintingArrayScoring:
     """Production DF scoring runs on plain arrays; it must equal the ``Tensor``
     scoring body of ``tests/oracles/df_tensor_scoring.py`` bit for bit, on the
-    fused conv block and on the composed graph alike, whichever backend
-    runs the conv-block hooks (the oracle always runs on ``reference``)."""
+    fused conv block and on the composed graph alike, whichever executor
+    runs the conv-block hooks (the oracle always runs on the no-kernel one)."""
 
     @pytest.fixture(scope="class")
     def censor(self, normalizer, tor_splits):
@@ -510,10 +508,10 @@ class TestDeepFingerprintingArrayScoring:
 
     @staticmethod
     def oracle(censor, flows):
-        with nn.use_backend("reference"):
+        with executing("numpy"):
             return tensor_score_flows(censor, flows)
 
-    @pytest.mark.parametrize("backend", ["blocked", "reference"])
+    @pytest.mark.parametrize("backend", EXECUTORS)
     @pytest.mark.parametrize("kernels", ["production", "reference"])
     @pytest.mark.parametrize("size", [1, 2, 7, 31, 128, 129])
     def test_array_scoring_equals_tensor_oracle(
@@ -523,39 +521,34 @@ class TestDeepFingerprintingArrayScoring:
         if kernels == "reference":
             monkeypatch.setattr(nn.Conv1d, "relu_pool", composed_relu_pool)
         flows = self.batch(size, tor_splits)
-        with nn.use_backend(backend):
+        with executing(backend):
             production = censor._score_flows(flows)
         oracle = self.oracle(censor, flows)
         assert production.shape == oracle.shape == (size,)
         assert np.array_equal(production.view(np.uint64), oracle.view(np.uint64))
 
-    def test_blocked_scoring_runs_the_compiled_hooks(self, censor, tor_splits, monkeypatch):
-        """Under ``blocked`` neither conv-block hook falls back to numpy."""
+    def test_compiled_scoring_runs_the_compiled_hooks(self, censor, tor_splits, monkeypatch, compiled_executor):
+        """Compiled, neither conv-block hook falls back to numpy."""
         from repro.nn import backend as nnb
 
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-        # With the GEMM compiled, a kernel failing its self-check is a bug.
-        assert nnb.fused_cells_available(), nnb.fused_cells_error()
         for hook in ("im2col_1d", "bias_relu_pool"):
 
             def forbidden(*args, _hook=hook, **kwargs):
                 raise AssertionError(f"{_hook} fell back to the numpy expression")
 
             monkeypatch.setattr(nnb.ExecutionBackend, hook, forbidden)
-        with nn.use_backend("blocked"):
-            for size in (1, 2, 129):
-                assert censor._score_flows(self.batch(size, tor_splits)).shape == (size,)
+        for size in (1, 2, 129):
+            assert censor._score_flows(self.batch(size, tor_splits)).shape == (size,)
 
     def test_kernels_that_failed_their_self_check_score_the_same_bits(
-        self, censor, tor_splits, fresh_blocked
+        self, censor, tor_splits, kernel_pack, fresh_blocked
     ):
         from repro.nn import backend as nnb
 
         flows = self.batch(31, tor_splits)
-        fresh_blocked(**{hook.name: lambda compiled: nnb._declined for hook in nnb._HOOKS})
-        with pytest.warns(RuntimeWarning, match="failed their self-check"), nn.use_backend("blocked"):
-            assert not nnb.fused_cells_available()
+        blocked = fresh_blocked(**{hook.name: lambda compiled: nnb._declined for hook in nnb._HOOKS})
+        with pytest.warns(RuntimeWarning, match="failed their self-check"):
+            assert blocked.describe()["fused_cells"] == "numpy-fallback"
             degraded = censor._score_flows(flows)
         assert np.array_equal(degraded.view(np.uint64), self.oracle(censor, flows).view(np.uint64))
 

@@ -17,16 +17,36 @@ def test_workflow_is_valid_yaml_with_jobs():
     assert "tier1" in workflow["jobs"]
 
 
-def test_reference_backend_job_runs_every_nn_suite():
-    """Every ``nn`` suite runs under the forced reference backend, so the
-    einsum and numpy-gate legs are exercised wherever ``rc_matmul`` is."""
+def test_no_compiler_job_runs_every_nn_suite():
+    """Every ``nn`` suite runs where no compiler builds the kernel pack, so
+    the einsum and numpy-body fallback that ships then is exercised
+    wherever ``rc_matmul`` and the hooks are."""
     yaml = pytest.importorskip("yaml")
-    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["reference-backend"]
-    assert job["env"]["REPRO_NN_BACKEND"] == "reference"
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["no-compiler"]
+    assert job["env"] == {"CC": "false"}
+    [suites_step] = [step for step in job["steps"] if "python -m pytest" in step.get("run", "")]
+    assert suites_step["env"] == {"REPRO_NN_KERNEL_CACHE": "${{ runner.temp }}/kernels"}
     commands = " ".join(step.get("run", "") for step in job["steps"])
     named = set(re.findall(r"\btests/test_nn_\w+\.py\b", commands))
     suites = {f"tests/{path.name}" for path in (ROOT / "tests").glob("test_nn_*.py")}
     assert sorted(suites - named) == []
+
+
+def test_job_env_reads_only_contexts_available_there():
+    """A job-level ``env:`` may read only the github, needs, strategy,
+    matrix, vars, secrets and inputs contexts; any other (``runner``,
+    ``env``, ``steps``, ``job``) makes GitHub reject the whole workflow."""
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    allowed = {"github", "needs", "strategy", "matrix", "vars", "secrets", "inputs"}
+    read = {
+        (job_name, context)
+        for job_name, job in jobs.items()
+        for value in (job.get("env") or {}).values()
+        for expression in re.findall(r"\$\{\{(.*?)\}\}", str(value))
+        for context in re.findall(r"\b([a-z_]+)\.", expression)
+    }
+    assert sorted((job, context) for job, context in read if context not in allowed) == []
 
 
 def test_no_pytest_step_names_a_file_twice():

@@ -149,7 +149,7 @@ class TestParser:
         assert not output.exists()
 
     def test_serve_has_no_backend_flag(self):
-        # The registered backends are bit-identical; REPRO_NN_BACKEND picks.
+        # There is one executor; nothing selects another.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "--policy", "p.npz", "--backend", "blocked"])
         assert excinfo.value.code == 2
@@ -388,40 +388,51 @@ class TestCommands:
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "registered backends: blocked, reference\n" in out
-        assert "rc-GEMM kernel:" in out
+        assert out.startswith("rc-GEMM kernel:")
         assert "fused-cell kernels:" in out
         from repro.nn import backend as nn_backend
 
-        # One line per hook of the table, in its order.
+        # One line per hook of the table, in its order, and nothing else:
+        # there is one executor, so no list of backends to choose from.
         hooks = re.findall(r"^  hook (\w+): +(compiled|numpy fallback)$", out, re.M)
         assert [name for name, _ in hooks] == list(nn_backend.hook_status())
-        # One describe() line per registered backend.
-        assert "  blocked: " in out and "  reference: name=reference\n" in out
+        assert "backend" not in out
 
     def test_backends_command_reports_fallback_error(self, capsys, monkeypatch, fresh_blocked):
         # When the compiled kernel is unavailable the diagnostic must surface
-        # the recorded compile/loader error verbatim.
+        # the recorded compile/loader error verbatim, and every hook runs
+        # its numpy body.
         from repro.nn import backend as nn_backend
 
-        monkeypatch.setattr(nn_backend, "compiled_kernel_available", lambda: False)
-        monkeypatch.setattr(
-            nn_backend, "compiled_kernel_error", lambda: "cc1: fatal error: boom"
-        )
+        monkeypatch.setattr(nn_backend, "_KERNEL", None)
+        monkeypatch.setattr(nn_backend, "_KERNEL_ERROR", "cc1: fatal error: boom")
+        fresh_blocked()
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert "rc-GEMM kernel:      einsum fallback" in out
+        assert "  compile error: cc1: fatal error: boom\n" in out
+        hooks = len(nn_backend._HOOKS)
+        assert f"numpy fallback for {hooks} of {hooks} hooks" in out
+        assert len(re.findall(r"hook \w+: +numpy fallback", out)) == hooks
+
+    def test_backends_command_names_a_declining_hook(self, capsys, kernel_pack, fresh_blocked):
+        from repro.nn import backend as nn_backend
+
         fresh_blocked(gru_step=lambda compiled: nn_backend._declined)
         with pytest.warns(RuntimeWarning, match="gru_step: RuntimeError: compiled gru_step declined"):
             assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "einsum fallback" in out
-        assert "cc1: fatal error: boom" in out
+        assert "rc-GEMM kernel:      compiled" in out
         assert f"numpy fallback for 1 of {len(nn_backend._HOOKS)} hooks" in out
         assert "  error: gru_step: RuntimeError: compiled gru_step declined" in out
         assert re.findall(r"hook (\w+): +numpy fallback", out) == ["gru_step"]
 
-    def test_fallback_warning_names_the_failed_hooks(self, capsys, fresh_blocked, flip_first_bit):
+    def test_fallback_warning_names_the_failed_hooks(self, capsys, kernel_pack, fresh_blocked, flip_first_bit):
         """A failed self-check announces exactly the hooks it degrades, the
         BPTT step hooks of pre-training and LSTM fit here, and the
         diagnostic reports each."""
+        from repro.nn import backend as nn_backend
+
         fresh_blocked(gru_bptt_step=flip_first_bit, lstm_bptt_step=flip_first_bit)
         with pytest.warns(RuntimeWarning, match="failed their self-check") as caught:
             assert main(["backends"]) == 0

@@ -1,10 +1,12 @@
 """Unit tests for AmoebaConfig and the StateEncoder (Algorithm 2)."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from oracles.executors import EXECUTORS, executing
 from repro import nn
 from repro.core import (
     AmoebaConfig,
@@ -43,6 +45,17 @@ class TestAmoebaConfig:
         other = base.with_overrides(lambda_data=3.0)
         assert other.lambda_data == 3.0
         assert base.lambda_data == 0.2
+
+    def test_fields_cannot_be_assigned_after_construction(self):
+        """Every bound is checked at construction, so none may change after
+        it: a cap of 0 assigned to a built config would reach the shaper
+        unchecked.  A changed value is a new config, checked like the first."""
+        config = AmoebaConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_truncations_per_packet = 0
+        assert config.max_truncations_per_packet == 8
+        with pytest.raises(ValueError, match="max_truncations_per_packet"):
+            config.with_overrides(max_truncations_per_packet=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -216,8 +229,8 @@ class TestStateEncoder:
 
 class TestPretrainingGolden:
     """Algorithm 2 at a fixed seed, pinned.  The value was recorded before
-    the BPTT recurrence ran on the backends' ``gru_bptt_step`` hook, from the
-    per-step numpy loop it replaced.  The backends must agree on every bit;
+    the BPTT recurrence ran on the ``gru_bptt_step`` hook, from the per-step
+    numpy loop it replaced.  Both executors must agree on every bit;
     the literal pins the weights and the loss log to 1e-9, as the serving
     golden pins its delays, so that a host whose BLAS or ``exp`` / ``tanh``
     round the last bit differently still matches."""
@@ -226,7 +239,7 @@ class TestPretrainingGolden:
 
     @staticmethod
     def _pretrain(backend):
-        with nn.use_backend(backend):
+        with executing(backend):
             _, model, log = pretrain_state_encoder(
                 hidden_size=8, num_layers=2, n_flows=40, max_length=12, epochs=2, rng=2023
             )
@@ -235,9 +248,9 @@ class TestPretrainingGolden:
             np.asarray(log.series("sequence_length"), dtype=np.float64),
         ]
 
-    def test_weights_and_losses_are_pinned_on_every_backend(self):
-        runs = {name: self._pretrain(name) for name in nn.available_backends()}
-        reference = runs["reference"]
+    def test_weights_and_losses_are_pinned_on_both_executors(self):
+        runs = {name: self._pretrain(name) for name in EXECUTORS}
+        reference = runs["numpy"]
         for name, arrays in runs.items():
             assert [a.tobytes() for a in arrays] == [a.tobytes() for a in reference], name
         digest = hashlib.sha256()

@@ -18,10 +18,8 @@ from repro.core import (
 )
 from repro.core.actor_critic import _training_forward, build_mlp
 
+from oracles.executors import EXECUTORS, executing
 from oracles.tensor_inference import reference_act_batch, reference_value_batch
-
-BACKENDS = ("blocked", "reference")
-
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype == np.float64
@@ -83,11 +81,11 @@ class TestActorCritic:
         assert out.shape == (7,)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", EXECUTORS)
 class TestArrayForwardsMatchTensorOracle:
     """``act_batch`` / ``value_batch`` run on plain arrays; the ``Tensor``
     forwards they replaced (``tests/oracles/tensor_inference.py``) are the
-    bitwise reference, on every registered backend."""
+    bitwise reference, on both executors."""
 
     @staticmethod
     def _actors():
@@ -101,7 +99,7 @@ class TestArrayForwardsMatchTensorOracle:
     def test_act_batch_every_batch_size_and_draw(self, backend):
         production, oracle = self._actors()
         rng = np.random.default_rng(1)
-        with nn.use_backend(backend):
+        with executing(backend):
             for n in range(1, 34):
                 states = rng.normal(size=(n, 64))
                 noise = rng.normal(size=(n, 2))
@@ -114,7 +112,7 @@ class TestArrayForwardsMatchTensorOracle:
     def test_value_batch_every_batch_size(self, backend):
         critic = Critic(64, rng=6)
         rng = np.random.default_rng(2)
-        with nn.use_backend(backend):
+        with executing(backend):
             for n in range(1, 34):
                 states = rng.normal(size=(n, 64))
                 assert_same_bits(critic.value_batch(states), reference_value_batch(critic, states))
@@ -123,7 +121,7 @@ class TestArrayForwardsMatchTensorOracle:
         production, oracle = self._actors()
         critic = Critic(64, rng=6)
         states = np.random.default_rng(3).normal(size=(5, 64))
-        with nn.use_backend(backend):
+        with executing(backend):
             for variant in (states.astype(np.float32), np.asfortranarray(states), states[:0]):
                 for kwargs in ({}, {"noise": np.ones((len(variant), 2))}):
                     got = production.act_batch(variant, **kwargs)
@@ -142,7 +140,7 @@ class TestArrayForwardsMatchTensorOracle:
         critic = Critic(64, rng=6)
         donor_actor, donor_critic = GaussianActor(64, rng=9), Critic(64, rng=10)
         states = np.random.default_rng(4).normal(size=(8, 64))
-        with nn.use_backend(backend):
+        with executing(backend):
             before = production.act_batch(states)[0]
             for actor in (production, oracle):
                 actor.load_state_dict(donor_actor.state_dict())
@@ -163,7 +161,7 @@ class TestArrayForwardsMatchTensorOracle:
         critic = Critic(64, rng=6)
         states = np.random.default_rng(5).normal(size=(4, 64))
         kept = states.copy()
-        with nn.use_backend(backend):
+        with executing(backend):
             first = production.act_batch(states)[0]
             pinned = first.copy()
             first[:] = 7.0
@@ -176,7 +174,7 @@ class TestArrayForwardsMatchTensorOracle:
         (m, k) @ (k, n) arrays`` under ``blocked``, an einsum subscript
         error under ``reference``."""
         actor, critic = GaussianActor(64, rng=0), Critic(64, rng=0)
-        with nn.use_backend(backend):
+        with executing(backend):
             for call in (actor.act_batch, critic.value_batch):
                 with pytest.raises(ValueError, match=r"states must be \(n, 64\), got \(3, 10\)"):
                     call(np.zeros((3, 10)))

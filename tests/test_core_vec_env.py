@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles.encoder_states import step_pair, step_state_list
+from oracles.executors import EXECUTORS, executing
 from oracles.sequential_collection import SequentialCollector
 from oracles.tensor_inference import (
     TwoSlabEpisodeEncoder,
@@ -34,9 +35,6 @@ from repro.core import (
 )
 from repro.flows import Flow, FlowLabel
 from repro.nn import state_dict_to_bytes
-
-BACKENDS = ("blocked", "reference")
-
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype == np.float64
@@ -396,7 +394,7 @@ class TestEncoderSlab:
         assert np.all(tracker.snapshot()["observation"] == 9.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", EXECUTORS)
 class TestArrayEncoderStepMatchesTensorOracle:
     """``step_pairs`` runs the GRU on plain arrays and the tracker steps both
     streams as one slab; ``tests/oracles/tensor_inference.py`` keeps the
@@ -405,7 +403,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
     def test_step_pairs_every_batch_size(self, backend):
         encoder = StateEncoder(hidden_size=32, num_layers=2, rng=4)
         rng = np.random.default_rng(7)
-        with nn.use_backend(backend):
+        with executing(backend):
             for n in range(1, 34):
                 pairs = rng.uniform(-1, 1, size=(n, 2))
                 slab = rng.normal(size=(2, n, 32))
@@ -418,7 +416,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         encoder = StateEncoder(hidden_size=hidden, num_layers=layers, rng=hidden + n)
         rng = np.random.default_rng(n)
         got = want = np.zeros((layers, n, hidden))
-        with nn.use_backend(backend):
+        with executing(backend):
             for _ in range(5):
                 pairs = rng.uniform(-1, 1, size=(n, 2))
                 got = encoder.step_pairs(pairs, got)
@@ -433,7 +431,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         monkeypatch.setattr(nn.GRU, "step_arrays", forbidden)
         monkeypatch.setattr(nn.functional, "gru_cell_forward", forbidden)
         monkeypatch.setattr(nn.functional, "gru_sequence", forbidden)
-        with nn.use_backend(backend):
+        with executing(backend):
             reference_step_pairs(encoder, np.zeros((2, 2)), np.zeros((2, 2, 8)))
 
     def test_float32_fortran_and_empty_slabs(self, backend):
@@ -445,7 +443,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
             (np.asfortranarray(pairs), np.asfortranarray(slab)),
             (pairs[:0], slab[:, :0]),
         ]
-        with nn.use_backend(backend):
+        with executing(backend):
             for some_pairs, some_slab in variants:
                 got = encoder.step_pairs(some_pairs, some_slab)
                 assert got.flags.c_contiguous
@@ -462,7 +460,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         rng = np.random.default_rng(9)
         pairs, slab = rng.uniform(-1, 1, size=(3, 2)), rng.normal(size=(2, 3, 6))
         kept = slab.copy()
-        with nn.use_backend(backend):
+        with executing(backend):
             stepped = encoder.step_pairs(pairs, slab)
             assert stepped.base is None and stepped.flags.owndata
             pinned = stepped.copy()
@@ -475,7 +473,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         donor = StateEncoder(hidden_size=6, num_layers=2, rng=6)
         rng = np.random.default_rng(10)
         pairs, slab = rng.uniform(-1, 1, size=(3, 2)), rng.normal(size=(2, 3, 6))
-        with nn.use_backend(backend):
+        with executing(backend):
             before = encoder.step_pairs(pairs, slab)
             encoder.load_state_dict(donor.state_dict())
             for parameter in encoder.parameters():
@@ -499,7 +497,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         n = 6
         encoder = StateEncoder(hidden_size=8, num_layers=2, rng=3)
         rng = np.random.default_rng(21)
-        with nn.use_backend(backend):
+        with executing(backend):
             tracker, oracle = BatchedEpisodeEncoder(encoder, n), TwoSlabEpisodeEncoder(encoder, n)
             first = rng.uniform(-1, 1, size=(n, 2))
             assert_same_bits(tracker.reset_all(first), oracle.reset_all(first))
@@ -529,7 +527,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
         n = 7
         encoder = StateEncoder(hidden_size=8, num_layers=2, rng=3)
         rng = np.random.default_rng(22)
-        with nn.use_backend(backend):
+        with executing(backend):
             tracker, oracle = BatchedEpisodeEncoder(encoder, n), TwoSlabEpisodeEncoder(encoder, n)
             first = rng.uniform(-1, 1, size=(n, 2))
             tracker.reset_all(first), oracle.reset_all(first)
@@ -549,7 +547,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
     def test_tracker_outputs_cannot_reach_the_tracker(self, backend):
         encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
         rng = np.random.default_rng(23)
-        with nn.use_backend(backend):
+        with executing(backend):
             tracker = BatchedEpisodeEncoder(encoder, 3)
             tracker.reset_all(rng.uniform(-1, 1, size=(3, 2)))
             stepped = tracker.step(rng.uniform(-1, 1, size=(6, 2)), np.zeros(3, bool))
@@ -561,7 +559,7 @@ class TestArrayEncoderStepMatchesTensorOracle:
 
     def test_failed_step_leaves_the_tracker_unchanged(self, backend):
         encoder = StateEncoder(hidden_size=4, num_layers=2, rng=0)
-        with nn.use_backend(backend):
+        with executing(backend):
             tracker = BatchedEpisodeEncoder(encoder, 3)
             before = tracker.reset_all(np.full((3, 2), 0.5))
             with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
-"""Execution-backend tier tests (repro.nn.backend).
+"""Executor tier tests (repro.nn.backend).
 
 Six families of guarantees:
 
-* **Registry mechanics** — lookup, default selection, scoped overrides.
-* **The bit-equivalence contract** — both backends must be bit-identical
-  to the reference einsum on every shape (including the kernel's k-unroll
-  boundaries) and on every hook's self-check operands, and must satisfy
-  the row-consistency property (output rows invariant to batch
-  composition).
+* **One executor** — ``active_backend()`` is the one compiled executor,
+  nothing selects another, and the same class built without a kernel (the
+  oracle of ``tests/oracles/executors.py``) never loads one.
+* **The bit-equivalence contract** — the compiled executor must be
+  bit-identical to the no-kernel one on every shape (including the
+  kernel's k-unroll boundaries) and on every hook's self-check operands,
+  and both must satisfy the row-consistency property (output rows
+  invariant to batch composition).
 * **The hook table** — every hook is one row, every kernel-pack function
   is claimed by one, and a row that fails its self-check degrades that
   hook alone.
@@ -20,7 +22,7 @@ Six families of guarantees:
   kept in ``tests/oracles/optim_reference.py`` (and, for the gather, plain
   ``array[index]``).
 * **The PPO update's training hooks** — each compiled kernel equals the
-  numpy expression of ``ExecutionBackend`` bit for bit, a ``blocked``
+  numpy expression of ``ExecutionBackend`` bit for bit, a compiled
   update takes no numpy fallback, and the numpy behaviour the kernels
   reproduce is pinned by name (``TestPinnedNumpyAssumptions``).
 """
@@ -38,6 +40,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.executors import EXECUTORS, NUMPY, executing, executor
 from oracles.optim_reference import AllocatingAdam
 from repro import nn
 from repro.nn import backend as nnb
@@ -71,66 +74,65 @@ SHAPES = [
 ]
 
 
-class TestRegistry:
-    def test_two_backends_registered(self):
-        # Exactly the two row-consistent executors, built at import; there
-        # is no registration entry point.
-        assert nnb.available_backends() == ["blocked", "reference"]
-        assert not hasattr(nnb, "register_backend") and not hasattr(nnb, "set_default_backend")
-
-    def test_get_backend_unknown_raises(self):
-        with pytest.raises(KeyError, match="unknown execution backend"):
-            nnb.get_backend("no-such-backend")
-
-    def test_default_is_blocked(self):
-        # CI's reference-backend job forces the default via the env var;
-        # absent that, the process default must be the blocked kernel pack.
-        expected = os.environ.get("REPRO_NN_BACKEND", "blocked")
-        assert nnb.default_backend().name == expected
-
-    def test_use_backend_scopes_and_nests(self):
-        outer = nnb.active_backend().name
-        with nnb.use_backend("reference") as ref:
-            assert ref.name == "reference"
-            assert nnb.active_backend().name == "reference"
-            with nnb.use_backend("blocked"):
-                assert nnb.active_backend().name == "blocked"
-            assert nnb.active_backend().name == "reference"
-        assert nnb.active_backend().name == outer
-
-    def test_use_backend_restores_on_exception(self):
-        before = nnb.active_backend().name
-        with pytest.raises(RuntimeError):
-            with nnb.use_backend("reference"):
-                raise RuntimeError("boom")
-        assert nnb.active_backend().name == before
+class TestOneExecutor:
+    def test_active_backend_is_the_one_compiled_executor(self):
+        # Built at import, selected by nothing: there is no registry, no
+        # override and no environment variable.
+        executor = nnb.active_backend()
+        assert type(executor) is nnb.ExecutionBackend and executor is nnb._EXECUTOR
+        assert executor.compiled and executor.name == "blocked"
+        assert [name for name, value in vars(nnb).items() if isinstance(value, nnb.ExecutionBackend)] == ["_EXECUTOR"]
 
     def test_describe_payloads(self):
-        assert nnb.get_backend("reference").describe() == {"name": "reference"}
-        blocked = nnb.get_backend("blocked").describe()
+        description = nnb.active_backend().describe()
         # Exactly the keys benchmarks/perf/run.py::load_program reads.
-        assert sorted(blocked) == [
+        assert sorted(description) == [
             "fused_cells", "fused_cells_error", "kernel", "kernel_error", "name",
         ]
-        assert blocked["kernel"] in ("compiled", "einsum-fallback")
-        assert blocked["fused_cells"] in ("compiled", "numpy-fallback")
+        assert description["kernel"] in ("compiled", "einsum-fallback")
+        assert description["fused_cells"] in ("compiled", "numpy-fallback")
+        assert NUMPY.describe() == {
+            "name": "numpy",
+            "kernel": "einsum-fallback",
+            "kernel_error": "built without a kernel",
+            "fused_cells": "numpy-fallback",
+            "fused_cells_error": ", ".join(hook.name for hook in nnb._HOOKS) + ": built without a kernel",
+        }
 
     def test_kernel_error_reporting_is_consistent(self):
-        if nnb.compiled_kernel_available():
-            assert nnb.compiled_kernel_error() is None
+        description = nnb.active_backend().describe()
+        if description["kernel"] == "compiled":
+            assert description["kernel_error"] is None
         else:
-            assert isinstance(nnb.compiled_kernel_error(), str)
+            assert isinstance(description["kernel_error"], str)
+
+    def test_the_no_kernel_executor_never_loads_the_kernel(self, monkeypatch):
+        """Built without a kernel, the executor runs the einsum and the
+        bodies the table bound, and never asks for the kernel pack."""
+
+        def forbidden():
+            raise AssertionError("the no-kernel executor asked for the kernel pack")
+
+        monkeypatch.setattr(nnb, "_ensure_kernel", forbidden)
+        oracle = nnb.ExecutionBackend(compiled=False)
+        assert all(getattr(oracle, hook.name).__func__ is hook.body for hook in nnb._HOOKS)
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((4, 6)), rng.standard_normal((6, 3))
+        assert np.array_equal(oracle.matmul2d(a, b), np.einsum("ik,kh->ih", a, b))
+        hidden = rng.standard_normal((1, 4, 3))
+        cells = [(rng.standard_normal((6, 9)), rng.standard_normal((3, 9)), rng.standard_normal(9))]
+        assert oracle.gru_step(a, hidden, cells).shape == (1, 4, 3)
+        assert oracle.describe()["kernel"] == "einsum-fallback"
 
 
-class TestBlockedEqualsReference:
-    @pytest.mark.parametrize("name", nnb.available_backends())
-    def test_every_registered_backend_is_bit_identical_to_reference(self, name):
-        """The condition of being registered at all: same bits as the
-        reference on the shape / magnitude sweep, under any split of the
-        batch, and through every hook of the table on its self-check
-        operands.  No backend can declare itself an exception — there is no
-        flag to declare it with."""
-        backend, ref = nnb.get_backend(name), nnb.get_backend("reference")
+class TestCompiledEqualsNumpy:
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_each_executor_is_bit_identical_to_the_no_kernel_one(self, name):
+        """Same bits as the no-kernel executor on the shape / magnitude
+        sweep, under any split of the batch, and through every hook of the
+        table on its self-check operands.  No path can declare itself an
+        exception — there is no flag to declare it with."""
+        backend, ref = executor(name), NUMPY
         rng = np.random.default_rng(12)
         operands = list(_pairs(rng, SHAPES))
         operands.append(
@@ -155,8 +157,7 @@ class TestBlockedEqualsReference:
 
     def test_bit_identical_across_shapes(self):
         rng = np.random.default_rng(0)
-        ref = nnb.get_backend("reference")
-        blocked = nnb.get_backend("blocked")
+        ref, blocked = NUMPY, nnb.active_backend()
         for a, b in _pairs(rng, SHAPES):
             expected = ref.matmul2d(a, b)
             got = blocked.matmul2d(a, b)
@@ -165,8 +166,7 @@ class TestBlockedEqualsReference:
 
     def test_bit_identical_on_extreme_magnitudes(self):
         rng = np.random.default_rng(1)
-        ref = nnb.get_backend("reference")
-        blocked = nnb.get_backend("blocked")
+        ref, blocked = NUMPY, nnb.active_backend()
         a = rng.standard_normal((9, 37)) * 10.0 ** rng.integers(-150, 150, size=(9, 37))
         b = rng.standard_normal((37, 11)) * 10.0 ** rng.integers(-150, 150, size=(37, 11))
         assert np.array_equal(blocked.matmul2d(a, b), ref.matmul2d(a, b))
@@ -176,8 +176,8 @@ class TestBlockedEqualsReference:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((17, 23))
         b = rng.standard_normal((23, 9))
-        for name in ("reference", "blocked"):
-            backend = nnb.get_backend(name)
+        for name in EXECUTORS:
+            backend = executor(name)
             full = backend.matmul2d(a, b)
             for n_chunks in (1, 2, 3, 5, 17):
                 parts = [
@@ -190,17 +190,17 @@ class TestBlockedEqualsReference:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((13, 31))
         b = rng.standard_normal((31, 6))
-        for name in ("reference", "blocked"):
-            backend = nnb.get_backend(name)
+        for name in EXECUTORS:
+            backend = executor(name)
             full = backend.matmul2d(a, b)
             for row in range(13):
                 assert np.array_equal(backend.matmul2d(a[row : row + 1], b)[0], full[row])
 
-    def test_reference_accumulates_in_k_order_in_every_layout(self):
+    def test_einsum_accumulates_in_k_order_in_every_layout(self):
         """One-column products and Fortran-ordered operands included: left
         alone, einsum reduces ``k`` with SIMD partial sums in those layouts."""
         rng = np.random.default_rng(6)
-        ref = nnb.get_backend("reference")
+        ref = NUMPY
         for rows, inner, cols in [(5, 33, 1), (1, 64, 1), (16, 8, 1), (5, 33, 3), (1, 8, 2)]:
             a = rng.standard_normal((rows, inner))
             b = rng.standard_normal((inner, cols))
@@ -212,9 +212,10 @@ class TestBlockedEqualsReference:
                     got = ref.matmul2d(left, right)
                     assert np.array_equal(got.view(np.uint64), sequential.view(np.uint64))
 
-    def test_blocked_einsum_fallback_matches_reference(self, monkeypatch, fresh_blocked):
-        """With the compiled kernel disabled, blocked degrades to identical
-        bits, and every hook runs its numpy body for the kernel's reason."""
+    def test_einsum_fallback_matches_the_einsum(self, monkeypatch, fresh_blocked):
+        """With the compiled kernel disabled, the executor degrades to
+        identical bits, and every hook runs its numpy body for the kernel's
+        reason."""
         monkeypatch.setattr(nnb, "_KERNEL", None)
         monkeypatch.setattr(nnb, "_KERNEL_ERROR", "forced by test")
         blocked = fresh_blocked()
@@ -228,27 +229,21 @@ class TestBlockedEqualsReference:
         b = rng.standard_normal((19, 5))
         assert np.array_equal(blocked.matmul2d(a, b), np.einsum("ik,kh->ih", a, b))
 
-    def test_compiled_kernel_rejects_bad_shapes(self):
-        if not nnb.compiled_kernel_available():
-            pytest.skip("compiled kernel unavailable")
-        kernel = nnb._ensure_kernel()
+    def test_compiled_kernel_rejects_bad_shapes(self, kernel_pack):
         with pytest.raises((ValueError, TypeError)):
-            kernel.rc_gemm(np.zeros((2, 3)), np.zeros((4, 5)))
+            kernel_pack.rc_gemm(np.zeros((2, 3)), np.zeros((4, 5)))
         with pytest.raises((ValueError, TypeError)):
-            kernel.rc_gemm(np.zeros(3), np.zeros((3, 2)))
+            kernel_pack.rc_gemm(np.zeros(3), np.zeros((3, 2)))
 
-    def test_compiled_kernel_accepts_noncontiguous_views(self):
+    def test_compiled_kernel_accepts_noncontiguous_views(self, kernel_pack):
         """Strided inputs produce the same bits as their contiguous copies."""
-        if not nnb.compiled_kernel_available():
-            pytest.skip("compiled kernel unavailable")
-        kernel = nnb._ensure_kernel()
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 20))[::2, ::2]  # (4, 10) strided view
         w = rng.standard_normal((10, 3))
         w_strided = np.asfortranarray(w)
         expected = np.einsum("ik,kh->ih", np.ascontiguousarray(a), w)
-        assert np.array_equal(kernel.rc_gemm(a, w), expected)
-        assert np.array_equal(kernel.rc_gemm(a, w_strided), expected)
+        assert np.array_equal(kernel_pack.rc_gemm(a, w), expected)
+        assert np.array_equal(kernel_pack.rc_gemm(a, w_strided), expected)
 
 
 class TestFusedCellKernels:
@@ -274,22 +269,22 @@ class TestFusedCellKernels:
 
     @pytest.mark.parametrize("batch,size", [(1, 1), (2, 5), (9, 16), (5, 3)])
     @pytest.mark.parametrize("scale", [1.0, 50.0])
-    def test_gru_gates_blocked_equals_reference(self, batch, size, scale):
+    def test_gru_gates_compiled_equals_numpy(self, batch, size, scale):
         rng = np.random.default_rng(50)
         gx, gh, b, hidden = self._gru_operands(rng, batch, size, scale)
-        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
-        got = nnb.get_backend("blocked").gru_gates(gx, gh, b, hidden)
+        expected = NUMPY.gru_gates(gx, gh, b, hidden)
+        got = nnb.active_backend().gru_gates(gx, gh, b, hidden)
         assert len(expected) == len(got) == 5
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
     @pytest.mark.parametrize("batch,size", [(1, 1), (2, 5), (9, 16), (5, 3)])
     @pytest.mark.parametrize("scale", [1.0, 50.0])
-    def test_lstm_gates_blocked_equals_reference(self, batch, size, scale):
+    def test_lstm_gates_compiled_equals_numpy(self, batch, size, scale):
         rng = np.random.default_rng(51)
         gx, gh, b, cell = self._lstm_operands(rng, batch, size, scale)
-        expected = nnb.get_backend("reference").lstm_gates(gx, gh, b, cell)
-        got = nnb.get_backend("blocked").lstm_gates(gx, gh, b, cell)
+        expected = NUMPY.lstm_gates(gx, gh, b, cell)
+        got = nnb.active_backend().lstm_gates(gx, gh, b, cell)
         assert len(expected) == len(got) == 7
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
@@ -304,8 +299,8 @@ class TestFusedCellKernels:
         hidden = rng.standard_normal((5, size))
         gx, gh = big_gx[:, 1, :], big_gh[:, 1, :]
         assert not gx.flags["C_CONTIGUOUS"]
-        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
-        got = nnb.get_backend("blocked").gru_gates(gx, gh, b, hidden)
+        expected = NUMPY.gru_gates(gx, gh, b, hidden)
+        got = nnb.active_backend().gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
@@ -313,8 +308,8 @@ class TestFusedCellKernels:
         gx4, gh4 = big4[:, 0, :], rng.standard_normal((4, 2, 4 * size))[:, 1, :]
         b4 = rng.standard_normal(4 * size)
         cell = rng.standard_normal((4, size))
-        expected = nnb.get_backend("reference").lstm_gates(gx4, gh4, b4, cell)
-        got = nnb.get_backend("blocked").lstm_gates(gx4, gh4, b4, cell)
+        expected = NUMPY.lstm_gates(gx4, gh4, b4, cell)
+        got = nnb.active_backend().lstm_gates(gx4, gh4, b4, cell)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
@@ -324,27 +319,27 @@ class TestFusedCellKernels:
         gx, gh, b, hidden = (
             arr.astype(np.float32) for arr in self._gru_operands(rng, 4, 5)
         )
-        got = nnb.get_backend("blocked").gru_gates(gx, gh, b, hidden)
+        got = nnb.active_backend().gru_gates(gx, gh, b, hidden)
         assert got[0].dtype == np.float32
-        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
+        expected = NUMPY.gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
-    def test_numpy_fallback_when_gates_fail_their_self_check(self, fresh_blocked, flip_first_bit):
+    def test_numpy_fallback_when_gates_fail_their_self_check(self, kernel_pack, fresh_blocked, flip_first_bit):
         blocked = fresh_blocked(gru_gates=flip_first_bit)
         with pytest.warns(RuntimeWarning, match="gru_gates: RuntimeError: compiled gru_gates diverges"):
             assert blocked.describe()["fused_cells"] == "numpy-fallback"
-        assert nnb.fused_cells_error().startswith("gru_gates: ")
+        assert blocked.describe()["fused_cells_error"].startswith("gru_gates: ")
         rng = np.random.default_rng(54)
         gx, gh, b, hidden = self._gru_operands(rng, 3, 4)
-        expected = nnb.get_backend("reference").gru_gates(gx, gh, b, hidden)
+        expected = NUMPY.gru_gates(gx, gh, b, hidden)
         got = blocked.gru_gates(gx, gh, b, hidden)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
     @pytest.mark.parametrize("family", ["gru", "lstm"])
-    def test_functional_cells_identical_across_backends(self, family):
-        """gru/lstm cell+sequence forwards and backwards are backend-invariant."""
+    def test_functional_cells_identical_on_both_executors(self, family):
+        """gru/lstm cell+sequence forwards and backwards are executor-invariant."""
         rng = np.random.default_rng(55)
         size, batch, steps = 5, 4, 3
         mult = 3 if family == "gru" else 4
@@ -360,7 +355,7 @@ class TestFusedCellKernels:
         def run(backend_name):
             for p in (w_x, w_h, b):
                 p.grad = None
-            with nn.row_consistent_matmul(), nnb.use_backend(backend_name):
+            with nn.row_consistent_matmul(), executing(backend_name):
                 if family == "gru":
                     out = F.gru_sequence(Tensor(x_seq), w_x, w_h, b, Tensor(h0))
                 else:
@@ -371,7 +366,7 @@ class TestFusedCellKernels:
                 loss.backward()
             return out.data.copy(), [p.grad.copy() for p in (w_x, w_h, b)]
 
-        out_ref, grads_ref = run("reference")
+        out_ref, grads_ref = run("numpy")
         out_blk, grads_blk = run("blocked")
         assert np.array_equal(out_ref, out_blk)
         for g_ref, g_blk in zip(grads_ref, grads_blk):
@@ -406,7 +401,7 @@ def _same_results(want, have, what, nan_aware=False):
 
 def _table_runs(hook, want_backend, have_backend, seed):
     """``(want, have, where)`` per sample of the table row ``hook`` for
-    ``seed``: its outputs on two backends, each on its own stream of the
+    ``seed``: its outputs on two executors, each on its own stream of the
     same operands (a hook may write into its arguments)."""
     outputs = hook.outputs or (lambda result, args: result)
     streams = [hook.samples(np.random.default_rng(seed)) for _ in range(2)]
@@ -417,18 +412,9 @@ def _table_runs(hook, want_backend, have_backend, seed):
         yield want, have, where
 
 
-def _kernel_pack():
-    """The loaded kernel pack with its exp / tanh loops bound (skips the
-    test where no C toolchain built it)."""
-    if not nnb.compiled_kernel_available():
-        pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-    nnb.hook_status()  # binds the loops
-    return nnb._ensure_kernel()
-
-
 def _forbid_numpy_bodies(monkeypatch, hooks):
-    """Make the numpy body of each of ``hooks`` raise: a ``blocked`` run
-    that reaches one has fallen back.  The table is resolved first, since
+    """Make the numpy body of each of ``hooks`` raise: a compiled run that
+    reaches one has fallen back.  The table is resolved first, since
     its self-check runs the bodies."""
     nnb.hook_status()
     for hook in hooks:
@@ -440,7 +426,7 @@ def _forbid_numpy_bodies(monkeypatch, hooks):
 
 
 class TestHookTable:
-    """A hook of ``blocked`` is one C function in ``kernels.c``, one numpy
+    """A hook is one C function in ``kernels.c``, one numpy
     body on ``ExecutionBackend`` and one row of ``nnb._HOOKS``; a row that
     fails its self-check degrades that hook alone."""
 
@@ -456,11 +442,8 @@ class TestHookTable:
         assert len(names) == len(set(names))
         assert sorted(names) == sorted(methods)
 
-    def test_every_kernel_function_is_claimed_by_exactly_one_row(self):
-        kernel = nnb._ensure_kernel()
-        if kernel is None:
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
-        functions = {name for name, value in vars(kernel).items() if isinstance(value, types.BuiltinFunctionType)}
+    def test_every_kernel_function_is_claimed_by_exactly_one_row(self, kernel_pack):
+        functions = {name for name, value in vars(kernel_pack).items() if isinstance(value, types.BuiltinFunctionType)}
         claimed = [symbol for hook in nnb._HOOKS for symbol in hook.kernels]
         assert sorted(claimed) == sorted(functions - self.NOT_HOOKS)
         lstm = next(hook for hook in nnb._HOOKS if hook.name == "lstm_gates")
@@ -478,9 +461,9 @@ class TestHookTable:
             ["gru_gates", "gru_step", "tanh_mlp", "bias_tanh", "gaussian_log_density", "clipped_surrogate"]
         )
 
-    def test_one_mismatching_row_degrades_that_hook_alone(self, monkeypatch, capsys, fresh_blocked, flip_first_bit):
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+    def test_one_mismatching_row_degrades_that_hook_alone(
+        self, kernel_pack, monkeypatch, capsys, fresh_blocked, flip_first_bit
+    ):
         blocked = fresh_blocked(bias_tanh=flip_first_bit)
         with pytest.warns(RuntimeWarning, match="failed their self-check") as caught:
             status = nnb.hook_status()
@@ -491,7 +474,7 @@ class TestHookTable:
         assert description["kernel"] == "compiled" and description["fused_cells"] == "numpy-fallback"
         assert description["fused_cells_error"] == f"bias_tanh: {status['bias_tanh']}"
 
-        # Exactly that hook runs its numpy body, and blocked keeps reference's bits.
+        # Exactly that hook runs its numpy body, and the executor keeps the numpy bits.
         bodies = []
         for hook in nnb._HOOKS:
 
@@ -501,13 +484,12 @@ class TestHookTable:
                 return _body(backend, *args)
 
             monkeypatch.setattr(nnb.ExecutionBackend, hook.name, spy)
-        reference = nnb.get_backend("reference")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the warning fired once
             for hook in nnb._HOOKS:
-                for want, have, where in _table_runs(hook, reference, blocked, seed=0):
+                for want, have, where in _table_runs(hook, NUMPY, blocked, seed=0):
                     _same_results(want, have, (hook.name, where), hook.nan_aware)
-            assert not nnb.fused_cells_available()
+            assert blocked.describe()["fused_cells"] == "numpy-fallback"
         assert set(bodies) == {"bias_tanh"}
 
         from repro.cli import main
@@ -518,13 +500,11 @@ class TestHookTable:
         assert re.findall(r"hook (\w+): +numpy fallback", out) == ["bias_tanh"]
         assert len(re.findall(r"hook \w+: +compiled", out)) == len(nnb._HOOKS) - 1
 
-    def test_a_body_patched_before_first_use_is_not_the_oracle(self, monkeypatch, fresh_blocked):
+    def test_a_body_patched_before_first_use_is_not_the_oracle(self, kernel_pack, monkeypatch, fresh_blocked):
         """The self-check runs the bodies bound when the table was built: a
         raising spy patched over ``gru_gates`` before the first use fails no
-        row (``gru_step``'s body takes its gates from the active backend),
-        and sees exactly the calls that fall back."""
-        if not nnb.compiled_kernel_available():
-            pytest.skip(f"compiled kernel unavailable: {nnb.compiled_kernel_error()}")
+        row (``gru_step``'s body takes its gates from its own executor), and
+        sees exactly the calls that fall back."""
         blocked = fresh_blocked()
         calls = []
 
@@ -549,7 +529,7 @@ class TestHookTable:
 
 class TestTrainingHooks:
     """The PPO update's elementwise hooks.  Their table rows feed the
-    registry-wide bitwise test above; here a ``blocked`` update must take
+    executor-wide bitwise test above; here a compiled update must take
     no numpy fallback, and operands outside the float64 fast path take the
     numpy expression itself."""
 
@@ -558,10 +538,9 @@ class TestTrainingHooks:
         "clipped_surrogate", "clipped_surrogate_backward", "grad_norm", "adam_step",
     )
 
-    def test_blocked_update_runs_the_compiled_kernels(self, monkeypatch):
-        """Under ``blocked`` no training hook falls back to numpy on the PPO
+    def test_compiled_update_runs_the_compiled_kernels(self, kernel_pack, monkeypatch):
+        """Compiled, no training hook falls back to numpy on the PPO
         update's own operands."""
-        _kernel_pack()
         from repro.core.actor_critic import Critic, GaussianActor
         from repro.core.config import AmoebaConfig
         from repro.core.ppo import PPOUpdater
@@ -570,10 +549,9 @@ class TestTrainingHooks:
         config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=2, update_epochs=1)
         actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
         critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
-        with nnb.use_backend("blocked"):
-            PPOUpdater(actor, critic, config, rng=3).update(TestMinibatchSlots._filled_buffer())
+        PPOUpdater(actor, critic, config, rng=3).update(TestMinibatchSlots._filled_buffer())
 
-    def test_update_identical_on_both_backends(self):
+    def test_update_identical_on_both_executors(self):
         from repro.core.actor_critic import Critic, GaussianActor
         from repro.core.config import AmoebaConfig
         from repro.core.ppo import PPOUpdater
@@ -582,18 +560,18 @@ class TestTrainingHooks:
             config = AmoebaConfig(rollout_length=8, n_envs=3, n_minibatches=3, update_epochs=2)
             actor = GaussianActor(6, 2, hidden_dims=(12, 5), rng=np.random.default_rng(1))
             critic = Critic(6, hidden_dims=(12, 5), rng=np.random.default_rng(2))
-            with nnb.use_backend(name):
+            with executing(name):
                 updater = PPOUpdater(actor, critic, config, rng=3)
                 stats = [updater.update(TestMinibatchSlots._filled_buffer()) for _ in range(3)]
             return stats, [p.data.copy() for p in actor.parameters() + critic.parameters()]
 
-        (want_stats, want), (got_stats, got) = run("reference"), run("blocked")
+        (want_stats, want), (got_stats, got) = run("numpy"), run("blocked")
         assert got_stats == want_stats
         for expected, value in zip(want, got):
             _same_bits(expected, value)
 
     def test_operands_outside_the_fast_path_take_the_numpy_expression(self):
-        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        blocked, reference = nnb.active_backend(), NUMPY
         rng = np.random.default_rng(71)
         y32 = rng.standard_normal((4, 3)).astype(np.float32)
         bias = rng.standard_normal(3)
@@ -625,39 +603,35 @@ class TestTrainingHooks:
             runs.append(tuple(copies) + (state[0].copy(), state[1].copy()))
         _same_results(*runs, "adam_step")
 
-    def test_strided_views_take_the_compiled_path(self):
+    def test_strided_views_take_the_compiled_path(self, kernel_pack):
         """Strided (non-contiguous) float64 views take the compiled path and
         still match."""
-        kernel = _kernel_pack()
         rng = np.random.default_rng(72)
         y = rng.standard_normal((6, 8))[:, ::2]
         activation = np.tanh(rng.standard_normal((6, 8)))[:, 1::2]
         bias = rng.standard_normal(8)[::2]
-        reference = nnb.get_backend("reference")
-        _same_results(reference.bias_tanh(y, bias), kernel.bias_tanh(y, bias), "bias_tanh")
+        reference = NUMPY
+        _same_results(reference.bias_tanh(y, bias), kernel_pack.bias_tanh(y, bias), "bias_tanh")
         _same_results(
-            reference.tanh_backward(y, activation), kernel.tanh_backward(y, activation), "tanh_backward"
+            reference.tanh_backward(y, activation), kernel_pack.tanh_backward(y, activation), "tanh_backward"
         )
 
 
 class TestConvHooks:
     """The conv-block hooks of DF's fused block and of DF scoring.  Their
-    table rows feed the registry-wide bitwise test above; here the compiled
+    table rows feed the executor-wide bitwise test above; here the compiled
     kernels take every DF operand, and operands outside their fast path take
     the numpy expression itself (or raise as it does)."""
 
     HOOKS = ("im2col_1d", "bias_relu_pool", "bias_relu_pool_backward", "col2im_1d")
 
-    def test_blocked_takes_every_df_operand(self, monkeypatch):
+    def test_compiled_takes_every_df_operand(self, monkeypatch, compiled_executor):
         """The compiled kernels decline none of their rows' operands: DF's
         convolutions (kernel 5, padding 2) on inputs shorter than the kernel
         and past DF's 40-packet window, channel-first and channel-last, and
         products holding NaN, infinities, signed zeros and tied pairs."""
-        _kernel_pack()
-        # With the GEMM compiled, a kernel failing its self-check is a bug.
-        assert nnb.fused_cells_available(), nnb.fused_cells_error()
         _forbid_numpy_bodies(monkeypatch, self.HOOKS)
-        blocked = nnb.get_backend("blocked")
+        blocked = compiled_executor
         for hook in nnb._HOOKS:
             if hook.name in self.HOOKS:
                 for seed in range(2):
@@ -679,20 +653,20 @@ class TestConvHooks:
         """Outside the kernel's fast path numpy's result -- a strided view or
         another dtype -- is the hook's, so ``Conv1d``'s products and gradients
         see the same operand; inside it, the same C-contiguous copy."""
-        want = nnb.get_backend("reference").im2col_1d(x, kernel_size, stride, padding)
-        have = nnb.get_backend("blocked").im2col_1d(x, kernel_size, stride, padding)
+        want = NUMPY.im2col_1d(x, kernel_size, stride, padding)
+        have = nnb.active_backend().im2col_1d(x, kernel_size, stride, padding)
         assert want.dtype == have.dtype and want.shape == have.shape
         assert want.strides == have.strides
         assert np.array_equal(want, have)
 
-    def test_windows_longer_than_the_padded_input_raise_on_both_backends(self):
-        for name in nnb.available_backends():
+    def test_windows_longer_than_the_padded_input_raise_on_both_executors(self):
+        for name in EXECUTORS:
             with pytest.raises(ValueError):
-                nnb.get_backend(name).im2col_1d(np.ones((2, 3, 3)), 5, 1, 0)
+                executor(name).im2col_1d(np.ones((2, 3, 3)), 5, 1, 0)
 
     def test_bias_relu_pool_outside_the_fast_path(self):
         rng = np.random.default_rng(91)
-        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        blocked, reference = nnb.active_backend(), NUMPY
         h32 = rng.standard_normal((2, 4, 3)).astype(np.float32)
         assert blocked.bias_relu_pool(h32, np.zeros(3, np.float32)).dtype == np.float32
         strided = rng.standard_normal((2, 8, 6))[:, ::2, ::2]
@@ -707,30 +681,30 @@ class TestConvHooks:
         grad32 = rng.standard_normal((2, 3, 2)).astype(np.float32)
         assert blocked.bias_relu_pool_backward(grad32, h32, np.zeros(3)).dtype == np.float64
         odd = rng.standard_normal((2, 5, 3))  # an odd last position is dropped, as MaxPool1d(2) does
-        for name in nnb.available_backends():
-            pooled = nnb.get_backend(name).bias_relu_pool(odd, bias)
+        for name in EXECUTORS:
+            pooled = executor(name).bias_relu_pool(odd, bias)
             _same_results(reference.bias_relu_pool(odd[:, :4], bias), pooled, name)
-            d_odd = nnb.get_backend(name).bias_relu_pool_backward(np.ones((2, 3, 2)), odd, bias)
+            d_odd = executor(name).bias_relu_pool_backward(np.ones((2, 3, 2)), odd, bias)
             assert np.array_equal(d_odd[:, 4].view(np.uint64), np.zeros((2, 3)).view(np.uint64))
 
     def test_col2im_outside_the_fast_path(self):
         rng = np.random.default_rng(93)
-        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        blocked, reference = nnb.active_backend(), NUMPY
         strided = rng.standard_normal((2, 8, 12))[:, ::2, ::2]  # (2, 4, 6): 2 channels, kernel 3
         _same_results(
             reference.col2im_1d(strided, 6, 3, 1, 0), blocked.col2im_1d(strided, 6, 3, 1, 0), "strided"
         )
         grad32 = rng.standard_normal((2, 4, 6)).astype(np.float32)
         _same_results(reference.col2im_1d(grad32, 6, 3, 1, 0), blocked.col2im_1d(grad32, 6, 3, 1, 0), "f32")
-        for name in nnb.available_backends():  # windows past the padded input
+        for name in EXECUTORS:  # windows past the padded input
             with pytest.raises(ValueError):
-                nnb.get_backend(name).col2im_1d(rng.standard_normal((2, 5, 6)), 3, 3, 1, 0)
+                executor(name).col2im_1d(rng.standard_normal((2, 5, 6)), 3, 3, 1, 0)
 
     def test_outputs_are_fresh_c_contiguous_arrays(self):
         rng = np.random.default_rng(92)
         x = rng.standard_normal((3, 4, 10))
-        for name in nnb.available_backends():
-            backend = nnb.get_backend(name)
+        for name in EXECUTORS:
+            backend = executor(name)
             columns = backend.im2col_1d(x, 5, 1, 2)
             h = columns @ rng.standard_normal((20, 6))
             pooled = backend.bias_relu_pool(h, np.zeros(6))
@@ -743,10 +717,10 @@ class TestConvHooks:
 
 class TestBPTTHooks:
     """The BPTT step hooks of ``gru_sequence`` / ``lstm_sequence``.  Their
-    operands feed the registry-wide bitwise test above; here the compiled
+    operands feed the executor-wide bitwise test above; here the compiled
     kernels equal the numpy bodies on every bit over sizes, saturated gates
-    and IEEE specials, pre-training and LSTM fit never take the numpy body
-    under ``blocked``, and operands outside the kernels' fast path take it."""
+    and IEEE specials, compiled pre-training and LSTM fit never take the
+    numpy body, and operands outside the kernels' fast path take it."""
 
     HOOKS = ("gru_bptt_step", "lstm_bptt_step")
 
@@ -777,22 +751,20 @@ class TestBPTTHooks:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_compiled_kernels_equal_the_numpy_bodies(self, batch, size, steps, scale, specials, seed):
-        kernel = _kernel_pack()
-        reference = nnb.get_backend("reference")
+    def test_compiled_kernels_equal_the_numpy_bodies(self, kernel_pack, batch, size, steps, scale, specials, seed):
+        reference = NUMPY
         for hook, operands in self.operands(np.random.default_rng(seed), batch, steps, size, scale, specials):
-            have = self.run(kernel, hook, operands)
+            have = self.run(kernel_pack, hook, operands)
             assert have[0] is not NotImplemented, hook
             _same_results(self.run(reference, hook, operands), have, (hook, operands[0]), nan_aware=True)
 
-    def test_blocked_pretraining_and_lstm_fit_never_fall_back(self, monkeypatch):
-        """Under ``blocked`` every BPTT step of the StateEncoder's pre-training
-        and of the LSTM censor's fit is one compiled call."""
-        _kernel_pack()
+    def test_compiled_pretraining_and_lstm_fit_never_fall_back(self, kernel_pack, monkeypatch):
+        """Compiled, every BPTT step of the StateEncoder's pre-training and
+        of the LSTM censor's fit is one compiled call."""
         from repro.core import pretrain_state_encoder
         from repro.pipeline import make_censor, prepare_experiment_data
 
-        blocked, calls = nnb.get_backend("blocked"), {hook: 0 for hook in self.HOOKS}
+        blocked, calls = nnb.active_backend(), {hook: 0 for hook in self.HOOKS}
         for hook in self.HOOKS:
 
             def counted(*args, _hook=hook, _resolved=getattr(blocked, hook)):
@@ -801,18 +773,17 @@ class TestBPTTHooks:
 
             monkeypatch.setattr(blocked, hook, counted)
         _forbid_numpy_bodies(monkeypatch, self.HOOKS)
-        with nnb.use_backend("blocked"):
-            pretrain_state_encoder(hidden_size=8, num_layers=2, n_flows=20, max_length=6, epochs=1, rng=0)
-            assert calls["gru_bptt_step"] > 0
-            data = prepare_experiment_data("tor", n_censored=10, n_benign=10, max_packets=8, rng=0)
-            make_censor("LSTM", data, rng=1, epochs=4).fit(data.splits.clf_train.flows)
-            assert calls["lstm_bptt_step"] > 0
+        pretrain_state_encoder(hidden_size=8, num_layers=2, n_flows=20, max_length=6, epochs=1, rng=0)
+        assert calls["gru_bptt_step"] > 0
+        data = prepare_experiment_data("tor", n_censored=10, n_benign=10, max_packets=8, rng=0)
+        make_censor("LSTM", data, rng=1, epochs=4).fit(data.splits.clf_train.flows)
+        assert calls["lstm_bptt_step"] > 0
 
     def test_operands_outside_the_fast_path_take_the_numpy_body(self):
         """Strided operands stay on the compiled path; float32, a read-only
         slab or a step outside ``[0, T)`` take the numpy body (which raises
         for the step, as it always did)."""
-        blocked, reference = nnb.get_backend("blocked"), nnb.get_backend("reference")
+        blocked, reference = nnb.active_backend(), NUMPY
         kernel = nnb._ensure_kernel()
         rng = np.random.default_rng(95)
         hook, operands = self.operands(rng, 4, 3, 5)[0]
@@ -831,9 +802,9 @@ class TestBPTTHooks:
             slab.flags.writeable = False
         if kernel is not None:
             assert kernel.gru_bptt_step(t, d_hidden, grad, *rest[:-2], *frozen) is NotImplemented
-        for name in nnb.available_backends():
+        for name in EXECUTORS:
             with pytest.raises(IndexError):
-                self.run(nnb.get_backend(name), hook, (3, d_hidden, grad, *rest))
+                self.run(executor(name), hook, (3, d_hidden, grad, *rest))
 
 
 class TestPinnedNumpyAssumptions:
@@ -842,9 +813,9 @@ class TestPinnedNumpyAssumptions:
 
     Pinned on numpy 2.4.6 (CI's numpy-floor job runs them on 1.24).  If one
     fails, the kernel that mirrors it fails its load-time self-check, the
-    ``blocked`` backend degrades to the numpy expressions (same bits, numpy
-    speed) with ``fused_cells_error`` naming it, and the perf harness refuses
-    to measure.
+    executor degrades to the numpy expressions (same bits, numpy speed) with
+    ``fused_cells_error`` naming it, and the perf harness refuses to
+    measure.
     """
 
     @staticmethod
@@ -875,12 +846,11 @@ class TestPinnedNumpyAssumptions:
                 with np.errstate(all="ignore"):
                     _same_bits(cache[:, t] ** 2, cache[:, t] * cache[:, t])
 
-    def test_ndarray_sum_is_the_pairwise_sum_from_zero(self):
+    def test_ndarray_sum_is_the_pairwise_sum_from_zero(self, kernel_pack):
         """``ndarray.sum()`` of a C-contiguous float64 array, any shape, is
         numpy's pairwise sum over its elements in memory order starting from
         0.0 -- the reduction ``grad_norm``'s kernel reproduces -- so the
         kernel equals ``(g ** 2).sum()`` per gradient."""
-        kernel = _kernel_pack()
         rng = np.random.default_rng(81)
         # Terms of one magnitude too: a dominating term would hide the sum's
         # structure in rounding.
@@ -891,7 +861,7 @@ class TestPinnedNumpyAssumptions:
         with np.errstate(all="ignore"):
             for x in arrays:
                 want = np.float64(np.sqrt(float((x ** 2).sum())))
-                _same_bits(np.asarray(want), np.asarray(np.float64(kernel.grad_norm([x]))))
+                _same_bits(np.asarray(want), np.asarray(np.float64(kernel_pack.grad_norm([x]))))
         assert np.array([-0.0]).sum() == 0.0 and not np.signbit(np.array([-0.0]).sum())
 
     def test_relu_mask_multiply_signs_negatives_and_passes_nan(self):
@@ -953,7 +923,7 @@ class TestPinnedNumpyAssumptions:
         _same_bits(got, want)
 
 
-def test_bound_ufunc_loops_equal_ufunc():
+def test_bound_ufunc_loops_equal_ufunc(kernel_pack):
     """numpy's float64 exp / tanh inner loops, called the way the kernel pack
     calls them (bound from the ufunc's first exact ``d->d`` loop-table entry,
     run over a contiguous, non-overlapping copy), equal ``np.exp`` /
@@ -969,7 +939,6 @@ def test_bound_ufunc_loops_equal_ufunc():
     (``fused_cells_error`` names the loop), and the perf harness would
     refuse to measure.
     """
-    kernel = _kernel_pack()
     rng = np.random.default_rng(60)
     tiny = np.finfo(np.float64).tiny
     specials = np.array(
@@ -983,12 +952,12 @@ def test_bound_ufunc_loops_equal_ufunc():
     with np.errstate(all="ignore"):
         for x in samples:
             for name, ufunc in (("exp", np.exp), ("tanh", np.tanh)):
-                _same_bits(ufunc(x), kernel.bound_loop(name, x))
+                _same_bits(ufunc(x), kernel_pack.bound_loop(name, x))
 
 
 class TestFusedNetworkKernels:
     """``step_pairs`` / ``act_batch`` / ``value_batch`` run one compiled call
-    each under ``blocked`` and equal the ``reference`` composition bitwise."""
+    each and equal the no-kernel composition bitwise."""
 
     ROWS = [0, 1, 7, 15, 16, 17]
 
@@ -1010,13 +979,12 @@ class TestFusedNetworkKernels:
             critic.value_batch(states),
         )
 
-    def _assert_backends_agree(self, nets, pairs, slab, states, noise=None):
+    def _assert_executors_agree(self, nets, pairs, slab, states, noise=None):
         if noise is None:
             noise = np.random.default_rng(7).standard_normal((len(states), 2))
-        with nnb.use_backend("reference"):
+        with executing("numpy"):
             want = self._tick(nets, pairs, slab, states, noise)
-        with nnb.use_backend("blocked"):
-            got = self._tick(nets, pairs, slab, states, noise)
+        got = self._tick(nets, pairs, slab, states, noise)
         for expected, actual in zip(want, got):
             _same_bits(expected, actual)
 
@@ -1030,8 +998,8 @@ class TestFusedNetworkKernels:
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("scale", [1.0, 50.0])
-    def test_tick_matches_reference(self, nets, rows, scale):
-        self._assert_backends_agree(nets, *self._inputs(np.random.default_rng(rows), rows, scale))
+    def test_tick_matches_numpy(self, nets, rows, scale):
+        self._assert_executors_agree(nets, *self._inputs(np.random.default_rng(rows), rows, scale))
 
     def test_saturating_pre_activations(self, nets):
         """|pre| ~ 50: every sigmoid / tanh clamps to its boundary."""
@@ -1042,7 +1010,7 @@ class TestFusedNetworkKernels:
         first_mlp = actor.body[0].weight.data
         assert np.abs(pairs @ first_gru).max() < 50 < np.abs(pairs * 50 @ first_gru).max()
         assert np.abs(states * 50 @ first_mlp).max() > 50
-        self._assert_backends_agree(nets, pairs * 50, slab, states * 50)
+        self._assert_executors_agree(nets, pairs * 50, slab, states * 50)
 
     def test_noncontiguous_gathers_and_layouts(self, nets):
         rng = np.random.default_rng(62)
@@ -1050,12 +1018,12 @@ class TestFusedNetworkKernels:
         table = rng.uniform(-1.0, 1.0, size=(2, 2, 12, 16))
         slots = np.array([9, 0, 4, 11, 2, 7, 5])
         gathered = table[:, 0, slots]  # the server's session-table gather
-        self._assert_backends_agree(nets, pairs, gathered, states)
+        self._assert_executors_agree(nets, pairs, gathered, states)
         strided_pairs = np.repeat(pairs, 2, axis=0)[::2]
         strided_states = np.repeat(states, 2, axis=1)[:, ::2]
         assert not strided_pairs.flags.c_contiguous and not strided_states.flags.c_contiguous
-        self._assert_backends_agree(nets, strided_pairs, table[:, 1, slots], strided_states)
-        self._assert_backends_agree(
+        self._assert_executors_agree(nets, strided_pairs, table[:, 1, slots], strided_states)
+        self._assert_executors_agree(
             nets,
             np.asfortranarray(pairs),
             np.asfortranarray(gathered),
@@ -1065,10 +1033,10 @@ class TestFusedNetworkKernels:
     def test_float32_and_integer_inputs(self, nets):
         rng = np.random.default_rng(63)
         pairs, slab, states = self._inputs(rng, 15)
-        self._assert_backends_agree(
+        self._assert_executors_agree(
             nets, pairs.astype(np.float32), slab.astype(np.float32), states.astype(np.float32)
         )
-        self._assert_backends_agree(
+        self._assert_executors_agree(
             nets,
             rng.integers(-3, 4, size=(15, 2)),
             rng.integers(-1, 2, size=(2, 15, 16)),
@@ -1084,20 +1052,17 @@ class TestFusedNetworkKernels:
             states[row, 5] = value
         states[12] = np.nan
         with np.errstate(invalid="ignore"):
-            self._assert_backends_agree(nets, pairs, slab, states)
+            self._assert_executors_agree(nets, pairs, slab, states)
 
-    def test_blocked_tick_calls_no_python_matmul_or_gates(self, nets, monkeypatch):
-        _kernel_pack()
-        # With the GEMM compiled, a fused kernel failing its self-check is a bug.
-        assert nnb.fused_cells_available(), nnb.fused_cells_error()
+    def test_compiled_tick_calls_no_python_matmul_or_gates(self, nets, monkeypatch, compiled_executor):
         from repro.nn import functional as F
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the blocked decision tick left the compiled kernels")
+            raise AssertionError("the compiled decision tick left the compiled kernels")
 
         for owner, name in (
-            (nnb.BlockedBackend, "matmul2d"),
-            (nnb.get_backend("blocked"), "gru_gates"),
+            (nnb.ExecutionBackend, "matmul2d"),
+            (compiled_executor, "gru_gates"),
             (nnb.ExecutionBackend, "gru_step"),
             (nnb.ExecutionBackend, "tanh_mlp"),
             (F, "gru_cell_forward"),
@@ -1105,13 +1070,11 @@ class TestFusedNetworkKernels:
         ):
             monkeypatch.setattr(owner, name, forbidden)
         pairs, slab, states = self._inputs(np.random.default_rng(65), 16)
-        with nnb.use_backend("blocked"):
-            self._tick(nets, pairs, slab, states, np.zeros((16, 2)))
+        self._tick(nets, pairs, slab, states, np.zeros((16, 2)))
 
-    def test_loop_mismatch_degrades_once_to_the_composition(self, nets, monkeypatch, fresh_blocked):
+    def test_loop_mismatch_degrades_once_to_the_composition(self, kernel_pack, nets, monkeypatch, fresh_blocked):
         """A bound loop that differs from its ufunc fails exactly the rows
         whose kernels run the loops; the conv and BPTT hooks stay compiled."""
-        kernel = _kernel_pack()
         fresh_blocked()
         monkeypatch.setattr(nnb, "_LOOP_UFUNCS", (np.exp, np.sinh))
         try:
@@ -1121,18 +1084,18 @@ class TestFusedNetworkKernels:
             failed = [name for name, reason in status.items() if reason]
             assert failed == [hook.name for hook in nnb._HOOKS if hook.loops]
             assert all("tanh loop" in status[name] for name in failed)
-            assert "tanh loop" in nnb.fused_cells_error()
+            assert "tanh loop" in nnb.active_backend().describe()["fused_cells_error"]
             compiled = TestConvHooks.HOOKS + TestBPTTHooks.HOOKS + ("lstm_gates", "tanh_backward")
             assert all(status[name] is None for name in compiled)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert nnb.get_backend("blocked").describe()["fused_cells"] == "numpy-fallback"
-                # blocked now runs the composition, which still matches.
-                self._assert_backends_agree(
+                assert nnb.active_backend().describe()["fused_cells"] == "numpy-fallback"
+                # The executor now runs the composition, which still matches.
+                self._assert_executors_agree(
                     nets, *self._inputs(np.random.default_rng(66), 7)
                 )
         finally:
-            kernel.bind_loops(np.exp, np.tanh)
+            kernel_pack.bind_loops(np.exp, np.tanh)
 
 
 class TestKernelFallbackWarning:
@@ -1149,22 +1112,21 @@ class TestKernelFallbackWarning:
 
         monkeypatch.setattr(nnb, "_compile_kernel", boom)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert not nnb.compiled_kernel_available()
-        assert "forced to fail" in nnb.compiled_kernel_error()
-        payload = nnb.get_backend("blocked").describe()
+            payload = nnb.active_backend().describe()
         assert payload["kernel"] == "einsum-fallback"
         assert "forced to fail" in payload["kernel_error"]
-        # The degraded backend still produces reference bits...
+        assert set(nnb.hook_status().values()) == {payload["kernel_error"]}
+        # The degraded executor still produces the einsum's bits...
         rng = np.random.default_rng(60)
         a, bb = rng.standard_normal((5, 9)), rng.standard_normal((9, 4))
         assert np.array_equal(
-            nnb.get_backend("blocked").matmul2d(a, bb),
+            nnb.active_backend().matmul2d(a, bb),
             np.einsum("ik,kh->ih", a, bb),
         )
         # ...and repeated availability checks stay silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not nnb.compiled_kernel_available()
+            assert nnb.active_backend().describe()["kernel"] == "einsum-fallback"
 
     @pytest.mark.parametrize(
         "script,reason",
@@ -1190,15 +1152,12 @@ class TestTensorRouting:
     def test_rc_matmul_routes_through_active_backend(self, monkeypatch):
         calls = []
 
-        class Probe(nnb.ExecutionBackend):
-            name = "probe-test"
+        def probe(a, b):
+            calls.append((a.shape, b.shape))
+            return np.einsum("ik,kh->ih", a, b)
 
-            def matmul2d(self, a, b):
-                calls.append((a.shape, b.shape))
-                return np.einsum("ik,kh->ih", a, b)
-
-        monkeypatch.setitem(nnb._REGISTRY, "probe-test", Probe())
-        with nn.row_consistent_matmul(), nnb.use_backend("probe-test"):
+        monkeypatch.setattr(nnb.active_backend(), "matmul2d", probe)
+        with nn.row_consistent_matmul():
             rc_matmul(np.ones((2, 3)), np.ones((3, 4)))
         assert calls == [((2, 3), (3, 4))]
 
@@ -1207,17 +1166,16 @@ class TestTensorRouting:
         x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
         with nn.row_consistent_matmul():
-            with nnb.use_backend("reference"):
+            with executing("numpy"):
                 ref = (x @ w).data.copy()
-            with nnb.use_backend("blocked"):
-                blk = (x @ w).data.copy()
+            blk = (x @ w).data.copy()
         assert np.array_equal(ref, blk)
 
-    def test_gradients_flow_under_blocked_backend(self):
+    def test_gradients_flow_under_the_rc_context(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-        with nn.row_consistent_matmul(), nnb.use_backend("blocked"):
+        with nn.row_consistent_matmul():
             loss = (x @ w).sum()
             loss.backward()
         assert x.grad is not None and w.grad is not None
@@ -1228,21 +1186,17 @@ class TestTensorRouting:
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
 
-        class Tripwire(nnb.ExecutionBackend):
-            name = "tripwire-test"
+        def tripwire(a, b):
+            raise AssertionError("executor consulted outside the rc context")
 
-            def matmul2d(self, a, b):
-                raise AssertionError("backend consulted outside the rc context")
-
-        monkeypatch.setitem(nnb._REGISTRY, "tripwire-test", Tripwire())
-        with nnb.use_backend("tripwire-test"):
-            out = rc_matmul(a, b)  # no rc context: plain float64 BLAS
+        monkeypatch.setattr(nnb.active_backend(), "matmul2d", tripwire)
+        out = rc_matmul(a, b)  # no rc context: plain float64 BLAS
         assert np.array_equal(out, a @ b)
 
-    def test_linear_layer_batch_invariance_under_blocked(self):
+    def test_linear_layer_batch_invariance_under_the_rc_context(self):
         layer = nn.Linear(10, 4, rng=np.random.default_rng(10))
         x = np.random.default_rng(11).standard_normal((9, 10))
-        with nn.no_grad(), nn.row_consistent_matmul(), nnb.use_backend("blocked"):
+        with nn.no_grad(), nn.row_consistent_matmul():
             full = layer(Tensor(x)).data
             rows = np.concatenate(
                 [layer(Tensor(x[i : i + 1])).data for i in range(9)], axis=0
@@ -1410,8 +1364,8 @@ class TestMinibatchSlots:
             assert np.array_equal(a, b)
 
 
-class TestServingBackendSelection:
-    def test_server_decisions_identical_across_rc_backends(self):
+class TestServingExecutors:
+    def test_server_decisions_identical_on_both_executors(self):
         from repro.core.actor_critic import GaussianActor
         from repro.core.state_encoder import StateEncoder
         from repro.serve import PolicyServer, ServeConfig
@@ -1433,13 +1387,13 @@ class TestServingBackendSelection:
 
         default = run()
         assert default
-        for name in nnb.available_backends():
-            with nnb.use_backend(name):
+        for name in EXECUTORS:
+            with executing(name):
                 assert run() == default, name
 
 
 # Runs in a fresh interpreter against the cache directory named by
-# REPRO_NN_KERNEL_CACHE: loads the blocked backend, counting compilations.
+# REPRO_NN_KERNEL_CACHE: loads the executor's kernel pack, counting compilations.
 _LOAD_KERNEL_SCRIPT = """
 import json
 from repro.nn import backend as nnb
@@ -1454,7 +1408,7 @@ def counting_compile(target):
 
 
 nnb._compile_kernel = counting_compile
-description = nnb.get_backend("blocked").describe()
+description = nnb.active_backend().describe()
 print(json.dumps({"kernel": description["kernel"], "error": description["kernel_error"],
                   "compilations": len(compiled)}))
 """
@@ -1479,12 +1433,10 @@ class TestKernelBuildCache:
         copy.write_text(copy.read_text() + "/* edited */\n")
         assert nnb._kernel_path() != packaged
 
-    def test_corrupt_cached_build_is_rebuilt_not_loaded(self, tmp_path):
+    def test_corrupt_cached_build_is_rebuilt_not_loaded(self, kernel_pack, tmp_path):
         """A truncated or bit-flipped cached extension must cost one rebuild:
         ``dlopen`` of such a file kills the interpreter (SIGBUS) before any
         fallback can run, and would do so in every later process."""
-        if not nnb.compiled_kernel_available():
-            pytest.skip("compiled kernel unavailable")
         env = dict(
             os.environ,
             REPRO_NN_KERNEL_CACHE=str(tmp_path),

@@ -24,6 +24,7 @@ from oracles.composed_recurrent import (
     ComposedLSTM,
     ComposedLSTMCell,
 )
+from oracles.executors import EXECUTORS, executing
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.serialization import pack_legacy_recurrent
@@ -349,7 +350,7 @@ class TestSequenceShapes:
         monkeypatch.setattr(F, "rc_matmul", no_projection)
         cell = (nn.GRUCell if family == "gru" else nn.LSTMCell)(2, 5, rng=np.random.default_rng(0))
         x, h0, c0 = nn.Tensor(np.ones(x_shape)), nn.Tensor(np.zeros(h_shape)), nn.Tensor(np.zeros(c_shape))
-        with nn.use_backend(backend), pytest.raises(ValueError) as excinfo:
+        with executing(backend), pytest.raises(ValueError) as excinfo:
             if family == "gru":
                 F.gru_sequence(x, cell.w_x, cell.w_h, cell.b, h0)
             else:
@@ -360,10 +361,10 @@ class TestSequenceShapes:
         "family, x_shape, h_shape, c_shape",
         [("lstm", *case) for case in CASES] + [("gru", *case) for case in CASES if case[2] == (4, 5)],
     )
-    def test_every_backend_raises_the_same_error(self, family, x_shape, h_shape, c_shape, monkeypatch):
+    def test_both_executors_raise_the_same_error(self, family, x_shape, h_shape, c_shape, monkeypatch):
         messages = {
             self._run(family, backend, x_shape, h_shape, c_shape, monkeypatch)
-            for backend in nn.available_backends()
+            for backend in EXECUTORS
         }
         assert len(messages) == 1
         (message,) = messages

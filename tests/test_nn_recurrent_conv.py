@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles.conv_reference import composed_relu_pool, windows_1d
+from oracles.executors import EXECUTORS, executing, executor
 from repro import nn
 
 
@@ -161,23 +162,23 @@ class TestLoopFreeWindows:
     @pytest.mark.parametrize("kernel_size,stride", [(5, 1), (3, 2), (2, 2), (4, 3), (7, 7)])
     @pytest.mark.parametrize("contiguous", [True, False])
     @pytest.mark.parametrize("padding", [0, 2])
-    @pytest.mark.parametrize("backend", nn.available_backends())
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_im2col_matches_loop(self, kernel_size, stride, contiguous, padding, backend):
-        """Every backend's ``im2col_1d`` hook (the one the conv block and DF
+        """Each executor's ``im2col_1d`` hook (the one the conv block and DF
         scoring call) equals the seed loop over the zero-padded input."""
         x = np.random.default_rng(kernel_size * 10 + stride).normal(size=(3, 4, 23))
         if not contiguous:
             x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
-        columns = nn.get_backend(backend).im2col_1d(x, kernel_size, stride, padding)
+        columns = executor(backend).im2col_1d(x, kernel_size, stride, padding)
         expected = _loop_im2col(np.pad(x, ((0, 0), (0, 0), (padding, padding))), kernel_size, stride)
         assert columns.flags.c_contiguous and columns.flags.writeable
         assert np.array_equal(columns.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("length", [20, 21])  # an odd last position is dropped
     @pytest.mark.parametrize("channel_last", [False, True])
-    @pytest.mark.parametrize("backend", nn.available_backends())
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_bias_relu_pool_matches_loop_including_zero_signs(self, length, channel_last, backend):
-        """Every backend's ``bias_relu_pool`` equals the seed loop's window
+        """Each executor's ``bias_relu_pool`` equals the seed loop's window
         ``max`` over the ReLU of the biased product, signs of zeros included."""
         rng = np.random.default_rng(length)
         h = rng.normal(size=(3, length, 4)).round(1)  # one decimal: pairs tie
@@ -188,10 +189,10 @@ class TestLoopFreeWindows:
         activations = h + bias
         activations *= activations > 0
         expected = _loop_pool_windows(activations.transpose(0, 2, 1), 2, 2).max(axis=-1)
-        pooled = nn.get_backend(backend).bias_relu_pool(h, bias)
+        pooled = executor(backend).bias_relu_pool(h, bias)
         assert np.array_equal(pooled.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("backend", nn.available_backends())
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_padded_block_matches_np_pad_and_loops(self, backend):
         conv = nn.Conv1d(2, 3, kernel_size=5, padding=2, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(4, 2, 17))
@@ -199,7 +200,7 @@ class TestLoopFreeWindows:
         product = (nn.Tensor(_loop_im2col(padded, 5, 1)) @ conv.weight + conv.bias).data
         activations = product.transpose(0, 2, 1) * (product.transpose(0, 2, 1) > 0)
         expected = _loop_pool_windows(activations, 2, 2).max(axis=-1)
-        with nn.use_backend(backend):
+        with executing(backend):
             out = conv.relu_pool(nn.Tensor(x))
         assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
 
@@ -373,8 +374,8 @@ class TestKernelOracle:
         grad = np.ones((2, 3, 6))
         grad[0, 0, 0], grad[1, 2, 3], grad[0, 1, 5] = np.inf, -np.inf, np.nan
         h = rng.uniform(0.5, 1.5, size=(2, 12, 3))  # positive: the ReLU passes everything
-        for name in nn.available_backends():
-            d_h = nn.get_backend(name).bias_relu_pool_backward(grad, h, np.zeros(3))
+        for name in EXECUTORS:
+            d_h = executor(name).bias_relu_pool_backward(grad, h, np.zeros(3))
             assert np.count_nonzero(~np.isfinite(d_h)) == 3
         layer = dict(in_channels=3, out_channels=3, kernel_size=3, padding=1)
         data = _activations(rng, (2, 3, 12), channel_last=False)

@@ -45,6 +45,7 @@ from repro.core.env import PacketShaper, normalised_pair
 
 from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import composed_relu_pool
+from oracles.executors import EXECUTORS, executing
 from oracles.gae_reference import reference_compute_gae
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
@@ -737,7 +738,7 @@ class TestOneShaperBothTiers:
             max_size=6,
         ),
         actions=st.lists(st.tuples(_components, _components), min_size=1, max_size=12),
-        max_truncations=st.integers(0, 8),
+        max_truncations=st.integers(1, 8),
         budget=st.sampled_from([None, 1, 2, 3, 5, 8]),
         min_packet_bytes=st.sampled_from([1, 64, 1500]),
         scales=st.sampled_from([(1460.0, 100.0), (16384.0, 250.0)]),
@@ -754,13 +755,13 @@ class TestOneShaperBothTiers:
             label=FlowLabel.CENSORED,
         )
         # An unbounded session is a training budget the flow cannot reach.
+        # Neither config takes a truncation cap of 0, so none is drawn.
         config = AmoebaConfig.for_tor(
             min_packet_bytes=min_packet_bytes,
             max_delay_ms=max_delay_ms,
+            max_truncations_per_packet=max_truncations,
             max_episode_steps=budget or 10_000,
         )
-        # AmoebaConfig refuses a truncation cap of 0; a shaper takes one.
-        config.max_truncations_per_packet = max_truncations
         normalizer = FlowNormalizer(size_scale=size_scale, delay_scale=max_delay_ms)
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
         vec_env = VectorFlowEnv([env])
@@ -833,7 +834,7 @@ class TestConvBlockOracleProperties:
         length=st.sampled_from([2, 3, 4, 5, 7, 8, 21]),
         padding=st.sampled_from([0, 2]),
         channel_last=st.booleans(),
-        backend=st.sampled_from(nn.available_backends()),
+        backend=st.sampled_from(EXECUTORS),
     )
     @settings(max_examples=80, deadline=None)
     def test_block_bit_identical_to_composed(
@@ -852,11 +853,11 @@ class TestConvBlockOracleProperties:
         weight, bias = draw(channels * kernel_size, out_channels), draw(out_channels)
         if positions < 2:  # no pair to pool: both refuse
             for block in (nn.Conv1d.relu_pool, composed_relu_pool):
-                with pytest.raises(ValueError), nn.use_backend(backend), np.errstate(all="ignore"):
+                with pytest.raises(ValueError), executing(backend), np.errstate(all="ignore"):
                     _block_results(block, values, weight, bias, None, kernel_size, 1, padding)
             return
         grad = draw(batch, out_channels, positions // 2)
-        with np.errstate(all="ignore"), nn.use_backend(backend):
+        with np.errstate(all="ignore"), executing(backend):
             fused = _block_results(nn.Conv1d.relu_pool, values, weight, bias, grad, kernel_size, 1, padding)
             composed = _block_results(composed_relu_pool, values, weight, bias, grad, kernel_size, 1, padding)
         for ours, reference in zip(fused, composed):
@@ -906,7 +907,7 @@ class TestEncoderTickOracleProperties:
         hidden_size=st.integers(1, 12),
         num_layers=st.integers(1, 3),
         done_masks=st.lists(st.integers(0, 2**9 - 1), min_size=1, max_size=6),
-        backend=st.sampled_from(["blocked", "reference"]),
+        backend=st.sampled_from(EXECUTORS),
     )
     @settings(max_examples=60, deadline=None)
     def test_one_slab_tracker_bit_identical_to_two_slab_oracle(
@@ -914,7 +915,7 @@ class TestEncoderTickOracleProperties:
     ):
         rng = np.random.default_rng(seed)
         encoder = StateEncoder(hidden_size, num_layers, rng=rng)
-        with nn.use_backend(backend):
+        with executing(backend):
             tracker = BatchedEpisodeEncoder(encoder, n_envs)
             oracle = TwoSlabEpisodeEncoder(encoder, n_envs)
             first = rng.uniform(-1, 1, size=(n_envs, 2))

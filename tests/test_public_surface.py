@@ -15,9 +15,7 @@ SURFACES = {
     "repro.nn": {
         "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
         "row_consistent_matmul", "rc_matmul",
-        "backend", "ExecutionBackend", "active_backend", "available_backends",
-        "compiled_kernel_available", "compiled_kernel_error", "default_backend",
-        "fused_cells_available", "fused_cells_error", "get_backend", "use_backend",
+        "backend", "ExecutionBackend", "active_backend",
         "functional", "Module", "Parameter", "Linear", "Sequential", "ReLU", "Tanh",
         "Conv1d", "GRUCell", "GRU", "LSTMCell", "LSTM",
         "Adam", "clip_grad_norm", "xavier_uniform", "kaiming_uniform", "orthogonal",
@@ -96,6 +94,22 @@ def test_no_source_reaches_for_the_retired_telemetry_tier(needle):
     assert hits == []
 
 
+def test_no_source_reads_the_retired_backend_variable():
+    """``REPRO_NN_BACKEND`` selected the retired ``reference`` backend; no
+    file of the package reads it."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src").rglob("*"))
+    assert files
+    hits = [
+        str(path.relative_to(root))
+        for path in files
+        if path.is_file() and b"REPRO_NN_BACKEND" in path.read_bytes()
+    ]
+    assert hits == []
+
+
 # One step protocol: the emulator, the policy networks and the rollout buffer
 # keep only the batch calls that training, evaluation and serving run.  The
 # sequential reference steps itself (tests/oracles/sequential_collection.py).
@@ -125,6 +139,21 @@ RETIRED_MEMBERS = [
     ("repro.core", "env", "shape_packet_core"),
     ("repro.serve", "session", "SessionLimits"),
     ("repro.serve.server", "ServeConfig", "session_limits"),
+    # One executor, built at import and selected by nothing: no registry, no
+    # scoped override, no reference twin, no convenience twins of describe().
+    *[
+        (parent, module, name)
+        for parent, module in (("repro", "nn"), ("repro.nn", "backend"))
+        for name in (
+            "get_backend", "available_backends", "default_backend", "use_backend",
+            "compiled_kernel_available", "compiled_kernel_error",
+            "fused_cells_available", "fused_cells_error",
+        )
+    ],
+    *[
+        ("repro.nn", "backend", name)
+        for name in ("ReferenceBackend", "BlockedBackend", "_REGISTRY", "_OVERRIDES")
+    ],
 ]
 
 # Unreached members: no CLI subcommand, example, benchmark or perf workload
@@ -207,7 +236,7 @@ UNREACHED_FUNCTIONS = [
     ("repro.nn.functional", "gaussian_log_prob"),
     ("repro.nn.functional", "gaussian_entropy"),
     ("repro.nn.functional", "tanh_mlp"),
-    # The two backends are built at import; REPRO_NN_BACKEND picks the default.
+    # One executor, built at import: there is no registration entry point.
     ("repro.nn", "register_backend"),
     ("repro.nn.backend", "register_backend"),
     ("repro.nn", "set_default_backend"),
@@ -386,6 +415,9 @@ RETIRED_CALLS = [
     r"(\bcore\.env import .*|\benv\.)\b(make_observation|record_action)\b",
     # One node per PPO loss (the composed bodies stay in the PPO oracle).
     r"\b(F|functional)\.(gaussian_log_prob|gaussian_entropy|tanh_mlp)\(",
+    # One executor: nothing selects or looks up another.
+    r"\buse_backend\(",
+    r"\bget_backend\(",
 ]
 
 
