@@ -38,9 +38,11 @@ def test_deployment_full_step_latency(benchmark, tor_suite):
     tracker.reset_all(vec_env.reset())
 
     def per_packet_step():
-        # A finished flow restarts in place (VectorFlowEnv.step resets it).
+        # A finished flow restarts in place (VectorFlowEnv.step resets it);
+        # the tick is settled at once, so the timed step includes scoring.
         actions, _ = agent.actor.act_batch(tracker.states())
-        observations, _, dones, infos = vec_env.step(actions)
-        tracker.step(np.concatenate([observations, [infos[0]["recorded_action"]]]), dones)
+        tick = vec_env.step(actions)
+        vec_env.settle([tick])
+        tracker.step(tick.pairs, tick.dones)
 
     benchmark(per_packet_step)

@@ -46,7 +46,8 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     policy_ms = _measure(lambda: agent.actor.act_batch(state), repeats=200)
 
     # Latency of the full per-packet pipeline: one incremental encoder step,
-    # inference and the emulator step (a finished flow restarts in place).
+    # inference and the emulator step, settled at once (a finished flow
+    # restarts in place).
     config = agent.config.with_overrides(reward_mask_rate=1.0, max_episode_steps=100_000)
     env = AdversarialFlowEnv(
         agent.censor, tor_suite.data.normalizer, config, flows[:1], rng=0
@@ -57,8 +58,9 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
 
     def pipeline_step():
         actions, _ = agent.actor.act_batch(tracker.states())
-        observations, _, dones, infos = vec_env.step(actions)
-        tracker.step(np.concatenate([observations, [infos[0]["recorded_action"]]]), dones)
+        tick = vec_env.step(actions)
+        vec_env.settle([tick])
+        tracker.step(tick.pairs, tick.dones)
 
     pipeline_ms = _measure(pipeline_step, repeats=50)
 

@@ -70,7 +70,7 @@ def test_fig8_reward_mask_sweep(benchmark, tor_suite):
     assert np.mean(mask_90_queries) < 0.5 * np.mean(mask_0_queries)
     assert all(r["asr"] >= 0.15 for r in rows if r["mask_rate"] == "90%")
 
-    # Benchmark kernel: one fully-masked environment step.
+    # Benchmark kernel: one fully-masked environment step, settled.
     censor = tor_suite.censors["DT"]
     masked_config = config.with_overrides(reward_mask_rate=1.0)
     env = AdversarialFlowEnv(
@@ -80,6 +80,6 @@ def test_fig8_reward_mask_sweep(benchmark, tor_suite):
 
     def masked_step():
         env.reset()
-        vec_env.step_subset([0], np.array([[1.0, 0.0]]))
+        vec_env.settle([vec_env.step_subset([0], np.array([[1.0, 0.0]]))])
 
     benchmark(masked_step)

@@ -180,7 +180,7 @@ class Amoeba:
         Collection is batched: all ``n_envs`` environments advance per tick
         with one actor/critic forward and one incremental encoder step, and
         the censor scores the rollout's prefixes once all its ticks are
-        proposed, a block of flows per call (the transition never depends
+        stepped, a block of flows per call (the transition never depends
         on the score, and GAE reads rewards only then).  Each distinct
         input is scored once — an episode's prefixes past the censor's
         ``packet_window``, and its finished flow, share one score — while
@@ -342,13 +342,17 @@ class Amoeba:
 
         Episodes finish at different times; finished environments drop out of
         the batch while the survivors keep sharing one actor forward, one
-        incremental encoder step and one censor score batch per tick.  Each
-        row is independent of the others: with the default deterministic
-        policy a flow's adversarial flow is the one attacking it alone gives
-        (for a neural censor the final score's last bits may vary with the
-        scoring batch shape), and a sampled attack draws flow ``i``'s noise
-        from child ``i`` of one :func:`spawn_rngs` call on the eval stream,
-        so it depends on the stream's position and on ``i`` only.
+        incremental encoder step and one emulator tick
+        (:meth:`VectorFlowEnv.step_subset`).  The transition never depends on
+        the censor, so every tick is stepped first and the censor is
+        consulted once, after the last (:meth:`VectorFlowEnv.settle`), a
+        block of finished flows per ``predict_scores`` call.  Each row is
+        independent of the others: with the default deterministic policy a
+        flow's adversarial flow is the one attacking it alone gives (for a
+        neural censor the final score's last bits may vary with the scoring
+        batch shape), and a sampled attack draws flow ``i``'s noise from
+        child ``i`` of one :func:`spawn_rngs` call on the eval stream, so it
+        depends on the stream's position and on ``i`` only.
         """
         flows = list(flows)
         if not flows:
@@ -361,7 +365,7 @@ class Amoeba:
         tracker.reset_all(observations)
 
         action_dim = self.actor.action_dim
-        results: List[Optional[AdversarialResult]] = [None] * len(envs)
+        ticks = []
         active = list(range(len(envs)))
         while active:
             states = tracker.states(active)
@@ -369,13 +373,14 @@ class Amoeba:
             if noise_rngs is not None:
                 noise = np.stack([noise_rngs[index].normal(size=action_dim) for index in active])
             actions, _ = self.actor.act_batch(states, noise=noise)
-            observations, _, dones, infos = vec_env.step_subset(active, actions)
-            for row, index in enumerate(active):
-                if dones[row]:
-                    results[index] = AdversarialResult.from_summary(infos[row]["episode"])
-            recorded_actions = [info["recorded_action"] for info in infos]
-            tracker.step(np.concatenate([observations, recorded_actions]), dones, indices=active)
-            active = [index for row, index in enumerate(active) if not dones[row]]
+            tick = vec_env.step_subset(active, actions)
+            ticks.append(tick)
+            tracker.step(tick.pairs, tick.dones, indices=active)
+            active = [index for index, done in zip(active, tick.dones.tolist()) if not done]
+        _, finished = vec_env.settle(ticks)
+        results: List[Optional[AdversarialResult]] = [None] * len(envs)
+        for at, row, summary in finished:
+            results[ticks[at].rows[row]] = AdversarialResult.from_summary(summary)
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 

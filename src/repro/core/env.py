@@ -21,12 +21,14 @@ each episode of the environment steps one, and so does each serving
 session (:class:`~repro.serve.session.FlowSession`).  The environment has
 no single-step protocol of its own: a
 :class:`~repro.core.vec_env.VectorFlowEnv` drives it in two phases.
-``AdversarialFlowEnv._propose`` advances the emulator on Python floats (the
-transition never depends on the censor) and returns the step as a plain
-tuple, which the caller transposes into one tick record for all its slots;
-``VectorFlowEnv.settle`` later turns the censor's scores into rewards, as
-arrays.  Emitted packets go into the environment's preallocated rows; an
-episode copies its own out when it ends.  Observations and emitted-action
+``VectorFlowEnv.step`` / ``step_subset`` call
+``AdversarialFlowEnv._propose``, which advances the emulator on Python
+floats (the transition never depends on the censor) and returns the step
+as a plain tuple; the tick transposes its slots' tuples into one tick
+record, and ``VectorFlowEnv.settle`` later turns the censor's scores on
+any number of records into rewards, as arrays.  Emitted packets go into
+the environment's preallocated rows; an episode copies its own out when it
+ends.  Observations and emitted-action
 records are :func:`normalised_pair`'s ``(size, delay)`` float pairs, in
 training and in serving (:class:`~repro.serve.session.FlowSession`) alike;
 neither tier builds an array per step, only one per tick or flush.
@@ -406,13 +408,6 @@ class AdversarialFlowEnv:
         self._flow_cursor += 1
         return flow
 
-    # ------------------------------------------------------------------ #
-    # Observation helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def observation_dim(self) -> int:
-        return 2
-
     @property
     def action_dim(self) -> int:
         return 2
@@ -466,7 +461,7 @@ class AdversarialFlowEnv:
         here), else ``(0.0, 0.0)``.
         """
         if self._done:
-            raise RuntimeError("a step was proposed on a finished episode; call reset() first")
+            raise RuntimeError("a step was taken on a finished episode; call reset() first")
         episode = self._episode
         shaper = episode.shaper
         config = self.config

@@ -1,27 +1,27 @@
-"""Vectorized environment stepping: propose every tick, settle the censor once.
+"""Vectorized environment stepping: step every tick, settle the censor once.
 
 :class:`VectorFlowEnv` is the only driver of :class:`AdversarialFlowEnv`
 (the seed's per-environment loop, one ``predict_score`` per step, is the
 reference in ``tests/oracles/sequential_collection.py``).  A tick has two
 halves:
 
-1. :meth:`VectorFlowEnv.propose` advances every emulator — masking draw,
-   emitted packet, termination, next observation and, over all
-   environments, the reset onto the next flow — and returns one
-   :class:`TickRecord`: parallel per-slot tuples (episode, prefix length,
-   masked, penalties, ...), the dones and the ``(2n, 2)`` slab of next
-   observations and emitted actions the encoder steps, with no per-step
-   object;
+1. :meth:`VectorFlowEnv.step` (all environments; a finished episode's slot
+   begins its next flow at once) or :meth:`VectorFlowEnv.step_subset` (the
+   named environments; a finished one is never restarted) advances the
+   emulators — masking draw, emitted packet, termination, next observation —
+   and returns one :class:`TickRecord`: parallel per-slot tuples (episode,
+   prefix length, masked, penalties, ...), the dones and the ``(2n, 2)``
+   slab of next observations and emitted actions the encoder steps, with no
+   per-step object;
 2. :meth:`VectorFlowEnv.settle` scores the distinct inputs of any number of
    records in fixed-size ``predict_scores`` blocks and computes every
    reward as one array expression; only finished episodes are visited one
    by one, for their summaries.
 
-The censor's verdict only shapes the reward (paper §4.2), so the collection
-kernel (:class:`repro.distrib.shard.ShardRunner`) proposes a whole rollout
-and settles it once.  :meth:`~VectorFlowEnv.step` (resets finished
-environments; training) and :meth:`~VectorFlowEnv.step_subset` (never does;
-batched evaluation) are the two halves on one tick, plus ``info`` dicts.
+The censor's verdict only shapes the reward (paper §4.2), so both callers
+step every tick and settle once: the collection kernel
+(:class:`repro.distrib.shard.ShardRunner`) a whole rollout, batched
+evaluation (``Amoeba.attack_many``) a whole attack.
 
 One query is counted per step's flow (Figures 7–9) however the scoring is
 batched; a censor reads at most its ``packet_window`` leading packets, so
@@ -96,7 +96,7 @@ def build_envs_from_seed_tree(
 
 
 class TickRecord:
-    """One proposed tick as parallel per-slot tuples and arrays.
+    """One stepped tick as parallel per-slot tuples and arrays.
 
     Entry ``i`` belongs to slot ``rows[i]``: its ``episodes`` record,
     ``prefix_lengths`` (the censor reads that many of the episode's packets),
@@ -125,10 +125,6 @@ class TickRecord:
         self.scores: Optional[np.ndarray] = None
         self.applied = False
 
-    @property
-    def next_observations(self) -> np.ndarray:
-        return self.pairs[: len(self.episodes)]
-
 
 class VectorFlowEnv:
     """Steps N adversarial environments; censor scoring is a separate call.
@@ -137,11 +133,15 @@ class VectorFlowEnv:
     ----------
     envs:
         The environments to drive.  They must all share the same censor
-        instance (per-environment configs and RNG streams may differ).
+        instance and the same reward coefficients (``masked_reward_value``,
+        ``lambda_data``, ``lambda_time``, bit for bit); masking rates, step
+        budgets and RNG streams may differ.
 
-    A tick over all environments resets every one that finishes its episode
-    at once, and the step's observation is the new episode's first; a tick
-    over named environments (``indices``) never resets one.
+    :meth:`step` ticks every environment and restarts each one that
+    finishes its episode, so the step's observation is the new episode's
+    first; :meth:`step_subset` ticks the named environments and never
+    restarts one.  Neither scores anything: :meth:`settle` does, for any
+    number of ticks at once.
     """
 
     def __init__(self, envs: Sequence[AdversarialFlowEnv]) -> None:
@@ -151,16 +151,18 @@ class VectorFlowEnv:
         censor = envs[0].censor
         if any(env.censor is not censor for env in envs):
             raise ValueError("all environments must share the same censor instance")
-        self._envs = envs
-        self._censor = censor
-        # One column per slot (evaluation slots carry their own configs) of
-        # masked reward value, lambda_data and lambda_time, or one for all
-        # slots that share them bit for bit.
+        # One (masked reward value, lambda_data, lambda_time) triple for all
+        # slots, compared bitwise so that -0.0 and 0.0 differ too.
         coefficients = np.array(
             [(e.config.masked_reward_value, e.config.lambda_data, e.config.lambda_time) for e in envs]
-        ).T
-        shared = (coefficients.view(np.uint64) == coefficients[:, :1].view(np.uint64)).all()
-        self._coefficients = coefficients[:, :1] if shared else coefficients
+        )
+        if (coefficients.view(np.uint64) != coefficients[:1].view(np.uint64)).any():
+            raise ValueError(
+                "all environments must share masked_reward_value, lambda_data and lambda_time"
+            )
+        self._envs = envs
+        self._censor = censor
+        self._coefficients = coefficients[0]
         #: rows the censor has scored for :meth:`settle` — at most the
         #: queries counted, as steps sharing an input share its score
         self.flows_scored = 0
@@ -171,10 +173,6 @@ class VectorFlowEnv:
         return len(self._envs)
 
     @property
-    def observation_dim(self) -> int:
-        return self._envs[0].observation_dim
-
-    @property
     def action_dim(self) -> int:
         return self._envs[0].action_dim
 
@@ -183,18 +181,28 @@ class VectorFlowEnv:
         """Reset every environment; returns the (N, obs_dim) observations."""
         return np.stack([env.reset() for env in self._envs])
 
-    def propose(self, actions: np.ndarray, indices: Optional[Sequence[int]] = None) -> TickRecord:
-        """First half of a tick: advance the emulators, score nothing.
+    def step(self, actions: np.ndarray) -> TickRecord:
+        """Advance every environment one tick; score nothing.
 
-        Every environment named by ``indices`` (all when omitted; distinct,
-        non-negative, in range — checked before any environment advances)
-        takes its row of ``actions``, as two Python floats of one
-        ``tolist()``; on the all-environments path a finished episode's
-        slot begins the next flow at once.  The :class:`TickRecord` carries
-        all the actor and encoder need for the next tick.
+        Row ``i`` of ``actions`` drives environment ``i``; a finished
+        episode's slot begins the next flow at once, so its next
+        observation in the record is the new episode's first.
         """
-        restart = indices is None
-        rows = range(self.n_envs) if restart else _checked_indices(indices, self.n_envs)
+        return self._tick(actions, range(self.n_envs), restart=True)
+
+    def step_subset(self, indices: Sequence[int], actions: np.ndarray) -> TickRecord:
+        """Advance only the environments named by ``indices``; score nothing.
+
+        ``indices`` must be distinct, non-negative and in range (checked
+        before any environment advances); record entry ``i`` belongs to
+        ``indices[i]``.  A finished environment is never restarted (its
+        next observation is zero), so batched evaluation drops it by the
+        record's ``dones``.
+        """
+        return self._tick(actions, _checked_indices(indices, self.n_envs), restart=False)
+
+    def _tick(self, actions: np.ndarray, rows: Sequence[int], restart: bool) -> TickRecord:
+        """Each row of ``actions`` as two Python floats of one ``tolist()``."""
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (len(rows), self.action_dim):
             raise ValueError(
@@ -212,20 +220,20 @@ class VectorFlowEnv:
     ) -> Tuple[np.ndarray, List[Tuple[int, int, EpisodeSummary]]]:
         """Second half: score every pending flow of ``ticks``, reward every step.
 
-        ``ticks`` are :meth:`propose` records, oldest first.  Each distinct
-        input ``(episode, min(prefix_length, packet_window))`` of a scored
-        step (unmasked, or finished) is scored once, in order of first
-        appearance, ``_SCORE_BLOCK`` flows per ``predict_scores`` call; the
-        steps sharing it still count as queries, and no score outlives the
-        call.  Returns the rewards of all steps, tick after tick, as one
-        array expression, and ``(tick, row, summary)`` for every step that
-        ended its episode.
+        ``ticks`` are :meth:`step` / :meth:`step_subset` records, oldest
+        first.  Each distinct input ``(episode, min(prefix_length,
+        packet_window))`` of a scored step (unmasked, or finished) is scored
+        once, in order of first appearance, ``_SCORE_BLOCK`` flows per
+        ``predict_scores`` call; the steps sharing it still count as
+        queries, and no score outlives the call.  Returns the rewards of
+        all steps, tick after tick, as one array expression, and ``(tick,
+        row, summary)`` for every step that ended its episode.
         """
         ticks = list(ticks)
         # Refuse misuse first, so that it is reported before any query is spent.
         for tick in ticks:
             if tick.owner is not self:
-                raise ValueError("tick proposed outside this VectorFlowEnv")
+                raise ValueError("tick stepped outside this VectorFlowEnv")
             if tick.applied:
                 raise RuntimeError("tick was already applied")
         if len(set(map(id, ticks))) != len(ticks):
@@ -258,10 +266,7 @@ class VectorFlowEnv:
         queries = n_steps - int(np.count_nonzero(masked)) + int(np.count_nonzero(dones))
         self._censor.record_external_queries(queries - n_scored)
 
-        coefficients = self._coefficients
-        if coefficients.shape[1] > 1:
-            coefficients = coefficients.take(np.concatenate([tick.rows for tick in ticks]), axis=1)
-        masked_value, lambda_data, lambda_time = coefficients
+        masked_value, lambda_data, lambda_time = self._coefficients
         # r_adv: the masked value, else 1.0 / 0.0 by the 0.5 threshold.
         adversarial = np.where(masked, masked_value, step_scores >= 0.5)
         rewards = (
@@ -321,57 +326,6 @@ class VectorFlowEnv:
         step_scores = np.fromiter(map(key_scores.__getitem__, step_keys), np.float64, len(step_keys))
         return step_scores, len(flows)
 
-    def step(
-        self, actions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        """Advance all environments by one tick and score it at once.
-
-        Returns ``(observations, rewards, dones, infos)`` with shapes
-        ``(N, obs_dim)``, ``(N,)``, ``(N,)`` and a list of N info dicts.  A
-        finished environment is reset: its row of ``observations`` is the
-        new episode's first, and its info carries the finished episode's
-        summary (``"episode"``) and a ``"terminal_observation"``.
-        """
-        return self._step(self.propose(actions), restarted=True)
-
-    def step_subset(
-        self, indices: Sequence[int], actions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        """Advance only the environments named by ``indices``.
-
-        Used by batched evaluation, where episodes finish at different times
-        and finished environments simply drop out of the batch (a finished
-        environment is never reset on this path; its observation row is
-        zero).  Results align with ``indices``, which must be distinct,
-        non-negative and in range.
-        """
-        return self._step(self.propose(actions, indices), restarted=False)
-
-    def _step(
-        self, tick: TickRecord, restarted: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict]]:
-        """``settle([tick])`` in the step form, info dicts and all."""
-        rewards, finished = self.settle([tick])
-        infos = [
-            {
-                "action_kind": action_kind,
-                "masked": masked,
-                "score": score,
-                "data_penalty": data_penalty,
-                "time_penalty": time_penalty,
-                "recorded_action": tuple(recorded_action),
-            }
-            for action_kind, masked, score, data_penalty, time_penalty, recorded_action in zip(
-                tick.action_kinds, tick.masked, tick.scores.tolist(), tick.data_penalties,
-                tick.time_penalties, tick.pairs[len(tick.episodes) :].tolist(),
-            )
-        ]  # fmt: skip
-        for _, row, summary in finished:
-            infos[row]["episode"] = summary
-            if restarted:
-                infos[row]["terminal_observation"] = np.zeros(self.observation_dim)
-        return tick.next_observations, rewards, tick.dones, infos
-
 
 class BatchedEpisodeEncoder:
     """Incremental dual-stream state tracker for N parallel environments.
@@ -398,12 +352,13 @@ class BatchedEpisodeEncoder:
 
     # ------------------------------------------------------------------ #
     def states(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Current ``s_t`` for the given environments (all when omitted)."""
+        """Current ``s_t`` for the given environments (all when omitted;
+        distinct, non-negative and in range)."""
         top = self._hidden[-1]
         observation, action = top[0], top[1]
         if indices is not None:
-            indices = list(indices)
-            observation, action = observation[indices], action[indices]
+            rows = _checked_indices(indices, self.n_envs)
+            observation, action = observation[rows], action[rows]
         return np.concatenate([observation, action], axis=1)
 
     def snapshot(self) -> Dict[str, np.ndarray]:

@@ -8,8 +8,8 @@ broadcast checkpoints.  A :meth:`ShardRunner.collect` draws every slot's
 exploration noise for the whole segment up front (one ``(n_ticks,
 action_dim)`` draw per noise stream — the same numbers per-tick draws
 give), then each tick runs one actor forward, one vectorized emulator
-advance (:meth:`~repro.core.vec_env.VectorFlowEnv.propose`, one tick
-record) and one incremental encoder step on the record's slab of next
+advance (:meth:`~repro.core.vec_env.VectorFlowEnv.step`, one tick record)
+and one incremental encoder step on the record's slab of next
 observations and emitted actions.  After the last tick the critic values
 the whole rollout's states in one forward, and only then is the censor
 consulted: the rollout's distinct pending inputs are scored once each, in
@@ -19,9 +19,11 @@ rollout per-tick scoring would have produced: bit for bit with a censor whose
 scores do not depend on the batch they arrive in (trees, SVM), up to the
 thresholded score with a neural one.
 
-The runner is process-agnostic and is the *only* batched tick
-implementation: ``Amoeba.train`` hosts one inline shard for in-process
-vectorized collection and the sharded engine hosts one per worker process.
+The runner is process-agnostic and is the *only* collection kernel:
+``Amoeba.train`` hosts one inline shard for in-process vectorized
+collection and the sharded engine hosts one per worker process.  Batched
+evaluation (``Amoeba.attack_many``) ticks the same engine, with
+``step_subset``, and settles once too.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class ShardRunner:
         ticks = []
         for tick in range(n_ticks):
             tick_actions, tick_log_probs = self.actor.act_batch(self._states, noise=noise[tick])
-            record = self._vec_env.propose(tick_actions)
+            record = self._vec_env.step(tick_actions)
             ticks.append(record)
 
             states[tick] = self._states

@@ -11,6 +11,7 @@ steps must still skip the censor entirely.
 import numpy as np
 import pytest
 
+from oracles.per_tick_settle import settled_step
 from repro.censors import DecisionTreeCensor
 from repro.censors.gateway import CensorGateway, SocketPair
 from repro.core import AdversarialFlowEnv, VectorFlowEnv
@@ -46,9 +47,9 @@ class TestGatewayBatchedAccounting:
             actions = np.column_stack(
                 [action_rng.uniform(-1, 1, size=3), action_rng.uniform(0, 1, size=3)]
             )
-            _, _, dones, infos = vec_env.step(actions)
+            tick, _, _ = settled_step(vec_env, actions)
             # One query per unmasked step prefix + one per finished episode.
-            expected = sum(1 for info in infos if not info["masked"]) + int(dones.sum())
+            expected = tick.masked.count(False) + int(tick.dones.sum())
             assert gateway.classifier.query_count - before == expected
 
     def test_fully_masked_steps_only_pay_final_classification(
@@ -63,9 +64,9 @@ class TestGatewayBatchedAccounting:
         active = [0, 1]
         while active:
             actions = np.tile([1.0, 0.0], (len(active), 1))
-            _, _, dones, _ = vec_env.step_subset(active, actions)
-            finished += int(dones.sum())
-            active = [index for row, index in enumerate(active) if not dones[row]]
+            tick, _, _ = settled_step(vec_env, actions, active)
+            finished += int(tick.dones.sum())
+            active = [index for row, index in enumerate(active) if not tick.dones[row]]
         assert gateway.classifier.query_count == finished == 2
 
     def test_batched_scores_match_gateway_decisions(
@@ -81,10 +82,8 @@ class TestGatewayBatchedAccounting:
         adversarial = []
         while len(adversarial) < 3:
             actions = np.tile([0.9, 0.0], (2, 1))
-            _, _, dones, infos = vec_env.step(actions)
-            for row, done in enumerate(dones):
-                if done:
-                    adversarial.append(infos[row]["episode"].adversarial_flow)
+            _, _, summaries = settled_step(vec_env, actions)
+            adversarial.extend(summary.adversarial_flow for _, summary in sorted(summaries.items()))
 
         batch_scores = gateway.classifier.predict_scores(adversarial)
         for index, flow in enumerate(adversarial):

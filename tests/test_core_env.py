@@ -1,24 +1,23 @@
 """Unit tests for the adversarial flow environment (transport-layer emulator).
 
-The environment has no single-step API of its own; these tests step it the
-way batched evaluation does, through ``VectorFlowEnv.step_subset`` on a
-one-slot engine (:func:`step`), which scores every step at once and never
-resets a finished episode.
+The environment has no single-step API of its own; these tests step it
+through ``VectorFlowEnv.step_subset`` on a one-slot engine and settle each
+tick at once (:func:`step`), which never resets a finished episode.
 """
 
 import numpy as np
 import pytest
 
+from oracles.per_tick_settle import settled_step
 from repro.core import AdversarialFlowEnv, AmoebaConfig, VectorFlowEnv
 from repro.flows import Flow, FlowLabel
 
 
 def step(env, action):
-    """One immediately scored step of ``env``: ``(observation, reward, done, info)``."""
-    observations, rewards, dones, infos = VectorFlowEnv([env]).step_subset(
-        [0], np.asarray(action, dtype=np.float64)[None]
-    )
-    return observations[0], float(rewards[0]), bool(dones[0]), infos[0]
+    """One immediately scored step of ``env``: ``(tick, reward, summary)``,
+    the summary ``None`` unless the step ended the episode."""
+    tick, rewards, summaries = settled_step(VectorFlowEnv([env]), np.asarray(action)[None], [0])
+    return tick, float(rewards[0]), summaries.get(0)
 
 
 @pytest.fixture
@@ -72,29 +71,29 @@ class TestEmulatorSemantics:
     def test_padding_action_advances_to_next_packet(self, env, normalizer):
         env.reset()
         # Request a packet larger than the 1000-byte payload -> padding.
-        observation, reward, done, info = step(env, np.array([1.0, 0.0]))
-        assert info["action_kind"] == "padding"
-        assert not done
+        tick, reward, summary = step(env, np.array([1.0, 0.0]))
+        assert tick.action_kinds[0] == "padding"
+        assert summary is None and not tick.dones[0]
         # Next observation is the second original packet (downstream 1460).
-        assert observation[0] == pytest.approx(-1.0)
+        assert tick.pairs[0, 0] == pytest.approx(-1.0)
 
     def test_truncation_keeps_same_packet(self, env, normalizer):
         env.reset()
         small_action = 200.0 / normalizer.size_scale
-        observation, reward, done, info = step(env, np.array([small_action, 0.0]))
-        assert info["action_kind"] == "truncation"
+        tick, reward, summary = step(env, np.array([small_action, 0.0]))
+        assert tick.action_kinds[0] == "truncation"
         # Remaining payload of the first packet is 1000 - 200 = 800 bytes.
-        assert observation[0] == pytest.approx(800.0 / normalizer.size_scale, abs=1e-2)
+        assert tick.pairs[0, 0] == pytest.approx(800.0 / normalizer.size_scale, abs=1e-2)
 
     def test_payload_conservation(self, env, small_flow):
         """Constraint (1): adversarial bytes cover the original payload per direction."""
         env.reset()
         rng = np.random.default_rng(0)
-        done = False
-        while not done:
+        summary = None
+        while summary is None:
             action = np.array([rng.uniform(-1, 1), rng.uniform(0, 1)])
-            _, _, done, info = step(env, action)
-        adversarial = info["episode"].adversarial_flow
+            _, _, summary = step(env, action)
+        adversarial = summary.adversarial_flow
         for direction in (1, -1):
             original_bytes = np.abs(small_flow.sizes[np.sign(small_flow.sizes) == direction]).sum()
             adversarial_bytes = np.abs(
@@ -107,7 +106,7 @@ class TestEmulatorSemantics:
         # Even if the agent requests a positive size for a downstream packet,
         # the emitted adversarial packet keeps the original direction.
         step(env, np.array([1.0, 0.0]))  # finish first (upstream) packet
-        _, _, _, _ = step(env, np.array([1.0, 0.0]))  # second packet is downstream
+        step(env, np.array([1.0, 0.0]))  # second packet is downstream
         adversarial_sizes = env._episode.flow().sizes
         assert adversarial_sizes[0] > 0
         assert adversarial_sizes[1] < 0
@@ -115,10 +114,10 @@ class TestEmulatorSemantics:
     def test_delay_constraint_respected(self, env, small_flow):
         """Constraint (2): adversarial delay >= original delay for each packet."""
         env.reset()
-        done = False
-        while not done:
-            _, _, done, info = step(env, np.array([1.0, 0.5]))
-        adversarial = info["episode"].adversarial_flow
+        summary = None
+        while summary is None:
+            _, _, summary = step(env, np.array([1.0, 0.5]))
+        adversarial = summary.adversarial_flow
         assert adversarial.delays[1] >= small_flow.delays[1]
 
     def test_truncation_limit_forces_completion(self, trained_dt_censor, normalizer, small_flow):
@@ -128,8 +127,8 @@ class TestEmulatorSemantics:
         tiny = 64.0 / normalizer.size_scale
         kinds = []
         for _ in range(3):
-            _, _, _, info = step(env, np.array([tiny, 0.0]))
-            kinds.append(info["action_kind"])
+            tick, _, _ = step(env, np.array([tiny, 0.0]))
+            kinds.append(tick.action_kinds[0])
         assert kinds[0] == "truncation"
         assert kinds[1] == "truncation"
         assert kinds[2] in ("padding", "exact")
@@ -138,10 +137,10 @@ class TestEmulatorSemantics:
         config = AmoebaConfig.for_tor(max_episode_steps=2, max_truncations_per_packet=8)
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
         env.reset()
-        _, _, done, _ = step(env, np.array([0.1, 0.0]))
-        if not done:
-            _, _, done, _ = step(env, np.array([0.1, 0.0]))
-        assert done
+        _, _, summary = step(env, np.array([0.1, 0.0]))
+        if summary is None:
+            _, _, summary = step(env, np.array([0.1, 0.0]))
+        assert summary is not None
 
     def test_min_packet_bytes_enforced(self, env):
         env.reset()
@@ -150,17 +149,17 @@ class TestEmulatorSemantics:
 
 
 class TestRewards:
-    def test_reward_components_in_info(self, env):
+    def test_reward_components_in_the_tick(self, env):
         env.reset()
-        _, reward, _, info = step(env, np.array([1.0, 0.3]))
-        assert "data_penalty" in info and "time_penalty" in info
-        assert info["time_penalty"] == pytest.approx(0.3, abs=0.02)
+        tick, reward, _ = step(env, np.array([1.0, 0.3]))
+        assert len(tick.data_penalties) == len(tick.time_penalties) == 1
+        assert tick.time_penalties[0] == pytest.approx(0.3, abs=0.02)
 
     def test_reward_decreases_with_delay(self, trained_dt_censor, normalizer, env_config, small_flow):
         def first_reward(delay_fraction):
             env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
             env.reset()
-            _, reward, _, _ = step(env, np.array([1.0, delay_fraction]))
+            _, reward, _ = step(env, np.array([1.0, delay_fraction]))
             return reward
 
         assert first_reward(0.0) > first_reward(1.0)
@@ -171,7 +170,7 @@ class TestRewards:
         def first_reward(size_fraction):
             env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [tiny_flow], rng=0)
             env.reset()
-            _, reward, _, _ = step(env, np.array([size_fraction, 0.0]))
+            _, reward, _ = step(env, np.array([size_fraction, 0.0]))
             return reward
 
         assert first_reward(200.0 / 1460.0) >= first_reward(1.0)
@@ -181,22 +180,21 @@ class TestRewards:
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
         trained_dt_censor.reset_query_count()
         env.reset()
-        _, _, done, info = step(env, np.array([1.0, 0.0]))
-        assert info["masked"]
-        assert np.isnan(info["score"])
+        tick, _, summary = step(env, np.array([1.0, 0.0]))
+        assert tick.masked[0]
+        assert np.isnan(tick.scores[0])
         # Only the final episode classification queries the censor.
-        while not done:
-            _, _, done, _ = step(env, np.array([1.0, 0.0]))
+        while summary is None:
+            _, _, summary = step(env, np.array([1.0, 0.0]))
         assert trained_dt_censor.query_count == 1
 
 
 class TestEpisodeSummary:
     def test_summary_fields(self, env):
         env.reset()
-        done = False
-        while not done:
-            _, _, done, info = step(env, np.array([1.0, 0.2]))
-        summary = info["episode"]
+        summary = None
+        while summary is None:
+            _, _, summary = step(env, np.array([1.0, 0.2]))
         assert summary.adversarial_flow.n_packets == summary.n_steps
         assert 0.0 <= summary.data_overhead < 1.0
         assert 0.0 <= summary.time_overhead <= 1.0
@@ -205,19 +203,19 @@ class TestEpisodeSummary:
 
     def test_summary_counts_delays(self, env):
         env.reset()
-        done = False
-        while not done:
-            _, _, done, info = step(env, np.array([1.0, 0.9]))
-        assert info["episode"].n_delays == info["episode"].n_steps
+        summary = None
+        while summary is None:
+            _, _, summary = step(env, np.array([1.0, 0.9]))
+        assert summary.n_delays == summary.n_steps
 
     def test_exact_transmission_zero_data_overhead(self, trained_dt_censor, normalizer, env_config):
         flow = Flow(sizes=[1460.0, -1460.0], delays=[0.0, 10.0], label=FlowLabel.CENSORED)
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [flow], rng=0)
         env.reset()
-        done = False
-        while not done:
-            _, _, done, info = step(env, np.array([1.0, 0.0]))
-        assert info["episode"].data_overhead == pytest.approx(0.0, abs=1e-6)
+        summary = None
+        while summary is None:
+            _, _, summary = step(env, np.array([1.0, 0.0]))
+        assert summary.data_overhead == pytest.approx(0.0, abs=1e-6)
 
     def test_flow_pool_cycles(self, trained_dt_censor, normalizer, env_config, small_flow):
         other = Flow(sizes=[300.0, -300.0], delays=[0.0, 5.0], label=FlowLabel.CENSORED)
@@ -228,9 +226,9 @@ class TestEpisodeSummary:
         for _ in range(4):
             env.reset()
             seen_lengths.add(env._episode.original.n_packets)
-            done = False
-            while not done:
-                _, _, done, _ = step(env, np.array([1.0, 0.0]))
+            summary = None
+            while summary is None:
+                _, _, summary = step(env, np.array([1.0, 0.0]))
         assert seen_lengths == {2, 3}
 
 
@@ -445,18 +443,20 @@ class TestScalarCore:
         env.reset()
         for size_action, delay_action in ((np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)):
             with pytest.raises(ValueError) as from_training:
-                VectorFlowEnv([env]).propose(np.array([[size_action, delay_action]]))
+                VectorFlowEnv([env]).step(np.array([[size_action, delay_action]]))
             with pytest.raises(ValueError) as from_serving:
                 session.apply_action([size_action, delay_action])
             assert str(from_training.value) == str(from_serving.value)
             assert str(from_training.value).startswith("non-finite action [")
 
-    def test_propose_validates_the_shape(self, env):
+    def test_step_validates_the_shape(self, env):
         env.reset()
         vec_env = VectorFlowEnv([env])
         for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), [], [0.1, 0.2]):
             with pytest.raises(ValueError, match="actions must have shape"):
-                vec_env.propose(bad)
+                vec_env.step(bad)
+            with pytest.raises(ValueError, match="actions must have shape"):
+                vec_env.step_subset([0], bad)
         assert env._episode.shaper.steps == 0
 
     def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
@@ -475,7 +475,7 @@ class TestScalarCore:
         monkeypatch.setattr(PacketShaper, "apply", spy)
 
         env.reset()
-        VectorFlowEnv([env]).propose(np.array([[0.5, 0.25]]))
+        VectorFlowEnv([env]).step(np.array([[0.5, 0.25]]))
         assert calls == [(0.5, 0.25)]
 
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
@@ -515,5 +515,5 @@ class TestNonFiniteAction:
         with pytest.raises(ValueError, match="non-finite action"):
             step(env, np.array([np.nan, 0.0]))
         # The emulator did not advance: the same packet is still pending.
-        observation, _, _, _ = step(env, np.array([1.0, 0.0]))
-        assert observation[0] == pytest.approx(-1.0)
+        tick, _, _ = step(env, np.array([1.0, 0.0]))
+        assert tick.pairs[0, 0] == pytest.approx(-1.0)

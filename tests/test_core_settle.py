@@ -1,9 +1,9 @@
-"""Deferred, block-batched reward scoring: ``propose`` n ticks, ``settle`` once.
+"""Deferred, block-batched reward scoring: ``step`` n ticks, ``settle`` once.
 
 The environment's transition never depends on the censor, so
 ``ShardRunner.collect`` advances every emulator for the whole rollout and
 scores all pending flows afterwards.  The contract under test: that rollout
-is the one per-tick ``VectorFlowEnv.step`` produces — same rewards, dones,
+is the one settling every tick as it is stepped produces — same rewards, dones,
 summaries, query counts — bit for bit with a batch-invariant (DT) censor and
 up to the thresholded score with a neural (DF) one; each distinct input
 ``(episode, min(length, packet_window))`` reaches the censor once, in tick
@@ -15,6 +15,7 @@ silently wrong reward.
 import numpy as np
 import pytest
 
+from oracles.per_tick_settle import attack_many_per_tick, settled_step
 from repro.censors import DeepFingerprintingClassifier
 from repro.censors.base import CensorClassifier
 from repro.core import AdversarialFlowEnv, Amoeba, AmoebaConfig, BatchedEpisodeEncoder, VectorFlowEnv
@@ -95,8 +96,9 @@ def make_runner(agent, censor, normalizer, config, flows):
 
 
 def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLLECTS):
-    """The pre-deferral kernel: one ``VectorFlowEnv.step`` (one censor batch)
-    per tick, over the same seed tree and replicas as :func:`make_runner`."""
+    """The pre-deferral kernel: every tick stepped and settled at once (one
+    censor batch per tick), over the same seed tree and replicas as
+    :func:`make_runner`."""
     tree = seed_tree()
     vec_env = VectorFlowEnv(build_envs_from_seed_tree(censor, normalizer, config, flows, tree))
     noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in tree]
@@ -114,12 +116,10 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
             tick_states[tick] = states
             noise = np.stack([rng.normal(size=2) for rng in noise_rngs])
             actions[tick], _ = agent.actor.act_batch(states, noise=noise)
-            observations, rewards[tick], dones[tick], infos = vec_env.step(actions[tick])
-            summaries.extend(
-                (tick, row, info["episode"]) for row, info in enumerate(infos) if "episode" in info
-            )
-            recorded = np.stack([info["recorded_action"] for info in infos])
-            states = tracker.step(np.concatenate([observations, recorded]), dones[tick])
+            record, rewards[tick], finished = settled_step(vec_env, actions[tick])
+            dones[tick] = record.dones
+            summaries.extend((tick, row, summary) for row, summary in sorted(finished.items()))
+            states = tracker.step(record.pairs, record.dones)
         collects.append(
             dict(
                 rewards=rewards,
@@ -134,7 +134,7 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
 
 
 def flows_to_score(tick, row):
-    """The flows one step (``row`` of a proposed tick) asks the censor
+    """The flows one step (``row`` of a stepped tick) asks the censor
     about, in order: its prefix (unless masked), then the finished flow
     (when the step ended the episode) — read-only views of, or the
     episode's one flow."""
@@ -320,7 +320,7 @@ class TestOwnershipAndMisuse:
         vec_env.reset()
         ticks = []
         while not (ticks and ticks[-1].dones[0]):
-            ticks.append(vec_env.propose(np.array([[0.2, 0.1]])))
+            ticks.append(vec_env.step(np.array([[0.2, 0.1]])))
         assert not env._done  # auto-reset: the environment already runs its next flow
 
         flows = [flow for tick in ticks for flow in flows_to_score(tick, 0)]
@@ -362,8 +362,8 @@ class TestOwnershipAndMisuse:
         ours, theirs = VectorFlowEnv(envs[:2]), VectorFlowEnv(envs[2:])
         ours.reset()
         theirs.reset()
-        tick = ours.propose(np.tile([0.9, 0.0], (2, 1)))
-        foreign = theirs.propose(np.array([[0.9, 0.0]]))
+        tick = ours.step(np.tile([0.9, 0.0], (2, 1)))
+        foreign = theirs.step(np.array([[0.9, 0.0]]))
         with pytest.raises(ValueError, match="outside this VectorFlowEnv"):
             ours.settle([foreign])
         with pytest.raises(ValueError, match="outside this VectorFlowEnv"):
@@ -375,7 +375,7 @@ class TestOwnershipAndMisuse:
         queries = censor.query_count
         with pytest.raises(RuntimeError, match="already applied"):
             ours.settle([tick])
-        later = ours.propose(np.tile([0.9, 0.0], (2, 1)))
+        later = ours.step(np.tile([0.9, 0.0], (2, 1)))
         with pytest.raises(RuntimeError, match="already applied"):
             ours.settle([later, tick])
         assert censor.query_count == queries == 2
@@ -394,7 +394,7 @@ class TestOwnershipAndMisuse:
         vec_env = VectorFlowEnv([env])
         vec_env.reset()
         with pytest.raises(RuntimeError, match="wrong number of scores"):
-            vec_env.step(np.array([[0.9, 0.0]]))
+            settled_step(vec_env, np.array([[0.9, 0.0]]))
 
     def test_censor_exception_propagates_out_of_collect(
         self, agent, trained_dt_censor, normalizer, tor_splits
@@ -513,16 +513,16 @@ class TestFreshRunnersReproduce:
 
 
 class TestPerSlotConfigs:
-    def test_each_slot_is_rewarded_with_its_own_coefficients(
+    def test_each_slot_keeps_its_own_masking_and_budget(
         self, trained_dt_censor, normalizer, tor_splits
     ):
-        """Slots whose configs differ (reward coefficients, masking, step
-        budgets) settle together as each settles alone."""
+        """Slots whose configs differ (masking rate, step budget, truncation
+        penalty) settle together as each settles alone."""
         flows = tor_splits.attack_train.censored_flows[:4]
         configs = [
             AmoebaConfig.for_tor(max_episode_steps=5),
-            AmoebaConfig.for_v2ray(max_episode_steps=9, reward_mask_rate=0.5, masked_reward_value=0.25),
-            AmoebaConfig(lambda_time=0.7, lambda_data=-0.0, max_episode_steps=3),
+            AmoebaConfig.for_tor(max_episode_steps=9, reward_mask_rate=0.5),
+            AmoebaConfig.for_tor(max_episode_steps=3, lambda_split=0.3),
         ]
 
         def envs():
@@ -538,14 +538,113 @@ class TestPerSlotConfigs:
             vec_env.reset()
         actions = np.random.default_rng(7).uniform(-1, 1, size=(12, len(configs), 2))
         for tick_actions in actions:
-            observations, rewards, dones, infos = together.step(tick_actions)
+            tick, rewards, summaries = settled_step(together, tick_actions)
             for slot, vec_env in enumerate(alone):
-                got = vec_env.step(tick_actions[slot : slot + 1])
-                assert got[0].tobytes() == observations[slot : slot + 1].tobytes()
-                assert got[1].view(np.uint64)[0] == rewards[slot : slot + 1].view(np.uint64)[0]
-                assert got[2][0] == dones[slot]
-                if dones[slot]:
-                    assert got[3][0]["episode"].episode_reward == infos[slot]["episode"].episode_reward
+                got, got_rewards, got_summaries = settled_step(vec_env, tick_actions[slot : slot + 1])
+                assert got.pairs.tobytes() == tick.pairs[[slot, len(configs) + slot]].tobytes()
+                assert got_rewards.view(np.uint64)[0] == rewards[slot : slot + 1].view(np.uint64)[0]
+                assert got.dones[0] == tick.dones[slot]
+                if tick.dones[slot]:
+                    assert got_summaries[0].episode_reward == summaries[slot].episode_reward
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            dict(masked_reward_value=0.25),
+            dict(lambda_data=2.0),
+            dict(lambda_time=0.7),
+            dict(lambda_data=-0.0),  # equal to 0.0, but not bit for bit
+        ],
+    )
+    def test_differing_reward_coefficients_are_refused(
+        self, trained_dt_censor, normalizer, simple_flow, override
+    ):
+        """One reward-coefficient triple per engine: a slot whose triple
+        differs in any bit is refused at construction, before a query."""
+        base = AmoebaConfig(lambda_data=0.0)
+        trained_dt_censor.reset_query_count()
+        envs = [
+            AdversarialFlowEnv(trained_dt_censor, normalizer, config, [simple_flow], rng=slot)
+            for slot, config in enumerate([base, base.with_overrides(**override)])
+        ]
+        with pytest.raises(ValueError, match="masked_reward_value, lambda_data and lambda_time"):
+            VectorFlowEnv(envs)
+        assert trained_dt_censor.query_count == 0
+        VectorFlowEnv(envs[:1] + [AdversarialFlowEnv(trained_dt_censor, normalizer, base, [simple_flow])])
+
+
+class TestAttackSettlesOnce:
+    """``Amoeba.attack_many`` steps every tick with ``step_subset`` and
+    consults the censor once, after the last: the attack the per-tick
+    settling protocol gave, in ``ceil(n / 128)`` scoring calls."""
+
+    @pytest.mark.parametrize("n_flows", [1, 128, 129])
+    def test_one_settle_and_a_block_of_flows_per_scoring_call(
+        self, agent, trained_dt_censor, tor_splits, monkeypatch, n_flows
+    ):
+        censor = RecordingCensor(trained_dt_censor)
+        monkeypatch.setattr(agent, "censor", censor)
+        settles = []
+        real_settle = VectorFlowEnv.settle
+
+        def spy(vec_env, ticks):
+            settles.append(len(ticks))
+            return real_settle(vec_env, ticks)
+
+        monkeypatch.setattr(VectorFlowEnv, "settle", spy)
+        pool = tor_splits.test.censored_flows
+        flows = (pool * -(-n_flows // len(pool)))[:n_flows]
+        results = agent.attack_many(flows)
+        assert len(results) == n_flows and len(settles) == 1 and settles[0] > 1
+        assert [len(call) for call in censor.calls] == [
+            min(128, n_flows - start) for start in range(0, n_flows, 128)
+        ]
+        assert censor.query_count == n_flows
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_tree_censor_results_are_bit_identical(self, agent, tor_splits, deterministic):
+        """The sampled attack included: both protocols start from the same
+        eval-stream position and leave it at the same one."""
+        flows = tor_splits.test.censored_flows[:12]
+        stream = agent._eval_rng.bit_generator.state
+        censor = agent.censor
+        before = censor.query_count
+        want = attack_many_per_tick(agent, flows, deterministic)
+        per_tick_queries = censor.query_count - before
+        after = agent._eval_rng.bit_generator.state
+        agent._eval_rng.bit_generator.state = stream
+        got = agent.attack_many(flows, deterministic)
+        assert agent._eval_rng.bit_generator.state == after
+        assert censor.query_count - before == 2 * per_tick_queries == 2 * len(flows)
+        for mine, theirs in zip(got, want):
+            assert mine.adversarial_flow.sizes.tobytes() == theirs.adversarial_flow.sizes.tobytes()
+            assert mine.adversarial_flow.delays.tobytes() == theirs.adversarial_flow.delays.tobytes()
+            assert np.float64(mine.final_score).view(np.uint64) == np.float64(theirs.final_score).view(
+                np.uint64
+            )
+            assert (mine.success, mine.n_steps, mine.action_counts) == (
+                theirs.success, theirs.n_steps, theirs.action_counts,
+            )  # fmt: skip
+            assert (mine.data_overhead, mine.time_overhead) == (
+                theirs.data_overhead, theirs.time_overhead,
+            )  # fmt: skip
+
+    def test_neural_censor_flows_success_and_queries_are_equal(
+        self, agent, windowed_df_censor, tor_splits, monkeypatch
+    ):
+        monkeypatch.setattr(agent, "censor", windowed_df_censor)
+        flows = tor_splits.test.censored_flows[:12]
+        windowed_df_censor.reset_query_count()
+        want = attack_many_per_tick(agent, flows)
+        per_tick_queries = windowed_df_censor.query_count
+        windowed_df_censor.reset_query_count()
+        got = agent.attack_many(flows)
+        assert windowed_df_censor.query_count == per_tick_queries == len(flows)
+        for mine, theirs in zip(got, want):
+            assert mine.adversarial_flow.sizes.tobytes() == theirs.adversarial_flow.sizes.tobytes()
+            assert mine.adversarial_flow.delays.tobytes() == theirs.adversarial_flow.delays.tobytes()
+            assert mine.success == theirs.success
+            assert mine.final_score == pytest.approx(theirs.final_score, rel=0, abs=1e-12)
 
 
 class TestPinnedNumpyAssumptions:

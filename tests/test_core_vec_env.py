@@ -14,6 +14,7 @@ import pytest
 
 from oracles.encoder_states import step_pair, step_state_list
 from oracles.executors import EXECUTORS, executing
+from oracles.per_tick_settle import settled_step
 from oracles.sequential_collection import SequentialCollector
 from oracles.tensor_inference import (
     TwoSlabEpisodeEncoder,
@@ -156,29 +157,27 @@ class TestVectorFlowEnv:
             # (a one-slot step_subset), the reset inline.
             expected = []
             for index, env in enumerate(reference):
-                [observation], [reward], [done], [info] = VectorFlowEnv([env]).step_subset(
-                    [0], actions[index : index + 1]
+                tick, [reward], summaries = settled_step(
+                    VectorFlowEnv([env]), actions[index : index + 1], [0]
                 )
-                if done:
-                    observation = env.reset()
-                expected.append((observation, reward, done, info))
+                observation = env.reset() if tick.dones[0] else tick.pairs[0]
+                expected.append((observation, reward, tick, summaries.get(0)))
             sequential_queries = trained_dt_censor.query_count
 
             trained_dt_censor.reset_query_count()
-            observations, rewards, dones, infos = vec_env.step(actions)
+            tick, rewards, summaries = settled_step(vec_env, actions)
             assert trained_dt_censor.query_count == sequential_queries
             trained_dt_censor.reset_query_count()
 
             for index in range(3):
-                exp_obs, exp_reward, exp_done, exp_info = expected[index]
-                assert np.array_equal(observations[index], exp_obs)
+                exp_obs, exp_reward, exp_tick, exp_summary = expected[index]
+                assert np.array_equal(tick.pairs[index], exp_obs)
                 assert rewards[index] == exp_reward
-                assert dones[index] == exp_done
-                assert infos[index]["masked"] == exp_info["masked"]
-                assert infos[index]["action_kind"] == exp_info["action_kind"]
-                if exp_done:
-                    exp_summary = exp_info["episode"]
-                    summary = infos[index]["episode"]
+                assert tick.dones[index] == exp_tick.dones[0]
+                assert tick.masked[index] == exp_tick.masked[0]
+                assert tick.action_kinds[index] == exp_tick.action_kinds[0]
+                if exp_summary is not None:
+                    summary = summaries[index]
                     assert summary.episode_reward == exp_summary.episode_reward
                     assert summary.final_score == pytest.approx(exp_summary.final_score)
                     assert summary.success == exp_summary.success
@@ -196,9 +195,9 @@ class TestVectorFlowEnv:
         active = [0, 1]
         while active:
             actions = np.tile([1.0, 0.0], (len(active), 1))
-            _, _, dones, _ = vec_env.step_subset(active, actions)
-            finished += int(dones.sum())
-            active = [index for row, index in enumerate(active) if not dones[row]]
+            tick, _, _ = settled_step(vec_env, actions, active)
+            finished += int(tick.dones.sum())
+            active = [index for row, index in enumerate(active) if not tick.dones[row]]
         # Fully masked rewards: the only queries are the final per-episode
         # classification of each adversarial flow.
         assert trained_dt_censor.query_count == finished == 2
@@ -221,26 +220,20 @@ class TestVectorFlowEnv:
         with pytest.raises(TypeError):
             VectorFlowEnv([], auto_reset=True)
         finish = np.array([[1.0, 0.0]])
-        for stepper in ("step", "step_subset"):
+        for indices in (None, [0]):
             [env] = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
             vec_env = VectorFlowEnv([env])
             first = vec_env.reset()[0]
-            done = False
-            while not done:
-                if stepper == "step":
-                    observations, _, dones, infos = vec_env.step(finish)
-                else:
-                    observations, _, dones, infos = vec_env.step_subset([0], finish)
-                done = dones[0]
-            assert infos[0]["episode"].n_steps == simple_flow.n_packets
-            if stepper == "step":
+            summaries = {}
+            while not summaries:
+                tick, _, summaries = settled_step(vec_env, finish, indices)
+            assert tick.dones[0] and summaries[0].n_steps == simple_flow.n_packets
+            if indices is None:
                 assert not env._done and env._episode.shaper.steps == 0
-                assert np.array_equal(observations[0], first)
-                assert np.array_equal(infos[0]["terminal_observation"], np.zeros(2))
+                assert np.array_equal(tick.pairs[0], first)
             else:
                 assert env._done
-                assert np.array_equal(observations[0], np.zeros(2))
-                assert "terminal_observation" not in infos[0]
+                assert np.array_equal(tick.pairs[0], np.zeros(2))
                 with pytest.raises(RuntimeError, match="finished episode"):
                     vec_env.step_subset([0], finish)
 
@@ -988,8 +981,8 @@ def test_bulk_normal_equals_per_tick_draws():
 
 
 class TestIndexValidation:
-    """``step_subset`` / ``propose(indices=...)`` and the tracker's
-    ``step(indices=...)`` refuse a repeated or negative slot — before any
+    """``step_subset`` and the tracker's ``step(indices=...)`` /
+    ``states(indices)`` refuse a repeated or negative slot — before any
     environment advances, any query is spent or any tracker row moves."""
 
     @pytest.fixture
@@ -1012,16 +1005,14 @@ class TestIndexValidation:
         actions = np.tile([0.9, 0.0], (len(indices), 1))
         with pytest.raises(error, match="environment ind"):
             vec_env.step_subset(indices, actions)
-        with pytest.raises(error, match="environment ind"):
-            vec_env.propose(actions, indices)
         assert trained_dt_censor.query_count == 0
         for env, snapshot in zip(envs, before):
             assert env._episode.shaper.steps == snapshot["_episode"].shaper.steps == 0
             assert env._rng.bit_generator.state == snapshot["_rng"].bit_generator.state
 
     def test_distinct_subsets_still_step(self, vec_env, envs):
-        observations, _, dones, infos = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
-        assert observations.shape == (2, 2) and len(infos) == 2
+        tick = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
+        assert tick.pairs.shape == (4, 2) and len(tick.episodes) == 2 and tick.rows == [2, 0]
         assert [env._episode.shaper.steps for env in envs] == [1, 0, 1]
 
     @pytest.mark.parametrize("indices", [[0, 0], [1, 2, 1], [-1], [-2, 0]])
@@ -1036,6 +1027,19 @@ class TestIndexValidation:
         after = tracker.snapshot()
         for stream in before:
             assert np.array_equal(after[stream], before[stream])
+
+    @pytest.mark.parametrize(
+        "indices,error",
+        [([-1], ValueError), ([0, 0], ValueError), ([1, -3], ValueError), ([3], IndexError)],
+    )
+    def test_tracker_states_refuses_what_step_refuses(self, indices, error):
+        """A negative slot would read another environment's state, a
+        repeated one a row twice."""
+        tracker = BatchedEpisodeEncoder(StateEncoder(hidden_size=4, num_layers=2, rng=0), 3)
+        tracker.reset_all(np.random.default_rng(0).uniform(-1, 1, size=(3, 2)))
+        with pytest.raises(error, match="environment ind"):
+            tracker.states(indices)
+        assert np.array_equal(tracker.states(np.array([2, 0])), tracker.states()[[2, 0]])
 
 
 class FlakyCensor(CensorClassifier):
@@ -1216,33 +1220,32 @@ class TestShardRunnerEdges:
 
 
 class TestTwoPhaseStep:
-    def test_propose_settle_equals_step(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+    def test_settling_once_equals_settling_every_tick(
+        self, trained_dt_censor, normalizer, fast_config, simple_flow
+    ):
         left = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
         right = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
         left_vec, right_vec = VectorFlowEnv([left]), VectorFlowEnv([right])
         left.reset()
         right.reset()
         action = np.array([[0.4, 0.1]])
-        done = False
-        while not done:
-            [observation], [reward], [done], [info] = left_vec.step_subset([0], action)
+        per_tick, ticks, summaries = [], [], {}
+        while not summaries:
+            tick, [reward], summaries = settled_step(left_vec, action, [0])
+            per_tick.append(reward)
+            ticks.append(right_vec.step_subset([0], action))
+            assert ticks[-1].pairs.tobytes() == tick.pairs.tobytes()
+            assert ticks[-1].action_kinds == tick.action_kinds
+            assert ticks[-1].dones.tobytes() == tick.dones.tobytes()
+        rewards, [(at, row, summary)] = right_vec.settle(ticks)
+        assert rewards.tolist() == per_tick and (at, row) == (len(ticks) - 1, 0)
+        assert summary.episode_reward == summaries[0].episode_reward
 
-            tick = right_vec.propose(action, [0])
-            rewards, finished = right_vec.settle([tick])
-
-            assert reward == rewards[0]
-            assert done == tick.dones[0] == bool(finished)
-            assert info["action_kind"] == tick.action_kinds[0]
-            if not done:
-                assert np.array_equal(observation, tick.next_observations[0])
-        assert finished[0][2].episode_reward == info["episode"].episode_reward
-
-    def test_propose_on_finished_episode_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+    def test_step_on_finished_episode_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
         vec_env = VectorFlowEnv([env])
         env.reset()
-        done = False
-        while not done:
-            _, _, [done], _ = vec_env.step_subset([0], np.array([[1.0, 0.0]]))
+        while not vec_env.step_subset([0], np.array([[1.0, 0.0]])).dones[0]:
+            pass
         with pytest.raises(RuntimeError, match="finished episode"):
-            vec_env.propose(np.array([[1.0, 0.0]]), [0])
+            vec_env.step_subset([0], np.array([[1.0, 0.0]]))

@@ -118,6 +118,7 @@ class TestEndToEnd:
         """The environment's reward must be coupled to the censor decision: an
         unmodified replay of a censored flow earns a lower adversarial reward
         than the benign class score threshold implies."""
+        from oracles.per_tick_settle import settled_step
         from repro.core import AdversarialFlowEnv, VectorFlowEnv
 
         flow = tor_splits.test.censored_flows[0]
@@ -130,7 +131,8 @@ class TestEndToEnd:
         index = 0
         while not done:
             original_size = abs(flow.sizes[min(index, flow.n_packets - 1)]) / normalizer.size_scale
-            _, [reward], [done], _ = vec_env.step_subset([0], np.array([[original_size, 0.0]]))
+            tick, [reward], _ = settled_step(vec_env, np.array([[original_size, 0.0]]), [0])
+            done = tick.dones[0]
             rewards.append(reward)
             index += 1
         # A faithful replay of Tor traffic should mostly be flagged: adversarial

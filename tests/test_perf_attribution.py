@@ -54,6 +54,9 @@ EXPECTED = {
         "features.extract_ms",
         "ml.predict_ms",
         "core.encoder.step_ms",
+        # ``VectorFlowEnv.step`` / ``step_subset``: the tick of collection
+        # and of evaluation alike.
+        "core.env.step_ms",
         "core.actor.act_ms",
         "core.critic.value_ms",
         "core.collect_ms",

@@ -47,6 +47,7 @@ from oracles import composed_ppo, emulator_reference
 from oracles.conv_reference import composed_relu_pool
 from oracles.executors import EXECUTORS, executing
 from oracles.gae_reference import reference_compute_gae
+from oracles.per_tick_settle import settled_step
 from oracles.statistical_reference import (
     StatisticalFeatureExtractor as ReferenceStatisticalFeatureExtractor,
 )
@@ -386,13 +387,13 @@ class TestEnvironmentProperties:
         env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
         vec_env = VectorFlowEnv([env])
         env.reset()
-        done = False
+        summaries = {}
         index = 0
-        while not done and index < len(actions):
-            _, _, [done], [info] = vec_env.step_subset([0], np.asarray(actions[index])[None])
+        while not summaries and index < len(actions):
+            _, _, summaries = settled_step(vec_env, np.asarray(actions[index])[None], [0])
             index += 1
-        if done:
-            adversarial = info["episode"].adversarial_flow
+        if summaries:
+            adversarial = summaries[0].adversarial_flow
             assert np.abs(adversarial.sizes).sum() >= np.abs(flow.sizes).sum() - 1e-6
 
 
@@ -412,9 +413,9 @@ class TestEnvironmentProperties:
     def test_settling_a_rollout_once_equals_stepping_every_tick(
         self, actions, mask_rate, seed, trained_dt_censor, normalizer, tor_splits
     ):
-        """``propose`` x T then one ``settle`` is ``step`` x T, for arbitrary
-        action sequences: rewards, dones, episode summaries and the censor's
-        query count, with episodes auto-resetting mid-sequence."""
+        """``step`` x T then one ``settle`` is T ticks each settled at once,
+        for arbitrary action sequences: rewards, dones, episode summaries and
+        the censor's query count, with episodes auto-resetting mid-sequence."""
         config = AmoebaConfig.for_tor(max_episode_steps=9, reward_mask_rate=mask_rate)
         flows = tor_splits.attack_train.censored_flows[:5]
 
@@ -435,20 +436,11 @@ class TestEnvironmentProperties:
                 summary.adversarial_flow.delays.tobytes(),
             )
 
-        def stepped_outcome(observations, rewards, dones, infos):
-            return (
-                rewards.tobytes(),
-                dones.tobytes(),
-                observations.tobytes(),
-                [(row, summary_key(info["episode"])) for row, info in enumerate(infos) if "episode" in info],
-                [info["score"] for info in infos if not info["masked"]],
-            )
-
         def settled_outcome(tick, rewards, finished):
             return (
                 rewards.tobytes(),
                 tick.dones.tobytes(),
-                tick.next_observations.tobytes(),
+                tick.pairs.tobytes(),
                 [(row, summary_key(summary)) for row, summary in finished],
                 [score for score, masked in zip(tick.scores.tolist(), tick.masked) if not masked],
             )
@@ -458,11 +450,14 @@ class TestEnvironmentProperties:
         assert np.array_equal(stepped.reset(), deferred.reset())
 
         trained_dt_censor.reset_query_count()
-        per_tick = [stepped_outcome(*stepped.step(tick)) for tick in actions]
+        per_tick = [
+            settled_outcome(tick, rewards, sorted(finished.items()))
+            for tick, rewards, finished in (settled_step(stepped, row) for row in actions)
+        ]
         per_tick_queries = trained_dt_censor.query_count
 
         trained_dt_censor.reset_query_count()
-        ticks = [deferred.propose(tick) for tick in actions]
+        ticks = [deferred.step(row) for row in actions]
         assert trained_dt_censor.query_count == 0
         rewards, finished = deferred.settle(ticks)
         assert [
@@ -781,7 +776,7 @@ class TestOneShaperBothTiers:
         while not done:
             assert _bits(session.current_observation()).tobytes() == _bits(observation).tobytes()
             action = actions[step % len(actions)]
-            tick = vec_env.propose(np.array([action]), [0])
+            tick = vec_env.step_subset([0], np.array([action]))
             decision = session.apply_action(action)
             episode, [done] = tick.episodes[0], tick.dones.tolist()
             assert tick.action_kinds[0] == decision.kind
@@ -793,7 +788,7 @@ class TestOneShaperBothTiers:
             # The server's re-arm rule: the session goes on exactly when
             # the episode does.
             assert (session.online and (session.in_flight or session.arm_next())) is not done
-            observation = tuple(tick.next_observations[0].tolist())
+            observation = tuple(tick.pairs[0].tolist())
         assert episode.shaper.steps == session.n_decisions == decision.step == step
 
 

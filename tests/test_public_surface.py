@@ -154,6 +154,14 @@ RETIRED_MEMBERS = [
         ("repro.nn", "backend", name)
         for name in ("ReferenceBackend", "BlockedBackend", "_REGISTRY", "_OVERRIDES")
     ],
+    # One tick protocol: ``step`` / ``step_subset`` return the tick record and
+    # ``settle`` scores it; no gym-style step with per-slot info dicts.
+    ("repro.core.vec_env", "VectorFlowEnv", "propose"),
+    ("repro.core.vec_env", "VectorFlowEnv", "_step"),
+    ("repro.core.vec_env", "TickRecord", "next_observations"),
+    # Read only by the 4-tuple's terminal observation.
+    ("repro.core.vec_env", "VectorFlowEnv", "observation_dim"),
+    ("repro.core.env", "AdversarialFlowEnv", "observation_dim"),
 ]
 
 # Unreached members: no CLI subcommand, example, benchmark or perf workload
@@ -418,6 +426,11 @@ RETIRED_CALLS = [
     # One executor: nothing selects or looks up another.
     r"\buse_backend\(",
     r"\bget_backend\(",
+    # One tick protocol: no ``propose`` (the emulator's ``._propose(`` stays),
+    # no gym-style 4-tuple's info dicts.
+    r"\.propose\(",
+    r"\binfos\[",
+    r"terminal_observation",
 ]
 
 
