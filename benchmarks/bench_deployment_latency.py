@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder, VectorFlowEnv
+from repro.core import BatchedEpisodeEncoder, VectorFlowEnv
 
 
 def test_deployment_policy_inference_latency(benchmark, tor_suite):
@@ -32,8 +32,7 @@ def test_deployment_full_step_latency(benchmark, tor_suite):
     data = tor_suite.data
     config = agent.config.with_overrides(reward_mask_rate=1.0, max_episode_steps=10_000)
     flow = data.splits.test.censored_flows[0]
-    env = AdversarialFlowEnv(agent.censor, data.normalizer, config, [flow], rng=0)
-    vec_env = VectorFlowEnv([env])
+    vec_env = VectorFlowEnv(agent.censor, data.normalizer, config, [flow], [0])
     tracker = BatchedEpisodeEncoder(agent.state_encoder, 1)
     tracker.reset_all(vec_env.reset())
 

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder, VectorFlowEnv
+from repro.core import BatchedEpisodeEncoder, VectorFlowEnv
 from repro.eval import delay_distribution_summary, empirical_cdf, format_table, fraction_below
 
 # Per-action inference latency the paper measured on a K80 GPU (§5.6.1).
@@ -49,10 +49,7 @@ def test_fig11_interpacket_delays(benchmark, tor_suite):
     # inference and the emulator step, settled at once (a finished flow
     # restarts in place).
     config = agent.config.with_overrides(reward_mask_rate=1.0, max_episode_steps=100_000)
-    env = AdversarialFlowEnv(
-        agent.censor, tor_suite.data.normalizer, config, flows[:1], rng=0
-    )
-    vec_env = VectorFlowEnv([env])
+    vec_env = VectorFlowEnv(agent.censor, tor_suite.data.normalizer, config, flows[:1], [0])
     tracker = BatchedEpisodeEncoder(agent.state_encoder, 1)
     tracker.reset_all(vec_env.reset())
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdversarialFlowEnv, VectorFlowEnv, reward_mask_sweep
+from repro.core import VectorFlowEnv, reward_mask_sweep
 from repro.eval import format_table
 
 from conftest import HALF_TOR_SPEC
@@ -73,13 +73,12 @@ def test_fig8_reward_mask_sweep(benchmark, tor_suite):
     # Benchmark kernel: one fully-masked environment step, settled.
     censor = tor_suite.censors["DT"]
     masked_config = config.with_overrides(reward_mask_rate=1.0)
-    env = AdversarialFlowEnv(
-        censor, data.normalizer, masked_config, data.splits.test.censored_flows[:1], rng=0
+    vec_env = VectorFlowEnv(
+        censor, data.normalizer, masked_config, data.splits.test.censored_flows[:1], [0]
     )
-    vec_env = VectorFlowEnv([env])
 
     def masked_step():
-        env.reset()
+        vec_env.reset()
         vec_env.settle([vec_env.step_subset([0], np.array([[1.0, 0.0]]))])
 
     benchmark(masked_step)

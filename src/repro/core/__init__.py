@@ -4,7 +4,7 @@ from .actor_critic import Critic, GaussianActor, build_mlp
 from .agent import AdversarialResult, Amoeba, EvaluationReport
 from .arms_race import ArmsRaceResult, ArmsRaceRound, run_arms_race
 from .config import AmoebaConfig
-from .env import ActionKind, AdversarialFlowEnv, EpisodeSummary
+from .env import ActionKind, EpisodeSummary
 from .ppo import PPOUpdater, PPOUpdateStats
 from .profiles import AdversarialProfile, ProfileDatabase, ProfileEmbeddingResult
 from .reward_masking import MaskSweepPoint, reward_mask_sweep
@@ -25,7 +25,6 @@ __all__ = [
     "AdversarialResult",
     "EvaluationReport",
     "AmoebaConfig",
-    "AdversarialFlowEnv",
     "EpisodeSummary",
     "ActionKind",
     "VectorFlowEnv",

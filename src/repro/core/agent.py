@@ -28,7 +28,7 @@ from ..utils.logging import TrainingLogger
 from ..utils.rng import collection_seed_tree, ensure_rng, spawn_rngs
 from .actor_critic import Critic, GaussianActor
 from .config import AmoebaConfig
-from .env import AdversarialFlowEnv, EpisodeSummary
+from .env import EpisodeSummary
 from .ppo import PPOUpdater
 from .rollout import RolloutBuffer
 from .state_encoder import StateEncoder, pretrain_state_encoder
@@ -310,27 +310,6 @@ class Amoeba:
     # ------------------------------------------------------------------ #
     # Attack / evaluation
     # ------------------------------------------------------------------ #
-    def _make_eval_env(self, flow: Flow) -> AdversarialFlowEnv:
-        # During evaluation we do not need per-step rewards; masking every
-        # step avoids spending censor queries on intermediate prefixes (the
-        # final classification in the episode summary is still performed).
-        # The step budget is widened so the full payload is always delivered
-        # regardless of the training-time episode cap (constraint (1)).
-        step_budget = max(
-            self.config.max_episode_steps,
-            flow.n_packets * (1 + self.config.max_truncations_per_packet),
-        )
-        eval_config = self.config.with_overrides(
-            reward_mask_rate=1.0, max_episode_steps=step_budget
-        )
-        # Evaluation draws (flow order, masking) come from the dedicated
-        # eval stream — never from self._rng, which seeds training: a
-        # mid-training evaluation must not shift the collection seed tree
-        # of subsequent iterations.
-        return AdversarialFlowEnv(
-            self.censor, self.normalizer, eval_config, [flow], rng=self._eval_rng
-        )
-
     def attack(self, flow: Flow, deterministic: bool = True) -> AdversarialResult:
         """Generate the adversarial version of a single flow."""
         return self.attack_many([flow], deterministic=deterministic)[0]
@@ -358,15 +337,27 @@ class Amoeba:
         if not flows:
             return []
         noise_rngs = None if deterministic else spawn_rngs(self._eval_rng, len(flows))
-        envs = [self._make_eval_env(flow) for flow in flows]
-        vec_env = VectorFlowEnv(envs)
-        tracker = BatchedEpisodeEncoder(self.state_encoder, len(envs))
-        observations = np.stack([env.reset(flow) for env, flow in zip(envs, flows)])
-        tracker.reset_all(observations)
+        # Evaluation masks every step (no query on intermediate prefixes; the
+        # summary still scores the finished flow), and its step budget
+        # delivers the whole payload whatever the training cap (constraint
+        # (1)).  A flow of n packets takes at most n·(1+k) steps, so the
+        # longest flow's budget ends no flow earlier than its own would.  The
+        # flows are given and step_subset never restarts a slot, so no slot
+        # draws from the eval stream: evaluating never moves training.
+        config = self.config
+        budget = max(flow.n_packets for flow in flows) * (1 + config.max_truncations_per_packet)
+        eval_config = config.with_overrides(
+            reward_mask_rate=1.0, max_episode_steps=max(config.max_episode_steps, budget)
+        )
+        vec_env = VectorFlowEnv(
+            self.censor, self.normalizer, eval_config, flows, [self._eval_rng] * len(flows)
+        )
+        tracker = BatchedEpisodeEncoder(self.state_encoder, len(flows))
+        tracker.reset_all(vec_env.reset(flows))
 
         action_dim = self.actor.action_dim
         ticks = []
-        active = list(range(len(envs)))
+        active = list(range(len(flows)))
         while active:
             states = tracker.states(active)
             noise = None
@@ -378,7 +369,7 @@ class Amoeba:
             tracker.step(tick.pairs, tick.dones, indices=active)
             active = [index for index, done in zip(active, tick.dones.tolist()) if not done]
         _, finished = vec_env.settle(ticks)
-        results: List[Optional[AdversarialResult]] = [None] * len(envs)
+        results: List[Optional[AdversarialResult]] = [None] * len(flows)
         for at, row, summary in finished:
             results[ticks[at].rows[row]] = AdversarialResult.from_summary(summary)
         assert all(result is not None for result in results)

@@ -1,7 +1,7 @@
 """Reward-masking experiment helpers (Section 5.5.3, Figures 8 and 9).
 
 The masking itself is implemented inside
-:class:`~repro.core.env.AdversarialFlowEnv` (a masked step does not query the
+:class:`~repro.core.vec_env.VectorFlowEnv` (a masked step does not query the
 censor and receives the neutral reward 0.5).  This module provides the sweep
 harness that trains one Amoeba agent per mask rate and records the resulting
 attack success rate and actual query count, which is what the paper plots.

@@ -1,18 +1,22 @@
-"""Vectorized environment stepping: step every tick, settle the censor once.
+"""The adversarial environment: every slot stepped per tick, the censor settled once.
 
-:class:`VectorFlowEnv` is the only driver of :class:`AdversarialFlowEnv`
-(the seed's per-environment loop, one ``predict_score`` per step, is the
-reference in ``tests/oracles/sequential_collection.py``).  A tick has two
-halves:
+:class:`VectorFlowEnv` is the environment of paper §4.2: one censor, one
+normalizer, one config and one flow pool, driving ``n_envs`` slots.  Each
+slot keeps only its own state — its generator (flow order, masking draws),
+its flow-order cursor, its episode in flight and the rows its episodes
+write their emitted packets into; each episode steps one
+:class:`~repro.core.env.PacketShaper`.  The seed's per-environment loop,
+one ``predict_score`` per step, is the reference in
+``tests/oracles/sequential_collection.py``.  A tick has two halves:
 
-1. :meth:`VectorFlowEnv.step` (all environments; a finished episode's slot
-   begins its next flow at once) or :meth:`VectorFlowEnv.step_subset` (the
-   named environments; a finished one is never restarted) advances the
-   emulators — masking draw, emitted packet, termination, next observation —
-   and returns one :class:`TickRecord`: parallel per-slot tuples (episode,
-   prefix length, masked, penalties, ...), the dones and the ``(2n, 2)``
-   slab of next observations and emitted actions the encoder steps, with no
-   per-step object;
+1. :meth:`VectorFlowEnv.step` (all slots; a finished episode's slot begins
+   its next flow at once) or :meth:`VectorFlowEnv.step_subset` (the named
+   slots; a finished one is never restarted) advances the emulators —
+   masking draw, emitted packet, termination, next observation — on Python
+   floats and returns one :class:`TickRecord`: parallel per-slot tuples
+   (episode, prefix length, masked, penalties, ...), the dones and the
+   ``(2n, 2)`` slab of next observations and emitted actions the encoder
+   steps, with no per-step object;
 2. :meth:`VectorFlowEnv.settle` scores the distinct inputs of any number of
    records in fixed-size ``predict_scores`` blocks and computes every
    reward as one array expression; only finished episodes are visited one
@@ -23,15 +27,21 @@ step every tick and settle once: the collection kernel
 (:class:`repro.distrib.shard.ShardRunner`) a whole rollout, batched
 evaluation (``Amoeba.attack_many``) a whole attack.
 
-One query is counted per step's flow (Figures 7–9) however the scoring is
+The reward combines the censor's decision on the adversarial prefix with the
+data-overhead and time-overhead penalties,
+``r(s_t, a_t) = r_adv − λ_d · p_data − λ_t · p_time``; reward masking
+(Section 5.5.3) replaces ``r_adv`` with an "unknown" value (0.5) with a
+configurable probability, and a masked step does not query the censor,
+which is how the paper counts "actual queries" in Figures 8 and 9.  One
+query is counted per step's flow (Figures 7–9) however the scoring is
 batched; a censor reads at most its ``packet_window`` leading packets, so
 an episode's prefixes past the window (and its finished flow, its last
-prefix) share one score, and masked steps never reach it (Section 5.5.3).
-An episode's packets live in its environment's preallocated rows until it
-ends and copies them into one validated flow, of which the censor sees
+prefix) share one score.
+An episode's packets live in its slot's preallocated rows until it ends
+and copies them into one validated flow, of which the censor sees
 read-only prefix views.
 
-:class:`BatchedEpisodeEncoder` keeps every environment's two GRU histories
+:class:`BatchedEpisodeEncoder` keeps every slot's two GRU histories
 (observations, emitted actions) in one resident slab and folds each tick's
 newest pairs in one ``(2·n_envs, 2)`` step: O(T) per episode, where the
 seed re-encoded the whole history every step.
@@ -39,16 +49,22 @@ seed re-encoded the whole history every step.
 
 from __future__ import annotations
 
+import copy
 import operator
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .env import AdversarialFlowEnv, EpisodeSummary
+from ..censors.base import CensorClassifier
+from ..features.representation import FlowNormalizer
+from ..flows.flow import Flow
+from .config import AmoebaConfig
+from .env import ActionKind, EpisodeSummary, PacketShaper
 from .state_encoder import StateEncoder
 
-__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder", "build_envs_from_seed_tree"]
+__all__ = ["VectorFlowEnv", "BatchedEpisodeEncoder"]
 
 # Distinct inputs per ``predict_scores`` call in ``VectorFlowEnv.settle``: a
 # neural censor's activations grow with its batch, and on ``train-neural``
@@ -76,23 +92,85 @@ def _checked_indices(indices: Sequence[int], n_envs: int) -> List[int]:
     return rows
 
 
-def build_envs_from_seed_tree(
-    censor, normalizer, config, flows, seed_tree
-) -> List[AdversarialFlowEnv]:
-    """One :class:`AdversarialFlowEnv` per ``(env, noise)`` seed pair.
+@dataclass(eq=False)
+class _Episode:
+    """One episode of a slot, shared by the slot and by the tick records
+    holding its steps: the original flow's packets as Python floats, the
+    index of the one being shaped and the episode's :class:`PacketShaper`,
+    which ``VectorFlowEnv._propose`` advances, and the accounting it and
+    ``VectorFlowEnv.settle`` (the running reward) write.  Its packets are
+    the first ``shaper.steps`` entries of ``sizes`` / ``delays``, the slot's
+    rows until it ends (then its own copy) or is abandoned (then the rows)."""
 
-    The single construction point for every collection path (in-process
-    training, benchmarks, sharded workers): slot ``i`` gets a generator from
-    the *env* stream of pair ``i`` of a
-    :func:`repro.utils.rng.collection_seed_tree`, so environments built from
-    the same tree behave bit-identically wherever they are hosted.
-    """
-    return [
-        AdversarialFlowEnv(
-            censor, normalizer, config, flows, rng=np.random.default_rng(env_seq)
+    original: Flow
+    sizes: np.ndarray = field(repr=False)
+    delays: np.ndarray = field(repr=False)
+    shaper: PacketShaper = field(repr=False)
+    original_sizes: List[float] = field(repr=False)
+    original_delays: List[float] = field(repr=False)
+    packet_index: int = 0
+    reward: float = 0.0
+    n_truncations: int = 0
+    n_paddings: int = 0
+    n_delays: int = 0
+    adversarial: Optional[Flow] = None  # flow() of the episode, once it has ended
+
+    def flow(self) -> Flow:
+        """The packets emitted so far as one validated flow: over the rows
+        while in flight (rebuilt per call), built once by :meth:`finish`
+        (the summary's ``adversarial_flow``, owning its arrays)."""
+        if self.adversarial is not None:
+            return self.adversarial
+        return Flow(
+            sizes=self.sizes[: self.shaper.steps],
+            delays=self.delays[: self.shaper.steps],
+            label=self.original.label,
+            protocol=f"{self.original.protocol}-adv",
+            metadata={"original_packets": self.original.n_packets},
         )
-        for env_seq, _ in seed_tree
-    ]
+
+    def finish(self) -> None:
+        """End the episode: its flow owns a copy of the packets in the rows."""
+        length = self.shaper.steps
+        self.sizes = self.sizes[:length].copy()
+        self.delays = self.delays[:length].copy()
+        self.adversarial = self.flow()
+
+    def summary(self, final_score: float) -> EpisodeSummary:
+        """The finished episode's statistics, once ``reward`` holds every step's."""
+        adversarial = self.flow()
+        payload = float(self.shaper.consumed_payload)
+        padding = max(0.0, float(np.abs(adversarial.sizes).sum()) - payload)
+        duration = float(adversarial.delays.sum())
+        return EpisodeSummary(
+            adversarial_flow=adversarial,
+            original_flow=self.original,
+            success=bool(final_score >= 0.5),
+            final_score=float(final_score),
+            data_overhead=float(padding / (payload + padding) if (payload + padding) > 0 else 0.0),
+            time_overhead=float(self.shaper.added_delay / duration if duration > 0 else 0.0),
+            n_truncations=self.n_truncations,
+            n_paddings=self.n_paddings,
+            n_delays=self.n_delays,
+            n_steps=adversarial.n_packets,
+            episode_reward=float(self.reward),
+        )
+
+
+class _Slot:
+    """One slot's own state: its generator (flow order, masking draws), its
+    order of the flow pool and the cursor into it, its current episode and
+    the rows its episodes write their emitted packets into."""
+
+    __slots__ = ("rng", "order", "cursor", "episode", "sizes", "delays")
+
+    def __init__(self, rng) -> None:
+        self.rng = np.random.default_rng(rng)
+        self.order: List[int] = []
+        self.cursor = 0
+        self.episode: Optional[_Episode] = None
+        self.sizes = np.empty(0)
+        self.delays = np.empty(0)
 
 
 class TickRecord:
@@ -127,42 +205,51 @@ class TickRecord:
 
 
 class VectorFlowEnv:
-    """Steps N adversarial environments; censor scoring is a separate call.
+    """The adversarial environment: ``len(rngs)`` slots over one flow pool.
 
     Parameters
     ----------
-    envs:
-        The environments to drive.  They must all share the same censor
-        instance and the same reward coefficients (``masked_reward_value``,
-        ``lambda_data``, ``lambda_time``, bit for bit); masking rates, step
-        budgets and RNG streams may differ.
+    censor:
+        Trained censoring classifier; :meth:`settle` turns its scores into
+        the rewards.
+    normalizer:
+        Maps between bytes/milliseconds and the normalised action space.
+    config:
+        :class:`~repro.core.config.AmoebaConfig` of every slot: reward
+        coefficients, shaping bounds, masking rate and step budget.
+    flows:
+        Pool of original (censored) flows; a slot begins each episode on the
+        next flow of its own shuffled order of the pool.
+    rngs:
+        One seed, :class:`~numpy.random.SeedSequence` or generator per slot
+        (what :func:`numpy.random.default_rng` takes; a generator is used as
+        it is): the slot's flow order and reward-masking draws.
 
-    :meth:`step` ticks every environment and restarts each one that
-    finishes its episode, so the step's observation is the new episode's
-    first; :meth:`step_subset` ticks the named environments and never
-    restarts one.  Neither scores anything: :meth:`settle` does, for any
-    number of ticks at once.
+    :meth:`reset` begins an episode in every slot.  :meth:`step` ticks every
+    slot and restarts each one that finishes its episode, so the step's
+    observation is the new episode's first; :meth:`step_subset` ticks the
+    named slots and never restarts one.  Neither scores anything:
+    :meth:`settle` does, for any number of ticks at once.
     """
 
-    def __init__(self, envs: Sequence[AdversarialFlowEnv]) -> None:
-        envs = list(envs)
-        if not envs:
-            raise ValueError("VectorFlowEnv needs at least one environment")
-        censor = envs[0].censor
-        if any(env.censor is not censor for env in envs):
-            raise ValueError("all environments must share the same censor instance")
-        # One (masked reward value, lambda_data, lambda_time) triple for all
-        # slots, compared bitwise so that -0.0 and 0.0 differ too.
-        coefficients = np.array(
-            [(e.config.masked_reward_value, e.config.lambda_data, e.config.lambda_time) for e in envs]
-        )
-        if (coefficients.view(np.uint64) != coefficients[:1].view(np.uint64)).any():
-            raise ValueError(
-                "all environments must share masked_reward_value, lambda_data and lambda_time"
-            )
-        self._envs = envs
+    def __init__(
+        self,
+        censor: CensorClassifier,
+        normalizer: FlowNormalizer,
+        config: AmoebaConfig,
+        flows: Sequence[Flow],
+        rngs: Sequence,
+    ) -> None:
+        if not flows:
+            raise ValueError("the environment needs at least one flow to attack")
+        slots = [_Slot(rng) for rng in rngs]
+        if not slots:
+            raise ValueError("VectorFlowEnv needs at least one slot")
         self._censor = censor
-        self._coefficients = coefficients[0]
+        self._normalizer = normalizer
+        self._config = config
+        self._flows = list(flows)
+        self._slots = slots
         #: rows the censor has scored for :meth:`settle` — at most the
         #: queries counted, as steps sharing an input share its score
         self.flows_scored = 0
@@ -170,33 +257,50 @@ class VectorFlowEnv:
     # ------------------------------------------------------------------ #
     @property
     def n_envs(self) -> int:
-        return len(self._envs)
+        return len(self._slots)
 
-    @property
-    def action_dim(self) -> int:
-        return self._envs[0].action_dim
+    def snapshot(self) -> List[_Slot]:
+        """Picklable deep copy of every slot's state: generator, flow-order
+        cursor, episode in flight and rows — everything needed to resume
+        this engine bit-identically in another process.  The censor,
+        normalizer, config and flow pool are not in it; the restoring
+        engine brings its own identical ones."""
+        return copy.deepcopy(self._slots)
+
+    def restore(self, snapshot: List[_Slot]) -> None:
+        """Inverse of :meth:`snapshot` (deep-copies, so the caller's snapshot
+        survives this engine's later steps)."""
+        if len(snapshot) != self.n_envs:
+            raise ValueError(f"snapshot holds {len(snapshot)} slots, this engine {self.n_envs}")
+        self._slots = copy.deepcopy(snapshot)
 
     # ------------------------------------------------------------------ #
-    def reset(self) -> np.ndarray:
-        """Reset every environment; returns the (N, obs_dim) observations."""
-        return np.stack([env.reset() for env in self._envs])
+    def reset(self, flows: Optional[Sequence[Flow]] = None) -> np.ndarray:
+        """Begin an episode in every slot; returns the ``(n_envs, 2)`` first
+        observations.  Slot ``i`` attacks ``flows[i]`` when ``flows`` are
+        given (and draws nothing), else the next flow of its own order."""
+        if flows is None:
+            flows = [None] * self.n_envs
+        elif len(flows) != self.n_envs:
+            raise ValueError(f"reset needs one flow per slot ({self.n_envs}), got {len(flows)}")
+        return np.array([self._begin(slot, flow) for slot, flow in zip(self._slots, flows)])
 
     def step(self, actions: np.ndarray) -> TickRecord:
-        """Advance every environment one tick; score nothing.
+        """Advance every slot one tick; score nothing.
 
-        Row ``i`` of ``actions`` drives environment ``i``; a finished
-        episode's slot begins the next flow at once, so its next
-        observation in the record is the new episode's first.
+        Row ``i`` of ``actions`` drives slot ``i``; a finished episode's slot
+        begins the next flow at once, so its next observation in the record
+        is the new episode's first.
         """
         return self._tick(actions, range(self.n_envs), restart=True)
 
     def step_subset(self, indices: Sequence[int], actions: np.ndarray) -> TickRecord:
-        """Advance only the environments named by ``indices``; score nothing.
+        """Advance only the slots named by ``indices``; score nothing.
 
         ``indices`` must be distinct, non-negative and in range (checked
-        before any environment advances); record entry ``i`` belongs to
-        ``indices[i]``.  A finished environment is never restarted (its
-        next observation is zero), so batched evaluation drops it by the
+        before any slot advances); record entry ``i`` belongs to
+        ``indices[i]``.  A finished slot is never restarted (its next
+        observation is zero), so batched evaluation drops it by the
         record's ``dones``.
         """
         return self._tick(actions, _checked_indices(indices, self.n_envs), restart=False)
@@ -204,16 +308,119 @@ class VectorFlowEnv:
     def _tick(self, actions: np.ndarray, rows: Sequence[int], restart: bool) -> TickRecord:
         """Each row of ``actions`` as two Python floats of one ``tolist()``."""
         actions = np.asarray(actions, dtype=np.float64)
-        if actions.shape != (len(rows), self.action_dim):
-            raise ValueError(
-                f"actions must have shape {(len(rows), self.action_dim)}, got {actions.shape}"
-            )
-        envs = self._envs
+        if actions.shape != (len(rows), 2):
+            raise ValueError(f"actions must have shape {(len(rows), 2)}, got {actions.shape}")
+        slots, propose = self._slots, self._propose
         steps = [
-            envs[index]._propose(size_action, delay_action, restart)
+            propose(slots[index], size_action, delay_action, restart)
             for (size_action, delay_action), index in zip(actions.tolist(), rows)
         ]
         return TickRecord(self, rows, steps)
+
+    # ------------------------------------------------------------------ #
+    # One slot's episode
+    # ------------------------------------------------------------------ #
+    def _next_flow(self, slot: _Slot) -> Flow:
+        if slot.cursor >= len(slot.order):
+            slot.order = slot.rng.permutation(len(self._flows)).tolist()
+            slot.cursor = 0
+        flow = self._flows[slot.order[slot.cursor]]
+        slot.cursor += 1
+        return flow
+
+    def _begin(self, slot: _Slot, flow: Optional[Flow] = None) -> Tuple[float, float]:
+        """Start the slot's next episode (on ``flow`` when given); returns
+        its first observation as a pair."""
+        original = (flow or self._next_flow(slot)).copy()
+        config = self._config
+        # A packet closes after max_truncations_per_packet truncations at most.
+        # An episode abandoned in flight keeps its rows for settling.
+        most_steps = min(
+            config.max_episode_steps,
+            original.n_packets * (1 + config.max_truncations_per_packet),
+        )
+        abandoned = slot.episode is not None and slot.episode.adversarial is None
+        if abandoned or len(slot.sizes) < most_steps:
+            slot.sizes, slot.delays = np.empty(most_steps), np.empty(most_steps)
+        shaper = PacketShaper(
+            self._normalizer.size_scale,
+            config.min_packet_bytes,
+            config.max_delay_ms,
+            config.max_truncations_per_packet,
+            config.max_episode_steps,
+        )
+        sizes, delays = original.sizes.tolist(), original.delays.tolist()
+        slot.episode = _Episode(original, slot.sizes, slot.delays, shaper, sizes, delays)
+        shaper.begin(sizes[0], delays[0])
+        return shaper.observation()
+
+    def _propose(self, slot: _Slot, size_action: float, delay_action: float, restart: bool) -> Tuple:
+        """One slot's step: advance the emulator, defer censor scoring.
+
+        Applies the action (two Python floats) — emitted packet, masking
+        draw, emulator advance, termination — and returns ``(episode,
+        prefix_length, action_kind, masked, done, data_penalty,
+        time_penalty, next_observation, recorded_action)``, the pairs as
+        tuples.  The censor still has to score the episode's first
+        ``prefix_length`` packets (unless masked), which after the last
+        step are the finished flow.  After a finished step the next
+        observation is the next episode's first with ``restart`` (begun
+        here), else ``(0.0, 0.0)``.
+        """
+        episode = slot.episode
+        if episode is None or episode.adversarial is not None:
+            raise RuntimeError("a step was taken on a finished episode; call reset() first")
+        shaper = episode.shaper
+        config = self._config
+        step = shaper.steps
+        remaining = shaper.remaining_bytes
+        kind, emitted_size, emitted_delay, added_delay, time_penalty, recorded_action = (
+            shaper.apply(size_action, delay_action)
+        )
+        if kind == ActionKind.TRUNCATION:
+            episode.n_truncations += 1
+            data_penalty = (
+                shaper.remaining_bytes / shaper.size_scale
+                + config.lambda_split * shaper.truncations
+            )
+        else:
+            data_penalty = (abs(emitted_size) - remaining) / shaper.size_scale
+            if kind == ActionKind.PADDING:
+                episode.n_paddings += 1
+        # The added delay is a whole number of milliseconds: 0.0 adds nothing.
+        if added_delay >= 1.0:
+            episode.n_delays += 1
+        episode.sizes[step] = emitted_size
+        episode.delays[step] = emitted_delay
+        steps = step + 1
+
+        # Reward masking (Section 5.5.3): masked steps never reach the censor.
+        # A rate of 0 or 1 fixes the outcome and draws nothing (evaluation
+        # masks every step and so leaves the eval stream where it was).
+        rate = config.reward_mask_rate
+        masked = rate >= 1.0 or (rate > 0.0 and slot.rng.random() < rate)
+
+        # Advance the emulator; termination does not depend on the score.  A
+        # truncation leaves the shaper on the remainder; anything else sends
+        # the packet and moves on to the next one.
+        done = steps >= config.max_episode_steps
+        if kind != ActionKind.TRUNCATION:
+            index = episode.packet_index = episode.packet_index + 1
+            if index == len(episode.original_sizes):
+                done = True
+            elif not done:
+                shaper.begin(episode.original_sizes[index], episode.original_delays[index])
+        if done:
+            episode.finish()
+            next_observation = self._begin(slot) if restart else (0.0, 0.0)
+        else:
+            next_observation = shaper.observation()
+
+        # time_penalty is the clipped delay component: already normalised.
+        return (
+            episode, steps, kind, masked, done, data_penalty, time_penalty,
+            next_observation, recorded_action,
+        )  # fmt: skip
 
     def settle(
         self, ticks: Sequence[TickRecord]
@@ -266,7 +473,10 @@ class VectorFlowEnv:
         queries = n_steps - int(np.count_nonzero(masked)) + int(np.count_nonzero(dones))
         self._censor.record_external_queries(queries - n_scored)
 
-        masked_value, lambda_data, lambda_time = self._coefficients
+        config = self._config
+        masked_value, lambda_data, lambda_time = (
+            config.masked_reward_value, config.lambda_data, config.lambda_time
+        )
         # r_adv: the masked value, else 1.0 / 0.0 by the 0.5 threshold.
         adversarial = np.where(masked, masked_value, step_scores >= 0.5)
         rewards = (

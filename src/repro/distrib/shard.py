@@ -1,16 +1,17 @@
 """Per-process rollout collection kernel.
 
-A :class:`ShardRunner` owns one shard of the global environment batch: the
-environments themselves (each with its own seed stream), the per-slot
-exploration-noise streams, the incremental state tracker, and local replicas
-of the actor / critic / state-encoder whose weights are refreshed from
-broadcast checkpoints.  A :meth:`ShardRunner.collect` draws every slot's
-exploration noise for the whole segment up front (one ``(n_ticks,
-action_dim)`` draw per noise stream — the same numbers per-tick draws
-give), then each tick runs one actor forward, one vectorized emulator
-advance (:meth:`~repro.core.vec_env.VectorFlowEnv.step`, one tick record)
-and one incremental encoder step on the record's slab of next
-observations and emitted actions.  After the last tick the critic values
+A :class:`ShardRunner` owns one shard of the global environment batch: one
+:class:`~repro.core.vec_env.VectorFlowEnv` over the shard's slots (each
+with its own seed stream), the per-slot exploration-noise streams, the
+incremental state tracker, and local replicas of the actor / critic /
+state-encoder whose weights are refreshed from broadcast checkpoints.  A
+:meth:`ShardRunner.collect` draws every slot's exploration noise for the
+whole segment up front (one ``(n_ticks, action_dim)`` draw per noise
+stream — the same numbers per-tick draws give), then each tick runs one
+actor forward, one vectorized emulator advance
+(:meth:`~repro.core.vec_env.VectorFlowEnv.step`, one tick record) and one
+incremental encoder step on the record's slab of next observations and
+emitted actions.  After the last tick the critic values
 the whole rollout's states in one forward, and only then is the censor
 consulted: the rollout's distinct pending inputs are scored once each, in
 a few large batches, and its rewards computed as arrays
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..censors.base import CensorClassifier
 from ..core.env import EpisodeSummary
-from ..core.vec_env import BatchedEpisodeEncoder, VectorFlowEnv, build_envs_from_seed_tree
+from ..core.vec_env import BatchedEpisodeEncoder, VectorFlowEnv
 from ..nn.serialization import load_prefixed_state, state_dict_from_bytes
 
 __all__ = ["ShardRunner", "ShardResult"]
@@ -79,7 +80,7 @@ class ShardRunner:
         copies); their weights are overwritten by :meth:`load_weights`
         before every collect, so only broadcast checkpoints matter.
     censor:
-        The shard's censor replica; all environments of the shard share it.
+        The shard's censor replica, the one censor of the shard's engine.
     seed_pairs:
         One ``(env stream, noise stream)`` :class:`~numpy.random.SeedSequence`
         pair per slot, cut from :func:`repro.utils.rng.collection_seed_tree`.
@@ -104,19 +105,20 @@ class ShardRunner:
         self.critic = critic
         self.encoder = encoder
         self.censor = censor
-        self._envs = build_envs_from_seed_tree(censor, normalizer, config, flows, seed_pairs)
+        self._vec_env = VectorFlowEnv(
+            censor, normalizer, config, flows, [env_seq for env_seq, _ in seed_pairs]
+        )
         self._noise_rngs = [
             np.random.default_rng(noise_seq) for _, noise_seq in seed_pairs
         ]
-        self._vec_env = VectorFlowEnv(self._envs)
-        self._tracker = BatchedEpisodeEncoder(encoder, len(self._envs))
+        self._tracker = BatchedEpisodeEncoder(encoder, len(seed_pairs))
         self._states: np.ndarray = np.zeros(0)
         self._started = False
 
     # ------------------------------------------------------------------ #
     @property
     def n_envs(self) -> int:
-        return len(self._envs)
+        return self._vec_env.n_envs
 
     def load_weights(self, payload: bytes) -> None:
         """Refresh actor / critic / encoder replicas from a broadcast checkpoint.
@@ -134,21 +136,21 @@ class ShardRunner:
     def snapshot(self) -> dict:
         """Picklable copy of the runner's mutable *collection* state.
 
-        Covers environment episode state and seed streams, exploration-noise
-        streams, tracked encoder states, the cached ``s_t`` batch and the
-        censor replica's query counter — everything a fresh fork needs to
+        Covers the engine's slots (episodes and seed streams), the
+        exploration-noise streams, tracked encoder states, the cached
+        ``s_t`` batch and the censor replica's query counter — everything a fresh fork needs to
         resume from this exact point, so the sharded engine can truncate
         its replay log after every collect.  Replica *weights* are not
         included: the driver already holds the authoritative checkpoint (it
         broadcast it) and re-applies it on restore, which keeps the
         per-iteration snapshot round off the weight-serialization path.
         """
-        # Everything is copied (env.state_snapshot deep-copies) so the
+        # Everything is copied (the engine's snapshot deep-copies) so the
         # snapshot stays frozen while the runner keeps advancing; a pipe
         # would copy implicitly via pickling, but in-process users of the
         # runner (``Amoeba.train``'s inline shard, tests) share no such boundary.
         return {
-            "envs": [env.state_snapshot() for env in self._envs],
+            "envs": self._vec_env.snapshot(),
             "noise_rng_states": [rng.bit_generator.state for rng in self._noise_rngs],
             "tracker": self._tracker.snapshot(),
             "states": np.asarray(self._states).copy(),
@@ -158,10 +160,7 @@ class ShardRunner:
 
     def restore(self, snapshot: dict) -> None:
         """Inverse of :meth:`snapshot` (applied to a freshly built runner)."""
-        if len(snapshot["envs"]) != self.n_envs:
-            raise ValueError("snapshot does not match this shard's n_envs")
-        for env, env_state in zip(self._envs, snapshot["envs"]):
-            env.state_restore(env_state)
+        self._vec_env.restore(snapshot["envs"])
         for rng, rng_state in zip(self._noise_rngs, snapshot["noise_rng_states"]):
             rng.bit_generator.state = rng_state
         self._tracker.restore(snapshot["tracker"])

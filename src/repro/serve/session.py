@@ -1,7 +1,7 @@
 """Per-flow serving session: incremental state + the online shaping emulator.
 
-A :class:`FlowSession` is the serving-tier counterpart of one
-:class:`~repro.core.env.AdversarialFlowEnv` episode: the packet queue,
+A :class:`FlowSession` is the serving-tier counterpart of one episode of a
+:class:`~repro.core.vec_env.VectorFlowEnv` slot: the packet queue,
 emitted packets, accounting and deadline tracking of one live tunnelled
 flow.  Its two incremental encoder streams (observation history and action
 history) are *not* stored on the session: they are one slot of the server's
@@ -312,7 +312,7 @@ class FlowSession:
         array row.  The shaping is :meth:`PacketShaper.apply
         <repro.core.env.PacketShaper.apply>` — the *same* state machine the
         training emulator steps — so a deterministic policy served here
-        emits the same packets ``AdversarialFlowEnv._propose`` would, bit
+        emits the same packets ``VectorFlowEnv._propose`` would, bit
         for bit.  The observation the action answered counts as folded from
         here on (the server commits its table rows just before this call);
         a truncation re-offers the remainder as the next one.

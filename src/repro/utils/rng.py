@@ -16,20 +16,21 @@ training stack:
   The actor and critic streams only initialise weights (the actor owns no
   noise stream); the ppo stream shuffles minibatches.
 * The eval stream (stream 3) serves evaluation only, so evaluating never
-  moves training.  Its evaluation environments draw their reward-masking
-  coin flips from it, and each sampled ``attack_many`` call consumes one
-  :func:`spawn_rngs` call on it with one child per flow: flow ``i``'s
-  exploration noise comes from child ``i``, so a sampled attack depends on
-  the stream's position and on ``i``, never on the other flows of the call.
+  moves training.  Evaluation masks every step at rate 1.0 and attacks
+  given flows, so its environment draws nothing from it; each sampled
+  ``attack_many`` call consumes one :func:`spawn_rngs` call on it with one
+  child per flow: flow ``i``'s exploration noise comes from child ``i``, so
+  a sampled attack depends on the stream's position and on ``i``, never on
+  the other flows of the call.
   Deterministic evaluation spawns nothing.
 * Each ``Amoeba.train`` call consumes one :func:`collection_seed_tree`
   call: the root generator contributes a single 63-bit entropy draw, from
   which ``n_envs`` ``SeedSequence`` children are spawned — child ``i``
   governs environment slot ``i``.  Each child spawns two grandchildren:
-  ``(env stream, exploration-noise stream)``.  The env stream drives flow
-  order and reward-masking draws inside :class:`~repro.core.env.AdversarialFlowEnv`;
-  the noise stream drives the Gaussian exploration noise of the policy for
-  that slot.
+  ``(env stream, exploration-noise stream)``.  The env stream drives the
+  slot's flow order and reward-masking draws inside
+  :class:`~repro.core.vec_env.VectorFlowEnv`; the noise stream drives the
+  Gaussian exploration noise of the policy for that slot.
 * The sharded rollout engine partitions the *same* per-env pairs into
   contiguous shards of ``n_envs / workers`` slots, so worker ``w`` hosts
   the identical streams environment slots ``w·shard … (w+1)·shard − 1``

@@ -39,14 +39,20 @@ def attack_many_per_tick(agent, flows, deterministic: bool = True) -> List[Adver
     """``agent.attack_many(flows)`` with the censor consulted after every tick."""
     flows = list(flows)
     noise_rngs = None if deterministic else spawn_rngs(agent._eval_rng, len(flows))
-    envs = [agent._make_eval_env(flow) for flow in flows]
-    vec_env = VectorFlowEnv(envs)
-    tracker = BatchedEpisodeEncoder(agent.state_encoder, len(envs))
-    tracker.reset_all(np.stack([env.reset(flow) for env, flow in zip(envs, flows)]))
+    config = agent.config
+    budget = max(flow.n_packets for flow in flows) * (1 + config.max_truncations_per_packet)
+    eval_config = config.with_overrides(
+        reward_mask_rate=1.0, max_episode_steps=max(config.max_episode_steps, budget)
+    )
+    vec_env = VectorFlowEnv(
+        agent.censor, agent.normalizer, eval_config, flows, [agent._eval_rng] * len(flows)
+    )
+    tracker = BatchedEpisodeEncoder(agent.state_encoder, len(flows))
+    tracker.reset_all(vec_env.reset(flows))
 
     action_dim = agent.actor.action_dim
-    results: List[Optional[AdversarialResult]] = [None] * len(envs)
-    active = list(range(len(envs)))
+    results: List[Optional[AdversarialResult]] = [None] * len(flows)
+    active = list(range(len(flows)))
     while active:
         noise = None
         if noise_rngs is not None:

@@ -16,17 +16,21 @@ the noise streams are always present (the old ``noise_rngs=None`` default
 had no caller).
 
 The single-step APIs it was written against have since left ``src`` too, so
-the oracle spells them out, each the body the removed wrapper had:
+the oracle spells them out, each the body the removed wrapper had.  Each
+environment is a one-slot :class:`~repro.core.vec_env.VectorFlowEnv` built
+from the slot's env stream, stepped with ``step`` (which begins the next
+episode when one ends, as the seed's inline reset did) and never settled:
 
-* ``AdversarialFlowEnv.step`` is :meth:`SequentialCollector._env_step` --
-  ``_propose``, one ``predict_scores`` call on the prefix (unless masked)
-  and the finished flow (when done), then the per-step reward and summary
-  body ``AdversarialFlowEnv._settle`` had (:meth:`SequentialCollector._settle`:
-  Python float arithmetic, one step at a time, where ``VectorFlowEnv.settle``
-  now computes a rollout's rewards as arrays);
+* the seed environment's ``step`` is :meth:`SequentialCollector._env_step`
+  -- one engine ``step``, one ``predict_scores`` call on the prefix (unless
+  masked) and the finished flow (when done), then the per-step reward and
+  summary body the environment's ``_settle`` had
+  (:meth:`SequentialCollector._settle`: Python float arithmetic, one step at
+  a time, where ``VectorFlowEnv.settle`` computes a rollout's rewards as
+  arrays);
 * ``observation_history()`` / ``action_history()`` are per-slot lists kept
-  here, fed from the reset observation and the next-observation and
-  recorded-action pairs ``_propose`` returns;
+  here, fed from the reset observation and the tick record's next
+  observation and recorded action;
 * ``Amoeba.encode_state`` is :meth:`SequentialCollector.encode_histories`;
 * ``GaussianActor.act`` / ``Critic.value`` are one-row ``act_batch`` /
   ``value_batch`` calls.
@@ -38,8 +42,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.env import AdversarialFlowEnv, EpisodeSummary
-from repro.core.vec_env import build_envs_from_seed_tree
+from repro.core.env import EpisodeSummary
+from repro.core.vec_env import VectorFlowEnv
 from repro.distrib.shard import ShardResult
 
 __all__ = ["SequentialCollector"]
@@ -63,15 +67,13 @@ class SequentialCollector:
         self.critic = critic
         self.encoder = encoder
         self.censor = censor
+        self.config = config
         self._noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in seed_pairs]
-        self._envs = build_envs_from_seed_tree(censor, normalizer, config, flows, seed_pairs)
-        self._histories = [self._reset(env) for env in self._envs]
+        self._engines = [
+            VectorFlowEnv(censor, normalizer, config, flows, [env_seq]) for env_seq, _ in seed_pairs
+        ]
+        self._histories = [([tuple(engine.reset()[0].tolist())], []) for engine in self._engines]
         self._states = np.stack([self.encode_histories(history) for history in self._histories])
-
-    @staticmethod
-    def _reset(env: AdversarialFlowEnv) -> Tuple[List, List]:
-        """Start an episode; its (observation, action) histories."""
-        return [tuple(env.reset().tolist())], []
 
     def encode_histories(self, history: Tuple[List, List]) -> np.ndarray:
         observations, actions = history
@@ -81,18 +83,20 @@ class SequentialCollector:
         action_code = self.encoder.encode_pairs(np.array(actions, dtype=np.float64).reshape(-1, 2))
         return np.concatenate([observation_code, action_code])
 
-    def _env_step(self, env: AdversarialFlowEnv, action: np.ndarray, history: Tuple[List, List]):
-        """One immediately scored step: ``(reward, done, summary)``."""
-        episode, prefix_length, _, masked, done, data_penalty, time_penalty, next_observation, recorded_action = (
-            env._propose(*action.tolist())
-        )
+    def _env_step(self, engine: VectorFlowEnv, action: np.ndarray, history: Tuple[List, List]):
+        """One immediately scored step: ``(reward, done, summary)``; a
+        finished episode's next one is already begun, its histories fresh."""
+        tick = engine.step(action[None])
+        episode, prefix_length, masked = tick.episodes[0], tick.prefix_lengths[0], tick.masked[0]
+        done, data_penalty, time_penalty = tick.dones[0], tick.data_penalties[0], tick.time_penalties[0]
+        next_observation, recorded_action = (tuple(pair) for pair in tick.pairs.tolist())
         flow = episode.flow()
         flows = [] if masked else [flow.prefix_views([prefix_length])[0]]
         if done:
             flows.append(flow)
         scores = self.censor.predict_scores(flows).tolist()
         reward, summary = self._settle(
-            env,
+            self.config,
             episode,
             data_penalty,
             time_penalty,
@@ -100,17 +104,19 @@ class SequentialCollector:
             scores[-1] if done else None,
         )
         observations, actions = history
-        actions.append(recorded_action)
-        if not done:
+        if done:  # the engine has begun the next episode: fresh histories
+            observations[:] = [next_observation]
+            actions.clear()
+        else:
+            actions.append(recorded_action)
             observations.append(next_observation)
         return reward, done, summary
 
     @staticmethod
-    def _settle(env, episode, data_penalty, time_penalty, prefix_score, final_score):
+    def _settle(config, episode, data_penalty, time_penalty, prefix_score, final_score):
         """Fold one step's censor scores into its reward and the episode's:
         the prefix's score (``None`` when masked) and the finished flow's
         (``None`` unless the step ended the episode)."""
-        config = env.config
         if prefix_score is None:
             adversarial_reward = config.masked_reward_value
         else:
@@ -130,8 +136,8 @@ class SequentialCollector:
         return np.stack([rng.normal(size=self.actor.action_dim) for rng in self._noise_rngs])
 
     def collect(self, n_ticks: int) -> ShardResult:
-        envs = self._envs
-        n_envs = len(envs)
+        engines = self._engines
+        n_envs = len(engines)
         action_dim = self.actor.action_dim
         rollout_states = np.zeros((n_ticks, n_envs, self._states.shape[1]))
         rollout_actions = np.zeros((n_ticks, n_envs, action_dim))
@@ -152,11 +158,11 @@ class SequentialCollector:
             next_states = np.zeros_like(states)
             noise = self._draw_noise()
 
-            for index, env in enumerate(envs):
+            for index, engine in enumerate(engines):
                 state = states[index : index + 1]
                 action, log_prob = self.actor.act_batch(state, noise=noise[index : index + 1])
                 value = self.critic.value_batch(state)[0]
-                reward, done, summary = self._env_step(env, action[0], self._histories[index])
+                reward, done, summary = self._env_step(engine, action[0], self._histories[index])
                 actions[index] = action[0]
                 log_probs[index] = log_prob[0]
                 values[index] = value
@@ -164,7 +170,6 @@ class SequentialCollector:
                 dones[index] = done
                 if done:
                     summaries.append((tick, index, summary))
-                    self._histories[index] = self._reset(env)
                 next_states[index] = self.encode_histories(self._histories[index])
 
             rollout_states[tick] = states

@@ -14,7 +14,7 @@ import pytest
 from oracles.per_tick_settle import settled_step
 from repro.censors import DecisionTreeCensor
 from repro.censors.gateway import CensorGateway, SocketPair
-from repro.core import AdversarialFlowEnv, VectorFlowEnv
+from repro.core import VectorFlowEnv
 
 
 @pytest.fixture()
@@ -24,11 +24,7 @@ def gateway(tor_splits):
 
 
 def _make_vec_env(gateway, normalizer, config, flows, seeds):
-    envs = [
-        AdversarialFlowEnv(gateway.classifier, normalizer, config, flows, rng=seed)
-        for seed in seeds
-    ]
-    return VectorFlowEnv(envs)
+    return VectorFlowEnv(gateway.classifier, normalizer, config, flows, seeds)
 
 
 class TestGatewayBatchedAccounting:

@@ -86,13 +86,28 @@ def test_tier1_runs_every_example():
 
 
 def test_tier1_collects_every_fidelity_bench():
-    """No job runs ``benchmarks/bench_*.py``; one tier-1 step collects them,
-    so a bench that no longer imports fails CI."""
+    """No job runs ``benchmarks/bench_*.py`` as a set; one tier-1 step
+    collects them, so a bench that no longer imports fails CI."""
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [step.get("run", "") for step in steps]
     assert "PYTHONPATH=src python -m pytest --collect-only -q benchmarks/bench_*.py" in runs
     assert sorted((ROOT / "benchmarks").glob("bench_*.py"))
+
+
+def test_tier1_runs_the_bench_that_builds_the_engine():
+    """``bench_deployment_latency.py`` passes and builds ``VectorFlowEnv``
+    directly, so tier-1 runs it: collecting alone would not catch a wrong
+    call into the engine."""
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    command = "PYTHONPATH=src python -m pytest benchmarks/bench_deployment_latency.py --benchmark-disable -q"
+    assert command in runs
+    [install] = [run for run in runs if run.startswith("python -m pip install numpy")]
+    assert "pytest-benchmark" in install.split()
+    assert runs.index(install) < runs.index(command)
+    assert "VectorFlowEnv(" in (ROOT / "benchmarks" / "bench_deployment_latency.py").read_text()
 
 
 def test_tier1_trains_and_serves_through_the_installed_package():

@@ -127,17 +127,17 @@ class TestAmoebaAgent:
         assert np.allclose(before.adversarial_flow.sizes, after.adversarial_flow.sizes)
 
     def test_encode_state_dimension(self, trained_agent, tor_splits, normalizer):
-        from repro.core import AdversarialFlowEnv, BatchedEpisodeEncoder
+        from repro.core import BatchedEpisodeEncoder, VectorFlowEnv
 
-        env = AdversarialFlowEnv(
+        vec_env = VectorFlowEnv(
             trained_agent.censor,
             normalizer,
             trained_agent.config,
             [tor_splits.test.censored_flows[0]],
-            rng=0,
+            [0],
         )
         tracker = BatchedEpisodeEncoder(trained_agent.state_encoder, 1)
-        states = tracker.reset_all(env.reset()[None])
+        states = tracker.reset_all(vec_env.reset())
         assert states.shape == (1, trained_agent.config.state_dim)
 
 

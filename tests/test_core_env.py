@@ -1,22 +1,32 @@
 """Unit tests for the adversarial flow environment (transport-layer emulator).
 
-The environment has no single-step API of its own; these tests step it
-through ``VectorFlowEnv.step_subset`` on a one-slot engine and settle each
-tick at once (:func:`step`), which never resets a finished episode.
+These tests build one-slot :class:`VectorFlowEnv` engines, step them with
+``step_subset`` and settle each tick at once (:func:`step`), which never
+resets a finished episode.
 """
 
 import numpy as np
 import pytest
 
 from oracles.per_tick_settle import settled_step
-from repro.core import AdversarialFlowEnv, AmoebaConfig, VectorFlowEnv
+from repro.core import AmoebaConfig, VectorFlowEnv
 from repro.flows import Flow, FlowLabel
+
+
+def make_env(censor, normalizer, config, flows):
+    """A one-slot engine whose slot draws from seed 0."""
+    return VectorFlowEnv(censor, normalizer, config, flows, [0])
+
+
+def episode(env):
+    """The one slot's current episode."""
+    return env._slots[0].episode
 
 
 def step(env, action):
     """One immediately scored step of ``env``: ``(tick, reward, summary)``,
     the summary ``None`` unless the step ended the episode."""
-    tick, rewards, summaries = settled_step(VectorFlowEnv([env]), np.asarray(action)[None], [0])
+    tick, rewards, summaries = settled_step(env, np.asarray(action)[None], [0])
     return tick, float(rewards[0]), summaries.get(0)
 
 
@@ -42,22 +52,36 @@ def small_flow():
 
 @pytest.fixture
 def env(trained_dt_censor, normalizer, env_config, small_flow):
-    return AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
+    return make_env(trained_dt_censor, normalizer, env_config, [small_flow])
 
 
 class TestEnvBasics:
-    def test_requires_flows(self, trained_dt_censor, normalizer, env_config):
-        with pytest.raises(ValueError):
-            AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [], rng=0)
+    def test_requires_flows_and_slots(self, trained_dt_censor, normalizer, env_config, small_flow):
+        trained_dt_censor.reset_query_count()
+        with pytest.raises(ValueError, match="at least one flow"):
+            make_env(trained_dt_censor, normalizer, env_config, [])
+        with pytest.raises(ValueError, match="at least one slot"):
+            VectorFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], [])
+        assert trained_dt_censor.query_count == 0
 
     def test_reset_returns_first_observation(self, env, small_flow, normalizer):
         observation = env.reset()
-        assert observation.shape == (2,)
-        assert observation[0] == pytest.approx(1000.0 / normalizer.size_scale)
-        assert observation[1] == 0.0
+        assert observation.shape == (1, 2) and observation.dtype == np.float64
+        assert observation[0, 0] == pytest.approx(1000.0 / normalizer.size_scale)
+        assert observation[0, 1] == 0.0
+
+    def test_reset_on_given_flows_draws_nothing(self, env, small_flow, normalizer):
+        other = Flow(sizes=[-300.0, 300.0], delays=[0.0, 5.0], label=FlowLabel.CENSORED)
+        state = env._slots[0].rng.bit_generator.state
+        observation = env.reset([other])
+        assert observation[0, 0] == pytest.approx(-300.0 / normalizer.size_scale)
+        assert episode(env).original.n_packets == 2
+        assert env._slots[0].rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="one flow per slot"):
+            env.reset([other, other])
 
     def test_step_before_reset_raises(self, trained_dt_censor, normalizer, env_config, small_flow):
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
+        env = make_env(trained_dt_censor, normalizer, env_config, [small_flow])
         with pytest.raises(RuntimeError):
             step(env, np.array([0.5, 0.0]))
 
@@ -107,7 +131,7 @@ class TestEmulatorSemantics:
         # the emitted adversarial packet keeps the original direction.
         step(env, np.array([1.0, 0.0]))  # finish first (upstream) packet
         step(env, np.array([1.0, 0.0]))  # second packet is downstream
-        adversarial_sizes = env._episode.flow().sizes
+        adversarial_sizes = episode(env).flow().sizes
         assert adversarial_sizes[0] > 0
         assert adversarial_sizes[1] < 0
 
@@ -122,7 +146,7 @@ class TestEmulatorSemantics:
 
     def test_truncation_limit_forces_completion(self, trained_dt_censor, normalizer, small_flow):
         config = AmoebaConfig.for_tor(max_truncations_per_packet=2, max_episode_steps=50)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
+        env = make_env(trained_dt_censor, normalizer, config, [small_flow])
         env.reset()
         tiny = 64.0 / normalizer.size_scale
         kinds = []
@@ -135,17 +159,17 @@ class TestEmulatorSemantics:
 
     def test_max_episode_steps_terminates(self, trained_dt_censor, normalizer, small_flow):
         config = AmoebaConfig.for_tor(max_episode_steps=2, max_truncations_per_packet=8)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
+        env = make_env(trained_dt_censor, normalizer, config, [small_flow])
         env.reset()
         _, _, summary = step(env, np.array([0.1, 0.0]))
         if summary is None:
             _, _, summary = step(env, np.array([0.1, 0.0]))
         assert summary is not None
 
-    def test_min_packet_bytes_enforced(self, env):
+    def test_min_packet_bytes_enforced(self, env, env_config):
         env.reset()
         step(env, np.array([0.0, 0.0]))  # requests 0 bytes -> raised to min_packet_bytes
-        assert abs(env._episode.flow().sizes[0]) >= env.config.min_packet_bytes
+        assert abs(episode(env).flow().sizes[0]) >= env_config.min_packet_bytes
 
 
 class TestRewards:
@@ -157,7 +181,7 @@ class TestRewards:
 
     def test_reward_decreases_with_delay(self, trained_dt_censor, normalizer, env_config, small_flow):
         def first_reward(delay_fraction):
-            env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [small_flow], rng=0)
+            env = make_env(trained_dt_censor, normalizer, env_config, [small_flow])
             env.reset()
             _, reward, _ = step(env, np.array([1.0, delay_fraction]))
             return reward
@@ -168,7 +192,7 @@ class TestRewards:
         tiny_flow = Flow(sizes=[200.0], delays=[0.0], label=FlowLabel.CENSORED)
 
         def first_reward(size_fraction):
-            env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [tiny_flow], rng=0)
+            env = make_env(trained_dt_censor, normalizer, env_config, [tiny_flow])
             env.reset()
             _, reward, _ = step(env, np.array([size_fraction, 0.0]))
             return reward
@@ -177,7 +201,7 @@ class TestRewards:
 
     def test_masked_rewards_skip_censor_queries(self, trained_dt_censor, normalizer, small_flow):
         config = AmoebaConfig.for_tor(reward_mask_rate=1.0, max_episode_steps=30)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [small_flow], rng=0)
+        env = make_env(trained_dt_censor, normalizer, config, [small_flow])
         trained_dt_censor.reset_query_count()
         env.reset()
         tick, _, summary = step(env, np.array([1.0, 0.0]))
@@ -210,7 +234,7 @@ class TestEpisodeSummary:
 
     def test_exact_transmission_zero_data_overhead(self, trained_dt_censor, normalizer, env_config):
         flow = Flow(sizes=[1460.0, -1460.0], delays=[0.0, 10.0], label=FlowLabel.CENSORED)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, env_config, [flow], rng=0)
+        env = make_env(trained_dt_censor, normalizer, env_config, [flow])
         env.reset()
         summary = None
         while summary is None:
@@ -219,13 +243,11 @@ class TestEpisodeSummary:
 
     def test_flow_pool_cycles(self, trained_dt_censor, normalizer, env_config, small_flow):
         other = Flow(sizes=[300.0, -300.0], delays=[0.0, 5.0], label=FlowLabel.CENSORED)
-        env = AdversarialFlowEnv(
-            trained_dt_censor, normalizer, env_config, [small_flow, other], rng=0
-        )
+        env = make_env(trained_dt_censor, normalizer, env_config, [small_flow, other])
         seen_lengths = set()
         for _ in range(4):
             env.reset()
-            seen_lengths.add(env._episode.original.n_packets)
+            seen_lengths.add(episode(env).original.n_packets)
             summary = None
             while summary is None:
                 _, _, summary = step(env, np.array([1.0, 0.0]))
@@ -443,7 +465,7 @@ class TestScalarCore:
         env.reset()
         for size_action, delay_action in ((np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)):
             with pytest.raises(ValueError) as from_training:
-                VectorFlowEnv([env]).step(np.array([[size_action, delay_action]]))
+                env.step(np.array([[size_action, delay_action]]))
             with pytest.raises(ValueError) as from_serving:
                 session.apply_action([size_action, delay_action])
             assert str(from_training.value) == str(from_serving.value)
@@ -451,16 +473,15 @@ class TestScalarCore:
 
     def test_step_validates_the_shape(self, env):
         env.reset()
-        vec_env = VectorFlowEnv([env])
         for bad in ([0.1, 0.2, 0.3], np.float64(0.5), 0.5, np.zeros((2, 2)), [], [0.1, 0.2]):
             with pytest.raises(ValueError, match="actions must have shape"):
-                vec_env.step(bad)
+                env.step(bad)
             with pytest.raises(ValueError, match="actions must have shape"):
-                vec_env.step_subset([0], bad)
-        assert env._episode.shaper.steps == 0
+                env.step_subset([0], bad)
+        assert episode(env).shaper.steps == 0
 
     def test_both_tiers_end_in_the_same_core_function(self, env, monkeypatch):
-        """One emulator: ``AdversarialFlowEnv._propose`` and
+        """One emulator: ``VectorFlowEnv._propose`` and
         ``FlowSession.apply_action`` step one state machine,
         ``PacketShaper.apply``."""
         from repro.core.state_encoder import StateEncoder
@@ -475,13 +496,13 @@ class TestScalarCore:
         monkeypatch.setattr(PacketShaper, "apply", spy)
 
         env.reset()
-        VectorFlowEnv([env]).step(np.array([[0.5, 0.25]]))
+        env.step(np.array([[0.5, 0.25]]))
         assert calls == [(0.5, 0.25)]
 
         encoder = StateEncoder(hidden_size=4, num_layers=1, rng=0)
         table = session_module.SessionTable(encoder.num_layers, encoder.hidden_size)
         session = session_module.FlowSession("s", table, table.acquire(), PacketShaper(1460.0))
-        assert type(session.shaper) is type(env._episode.shaper) is PacketShaper
+        assert type(session.shaper) is type(episode(env).shaper) is PacketShaper
         session.enqueue(900.0, 1.0)
         assert session.arm_next()
         from_list = session.apply_action([0.5, 0.25])

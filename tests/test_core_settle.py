@@ -18,9 +18,8 @@ import pytest
 from oracles.per_tick_settle import attack_many_per_tick, settled_step
 from repro.censors import DeepFingerprintingClassifier
 from repro.censors.base import CensorClassifier
-from repro.core import AdversarialFlowEnv, Amoeba, AmoebaConfig, BatchedEpisodeEncoder, VectorFlowEnv
+from repro.core import Amoeba, AmoebaConfig, BatchedEpisodeEncoder, VectorFlowEnv
 from repro.core import vec_env as vec_env_module
-from repro.core.vec_env import build_envs_from_seed_tree
 from repro.distrib import ShardRunner
 from repro.features import SequenceRepresentation
 from repro.utils.rng import collection_seed_tree
@@ -100,7 +99,7 @@ def collect_per_tick(agent, censor, normalizer, config, flows, n_collects=N_COLL
     censor batch per tick), over the same seed tree and replicas as
     :func:`make_runner`."""
     tree = seed_tree()
-    vec_env = VectorFlowEnv(build_envs_from_seed_tree(censor, normalizer, config, flows, tree))
+    vec_env = VectorFlowEnv(censor, normalizer, config, flows, [env_seq for env_seq, _ in tree])
     noise_rngs = [np.random.default_rng(noise_seq) for _, noise_seq in tree]
     tracker = BatchedEpisodeEncoder(agent.state_encoder, N_ENVS)
     states = tracker.reset_all(vec_env.reset())
@@ -216,9 +215,7 @@ class TestDeferredEqualsPerTick:
         assert not result.dones.any()
         assert result.query_delta == 0 and censor.query_count == 0 and censor.calls == []
         assert (result.rewards <= config.masked_reward_value).all()
-        vec_env = VectorFlowEnv(
-            [AdversarialFlowEnv(censor, normalizer, config, long_flows, rng=0)]
-        )
+        vec_env = VectorFlowEnv(censor, normalizer, config, long_flows, [0])
         rewards, finished = vec_env.settle([])
         assert len(rewards) == 0 and finished == [] and censor.calls == []
 
@@ -232,7 +229,7 @@ class TestDeferredEqualsPerTick:
         head = first.collect(N_TICKS)
         snapshot = first.snapshot()
         # Episodes are in flight at the boundary, emitted packets and all.
-        assert any(env["_episode"].shaper.steps > 0 for env in snapshot["envs"])
+        assert any(slot.episode.shaper.steps > 0 for slot in snapshot["envs"])
         first.collect(N_TICKS)  # the snapshot must not alias the live runner
 
         resumed = make_runner(agent, trained_dt_censor, normalizer, config, flows)
@@ -315,13 +312,13 @@ class TestOwnershipAndMisuse:
     ):
         censor = RecordingCensor(trained_dt_censor)
         config = agent.config.with_overrides(max_episode_steps=30)
-        env = AdversarialFlowEnv(censor, normalizer, config, [simple_flow], rng=0)
-        vec_env = VectorFlowEnv([env])
+        vec_env = VectorFlowEnv(censor, normalizer, config, [simple_flow], [0])
         vec_env.reset()
         ticks = []
         while not (ticks and ticks[-1].dones[0]):
             ticks.append(vec_env.step(np.array([[0.2, 0.1]])))
-        assert not env._done  # auto-reset: the environment already runs its next flow
+        # auto-reset: the slot already runs its next flow
+        assert vec_env._slots[0].episode.adversarial is None
 
         flows = [flow for tick in ticks for flow in flows_to_score(tick, 0)]
         *prefixes, finished = flows
@@ -355,11 +352,8 @@ class TestOwnershipAndMisuse:
         self, trained_dt_censor, normalizer, fast_config, simple_flow
     ):
         censor = RecordingCensor(trained_dt_censor)
-        envs = [
-            AdversarialFlowEnv(censor, normalizer, fast_config, [simple_flow], rng=seed)
-            for seed in range(3)
-        ]
-        ours, theirs = VectorFlowEnv(envs[:2]), VectorFlowEnv(envs[2:])
+        ours = VectorFlowEnv(censor, normalizer, fast_config, [simple_flow], [0, 1])
+        theirs = VectorFlowEnv(censor, normalizer, fast_config, [simple_flow], [2])
         ours.reset()
         theirs.reset()
         tick = ours.step(np.tile([0.9, 0.0], (2, 1)))
@@ -388,10 +382,9 @@ class TestOwnershipAndMisuse:
             def _score_flows(self, flows):
                 return np.zeros(len(flows) - 1)
 
-        env = AdversarialFlowEnv(
-            ShortCensor(trained_dt_censor), normalizer, fast_config, [simple_flow], rng=0
+        vec_env = VectorFlowEnv(
+            ShortCensor(trained_dt_censor), normalizer, fast_config, [simple_flow], [0]
         )
-        vec_env = VectorFlowEnv([env])
         vec_env.reset()
         with pytest.raises(RuntimeError, match="wrong number of scores"):
             settled_step(vec_env, np.array([[0.9, 0.0]]))
@@ -510,67 +503,6 @@ class TestFreshRunnersReproduce:
                 summary_key(item) for item in want.summaries
             ]
             assert got.query_delta == want.query_delta > 0
-
-
-class TestPerSlotConfigs:
-    def test_each_slot_keeps_its_own_masking_and_budget(
-        self, trained_dt_censor, normalizer, tor_splits
-    ):
-        """Slots whose configs differ (masking rate, step budget, truncation
-        penalty) settle together as each settles alone."""
-        flows = tor_splits.attack_train.censored_flows[:4]
-        configs = [
-            AmoebaConfig.for_tor(max_episode_steps=5),
-            AmoebaConfig.for_tor(max_episode_steps=9, reward_mask_rate=0.5),
-            AmoebaConfig.for_tor(max_episode_steps=3, lambda_split=0.3),
-        ]
-
-        def envs():
-            return [
-                AdversarialFlowEnv(trained_dt_censor, normalizer, config, flows, rng=slot)
-                for slot, config in enumerate(configs)
-            ]
-
-        together = VectorFlowEnv(envs())
-        alone = [VectorFlowEnv([env]) for env in envs()]
-        together.reset()
-        for vec_env in alone:
-            vec_env.reset()
-        actions = np.random.default_rng(7).uniform(-1, 1, size=(12, len(configs), 2))
-        for tick_actions in actions:
-            tick, rewards, summaries = settled_step(together, tick_actions)
-            for slot, vec_env in enumerate(alone):
-                got, got_rewards, got_summaries = settled_step(vec_env, tick_actions[slot : slot + 1])
-                assert got.pairs.tobytes() == tick.pairs[[slot, len(configs) + slot]].tobytes()
-                assert got_rewards.view(np.uint64)[0] == rewards[slot : slot + 1].view(np.uint64)[0]
-                assert got.dones[0] == tick.dones[slot]
-                if tick.dones[slot]:
-                    assert got_summaries[0].episode_reward == summaries[slot].episode_reward
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            dict(masked_reward_value=0.25),
-            dict(lambda_data=2.0),
-            dict(lambda_time=0.7),
-            dict(lambda_data=-0.0),  # equal to 0.0, but not bit for bit
-        ],
-    )
-    def test_differing_reward_coefficients_are_refused(
-        self, trained_dt_censor, normalizer, simple_flow, override
-    ):
-        """One reward-coefficient triple per engine: a slot whose triple
-        differs in any bit is refused at construction, before a query."""
-        base = AmoebaConfig(lambda_data=0.0)
-        trained_dt_censor.reset_query_count()
-        envs = [
-            AdversarialFlowEnv(trained_dt_censor, normalizer, config, [simple_flow], rng=slot)
-            for slot, config in enumerate([base, base.with_overrides(**override)])
-        ]
-        with pytest.raises(ValueError, match="masked_reward_value, lambda_data and lambda_time"):
-            VectorFlowEnv(envs)
-        assert trained_dt_censor.query_count == 0
-        VectorFlowEnv(envs[:1] + [AdversarialFlowEnv(trained_dt_censor, normalizer, base, [simple_flow])])
 
 
 class TestAttackSettlesOnce:

@@ -25,7 +25,6 @@ from oracles.tensor_inference import (
 from repro import nn
 from repro.censors.base import CensorClassifier
 from repro.core import (
-    AdversarialFlowEnv,
     Amoeba,
     AmoebaConfig,
     BatchedEpisodeEncoder,
@@ -49,10 +48,13 @@ def mask_config(fast_config):
     return fast_config.with_overrides(reward_mask_rate=0.4)
 
 
-def make_envs(censor, normalizer, config, flows, seeds):
-    return [
-        AdversarialFlowEnv(censor, normalizer, config, flows, rng=seed) for seed in seeds
-    ]
+def make_vec_env(censor, normalizer, config, flows, seeds):
+    """An engine with one slot per seed."""
+    return VectorFlowEnv(censor, normalizer, config, flows, seeds)
+
+
+def slot_done(vec_env, index=0):
+    return vec_env._slots[index].episode.adversarial is not None
 
 
 class TestRowConsistentForwards:
@@ -123,25 +125,34 @@ class TestIncrementalEncoding:
 
 
 class TestVectorFlowEnv:
-    def test_requires_shared_censor(self, trained_dt_censor, normalizer, fast_config, tor_splits, simple_flow):
-        from repro.censors import DecisionTreeCensor
-
-        other = DecisionTreeCensor(rng=4).fit(tor_splits.clf_train.flows)
-        envs = [
-            AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0),
-            AdversarialFlowEnv(other, normalizer, fast_config, [simple_flow], rng=1),
-        ]
-        with pytest.raises(ValueError):
-            VectorFlowEnv(envs)
-        with pytest.raises(ValueError):
-            VectorFlowEnv([])
+    def test_restore_takes_only_a_snapshot_of_as_many_slots(
+        self, trained_dt_censor, normalizer, fast_config, simple_flow
+    ):
+        """The engine's snapshot holds every slot at once: restoring it
+        rewinds them all, and one of another slot count is refused with the
+        engine left as it was."""
+        two = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1])
+        three = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
+        two.reset()
+        three.reset()
+        two.step(np.tile([0.2, 0.0], (2, 1)))
+        snapshot = two.snapshot()
+        with pytest.raises(ValueError, match="snapshot holds 3 slots, this engine 2"):
+            two.restore(three.snapshot())
+        two.step(np.tile([0.2, 0.0], (2, 1)))
+        assert [slot.episode.shaper.steps for slot in two._slots] == [2, 2]
+        two.restore(snapshot)
+        assert [slot.episode.shaper.steps for slot in two._slots] == [1, 1]
+        two.step(np.tile([0.2, 0.0], (2, 1)))
+        assert [slot.episode.shaper.steps for slot in snapshot] == [1, 1]
 
     def test_step_matches_individual_envs(self, trained_dt_censor, normalizer, mask_config, tor_splits):
         flows = tor_splits.attack_train.censored_flows[:6]
         seeds = [11, 12, 13]
-        reference = make_envs(trained_dt_censor, normalizer, mask_config, flows, seeds)
-        vectorized = make_envs(trained_dt_censor, normalizer, mask_config, flows, seeds)
-        vec_env = VectorFlowEnv(vectorized)
+        reference = [
+            make_vec_env(trained_dt_censor, normalizer, mask_config, flows, [seed]) for seed in seeds
+        ]
+        vec_env = make_vec_env(trained_dt_censor, normalizer, mask_config, flows, seeds)
 
         for env in reference:
             env.reset()
@@ -157,10 +168,8 @@ class TestVectorFlowEnv:
             # (a one-slot step_subset), the reset inline.
             expected = []
             for index, env in enumerate(reference):
-                tick, [reward], summaries = settled_step(
-                    VectorFlowEnv([env]), actions[index : index + 1], [0]
-                )
-                observation = env.reset() if tick.dones[0] else tick.pairs[0]
+                tick, [reward], summaries = settled_step(env, actions[index : index + 1], [0])
+                observation = env.reset()[0] if tick.dones[0] else tick.pairs[0]
                 expected.append((observation, reward, tick, summaries.get(0)))
             sequential_queries = trained_dt_censor.query_count
 
@@ -187,8 +196,7 @@ class TestVectorFlowEnv:
 
     def test_masked_steps_do_not_query_censor(self, trained_dt_censor, normalizer, fast_config, simple_flow):
         config = fast_config.with_overrides(reward_mask_rate=1.0)
-        envs = make_envs(trained_dt_censor, normalizer, config, [simple_flow], [0, 1])
-        vec_env = VectorFlowEnv(envs)
+        vec_env = make_vec_env(trained_dt_censor, normalizer, config, [simple_flow], [0, 1])
         vec_env.reset()
         trained_dt_censor.reset_query_count()
         finished = 0
@@ -203,8 +211,7 @@ class TestVectorFlowEnv:
         assert trained_dt_censor.query_count == finished == 2
 
     def test_action_shape_validation(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        envs = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
-        vec_env = VectorFlowEnv(envs)
+        vec_env = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
         vec_env.reset()
         with pytest.raises(ValueError):
             vec_env.step(np.zeros((2, 2)))
@@ -217,22 +224,23 @@ class TestVectorFlowEnv:
         """The all-slots tick resets a finished environment onto its next
         flow; the indexed tick leaves it finished.  No argument changes
         either."""
-        with pytest.raises(TypeError):
-            VectorFlowEnv([], auto_reset=True)
+        with pytest.raises(TypeError, match="auto_reset"):
+            VectorFlowEnv(
+                trained_dt_censor, normalizer, fast_config, [simple_flow], [0], auto_reset=True
+            )
         finish = np.array([[1.0, 0.0]])
         for indices in (None, [0]):
-            [env] = make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
-            vec_env = VectorFlowEnv([env])
+            vec_env = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
             first = vec_env.reset()[0]
             summaries = {}
             while not summaries:
                 tick, _, summaries = settled_step(vec_env, finish, indices)
             assert tick.dones[0] and summaries[0].n_steps == simple_flow.n_packets
             if indices is None:
-                assert not env._done and env._episode.shaper.steps == 0
+                assert not slot_done(vec_env) and vec_env._slots[0].episode.shaper.steps == 0
                 assert np.array_equal(tick.pairs[0], first)
             else:
-                assert env._done
+                assert slot_done(vec_env)
                 assert np.array_equal(tick.pairs[0], np.zeros(2))
                 with pytest.raises(RuntimeError, match="finished episode"):
                     vec_env.step_subset([0], finish)
@@ -936,6 +944,43 @@ class TestTrainEquivalence:
             result = agent.attack_many(alone, deterministic=False)[index]
             assert result_key(result) == result_key(sampled[index])
 
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_shared_step_budget_equals_each_flows_own_where_it_could_bind(
+        self, equivalence_setup, monkeypatch, deterministic
+    ):
+        """A call's flows share one step budget, the longest flow's
+        ``n·(1+k)``, where a flow attacked alone gets ``max(cap, n·(1+k))``.
+        Scripted always-truncate actions (size 0.0 asks for the smallest
+        packet) take every packet to the truncation cap ``k``, so each flow
+        needs exactly ``n·(1+k)`` steps; with the training cap between the
+        flows' needs, each result is still the flow's alone, bit for bit,
+        and the eval stream ends where the lone attacks leave it."""
+        censor, normalizer, config, _ = equivalence_setup
+        config = config.with_overrides(max_truncations_per_packet=2, max_episode_steps=8)
+        agent = self._agent((censor, normalizer, config, None))
+
+        def always_truncate(states, noise=None):
+            return np.zeros((len(states), 2)), np.zeros(len(states))
+
+        monkeypatch.setattr(agent.actor, "act_batch", always_truncate)
+        sizes, delays = [700.0, -1200.0, 900.0, -600.0, 1000.0], [0.0, 3.0, 5.0, 2.0, 8.0]
+        flows = [Flow(sizes=np.array(sizes[:n]), delays=np.array(delays[:n])) for n in (1, 2, 3, 5)]
+        needs = [flow.n_packets * 3 for flow in flows]
+        assert min(needs) < config.max_episode_steps < max(needs)
+
+        start = agent._eval_rng.bit_generator.state
+        together = agent.attack_many(flows, deterministic)
+        end = agent._eval_rng.bit_generator.state
+        assert (end == start) is deterministic
+        assert [result.n_steps for result in together] == needs
+        assert [result.action_counts["truncation"] for result in together] == [
+            2 * flow.n_packets for flow in flows
+        ]
+        for flow, result in zip(flows, together):
+            agent._eval_rng.bit_generator.state = start
+            assert result_key(agent.attack(flow, deterministic)) == result_key(result)
+            assert agent._eval_rng.bit_generator.state == end
+
     def test_attack_many_of_no_flows_is_empty(self, equivalence_setup):
         agent = self._agent(equivalence_setup)
         assert agent.attack_many([]) == []
@@ -986,12 +1031,8 @@ class TestIndexValidation:
     environment advances, any query is spent or any tracker row moves."""
 
     @pytest.fixture
-    def envs(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        return make_envs(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
-
-    @pytest.fixture
-    def vec_env(self, envs):
-        vec_env = VectorFlowEnv(envs)
+    def vec_env(self, trained_dt_censor, normalizer, fast_config, simple_flow):
+        vec_env = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0, 1, 2])
         vec_env.reset()
         return vec_env
 
@@ -999,21 +1040,21 @@ class TestIndexValidation:
         "indices,error",
         [([0, 0], ValueError), ([2, 1, 2], ValueError), ([-1], ValueError), ([0, -3], ValueError), ([0, 3], IndexError)],
     )
-    def test_step_subset_refuses_before_any_step(self, vec_env, envs, trained_dt_censor, indices, error):
+    def test_step_subset_refuses_before_any_step(self, vec_env, trained_dt_censor, indices, error):
         trained_dt_censor.reset_query_count()
-        before = [env.state_snapshot() for env in envs]
+        before = vec_env.snapshot()
         actions = np.tile([0.9, 0.0], (len(indices), 1))
         with pytest.raises(error, match="environment ind"):
             vec_env.step_subset(indices, actions)
         assert trained_dt_censor.query_count == 0
-        for env, snapshot in zip(envs, before):
-            assert env._episode.shaper.steps == snapshot["_episode"].shaper.steps == 0
-            assert env._rng.bit_generator.state == snapshot["_rng"].bit_generator.state
+        for slot, snapshot in zip(vec_env._slots, before):
+            assert slot.episode.shaper.steps == snapshot.episode.shaper.steps == 0
+            assert slot.rng.bit_generator.state == snapshot.rng.bit_generator.state
 
-    def test_distinct_subsets_still_step(self, vec_env, envs):
+    def test_distinct_subsets_still_step(self, vec_env):
         tick = vec_env.step_subset(np.array([2, 0]), np.tile([0.9, 0.0], (2, 1)))
         assert tick.pairs.shape == (4, 2) and len(tick.episodes) == 2 and tick.rows == [2, 0]
-        assert [env._episode.shaper.steps for env in envs] == [1, 0, 1]
+        assert [slot.episode.shaper.steps for slot in vec_env._slots] == [1, 0, 1]
 
     @pytest.mark.parametrize("indices", [[0, 0], [1, 2, 1], [-1], [-2, 0]])
     def test_tracker_refuses_repeated_or_negative_rows(self, indices):
@@ -1223,11 +1264,12 @@ class TestTwoPhaseStep:
     def test_settling_once_equals_settling_every_tick(
         self, trained_dt_censor, normalizer, fast_config, simple_flow
     ):
-        left = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
-        right = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=5)
-        left_vec, right_vec = VectorFlowEnv([left]), VectorFlowEnv([right])
-        left.reset()
-        right.reset()
+        left_vec, right_vec = (
+            make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [5])
+            for _ in range(2)
+        )
+        left_vec.reset()
+        right_vec.reset()
         action = np.array([[0.4, 0.1]])
         per_tick, ticks, summaries = [], [], {}
         while not summaries:
@@ -1242,9 +1284,8 @@ class TestTwoPhaseStep:
         assert summary.episode_reward == summaries[0].episode_reward
 
     def test_step_on_finished_episode_raises(self, trained_dt_censor, normalizer, fast_config, simple_flow):
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, fast_config, [simple_flow], rng=0)
-        vec_env = VectorFlowEnv([env])
-        env.reset()
+        vec_env = make_vec_env(trained_dt_censor, normalizer, fast_config, [simple_flow], [0])
+        vec_env.reset()
         while not vec_env.step_subset([0], np.array([[1.0, 0.0]])).dones[0]:
             pass
         with pytest.raises(RuntimeError, match="finished episode"):

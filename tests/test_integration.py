@@ -119,12 +119,11 @@ class TestEndToEnd:
         unmodified replay of a censored flow earns a lower adversarial reward
         than the benign class score threshold implies."""
         from oracles.per_tick_settle import settled_step
-        from repro.core import AdversarialFlowEnv, VectorFlowEnv
+        from repro.core import VectorFlowEnv
 
         flow = tor_splits.test.censored_flows[0]
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, mini_config, [flow], rng=0)
-        vec_env = VectorFlowEnv([env])
-        env.reset()
+        vec_env = VectorFlowEnv(trained_dt_censor, normalizer, mini_config, [flow], [0])
+        vec_env.reset()
         # Replay the original packet sizes exactly (no padding, no delay).
         done = False
         rewards = []

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.core import (
-    AdversarialFlowEnv,
     AmoebaConfig,
     BatchedEpisodeEncoder,
     Critic,
@@ -384,9 +383,8 @@ class TestEnvironmentProperties:
             label=FlowLabel.CENSORED,
         )
         config = AmoebaConfig.for_tor(max_episode_steps=60, reward_mask_rate=1.0)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
-        vec_env = VectorFlowEnv([env])
-        env.reset()
+        vec_env = VectorFlowEnv(trained_dt_censor, normalizer, config, [flow], [0])
+        vec_env.reset()
         summaries = {}
         index = 0
         while not summaries and index < len(actions):
@@ -420,12 +418,7 @@ class TestEnvironmentProperties:
         flows = tor_splits.attack_train.censored_flows[:5]
 
         def engine():
-            return VectorFlowEnv(
-                [
-                    AdversarialFlowEnv(trained_dt_censor, normalizer, config, flows, rng=seed + slot)
-                    for slot in range(2)
-                ]
-            )
+            return VectorFlowEnv(trained_dt_censor, normalizer, config, flows, [seed, seed + 1])
 
         def summary_key(summary):
             return (
@@ -758,8 +751,7 @@ class TestOneShaperBothTiers:
             max_episode_steps=budget or 10_000,
         )
         normalizer = FlowNormalizer(size_scale=size_scale, delay_scale=max_delay_ms)
-        env = AdversarialFlowEnv(trained_dt_censor, normalizer, config, [flow], rng=0)
-        vec_env = VectorFlowEnv([env])
+        vec_env = VectorFlowEnv(trained_dt_censor, normalizer, config, [flow], [0])
         table = SessionTable(1, 4)
         session = FlowSession(
             "s",

@@ -114,13 +114,6 @@ def test_no_source_reads_the_retired_backend_variable():
 # keep only the batch calls that training, evaluation and serving run.  The
 # sequential reference steps itself (tests/oracles/sequential_collection.py).
 RETIRED_MEMBERS = [
-    ("repro.core.env", "AdversarialFlowEnv", "step"),
-    ("repro.core.env", "AdversarialFlowEnv", "apply"),
-    ("repro.core.env", "AdversarialFlowEnv", "propose"),
-    ("repro.core.env", "AdversarialFlowEnv", "observation_history"),
-    ("repro.core.env", "AdversarialFlowEnv", "action_history"),
-    ("repro.core.env", "AdversarialFlowEnv", "_settle"),
-    ("repro.core.env", "AdversarialFlowEnv", "_finalise_episode"),
     ("repro.core.agent", "Amoeba", "encode_state"),
     ("repro.core.actor_critic", "GaussianActor", "act"),
     ("repro.core.actor_critic", "Critic", "value"),
@@ -161,7 +154,14 @@ RETIRED_MEMBERS = [
     ("repro.core.vec_env", "TickRecord", "next_observations"),
     # Read only by the 4-tuple's terminal observation.
     ("repro.core.vec_env", "VectorFlowEnv", "observation_dim"),
-    ("repro.core.env", "AdversarialFlowEnv", "observation_dim"),
+    # One environment engine: the per-flow environment class, its per-slot
+    # builders and snapshots are gone; the engine's slots hold what it held.
+    ("repro.core", "env", "AdversarialFlowEnv"),
+    ("repro", "core", "AdversarialFlowEnv"),
+    ("repro.core", "vec_env", "build_envs_from_seed_tree"),
+    ("repro.core.agent", "Amoeba", "_make_eval_env"),
+    ("repro.core.vec_env", "VectorFlowEnv", "action_dim"),
+    ("repro.core.vec_env", "VectorFlowEnv", "state_snapshot"),
 ]
 
 # Unreached members: no CLI subcommand, example, benchmark or perf workload
@@ -208,7 +208,6 @@ UNREACHED_MEMBERS = [
     ("repro.core.arms_race", "ArmsRaceResult", "accuracy_trajectory"),
     ("repro.core.vec_env", "VectorFlowEnv", "envs"),
     ("repro.core.vec_env", "BatchedEpisodeEncoder", "state_dim"),
-    ("repro.core.env", "AdversarialFlowEnv", "done"),
     ("repro.censors.base", "CensorClassifier", "classify"),
     ("repro.censors.tree_models", "DecisionTreeCensor", "importance_category_counts"),
     ("repro.serve.session", "SessionReport", "data_overhead"),
@@ -294,6 +293,21 @@ def test_collection_tick_has_no_per_step_object():
 
     assert not hasattr(env, "PendingStep") and "PendingStep" not in env.__all__
     assert not hasattr(repro.core, "PendingStep") and "PendingStep" not in repro.core.__all__
+
+
+def test_one_environment_engine():
+    """``VectorFlowEnv`` is the one environment: ``repro.core`` exports no
+    per-flow class, and the engine is built from one config and one
+    generator per slot."""
+    import inspect
+
+    import repro.core
+    from repro.core import VectorFlowEnv
+
+    assert "AdversarialFlowEnv" not in repro.core.__all__
+    assert list(inspect.signature(VectorFlowEnv).parameters) == [
+        "censor", "normalizer", "config", "flows", "rngs",
+    ]  # fmt: skip
 
 
 def test_actor_has_no_tensor_forward():
@@ -431,6 +445,11 @@ RETIRED_CALLS = [
     r"\.propose\(",
     r"\binfos\[",
     r"terminal_observation",
+    # One environment engine: one constructor, one engine-level snapshot.
+    r"\bAdversarialFlowEnv\(",
+    r"\.state_snapshot\(",
+    r"\bbuild_envs_from_seed_tree\b",
+    r"\._make_eval_env\b",
 ]
 
 
